@@ -12,6 +12,7 @@
 pub mod config;
 pub mod cost;
 pub mod error;
+pub mod hash;
 pub mod heat;
 pub mod ids;
 pub mod key;
@@ -24,6 +25,7 @@ pub mod units;
 pub use config::{CostParams, DiskSpec, HardwareSpec, NetworkSpec, PowerSpec};
 pub use cost::{CostModel, CostVector};
 pub use error::{Error, Result};
+pub use hash::{IdMap, IdSet};
 pub use heat::{DriftConfig, Heat, HeatConfig, HeatVelocity, HelperPolicyConfig};
 pub use ids::{
     ClientId, DiskId, Lsn, NodeId, PageId, PartitionId, QueryId, RecordId, SegmentId, TableId,

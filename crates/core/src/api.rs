@@ -404,6 +404,26 @@ pub struct WattDb {
     policy: PolicyConfig,
 }
 
+impl Drop for WattDb {
+    /// A request queued on a CPU, drive or NIC holds a continuation that
+    /// holds the cluster, and the cluster holds the resource: dropping a
+    /// deployment with work queued would otherwise never free it.
+    fn drop(&mut self) {
+        let Ok(c) = self.cluster.try_borrow() else {
+            return;
+        };
+        for n in &c.nodes {
+            let nic = [c.net.tx_resource(n.id), c.net.rx_resource(n.id)];
+            let drives = n.disks.iter().map(|d| d.resource());
+            for r in drives.chain(nic).chain([&n.cpu]) {
+                if let Ok(mut r) = r.try_borrow_mut() {
+                    r.abandon_queue();
+                }
+            }
+        }
+    }
+}
+
 impl WattDb {
     /// Start building a deployment.
     pub fn builder() -> WattDbBuilder {

@@ -8,14 +8,13 @@
 //! discrete-event simulator.
 
 use std::cell::RefCell;
-use std::collections::HashMap;
 use std::rc::Rc;
 
 use wattdb_common::config::DiskKind;
 use wattdb_common::{
-    ByteSize, CostModel, CostParams, DetRng, DiskId, DriftConfig, HardwareSpec, HeatConfig, Key,
-    KeyRange, Lsn, NetworkSpec, NodeId, PartitionId, PowerSpec, ReplicaConfig, Result, SegmentId,
-    SimDuration, SimTime, TableId, Watts,
+    ByteSize, CostModel, CostParams, DetRng, DiskId, DriftConfig, HardwareSpec, HeatConfig, IdMap,
+    Key, KeyRange, Lsn, NetworkSpec, NodeId, PartitionId, PowerSpec, ReplicaConfig, Result,
+    SegmentId, SimDuration, SimTime, TableId, Watts,
 };
 use wattdb_energy::{EnergyMeter, NodeState, PowerModel};
 use wattdb_index::{GlobalRouter, SegmentIndex, TopIndex};
@@ -161,6 +160,10 @@ pub struct NodeRuntime {
     pub replica_shipper: LogShipper,
     /// Ship log flushes to this helper instead of local disk.
     pub helper: Option<NodeId>,
+    /// Jobs waiting on this node's next group-commit flush.
+    pub commit_queue: Vec<u64>,
+    /// A flush of this node's log is scheduled or in its commit window.
+    pub flush_scheduled: bool,
     /// Probe for power sampling windows.
     pub power_probe: UtilizationProbe,
     /// Probe for monitoring windows (independent of power sampling).
@@ -207,6 +210,8 @@ impl NodeRuntime {
             shipper: LogShipper::new(),
             replica_shipper: LogShipper::new(),
             helper: None,
+            commit_queue: Vec::new(),
+            flush_scheduled: false,
             power_probe: UtilizationProbe::new(),
             monitor_probe: UtilizationProbe::new(),
             status_probe: UtilizationProbe::new(),
@@ -251,8 +256,9 @@ pub struct Cluster {
     pub seg_dir: SegmentDirectory,
     /// Per-segment PK indexes.
     pub indexes: IndexMap,
-    /// Partitions by id.
-    pub partitions: HashMap<PartitionId, Partition>,
+    /// Partitions by id. Ordered: planners and failover walk it, and the
+    /// order they meet partitions in decides what moves first.
+    pub partitions: std::collections::BTreeMap<PartitionId, Partition>,
     /// Master's routing table.
     pub router: GlobalRouter,
     /// Transactions.
@@ -268,13 +274,9 @@ pub struct Cluster {
     /// Transaction generator (shared key high-water marks).
     pub workload: Option<TpccWorkload>,
     /// In-flight executor jobs.
-    pub jobs: HashMap<u64, TxnJob>,
+    pub jobs: IdMap<u64, TxnJob>,
     /// Lock waiter → job/mover mapping.
-    pub lock_waiters: HashMap<wattdb_common::TxnId, crate::executor::Waiter>,
-    /// Pending group commits per node.
-    pub commit_queues: HashMap<NodeId, Vec<u64>>,
-    /// Nodes with a flush scheduled.
-    pub flush_scheduled: std::collections::HashSet<NodeId>,
+    pub lock_waiters: IdMap<wattdb_common::TxnId, crate::executor::Waiter>,
     /// Migration controller (present while rebalancing).
     pub mover: Option<MoveController>,
     /// Key batch staged by the logical mover.
@@ -348,9 +350,9 @@ pub struct Cluster {
     /// Per-segment LSN of the last write, in the leader's log space — the
     /// catch-up bar a follower must clear before serving that segment's
     /// reads.
-    pub seg_last_write: HashMap<SegmentId, Lsn>,
+    pub seg_last_write: IdMap<SegmentId, Lsn>,
     /// Per-segment round-robin cursor over read-eligible replicas.
-    pub replica_rr: HashMap<SegmentId, usize>,
+    pub replica_rr: IdMap<SegmentId, usize>,
     /// Reads served by follower replicas (lifetime).
     pub replica_reads: u64,
     /// Bytes shipped to seed replacement followers after a loss (lifetime).
@@ -409,17 +411,15 @@ impl Cluster {
             net,
             store: PageStore::new(),
             seg_dir: SegmentDirectory::new(),
-            indexes: IndexMap::new(),
-            partitions: HashMap::new(),
+            indexes: IndexMap::default(),
+            partitions: std::collections::BTreeMap::new(),
             router: GlobalRouter::new(),
             txn: TxnManager::new(cc),
             clients: Vec::new(),
             pool: None,
             workload: None,
-            jobs: HashMap::new(),
-            lock_waiters: HashMap::new(),
-            commit_queues: HashMap::new(),
-            flush_scheduled: std::collections::HashSet::new(),
+            jobs: IdMap::default(),
+            lock_waiters: IdMap::default(),
             mover: None,
             pending_logical_keys: Vec::new(),
             last_rebalance: None,
@@ -444,8 +444,8 @@ impl Cluster {
             draining: std::collections::BTreeSet::new(),
             replica_reads_by: std::collections::BTreeMap::new(),
             net_util,
-            seg_last_write: HashMap::new(),
-            replica_rr: HashMap::new(),
+            seg_last_write: IdMap::default(),
+            replica_rr: IdMap::default(),
             replica_reads: 0,
             rereplication_bytes: 0,
             rereplication_inflight: 0,
@@ -691,7 +691,7 @@ impl Cluster {
     fn load_row(
         &mut self,
         row: &GenRow,
-        loaded_segments: &mut HashMap<(TableId, NodeId), SegmentId>,
+        loaded_segments: &mut IdMap<(TableId, NodeId), SegmentId>,
     ) -> Result<()> {
         let table = row.table.table_id();
         let route = self.router.route(table, row.key)?;
@@ -857,7 +857,7 @@ impl Cluster {
         }
         // Generate and load rows warehouse by warehouse (keys ascend within
         // each warehouse, so fill segments stay range-contiguous).
-        let mut fill: HashMap<(TableId, NodeId), SegmentId> = HashMap::new();
+        let mut fill: IdMap<(TableId, NodeId), SegmentId> = IdMap::default();
         for wh in 0..w {
             let mut rows = wattdb_tpcc::warehouse_rows(&tpcc, wh);
             rows.sort_by_key(|r| (r.table.table_id(), r.key));
@@ -869,7 +869,7 @@ impl Cluster {
         items.sort_by_key(|r| r.key);
         // ITEM rows are scattered across the warehouse-major space; load
         // them individually (each creates/extends segments as needed).
-        let mut item_fill: HashMap<(TableId, NodeId), SegmentId> = HashMap::new();
+        let mut item_fill: IdMap<(TableId, NodeId), SegmentId> = IdMap::default();
         for row in &items {
             self.load_row(row, &mut item_fill)?;
         }

@@ -37,6 +37,9 @@ use wattdb_wal::LogPayload;
 
 use crate::cluster::{Cluster, ClusterRc};
 
+/// Bytes a page costs the interconnect: the page plus its message header.
+const PAGE_ON_WIRE: u64 = PAGE_SIZE as u64 + 64;
+
 /// Who is waiting on a queued lock request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Waiter {
@@ -141,6 +144,17 @@ enum Action {
     Retry,
 }
 
+/// What [`Cluster::advance`] hands to [`step`]: the blocking action, and
+/// what scheduling it needs of the job.
+struct Blocked {
+    action: Action,
+    /// [`TxnJob::weight`].
+    weight: u64,
+    /// Residual CPU the cores must still be occupied with before an I/O
+    /// action (zero otherwise).
+    occupy: SimDuration,
+}
+
 impl Cluster {
     /// Create a job for `client`'s next transaction. Returns `None` when
     /// the experiment is stopped.
@@ -199,11 +213,60 @@ impl Cluster {
         Some(id)
     }
 
-    /// Advance `job` until it blocks; returns the blocking action.
-    fn advance(&mut self, now: SimTime, job_id: u64) -> Action {
-        let Some(job) = self.jobs.get_mut(&job_id) else {
-            return Action::Finished;
+    /// Advance `job_id` until it blocks. The job leaves the map for the
+    /// whole step — every stage works on it directly instead of looking it
+    /// up again — and is back before anything else can ask for it.
+    /// `charge` is the wait that just ended, if the step resumes from one.
+    fn advance(
+        &mut self,
+        now: SimTime,
+        job_id: u64,
+        charge: Option<(CostCategory, SimDuration)>,
+    ) -> Blocked {
+        let Some(mut job) = self.jobs.remove(&job_id) else {
+            return Blocked {
+                action: Action::Finished,
+                weight: 1,
+                occupy: SimDuration::ZERO,
+            };
         };
+        if let Some((cat, waited)) = charge {
+            job.costs.record(cat, waited);
+        }
+        let mut action = Action::Loop;
+        while matches!(action, Action::Loop) {
+            action = self.advance_stage(now, &mut job);
+        }
+        // CPU accumulates between genuine blocking points. A CPU action
+        // carries it along; an I/O boundary puts it on the job's profile
+        // and leaves `step` to occupy the cores with it (the job is about
+        // to wait on I/O anyway, but the cycles must consume capacity or
+        // utilization — and the monitor/power model — would undercount).
+        // Pooled carriers occupy the cores with all `weight` modeled
+        // shares; the profile records the one executed share.
+        let mut occupy = SimDuration::ZERO;
+        match &mut action {
+            Action::Cpu(_, dur, _) => *dur += std::mem::take(&mut job.cpu_accum),
+            Action::DiskRead(..) | Action::RemoteRead { .. } => {
+                let dur = std::mem::take(&mut job.cpu_accum);
+                if dur > SimDuration::ZERO {
+                    job.costs.record(CostCategory::Cpu, dur);
+                    occupy = SimDuration::from_micros(dur.as_micros() * job.weight);
+                }
+            }
+            _ => {}
+        }
+        let weight = job.weight;
+        self.jobs.insert(job_id, job);
+        Blocked {
+            action,
+            weight,
+            occupy,
+        }
+    }
+
+    /// One stage of `job`'s state machine.
+    fn advance_stage(&mut self, now: SimTime, job: &mut TxnJob) -> Action {
         // One-time master routing work per transaction.
         if !job.routed {
             job.routed = true;
@@ -211,21 +274,20 @@ impl Cluster {
             return Action::Cpu(NodeId::MASTER, route, CostCategory::Cpu);
         }
         if job.next_op >= job.ops.len() {
-            return self.begin_commit(now, job_id);
+            return self.begin_commit(now, job);
         }
-        let op = self.jobs[&job_id].ops[self.jobs[&job_id].next_op];
-        match self.jobs[&job_id].stage {
-            OpStage::Start => self.op_start(now, job_id, op),
-            OpStage::Cpu => self.op_cpu(job_id, op),
-            OpStage::Io => self.op_io(now, job_id, op),
-            OpStage::Apply => self.op_apply(now, job_id, op),
+        let op = job.ops[job.next_op];
+        match job.stage {
+            OpStage::Start => self.op_start(now, job, op),
+            OpStage::Cpu => self.op_cpu(job, op),
+            OpStage::Io => self.op_io(now, job, op),
+            OpStage::Apply => self.op_apply(now, job, op),
         }
     }
 
-    fn op_start(&mut self, now: SimTime, job_id: u64, op: Op) -> Action {
+    fn op_start(&mut self, now: SimTime, job: &mut TxnJob, op: Op) -> Action {
         // ITEM: replicated read-only table — serve locally.
         if op.table == TpccTable::Item {
-            let job = self.jobs.get_mut(&job_id).expect("live job");
             job.cur = None;
             job.stage = OpStage::Cpu;
             return Action::Loop;
@@ -233,7 +295,6 @@ impl Cluster {
         let table = op.table.table_id();
         let Ok(route) = self.router.route(table, op.key) else {
             // Unroutable key (shouldn't happen): skip the op.
-            let job = self.jobs.get_mut(&job_id).expect("live job");
             job.next_op += 1;
             return Action::Loop;
         };
@@ -258,7 +319,7 @@ impl Cluster {
         else {
             // Moving window edge: retry shortly via a tiny CPU spin.
             return Action::Cpu(
-                self.jobs[&job_id].current_node,
+                job.current_node,
                 self.cfg.costs.route_retry_spin,
                 CostCategory::Other,
             );
@@ -267,7 +328,7 @@ impl Cluster {
         // routing (promotion rewrites the dual pointers within one
         // monitoring window).
         if self.failed.contains(&node) {
-            let cur = self.jobs[&job_id].current_node;
+            let cur = job.current_node;
             let spin_on = if self.failed.contains(&cur) {
                 NodeId::MASTER
             } else {
@@ -288,16 +349,15 @@ impl Cluster {
             && self.cfg.replication.enabled()
             && self.cfg.replication.read_routing
             && self.txn.mode() == CcMode::Mvcc
-            && self.jobs[&job_id].write_nodes.is_empty()
+            && job.write_nodes.is_empty()
         {
-            let at = self.jobs[&job_id].current_node;
-            let w = self.jobs[&job_id].weight;
+            let at = job.current_node;
+            let w = job.weight;
             self.replica_read_target(seg, node, at, now, w)
                 .unwrap_or(node)
         } else {
             node
         };
-        let job = self.jobs.get_mut(&job_id).expect("live job");
         job.cur = Some((pid, node, seg));
         // Ship the operation to its owner if we're elsewhere.
         if job.current_node != node {
@@ -308,21 +368,15 @@ impl Cluster {
         // Locks, coarse to fine.
         let write = op.kind != OpKind::Read;
         let needed = self.locks_for(table, pid, seg, op.key, write);
-        loop {
-            let acquired = self.jobs[&job_id].locks_acquired;
-            if acquired >= needed.len() {
-                break;
-            }
-            let (target, mode) = needed[acquired];
-            let txn = self.jobs[&job_id].txn;
+        for &(target, mode) in needed.iter().flatten().skip(job.locks_acquired) {
+            let txn = job.txn;
             match self.txn.locks.acquire(txn, target, mode) {
                 LockAcquire::Granted => {
-                    self.jobs.get_mut(&job_id).expect("live job").locks_acquired += 1;
+                    job.locks_acquired += 1;
                 }
                 LockAcquire::Waiting => {
-                    let job = self.jobs.get_mut(&job_id).expect("live job");
                     job.lock_wait_started = Some(now);
-                    self.lock_waiters.insert(txn, Waiter::Job(job_id));
+                    self.lock_waiters.insert(txn, Waiter::Job(job.id));
                     return Action::Parked;
                 }
                 LockAcquire::Deadlock => {
@@ -330,7 +384,6 @@ impl Cluster {
                 }
             }
         }
-        let job = self.jobs.get_mut(&job_id).expect("live job");
         job.stage = OpStage::Cpu;
         Action::Loop
     }
@@ -436,42 +489,36 @@ impl Cluster {
         seg: SegmentId,
         key: Key,
         write: bool,
-    ) -> Vec<(LockTarget, LockMode)> {
-        match (self.txn.mode(), write) {
-            (CcMode::Mvcc, false) => Vec::new(),
-            (_, true) => vec![
-                (LockTarget::Table(table), LockMode::IX),
-                (LockTarget::Partition(pid), LockMode::IX),
-                (LockTarget::Segment(seg), LockMode::IX),
-                (LockTarget::Record(table, key), LockMode::X),
-            ],
-            (CcMode::LockingRx, false) => vec![
-                (LockTarget::Table(table), LockMode::IS),
-                (LockTarget::Partition(pid), LockMode::IS),
-                (LockTarget::Segment(seg), LockMode::IS),
-                (LockTarget::Record(table, key), LockMode::S),
-            ],
-        }
+    ) -> Option<[(LockTarget, LockMode); 4]> {
+        let (intent, record) = match (self.txn.mode(), write) {
+            (CcMode::Mvcc, false) => return None, // snapshot readers don't lock
+            (_, true) => (LockMode::IX, LockMode::X),
+            (CcMode::LockingRx, false) => (LockMode::IS, LockMode::S),
+        };
+        Some([
+            (LockTarget::Table(table), intent),
+            (LockTarget::Partition(pid), intent),
+            (LockTarget::Segment(seg), intent),
+            (LockTarget::Record(table, key), record),
+        ])
     }
 
-    fn op_cpu(&mut self, job_id: u64, op: Op) -> Action {
+    fn op_cpu(&mut self, job: &mut TxnJob, op: Op) -> Action {
         let costs = self.cfg.costs;
-        let height = match self.jobs[&job_id].cur {
+        let height = match job.cur {
             Some((_, _, seg)) => self.indexes[&seg].height() as u64,
             None => 2, // ITEM replica
         };
         let cpu = op_cpu_cost(&costs, op.kind, height);
-        let job = self.jobs.get_mut(&job_id).expect("live job");
         job.stage = OpStage::Io;
         job.cpu_accum += cpu;
         job.op_cost.cpu += cpu;
         Action::Loop
     }
 
-    fn op_io(&mut self, now: SimTime, job_id: u64, op: Op) -> Action {
-        let Some((_, exec_node, seg)) = self.jobs[&job_id].cur else {
+    fn op_io(&mut self, now: SimTime, job: &mut TxnJob, op: Op) -> Action {
+        let Some((_, exec_node, seg)) = job.cur else {
             // ITEM replica read: always buffer-resident.
-            let job = self.jobs.get_mut(&job_id).expect("live job");
             job.cpu_accum += self.cfg.costs.buffer_hit;
             job.stage = OpStage::Apply;
             return Action::Loop;
@@ -485,7 +532,6 @@ impl Cluster {
             }
             _ => self.indexes[&seg].get(op.key).0.map(|rid| rid.page),
         };
-        let job = self.jobs.get_mut(&job_id).expect("live job");
         job.stage = OpStage::Apply;
         let Some(page) = page else {
             return Action::Loop; // nothing resident to touch (miss read)
@@ -509,14 +555,13 @@ impl Cluster {
                 (meta.node, meta.disk.index)
             };
         let costed = self.heat.cost_model().is_some();
-        let w = self.jobs[&job_id].weight;
+        let w = job.weight;
         let writeback_latch = self.cfg.costs.writeback_latch;
         let buffer_hit = self.cfg.costs.buffer_hit;
         let buf = &mut self.nodes[exec_node.raw() as usize].buffer;
         match buf.fetch_pin(page) {
             Fetch::Hit => {
                 buf.unpin(page, op.kind != OpKind::Read);
-                let job = self.jobs.get_mut(&job_id).expect("live job");
                 job.cpu_accum += buffer_hit;
                 job.op_cost.cpu += buffer_hit;
                 job.op_cost.pages += 1;
@@ -527,10 +572,8 @@ impl Cluster {
                 if writeback.is_some() {
                     // Asynchronous writeback occupies the disk but does not
                     // block the job; buffer churn shows up as latching.
-                    let job = self.jobs.get_mut(&job_id).expect("live job");
                     job.costs.record(CostCategory::Latching, writeback_latch);
                 }
-                let job = self.jobs.get_mut(&job_id).expect("live job");
                 job.op_cost.pages += 1;
                 if storage_node == exec_node {
                     Action::DiskRead(storage_node, disk)
@@ -541,7 +584,7 @@ impl Cluster {
                     // vector (charged at apply); the count path records the
                     // flat surcharge here, exactly as it always did.
                     job.op_remote = true;
-                    job.op_cost.net_bytes += PAGE_SIZE as u64 + 64;
+                    job.op_cost.net_bytes += PAGE_ON_WIRE;
                     if !costed {
                         self.heat.record_remote_fetches(seg, now, w);
                     }
@@ -555,13 +598,11 @@ impl Cluster {
             Fetch::RemoteHit { writeback } => {
                 buf.unpin(page, op.kind != OpKind::Read);
                 if writeback.is_some() {
-                    let job = self.jobs.get_mut(&job_id).expect("live job");
                     job.costs.record(CostCategory::Latching, writeback_latch);
                 }
-                let job = self.jobs.get_mut(&job_id).expect("live job");
                 job.op_cost.pages += 1;
                 job.op_remote = true;
-                job.op_cost.net_bytes += PAGE_SIZE as u64 + 64;
+                job.op_cost.net_bytes += PAGE_ON_WIRE;
                 if !costed {
                     self.heat.record_remote_fetches(seg, now, w);
                 }
@@ -570,7 +611,7 @@ impl Cluster {
         }
     }
 
-    fn op_apply(&mut self, now: SimTime, job_id: u64, op: Op) -> Action {
+    fn op_apply(&mut self, now: SimTime, job: &mut TxnJob, op: Op) -> Action {
         let table = op.table.table_id();
         // Feed the heat table here, not in `op_start`: the start stage
         // re-runs after every hop and lock-wait resume, while the apply
@@ -579,8 +620,8 @@ impl Cluster {
         // model the operation's accumulated CostVector — its *actual*
         // operator cost — is what gets charged; without one the legacy
         // flat-weight calls run at the original sites.
-        if let Some((_, node, seg)) = self.jobs[&job_id].cur {
-            let w = self.jobs[&job_id].weight;
+        if let Some((_, node, seg)) = job.cur {
+            let w = job.weight;
             // An off-leader read is a replica-served read (apply runs once
             // per operation, so this counts each fan-out exactly once —
             // or `weight` modeled fan-outs for a pooled carrier).
@@ -593,13 +634,8 @@ impl Cluster {
                 _ => crate::heat::AccessKind::Write,
             };
             if self.heat.cost_model().is_some() {
-                let (cost, remote) = {
-                    let job = self.jobs.get_mut(&job_id).expect("live job");
-                    (
-                        std::mem::take(&mut job.op_cost),
-                        std::mem::take(&mut job.op_remote),
-                    )
-                };
+                let cost = std::mem::take(&mut job.op_cost);
+                let remote = std::mem::take(&mut job.op_remote);
                 self.heat.record_access_n(seg, now, kind, cost, remote, w);
             } else {
                 match kind {
@@ -608,14 +644,14 @@ impl Cluster {
                 }
             }
         }
-        let result: Result<(), Error> = match self.jobs[&job_id].cur {
+        let result: Result<(), Error> = match job.cur {
             None => Ok(()), // ITEM replica read
             Some((_, node, seg)) => {
                 let max_pages = u32::MAX; // segments soft-cap under load
                 let width = op.table.row_width();
-                let txn = self.jobs[&job_id].txn;
+                let txn = job.txn;
                 let idx = self.indexes.get_mut(&seg).expect("segment index");
-                let payload = op.key.raw().to_le_bytes().to_vec();
+                let payload = || op.key.raw().to_le_bytes().to_vec();
                 let r = match op.kind {
                     OpKind::Read => self.txn.read(txn, idx, &self.store, op.key).map(|_| ()),
                     OpKind::Update => {
@@ -626,7 +662,7 @@ impl Cluster {
                             max_pages,
                             op.key,
                             width,
-                            payload,
+                            payload(),
                         ) {
                             Err(Error::KeyNotFound(_)) => Ok(()), // racing delete
                             other => other,
@@ -639,7 +675,7 @@ impl Cluster {
                         max_pages,
                         op.key,
                         width,
-                        payload,
+                        payload(),
                     ),
                     OpKind::Delete => {
                         match self
@@ -652,21 +688,15 @@ impl Cluster {
                     }
                 };
                 if r.is_ok() && op.kind != OpKind::Read {
-                    // WAL append on the owner node.
-                    let bytes = width as usize + 32;
-                    let payload = match op.kind {
-                        OpKind::Insert => LogPayload::Insert {
-                            segment: seg,
-                            after: vec![0; bytes],
-                        },
-                        OpKind::Delete => LogPayload::Delete {
-                            segment: seg,
-                            before: vec![0; bytes],
-                        },
-                        _ => LogPayload::Update {
-                            segment: seg,
-                            before: vec![0; bytes],
-                            after: vec![0; bytes],
+                    // WAL append on the owner node: one image of the row
+                    // for an insert or delete, before and after for an
+                    // update.
+                    let image = width + 32;
+                    let payload = LogPayload::Change {
+                        segment: seg,
+                        image_bytes: match op.kind {
+                            OpKind::Update => 2 * image,
+                            _ => image,
                         },
                     };
                     let lsn = self.nodes[node.raw() as usize].log.append(txn, payload);
@@ -675,7 +705,6 @@ impl Cluster {
                         // may serve this segment's reads.
                         self.seg_last_write.insert(seg, lsn);
                     }
-                    let job = self.jobs.get_mut(&job_id).expect("live job");
                     if !job.write_nodes.contains(&node) {
                         job.write_nodes.push(node);
                     }
@@ -686,7 +715,6 @@ impl Cluster {
         let _ = table;
         match result {
             Ok(()) => {
-                let job = self.jobs.get_mut(&job_id).expect("live job");
                 job.next_op += 1;
                 job.stage = OpStage::Start;
                 job.locks_acquired = 0;
@@ -704,15 +732,13 @@ impl Cluster {
         }
     }
 
-    fn begin_commit(&mut self, now: SimTime, job_id: u64) -> Action {
+    fn begin_commit(&mut self, now: SimTime, job: &mut TxnJob) -> Action {
         // Flush any residual CPU before committing.
-        if self.jobs[&job_id].cpu_accum > SimDuration::ZERO {
-            let job = self.jobs.get_mut(&job_id).expect("live job");
+        if job.cpu_accum > SimDuration::ZERO {
             let dur = std::mem::take(&mut job.cpu_accum);
             let node = job.current_node;
             return Action::Cpu(node, dur, CostCategory::Cpu);
         }
-        let job = self.jobs.get_mut(&job_id).expect("live job");
         if job.write_nodes.is_empty() {
             return Action::Finished;
         }
@@ -724,7 +750,7 @@ impl Cluster {
             self.nodes[node.raw() as usize]
                 .log
                 .append(txn, LogPayload::Commit);
-            self.commit_queues.entry(node).or_default().push(job_id);
+            self.nodes[node.raw() as usize].commit_queue.push(job.id);
         }
         Action::CommitWait
     }
@@ -749,271 +775,145 @@ pub fn op_cpu_cost(costs: &CostParams, kind: OpKind, index_height: u64) -> SimDu
 /// Drive `job` until it blocks, scheduling the blocking action's
 /// continuation.
 pub fn step(cl: &ClusterRc, sim: &mut Sim, job_id: u64) {
-    loop {
-        let action = {
-            let mut c = cl.borrow_mut();
-            // Flush accumulated CPU at genuine blocking points only; the
-            // advance loop accumulates between them.
-            c.advance(sim.now(), job_id)
-        };
-        match action {
-            Action::Loop => continue,
-            Action::Cpu(node, dur, cat) => {
-                let (pending, w) = {
-                    let mut c = cl.borrow_mut();
-                    let job = c.jobs.get_mut(&job_id).expect("live job");
-                    (dur + std::mem::take(&mut job.cpu_accum), job.weight)
-                };
-                let cpu = cl.borrow().nodes[node.raw() as usize].cpu.clone();
-                let handle = cl.clone();
-                let submitted = sim.now();
-                Resource::submit(
-                    &cpu,
-                    sim,
-                    pending,
-                    Box::new(move |sim| {
-                        {
-                            let mut c = handle.borrow_mut();
-                            if let Some(job) = c.jobs.get_mut(&job_id) {
-                                job.costs.record(cat, sim.now().since(submitted));
-                            }
-                        }
-                        step(&handle, sim, job_id);
-                    }),
-                );
-                if w > 1 {
-                    // The carrier executes once on behalf of `w` modeled
-                    // transactions: occupy the cores with the remaining
-                    // `w − 1` shares without blocking the job, so
-                    // utilization (and the monitor/power model) sees the
-                    // modeled population's demand.
-                    let extra = SimDuration::from_micros(pending.as_micros() * (w - 1));
-                    Resource::submit(&cpu, sim, extra, Box::new(|_| {}));
-                }
-                return;
-            }
-            Action::DiskRead(node, disk) => {
-                let handle = cl.clone();
-                let submitted = sim.now();
-                let mut c = cl.borrow_mut();
-                // Flush CPU accumulated so far onto the profile directly
-                // (disk access point is the boundary).
-                flush_cpu_inline(&mut c, sim, job_id, node);
-                c.nodes[node.raw() as usize].disks[disk as usize].read_page(
-                    sim,
-                    Box::new(move |sim| {
-                        {
-                            let mut c = handle.borrow_mut();
-                            if let Some(job) = c.jobs.get_mut(&job_id) {
-                                job.costs
-                                    .record(CostCategory::DiskIo, sim.now().since(submitted));
-                            }
-                        }
-                        step(&handle, sim, job_id);
-                    }),
-                );
-                let w = c.jobs.get(&job_id).map_or(1, |j| j.weight);
-                if w > 1 {
-                    // The other `w − 1` modeled fetches occupy the drive
-                    // as one bulk transfer without blocking the job.
-                    let extra = ByteSize::bytes(PAGE_SIZE as u64 * (w - 1));
-                    c.nodes[node.raw() as usize].disks[disk as usize].bulk_transfer(
-                        sim,
-                        extra,
-                        Box::new(|_| {}),
-                    );
-                }
-                return;
-            }
-            Action::RemoteRead {
-                exec,
-                storage,
-                disk,
-            } => {
-                // Remote disk read + page over the wire (physical scheme).
-                let handle = cl.clone();
-                let submitted = sim.now();
-                let mut c = cl.borrow_mut();
-                flush_cpu_inline(&mut c, sim, job_id, exec);
-                let w = c.jobs.get(&job_id).map_or(1, |j| j.weight);
-                if w > 1 {
-                    // Remaining modeled fetches: bulk disk occupancy on the
-                    // storage node plus their pages on the wire, detached.
-                    let pages = ByteSize::bytes(PAGE_SIZE as u64 * (w - 1));
-                    c.nodes[storage.raw() as usize].disks[disk as usize].bulk_transfer(
-                        sim,
-                        pages,
-                        Box::new(|_| {}),
-                    );
-                    c.net.send(
-                        sim,
-                        storage,
-                        exec,
-                        ByteSize::bytes((PAGE_SIZE as u64 + 64) * (w - 1)),
-                        Box::new(|_| {}),
-                    );
-                }
-                let inner = cl.clone();
-                c.nodes[storage.raw() as usize].disks[disk as usize].read_page(
-                    sim,
-                    Box::new(move |sim| {
-                        let disk_done = sim.now();
-                        {
-                            let mut c = inner.borrow_mut();
-                            if let Some(job) = c.jobs.get_mut(&job_id) {
-                                job.costs
-                                    .record(CostCategory::DiskIo, disk_done.since(submitted));
-                            }
-                        }
-                        let c = inner.borrow();
-                        c.net.send(
-                            sim,
-                            storage,
-                            exec,
-                            ByteSize::bytes(PAGE_SIZE as u64 + 64),
-                            Box::new(move |sim| {
-                                {
-                                    let mut c = handle.borrow_mut();
-                                    if let Some(job) = c.jobs.get_mut(&job_id) {
-                                        job.costs.record(
-                                            CostCategory::NetworkIo,
-                                            sim.now().since(disk_done),
-                                        );
-                                    }
-                                }
-                                step(&handle, sim, job_id);
-                            }),
-                        );
-                    }),
-                );
-                return;
-            }
-            Action::RemoteBufferFetch(exec) => {
-                // rDMA fetch from a helper's memory: round trip + page.
-                let helper = {
-                    let c = cl.borrow();
-                    c.nodes[exec.raw() as usize].helper.unwrap_or(exec)
-                };
-                let handle = cl.clone();
-                let submitted = sim.now();
-                let c = cl.borrow();
-                let w = c.jobs.get(&job_id).map_or(1, |j| j.weight);
-                if w > 1 {
-                    // Remaining modeled rDMA fetches: their pages on the
-                    // wire from the helper, detached.
-                    c.net.send(
-                        sim,
-                        helper,
-                        exec,
-                        ByteSize::bytes((PAGE_SIZE as u64 + 64) * (w - 1)),
-                        Box::new(|_| {}),
-                    );
-                }
-                wattdb_net::round_trip(
-                    &c.net,
-                    sim,
-                    exec,
-                    helper,
-                    ByteSize::bytes(64),
-                    ByteSize::bytes(PAGE_SIZE as u64),
-                    SimDuration::from_micros(10),
-                    Box::new(move |sim| {
-                        {
-                            let mut c = handle.borrow_mut();
-                            if let Some(job) = c.jobs.get_mut(&job_id) {
-                                job.costs
-                                    .record(CostCategory::NetworkIo, sim.now().since(submitted));
-                            }
-                        }
-                        step(&handle, sim, job_id);
-                    }),
-                );
-                return;
-            }
-            Action::Hop { from, to } => {
-                let handle = cl.clone();
-                let submitted = sim.now();
-                let c = cl.borrow();
-                let w = c.jobs.get(&job_id).map_or(1, |j| j.weight);
-                if w > 1 {
-                    // Remaining modeled forwards share the wire, detached.
-                    c.net.send(
-                        sim,
-                        from,
-                        to,
-                        ByteSize::bytes(256 * (w - 1)),
-                        Box::new(|_| {}),
-                    );
-                }
-                c.net.send(
-                    sim,
-                    from,
-                    to,
-                    ByteSize::bytes(256),
-                    Box::new(move |sim| {
-                        {
-                            let mut c = handle.borrow_mut();
-                            if let Some(job) = c.jobs.get_mut(&job_id) {
-                                job.costs
-                                    .record(CostCategory::NetworkIo, sim.now().since(submitted));
-                            }
-                        }
-                        step(&handle, sim, job_id);
-                    }),
-                );
-                return;
-            }
-            Action::Parked | Action::CommitWait => {
-                schedule_pending_flushes(cl, sim);
-                return;
-            }
-            Action::Finished => {
-                finish_job(cl, sim, job_id);
-                return;
-            }
-            Action::Retry => {
-                abort_and_retry(cl, sim, job_id);
-                return;
-            }
-        }
-    }
+    run(cl, sim, job_id, None);
 }
 
-fn flush_cpu_inline(c: &mut Cluster, sim: &mut Sim, job_id: u64, node: NodeId) {
-    // Residual CPU accumulated since the last boundary: attribute it to the
-    // job's profile and occupy the node's cores asynchronously (the job is
-    // about to wait on I/O anyway, but the cycles must consume capacity or
-    // utilization — and the monitor/power model — would undercount).
-    if let Some(job) = c.jobs.get_mut(&job_id) {
-        let dur = std::mem::take(&mut job.cpu_accum);
-        if dur > SimDuration::ZERO {
-            job.costs.record(CostCategory::Cpu, dur);
-            // Pooled carriers occupy the cores with all `weight` modeled
-            // shares (the profile above records the one executed share).
-            let occupy = SimDuration::from_micros(dur.as_micros() * job.weight);
-            let cpu = c.nodes[node.raw() as usize].cpu.clone();
-            Resource::submit(&cpu, sim, occupy, Box::new(|_| {}));
+/// Continuation of a wait that began at `since`: charge it to `cat` on the
+/// job's profile and drive the job on.
+fn resume(cat: CostCategory, since: SimTime, cl: ClusterRc, job_id: u64) -> EventFn {
+    Box::new(move |sim| {
+        let waited = sim.now().since(since);
+        run(&cl, sim, job_id, Some((cat, waited)));
+    })
+}
+
+/// Occupy a resource without anyone waiting on it.
+fn detached() -> EventFn {
+    Box::new(|_| {})
+}
+
+fn run(cl: &ClusterRc, sim: &mut Sim, job_id: u64, charge: Option<(CostCategory, SimDuration)>) {
+    let Blocked {
+        action,
+        weight: w,
+        occupy,
+    } = cl.borrow_mut().advance(sim.now(), job_id, charge);
+    let now = sim.now();
+    // `w − 1`: a pooled carrier executes once on behalf of `w` modeled
+    // transactions; the remaining shares occupy the same resources
+    // detached, without blocking the job, so utilization (and the
+    // monitor/power model) sees the modeled population's demand.
+    match action {
+        Action::Loop => unreachable!("advance runs until the job blocks"),
+        Action::Cpu(node, dur, cat) => {
+            let cpu = cl.borrow().nodes[node.raw() as usize].cpu.clone();
+            Resource::submit(&cpu, sim, dur, resume(cat, now, cl.clone(), job_id));
+            if w > 1 {
+                let extra = SimDuration::from_micros(dur.as_micros() * (w - 1));
+                Resource::submit(&cpu, sim, extra, detached());
+            }
         }
+        Action::DiskRead(node, disk) => {
+            let mut c = cl.borrow_mut();
+            let n = &mut c.nodes[node.raw() as usize];
+            if occupy > SimDuration::ZERO {
+                Resource::submit(&n.cpu, sim, occupy, detached());
+            }
+            let drive = &mut n.disks[disk as usize];
+            drive.read_page(sim, resume(CostCategory::DiskIo, now, cl.clone(), job_id));
+            if w > 1 {
+                // The other modeled fetches are one bulk transfer.
+                let extra = ByteSize::bytes(PAGE_SIZE as u64 * (w - 1));
+                drive.bulk_transfer(sim, extra, detached());
+            }
+        }
+        Action::RemoteRead {
+            exec,
+            storage,
+            disk,
+        } => {
+            // Remote disk read + page over the wire (physical scheme).
+            let mut c = cl.borrow_mut();
+            if occupy > SimDuration::ZERO {
+                Resource::submit(&c.nodes[exec.raw() as usize].cpu, sim, occupy, detached());
+            }
+            if w > 1 {
+                // Bulk disk occupancy on the storage node plus the pages
+                // on the wire.
+                let pages = ByteSize::bytes(PAGE_SIZE as u64 * (w - 1));
+                c.nodes[storage.raw() as usize].disks[disk as usize].bulk_transfer(
+                    sim,
+                    pages,
+                    detached(),
+                );
+                let wire = ByteSize::bytes(PAGE_ON_WIRE * (w - 1));
+                c.net.send(sim, storage, exec, wire, detached());
+            }
+            let handle = cl.clone();
+            c.nodes[storage.raw() as usize].disks[disk as usize].read_page(
+                sim,
+                Box::new(move |sim| {
+                    let disk_done = sim.now();
+                    let mut c = handle.borrow_mut();
+                    if let Some(job) = c.jobs.get_mut(&job_id) {
+                        job.costs.record(CostCategory::DiskIo, disk_done.since(now));
+                    }
+                    let arrived =
+                        resume(CostCategory::NetworkIo, disk_done, handle.clone(), job_id);
+                    c.net
+                        .send(sim, storage, exec, ByteSize::bytes(PAGE_ON_WIRE), arrived);
+                }),
+            );
+        }
+        Action::RemoteBufferFetch(exec) => {
+            // rDMA fetch from a helper's memory: round trip + page.
+            let c = cl.borrow();
+            let helper = c.nodes[exec.raw() as usize].helper.unwrap_or(exec);
+            if w > 1 {
+                let wire = ByteSize::bytes(PAGE_ON_WIRE * (w - 1));
+                c.net.send(sim, helper, exec, wire, detached());
+            }
+            wattdb_net::round_trip(
+                &c.net,
+                sim,
+                exec,
+                helper,
+                ByteSize::bytes(64),
+                ByteSize::bytes(PAGE_SIZE as u64),
+                SimDuration::from_micros(10),
+                resume(CostCategory::NetworkIo, now, cl.clone(), job_id),
+            );
+        }
+        Action::Hop { from, to } => {
+            let c = cl.borrow();
+            if w > 1 {
+                c.net
+                    .send(sim, from, to, ByteSize::bytes(256 * (w - 1)), detached());
+            }
+            c.net.send(
+                sim,
+                from,
+                to,
+                ByteSize::bytes(256),
+                resume(CostCategory::NetworkIo, now, cl.clone(), job_id),
+            );
+        }
+        Action::Parked | Action::CommitWait => schedule_pending_flushes(cl, sim),
+        Action::Finished => finish_job(cl, sim, job_id),
+        Action::Retry => abort_and_retry(cl, sim, job_id),
     }
 }
 
 /// Ensure every node with queued commits has a flush scheduled.
 pub fn schedule_pending_flushes(cl: &ClusterRc, sim: &mut Sim) {
-    let nodes: Vec<NodeId> = {
-        let c = cl.borrow();
-        c.commit_queues
-            .iter()
-            .filter(|(n, q)| !q.is_empty() && !c.flush_scheduled.contains(n))
-            .map(|(n, _)| *n)
-            .collect()
-    };
-    for node in nodes {
-        let window = {
-            let mut c = cl.borrow_mut();
-            c.flush_scheduled.insert(node);
-            c.cfg.group_commit
-        };
-        let handle = cl.clone();
+    let mut c = cl.borrow_mut();
+    let window = c.cfg.group_commit;
+    for n in &mut c.nodes {
+        if n.commit_queue.is_empty() || n.flush_scheduled {
+            continue;
+        }
+        n.flush_scheduled = true;
+        let (handle, node) = (cl.clone(), n.id);
         sim.after(window, move |sim| flush_node_log(&handle, sim, node));
     }
 }
@@ -1021,23 +921,44 @@ pub fn schedule_pending_flushes(cl: &ClusterRc, sim: &mut Sim) {
 fn flush_node_log(cl: &ClusterRc, sim: &mut Sim, node: NodeId) {
     let (jobs, bytes, last_lsn, helper) = {
         let mut c = cl.borrow_mut();
-        c.flush_scheduled.remove(&node);
-        let jobs = c.commit_queues.remove(&node).unwrap_or_default();
-        let n = &c.nodes[node.raw() as usize];
-        (jobs, n.log.pending_bytes(), n.log.last_lsn(), n.helper)
+        let n = &mut c.nodes[node.raw() as usize];
+        n.flush_scheduled = false;
+        let jobs = std::mem::take(&mut n.commit_queue);
+        if jobs.is_empty() {
+            return;
+        }
+        let bytes = n.log.pending_bytes();
+        // Under log shipping the flush *is* the shipment: the helper's
+        // cursor moves to the log's end with it.
+        if let Some(h) = n.helper {
+            n.shipper.take_batch(h, &n.log);
+        }
+        (jobs, bytes, n.log.last_lsn(), n.helper)
     };
-    if jobs.is_empty() {
-        return;
-    }
     let handle = cl.clone();
     let done: EventFn = Box::new(move |sim| {
         {
             let mut c = handle.borrow_mut();
-            c.nodes[node.raw() as usize].log.mark_durable(last_lsn);
+            let n = &mut c.nodes[node.raw() as usize];
+            n.log.mark_durable(last_lsn);
+            if let Some(h) = helper {
+                n.shipper.acknowledge(h, last_lsn);
+            }
         }
         // The freshly durable tail fans out to this node's replica
         // followers in the background; commits do not wait on it.
         ship_replica_batches(&handle, sim, node);
+        {
+            // Nothing reads a record that is durable and past every
+            // shipping cursor: cut the log there.
+            let mut c = handle.borrow_mut();
+            let n = &mut c.nodes[node.raw() as usize];
+            let horizon = [n.shipper.min_shipped(), n.replica_shipper.min_shipped()]
+                .into_iter()
+                .flatten()
+                .fold(n.log.durable_lsn(), Lsn::min);
+            n.log.truncate_through(horizon);
+        }
         for job_id in jobs {
             commit_ack(&handle, sim, job_id);
         }

@@ -91,6 +91,13 @@ impl Resource {
         self.stats
     }
 
+    /// Drop every queued request without running its continuation. For
+    /// tearing a simulation down: a continuation usually holds whatever
+    /// owns this resource, and the pair would keep each other alive.
+    pub fn abandon_queue(&mut self) {
+        self.queue.clear();
+    }
+
     fn advance_integral(&mut self, now: SimTime) {
         let dt = now.since(self.last_change).as_micros();
         self.busy_integral_us += dt * self.busy as u64;

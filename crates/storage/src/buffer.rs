@@ -13,9 +13,9 @@
 //!
 //! [`PageStore`]: crate::store::PageStore
 
-use std::collections::{HashMap, HashSet, VecDeque};
+use std::collections::VecDeque;
 
-use wattdb_common::PageId;
+use wattdb_common::{IdMap, IdSet, PageId};
 
 /// Outcome of a fetch, from which the caller derives timing costs.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -74,10 +74,10 @@ impl BufferStats {
 #[derive(Debug)]
 pub struct BufferPool {
     capacity: usize,
-    frames: HashMap<PageId, Frame>,
+    frames: IdMap<PageId, Frame>,
     clock: VecDeque<PageId>,
     remote_capacity: usize,
-    remote: HashSet<PageId>,
+    remote: IdSet<PageId>,
     stats: BufferStats,
 }
 
@@ -87,10 +87,10 @@ impl BufferPool {
         assert!(capacity > 0, "buffer pool needs at least one frame");
         Self {
             capacity,
-            frames: HashMap::with_capacity(capacity),
+            frames: IdMap::with_capacity_and_hasher(capacity, Default::default()),
             clock: VecDeque::with_capacity(capacity),
             remote_capacity: 0,
-            remote: HashSet::new(),
+            remote: IdSet::default(),
             stats: BufferStats::default(),
         }
     }

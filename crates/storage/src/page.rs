@@ -156,6 +156,18 @@ impl SlottedPage {
         }
     }
 
+    /// Mutable view of the physical payload of `slot`, for patches that
+    /// keep its length; marks the page dirty.
+    pub fn get_mut(&mut self, slot: u16) -> Option<&mut [u8]> {
+        match self.slots.get(slot as usize)? {
+            Slot::Live { offset, len, .. } => {
+                self.dirty = true;
+                Some(&mut self.data[*offset as usize..(*offset + *len) as usize])
+            }
+            Slot::Dead => None,
+        }
+    }
+
     /// Logical width of the record in `slot`.
     pub fn logical_width(&self, slot: u16) -> Option<usize> {
         match self.slots.get(slot as usize)? {

@@ -22,6 +22,10 @@ const NO_PREV: u64 = u64::MAX;
 /// Fixed encoded header size in bytes.
 pub const RECORD_HEADER_BYTES: usize = 8 + 8 + 8 + 8 + 4 + 2 + 1 + 4 + 4;
 
+/// Byte offsets of the visibility timestamps inside the encoded header.
+const BEGIN_OFFSET: usize = 8;
+const END_OFFSET: usize = 16;
+
 /// Header flag bit: this version is a deletion tombstone.
 pub const FLAG_TOMBSTONE: u8 = 0b0000_0001;
 
@@ -116,8 +120,8 @@ impl Record {
         let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
         let u16_at = |o: usize| u16::from_le_bytes(bytes[o..o + 2].try_into().unwrap());
         let key = Key(u64_at(0));
-        let begin = u64_at(8);
-        let end = u64_at(16);
+        let begin = u64_at(BEGIN_OFFSET);
+        let end = u64_at(END_OFFSET);
         let prev_seg = u64_at(24);
         let prev_page = u32_at(32);
         let prev_slot = u16_at(36);
@@ -144,6 +148,33 @@ impl Record {
             logical_width,
             payload: bytes[RECORD_HEADER_BYTES..RECORD_HEADER_BYTES + payload_len].to_vec(),
         })
+    }
+
+    /// `(begin, end)` of an encoded version, without decoding the rest.
+    pub fn timestamps(bytes: &[u8]) -> Result<(u64, u64)> {
+        if bytes.len() < RECORD_HEADER_BYTES {
+            return Err(Error::Corruption("record shorter than header"));
+        }
+        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
+        Ok((u64_at(BEGIN_OFFSET), u64_at(END_OFFSET)))
+    }
+
+    /// Overwrite the `begin` timestamp of an encoded version in place.
+    pub fn stamp_begin(bytes: &mut [u8], ts: u64) -> Result<()> {
+        Self::stamp(bytes, BEGIN_OFFSET, ts)
+    }
+
+    /// Overwrite the `end` timestamp of an encoded version in place.
+    pub fn stamp_end(bytes: &mut [u8], ts: u64) -> Result<()> {
+        Self::stamp(bytes, END_OFFSET, ts)
+    }
+
+    fn stamp(bytes: &mut [u8], offset: usize, ts: u64) -> Result<()> {
+        if bytes.len() < RECORD_HEADER_BYTES {
+            return Err(Error::Corruption("record shorter than header"));
+        }
+        bytes[offset..offset + 8].copy_from_slice(&ts.to_le_bytes());
+        Ok(())
     }
 
     /// True if this version is visible to a snapshot at `ts`: created at or

@@ -9,9 +9,7 @@
 //! by the engine: a node only touches segments it owns, and any remote page
 //! access is routed through the (costed) network layer.
 
-use std::collections::HashMap;
-
-use wattdb_common::{Error, PageId, RecordId, Result, SegmentId};
+use wattdb_common::{Error, IdMap, PageId, RecordId, Result, SegmentId};
 
 use crate::page::{SlottedPage, PAGE_SIZE, SLOT_OVERHEAD};
 use crate::record::Record;
@@ -19,7 +17,7 @@ use crate::record::Record;
 /// Process-wide page data, keyed by segment.
 #[derive(Debug, Default)]
 pub struct PageStore {
-    segments: HashMap<SegmentId, Vec<SlottedPage>>,
+    segments: IdMap<SegmentId, Vec<SlottedPage>>,
 }
 
 impl PageStore {
@@ -124,14 +122,39 @@ impl PageStore {
         Record::decode(bytes)
     }
 
-    /// Overwrite the record at `rid` (same key; used for version-chain
-    /// maintenance like setting `end` timestamps).
+    /// Overwrite the record at `rid` (same key; in-place updates of the
+    /// locking mode, unlinking a version chain's tail).
     pub fn write_record(&mut self, rid: RecordId, record: &Record) -> Result<()> {
         let page = self.page_mut(rid.page)?;
         if page.get(rid.slot).is_none() {
             return Err(Error::RecordNotFound(rid));
         }
         page.update(rid.slot, &record.encode(), record.logical_footprint())
+    }
+
+    /// `(begin, end)` timestamps of the version at `rid`, read from its
+    /// header without decoding the payload.
+    pub fn timestamps(&self, rid: RecordId) -> Result<(u64, u64)> {
+        let page = self.page(rid.page)?;
+        Record::timestamps(page.get(rid.slot).ok_or(Error::RecordNotFound(rid))?)
+    }
+
+    /// Set the `begin` timestamp of the version at `rid` in place (commit
+    /// stamping: the rest of the version does not change).
+    pub fn stamp_begin(&mut self, rid: RecordId, ts: u64) -> Result<()> {
+        Record::stamp_begin(self.stored_mut(rid)?, ts)
+    }
+
+    /// Set the `end` timestamp of the version at `rid` in place (the
+    /// version was superseded, or a superseder committed or rolled back).
+    pub fn stamp_end(&mut self, rid: RecordId, ts: u64) -> Result<()> {
+        Record::stamp_end(self.stored_mut(rid)?, ts)
+    }
+
+    fn stored_mut(&mut self, rid: RecordId) -> Result<&mut [u8]> {
+        self.page_mut(rid.page)?
+            .get_mut(rid.slot)
+            .ok_or(Error::RecordNotFound(rid))
     }
 
     /// Remove the record at `rid`.
@@ -257,6 +280,47 @@ mod tests {
         store.delete_record(rid).unwrap();
         assert!(store.read_record(rid).is_err());
         assert!(store.delete_record(rid).is_err());
+    }
+
+    #[test]
+    fn stamping_in_place_equals_decode_modify_encode() {
+        let seg = SegmentId(1);
+        let prev = RecordId::new(PageId::new(seg, 3), 7);
+        let mut chained = rec(5, 64);
+        chained.prev = Some(prev);
+        let mut tombstone = Record::tombstone(Key(6), 1 << 63 | 42);
+        tombstone.prev = Some(prev);
+        for original in [rec(4, 64), chained, tombstone] {
+            // Two stores with the same record: one stamped in place, one
+            // through a decoded copy written back whole.
+            let mut patched = PageStore::new();
+            let mut rewritten = PageStore::new();
+            patched.add_segment(seg);
+            rewritten.add_segment(seg);
+            let (rid, _) = patched.insert_record(seg, &original, 4).unwrap();
+            rewritten.insert_record(seg, &original, 4).unwrap();
+            let used = patched.logical_bytes(seg).unwrap();
+
+            patched.stamp_begin(rid, 77).unwrap();
+            patched.stamp_end(rid, 1 << 63 | 9).unwrap();
+            let mut copy = rewritten.read_record(rid).unwrap();
+            copy.begin = 77;
+            copy.end = 1 << 63 | 9;
+            rewritten.write_record(rid, &copy).unwrap();
+
+            assert_eq!(patched.read_record(rid).unwrap(), copy);
+            assert_eq!(patched.timestamps(rid).unwrap(), (copy.begin, copy.end));
+            assert_eq!(patched.logical_bytes(seg).unwrap(), used);
+            assert!(patched.page(rid.page).unwrap().is_dirty());
+            assert_eq!(patched.page(rid.page).unwrap().dead_bytes(), 0);
+        }
+        // A dead slot has nothing to stamp.
+        let mut store = PageStore::new();
+        store.add_segment(seg);
+        let (rid, _) = store.insert_record(seg, &rec(1, 64), 4).unwrap();
+        store.delete_record(rid).unwrap();
+        assert!(store.stamp_end(rid, 5).is_err());
+        assert!(store.timestamps(rid).is_err());
     }
 
     #[test]

@@ -13,9 +13,9 @@
 //! are detected by wait-for-graph cycle search at request time; the
 //! requester is chosen as the victim.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 
-use wattdb_common::{Key, PartitionId, SegmentId, TableId, TxnId};
+use wattdb_common::{IdMap, Key, PartitionId, SegmentId, TableId, TxnId};
 
 /// A lockable resource in the granularity hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -100,7 +100,7 @@ pub enum LockAcquire {
 #[derive(Debug, Default)]
 struct LockState {
     /// Granted transactions and their (combined) modes.
-    granted: HashMap<TxnId, LockMode>,
+    granted: IdMap<TxnId, LockMode>,
     /// FIFO wait queue (conversions re-queue at the front).
     queue: VecDeque<(TxnId, LockMode)>,
 }
@@ -116,9 +116,9 @@ impl LockState {
 /// The lock manager.
 #[derive(Debug, Default)]
 pub struct LockManager {
-    locks: HashMap<LockTarget, LockState>,
+    locks: IdMap<LockTarget, LockState>,
     /// Targets each txn holds or waits on (for release_all).
-    touched: HashMap<TxnId, Vec<LockTarget>>,
+    touched: IdMap<TxnId, Vec<LockTarget>>,
     waits: u64,
     deadlocks: u64,
 }

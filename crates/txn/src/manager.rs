@@ -11,11 +11,8 @@
 //! The manager also mints *system transactions* (§3.5) used by the
 //! migration engine to serialize record movement against user work.
 
-use std::collections::HashMap;
-
 use wattdb_common::error::AbortReason;
-
-use wattdb_common::{Error, Key, Result, SegmentId, TxnId};
+use wattdb_common::{Error, IdMap, Key, Result, SegmentId, TxnId};
 use wattdb_index::SegmentIndex;
 use wattdb_storage::{PageStore, Record, TS_INFINITY};
 
@@ -24,8 +21,8 @@ use crate::mvcc::{self, Snapshot, WriteOp};
 
 /// The canonical container for a node's segment indexes, as consumed by
 /// [`TxnManager::abort`]: undo must touch every segment a transaction
-/// wrote, so the caller lends the whole map.
-pub type IndexMap = HashMap<SegmentId, SegmentIndex>;
+/// wrote, so the caller lends the whole map. Construct with `default()`.
+pub type IndexMap = IdMap<SegmentId, SegmentIndex>;
 
 /// Concurrency-control mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -91,7 +88,7 @@ pub struct TxnManager {
     /// Logical commit clock; begins hand out the current value, commits
     /// increment it.
     clock: u64,
-    active: HashMap<TxnId, TxnState>,
+    active: IdMap<TxnId, TxnState>,
     /// The lock manager (shared by both modes).
     pub locks: LockManager,
     commits: u64,
@@ -105,7 +102,7 @@ impl TxnManager {
             mode,
             next_txn: 1,
             clock: 1,
-            active: HashMap::new(),
+            active: IdMap::default(),
             locks: LockManager::new(),
             commits: 0,
             aborts: 0,
@@ -371,7 +368,7 @@ impl TxnManager {
         match self.mode {
             CcMode::Mvcc => {
                 // Group by segment so each segment's index is resolved once.
-                let mut by_seg: HashMap<SegmentId, Vec<WriteOp>> = HashMap::new();
+                let mut by_seg: IdMap<SegmentId, Vec<WriteOp>> = IdMap::default();
                 for w in st.writes {
                     by_seg.entry(w.segment).or_default().push(w);
                 }
@@ -485,7 +482,7 @@ mod tests {
         let t1 = tm.begin(TxnKind::User);
         tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, vec![1])
             .unwrap();
-        let mut map = IndexMap::new();
+        let mut map = IndexMap::default();
         map.insert(idx.segment(), idx);
         tm.abort(t1, &mut map, &mut st).unwrap();
         let idx = map.remove(&SegmentId(1)).unwrap();
@@ -514,7 +511,7 @@ mod tests {
         );
         assert!(tm.pending_change_bytes() > 0, "before-image retained");
         // Abort restores the old image.
-        let mut map = IndexMap::new();
+        let mut map = IndexMap::default();
         map.insert(idx.segment(), idx);
         tm.abort(t2, &mut map, &mut st).unwrap();
         let idx = map.remove(&SegmentId(1)).unwrap();
@@ -535,7 +532,7 @@ mod tests {
         let t2 = tm.begin(TxnKind::User);
         tm.delete(t2, &mut idx, &mut st, 64, Key(1)).unwrap();
         assert!(tm.read(t2, &idx, &st, Key(1)).unwrap().is_none());
-        let mut map = IndexMap::new();
+        let mut map = IndexMap::default();
         map.insert(idx.segment(), idx);
         tm.abort(t2, &mut map, &mut st).unwrap();
         let idx = map.remove(&SegmentId(1)).unwrap();

@@ -161,9 +161,7 @@ pub fn insert(
     let segment = index.segment();
     let (new_rid, _) = store.insert_record(segment, &rec, max_pages)?;
     if let Some(old_rid) = prev {
-        let mut old = store.read_record(old_rid)?;
-        old.end = provisional(snap.txn);
-        store.write_record(old_rid, &old)?;
+        store.stamp_end(old_rid, provisional(snap.txn))?;
     }
     index.insert(key, new_rid);
     Ok(WriteOp {
@@ -186,7 +184,7 @@ pub fn update(
     snap: Snapshot,
 ) -> Result<WriteOp> {
     write_version(index, store, max_pages, key, snap, |prev_rid| {
-        let mut r = Record::new(key, provisional(snap.txn), logical_width, payload.clone());
+        let mut r = Record::new(key, provisional(snap.txn), logical_width, payload);
         r.prev = Some(prev_rid);
         r
     })
@@ -213,11 +211,11 @@ fn write_version(
     max_pages: u32,
     key: Key,
     snap: Snapshot,
-    make: impl Fn(wattdb_common::RecordId) -> Record,
+    make: impl FnOnce(wattdb_common::RecordId) -> Record,
 ) -> Result<WriteOp> {
     let (rid, _) = index.get(key);
     let old_rid = rid.ok_or(Error::KeyNotFound(key))?;
-    let mut newest = store.read_record(old_rid)?;
+    let newest = store.read_record(old_rid)?;
     check_write_conflict(&newest, snap)?;
     if newest.is_tombstone() {
         return Err(Error::KeyNotFound(key));
@@ -225,8 +223,7 @@ fn write_version(
     let segment = index.segment();
     let rec = make(old_rid);
     let (new_rid, _) = store.insert_record(segment, &rec, max_pages)?;
-    newest.end = provisional(snap.txn);
-    store.write_record(old_rid, &newest)?;
+    store.stamp_end(old_rid, provisional(snap.txn))?;
     index.insert(key, new_rid);
     Ok(WriteOp {
         segment,
@@ -236,19 +233,16 @@ fn write_version(
     })
 }
 
-/// Stamp a transaction's write set at commit time.
+/// Stamp a transaction's write set at commit time: the provisional
+/// timestamps become `commit_ts`, patched in place in the stored versions.
 pub fn commit_writes(store: &mut PageStore, writes: &[WriteOp], commit_ts: u64) -> Result<()> {
     for w in writes {
-        let mut new = store.read_record(w.new_rid)?;
-        if is_provisional(new.begin) {
-            new.begin = commit_ts;
-            store.write_record(w.new_rid, &new)?;
+        if is_provisional(store.timestamps(w.new_rid)?.0) {
+            store.stamp_begin(w.new_rid, commit_ts)?;
         }
         if let Some(old_rid) = w.old_rid {
-            let mut old = store.read_record(old_rid)?;
-            if is_provisional(old.end) && old.end != TS_INFINITY {
-                old.end = commit_ts;
-                store.write_record(old_rid, &old)?;
+            if is_provisional(store.timestamps(old_rid)?.1) {
+                store.stamp_end(old_rid, commit_ts)?;
             }
         }
     }
@@ -267,10 +261,8 @@ pub fn abort_writes(
         store.delete_record(w.new_rid)?;
         match w.old_rid {
             Some(old_rid) => {
-                let mut old = store.read_record(old_rid)?;
-                if is_provisional(old.end) {
-                    old.end = TS_INFINITY;
-                    store.write_record(old_rid, &old)?;
+                if is_provisional(store.timestamps(old_rid)?.1) {
+                    store.stamp_end(old_rid, TS_INFINITY)?;
                 }
                 index.insert(w.key, old_rid);
             }

@@ -9,15 +9,25 @@
 //! The manager buffers appended records and exposes the pending byte count;
 //! the cluster layer charges the disk (or network, under log shipping) cost
 //! of a flush and then confirms it with [`LogManager::mark_durable`].
+//!
+//! **Retention rule:** a record stays in memory until it is both durable
+//! and shipped to every attached follower — after each flush the cluster
+//! layer calls [`LogManager::truncate_through`] with the lower of the
+//! durable LSN and the slowest shipping cursor — so the retained tail is
+//! bounded by the flush and shipping backlog, not by the age of the run.
+
+use std::collections::vec_deque::{Iter, VecDeque};
 
 use wattdb_common::{Lsn, TxnId};
 
 use crate::record::{LogPayload, LogRecord};
 
 /// Append-only log for one node.
-#[derive(Debug, Default)]
+#[derive(Debug)]
 pub struct LogManager {
-    records: Vec<LogRecord>,
+    /// Retained tail. LSNs are dense, so the record with LSN `l` sits at
+    /// index `l - first_lsn()`.
+    records: VecDeque<LogRecord>,
     next_lsn: u64,
     /// All records with `lsn <= durable` are on stable storage.
     durable: Lsn,
@@ -28,11 +38,17 @@ pub struct LogManager {
     flushes: u64,
 }
 
+impl Default for LogManager {
+    fn default() -> Self {
+        Self::new()
+    }
+}
+
 impl LogManager {
     /// Empty log.
     pub fn new() -> Self {
         Self {
-            records: Vec::new(),
+            records: VecDeque::new(),
             next_lsn: 1,
             durable: Lsn::ZERO,
             pending_bytes: 0,
@@ -48,7 +64,7 @@ impl LogManager {
         self.next_lsn += 1;
         let rec = LogRecord { lsn, txn, payload };
         self.pending_bytes += rec.encoded_len();
-        self.records.push(rec);
+        self.records.push_back(rec);
         lsn
     }
 
@@ -72,21 +88,26 @@ impl LogManager {
         lsn <= self.durable
     }
 
+    /// Index in `records` of the first record with an LSN above `lsn`.
+    fn index_after(&self, lsn: Lsn) -> usize {
+        let first = self.next_lsn - self.records.len() as u64;
+        ((lsn.raw() + 1).saturating_sub(first) as usize).min(self.records.len())
+    }
+
     /// Mark everything up to `lsn` durable (after the flush I/O completed).
-    /// Group commit: one flush typically covers many commits.
+    /// Group commit: one flush typically covers many commits. Costs the
+    /// newly durable records only: truncation never passes the durable
+    /// LSN, so they are all still retained.
     pub fn mark_durable(&mut self, lsn: Lsn) {
+        let lsn = lsn.min(self.last_lsn());
         if lsn <= self.durable {
             return;
         }
-        let lo = self.durable;
-        self.durable = Lsn(lsn.raw().min(self.next_lsn - 1));
-        let newly: usize = self
-            .records
-            .iter()
-            .filter(|r| r.lsn > lo && r.lsn <= self.durable)
-            .map(|r| r.encoded_len())
-            .sum();
-        self.pending_bytes -= newly.min(self.pending_bytes);
+        let lo = self.index_after(self.durable);
+        self.durable = lsn;
+        let hi = self.index_after(lsn);
+        let newly: usize = self.records.range(lo..hi).map(|r| r.encoded_len()).sum();
+        self.pending_bytes -= newly;
         self.flushed_bytes += newly as u64;
         self.flushes += 1;
     }
@@ -101,22 +122,24 @@ impl LogManager {
         self.flushes
     }
 
-    /// All records (recovery input).
-    pub fn records(&self) -> &[LogRecord] {
-        &self.records
+    /// All retained records as one slice (recovery input). Takes `&mut`
+    /// because the ring may have to rotate to become contiguous.
+    pub fn records(&mut self) -> &[LogRecord] {
+        self.records.make_contiguous()
     }
 
-    /// Records after `from` (exclusive), for log shipping.
-    pub fn records_after(&self, from: Lsn) -> &[LogRecord] {
-        let start = self.records.partition_point(|r| r.lsn <= from);
-        &self.records[start..]
+    /// Retained records after `from` (exclusive), for log shipping.
+    pub fn records_after(&self, from: Lsn) -> Iter<'_, LogRecord> {
+        self.records.range(self.index_after(from)..)
     }
 
     /// Drop records at or below `lsn` (post-checkpoint truncation; §4.3:
     /// "the old copies and the old log file are no longer required").
+    /// Costs the dropped records only.
     pub fn truncate_through(&mut self, lsn: Lsn) {
         assert!(lsn <= self.durable, "cannot truncate undurable log records");
-        self.records.retain(|r| r.lsn > lsn);
+        let n = self.index_after(lsn);
+        self.records.drain(..n);
     }
 
     /// Number of retained records.
@@ -199,10 +222,10 @@ mod tests {
         for t in 1..=4u64 {
             log.append(TxnId(t), LogPayload::Begin);
         }
-        let tail = log.records_after(Lsn(2));
+        let mut tail = log.records_after(Lsn(2));
         assert_eq!(tail.len(), 2);
-        assert_eq!(tail[0].lsn, Lsn(3));
-        assert!(log.records_after(Lsn(4)).is_empty());
+        assert_eq!(tail.next().unwrap().lsn, Lsn(3));
+        assert_eq!(log.records_after(Lsn(4)).len(), 0);
         assert_eq!(log.records_after(Lsn::ZERO).len(), 4);
     }
 

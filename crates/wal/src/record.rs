@@ -45,6 +45,16 @@ pub enum LogPayload {
         /// Encoded before-image.
         before: Vec<u8>,
     },
+    /// A data change logged for its volume alone. The cluster's executor
+    /// models what a change costs the log — flush I/O, shipping bytes — and
+    /// never replays it, so it records how many image bytes a redoable
+    /// record would carry instead of the images. Recovery rejects it.
+    Change {
+        /// Segment holding the key.
+        segment: SegmentId,
+        /// Combined encoded size of the before/after images.
+        image_bytes: u32,
+    },
     /// A segment move started (source side). Acts as a checkpoint for the
     /// segment: all prior changes are committed and flushed.
     SegmentMoveStart {
@@ -86,6 +96,7 @@ impl LogRecord {
                 LogPayload::Insert { after, .. } => after.len(),
                 LogPayload::Update { before, after, .. } => before.len() + after.len(),
                 LogPayload::Delete { before, .. } => before.len(),
+                LogPayload::Change { image_bytes, .. } => *image_bytes as usize,
                 LogPayload::SegmentMoveStart { .. } | LogPayload::SegmentMoveEnd { .. } => 16,
                 LogPayload::Checkpoint { active } => 8 * active.len(),
             }
@@ -95,7 +106,10 @@ impl LogRecord {
     pub fn is_data_change(&self) -> bool {
         matches!(
             self.payload,
-            LogPayload::Insert { .. } | LogPayload::Update { .. } | LogPayload::Delete { .. }
+            LogPayload::Insert { .. }
+                | LogPayload::Update { .. }
+                | LogPayload::Delete { .. }
+                | LogPayload::Change { .. }
         )
     }
 }
@@ -120,8 +134,17 @@ mod tests {
                 after: vec![0; 120],
             },
         };
+        let sized = LogRecord {
+            lsn: Lsn(3),
+            txn: TxnId(1),
+            payload: LogPayload::Change {
+                segment: SegmentId(1),
+                image_bytes: 220,
+            },
+        };
         assert_eq!(small.encoded_len(), LOG_HEADER_BYTES);
         assert_eq!(big.encoded_len(), LOG_HEADER_BYTES + 220);
+        assert_eq!(sized.encoded_len(), big.encoded_len());
     }
 
     #[test]

@@ -102,6 +102,9 @@ pub fn recover(
                     idx.remove(image.key);
                 }
             }
+            LogPayload::Change { .. } => {
+                return Err(Error::Corruption("log record carries no images to redo"));
+            }
             _ => unreachable!("is_data_change filtered"),
         }
         redone += 1;
@@ -164,7 +167,7 @@ mod tests {
     fn fresh(seg: SegmentId) -> (IndexMap, PageStore) {
         let mut store = PageStore::new();
         store.add_segment(seg);
-        let mut map = IndexMap::new();
+        let mut map = IndexMap::default();
         map.insert(seg, SegmentIndex::new(seg, KeyRange::all()));
         (map, store)
     }

@@ -7,9 +7,9 @@
 //! [`LogShipper`] tracks, per follower, how far the log has been shipped
 //! and acknowledged; the cluster layer charges the network costs.
 
-use std::collections::HashMap;
+use std::collections::vec_deque::Iter;
 
-use wattdb_common::{Lsn, NodeId};
+use wattdb_common::{IdMap, Lsn, NodeId};
 
 use crate::log::LogManager;
 use crate::record::LogRecord;
@@ -18,7 +18,7 @@ use crate::record::LogRecord;
 #[derive(Debug, Default)]
 pub struct LogShipper {
     /// follower → (shipped up to, acknowledged up to).
-    followers: HashMap<NodeId, (Lsn, Lsn)>,
+    followers: IdMap<NodeId, (Lsn, Lsn)>,
     shipped_bytes: u64,
 }
 
@@ -59,16 +59,20 @@ impl LogShipper {
         &mut self,
         follower: NodeId,
         log: &'a LogManager,
-    ) -> Option<(&'a [LogRecord], usize)> {
+    ) -> Option<(Iter<'a, LogRecord>, usize)> {
         let (shipped, _) = self.followers.get_mut(&follower)?;
         let batch = log.records_after(*shipped);
-        if batch.is_empty() {
-            return None;
-        }
-        *shipped = batch.last().expect("non-empty").lsn;
-        let bytes: usize = batch.iter().map(|r| r.encoded_len()).sum();
+        *shipped = batch.clone().next_back()?.lsn;
+        let bytes: usize = batch.clone().map(|r| r.encoded_len()).sum();
         self.shipped_bytes += bytes as u64;
         Some((batch, bytes))
+    }
+
+    /// The slowest follower's shipping cursor: no record at or below it
+    /// will be read again, so the log may drop them once durable. `None`
+    /// with no followers attached.
+    pub fn min_shipped(&self) -> Option<Lsn> {
+        self.followers.values().map(|(s, _)| *s).min()
     }
 
     /// Follower confirmed persistence up to `lsn`. Returns the new minimum
@@ -166,9 +170,9 @@ mod tests {
         shipper.attach(NodeId(5), &log);
         assert!(shipper.take_batch(NodeId(5), &log).is_none());
         log.append(TxnId(11), LogPayload::Commit);
-        let (batch, _) = shipper.take_batch(NodeId(5), &log).unwrap();
+        let (mut batch, _) = shipper.take_batch(NodeId(5), &log).unwrap();
         assert_eq!(batch.len(), 1);
-        assert_eq!(batch[0].txn, TxnId(11));
+        assert_eq!(batch.next().unwrap().txn, TxnId(11));
     }
 
     #[test]

@@ -13,7 +13,7 @@ const SEG: SegmentId = SegmentId(1);
 fn fresh() -> (IndexMap, PageStore) {
     let mut store = PageStore::new();
     store.add_segment(SEG);
-    let mut map = IndexMap::new();
+    let mut map = IndexMap::default();
     map.insert(SEG, SegmentIndex::new(SEG, KeyRange::all()));
     (map, store)
 }

@@ -170,3 +170,32 @@ fn deterministic_experiments() {
     assert_eq!(run(42), run(42), "same seed, same result");
     assert_ne!(run(42), run(43), "different seed, different interleaving");
 }
+
+#[test]
+fn dropping_a_deployment_mid_run_frees_it() {
+    let mut db = WattDb::builder()
+        .nodes(6)
+        .scheme(Scheme::Physiological)
+        .warehouses(4)
+        .density(0.01)
+        .segment_pages(8)
+        .seed(5)
+        .initial_data_nodes(&[NodeId(0), NodeId(1)])
+        .client_batching(wattdb_core::ClientBatching::Pooled)
+        .build();
+    db.start_oltp(50_000, SimDuration::from_secs(10));
+    db.run_for(SimDuration::from_secs(5));
+    // Mid-run, with requests waiting on the drives: each holds a
+    // continuation that holds the cluster that holds the drive.
+    let queued: usize = db.with_cluster(|c| {
+        let drives = c.nodes.iter().flat_map(|n| &n.disks);
+        drives.map(|d| d.resource().borrow().queue_len()).sum()
+    });
+    assert!(queued > 0, "no work queued: the drop below proves nothing");
+    let cluster = db.with_runtime(|cl, _| std::rc::Rc::downgrade(cl));
+    drop(db);
+    assert!(
+        cluster.upgrade().is_none(),
+        "dropped deployment still alive"
+    );
+}

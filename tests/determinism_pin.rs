@@ -7,6 +7,11 @@
 //! the export is printed so a refactor can be checked against the
 //! previous build's output (`cargo test -q --test determinism_pin --
 //! --nocapture`).
+//!
+//! The same two-run equality is held for the paths that used to walk a
+//! randomly-seeded `HashMap` on their way to a decision: a fraction
+//! rebalance under load (the planner walks the partitions), a pooled run,
+//! and the traced autopilot run.
 
 use wattdb_common::{NodeId, SimDuration};
 use wattdb_core::api::WattDb;
@@ -93,34 +98,90 @@ fn traced_run() -> WattDb {
     db
 }
 
-#[test]
-fn per_client_export_is_byte_stable_across_runs() {
-    let a = oltp_run().export_timeline_string();
-    let b = oltp_run().export_timeline_string();
+/// A fixed 50 % rebalance under per-client load. The fraction planner
+/// walks the partitions of each source; the order it meets them in
+/// decides which segments move first and so what every later
+/// transaction waits on.
+fn rebalance_run() -> WattDb {
+    let mut db = WattDb::builder()
+        .nodes(4)
+        .scheme(Scheme::Physiological)
+        .warehouses(4)
+        .density(0.05)
+        .segment_pages(8)
+        .seed(17)
+        .initial_data_nodes(&[NodeId(0), NodeId(1)])
+        .monitoring(SimDuration::from_secs(WINDOW_SECS))
+        .telemetry(true)
+        .build();
+    db.start_oltp(24, SimDuration::from_millis(40));
+    db.run_for(SimDuration::from_secs(WINDOW_SECS * 2));
+    db.rebalance(0.5, &[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]);
+    db.run_for(SimDuration::from_secs(WINDOW_SECS * 12));
+    assert!(db.last_rebalance().is_some(), "rebalance completed");
+    db.stop_clients();
+    db.run_for(SimDuration::from_secs(WINDOW_SECS));
+    db
+}
+
+/// A static pooled run: 20 000 modeled clients as weighted carriers.
+fn pooled_run() -> WattDb {
+    let mut db = WattDb::builder()
+        .nodes(4)
+        .scheme(Scheme::Physiological)
+        .warehouses(4)
+        .density(0.05)
+        .segment_pages(8)
+        .seed(17)
+        .initial_data_nodes(&[NodeId(0), NodeId(1)])
+        .client_batching(ClientBatching::Pooled)
+        .monitoring(SimDuration::from_secs(WINDOW_SECS))
+        .telemetry(true)
+        .build();
+    db.start_oltp(20_000, SimDuration::from_secs(10));
+    db.run_for(SimDuration::from_secs(WINDOW_SECS * 6));
+    db.stop_clients();
+    db.run_for(SimDuration::from_secs(WINDOW_SECS));
+    db
+}
+
+/// Two runs of `scenario` must export the same bytes; returns them.
+fn byte_stable(label: &str, scenario: fn() -> WattDb) -> String {
+    let a = scenario().export_timeline_string();
+    let b = scenario().export_timeline_string();
     assert!(!a.is_empty());
-    assert_eq!(a, b, "fixed-seed per-client exports must be byte-identical");
+    assert_eq!(a, b, "fixed-seed {label} exports must be byte-identical");
     println!(
-        "determinism pin: fnv1a={:016x} len={}",
+        "determinism pin ({label}): fnv1a={:016x} len={}",
         fnv1a(a.as_bytes()),
         a.len()
     );
+    a
+}
+
+#[test]
+fn per_client_export_is_byte_stable_across_runs() {
+    byte_stable("per-client", oltp_run);
 }
 
 #[test]
 fn traced_export_is_byte_stable_across_runs() {
-    let a = traced_run().export_timeline_string();
-    let b = traced_run().export_timeline_string();
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "fixed-seed traced exports must be byte-identical");
+    let a = byte_stable("traced", traced_run);
     // The traced run actually exercises the trace machinery: the offered
     // load gauge is present and moves along the schedule.
     assert!(
         a.contains("\"workload.target_clients\""),
         "traced export carries the offered-load gauge"
     );
-    println!(
-        "determinism pin (traced): fnv1a={:016x} len={}",
-        fnv1a(a.as_bytes()),
-        a.len()
-    );
+}
+
+#[test]
+fn fraction_rebalance_under_load_is_byte_stable_across_runs() {
+    let a = byte_stable("rebalance", rebalance_run);
+    assert!(a.contains("\"rebalance\""), "export carries the rebalance");
+}
+
+#[test]
+fn pooled_export_is_byte_stable_across_runs() {
+    byte_stable("pooled", pooled_run);
 }

@@ -11,7 +11,7 @@ fn setup() -> (SegmentId, IndexMap, PageStore) {
     let seg = SegmentId(1);
     let mut store = PageStore::new();
     store.add_segment(seg);
-    let mut indexes = IndexMap::new();
+    let mut indexes = IndexMap::default();
     indexes.insert(seg, SegmentIndex::new(seg, KeyRange::all()));
     (seg, indexes, store)
 }

@@ -269,7 +269,12 @@ struct AttachTrace {
     active_states: Vec<bool>,
 }
 
-fn manual_run() -> (AttachTrace, AttachTrace, wattdb_core::RebalanceReport) {
+fn manual_run() -> (
+    AttachTrace,
+    AttachTrace,
+    wattdb_core::RebalanceReport,
+    wattdb_core::HelperReport,
+) {
     let mut db = WattDb::builder()
         .nodes(6)
         .scheme(Scheme::Physiological)
@@ -304,12 +309,13 @@ fn manual_run() -> (AttachTrace, AttachTrace, wattdb_core::RebalanceReport) {
     assert!(!db.rebalancing(), "rebalance completed");
     let after = snapshot(&db);
     let report = db.last_rebalance().expect("report recorded");
-    (during, after, report)
+    let relief = db.last_helper_report().expect("helper report recorded");
+    (during, after, report, relief)
 }
 
 #[test]
 fn manual_helper_list_keeps_the_legacy_attach_detach_trace() {
-    let (during, after, report) = manual_run();
+    let (during, after, report, relief) = manual_run();
     // Legacy pairing: sources[i] → helpers[i % len]; both helpers listed
     // and powered for the duration.
     assert_eq!(during.helper_of[0], (0, Some(4)));
@@ -322,14 +328,19 @@ fn manual_helper_list_keeps_the_legacy_attach_detach_trace() {
     assert!(after.helper_of.iter().all(|(_, h)| h.is_none()));
     assert!(!after.active_states[4] && !after.active_states[5]);
     assert!(report.segments_moved > 0);
+    // While attached, every flush of a source's log went to its helper,
+    // and the helper's cursor — and the realized relief — moved with it.
+    assert_eq!(relief.helpers, vec![NodeId(4), NodeId(5)]);
+    assert!(relief.shipped_bytes > 0, "helpers shipped nothing");
     // And the whole trace is a fixed-seed invariant: a second identical
     // run reproduces it bit for bit.
-    let (during2, after2, report2) = manual_run();
+    let (during2, after2, report2, relief2) = manual_run();
     assert_eq!(during, during2);
     assert_eq!(after, after2);
     assert_eq!(report.segments_moved, report2.segments_moved);
     assert_eq!(report.bytes_moved, report2.bytes_moved);
     assert_eq!(report.started, report2.started);
+    assert_eq!(relief.shipped_bytes, relief2.shipped_bytes);
 }
 
 // ------------------------------------------------------------- properties

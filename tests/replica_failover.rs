@@ -229,6 +229,63 @@ fn leader_kill_promotes_and_keeps_serving() {
     assert_eq!(db.failed_nodes(), vec![victim]);
 }
 
+/// The log keeps what is not yet flushed or shipped, whatever the run's
+/// age — and cutting it costs replication nothing: cursors stay ordered
+/// and a dead leader's followers still get promoted.
+#[test]
+fn log_tail_stays_bounded_under_replication() {
+    const TAIL_BOUND: usize = 200;
+    let mut db = replicated_db(1, &[NodeId(0), NodeId(1), NodeId(2)]);
+    db.engage_autopilot(wattdb_core::AutoPilotConfig {
+        policy: wattdb_core::PolicyConfig {
+            cpu_high: 1.1,
+            cpu_low: 0.0,
+            skew_threshold: 0.0,
+            net_high: 2.0, // only failover decisions fire
+            ..Default::default()
+        },
+        period: SimDuration::from_secs(5),
+    });
+    db.start_oltp(6, SimDuration::from_millis(40));
+    for window in 1..=12 {
+        db.run_for(SimDuration::from_secs(5));
+        db.with_cluster(|c| {
+            for n in &c.nodes {
+                assert!(
+                    n.log.len() <= TAIL_BOUND,
+                    "window {window}: {} retains {} of {} records",
+                    n.id,
+                    n.log.len(),
+                    n.log.last_lsn()
+                );
+                for (f, shipped, acked) in n.replica_shipper.cursors() {
+                    assert!(acked <= shipped, "{f}: acked past shipped");
+                    assert!(shipped <= n.log.last_lsn(), "{f}: shipped past the log");
+                    let lag = n.replica_shipper.lag(f, &n.log).expect("attached");
+                    assert_eq!(lag, n.log.last_lsn().raw() - acked.raw());
+                }
+            }
+        });
+    }
+    let appended = db.with_cluster(|c| c.nodes.iter().map(|n| n.log.last_lsn().raw()).max());
+    assert!(
+        appended.unwrap() > 100 * TAIL_BOUND as u64,
+        "run too short for the bound to mean anything: {appended:?} records"
+    );
+    let victim = NodeId(1);
+    let led = db.replica_map().led_by(victim);
+    assert!(!led.is_empty());
+    let committed = db.completed();
+    db.fail_node(victim);
+    db.run_for(SimDuration::from_secs(60));
+    let map = db.replica_map();
+    assert!(!map.references(victim), "corpse erased from the map");
+    for seg in led {
+        assert_ne!(map.leader_of(seg).expect("still tracked"), victim);
+    }
+    assert!(db.completed() > committed, "cluster wedged after failover");
+}
+
 // -------------------------------------------------------------- proptests
 
 proptest! {
