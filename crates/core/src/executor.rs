@@ -25,8 +25,8 @@
 //! constants of its own.
 
 use wattdb_common::{
-    ByteSize, CostVector, Error, Key, Lsn, NodeId, PageId, PartitionId, SegmentId, SimDuration,
-    SimTime, TxnId,
+    ByteSize, CostVector, Error, Heat, Key, Lsn, NodeId, PageId, PartitionId, SegmentId,
+    SimDuration, SimTime, TxnId,
 };
 use wattdb_query::CostParams;
 use wattdb_sim::{CostCategory, CostProfile, EventFn, Resource, Sim};
@@ -415,15 +415,20 @@ impl Cluster {
         }
         let floor = self.seg_last_write.get(&seg).copied().unwrap_or(Lsn::ZERO);
         let shipper = &self.nodes[leader.raw() as usize].replica_shipper;
-        let eligible: Vec<NodeId> = self
-            .replicas
-            .followers_of(seg)
-            .iter()
-            .copied()
-            .filter(|f| !self.failed.contains(f))
-            .filter(|&f| shipper.acked_lsn(f).is_some_and(|a| a >= floor))
-            .collect();
-        if eligible.is_empty() {
+        // The leader stays in the rotation — fan-out *splits* the read
+        // load across every live copy rather than re-homing it wholesale
+        // onto the followers (which would merely relocate the hotspot).
+        let followers = self.replicas.followers_of(seg);
+        let mut pool: Vec<(NodeId, Heat)> = Vec::with_capacity(1 + followers.len());
+        pool.push((leader, Heat::ZERO));
+        pool.extend(
+            followers
+                .iter()
+                .filter(|f| !self.failed.contains(f))
+                .filter(|&&f| shipper.acked_lsn(f).is_some_and(|a| a >= floor))
+                .map(|&f| (f, Heat::ZERO)),
+        );
+        if pool.len() == 1 {
             return None;
         }
         // A carrier resolution stands in for `weight` modeled reads —
@@ -433,47 +438,42 @@ impl Cluster {
         // A job already sitting on a caught-up follower stays: `op_start`
         // re-runs after every hop, and re-rolling the rotation there would
         // bounce the job between copies forever.
-        if eligible.contains(&at) {
+        if pool[1..].iter().any(|&(f, _)| f == at) {
             return Some(at);
         }
-        // The leader stays in the rotation — fan-out *splits* the read
-        // load across every live copy rather than re-homing it wholesale
-        // onto the followers (which would merely relocate the hotspot).
         // The split is heat-weighted: each copy's rotation weight scales
         // 1..=4 with how much *colder* its host is than the pool's hottest
         // member, so a cold follower absorbs up to 4× the reads of an
         // already-hot one. Equal heats degrade to the plain round-robin.
-        let pool: Vec<NodeId> = std::iter::once(leader)
-            .chain(eligible.iter().copied())
-            .collect();
-        let heats: Vec<f64> = pool
-            .iter()
-            .map(|&n| self.heat.node_heat(&self.seg_dir, n, now).value())
-            .collect();
-        let max_h = heats.iter().copied().fold(f64::MIN, f64::max);
-        let min_h = heats.iter().copied().fold(f64::MAX, f64::min);
-        let spread = max_h - min_h;
-        let weights: Vec<u64> = heats
-            .iter()
-            .map(|&h| {
-                if spread > 0.0 {
-                    1 + (3.0 * (max_h - h) / spread).round() as u64
-                } else {
-                    1
-                }
-            })
-            .collect();
-        for (&n, &w) in pool.iter().zip(&weights) {
-            self.replica_route_weights.insert(n, w);
+        // One pass over the directory sums every member's node heat, each
+        // in segment-id order like `HeatTable::node_heat`.
+        for m in self.seg_dir.iter() {
+            if let Some((_, heat)) = pool.iter_mut().find(|(n, _)| *n == m.node) {
+                *heat += self.heat.heat_of(m.id, now);
+            }
         }
-        let total: u64 = weights.iter().sum();
+        let heats = pool.iter().map(|(_, h)| h.value());
+        let max_h = heats.clone().fold(f64::MIN, f64::max);
+        let spread = max_h - heats.fold(f64::MAX, f64::min);
+        let weight_of = |h: Heat| {
+            if spread > 0.0 {
+                1 + (3.0 * (max_h - h.value()) / spread).round() as u64
+            } else {
+                1
+            }
+        };
+        let mut total = 0u64;
+        for &(n, h) in &pool {
+            self.replica_route_weights.insert(n, weight_of(h));
+            total += weight_of(h);
+        }
         let rr = self.replica_rr.entry(seg).or_insert(0);
         let slot = (*rr as u64) % total;
         *rr = rr.wrapping_add(1);
         let mut cum = 0u64;
         let mut pick = leader;
-        for (&n, &w) in pool.iter().zip(&weights) {
-            cum += w;
+        for &(n, h) in &pool {
+            cum += weight_of(h);
             if slot < cum {
                 pick = n;
                 break;

@@ -12,10 +12,44 @@
 //! queued requests become granted so the caller can resume them. Deadlocks
 //! are detected by wait-for-graph cycle search at request time; the
 //! requester is chosen as the victim.
+//!
+//! # Cost
+//!
+//! The host cost of a request is bounded by what the request itself
+//! touches, not by how many transactions are in flight:
+//!
+//! * **Compatibility is O(1).** Every target keeps a census of its
+//!   holders per mode, so "may this request be granted" is five counter
+//!   tests (the requester's own mode subtracted), never a walk over the
+//!   holders — a `Table` or `Segment` carries hundreds of `IX` holders.
+//!   A target's first holder is stored inline; the hash table is built
+//!   only for a second one, so a record `X` lock allocates nothing.
+//! * **A wait costs O(wait-states reached + their queues + conflicting
+//!   holders).** The manager indexes what every queued transaction waits
+//!   for, so the cycle search follows edges instead of scanning the lock
+//!   table. All waiters of one `(target, mode)` wait-state have the same
+//!   blockers, so each state is expanded once, and its holders are walked
+//!   only when the census says one of them conflicts. The search buffers
+//!   live in the manager: a wait allocates nothing.
+//! * **Release is O(own targets).** A queue is only filtered when the
+//!   index says the transaction is in it, and the per-transaction
+//!   bookkeeping vectors are recycled.
+//!
+//! # Wait-for edges
+//!
+//! A request for `(target, mode)` waits for every holder of `target` in
+//! an incompatible mode and for every incompatible request in `target`'s
+//! queue — the **whole** queue, also the part behind it. That is
+//! conservative: a request further back cannot actually delay one ahead
+//! of it under FIFO grants, so a cycle through such an edge is reported
+//! (and a victim aborted) although it would have resolved itself. The
+//! rule is kept because grant order, the `waits`/`deadlocks` counters and
+//! with them every modeled result depend on the verdict; narrowing it to
+//! the requests ahead is a behaviour change of its own.
 
 use std::collections::VecDeque;
 
-use wattdb_common::{IdMap, Key, PartitionId, SegmentId, TableId, TxnId};
+use wattdb_common::{IdMap, IdSet, Key, PartitionId, SegmentId, TableId, TxnId};
 
 /// A lockable resource in the granularity hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -47,6 +81,15 @@ pub enum LockMode {
 }
 
 impl LockMode {
+    /// Every mode, in census order (`mode as usize` indexes it).
+    const ALL: [LockMode; 5] = [
+        LockMode::IS,
+        LockMode::IX,
+        LockMode::S,
+        LockMode::SIX,
+        LockMode::X,
+    ];
+
     /// Standard MGL compatibility matrix.
     pub fn compatible(self, other: LockMode) -> bool {
         use LockMode::*;
@@ -99,26 +142,119 @@ pub enum LockAcquire {
 
 #[derive(Debug, Default)]
 struct LockState {
-    /// Granted transactions and their (combined) modes.
-    granted: IdMap<TxnId, LockMode>,
+    /// The first holder, inline: a target with one holder (every record
+    /// `X` lock) never builds the hash table.
+    first: Option<(TxnId, LockMode)>,
+    /// Every further holder and its (combined) mode.
+    rest: IdMap<TxnId, LockMode>,
+    /// Mode census: holders per mode, indexed by `mode as usize`.
+    counts: [u32; 5],
     /// FIFO wait queue (conversions re-queue at the front).
     queue: VecDeque<(TxnId, LockMode)>,
 }
 
 impl LockState {
-    fn grant_compatible(&self, txn: TxnId, mode: LockMode) -> bool {
-        self.granted
-            .iter()
-            .all(|(t, m)| *t == txn || m.compatible(mode))
+    fn held(&self, txn: TxnId) -> Option<LockMode> {
+        match self.first {
+            Some((t, m)) if t == txn => Some(m),
+            _ => self.rest.get(&txn).copied(),
+        }
     }
+
+    fn holders(&self) -> impl Iterator<Item = (TxnId, LockMode)> + '_ {
+        self.first
+            .into_iter()
+            .chain(self.rest.iter().map(|(t, m)| (*t, *m)))
+    }
+
+    /// Does a holder other than the requester (who holds `own`) hold a
+    /// mode incompatible with `mode`? Five counter tests.
+    fn conflicts(&self, mode: LockMode, own: Option<LockMode>) -> bool {
+        LockMode::ALL
+            .iter()
+            .any(|&m| !m.compatible(mode) && self.counts[m as usize] > u32::from(own == Some(m)))
+    }
+
+    /// Make `txn`, which holds `held`, a holder in `mode`.
+    fn grant(&mut self, txn: TxnId, held: Option<LockMode>, mode: LockMode) {
+        if let Some(h) = held {
+            self.counts[h as usize] -= 1;
+        }
+        self.counts[mode as usize] += 1;
+        match &mut self.first {
+            Some((t, m)) if *t == txn => *m = mode,
+            None if held.is_none() => self.first = Some((txn, mode)),
+            _ => {
+                self.rest.insert(txn, mode);
+            }
+        }
+    }
+
+    fn release(&mut self, txn: TxnId) {
+        let held = match self.first {
+            Some((t, m)) if t == txn => {
+                self.first = None;
+                Some(m)
+            }
+            _ => self.rest.remove(&txn),
+        };
+        if let Some(m) = held {
+            self.counts[m as usize] -= 1;
+        }
+    }
+
+    fn is_idle(&self) -> bool {
+        self.first.is_none() && self.rest.is_empty() && self.queue.is_empty()
+    }
+
+    /// Push everyone a request for `mode` waits for: the incompatible
+    /// holders and the incompatible requests of the whole queue (module
+    /// docs, "Wait-for edges"), `except` the requester itself.
+    fn push_blockers(&self, mode: LockMode, except: Option<TxnId>, out: &mut Vec<TxnId>) {
+        let blocks = |t: TxnId, m: LockMode| Some(t) != except && !m.compatible(mode);
+        if self.conflicts(mode, None) {
+            out.extend(
+                self.holders()
+                    .filter(|&(t, m)| blocks(t, m))
+                    .map(|(t, _)| t),
+            );
+        }
+        out.extend(
+            self.queue
+                .iter()
+                .filter(|&&(t, m)| blocks(t, m))
+                .map(|&(t, _)| t),
+        );
+    }
+}
+
+/// What one transaction has in the lock table.
+#[derive(Debug, Default)]
+struct TxnLocks {
+    /// Targets it holds or waits on (for release_all).
+    touched: Vec<LockTarget>,
+    /// Its queued requests — the waits-for index. Multi-valued: nothing
+    /// stops a queued transaction from requesting again.
+    waits: Vec<(LockTarget, LockMode)>,
+}
+
+/// Buffers of the cycle search, kept so that a wait allocates nothing.
+#[derive(Debug, Default)]
+struct Search {
+    stack: Vec<TxnId>,
+    seen: IdSet<TxnId>,
+    expanded: IdSet<(LockTarget, LockMode)>,
 }
 
 /// The lock manager.
 #[derive(Debug, Default)]
 pub struct LockManager {
     locks: IdMap<LockTarget, LockState>,
-    /// Targets each txn holds or waits on (for release_all).
-    touched: IdMap<TxnId, Vec<LockTarget>>,
+    txns: IdMap<TxnId, TxnLocks>,
+    /// Emptied `TxnLocks` of released transactions; their vectors keep
+    /// their capacity for the next transaction.
+    spare: Vec<TxnLocks>,
+    search: Search,
     waits: u64,
     deadlocks: u64,
 }
@@ -144,28 +280,38 @@ impl LockManager {
         self.locks.len()
     }
 
+    /// Number of queued requests in the waits-for index.
+    pub fn queued_requests(&self) -> usize {
+        self.txns.values().map(|own| own.waits.len()).sum()
+    }
+
     /// Mode `txn` currently holds on `target`, if any.
     pub fn held_mode(&self, txn: TxnId, target: LockTarget) -> Option<LockMode> {
-        self.locks.get(&target)?.granted.get(&txn).copied()
+        self.locks.get(&target)?.held(txn)
+    }
+
+    fn own(&mut self, txn: TxnId) -> &mut TxnLocks {
+        self.txns
+            .entry(txn)
+            .or_insert_with(|| self.spare.pop().unwrap_or_default())
     }
 
     /// Request `target` in `mode` for `txn`.
     pub fn acquire(&mut self, txn: TxnId, target: LockTarget, mode: LockMode) -> LockAcquire {
         let state = self.locks.entry(target).or_default();
-        let effective = match state.granted.get(&txn) {
+        let held = state.held(txn);
+        let effective = match held {
             Some(held) if held.covers(mode) => return LockAcquire::Granted,
             Some(held) => held.combine(mode),
             None => mode,
         };
-        if state.grant_compatible(txn, effective) && state.queue.is_empty() {
-            state.granted.insert(txn, effective);
-            self.touched.entry(txn).or_default().push(target);
-            return LockAcquire::Granted;
-        }
         // Conversions may jump a non-empty queue if compatible with holders
         // (standard treatment, avoids instant self-deadlock).
-        if state.granted.contains_key(&txn) && state.grant_compatible(txn, effective) {
-            state.granted.insert(txn, effective);
+        if !state.conflicts(effective, held) && (held.is_some() || state.queue.is_empty()) {
+            state.grant(txn, held, effective);
+            if held.is_none() {
+                self.own(txn).touched.push(target);
+            }
             return LockAcquire::Granted;
         }
         // Would wait: check for a deadlock cycle first.
@@ -174,60 +320,51 @@ impl LockManager {
             return LockAcquire::Deadlock;
         }
         let state = self.locks.get_mut(&target).expect("entry exists");
-        if state.granted.contains_key(&txn) {
+        if held.is_some() {
             // Conversion waits at the front.
             state.queue.push_front((txn, effective));
         } else {
             state.queue.push_back((txn, effective));
         }
-        self.touched.entry(txn).or_default().push(target);
+        let own = self.own(txn);
+        own.touched.push(target);
+        own.waits.push((target, effective));
         self.waits += 1;
         LockAcquire::Waiting
     }
 
-    /// Wait-for edges from `txn` if it queued for (target, mode): the
-    /// conflicting holders plus queued requests ahead of it. Cycle search
-    /// via DFS over current wait relationships.
-    fn would_deadlock(&self, txn: TxnId, target: LockTarget, mode: LockMode) -> bool {
-        let mut stack: Vec<TxnId> = self.blockers(txn, target, mode);
-        let mut seen: Vec<TxnId> = Vec::new();
+    /// Would queueing `txn` for `(target, mode)` close a cycle? Depth-first
+    /// search from the request's blockers along the waits-for index. Every
+    /// waiter of one `(target, mode)` state has the same blockers (bar
+    /// itself, and it is already `seen`), so a state is expanded once. The
+    /// request's own state is expanded with the requester excluded and not
+    /// marked: reaching it again through another waiter puts the requester
+    /// among the blockers, which is a cycle.
+    fn would_deadlock(&mut self, txn: TxnId, target: LockTarget, mode: LockMode) -> bool {
+        let Search {
+            stack,
+            seen,
+            expanded,
+        } = &mut self.search;
+        stack.clear();
+        seen.clear();
+        expanded.clear();
+        self.locks[&target].push_blockers(mode, Some(txn), stack);
         while let Some(t) = stack.pop() {
             if t == txn {
                 return true;
             }
-            if seen.contains(&t) {
+            if !seen.insert(t) {
                 continue;
             }
-            seen.push(t);
-            // Everything t waits on.
-            for (tgt, st) in &self.locks {
-                for (waiter, wmode) in &st.queue {
-                    if *waiter == t {
-                        stack.extend(self.blockers(t, *tgt, *wmode));
-                    }
+            // Everything t waits on (a holder or queuer always has an entry).
+            for &(tgt, wmode) in &self.txns[&t].waits {
+                if expanded.insert((tgt, wmode)) {
+                    self.locks[&tgt].push_blockers(wmode, None, stack);
                 }
             }
         }
         false
-    }
-
-    fn blockers(&self, txn: TxnId, target: LockTarget, mode: LockMode) -> Vec<TxnId> {
-        let Some(st) = self.locks.get(&target) else {
-            return Vec::new();
-        };
-        let mut out: Vec<TxnId> = st
-            .granted
-            .iter()
-            .filter(|(t, m)| **t != txn && !m.compatible(mode))
-            .map(|(t, _)| *t)
-            .collect();
-        // Queued requests ahead also block (FIFO fairness).
-        for (t, m) in &st.queue {
-            if *t != txn && !m.compatible(mode) {
-                out.push(*t);
-            }
-        }
-        out
     }
 
     /// Release everything `txn` holds or waits for. Returns newly granted
@@ -235,44 +372,101 @@ impl LockManager {
     /// order.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<(TxnId, LockTarget, LockMode)> {
         let mut granted_now = Vec::new();
-        let Some(targets) = self.touched.remove(&txn) else {
+        let Some(mut own) = self.txns.remove(&txn) else {
             return granted_now;
         };
-        for target in targets {
+        for &target in &own.touched {
             let Some(state) = self.locks.get_mut(&target) else {
                 continue;
             };
-            state.granted.remove(&txn);
-            state.queue.retain(|(t, _)| *t != txn);
+            state.release(txn);
+            if own.waits.iter().any(|(t, _)| *t == target) {
+                state.queue.retain(|(t, _)| *t != txn);
+            }
             // Promote from the queue head while compatible.
             while let Some((t, m)) = state.queue.front().copied() {
-                let eff = match state.granted.get(&t) {
-                    Some(held) => held.combine(m),
-                    None => m,
-                };
-                if !state.grant_compatible(t, eff) {
+                let held = state.held(t);
+                let eff = held.map_or(m, |held| held.combine(m));
+                if state.conflicts(eff, held) {
                     break;
                 }
                 state.queue.pop_front();
-                state.granted.insert(t, eff);
+                state.grant(t, held, eff);
+                let waits = &mut self.txns.get_mut(&t).expect("queued txn is indexed").waits;
+                let at = waits.iter().position(|w| *w == (target, m));
+                waits.swap_remove(at.expect("queued request is indexed"));
                 granted_now.push((t, target, eff));
             }
-            if state.granted.is_empty() && state.queue.is_empty() {
+            if state.is_idle() {
                 self.locks.remove(&target);
             }
         }
+        own.touched.clear();
+        own.waits.clear();
+        self.spare.push(own);
         granted_now
     }
 
     /// Locks held by `txn` (diagnostics/tests).
     pub fn holdings(&self, txn: TxnId) -> Vec<(LockTarget, LockMode)> {
-        let mut v: Vec<(LockTarget, LockMode)> = self
-            .locks
+        let touched = self.txns.get(&txn).map_or(&[][..], |own| &own.touched);
+        let mut v: Vec<(LockTarget, LockMode)> = touched
             .iter()
-            .filter_map(|(tgt, st)| st.granted.get(&txn).map(|m| (*tgt, *m)))
+            .filter_map(|&tgt| self.held_mode(txn, tgt).map(|m| (tgt, m)))
             .collect();
         v.sort_unstable();
+        v.dedup();
         v
+    }
+
+    /// Recount what the manager keeps incrementally (diagnostics/tests):
+    /// each census against its holders, the waits-for index against the
+    /// queues, and `touched` against both.
+    pub fn check_invariants(&self) -> Result<(), String> {
+        let mut queued = Vec::new();
+        for (target, state) in &self.locks {
+            if state.is_idle() {
+                return Err(format!("idle state kept for {target:?}"));
+            }
+            if let Some((t, _)) = state.first.filter(|(t, _)| state.rest.contains_key(t)) {
+                return Err(format!("{t:?} holds {target:?} twice"));
+            }
+            let mut recount = [0u32; 5];
+            for (_, m) in state.holders() {
+                recount[m as usize] += 1;
+            }
+            if recount != state.counts {
+                return Err(format!(
+                    "census of {target:?} is {:?}, holders say {recount:?}",
+                    state.counts
+                ));
+            }
+            queued.extend(state.queue.iter().map(|&(t, m)| (t, *target, m)));
+            for t in state
+                .holders()
+                .map(|(t, _)| t)
+                .chain(state.queue.iter().map(|q| q.0))
+            {
+                if !self
+                    .txns
+                    .get(&t)
+                    .is_some_and(|own| own.touched.contains(target))
+                {
+                    return Err(format!("{t:?} is on {target:?} but has not touched it"));
+                }
+            }
+        }
+        let mut indexed: Vec<(TxnId, LockTarget, LockMode)> = self
+            .txns
+            .iter()
+            .flat_map(|(t, own)| own.waits.iter().map(|&(tgt, m)| (*t, tgt, m)))
+            .collect();
+        queued.sort_unstable();
+        indexed.sort_unstable();
+        if queued != indexed {
+            return Err(format!("queues hold {queued:?}, the index {indexed:?}"));
+        }
+        Ok(())
     }
 }
 

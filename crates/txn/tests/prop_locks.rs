@@ -1,13 +1,153 @@
-//! Property tests: lock-manager invariants under random workloads.
+//! Property tests: the lock manager against a reference model.
 //!
-//! 1. Granted holders on any target are pairwise compatible at all times.
-//! 2. Nothing leaks: after every transaction releases, the table is empty.
-//! 3. Deadlock detection never reports a cycle for a single transaction's
-//!    own re-acquisitions.
+//! [`Model`] is the manager's straightforward algorithm — compatibility by
+//! walking the holders, cycle search by scanning the whole lock table for
+//! what each transaction waits on. The manager answers the same questions
+//! from a per-target mode census and a waits-for index; random schedules
+//! drive both and must see
+//!
+//! 1. the same `LockAcquire` for every request and the same grant vector,
+//!    order included, from every `release_all`;
+//! 2. the same `held_mode`, `wait_count`, `deadlock_count` and
+//!    `active_targets` after every step, holders pairwise compatible;
+//! 3. census and index equal to a recount (`check_invariants`) after every
+//!    step, and both empty once every transaction has released.
+//!
+//! Separately, a lone transaction's re-acquisitions never deadlock.
+
+use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
-use wattdb_common::{Key, TableId, TxnId};
+use wattdb_common::{Key, PartitionId, SegmentId, TableId, TxnId};
 use wattdb_txn::{LockAcquire, LockManager, LockMode, LockTarget};
+
+type Grants = Vec<(TxnId, LockTarget, LockMode)>;
+
+#[derive(Default)]
+struct ModelState {
+    granted: BTreeMap<TxnId, LockMode>,
+    queue: VecDeque<(TxnId, LockMode)>,
+}
+
+impl ModelState {
+    fn grant_compatible(&self, txn: TxnId, mode: LockMode) -> bool {
+        self.granted
+            .iter()
+            .all(|(t, m)| *t == txn || m.compatible(mode))
+    }
+}
+
+#[derive(Default)]
+struct Model {
+    locks: BTreeMap<LockTarget, ModelState>,
+    touched: BTreeMap<TxnId, Vec<LockTarget>>,
+    waits: u64,
+    deadlocks: u64,
+}
+
+impl Model {
+    fn acquire(&mut self, txn: TxnId, target: LockTarget, mode: LockMode) -> LockAcquire {
+        let state = self.locks.entry(target).or_default();
+        let held = state.granted.get(&txn).copied();
+        let effective = match held {
+            Some(held) if held.covers(mode) => return LockAcquire::Granted,
+            Some(held) => held.combine(mode),
+            None => mode,
+        };
+        if state.grant_compatible(txn, effective) && state.queue.is_empty() {
+            state.granted.insert(txn, effective);
+            self.touched.entry(txn).or_default().push(target);
+            return LockAcquire::Granted;
+        }
+        // A conversion jumps a non-empty queue if compatible with holders.
+        if held.is_some() && state.grant_compatible(txn, effective) {
+            state.granted.insert(txn, effective);
+            return LockAcquire::Granted;
+        }
+        if self.would_deadlock(txn, target, effective) {
+            self.deadlocks += 1;
+            return LockAcquire::Deadlock;
+        }
+        let state = self.locks.get_mut(&target).unwrap();
+        if held.is_some() {
+            state.queue.push_front((txn, effective));
+        } else {
+            state.queue.push_back((txn, effective));
+        }
+        self.touched.entry(txn).or_default().push(target);
+        self.waits += 1;
+        LockAcquire::Waiting
+    }
+
+    fn would_deadlock(&self, txn: TxnId, target: LockTarget, mode: LockMode) -> bool {
+        let mut stack = self.blockers(txn, target, mode);
+        let mut seen = Vec::new();
+        while let Some(t) = stack.pop() {
+            if t == txn {
+                return true;
+            }
+            if seen.contains(&t) {
+                continue;
+            }
+            seen.push(t);
+            for (tgt, st) in &self.locks {
+                for (waiter, wmode) in &st.queue {
+                    if *waiter == t {
+                        stack.extend(self.blockers(t, *tgt, *wmode));
+                    }
+                }
+            }
+        }
+        false
+    }
+
+    /// Incompatible holders plus incompatible requests anywhere in the
+    /// queue, `txn` itself excepted.
+    fn blockers(&self, txn: TxnId, target: LockTarget, mode: LockMode) -> Vec<TxnId> {
+        let st = &self.locks[&target];
+        let holders = st.granted.iter().map(|(t, m)| (*t, *m));
+        holders
+            .chain(st.queue.iter().copied())
+            .filter(|(t, m)| *t != txn && !m.compatible(mode))
+            .map(|(t, _)| t)
+            .collect()
+    }
+
+    fn release_all(&mut self, txn: TxnId) -> Grants {
+        let mut granted_now = Vec::new();
+        for target in self.touched.remove(&txn).unwrap_or_default() {
+            let Some(state) = self.locks.get_mut(&target) else {
+                continue;
+            };
+            state.granted.remove(&txn);
+            state.queue.retain(|(t, _)| *t != txn);
+            while let Some((t, m)) = state.queue.front().copied() {
+                let eff = state.granted.get(&t).map_or(m, |held| held.combine(m));
+                if !state.grant_compatible(t, eff) {
+                    break;
+                }
+                state.queue.pop_front();
+                state.granted.insert(t, eff);
+                granted_now.push((t, target, eff));
+            }
+            if state.granted.is_empty() && state.queue.is_empty() {
+                self.locks.remove(&target);
+            }
+        }
+        granted_now
+    }
+}
+
+const TXNS: u64 = 24;
+
+/// One table, two partitions, three segments, six records.
+fn targets() -> Vec<LockTarget> {
+    let mut v = vec![LockTarget::Table(TableId(1))];
+    v.extend((1..=2).map(|p| LockTarget::Partition(PartitionId(p))));
+    v.extend((1..=3).map(|s| LockTarget::Segment(SegmentId(s))));
+    v.extend((0..6).map(|k| LockTarget::Record(TableId(1), Key(k))));
+    v
+}
 
 fn mode_strategy() -> impl Strategy<Value = LockMode> {
     prop_oneof![
@@ -21,75 +161,90 @@ fn mode_strategy() -> impl Strategy<Value = LockMode> {
 
 #[derive(Debug, Clone)]
 enum Op {
-    Acquire { txn: u64, key: u64, mode: LockMode },
-    ReleaseAll { txn: u64 },
+    /// Request by any transaction, queued ones included; a deadlock
+    /// victim releases everything when `abort` is set.
+    Acquire {
+        txn: u64,
+        target: usize,
+        mode: LockMode,
+        abort: bool,
+    },
+    ReleaseAll {
+        txn: u64,
+    },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (1u64..8, 0u64..6, mode_strategy())
-            .prop_map(|(txn, key, mode)| Op::Acquire { txn, key, mode }),
-        2 => (1u64..8).prop_map(|txn| Op::ReleaseAll { txn }),
+        5 => (1..=TXNS, 0usize..12, mode_strategy(), 0u8..4).prop_map(
+            |(txn, target, mode, abort)| Op::Acquire { txn, target, mode, abort: abort > 0 }
+        ),
+        1 => (1..=TXNS).prop_map(|txn| Op::ReleaseAll { txn }),
     ]
+}
+
+fn release_both(lm: &mut LockManager, model: &mut Model, txn: TxnId) {
+    assert_eq!(
+        lm.release_all(txn),
+        model.release_all(txn),
+        "grants of {txn:?}"
+    );
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn grants_stay_compatible_and_nothing_leaks(
-        ops in proptest::collection::vec(op_strategy(), 1..200)
+    fn manager_matches_the_reference_model(
+        ops in proptest::collection::vec(op_strategy(), 1..300)
     ) {
+        let targets = targets();
         let mut lm = LockManager::new();
-        // Track which txns currently hold which (target, mode) — rebuilt
-        // from the manager's own view via holdings().
-        let mut live: std::collections::BTreeSet<u64> = Default::default();
+        let mut model = Model::default();
         for op in &ops {
             match *op {
-                Op::Acquire { txn, key, mode } => {
-                    let t = LockTarget::Record(TableId(1), Key(key));
-                    match lm.acquire(TxnId(txn), t, mode) {
-                        LockAcquire::Granted => {
-                            live.insert(txn);
-                        }
-                        LockAcquire::Waiting => {
-                            live.insert(txn);
-                        }
-                        LockAcquire::Deadlock => {
-                            // Victim aborts: everything must be releasable.
-                            lm.release_all(TxnId(txn));
-                            live.remove(&txn);
-                        }
+                Op::Acquire { txn, target, mode, abort } => {
+                    let (txn, target) = (TxnId(txn), targets[target]);
+                    let got = lm.acquire(txn, target, mode);
+                    prop_assert_eq!(got, model.acquire(txn, target, mode), "{:?}", op);
+                    if got == LockAcquire::Deadlock && abort {
+                        release_both(&mut lm, &mut model, txn);
                     }
                 }
-                Op::ReleaseAll { txn } => {
-                    lm.release_all(TxnId(txn));
-                    live.remove(&txn);
-                }
+                Op::ReleaseAll { txn } => release_both(&mut lm, &mut model, TxnId(txn)),
             }
-            // Invariant 1: all granted holders pairwise compatible.
-            for key in 0..6u64 {
-                let t = LockTarget::Record(TableId(1), Key(key));
-                let holders: Vec<(u64, LockMode)> = (1..8u64)
-                    .filter_map(|txn| {
-                        lm.held_mode(TxnId(txn), t).map(|m| (txn, m))
-                    })
-                    .collect();
+            prop_assert_eq!(lm.check_invariants(), Ok(()));
+            prop_assert_eq!(lm.wait_count(), model.waits);
+            prop_assert_eq!(lm.deadlock_count(), model.deadlocks);
+            prop_assert_eq!(lm.active_targets(), model.locks.len());
+            let queued: usize = model.locks.values().map(|st| st.queue.len()).sum();
+            prop_assert_eq!(lm.queued_requests(), queued);
+            for &target in &targets {
+                let holders: Vec<(TxnId, LockMode)> = model
+                    .locks
+                    .get(&target)
+                    .map(|st| st.granted.iter().map(|(t, m)| (*t, *m)).collect())
+                    .unwrap_or_default();
+                for txn in (1..=TXNS).map(TxnId) {
+                    let expect = holders.iter().find(|h| h.0 == txn).map(|h| h.1);
+                    prop_assert_eq!(lm.held_mode(txn, target), expect);
+                }
                 for (i, &(ta, ma)) in holders.iter().enumerate() {
                     for &(tb, mb) in &holders[i + 1..] {
                         prop_assert!(
-                            ta == tb || ma.compatible(mb) || mb.compatible(ma),
-                            "incompatible co-holders {ta}:{ma:?} vs {tb}:{mb:?} on key {key}"
+                            ma.compatible(mb),
+                            "incompatible co-holders {ta:?}:{ma:?} vs {tb:?}:{mb:?} on {target:?}"
                         );
                     }
                 }
             }
         }
-        // Invariant 2: releasing everyone empties the table.
-        for txn in 1..8u64 {
-            lm.release_all(TxnId(txn));
+        for txn in (1..=TXNS).map(TxnId) {
+            release_both(&mut lm, &mut model, txn);
         }
         prop_assert_eq!(lm.active_targets(), 0, "lock state leaked");
+        prop_assert_eq!(lm.queued_requests(), 0, "waits-for index leaked");
+        prop_assert_eq!(lm.check_invariants(), Ok(()));
     }
 
     #[test]

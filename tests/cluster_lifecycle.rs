@@ -2,10 +2,11 @@
 //! load, verify §4.3's correctness obligations end to end.
 
 use wattdb_common::{NodeId, SimDuration};
-use wattdb_core::api::WattDb;
+use wattdb_core::api::{WattDb, WattDbBuilder};
 use wattdb_core::cluster::Scheme;
+use wattdb_core::ClientBatching;
 
-fn build(scheme: Scheme, seed: u64) -> WattDb {
+fn builder(scheme: Scheme, seed: u64) -> WattDbBuilder {
     WattDb::builder()
         .nodes(6)
         .scheme(scheme)
@@ -14,6 +15,15 @@ fn build(scheme: Scheme, seed: u64) -> WattDb {
         .segment_pages(8)
         .seed(seed)
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
+}
+
+fn build(scheme: Scheme, seed: u64) -> WattDb {
+    builder(scheme, seed).build()
+}
+
+fn build_pooled(seed: u64) -> WattDb {
+    builder(Scheme::Physiological, seed)
+        .client_batching(ClientBatching::Pooled)
         .build()
 }
 
@@ -171,18 +181,49 @@ fn deterministic_experiments() {
     assert_ne!(run(42), run(43), "different seed, different interleaving");
 }
 
+/// Stop the clients, let in-flight work drain, and require an empty lock
+/// table: no target, no queued request, no parked job, no job at all.
+fn assert_quiescent(db: &mut WattDb, what: &str) {
+    db.stop_clients();
+    db.run_for(SimDuration::from_secs(60));
+    assert!(!db.rebalancing(), "{what}: rebalance still running");
+    db.with_cluster(|c| {
+        let locks = &c.txn.locks;
+        assert_eq!(locks.check_invariants(), Ok(()), "{what}");
+        assert_eq!(locks.active_targets(), 0, "{what}: lock state left");
+        assert_eq!(locks.queued_requests(), 0, "{what}: queued requests left");
+        assert!(c.lock_waiters.is_empty(), "{what}: parked waiters left");
+        assert_eq!(c.jobs.len(), 0, "{what}: jobs in flight");
+    });
+}
+
+#[test]
+fn lock_table_is_empty_at_quiescence() {
+    // Saturated per-client run: deep lock queues.
+    let mut db = build(Scheme::Physiological, 6);
+    db.start_oltp(400, SimDuration::from_millis(50));
+    db.run_for(SimDuration::from_secs(10));
+    db.with_cluster(|c| assert!(c.txn.locks.wait_count() > 0, "no request ever waited"));
+    assert_quiescent(&mut db, "per-client");
+
+    let mut db = build_pooled(7);
+    db.start_oltp(20_000, SimDuration::from_secs(10));
+    db.run_for(SimDuration::from_secs(10));
+    assert_quiescent(&mut db, "pooled");
+
+    // Clients stop while the mover still holds and waits for segment locks.
+    let mut db = build(Scheme::Physiological, 8);
+    db.start_oltp(100, SimDuration::from_millis(50));
+    db.run_for(SimDuration::from_secs(5));
+    db.rebalance(0.5, &[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]);
+    db.run_for(SimDuration::from_secs(2));
+    assert!(db.rebalancing(), "rebalance over before the clients stop");
+    assert_quiescent(&mut db, "rebalance under load");
+}
+
 #[test]
 fn dropping_a_deployment_mid_run_frees_it() {
-    let mut db = WattDb::builder()
-        .nodes(6)
-        .scheme(Scheme::Physiological)
-        .warehouses(4)
-        .density(0.01)
-        .segment_pages(8)
-        .seed(5)
-        .initial_data_nodes(&[NodeId(0), NodeId(1)])
-        .client_batching(wattdb_core::ClientBatching::Pooled)
-        .build();
+    let mut db = build_pooled(5);
     db.start_oltp(50_000, SimDuration::from_secs(10));
     db.run_for(SimDuration::from_secs(5));
     // Mid-run, with requests waiting on the drives: each holds a

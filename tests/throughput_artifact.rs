@@ -4,7 +4,10 @@
 //! CI runs this after `cargo bench --bench engine_throughput` has
 //! written `BENCH_throughput.json` at the repo root: the artifact must
 //! carry every cell of the {1×, 10×, 100×} × {per-client, pooled}
-//! matrix with well-typed fields, and the pooled 100× cell's
+//! matrix with well-typed fields and the two saturation-fidelity
+//! ratios; per-client@10× may cost at most 40× the wall-clock of
+//! per-client@1× per simulated second (a ratio of two cells of one run,
+//! so machine-independent); and the pooled 100× cell's
 //! wall-clock-per-sim-second must not regress to ≥2× the committed
 //! baseline (`crates/bench/baseline/engine_throughput.json`). When the
 //! artifact is absent (plain `cargo test` before any bench run) the
@@ -59,14 +62,17 @@ fn validate(doc: &JsonValue) -> f64 {
         .and_then(|v| v.as_arr())
         .expect("cells array");
     assert_eq!(cells.len(), MATRIX.len(), "all matrix cells present");
-    for (scale, mode) in MATRIX {
-        let cell = cells
+    let find = |scale: &str, mode: &str| {
+        cells
             .iter()
             .find(|c| {
                 c.get("scale").and_then(|v| v.as_str()) == Some(scale)
                     && c.get("mode").and_then(|v| v.as_str()) == Some(mode)
             })
-            .unwrap_or_else(|| panic!("missing cell {scale}/{mode}"));
+            .unwrap_or_else(|| panic!("missing cell {scale}/{mode}"))
+    };
+    for (scale, mode) in MATRIX {
+        let cell = find(scale, mode);
         for field in CELL_NUMS {
             let v = cell
                 .get(field)
@@ -77,25 +83,30 @@ fn validate(doc: &JsonValue) -> f64 {
                 "cell {scale}/{mode} field {field} must be finite and non-negative"
             );
         }
-        assert!(
-            cell.get("full_run").and_then(|v| v.as_bool()).is_some(),
-            "cell {scale}/{mode} missing full_run flag"
-        );
         let committed = cell.get("committed_txns").and_then(|v| v.as_u64()).unwrap();
         assert!(committed > 0, "cell {scale}/{mode} committed no work");
     }
-    let pooled100 = cells
-        .iter()
-        .find(|c| {
-            c.get("scale").and_then(|v| v.as_str()) == Some("100x")
-                && c.get("mode").and_then(|v| v.as_str()) == Some("pooled")
-        })
-        .unwrap();
-    assert_eq!(
-        pooled100.get("full_run").and_then(|v| v.as_bool()),
-        Some(true),
-        "pooled 100x must complete its full horizon"
+    let wall_per_sim = |scale: &str, mode: &str| {
+        find(scale, mode)
+            .get("wall_per_sim_sec")
+            .and_then(|v| v.as_f64())
+            .unwrap()
+    };
+    let scaling = wall_per_sim("10x", "per-client") / wall_per_sim("1x", "per-client");
+    assert!(
+        scaling <= 40.0,
+        "per-client@10x must cost <=40x the wall-s/sim-s of per-client@1x, got {scaling:.1}x"
     );
+    for field in ["saturation_fidelity_10x", "saturation_fidelity_100x"] {
+        let v = doc
+            .get(field)
+            .and_then(|v| v.as_f64())
+            .unwrap_or_else(|| panic!("missing numeric {field}"));
+        assert!(
+            v.is_finite() && v > 0.0 && v <= 1.5,
+            "{field} must be a ratio in (0, 1.5], got {v}"
+        );
+    }
     let speedup = doc
         .get("speedup_pooled100x_vs_perclient10x_txns_per_wall_sec")
         .and_then(|v| v.as_f64())
@@ -104,10 +115,7 @@ fn validate(doc: &JsonValue) -> f64 {
         speedup >= 10.0,
         "pooled@100x must hold >=10x committed txns/wall-sec over per-client@10x, got {speedup}"
     );
-    pooled100
-        .get("wall_per_sim_sec")
-        .and_then(|v| v.as_f64())
-        .unwrap()
+    wall_per_sim("100x", "pooled")
 }
 
 #[test]
@@ -162,14 +170,16 @@ fn inline_exemplar_round_trips_the_schema() {
     let exemplar = r#"{
   "bench": "engine_throughput",
   "cells": [
-    {"scale": "1x", "mode": "per-client", "modeled_clients": 1000, "carriers": 1000, "weight": 1, "sim_secs": 30.0, "wall_secs": 0.3, "events": 60000, "committed_txns": 3000, "events_per_wall_sec": 200000.0, "committed_txns_per_wall_sec": 10000.0, "wall_per_sim_sec": 0.01, "full_run": true},
-    {"scale": "1x", "mode": "pooled", "modeled_clients": 1000, "carriers": 1000, "weight": 1, "sim_secs": 30.0, "wall_secs": 0.25, "events": 60000, "committed_txns": 3000, "events_per_wall_sec": 240000.0, "committed_txns_per_wall_sec": 12000.0, "wall_per_sim_sec": 0.008, "full_run": true},
-    {"scale": "10x", "mode": "per-client", "modeled_clients": 10000, "carriers": 10000, "weight": 1, "sim_secs": 30.0, "wall_secs": 230.0, "events": 370000, "committed_txns": 14000, "events_per_wall_sec": 1600.0, "committed_txns_per_wall_sec": 60.0, "wall_per_sim_sec": 7.7, "full_run": true},
-    {"scale": "10x", "mode": "pooled", "modeled_clients": 10000, "carriers": 2000, "weight": 5, "sim_secs": 30.0, "wall_secs": 1.2, "events": 192000, "committed_txns": 29000, "events_per_wall_sec": 160000.0, "committed_txns_per_wall_sec": 24000.0, "wall_per_sim_sec": 0.04, "full_run": true},
-    {"scale": "100x", "mode": "per-client", "modeled_clients": 100000, "carriers": 100000, "weight": 1, "sim_secs": 1.0, "wall_secs": 20.0, "events": 30000, "committed_txns": 500, "events_per_wall_sec": 1500.0, "committed_txns_per_wall_sec": 25.0, "wall_per_sim_sec": 20.0, "full_run": false},
-    {"scale": "100x", "mode": "pooled", "modeled_clients": 100000, "carriers": 2048, "weight": 49, "sim_secs": 30.0, "wall_secs": 9.0, "events": 180000, "committed_txns": 90000, "events_per_wall_sec": 20000.0, "committed_txns_per_wall_sec": 10000.0, "wall_per_sim_sec": 0.3, "full_run": true}
+    {"scale": "1x", "mode": "per-client", "modeled_clients": 1000, "carriers": 1000, "weight": 1, "sim_secs": 30.0, "wall_secs": 0.08, "events": 65000, "committed_txns": 3000, "events_per_wall_sec": 812500.0, "committed_txns_per_wall_sec": 37500.0, "wall_per_sim_sec": 0.00267},
+    {"scale": "1x", "mode": "pooled", "modeled_clients": 1000, "carriers": 1000, "weight": 1, "sim_secs": 30.0, "wall_secs": 0.084, "events": 63000, "committed_txns": 2900, "events_per_wall_sec": 750000.0, "committed_txns_per_wall_sec": 34500.0, "wall_per_sim_sec": 0.0028},
+    {"scale": "10x", "mode": "per-client", "modeled_clients": 10000, "carriers": 10000, "weight": 1, "sim_secs": 30.0, "wall_secs": 0.93, "events": 374000, "committed_txns": 14000, "events_per_wall_sec": 402000.0, "committed_txns_per_wall_sec": 15100.0, "wall_per_sim_sec": 0.031},
+    {"scale": "10x", "mode": "pooled", "modeled_clients": 10000, "carriers": 2000, "weight": 5, "sim_secs": 30.0, "wall_secs": 0.166, "events": 192000, "committed_txns": 29000, "events_per_wall_sec": 1157000.0, "committed_txns_per_wall_sec": 175000.0, "wall_per_sim_sec": 0.0055},
+    {"scale": "100x", "mode": "per-client", "modeled_clients": 100000, "carriers": 100000, "weight": 1, "sim_secs": 30.0, "wall_secs": 19.4, "events": 772000, "committed_txns": 18500, "events_per_wall_sec": 39800.0, "committed_txns_per_wall_sec": 954.0, "wall_per_sim_sec": 0.645},
+    {"scale": "100x", "mode": "pooled", "modeled_clients": 100000, "carriers": 2041, "weight": 49, "sim_secs": 30.0, "wall_secs": 0.215, "events": 193000, "committed_txns": 289000, "events_per_wall_sec": 898000.0, "committed_txns_per_wall_sec": 1344000.0, "wall_per_sim_sec": 0.0072}
   ],
-  "speedup_pooled100x_vs_perclient10x_txns_per_wall_sec": 166.67
+  "speedup_pooled100x_vs_perclient10x_txns_per_wall_sec": 89.0,
+  "saturation_fidelity_10x": 0.4828,
+  "saturation_fidelity_100x": 0.064
 }
 "#;
     let doc = parse(exemplar).expect("exemplar parses");
