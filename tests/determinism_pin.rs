@@ -1,19 +1,29 @@
-//! Determinism pin across engine-speed refactors.
+//! Export pins: the byte-level contract of every behaviour-preserving
+//! refactor.
 //!
-//! The timer-wheel kernel and the lazy heat decay are pure performance
-//! work: a fixed-seed per-client run must export the exact same
-//! telemetry timeline bytes as before. These tests pin that surface —
-//! two in-process runs must agree byte-for-byte, and the FNV-1a hash of
-//! the export is printed so a refactor can be checked against the
-//! previous build's output (`cargo test -q --test determinism_pin --
-//! --nocapture`).
+//! Each scenario below is a fixed-seed run whose exported telemetry
+//! timeline (spans, span events, per-window samples, decision records)
+//! is hashed with FNV-1a and compared against a **committed constant**.
+//! A refactor that changes what the engine does — a different decision,
+//! a span opened in a different order, a copy voided that used to land —
+//! changes the hash and fails tier-1, even when it changes two
+//! in-process runs identically. The hashes are the same in debug and
+//! release builds.
 //!
-//! The same two-run equality is held for the paths that used to walk a
-//! randomly-seeded `HashMap` on their way to a decision: a fraction
-//! rebalance under load (the planner walks the partitions), a pooled run,
-//! and the traced autopilot run.
+//! The first four scenarios cover the per-client executor path, a
+//! fraction rebalance under load, a pooled run and a traced autopilot
+//! run; the other five reach the control paths those do not: the
+//! physical and logical schemes (Fig. 6's other two arms), the scripted
+//! helper path (Fig. 7/8), a replicated scale-out → scale-in round trip
+//! with follower re-homes and a refused drain, and a failover with
+//! promotion and re-replication.
+//!
+//! When a pin fails on purpose (a deliberate modeled-behaviour change),
+//! the failure message carries the new hash and the export's length;
+//! diff the export against the parent's
+//! (`db.export_timeline_string()`) before re-pinning.
 
-use wattdb_common::{NodeId, SimDuration};
+use wattdb_common::{CostParams, NodeId, SimDuration};
 use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
 use wattdb_core::policy::PolicyConfig;
@@ -21,6 +31,10 @@ use wattdb_core::ClientBatching;
 use wattdb_tpcc::{DiurnalConfig, LoadTrace, TenantSpec};
 
 const WINDOW_SECS: u64 = 5;
+
+fn windows(n: u64) -> SimDuration {
+    SimDuration::from_secs(WINDOW_SECS * n)
+}
 
 fn skew_only() -> PolicyConfig {
     PolicyConfig {
@@ -46,13 +60,13 @@ fn oltp_run() -> WattDb {
         .seed(17)
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
         .policy(skew_only())
-        .monitoring(SimDuration::from_secs(WINDOW_SECS))
+        .monitoring(windows(1))
         .autopilot(true)
         .build();
     db.start_oltp_skewed(24, SimDuration::from_millis(40), 0.85, 1);
-    db.run_for(SimDuration::from_secs(WINDOW_SECS * 24));
+    db.run_for(windows(24));
     db.stop_clients();
-    db.run_for(SimDuration::from_secs(WINDOW_SECS));
+    db.run_for(windows(1));
     db
 }
 
@@ -88,39 +102,146 @@ fn traced_run() -> WattDb {
         .seed(17)
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
         .client_batching(ClientBatching::Pooled)
-        .monitoring(SimDuration::from_secs(WINDOW_SECS))
+        .monitoring(windows(1))
         .autopilot(true)
         .build();
     db.start_traced_oltp(trace, SimDuration::from_millis(400));
     db.run_for(SimDuration::from_secs(125));
     db.stop_clients();
-    db.run_for(SimDuration::from_secs(WINDOW_SECS));
+    db.run_for(windows(1));
     db
 }
 
-/// A fixed 50 % rebalance under per-client load. The fraction planner
-/// walks the partitions of each source; the order it meets them in
-/// decides which segments move first and so what every later
-/// transaction waits on.
-fn rebalance_run() -> WattDb {
+/// How a [`fixed_rebalance`] scenario triggers its 50 % rebalance.
+enum Trigger {
+    Plain,
+    WithHelpers,
+}
+
+/// A fixed 50 % rebalance from n0, n1 onto n2, n3 under per-client load,
+/// then `after` windows. The fraction planner walks the partitions of
+/// each source; the order it meets them in decides which segments move
+/// first and so what every later transaction waits on.
+fn fixed_rebalance(
+    nodes: u16,
+    scheme: Scheme,
+    io_scale: u64,
+    trigger: Trigger,
+    after: u64,
+) -> WattDb {
     let mut db = WattDb::builder()
-        .nodes(4)
-        .scheme(Scheme::Physiological)
+        .nodes(nodes)
+        .scheme(scheme)
         .warehouses(4)
         .density(0.05)
         .segment_pages(8)
+        .io_scale(io_scale)
         .seed(17)
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
-        .monitoring(SimDuration::from_secs(WINDOW_SECS))
+        .monitoring(windows(1))
         .telemetry(true)
         .build();
     db.start_oltp(24, SimDuration::from_millis(40));
-    db.run_for(SimDuration::from_secs(WINDOW_SECS * 2));
-    db.rebalance(0.5, &[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]);
-    db.run_for(SimDuration::from_secs(WINDOW_SECS * 12));
-    assert!(db.last_rebalance().is_some(), "rebalance completed");
+    db.run_for(windows(2));
+    let (sources, targets) = ([NodeId(0), NodeId(1)], [NodeId(2), NodeId(3)]);
+    match trigger {
+        Trigger::Plain => db.rebalance(0.5, &sources, &targets),
+        Trigger::WithHelpers => {
+            db.rebalance_with_helpers(0.5, &sources, &targets, &[NodeId(4), NodeId(5)][..])
+        }
+    }
+    db.run_for(windows(after));
     db.stop_clients();
-    db.run_for(SimDuration::from_secs(WINDOW_SECS));
+    db.run_for(windows(1));
+    db
+}
+
+fn rebalance_run() -> WattDb {
+    let db = fixed_rebalance(4, Scheme::Physiological, 1, Trigger::Plain, 12);
+    assert!(db.last_rebalance().is_some(), "rebalance completed");
+    db
+}
+
+/// Fig. 6's other two arms: the same rebalance under §4.1 and §4.2.
+fn physical_run() -> WattDb {
+    fixed_rebalance(6, Scheme::Physical, 1, Trigger::Plain, 14)
+}
+
+fn logical_run() -> WattDb {
+    fixed_rebalance(6, Scheme::Logical, 1, Trigger::Plain, 14)
+}
+
+/// Fig. 7/8's scripted path: helpers n4, n5 attach for the rebalance and
+/// detach with its completion.
+fn helpers_run() -> WattDb {
+    fixed_rebalance(6, Scheme::Physiological, 50, Trigger::WithHelpers, 14)
+}
+
+/// `policy_matrix`'s CPU-heavy calibration: a handful of clients can
+/// saturate a node.
+fn heavy_costs() -> CostParams {
+    let mut costs = CostParams::default();
+    costs.index_node_visit = costs.index_node_visit * 40;
+    costs.record_read = costs.record_read * 40;
+    costs.record_write = costs.record_write * 40;
+    costs.log_append = costs.log_append * 40;
+    costs.buffer_hit = costs.buffer_hit * 40;
+    costs
+}
+
+/// Replicated elasticity round trip: load forces a scale-out onto all
+/// three standbys, then the clients stop and the autopilot drains node
+/// after node — leader moves plus follower re-homes, suspensions — until
+/// a drain is refused because its follower copies have nowhere to go.
+fn replicated_elastic_run() -> WattDb {
+    let mut db = WattDb::builder()
+        .nodes(6)
+        .warehouses(6)
+        .density(0.02)
+        .segment_pages(16)
+        .costs(heavy_costs())
+        .seed(3)
+        .initial_data_nodes(&[NodeId(0), NodeId(1), NodeId(2)])
+        .replication(1)
+        .policy(PolicyConfig {
+            patience: 2,
+            ..Default::default()
+        })
+        .monitoring(windows(1))
+        .autopilot(true)
+        .build();
+    db.start_oltp(96, SimDuration::from_millis(20));
+    db.run_for(windows(16));
+    db.stop_clients();
+    db.run_for(windows(30));
+    db
+}
+
+/// A leader dies under load: failover span, promotion of the
+/// most-caught-up followers, re-replication back to the factor.
+fn failover_run() -> WattDb {
+    let mut db = WattDb::builder()
+        .nodes(6)
+        .warehouses(6)
+        .density(0.05)
+        .segment_pages(8)
+        .seed(17)
+        .initial_data_nodes(&[NodeId(0), NodeId(1), NodeId(2)])
+        .replication(1)
+        .policy(PolicyConfig {
+            cpu_high: 1.1,
+            cpu_low: 0.0,
+            ..Default::default()
+        })
+        .monitoring(windows(1))
+        .autopilot(true)
+        .build();
+    db.start_oltp(48, SimDuration::from_millis(40));
+    db.run_for(windows(3));
+    db.fail_node(NodeId(2));
+    db.run_for(windows(10));
+    db.stop_clients();
+    db.run_for(windows(1));
     db
 }
 
@@ -135,38 +256,40 @@ fn pooled_run() -> WattDb {
         .seed(17)
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
         .client_batching(ClientBatching::Pooled)
-        .monitoring(SimDuration::from_secs(WINDOW_SECS))
+        .monitoring(windows(1))
         .telemetry(true)
         .build();
     db.start_oltp(20_000, SimDuration::from_secs(10));
-    db.run_for(SimDuration::from_secs(WINDOW_SECS * 6));
+    db.run_for(windows(6));
     db.stop_clients();
-    db.run_for(SimDuration::from_secs(WINDOW_SECS));
+    db.run_for(windows(1));
     db
 }
 
-/// Two runs of `scenario` must export the same bytes; returns them.
-fn byte_stable(label: &str, scenario: fn() -> WattDb) -> String {
-    let a = scenario().export_timeline_string();
-    let b = scenario().export_timeline_string();
-    assert!(!a.is_empty());
-    assert_eq!(a, b, "fixed-seed {label} exports must be byte-identical");
-    println!(
-        "determinism pin ({label}): fnv1a={:016x} len={}",
-        fnv1a(a.as_bytes()),
-        a.len()
+/// Run `scenario` once and hold its export against the committed hash;
+/// returns the export.
+fn pinned(label: &str, expected: u64, scenario: fn() -> WattDb) -> String {
+    let export = scenario().export_timeline_string();
+    assert!(!export.is_empty());
+    let got = fnv1a(export.as_bytes());
+    assert_eq!(
+        got,
+        expected,
+        "export pin ({label}) moved: expected fnv1a={expected:016x}, got fnv1a={got:016x} \
+         len={} — diff the export against the parent commit's",
+        export.len()
     );
-    a
+    export
 }
 
 #[test]
 fn per_client_export_is_byte_stable_across_runs() {
-    byte_stable("per-client", oltp_run);
+    pinned("per-client", 0x346d_984f_26de_456f, oltp_run);
 }
 
 #[test]
 fn traced_export_is_byte_stable_across_runs() {
-    let a = byte_stable("traced", traced_run);
+    let a = pinned("traced", 0x545d_0aa7_a7b4_e974, traced_run);
     // The traced run actually exercises the trace machinery: the offered
     // load gauge is present and moves along the schedule.
     assert!(
@@ -177,11 +300,56 @@ fn traced_export_is_byte_stable_across_runs() {
 
 #[test]
 fn fraction_rebalance_under_load_is_byte_stable_across_runs() {
-    let a = byte_stable("rebalance", rebalance_run);
+    let a = pinned("rebalance", 0x092f_269f_466c_be61, rebalance_run);
     assert!(a.contains("\"rebalance\""), "export carries the rebalance");
 }
 
 #[test]
 fn pooled_export_is_byte_stable_across_runs() {
-    byte_stable("pooled", pooled_run);
+    pinned("pooled", 0xdcec_53ea_2f40_24a0, pooled_run);
+}
+
+#[test]
+fn physical_rebalance_export_is_pinned() {
+    let a = pinned("physical", 0x1e6d_f831_724e_7320, physical_run);
+    assert!(a.contains("\"Physical\""), "export names the scheme");
+}
+
+#[test]
+fn logical_rebalance_export_is_pinned() {
+    let a = pinned("logical", 0x14fc_55f1_a37a_d8a8, logical_run);
+    assert!(a.contains("\"Logical\""), "export names the scheme");
+}
+
+#[test]
+fn scripted_helpers_export_is_pinned() {
+    let a = pinned("helpers", 0x11ae_f3fd_d551_29e8, helpers_run);
+    assert!(a.contains("\"helpers\""), "export carries the helper span");
+    assert!(a.contains("\"detach\""), "helpers detached with completion");
+}
+
+#[test]
+fn replicated_elastic_export_is_pinned() {
+    let a = pinned(
+        "replicated-elastic",
+        0xf753_49bf_eb07_6b26,
+        replicated_elastic_run,
+    );
+    // The paths this pin exists for all ran.
+    for needle in [
+        "\"re-home\"",
+        "\"power-down\"",
+        "suspended",
+        "drain node hosts follower replicas",
+    ] {
+        assert!(a.contains(needle), "export carries {needle}");
+    }
+}
+
+#[test]
+fn failover_export_is_pinned() {
+    let a = pinned("failover", 0x6bd9_6b1d_d030_52df, failover_run);
+    for needle in ["\"failover\"", "\"promote\"", "\"re-replicate\""] {
+        assert!(a.contains(needle), "export carries {needle}");
+    }
 }
