@@ -40,7 +40,7 @@ use wattdb_tpcc::{ClientConfig, LoadTrace, TpccConfig};
 use wattdb_txn::CcMode;
 
 use crate::autopilot::{AutoPilot, AutoPilotConfig, ControlEvent};
-use crate::cluster::{Cluster, ClusterConfig, ClusterRc, Scheme};
+use crate::cluster::{Cluster, ClusterConfig, ClusterRc, Lifecycle, Scheme};
 use crate::executor;
 use crate::heat::{self, SegmentDriftStat, SegmentHeatStat};
 use crate::migration::{self, HelperReport, RebalanceReport, SegmentMove};
@@ -762,7 +762,9 @@ impl WattDb {
 
     /// Nodes killed by [`WattDb::fail_node`], in id order.
     pub fn failed_nodes(&self) -> Vec<NodeId> {
-        self.cluster.borrow().failed.iter().copied().collect()
+        let c = self.cluster.borrow();
+        let failed = c.nodes.iter().filter(|n| n.life == Lifecycle::Failed);
+        failed.map(|n| n.id).collect()
     }
 
     /// Snapshot of the per-segment replica map (leader + follower set,
@@ -930,14 +932,15 @@ impl WattDb {
         for n in &mut c.nodes {
             let cpu_res = n.cpu.clone();
             let cpu = n.status_probe.sample(&cpu_res, now);
-            let mut power = c.power_model.node_power(n.state, cpu);
+            let state = n.life.power();
+            let mut power = c.power_model.node_power(state, cpu);
             for d in &n.disks {
-                power += c.power_model.disk_power(d.kind(), n.state);
+                power += c.power_model.disk_power(d.kind(), state);
             }
             total += power;
             nodes.push(NodeStatus {
                 node: n.id,
-                state: n.state,
+                state,
                 cpu,
                 segments: c.seg_dir.on_node(n.id).count(),
                 heat: c.heat.node_heat(&c.seg_dir, n.id, now).value(),

@@ -33,12 +33,11 @@ use std::cell::RefCell;
 use std::rc::Rc;
 
 use wattdb_common::{NodeId, SimDuration, SimTime};
-use wattdb_energy::NodeState;
 use wattdb_sim::Sim;
 
-use crate::cluster::ClusterRc;
+use crate::cluster::{ClusterRc, Lifecycle};
 use crate::monitor::{self, ClusterView};
-use crate::policy::{self, Decision, ElasticityPolicy, PolicyConfig};
+use crate::policy::{self, Applied, Decision, ElasticityPolicy, PolicyConfig};
 
 /// Controller configuration: the policy thresholds plus the monitoring
 /// cadence ("the nodes send their monitoring data every few seconds").
@@ -150,9 +149,6 @@ fn trigger_of(decision: &Decision) -> &'static str {
 
 struct Shared {
     events: Vec<ControlEvent>,
-    /// Nodes being drained by an in-flight scale-in; suspended once the
-    /// drain's rebalance completes.
-    draining: Vec<NodeId>,
     engaged: bool,
 }
 
@@ -185,13 +181,11 @@ impl AutoPilot {
         let mut policy = ElasticityPolicy::new(policy_cfg);
         let shared = Rc::new(RefCell::new(Shared {
             events: Vec::new(),
-            draining: Vec::new(),
             engaged: true,
         }));
         let handle = shared.clone();
         monitor::start_monitoring(cl, sim, config.period, move |cl, sim, view| {
-            let mut sh = handle.borrow_mut();
-            if !sh.engaged {
+            if !handle.borrow().engaged {
                 return false;
             }
             let at = sim.now();
@@ -205,19 +199,83 @@ impl AutoPilot {
                 at,
                 sim.events_executed(),
             );
+            // The one place a decision is recorded: the timeline's
+            // `DecisionRecord` and the facade's `ControlEvent`, from the
+            // same arguments. `signals` is the policy's frozen vector *as
+            // of the call* — last window's for the records written before
+            // this window's `evaluate`, this window's after it.
+            let log = |signals: policy::PolicySignals,
+                       decision: Decision,
+                       trigger: &'static str,
+                       outcome: Outcome,
+                       applied: Option<Applied>,
+                       span: Option<wattdb_telemetry::SpanId>| {
+                crate::telemetry_sink::record_decision(
+                    &mut cl.borrow_mut(),
+                    window,
+                    at,
+                    &decision,
+                    trigger,
+                    crate::telemetry_sink::outcome_label(&outcome),
+                    crate::telemetry_sink::signal_vector(view, &signals),
+                    applied.and_then(|a| a.predicted),
+                    span,
+                );
+                // An applied helper attachment logs the plan's predicted
+                // net-traffic relief.
+                let relief = match (&decision, applied) {
+                    (Decision::AttachHelpers { .. }, Some(a)) => a.predicted.unwrap_or(0.0),
+                    _ => 0.0,
+                };
+                handle.borrow_mut().events.push(ControlEvent {
+                    at,
+                    view: summary,
+                    decision,
+                    trigger,
+                    outcome,
+                    relief,
+                    planner: applied.map_or(policy_cfg.planner, |a| a.planner),
+                    signal,
+                });
+            };
+            // Apply a decision and record what became of it. The policy
+            // module owns every guard; the controller only relays the
+            // refusal it names.
+            let act = |sim: &mut Sim, signals: policy::PolicySignals, decision: Decision| {
+                let applied = policy::apply(cl, sim, &decision, &policy_cfg);
+                if applied.is_ok() {
+                    cl.borrow().debug_assert_replica_invariants();
+                }
+                let outcome = match applied {
+                    Ok(_) => Outcome::Applied,
+                    Err(reason) => Outcome::Deferred { reason },
+                };
+                let applied = applied.ok();
+                let trigger = trigger_of(&decision);
+                log(
+                    signals,
+                    decision,
+                    trigger,
+                    outcome,
+                    applied,
+                    applied.and_then(|a| a.span),
+                );
+            };
             let rebalancing = cl.borrow().mover.is_some();
             // Failover detection outranks every threshold: a failed node
             // still referenced by the replica map means orphaned segments
             // and dangling follower slots, and `policy::apply` acts on a
             // promotion even while a rebalance is in flight. One node per
-            // window keeps the event log legible.
+            // window (lowest id first) keeps the event log legible.
             let dead = {
                 let c = cl.borrow();
-                c.failed.iter().copied().find(|&n| c.replicas.references(n))
+                c.nodes
+                    .iter()
+                    .find(|n| n.life == Lifecycle::Failed && c.replicas.references(n.id))
+                    .map(|n| n.id)
             };
             if let Some(failed) = dead {
                 let orphaned = cl.borrow().replicas.led_by(failed);
-                let decision = Decision::Promote { failed, orphaned };
                 // Open the failover span on first detection; promotion and
                 // re-replication events attach to it until the replication
                 // factor is restored.
@@ -236,41 +294,11 @@ impl AutoPilot {
                         c.failover_span = Some(span);
                     }
                 }
-                let used = policy::apply(cl, sim, &decision, &policy_cfg);
-                if used.is_some() {
-                    cl.borrow().debug_assert_replica_invariants();
-                }
-                let outcome = match used {
-                    Some(_) => Outcome::Applied,
-                    None => Outcome::Deferred {
-                        reason: "no applicable plan",
-                    },
-                };
-                {
-                    let mut c = cl.borrow_mut();
-                    let span = c.failover_span;
-                    crate::telemetry_sink::record_decision(
-                        &mut c,
-                        window,
-                        at,
-                        &decision,
-                        "failover",
-                        crate::telemetry_sink::outcome_label(&outcome),
-                        crate::telemetry_sink::signal_vector(view, &policy.signals()),
-                        None,
-                        span,
-                    );
-                }
-                sh.events.push(ControlEvent {
-                    at,
-                    view: summary,
-                    decision,
-                    trigger: "failover",
-                    outcome,
-                    planner: used.unwrap_or(policy_cfg.planner),
-                    signal,
-                    relief: 0.0,
-                });
+                act(
+                    sim,
+                    policy.signals(),
+                    Decision::Promote { failed, orphaned },
+                );
             }
             // Background factor repair: a re-replication copy voided
             // mid-flight (its host died, or a migration moved leadership
@@ -296,7 +324,10 @@ impl AutoPilot {
             let failover_done = {
                 let c = cl.borrow();
                 c.failover_span.is_some()
-                    && !c.failed.iter().any(|&n| c.replicas.references(n))
+                    && !c
+                        .nodes
+                        .iter()
+                        .any(|n| n.life == Lifecycle::Failed && c.replicas.references(n.id))
                     && (!c.cfg.replication.enabled()
                         || (c.rereplication_inflight == 0
                             && c.replicas
@@ -323,25 +354,23 @@ impl AutoPilot {
             }
             // A scale-in's drain finished since the last window: §3.4's
             // "shutdown the nodes currently not needed".
-            if !rebalancing && !sh.draining.is_empty() {
-                let drained = std::mem::take(&mut sh.draining);
+            // (The episode is the power-down span `apply` opened; it
+            // closes even when the drained node died first.)
+            if !rebalancing && cl.borrow().powerdown_span.is_some() {
+                let drained = cl.borrow().draining_nodes();
                 let off = policy::suspend_empty_nodes(cl);
-                // The drain episode is over: whatever could not suspend
-                // (leftover segments, follower backfills still on the wire)
-                // rejoins the plannable pool rather than staying excluded
-                // as "draining" forever — the next window re-decides.
-                {
-                    let mut c = cl.borrow_mut();
-                    for n in &drained {
-                        c.draining.remove(n);
-                    }
-                    c.debug_assert_replica_invariants();
-                }
-                let decision = Decision::ScaleIn { drain: drained };
-                let outcome = Outcome::Suspended { nodes: off.clone() };
-                {
+                let span = {
                     let mut c = cl.borrow_mut();
                     let c = &mut *c;
+                    // The drain episode is over: whatever could not suspend
+                    // (leftover segments, follower backfills still on the
+                    // wire) rejoins the plannable pool rather than staying
+                    // excluded as "draining" forever — the next window
+                    // re-decides.
+                    for &n in &drained {
+                        c.end_drain(n);
+                    }
+                    c.debug_assert_replica_invariants();
                     // The power-down span opened at the drain's start
                     // closes here, when the nodes actually reach standby.
                     let span = c.powerdown_span.take();
@@ -353,28 +382,16 @@ impl AutoPilot {
                         );
                         c.telemetry.spans.end(sp, at);
                     }
-                    crate::telemetry_sink::record_decision(
-                        c,
-                        window,
-                        at,
-                        &decision,
-                        "",
-                        crate::telemetry_sink::outcome_label(&outcome),
-                        crate::telemetry_sink::signal_vector(view, &policy.signals()),
-                        None,
-                        span,
-                    );
-                }
-                sh.events.push(ControlEvent {
-                    at,
-                    view: summary,
-                    decision,
-                    trigger: "",
-                    outcome,
-                    planner: policy_cfg.planner,
-                    signal,
-                    relief: 0.0,
-                });
+                    span
+                };
+                log(
+                    policy.signals(),
+                    Decision::ScaleIn { drain: drained },
+                    "",
+                    Outcome::Suspended { nodes: off },
+                    None,
+                    span,
+                );
             }
             // Observe *after* any suspension, so a node just returned to
             // standby is immediately available as a scale-out target.
@@ -410,169 +427,20 @@ impl AutoPilot {
             // `evaluate` froze this window's signal vector; every record
             // below — Hold included — carries it, so the exported timeline
             // can explain *why* each decision (or non-decision) was made.
-            let signals = crate::telemetry_sink::signal_vector(view, &policy.signals());
             if decision != Decision::Hold {
-                let trigger = trigger_of(&decision);
-                if rebalancing {
-                    // A drain aimed at a node the in-flight migration is
-                    // filling or emptying gets its own refusal reason: the
-                    // drain plan would race the mover.
-                    let reason = match &decision {
-                        Decision::ScaleIn { drain }
-                            if drain.iter().any(|n| {
-                                crate::migration::nodes_in_flight(&cl.borrow()).contains(n)
-                            }) =>
-                        {
-                            "drain node is part of the active migration"
-                        }
-                        _ => "rebalance in flight",
-                    };
-                    let outcome = Outcome::Deferred { reason };
-                    {
-                        let mut c = cl.borrow_mut();
-                        crate::telemetry_sink::record_decision(
-                            &mut c,
-                            window,
-                            at,
-                            &decision,
-                            trigger,
-                            crate::telemetry_sink::outcome_label(&outcome),
-                            signals,
-                            None,
-                            None,
-                        );
-                    }
-                    sh.events.push(ControlEvent {
-                        at,
-                        view: summary,
-                        decision,
-                        trigger,
-                        outcome,
-                        planner: policy_cfg.planner,
-                        signal,
-                        relief: 0.0,
-                    });
-                } else {
-                    // Record the planner that actually produced the moves —
-                    // the heat-aware path can fall back to the fraction
-                    // heuristic (logical scheme, or no heat recorded).
-                    // A full detach closes the helper span inside apply:
-                    // capture the id first so the record still points at it.
-                    let helper_span_before = cl.borrow().helper_span;
-                    let used = policy::apply(cl, sim, &decision, &policy_cfg);
-                    if used.is_some() {
-                        cl.borrow().debug_assert_replica_invariants();
-                        if let Decision::ScaleIn { drain } = &decision {
-                            sh.draining = drain.clone();
-                        }
-                    }
-                    // An applied helper attachment logs the plan's
-                    // predicted net-traffic relief (recorded on the
-                    // cluster by the attach path).
-                    let relief = match (&decision, used.is_some()) {
-                        (Decision::AttachHelpers { .. }, true) => cl.borrow().helper_relief,
-                        _ => 0.0,
-                    };
-                    let outcome = match used {
-                        Some(_) => Outcome::Applied,
-                        // A drain refused because the node still hosts
-                        // follower copies that cannot all be re-homed yet
-                        // (backfills in flight, or no surviving host with
-                        // room) gets its own reason — powering it off would
-                        // drop the cluster under its replication factor.
-                        None => {
-                            let reason = match &decision {
-                                Decision::ScaleIn { drain }
-                                    if policy::drain_blocked_on_replicas(
-                                        &cl.borrow(),
-                                        sim.now(),
-                                        drain,
-                                    ) =>
-                                {
-                                    "drain node hosts follower replicas"
-                                }
-                                _ => "no applicable plan",
-                            };
-                            Outcome::Deferred { reason }
-                        }
-                    };
-                    // Link the record to the span the decision started and
-                    // note what the plan predicted: relief for helpers,
-                    // planned heat for moves.
-                    let (span, predicted) = {
-                        let mut c = cl.borrow_mut();
-                        let c = &mut *c;
-                        match (&decision, used.is_some()) {
-                            (Decision::AttachHelpers { .. }, true) => {
-                                (c.helper_span, Some(c.helper_relief))
-                            }
-                            (Decision::DetachHelpers { .. }, true) => (helper_span_before, None),
-                            (Decision::Rebalance { .. } | Decision::ScaleOut { .. }, true) => {
-                                let m = c.mover.as_ref();
-                                (m.and_then(|m| m.span), m.map(|m| m.heat_planned))
-                            }
-                            (Decision::ScaleIn { drain }, true) => {
-                                let m = c.mover.as_ref();
-                                let span = m.and_then(|m| m.span);
-                                let predicted = m.map(|m| m.heat_planned);
-                                // The drain's eventual suspension is its
-                                // own power transition, closed when the
-                                // emptied nodes reach standby.
-                                let pd = c.telemetry.start_span(
-                                    "power-down",
-                                    at,
-                                    vec![(
-                                        "drain".into(),
-                                        drain
-                                            .iter()
-                                            .map(|n| n.to_string())
-                                            .collect::<Vec<_>>()
-                                            .into(),
-                                    )],
-                                );
-                                c.powerdown_span = Some(pd);
-                                (span, predicted)
-                            }
-                            _ => (None, None),
-                        }
-                    };
-                    {
-                        let mut c = cl.borrow_mut();
-                        crate::telemetry_sink::record_decision(
-                            &mut c,
-                            window,
-                            at,
-                            &decision,
-                            trigger,
-                            crate::telemetry_sink::outcome_label(&outcome),
-                            signals,
-                            predicted,
-                            span,
-                        );
-                    }
-                    sh.events.push(ControlEvent {
-                        at,
-                        view: summary,
-                        decision,
-                        trigger,
-                        outcome,
-                        planner: used.unwrap_or(policy_cfg.planner),
-                        signal,
-                        relief,
-                    });
-                }
+                act(sim, policy.signals(), decision);
             } else {
                 // Hold is a decision too: the exported timeline shows the
-                // signal vector the policy held on, window by window.
-                let mut c = cl.borrow_mut();
+                // signal vector the policy held on, window by window. It
+                // stays out of the facade's event log.
                 crate::telemetry_sink::record_decision(
-                    &mut c,
+                    &mut cl.borrow_mut(),
                     window,
                     at,
                     &Decision::Hold,
                     "",
                     "hold".to_string(),
-                    signals,
+                    crate::telemetry_sink::signal_vector(view, &policy.signals()),
                     None,
                     None,
                 );
@@ -608,12 +476,10 @@ impl AutoPilot {
 /// power on and which hold data.
 fn observe(cl: &ClusterRc) -> (Vec<NodeId>, Vec<NodeId>) {
     let c = cl.borrow();
-    // A failed node reports as standby (fail_node forces the state) but
-    // must never be picked as a scale-out target.
     let standby: Vec<NodeId> = c
         .nodes
         .iter()
-        .filter(|n| n.state == NodeState::Standby && !c.failed.contains(&n.id))
+        .filter(|n| n.life == Lifecycle::Standby)
         .map(|n| n.id)
         .collect();
     let mut with_data: Vec<NodeId> = c

@@ -137,12 +137,47 @@ impl Default for ClusterConfig {
     }
 }
 
+/// Where a node stands in its life: the one answer to "is this node
+/// usable". Written only by the five transition methods on [`Cluster`]
+/// (see the module docs for who may move a node where); everything else
+/// reads it, usually through [`Lifecycle::is_up`] or
+/// [`Lifecycle::power`].
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lifecycle {
+    /// Powered down; may be powered on as a scale-out target or helper.
+    Standby,
+    /// Powered and in every planning pool.
+    Active,
+    /// Powered and still serving, but an applied scale-in is emptying it:
+    /// out of the replica-placement pools, about to suspend.
+    Draining,
+    /// Killed by fault injection: out of every pool, never returns.
+    Failed,
+}
+
+impl Lifecycle {
+    /// Is the node powered and serving (`Active` or `Draining`)?
+    pub fn is_up(self) -> bool {
+        matches!(self, Lifecycle::Active | Lifecycle::Draining)
+    }
+
+    /// The state the power model bills the node at. A failed node draws
+    /// standby power.
+    pub fn power(self) -> NodeState {
+        if self.is_up() {
+            NodeState::Active
+        } else {
+            NodeState::Standby
+        }
+    }
+}
+
 /// Per-node runtime state.
 pub struct NodeRuntime {
     /// Node id.
     pub id: NodeId,
-    /// Power state.
-    pub state: NodeState,
+    /// Lifecycle state; written only by [`Cluster`]'s transition methods.
+    pub life: Lifecycle,
     /// CPU cores as a queueing resource.
     pub cpu: ResourceHandle,
     /// Attached drives (0 = HDD for WAL + data, 1.. = SSDs for data).
@@ -197,7 +232,7 @@ impl NodeRuntime {
         let n_disks = hw.disks.len();
         Self {
             id,
-            state: NodeState::Standby,
+            life: Lifecycle::Standby,
             cpu: Resource::new(format!("{id}-cpu"), hw.cpu_cores),
             disks: hw
                 .disks
@@ -330,14 +365,6 @@ pub struct Cluster {
     /// Per-segment leader/follower placement (empty while
     /// `cfg.replication.factor == 0`).
     pub replicas: ReplicaMap,
-    /// Nodes killed by fault injection: out of every planning pool, never
-    /// returned to service.
-    pub failed: std::collections::BTreeSet<NodeId>,
-    /// Nodes an applied scale-in is currently emptying. Replica placement
-    /// (bootstrap, background repair, drain re-homes) must never put a
-    /// follower copy on a draining node — it is about to suspend. Cleared
-    /// when the drain's nodes suspend (or the node fails first).
-    pub draining: std::collections::BTreeSet<NodeId>,
     /// Reads served by follower replicas, per serving node (lifetime; the
     /// per-node split of `replica_reads`). The monitoring loop windows
     /// this into each node's read fan-out share.
@@ -392,7 +419,7 @@ impl Cluster {
             .map(|i| {
                 let mut n = NodeRuntime::new(NodeId(i), &cfg.hardware, cfg.buffer_pages);
                 if initially_active.contains(&NodeId(i)) {
-                    n.state = NodeState::Active;
+                    n.life = Lifecycle::Active;
                 }
                 n
             })
@@ -440,8 +467,6 @@ impl Cluster {
             helper_baseline: None,
             last_helper_report: None,
             replicas: ReplicaMap::new(),
-            failed: std::collections::BTreeSet::new(),
-            draining: std::collections::BTreeSet::new(),
             replica_reads_by: std::collections::BTreeMap::new(),
             net_util,
             seg_last_write: IdMap::default(),
@@ -458,25 +483,50 @@ impl Cluster {
         }))
     }
 
-    /// Nodes currently active.
+    /// Nodes currently powered and serving (draining ones included).
     pub fn active_nodes(&self) -> Vec<NodeId> {
         self.nodes
             .iter()
-            .filter(|n| n.state == NodeState::Active)
+            .filter(|n| n.life.is_up())
             .map(|n| n.id)
             .collect()
     }
 
-    /// Power on a node (instantaneous state flip; boot latency is modelled
-    /// by the caller scheduling work later).
+    /// `node`'s lifecycle state.
+    pub fn life(&self, node: NodeId) -> Lifecycle {
+        self.nodes[node.raw() as usize].life
+    }
+
+    /// True if the node has been killed by fault injection.
+    pub fn is_failed(&self, node: NodeId) -> bool {
+        self.life(node) == Lifecycle::Failed
+    }
+
+    /// Nodes an applied scale-in is currently emptying, in id order.
+    pub fn draining_nodes(&self) -> Vec<NodeId> {
+        self.nodes
+            .iter()
+            .filter(|n| n.life == Lifecycle::Draining)
+            .map(|n| n.id)
+            .collect()
+    }
+
+    /// Power on a standby node (instantaneous state flip; boot latency is
+    /// modelled by the caller scheduling work later). A node already up
+    /// keeps its state, and a failed node stays failed — nothing
+    /// resurrects a corpse.
     pub fn power_on(&mut self, node: NodeId) {
-        self.nodes[node.raw() as usize].state = NodeState::Active;
+        let life = &mut self.nodes[node.raw() as usize].life;
+        if *life == Lifecycle::Standby {
+            *life = Lifecycle::Active;
+        }
     }
 
     /// Power a node down to standby. Panics if it still stores segments
     /// ("nodes still having data on disk must not shut down", §4) — and,
     /// since followers extend "data on disk", if it still hosts follower
     /// copies: suspending a live follower host silently drops redundancy.
+    /// A failed node stays failed.
     pub fn power_off(&mut self, node: NodeId) {
         assert!(
             self.seg_dir.on_node(node).next().is_none(),
@@ -486,8 +536,31 @@ impl Cluster {
             self.replicas.followed_by(node).is_empty(),
             "cannot power off {node}: follower copies present"
         );
-        self.nodes[node.raw() as usize].state = NodeState::Standby;
-        self.draining.remove(&node);
+        let life = &mut self.nodes[node.raw() as usize].life;
+        if life.is_up() {
+            *life = Lifecycle::Standby;
+        }
+    }
+
+    /// An applied scale-in starts emptying `node`: replica placement
+    /// (bootstrap, background repair, drain re-homes) must never put a
+    /// follower copy on it from here on — it is about to suspend. Only an
+    /// active node can drain.
+    pub fn begin_drain(&mut self, node: NodeId) {
+        let life = &mut self.nodes[node.raw() as usize].life;
+        if *life == Lifecycle::Active {
+            *life = Lifecycle::Draining;
+        }
+    }
+
+    /// The drain episode is over and `node` could not suspend (leftover
+    /// segments, follower backfills still on the wire): it rejoins the
+    /// plannable pool rather than staying excluded forever.
+    pub fn end_drain(&mut self, node: NodeId) {
+        let life = &mut self.nodes[node.raw() as usize].life;
+        if *life == Lifecycle::Draining {
+            *life = Lifecycle::Active;
+        }
     }
 
     /// Fault injection: kill `node` mid-anything. The node drops out of
@@ -500,10 +573,10 @@ impl Cluster {
     /// replica shipping cursors are *kept* — promotion reads them to find
     /// the follower that loses the least committed history.
     pub fn fail_node(&mut self, node: NodeId) {
-        if !self.failed.insert(node) {
+        if self.is_failed(node) {
             return;
         }
-        self.nodes[node.raw() as usize].state = NodeState::Standby;
+        self.nodes[node.raw() as usize].life = Lifecycle::Failed;
         self.nodes[node.raw() as usize].helper = None;
         for n in &mut self.nodes {
             if n.helper == Some(node) {
@@ -517,15 +590,62 @@ impl Cluster {
         self.helpers_active.retain(|&h| h != node);
         self.helpers_powered.retain(|&h| h != node);
         self.helpers_scripted.retain(|&h| h != node);
-        self.draining.remove(&node);
         if let Some(m) = &mut self.mover {
             m.drop_node(node);
         }
     }
 
-    /// True if the node has been killed by fault injection.
-    pub fn is_failed(&self, node: NodeId) -> bool {
-        self.failed.contains(&node)
+    /// The SSD a segment lands on when it moves to (or is served from a
+    /// copy on) `node`: data goes on the SSDs (disk 1..) by segment id;
+    /// the HDD (disk 0) carries the WAL, as in the testbed layout.
+    pub fn data_disk(&self, node: NodeId, seg: SegmentId) -> DiskId {
+        let n_disks = self.nodes[node.raw() as usize].disks.len();
+        let index = if n_disks > 1 {
+            1 + (seg.raw() as usize % (n_disks - 1))
+        } else {
+            0
+        };
+        DiskId::new(node, index as u8)
+    }
+
+    /// Bytes a full copy of `seg` puts on the wire and the disks: its disk
+    /// footprint (at least one page) scaled by `cfg.io_scale`, so a
+    /// memory-friendly dataset produces the paper's bulk-I/O volume.
+    pub fn copy_bytes(&self, seg: SegmentId) -> Result<u64> {
+        let footprint = self.seg_dir.get(seg)?.disk_footprint().as_u64();
+        Ok(footprint.max(PAGE_SIZE as u64) * self.cfg.io_scale)
+    }
+
+    /// §4.3 step 4, the ownership switch: detach `seg` from its source
+    /// partition's top index, attach it to `to`'s partition of the table
+    /// (the per-segment PK index travels untouched), place the storage on
+    /// `to`'s SSD (shared nothing: storage follows ownership), and have
+    /// the master drop the old pointer. The caller has already updated
+    /// the master first ([`GlobalRouter::begin_move`]). Shared by the
+    /// physiological mover and failover promotion, which differ only in
+    /// whether bytes were shipped beforehand.
+    pub fn hand_over(
+        &mut self,
+        seg: SegmentId,
+        table: TableId,
+        range: KeyRange,
+        src_partition: PartitionId,
+        to: NodeId,
+    ) -> Result<()> {
+        let dst_partition = self.partition_on(table, to);
+        self.partitions
+            .get_mut(&src_partition)
+            .ok_or(wattdb_common::Error::UnknownPartition(src_partition))?
+            .top
+            .detach(seg)?;
+        self.partitions
+            .get_mut(&dst_partition)
+            .ok_or(wattdb_common::Error::UnknownPartition(dst_partition))?
+            .top
+            .attach(seg, range)?;
+        let disk = self.data_disk(to, seg);
+        self.seg_dir.relocate(seg, to, disk)?;
+        self.router.complete_move(table, range)
     }
 
     /// Build the initial replica map: every segment gets
@@ -591,7 +711,7 @@ impl Cluster {
     }
 
     /// Check the replica-map placement invariant: every referenced node is
-    /// a powered, non-draining active (a node in `failed` is exempt while
+    /// up and no follower host is draining (a failed node is exempt while
     /// its failover is pending — the map still names it until promotion
     /// rewrites it), and no leader appears in its own follower set.
     /// Returns the first violation as a message, `None` when clean.
@@ -604,15 +724,13 @@ impl Cluster {
                 ));
             }
             for &n in std::iter::once(&set.leader).chain(set.followers.iter()) {
-                if self.failed.contains(&n) {
-                    continue; // failover pending: promotion will rewrite the map
-                }
-                if self.nodes[n.raw() as usize].state != NodeState::Active {
+                if self.life(n) == Lifecycle::Standby {
+                    // (Failed is exempt: promotion will rewrite the map.)
                     return Some(format!("{seg}: references suspended node {n}"));
                 }
             }
             for &f in &set.followers {
-                if self.draining.contains(&f) {
+                if self.life(f) == Lifecycle::Draining {
                     return Some(format!("{seg}: follower {f} is draining"));
                 }
             }
@@ -674,7 +792,7 @@ impl Cluster {
     pub fn sample_power(&mut self, now: SimTime) -> Watts {
         let mut total = self.power_model.switch_power();
         for i in 0..self.nodes.len() {
-            let state = self.nodes[i].state;
+            let state = self.nodes[i].life.power();
             let cpu = self.nodes[i].cpu.clone();
             let util = self.nodes[i].power_probe.sample(&cpu, now);
             total += self.power_model.node_power(state, util);
@@ -818,12 +936,7 @@ impl Cluster {
     pub fn load_tpcc(&mut self, tpcc: TpccConfig, data_nodes: &[NodeId]) -> Result<()> {
         assert!(!data_nodes.is_empty());
         let w = tpcc.warehouses;
-        let chunks = KeyRange::chunks(
-            wattdb_tpcc::wkey(0, 0, 0),
-            wattdb_tpcc::wkey(w, 0, 0),
-            data_nodes.len(),
-        );
-        // Align chunk boundaries to warehouse boundaries.
+        // One chunk of whole warehouses per data node.
         let per = (w as usize).div_ceil(data_nodes.len()) as u32;
         let mut ranges = Vec::new();
         for (i, _) in data_nodes.iter().enumerate() {
@@ -833,7 +946,6 @@ impl Cluster {
                 ranges.push(wattdb_tpcc::warehouse_range(lo, hi));
             }
         }
-        drop(chunks);
         // Register tables and initial routing.
         for t in TpccTable::ALL {
             let table = t.table_id();
@@ -1015,8 +1127,7 @@ impl Cluster {
     pub fn version_stats(&self) -> (usize, usize) {
         let mut versions = 0;
         let mut live = 0;
-        for (seg, idx) in &self.indexes {
-            let _ = seg;
+        for idx in self.indexes.values() {
             if let Ok((v, l)) = wattdb_txn::mvcc::version_stats(idx, &self.store) {
                 versions += v;
                 live += l;

@@ -327,9 +327,9 @@ impl Cluster {
         // A dead owner cannot serve: spin until failover re-points the
         // routing (promotion rewrites the dual pointers within one
         // monitoring window).
-        if self.failed.contains(&node) {
+        if self.is_failed(node) {
             let cur = job.current_node;
-            let spin_on = if self.failed.contains(&cur) {
+            let spin_on = if self.is_failed(cur) {
                 NodeId::MASTER
             } else {
                 cur
@@ -424,7 +424,7 @@ impl Cluster {
         pool.extend(
             followers
                 .iter()
-                .filter(|f| !self.failed.contains(f))
+                .filter(|&&f| !self.is_failed(f))
                 .filter(|&&f| shipper.acked_lsn(f).is_some_and(|a| a >= floor))
                 .map(|&f| (f, Heat::ZERO)),
         );
@@ -544,13 +544,7 @@ impl Cluster {
         let meta = self.seg_dir.get(seg).expect("segment meta");
         let (storage_node, disk) =
             if meta.node != exec_node && self.replicas.followers_of(seg).contains(&exec_node) {
-                let n_disks = self.nodes[exec_node.raw() as usize].disks.len();
-                let disk = if n_disks > 1 {
-                    1 + (seg.raw() as usize % (n_disks - 1))
-                } else {
-                    0
-                };
-                (exec_node, disk as u8)
+                (exec_node, self.data_disk(exec_node, seg).index)
             } else {
                 (meta.node, meta.disk.index)
             };
@@ -993,15 +987,14 @@ fn ship_replica_batches(cl: &ClusterRc, sim: &mut Sim, node: NodeId) {
     let ships: Vec<(NodeId, u64, Lsn)> = {
         let mut c = cl.borrow_mut();
         let c = &mut *c;
-        if c.failed.contains(&node) {
+        if c.is_failed(node) {
             return;
         }
-        let failed = &c.failed;
+        let mut cursors = c.nodes[node.raw() as usize].replica_shipper.cursors();
+        cursors.retain(|&(f, _, _)| !c.is_failed(f));
         let n = &mut c.nodes[node.raw() as usize];
-        n.replica_shipper
-            .cursors()
+        cursors
             .into_iter()
-            .filter(|(f, _, _)| !failed.contains(f))
             .filter_map(|(f, _, _)| {
                 let (_, bytes) = n.replica_shipper.take_batch(f, &n.log)?;
                 let to = n.replica_shipper.shipped_lsn(f)?;
@@ -1013,7 +1006,7 @@ fn ship_replica_batches(cl: &ClusterRc, sim: &mut Sim, node: NodeId) {
         let handle = cl.clone();
         let done: EventFn = Box::new(move |_sim| {
             let mut c = handle.borrow_mut();
-            if c.failed.contains(&node) || c.failed.contains(&f) {
+            if c.is_failed(node) || c.is_failed(f) {
                 return;
             }
             c.nodes[node.raw() as usize]

@@ -18,7 +18,7 @@
 use wattdb_common::{ByteSize, Lsn, NodeId, SegmentId, SimTime};
 use wattdb_sim::{EventFn, Sim};
 
-use crate::cluster::{Cluster, ClusterRc};
+use crate::cluster::{Cluster, ClusterRc, Lifecycle};
 
 /// Promote a follower for every segment the failed node led, re-pointing
 /// routing and placement at the winners. Returns `(segment, new leader)`
@@ -34,7 +34,7 @@ pub fn promote_orphans(c: &mut Cluster, now: SimTime, failed: NodeId) -> Vec<(Se
             .replicas
             .followers_of(seg)
             .iter()
-            .filter(|f| !c.failed.contains(f))
+            .filter(|&&f| !c.is_failed(f))
             .map(|&f| {
                 let acked = c.nodes[failed.raw() as usize]
                     .replica_shipper
@@ -83,32 +83,8 @@ pub fn promote_orphans(c: &mut Cluster, now: SimTime, failed: NodeId) -> Vec<(Se
                 .begin_move(table, range, dst_pid, winner)
                 .expect("re-point after rollback");
         }
-        c.partitions
-            .get_mut(&src_pid)
-            .expect("src")
-            .top
-            .detach(seg)
-            .expect("attached");
-        c.partitions
-            .get_mut(&dst_pid)
-            .expect("dst")
-            .top
-            .attach(seg, range)
-            .expect("tiles");
-        let n_disks = c.nodes[winner.raw() as usize].disks.len();
-        let disk_idx = if n_disks > 1 {
-            1 + (seg.raw() as usize % (n_disks - 1))
-        } else {
-            0
-        };
-        c.seg_dir
-            .relocate(
-                seg,
-                winner,
-                wattdb_common::DiskId::new(winner, disk_idx as u8),
-            )
-            .expect("relocate");
-        c.router.complete_move(table, range).expect("complete move");
+        c.hand_over(seg, table, range, src_pid, winner)
+            .expect("promotion hand-over");
         if follower_winner.is_some() {
             c.replicas.promote(seg, winner);
         } else {
@@ -125,10 +101,9 @@ pub fn promote_orphans(c: &mut Cluster, now: SimTime, failed: NodeId) -> Vec<(Se
 
 /// Coldest live active node — the archive-rebuild fallback target.
 fn coldest_live(c: &Cluster, now: SimTime, failed: NodeId) -> Option<NodeId> {
-    use wattdb_energy::NodeState;
     c.nodes
         .iter()
-        .filter(|n| n.id != failed && n.state == NodeState::Active && !c.failed.contains(&n.id))
+        .filter(|n| n.id != failed && n.life.is_up())
         .map(|n| (n.id, c.heat.node_heat(&c.seg_dir, n.id, now).value()))
         .min_by(|a, b| {
             a.1.partial_cmp(&b.1)
@@ -138,11 +113,47 @@ fn coldest_live(c: &Cluster, now: SimTime, failed: NodeId) -> Option<NodeId> {
         .map(|(n, _)| n)
 }
 
+/// Ship one follower copy of `seg` from `leader` to `to`. The follower
+/// joins the map (and the leader's shipping cursors) only when its bytes
+/// land, and only if the host is then still serving and not draining and
+/// the caller's `void` predicate — what else would make this particular
+/// copy meaningless — does not hold. Owns the in-flight counter the
+/// autopilot's background repair waits on: whatever a voided copy leaves
+/// under-replicated is re-planned there, the single reconciliation
+/// point. Returns the bytes put on the wire, `None` (nothing scheduled)
+/// when the segment is unknown.
+fn ship_copy(
+    cl: &ClusterRc,
+    sim: &mut Sim,
+    seg: SegmentId,
+    leader: NodeId,
+    to: NodeId,
+    void: impl Fn(&Cluster) -> bool + 'static,
+) -> Option<u64> {
+    let bytes = cl.borrow().copy_bytes(seg).ok()?;
+    let handle = cl.clone();
+    let done: EventFn = Box::new(move |_sim| {
+        let mut c = handle.borrow_mut();
+        c.rereplication_inflight = c.rereplication_inflight.saturating_sub(1);
+        if c.life(to) != Lifecycle::Active || void(&c) {
+            return;
+        }
+        c.replicas.add_follower(seg, to);
+        c.rereplication_bytes += bytes;
+        c.sync_replica_cursors();
+    });
+    cl.borrow_mut().rereplication_inflight += 1;
+    cl.borrow()
+        .net
+        .send(sim, leader, to, ByteSize::bytes(bytes), done);
+    Some(bytes)
+}
+
 /// Restore the replication factor: ask the heat-aware planner for fresh
 /// follower placements and ship each segment's footprint to its new host
-/// over the wire. The follower joins the map (and the leader's shipping
-/// cursors) only when its copy lands; a host or leader that dies in the
-/// meantime voids the delivery. Returns the number of copies scheduled.
+/// over the wire ([`ship_copy`]); a leader that dies or loses leadership
+/// in the meantime voids the delivery. Returns the number of copies
+/// scheduled.
 pub fn schedule_rereplication(cl: &ClusterRc, sim: &mut Sim) -> usize {
     let plan = {
         let c = cl.borrow();
@@ -152,56 +163,28 @@ pub fn schedule_rereplication(cl: &ClusterRc, sim: &mut Sim) -> usize {
     for p in &plan.placements {
         let (seg, leader) = (p.seg, p.leader);
         for &f in &p.followers {
-            let bytes = {
-                let c = cl.borrow();
-                let Ok(meta) = c.seg_dir.get(seg) else {
-                    continue;
-                };
-                meta.disk_footprint()
-                    .as_u64()
-                    .max(wattdb_storage::PAGE_SIZE as u64)
-                    * c.cfg.io_scale
+            let void =
+                move |c: &Cluster| c.is_failed(leader) || c.replicas.leader_of(seg) != Some(leader);
+            let Some(bytes) = ship_copy(cl, sim, seg, leader, f, void) else {
+                continue;
             };
-            let handle = cl.clone();
-            let done: EventFn = Box::new(move |_sim| {
-                let mut c = handle.borrow_mut();
-                c.rereplication_inflight = c.rereplication_inflight.saturating_sub(1);
-                // Void if either end died, the host started draining, or
-                // leadership moved mid-copy.
-                if c.failed.contains(&f)
-                    || c.failed.contains(&leader)
-                    || c.draining.contains(&f)
-                    || c.replicas.leader_of(seg) != Some(leader)
-                {
-                    return;
-                }
-                c.replicas.add_follower(seg, f);
-                c.rereplication_bytes += bytes;
-                c.sync_replica_cursors();
-            });
-            {
-                let mut c = cl.borrow_mut();
-                let c = &mut *c;
-                c.rereplication_inflight += 1;
-                if let Some(span) = c.failover_span {
-                    c.telemetry.spans.add_event(
-                        span,
-                        sim.now(),
-                        "re-replicate",
-                        vec![
-                            (
-                                "segment".into(),
-                                wattdb_telemetry::AttrValue::U64(seg.raw()),
-                            ),
-                            ("follower".into(), f.to_string().into()),
-                            ("bytes".into(), bytes.into()),
-                        ],
-                    );
-                }
+            let mut c = cl.borrow_mut();
+            let c = &mut *c;
+            if let Some(span) = c.failover_span {
+                c.telemetry.spans.add_event(
+                    span,
+                    sim.now(),
+                    "re-replicate",
+                    vec![
+                        (
+                            "segment".into(),
+                            wattdb_telemetry::AttrValue::U64(seg.raw()),
+                        ),
+                        ("follower".into(), f.to_string().into()),
+                        ("bytes".into(), bytes.into()),
+                    ],
+                );
             }
-            cl.borrow()
-                .net
-                .send(sim, leader, f, ByteSize::bytes(bytes), done);
             scheduled += 1;
         }
     }
@@ -211,12 +194,9 @@ pub fn schedule_rereplication(cl: &ClusterRc, sim: &mut Sim) -> usize {
 /// Execute a drain's planned follower re-homes: each copy on a draining
 /// node leaves the map immediately (the node must be empty of replica
 /// duty before it may suspend) and a replacement copy ships from the
-/// segment's leader to the planned host. The replacement joins the map
-/// only when its bytes land, through the same void-on-death /
-/// void-on-leadership-move rules as failover re-replication, and shares
-/// its in-flight accounting — the autopilot's background repair pass
-/// remains the single reconciliation point for whatever a voided copy
-/// leaves under-replicated. Returns the number of copies scheduled.
+/// segment's leader to the planned host ([`ship_copy`]); it is void if
+/// the segment's leadership ended up on the planned host (a leader is
+/// never its own follower). Returns the number of copies scheduled.
 pub fn schedule_follower_rehomes(
     cl: &ClusterRc,
     sim: &mut Sim,
@@ -235,66 +215,34 @@ pub fn schedule_follower_rehomes(
         // Ship from the segment's *current* leader: the planned leader may
         // not have landed yet (the drain's leader moves are still in
         // flight), and the copy must come from a live log.
-        let (leader, bytes) = {
-            let c = cl.borrow();
-            let Some(leader) = c.replicas.leader_of(seg) else {
-                continue;
-            };
-            let Ok(meta) = c.seg_dir.get(seg) else {
-                continue;
-            };
-            let bytes = meta
-                .disk_footprint()
-                .as_u64()
-                .max(wattdb_storage::PAGE_SIZE as u64)
-                * c.cfg.io_scale;
-            (leader, bytes)
+        let Some(leader) = cl.borrow().replicas.leader_of(seg) else {
+            continue;
         };
-        let handle = cl.clone();
-        let done: EventFn = Box::new(move |_sim| {
-            let mut c = handle.borrow_mut();
-            c.rereplication_inflight = c.rereplication_inflight.saturating_sub(1);
-            // Void if the host died, started draining itself, or the
-            // segment's leadership ended up on the planned host (a leader
-            // is never its own follower); background repair re-plans the
-            // deficit.
-            if c.failed.contains(&to)
-                || c.draining.contains(&to)
-                || c.replicas.leader_of(seg) == Some(to)
-            {
-                return;
-            }
-            c.replicas.add_follower(seg, to);
-            c.rereplication_bytes += bytes;
-            c.sync_replica_cursors();
-        });
-        {
-            let mut c = cl.borrow_mut();
-            let c = &mut *c;
-            c.rereplication_inflight += 1;
-            // Re-homed-follower events land on the drain's rebalance span
-            // so the exported timeline shows the drain as one atomic
-            // "move leaders + re-home followers" account.
-            if let Some(span) = c.mover.as_ref().and_then(|m| m.span) {
-                c.telemetry.spans.add_event(
-                    span,
-                    sim.now(),
-                    "re-home",
-                    vec![
-                        (
-                            "segment".into(),
-                            wattdb_telemetry::AttrValue::U64(seg.raw()),
-                        ),
-                        ("from".into(), from.to_string().into()),
-                        ("to".into(), to.to_string().into()),
-                        ("bytes".into(), bytes.into()),
-                    ],
-                );
-            }
+        let void = move |c: &Cluster| c.replicas.leader_of(seg) == Some(to);
+        let Some(bytes) = ship_copy(cl, sim, seg, leader, to, void) else {
+            continue;
+        };
+        let mut c = cl.borrow_mut();
+        let c = &mut *c;
+        // Re-homed-follower events land on the drain's rebalance span
+        // so the exported timeline shows the drain as one atomic
+        // "move leaders + re-home followers" account.
+        if let Some(span) = c.mover.as_ref().and_then(|m| m.span) {
+            c.telemetry.spans.add_event(
+                span,
+                sim.now(),
+                "re-home",
+                vec![
+                    (
+                        "segment".into(),
+                        wattdb_telemetry::AttrValue::U64(seg.raw()),
+                    ),
+                    ("from".into(), from.to_string().into()),
+                    ("to".into(), to.to_string().into()),
+                    ("bytes".into(), bytes.into()),
+                ],
+            );
         }
-        cl.borrow()
-            .net
-            .send(sim, leader, to, ByteSize::bytes(bytes), done);
         scheduled += 1;
     }
     scheduled

@@ -36,6 +36,8 @@ use wattdb_common::{
 };
 use wattdb_storage::SegmentDirectory;
 
+use crate::cluster::Lifecycle;
+
 pub mod drift;
 
 pub use drift::{DriftTracker, SegmentDrift, SegmentDriftStat};
@@ -507,7 +509,6 @@ pub fn plan_drain_replicated(
     drain: &[NodeId],
     remaining: &[NodeId],
 ) -> wattdb_planner::DrainPlan {
-    use wattdb_energy::NodeState;
     let stats = segment_stats_projected(c, now);
     let sites: Vec<wattdb_planner::ReplicaSite> = c
         .replicas
@@ -521,12 +522,7 @@ pub fn plan_drain_replicated(
     let hosts: Vec<wattdb_planner::NodeLoadStat> = c
         .nodes
         .iter()
-        .filter(|n| {
-            n.state == NodeState::Active
-                && !c.failed.contains(&n.id)
-                && !c.draining.contains(&n.id)
-                && !drain.contains(&n.id)
-        })
+        .filter(|n| n.life == Lifecycle::Active && !drain.contains(&n.id))
         .map(|n| wattdb_planner::NodeLoadStat {
             node: n.id,
             heat: c.heat.node_heat(&c.seg_dir, n.id, now).value(),
@@ -611,7 +607,6 @@ pub fn plan_helpers(
     cfg: &wattdb_common::HelperPolicyConfig,
     sources: &[NodeId],
 ) -> wattdb_planner::HelperPlan {
-    use wattdb_energy::NodeState;
     let unhelped: Vec<NodeId> = sources
         .iter()
         .copied()
@@ -629,11 +624,14 @@ pub fn plan_helpers(
             // with the idlest interconnect, since helper duty is pure
             // network traffic.
             net: c.net_util.get(n.id.raw() as usize).copied().unwrap_or(0.0),
-            standby: n.state == NodeState::Standby,
+            // (A failed node also reads as down here; it is excluded
+            // below, before any ranking.)
+            standby: !n.life.is_up(),
         })
         .collect();
     let mut excluded: Vec<NodeId> = crate::migration::nodes_in_flight(c).into_iter().collect();
-    excluded.extend(c.failed.iter().copied());
+    let failed = c.nodes.iter().filter(|n| n.life == Lifecycle::Failed);
+    excluded.extend(failed.map(|n| n.id));
     excluded.extend(c.helpers_active.iter().copied());
     // The full source list stays out of the candidate pool even where a
     // member was dropped from the loads above (already helped): a node
@@ -662,7 +660,6 @@ pub fn plan_helpers(
 /// (never the leader's node, distinct nodes per segment). The single
 /// entry point shared by bootstrap and post-failover re-replication.
 pub fn plan_replicas(c: &crate::cluster::Cluster, now: SimTime) -> wattdb_planner::ReplicaPlan {
-    use wattdb_energy::NodeState;
     let factor = c.cfg.replication.factor;
     if factor == 0 {
         return wattdb_planner::ReplicaPlan {
@@ -672,14 +669,14 @@ pub fn plan_replicas(c: &crate::cluster::Cluster, now: SimTime) -> wattdb_planne
     let needs: Vec<wattdb_planner::ReplicaNeed> = c
         .seg_dir
         .iter()
-        .filter(|m| !c.failed.contains(&m.node))
+        .filter(|m| !c.is_failed(m.node))
         .filter_map(|m| {
             let existing: Vec<NodeId> = c
                 .replicas
                 .followers_of(m.id)
                 .iter()
                 .copied()
-                .filter(|f| !c.failed.contains(f))
+                .filter(|&f| !c.is_failed(f))
                 .collect();
             if existing.len() < factor {
                 Some(wattdb_planner::ReplicaNeed {
@@ -695,11 +692,9 @@ pub fn plan_replicas(c: &crate::cluster::Cluster, now: SimTime) -> wattdb_planne
     let hosts: Vec<wattdb_planner::NodeLoadStat> = c
         .nodes
         .iter()
-        .filter(|n| {
-            // A draining node is about to suspend: placing a fresh copy
-            // there would only schedule its own re-home.
-            n.state == NodeState::Active && !c.failed.contains(&n.id) && !c.draining.contains(&n.id)
-        })
+        // A draining node is about to suspend: placing a fresh copy there
+        // would only schedule its own re-home.
+        .filter(|n| n.life == Lifecycle::Active)
         .map(|n| wattdb_planner::NodeLoadStat {
             node: n.id,
             heat: c.heat.node_heat(&c.seg_dir, n.id, now).value(),
@@ -717,17 +712,15 @@ pub fn segment_stats(
 ) -> Vec<wattdb_planner::SegmentStat> {
     c.seg_dir
         .iter()
-        .map(|m| wattdb_planner::SegmentStat {
-            seg: m.id,
-            table: m.table,
-            range: m.key_range.unwrap_or_else(wattdb_common::KeyRange::all),
-            node: m.node,
-            bytes: m
-                .disk_footprint()
-                .as_u64()
-                .max(wattdb_storage::PAGE_SIZE as u64)
-                * c.cfg.io_scale,
-            heat: c.heat.heat_of(m.id, now).value(),
+        .filter_map(|m| {
+            Some(wattdb_planner::SegmentStat {
+                seg: m.id,
+                table: m.table,
+                range: m.key_range.unwrap_or_else(wattdb_common::KeyRange::all),
+                node: m.node,
+                bytes: c.copy_bytes(m.id).ok()?,
+                heat: c.heat.heat_of(m.id, now).value(),
+            })
         })
         .collect()
 }

@@ -28,11 +28,10 @@ use wattdb_common::{
 };
 use wattdb_planner::Planner;
 use wattdb_sim::{EventFn, Sim};
-use wattdb_tpcc::TpccTable;
 use wattdb_txn::{LockAcquire, LockMode, LockTarget, TxnKind};
 use wattdb_wal::LogPayload;
 
-use crate::cluster::{Cluster, ClusterRc, Scheme};
+use crate::cluster::{Cluster, ClusterRc, Lifecycle, Scheme};
 use crate::executor::{resume_grants, Waiter};
 
 /// One planned segment move.
@@ -329,7 +328,7 @@ fn launch(
         let powered: Vec<NodeId> = targets
             .iter()
             .copied()
-            .filter(|&t| c.nodes[t.raw() as usize].state == wattdb_energy::NodeState::Standby)
+            .filter(|&t| c.life(t) == Lifecycle::Standby)
             .collect();
         for &t in targets {
             c.power_on(t);
@@ -519,15 +518,11 @@ fn segment_lock_granted(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
     let (mv, bytes, src_disk_idx) = {
         let mut c = cl.borrow_mut();
         let c = &mut *c;
-        let m = c.mover.as_mut().expect("mover active");
+        let m = c.mover.as_ref().expect("mover active");
         let mv = m.chains[chain as usize].current.expect("current move");
-        let meta = c.seg_dir.get(mv.seg).expect("segment meta");
-        let footprint = meta
-            .disk_footprint()
-            .as_u64()
-            .max(wattdb_storage::PAGE_SIZE as u64);
-        let bytes = footprint * c.cfg.io_scale;
-        m.bytes_moved += bytes;
+        let bytes = c.copy_bytes(mv.seg).expect("segment meta");
+        let src_disk_idx = c.seg_dir.get(mv.seg).expect("segment meta").disk.index;
+        c.mover.as_mut().expect("mover active").bytes_moved += bytes;
         // Log the move bracket on the source's WAL.
         c.nodes[mv.from.raw() as usize].log.append(
             TxnId::NONE,
@@ -546,7 +541,7 @@ fn segment_lock_granted(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
         for p in &dirty {
             c.nodes[mv.from.raw() as usize].buffer.mark_clean(*p);
         }
-        (mv, bytes, meta.disk.index)
+        (mv, bytes, src_disk_idx)
     };
     // Join: disk read ∥ network ship; completion when both finish.
     use std::cell::Cell;
@@ -590,7 +585,8 @@ fn segment_copy_done(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
         let m = c.mover.as_mut().expect("mover active");
         let mv = m.chains[chain as usize].current.take().expect("current");
         let txn = m.chains[chain as usize].txn.take().expect("mover txn");
-        if c.failed.contains(&mv.from) || c.failed.contains(&mv.to) {
+        let mover_span = m.span;
+        if c.is_failed(mv.from) || c.is_failed(mv.to) {
             // An endpoint died mid-copy: the copy's result is void. The
             // master's dual pointer rolls back (physiological only — the
             // other schemes never touched routing) and placement stays
@@ -602,9 +598,9 @@ fn segment_copy_done(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
             let (_, grants) = c.txn.commit(txn, &mut c.store).expect("system commit");
             grants
         } else {
+            let m = c.mover.as_mut().expect("mover active");
             m.segments_moved += 1;
             m.heat_moved += c.heat.heat_of(mv.seg, now).value();
-            let mover_span = m.span;
             match scheme {
                 Scheme::Physiological => {
                     // §4.3 step 4: ownership switch — detach from the source's
@@ -617,37 +613,8 @@ fn segment_copy_done(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
                         .find(|p| p.table == mv.table && p.node == mv.from)
                         .map(|p| p.id)
                         .expect("source partition");
-                    let dst_pid = c.partition_on(mv.table, mv.to);
-                    c.partitions
-                        .get_mut(&src_pid)
-                        .expect("src")
-                        .top
-                        .detach(mv.seg)
-                        .expect("attached");
-                    c.partitions
-                        .get_mut(&dst_pid)
-                        .expect("dst")
-                        .top
-                        .attach(mv.seg, mv.range)
-                        .expect("tiles");
-                    // Storage follows ownership (shared nothing): place on the
-                    // target's SSD.
-                    let n_disks = c.nodes[mv.to.raw() as usize].disks.len();
-                    let disk_idx = if n_disks > 1 {
-                        1 + (mv.seg.raw() as usize % (n_disks - 1))
-                    } else {
-                        0
-                    };
-                    c.seg_dir
-                        .relocate(
-                            mv.seg,
-                            mv.to,
-                            wattdb_common::DiskId::new(mv.to, disk_idx as u8),
-                        )
-                        .expect("relocate");
-                    c.router
-                        .complete_move(mv.table, mv.range)
-                        .expect("complete move");
+                    c.hand_over(mv.seg, mv.table, mv.range, src_pid, mv.to)
+                        .expect("ownership switch");
                     // Old buffered pages are dropped at the source.
                     c.nodes[mv.from.raw() as usize].buffer.evict_segment(mv.seg);
                     // Leadership follows ownership: the replica map tracks the
@@ -685,19 +652,8 @@ fn segment_copy_done(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
                 Scheme::Physical => {
                     // §4.1: only the physical placement changes; ownership and
                     // routing stay at the source. Future accesses pay the wire.
-                    let n_disks = c.nodes[mv.to.raw() as usize].disks.len();
-                    let disk_idx = if n_disks > 1 {
-                        1 + (mv.seg.raw() as usize % (n_disks - 1))
-                    } else {
-                        0
-                    };
-                    c.seg_dir
-                        .relocate(
-                            mv.seg,
-                            mv.to,
-                            wattdb_common::DiskId::new(mv.to, disk_idx as u8),
-                        )
-                        .expect("relocate");
+                    let disk = c.data_disk(mv.to, mv.seg);
+                    c.seg_dir.relocate(mv.seg, mv.to, disk).expect("relocate");
                     c.nodes[mv.from.raw() as usize].buffer.evict_segment(mv.seg);
                 }
                 Scheme::Logical => unreachable!("segment moves not used logically"),
@@ -1249,7 +1205,6 @@ fn attach_helper_pairs(
     scripted: bool,
     now: SimTime,
 ) {
-    use wattdb_energy::NodeState;
     let remote_pages = c.cfg.buffer_pages;
     // Relief accounting: the first attach of a response snapshots the
     // shipped-bytes and remote-hit counters; later attaches while helpers
@@ -1297,8 +1252,7 @@ fn attach_helper_pairs(
         }
     }
     for &h in helpers {
-        if c.nodes[h.raw() as usize].state == NodeState::Standby && !c.helpers_powered.contains(&h)
-        {
+        if c.life(h) == Lifecycle::Standby && !c.helpers_powered.contains(&h) {
             c.helpers_powered.push(h);
         }
         c.power_on(h);
@@ -1416,7 +1370,7 @@ fn detach_helper_set(c: &mut Cluster, set: &[NodeId], now: SimTime) -> Vec<NodeI
         if h != NodeId(0)
             && c.seg_dir.on_node(h).next().is_none()
             && c.replicas.followed_by(h).is_empty()
-            && c.nodes[h.raw() as usize].state == wattdb_energy::NodeState::Active
+            && c.life(h).is_up()
         {
             c.power_off(h);
         }
@@ -1479,16 +1433,10 @@ pub fn nodes_in_flight(c: &Cluster) -> std::collections::BTreeSet<NodeId> {
     busy
 }
 
-/// Convenience for TPC-C experiments: move `fraction` of every TPC-C table.
-pub fn tpcc_tables() -> Vec<TableId> {
-    TpccTable::ALL.iter().map(|t| t.table_id()).collect()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
-    use wattdb_energy::NodeState;
 
     fn cluster(loaded: bool) -> ClusterRc {
         let cl = Cluster::new(
@@ -1549,8 +1497,8 @@ mod tests {
         assert!(c.helpers_active.is_empty());
         assert!(c.helpers_powered.is_empty());
         // Both helpers were standbys powered on for the duty: both return.
-        assert_eq!(c.nodes[2].state, NodeState::Standby);
-        assert_eq!(c.nodes[3].state, NodeState::Standby);
+        assert_eq!(c.nodes[2].life, Lifecycle::Standby);
+        assert_eq!(c.nodes[3].life, Lifecycle::Standby);
     }
 
     #[test]
@@ -1595,8 +1543,8 @@ mod tests {
         }
         detach_helpers(&cl, sim.now());
         let c = cl.borrow();
-        assert_eq!(c.nodes[1].state, NodeState::Active, "data node stays up");
-        assert_eq!(c.nodes[2].state, NodeState::Standby);
+        assert_eq!(c.nodes[1].life, Lifecycle::Active, "data node stays up");
+        assert_eq!(c.nodes[2].life, Lifecycle::Standby);
         assert!(c.helpers_active.is_empty());
     }
 
@@ -1617,8 +1565,8 @@ mod tests {
         detach_helpers(&cl, sim.now());
         let c = cl.borrow();
         assert_eq!(
-            c.nodes[1].state,
-            NodeState::Standby,
+            c.nodes[1].life,
+            Lifecycle::Standby,
             "an empty ex-helper must not stay powered"
         );
     }
@@ -1674,7 +1622,7 @@ mod tests {
             assert!(c.mover.is_none(), "rebalance completed");
             // The scripted helper went with the completion...
             assert_eq!(c.nodes[1].helper, None);
-            assert_eq!(c.nodes[5].state, NodeState::Standby);
+            assert_eq!(c.nodes[5].life, Lifecycle::Standby);
             // ...while the policy helper is still wired.
             assert_eq!(c.helpers_active, vec![NodeId(4)]);
             assert_eq!(c.nodes[0].helper, Some(NodeId(4)));
@@ -1686,6 +1634,6 @@ mod tests {
         let c = cl.borrow();
         assert!(c.helpers_active.is_empty());
         assert_eq!(c.nodes[0].helper, None);
-        assert_eq!(c.nodes[4].state, NodeState::Standby);
+        assert_eq!(c.nodes[4].life, Lifecycle::Standby);
     }
 }

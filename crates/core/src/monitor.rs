@@ -7,7 +7,6 @@
 //! ([`crate::policy`]).
 
 use wattdb_common::{NodeId, SimDuration, SimTime};
-use wattdb_energy::NodeState;
 use wattdb_sim::{Repeater, Sim};
 
 use crate::cluster::{Cluster, ClusterRc};
@@ -109,7 +108,7 @@ pub fn sample_node(c: &mut Cluster, node: NodeId, now: SimTime) -> NodeReport {
         heat,
         replica_ship_tx,
         replica_fanout,
-        active: c.nodes[idx].state == NodeState::Active,
+        active: c.nodes[idx].life.is_up(),
     }
 }
 

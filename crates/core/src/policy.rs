@@ -16,7 +16,6 @@
 //! cheapest to relocate), not the highest-numbered one.
 
 use wattdb_common::{HelperPolicyConfig, NodeId, SegmentId};
-use wattdb_energy::NodeState;
 use wattdb_planner::Planner;
 use wattdb_sim::Sim;
 
@@ -641,37 +640,130 @@ pub fn coldest_drain_target(view: &ClusterView, active_with_data: &[NodeId]) -> 
         .map(|(n, _, _, _)| n)
 }
 
+/// What an applied decision started.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Applied {
+    /// The planner that actually produced the started work —
+    /// `Planner::Fraction` when the heat-aware path fell back (logical
+    /// scheme, no heat recorded, or an empty plan).
+    pub planner: Planner,
+    /// The span the decision's work is accounted under: the `rebalance`
+    /// span for moves (a drain additionally opens `power-down`, kept on
+    /// the cluster until the nodes suspend), the `helpers` span for an
+    /// attach or detach, the `failover` span for a promotion.
+    pub span: Option<wattdb_telemetry::SpanId>,
+    /// What the plan predicted: heat to relocate for moves, net-traffic
+    /// relief for a helper attachment.
+    pub predicted: Option<f64>,
+}
+
 /// Apply a decision to the cluster: power nodes, plan the moves with the
-/// configured [`Planner`], and start migrations. Logical repartitioning
-/// moves key ranges rather than segments, so it always uses the legacy
-/// fraction path regardless of the planner choice.
+/// configured [`Planner`], start migrations, and open the spans the work
+/// is accounted under. Logical repartitioning moves key ranges rather
+/// than segments, so it always uses the fraction path regardless of the
+/// planner choice.
 ///
-/// Returns the planner that actually produced the started rebalance —
-/// `Planner::Fraction` when the heat-aware path fell back (logical
-/// scheme, no heat recorded, or an empty plan) — or `None` when nothing
-/// was started (including a refused drain: a node that is the source or
-/// target of an in-flight migration is never drained).
+/// Returns what was started, or — when nothing was — the reason, named
+/// by the guard that refused: `"rebalance in flight"` (one rebalance at a
+/// time), `"drain node is part of the active migration"`, `"drain node
+/// hosts follower replicas"`, or `"no applicable plan"`.
 pub fn apply(
     cl: &ClusterRc,
     sim: &mut Sim,
     decision: &Decision,
     cfg: &PolicyConfig,
-) -> Option<Planner> {
+) -> Result<Applied, &'static str> {
     // Failover outranks the one-rebalance-at-a-time rule: a dead node
     // cannot wait out a migration — the migration may itself be wedged on
     // the corpse (its pending moves were dropped by `fail_node`, its
     // in-flight copy voids on completion).
     if let Decision::Promote { failed, .. } = decision {
         crate::failover::handle_failure(cl, sim, *failed);
-        return Some(cfg.planner);
+        return Ok(Applied {
+            planner: cfg.planner,
+            span: cl.borrow().failover_span,
+            predicted: None,
+        });
     }
     if rebalancing(cl) {
-        return None; // one rebalance at a time
+        // One rebalance at a time. A drain aimed at a node the in-flight
+        // migration is filling or emptying gets its own reason: until the
+        // moves land the segment directory understates what the node will
+        // hold, and the drain plan would race the mover.
+        let busy = nodes_in_flight(&cl.borrow());
+        return Err(match decision {
+            Decision::ScaleIn { drain } if drain.iter().any(|n| busy.contains(n)) => {
+                "drain node is part of the active migration"
+            }
+            _ => "rebalance in flight",
+        });
     }
+    // A drained node hosting follower copies may only go once every copy
+    // has a replacement host planned — and never while earlier
+    // replacement copies are still on the wire (the map is
+    // mid-reconciliation and the coverage check would lie). Refusal, not
+    // half-execution: suspending a live follower host silently halves
+    // redundancy. Checked before any other drain guard so the timeline
+    // always says *why* the cluster stayed big.
+    if let Decision::ScaleIn { drain } = decision {
+        if drain_blocked_on_replicas(&cl.borrow(), sim.now(), drain) {
+            return Err("drain node hosts follower replicas");
+        }
+    }
+    // A full detach closes the helper span: capture the id first so the
+    // caller's record still points at it.
+    let helper_span_before = cl.borrow().helper_span;
+    let planner = start(cl, sim, decision, cfg).ok_or("no applicable plan")?;
+    let mut c = cl.borrow_mut();
+    let c = &mut *c;
+    let of_mover = |c: &crate::cluster::Cluster| {
+        let m = c.mover.as_ref();
+        (m.and_then(|m| m.span), m.map(|m| m.heat_planned))
+    };
+    let (span, predicted) = match decision {
+        Decision::AttachHelpers { .. } => (c.helper_span, Some(c.helper_relief)),
+        Decision::DetachHelpers { .. } => (helper_span_before, None),
+        Decision::Rebalance { .. } | Decision::ScaleOut { .. } => of_mover(c),
+        Decision::ScaleIn { drain } => {
+            // The drain's eventual suspension is its own power
+            // transition, closed when the emptied nodes reach standby.
+            let pd = c.telemetry.start_span(
+                "power-down",
+                sim.now(),
+                vec![(
+                    "drain".into(),
+                    drain
+                        .iter()
+                        .map(|n| n.to_string())
+                        .collect::<Vec<_>>()
+                        .into(),
+                )],
+            );
+            c.powerdown_span = Some(pd);
+            of_mover(c)
+        }
+        Decision::Hold | Decision::Promote { .. } => (None, None),
+    };
+    Ok(Applied {
+        planner,
+        span,
+        predicted,
+    })
+}
+
+/// Plan and start the work a decision calls for; `None` when there is no
+/// applicable plan. The in-flight and replica guards have already passed
+/// ([`apply`]).
+fn start(
+    cl: &ClusterRc,
+    sim: &mut Sim,
+    decision: &Decision,
+    cfg: &PolicyConfig,
+) -> Option<Planner> {
     let scheme = cl.borrow().cfg.scheme;
     let heat_aware = cfg.planner == Planner::HeatAware && scheme != Scheme::Logical;
     match decision {
-        Decision::Hold => None,
+        Decision::Hold | Decision::Promote { .. } => None,
         Decision::ScaleOut { sources, targets } => {
             if targets.is_empty() {
                 return None;
@@ -734,22 +826,7 @@ pub fn apply(
                 Some(cfg.planner)
             }
         }
-        Decision::Promote { .. } => None, // handled before the guard above
         Decision::ScaleIn { drain } => {
-            // Never drain a node still entangled in a migration: until the
-            // in-flight moves land, the segment directory understates what
-            // the node will hold, and the drain plan would race the mover.
-            // (The one-rebalance-at-a-time guard above already blocks this
-            // path today; the check keeps the invariant explicit for any
-            // future caller that applies decisions mid-flight.)
-            let drain_busy = {
-                let c = cl.borrow();
-                let busy = nodes_in_flight(&c);
-                drain.iter().any(|n| busy.contains(n))
-            };
-            if drain_busy {
-                return None;
-            }
             // Move *everything* off the drained nodes onto the remaining
             // data nodes, then the migration engine powers nothing off —
             // the caller re-checks emptiness and powers down.
@@ -761,15 +838,6 @@ pub fn apply(
                     .collect()
             };
             if targets.is_empty() {
-                return None;
-            }
-            // A drained node hosting follower copies may only go once
-            // every copy has a replacement host planned — and never while
-            // earlier replacement copies are still on the wire (the map
-            // is mid-reconciliation and the coverage check would lie).
-            // Refusal, not half-execution: suspending a live follower
-            // host silently halves redundancy.
-            if drain_blocked_on_replicas(&cl.borrow(), sim.now(), drain) {
                 return None;
             }
             // Plan the atomic "move leaders + re-home followers" unit.
@@ -787,13 +855,16 @@ pub fn apply(
                 (dp, rehomes)
             };
             let mark_draining = |cl: &ClusterRc| {
-                cl.borrow_mut().draining.extend(drain.iter().copied());
+                let mut c = cl.borrow_mut();
+                for &n in drain {
+                    c.begin_drain(n);
+                }
             };
             if heat_aware {
                 let (moves, complete) = {
                     let c = cl.borrow();
                     // A drain must empty its nodes; anything short of that
-                    // (shouldn't happen) falls back to the legacy path.
+                    // (shouldn't happen) falls back to the fraction path.
                     let expected: usize = drain.iter().map(|n| c.seg_dir.on_node(*n).count()).sum();
                     let moves: Vec<SegmentMove> =
                         dp.plan.moves.iter().map(SegmentMove::from).collect();
@@ -827,10 +898,8 @@ pub fn apply(
 /// nodes host follower copies and either replacement copies are already
 /// on the wire (re-replication in flight — the coverage check would run
 /// against a map that is mid-reconciliation) or the planner cannot find
-/// a distinct surviving host for every copy. The autopilot reports this
-/// refusal with its own Deferred reason so an exported timeline shows
-/// *why* the cluster stayed big.
-pub fn drain_blocked_on_replicas(
+/// a distinct surviving host for every copy.
+fn drain_blocked_on_replicas(
     c: &crate::cluster::Cluster,
     now: wattdb_common::SimTime,
     drain: &[NodeId],
@@ -896,9 +965,8 @@ pub fn suspend_empty_nodes(cl: &ClusterRc) -> Vec<NodeId> {
         let empty = c.seg_dir.on_node(id).next().is_none();
         let is_helper = c.helpers_active.contains(&id);
         let follows = !c.replicas.followed_by(id).is_empty();
-        if empty && !is_helper && !follows && c.nodes[i].state == NodeState::Active {
-            c.nodes[i].state = NodeState::Standby;
-            c.draining.remove(&id);
+        if empty && !is_helper && !follows && c.nodes[i].life.is_up() {
+            c.power_off(id);
             off.push(id);
         }
     }

@@ -297,11 +297,7 @@ fn manual_run() -> (
                 .map(|n| (n.id.raw(), n.helper.map(|h| h.raw())))
                 .collect(),
             helpers_active: c.helpers_active.clone(),
-            active_states: c
-                .nodes
-                .iter()
-                .map(|n| n.state == wattdb_energy::NodeState::Active)
-                .collect(),
+            active_states: c.nodes.iter().map(|n| n.life.is_up()).collect(),
         })
     };
     let during = snapshot(&db);

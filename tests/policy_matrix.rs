@@ -486,8 +486,8 @@ fn helpers_detach_once_the_skew_subsides() {
         for h in &powered_helpers {
             if c.seg_dir.on_node(*h).next().is_none() {
                 assert_eq!(
-                    c.nodes[h.raw() as usize].state,
-                    wattdb_energy::NodeState::Standby,
+                    c.life(*h),
+                    wattdb_core::cluster::Lifecycle::Standby,
                     "duty-powered helper {h} suspended again"
                 );
             }

@@ -5,8 +5,7 @@
 use proptest::prelude::*;
 use wattdb_common::{NodeId, SimDuration};
 use wattdb_core::api::WattDb;
-use wattdb_core::cluster::Scheme;
-use wattdb_energy::NodeState;
+use wattdb_core::cluster::{Lifecycle, Scheme};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -101,7 +100,7 @@ proptest! {
                         let dst = c
                             .nodes
                             .iter()
-                            .find(|n| n.state == NodeState::Standby && !c.failed.contains(&n.id))
+                            .find(|n| n.life == Lifecycle::Standby)
                             .map(|n| n.id);
                         (src, dst)
                     });
@@ -117,8 +116,7 @@ proptest! {
                             .iter()
                             .filter(|n| {
                                 n.id != NodeId(0)
-                                    && n.state == NodeState::Active
-                                    && !c.failed.contains(&n.id)
+                                    && n.life.is_up()
                                     && c.seg_dir.on_node(n.id).next().is_some()
                             })
                             .map(|n| n.id)
@@ -152,7 +150,7 @@ proptest! {
             let active_hosts = c
                 .nodes
                 .iter()
-                .filter(|n| n.state == NodeState::Active && !c.failed.contains(&n.id))
+                .filter(|n| n.life.is_up())
                 .count();
             (
                 active_hosts,

@@ -25,7 +25,7 @@ fn apply(db: &mut WattDb, decision: &Decision, fraction: f64) {
         move_fraction: fraction,
         ..Default::default()
     };
-    db.with_runtime(|cl, sim| wattdb_core::policy::apply(cl, sim, decision, &cfg));
+    db.with_runtime(|cl, sim| wattdb_core::policy::apply(cl, sim, decision, &cfg).ok());
 }
 
 fn suspend_empty(db: &mut WattDb) -> Vec<NodeId> {
@@ -33,7 +33,7 @@ fn suspend_empty(db: &mut WattDb) -> Vec<NodeId> {
 }
 
 fn node_state(db: &WattDb, node: NodeId) -> NodeState {
-    db.with_cluster(|c| c.nodes[node.raw() as usize].state)
+    db.with_cluster(|c| c.life(node).power())
 }
 
 #[test]
