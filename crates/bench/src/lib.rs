@@ -4,7 +4,7 @@
 //! same rows/series the corresponding figure reports. Absolute numbers come
 //! from the simulated substrate; the comparisons —
 //! which scheme wins, where the crossovers fall — are the reproduction
-//! target. EXPERIMENTS.md records paper-vs-measured for each figure.
+//! target; `tests/paper_figures.rs` holds them as assertions.
 
 use std::cell::RefCell;
 use std::rc::Rc;

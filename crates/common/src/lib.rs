@@ -34,6 +34,6 @@ pub use ids::{
 pub use key::{Key, KeyRange};
 pub use replica::ReplicaConfig;
 pub use rng::DetRng;
-pub use stats::{Counter, Ewma, Histogram, OnlineStats, TimeBuckets};
+pub use stats::{Histogram, TimeBuckets};
 pub use time::{SimDuration, SimTime};
 pub use units::{ByteSize, Joules, Watts};

@@ -1,107 +1,6 @@
 //! Online statistics and time-series bucketing for experiment reporting.
 
-use std::fmt;
-
 use crate::time::{SimDuration, SimTime};
-
-/// Streaming mean/min/max/count over f64 samples (Welford for variance).
-#[derive(Debug, Clone, Default)]
-pub struct OnlineStats {
-    count: u64,
-    mean: f64,
-    m2: f64,
-    min: f64,
-    max: f64,
-}
-
-impl OnlineStats {
-    /// Empty statistics.
-    pub fn new() -> Self {
-        Self {
-            count: 0,
-            mean: 0.0,
-            m2: 0.0,
-            min: f64::INFINITY,
-            max: f64::NEG_INFINITY,
-        }
-    }
-
-    /// Record one sample.
-    pub fn record(&mut self, x: f64) {
-        self.count += 1;
-        let delta = x - self.mean;
-        self.mean += delta / self.count as f64;
-        self.m2 += delta * (x - self.mean);
-        self.min = self.min.min(x);
-        self.max = self.max.max(x);
-    }
-
-    /// Number of samples.
-    pub fn count(&self) -> u64 {
-        self.count
-    }
-
-    /// Mean of the samples; 0 when empty.
-    pub fn mean(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.mean
-        }
-    }
-
-    /// Population variance; 0 when fewer than two samples.
-    pub fn variance(&self) -> f64 {
-        if self.count < 2 {
-            0.0
-        } else {
-            self.m2 / self.count as f64
-        }
-    }
-
-    /// Standard deviation.
-    pub fn stddev(&self) -> f64 {
-        self.variance().sqrt()
-    }
-
-    /// Minimum sample; 0 when empty.
-    pub fn min(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.min
-        }
-    }
-
-    /// Maximum sample; 0 when empty.
-    pub fn max(&self) -> f64 {
-        if self.count == 0 {
-            0.0
-        } else {
-            self.max
-        }
-    }
-
-    /// Merge another accumulator into this one.
-    pub fn merge(&mut self, other: &OnlineStats) {
-        if other.count == 0 {
-            return;
-        }
-        if self.count == 0 {
-            *self = other.clone();
-            return;
-        }
-        let n1 = self.count as f64;
-        let n2 = other.count as f64;
-        let delta = other.mean - self.mean;
-        let total = n1 + n2;
-        self.mean += delta * n2 / total;
-        self.m2 += other.m2 + delta * delta * n1 * n2 / total;
-        self.count += other.count;
-        self.min = self.min.min(other.min);
-        self.max = self.max.max(other.max);
-    }
-}
 
 /// A latency histogram with logarithmically spaced buckets (µs domain).
 ///
@@ -190,69 +89,6 @@ impl Histogram {
     }
 }
 
-/// Exponentially weighted moving average, used by the utilization monitors.
-#[derive(Debug, Clone)]
-pub struct Ewma {
-    alpha: f64,
-    value: Option<f64>,
-}
-
-impl Ewma {
-    /// `alpha` in (0,1]: weight of the newest observation.
-    pub fn new(alpha: f64) -> Self {
-        assert!(alpha > 0.0 && alpha <= 1.0, "alpha must be in (0,1]");
-        Self { alpha, value: None }
-    }
-
-    /// Feed an observation, returning the updated average.
-    pub fn update(&mut self, x: f64) -> f64 {
-        let v = match self.value {
-            None => x,
-            Some(prev) => prev + self.alpha * (x - prev),
-        };
-        self.value = Some(v);
-        v
-    }
-
-    /// Current average (0 before any observation).
-    pub fn value(&self) -> f64 {
-        self.value.unwrap_or(0.0)
-    }
-}
-
-/// A simple monotonically increasing counter with delta reads.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct Counter {
-    total: u64,
-    last_read: u64,
-}
-
-impl Counter {
-    /// Increment by `n`.
-    #[inline]
-    pub fn add(&mut self, n: u64) {
-        self.total += n;
-    }
-
-    /// Increment by one.
-    #[inline]
-    pub fn inc(&mut self) {
-        self.total += 1;
-    }
-
-    /// Total since creation.
-    pub fn total(&self) -> u64 {
-        self.total
-    }
-
-    /// Amount accumulated since the previous `take_delta` call.
-    pub fn take_delta(&mut self) -> u64 {
-        let d = self.total - self.last_read;
-        self.last_read = self.total;
-        d
-    }
-}
-
 /// Fixed-width time buckets accumulating per-interval experiment metrics
 /// (queries completed, response-time sums, energy) for time-series plots
 /// like Fig. 6 of the paper.
@@ -317,57 +153,9 @@ impl TimeBuckets {
     }
 }
 
-impl fmt::Display for OnlineStats {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "n={} mean={:.3} sd={:.3} min={:.3} max={:.3}",
-            self.count(),
-            self.mean(),
-            self.stddev(),
-            self.min(),
-            self.max()
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn online_stats_basic() {
-        let mut s = OnlineStats::new();
-        for x in [2.0, 4.0, 4.0, 4.0, 5.0, 5.0, 7.0, 9.0] {
-            s.record(x);
-        }
-        assert_eq!(s.count(), 8);
-        assert!((s.mean() - 5.0).abs() < 1e-9);
-        assert!((s.variance() - 4.0).abs() < 1e-9);
-        assert_eq!(s.min(), 2.0);
-        assert_eq!(s.max(), 9.0);
-    }
-
-    #[test]
-    fn online_stats_merge_matches_single_stream() {
-        let xs: Vec<f64> = (0..100).map(|i| (i as f64) * 0.7 - 3.0).collect();
-        let mut all = OnlineStats::new();
-        for &x in &xs {
-            all.record(x);
-        }
-        let mut a = OnlineStats::new();
-        let mut b = OnlineStats::new();
-        for &x in &xs[..37] {
-            a.record(x);
-        }
-        for &x in &xs[37..] {
-            b.record(x);
-        }
-        a.merge(&b);
-        assert_eq!(a.count(), all.count());
-        assert!((a.mean() - all.mean()).abs() < 1e-9);
-        assert!((a.variance() - all.variance()).abs() < 1e-6);
-    }
 
     #[test]
     fn histogram_percentiles_ordered() {
@@ -383,30 +171,6 @@ mod tests {
         assert!(p50 <= p99);
         assert!(p99 >= SimDuration::from_micros(100_000));
         assert!(h.mean() > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn ewma_converges() {
-        let mut e = Ewma::new(0.5);
-        assert_eq!(e.value(), 0.0);
-        e.update(10.0);
-        assert_eq!(e.value(), 10.0);
-        for _ in 0..32 {
-            e.update(20.0);
-        }
-        assert!((e.value() - 20.0).abs() < 1e-3);
-    }
-
-    #[test]
-    fn counter_delta() {
-        let mut c = Counter::default();
-        c.add(5);
-        c.inc();
-        assert_eq!(c.total(), 6);
-        assert_eq!(c.take_delta(), 6);
-        assert_eq!(c.take_delta(), 0);
-        c.inc();
-        assert_eq!(c.take_delta(), 1);
     }
 
     #[test]

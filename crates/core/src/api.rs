@@ -29,13 +29,13 @@
 //! ```
 
 use wattdb_common::{
-    CostModel, DriftConfig, HeatConfig, HelperPolicyConfig, KeyRange, NodeId, ReplicaConfig,
-    SimDuration, SimTime, TableId, Watts,
+    CostModel, DriftConfig, HeatConfig, HelperPolicyConfig, KeyRange, NodeId, SimDuration, SimTime,
+    TableId, Watts,
 };
 use wattdb_energy::NodeState;
 use wattdb_planner::{HelperPlan, Plan, Planner};
 use wattdb_replica::ReplicaMap;
-use wattdb_sim::{Sim, UtilizationProbe};
+use wattdb_sim::Sim;
 use wattdb_tpcc::{ClientConfig, LoadTrace, TpccConfig};
 use wattdb_txn::CcMode;
 
@@ -156,8 +156,8 @@ impl WattDbBuilder {
     /// **cost-based**: every access charges its scalarized CPU/page/
     /// network demand, so CPU-heavy operators weigh more than cheap point
     /// reads. `None` disables cost tracing; heat falls back to the flat
-    /// per-access weights of [`WattDbBuilder::heat_tracking`] — exactly
-    /// the legacy weighted-count behaviour.
+    /// per-access weights of [`WattDbBuilder::heat_tracking`] (weighted
+    /// counts).
     pub fn cost_model(mut self, m: impl Into<Option<CostModel>>) -> Self {
         self.cfg.cost_model = m.into();
         self
@@ -194,16 +194,9 @@ impl WattDbBuilder {
     /// Followers are placed by the heat-aware planner at build time —
     /// coldest nodes first, never the leader's own node — fed from the
     /// leader's WAL, and serve caught-up reads when
-    /// [`ReplicaConfig::read_routing`] allows.
+    /// [`wattdb_common::ReplicaConfig::read_routing`] allows.
     pub fn replication(mut self, factor: usize) -> Self {
         self.cfg.replication.factor = factor;
-        self
-    }
-
-    /// Full replication knobs: factor, read routing, and the per-segment
-    /// heat floor for read fan-out.
-    pub fn replication_config(mut self, r: ReplicaConfig) -> Self {
-        self.cfg.replication = r;
         self
     }
 
@@ -591,11 +584,6 @@ impl WattDb {
         self.cluster.borrow().telemetry.export_jsonl()
     }
 
-    /// Write [`WattDb::export_timeline_string`] to `path`.
-    pub fn export_timeline(&self, path: impl AsRef<std::path::Path>) -> std::io::Result<()> {
-        std::fs::write(path, self.export_timeline_string())
-    }
-
     /// Render the explainable autopilot timeline: one line per monitoring
     /// window with the signal values, the decision, and its
     /// predicted-vs-realized outcome. Derived *purely from the exported
@@ -871,7 +859,7 @@ impl WattDb {
     }
 
     /// The cost model scalarizing access cost into heat, if heat runs
-    /// cost-based (`None` = legacy weighted counts).
+    /// cost-based (`None` = weighted counts).
     pub fn cost_model(&self) -> Option<CostModel> {
         self.cluster.borrow().heat.cost_model().copied()
     }
@@ -1047,10 +1035,6 @@ impl WattDb {
         f(&self.cluster, &mut self.sim)
     }
 }
-
-/// Probe re-export so facade users can build custom samplers without
-/// importing `wattdb_sim` directly.
-pub type StatusProbe = UtilizationProbe;
 
 #[cfg(test)]
 mod tests {

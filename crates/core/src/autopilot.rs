@@ -11,6 +11,19 @@
 //! timeseries can be annotated with the exact moments the cluster decided
 //! to change size.
 //!
+//! The loop holds no guard and no bookkeeping of its own. Each window:
+//! a failed node still referenced by the replica map becomes a
+//! [`Decision::Promote`]; a finished drain suspends its nodes
+//! ([`policy::suspend_empty_nodes`], [`Cluster::end_drain`] for what
+//! could not suspend); the policy's decision goes to [`policy::apply`],
+//! which returns what it started ([`Applied`]) or the deferral reason
+//! named by the guard that refused. Whatever came of it is written by
+//! **one** `log` closure — the timeline's `DecisionRecord` and the
+//! facade's [`ControlEvent`] from the same arguments (`Hold` is recorded
+//! on the timeline only).
+//!
+//! [`Cluster::end_drain`]: crate::cluster::Cluster::end_drain
+//!
 //! Engage it through the facade:
 //!
 //! ```

@@ -6,6 +6,41 @@
 //! and the experiment metrics. The executor ([`crate::executor`]) and the
 //! migration engine ([`crate::migration`]) drive it through the
 //! discrete-event simulator.
+//!
+//! # Node lifecycle
+//!
+//! "Is this node usable" has one answer, [`NodeRuntime::life`], and five
+//! writers — nothing else assigns it:
+//!
+//! ```text
+//!           power_on                 begin_drain
+//! Standby ───────────▶ Active ─────────────────────▶ Draining
+//!    ▲                   │  ▲        end_drain          │
+//!    │     power_off     │  └───────────────────────────┘
+//!    └───────────────────┴──────────── power_off ───────┘
+//!                fail_node (from any state) ─▶ Failed (absorbing)
+//! ```
+//!
+//! * [`Cluster::power_on`] — the mover's launch (rebalance targets) and
+//!   helper attach. A no-op on a node that is up, and on a failed one.
+//! * [`Cluster::power_off`] — post-drain suspension and helper detach;
+//!   panics on segments or follower copies.
+//! * [`Cluster::begin_drain`] — `policy::apply` of a scale-in.
+//! * [`Cluster::end_drain`] — the autopilot, when a drain episode ends
+//!   and the node could not suspend.
+//! * [`Cluster::fail_node`] — fault injection.
+//!
+//! Readers speak [`Lifecycle::is_up`] (powered and serving: routing,
+//! monitoring, drain targets), `== Lifecycle::Active` (the replica
+//! placement pools, which must skip a draining node) and
+//! [`Lifecycle::power`] (what the power model bills).
+//!
+//! # One routine per protocol step
+//!
+//! The §4.3 ownership switch is [`Cluster::hand_over`] (physiological
+//! mover and failover promotion), the SSD a moved or followed segment
+//! uses is [`Cluster::data_disk`], and the bytes a segment copy costs are
+//! [`Cluster::copy_bytes`] (mover, follower copies, planner statistics).
 
 use std::cell::RefCell;
 use std::rc::Rc;
@@ -96,7 +131,7 @@ pub struct ClusterConfig {
     /// default) makes heat **cost-based** — every access weighs its
     /// actual CPU/page/network demand; `None` disables cost tracing and
     /// heat falls back to the flat per-access weights in `heat`
-    /// (the legacy weighted-count signal, bit-for-bit).
+    /// (the weighted-count signal).
     pub cost_model: Option<CostModel>,
     /// Heat-drift tracking: velocity EWMA horizon and the projection
     /// horizon the planner plans against (zero horizon = historical heat).
@@ -1255,6 +1290,86 @@ mod tests {
             c.power_off(NodeId(1));
         }));
         assert!(result.is_err(), "node with segments must not power off");
+    }
+
+    #[test]
+    fn lifecycle_has_five_writers_and_no_resurrection() {
+        let cl = Cluster::new(small_cfg(), &[NodeId(0), NodeId(1)]);
+        let mut c = cl.borrow_mut();
+        let (n1, n2) = (NodeId(1), NodeId(2));
+        // Only an active node can drain.
+        c.begin_drain(n2);
+        assert_eq!(c.life(n2), Lifecycle::Standby);
+        // A draining node is still up and billed as active, but no longer
+        // `Active` — the state every placement pool filters on.
+        c.begin_drain(n1);
+        assert_eq!(c.life(n1), Lifecycle::Draining);
+        assert!(c.life(n1).is_up());
+        assert_eq!(c.life(n1).power(), NodeState::Active);
+        assert_eq!(c.active_nodes(), vec![NodeId(0), n1]);
+        assert_eq!(c.draining_nodes(), vec![n1]);
+        c.power_on(n1);
+        assert_eq!(c.life(n1), Lifecycle::Draining, "power_on keeps a drain");
+        // The episode ends without a suspension: back into the pool.
+        c.end_drain(n1);
+        assert_eq!(c.life(n1), Lifecycle::Active);
+        c.end_drain(n2);
+        assert_eq!(
+            c.life(n2),
+            Lifecycle::Standby,
+            "end_drain only undoes a drain"
+        );
+        // A draining node can die; nothing brings a dead node back.
+        c.begin_drain(n1);
+        c.fail_node(n1);
+        assert_eq!(c.life(n1), Lifecycle::Failed);
+        assert!(c.draining_nodes().is_empty());
+        for transition in [
+            Cluster::power_on,
+            Cluster::power_off,
+            Cluster::begin_drain,
+            Cluster::end_drain,
+            Cluster::fail_node,
+        ] {
+            transition(&mut c, n1);
+            assert_eq!(c.life(n1), Lifecycle::Failed);
+        }
+        assert!(!c.life(n1).is_up());
+        assert_eq!(c.life(n1).power(), NodeState::Standby);
+        assert_eq!(c.active_nodes(), vec![NodeId(0)]);
+    }
+
+    #[test]
+    fn follower_hosts_neither_power_off_nor_drain_unnoticed() {
+        let cfg = ClusterConfig {
+            replication: ReplicaConfig {
+                factor: 1,
+                ..Default::default()
+            },
+            ..small_cfg()
+        };
+        let cl = Cluster::new(cfg, &[NodeId(0), NodeId(1), NodeId(2)]);
+        let mut c = cl.borrow_mut();
+        c.load_tpcc(tpcc_cfg(), &[NodeId(0), NodeId(1)]).unwrap();
+        c.bootstrap_replicas(SimTime::ZERO);
+        assert_eq!(c.check_replica_invariants(), None);
+        // n2 stores no segment, but the planner spread follower copies
+        // onto it: it is still "data on disk".
+        let host = NodeId(2);
+        assert!(c.seg_dir.on_node(host).next().is_none());
+        assert!(!c.replicas.followed_by(host).is_empty());
+        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+            c.power_off(host);
+        }));
+        assert!(result.is_err(), "a follower host must not power off");
+        assert_eq!(c.life(host), Lifecycle::Active);
+        // A drain that leaves follower copies behind is a reported
+        // violation until the copies are re-homed or the drain ends.
+        c.begin_drain(host);
+        let violation = c.check_replica_invariants().expect("draining follower");
+        assert!(violation.contains("is draining"), "{violation}");
+        c.end_drain(host);
+        assert_eq!(c.check_replica_invariants(), None);
     }
 
     #[test]

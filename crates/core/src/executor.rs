@@ -280,7 +280,7 @@ impl Cluster {
         match job.stage {
             OpStage::Start => self.op_start(now, job, op),
             OpStage::Cpu => self.op_cpu(job, op),
-            OpStage::Io => self.op_io(now, job, op),
+            OpStage::Io => self.op_io(job, op),
             OpStage::Apply => self.op_apply(now, job, op),
         }
     }
@@ -516,7 +516,7 @@ impl Cluster {
         Action::Loop
     }
 
-    fn op_io(&mut self, now: SimTime, job: &mut TxnJob, op: Op) -> Action {
+    fn op_io(&mut self, job: &mut TxnJob, op: Op) -> Action {
         let Some((_, exec_node, seg)) = job.cur else {
             // ITEM replica read: always buffer-resident.
             job.cpu_accum += self.cfg.costs.buffer_hit;
@@ -548,8 +548,6 @@ impl Cluster {
             } else {
                 (meta.node, meta.disk.index)
             };
-        let costed = self.heat.cost_model().is_some();
-        let w = job.weight;
         let writeback_latch = self.cfg.costs.writeback_latch;
         let buffer_hit = self.cfg.costs.buffer_hit;
         let buf = &mut self.nodes[exec_node.raw() as usize].buffer;
@@ -573,15 +571,11 @@ impl Cluster {
                     Action::DiskRead(storage_node, disk)
                 } else {
                     // Physical partitioning's penalty — and the strongest
-                    // heat signal for moving the segment to its users. The
-                    // cost path folds the wire bytes into the operation's
-                    // vector (charged at apply); the count path records the
-                    // flat surcharge here, exactly as it always did.
+                    // heat signal for moving the segment to its users: the
+                    // wire bytes fold into the operation's vector and the
+                    // remote flag, both charged at apply.
                     job.op_remote = true;
                     job.op_cost.net_bytes += PAGE_ON_WIRE;
-                    if !costed {
-                        self.heat.record_remote_fetches(seg, now, w);
-                    }
                     Action::RemoteRead {
                         exec: exec_node,
                         storage: storage_node,
@@ -597,9 +591,6 @@ impl Cluster {
                 job.op_cost.pages += 1;
                 job.op_remote = true;
                 job.op_cost.net_bytes += PAGE_ON_WIRE;
-                if !costed {
-                    self.heat.record_remote_fetches(seg, now, w);
-                }
                 Action::RemoteBufferFetch(exec_node)
             }
         }
@@ -610,10 +601,10 @@ impl Cluster {
         // Feed the heat table here, not in `op_start`: the start stage
         // re-runs after every hop and lock-wait resume, while the apply
         // stage executes exactly once per operation attempt. (ITEM
-        // replica reads carry no `cur` and stay heat-free.) With a cost
-        // model the operation's accumulated CostVector — its *actual*
-        // operator cost — is what gets charged; without one the legacy
-        // flat-weight calls run at the original sites.
+        // replica reads carry no `cur` and stay heat-free.) The operation's
+        // accumulated CostVector — its *actual* operator cost — and its
+        // remote flag are what gets charged; a count-mode table reduces
+        // them to the flat per-access weights.
         if let Some((_, node, seg)) = job.cur {
             let w = job.weight;
             // An off-leader read is a replica-served read (apply runs once
@@ -627,16 +618,9 @@ impl Cluster {
                 OpKind::Read => crate::heat::AccessKind::Read,
                 _ => crate::heat::AccessKind::Write,
             };
-            if self.heat.cost_model().is_some() {
-                let cost = std::mem::take(&mut job.op_cost);
-                let remote = std::mem::take(&mut job.op_remote);
-                self.heat.record_access_n(seg, now, kind, cost, remote, w);
-            } else {
-                match kind {
-                    crate::heat::AccessKind::Read => self.heat.record_reads(seg, now, w),
-                    crate::heat::AccessKind::Write => self.heat.record_writes(seg, now, w),
-                }
-            }
+            let cost = std::mem::take(&mut job.op_cost);
+            let remote = std::mem::take(&mut job.op_remote);
+            self.heat.record_access_n(seg, now, kind, cost, remote, w);
         }
         let result: Result<(), Error> = match job.cur {
             None => Ok(()), // ITEM replica read
@@ -1241,9 +1225,4 @@ pub fn schedule_trace(cl: &ClusterRc, sim: &mut Sim, trace: &wattdb_tpcc::LoadTr
             }
         });
     }
-}
-
-/// Retry aborted transaction bookkeeping visible for tests.
-pub fn inflight_jobs(cl: &ClusterRc) -> usize {
-    cl.borrow().jobs.len()
 }

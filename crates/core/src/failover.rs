@@ -9,11 +9,15 @@
 //! committed history), the master's routing re-points, and the heat-aware
 //! planner schedules fresh followers to restore the replication factor.
 //!
-//! The ownership switch deliberately mirrors the §4.3 physiological
-//! protocol's final step — master first, top-index detach/attach, segment
-//! directory relocation — but ships no bytes: the follower already holds
-//! the segment via log shipping. Only *re-replication* (new followers for
-//! the now under-replicated segments) pays wire time.
+//! The ownership switch *is* the §4.3 physiological protocol's final step
+//! — master first, then [`Cluster::hand_over`], the routine the mover
+//! uses — but ships no bytes: the follower already holds the segment via
+//! log shipping. Only *re-replication* (new followers for the now
+//! under-replicated segments) pays wire time, and every follower copy —
+//! failover backfill, background repair, a drain's re-homes — is shipped
+//! by one routine, `ship_copy`, which owns the in-flight counter and the
+//! void-on-death rule; its callers add only the predicate that really
+//! differs and their own span event.
 
 use wattdb_common::{ByteSize, Lsn, NodeId, SegmentId, SimTime};
 use wattdb_sim::{EventFn, Sim};
@@ -151,7 +155,7 @@ fn ship_copy(
 
 /// Restore the replication factor: ask the heat-aware planner for fresh
 /// follower placements and ship each segment's footprint to its new host
-/// over the wire ([`ship_copy`]); a leader that dies or loses leadership
+/// over the wire (`ship_copy`); a leader that dies or loses leadership
 /// in the meantime voids the delivery. Returns the number of copies
 /// scheduled.
 pub fn schedule_rereplication(cl: &ClusterRc, sim: &mut Sim) -> usize {
@@ -194,7 +198,7 @@ pub fn schedule_rereplication(cl: &ClusterRc, sim: &mut Sim) -> usize {
 /// Execute a drain's planned follower re-homes: each copy on a draining
 /// node leaves the map immediately (the node must be empty of replica
 /// duty before it may suspend) and a replacement copy ships from the
-/// segment's leader to the planned host ([`ship_copy`]); it is void if
+/// segment's leader to the planned host (`ship_copy`); it is void if
 /// the segment's leadership ended up on the planned host (a leader is
 /// never its own follower). Returns the number of copies scheduled.
 pub fn schedule_follower_rehomes(

@@ -14,10 +14,15 @@
 //!   scan/aggregation weighs what it costs; a cheap point read weighs
 //!   what *it* costs. This is the query-cost-estimated planning of Arsov
 //!   et al.: the planner balances *work*, not access counts.
-//! * **Count-based** (cost tracing off, `CostModel` absent): the original
-//!   flat per-access-kind weights (reads, writes, and remote page fetches
-//!   weigh differently, see [`HeatConfig`]) — byte-for-byte the legacy
-//!   behaviour.
+//! * **Count-based** (cost tracing off, `CostModel` absent): flat
+//!   per-access-kind weights (reads, writes, and remote page fetches
+//!   weigh differently, see [`HeatConfig`]). Kept as the arm the
+//!   `planner_shootout` mixed-operator cell and `tests/planner_cost.rs`
+//!   compare cost-heat against.
+//!
+//! Either way the executor has **one call site per access**:
+//! [`HeatTable::record_access_n`] at apply time; a count-based table
+//! reduces the call to its flat weights.
 //!
 //! Heat is keyed by [`SegmentId`] and therefore *travels with the segment*
 //! across physiological moves: after a rebalance the target node's rolled-
@@ -116,7 +121,7 @@ pub struct SegmentHeatStat {
 pub struct HeatTable {
     cfg: HeatConfig,
     /// Scalarization of cost vectors into heat; `None` falls back to the
-    /// flat per-access weights in `cfg` (the legacy count-based signal).
+    /// flat per-access weights in `cfg` (the count-based signal).
     model: Option<CostModel>,
     /// `pow2[j] = 2^(−(2^j µs) / half_life)`; all ones when decay is off.
     pow2: [f64; 64],
@@ -144,7 +149,7 @@ fn factor_of(pow2: &[f64; 64], elapsed: SimDuration) -> f64 {
 
 impl HeatTable {
     /// Empty **count-based** table with the given decay/weight
-    /// configuration (the legacy signal; cost vectors are ignored).
+    /// configuration (cost vectors are ignored).
     pub fn new(cfg: HeatConfig) -> Self {
         Self::with_cost_model(cfg, None)
     }
@@ -253,7 +258,7 @@ impl HeatTable {
     /// hardware demand (CPU charged by the executor, pages pulled through
     /// the buffer pool, remote-fetch bytes); `remote` marks accesses that
     /// needed a remote page fetch. Cost-based tables scalarize the vector;
-    /// count-based tables reduce to exactly the legacy flat weights
+    /// count-based tables reduce to exactly the flat weights
     /// (`read`/`write` plus the `remote` surcharge) and ignore the vector.
     pub fn record_access(
         &mut self,
@@ -337,7 +342,7 @@ impl HeatTable {
     /// over the segment. Cost-based tables charge the operator cost — the
     /// whole point of cost-heat: a scan weighs its CPU/pages/bytes, not
     /// its single access. Count-based tables charge one `read_weight`
-    /// (one access is what the legacy signal can see).
+    /// (one access is what the count signal can see).
     pub fn record_scan(&mut self, seg: SegmentId, now: SimTime, cost: CostVector) {
         let weight = match &self.model {
             Some(m) => m.heat_of(cost).value(),
@@ -351,54 +356,12 @@ impl HeatTable {
         }
     }
 
-    /// Charge a local read access at the flat `read_weight` (legacy entry
-    /// point; synthetic scenario drivers and tests inject heat through
-    /// this regardless of the configured signal).
+    /// Charge a local read access at the flat `read_weight` whatever the
+    /// configured signal: the entry point synthetic scenario drivers and
+    /// tests inject heat through (the executor never calls it).
     pub fn record_read(&mut self, seg: SegmentId, now: SimTime) {
         let w = self.cfg.read_weight;
         self.bump(seg, now, w).reads += 1;
-    }
-
-    /// Charge a write access at the flat `write_weight` (legacy entry
-    /// point, see [`HeatTable::record_read`]).
-    pub fn record_write(&mut self, seg: SegmentId, now: SimTime) {
-        let w = self.cfg.write_weight;
-        self.bump(seg, now, w).writes += 1;
-    }
-
-    /// Charge the flat remote-fetch surcharge on top of the read/write
-    /// already recorded for the operation (legacy entry point).
-    pub fn record_remote_fetch(&mut self, seg: SegmentId, now: SimTime) {
-        let w = self.cfg.remote_weight;
-        self.bump(seg, now, w).remote_fetches += 1;
-    }
-
-    /// `n` local reads at once (pooled carriers; delegates to
-    /// [`HeatTable::record_read`] at `n == 1`).
-    pub fn record_reads(&mut self, seg: SegmentId, now: SimTime, n: u64) {
-        if n == 1 {
-            return self.record_read(seg, now);
-        }
-        let w = self.cfg.read_weight * n as f64;
-        self.bump(seg, now, w).reads += n;
-    }
-
-    /// `n` write accesses at once (pooled carriers).
-    pub fn record_writes(&mut self, seg: SegmentId, now: SimTime, n: u64) {
-        if n == 1 {
-            return self.record_write(seg, now);
-        }
-        let w = self.cfg.write_weight * n as f64;
-        self.bump(seg, now, w).writes += n;
-    }
-
-    /// `n` remote-fetch surcharges at once (pooled carriers).
-    pub fn record_remote_fetches(&mut self, seg: SegmentId, now: SimTime, n: u64) {
-        if n == 1 {
-            return self.record_remote_fetch(seg, now);
-        }
-        let w = self.cfg.remote_weight * n as f64;
-        self.bump(seg, now, w).remote_fetches += n;
     }
 
     /// The segment's heat decayed to `now` (zero for never-touched
@@ -712,15 +675,13 @@ pub fn segment_stats(
 ) -> Vec<wattdb_planner::SegmentStat> {
     c.seg_dir
         .iter()
-        .filter_map(|m| {
-            Some(wattdb_planner::SegmentStat {
-                seg: m.id,
-                table: m.table,
-                range: m.key_range.unwrap_or_else(wattdb_common::KeyRange::all),
-                node: m.node,
-                bytes: c.copy_bytes(m.id).ok()?,
-                heat: c.heat.heat_of(m.id, now).value(),
-            })
+        .map(|m| wattdb_planner::SegmentStat {
+            seg: m.id,
+            table: m.table,
+            range: m.key_range.unwrap_or_else(wattdb_common::KeyRange::all),
+            node: m.node,
+            bytes: c.copy_bytes(m.id).expect("segment is in the catalog"),
+            heat: c.heat.heat_of(m.id, now).value(),
         })
         .collect()
 }
@@ -763,8 +724,7 @@ mod tests {
         let mut t = table();
         let now = SimTime::from_secs(1);
         t.record_read(SegmentId(1), now);
-        t.record_write(SegmentId(1), now);
-        t.record_remote_fetch(SegmentId(1), now);
+        t.record_access(SegmentId(1), now, AccessKind::Write, CostVector::ZERO, true);
         let h = t.heat_of(SegmentId(1), now).value();
         assert!((h - 3.5).abs() < 1e-9, "{h}");
         let s = t.stats(SegmentId(1)).unwrap();
@@ -800,7 +760,7 @@ mod tests {
         let now = SimTime::from_secs(1);
         t.record_read(a, now);
         t.record_read(a, now);
-        t.record_write(b, now);
+        t.record_access(b, now, AccessKind::Write, CostVector::ZERO, false);
         assert!((t.node_heat(&dir, NodeId(0), now).value() - 2.0).abs() < 1e-9);
         assert!((t.node_heat(&dir, NodeId(1), now).value() - 2.0).abs() < 1e-9);
         // Heat follows the segment when the catalog relocates it.
@@ -818,7 +778,7 @@ mod tests {
         let mut t = table();
         let now = SimTime::from_secs(1);
         t.record_read(a, now);
-        t.record_write(b, now);
+        t.record_access(b, now, AccessKind::Write, CostVector::ZERO, false);
         let snap = t.snapshot(&dir, now);
         assert_eq!(snap.len(), 2);
         assert_eq!(snap[0].seg, b, "writes outweigh reads");
@@ -837,12 +797,17 @@ mod tests {
 
     #[test]
     fn count_fallback_reduces_exactly_to_the_flat_weights() {
-        // The regression behind the back-compat guarantee: a count-based
-        // table fed through the unified `record_access` path must produce
-        // the *identical* heat trajectory as the legacy record_* calls,
-        // whatever cost vectors the executor hands it.
+        // The guarantee behind the executor's single call site: a
+        // count-based table fed through `record_access` charges exactly
+        // the flat weights (`read`/`write` plus the `remote` surcharge) on
+        // the decayed total, whatever cost vectors the executor hands it.
         let mut unified = table();
-        let mut legacy = table();
+        let cfg = *unified.config();
+        let mut flat = LegacyRef {
+            heat: 0.0,
+            last: SimTime::ZERO,
+            half_life: cfg.half_life,
+        };
         let seg = SegmentId(7);
         let steps: &[(u64, AccessKind, bool)] = &[
             (0, AccessKind::Read, false),
@@ -854,28 +819,19 @@ mod tests {
         for &(secs, kind, remote) in steps {
             let now = SimTime::from_secs(secs);
             unified.record_access(seg, now, kind, point_read_cost(), remote);
-            match kind {
-                AccessKind::Read => legacy.record_read(seg, now),
-                AccessKind::Write => legacy.record_write(seg, now),
-            }
-            if remote {
-                legacy.record_remote_fetch(seg, now);
-            }
-            let (hu, hl) = (
-                unified.heat_of(seg, now).value(),
-                legacy.heat_of(seg, now).value(),
-            );
+            let base = match kind {
+                AccessKind::Read => cfg.read_weight,
+                AccessKind::Write => cfg.write_weight,
+            };
+            flat.touch(now, base + if remote { cfg.remote_weight } else { 0.0 });
+            let (hu, hf) = (unified.heat_of(seg, now).value(), flat.at(now));
             assert!(
-                (hu - hl).abs() < 1e-12,
-                "trajectories diverged at t={secs}: unified {hu} vs legacy {hl}"
+                (hu - hf).abs() < 1e-12,
+                "trajectories diverged at t={secs}: unified {hu} vs flat weights {hf}"
             );
         }
-        let (u, l) = (unified.stats(seg).unwrap(), legacy.stats(seg).unwrap());
+        let u = unified.stats(seg).unwrap();
         assert_eq!((u.reads, u.writes, u.remote_fetches), (3, 2, 2));
-        assert_eq!(
-            (u.reads, u.writes, u.remote_fetches),
-            (l.reads, l.writes, l.remote_fetches)
-        );
         assert!(u.cost.is_zero(), "count-based tables accumulate no cost");
     }
 
@@ -943,9 +899,9 @@ mod tests {
 
     // ------------------------------------------------- lazy-decay regression
 
-    /// The legacy per-touch arithmetic: decay with a fresh `exp2` on
-    /// every access (what `HeatTable::bump` did before the cached-factor
-    /// refactor).
+    /// The reference per-touch arithmetic: decay with a fresh `exp2` on
+    /// every access, then add the weight (what `HeatTable::bump` did
+    /// before the cached-factor refactor).
     struct LegacyRef {
         heat: f64,
         last: SimTime,

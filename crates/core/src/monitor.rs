@@ -138,15 +138,6 @@ impl ClusterView {
             .collect()
     }
 
-    /// Active nodes below the lower bound (scale-in candidates).
-    pub fn underloaded(&self, bound: f64) -> Vec<NodeId> {
-        self.reports
-            .iter()
-            .filter(|r| r.active && r.cpu < bound)
-            .map(|r| r.node)
-            .collect()
-    }
-
     /// The hottest active node by access heat, if any heat was observed.
     pub fn hottest(&self) -> Option<(NodeId, f64)> {
         self.reports
@@ -243,7 +234,6 @@ mod tests {
         };
         assert!((view.mean_active_cpu() - 0.55).abs() < 1e-9);
         assert_eq!(view.overloaded(0.8), vec![NodeId(0)]);
-        assert_eq!(view.underloaded(0.3), vec![NodeId(1)]);
     }
 
     #[test]

@@ -14,6 +14,14 @@
 //! disproportionate share of the access heat for a patience window.
 //! Scale-in picks the **coldest** drainable node (its segments are the
 //! cheapest to relocate), not the highest-numbered one.
+//!
+//! [`apply`] is the single path from a [`Decision`] to the cluster: it
+//! owns every guard (one rebalance at a time, no drain of a node inside
+//! the active migration, no drain that strands follower copies), plans
+//! with the configured planner, starts the work, opens the spans it is
+//! accounted under, and returns either [`Applied`] — planner, span,
+//! prediction — or the deferral reason, named at the guard that refused.
+//! The autopilot relays that reason; it re-derives nothing.
 
 use wattdb_common::{HelperPolicyConfig, NodeId, SegmentId};
 use wattdb_planner::Planner;
@@ -690,9 +698,12 @@ pub fn apply(
         // migration is filling or emptying gets its own reason: until the
         // moves land the segment directory understates what the node will
         // hold, and the drain plan would race the mover.
-        let busy = nodes_in_flight(&cl.borrow());
+        let in_flight = |drain: &[NodeId]| {
+            let busy = nodes_in_flight(&cl.borrow());
+            drain.iter().any(|n| busy.contains(n))
+        };
         return Err(match decision {
-            Decision::ScaleIn { drain } if drain.iter().any(|n| busy.contains(n)) => {
+            Decision::ScaleIn { drain } if in_flight(drain) => {
                 "drain node is part of the active migration"
             }
             _ => "rebalance in flight",
@@ -1611,6 +1622,176 @@ mod tests {
         p.evaluate(&above, &[], &data, false, &[]);
         p.evaluate(&below, &[], &data, false, &[]); // full reset
         assert_eq!(p.evaluate(&above, &[], &data, false, &[]), Decision::Hold);
+    }
+
+    // ------------------------------------------------- the apply contract
+
+    use crate::api::WattDb;
+    use crate::cluster::Lifecycle;
+
+    /// Four nodes, data on n0–n2, n3 standby.
+    fn deployment(replication: usize) -> WattDb {
+        WattDb::builder()
+            .nodes(4)
+            .warehouses(3)
+            .density(0.01)
+            .segment_pages(8)
+            .io_scale(4000) // a rebalance stays in flight for the whole test
+            .seed(11)
+            .initial_data_nodes(&[NodeId(0), NodeId(1), NodeId(2)])
+            .replication(replication)
+            .build()
+    }
+
+    fn apply_on(db: &mut WattDb, decision: &Decision) -> Result<Applied, &'static str> {
+        db.with_runtime(|cl, sim| apply(cl, sim, decision, &PolicyConfig::default()))
+    }
+
+    /// Warm every segment on `node` through the synthetic injection path.
+    fn warm(db: &mut WattDb, node: NodeId, reads: u32) {
+        let now = db.now();
+        db.with_cluster_mut(|c| {
+            let segs: Vec<_> = c.seg_dir.on_node(node).map(|m| m.id).collect();
+            for seg in segs {
+                for _ in 0..reads {
+                    c.heat.record_read(seg, now);
+                }
+            }
+        });
+    }
+
+    #[test]
+    fn apply_names_each_refusal_at_its_guard() {
+        let scale_out = |targets: &[u16]| Decision::ScaleOut {
+            sources: vec![NodeId(0)],
+            targets: targets.iter().map(|&n| NodeId(n)).collect(),
+        };
+        let drain = |n: u16| Decision::ScaleIn {
+            drain: vec![NodeId(n)],
+        };
+        // (replication factor, rebalance n0 → n3 in flight?, decision, reason)
+        let table: [(usize, bool, Decision, &str); 5] = [
+            (0, true, scale_out(&[3]), "rebalance in flight"),
+            (0, true, drain(1), "rebalance in flight"),
+            (
+                0,
+                true,
+                drain(3),
+                "drain node is part of the active migration",
+            ),
+            // n2 hosts follower copies while earlier replacement copies
+            // are still on the wire (set below).
+            (1, false, drain(2), "drain node hosts follower replicas"),
+            (0, false, scale_out(&[]), "no applicable plan"),
+        ];
+        for (factor, in_flight, decision, reason) in table {
+            let mut db = deployment(factor);
+            if in_flight {
+                db.rebalance(0.5, &[NodeId(0)], &[NodeId(3)]);
+                assert!(db.rebalancing());
+            }
+            if factor > 0 {
+                // The map is mid-reconciliation, so the drain must wait.
+                db.with_cluster_mut(|c| c.rereplication_inflight = 1);
+            }
+            let spans_before = db.with_cluster(|c| c.telemetry.spans.started());
+            assert_eq!(
+                apply_on(&mut db, &decision),
+                Err(reason),
+                "{decision:?} at factor {factor}, in flight {in_flight}"
+            );
+            // A refusal starts nothing: no span, no node marked draining.
+            db.with_cluster(|c| {
+                assert_eq!(c.telemetry.spans.started(), spans_before);
+                assert!(c.draining_nodes().is_empty());
+                assert_eq!(c.powerdown_span, None);
+            });
+        }
+        assert_eq!(
+            apply_on(&mut deployment(0), &Decision::Hold),
+            Err("no applicable plan")
+        );
+    }
+
+    #[test]
+    fn applied_carries_the_span_and_prediction_of_what_started() {
+        let span_name = |db: &WattDb, span: Option<wattdb_telemetry::SpanId>| {
+            db.with_cluster(|c| {
+                let s = c.telemetry.spans.get(span.expect("a span")).expect("kept");
+                (s.name.clone(), s.end.is_none())
+            })
+        };
+
+        // ScaleOut on a cold cluster: the fraction fallback's rebalance.
+        let mut db = deployment(0);
+        let out = apply_on(
+            &mut db,
+            &Decision::ScaleOut {
+                sources: vec![NodeId(0)],
+                targets: vec![NodeId(3)],
+            },
+        )
+        .expect("applied");
+        assert_eq!(out.planner, Planner::Fraction);
+        assert_eq!(span_name(&db, out.span), ("rebalance".into(), true));
+        assert_eq!(
+            out.span,
+            db.with_cluster(|c| c.mover.as_ref().unwrap().span)
+        );
+        assert_eq!(out.predicted, Some(0.0), "no heat recorded yet");
+        assert_eq!(db.with_cluster(|c| c.life(NodeId(3))), Lifecycle::Active);
+
+        // ScaleIn: the rebalance span, plus an open power-down span kept on
+        // the cluster until the node suspends; the node is now draining.
+        let mut db = deployment(0);
+        warm(&mut db, NodeId(2), 4);
+        let drain = apply_on(
+            &mut db,
+            &Decision::ScaleIn {
+                drain: vec![NodeId(2)],
+            },
+        )
+        .expect("applied");
+        assert_eq!(drain.planner, Planner::HeatAware);
+        assert_eq!(span_name(&db, drain.span), ("rebalance".into(), true));
+        assert!(drain.predicted.expect("planned heat") > 0.0);
+        let pd = db.with_cluster(|c| c.powerdown_span);
+        assert_eq!(span_name(&db, pd), ("power-down".into(), true));
+        assert!(pd > drain.span, "power-down opens after the rebalance span");
+        assert_eq!(
+            db.with_cluster(|c| c.draining_nodes()),
+            vec![NodeId(2)],
+            "the drained node left the placement pools"
+        );
+
+        // AttachHelpers: the helpers span and the plan's predicted relief.
+        let mut db = deployment(0);
+        warm(&mut db, NodeId(0), 50);
+        let sources = vec![NodeId(0)];
+        let attach = apply_on(
+            &mut db,
+            &Decision::AttachHelpers {
+                sources,
+                targets: vec![NodeId(1)],
+            },
+        )
+        .expect("applied");
+        assert_eq!(attach.planner, Planner::HeatAware);
+        assert_eq!(span_name(&db, attach.span), ("helpers".into(), true));
+        assert_eq!(attach.span, db.with_cluster(|c| c.helper_span));
+        let relief = attach.predicted.expect("predicted relief");
+        assert!(relief > 0.0);
+        assert_eq!(relief, db.with_cluster(|c| c.helper_relief));
+
+        // DetachHelpers closes that span inside apply; the result still
+        // points at it.
+        let helpers = db.helpers_active();
+        assert!(!helpers.is_empty());
+        let detach = apply_on(&mut db, &Decision::DetachHelpers { helpers }).expect("applied");
+        assert_eq!(detach.span, attach.span);
+        assert_eq!(detach.predicted, None);
+        assert_eq!(span_name(&db, detach.span), ("helpers".into(), false));
+        assert_eq!(db.with_cluster(|c| c.helper_span), None);
     }
 
     mod props {

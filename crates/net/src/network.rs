@@ -84,11 +84,6 @@ impl Network {
         bytes.transfer_time(self.spec.bandwidth)
     }
 
-    /// Estimated unloaded one-way latency for a message of `bytes`.
-    pub fn estimate_one_way(&self, bytes: ByteSize) -> SimDuration {
-        self.wire_time(bytes) + self.spec.hop_latency
-    }
-
     /// Send `bytes` from `src` to `dst`; `delivered` fires at the receiver
     /// when the message arrives. Local sends (src == dst) skip the wire
     /// entirely (records move through main memory, §3.3). Transfers larger

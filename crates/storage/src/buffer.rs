@@ -115,19 +115,9 @@ impl BufferPool {
         }
     }
 
-    /// Remote tier page count.
-    pub fn remote_resident(&self) -> usize {
-        self.remote.len()
-    }
-
     /// Counters.
     pub fn stats(&self) -> BufferStats {
         self.stats
-    }
-
-    /// True if the page is resident locally.
-    pub fn is_resident(&self, page: PageId) -> bool {
-        self.frames.contains_key(&page)
     }
 
     /// Fetch `page` and pin it. The caller must charge the costs implied by
@@ -291,8 +281,8 @@ mod tests {
         bp.fetch_pin(pid(1, 1));
         bp.unpin(pid(1, 1), false);
         bp.fetch_pin(pid(1, 2)); // must evict p1, not pinned p0
-        assert!(bp.is_resident(pid(1, 0)));
-        assert!(!bp.is_resident(pid(1, 1)));
+        assert!(bp.frames.contains_key(&pid(1, 0)));
+        assert!(!bp.frames.contains_key(&pid(1, 1)));
     }
 
     #[test]
@@ -314,12 +304,15 @@ mod tests {
         // is unreferenced and p2 freshly referenced.
         bp.fetch_pin(pid(1, 2));
         bp.unpin(pid(1, 2), false);
-        assert!(!bp.is_resident(pid(1, 0)));
+        assert!(!bp.frames.contains_key(&pid(1, 0)));
         // Next eviction must take the unreferenced p1, giving the
         // recently-referenced p2 its second chance.
         bp.fetch_pin(pid(1, 3));
-        assert!(bp.is_resident(pid(1, 2)), "referenced page survives");
-        assert!(!bp.is_resident(pid(1, 1)));
+        assert!(
+            bp.frames.contains_key(&pid(1, 2)),
+            "referenced page survives"
+        );
+        assert!(!bp.frames.contains_key(&pid(1, 1)));
     }
 
     #[test]
@@ -330,7 +323,7 @@ mod tests {
         bp.unpin(pid(1, 0), false);
         bp.fetch_pin(pid(1, 1)); // evicts p0 into remote tier
         bp.unpin(pid(1, 1), false);
-        assert_eq!(bp.remote_resident(), 1);
+        assert_eq!(bp.remote.len(), 1);
         // Fetching p0 again is a remote hit, not a disk miss.
         match bp.fetch_pin(pid(1, 0)) {
             Fetch::RemoteHit { .. } => {}
@@ -352,7 +345,7 @@ mod tests {
         bp.unpin(pid(2, 0), false);
         bp.evict_segment(SegmentId(1));
         assert_eq!(bp.resident(), 1);
-        assert!(bp.is_resident(pid(2, 0)));
+        assert!(bp.frames.contains_key(&pid(2, 0)));
     }
 
     #[test]

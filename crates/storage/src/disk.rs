@@ -98,13 +98,6 @@ impl SimDisk {
         Resource::submit(&self.resource, sim, t, done);
     }
 
-    /// Submit a page-sized write.
-    pub fn write_page(&mut self, sim: &mut Sim, done: EventFn) {
-        self.writes += 1;
-        let t = self.spec.service_time(ByteSize::bytes(PAGE_SIZE as u64));
-        Resource::submit(&self.resource, sim, t, done);
-    }
-
     /// Submit a bulk sequential transfer (segment copy, log flush),
     /// streamed in 8 MiB chunks so foreground page requests can
     /// interleave in the device queue instead of stalling behind one

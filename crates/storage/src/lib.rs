@@ -8,7 +8,6 @@
 
 pub mod buffer;
 pub mod disk;
-pub mod latch;
 pub mod page;
 pub mod record;
 pub mod segment;
@@ -16,7 +15,6 @@ pub mod store;
 
 pub use buffer::{BufferPool, BufferStats, Fetch};
 pub use disk::SimDisk;
-pub use latch::{LatchAcquire, LatchMode, LatchTable};
 pub use page::{SlottedPage, PAGE_SIZE, SLOT_OVERHEAD};
 pub use record::{Record, FLAG_TOMBSTONE, RECORD_HEADER_BYTES, TS_INFINITY};
 pub use segment::{SegmentDirectory, SegmentMeta, SEGMENT_PAGES_DEFAULT};

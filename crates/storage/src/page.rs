@@ -81,11 +81,6 @@ impl SlottedPage {
             .count()
     }
 
-    /// Number of slots including tombstones.
-    pub fn slot_count(&self) -> usize {
-        self.slots.len()
-    }
-
     /// True if `logical` more bytes fit.
     pub fn fits(&self, logical: usize) -> bool {
         logical + SLOT_OVERHEAD <= self.free_logical()

@@ -176,12 +176,6 @@ impl Record {
         bytes[offset..offset + 8].copy_from_slice(&ts.to_le_bytes());
         Ok(())
     }
-
-    /// True if this version is visible to a snapshot at `ts`: created at or
-    /// before the snapshot and not yet superseded at it.
-    pub fn visible_at(&self, ts: u64) -> bool {
-        self.begin <= ts && ts < self.end
-    }
 }
 
 #[cfg(test)]
@@ -223,17 +217,6 @@ mod tests {
         let bytes = r.encode();
         assert!(Record::decode(&bytes[..10]).is_err());
         assert!(Record::decode(&bytes[..bytes.len() - 1]).is_err());
-    }
-
-    #[test]
-    fn visibility_window() {
-        let r = sample(); // [100, 250)
-        assert!(!r.visible_at(99));
-        assert!(r.visible_at(100));
-        assert!(r.visible_at(249));
-        assert!(!r.visible_at(250));
-        let current = Record::new(Key(1), 10, 8, vec![]);
-        assert!(current.visible_at(u64::MAX - 1));
     }
 
     #[test]

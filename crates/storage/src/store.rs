@@ -31,29 +31,9 @@ impl PageStore {
         self.segments.entry(id).or_default();
     }
 
-    /// Drop a segment's pages entirely (after a move's cleanup phase).
-    pub fn drop_segment(&mut self, id: SegmentId) -> Result<Vec<SlottedPage>> {
-        self.segments.remove(&id).ok_or(Error::UnknownSegment(id))
-    }
-
-    /// True if the segment exists in the store.
-    pub fn has_segment(&self, id: SegmentId) -> bool {
-        self.segments.contains_key(&id)
-    }
-
     /// Number of pages allocated in `segment`.
     pub fn page_count(&self, segment: SegmentId) -> usize {
         self.segments.get(&segment).map_or(0, |p| p.len())
-    }
-
-    /// Append a fresh page to `segment`, returning its id.
-    pub fn alloc_page(&mut self, segment: SegmentId) -> Result<PageId> {
-        let pages = self
-            .segments
-            .get_mut(&segment)
-            .ok_or(Error::UnknownSegment(segment))?;
-        pages.push(SlottedPage::new());
-        Ok(PageId::new(segment, (pages.len() - 1) as u32))
     }
 
     /// Immutable page access.
@@ -164,35 +144,6 @@ impl PageStore {
             return Err(Error::RecordNotFound(rid));
         }
         page.delete(rid.slot)
-    }
-
-    /// Iterate decoded records of a segment in (page, slot) order.
-    pub fn scan_segment(&self, segment: SegmentId) -> Result<Vec<(RecordId, Record)>> {
-        let pages = self
-            .segments
-            .get(&segment)
-            .ok_or(Error::UnknownSegment(segment))?;
-        let mut out = Vec::new();
-        for (page_no, page) in pages.iter().enumerate() {
-            for (slot, bytes) in page.iter() {
-                let rid = RecordId::new(PageId::new(segment, page_no as u32), slot);
-                out.push((rid, Record::decode(bytes)?));
-            }
-        }
-        Ok(out)
-    }
-
-    /// Move a whole segment's pages under a new segment id (physical /
-    /// physiological segment move: contents are byte-identical, only the
-    /// placement changes — the caller charges copy time).
-    pub fn clone_segment(&mut self, from: SegmentId, to: SegmentId) -> Result<()> {
-        let pages = self
-            .segments
-            .get(&from)
-            .ok_or(Error::UnknownSegment(from))?
-            .clone();
-        self.segments.insert(to, pages);
-        Ok(())
     }
 
     /// Total physical bytes held (memory footprint diagnostics).
@@ -321,37 +272,6 @@ mod tests {
         store.delete_record(rid).unwrap();
         assert!(store.stamp_end(rid, 5).is_err());
         assert!(store.timestamps(rid).is_err());
-    }
-
-    #[test]
-    fn scan_returns_all_live_records() {
-        let mut store = PageStore::new();
-        let seg = SegmentId(1);
-        store.add_segment(seg);
-        let mut rids = Vec::new();
-        for i in 0..10 {
-            rids.push(store.insert_record(seg, &rec(i, 512), 8).unwrap().0);
-        }
-        store.delete_record(rids[3]).unwrap();
-        let scanned = store.scan_segment(seg).unwrap();
-        assert_eq!(scanned.len(), 9);
-        assert!(scanned.iter().all(|(_, r)| r.key != Key(3)));
-    }
-
-    #[test]
-    fn clone_segment_copies_contents() {
-        let mut store = PageStore::new();
-        let (a, b) = (SegmentId(1), SegmentId(2));
-        store.add_segment(a);
-        for i in 0..5 {
-            store.insert_record(a, &rec(i, 128), 8).unwrap();
-        }
-        store.clone_segment(a, b).unwrap();
-        assert_eq!(store.scan_segment(b).unwrap().len(), 5);
-        // Dropping the original leaves the copy intact.
-        store.drop_segment(a).unwrap();
-        assert_eq!(store.scan_segment(b).unwrap().len(), 5);
-        assert!(store.scan_segment(a).is_err());
     }
 
     #[test]

@@ -236,16 +236,6 @@ impl ClientPool {
         self.modeled()
     }
 
-    /// Number of carrier groups (tenants).
-    pub fn group_count(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// Carriers currently activated across groups.
-    pub fn active_carriers(&self) -> u32 {
-        self.groups.iter().map(|g| g.active).sum()
-    }
-
     fn group_of(&self, carrier: u32) -> &CarrierGroup {
         let i = self
             .groups
@@ -263,11 +253,6 @@ impl ClientPool {
     /// Arrival tick width (the single repeater's period).
     pub fn tick(&self) -> SimDuration {
         self.tick
-    }
-
-    /// Carriers currently thinking.
-    pub fn thinking_len(&self) -> usize {
-        self.thinking.len()
     }
 
     /// Draw one tick's arrivals: each thinking carrier finishes its
@@ -361,18 +346,18 @@ mod tests {
     fn arrivals_drain_and_parks_refill() {
         let mut pool = ClientPool::new(4, 25, 100, SimDuration::from_millis(1), DetRng::new(3));
         assert_eq!(pool.weight(), 25);
-        assert_eq!(pool.thinking_len(), 4);
+        assert_eq!(pool.thinking.len(), 4);
         let mut out = 0;
         for _ in 0..10_000 {
             out += pool.arrivals().len();
-            if pool.thinking_len() == 0 {
+            if pool.thinking.is_empty() {
                 break;
             }
         }
         assert_eq!(out, 4, "every carrier eventually arrives");
-        assert_eq!(pool.thinking_len(), 0);
+        assert_eq!(pool.thinking.len(), 0);
         pool.park(2);
-        assert_eq!(pool.thinking_len(), 1);
+        assert_eq!(pool.thinking.len(), 1);
     }
 
     #[test]
@@ -382,23 +367,24 @@ mod tests {
             SimDuration::from_millis(100),
             DetRng::new(9),
         );
-        assert_eq!(pool.group_count(), 2);
+        assert_eq!(pool.groups.len(), 2);
         assert_eq!(pool.weight_of(0), 10);
         assert_eq!(pool.weight_of(3), 10);
         assert_eq!(pool.weight_of(4), 25);
         assert_eq!(pool.weight_of(5), 25);
+        let active = |pool: &ClientPool| pool.groups.iter().map(|g| g.active).sum::<u32>();
         assert_eq!(pool.current_target(), 4 * 10 + 2 * 25);
-        assert_eq!(pool.active_carriers(), 6);
+        assert_eq!(active(&pool), 6);
         // Retarget group 0 down: ceil(15/10) = 2 carriers stay active.
         pool.set_target(0, 15);
-        assert_eq!(pool.active_carriers(), 2 + 2);
+        assert_eq!(active(&pool), 2 + 2);
         assert_eq!(pool.current_target(), 15 + 50);
         // Targets clamp at group capacity.
         pool.set_target(1, 1_000_000);
         assert_eq!(pool.current_target(), 15 + 50);
         // Zero target disables the group entirely.
         pool.set_target(1, 0);
-        assert_eq!(pool.active_carriers(), 2);
+        assert_eq!(active(&pool), 2);
     }
 
     #[test]

@@ -7,12 +7,10 @@
 //! (MGL-RX) it is benchmarked against in Fig. 3, and the system
 //! transactions that serialize record movement.
 
-pub mod blocking;
 pub mod locks;
 pub mod manager;
 pub mod mvcc;
 
-pub use blocking::{BlockingAcquire, BlockingLockManager};
 pub use locks::{LockAcquire, LockManager, LockMode, LockTarget};
 pub use manager::{CcMode, IndexMap, TxnKind, TxnManager, TxnState};
 pub use mvcc::{is_provisional, owner, provisional, visible, Snapshot, WriteOp, TXN_MARK};

@@ -7,11 +7,11 @@
 //! RX protocol is the subset using S/X on records with intention modes
 //! above.
 //!
-//! Like the latch table, the manager is written for the event-driven
-//! engine: conflicting requests queue, and `release_all` reports which
-//! queued requests become granted so the caller can resume them. Deadlocks
-//! are detected by wait-for-graph cycle search at request time; the
-//! requester is chosen as the victim.
+//! The manager is written for the event-driven engine: conflicting
+//! requests queue, and `release_all` reports which queued requests become
+//! granted so the caller can resume them. Deadlocks are detected by
+//! wait-for-graph cycle search at request time; the requester is chosen
+//! as the victim.
 //!
 //! # Cost
 //!
@@ -407,18 +407,6 @@ impl LockManager {
         granted_now
     }
 
-    /// Locks held by `txn` (diagnostics/tests).
-    pub fn holdings(&self, txn: TxnId) -> Vec<(LockTarget, LockMode)> {
-        let touched = self.txns.get(&txn).map_or(&[][..], |own| &own.touched);
-        let mut v: Vec<(LockTarget, LockMode)> = touched
-            .iter()
-            .filter_map(|&tgt| self.held_mode(txn, tgt).map(|m| (tgt, m)))
-            .collect();
-        v.sort_unstable();
-        v.dedup();
-        v
-    }
-
     /// Recount what the manager keeps incrementally (diagnostics/tests):
     /// each census against its holders, the waits-for index against the
     /// queues, and `touched` against both.
@@ -575,7 +563,8 @@ mod tests {
         // Victim (txn 2) aborts, releasing rec(2); txn 1 proceeds.
         let granted = lm.release_all(TxnId(2));
         assert_eq!(granted, vec![(TxnId(1), rec(2), X)]);
-        assert_eq!(lm.holdings(TxnId(1)).len(), 2);
+        assert_eq!(lm.held_mode(TxnId(1), rec(1)), Some(X));
+        assert_eq!(lm.held_mode(TxnId(1), rec(2)), Some(X));
     }
 
     #[test]
@@ -598,7 +587,7 @@ mod tests {
         assert_eq!(lm.active_targets(), 2);
         lm.release_all(TxnId(1));
         assert_eq!(lm.active_targets(), 0);
-        assert!(lm.holdings(TxnId(1)).is_empty());
+        assert_eq!(lm.held_mode(TxnId(1), rec(1)), None);
     }
 
     #[test]

@@ -11,7 +11,6 @@
 //! The manager also mints *system transactions* (§3.5) used by the
 //! migration engine to serialize record movement against user work.
 
-use wattdb_common::error::AbortReason;
 use wattdb_common::{Error, IdMap, Key, Result, SegmentId, TxnId};
 use wattdb_index::SegmentIndex;
 use wattdb_storage::{PageStore, Record, TS_INFINITY};
@@ -66,11 +65,6 @@ pub struct TxnState {
 }
 
 impl TxnState {
-    /// MVCC write set (for WAL redo records).
-    pub fn write_set(&self) -> &[WriteOp] {
-        &self.writes
-    }
-
     /// Bytes of pending-change state held for undo (locking mode).
     pub fn before_image_bytes(&self) -> usize {
         self.before_images
@@ -117,16 +111,6 @@ impl TxnManager {
     /// Commits so far.
     pub fn commit_count(&self) -> u64 {
         self.commits
-    }
-
-    /// Aborts so far.
-    pub fn abort_count(&self) -> u64 {
-        self.aborts
-    }
-
-    /// Number of in-flight transactions.
-    pub fn active_count(&self) -> usize {
-        self.active.len()
     }
 
     /// Begin a transaction.
@@ -404,41 +388,10 @@ impl TxnManager {
         Ok(self.locks.release_all(txn))
     }
 
-    /// The lock footprint a data operation needs before it may proceed, per
-    /// the configured mode. Hierarchical order: coarse to fine.
-    pub fn required_locks(
-        &self,
-        table: wattdb_common::TableId,
-        partition: wattdb_common::PartitionId,
-        key: Key,
-        write: bool,
-    ) -> Vec<(LockTarget, LockMode)> {
-        let mut v = Vec::with_capacity(3);
-        match (self.mode, write) {
-            (CcMode::Mvcc, false) => {} // snapshot readers don't lock
-            (CcMode::Mvcc, true) | (CcMode::LockingRx, true) => {
-                v.push((LockTarget::Table(table), LockMode::IX));
-                v.push((LockTarget::Partition(partition), LockMode::IX));
-                v.push((LockTarget::Record(table, key), LockMode::X));
-            }
-            (CcMode::LockingRx, false) => {
-                v.push((LockTarget::Table(table), LockMode::IS));
-                v.push((LockTarget::Partition(partition), LockMode::IS));
-                v.push((LockTarget::Record(table, key), LockMode::S));
-            }
-        }
-        v
-    }
-
     /// Total before-image bytes across live transactions (locking-mode
     /// storage overhead, Fig. 3).
     pub fn pending_change_bytes(&self) -> usize {
         self.active.values().map(|t| t.before_image_bytes()).sum()
-    }
-
-    /// Abort with a specific reason, as an error for the caller.
-    pub fn abort_error(&self, txn: TxnId, reason: AbortReason) -> Error {
-        Error::TxnAborted { txn, reason }
     }
 }
 
@@ -488,7 +441,7 @@ mod tests {
         let idx = map.remove(&SegmentId(1)).unwrap();
         let t2 = tm.begin(TxnKind::User);
         assert!(tm.read(t2, &idx, &st, Key(1)).unwrap().is_none());
-        assert_eq!(tm.abort_count(), 1);
+        assert_eq!(tm.aborts, 1);
     }
 
     #[test]
@@ -544,22 +497,6 @@ mod tests {
     }
 
     #[test]
-    fn required_locks_follow_mode() {
-        use wattdb_common::{PartitionId, TableId};
-        let tm = TxnManager::new(CcMode::Mvcc);
-        assert!(tm
-            .required_locks(TableId(1), PartitionId(1), Key(1), false)
-            .is_empty());
-        let w = tm.required_locks(TableId(1), PartitionId(1), Key(1), true);
-        assert_eq!(w.len(), 3);
-        assert_eq!(w[2].1, LockMode::X);
-        let tm = TxnManager::new(CcMode::LockingRx);
-        let r = tm.required_locks(TableId(1), PartitionId(1), Key(1), false);
-        assert_eq!(r[2].1, LockMode::S);
-        assert_eq!(r[0], (LockTarget::Table(TableId(1)), LockMode::IS));
-    }
-
-    #[test]
     fn gc_horizon_tracks_oldest_snapshot() {
         let (mut idx, mut st) = setup();
         let mut tm = TxnManager::new(CcMode::Mvcc);
@@ -585,6 +522,6 @@ mod tests {
         let mut tm = TxnManager::new(CcMode::Mvcc);
         let t = tm.begin(TxnKind::System);
         assert_eq!(tm.state(t).unwrap().kind, TxnKind::System);
-        assert_eq!(tm.active_count(), 1);
+        assert_eq!(tm.active.len(), 1);
     }
 }

@@ -83,11 +83,6 @@ impl LogManager {
         self.pending_bytes
     }
 
-    /// True if `lsn` is already durable.
-    pub fn is_durable(&self, lsn: Lsn) -> bool {
-        lsn <= self.durable
-    }
-
     /// Index in `records` of the first record with an LSN above `lsn`.
     fn index_after(&self, lsn: Lsn) -> usize {
         let first = self.next_lsn - self.records.len() as u64;
@@ -180,11 +175,10 @@ mod tests {
                 after: vec![0; 50],
             },
         );
-        assert!(!log.is_durable(l1));
+        assert!(log.durable_lsn() < l1);
         assert!(log.pending_bytes() > 50);
         log.mark_durable(l2);
-        assert!(log.is_durable(l1));
-        assert!(log.is_durable(l2));
+        assert_eq!(log.durable_lsn(), l2);
         assert_eq!(log.pending_bytes(), 0);
         assert_eq!(log.flush_count(), 1);
     }

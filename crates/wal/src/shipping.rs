@@ -109,18 +109,6 @@ impl LogShipper {
         Some(log.last_lsn().raw().saturating_sub(acked.raw()))
     }
 
-    /// The **most-caught-up** follower: highest acknowledged LSN, ties
-    /// broken by lowest node id for determinism. This is the failover
-    /// promotion choice — the candidate that loses the least committed
-    /// history. `None` with no followers attached.
-    pub fn most_caught_up(&self) -> Option<NodeId> {
-        self.followers
-            .iter()
-            .map(|(&n, &(_, a))| (n, a))
-            .max_by(|x, y| x.1.cmp(&y.1).then_with(|| y.0.cmp(&x.0)))
-            .map(|(n, _)| n)
-    }
-
     /// All shipping cursors, sorted by follower id:
     /// `(follower, shipped, acked)`.
     pub fn cursors(&self) -> Vec<(NodeId, Lsn, Lsn)> {
@@ -213,17 +201,12 @@ mod tests {
         shipper.acknowledge(NodeId(6), Lsn(5));
         assert_eq!(shipper.lag(NodeId(5), &log), Some(3));
         assert_eq!(shipper.lag(NodeId(6), &log), Some(1));
-        assert_eq!(shipper.most_caught_up(), Some(NodeId(6)));
         assert_eq!(
             shipper.cursors(),
             vec![(NodeId(5), Lsn(6), Lsn(3)), (NodeId(6), Lsn(6), Lsn(5)),]
         );
-        // Ties break toward the lowest node id.
-        shipper.acknowledge(NodeId(5), Lsn(5));
-        assert_eq!(shipper.most_caught_up(), Some(NodeId(5)));
         // Unknown follower: no cursor, no lag.
         assert_eq!(shipper.lag(NodeId(9), &log), None);
         assert_eq!(shipper.acked_lsn(NodeId(9)), None);
-        assert_eq!(LogShipper::new().most_caught_up(), None);
     }
 }
