@@ -40,7 +40,7 @@ use wattdb_tpcc::{ClientConfig, LoadTrace, TpccConfig};
 use wattdb_txn::CcMode;
 
 use crate::autopilot::{AutoPilot, AutoPilotConfig, ControlEvent};
-use crate::cluster::{Cluster, ClusterConfig, ClusterRc, Lifecycle, Scheme};
+use crate::cluster::{Cluster, ClusterConfig, ClusterRc, Scheme};
 use crate::executor;
 use crate::heat::{self, SegmentDriftStat, SegmentHeatStat};
 use crate::migration::{self, HelperReport, RebalanceReport, SegmentMove};
@@ -750,9 +750,7 @@ impl WattDb {
 
     /// Nodes killed by [`WattDb::fail_node`], in id order.
     pub fn failed_nodes(&self) -> Vec<NodeId> {
-        let c = self.cluster.borrow();
-        let failed = c.nodes.iter().filter(|n| n.life == Lifecycle::Failed);
-        failed.map(|n| n.id).collect()
+        self.cluster.borrow().failed_nodes().collect()
     }
 
     /// Snapshot of the per-segment replica map (leader + follower set,

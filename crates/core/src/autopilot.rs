@@ -280,13 +280,9 @@ impl AutoPilot {
             // and dangling follower slots, and `policy::apply` acts on a
             // promotion even while a rebalance is in flight. One node per
             // window (lowest id first) keeps the event log legible.
-            let dead = {
-                let c = cl.borrow();
-                c.nodes
-                    .iter()
-                    .find(|n| n.life == Lifecycle::Failed && c.replicas.references(n.id))
-                    .map(|n| n.id)
-            };
+            let c = cl.borrow();
+            let dead = c.failed_nodes().find(|&n| c.replicas.references(n));
+            drop(c);
             if let Some(failed) = dead {
                 let orphaned = cl.borrow().replicas.led_by(failed);
                 // Open the failover span on first detection; promotion and
@@ -337,10 +333,7 @@ impl AutoPilot {
             let failover_done = {
                 let c = cl.borrow();
                 c.failover_span.is_some()
-                    && !c
-                        .nodes
-                        .iter()
-                        .any(|n| n.life == Lifecycle::Failed && c.replicas.references(n.id))
+                    && !c.failed_nodes().any(|n| c.replicas.references(n))
                     && (!c.cfg.replication.enabled()
                         || (c.rereplication_inflight == 0
                             && c.replicas

@@ -537,6 +537,12 @@ impl Cluster {
         self.life(node) == Lifecycle::Failed
     }
 
+    /// Nodes killed by fault injection, in id order.
+    pub fn failed_nodes(&self) -> impl Iterator<Item = NodeId> + '_ {
+        let failed = self.nodes.iter().filter(|n| n.life == Lifecycle::Failed);
+        failed.map(|n| n.id)
+    }
+
     /// Nodes an applied scale-in is currently emptying, in id order.
     pub fn draining_nodes(&self) -> Vec<NodeId> {
         self.nodes

@@ -593,8 +593,7 @@ pub fn plan_helpers(
         })
         .collect();
     let mut excluded: Vec<NodeId> = crate::migration::nodes_in_flight(c).into_iter().collect();
-    let failed = c.nodes.iter().filter(|n| n.life == Lifecycle::Failed);
-    excluded.extend(failed.map(|n| n.id));
+    excluded.extend(c.failed_nodes());
     excluded.extend(c.helpers_active.iter().copied());
     // The full source list stays out of the candidate pool even where a
     // member was dropped from the loads above (already helped): a node
