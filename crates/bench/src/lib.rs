@@ -1523,7 +1523,7 @@ fn arm_mixed(
         // Poll for completion, then re-arm.
         let poll = handle.clone();
         wattdb_sim::Repeater::every(sim, SimDuration::from_millis(25), move |sim| {
-            if poll.borrow().jobs.contains_key(&job_id) {
+            if poll.borrow().jobs.get(job_id).is_some() {
                 return true;
             }
             arm_mixed(&poll, sim, client, update_pct);

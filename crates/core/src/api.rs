@@ -270,6 +270,7 @@ impl WattDbBuilder {
     pub fn build(self) -> WattDb {
         let cluster = Cluster::new(self.cfg, &self.initial);
         let mut sim = Sim::new();
+        executor::install(&cluster, &mut sim);
         {
             let mut c = cluster.borrow_mut();
             c.load_tpcc(self.tpcc, &self.initial)
@@ -355,6 +356,9 @@ pub struct ClusterStatus {
     /// Which heat signal drives placement: `"cost"` (scalarized access
     /// cost, the default) or `"count"` (flat weighted access counts).
     pub heat_signal: &'static str,
+    /// Kernel events executed so far, by kind (see
+    /// [`wattdb_sim::EVENT_KINDS`]): where the engine's event budget goes.
+    pub events_by_kind: [(&'static str, u64); wattdb_sim::EVENT_KINDS.len()],
 }
 
 /// How [`WattDb::rebalance_with_helpers`] chooses its helper nodes.
@@ -942,6 +946,7 @@ impl WattDb {
             segments: c.seg_dir.len(),
             rebalancing: c.mover.is_some(),
             heat_signal: c.heat.signal_label(),
+            events_by_kind: self.sim.events_by_kind(),
             nodes,
             total_power: total,
         }

@@ -56,7 +56,7 @@ use wattdb_index::{GlobalRouter, SegmentIndex, TopIndex};
 use wattdb_net::Network;
 use wattdb_replica::ReplicaMap;
 use wattdb_sim::{Resource, ResourceHandle, Sim, UtilizationProbe};
-use wattdb_storage::{BufferPool, PageStore, Record, SegmentDirectory, SimDisk, PAGE_SIZE};
+use wattdb_storage::{BufferPool, PageStore, RecordHeader, SegmentDirectory, SimDisk, PAGE_SIZE};
 use wattdb_tpcc::{
     carrier_split, Client, ClientBatching, ClientConfig, ClientPool, GenRow, LoadTrace, TpccConfig,
     TpccTable, TpccWorkload, MAX_CARRIERS,
@@ -64,8 +64,8 @@ use wattdb_tpcc::{
 use wattdb_txn::{CcMode, IndexMap, TxnManager};
 use wattdb_wal::{LogManager, LogShipper};
 
-use crate::executor::TxnJob;
 use crate::heat::HeatTable;
+use crate::jobs::JobSlab;
 use crate::metrics::{Metrics, Phase};
 use crate::migration::MoveController;
 
@@ -232,6 +232,10 @@ pub struct NodeRuntime {
     pub helper: Option<NodeId>,
     /// Jobs waiting on this node's next group-commit flush.
     pub commit_queue: Vec<u64>,
+    /// Flushes on their way to the disk or the helper, by the batch index
+    /// a [`wattdb_sim::Signal::FlushDone`] carries. A finished batch keeps
+    /// its emptied list, which the next flush swaps with `commit_queue`.
+    pub flushes: Vec<FlushBatch>,
     /// A flush of this node's log is scheduled or in its commit window.
     pub flush_scheduled: bool,
     /// Probe for power sampling windows.
@@ -262,6 +266,17 @@ pub struct NodeRuntime {
     pub fanout_total_base: u64,
 }
 
+/// One group-commit flush in flight (`jobs` empty: the slot is free).
+#[derive(Debug, Default)]
+pub struct FlushBatch {
+    /// Jobs whose commit records the flush carries.
+    pub jobs: Vec<u64>,
+    /// The log's end when the flush was issued.
+    pub last_lsn: Lsn,
+    /// The helper the flush was shipped to instead of the local disk.
+    pub helper: Option<NodeId>,
+}
+
 impl NodeRuntime {
     fn new(id: NodeId, hw: &HardwareSpec, buffer_pages: usize) -> Self {
         let n_disks = hw.disks.len();
@@ -281,6 +296,7 @@ impl NodeRuntime {
             replica_shipper: LogShipper::new(),
             helper: None,
             commit_queue: Vec::new(),
+            flushes: Vec::new(),
             flush_scheduled: false,
             power_probe: UtilizationProbe::new(),
             monitor_probe: UtilizationProbe::new(),
@@ -344,7 +360,7 @@ pub struct Cluster {
     /// Transaction generator (shared key high-water marks).
     pub workload: Option<TpccWorkload>,
     /// In-flight executor jobs.
-    pub jobs: IdMap<u64, TxnJob>,
+    pub jobs: JobSlab,
     /// Lock waiter → job/mover mapping.
     pub lock_waiters: IdMap<wattdb_common::TxnId, crate::executor::Waiter>,
     /// Migration controller (present while rebalancing).
@@ -366,8 +382,6 @@ pub struct Cluster {
     pub power_model: PowerModel,
     /// Experiment randomness.
     pub rng: DetRng,
-    /// Next job id.
-    pub next_job: u64,
     /// Next partition id.
     pub next_partition: u64,
     /// Stop flag: clients cease submitting.
@@ -480,7 +494,7 @@ impl Cluster {
             clients: Vec::new(),
             pool: None,
             workload: None,
-            jobs: IdMap::default(),
+            jobs: JobSlab::default(),
             lock_waiters: IdMap::default(),
             mover: None,
             pending_logical_keys: Vec::new(),
@@ -491,7 +505,6 @@ impl Cluster {
             meter: EnergyMeter::new(SimTime::ZERO),
             power_model,
             rng,
-            next_job: 1,
             next_partition: 1,
             stopped: false,
             auto_resubmit: true,
@@ -880,8 +893,10 @@ impl Cluster {
                 seg
             }
         };
-        let rec = Record::new(row.key, 1, row.width, row.payload.clone());
-        let (rid, allocated) = self.store.insert_record(seg, &rec, u32::MAX)?;
+        let rec = RecordHeader::new(row.key, 1, row.width);
+        let (rid, allocated) = self
+            .store
+            .insert_version(seg, &rec, &row.payload, u32::MAX)?;
         if allocated {
             let meta = self.seg_dir.get_mut(seg)?;
             meta.allocated_pages += 1;

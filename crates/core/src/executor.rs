@@ -8,6 +8,11 @@
 //! the group-commit log flush — and every wait is attributed to a Fig. 7
 //! cost category.
 //!
+//! A wait's continuation is data, not a closure: the job id, the category
+//! and the time the wait began ride in a [`Signal`] through the kernel and
+//! come back through the one handler [`install`] sets up, so a step
+//! allocates nothing and captures nothing.
+//!
 //! ITEM is treated as a read-only replicated table (the standard
 //! distributed-TPC-C arrangement): item lookups execute locally and never
 //! route.
@@ -29,13 +34,14 @@ use wattdb_common::{
     SimDuration, SimTime, TxnId,
 };
 use wattdb_query::CostParams;
-use wattdb_sim::{CostCategory, CostProfile, EventFn, Resource, Sim};
+use wattdb_sim::Completion::{self, Detached};
+use wattdb_sim::{CostCategory, CostProfile, Resource, Signal, Sim};
 use wattdb_storage::{Fetch, PAGE_SIZE};
 use wattdb_tpcc::{Op, OpKind, TpccTable, TxnProfile};
 use wattdb_txn::{CcMode, LockAcquire, LockMode, LockTarget};
 use wattdb_wal::LogPayload;
 
-use crate::cluster::{Cluster, ClusterRc};
+use crate::cluster::{Cluster, ClusterRc, FlushBatch};
 
 /// Bytes a page costs the interconnect: the page plus its message header.
 const PAGE_ON_WIRE: u64 = PAGE_SIZE as u64 + 64;
@@ -178,52 +184,63 @@ impl Cluster {
         let cl = &mut self.clients[client];
         let drawn = cl.next_profile();
         let profile = profile.unwrap_or(drawn);
-        let home = cl.home_warehouse;
-        let ops = workload.generate(profile, home, cl.rng());
-        let txn = self.txn.begin(wattdb_txn::TxnKind::User);
-        let id = self.next_job;
-        self.next_job += 1;
-        self.jobs.insert(
+        // The slot's last tenant lends its box and its lists' capacity.
+        let (id, mut recycled) = self.jobs.alloc();
+        let (mut ops, mut write_nodes) = match &mut recycled {
+            Some(old) => (
+                std::mem::take(&mut old.ops),
+                std::mem::take(&mut old.write_nodes),
+            ),
+            None => Default::default(),
+        };
+        write_nodes.clear();
+        workload.generate_into(profile, cl.home_warehouse, cl.rng(), &mut ops);
+        let job = TxnJob {
             id,
-            TxnJob {
-                id,
-                client,
-                profile,
-                ops,
-                next_op: 0,
-                stage: OpStage::Start,
-                txn,
-                started: now,
-                current_node: NodeId::MASTER,
-                routed: false,
-                locks_acquired: 0,
-                lock_wait_started: None,
-                cur: None,
-                cpu_accum: SimDuration::ZERO,
-                op_cost: CostVector::ZERO,
-                op_remote: false,
-                costs: CostProfile::new(),
-                write_nodes: Vec::new(),
-                commit_pending: 0,
-                commit_wait_started: SimTime::ZERO,
-                retries: 0,
-                weight,
-            },
-        );
+            client,
+            profile,
+            ops,
+            next_op: 0,
+            stage: OpStage::Start,
+            txn: self.txn.begin(wattdb_txn::TxnKind::User),
+            started: now,
+            current_node: NodeId::MASTER,
+            routed: false,
+            locks_acquired: 0,
+            lock_wait_started: None,
+            cur: None,
+            cpu_accum: SimDuration::ZERO,
+            op_cost: CostVector::ZERO,
+            op_remote: false,
+            costs: CostProfile::new(),
+            write_nodes,
+            commit_pending: 0,
+            commit_wait_started: SimTime::ZERO,
+            retries: 0,
+            weight,
+        };
+        self.jobs.check_in(match recycled {
+            Some(mut slot) => {
+                *slot = job;
+                slot
+            }
+            None => Box::new(job),
+        });
         Some(id)
     }
 
-    /// Advance `job_id` until it blocks. The job leaves the map for the
-    /// whole step — every stage works on it directly instead of looking it
-    /// up again — and is back before anything else can ask for it.
-    /// `charge` is the wait that just ended, if the step resumes from one.
+    /// Advance `job_id` until it blocks. The job is checked out of the slab
+    /// for the whole step — every stage works on it directly instead of
+    /// looking it up again — and is back before anything else can ask for
+    /// it. `charge` is the wait that just ended, if the step resumes from
+    /// one.
     fn advance(
         &mut self,
         now: SimTime,
         job_id: u64,
         charge: Option<(CostCategory, SimDuration)>,
     ) -> Blocked {
-        let Some(mut job) = self.jobs.remove(&job_id) else {
+        let Some(mut job) = self.jobs.check_out(job_id) else {
             return Blocked {
                 action: Action::Finished,
                 weight: 1,
@@ -257,7 +274,7 @@ impl Cluster {
             _ => {}
         }
         let weight = job.weight;
-        self.jobs.insert(job_id, job);
+        self.jobs.check_in(job);
         Blocked {
             action,
             weight,
@@ -629,9 +646,9 @@ impl Cluster {
                 let width = op.table.row_width();
                 let txn = job.txn;
                 let idx = self.indexes.get_mut(&seg).expect("segment index");
-                let payload = || op.key.raw().to_le_bytes().to_vec();
+                let payload = op.key.raw().to_le_bytes();
                 let r = match op.kind {
-                    OpKind::Read => self.txn.read(txn, idx, &self.store, op.key).map(|_| ()),
+                    OpKind::Read => self.txn.sees(txn, idx, &self.store, op.key).map(|_| ()),
                     OpKind::Update => {
                         match self.txn.update(
                             txn,
@@ -640,7 +657,7 @@ impl Cluster {
                             max_pages,
                             op.key,
                             width,
-                            payload(),
+                            &payload,
                         ) {
                             Err(Error::KeyNotFound(_)) => Ok(()), // racing delete
                             other => other,
@@ -653,7 +670,7 @@ impl Cluster {
                         max_pages,
                         op.key,
                         width,
-                        payload(),
+                        &payload,
                     ),
                     OpKind::Delete => {
                         match self
@@ -722,13 +739,10 @@ impl Cluster {
         }
         job.commit_pending = job.write_nodes.len() as u32;
         job.commit_wait_started = now;
-        let nodes = job.write_nodes.clone();
-        let txn = job.txn;
-        for node in nodes {
-            self.nodes[node.raw() as usize]
-                .log
-                .append(txn, LogPayload::Commit);
-            self.nodes[node.raw() as usize].commit_queue.push(job.id);
+        for &node in &job.write_nodes {
+            let n = &mut self.nodes[node.raw() as usize];
+            n.log.append(job.txn, LogPayload::Commit);
+            n.commit_queue.push(job.id);
         }
         Action::CommitWait
     }
@@ -750,24 +764,89 @@ pub fn op_cpu_cost(costs: &CostParams, kind: OpKind, index_height: u64) -> SimDu
     cpu
 }
 
+/// Deliver the kernel's data events to the executor. Called once per
+/// deployment, before anything is scheduled; the kernel owns the handler
+/// and the handler the cluster, which does not point back.
+pub fn install(cl: &ClusterRc, sim: &mut Sim) {
+    let cl = cl.clone();
+    sim.set_handler(move |sim, signal| match signal {
+        Signal::Resume {
+            job,
+            category,
+            since,
+        } => {
+            let waited = sim.now().since(since);
+            run(&cl, sim, job, Some((category, waited)));
+        }
+        Signal::PageOffDisk {
+            job,
+            since,
+            storage,
+            exec,
+        } => {
+            // The remote read's second wait: the page goes on the wire.
+            let disk_done = sim.now();
+            let mut c = cl.borrow_mut();
+            if let Some(job) = c.jobs.get_mut(job) {
+                job.costs
+                    .record(CostCategory::DiskIo, disk_done.since(since));
+            }
+            let arrived = resume(CostCategory::NetworkIo, disk_done, job);
+            c.net
+                .send(sim, storage, exec, ByteSize::bytes(PAGE_ON_WIRE), arrived);
+        }
+        Signal::Retry { job } => step(&cl, sim, job),
+        Signal::FlushLog { node } => flush_node_log(&cl, sim, node),
+        Signal::FlushDone { node, batch } => flush_done(&cl, sim, node, batch as usize),
+        Signal::ShipAck {
+            leader,
+            follower,
+            through,
+        } => {
+            // An endpoint that failed mid-flight voids its delivery.
+            let mut c = cl.borrow_mut();
+            if !c.is_failed(leader) && !c.is_failed(follower) {
+                let shipper = &mut c.nodes[leader.raw() as usize].replica_shipper;
+                shipper.acknowledge(follower, through);
+            }
+        }
+        Signal::ClientArrival { client } => {
+            let job = cl.borrow_mut().new_job(client as usize, sim.now());
+            if let Some(job_id) = job {
+                step(&cl, sim, job_id);
+            }
+        }
+        Signal::PoolArrival { carrier } => {
+            let job = cl.borrow_mut().new_job(carrier as usize, sim.now());
+            match job {
+                Some(job_id) => step(&cl, sim, job_id),
+                // Stopped since the draw: the arrival is moot, but park the
+                // carrier so the pool's books stay balanced.
+                None => {
+                    if let Some(pool) = cl.borrow_mut().pool.as_mut() {
+                        pool.park(carrier);
+                    }
+                }
+            }
+        }
+    });
+}
+
 /// Drive `job` until it blocks, scheduling the blocking action's
 /// continuation.
 pub fn step(cl: &ClusterRc, sim: &mut Sim, job_id: u64) {
     run(cl, sim, job_id, None);
 }
 
-/// Continuation of a wait that began at `since`: charge it to `cat` on the
-/// job's profile and drive the job on.
-fn resume(cat: CostCategory, since: SimTime, cl: ClusterRc, job_id: u64) -> EventFn {
-    Box::new(move |sim| {
-        let waited = sim.now().since(since);
-        run(&cl, sim, job_id, Some((cat, waited)));
-    })
-}
-
-/// Occupy a resource without anyone waiting on it.
-fn detached() -> EventFn {
-    Box::new(|_| {})
+/// Continuation of a wait that began at `since`: charge it to `category`
+/// on the job's profile and drive the job on.
+fn resume(category: CostCategory, since: SimTime, job: u64) -> Completion {
+    Signal::Resume {
+        job,
+        category,
+        since,
+    }
+    .into()
 }
 
 fn run(cl: &ClusterRc, sim: &mut Sim, job_id: u64, charge: Option<(CostCategory, SimDuration)>) {
@@ -785,24 +864,24 @@ fn run(cl: &ClusterRc, sim: &mut Sim, job_id: u64, charge: Option<(CostCategory,
         Action::Loop => unreachable!("advance runs until the job blocks"),
         Action::Cpu(node, dur, cat) => {
             let cpu = cl.borrow().nodes[node.raw() as usize].cpu.clone();
-            Resource::submit(&cpu, sim, dur, resume(cat, now, cl.clone(), job_id));
+            Resource::submit(&cpu, sim, dur, resume(cat, now, job_id));
             if w > 1 {
                 let extra = SimDuration::from_micros(dur.as_micros() * (w - 1));
-                Resource::submit(&cpu, sim, extra, detached());
+                Resource::submit(&cpu, sim, extra, Detached);
             }
         }
         Action::DiskRead(node, disk) => {
             let mut c = cl.borrow_mut();
             let n = &mut c.nodes[node.raw() as usize];
             if occupy > SimDuration::ZERO {
-                Resource::submit(&n.cpu, sim, occupy, detached());
+                Resource::submit(&n.cpu, sim, occupy, Detached);
             }
             let drive = &mut n.disks[disk as usize];
-            drive.read_page(sim, resume(CostCategory::DiskIo, now, cl.clone(), job_id));
+            drive.read_page(sim, resume(CostCategory::DiskIo, now, job_id));
             if w > 1 {
                 // The other modeled fetches are one bulk transfer.
                 let extra = ByteSize::bytes(PAGE_SIZE as u64 * (w - 1));
-                drive.bulk_transfer(sim, extra, detached());
+                drive.bulk_transfer(sim, extra, Detached);
             }
         }
         Action::RemoteRead {
@@ -813,35 +892,24 @@ fn run(cl: &ClusterRc, sim: &mut Sim, job_id: u64, charge: Option<(CostCategory,
             // Remote disk read + page over the wire (physical scheme).
             let mut c = cl.borrow_mut();
             if occupy > SimDuration::ZERO {
-                Resource::submit(&c.nodes[exec.raw() as usize].cpu, sim, occupy, detached());
+                Resource::submit(&c.nodes[exec.raw() as usize].cpu, sim, occupy, Detached);
             }
             if w > 1 {
                 // Bulk disk occupancy on the storage node plus the pages
                 // on the wire.
                 let pages = ByteSize::bytes(PAGE_SIZE as u64 * (w - 1));
-                c.nodes[storage.raw() as usize].disks[disk as usize].bulk_transfer(
-                    sim,
-                    pages,
-                    detached(),
-                );
+                c.nodes[storage.raw() as usize].disks[disk as usize]
+                    .bulk_transfer(sim, pages, Detached);
                 let wire = ByteSize::bytes(PAGE_ON_WIRE * (w - 1));
-                c.net.send(sim, storage, exec, wire, detached());
+                c.net.send(sim, storage, exec, wire, Detached);
             }
-            let handle = cl.clone();
-            c.nodes[storage.raw() as usize].disks[disk as usize].read_page(
-                sim,
-                Box::new(move |sim| {
-                    let disk_done = sim.now();
-                    let mut c = handle.borrow_mut();
-                    if let Some(job) = c.jobs.get_mut(&job_id) {
-                        job.costs.record(CostCategory::DiskIo, disk_done.since(now));
-                    }
-                    let arrived =
-                        resume(CostCategory::NetworkIo, disk_done, handle.clone(), job_id);
-                    c.net
-                        .send(sim, storage, exec, ByteSize::bytes(PAGE_ON_WIRE), arrived);
-                }),
-            );
+            let off_disk = Signal::PageOffDisk {
+                job: job_id,
+                since: now,
+                storage,
+                exec,
+            };
+            c.nodes[storage.raw() as usize].disks[disk as usize].read_page(sim, off_disk.into());
         }
         Action::RemoteBufferFetch(exec) => {
             // rDMA fetch from a helper's memory: round trip + page.
@@ -849,7 +917,7 @@ fn run(cl: &ClusterRc, sim: &mut Sim, job_id: u64, charge: Option<(CostCategory,
             let helper = c.nodes[exec.raw() as usize].helper.unwrap_or(exec);
             if w > 1 {
                 let wire = ByteSize::bytes(PAGE_ON_WIRE * (w - 1));
-                c.net.send(sim, helper, exec, wire, detached());
+                c.net.send(sim, helper, exec, wire, Detached);
             }
             wattdb_net::round_trip(
                 &c.net,
@@ -859,21 +927,21 @@ fn run(cl: &ClusterRc, sim: &mut Sim, job_id: u64, charge: Option<(CostCategory,
                 ByteSize::bytes(64),
                 ByteSize::bytes(PAGE_SIZE as u64),
                 SimDuration::from_micros(10),
-                resume(CostCategory::NetworkIo, now, cl.clone(), job_id),
+                resume(CostCategory::NetworkIo, now, job_id),
             );
         }
         Action::Hop { from, to } => {
             let c = cl.borrow();
             if w > 1 {
                 c.net
-                    .send(sim, from, to, ByteSize::bytes(256 * (w - 1)), detached());
+                    .send(sim, from, to, ByteSize::bytes(256 * (w - 1)), Detached);
             }
             c.net.send(
                 sim,
                 from,
                 to,
                 ByteSize::bytes(256),
-                resume(CostCategory::NetworkIo, now, cl.clone(), job_id),
+                resume(CostCategory::NetworkIo, now, job_id),
             );
         }
         Action::Parked | Action::CommitWait => schedule_pending_flushes(cl, sim),
@@ -891,122 +959,122 @@ pub fn schedule_pending_flushes(cl: &ClusterRc, sim: &mut Sim) {
             continue;
         }
         n.flush_scheduled = true;
-        let (handle, node) = (cl.clone(), n.id);
-        sim.after(window, move |sim| flush_node_log(&handle, sim, node));
+        sim.post_after(window, Signal::FlushLog { node: n.id }.into());
     }
 }
 
 fn flush_node_log(cl: &ClusterRc, sim: &mut Sim, node: NodeId) {
-    let (jobs, bytes, last_lsn, helper) = {
+    let mut c = cl.borrow_mut();
+    let c = &mut *c;
+    let n = &mut c.nodes[node.raw() as usize];
+    n.flush_scheduled = false;
+    if n.commit_queue.is_empty() {
+        return;
+    }
+    let bytes = ByteSize::bytes(n.log.pending_bytes() as u64);
+    // Under log shipping the flush *is* the shipment: the helper's
+    // cursor moves to the log's end with it.
+    if let Some(h) = n.helper {
+        n.shipper.take_batch(h, &n.log);
+    }
+    // The queue trades places with the emptied list of a finished flush.
+    let free = n.flushes.iter().position(|b| b.jobs.is_empty());
+    let batch = free.unwrap_or_else(|| {
+        n.flushes.push(FlushBatch::default());
+        n.flushes.len() - 1
+    });
+    let b = &mut n.flushes[batch];
+    std::mem::swap(&mut b.jobs, &mut n.commit_queue);
+    b.last_lsn = n.log.last_lsn();
+    b.helper = n.helper;
+    let done = Signal::FlushDone {
+        node,
+        batch: batch as u32,
+    };
+    match n.helper {
+        // Log shipping: the flush travels the wire instead of the disk.
+        Some(h) => c.net.send(sim, node, h, bytes, done.into()),
+        // WAL lives on disk 0 (the HDD).
+        None => n.disks[0].bulk_transfer(sim, bytes, done.into()),
+    }
+}
+
+fn flush_done(cl: &ClusterRc, sim: &mut Sim, node: NodeId, batch: usize) {
+    let mut jobs = {
         let mut c = cl.borrow_mut();
         let n = &mut c.nodes[node.raw() as usize];
-        n.flush_scheduled = false;
-        let jobs = std::mem::take(&mut n.commit_queue);
-        if jobs.is_empty() {
-            return;
+        let b = &mut n.flushes[batch];
+        let (last_lsn, helper) = (b.last_lsn, b.helper);
+        let jobs = std::mem::take(&mut b.jobs);
+        n.log.mark_durable(last_lsn);
+        if let Some(h) = helper {
+            n.shipper.acknowledge(h, last_lsn);
         }
-        let bytes = n.log.pending_bytes();
-        // Under log shipping the flush *is* the shipment: the helper's
-        // cursor moves to the log's end with it.
-        if let Some(h) = n.helper {
-            n.shipper.take_batch(h, &n.log);
-        }
-        (jobs, bytes, n.log.last_lsn(), n.helper)
+        jobs
     };
-    let handle = cl.clone();
-    let done: EventFn = Box::new(move |sim| {
-        {
-            let mut c = handle.borrow_mut();
-            let n = &mut c.nodes[node.raw() as usize];
-            n.log.mark_durable(last_lsn);
-            if let Some(h) = helper {
-                n.shipper.acknowledge(h, last_lsn);
-            }
-        }
-        // The freshly durable tail fans out to this node's replica
-        // followers in the background; commits do not wait on it.
-        ship_replica_batches(&handle, sim, node);
-        {
-            // Nothing reads a record that is durable and past every
-            // shipping cursor: cut the log there.
-            let mut c = handle.borrow_mut();
-            let n = &mut c.nodes[node.raw() as usize];
-            let horizon = [n.shipper.min_shipped(), n.replica_shipper.min_shipped()]
-                .into_iter()
-                .flatten()
-                .fold(n.log.durable_lsn(), Lsn::min);
-            n.log.truncate_through(horizon);
-        }
-        for job_id in jobs {
-            commit_ack(&handle, sim, job_id);
-        }
-        // New commits may have queued while flushing.
-        schedule_pending_flushes(&handle, sim);
-    });
-    match helper {
-        Some(h) => {
-            // Log shipping: the flush travels the wire instead of the disk.
-            let c = cl.borrow();
-            c.net
-                .send(sim, node, h, ByteSize::bytes(bytes as u64), done);
-        }
-        None => {
-            let mut c = cl.borrow_mut();
-            // WAL lives on disk 0 (the HDD).
-            c.nodes[node.raw() as usize].disks[0].bulk_transfer(
-                sim,
-                ByteSize::bytes(bytes as u64),
-                done,
-            );
-        }
+    // The freshly durable tail fans out to this node's replica
+    // followers in the background; commits do not wait on it.
+    ship_replica_batches(cl, sim, node);
+    {
+        // Nothing reads a record that is durable and past every
+        // shipping cursor: cut the log there.
+        let mut c = cl.borrow_mut();
+        let n = &mut c.nodes[node.raw() as usize];
+        let horizon = [n.shipper.min_shipped(), n.replica_shipper.min_shipped()]
+            .into_iter()
+            .flatten()
+            .fold(n.log.durable_lsn(), Lsn::min);
+        n.log.truncate_through(horizon);
     }
+    for &job_id in &jobs {
+        commit_ack(cl, sim, job_id);
+    }
+    jobs.clear();
+    cl.borrow_mut().nodes[node.raw() as usize].flushes[batch].jobs = jobs;
+    // New commits may have queued while flushing.
+    schedule_pending_flushes(cl, sim);
 }
 
 /// Ship the durable log tail to every live replica follower attached to
 /// `node`: one wire transfer per follower cursor with new records,
-/// acknowledged on delivery — which advances the staleness bound that
-/// gates follower-served reads. An endpoint that fails mid-flight voids
-/// its delivery silently.
+/// acknowledged on delivery ([`Signal::ShipAck`]) — which advances the
+/// staleness bound that gates follower-served reads.
 fn ship_replica_batches(cl: &ClusterRc, sim: &mut Sim, node: NodeId) {
-    let ships: Vec<(NodeId, u64, Lsn)> = {
-        let mut c = cl.borrow_mut();
-        let c = &mut *c;
-        if c.is_failed(node) {
-            return;
+    let mut c = cl.borrow_mut();
+    let c = &mut *c;
+    if c.is_failed(node) {
+        return;
+    }
+    for (follower, _, _) in c.nodes[node.raw() as usize].replica_shipper.cursors() {
+        if c.is_failed(follower) {
+            continue;
         }
-        let mut cursors = c.nodes[node.raw() as usize].replica_shipper.cursors();
-        cursors.retain(|&(f, _, _)| !c.is_failed(f));
         let n = &mut c.nodes[node.raw() as usize];
-        cursors
-            .into_iter()
-            .filter_map(|(f, _, _)| {
-                let (_, bytes) = n.replica_shipper.take_batch(f, &n.log)?;
-                let to = n.replica_shipper.shipped_lsn(f)?;
-                Some((f, bytes as u64, to))
-            })
-            .collect()
-    };
-    for (f, bytes, to) in ships {
-        let handle = cl.clone();
-        let done: EventFn = Box::new(move |_sim| {
-            let mut c = handle.borrow_mut();
-            if c.is_failed(node) || c.is_failed(f) {
-                return;
-            }
-            c.nodes[node.raw() as usize]
-                .replica_shipper
-                .acknowledge(f, to);
-        });
-        cl.borrow()
-            .net
-            .send(sim, node, f, ByteSize::bytes(bytes), done);
+        let Some((_, bytes)) = n.replica_shipper.take_batch(follower, &n.log) else {
+            continue;
+        };
+        let Some(through) = n.replica_shipper.shipped_lsn(follower) else {
+            continue;
+        };
+        let ack = Signal::ShipAck {
+            leader: node,
+            follower,
+            through,
+        };
+        c.net.send(
+            sim,
+            node,
+            follower,
+            ByteSize::bytes(bytes as u64),
+            ack.into(),
+        );
     }
 }
 
 fn commit_ack(cl: &ClusterRc, sim: &mut Sim, job_id: u64) {
     let ready = {
         let mut c = cl.borrow_mut();
-        let Some(job) = c.jobs.get_mut(&job_id) else {
+        let Some(job) = c.jobs.get_mut(job_id) else {
             return;
         };
         job.commit_pending -= 1;
@@ -1027,7 +1095,7 @@ fn finish_job(cl: &ClusterRc, sim: &mut Sim, job_id: u64) {
     let (client, grants) = {
         let mut c = cl.borrow_mut();
         let c = &mut *c;
-        let Some(job) = c.jobs.remove(&job_id) else {
+        let Some(job) = c.jobs.get(job_id) else {
             return;
         };
         let (_, grants) = c
@@ -1040,7 +1108,9 @@ fn finish_job(cl: &ClusterRc, sim: &mut Sim, job_id: u64) {
             .record_completion_weighted(sim.now(), response, phase, job.costs, job.weight);
         *c.metrics.mix.entry(job.profile).or_insert(0) += job.weight;
         c.clients[job.client].complete_n(job.weight);
-        (job.client, grants)
+        let client = job.client;
+        c.jobs.release(job_id);
+        (client, grants)
     };
     resume_grants(cl, sim, grants);
     schedule_client(cl, sim, client);
@@ -1049,31 +1119,24 @@ fn finish_job(cl: &ClusterRc, sim: &mut Sim, job_id: u64) {
 fn abort_and_retry(cl: &ClusterRc, sim: &mut Sim, job_id: u64) {
     let (client, grants, backoff, resubmit) = {
         let mut c = cl.borrow_mut();
-        let Some(job) = c.jobs.get_mut(&job_id) else {
+        let c = &mut *c;
+        let Some(job) = c.jobs.get_mut(job_id) else {
             return;
         };
-        let txn = job.txn;
         job.retries += 1;
-        let too_many = job.retries > 10;
         // Undo engine state and release locks.
-        let grants = {
-            let c2 = &mut *c;
-            c2.txn
-                .abort(txn, &mut c2.indexes, &mut c2.store)
-                .unwrap_or_default()
-        };
-        c.lock_waiters.remove(&txn);
+        let grants = c
+            .txn
+            .abort(job.txn, &mut c.indexes, &mut c.store)
+            .unwrap_or_default();
+        c.lock_waiters.remove(&job.txn);
         c.metrics.record_abort();
-        let client = c.jobs[&job_id].client;
+        let client = job.client;
         let backoff = c.clients[client].backoff();
-        if too_many {
-            c.jobs.remove(&job_id);
-            (client, grants, backoff, false)
-        } else {
+        let resubmit = job.retries <= 10;
+        if resubmit {
             // Fresh attempt: new engine txn, same ops.
-            let new_txn = c.txn.begin(wattdb_txn::TxnKind::User);
-            let job = c.jobs.get_mut(&job_id).expect("live job");
-            job.txn = new_txn;
+            job.txn = c.txn.begin(wattdb_txn::TxnKind::User);
             job.next_op = 0;
             job.stage = OpStage::Start;
             job.locks_acquired = 0;
@@ -1083,13 +1146,14 @@ fn abort_and_retry(cl: &ClusterRc, sim: &mut Sim, job_id: u64) {
             job.write_nodes.clear();
             job.routed = false;
             job.current_node = NodeId::MASTER;
-            (client, grants, backoff, true)
+        } else {
+            c.jobs.release(job_id);
         }
+        (client, grants, backoff, resubmit)
     };
     resume_grants(cl, sim, grants);
     if resubmit {
-        let handle = cl.clone();
-        sim.after(backoff, move |sim| step(&handle, sim, job_id));
+        sim.post_after(backoff, Signal::Retry { job: job_id }.into());
     } else {
         schedule_client(cl, sim, client);
     }
@@ -1106,7 +1170,7 @@ pub fn resume_grants(cl: &ClusterRc, sim: &mut Sim, grants: Vec<(TxnId, LockTarg
             Some(Waiter::Job(job_id)) => {
                 {
                     let mut c = cl.borrow_mut();
-                    if let Some(job) = c.jobs.get_mut(&job_id) {
+                    if let Some(job) = c.jobs.get_mut(job_id) {
                         if let Some(started) = job.lock_wait_started.take() {
                             job.costs
                                 .record(CostCategory::Locking, sim.now().since(started));
@@ -1139,16 +1203,10 @@ pub fn schedule_client(cl: &ClusterRc, sim: &mut Sim, client: usize) {
         }
         c.clients[client].think()
     };
-    let handle = cl.clone();
-    sim.after(think, move |sim| {
-        let job = {
-            let mut c = handle.borrow_mut();
-            c.new_job(client, sim.now())
-        };
-        if let Some(job_id) = job {
-            step(&handle, sim, job_id);
-        }
-    });
+    let arrival = Signal::ClientArrival {
+        client: client as u32,
+    };
+    sim.post_after(think, arrival.into());
 }
 
 /// Kick off all clients. Per-client mode staggers each by its first think
@@ -1184,23 +1242,7 @@ pub fn start_clients(cl: &ClusterRc, sim: &mut Sim) {
             // Each arrival fires at its own offset inside the tick — the
             // pool's jitter — so carriers hit the lock manager and the
             // resource queues spread out like per-client arrivals do.
-            let inner = handle.clone();
-            sim.after(jitter, move |sim| {
-                let job = {
-                    let mut c = inner.borrow_mut();
-                    c.new_job(carrier as usize, sim.now())
-                };
-                match job {
-                    Some(job_id) => step(&inner, sim, job_id),
-                    // Stopped since the draw: the arrival is moot, but
-                    // park the carrier so the pool's books stay balanced.
-                    None => {
-                        if let Some(pool) = inner.borrow_mut().pool.as_mut() {
-                            pool.park(carrier);
-                        }
-                    }
-                }
-            });
+            sim.post_after(jitter, Signal::PoolArrival { carrier }.into());
         }
         true
     });

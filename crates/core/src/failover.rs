@@ -20,7 +20,7 @@
 //! differs and their own span event.
 
 use wattdb_common::{ByteSize, Lsn, NodeId, SegmentId, SimTime};
-use wattdb_sim::{EventFn, Sim};
+use wattdb_sim::{Completion, Sim};
 
 use crate::cluster::{Cluster, ClusterRc, Lifecycle};
 
@@ -136,7 +136,7 @@ fn ship_copy(
 ) -> Option<u64> {
     let bytes = cl.borrow().copy_bytes(seg).ok()?;
     let handle = cl.clone();
-    let done: EventFn = Box::new(move |_sim| {
+    let done = Completion::call(move |_sim| {
         let mut c = handle.borrow_mut();
         c.rereplication_inflight = c.rereplication_inflight.saturating_sub(1);
         if c.life(to) != Lifecycle::Active || void(&c) {

@@ -7,7 +7,8 @@
 //! system:
 //!
 //! * [`cluster`] — nodes, partitions, catalog, TPC-C loading, power;
-//! * [`executor`] — the closed-loop OLTP transaction engine;
+//! * [`executor`] — the closed-loop OLTP transaction engine, its in-flight
+//!   transactions kept in the [`jobs`] slab;
 //! * [`migration`] — physical / logical / physiological repartitioning
 //!   protocols (§4), including the §4.3 move protocol with master-first
 //!   dual pointers, segment read locks, and helper nodes (Fig. 8);
@@ -42,6 +43,7 @@ pub mod cluster;
 pub mod executor;
 pub mod failover;
 pub mod heat;
+pub mod jobs;
 pub mod metrics;
 pub mod migration;
 pub mod monitor;

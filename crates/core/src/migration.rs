@@ -27,7 +27,7 @@ use wattdb_common::{
     ByteSize, Key, KeyRange, NodeId, SegmentId, SimDuration, SimTime, TableId, TxnId,
 };
 use wattdb_planner::Planner;
-use wattdb_sim::{EventFn, Sim};
+use wattdb_sim::{Completion, Sim};
 use wattdb_txn::{LockAcquire, LockMode, LockTarget, TxnKind};
 use wattdb_wal::LogPayload;
 
@@ -543,36 +543,29 @@ fn segment_lock_granted(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
         }
         (mv, bytes, src_disk_idx)
     };
-    // Join: disk read ∥ network ship; completion when both finish.
+    // Join: disk read ∥ network ship; the later arm runs the completion
+    // inside its own event (`Sim::join` would schedule it as a new one).
     use std::cell::Cell;
     use std::rc::Rc;
     let remaining = Rc::new(Cell::new(2u8));
-    let handle = cl.clone();
-    let make_arm = |cl: &ClusterRc| -> EventFn {
+    let make_arm = || {
         let remaining = remaining.clone();
         let handle = cl.clone();
-        Box::new(move |sim: &mut Sim| {
+        Completion::call(move |sim| {
             remaining.set(remaining.get() - 1);
             if remaining.get() == 0 {
                 segment_copy_done(&handle, sim, chain);
             }
         })
     };
-    {
-        let mut c = cl.borrow_mut();
-        let arm1 = make_arm(&handle);
-        c.nodes[mv.from.raw() as usize].disks[src_disk_idx as usize].bulk_transfer(
-            sim,
-            ByteSize::bytes(bytes),
-            arm1,
-        );
-    }
-    {
-        let c = cl.borrow();
-        let arm2 = make_arm(&handle);
-        c.net
-            .send(sim, mv.from, mv.to, ByteSize::bytes(bytes), arm2);
-    }
+    let mut c = cl.borrow_mut();
+    c.nodes[mv.from.raw() as usize].disks[src_disk_idx as usize].bulk_transfer(
+        sim,
+        ByteSize::bytes(bytes),
+        make_arm(),
+    );
+    c.net
+        .send(sim, mv.from, mv.to, ByteSize::bytes(bytes), make_arm());
 }
 
 fn segment_copy_done(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
@@ -885,15 +878,15 @@ fn logical_copy_records(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
     };
     let handle = cl.clone();
     // Chain: scan I/O → CPU → wire → apply.
-    let after_wire: EventFn = Box::new(move |sim| logical_apply_batch(&handle, sim, chain));
+    let after_wire = Completion::call(move |sim| logical_apply_batch(&handle, sim, chain));
     let handle2 = cl.clone();
-    let after_cpu: EventFn = Box::new(move |sim| {
+    let after_cpu = Completion::call(move |sim| {
         let c = handle2.borrow();
         c.net
             .send(sim, mv.from, mv.to, ByteSize::bytes(ship_bytes), after_wire);
     });
     let handle3 = cl.clone();
-    let after_scan: EventFn = Box::new(move |sim| {
+    let after_scan = Completion::call(move |sim| {
         let cpu_res = handle3.borrow().nodes[mv.from.raw() as usize].cpu.clone();
         wattdb_sim::Resource::submit(&cpu_res, sim, cpu, after_cpu);
     });
@@ -953,7 +946,7 @@ fn logical_apply_batch(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
                     u32::MAX,
                     k,
                     rec.logical_width,
-                    rec.payload,
+                    &rec.payload,
                 );
             }
             // WAL on both ends.

@@ -15,7 +15,7 @@ use std::collections::HashMap;
 
 use wattdb_common::{ByteSize, NodeId, SimDuration, SimTime};
 use wattdb_query::{CostTrace, StageKind};
-use wattdb_sim::{EventFn, Resource, Sim};
+use wattdb_sim::{Completion, Resource, Sim};
 
 use crate::cluster::ClusterRc;
 
@@ -72,7 +72,7 @@ pub fn replay_trace(
         trace,
         0,
         broker,
-        Box::new(move |sim| done(sim, started)),
+        Completion::call(move |sim| done(sim, started)),
     );
 }
 
@@ -82,17 +82,17 @@ fn run_stage(
     trace: CostTrace,
     idx: usize,
     broker: std::rc::Rc<std::cell::RefCell<SortMemoryBroker>>,
-    done: EventFn,
+    done: Completion,
 ) {
     if idx >= trace.stages.len() {
-        done(sim);
+        sim.complete(done);
         return;
     }
     let stage = trace.stages[idx];
-    let next: EventFn = {
+    let next = {
         let cl2 = cl.clone();
         let broker2 = broker.clone();
-        Box::new(move |sim: &mut Sim| run_stage(cl2, sim, trace, idx + 1, broker2, done))
+        Completion::call(move |sim| run_stage(cl2, sim, trace, idx + 1, broker2, done))
     };
     match stage.kind {
         StageKind::Cpu { dur } => {
@@ -126,22 +126,20 @@ fn run_stage(
             let latency_calls = if overlapped { 1 } else { calls };
             let latency = SimDuration::from_micros(rtt.as_micros() * latency_calls);
             let c = cl.borrow();
-            let deliver: EventFn = Box::new(move |sim: &mut Sim| {
-                sim.after(latency, next);
-            });
+            let deliver = Completion::call(move |sim| sim.post_after(latency, next));
             c.net.send(sim, from, to, ByteSize::bytes(bytes), deliver);
         }
         StageKind::SortWorkspace { bytes, cpu } => {
             let node = stage.on;
             let fits = broker.borrow_mut().reserve(node, bytes);
             let cpu_res = cl.borrow().nodes[node.raw() as usize].cpu.clone();
-            let release: EventFn = {
+            let release = {
                 let broker3 = broker.clone();
-                Box::new(move |sim: &mut Sim| {
+                Completion::call(move |sim| {
                     if fits {
                         broker3.borrow_mut().release(node, bytes);
                     }
-                    next(sim);
+                    sim.complete(next);
                 })
             };
             if fits {
@@ -149,7 +147,7 @@ fn run_stage(
             } else {
                 // Spill: write + read the workspace around the sort CPU.
                 let cl2 = cl.clone();
-                let after_cpu: EventFn = Box::new(move |sim: &mut Sim| {
+                let after_cpu = Completion::call(move |sim| {
                     let mut c = cl2.borrow_mut();
                     let n_disks = c.nodes[node.raw() as usize].disks.len();
                     let disk = if n_disks > 1 { 1 } else { 0 };

@@ -24,23 +24,24 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use wattdb_common::{KeyRange, NodeId, SegmentId, TableId};
-use wattdb_query::{execute, AggFunc, ExecConfig, PlanNode, RowSource, Tuple};
+use wattdb_common::{Key, KeyRange, NodeId, RecordId, SegmentId, TableId};
+use wattdb_query::{execute, AggFunc, ExecConfig, PlanNode, RowSource, Tuple, Values};
 
 use crate::cluster::{Cluster, ClusterRc};
 use crate::replay::{replay_trace, SortMemoryBroker};
 
-/// A materialized snapshot of one segment's live rows, adapted to the
-/// query engine's [`RowSource`]. Materializing under the cluster borrow
-/// keeps `execute` pure (it runs with no engine access).
+/// A snapshot of one segment's live keys, adapted to the query engine's
+/// [`RowSource`]. Taking it under the cluster borrow keeps `execute` pure
+/// (it runs with no engine access); the tuples are built once, when the
+/// scan operator pulls them, and own no heap memory of their own.
 struct SegmentSource {
-    rows: Vec<Tuple>,
+    entries: Vec<(Key, RecordId)>,
     pages: u64,
 }
 
 impl RowSource for SegmentSource {
     fn row_count(&self) -> u64 {
-        self.rows.len() as u64
+        self.entries.len() as u64
     }
 
     fn page_count(&self) -> u64 {
@@ -48,7 +49,16 @@ impl RowSource for SegmentSource {
     }
 
     fn rows(&self) -> Vec<Tuple> {
-        self.rows.clone()
+        let rows = self.entries.iter().map(|(k, _)| Tuple {
+            key: *k,
+            // Deterministic pseudo-columns: a value and a group column
+            // derived from the key, enough for filter/agg operators.
+            values: Values::from([(k.raw() % 1000) as i64, (k.raw() % 16) as i64]),
+            // Logical row image shipped between operators (compact column
+            // subset; the stored width only matters for disk footprints).
+            width: 64,
+        });
+        rows.collect()
     }
 }
 
@@ -81,24 +91,11 @@ fn covered_segments(c: &Cluster, table: TableId, range: KeyRange) -> Vec<Segment
         if entries.is_empty() {
             continue;
         }
-        // Logical row image shipped between operators (compact column
-        // subset; the stored width only matters for disk footprints).
-        let width = 64u32;
-        let rows: Vec<Tuple> = entries
-            .iter()
-            .map(|(k, _)| Tuple {
-                key: *k,
-                // Deterministic pseudo-columns: a value and a group column
-                // derived from the key, enough for filter/agg operators.
-                values: vec![(k.raw() % 1000) as i64, (k.raw() % 16) as i64],
-                width,
-            })
-            .collect();
         scans.push(SegmentScan {
             seg: m.id,
             node: m.node,
             source: SegmentSource {
-                rows,
+                entries,
                 pages: (c.store.page_count(m.id) as u64).max(1),
             },
         });

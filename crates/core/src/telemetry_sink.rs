@@ -9,8 +9,10 @@
 //! autopilot loop, once per window, on already-sampled state: probes
 //! are stateful window samplers and are never touched from here.
 
+use std::fmt::Write;
+
 use wattdb_common::{NodeId, SimTime};
-use wattdb_telemetry::{DecisionRecord, SignalVector};
+use wattdb_telemetry::{DecisionRecord, MetricsRegistry, SignalVector};
 
 use crate::autopilot::Outcome;
 use crate::cluster::Cluster;
@@ -144,25 +146,39 @@ pub fn sample_window(c: &mut Cluster, view: &ClusterView, at: SimTime, events: u
     r.set_counter("engine.events", events);
     r.set_gauge("engine.events_per_sec", events_per_sec);
     r.set_gauge("engine.txns_per_sec", throughput);
-    for (name, p) in [("p50", 50.0), ("p95", 95.0), ("p99", 99.0)] {
-        r.set_gauge(
-            &format!("txn.response_ms.{name}"),
-            c.metrics.response_hist.percentile(p).as_millis_f64(),
-        );
+    for (name, p) in [
+        ("txn.response_ms.p50", 50.0),
+        ("txn.response_ms.p95", 95.0),
+        ("txn.response_ms.p99", 99.0),
+    ] {
+        r.set_gauge(name, c.metrics.response_hist.percentile(p).as_millis_f64());
     }
     // Per-node utilization and heat, straight from the already-sampled
-    // view (never from the probes).
+    // view (never from the probes). The registry interns a name the first
+    // time it sees it; every later window formats into one reused buffer.
+    let mut name = String::new();
+    let mut gauge = |r: &mut MetricsRegistry, path: std::fmt::Arguments, v: f64| {
+        name.clear();
+        let _ = name.write_fmt(path);
+        r.set_gauge(&name, v);
+    };
     for report in &view.reports {
         let n = report.node.raw();
-        r.set_gauge(&format!("node.{n}.cpu"), report.cpu);
-        r.set_gauge(&format!("node.{n}.net"), report.net_tx);
-        r.set_gauge(&format!("node.{n}.heat"), report.heat);
-        r.set_gauge(&format!("node.{n}.replica_ship"), report.replica_ship_tx);
-        r.set_gauge(&format!("node.{n}.replica_fanout"), report.replica_fanout);
-        r.set_gauge(
-            &format!("node.{n}.active"),
-            if report.active { 1.0 } else { 0.0 },
+        gauge(r, format_args!("node.{n}.cpu"), report.cpu);
+        gauge(r, format_args!("node.{n}.net"), report.net_tx);
+        gauge(r, format_args!("node.{n}.heat"), report.heat);
+        gauge(
+            r,
+            format_args!("node.{n}.replica_ship"),
+            report.replica_ship_tx,
         );
+        gauge(
+            r,
+            format_args!("node.{n}.replica_fanout"),
+            report.replica_fanout,
+        );
+        let active = if report.active { 1.0 } else { 0.0 };
+        gauge(r, format_args!("node.{n}.active"), active);
     }
     r.set_gauge("heat.skew", view.heat_skew());
     // Replication: shipped bytes, WAL shipping lag (worst follower),
@@ -193,7 +209,8 @@ pub fn sample_window(c: &mut Cluster, view: &ClusterView, at: SimTime, events: u
     r.set_gauge("replica.read_share", share);
     r.set_counter("rereplication.bytes", c.rereplication_bytes);
     for (&node, &w) in &c.replica_route_weights {
-        r.set_gauge(&format!("replica.route_weight.{}", node.raw()), w as f64);
+        let path = format_args!("replica.route_weight.{}", node.raw());
+        gauge(r, path, w as f64);
     }
     // Offered load: the pooled workload's modeled-client target in
     // force this window (trace-driven runs move it along the schedule).

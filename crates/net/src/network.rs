@@ -11,10 +11,9 @@
 //! interfere with query traffic — emerges from the queues.
 
 use std::cell::Cell;
-use std::rc::Rc;
 
 use wattdb_common::{ByteSize, NetworkSpec, NodeId, SimDuration};
-use wattdb_sim::{EventFn, Resource, ResourceHandle, Sim};
+use wattdb_sim::{Completion, Resource, ResourceHandle, Sim};
 
 /// Per-node traffic counters.
 #[derive(Debug, Clone, Copy, Default)]
@@ -96,136 +95,75 @@ impl Network {
         src: NodeId,
         dst: NodeId,
         bytes: ByteSize,
-        delivered: EventFn,
+        delivered: Completion,
     ) {
         if src == dst {
-            sim.after(SimDuration::ZERO, delivered);
+            sim.post_after(SimDuration::ZERO, delivered);
             return;
         }
-        const CHUNK: u64 = 2 * 1024 * 1024;
-        if bytes.as_u64() > CHUNK {
-            let first = ByteSize::bytes(CHUNK);
-            let rest = ByteSize::bytes(bytes.as_u64() - CHUNK);
-            let tx = self.nics[src.raw() as usize].tx.clone();
-            let rx = self.nics[dst.raw() as usize].rx.clone();
-            let spec = self.spec;
-            let chain: EventFn = Box::new(move |sim: &mut Sim| {
-                send_chunked(tx, rx, spec, sim, rest, delivered);
-            });
-            // Account the full message once, then stream.
-            let mut st = self.nics[src.raw() as usize].stats.get();
-            st.tx_messages += 1;
-            st.tx_bytes += bytes.as_u64();
-            self.nics[src.raw() as usize].stats.set(st);
-            let mut sr = self.nics[dst.raw() as usize].stats.get();
-            sr.rx_messages += 1;
-            sr.rx_bytes += bytes.as_u64();
-            self.nics[dst.raw() as usize].stats.set(sr);
-            let tx2 = self.nics[src.raw() as usize].tx.clone();
-            let rx2 = self.nics[dst.raw() as usize].rx.clone();
-            send_piece(tx2, rx2, self.spec, sim, first, SimDuration::ZERO, chain);
-            return;
-        }
-        let mut s = self.nics[src.raw() as usize].stats.get();
+        let (from, to) = (
+            &self.nics[src.raw() as usize],
+            &self.nics[dst.raw() as usize],
+        );
+        // Account the full message once, then stream.
+        let mut s = from.stats.get();
         s.tx_messages += 1;
         s.tx_bytes += bytes.as_u64();
-        self.nics[src.raw() as usize].stats.set(s);
-        let mut r = self.nics[dst.raw() as usize].stats.get();
+        from.stats.set(s);
+        let mut r = to.stats.get();
         r.rx_messages += 1;
         r.rx_bytes += bytes.as_u64();
-        self.nics[dst.raw() as usize].stats.set(r);
-
-        let wire = self.wire_time(bytes);
-        let hop = self.spec.hop_latency;
-        // Join of egress and ingress occupancy; delivery one hop after the
-        // later of the two completes.
-        let remaining = Rc::new(Cell::new(2u8));
-        let delivered = Rc::new(Cell::new(Some(delivered)));
-        let make_arm = |label: &'static str| {
-            let remaining = remaining.clone();
-            let delivered = delivered.clone();
-            let _ = label;
-            Box::new(move |sim: &mut Sim| {
-                remaining.set(remaining.get() - 1);
-                if remaining.get() == 0 {
-                    let done = delivered.take().expect("delivered once");
-                    sim.after(hop, done);
-                }
-            }) as EventFn
-        };
-        Resource::submit(&self.nics[src.raw() as usize].tx, sim, wire, make_arm("tx"));
-        Resource::submit(&self.nics[dst.raw() as usize].rx, sim, wire, make_arm("rx"));
+        to.stats.set(r);
+        stream(&from.tx, &to.rx, self.spec, sim, bytes.as_u64(), delivered);
     }
 }
 
-/// One chunk over the dual-occupancy links; `done` fires `hop` after both
-/// directions clear (zero for intermediate chunks of a stream — the hop
-/// latency is paid once per message, not per chunk).
-fn send_piece(
-    tx: ResourceHandle,
-    rx: ResourceHandle,
+/// `remaining` bytes over the dual-occupancy links, a chunk at a time; each
+/// later chunk is chained from its predecessor's completion (a closure:
+/// only messages past one chunk pay for it). The hop latency is paid once
+/// per message, by its last chunk.
+fn stream(
+    tx: &ResourceHandle,
+    rx: &ResourceHandle,
+    spec: NetworkSpec,
+    sim: &mut Sim,
+    remaining: u64,
+    done: Completion,
+) {
+    const CHUNK: u64 = 2 * 1024 * 1024;
+    let this = ByteSize::bytes(remaining.min(CHUNK));
+    let rest = remaining - this.as_u64();
+    if rest == 0 {
+        send_piece(tx, rx, spec, sim, this, spec.hop_latency, done);
+    } else {
+        let (tx2, rx2) = (tx.clone(), rx.clone());
+        let chain = Completion::call(move |sim| stream(&tx2, &rx2, spec, sim, rest, done));
+        send_piece(tx, rx, spec, sim, this, SimDuration::ZERO, chain);
+    }
+}
+
+/// One piece occupying the sender's egress and the receiver's ingress in
+/// parallel; `done` is due `hop` after the later of the two clears.
+pub(crate) fn send_piece(
+    tx: &ResourceHandle,
+    rx: &ResourceHandle,
     spec: NetworkSpec,
     sim: &mut Sim,
     bytes: ByteSize,
     hop: SimDuration,
-    done: EventFn,
+    done: Completion,
 ) {
     let wire = bytes.transfer_time(spec.bandwidth);
-    let remaining = Rc::new(Cell::new(2u8));
-    let done_cell = Rc::new(Cell::new(Some(done)));
-    let mk = || {
-        let remaining = remaining.clone();
-        let done_cell = done_cell.clone();
-        Box::new(move |sim: &mut Sim| {
-            remaining.set(remaining.get() - 1);
-            if remaining.get() == 0 {
-                let d = done_cell.take().expect("once");
-                sim.after(hop, d);
-            }
-        }) as EventFn
-    };
-    Resource::submit(&tx, sim, wire, mk());
-    Resource::submit(&rx, sim, wire, mk());
-}
-
-fn send_chunked(
-    tx: ResourceHandle,
-    rx: ResourceHandle,
-    spec: NetworkSpec,
-    sim: &mut Sim,
-    remaining_bytes: ByteSize,
-    done: EventFn,
-) {
-    const CHUNK: u64 = 2 * 1024 * 1024;
-    let total = remaining_bytes.as_u64();
-    if total == 0 {
-        sim.after(SimDuration::ZERO, done);
-        return;
-    }
-    let this = ByteSize::bytes(total.min(CHUNK));
-    let rest = ByteSize::bytes(total.saturating_sub(CHUNK));
-    let last = rest.as_u64() == 0;
-    let tx2 = tx.clone();
-    let rx2 = rx.clone();
-    let chain: EventFn = Box::new(move |sim: &mut Sim| {
-        if last {
-            done(sim);
-        } else {
-            send_chunked(tx2, rx2, spec, sim, rest, done);
-        }
-    });
-    let hop = if last {
-        spec.hop_latency
-    } else {
-        SimDuration::ZERO
-    };
-    send_piece(tx, rx, spec, sim, this, hop, chain);
+    let join = sim.join(2, hop, done);
+    Resource::submit(tx, sim, wire, Completion::JoinArm(join));
+    Resource::submit(rx, sim, wire, Completion::JoinArm(join));
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use std::cell::RefCell;
+    use std::rc::Rc;
     use wattdb_common::SimTime;
 
     fn net(nodes: usize) -> Network {
@@ -246,7 +184,7 @@ mod tests {
             NodeId(src),
             NodeId(dst),
             ByteSize::bytes(bytes),
-            Box::new(move |sim| *a.borrow_mut() = Some(sim.now())),
+            Completion::call(move |sim| *a.borrow_mut() = Some(sim.now())),
         );
         at
     }

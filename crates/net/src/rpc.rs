@@ -9,9 +9,9 @@
 //! [`NetworkSpec`]: wattdb_common::NetworkSpec
 
 use wattdb_common::{ByteSize, NodeId, SimDuration};
-use wattdb_sim::{EventFn, Sim};
+use wattdb_sim::{Completion, Sim};
 
-use crate::network::Network;
+use crate::network::{send_piece, Network};
 
 /// Issue a request of `req_bytes` from `client` to `server`, model
 /// `server_time` of processing there, send `resp_bytes` back, then fire
@@ -30,49 +30,32 @@ pub fn round_trip(
     req_bytes: ByteSize,
     resp_bytes: ByteSize,
     server_time: SimDuration,
-    done: EventFn,
+    done: Completion,
 ) {
-    // The closure chain needs the network at response time; Network lives
-    // inside an Rc in the cluster, but the rpc helper only borrows it.
-    // Capture what the response leg needs by value.
+    // The response leg runs when the cluster's network is no longer
+    // borrowed: capture what it needs by value.
     let spec = *net.spec();
     let tx_back = net.tx_resource(server).clone();
     let rx_back = net.rx_resource(client).clone();
-    net.send(
-        sim,
-        client,
-        server,
-        req_bytes,
-        Box::new(move |sim| {
-            sim.after(server_time, move |sim| {
-                if client == server {
-                    sim.after(SimDuration::ZERO, done);
-                    return;
-                }
-                // Response leg: same dual-occupancy model as Network::send.
-                use std::cell::Cell;
-                use std::rc::Rc;
-                use wattdb_sim::Resource;
-                let wire = resp_bytes.transfer_time(spec.bandwidth);
-                let hop = spec.hop_latency;
-                let remaining = Rc::new(Cell::new(2u8));
-                let done_cell = Rc::new(Cell::new(Some(done)));
-                let mk = || {
-                    let remaining = remaining.clone();
-                    let done_cell = done_cell.clone();
-                    Box::new(move |sim: &mut Sim| {
-                        remaining.set(remaining.get() - 1);
-                        if remaining.get() == 0 {
-                            let d = done_cell.take().expect("once");
-                            sim.after(hop, d);
-                        }
-                    }) as EventFn
-                };
-                Resource::submit(&tx_back, sim, wire, mk());
-                Resource::submit(&rx_back, sim, wire, mk());
-            });
-        }),
-    );
+    let request_served = Completion::call(move |sim| {
+        sim.after(server_time, move |sim| {
+            if client == server {
+                sim.post_after(SimDuration::ZERO, done);
+                return;
+            }
+            // Same dual-occupancy model as `Network::send`, one piece.
+            send_piece(
+                &tx_back,
+                &rx_back,
+                spec,
+                sim,
+                resp_bytes,
+                spec.hop_latency,
+                done,
+            );
+        });
+    });
+    net.send(sim, client, server, req_bytes, request_served);
 }
 
 #[cfg(test)]
@@ -96,7 +79,7 @@ mod tests {
             ByteSize::bytes(64),
             ByteSize::bytes(1024),
             SimDuration::from_micros(100),
-            Box::new(move |sim| *a.borrow_mut() = Some(sim.now())),
+            Completion::call(move |sim| *a.borrow_mut() = Some(sim.now())),
         );
         sim.run_to_completion();
         let t = at.borrow().unwrap().as_micros();
@@ -118,7 +101,7 @@ mod tests {
             ByteSize::bytes(64),
             ByteSize::bytes(1024),
             SimDuration::from_micros(100),
-            Box::new(move |sim| *a.borrow_mut() = Some(sim.now())),
+            Completion::call(move |sim| *a.borrow_mut() = Some(sim.now())),
         );
         sim.run_to_completion();
         assert_eq!(at.borrow().unwrap(), SimTime::from_micros(100));
@@ -139,7 +122,7 @@ mod tests {
                 ByteSize::bytes(64),
                 ByteSize::bytes(64),
                 SimDuration::ZERO,
-                Box::new(move |_| *c.borrow_mut() += 1),
+                Completion::call(move |_| *c.borrow_mut() += 1),
             );
         }
         sim.run_to_completion();

@@ -17,7 +17,7 @@
 
 use wattdb_common::{CostParams, CostVector, NodeId, SimDuration};
 
-use crate::plan::{AggFunc, PlanNode, Tuple};
+use crate::plan::{AggFunc, PlanNode, Tuple, Values};
 
 /// One hardware demand in execution order.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -256,7 +256,7 @@ fn run(
                 .enumerate()
                 .map(|(i, (g, v))| Tuple {
                     key: wattdb_common::Key(i as u64),
-                    values: vec![v, g],
+                    values: Values::from([v, g]),
                     width: 16,
                 })
                 .collect();

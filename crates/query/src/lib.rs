@@ -17,7 +17,7 @@ pub mod plan;
 
 pub use exec::{execute, CostTrace, ExecConfig, Stage, StageKind};
 pub use optimizer::{place, NodeLoad, PlacementPolicy};
-pub use plan::{AggFunc, PlanNode, RowSource, SyntheticTable, Tuple};
+pub use plan::{AggFunc, PlanNode, RowSource, SyntheticTable, Tuple, Values};
 
 /// The per-operator cost calibration this engine prices its stages with.
 /// Re-exported as the query crate's cost model so downstream layers (the

@@ -10,6 +10,45 @@
 
 use wattdb_common::{Key, KeyRange, NodeId};
 
+/// A tuple's column values, carried inline: no operator of this engine
+/// produces more than [`Values::MAX`] columns, so a tuple owns no heap
+/// memory and materializing a scan allocates per batch, not per row. Reads
+/// like a slice (`values[0]`, `values.first()`, `values.get(1)`).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Values {
+    len: u8,
+    cols: [i64; Values::MAX],
+}
+
+impl Values {
+    /// Most columns a tuple carries.
+    pub const MAX: usize = 2;
+
+    /// Keep the first `n` columns (a projection). Dropped columns are
+    /// zeroed so equal prefixes compare equal.
+    pub fn truncate(&mut self, n: usize) {
+        let n = n.min(self.len as usize);
+        self.cols[n..].fill(0);
+        self.len = n as u8;
+    }
+}
+
+impl<const N: usize> From<[i64; N]> for Values {
+    fn from(given: [i64; N]) -> Self {
+        const { assert!(N <= Values::MAX, "more columns than a tuple carries") };
+        let mut cols = [0; Values::MAX];
+        cols[..N].copy_from_slice(&given);
+        Self { len: N as u8, cols }
+    }
+}
+
+impl std::ops::Deref for Values {
+    type Target = [i64];
+    fn deref(&self) -> &[i64] {
+        &self.cols[..self.len as usize]
+    }
+}
+
 /// A tuple flowing between operators. `width` is the logical byte width
 /// used for network/memory costing (columns are carried compactly).
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -17,7 +56,7 @@ pub struct Tuple {
     /// Primary key of the source record.
     pub key: Key,
     /// Column values (projected subsets keep a prefix).
-    pub values: Vec<i64>,
+    pub values: Values,
     /// Logical width in bytes after projections.
     pub width: u32,
 }
@@ -88,10 +127,10 @@ impl RowSource for SyntheticTable {
             .map(|i| Tuple {
                 key: Key(i),
                 // Deterministic pseudo-columns: value and a group column.
-                values: vec![
+                values: Values::from([
                     (i as i64).wrapping_mul(2_654_435_761) % 1000,
                     (i % 16) as i64,
-                ],
+                ]),
                 width: self.width,
             })
             .collect()

@@ -1,12 +1,35 @@
-//! The event loop: a virtual clock plus an ordered queue of continuations.
+//! The event loop: a virtual clock plus an ordered queue of typed events.
+//!
+//! # What an event is
+//!
+//! An arena entry is a small enum, dispatched by one `match` in
+//! [`Sim::step`]:
+//!
+//! * a [`Completion`] due at a time — plain data on the hot path
+//!   ([`Signal`]: ids and timestamps for the layers above, delivered to the
+//!   one handler installed with [`Sim::set_handler`]; a join arm; nothing at
+//!   all), or a boxed closure ([`Completion::Call`]) for cold paths, which is
+//!   what [`Sim::schedule`] / [`Sim::after`] wrap;
+//! * a **resource completion** — `{resource, service, waited, then}`: the
+//!   kernel books the finished request, re-arms the resource's next queued
+//!   request and only then runs `then` (see [`crate::resource`]);
+//! * a **repeater** ([`Sim::every`]), whose closure is boxed once.
+//!
+//! Only `Call` owns an environment. A data event, a resource completion
+//! and a steady-state repeater firing perform **zero heap allocations**; a
+//! closure one-shot costs exactly its box (both asserted by the
+//! counting-allocator test in `tests/alloc_free.rs`). [`Sim::join`] replaces
+//! the two `Rc`s and two boxes a fork/join used to cost with one recycled
+//! slot. Firing counts by kind of completion fall out of the dispatcher
+//! ([`Sim::events_by_kind`]).
 //!
 //! # Queue layout — hierarchical timer wheel
 //!
-//! The kernel's traffic is dominated by short periodic timers: client
-//! think-times, WAL group-commit ticks, monitoring windows, power
-//! samples. A single `BinaryHeap` pays `O(log n)` per insert *and*
-//! allocates a boxed closure per firing, which caps how many clients a
-//! scenario can model. The queue is therefore split three ways:
+//! The kernel's traffic is dominated by short timers: resource service
+//! times, client think-times, WAL group-commit ticks, monitoring windows,
+//! power samples. A single `BinaryHeap` pays `O(log n)` per insert, which
+//! caps how many clients a scenario can model. The queue is therefore split
+//! three ways:
 //!
 //! * a **timer wheel** of 256 buckets, each 1.024 ms wide, giving
 //!   `O(1)` insertion for everything within the ~262 ms horizon where
@@ -17,25 +40,21 @@
 //!   drained, so firing order stays exactly `(time, seq)` — byte-level
 //!   deterministic and FIFO on ties, same as the old single heap.
 //!
-//! Event payloads live in an **arena** with a free list. A one-shot
-//! event costs one closure box; a repeating event ([`Sim::every`])
-//! boxes its closure *once* and re-arms by reusing its arena slot, so a
-//! steady-state repeater firing performs **zero heap allocations**
-//! (asserted by the counting-allocator test in `tests/alloc_free.rs`).
+//! Event payloads live in an **arena** with a free list; a repeating event
+//! re-arms by reusing its arena slot.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
+use std::rc::Rc;
 
 use wattdb_common::{SimDuration, SimTime};
 
-/// A scheduled continuation. Events own their environment via `move`
-/// closures (typically capturing `Rc<RefCell<...>>` handles to shared
-/// cluster state).
-pub type EventFn = Box<dyn FnOnce(&mut Sim)>;
+use crate::event::{Completion, JoinId, RepeatFn, Signal, EVENT_KINDS, KIND_REPEAT};
+use crate::resource::{Resource, ResourceHandle};
 
-/// Closure of a repeating event: return `true` to fire again one period
-/// later, `false` to stop and release the entry.
-pub type RepeatFn = Box<dyn FnMut(&mut Sim) -> bool>;
+/// The interpreter of [`Signal`]s. Shared so a firing can call it while it
+/// schedules more events on the kernel that owns it.
+type Handler = Rc<dyn Fn(&mut Sim, Signal)>;
 
 /// Slot width is `2^SLOT_SHIFT` µs = 1.024 ms (a power of two so the
 /// slot of a timestamp is a shift, not a division).
@@ -49,11 +68,27 @@ enum EventKind {
     Empty {
         next_free: u32,
     },
-    Once(EventFn),
+    /// A completion due at the entry's time.
+    Fire(Completion),
+    /// A request finishes on `resource`: book it, re-arm the queue, then
+    /// run `then`.
+    Served {
+        resource: ResourceHandle,
+        service: SimDuration,
+        waited: SimDuration,
+        then: Completion,
+    },
     Repeat {
         f: RepeatFn,
         period: SimDuration,
     },
+}
+
+/// A fork/join in flight: `then` is due `delay` after the last arm.
+struct Join {
+    remaining: u8,
+    delay: SimDuration,
+    then: Completion,
 }
 
 /// Arena entry: the payload plus the `(at, seq)` key it is currently
@@ -131,6 +166,12 @@ pub struct Sim {
     /// Wheel tick the `current` batch was drained up to. All wheel
     /// entries sit at ticks strictly greater than `cursor`.
     cursor: u64,
+    /// Joins in flight; slots are recycled through `free_joins`.
+    joins: Vec<Join>,
+    free_joins: Vec<u32>,
+    handler: Option<Handler>,
+    /// Events fired per kind, indexed like [`EVENT_KINDS`].
+    by_kind: [u64; EVENT_KINDS.len()],
 }
 
 impl Default for Sim {
@@ -160,7 +201,17 @@ impl Sim {
             overflow: BinaryHeap::new(),
             current: BinaryHeap::new(),
             cursor: 0,
+            joins: Vec::new(),
+            free_joins: Vec::new(),
+            handler: None,
+            by_kind: [0; EVENT_KINDS.len()],
         }
+    }
+
+    /// Install the one handler [`Signal`]s are delivered to. A data event
+    /// that fires with none installed is a wiring bug and panics.
+    pub fn set_handler(&mut self, handler: impl Fn(&mut Sim, Signal) + 'static) {
+        self.handler = Some(Rc::new(handler));
     }
 
     /// Current virtual time.
@@ -172,6 +223,12 @@ impl Sim {
     /// Number of events executed so far.
     pub fn events_executed(&self) -> u64 {
         self.executed
+    }
+
+    /// Events executed so far, by kind (names in [`EVENT_KINDS`]); the
+    /// counts sum to [`Sim::events_executed`].
+    pub fn events_by_kind(&self) -> [(&'static str, u64); EVENT_KINDS.len()] {
+        std::array::from_fn(|i| (EVENT_KINDS[i], self.by_kind[i]))
     }
 
     /// Number of events currently pending.
@@ -281,9 +338,11 @@ impl Sim {
         true
     }
 
-    /// Schedule `f` at absolute time `at`. Scheduling in the past is a logic
-    /// error and panics (it would silently reorder causality otherwise).
-    pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&mut Sim) + 'static) {
+    /// Allocate and file an entry due at `at`. Scheduling in the past is a
+    /// logic error and panics (it would silently reorder causality
+    /// otherwise).
+    #[inline]
+    fn push(&mut self, at: SimTime, kind: EventKind) {
         assert!(
             at >= self.now,
             "scheduling into the past: {at} < now {}",
@@ -291,13 +350,94 @@ impl Sim {
         );
         let seq = self.seq;
         self.seq += 1;
-        let idx = self.alloc_entry(at, seq, EventKind::Once(Box::new(f)));
+        let idx = self.alloc_entry(at, seq, kind);
         self.enqueue(idx);
     }
 
-    /// Schedule `f` after a relative delay.
+    /// Make `then` due at absolute time `at`.
+    #[inline]
+    pub fn post(&mut self, at: SimTime, then: Completion) {
+        self.push(at, EventKind::Fire(then));
+    }
+
+    /// Make `then` due after a relative delay.
+    #[inline]
+    pub fn post_after(&mut self, delay: SimDuration, then: Completion) {
+        self.post(self.now + delay, then);
+    }
+
+    /// A request that waited `waited` in `resource`'s queue finishes
+    /// `service` from now.
+    pub(crate) fn post_served(
+        &mut self,
+        resource: ResourceHandle,
+        service: SimDuration,
+        waited: SimDuration,
+        then: Completion,
+    ) {
+        let kind = EventKind::Served {
+            resource,
+            service,
+            waited,
+            then,
+        };
+        self.push(self.now + service, kind);
+    }
+
+    /// Schedule closure `f` at absolute time `at` (one box; see
+    /// [`Sim::post`] for the allocation-free form).
+    pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&mut Sim) + 'static) {
+        self.post(at, Completion::call(f));
+    }
+
+    /// Schedule closure `f` after a relative delay.
     pub fn after(&mut self, delay: SimDuration, f: impl FnOnce(&mut Sim) + 'static) {
         self.schedule(self.now + delay, f);
+    }
+
+    /// Open a join of `arms` arms: hand out `arms` copies of
+    /// [`Completion::JoinArm`] with the returned id; `then` becomes due
+    /// `delay` after the last of them completes.
+    pub fn join(&mut self, arms: u8, delay: SimDuration, then: Completion) -> JoinId {
+        assert!(arms > 0, "a join needs at least one arm");
+        let join = Join {
+            remaining: arms,
+            delay,
+            then,
+        };
+        match self.free_joins.pop() {
+            Some(i) => {
+                self.joins[i as usize] = join;
+                JoinId(i)
+            }
+            None => {
+                self.joins.push(join);
+                JoinId(u32::try_from(self.joins.len() - 1).expect("join slab overflow"))
+            }
+        }
+    }
+
+    /// Run `then` now, inside the current event.
+    #[inline]
+    pub fn complete(&mut self, then: Completion) {
+        match then {
+            Completion::Detached => {}
+            Completion::Call(f) => f(self),
+            Completion::JoinArm(JoinId(i)) => {
+                let join = &mut self.joins[i as usize];
+                join.remaining -= 1;
+                if join.remaining == 0 {
+                    let delay = join.delay;
+                    let then = std::mem::replace(&mut join.then, Completion::Detached);
+                    self.free_joins.push(i);
+                    self.post_after(delay, then);
+                }
+            }
+            Completion::Signal(signal) => {
+                let handler = self.handler.clone();
+                handler.expect("a data event fired with no handler installed")(self, signal);
+            }
+        }
     }
 
     /// Repeat `f` every `period`, first firing one period from now.
@@ -305,18 +445,11 @@ impl Sim {
     /// same arena entry, so steady-state repetition allocates nothing.
     pub fn every(&mut self, period: SimDuration, f: impl FnMut(&mut Sim) -> bool + 'static) {
         assert!(period.as_micros() > 0, "repeater period must be positive");
-        let at = self.now + period;
-        let seq = self.seq;
-        self.seq += 1;
-        let idx = self.alloc_entry(
-            at,
-            seq,
-            EventKind::Repeat {
-                f: Box::new(f),
-                period,
-            },
-        );
-        self.enqueue(idx);
+        let kind = EventKind::Repeat {
+            f: Box::new(f),
+            period,
+        };
+        self.push(self.now + period, kind);
     }
 
     /// Execute the next event, if any. Returns false when the queue is empty.
@@ -329,17 +462,32 @@ impl Sim {
         self.now = key.at;
         self.executed += 1;
         // Move the payload out so the arena isn't borrowed while the
-        // closure runs (events freely schedule more events).
+        // event runs (events freely schedule more events).
         let kind = std::mem::replace(
             &mut self.arena[key.idx as usize].kind,
             EventKind::Empty { next_free: NO_FREE },
         );
         match kind {
-            EventKind::Once(f) => {
+            EventKind::Fire(then) => {
                 self.release_entry(key.idx);
-                f(self);
+                self.by_kind[then.kind()] += 1;
+                self.complete(then);
+            }
+            EventKind::Served {
+                resource,
+                service,
+                waited,
+                then,
+            } => {
+                self.release_entry(key.idx);
+                self.by_kind[then.kind()] += 1;
+                // The next queued request is re-armed before the finished
+                // one's continuation runs.
+                Resource::served(resource, self, service, waited);
+                self.complete(then);
             }
             EventKind::Repeat { mut f, period } => {
+                self.by_kind[KIND_REPEAT] += 1;
                 if f(self) {
                     // Re-arm in place: same entry, same closure box,
                     // fresh (at, seq) — identical ordering to the old
@@ -390,8 +538,11 @@ impl Sim {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::EventFn;
+    use crate::profile::CostCategory;
     use std::cell::RefCell;
     use std::rc::Rc;
+    use wattdb_common::{Lsn, NodeId};
 
     type EventLog = Rc<RefCell<Vec<(SimTime, u32)>>>;
 
@@ -495,6 +646,107 @@ mod tests {
         sim.run_to_completion();
         assert_eq!(sim.events_executed(), 2);
         assert_eq!(sim.pending(), 0);
+    }
+
+    // ---- typed events ----
+
+    fn count_of(sim: &Sim, kind: &str) -> u64 {
+        let by_kind = sim.events_by_kind();
+        by_kind.iter().find(|(name, _)| *name == kind).unwrap().1
+    }
+
+    #[test]
+    fn every_kind_is_counted_under_its_own_name() {
+        let (job, node, since) = (1, NodeId(2), SimTime::ZERO);
+        let category = CostCategory::Cpu;
+        let signals = [
+            (
+                Signal::Resume {
+                    job,
+                    category,
+                    since,
+                },
+                "resume",
+            ),
+            (
+                Signal::PageOffDisk {
+                    job,
+                    since,
+                    storage: node,
+                    exec: node,
+                },
+                "page_off_disk",
+            ),
+            (Signal::Retry { job }, "retry"),
+            (Signal::FlushLog { node }, "flush_log"),
+            (Signal::FlushDone { node, batch: 0 }, "flush_done"),
+            (
+                Signal::ShipAck {
+                    leader: node,
+                    follower: node,
+                    through: Lsn(9),
+                },
+                "ship_ack",
+            ),
+            (Signal::ClientArrival { client: 3 }, "client_arrival"),
+            (Signal::PoolArrival { carrier: 4 }, "pool_arrival"),
+        ];
+        let mut sim = Sim::new();
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let s = seen.clone();
+        sim.set_handler(move |_, signal| s.borrow_mut().push(signal));
+        for (i, (signal, name)) in signals.into_iter().enumerate() {
+            // Each kind fires i + 1 times, so a swapped index shows.
+            for _ in 0..=i {
+                sim.post_after(SimDuration::from_millis(1), signal.into());
+            }
+            sim.run_to_completion();
+            assert_eq!(count_of(&sim, name), i as u64 + 1, "{name}");
+            assert_eq!(seen.borrow().last(), Some(&signal));
+        }
+        sim.after(SimDuration::ZERO, |_| {});
+        sim.post_after(SimDuration::ZERO, Completion::Detached);
+        sim.every(SimDuration::from_millis(1), |_| false);
+        let res = Resource::new("r", 1);
+        Resource::submit(&res, &mut sim, SimDuration::ZERO, Completion::Detached);
+        let join = sim.join(1, SimDuration::ZERO, Completion::Detached);
+        sim.post_after(SimDuration::ZERO, Completion::JoinArm(join));
+        sim.run_to_completion();
+        for (kind, n) in [
+            ("call", 1),
+            ("repeat", 1),
+            ("join_arm", 1),
+            ("detached", 3), // posted, carried by the request, the join's `then`
+        ] {
+            assert_eq!(count_of(&sim, kind), n, "{kind}");
+        }
+        let total: u64 = sim.events_by_kind().iter().map(|(_, n)| n).sum();
+        assert_eq!(total, sim.events_executed());
+    }
+
+    #[test]
+    fn join_fires_once_delay_after_the_last_arm() {
+        let mut sim = Sim::new();
+        let (log, mk) = recorder();
+        let join = sim.join(2, SimDuration::from_millis(5), Completion::Call(mk(1)));
+        sim.post_after(SimDuration::from_millis(3), Completion::JoinArm(join));
+        sim.post_after(SimDuration::from_millis(1), Completion::JoinArm(join));
+        sim.run_to_completion();
+        assert_eq!(*log.borrow(), vec![(SimTime::from_millis(8), 1)]);
+        // The slot is recycled.
+        let again = sim.join(1, SimDuration::ZERO, Completion::Call(mk(2)));
+        assert_eq!(again, join);
+        sim.complete(Completion::JoinArm(again));
+        sim.run_to_completion();
+        assert_eq!(log.borrow().len(), 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "no handler installed")]
+    fn data_event_without_a_handler_panics() {
+        let mut sim = Sim::new();
+        sim.post_after(SimDuration::ZERO, Signal::Retry { job: 1 }.into());
+        sim.run_to_completion();
     }
 
     // ---- timer-wheel specifics ----

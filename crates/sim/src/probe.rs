@@ -72,6 +72,7 @@ impl Repeater {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::event::Completion;
     use crate::resource::Resource;
     use std::cell::RefCell;
     use std::rc::Rc;
@@ -84,7 +85,7 @@ mod tests {
             &res,
             &mut sim,
             SimDuration::from_micros(500),
-            Box::new(|_| {}),
+            Completion::Detached,
         );
         sim.run_until(SimTime::from_micros(1_000));
         let mut probe = UtilizationProbe::new();
@@ -104,7 +105,7 @@ mod tests {
             &res,
             &mut sim,
             SimDuration::from_micros(1_000),
-            Box::new(|_| {}),
+            Completion::Detached,
         );
         sim.run_until(SimTime::from_micros(1_000));
         let mut probe = UtilizationProbe::new();

@@ -2,7 +2,8 @@
 //!
 //! A [`Resource`] models a server with `slots` parallel service stations and
 //! a FIFO queue — CPU (slots = cores), a disk (slots = 1), a NIC direction
-//! (slots = 1). Requests carry a service time and a completion continuation.
+//! (slots = 1). Requests carry a service time and a [`Completion`] — data
+//! on the hot path, so a request allocates nothing.
 //! Contention (queueing delay) emerges naturally when concurrent requests
 //! exceed the slot count, which is exactly the effect the paper measures
 //! when rebalancing competes with queries for disk bandwidth (§5.2, Fig. 7).
@@ -13,7 +14,8 @@ use std::rc::Rc;
 
 use wattdb_common::{SimDuration, SimTime};
 
-use crate::kernel::{EventFn, Sim};
+use crate::event::Completion;
+use crate::kernel::Sim;
 
 /// Shared handle to a resource. Resources are owned jointly by everything
 /// that submits work to them; the DES is single-threaded so `RefCell` is
@@ -23,7 +25,7 @@ pub type ResourceHandle = Rc<RefCell<Resource>>;
 struct Pending {
     enqueued: SimTime,
     service: SimDuration,
-    done: EventFn,
+    then: Completion,
 }
 
 /// Aggregate counters for a resource, for utilization and wait accounting.
@@ -91,9 +93,10 @@ impl Resource {
         self.stats
     }
 
-    /// Drop every queued request without running its continuation. For
-    /// tearing a simulation down: a continuation usually holds whatever
-    /// owns this resource, and the pair would keep each other alive.
+    /// Drop every queued request without running its completion. For
+    /// tearing a simulation down: a closure completion usually holds
+    /// whatever owns this resource, and the pair would keep each other
+    /// alive.
     pub fn abandon_queue(&mut self) {
         self.queue.clear();
     }
@@ -114,53 +117,50 @@ impl Resource {
     }
 
     /// Submit a request: serve for `service` once a slot frees up, then run
-    /// `done`. Completion order among queued requests is FIFO.
-    pub fn submit(this: &ResourceHandle, sim: &mut Sim, service: SimDuration, done: EventFn) {
+    /// `then`. Completion order among queued requests is FIFO.
+    pub fn submit(this: &ResourceHandle, sim: &mut Sim, service: SimDuration, then: Completion) {
         let mut r = this.borrow_mut();
         r.advance_integral(sim.now());
         if r.busy < r.slots {
             r.busy += 1;
             drop(r);
-            Self::schedule_completion(this, sim, service, SimDuration::ZERO, done);
+            sim.post_served(this.clone(), service, SimDuration::ZERO, then);
         } else {
             r.queue.push_back(Pending {
                 enqueued: sim.now(),
                 service,
-                done,
+                then,
             });
             let qlen = r.queue.len();
             r.stats.max_queue = r.stats.max_queue.max(qlen);
         }
     }
 
-    fn schedule_completion(
-        this: &ResourceHandle,
+    /// The kernel's half of a completion: book the request that just
+    /// finished, and hand its slot to the next queued one — scheduled before
+    /// the finished request's completion runs, which is what keeps firing
+    /// order identical however that completion is expressed.
+    pub(crate) fn served(
+        this: ResourceHandle,
         sim: &mut Sim,
         service: SimDuration,
         waited: SimDuration,
-        done: EventFn,
     ) {
-        let handle = this.clone();
-        sim.after(service, move |sim| {
-            let next = {
-                let mut r = handle.borrow_mut();
-                r.advance_integral(sim.now());
-                r.stats.completed += 1;
-                r.stats.service_us += service.as_micros();
-                r.stats.wait_us += waited.as_micros();
-                match r.queue.pop_front() {
-                    Some(p) => Some((p.service, sim.now().since(p.enqueued), p.done)),
-                    None => {
-                        r.busy -= 1;
-                        None
-                    }
-                }
-            };
-            if let Some((svc, waited, next_done)) = next {
-                Self::schedule_completion(&handle, sim, svc, waited, next_done);
+        let next = {
+            let mut r = this.borrow_mut();
+            r.advance_integral(sim.now());
+            r.stats.completed += 1;
+            r.stats.service_us += service.as_micros();
+            r.stats.wait_us += waited.as_micros();
+            let next = r.queue.pop_front();
+            if next.is_none() {
+                r.busy -= 1;
             }
-            done(sim);
-        });
+            next
+        };
+        if let Some(p) = next {
+            sim.post_served(this, p.service, sim.now().since(p.enqueued), p.then);
+        }
     }
 }
 
@@ -183,7 +183,7 @@ mod tests {
                 res,
                 sim,
                 SimDuration::from_micros(svc),
-                Box::new(move |sim| l.borrow_mut().push((i as u32, sim.now()))),
+                Completion::call(move |sim| l.borrow_mut().push((i as u32, sim.now()))),
             );
         }
         log
@@ -268,13 +268,13 @@ mod tests {
             &res,
             &mut sim,
             SimDuration::from_micros(10),
-            Box::new(move |sim| {
+            Completion::call(move |sim| {
                 let l3 = l2.clone();
                 Resource::submit(
                     &r2,
                     sim,
                     SimDuration::from_micros(5),
-                    Box::new(move |sim| l3.borrow_mut().push(sim.now())),
+                    Completion::call(move |sim| l3.borrow_mut().push(sim.now())),
                 );
             }),
         );

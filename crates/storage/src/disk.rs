@@ -9,7 +9,7 @@
 
 use wattdb_common::config::{DiskKind, DiskSpec};
 use wattdb_common::{ByteSize, DiskId, SimDuration};
-use wattdb_sim::{EventFn, Resource, ResourceHandle, Sim};
+use wattdb_sim::{Completion, Resource, ResourceHandle, Sim};
 
 use crate::page::PAGE_SIZE;
 
@@ -92,7 +92,7 @@ impl SimDisk {
     }
 
     /// Submit a page-sized read; `done` fires when the head/flash finishes.
-    pub fn read_page(&mut self, sim: &mut Sim, done: EventFn) {
+    pub fn read_page(&mut self, sim: &mut Sim, done: Completion) {
         self.reads += 1;
         let t = self.spec.service_time(ByteSize::bytes(PAGE_SIZE as u64));
         Resource::submit(&self.resource, sim, t, done);
@@ -102,26 +102,9 @@ impl SimDisk {
     /// streamed in 8 MiB chunks so foreground page requests can
     /// interleave in the device queue instead of stalling behind one
     /// multi-second request.
-    pub fn bulk_transfer(&mut self, sim: &mut Sim, bytes: ByteSize, done: EventFn) {
-        const CHUNK: u64 = 8 * 1024 * 1024;
+    pub fn bulk_transfer(&mut self, sim: &mut Sim, bytes: ByteSize, done: Completion) {
         self.writes += 1;
-        let total = bytes.as_u64();
-        if total <= CHUNK {
-            let t = self.spec.service_time(bytes);
-            Resource::submit(&self.resource, sim, t, done);
-            return;
-        }
-        let first = ByteSize::bytes(CHUNK);
-        let rest = ByteSize::bytes(total - CHUNK);
-        let resource = self.resource.clone();
-        let spec = self.spec;
-        let t = spec.service_time(first);
-        // Chain the remainder from the chunk's completion (self is not
-        // captured: chunk accounting uses the cloned handle directly).
-        let chain: EventFn = Box::new(move |sim: &mut Sim| {
-            chunked_rest(resource, spec, sim, rest, done);
-        });
-        Resource::submit(&self.resource, sim, t, chain);
+        stream_chunks(&self.resource, self.spec, sim, bytes.as_u64(), done);
     }
 
     /// Service time for one request of `bytes` with no queueing (cost
@@ -131,31 +114,31 @@ impl SimDisk {
     }
 }
 
-fn chunked_rest(
-    resource: ResourceHandle,
+/// Submit the next chunk of a transfer with `remaining` bytes to go; each
+/// later chunk is chained from its predecessor's completion (a closure:
+/// only transfers past one chunk pay for it), the last one carries `done`.
+fn stream_chunks(
+    resource: &ResourceHandle,
     spec: DiskSpec,
     sim: &mut Sim,
-    remaining: ByteSize,
-    done: EventFn,
+    remaining: u64,
+    done: Completion,
 ) {
     const CHUNK: u64 = 8 * 1024 * 1024;
-    let total = remaining.as_u64();
-    if total == 0 {
-        sim.after(wattdb_common::SimDuration::ZERO, done);
-        return;
-    }
-    let this = ByteSize::bytes(total.min(CHUNK));
-    let rest = ByteSize::bytes(total.saturating_sub(CHUNK));
-    let t = spec.service_time(this);
-    let r2 = resource.clone();
-    let chain: EventFn = Box::new(move |sim: &mut Sim| {
-        if rest.as_u64() == 0 {
-            done(sim);
-        } else {
-            chunked_rest(r2, spec, sim, rest, done);
-        }
-    });
-    Resource::submit(&resource, sim, t, chain);
+    let this = remaining.min(CHUNK);
+    let rest = remaining - this;
+    let then = if rest == 0 {
+        done
+    } else {
+        let resource = resource.clone();
+        Completion::call(move |sim| stream_chunks(&resource, spec, sim, rest, done))
+    };
+    Resource::submit(
+        resource,
+        sim,
+        spec.service_time(ByteSize::bytes(this)),
+        then,
+    );
 }
 
 #[cfg(test)]
@@ -177,7 +160,7 @@ mod tests {
         let da = done_at.clone();
         d.read_page(
             &mut sim,
-            Box::new(move |sim| *da.borrow_mut() = Some(sim.now())),
+            Completion::call(move |sim| *da.borrow_mut() = Some(sim.now())),
         );
         sim.run_to_completion();
         let t = done_at.borrow().unwrap();
@@ -195,7 +178,7 @@ mod tests {
             let t = times.clone();
             d.read_page(
                 &mut sim,
-                Box::new(move |sim| t.borrow_mut().push(sim.now().as_micros())),
+                Completion::call(move |sim| t.borrow_mut().push(sim.now().as_micros())),
             );
         }
         sim.run_to_completion();
@@ -216,7 +199,7 @@ mod tests {
         d.bulk_transfer(
             &mut sim,
             ByteSize::mib(32),
-            Box::new(move |sim| *da.borrow_mut() = Some(sim.now())),
+            Completion::call(move |sim| *da.borrow_mut() = Some(sim.now())),
         );
         sim.run_to_completion();
         let t = done_at.borrow().unwrap();

@@ -39,6 +39,9 @@ pub struct SlottedPage {
     logical_used: usize,
     /// Physical bytes wasted by dead records (reclaimable by compaction).
     dead_bytes: usize,
+    /// Slots currently `Dead`: an insert only hunts for a slot number to
+    /// reuse when there is one.
+    dead_slots: usize,
     /// Recovery LSN of the latest change.
     page_lsn: Lsn,
     dirty: bool,
@@ -58,6 +61,7 @@ impl SlottedPage {
             slots: Vec::new(),
             logical_used: 0,
             dead_bytes: 0,
+            dead_slots: 0,
             page_lsn: Lsn::ZERO,
             dirty: false,
         }
@@ -111,31 +115,38 @@ impl SlottedPage {
     /// `None`-free error when logical capacity is exhausted (the caller maps
     /// it to its page id).
     pub fn insert(&mut self, payload: &[u8], logical: usize) -> Result<u16> {
-        assert!(
-            logical >= payload.len(),
-            "logical width {} below physical payload {}",
-            logical,
-            payload.len()
-        );
+        self.insert_with(logical, |body| body.extend_from_slice(payload))
+    }
+
+    /// [`SlottedPage::insert`] for a record produced in place: `write`
+    /// appends the physical bytes to the page body (nothing is written when
+    /// the page is full).
+    pub fn insert_with(&mut self, logical: usize, write: impl FnOnce(&mut Vec<u8>)) -> Result<u16> {
         if !self.fits(logical) {
             // The caller knows the page id; signal with a placeholder id.
             return Err(Error::InvalidState("page full"));
         }
-        let offset = self.data.len() as u32;
-        self.data.extend_from_slice(payload);
+        let offset = self.data.len();
+        write(&mut self.data);
+        let len = self.data.len() - offset;
+        assert!(
+            logical >= len,
+            "logical width {logical} below physical payload {len}"
+        );
         let slot = Slot::Live {
-            offset,
-            len: payload.len() as u32,
+            offset: offset as u32,
+            len: len as u32,
             logical: logical as u32,
         };
         self.logical_used += logical + SLOT_OVERHEAD;
         self.dirty = true;
-        // Reuse a tombstone slot number if available.
-        for (i, s) in self.slots.iter_mut().enumerate() {
-            if *s == Slot::Dead {
-                *s = slot;
-                return Ok(i as u16);
-            }
+        // Reuse the lowest tombstone slot number if there is one.
+        if self.dead_slots > 0 {
+            let i = self.slots.iter().position(|s| *s == Slot::Dead);
+            let i = i.expect("dead-slot count matches the directory");
+            self.slots[i] = slot;
+            self.dead_slots -= 1;
+            return Ok(i as u16);
         }
         self.slots.push(slot);
         Ok((self.slots.len() - 1) as u16)
@@ -180,6 +191,7 @@ impl SlottedPage {
                     self.logical_used -= logical as usize + SLOT_OVERHEAD;
                 }
                 *s = Slot::Dead;
+                self.dead_slots += 1;
                 self.dirty = true;
                 Ok(())
             }
@@ -236,6 +248,7 @@ impl SlottedPage {
         self.dead_bytes = 0;
         while matches!(self.slots.last(), Some(Slot::Dead)) {
             self.slots.pop();
+            self.dead_slots -= 1;
         }
         self.dirty = true;
     }

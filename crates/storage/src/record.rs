@@ -10,6 +10,15 @@
 //! (or a provisional marker while uncommitted); `end` is the commit
 //! timestamp of the deleting/superseding transaction, or [`TS_INFINITY`]
 //! while the version is current.
+//!
+//! **When a payload is copied.** Never to look at a version and never to
+//! store one. [`Record::peek`] reads the fixed header ([`RecordHeader`]) and
+//! borrows the payload from the page; visibility walks, write-conflict
+//! checks and chain traversals use only that. [`RecordHeader::encode_into`]
+//! writes header and payload straight into a page body from a borrowed
+//! slice. The one copy left is [`Record::decode`] (and
+//! [`Record::encode`] for callers that want the bytes by themselves): an
+//! owned [`Record`] is built for the version a caller actually returns.
 
 use wattdb_common::{Error, Key, PageId, RecordId, Result, SegmentId};
 
@@ -29,7 +38,91 @@ const END_OFFSET: usize = 16;
 /// Header flag bit: this version is a deletion tombstone.
 pub const FLAG_TOMBSTONE: u8 = 0b0000_0001;
 
-/// A decoded record version.
+/// The fixed header of a version: everything but the payload bytes.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct RecordHeader {
+    /// Primary key.
+    pub key: Key,
+    /// Commit timestamp of the creator (visibility lower bound).
+    pub begin: u64,
+    /// Commit timestamp of the superseder, or [`TS_INFINITY`].
+    pub end: u64,
+    /// Previous version in the chain, if any.
+    pub prev: Option<RecordId>,
+    /// Header flags ([`FLAG_TOMBSTONE`]).
+    pub flags: u8,
+    /// Logical row width used for capacity/I-O/network cost accounting.
+    pub logical_width: u32,
+}
+
+impl RecordHeader {
+    /// Header of a fresh version with no predecessor.
+    pub fn new(key: Key, begin: u64, logical_width: u32) -> Self {
+        Self {
+            key,
+            begin,
+            end: TS_INFINITY,
+            prev: None,
+            flags: 0,
+            logical_width,
+        }
+    }
+
+    /// Header of a deletion tombstone for `key`: a version whose visibility
+    /// window marks the key as absent.
+    pub fn tombstone(key: Key, begin: u64) -> Self {
+        Self {
+            flags: FLAG_TOMBSTONE,
+            ..Self::new(key, begin, 0)
+        }
+    }
+
+    /// True if this version marks a deletion.
+    pub fn is_tombstone(&self) -> bool {
+        self.flags & FLAG_TOMBSTONE != 0
+    }
+
+    /// Total logical footprint: declared row width plus the version header.
+    pub fn logical_footprint(&self) -> usize {
+        self.logical_width as usize + RECORD_HEADER_BYTES
+    }
+
+    /// The owned record this header and `payload` make.
+    #[inline]
+    pub fn with_payload(self, payload: Vec<u8>) -> Record {
+        Record {
+            key: self.key,
+            begin: self.begin,
+            end: self.end,
+            prev: self.prev,
+            flags: self.flags,
+            logical_width: self.logical_width,
+            payload,
+        }
+    }
+
+    /// Append the encoded version — this header, then `payload` — to `out`
+    /// (a page body, or any buffer).
+    pub fn encode_into(&self, payload: &[u8], out: &mut Vec<u8>) {
+        out.reserve(RECORD_HEADER_BYTES + payload.len());
+        out.extend_from_slice(&self.key.raw().to_le_bytes());
+        out.extend_from_slice(&self.begin.to_le_bytes());
+        out.extend_from_slice(&self.end.to_le_bytes());
+        let (seg, page, slot) = match self.prev {
+            Some(rid) => (rid.page.segment.raw(), rid.page.page_no, rid.slot),
+            None => (NO_PREV, 0, 0),
+        };
+        out.extend_from_slice(&seg.to_le_bytes());
+        out.extend_from_slice(&page.to_le_bytes());
+        out.extend_from_slice(&slot.to_le_bytes());
+        out.push(self.flags);
+        out.extend_from_slice(&self.logical_width.to_le_bytes());
+        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(payload);
+    }
+}
+
+/// A decoded record version: header fields plus an owned payload.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct Record {
     /// Primary key.
@@ -51,28 +144,23 @@ pub struct Record {
 impl Record {
     /// A fresh version with no predecessor.
     pub fn new(key: Key, begin: u64, logical_width: u32, payload: Vec<u8>) -> Self {
-        Self {
-            key,
-            begin,
-            end: TS_INFINITY,
-            prev: None,
-            flags: 0,
-            logical_width,
-            payload,
-        }
+        RecordHeader::new(key, begin, logical_width).with_payload(payload)
     }
 
-    /// A deletion tombstone for `key`: a version whose visibility window
-    /// marks the key as absent.
+    /// A deletion tombstone for `key`.
     pub fn tombstone(key: Key, begin: u64) -> Self {
-        Self {
-            key,
-            begin,
-            end: TS_INFINITY,
-            prev: None,
-            flags: FLAG_TOMBSTONE,
-            logical_width: 0,
-            payload: Vec::new(),
+        RecordHeader::tombstone(key, begin).with_payload(Vec::new())
+    }
+
+    /// The version's header fields.
+    pub fn header(&self) -> RecordHeader {
+        RecordHeader {
+            key: self.key,
+            begin: self.begin,
+            end: self.end,
+            prev: self.prev,
+            flags: self.flags,
+            logical_width: self.logical_width,
         }
     }
 
@@ -83,80 +171,50 @@ impl Record {
 
     /// Total logical footprint: declared row width plus the version header.
     pub fn logical_footprint(&self) -> usize {
-        self.logical_width as usize + RECORD_HEADER_BYTES
+        self.header().logical_footprint()
     }
 
-    /// Serialize to bytes for page storage.
+    /// Serialize to a buffer of its own.
     pub fn encode(&self) -> Vec<u8> {
-        let mut out = Vec::with_capacity(RECORD_HEADER_BYTES + self.payload.len());
-        out.extend_from_slice(&self.key.raw().to_le_bytes());
-        out.extend_from_slice(&self.begin.to_le_bytes());
-        out.extend_from_slice(&self.end.to_le_bytes());
-        match self.prev {
-            Some(rid) => {
-                out.extend_from_slice(&rid.page.segment.raw().to_le_bytes());
-                out.extend_from_slice(&rid.page.page_no.to_le_bytes());
-                out.extend_from_slice(&rid.slot.to_le_bytes());
-            }
-            None => {
-                out.extend_from_slice(&NO_PREV.to_le_bytes());
-                out.extend_from_slice(&0u32.to_le_bytes());
-                out.extend_from_slice(&0u16.to_le_bytes());
-            }
-        }
-        out.push(self.flags);
-        out.extend_from_slice(&self.logical_width.to_le_bytes());
-        out.extend_from_slice(&(self.payload.len() as u32).to_le_bytes());
-        out.extend_from_slice(&self.payload);
+        let mut out = Vec::new();
+        self.header().encode_into(&self.payload, &mut out);
         out
     }
 
-    /// Deserialize from page bytes.
-    pub fn decode(bytes: &[u8]) -> Result<Record> {
+    /// Read an encoded version's header and borrow its payload: no copy.
+    /// Rejects exactly the inputs [`Record::decode`] rejects.
+    #[inline]
+    pub fn peek(bytes: &[u8]) -> Result<(RecordHeader, &[u8])> {
         if bytes.len() < RECORD_HEADER_BYTES {
             return Err(Error::Corruption("record shorter than header"));
         }
         let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
         let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
         let u16_at = |o: usize| u16::from_le_bytes(bytes[o..o + 2].try_into().unwrap());
-        let key = Key(u64_at(0));
-        let begin = u64_at(BEGIN_OFFSET);
-        let end = u64_at(END_OFFSET);
         let prev_seg = u64_at(24);
-        let prev_page = u32_at(32);
-        let prev_slot = u16_at(36);
-        let flags = bytes[38];
-        let logical_width = u32_at(39);
         let payload_len = u32_at(43) as usize;
-        if bytes.len() < RECORD_HEADER_BYTES + payload_len {
+        let Some(payload) = bytes.get(RECORD_HEADER_BYTES..RECORD_HEADER_BYTES + payload_len)
+        else {
             return Err(Error::Corruption("record payload truncated"));
-        }
-        let prev = if prev_seg == NO_PREV {
-            None
-        } else {
-            Some(RecordId::new(
-                PageId::new(SegmentId(prev_seg), prev_page),
-                prev_slot,
-            ))
         };
-        Ok(Record {
-            key,
-            begin,
-            end,
+        let prev = (prev_seg != NO_PREV)
+            .then(|| RecordId::new(PageId::new(SegmentId(prev_seg), u32_at(32)), u16_at(36)));
+        let header = RecordHeader {
+            key: Key(u64_at(0)),
+            begin: u64_at(BEGIN_OFFSET),
+            end: u64_at(END_OFFSET),
             prev,
-            flags,
-            logical_width,
-            payload: bytes[RECORD_HEADER_BYTES..RECORD_HEADER_BYTES + payload_len].to_vec(),
-        })
+            flags: bytes[38],
+            logical_width: u32_at(39),
+        };
+        Ok((header, payload))
     }
 
-    /// `(begin, end)` of an encoded version, without decoding the rest.
-    pub fn timestamps(bytes: &[u8]) -> Result<(u64, u64)> {
-        if bytes.len() < RECORD_HEADER_BYTES {
-            return Err(Error::Corruption("record shorter than header"));
-        }
-        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-        Ok((u64_at(BEGIN_OFFSET), u64_at(END_OFFSET)))
+    /// Deserialize from page bytes into an owned record (copies the
+    /// payload).
+    pub fn decode(bytes: &[u8]) -> Result<Record> {
+        let (header, payload) = Self::peek(bytes)?;
+        Ok(header.with_payload(payload.to_vec()))
     }
 
     /// Overwrite the `begin` timestamp of an encoded version in place.

@@ -12,7 +12,7 @@
 use wattdb_common::{Error, IdMap, PageId, RecordId, Result, SegmentId};
 
 use crate::page::{SlottedPage, PAGE_SIZE, SLOT_OVERHEAD};
-use crate::record::Record;
+use crate::record::{Record, RecordHeader};
 
 /// Process-wide page data, keyed by segment.
 #[derive(Debug, Default)]
@@ -52,16 +52,28 @@ impl PageStore {
             .ok_or(Error::UnknownSegment(id.segment))
     }
 
-    /// Insert an encoded record into `segment`, appending to the last page
-    /// with room or allocating a new page (up to `max_pages`). Returns the
-    /// record's address and whether a page was allocated.
+    /// Insert a record into `segment`, appending to the last page with room
+    /// or allocating a new page (up to `max_pages`). Returns the record's
+    /// address and whether a page was allocated.
     pub fn insert_record(
         &mut self,
         segment: SegmentId,
         record: &Record,
         max_pages: u32,
     ) -> Result<(RecordId, bool)> {
-        let logical = record.logical_footprint();
+        self.insert_version(segment, &record.header(), &record.payload, max_pages)
+    }
+
+    /// [`PageStore::insert_record`] from a header and a borrowed payload:
+    /// the version is encoded straight into the page body.
+    pub fn insert_version(
+        &mut self,
+        segment: SegmentId,
+        header: &RecordHeader,
+        payload: &[u8],
+        max_pages: u32,
+    ) -> Result<(RecordId, bool)> {
+        let logical = header.logical_footprint();
         assert!(
             logical + SLOT_OVERHEAD <= PAGE_SIZE,
             "record logical width exceeds page size"
@@ -70,36 +82,53 @@ impl PageStore {
             .segments
             .get_mut(&segment)
             .ok_or(Error::UnknownSegment(segment))?;
-        // Fast path: last page has room (append workloads).
-        if let Some(last) = pages.last_mut() {
-            if last.fits(logical) {
-                let slot = last.insert(&record.encode(), logical)?;
-                let page_no = (pages.len() - 1) as u32;
-                return Ok((RecordId::new(PageId::new(segment, page_no), slot), false));
+        // Fast path: last page has room (append workloads). Otherwise scan
+        // earlier pages for a hole (records freed by moves/GC).
+        let last = pages.len().saturating_sub(1);
+        let with_room = if pages.last().is_some_and(|p| p.fits(logical)) {
+            Some(last)
+        } else {
+            pages.iter().position(|p| p.fits(logical))
+        };
+        let allocated = with_room.is_none();
+        let page_no = match with_room {
+            Some(i) => i,
+            None if pages.len() as u32 >= max_pages => {
+                return Err(Error::InvalidState("segment full"));
             }
-        }
-        // Scan earlier pages for a hole (records freed by moves/GC).
-        for (i, p) in pages.iter_mut().enumerate() {
-            if p.fits(logical) {
-                let slot = p.insert(&record.encode(), logical)?;
-                return Ok((RecordId::new(PageId::new(segment, i as u32), slot), false));
+            None => {
+                pages.push(SlottedPage::new());
+                pages.len() - 1
             }
-        }
-        if pages.len() as u32 >= max_pages {
-            return Err(Error::InvalidState("segment full"));
-        }
-        let mut page = SlottedPage::new();
-        let slot = page.insert(&record.encode(), logical)?;
-        pages.push(page);
-        let page_no = (pages.len() - 1) as u32;
-        Ok((RecordId::new(PageId::new(segment, page_no), slot), true))
+        };
+        let slot = pages[page_no].insert_with(logical, |body| header.encode_into(payload, body))?;
+        let rid = RecordId::new(PageId::new(segment, page_no as u32), slot);
+        Ok((rid, allocated))
     }
 
-    /// Decode the record stored at `rid`.
+    /// Decode the record stored at `rid` into an owned copy.
     pub fn read_record(&self, rid: RecordId) -> Result<Record> {
-        let page = self.page(rid.page)?;
-        let bytes = page.get(rid.slot).ok_or(Error::RecordNotFound(rid))?;
-        Record::decode(bytes)
+        Record::decode(self.stored(rid)?)
+    }
+
+    /// Header of the version at `rid`, read without touching its payload.
+    #[inline]
+    pub fn peek(&self, rid: RecordId) -> Result<RecordHeader> {
+        Ok(self.peek_payload(rid)?.0)
+    }
+
+    /// Header of the version at `rid` and its payload, borrowed from the
+    /// page.
+    #[inline]
+    pub fn peek_payload(&self, rid: RecordId) -> Result<(RecordHeader, &[u8])> {
+        Record::peek(self.stored(rid)?)
+    }
+
+    #[inline]
+    fn stored(&self, rid: RecordId) -> Result<&[u8]> {
+        self.page(rid.page)?
+            .get(rid.slot)
+            .ok_or(Error::RecordNotFound(rid))
     }
 
     /// Overwrite the record at `rid` (same key; in-place updates of the
@@ -110,13 +139,6 @@ impl PageStore {
             return Err(Error::RecordNotFound(rid));
         }
         page.update(rid.slot, &record.encode(), record.logical_footprint())
-    }
-
-    /// `(begin, end)` timestamps of the version at `rid`, read from its
-    /// header without decoding the payload.
-    pub fn timestamps(&self, rid: RecordId) -> Result<(u64, u64)> {
-        let page = self.page(rid.page)?;
-        Record::timestamps(page.get(rid.slot).ok_or(Error::RecordNotFound(rid))?)
     }
 
     /// Set the `begin` timestamp of the version at `rid` in place (commit
@@ -260,7 +282,7 @@ mod tests {
             rewritten.write_record(rid, &copy).unwrap();
 
             assert_eq!(patched.read_record(rid).unwrap(), copy);
-            assert_eq!(patched.timestamps(rid).unwrap(), (copy.begin, copy.end));
+            assert_eq!(patched.peek(rid).unwrap(), copy.header());
             assert_eq!(patched.logical_bytes(seg).unwrap(), used);
             assert!(patched.page(rid.page).unwrap().is_dirty());
             assert_eq!(patched.page(rid.page).unwrap().dead_bytes(), 0);
@@ -271,7 +293,7 @@ mod tests {
         let (rid, _) = store.insert_record(seg, &rec(1, 64), 4).unwrap();
         store.delete_record(rid).unwrap();
         assert!(store.stamp_end(rid, 5).is_err());
-        assert!(store.timestamps(rid).is_err());
+        assert!(store.peek(rid).is_err());
     }
 
     #[test]

@@ -38,6 +38,9 @@ proptest! {
     fn page_matches_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
         let mut page = SlottedPage::new();
         let mut model: HashMap<u16, (Vec<u8>, usize)> = HashMap::new();
+        // Length of the slot directory: an insert reuses the lowest dead
+        // slot number in it, or extends it.
+        let mut directory = 0u16;
 
         for op in ops {
             match op {
@@ -46,6 +49,9 @@ proptest! {
                     match page.insert(&payload, logical) {
                         Ok(slot) => {
                             prop_assert!(fits, "insert succeeded though fits() was false");
+                            let lowest_dead = (0..directory).find(|s| !model.contains_key(s));
+                            prop_assert_eq!(slot, lowest_dead.unwrap_or(directory));
+                            directory = directory.max(slot + 1);
                             model.insert(slot, (payload, logical));
                         }
                         Err(_) => prop_assert!(!fits, "insert failed though fits() was true"),
@@ -70,6 +76,8 @@ proptest! {
                 Op::Compact => {
                     page.compact();
                     prop_assert_eq!(page.dead_bytes(), 0);
+                    // Trailing dead slots leave the directory.
+                    directory = model.keys().map(|s| s + 1).max().unwrap_or(0);
                 }
             }
 

@@ -328,7 +328,7 @@ fn decode_sample(v: &JsonValue) -> Result<WindowSample, String> {
     Ok(WindowSample {
         at: SimTime::from_micros(need_u64(v, "at")?),
         window: need_u64(v, "window")?,
-        values,
+        values: values.into_iter().map(|(k, v)| (k.into(), v)).collect(),
     })
 }
 
@@ -475,8 +475,8 @@ mod tests {
             at: SimTime::from_secs(40),
             window: 7,
             values: BTreeMap::from([
-                ("txn.throughput".to_string(), 210.5),
-                ("power.watts".to_string(), 87.0),
+                ("txn.throughput".into(), 210.5),
+                ("power.watts".into(), 87.0),
             ]),
         };
         let text = format!(

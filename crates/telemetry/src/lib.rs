@@ -35,7 +35,7 @@ pub mod span;
 pub mod timeline;
 
 pub use export::{parse_jsonl, ExportMeta, SchemaError, TimelineExport, SCHEMA_VERSION};
-pub use registry::{F64Histogram, MetricsRegistry, WindowSample};
+pub use registry::{F64Histogram, MetricName, MetricsRegistry, WindowSample};
 pub use span::{AttrValue, Span, SpanCollector, SpanEvent, SpanId};
 pub use timeline::{render_explain, render_record, DecisionRecord, DecisionTimeline, SignalVector};
 

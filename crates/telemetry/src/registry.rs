@@ -5,9 +5,12 @@
 //! monitoring loop freezes them once per window into a [`WindowSample`]
 //! time series. Names are dotted paths (`"txn.throughput"`,
 //! `"node.3.cpu"`, `"energy.wh_per_txn"`); everything is keyed through
-//! `BTreeMap`s so a sample serializes in one deterministic order.
+//! `BTreeMap`s so a sample serializes in one deterministic order. A name is
+//! interned the first time it is published ([`MetricName`]): setting a
+//! metric that exists and freezing a window copy pointers, not strings.
 
 use std::collections::{BTreeMap, VecDeque};
+use std::rc::Rc;
 
 use wattdb_common::SimTime;
 
@@ -70,6 +73,28 @@ impl F64Histogram {
     }
 }
 
+/// An interned metric name, shared between the registry and every window
+/// sample that carries the metric. Looks up and compares like a `str`.
+pub type MetricName = Rc<str>;
+
+/// The names a histogram's percentiles are sampled under.
+fn percentile_names(name: &str) -> [MetricName; 3] {
+    ["p50", "p95", "p99"].map(|suffix| format!("{name}.{suffix}").into())
+}
+
+/// `name`'s slot in `map`; the name is interned, holding `fresh()`, on
+/// first use.
+fn slot<'a, V>(
+    map: &'a mut BTreeMap<MetricName, V>,
+    name: &str,
+    fresh: impl FnOnce() -> V,
+) -> &'a mut V {
+    if !map.contains_key(name) {
+        map.insert(name.into(), fresh());
+    }
+    map.get_mut(name).expect("just ensured")
+}
+
 /// One frozen per-window snapshot of every registered metric.
 #[derive(Debug, Clone, PartialEq)]
 pub struct WindowSample {
@@ -79,7 +104,7 @@ pub struct WindowSample {
     pub window: u64,
     /// Metric name → value. Counters appear under their name, gauges
     /// under theirs, histograms as `<name>.p50/.p95/.p99`.
-    pub values: BTreeMap<String, f64>,
+    pub values: BTreeMap<MetricName, f64>,
 }
 
 impl WindowSample {
@@ -92,9 +117,10 @@ impl WindowSample {
 /// Named counters/gauges/histograms plus the bounded sample series.
 #[derive(Debug)]
 pub struct MetricsRegistry {
-    counters: BTreeMap<String, u64>,
-    gauges: BTreeMap<String, f64>,
-    hists: BTreeMap<String, F64Histogram>,
+    counters: BTreeMap<MetricName, u64>,
+    gauges: BTreeMap<MetricName, f64>,
+    /// Each histogram with the names of its three sampled percentiles.
+    hists: BTreeMap<MetricName, (F64Histogram, [MetricName; 3])>,
     samples: VecDeque<WindowSample>,
     capacity: usize,
     windows: u64,
@@ -118,13 +144,13 @@ impl MetricsRegistry {
 
     /// Add to a monotone counter (created at zero on first use).
     pub fn inc_counter(&mut self, name: &str, by: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += by;
+        *slot(&mut self.counters, name, || 0) += by;
     }
 
     /// Set a monotone counter to an absolute value (for mirroring a
     /// counter that is authoritative elsewhere).
     pub fn set_counter(&mut self, name: &str, value: u64) {
-        self.counters.insert(name.to_string(), value);
+        *slot(&mut self.counters, name, || 0) = value;
     }
 
     /// Current counter value (zero when never touched).
@@ -134,7 +160,7 @@ impl MetricsRegistry {
 
     /// Set a gauge to the latest observation.
     pub fn set_gauge(&mut self, name: &str, value: f64) {
-        self.gauges.insert(name.to_string(), value);
+        *slot(&mut self.gauges, name, || 0.0) = value;
     }
 
     /// Remove a gauge (e.g. a per-node gauge whose node left the pool)
@@ -150,10 +176,8 @@ impl MetricsRegistry {
 
     /// Record one observation into a histogram (created on first use).
     pub fn observe(&mut self, name: &str, value: f64) {
-        self.hists
-            .entry(name.to_string())
-            .or_default()
-            .record(value);
+        let fresh = || (F64Histogram::default(), percentile_names(name));
+        slot(&mut self.hists, name, fresh).0.record(value);
     }
 
     /// Freeze the current state of every metric into the next
@@ -166,9 +190,9 @@ impl MetricsRegistry {
         for (name, v) in &self.gauges {
             values.insert(name.clone(), *v);
         }
-        for (name, h) in &self.hists {
-            for (suffix, p) in [("p50", 0.50), ("p95", 0.95), ("p99", 0.99)] {
-                values.insert(format!("{name}.{suffix}"), h.percentile(p));
+        for (h, names) in self.hists.values() {
+            for (name, p) in names.iter().zip([0.50, 0.95, 0.99]) {
+                values.insert(name.clone(), h.percentile(p));
             }
         }
         let window = self.windows;

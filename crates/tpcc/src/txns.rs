@@ -64,8 +64,18 @@ impl TxnProfile {
 
     /// Draw a profile according to the standard mix.
     pub fn draw(rng: &mut DetRng) -> TxnProfile {
-        let weights: Vec<u32> = Self::MIX.iter().map(|(_, w)| *w).collect();
-        Self::MIX[rng.weighted(&weights)].0
+        Self::MIX[rng.weighted(&Self::MIX.map(|(_, w)| w))].0
+    }
+
+    /// Most operations one transaction of this profile generates.
+    pub fn max_ops(self) -> usize {
+        match self {
+            TxnProfile::NewOrder => 5 + 3 * 15,
+            TxnProfile::Payment => 4,
+            TxnProfile::OrderStatus => 2 + 15,
+            TxnProfile::Delivery => 3 * 10,
+            TxnProfile::StockLevel => 1 + 2 * 20,
+        }
     }
 
     /// True if the profile never writes.
@@ -125,18 +135,34 @@ impl TpccWorkload {
 
     /// Generate the op list for one transaction homed at warehouse `w`.
     pub fn generate(&mut self, profile: TxnProfile, w: u32, rng: &mut DetRng) -> Vec<Op> {
+        let mut ops = Vec::new();
+        self.generate_into(profile, w, rng, &mut ops);
+        ops
+    }
+
+    /// [`TpccWorkload::generate`] into a caller-owned (recycled) list,
+    /// which is cleared first and sized once for the profile.
+    pub fn generate_into(
+        &mut self,
+        profile: TxnProfile,
+        w: u32,
+        rng: &mut DetRng,
+        ops: &mut Vec<Op>,
+    ) {
+        ops.clear();
+        ops.reserve(profile.max_ops());
         let d = rng.uniform(0, 9) as u32;
         match profile {
-            TxnProfile::NewOrder => self.new_order(w, d, rng),
-            TxnProfile::Payment => self.payment(w, d, rng),
-            TxnProfile::OrderStatus => self.order_status(w, d, rng),
-            TxnProfile::Delivery => self.delivery(w, rng),
-            TxnProfile::StockLevel => self.stock_level(w, d, rng),
+            TxnProfile::NewOrder => self.new_order(w, d, rng, ops),
+            TxnProfile::Payment => self.payment(w, d, rng, ops),
+            TxnProfile::OrderStatus => self.order_status(w, d, rng, ops),
+            TxnProfile::Delivery => self.delivery(w, rng, ops),
+            TxnProfile::StockLevel => self.stock_level(w, d, rng, ops),
         }
     }
 
-    fn new_order(&mut self, w: u32, d: u32, rng: &mut DetRng) -> Vec<Op> {
-        let mut ops = vec![
+    fn new_order(&mut self, w: u32, d: u32, rng: &mut DetRng, ops: &mut Vec<Op>) {
+        ops.extend([
             Op {
                 table: TpccTable::Warehouse,
                 key: keys::warehouse(w),
@@ -152,7 +178,7 @@ impl TpccWorkload {
                 key: self.rand_customer(rng, w, d),
                 kind: OpKind::Read,
             },
-        ];
+        ]);
         let slot = self.slot(w, d);
         let o_id = self.next_o_id[slot];
         self.next_o_id[slot] += 1;
@@ -196,14 +222,13 @@ impl TpccWorkload {
                 kind: OpKind::Insert,
             });
         }
-        ops
     }
 
-    fn payment(&mut self, w: u32, d: u32, rng: &mut DetRng) -> Vec<Op> {
+    fn payment(&mut self, w: u32, d: u32, rng: &mut DetRng, ops: &mut Vec<Op>) {
         let slot = self.slot(w, d);
         let h_seq = self.next_h_seq[slot];
         self.next_h_seq[slot] += 1;
-        vec![
+        ops.extend([
             Op {
                 table: TpccTable::Warehouse,
                 key: keys::warehouse(w),
@@ -224,13 +249,13 @@ impl TpccWorkload {
                 key: keys::history(w, d, h_seq),
                 kind: OpKind::Insert,
             },
-        ]
+        ]);
     }
 
-    fn order_status(&mut self, w: u32, d: u32, rng: &mut DetRng) -> Vec<Op> {
+    fn order_status(&mut self, w: u32, d: u32, rng: &mut DetRng, ops: &mut Vec<Op>) {
         let orders = self.next_o_id[self.slot(w, d)];
         let o = rng.uniform(0, orders.saturating_sub(1));
-        let mut ops = vec![
+        ops.extend([
             Op {
                 table: TpccTable::Customer,
                 key: self.rand_customer(rng, w, d),
@@ -241,7 +266,7 @@ impl TpccWorkload {
                 key: keys::order(w, d, o),
                 kind: OpKind::Read,
             },
-        ];
+        ]);
         for l in 0..rng.uniform(5, 15) as u32 {
             ops.push(Op {
                 table: TpccTable::OrderLine,
@@ -249,11 +274,9 @@ impl TpccWorkload {
                 kind: OpKind::Read,
             });
         }
-        ops
     }
 
-    fn delivery(&mut self, w: u32, rng: &mut DetRng) -> Vec<Op> {
-        let mut ops = Vec::new();
+    fn delivery(&mut self, w: u32, rng: &mut DetRng, ops: &mut Vec<Op>) {
         for d in 0..10u32 {
             let slot = self.slot(w, d);
             if self.delivery_cursor[slot] >= self.next_o_id[slot] {
@@ -277,15 +300,14 @@ impl TpccWorkload {
                 kind: OpKind::Update, // C_BALANCE += sum(OL_AMOUNT)
             });
         }
-        ops
     }
 
-    fn stock_level(&mut self, w: u32, d: u32, rng: &mut DetRng) -> Vec<Op> {
-        let mut ops = vec![Op {
+    fn stock_level(&mut self, w: u32, d: u32, rng: &mut DetRng, ops: &mut Vec<Op>) {
+        ops.push(Op {
             table: TpccTable::District,
             key: keys::district(w, d),
             kind: OpKind::Read,
-        }];
+        });
         let orders = self.next_o_id[self.slot(w, d)];
         // Inspect order lines of the last 20 orders and their stock.
         for back in 0..20u64 {
@@ -304,7 +326,6 @@ impl TpccWorkload {
                 kind: OpKind::Read,
             });
         }
-        ops
     }
 }
 

@@ -13,7 +13,7 @@
 
 use wattdb_common::{Error, IdMap, Key, Result, SegmentId, TxnId};
 use wattdb_index::SegmentIndex;
-use wattdb_storage::{PageStore, Record, TS_INFINITY};
+use wattdb_storage::{PageStore, Record, RecordHeader, TS_INFINITY};
 
 use crate::locks::{LockManager, LockMode, LockTarget};
 use crate::mvcc::{self, Snapshot, WriteOp};
@@ -83,6 +83,9 @@ pub struct TxnManager {
     /// increment it.
     clock: u64,
     active: IdMap<TxnId, TxnState>,
+    /// Emptied write sets of committed transactions, handed to the next
+    /// transaction that writes so a steady state allocates none.
+    spare_writes: Vec<Vec<WriteOp>>,
     /// The lock manager (shared by both modes).
     pub locks: LockManager,
     commits: u64,
@@ -97,6 +100,7 @@ impl TxnManager {
             next_txn: 1,
             clock: 1,
             active: IdMap::default(),
+            spare_writes: Vec::new(),
             locks: LockManager::new(),
             commits: 0,
             aborts: 0,
@@ -181,6 +185,35 @@ impl TxnManager {
         }
     }
 
+    /// Append to `txn`'s write set, which borrows a recycled list with its
+    /// first entry — a transaction that has written nothing holds none.
+    fn log_write(&mut self, txn: TxnId, w: WriteOp) {
+        let st = self.active.get_mut(&txn).expect("live");
+        if st.writes.capacity() == 0 {
+            st.writes = self.spare_writes.pop().unwrap_or_default();
+        }
+        st.writes.push(w);
+    }
+
+    /// Does `txn` see a live version of `key`? [`TxnManager::read`] without
+    /// the copy: only version headers are looked at.
+    pub fn sees(
+        &self,
+        txn: TxnId,
+        index: &SegmentIndex,
+        store: &PageStore,
+        key: Key,
+    ) -> Result<bool> {
+        let st = self.state(txn)?;
+        match self.mode {
+            CcMode::Mvcc => Ok(mvcc::find(index, store, key, st.snapshot)?.0.is_some()),
+            CcMode::LockingRx => match index.get(key).0 {
+                None => Ok(false),
+                Some(rid) => Ok(!store.peek(rid)?.is_tombstone()),
+            },
+        }
+    }
+
     /// Insert `key`.
     #[allow(clippy::too_many_arguments)]
     pub fn insert(
@@ -191,7 +224,7 @@ impl TxnManager {
         max_pages: u32,
         key: Key,
         logical_width: u32,
-        payload: Vec<u8>,
+        payload: &[u8],
     ) -> Result<()> {
         let snapshot = self.snapshot(txn)?;
         match self.mode {
@@ -205,14 +238,15 @@ impl TxnManager {
                     payload,
                     snapshot,
                 )?;
-                self.active.get_mut(&txn).expect("live").writes.push(w);
+                self.log_write(txn, w);
             }
             CcMode::LockingRx => {
                 if index.get(key).0.is_some() {
                     return Err(Error::DuplicateKey(key));
                 }
-                let rec = Record::new(key, self.clock, logical_width, payload);
-                let (rid, _) = store.insert_record(index.segment(), &rec, max_pages)?;
+                let header = RecordHeader::new(key, self.clock, logical_width);
+                let (rid, _) =
+                    store.insert_version(index.segment(), &header, payload, max_pages)?;
                 index.insert(key, rid);
                 self.active
                     .get_mut(&txn)
@@ -239,7 +273,7 @@ impl TxnManager {
         max_pages: u32,
         key: Key,
         logical_width: u32,
-        payload: Vec<u8>,
+        payload: &[u8],
     ) -> Result<()> {
         let snapshot = self.snapshot(txn)?;
         match self.mode {
@@ -253,7 +287,7 @@ impl TxnManager {
                     payload,
                     snapshot,
                 )?;
-                self.active.get_mut(&txn).expect("live").writes.push(w);
+                self.log_write(txn, w);
             }
             CcMode::LockingRx => {
                 let (rid, _) = index.get(key);
@@ -263,7 +297,7 @@ impl TxnManager {
                     return Err(Error::KeyNotFound(key));
                 }
                 let mut new = prior.clone();
-                new.payload = payload;
+                new.payload = payload.to_vec();
                 new.logical_width = logical_width;
                 store.write_record(rid, &new)?;
                 self.active
@@ -294,7 +328,7 @@ impl TxnManager {
         match self.mode {
             CcMode::Mvcc => {
                 let w = mvcc::delete(index, store, max_pages, key, snapshot)?;
-                self.active.get_mut(&txn).expect("live").writes.push(w);
+                self.log_write(txn, w);
             }
             CcMode::LockingRx => {
                 let (rid, _) = index.get(key);
@@ -325,7 +359,7 @@ impl TxnManager {
         txn: TxnId,
         store: &mut PageStore,
     ) -> Result<(u64, Vec<(TxnId, LockTarget, LockMode)>)> {
-        let st = self
+        let mut st = self
             .active
             .remove(&txn)
             .ok_or(Error::InvalidState("commit of unknown transaction"))?;
@@ -333,6 +367,10 @@ impl TxnManager {
         let commit_ts = self.clock;
         if self.mode == CcMode::Mvcc {
             mvcc::commit_writes(store, &st.writes, commit_ts)?;
+        }
+        if st.writes.capacity() > 0 {
+            st.writes.clear();
+            self.spare_writes.push(st.writes);
         }
         self.commits += 1;
         Ok((commit_ts, self.locks.release_all(txn)))
@@ -415,7 +453,7 @@ mod tests {
         let (mut idx, mut st) = setup();
         let mut tm = TxnManager::new(CcMode::Mvcc);
         let t1 = tm.begin(TxnKind::User);
-        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, vec![1])
+        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, &[1])
             .unwrap();
         // Another txn doesn't see it yet.
         let t2 = tm.begin(TxnKind::User);
@@ -433,7 +471,7 @@ mod tests {
         let (mut idx, mut st) = setup();
         let mut tm = TxnManager::new(CcMode::Mvcc);
         let t1 = tm.begin(TxnKind::User);
-        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, vec![1])
+        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, &[1])
             .unwrap();
         let mut map = IndexMap::default();
         map.insert(idx.segment(), idx);
@@ -449,11 +487,11 @@ mod tests {
         let (mut idx, mut st) = setup();
         let mut tm = TxnManager::new(CcMode::LockingRx);
         let t1 = tm.begin(TxnKind::User);
-        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, vec![1])
+        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, &[1])
             .unwrap();
         tm.commit(t1, &mut st).unwrap();
         let t2 = tm.begin(TxnKind::User);
-        tm.update(t2, &mut idx, &mut st, 64, Key(1), 64, vec![2])
+        tm.update(t2, &mut idx, &mut st, 64, Key(1), 64, &[2])
             .unwrap();
         // In-place: even an unrelated reader sees the new value (that's why
         // locking mode needs the S/X protocol).
@@ -479,7 +517,7 @@ mod tests {
         let (mut idx, mut st) = setup();
         let mut tm = TxnManager::new(CcMode::LockingRx);
         let t1 = tm.begin(TxnKind::User);
-        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, vec![1])
+        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, &[1])
             .unwrap();
         tm.commit(t1, &mut st).unwrap();
         let t2 = tm.begin(TxnKind::User);
@@ -502,7 +540,7 @@ mod tests {
         let mut tm = TxnManager::new(CcMode::Mvcc);
         let t1 = tm.begin(TxnKind::User);
         let h1 = tm.gc_horizon();
-        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, vec![1])
+        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, &[1])
             .unwrap();
         tm.commit(t1, &mut st).unwrap();
         // Idle: horizon advances with the clock.
@@ -510,7 +548,7 @@ mod tests {
         let _t2 = tm.begin(TxnKind::User);
         let held = tm.gc_horizon();
         let t3 = tm.begin(TxnKind::User);
-        tm.insert(t3, &mut idx, &mut st, 64, Key(2), 64, vec![2])
+        tm.insert(t3, &mut idx, &mut st, 64, Key(2), 64, &[2])
             .unwrap();
         tm.commit(t3, &mut st).unwrap();
         // Horizon pinned by t2's snapshot.

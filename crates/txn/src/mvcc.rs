@@ -8,7 +8,9 @@
 //!
 //! Versions live in pages as [`Record`]s chained newest-first through their
 //! `prev` pointers; the segment's PK index always points at the newest
-//! version. Uncommitted timestamps are *provisional*: the creating
+//! version. Every walk and check below looks at version *headers* only
+//! ([`PageStore::peek`]); a payload is copied out once, for the version
+//! [`read`] returns. Uncommitted timestamps are *provisional*: the creating
 //! transaction's id with the high bit set. Commit stamps them with the
 //! commit timestamp; abort unlinks the provisional version.
 //!
@@ -22,7 +24,7 @@
 
 use wattdb_common::{Error, Key, Result, SegmentId, TxnId};
 use wattdb_index::SegmentIndex;
-use wattdb_storage::{PageStore, Record, TS_INFINITY};
+use wattdb_storage::{PageStore, Record, RecordHeader, TS_INFINITY};
 
 /// High bit marking a provisional (uncommitted) timestamp.
 pub const TXN_MARK: u64 = 1 << 63;
@@ -53,8 +55,8 @@ pub struct Snapshot {
     pub txn: TxnId,
 }
 
-/// Is `rec` visible to `snap`?
-pub fn visible(rec: &Record, snap: Snapshot) -> bool {
+/// Is the version with header `rec` visible to `snap`?
+pub fn visible(rec: &RecordHeader, snap: Snapshot) -> bool {
     let begin_ok = if is_provisional(rec.begin) {
         owner(rec.begin) == snap.txn
     } else {
@@ -85,26 +87,30 @@ pub struct WriteOp {
     pub old_rid: Option<wattdb_common::RecordId>,
 }
 
-/// Read the newest version of `key` visible to `snap`. Returns `None` for
-/// unknown keys and for keys whose visible version is a tombstone. Also
-/// reports the number of versions inspected (cost model).
-pub fn read(
+/// A version as it lies in its page: header, and the payload borrowed.
+pub type Stored<'a> = (RecordHeader, &'a [u8]);
+
+/// Find the newest version of `key` visible to `snap` without copying
+/// anything out: its header and its payload, borrowed from the page — or
+/// `None` for unknown keys and for keys whose visible version is a
+/// tombstone. Also reports the number of versions inspected (cost model).
+pub fn find<'a>(
     index: &SegmentIndex,
-    store: &PageStore,
+    store: &'a PageStore,
     key: Key,
     snap: Snapshot,
-) -> Result<(Option<Record>, usize)> {
+) -> Result<(Option<Stored<'a>>, usize)> {
     let (rid, _) = index.get(key);
     let Some(mut rid) = rid else {
         return Ok((None, 0));
     };
     let mut inspected = 0;
     loop {
-        let rec = store.read_record(rid)?;
+        let (rec, payload) = store.peek_payload(rid)?;
         inspected += 1;
         if visible(&rec, snap) {
-            let out = if rec.is_tombstone() { None } else { Some(rec) };
-            return Ok((out, inspected));
+            let live = (!rec.is_tombstone()).then_some((rec, payload));
+            return Ok((live, inspected));
         }
         match rec.prev {
             Some(prev) => rid = prev,
@@ -113,7 +119,20 @@ pub fn read(
     }
 }
 
-fn check_write_conflict(newest: &Record, snap: Snapshot) -> Result<()> {
+/// Read the newest version of `key` visible to `snap`: [`find`], plus the
+/// one copy that makes the version found an owned [`Record`].
+pub fn read(
+    index: &SegmentIndex,
+    store: &PageStore,
+    key: Key,
+    snap: Snapshot,
+) -> Result<(Option<Record>, usize)> {
+    let (hit, inspected) = find(index, store, key, snap)?;
+    let rec = hit.map(|(header, payload)| header.with_payload(payload.to_vec()));
+    Ok((rec, inspected))
+}
+
+fn check_write_conflict(newest: &RecordHeader, snap: Snapshot) -> Result<()> {
     // Another transaction's uncommitted version heads the chain.
     if is_provisional(newest.begin) && owner(newest.begin) != snap.txn {
         return Err(Error::TxnAborted {
@@ -140,13 +159,13 @@ pub fn insert(
     max_pages: u32,
     key: Key,
     logical_width: u32,
-    payload: Vec<u8>,
+    payload: &[u8],
     snap: Snapshot,
 ) -> Result<WriteOp> {
     let (existing_rid, _) = index.get(key);
     let prev = match existing_rid {
         Some(rid) => {
-            let newest = store.read_record(rid)?;
+            let newest = store.peek(rid)?;
             check_write_conflict(&newest, snap)?;
             if !newest.is_tombstone() {
                 return Err(Error::DuplicateKey(key));
@@ -156,10 +175,12 @@ pub fn insert(
         }
         None => None,
     };
-    let mut rec = Record::new(key, provisional(snap.txn), logical_width, payload);
-    rec.prev = prev;
+    let header = RecordHeader {
+        prev,
+        ..RecordHeader::new(key, provisional(snap.txn), logical_width)
+    };
     let segment = index.segment();
-    let (new_rid, _) = store.insert_record(segment, &rec, max_pages)?;
+    let (new_rid, _) = store.insert_version(segment, &header, payload, max_pages)?;
     if let Some(old_rid) = prev {
         store.stamp_end(old_rid, provisional(snap.txn))?;
     }
@@ -180,14 +201,11 @@ pub fn update(
     max_pages: u32,
     key: Key,
     logical_width: u32,
-    payload: Vec<u8>,
+    payload: &[u8],
     snap: Snapshot,
 ) -> Result<WriteOp> {
-    write_version(index, store, max_pages, key, snap, |prev_rid| {
-        let mut r = Record::new(key, provisional(snap.txn), logical_width, payload);
-        r.prev = Some(prev_rid);
-        r
-    })
+    let header = RecordHeader::new(key, provisional(snap.txn), logical_width);
+    write_version(index, store, max_pages, snap, header, payload)
 }
 
 /// Delete an existing key (creates a tombstone version).
@@ -198,31 +216,30 @@ pub fn delete(
     key: Key,
     snap: Snapshot,
 ) -> Result<WriteOp> {
-    write_version(index, store, max_pages, key, snap, |prev_rid| {
-        let mut t = Record::tombstone(key, provisional(snap.txn));
-        t.prev = Some(prev_rid);
-        t
-    })
+    let header = RecordHeader::tombstone(key, provisional(snap.txn));
+    write_version(index, store, max_pages, snap, header, &[])
 }
 
+/// Chain the version `header` + `payload` on top of its key's current one.
 fn write_version(
     index: &mut SegmentIndex,
     store: &mut PageStore,
     max_pages: u32,
-    key: Key,
     snap: Snapshot,
-    make: impl FnOnce(wattdb_common::RecordId) -> Record,
+    mut header: RecordHeader,
+    payload: &[u8],
 ) -> Result<WriteOp> {
+    let key = header.key;
     let (rid, _) = index.get(key);
     let old_rid = rid.ok_or(Error::KeyNotFound(key))?;
-    let newest = store.read_record(old_rid)?;
+    let newest = store.peek(old_rid)?;
     check_write_conflict(&newest, snap)?;
     if newest.is_tombstone() {
         return Err(Error::KeyNotFound(key));
     }
     let segment = index.segment();
-    let rec = make(old_rid);
-    let (new_rid, _) = store.insert_record(segment, &rec, max_pages)?;
+    header.prev = Some(old_rid);
+    let (new_rid, _) = store.insert_version(segment, &header, payload, max_pages)?;
     store.stamp_end(old_rid, provisional(snap.txn))?;
     index.insert(key, new_rid);
     Ok(WriteOp {
@@ -237,11 +254,11 @@ fn write_version(
 /// timestamps become `commit_ts`, patched in place in the stored versions.
 pub fn commit_writes(store: &mut PageStore, writes: &[WriteOp], commit_ts: u64) -> Result<()> {
     for w in writes {
-        if is_provisional(store.timestamps(w.new_rid)?.0) {
+        if is_provisional(store.peek(w.new_rid)?.begin) {
             store.stamp_begin(w.new_rid, commit_ts)?;
         }
         if let Some(old_rid) = w.old_rid {
-            if is_provisional(store.timestamps(old_rid)?.1) {
+            if is_provisional(store.peek(old_rid)?.end) {
                 store.stamp_end(old_rid, commit_ts)?;
             }
         }
@@ -261,7 +278,7 @@ pub fn abort_writes(
         store.delete_record(w.new_rid)?;
         match w.old_rid {
             Some(old_rid) => {
-                if is_provisional(store.timestamps(old_rid)?.1) {
+                if is_provisional(store.peek(old_rid)?.end) {
                     store.stamp_end(old_rid, TS_INFINITY)?;
                 }
                 index.insert(w.key, old_rid);
@@ -283,21 +300,16 @@ pub fn vacuum(index: &mut SegmentIndex, store: &mut PageStore, horizon: u64) -> 
         // Walk the chain, keeping the head; cut the first link whose target
         // is invisible to every active snapshot.
         let mut cur_rid = head_rid;
-        loop {
-            let cur = store.read_record(cur_rid)?;
-            let Some(prev_rid) = cur.prev else {
-                break;
-            };
-            let prev = store.read_record(prev_rid)?;
+        while let Some(prev_rid) = store.peek(cur_rid)?.prev {
+            let prev = store.peek(prev_rid)?;
             if !is_provisional(prev.end) && prev.end != TS_INFINITY && prev.end <= horizon {
                 // Unlink and reclaim the whole tail from prev down.
-                let mut cut = cur;
+                let mut cut = store.read_record(cur_rid)?;
                 cut.prev = None;
                 store.write_record(cur_rid, &cut)?;
                 let mut tail = Some(prev_rid);
                 while let Some(rid) = tail {
-                    let r = store.read_record(rid)?;
-                    tail = r.prev;
+                    tail = store.peek(rid)?.prev;
                     store.delete_record(rid)?;
                     reclaimed += 1;
                 }
@@ -306,7 +318,7 @@ pub fn vacuum(index: &mut SegmentIndex, store: &mut PageStore, horizon: u64) -> 
             cur_rid = prev_rid;
         }
         // Drop fully-dead tombstone heads (no chain, committed, old).
-        let head = store.read_record(head_rid)?;
+        let head = store.peek(head_rid)?;
         if head.is_tombstone()
             && head.prev.is_none()
             && !is_provisional(head.begin)
@@ -328,9 +340,8 @@ pub fn version_stats(index: &SegmentIndex, store: &PageStore) -> Result<(usize, 
     for (_, head) in index.entries() {
         let mut rid = Some(head);
         while let Some(r) = rid {
-            let rec = store.read_record(r)?;
             versions += 1;
-            rid = rec.prev;
+            rid = store.peek(r)?.prev;
         }
     }
     Ok((versions, live))
@@ -365,16 +376,7 @@ mod tests {
     #[test]
     fn insert_commit_read() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![7],
-            snap(10, 1),
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[7], snap(10, 1)).unwrap();
         // Own uncommitted write is visible to self, invisible to others.
         assert!(read(&idx, &st, Key(1), snap(10, 1)).unwrap().0.is_some());
         assert!(read(&idx, &st, Key(1), snap(10, 2)).unwrap().0.is_none());
@@ -387,28 +389,10 @@ mod tests {
     #[test]
     fn update_preserves_old_version_for_readers() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![1],
-            snap(0, 1),
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
         // Updater at ts 20.
-        let w2 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![2],
-            snap(20, 2),
-        )
-        .unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
         commit(&mut st, &[w2], 30);
         // A reader whose snapshot predates the update still sees v1 —
         // the paper's key property while records are on the move.
@@ -421,16 +405,7 @@ mod tests {
     #[test]
     fn delete_leaves_tombstone_until_vacuum() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![1],
-            snap(0, 1),
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
         let w2 = delete(&mut idx, &mut st, MAX_PAGES, Key(1), snap(15, 2)).unwrap();
         commit(&mut st, &[w2], 20);
@@ -445,80 +420,27 @@ mod tests {
     #[test]
     fn write_write_conflict_aborts_second_writer() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![1],
-            snap(0, 1),
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let _w1 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![2],
-            snap(20, 2),
-        )
-        .unwrap();
+        let _w1 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
         // Txn 3 tries to update the same record while txn 2 is in flight.
-        let err = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![3],
-            snap(20, 3),
-        );
+        let err = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[3], snap(20, 3));
         assert!(matches!(err, Err(Error::TxnAborted { .. })));
     }
 
     #[test]
     fn read_committed_writes_chain_after_commit() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![1],
-            snap(0, 1),
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
         // Txn 2 and 3 both start at ts 20. Txn 2 updates and commits at 30.
-        let w2 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![2],
-            snap(20, 2),
-        )
-        .unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
         commit(&mut st, &[w2], 30);
         // Txn 3's snapshot (20) predates that commit, but with the record's
         // X lock serializing writers, its update applies on top of txn 2's
         // committed version (read-committed write semantics) instead of
         // aborting — hot TPC-C counters depend on this.
-        let w3 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![3],
-            snap(20, 3),
-        )
-        .unwrap();
+        let w3 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[3], snap(20, 3)).unwrap();
         commit(&mut st, &[w3], 40);
         let r = read(&idx, &st, Key(1), snap(40, 9)).unwrap().0.unwrap();
         assert_eq!(r.payload, vec![3]);
@@ -530,42 +452,15 @@ mod tests {
     #[test]
     fn abort_restores_previous_state() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![1],
-            snap(0, 1),
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let w2 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![2],
-            snap(20, 2),
-        )
-        .unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
         abort_writes(&mut idx, &mut st, &[w2]).unwrap();
         let r = read(&idx, &st, Key(1), snap(20, 3)).unwrap().0.unwrap();
         assert_eq!(r.payload, vec![1]);
         assert_eq!(r.end, TS_INFINITY);
         // A fresh insert that aborts leaves no key behind.
-        let w3 = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(9),
-            64,
-            vec![9],
-            snap(20, 4),
-        )
-        .unwrap();
+        let w3 = insert(&mut idx, &mut st, MAX_PAGES, Key(9), 64, &[9], snap(20, 4)).unwrap();
         abort_writes(&mut idx, &mut st, &[w3]).unwrap();
         assert_eq!(idx.get(Key(9)).0, None);
     }
@@ -573,41 +468,15 @@ mod tests {
     #[test]
     fn duplicate_insert_rejected_reinsert_over_tombstone_ok() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![1],
-            snap(0, 1),
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
         assert!(matches!(
-            insert(
-                &mut idx,
-                &mut st,
-                MAX_PAGES,
-                Key(1),
-                64,
-                vec![2],
-                snap(20, 2)
-            ),
+            insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)),
             Err(Error::DuplicateKey(_))
         ));
         let w2 = delete(&mut idx, &mut st, MAX_PAGES, Key(1), snap(20, 2)).unwrap();
         commit(&mut st, &[w2], 30);
-        let w3 = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![3],
-            snap(40, 3),
-        )
-        .unwrap();
+        let w3 = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[3], snap(40, 3)).unwrap();
         commit(&mut st, &[w3], 50);
         let r = read(&idx, &st, Key(1), snap(50, 4)).unwrap().0.unwrap();
         assert_eq!(r.payload, vec![3]);
@@ -616,27 +485,9 @@ mod tests {
     #[test]
     fn vacuum_respects_active_snapshots() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![1],
-            snap(0, 1),
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let w2 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![2],
-            snap(20, 2),
-        )
-        .unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
         commit(&mut st, &[w2], 30);
         // Horizon 25: the old version (end=30) may still be needed.
         assert_eq!(vacuum(&mut idx, &mut st, 25).unwrap(), 0);
@@ -654,37 +505,10 @@ mod tests {
     #[test]
     fn own_double_update_chains() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![1],
-            snap(0, 1),
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let w1 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![2],
-            snap(20, 2),
-        )
-        .unwrap();
-        let w2 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            64,
-            vec![3],
-            snap(20, 2),
-        )
-        .unwrap();
+        let w1 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[3], snap(20, 2)).unwrap();
         // Own snapshot sees the latest own write.
         let r = read(&idx, &st, Key(1), snap(20, 2)).unwrap().0.unwrap();
         assert_eq!(r.payload, vec![3]);

@@ -1,0 +1,83 @@
+//! The engine's allocation budget per committed transaction.
+//!
+//! The `oltp-steady` shape of `BENCHMARK.json`, built through the public
+//! builder — 6 nodes, 3 holding data, 8 warehouses at density 0.05, 1 000
+//! per-client clients thinking 10 s, seed 11 — runs 10 sim-s of warm-up and
+//! then 30 sim-s under a counting `#[global_allocator]`. Heap calls
+//! (`alloc` + `alloc_zeroed` + `realloc`, counted like the benchmark's
+//! `allocs_per_txn`) per committed transaction must stay within the
+//! benchmark's gate of 30: the machine-independent regression gate on the
+//! typed event core and the borrowed record path. The count is
+//! deterministic; it is printed so a change can see where it stands (7.55
+//! when this test was written, 89 before).
+//!
+//! Lives in its own test binary because a global allocator is
+//! process-wide.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+use wattdb_common::{NodeId, SimDuration};
+use wattdb_core::cluster::Scheme;
+use wattdb_core::{ClientBatching, WattDb};
+
+struct CountingAlloc;
+
+static HEAP_CALLS: AtomicU64 = AtomicU64::new(0);
+
+unsafe impl GlobalAlloc for CountingAlloc {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        HEAP_CALLS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc(layout) }
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        unsafe { System.dealloc(ptr, layout) }
+    }
+    unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
+        HEAP_CALLS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.alloc_zeroed(layout) }
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        HEAP_CALLS.fetch_add(1, Ordering::Relaxed);
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingAlloc = CountingAlloc;
+
+/// The gate `BENCHMARK.json`'s issue set for `allocs_per_txn` on
+/// `oltp-steady`.
+const BUDGET: f64 = 30.0;
+
+#[test]
+fn oltp_steady_stays_within_its_allocation_budget() {
+    let mut db = WattDb::builder()
+        .scheme(Scheme::Physiological)
+        .nodes(6)
+        .warehouses(8)
+        .density(0.05)
+        .segment_pages(16)
+        .seed(11)
+        .initial_data_nodes(&[NodeId(0), NodeId(1), NodeId(2)])
+        .client_batching(ClientBatching::PerClient)
+        .monitoring(SimDuration::from_secs(5))
+        .telemetry(true)
+        .build();
+    db.start_oltp(1_000, SimDuration::from_secs(10));
+    db.run_for(SimDuration::from_secs(10));
+
+    let (calls, committed) = (HEAP_CALLS.load(Ordering::Relaxed), db.completed());
+    db.run_for(SimDuration::from_secs(30));
+    let calls = HEAP_CALLS.load(Ordering::Relaxed) - calls;
+    let committed = db.completed() - committed;
+
+    assert!(committed > 2_000, "the workload ran ({committed} commits)");
+    assert_eq!(db.aborted(), 0, "an uncontended run");
+    let per_txn = calls as f64 / committed as f64;
+    println!("heap calls per committed transaction: {per_txn:.2} ({calls} / {committed})");
+    assert!(
+        per_txn <= BUDGET,
+        "{per_txn:.2} heap calls per committed transaction, budget {BUDGET}"
+    );
+}

@@ -27,7 +27,7 @@ fn mvcc_lifecycle_with_wal_recovery() {
         let t = tm.begin(TxnKind::User);
         log.append(t, LogPayload::Begin);
         let idx = indexes.get_mut(&seg).unwrap();
-        tm.insert(t, idx, &mut store, u32::MAX, Key(i), 64, vec![i as u8])
+        tm.insert(t, idx, &mut store, u32::MAX, Key(i), 64, &[i as u8])
             .unwrap();
         let rec = Record::new(Key(i), 1, 64, vec![i as u8]);
         log.append(t, insert_payload(seg, &rec));
@@ -38,7 +38,7 @@ fn mvcc_lifecycle_with_wal_recovery() {
         let t = tm.begin(TxnKind::User);
         log.append(t, LogPayload::Begin);
         let idx = indexes.get_mut(&seg).unwrap();
-        tm.insert(t, idx, &mut store, u32::MAX, Key(i), 64, vec![0])
+        tm.insert(t, idx, &mut store, u32::MAX, Key(i), 64, &[0])
             .unwrap();
         let rec = Record::new(Key(i), 1, 64, vec![0]);
         log.append(t, insert_payload(seg, &rec));
@@ -102,7 +102,7 @@ fn snapshot_readers_survive_concurrent_version_churn() {
     let t0 = tm.begin(TxnKind::User);
     {
         let idx = indexes.get_mut(&seg).unwrap();
-        tm.insert(t0, idx, &mut store, u32::MAX, Key(1), 64, vec![0])
+        tm.insert(t0, idx, &mut store, u32::MAX, Key(1), 64, &[0])
             .unwrap();
     }
     tm.commit(t0, &mut store).unwrap();
@@ -112,7 +112,7 @@ fn snapshot_readers_survive_concurrent_version_churn() {
     for v in 1..=20u8 {
         let t = tm.begin(TxnKind::User);
         let idx = indexes.get_mut(&seg).unwrap();
-        tm.update(t, idx, &mut store, u32::MAX, Key(1), 64, vec![v])
+        tm.update(t, idx, &mut store, u32::MAX, Key(1), 64, &[v])
             .unwrap();
         tm.commit(t, &mut store).unwrap();
     }
@@ -141,7 +141,7 @@ fn locking_mode_reader_writer_interaction() {
     let t0 = tm.begin(TxnKind::User);
     {
         let idx = indexes.get_mut(&seg).unwrap();
-        tm.insert(t0, idx, &mut store, u32::MAX, Key(1), 64, vec![1])
+        tm.insert(t0, idx, &mut store, u32::MAX, Key(1), 64, &[1])
             .unwrap();
     }
     tm.commit(t0, &mut store).unwrap();
@@ -168,7 +168,7 @@ fn version_stats_reflect_update_volume() {
     for i in 0..50u64 {
         let t = tm.begin(TxnKind::User);
         let idx = indexes.get_mut(&seg).unwrap();
-        tm.insert(t, idx, &mut store, u32::MAX, Key(i), 64, vec![0])
+        tm.insert(t, idx, &mut store, u32::MAX, Key(i), 64, &[0])
             .unwrap();
         tm.commit(t, &mut store).unwrap();
     }
@@ -180,7 +180,7 @@ fn version_stats_reflect_update_volume() {
         for v in 1..=2u8 {
             let t = tm.begin(TxnKind::User);
             let idx = indexes.get_mut(&seg).unwrap();
-            tm.update(t, idx, &mut store, u32::MAX, Key(i), 64, vec![v])
+            tm.update(t, idx, &mut store, u32::MAX, Key(i), 64, &[v])
                 .unwrap();
             tm.commit(t, &mut store).unwrap();
         }

@@ -191,7 +191,11 @@ fn windowed_probes_report_per_window_disk_utilization() {
     // Saturate node 0's data disk for ~2 s.
     db.with_runtime(|cl, sim| {
         let mut c = cl.borrow_mut();
-        c.nodes[0].disks[1].bulk_transfer(sim, wattdb_common::ByteSize::mib(120), Box::new(|_| {}));
+        c.nodes[0].disks[1].bulk_transfer(
+            sim,
+            wattdb_common::ByteSize::mib(120),
+            wattdb_sim::Completion::Detached,
+        );
     });
     db.run_for(SimDuration::from_secs(2));
     let busy = db.with_runtime(|cl, sim| {
