@@ -9,6 +9,20 @@
 //! the low bits a table takes its bucket index from. The seed is a
 //! constant: a map's iteration order is a function of its keys and
 //! insertion history alone, never of the process that built it.
+//!
+//! # `IdMap` or `DenseMap`
+//!
+//! Hash only what is sparse. An id a counter mints from zero and the
+//! engine keeps for good — `SegmentId`, `PartitionId`, `TableId` — indexes
+//! a [`DenseMap`](crate::dense::DenseMap): a lookup is a bounds check and
+//! a load, iteration is in id order (what planners and failover need to be
+//! deterministic), and the table is as long as the largest live id. An
+//! [`IdMap`] is for keys that do not have that shape: ids that grow without
+//! bound while only a window of them is live (`TxnId` in the lock and
+//! transaction tables), composite keys (`PageId` in the buffer pool's frame
+//! table, `(TableId, Key)` record locks), and primary keys. Nothing that
+//! decides a modeled outcome may depend on an `IdMap`'s iteration order;
+//! sort, or sum.
 
 use std::collections::{HashMap, HashSet};
 use std::hash::{BuildHasherDefault, Hasher};

@@ -11,6 +11,7 @@
 
 pub mod config;
 pub mod cost;
+pub mod dense;
 pub mod error;
 pub mod hash;
 pub mod heat;
@@ -24,6 +25,7 @@ pub mod units;
 
 pub use config::{CostParams, DiskSpec, HardwareSpec, NetworkSpec, PowerSpec};
 pub use cost::{CostModel, CostVector};
+pub use dense::{DenseKey, DenseMap, DENSE_BOUND};
 pub use error::{Error, Result};
 pub use hash::{IdMap, IdSet};
 pub use heat::{DriftConfig, Heat, HeatConfig, HeatVelocity, HelperPolicyConfig};

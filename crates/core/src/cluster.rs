@@ -47,9 +47,9 @@ use std::rc::Rc;
 
 use wattdb_common::config::DiskKind;
 use wattdb_common::{
-    ByteSize, CostModel, CostParams, DetRng, DiskId, DriftConfig, HardwareSpec, HeatConfig, IdMap,
-    Key, KeyRange, Lsn, NetworkSpec, NodeId, PartitionId, PowerSpec, ReplicaConfig, Result,
-    SegmentId, SimDuration, SimTime, TableId, Watts,
+    ByteSize, CostModel, CostParams, DenseMap, DetRng, DiskId, DriftConfig, HardwareSpec, Heat,
+    HeatConfig, IdMap, Key, KeyRange, Lsn, NetworkSpec, NodeId, PartitionId, PowerSpec,
+    ReplicaConfig, Result, SegmentId, SimDuration, SimTime, TableId, Watts,
 };
 use wattdb_energy::{EnergyMeter, NodeState, PowerModel};
 use wattdb_index::{GlobalRouter, SegmentIndex, TopIndex};
@@ -344,7 +344,7 @@ pub struct Cluster {
     pub indexes: IndexMap,
     /// Partitions by id. Ordered: planners and failover walk it, and the
     /// order they meet partitions in decides what moves first.
-    pub partitions: std::collections::BTreeMap<PartitionId, Partition>,
+    pub partitions: DenseMap<PartitionId, Partition>,
     /// Master's routing table.
     pub router: GlobalRouter,
     /// Transactions.
@@ -426,9 +426,12 @@ pub struct Cluster {
     /// Per-segment LSN of the last write, in the leader's log space — the
     /// catch-up bar a follower must clear before serving that segment's
     /// reads.
-    pub seg_last_write: IdMap<SegmentId, Lsn>,
+    pub seg_last_write: DenseMap<SegmentId, Lsn>,
     /// Per-segment round-robin cursor over read-eligible replicas.
-    pub replica_rr: IdMap<SegmentId, usize>,
+    pub replica_rr: DenseMap<SegmentId, usize>,
+    /// Scratch of the read router: the copies eligible for the read being
+    /// routed and their hosts' heat. Kept for its capacity only.
+    pub(crate) read_pool: Vec<(NodeId, Heat)>,
     /// Reads served by follower replicas (lifetime).
     pub replica_reads: u64,
     /// Bytes shipped to seed replacement followers after a loss (lifetime).
@@ -488,7 +491,7 @@ impl Cluster {
             store: PageStore::new(),
             seg_dir: SegmentDirectory::new(),
             indexes: IndexMap::default(),
-            partitions: std::collections::BTreeMap::new(),
+            partitions: DenseMap::new(),
             router: GlobalRouter::new(),
             txn: TxnManager::new(cc),
             clients: Vec::new(),
@@ -517,8 +520,9 @@ impl Cluster {
             replicas: ReplicaMap::new(),
             replica_reads_by: std::collections::BTreeMap::new(),
             net_util,
-            seg_last_write: IdMap::default(),
-            replica_rr: IdMap::default(),
+            seg_last_write: DenseMap::new(),
+            replica_rr: DenseMap::new(),
+            read_pool: Vec::new(),
             replica_reads: 0,
             rereplication_bytes: 0,
             rereplication_inflight: 0,

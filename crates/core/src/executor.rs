@@ -317,22 +317,13 @@ impl Cluster {
         };
         // Dual-pointer resolution (§4.3): prefer the location whose top
         // index currently covers the key; fall back to the second pointer.
-        let primary_has = self
-            .partitions
-            .get(&route.primary.partition)
-            .and_then(|p| p.top.segment_for(op.key))
-            .is_some();
-        let (pid, node) = if primary_has {
-            (route.primary.partition, route.primary.node)
-        } else if let Some(also) = route.also {
-            (also.partition, also.node)
-        } else {
-            (route.primary.partition, route.primary.node)
+        // Each location's partition and top index are resolved once.
+        let covering = |loc: wattdb_index::Location| {
+            let part = self.partitions.get(&loc.partition)?;
+            Some((loc.partition, loc.node, part.top.segment_for(op.key)?))
         };
-        let Some(seg) = self
-            .partitions
-            .get(&pid)
-            .and_then(|p| p.top.segment_for(op.key))
+        let Some((pid, node, seg)) =
+            covering(route.primary).or_else(|| route.also.and_then(covering))
         else {
             // Moving window edge: retry shortly via a tiny CPU spin.
             return Action::Cpu(
@@ -435,8 +426,11 @@ impl Cluster {
         // The leader stays in the rotation — fan-out *splits* the read
         // load across every live copy rather than re-homing it wholesale
         // onto the followers (which would merely relocate the hotspot).
+        // The pool is scratch kept on the cluster: a routed read borrows
+        // its capacity instead of allocating.
         let followers = self.replicas.followers_of(seg);
-        let mut pool: Vec<(NodeId, Heat)> = Vec::with_capacity(1 + followers.len());
+        let mut pool = std::mem::take(&mut self.read_pool);
+        pool.clear();
         pool.push((leader, Heat::ZERO));
         pool.extend(
             followers
@@ -445,6 +439,23 @@ impl Cluster {
                 .filter(|&&f| shipper.acked_lsn(f).is_some_and(|a| a >= floor))
                 .map(|&f| (f, Heat::ZERO)),
         );
+        let pick = self.rotate_read(&mut pool, seg, leader, at, now, weight);
+        self.read_pool = pool;
+        pick
+    }
+
+    /// Pick the copy of `seg` that serves a read from `pool`, the leader
+    /// first and then its caught-up followers (hosts' heats not yet
+    /// filled in); `None` when only the leader is eligible.
+    fn rotate_read(
+        &mut self,
+        pool: &mut [(NodeId, Heat)],
+        seg: SegmentId,
+        leader: NodeId,
+        at: NodeId,
+        now: SimTime,
+        weight: u64,
+    ) -> Option<NodeId> {
         if pool.len() == 1 {
             return None;
         }
@@ -480,16 +491,16 @@ impl Cluster {
             }
         };
         let mut total = 0u64;
-        for &(n, h) in &pool {
+        for &(n, h) in pool.iter() {
             self.replica_route_weights.insert(n, weight_of(h));
             total += weight_of(h);
         }
-        let rr = self.replica_rr.entry(seg).or_insert(0);
+        let rr = self.replica_rr.get_or_insert_with(seg, || 0);
         let slot = (*rr as u64) % total;
         *rr = rr.wrapping_add(1);
         let mut cum = 0u64;
         let mut pick = leader;
-        for &(n, h) in &pool {
+        for &(n, h) in pool.iter() {
             cum += weight_of(h);
             if slot < cum {
                 pick = n;
@@ -567,17 +578,17 @@ impl Cluster {
             };
         let writeback_latch = self.cfg.costs.writeback_latch;
         let buffer_hit = self.cfg.costs.buffer_hit;
+        // Nothing happens between the fetch and the release, so the pin is
+        // never observable: touch the frame in one probe.
         let buf = &mut self.nodes[exec_node.raw() as usize].buffer;
-        match buf.fetch_pin(page) {
+        match buf.touch(page, op.kind != OpKind::Read) {
             Fetch::Hit => {
-                buf.unpin(page, op.kind != OpKind::Read);
                 job.cpu_accum += buffer_hit;
                 job.op_cost.cpu += buffer_hit;
                 job.op_cost.pages += 1;
                 Action::Loop
             }
             Fetch::Miss { writeback } => {
-                buf.unpin(page, op.kind != OpKind::Read);
                 if writeback.is_some() {
                     // Asynchronous writeback occupies the disk but does not
                     // block the job; buffer churn shows up as latching.
@@ -601,7 +612,6 @@ impl Cluster {
                 }
             }
             Fetch::RemoteHit { writeback } => {
-                buf.unpin(page, op.kind != OpKind::Read);
                 if writeback.is_some() {
                     job.costs.record(CostCategory::Latching, writeback_latch);
                 }
@@ -1045,7 +1055,13 @@ fn ship_replica_batches(cl: &ClusterRc, sim: &mut Sim, node: NodeId) {
     if c.is_failed(node) {
         return;
     }
-    for (follower, _, _) in c.nodes[node.raw() as usize].replica_shipper.cursors() {
+    // By position: the loop ships through the cursors it walks.
+    let mut next = 0;
+    while let Some(follower) = c.nodes[node.raw() as usize]
+        .replica_shipper
+        .follower_at(next)
+    {
+        next += 1;
         if c.is_failed(follower) {
             continue;
         }

@@ -37,7 +37,8 @@
 //! accumulate/project cost-heat exactly as they did count-heat.
 
 use wattdb_common::{
-    CostModel, CostVector, Heat, HeatConfig, NodeId, SegmentId, SimDuration, SimTime, TableId,
+    CostModel, CostVector, DenseMap, Heat, HeatConfig, NodeId, SegmentId, SimDuration, SimTime,
+    TableId,
 };
 use wattdb_storage::SegmentDirectory;
 
@@ -108,9 +109,8 @@ pub struct SegmentHeatStat {
 /// # Hot-path layout
 ///
 /// Segment ids are allocated densely by the catalog, so the table is a
-/// flat `Vec` indexed by [`SegmentId::raw`] — the record path is an
-/// array index, not a hash probe. Decay stops paying a transcendental
-/// per access: the per-half-life factors `2^(−2^j µs / half_life)` are
+/// [`DenseMap`] — the record path is an array index, not a hash probe.
+/// Decay stops paying a transcendental per access: the per-half-life factors `2^(−2^j µs / half_life)` are
 /// precomputed once, and the factor for an arbitrary elapsed delta is
 /// the product over the set bits of its microsecond count (≤ 64
 /// multiplies, within ~1e-15 of the closed-form `exp2` — pinned ≤ 1e-9
@@ -125,9 +125,8 @@ pub struct HeatTable {
     model: Option<CostModel>,
     /// `pow2[j] = 2^(−(2^j µs) / half_life)`; all ones when decay is off.
     pow2: [f64; 64],
-    /// Tracked segments, indexed by [`SegmentId::raw`] (`None` = never
-    /// touched).
-    slots: Vec<Option<SegmentHeat>>,
+    /// Tracked segments (a segment never touched has no entry).
+    slots: DenseMap<SegmentId, SegmentHeat>,
 }
 
 /// Decay factor `2^(−elapsed/half_life)` assembled from the cached
@@ -168,7 +167,7 @@ impl HeatTable {
             cfg,
             model,
             pow2,
-            slots: Vec::new(),
+            slots: DenseMap::new(),
         }
     }
 
@@ -186,7 +185,7 @@ impl HeatTable {
 
     #[inline]
     fn entry(&self, seg: SegmentId) -> Option<&SegmentHeat> {
-        self.slots.get(seg.raw() as usize).and_then(|o| o.as_ref())
+        self.slots.get(&seg)
     }
 
     /// Bring every tracked segment's heat current to `now` in one flat
@@ -199,7 +198,7 @@ impl HeatTable {
             return;
         }
         let pow2 = self.pow2;
-        for e in self.slots.iter_mut().flatten() {
+        for e in self.slots.values_mut() {
             let elapsed = now.since(e.last_touch);
             if elapsed.as_micros() != 0 {
                 e.heat = Heat(e.heat.value() * factor_of(&pow2, elapsed));
@@ -231,12 +230,7 @@ impl HeatTable {
     }
 
     fn bump(&mut self, seg: SegmentId, now: SimTime, weight: f64) -> &mut SegmentHeat {
-        let idx = seg.raw() as usize;
-        if idx >= self.slots.len() {
-            self.slots.resize(idx + 1, None);
-        }
-        let slot = &mut self.slots[idx];
-        let e = slot.get_or_insert(SegmentHeat {
+        let e = self.slots.get_or_insert_with(seg, || SegmentHeat {
             heat: Heat::ZERO,
             reads: 0,
             writes: 0,

@@ -19,10 +19,8 @@
 //! unclamped projection conserves total heat exactly. Clamping at zero
 //! (heat cannot go negative) is the only deviation.
 
-use std::collections::HashMap;
-
 use wattdb_common::{
-    DriftConfig, HeatVelocity, Key, NodeId, SegmentId, SimDuration, SimTime, TableId,
+    DenseMap, DriftConfig, HeatVelocity, Key, NodeId, SegmentId, SimDuration, SimTime, TableId,
 };
 use wattdb_storage::SegmentDirectory;
 
@@ -68,7 +66,7 @@ pub struct SegmentDriftStat {
 #[derive(Debug)]
 pub struct DriftTracker {
     cfg: DriftConfig,
-    segments: HashMap<SegmentId, SegmentDrift>,
+    segments: DenseMap<SegmentId, SegmentDrift>,
 }
 
 impl DriftTracker {
@@ -76,7 +74,7 @@ impl DriftTracker {
     pub fn new(cfg: DriftConfig) -> Self {
         Self {
             cfg,
-            segments: HashMap::new(),
+            segments: DenseMap::new(),
         }
     }
 
@@ -104,7 +102,7 @@ impl DriftTracker {
         for m in dir.iter() {
             let heat = table.heat_of(m.id, now).value();
             let pos = m.key_range.map(|r| r.start).unwrap_or(Key::MIN);
-            let e = self.segments.entry(m.id).or_insert(SegmentDrift {
+            let e = self.segments.get_or_insert_with(m.id, || SegmentDrift {
                 pos,
                 heat,
                 velocity: HeatVelocity::ZERO,

@@ -6,6 +6,26 @@
 //! delete (borrow/merge rebalancing), point and range lookups. Lookup
 //! methods report the number of node visits so the simulation can charge
 //! index-traversal CPU and page accesses.
+//!
+//! **Height is kept, not walked.** The engine charges every record
+//! operation `height()` node visits, so the tree counts its levels where
+//! they change — a root split adds one, a root collapse removes one — and
+//! [`BPlusTree::height`] is a field read.
+//!
+//! **One descent per write.** [`BPlusTree::upsert_with`] is the
+//! insert-or-replace every writer goes through ([`BPlusTree::insert`] is
+//! its infallible case): it descends once, shows the closure the entry the
+//! key has now, and stores what the closure returns — or leaves the tree
+//! untouched when the closure fails. A caller that must look before it
+//! writes (MVCC's conflict check, then a new version whose address becomes
+//! the value) pays one root-to-leaf walk, not a `get` and an `insert`.
+//! [`BPlusTree::get_mut`] is the same for a key that must already exist.
+//!
+//! Node vectors reserve their full fan-out (`MAX + 1`: a node overflows by
+//! one entry before it splits) when they are created, so a node is
+//! allocated once and never regrown.
+
+use std::convert::Infallible;
 
 use wattdb_common::{Key, KeyRange};
 
@@ -43,11 +63,20 @@ enum InsertOutcome<V> {
     Split(Key, Node<V>),
 }
 
+/// The upper half of an overflowing node's vector, in a vector with room
+/// for a full node: `split_off` would size it to the half it holds and the
+/// next inserts would regrow it.
+fn split_upper<T>(v: &mut Vec<T>, at: usize, room: usize) -> Vec<T> {
+    let mut upper = Vec::with_capacity(room);
+    upper.extend(v.drain(at..));
+    upper
+}
+
 impl<V> Node<V> {
     fn new_leaf() -> Self {
         Node::L(Leaf {
-            keys: Vec::new(),
-            vals: Vec::new(),
+            keys: Vec::with_capacity(MAX_LEAF + 1),
+            vals: Vec::with_capacity(MAX_LEAF + 1),
         })
     }
 
@@ -64,6 +93,8 @@ impl<V> Node<V> {
 pub struct BPlusTree<V> {
     root: Node<V>,
     len: usize,
+    /// Levels from the root to a leaf, both included.
+    height: usize,
 }
 
 impl<V> Default for BPlusTree<V> {
@@ -78,6 +109,7 @@ impl<V> BPlusTree<V> {
         Self {
             root: Node::new_leaf(),
             len: 0,
+            height: 1,
         }
     }
 
@@ -94,13 +126,7 @@ impl<V> BPlusTree<V> {
     /// Height of the tree: 1 for a lone leaf. Lookups visit `height()`
     /// nodes; the engine charges that many index-node accesses.
     pub fn height(&self) -> usize {
-        let mut h = 1;
-        let mut n = &self.root;
-        while let Node::I(i) = n {
-            h += 1;
-            n = &i.children[0];
-        }
-        h
+        self.height
     }
 
     /// Point lookup. Returns the value and the number of nodes visited.
@@ -145,36 +171,62 @@ impl<V> BPlusTree<V> {
 
     /// Insert, returning the previous value if the key existed.
     pub fn insert(&mut self, key: Key, value: V) -> Option<V> {
-        match Self::insert_rec(&mut self.root, key, value) {
-            InsertOutcome::Replaced(old) => Some(old),
-            InsertOutcome::Done => {
-                self.len += 1;
-                None
-            }
-            InsertOutcome::Split(sep, right) => {
-                self.len += 1;
-                let old_root = std::mem::replace(&mut self.root, Node::new_leaf());
-                self.root = Node::I(Internal {
-                    seps: vec![sep],
-                    children: vec![old_root, right],
-                });
-                None
-            }
+        match self.upsert_with(key, |_| Ok::<V, Infallible>(value)) {
+            Ok(previous) => previous,
+            Err(never) => match never {},
         }
     }
 
-    fn insert_rec(node: &mut Node<V>, key: Key, value: V) -> InsertOutcome<V> {
-        match node {
+    /// Insert-or-replace in one descent. `make` is shown the value `key`
+    /// maps to now (`None`: the key is new) and returns the value to store;
+    /// the previous value comes back. When `make` fails, its error is
+    /// returned and the tree — entries, length, height — is untouched.
+    pub fn upsert_with<E>(
+        &mut self,
+        key: Key,
+        make: impl FnOnce(Option<&V>) -> Result<V, E>,
+    ) -> Result<Option<V>, E> {
+        match Self::upsert_rec(&mut self.root, key, make)? {
+            InsertOutcome::Replaced(old) => return Ok(Some(old)),
+            InsertOutcome::Done => {}
+            InsertOutcome::Split(sep, right) => {
+                let mut root = Internal {
+                    seps: Vec::with_capacity(MAX_CHILDREN),
+                    children: Vec::with_capacity(MAX_CHILDREN + 1),
+                };
+                root.seps.push(sep);
+                root.children.push(right);
+                let old_root = std::mem::replace(&mut self.root, Node::I(root));
+                if let Node::I(root) = &mut self.root {
+                    root.children.insert(0, old_root);
+                }
+                self.height += 1;
+            }
+        }
+        self.len += 1;
+        Ok(None)
+    }
+
+    fn upsert_rec<E>(
+        node: &mut Node<V>,
+        key: Key,
+        make: impl FnOnce(Option<&V>) -> Result<V, E>,
+    ) -> Result<InsertOutcome<V>, E> {
+        Ok(match node {
             Node::L(l) => match l.keys.binary_search(&key) {
-                Ok(i) => InsertOutcome::Replaced(std::mem::replace(&mut l.vals[i], value)),
+                Ok(i) => {
+                    let value = make(Some(&l.vals[i]))?;
+                    InsertOutcome::Replaced(std::mem::replace(&mut l.vals[i], value))
+                }
                 Err(i) => {
+                    let value = make(None)?;
                     l.keys.insert(i, key);
                     l.vals.insert(i, value);
                     if l.keys.len() > MAX_LEAF {
                         let mid = l.keys.len() / 2;
                         let right = Leaf {
-                            keys: l.keys.split_off(mid),
-                            vals: l.vals.split_off(mid),
+                            keys: split_upper(&mut l.keys, mid, MAX_LEAF + 1),
+                            vals: split_upper(&mut l.vals, mid, MAX_LEAF + 1),
                         };
                         let sep = right.keys[0];
                         InsertOutcome::Split(sep, Node::L(right))
@@ -185,7 +237,7 @@ impl<V> BPlusTree<V> {
             },
             Node::I(internal) => {
                 let idx = internal.seps.partition_point(|s| *s <= key);
-                match Self::insert_rec(&mut internal.children[idx], key, value) {
+                match Self::upsert_rec(&mut internal.children[idx], key, make)? {
                     InsertOutcome::Split(sep, right) => {
                         internal.seps.insert(idx, sep);
                         internal.children.insert(idx + 1, right);
@@ -193,9 +245,10 @@ impl<V> BPlusTree<V> {
                             // Split internal node: middle separator moves up.
                             let mid = internal.seps.len() / 2;
                             let up = internal.seps[mid];
-                            let right_seps = internal.seps.split_off(mid + 1);
+                            let right_seps = split_upper(&mut internal.seps, mid + 1, MAX_CHILDREN);
                             internal.seps.pop(); // `up` leaves this node
-                            let right_children = internal.children.split_off(mid + 1);
+                            let right_children =
+                                split_upper(&mut internal.children, mid + 1, MAX_CHILDREN + 1);
                             let right = Internal {
                                 seps: right_seps,
                                 children: right_children,
@@ -208,7 +261,7 @@ impl<V> BPlusTree<V> {
                     other => other,
                 }
             }
-        }
+        })
     }
 
     /// Remove a key, returning its value if present.
@@ -222,6 +275,7 @@ impl<V> BPlusTree<V> {
             if i.children.len() == 1 {
                 let child = i.children.pop().expect("one child");
                 self.root = child;
+                self.height -= 1;
             }
         }
         removed
@@ -391,10 +445,11 @@ impl<V> BPlusTree<V> {
     }
 
     /// Verify structural invariants (tests and debug assertions):
-    /// key ordering, separator correctness, node fill, uniform depth.
+    /// key ordering, separator correctness, node fill, uniform depth, and
+    /// the kept height against the depth actually walked.
     pub fn check_invariants(&self) {
         let depth = Self::check_rec(&self.root, None, None, true);
-        let _ = depth;
+        assert_eq!(self.height, depth, "kept height");
     }
 
     fn check_rec(node: &Node<V>, lo: Option<Key>, hi: Option<Key>, is_root: bool) -> usize {

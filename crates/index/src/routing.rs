@@ -15,7 +15,7 @@
 
 use std::collections::BTreeMap;
 
-use wattdb_common::{Error, Key, KeyRange, NodeId, PartitionId, Result, TableId};
+use wattdb_common::{DenseMap, Error, Key, KeyRange, NodeId, PartitionId, Result, TableId};
 
 /// Where a key range lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -53,10 +53,12 @@ pub struct RouteResult {
     pub also: Option<Location>,
 }
 
-/// Global key-range → location table for all tables.
+/// Global key-range → location table for all tables. Table ids are a
+/// handful of small numbers, so the per-table level is an index; the range
+/// level under it is the ordered map a floor lookup needs.
 #[derive(Debug, Default)]
 pub struct GlobalRouter {
-    tables: BTreeMap<TableId, BTreeMap<u64, RouteEntry>>,
+    tables: DenseMap<TableId, BTreeMap<u64, RouteEntry>>,
 }
 
 impl GlobalRouter {
@@ -67,7 +69,7 @@ impl GlobalRouter {
 
     /// Register a table (idempotent).
     pub fn create_table(&mut self, table: TableId) {
-        self.tables.entry(table).or_default();
+        self.tables.get_or_insert_with(table, BTreeMap::new);
     }
 
     fn table_mut(&mut self, table: TableId) -> Result<&mut BTreeMap<u64, RouteEntry>> {

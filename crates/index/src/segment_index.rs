@@ -70,12 +70,36 @@ impl SegmentIndex {
     /// Insert a key → record mapping. Panics if the key is outside the
     /// segment's range (router/top-index bug).
     pub fn insert(&mut self, key: Key, rid: RecordId) -> Option<RecordId> {
+        self.assert_covers(key);
+        self.tree.insert(key, rid)
+    }
+
+    fn assert_covers(&self, key: Key) {
         assert!(
             self.range.contains(key),
             "{key} outside segment range {}",
             self.range
         );
-        self.tree.insert(key, rid)
+    }
+
+    /// Insert-or-replace in one descent ([`BPlusTree::upsert_with`]):
+    /// `make` sees the record id `key` maps to now and returns the one to
+    /// store; if it fails the index is untouched. Panics like
+    /// [`SegmentIndex::insert`] on a key outside the segment's range.
+    pub fn upsert_with<E>(
+        &mut self,
+        key: Key,
+        make: impl FnOnce(Option<RecordId>) -> Result<RecordId, E>,
+    ) -> Result<Option<RecordId>, E> {
+        self.assert_covers(key);
+        self.tree
+            .upsert_with(key, |existing| make(existing.copied()))
+    }
+
+    /// The slot holding `key`'s record id, for a writer that reads it and
+    /// then re-points it: one descent instead of a `get` and an `insert`.
+    pub fn slot_mut(&mut self, key: Key) -> Option<&mut RecordId> {
+        self.tree.get_mut(key)
     }
 
     /// Point lookup; returns the record id and node visits (for costing).

@@ -35,7 +35,7 @@
 
 use std::collections::BTreeMap;
 
-use wattdb_common::{KeyRange, NodeId, SegmentId, TableId};
+use wattdb_common::{DenseMap, KeyRange, NodeId, SegmentId, TableId};
 
 /// Which algorithm plans rebalance moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -795,7 +795,7 @@ pub fn plan_drain_replicated(
     hosts: &[NodeLoadStat],
     factor: usize,
 ) -> DrainPlan {
-    let site_of: BTreeMap<SegmentId, &ReplicaSite> = sites.iter().map(|s| (s.seg, s)).collect();
+    let site_of: DenseMap<SegmentId, &ReplicaSite> = sites.iter().map(|s| (s.seg, s)).collect();
 
     // Leader moves: plan_drain's LPT loop, with a per-segment preference
     // for destinations outside the segment's follower set.

@@ -15,9 +15,7 @@
 //! cached routing decision taken under an older epoch is stale and must be
 //! re-resolved.
 
-use std::collections::BTreeMap;
-
-use wattdb_common::{Lsn, NodeId, SegmentId};
+use wattdb_common::{DenseMap, Lsn, NodeId, SegmentId};
 
 /// One segment's replication state: the leader plus its follower set.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -39,7 +37,9 @@ impl ReplicaSet {
 #[derive(Debug, Clone, Default)]
 pub struct ReplicaMap {
     epoch: u64,
-    segments: BTreeMap<SegmentId, ReplicaSet>,
+    /// Indexed by segment id: the read path asks for a segment's leader
+    /// and followers per operation. Walks are in id order.
+    segments: DenseMap<SegmentId, ReplicaSet>,
 }
 
 impl ReplicaMap {
@@ -84,7 +84,7 @@ impl ReplicaMap {
 
     /// Iterate over all tracked segments in id order.
     pub fn iter(&self) -> impl Iterator<Item = (SegmentId, &ReplicaSet)> {
-        self.segments.iter().map(|(s, r)| (*s, r))
+        self.segments.iter()
     }
 
     /// Install (or replace) a segment's replica set. A follower equal to
@@ -164,7 +164,7 @@ impl ReplicaMap {
         self.segments
             .iter()
             .filter(|(_, r)| r.leader == node)
-            .map(|(s, _)| *s)
+            .map(|(s, _)| s)
             .collect()
     }
 
@@ -173,7 +173,7 @@ impl ReplicaMap {
         self.segments
             .iter()
             .filter(|(_, r)| r.followers.contains(&node))
-            .map(|(s, _)| *s)
+            .map(|(s, _)| s)
             .collect()
     }
 
@@ -187,7 +187,7 @@ impl ReplicaMap {
     /// segments that lost a follower — the re-replication work list.
     pub fn drop_follower_node(&mut self, node: NodeId) -> Vec<SegmentId> {
         let mut lost = Vec::new();
-        for (&seg, r) in self.segments.iter_mut() {
+        for (seg, r) in self.segments.iter_mut() {
             let before = r.followers.len();
             r.followers.retain(|&f| f != node);
             if r.followers.len() != before {
@@ -206,7 +206,7 @@ impl ReplicaMap {
         self.segments
             .iter()
             .filter(|(_, r)| r.followers.len() < factor)
-            .map(|(s, r)| (*s, factor - r.followers.len()))
+            .map(|(s, r)| (s, factor - r.followers.len()))
             .collect()
     }
 }

@@ -11,8 +11,18 @@
 //! of disk, and faulting them back costs a network round trip instead of a
 //! seek.
 //!
+//! **Probes.** `frames` is the one hash table on the page path (a page id
+//! is sparse: segment × page number), so it is probed as little as the
+//! protocol allows: a hit is one probe, the clock sweep probes each
+//! candidate once, and the remote tier's set is not consulted at all while
+//! that tier is off. [`BufferPool::touch`] is fetch-and-release for callers
+//! that do not hold the pin across anything — the same bookkeeping as
+//! [`BufferPool::fetch_pin`] followed by [`BufferPool::unpin`], in one
+//! probe instead of two.
+//!
 //! [`PageStore`]: crate::store::PageStore
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
 use wattdb_common::{IdMap, IdSet, PageId};
@@ -123,19 +133,35 @@ impl BufferPool {
     /// Fetch `page` and pin it. The caller must charge the costs implied by
     /// the returned [`Fetch`] and later [`unpin`](Self::unpin).
     pub fn fetch_pin(&mut self, page: PageId) -> Fetch {
+        self.fetch(page, 1, false)
+    }
+
+    /// Fetch `page`, use it and let go of it at once: what
+    /// [`fetch_pin`](Self::fetch_pin) followed by `unpin(page, dirty)`
+    /// leaves behind — same [`Fetch`], counters, victim and dirty bit —
+    /// without the second probe.
+    pub fn touch(&mut self, page: PageId, dirty: bool) -> Fetch {
+        self.fetch(page, 0, dirty)
+    }
+
+    /// Make `page` resident, referenced, pinned `pins` times more and
+    /// dirty if `dirty`.
+    fn fetch(&mut self, page: PageId, pins: u32, dirty: bool) -> Fetch {
         if let Some(f) = self.frames.get_mut(&page) {
-            f.pinned += 1;
+            f.pinned += pins;
+            f.dirty |= dirty;
             f.referenced = true;
             self.stats.hits += 1;
             return Fetch::Hit;
         }
-        let from_remote = self.remote.remove(&page);
+        // With the tier off the set is empty: nothing to look for.
+        let from_remote = self.remote_capacity > 0 && self.remote.remove(&page);
         let writeback = self.make_room();
         self.frames.insert(
             page,
             Frame {
-                pinned: 1,
-                dirty: false,
+                pinned: pins,
+                dirty,
                 referenced: true,
             },
         );
@@ -157,24 +183,28 @@ impl BufferPool {
             return None;
         }
         // Clock sweep: skip pinned, clear reference bits, evict first
-        // unreferenced unpinned frame.
+        // unreferenced unpinned frame. One probe per candidate: the entry
+        // found is the entry patched or removed.
         let mut sweeps = 0;
         let max_sweeps = self.clock.len() * 2 + 1;
         while sweeps < max_sweeps {
             sweeps += 1;
             let candidate = self.clock.pop_front().expect("clock not empty");
-            let frame = *self.frames.get(&candidate).expect("clock/frame sync");
+            let Entry::Occupied(mut entry) = self.frames.entry(candidate) else {
+                panic!("clock/frame sync");
+            };
+            let frame = entry.get_mut();
             if frame.pinned > 0 {
                 self.clock.push_back(candidate);
                 continue;
             }
             if frame.referenced {
-                self.frames.get_mut(&candidate).expect("exists").referenced = false;
+                frame.referenced = false;
                 self.clock.push_back(candidate);
                 continue;
             }
             // Evict.
-            self.frames.remove(&candidate);
+            let frame = entry.remove();
             self.stats.evictions += 1;
             if self.remote_capacity > 0 && self.remote.len() < self.remote_capacity {
                 self.remote.insert(candidate);

@@ -217,6 +217,25 @@ impl Record {
         Ok(header.with_payload(payload.to_vec()))
     }
 
+    /// The `begin` timestamp of an encoded version, read in place.
+    pub fn begin_of(bytes: &[u8]) -> Result<u64> {
+        Self::timestamp(bytes, BEGIN_OFFSET)
+    }
+
+    /// The `end` timestamp of an encoded version, read in place.
+    pub fn end_of(bytes: &[u8]) -> Result<u64> {
+        Self::timestamp(bytes, END_OFFSET)
+    }
+
+    fn timestamp(bytes: &[u8], offset: usize) -> Result<u64> {
+        match bytes.get(offset..offset + 8) {
+            Some(ts) if bytes.len() >= RECORD_HEADER_BYTES => {
+                Ok(u64::from_le_bytes(ts.try_into().expect("eight bytes")))
+            }
+            _ => Err(Error::Corruption("record shorter than header")),
+        }
+    }
+
     /// Overwrite the `begin` timestamp of an encoded version in place.
     pub fn stamp_begin(bytes: &mut [u8], ts: u64) -> Result<()> {
         Self::stamp(bytes, BEGIN_OFFSET, ts)

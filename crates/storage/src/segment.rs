@@ -9,9 +9,9 @@
 //! own primary-key range (a mini-partition); that range lives here as
 //! metadata, while the per-segment PK index lives in `wattdb-index`.
 
-use std::collections::BTreeMap;
-
-use wattdb_common::{ByteSize, DiskId, Error, KeyRange, NodeId, Result, SegmentId, TableId};
+use wattdb_common::{
+    ByteSize, DenseMap, DiskId, Error, KeyRange, NodeId, Result, SegmentId, TableId,
+};
 
 use crate::page::PAGE_SIZE;
 
@@ -61,11 +61,13 @@ impl SegmentMeta {
 }
 
 /// The catalog of all segments in the cluster (maintained by the master,
-/// mirrored read-only on workers in a real deployment).
+/// mirrored read-only on workers in a real deployment). It mints the
+/// segment ids, densely from zero, so it is itself indexed by them; walks
+/// are in id order.
 #[derive(Debug, Default)]
 pub struct SegmentDirectory {
     next_id: u64,
-    segments: BTreeMap<SegmentId, SegmentMeta>,
+    segments: DenseMap<SegmentId, SegmentMeta>,
 }
 
 impl SegmentDirectory {

@@ -8,8 +8,15 @@
 //! corresponding virtual-time costs. Shared-nothing semantics are enforced
 //! by the engine: a node only touches segments it owns, and any remote page
 //! access is routed through the (costed) network layer.
+//!
+//! Segment ids are minted by the catalog's counter, so the store is a
+//! [`DenseMap`]: resolving a record id is two vector indexes (segment,
+//! page) and a slot lookup, with no hashing anywhere on the way. The
+//! stamping calls resolve their record once — [`PageStore::restamp_begin`]
+//! and [`PageStore::restamp_end`] read the timestamp they may replace from
+//! the same bytes they then patch.
 
-use wattdb_common::{Error, IdMap, PageId, RecordId, Result, SegmentId};
+use wattdb_common::{DenseMap, Error, PageId, RecordId, Result, SegmentId};
 
 use crate::page::{SlottedPage, PAGE_SIZE, SLOT_OVERHEAD};
 use crate::record::{Record, RecordHeader};
@@ -17,7 +24,7 @@ use crate::record::{Record, RecordHeader};
 /// Process-wide page data, keyed by segment.
 #[derive(Debug, Default)]
 pub struct PageStore {
-    segments: IdMap<SegmentId, Vec<SlottedPage>>,
+    segments: DenseMap<SegmentId, Vec<SlottedPage>>,
 }
 
 impl PageStore {
@@ -28,7 +35,7 @@ impl PageStore {
 
     /// Register a segment with zero pages.
     pub fn add_segment(&mut self, id: SegmentId) {
-        self.segments.entry(id).or_default();
+        self.segments.get_or_insert_with(id, Vec::new);
     }
 
     /// Number of pages allocated in `segment`.
@@ -151,6 +158,45 @@ impl PageStore {
     /// version was superseded, or a superseder committed or rolled back).
     pub fn stamp_end(&mut self, rid: RecordId, ts: u64) -> Result<()> {
         Record::stamp_end(self.stored_mut(rid)?, ts)
+    }
+
+    /// [`PageStore::stamp_begin`] if `when` holds of the `begin` timestamp
+    /// the version has now (commit stamping replaces a provisional mark and
+    /// nothing else). The version is resolved once for the look and the
+    /// patch; a page nothing is stamped on is not dirtied.
+    pub fn restamp_begin(
+        &mut self,
+        rid: RecordId,
+        ts: u64,
+        when: impl FnOnce(u64) -> bool,
+    ) -> Result<()> {
+        self.restamp(rid, ts, when, Record::begin_of, Record::stamp_begin)
+    }
+
+    /// [`PageStore::restamp_begin`] for the `end` timestamp.
+    pub fn restamp_end(
+        &mut self,
+        rid: RecordId,
+        ts: u64,
+        when: impl FnOnce(u64) -> bool,
+    ) -> Result<()> {
+        self.restamp(rid, ts, when, Record::end_of, Record::stamp_end)
+    }
+
+    fn restamp(
+        &mut self,
+        rid: RecordId,
+        ts: u64,
+        when: impl FnOnce(u64) -> bool,
+        read: fn(&[u8]) -> Result<u64>,
+        stamp: fn(&mut [u8], u64) -> Result<()>,
+    ) -> Result<()> {
+        let page = self.page_mut(rid.page)?;
+        let stored = page.get(rid.slot).ok_or(Error::RecordNotFound(rid))?;
+        if when(read(stored)?) {
+            stamp(page.get_mut(rid.slot).expect("slot is live"), ts)?;
+        }
+        Ok(())
     }
 
     fn stored_mut(&mut self, rid: RecordId) -> Result<&mut [u8]> {

@@ -35,6 +35,19 @@
 //!   index says the transaction is in it, and the per-transaction
 //!   bookkeeping vectors are recycled.
 //!
+//! # Which levels hash
+//!
+//! Three of the four levels are keyed by an id the engine mints from a
+//! counter — `Table`, `Partition`, `Segment` — and every write takes an
+//! intent lock on each, so those levels are [`DenseMap`]s: the three
+//! intent locks of a write are three array indexes. Only `Record` targets
+//! are sparse (a table id and a primary key), and only they hash: once to
+//! acquire, once to release (the entry found is the entry pruned). The
+//! per-transaction lists live in a slab behind a `TxnId → slot` table that
+//! remembers who asked last, so the requests one transaction makes in a
+//! row — an operation's four locks, the operations of one executor step —
+//! hash its id once.
+//!
 //! # Wait-for edges
 //!
 //! A request for `(target, mode)` waits for every holder of `target` in
@@ -47,9 +60,12 @@
 //! with them every modeled result depend on the verdict; narrowing it to
 //! the requests ahead is a behaviour change of its own.
 
+use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
 
-use wattdb_common::{IdMap, IdSet, Key, PartitionId, SegmentId, TableId, TxnId};
+use wattdb_common::{
+    DenseKey, DenseMap, IdMap, IdSet, Key, PartitionId, SegmentId, TableId, TxnId,
+};
 
 /// A lockable resource in the granularity hierarchy.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -228,6 +244,88 @@ impl LockState {
     }
 }
 
+/// The lock table: one map per level of the hierarchy (module docs,
+/// "Which levels hash").
+#[derive(Debug, Default)]
+struct LockTable {
+    tables: DenseMap<TableId, LockState>,
+    partitions: DenseMap<PartitionId, LockState>,
+    segments: DenseMap<SegmentId, LockState>,
+    records: IdMap<(TableId, Key), LockState>,
+}
+
+/// [`LockTable::update`] on a dense level.
+fn update_dense<K: DenseKey>(
+    level: &mut DenseMap<K, LockState>,
+    id: K,
+    change: impl FnOnce(&mut LockState),
+) {
+    if let Some(state) = level.get_mut(&id) {
+        change(state);
+        if state.is_idle() {
+            level.remove(&id);
+        }
+    }
+}
+
+impl LockTable {
+    fn len(&self) -> usize {
+        self.tables.len() + self.partitions.len() + self.segments.len() + self.records.len()
+    }
+
+    fn get(&self, target: LockTarget) -> Option<&LockState> {
+        match target {
+            LockTarget::Table(t) => self.tables.get(&t),
+            LockTarget::Partition(p) => self.partitions.get(&p),
+            LockTarget::Segment(s) => self.segments.get(&s),
+            LockTarget::Record(t, k) => self.records.get(&(t, k)),
+        }
+    }
+
+    /// The state of a target a request is known to sit on.
+    fn state(&self, target: LockTarget) -> &LockState {
+        self.get(target).expect("requested target has state")
+    }
+
+    fn get_or_default(&mut self, target: LockTarget) -> &mut LockState {
+        match target {
+            LockTarget::Table(t) => self.tables.get_or_insert_with(t, LockState::default),
+            LockTarget::Partition(p) => self.partitions.get_or_insert_with(p, LockState::default),
+            LockTarget::Segment(s) => self.segments.get_or_insert_with(s, LockState::default),
+            LockTarget::Record(t, k) => self.records.entry((t, k)).or_default(),
+        }
+    }
+
+    /// Apply `change` to `target`'s state, if it has one, and drop the
+    /// state if that left it idle — one probe of the record table.
+    fn update(&mut self, target: LockTarget, change: impl FnOnce(&mut LockState)) {
+        match target {
+            LockTarget::Table(t) => update_dense(&mut self.tables, t, change),
+            LockTarget::Partition(p) => update_dense(&mut self.partitions, p, change),
+            LockTarget::Segment(s) => update_dense(&mut self.segments, s, change),
+            LockTarget::Record(t, k) => {
+                if let Entry::Occupied(mut entry) = self.records.entry((t, k)) {
+                    change(entry.get_mut());
+                    if entry.get().is_idle() {
+                        entry.remove();
+                    }
+                }
+            }
+        }
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (LockTarget, &LockState)> + '_ {
+        let tables = self.tables.iter().map(|(t, s)| (LockTarget::Table(t), s));
+        let partitions = self.partitions.iter();
+        let segments = self.segments.iter();
+        let records = self.records.iter();
+        tables
+            .chain(partitions.map(|(p, s)| (LockTarget::Partition(p), s)))
+            .chain(segments.map(|(g, s)| (LockTarget::Segment(g), s)))
+            .chain(records.map(|(&(t, k), s)| (LockTarget::Record(t, k), s)))
+    }
+}
+
 /// What one transaction has in the lock table.
 #[derive(Debug, Default)]
 struct TxnLocks {
@@ -236,6 +334,76 @@ struct TxnLocks {
     /// Its queued requests — the waits-for index. Multi-valued: nothing
     /// stops a queued transaction from requesting again.
     waits: Vec<(LockTarget, LockMode)>,
+}
+
+/// Every transaction's [`TxnLocks`], in a slab. A released transaction's
+/// slot keeps its emptied vectors for the next tenant.
+#[derive(Debug, Default)]
+struct TxnTable {
+    slot_of: IdMap<TxnId, u32>,
+    slots: Vec<TxnLocks>,
+    free: Vec<u32>,
+    /// The transaction [`TxnTable::own`] was last asked for and its slot.
+    last: Option<(TxnId, u32)>,
+}
+
+impl TxnTable {
+    /// `txn`'s lists, created on first use. Asking for the same
+    /// transaction again does not hash.
+    fn own(&mut self, txn: TxnId) -> &mut TxnLocks {
+        let slot = match self.last {
+            Some((t, slot)) if t == txn => slot,
+            _ => {
+                let TxnTable {
+                    slot_of,
+                    slots,
+                    free,
+                    ..
+                } = self;
+                let slot = *slot_of.entry(txn).or_insert_with(|| {
+                    free.pop().unwrap_or_else(|| {
+                        slots.push(TxnLocks::default());
+                        (slots.len() - 1) as u32
+                    })
+                });
+                self.last = Some((txn, slot));
+                slot
+            }
+        };
+        &mut self.slots[slot as usize]
+    }
+
+    fn get(&self, txn: TxnId) -> Option<&TxnLocks> {
+        Some(&self.slots[*self.slot_of.get(&txn)? as usize])
+    }
+
+    /// The lists of a transaction that is queued somewhere.
+    fn get_mut(&mut self, txn: TxnId) -> &mut TxnLocks {
+        &mut self.slots[self.slot_of[&txn] as usize]
+    }
+
+    /// Forget `txn`, handing out its lists for the release to walk;
+    /// [`TxnTable::recycle`] takes them back.
+    fn remove(&mut self, txn: TxnId) -> Option<(u32, TxnLocks)> {
+        let slot = self.slot_of.remove(&txn)?;
+        if self.last.is_some_and(|(t, _)| t == txn) {
+            self.last = None;
+        }
+        Some((slot, std::mem::take(&mut self.slots[slot as usize])))
+    }
+
+    fn recycle(&mut self, slot: u32, mut own: TxnLocks) {
+        own.touched.clear();
+        own.waits.clear();
+        self.slots[slot as usize] = own;
+        self.free.push(slot);
+    }
+
+    fn iter(&self) -> impl Iterator<Item = (TxnId, &TxnLocks)> + '_ {
+        self.slot_of
+            .iter()
+            .map(|(&t, &slot)| (t, &self.slots[slot as usize]))
+    }
 }
 
 /// Buffers of the cycle search, kept so that a wait allocates nothing.
@@ -249,11 +417,8 @@ struct Search {
 /// The lock manager.
 #[derive(Debug, Default)]
 pub struct LockManager {
-    locks: IdMap<LockTarget, LockState>,
-    txns: IdMap<TxnId, TxnLocks>,
-    /// Emptied `TxnLocks` of released transactions; their vectors keep
-    /// their capacity for the next transaction.
-    spare: Vec<TxnLocks>,
+    locks: LockTable,
+    txns: TxnTable,
     search: Search,
     waits: u64,
     deadlocks: u64,
@@ -282,23 +447,17 @@ impl LockManager {
 
     /// Number of queued requests in the waits-for index.
     pub fn queued_requests(&self) -> usize {
-        self.txns.values().map(|own| own.waits.len()).sum()
+        self.txns.iter().map(|(_, own)| own.waits.len()).sum()
     }
 
     /// Mode `txn` currently holds on `target`, if any.
     pub fn held_mode(&self, txn: TxnId, target: LockTarget) -> Option<LockMode> {
-        self.locks.get(&target)?.held(txn)
-    }
-
-    fn own(&mut self, txn: TxnId) -> &mut TxnLocks {
-        self.txns
-            .entry(txn)
-            .or_insert_with(|| self.spare.pop().unwrap_or_default())
+        self.locks.get(target)?.held(txn)
     }
 
     /// Request `target` in `mode` for `txn`.
     pub fn acquire(&mut self, txn: TxnId, target: LockTarget, mode: LockMode) -> LockAcquire {
-        let state = self.locks.entry(target).or_default();
+        let state = self.locks.get_or_default(target);
         let held = state.held(txn);
         let effective = match held {
             Some(held) if held.covers(mode) => return LockAcquire::Granted,
@@ -310,7 +469,7 @@ impl LockManager {
         if !state.conflicts(effective, held) && (held.is_some() || state.queue.is_empty()) {
             state.grant(txn, held, effective);
             if held.is_none() {
-                self.own(txn).touched.push(target);
+                self.txns.own(txn).touched.push(target);
             }
             return LockAcquire::Granted;
         }
@@ -319,14 +478,14 @@ impl LockManager {
             self.deadlocks += 1;
             return LockAcquire::Deadlock;
         }
-        let state = self.locks.get_mut(&target).expect("entry exists");
+        let state = self.locks.get_or_default(target); // the state found above
         if held.is_some() {
             // Conversion waits at the front.
             state.queue.push_front((txn, effective));
         } else {
             state.queue.push_back((txn, effective));
         }
-        let own = self.own(txn);
+        let own = self.txns.own(txn);
         own.touched.push(target);
         own.waits.push((target, effective));
         self.waits += 1;
@@ -349,7 +508,9 @@ impl LockManager {
         stack.clear();
         seen.clear();
         expanded.clear();
-        self.locks[&target].push_blockers(mode, Some(txn), stack);
+        self.locks
+            .state(target)
+            .push_blockers(mode, Some(txn), stack);
         while let Some(t) = stack.pop() {
             if t == txn {
                 return true;
@@ -358,9 +519,10 @@ impl LockManager {
                 continue;
             }
             // Everything t waits on (a holder or queuer always has an entry).
-            for &(tgt, wmode) in &self.txns[&t].waits {
+            let own = self.txns.get(t).expect("holder or queuer is indexed");
+            for &(tgt, wmode) in &own.waits {
                 if expanded.insert((tgt, wmode)) {
-                    self.locks[&tgt].push_blockers(wmode, None, stack);
+                    self.locks.state(tgt).push_blockers(wmode, None, stack);
                 }
             }
         }
@@ -372,38 +534,32 @@ impl LockManager {
     /// order.
     pub fn release_all(&mut self, txn: TxnId) -> Vec<(TxnId, LockTarget, LockMode)> {
         let mut granted_now = Vec::new();
-        let Some(mut own) = self.txns.remove(&txn) else {
+        let Some((slot, own)) = self.txns.remove(txn) else {
             return granted_now;
         };
         for &target in &own.touched {
-            let Some(state) = self.locks.get_mut(&target) else {
-                continue;
-            };
-            state.release(txn);
-            if own.waits.iter().any(|(t, _)| *t == target) {
-                state.queue.retain(|(t, _)| *t != txn);
-            }
-            // Promote from the queue head while compatible.
-            while let Some((t, m)) = state.queue.front().copied() {
-                let held = state.held(t);
-                let eff = held.map_or(m, |held| held.combine(m));
-                if state.conflicts(eff, held) {
-                    break;
+            self.locks.update(target, |state| {
+                state.release(txn);
+                if own.waits.iter().any(|(t, _)| *t == target) {
+                    state.queue.retain(|(t, _)| *t != txn);
                 }
-                state.queue.pop_front();
-                state.grant(t, held, eff);
-                let waits = &mut self.txns.get_mut(&t).expect("queued txn is indexed").waits;
-                let at = waits.iter().position(|w| *w == (target, m));
-                waits.swap_remove(at.expect("queued request is indexed"));
-                granted_now.push((t, target, eff));
-            }
-            if state.is_idle() {
-                self.locks.remove(&target);
-            }
+                // Promote from the queue head while compatible.
+                while let Some((t, m)) = state.queue.front().copied() {
+                    let held = state.held(t);
+                    let eff = held.map_or(m, |held| held.combine(m));
+                    if state.conflicts(eff, held) {
+                        break;
+                    }
+                    state.queue.pop_front();
+                    state.grant(t, held, eff);
+                    let waits = &mut self.txns.get_mut(t).waits;
+                    let at = waits.iter().position(|w| *w == (target, m));
+                    waits.swap_remove(at.expect("queued request is indexed"));
+                    granted_now.push((t, target, eff));
+                }
+            });
         }
-        own.touched.clear();
-        own.waits.clear();
-        self.spare.push(own);
+        self.txns.recycle(slot, own);
         granted_now
     }
 
@@ -412,7 +568,8 @@ impl LockManager {
     /// queues, and `touched` against both.
     pub fn check_invariants(&self) -> Result<(), String> {
         let mut queued = Vec::new();
-        for (target, state) in &self.locks {
+        for (target, state) in self.locks.iter() {
+            let target = &target;
             if state.is_idle() {
                 return Err(format!("idle state kept for {target:?}"));
             }
@@ -435,11 +592,8 @@ impl LockManager {
                 .map(|(t, _)| t)
                 .chain(state.queue.iter().map(|q| q.0))
             {
-                if !self
-                    .txns
-                    .get(&t)
-                    .is_some_and(|own| own.touched.contains(target))
-                {
+                let own = self.txns.get(t);
+                if !own.is_some_and(|own| own.touched.contains(target)) {
                     return Err(format!("{t:?} is on {target:?} but has not touched it"));
                 }
             }
@@ -447,7 +601,7 @@ impl LockManager {
         let mut indexed: Vec<(TxnId, LockTarget, LockMode)> = self
             .txns
             .iter()
-            .flat_map(|(t, own)| own.waits.iter().map(|&(tgt, m)| (*t, tgt, m)))
+            .flat_map(|(t, own)| own.waits.iter().map(move |&(tgt, m)| (t, tgt, m)))
             .collect();
         queued.sort_unstable();
         indexed.sort_unstable();

@@ -11,7 +11,7 @@
 //! The manager also mints *system transactions* (§3.5) used by the
 //! migration engine to serialize record movement against user work.
 
-use wattdb_common::{Error, IdMap, Key, Result, SegmentId, TxnId};
+use wattdb_common::{DenseMap, Error, IdMap, Key, Result, SegmentId, TxnId};
 use wattdb_index::SegmentIndex;
 use wattdb_storage::{PageStore, Record, RecordHeader, TS_INFINITY};
 
@@ -21,7 +21,10 @@ use crate::mvcc::{self, Snapshot, WriteOp};
 /// The canonical container for a node's segment indexes, as consumed by
 /// [`TxnManager::abort`]: undo must touch every segment a transaction
 /// wrote, so the caller lends the whole map. Construct with `default()`.
-pub type IndexMap = IdMap<SegmentId, SegmentIndex>;
+/// Indexed by segment id; iterates in id order.
+pub type IndexMap = DenseMap<SegmentId, SegmentIndex>;
+
+const UNKNOWN_TXN: Error = Error::InvalidState("unknown or finished transaction");
 
 /// Concurrency-control mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,6 +68,16 @@ pub struct TxnState {
 }
 
 impl TxnState {
+    /// Append to the write set, which borrows a recycled list from `spare`
+    /// with its first entry — a transaction that has written nothing holds
+    /// none.
+    fn log_write(&mut self, spare: &mut Vec<Vec<WriteOp>>, w: WriteOp) {
+        if self.writes.capacity() == 0 {
+            self.writes = spare.pop().unwrap_or_default();
+        }
+        self.writes.push(w);
+    }
+
     /// Bytes of pending-change state held for undo (locking mode).
     pub fn before_image_bytes(&self) -> usize {
         self.before_images
@@ -140,9 +153,7 @@ impl TxnManager {
 
     /// Access a live transaction.
     pub fn state(&self, txn: TxnId) -> Result<&TxnState> {
-        self.active
-            .get(&txn)
-            .ok_or(Error::InvalidState("unknown or finished transaction"))
+        self.active.get(&txn).ok_or(UNKNOWN_TXN)
     }
 
     /// The snapshot of a live transaction.
@@ -185,16 +196,6 @@ impl TxnManager {
         }
     }
 
-    /// Append to `txn`'s write set, which borrows a recycled list with its
-    /// first entry — a transaction that has written nothing holds none.
-    fn log_write(&mut self, txn: TxnId, w: WriteOp) {
-        let st = self.active.get_mut(&txn).expect("live");
-        if st.writes.capacity() == 0 {
-            st.writes = self.spare_writes.pop().unwrap_or_default();
-        }
-        st.writes.push(w);
-    }
-
     /// Does `txn` see a live version of `key`? [`TxnManager::read`] without
     /// the copy: only version headers are looked at.
     pub fn sees(
@@ -226,7 +227,9 @@ impl TxnManager {
         logical_width: u32,
         payload: &[u8],
     ) -> Result<()> {
-        let snapshot = self.snapshot(txn)?;
+        // One probe of `active`: the state gives the snapshot before the
+        // write and takes the undo entry after it.
+        let st = self.active.get_mut(&txn).ok_or(UNKNOWN_TXN)?;
         match self.mode {
             CcMode::Mvcc => {
                 let w = mvcc::insert(
@@ -236,9 +239,9 @@ impl TxnManager {
                     key,
                     logical_width,
                     payload,
-                    snapshot,
+                    st.snapshot,
                 )?;
-                self.log_write(txn, w);
+                st.log_write(&mut self.spare_writes, w);
             }
             CcMode::LockingRx => {
                 if index.get(key).0.is_some() {
@@ -248,16 +251,12 @@ impl TxnManager {
                 let (rid, _) =
                     store.insert_version(index.segment(), &header, payload, max_pages)?;
                 index.insert(key, rid);
-                self.active
-                    .get_mut(&txn)
-                    .expect("live")
-                    .before_images
-                    .push(BeforeImage {
-                        segment: index.segment(),
-                        key,
-                        rid,
-                        prior: None,
-                    });
+                st.before_images.push(BeforeImage {
+                    segment: index.segment(),
+                    key,
+                    rid,
+                    prior: None,
+                });
             }
         }
         Ok(())
@@ -275,7 +274,7 @@ impl TxnManager {
         logical_width: u32,
         payload: &[u8],
     ) -> Result<()> {
-        let snapshot = self.snapshot(txn)?;
+        let st = self.active.get_mut(&txn).ok_or(UNKNOWN_TXN)?;
         match self.mode {
             CcMode::Mvcc => {
                 let w = mvcc::update(
@@ -285,9 +284,9 @@ impl TxnManager {
                     key,
                     logical_width,
                     payload,
-                    snapshot,
+                    st.snapshot,
                 )?;
-                self.log_write(txn, w);
+                st.log_write(&mut self.spare_writes, w);
             }
             CcMode::LockingRx => {
                 let (rid, _) = index.get(key);
@@ -300,16 +299,12 @@ impl TxnManager {
                 new.payload = payload.to_vec();
                 new.logical_width = logical_width;
                 store.write_record(rid, &new)?;
-                self.active
-                    .get_mut(&txn)
-                    .expect("live")
-                    .before_images
-                    .push(BeforeImage {
-                        segment: index.segment(),
-                        key,
-                        rid,
-                        prior: Some(prior),
-                    });
+                st.before_images.push(BeforeImage {
+                    segment: index.segment(),
+                    key,
+                    rid,
+                    prior: Some(prior),
+                });
             }
         }
         Ok(())
@@ -324,11 +319,11 @@ impl TxnManager {
         max_pages: u32,
         key: Key,
     ) -> Result<()> {
-        let snapshot = self.snapshot(txn)?;
+        let st = self.active.get_mut(&txn).ok_or(UNKNOWN_TXN)?;
         match self.mode {
             CcMode::Mvcc => {
-                let w = mvcc::delete(index, store, max_pages, key, snapshot)?;
-                self.log_write(txn, w);
+                let w = mvcc::delete(index, store, max_pages, key, st.snapshot)?;
+                st.log_write(&mut self.spare_writes, w);
             }
             CcMode::LockingRx => {
                 let (rid, _) = index.get(key);
@@ -336,16 +331,12 @@ impl TxnManager {
                 let prior = store.read_record(rid)?;
                 store.delete_record(rid)?;
                 index.remove(key);
-                self.active
-                    .get_mut(&txn)
-                    .expect("live")
-                    .before_images
-                    .push(BeforeImage {
-                        segment: index.segment(),
-                        key,
-                        rid,
-                        prior: Some(prior),
-                    });
+                st.before_images.push(BeforeImage {
+                    segment: index.segment(),
+                    key,
+                    rid,
+                    prior: Some(prior),
+                });
             }
         }
         Ok(())
@@ -389,14 +380,13 @@ impl TxnManager {
             .ok_or(Error::InvalidState("abort of unknown transaction"))?;
         match self.mode {
             CcMode::Mvcc => {
-                // Group by segment so each segment's index is resolved once.
-                let mut by_seg: IdMap<SegmentId, Vec<WriteOp>> = IdMap::default();
-                for w in st.writes {
-                    by_seg.entry(w.segment).or_default().push(w);
-                }
-                for (seg, writes) in by_seg {
-                    let idx = indexes.get_mut(&seg).ok_or(Error::UnknownSegment(seg))?;
-                    mvcc::abort_writes(idx, store, &writes)?;
+                // Newest first, so repeated writes to one key restore
+                // correctly; resolving a segment's index is an array index.
+                for w in st.writes.iter().rev() {
+                    let idx = indexes
+                        .get_mut(&w.segment)
+                        .ok_or(Error::UnknownSegment(w.segment))?;
+                    mvcc::abort_writes(idx, store, std::slice::from_ref(w))?;
                 }
             }
             CcMode::LockingRx => {

@@ -14,6 +14,11 @@
 //! transaction's id with the high bit set. Commit stamps them with the
 //! commit timestamp; abort unlinks the provisional version.
 //!
+//! A write descends its segment's index once: it finds the slot of its key,
+//! checks the version the slot points at, stores the new version and
+//! re-points the slot ([`SegmentIndex::upsert_with`] for a key that may be
+//! new, [`SegmentIndex::slot_mut`] for one that must exist).
+//!
 //! Write-write conflicts: a transaction that finds the newest version
 //! provisionally owned by another in-flight transaction aborts
 //! (first-updater-wins between concurrent writers). Writes against versions
@@ -162,34 +167,33 @@ pub fn insert(
     payload: &[u8],
     snap: Snapshot,
 ) -> Result<WriteOp> {
-    let (existing_rid, _) = index.get(key);
-    let prev = match existing_rid {
-        Some(rid) => {
+    let segment = index.segment();
+    let mut new_rid = None;
+    let old_rid = index.upsert_with(key, |existing| {
+        if let Some(rid) = existing {
             let newest = store.peek(rid)?;
             check_write_conflict(&newest, snap)?;
             if !newest.is_tombstone() {
                 return Err(Error::DuplicateKey(key));
             }
             // Re-insert over a tombstone: chain through it.
-            Some(rid)
         }
-        None => None,
-    };
-    let header = RecordHeader {
-        prev,
-        ..RecordHeader::new(key, provisional(snap.txn), logical_width)
-    };
-    let segment = index.segment();
-    let (new_rid, _) = store.insert_version(segment, &header, payload, max_pages)?;
-    if let Some(old_rid) = prev {
-        store.stamp_end(old_rid, provisional(snap.txn))?;
-    }
-    index.insert(key, new_rid);
+        let header = RecordHeader {
+            prev: existing,
+            ..RecordHeader::new(key, provisional(snap.txn), logical_width)
+        };
+        let (rid, _) = store.insert_version(segment, &header, payload, max_pages)?;
+        if let Some(old_rid) = existing {
+            store.stamp_end(old_rid, provisional(snap.txn))?;
+        }
+        new_rid = Some(rid);
+        Ok(rid)
+    })?;
     Ok(WriteOp {
         segment,
         key,
-        new_rid,
-        old_rid: prev,
+        new_rid: new_rid.expect("upsert stored a version"),
+        old_rid,
     })
 }
 
@@ -230,18 +234,18 @@ fn write_version(
     payload: &[u8],
 ) -> Result<WriteOp> {
     let key = header.key;
-    let (rid, _) = index.get(key);
-    let old_rid = rid.ok_or(Error::KeyNotFound(key))?;
+    let segment = index.segment();
+    let slot = index.slot_mut(key).ok_or(Error::KeyNotFound(key))?;
+    let old_rid = *slot;
     let newest = store.peek(old_rid)?;
     check_write_conflict(&newest, snap)?;
     if newest.is_tombstone() {
         return Err(Error::KeyNotFound(key));
     }
-    let segment = index.segment();
     header.prev = Some(old_rid);
     let (new_rid, _) = store.insert_version(segment, &header, payload, max_pages)?;
     store.stamp_end(old_rid, provisional(snap.txn))?;
-    index.insert(key, new_rid);
+    *slot = new_rid;
     Ok(WriteOp {
         segment,
         key,
@@ -254,13 +258,9 @@ fn write_version(
 /// timestamps become `commit_ts`, patched in place in the stored versions.
 pub fn commit_writes(store: &mut PageStore, writes: &[WriteOp], commit_ts: u64) -> Result<()> {
     for w in writes {
-        if is_provisional(store.peek(w.new_rid)?.begin) {
-            store.stamp_begin(w.new_rid, commit_ts)?;
-        }
+        store.restamp_begin(w.new_rid, commit_ts, is_provisional)?;
         if let Some(old_rid) = w.old_rid {
-            if is_provisional(store.peek(old_rid)?.end) {
-                store.stamp_end(old_rid, commit_ts)?;
-            }
+            store.restamp_end(old_rid, commit_ts, is_provisional)?;
         }
     }
     Ok(())
@@ -278,9 +278,7 @@ pub fn abort_writes(
         store.delete_record(w.new_rid)?;
         match w.old_rid {
             Some(old_rid) => {
-                if is_provisional(store.peek(old_rid)?.end) {
-                    store.stamp_end(old_rid, TS_INFINITY)?;
-                }
+                store.restamp_end(old_rid, TS_INFINITY, is_provisional)?;
                 index.insert(w.key, old_rid);
             }
             None => {

@@ -13,12 +13,15 @@
 //! 3. census and index equal to a recount (`check_invariants`) after every
 //!    step, and both empty once every transaction has released.
 //!
-//! Separately, a lone transaction's re-acquisitions never deadlock.
+//! The same schedules run a second time over targets whose ids straddle
+//! [`DENSE_BOUND`] — the last id the manager's dense levels index, the
+//! first they spill, and `MAX` — where the levels must still behave as one
+//! table. Separately, a lone transaction's re-acquisitions never deadlock.
 
 use std::collections::{BTreeMap, VecDeque};
 
 use proptest::prelude::*;
-use wattdb_common::{Key, PartitionId, SegmentId, TableId, TxnId};
+use wattdb_common::{Key, PartitionId, SegmentId, TableId, TxnId, DENSE_BOUND};
 use wattdb_txn::{LockAcquire, LockManager, LockMode, LockTarget};
 
 type Grants = Vec<(TxnId, LockTarget, LockMode)>;
@@ -149,6 +152,21 @@ fn targets() -> Vec<LockTarget> {
     v
 }
 
+/// As many targets as [`targets`], on ids around the bound between the
+/// manager's dense vectors and their spill maps.
+fn straddling_targets() -> Vec<LockTarget> {
+    let bound = DENSE_BOUND as u64;
+    let mut v = vec![
+        LockTarget::Table(TableId(0)),
+        LockTarget::Table(TableId(bound as u32)),
+        LockTarget::Table(TableId(u32::MAX)),
+    ];
+    v.extend([bound - 1, bound, u64::MAX].map(|p| LockTarget::Partition(PartitionId(p))));
+    v.extend([0, bound - 1, bound, u64::MAX].map(|s| LockTarget::Segment(SegmentId(s))));
+    v.extend([0, u64::MAX].map(|k| LockTarget::Record(TableId(u32::MAX), Key(k))));
+    v
+}
+
 fn mode_strategy() -> impl Strategy<Value = LockMode> {
     prop_oneof![
         Just(LockMode::IS),
@@ -191,6 +209,62 @@ fn release_both(lm: &mut LockManager, model: &mut Model, txn: TxnId) {
     );
 }
 
+/// Drive the manager and the model through `ops` over `targets`, comparing
+/// them after every step.
+fn run_schedule(targets: &[LockTarget], ops: &[Op]) {
+    let mut lm = LockManager::new();
+    let mut model = Model::default();
+    for op in ops {
+        match *op {
+            Op::Acquire {
+                txn,
+                target,
+                mode,
+                abort,
+            } => {
+                let (txn, target) = (TxnId(txn), targets[target]);
+                let got = lm.acquire(txn, target, mode);
+                assert_eq!(got, model.acquire(txn, target, mode), "{op:?}");
+                if got == LockAcquire::Deadlock && abort {
+                    release_both(&mut lm, &mut model, txn);
+                }
+            }
+            Op::ReleaseAll { txn } => release_both(&mut lm, &mut model, TxnId(txn)),
+        }
+        assert_eq!(lm.check_invariants(), Ok(()));
+        assert_eq!(lm.wait_count(), model.waits);
+        assert_eq!(lm.deadlock_count(), model.deadlocks);
+        assert_eq!(lm.active_targets(), model.locks.len());
+        let queued: usize = model.locks.values().map(|st| st.queue.len()).sum();
+        assert_eq!(lm.queued_requests(), queued);
+        for &target in targets {
+            let holders: Vec<(TxnId, LockMode)> = model
+                .locks
+                .get(&target)
+                .map(|st| st.granted.iter().map(|(t, m)| (*t, *m)).collect())
+                .unwrap_or_default();
+            for txn in (1..=TXNS).map(TxnId) {
+                let expect = holders.iter().find(|h| h.0 == txn).map(|h| h.1);
+                assert_eq!(lm.held_mode(txn, target), expect);
+            }
+            for (i, &(ta, ma)) in holders.iter().enumerate() {
+                for &(tb, mb) in &holders[i + 1..] {
+                    assert!(
+                        ma.compatible(mb),
+                        "incompatible co-holders {ta:?}:{ma:?} vs {tb:?}:{mb:?} on {target:?}"
+                    );
+                }
+            }
+        }
+    }
+    for txn in (1..=TXNS).map(TxnId) {
+        release_both(&mut lm, &mut model, txn);
+    }
+    assert_eq!(lm.active_targets(), 0, "lock state leaked");
+    assert_eq!(lm.queued_requests(), 0, "waits-for index leaked");
+    assert_eq!(lm.check_invariants(), Ok(()));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
@@ -198,53 +272,7 @@ proptest! {
     fn manager_matches_the_reference_model(
         ops in proptest::collection::vec(op_strategy(), 1..300)
     ) {
-        let targets = targets();
-        let mut lm = LockManager::new();
-        let mut model = Model::default();
-        for op in &ops {
-            match *op {
-                Op::Acquire { txn, target, mode, abort } => {
-                    let (txn, target) = (TxnId(txn), targets[target]);
-                    let got = lm.acquire(txn, target, mode);
-                    prop_assert_eq!(got, model.acquire(txn, target, mode), "{:?}", op);
-                    if got == LockAcquire::Deadlock && abort {
-                        release_both(&mut lm, &mut model, txn);
-                    }
-                }
-                Op::ReleaseAll { txn } => release_both(&mut lm, &mut model, TxnId(txn)),
-            }
-            prop_assert_eq!(lm.check_invariants(), Ok(()));
-            prop_assert_eq!(lm.wait_count(), model.waits);
-            prop_assert_eq!(lm.deadlock_count(), model.deadlocks);
-            prop_assert_eq!(lm.active_targets(), model.locks.len());
-            let queued: usize = model.locks.values().map(|st| st.queue.len()).sum();
-            prop_assert_eq!(lm.queued_requests(), queued);
-            for &target in &targets {
-                let holders: Vec<(TxnId, LockMode)> = model
-                    .locks
-                    .get(&target)
-                    .map(|st| st.granted.iter().map(|(t, m)| (*t, *m)).collect())
-                    .unwrap_or_default();
-                for txn in (1..=TXNS).map(TxnId) {
-                    let expect = holders.iter().find(|h| h.0 == txn).map(|h| h.1);
-                    prop_assert_eq!(lm.held_mode(txn, target), expect);
-                }
-                for (i, &(ta, ma)) in holders.iter().enumerate() {
-                    for &(tb, mb) in &holders[i + 1..] {
-                        prop_assert!(
-                            ma.compatible(mb),
-                            "incompatible co-holders {ta:?}:{ma:?} vs {tb:?}:{mb:?} on {target:?}"
-                        );
-                    }
-                }
-            }
-        }
-        for txn in (1..=TXNS).map(TxnId) {
-            release_both(&mut lm, &mut model, txn);
-        }
-        prop_assert_eq!(lm.active_targets(), 0, "lock state leaked");
-        prop_assert_eq!(lm.queued_requests(), 0, "waits-for index leaked");
-        prop_assert_eq!(lm.check_invariants(), Ok(()));
+        run_schedule(&targets(), &ops);
     }
 
     #[test]
@@ -259,5 +287,20 @@ proptest! {
         }
         lm.release_all(TxnId(1));
         prop_assert_eq!(lm.active_targets(), 0);
+    }
+}
+
+proptest! {
+    // Few cases: the recount after every step walks dense levels that are
+    // `DENSE_BOUND` slots long here.
+    #![proptest_config(ProptestConfig::with_cases(12))]
+
+    #[test]
+    fn manager_matches_the_model_across_the_dense_bound(
+        ops in proptest::collection::vec(op_strategy(), 1..300)
+    ) {
+        let targets = straddling_targets();
+        prop_assert_eq!(targets.len(), 12, "one target per index `op_strategy` draws");
+        run_schedule(&targets, &ops);
     }
 }

@@ -9,7 +9,7 @@
 
 use std::collections::vec_deque::Iter;
 
-use wattdb_common::{IdMap, Lsn, NodeId};
+use wattdb_common::{Lsn, NodeId};
 
 use crate::log::LogManager;
 use crate::record::LogRecord;
@@ -17,8 +17,10 @@ use crate::record::LogRecord;
 /// Per-follower shipping cursor over one node's log.
 #[derive(Debug, Default)]
 pub struct LogShipper {
-    /// follower → (shipped up to, acknowledged up to).
-    followers: IdMap<NodeId, (Lsn, Lsn)>,
+    /// `(follower, shipped up to, acknowledged up to)`, sorted by follower.
+    /// A node ships to a handful of followers: a scan finds one, and the
+    /// flush path walks them by position without copying the list.
+    cursors: Vec<(NodeId, Lsn, Lsn)>,
     shipped_bytes: u64,
 }
 
@@ -28,29 +30,42 @@ impl LogShipper {
         Self::default()
     }
 
+    fn cursor(&self, follower: NodeId) -> Option<&(NodeId, Lsn, Lsn)> {
+        self.cursors.iter().find(|c| c.0 == follower)
+    }
+
+    fn cursor_mut(&mut self, follower: NodeId) -> Option<&mut (NodeId, Lsn, Lsn)> {
+        self.cursors.iter_mut().find(|c| c.0 == follower)
+    }
+
     /// Attach a follower starting from the log's current end (it does not
     /// need history — shipping covers new traffic only).
     pub fn attach(&mut self, follower: NodeId, log: &LogManager) {
-        self.followers
-            .entry(follower)
-            .or_insert((log.last_lsn(), log.last_lsn()));
+        if let Err(at) = self.cursors.binary_search_by_key(&follower, |c| c.0) {
+            let end = log.last_lsn();
+            self.cursors.insert(at, (follower, end, end));
+        }
     }
 
     /// Detach a follower (helper powered down after rebalancing).
     pub fn detach(&mut self, follower: NodeId) {
-        self.followers.remove(&follower);
+        self.cursors.retain(|c| c.0 != follower);
     }
 
     /// Whether any follower is attached (enables shipping mode).
     pub fn active(&self) -> bool {
-        !self.followers.is_empty()
+        !self.cursors.is_empty()
     }
 
-    /// Attached followers.
+    /// Attached followers, in id order.
     pub fn followers(&self) -> Vec<NodeId> {
-        let mut v: Vec<NodeId> = self.followers.keys().copied().collect();
-        v.sort_unstable();
-        v
+        self.cursors.iter().map(|c| c.0).collect()
+    }
+
+    /// The `i`-th attached follower in id order, `None` past the last: the
+    /// flush path's walk, which ships to each follower as it goes.
+    pub fn follower_at(&self, i: usize) -> Option<NodeId> {
+        self.cursors.get(i).map(|c| c.0)
     }
 
     /// Records not yet shipped to `follower`, with their total byte size.
@@ -60,7 +75,7 @@ impl LogShipper {
         follower: NodeId,
         log: &'a LogManager,
     ) -> Option<(Iter<'a, LogRecord>, usize)> {
-        let (shipped, _) = self.followers.get_mut(&follower)?;
+        let (_, shipped, _) = self.cursor_mut(follower)?;
         let batch = log.records_after(*shipped);
         *shipped = batch.clone().next_back()?.lsn;
         let bytes: usize = batch.clone().map(|r| r.encoded_len()).sum();
@@ -72,18 +87,18 @@ impl LogShipper {
     /// will be read again, so the log may drop them once durable. `None`
     /// with no followers attached.
     pub fn min_shipped(&self) -> Option<Lsn> {
-        self.followers.values().map(|(s, _)| *s).min()
+        self.cursors.iter().map(|c| c.1).min()
     }
 
     /// Follower confirmed persistence up to `lsn`. Returns the new minimum
     /// acknowledged LSN across followers — records up to it are remotely
     /// durable.
     pub fn acknowledge(&mut self, follower: NodeId, lsn: Lsn) -> Option<Lsn> {
-        let (_, acked) = self.followers.get_mut(&follower)?;
+        let (_, _, acked) = self.cursor_mut(follower)?;
         if lsn > *acked {
             *acked = lsn;
         }
-        self.followers.values().map(|(_, a)| *a).min()
+        self.cursors.iter().map(|c| c.2).min()
     }
 
     /// Total bytes shipped.
@@ -93,32 +108,26 @@ impl LogShipper {
 
     /// Highest LSN shipped to `follower` (in flight or acknowledged).
     pub fn shipped_lsn(&self, follower: NodeId) -> Option<Lsn> {
-        self.followers.get(&follower).map(|(s, _)| *s)
+        self.cursor(follower).map(|c| c.1)
     }
 
     /// Highest LSN `follower` has acknowledged as persisted — the bound on
     /// how stale a read served by that follower can be.
     pub fn acked_lsn(&self, follower: NodeId) -> Option<Lsn> {
-        self.followers.get(&follower).map(|(_, a)| *a)
+        self.cursor(follower).map(|c| c.2)
     }
 
     /// How many log records `follower` is behind the log's end
     /// (unacknowledged tail). Zero means fully caught up.
     pub fn lag(&self, follower: NodeId, log: &LogManager) -> Option<u64> {
-        let (_, acked) = self.followers.get(&follower)?;
+        let acked = self.acked_lsn(follower)?;
         Some(log.last_lsn().raw().saturating_sub(acked.raw()))
     }
 
     /// All shipping cursors, sorted by follower id:
     /// `(follower, shipped, acked)`.
     pub fn cursors(&self) -> Vec<(NodeId, Lsn, Lsn)> {
-        let mut v: Vec<(NodeId, Lsn, Lsn)> = self
-            .followers
-            .iter()
-            .map(|(&n, &(s, a))| (n, s, a))
-            .collect();
-        v.sort_unstable_by_key(|&(n, _, _)| n);
-        v
+        self.cursors.clone()
     }
 }
 

@@ -5,11 +5,12 @@
 //! per-client clients thinking 10 s, seed 11 — runs 10 sim-s of warm-up and
 //! then 30 sim-s under a counting `#[global_allocator]`. Heap calls
 //! (`alloc` + `alloc_zeroed` + `realloc`, counted like the benchmark's
-//! `allocs_per_txn`) per committed transaction must stay within the
-//! benchmark's gate of 30: the machine-independent regression gate on the
-//! typed event core and the borrowed record path. The count is
-//! deterministic; it is printed so a change can see where it stands (7.55
-//! when this test was written, 89 before).
+//! `allocs_per_txn`) per committed transaction must stay within 9: the
+//! machine-independent regression gate on the typed event core, the
+//! borrowed record path and the exact-capacity index nodes. The count is
+//! deterministic, the same in debug and release; it is printed so a change
+//! can see where it stands (6.80 now; 7.55 before the index nodes reserved
+//! their fan-out, 89 before the typed event core).
 //!
 //! Lives in its own test binary because a global allocator is
 //! process-wide.
@@ -46,9 +47,10 @@ unsafe impl GlobalAlloc for CountingAlloc {
 #[global_allocator]
 static GLOBAL: CountingAlloc = CountingAlloc;
 
-/// The gate `BENCHMARK.json`'s issue set for `allocs_per_txn` on
-/// `oltp-steady`.
-const BUDGET: f64 = 30.0;
+/// The gate on `allocs_per_txn` for the `oltp-steady` shape — what is
+/// known of the hot path (the module docs' count) plus headroom for a
+/// change that adds one or two calls knowingly, not tens.
+const BUDGET: f64 = 9.0;
 
 #[test]
 fn oltp_steady_stays_within_its_allocation_budget() {
