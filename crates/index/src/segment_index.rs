@@ -5,10 +5,47 @@
 //! another does not invalidate the primary-key index of the segment" (§4.3).
 //! A [`SegmentIndex`] is that per-segment tree: it travels with its segment,
 //! so a move only updates the top indexes of the two partitions involved.
+//!
+//! **An entry says where in *this* segment a record is.** Every record a
+//! segment's index points at lies in that segment, so the tree stores page
+//! number and slot — 8 bytes — and the index supplies its own [`SegmentId`]
+//! when an entry leaves as a [`RecordId`], the currency of every signature
+//! here. A record of another segment handed in is a caller's bug and
+//! panics; it is never re-addressed.
 
-use wattdb_common::{Key, KeyRange, RecordId, SegmentId};
+use wattdb_common::{Key, KeyRange, PageId, RecordId, SegmentId};
 
 use crate::btree::BPlusTree;
+
+/// A record's address inside the segment its index belongs to.
+#[derive(Debug, Clone, Copy)]
+struct Place {
+    page_no: u32,
+    slot: u16,
+}
+
+// One entry per indexed key: a field added here is paid for in every leaf
+// of every segment.
+const _: () = assert!(std::mem::size_of::<Place>() == 8);
+
+impl Place {
+    /// Where `rid` is in `segment`. Panics if it lies in another one.
+    fn of(rid: RecordId, segment: SegmentId) -> Place {
+        assert!(
+            rid.page.segment == segment,
+            "{rid} handed to the index of {segment}"
+        );
+        Place {
+            page_no: rid.page.page_no,
+            slot: rid.slot,
+        }
+    }
+
+    /// The full address of this place in `segment`.
+    fn rid(self, segment: SegmentId) -> RecordId {
+        RecordId::new(PageId::new(segment, self.page_no), self.slot)
+    }
+}
 
 /// Primary-key index over one segment's records.
 #[derive(Debug, Clone)]
@@ -16,7 +53,7 @@ pub struct SegmentIndex {
     segment: SegmentId,
     /// Mini-partition bounds: every indexed key must fall inside.
     range: KeyRange,
-    tree: BPlusTree<RecordId>,
+    tree: BPlusTree<Place>,
 }
 
 impl SegmentIndex {
@@ -37,13 +74,6 @@ impl SegmentIndex {
     /// The key range this segment is responsible for.
     pub fn range(&self) -> KeyRange {
         self.range
-    }
-
-    /// Rebind to a new segment id (used when a move materializes the
-    /// segment under a fresh id on the receiving node; the index content is
-    /// unchanged — the paper's core trick).
-    pub fn rebind(&mut self, segment: SegmentId) {
-        self.segment = segment;
     }
 
     /// Narrow/replace the covered range (segment split).
@@ -68,10 +98,12 @@ impl SegmentIndex {
     }
 
     /// Insert a key → record mapping. Panics if the key is outside the
-    /// segment's range (router/top-index bug).
+    /// segment's range (router/top-index bug) or the record outside the
+    /// segment.
     pub fn insert(&mut self, key: Key, rid: RecordId) -> Option<RecordId> {
         self.assert_covers(key);
-        self.tree.insert(key, rid)
+        let previous = self.tree.insert(key, Place::of(rid, self.segment));
+        previous.map(|p| p.rid(self.segment))
     }
 
     fn assert_covers(&self, key: Key) {
@@ -85,32 +117,49 @@ impl SegmentIndex {
     /// Insert-or-replace in one descent ([`BPlusTree::upsert_with`]):
     /// `make` sees the record id `key` maps to now and returns the one to
     /// store; if it fails the index is untouched. Panics like
-    /// [`SegmentIndex::insert`] on a key outside the segment's range.
+    /// [`SegmentIndex::insert`].
     pub fn upsert_with<E>(
         &mut self,
         key: Key,
         make: impl FnOnce(Option<RecordId>) -> Result<RecordId, E>,
     ) -> Result<Option<RecordId>, E> {
         self.assert_covers(key);
-        self.tree
-            .upsert_with(key, |existing| make(existing.copied()))
+        let segment = self.segment;
+        let previous = self.tree.upsert_with(key, |existing| {
+            let rid = make(existing.map(|p| p.rid(segment)))?;
+            Ok(Place::of(rid, segment))
+        })?;
+        Ok(previous.map(|p| p.rid(segment)))
     }
 
-    /// The slot holding `key`'s record id, for a writer that reads it and
-    /// then re-points it: one descent instead of a `get` and an `insert`.
-    pub fn slot_mut(&mut self, key: Key) -> Option<&mut RecordId> {
-        self.tree.get_mut(key)
+    /// Re-point a key that must already exist, in one descent: `to` sees
+    /// the record id `key` maps to and returns the one to store, and the
+    /// previous one comes back — `None`, `to` not called, when the key is
+    /// not indexed. If `to` fails the entry is untouched. Panics like
+    /// [`SegmentIndex::insert`] on a record outside the segment.
+    pub fn repoint<E>(
+        &mut self,
+        key: Key,
+        to: impl FnOnce(RecordId) -> Result<RecordId, E>,
+    ) -> Result<Option<RecordId>, E> {
+        let Some(entry) = self.tree.get_mut(key) else {
+            return Ok(None);
+        };
+        let previous = entry.rid(self.segment);
+        *entry = Place::of(to(previous)?, self.segment);
+        Ok(Some(previous))
     }
 
     /// Point lookup; returns the record id and node visits (for costing).
     pub fn get(&self, key: Key) -> (Option<RecordId>, usize) {
         let (v, visits) = self.tree.get(key);
-        (v.copied(), visits)
+        (v.map(|p| p.rid(self.segment)), visits)
     }
 
     /// Remove a key.
     pub fn remove(&mut self, key: Key) -> Option<RecordId> {
-        self.tree.remove(key)
+        let removed = self.tree.remove(key);
+        removed.map(|p| p.rid(self.segment))
     }
 
     /// Entries within `range` (ascending).
@@ -118,7 +167,7 @@ impl SegmentIndex {
         self.tree
             .range(range)
             .into_iter()
-            .map(|(k, v)| (k, *v))
+            .map(|(k, p)| (k, p.rid(self.segment)))
             .collect()
     }
 
@@ -181,16 +230,6 @@ mod tests {
         assert_eq!(keys, vec![150, 160, 170, 180, 190]);
         let window = i.range_scan(KeyRange::new(Key(120), Key(140)));
         assert_eq!(window.len(), 2);
-    }
-
-    #[test]
-    fn rebind_preserves_content() {
-        let mut i = idx();
-        i.insert(Key(110), rid(9));
-        i.rebind(SegmentId(42));
-        assert_eq!(i.segment(), SegmentId(42));
-        assert_eq!(i.get(Key(110)).0, Some(rid(9)));
-        i.check_invariants();
     }
 
     #[test]

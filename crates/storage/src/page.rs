@@ -12,7 +12,22 @@
 //! exceed its *physical payload* (the compact bytes actually stored). A page
 //! is "full" when logical bytes reach [`PAGE_SIZE`], so page counts, segment
 //! counts, and movement volumes match a real deployment at the configured
-//! scale while memory stays proportional to the compact payloads.
+//! scale while memory stays proportional to the compact payloads: a stored
+//! version costs its physical bytes plus one 8-byte slot. On the
+//! benchmark's `oltp-steady` that is 55 bytes (a 47-byte header, 8 of
+//! payload) and 65 bytes of page memory per stored version — the 63 it
+//! needs, and the room that pages still filling have not used yet.
+//!
+//! Two things keep it there. [`SlottedPage::sized_for`] allocates body and
+//! slot directory once, at the size the page has when it is full of records
+//! like its first — every table has one row width, so that is the size it
+//! ends with — where a `Vec` doubling its way up holds 7 040 bytes for the
+//! 4 125 of a full 75-record page. And a slot's fields are as wide as the
+//! values they can hold. A page whose records turn out different (or that
+//! is updated in place, which appends) grows past the reservation like any
+//! `Vec`.
+
+use std::ops::Range;
 
 use wattdb_common::{Error, Lsn, Result};
 
@@ -22,12 +37,51 @@ pub const PAGE_SIZE: usize = 8192;
 /// Per-slot bookkeeping overhead counted against logical capacity.
 pub const SLOT_OVERHEAD: usize = 8;
 
+/// One entry of the slot directory: the byte extent of a record in `data`
+/// and its logical width. `len <= logical <= PAGE_SIZE - SLOT_OVERHEAD`
+/// fit 16 bits; the offset does not, because every `update` appends to the
+/// body.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Slot {
-    /// Live record: byte extent in `data` plus its logical width.
-    Live { offset: u32, len: u32, logical: u32 },
-    /// Tombstone: slot number retired until compaction.
-    Dead,
+struct Slot {
+    offset: u32,
+    len: u16,
+    logical: u16,
+}
+
+// One slot per stored version: a field added here is paid for hundreds of
+// thousands of times.
+const _: () = assert!(std::mem::size_of::<Slot>() == 8);
+// No live record can have the logical width that marks a dead slot.
+const _: () = assert!(PAGE_SIZE < Slot::DEAD.logical as usize);
+
+impl Slot {
+    /// Tombstone: slot number retired until an insert reuses it or
+    /// compaction drops it.
+    const DEAD: Slot = Slot {
+        offset: 0,
+        len: 0,
+        logical: u16::MAX,
+    };
+
+    /// A live slot; the page has checked `len <= logical` and that
+    /// `logical` fits it.
+    fn live(offset: usize, len: usize, logical: usize) -> Slot {
+        Slot {
+            offset: u32::try_from(offset).expect("page body below 4 GiB"),
+            len: u16::try_from(len).expect("record length within its logical width"),
+            logical: u16::try_from(logical).expect("logical width within the page"),
+        }
+    }
+
+    fn is_live(&self) -> bool {
+        self.logical != Slot::DEAD.logical
+    }
+
+    /// Byte extent of the record in the page body.
+    fn extent(&self) -> Range<usize> {
+        let start = self.offset as usize;
+        start..start + self.len as usize
+    }
 }
 
 /// An in-memory slotted page.
@@ -39,8 +93,8 @@ pub struct SlottedPage {
     logical_used: usize,
     /// Physical bytes wasted by dead records (reclaimable by compaction).
     dead_bytes: usize,
-    /// Slots currently `Dead`: an insert only hunts for a slot number to
-    /// reuse when there is one.
+    /// Dead slots in the directory: an insert only hunts for a slot number
+    /// to reuse when there is one.
     dead_slots: usize,
     /// Recovery LSN of the latest change.
     page_lsn: Lsn,
@@ -67,6 +121,20 @@ impl SlottedPage {
         }
     }
 
+    /// An empty page whose body and slot directory are allocated now, at
+    /// exactly the size they have once the page is full of records of
+    /// `logical` width stored in `physical` bytes. It behaves like
+    /// [`SlottedPage::new`] in everything but when it allocates.
+    pub fn sized_for(logical: usize, physical: usize) -> Self {
+        let records = PAGE_SIZE / (logical + SLOT_OVERHEAD);
+        Self {
+            // `physical <= logical` for every record a page accepts.
+            data: Vec::with_capacity((records * physical).min(PAGE_SIZE)),
+            slots: Vec::with_capacity(records),
+            ..Self::new()
+        }
+    }
+
     /// Remaining logical capacity in bytes.
     pub fn free_logical(&self) -> usize {
         PAGE_SIZE - self.logical_used
@@ -79,10 +147,7 @@ impl SlottedPage {
 
     /// Number of live records.
     pub fn live_records(&self) -> usize {
-        self.slots
-            .iter()
-            .filter(|s| matches!(s, Slot::Live { .. }))
-            .count()
+        self.slots.len() - self.dead_slots
     }
 
     /// True if `logical` more bytes fit.
@@ -133,16 +198,12 @@ impl SlottedPage {
             logical >= len,
             "logical width {logical} below physical payload {len}"
         );
-        let slot = Slot::Live {
-            offset: offset as u32,
-            len: len as u32,
-            logical: logical as u32,
-        };
+        let slot = Slot::live(offset, len, logical);
         self.logical_used += logical + SLOT_OVERHEAD;
         self.dirty = true;
         // Reuse the lowest tombstone slot number if there is one.
         if self.dead_slots > 0 {
-            let i = self.slots.iter().position(|s| *s == Slot::Dead);
+            let i = self.slots.iter().position(|s| !s.is_live());
             let i = i.expect("dead-slot count matches the directory");
             self.slots[i] = slot;
             self.dead_slots -= 1;
@@ -152,75 +213,60 @@ impl SlottedPage {
         Ok((self.slots.len() - 1) as u16)
     }
 
+    fn live_slot(&self, slot: u16) -> Option<Slot> {
+        self.slots.get(slot as usize).copied().filter(Slot::is_live)
+    }
+
     /// Read the physical payload of `slot`.
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
-        match self.slots.get(slot as usize)? {
-            Slot::Live { offset, len, .. } => {
-                Some(&self.data[*offset as usize..(*offset + *len) as usize])
-            }
-            Slot::Dead => None,
-        }
+        Some(&self.data[self.live_slot(slot)?.extent()])
     }
 
     /// Mutable view of the physical payload of `slot`, for patches that
     /// keep its length; marks the page dirty.
     pub fn get_mut(&mut self, slot: u16) -> Option<&mut [u8]> {
-        match self.slots.get(slot as usize)? {
-            Slot::Live { offset, len, .. } => {
-                self.dirty = true;
-                Some(&mut self.data[*offset as usize..(*offset + *len) as usize])
-            }
-            Slot::Dead => None,
-        }
+        let extent = self.live_slot(slot)?.extent();
+        self.dirty = true;
+        Some(&mut self.data[extent])
     }
 
     /// Logical width of the record in `slot`.
     pub fn logical_width(&self, slot: u16) -> Option<usize> {
-        match self.slots.get(slot as usize)? {
-            Slot::Live { logical, .. } => Some(*logical as usize),
-            Slot::Dead => None,
-        }
+        Some(self.live_slot(slot)?.logical as usize)
     }
 
     /// Delete the record in `slot`, leaving a tombstone.
     pub fn delete(&mut self, slot: u16) -> Result<()> {
-        match self.slots.get_mut(slot as usize) {
-            Some(s @ Slot::Live { .. }) => {
-                if let Slot::Live { len, logical, .. } = *s {
-                    self.dead_bytes += len as usize;
-                    self.logical_used -= logical as usize + SLOT_OVERHEAD;
-                }
-                *s = Slot::Dead;
-                self.dead_slots += 1;
-                self.dirty = true;
-                Ok(())
-            }
-            _ => Err(Error::InvalidState("delete of dead or missing slot")),
-        }
+        let Some(s) = self.live_slot(slot) else {
+            return Err(Error::InvalidState("delete of dead or missing slot"));
+        };
+        self.dead_bytes += s.len as usize;
+        self.logical_used -= s.logical as usize + SLOT_OVERHEAD;
+        self.slots[slot as usize] = Slot::DEAD;
+        self.dead_slots += 1;
+        self.dirty = true;
+        Ok(())
     }
 
-    /// Replace the record in `slot`. The logical width may change; fails if
-    /// growth exceeds capacity.
+    /// Replace the record in `slot`. The logical width may change; fails,
+    /// leaving the page untouched, if growth exceeds capacity or `payload`
+    /// is longer than `logical`.
     pub fn update(&mut self, slot: u16, payload: &[u8], logical: usize) -> Result<()> {
-        let (old_len, old_logical) = match self.slots.get(slot as usize) {
-            Some(Slot::Live {
-                len, logical: lw, ..
-            }) => (*len as usize, *lw as usize),
-            _ => return Err(Error::InvalidState("update of dead or missing slot")),
+        let Some(old) = self.live_slot(slot) else {
+            return Err(Error::InvalidState("update of dead or missing slot"));
         };
-        let new_used = self.logical_used - old_logical + logical;
+        if payload.len() > logical {
+            return Err(Error::InvalidState("payload exceeds logical width"));
+        }
+        let new_used = self.logical_used - old.logical as usize + logical;
         if new_used > PAGE_SIZE {
             return Err(Error::InvalidState("page full"));
         }
         // Append the new image; old bytes become dead space.
-        let offset = self.data.len() as u32;
+        let new = Slot::live(self.data.len(), payload.len(), logical);
         self.data.extend_from_slice(payload);
-        self.dead_bytes += old_len;
-        self.slots[slot as usize] = Slot::Live {
-            offset,
-            len: payload.len() as u32,
-            logical: logical as u32,
-        };
+        self.dead_bytes += old.len as usize;
+        self.slots[slot as usize] = new;
         self.logical_used = new_used;
         self.dirty = true;
         Ok(())
@@ -236,17 +282,14 @@ impl SlottedPage {
     /// them).
     pub fn compact(&mut self) {
         let mut data = Vec::with_capacity(self.data.len() - self.dead_bytes);
-        for s in &mut self.slots {
-            if let Slot::Live { offset, len, .. } = s {
-                let start = *offset as usize;
-                let end = start + *len as usize;
-                *offset = data.len() as u32;
-                data.extend_from_slice(&self.data[start..end]);
-            }
+        for s in self.slots.iter_mut().filter(|s| s.is_live()) {
+            let extent = s.extent();
+            s.offset = u32::try_from(data.len()).expect("no larger than the offset it replaces");
+            data.extend_from_slice(&self.data[extent]);
         }
         self.data = data;
         self.dead_bytes = 0;
-        while matches!(self.slots.last(), Some(Slot::Dead)) {
+        while self.slots.last().is_some_and(|s| !s.is_live()) {
             self.slots.pop();
             self.dead_slots -= 1;
         }
@@ -255,18 +298,23 @@ impl SlottedPage {
 
     /// Iterate `(slot, payload)` over live records.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> + '_ {
-        self.slots.iter().enumerate().filter_map(|(i, s)| match s {
-            Slot::Live { offset, len, .. } => Some((
-                i as u16,
-                &self.data[*offset as usize..(*offset + *len) as usize],
-            )),
-            Slot::Dead => None,
-        })
+        self.slots
+            .iter()
+            .enumerate()
+            .filter(|(_, s)| s.is_live())
+            .map(|(i, s)| (i as u16, &self.data[s.extent()]))
     }
 
     /// Physical bytes held by the page body (memory footprint measure).
     pub fn physical_bytes(&self) -> usize {
         self.data.len()
+    }
+
+    /// Room allocated for the page, as (body bytes, slots): what the page
+    /// costs in memory whatever it holds. A page sized at creation for
+    /// the records it then gets keeps both for life.
+    pub fn capacity(&self) -> (usize, usize) {
+        (self.data.capacity(), self.slots.capacity())
     }
 }
 
@@ -333,6 +381,22 @@ mod tests {
         // Growth beyond capacity is rejected and leaves the record intact.
         assert!(p.update(s, b"x", PAGE_SIZE).is_err());
         assert_eq!(p.get(s), Some(&b"a considerably longer payload"[..]));
+    }
+
+    #[test]
+    fn update_longer_than_its_logical_width_is_refused() {
+        let mut p = SlottedPage::new();
+        let s = p.insert(b"four", 8).unwrap();
+        let (used, bytes) = (p.logical_used(), p.physical_bytes());
+        assert!(matches!(
+            p.update(s, b"nine byte", 8),
+            Err(Error::InvalidState(_))
+        ));
+        assert_eq!(p.get(s), Some(&b"four"[..]));
+        assert_eq!(p.logical_width(s), Some(8));
+        assert_eq!((p.logical_used(), p.physical_bytes()), (used, bytes));
+        assert_eq!(p.dead_bytes(), 0);
+        p.update(s, b"eight by", 8).unwrap();
     }
 
     #[test]

@@ -14,10 +14,10 @@
 //! transaction's id with the high bit set. Commit stamps them with the
 //! commit timestamp; abort unlinks the provisional version.
 //!
-//! A write descends its segment's index once: it finds the slot of its key,
-//! checks the version the slot points at, stores the new version and
-//! re-points the slot ([`SegmentIndex::upsert_with`] for a key that may be
-//! new, [`SegmentIndex::slot_mut`] for one that must exist).
+//! A write descends its segment's index once: it finds the entry of its
+//! key, checks the version the entry points at, stores the new version and
+//! re-points the entry ([`SegmentIndex::upsert_with`] for a key that may be
+//! new, [`SegmentIndex::repoint`] for one that must exist).
 //!
 //! Write-write conflicts: a transaction that finds the newest version
 //! provisionally owned by another in-flight transaction aborts
@@ -235,21 +235,25 @@ fn write_version(
 ) -> Result<WriteOp> {
     let key = header.key;
     let segment = index.segment();
-    let slot = index.slot_mut(key).ok_or(Error::KeyNotFound(key))?;
-    let old_rid = *slot;
-    let newest = store.peek(old_rid)?;
-    check_write_conflict(&newest, snap)?;
-    if newest.is_tombstone() {
-        return Err(Error::KeyNotFound(key));
-    }
-    header.prev = Some(old_rid);
-    let (new_rid, _) = store.insert_version(segment, &header, payload, max_pages)?;
-    store.stamp_end(old_rid, provisional(snap.txn))?;
-    *slot = new_rid;
+    let mut new_rid = None;
+    let old_rid = index
+        .repoint(key, |old_rid| {
+            let newest = store.peek(old_rid)?;
+            check_write_conflict(&newest, snap)?;
+            if newest.is_tombstone() {
+                return Err(Error::KeyNotFound(key));
+            }
+            header.prev = Some(old_rid);
+            let (rid, _) = store.insert_version(segment, &header, payload, max_pages)?;
+            store.stamp_end(old_rid, provisional(snap.txn))?;
+            new_rid = Some(rid);
+            Ok(rid)
+        })?
+        .ok_or(Error::KeyNotFound(key))?;
     Ok(WriteOp {
         segment,
         key,
-        new_rid,
+        new_rid: new_rid.expect("repoint stored a version"),
         old_rid: Some(old_rid),
     })
 }

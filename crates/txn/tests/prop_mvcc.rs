@@ -21,7 +21,7 @@ use wattdb_txn::mvcc::{self, WriteOp};
 use wattdb_txn::{is_provisional, owner, provisional, Snapshot};
 
 /// The write path as it was before the index learned `upsert_with` and
-/// `slot_mut`, and the store `restamp_*`.
+/// `repoint`, and the store `restamp_*`.
 mod model {
     use super::*;
 

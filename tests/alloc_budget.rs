@@ -1,16 +1,27 @@
-//! The engine's allocation budget per committed transaction.
+//! The engine's allocation budget per committed transaction, and its live
+//! heap.
 //!
 //! The `oltp-steady` shape of `BENCHMARK.json`, built through the public
 //! builder — 6 nodes, 3 holding data, 8 warehouses at density 0.05, 1 000
 //! per-client clients thinking 10 s, seed 11 — runs 10 sim-s of warm-up and
 //! then 30 sim-s under a counting `#[global_allocator]`. Heap calls
 //! (`alloc` + `alloc_zeroed` + `realloc`, counted like the benchmark's
-//! `allocs_per_txn`) per committed transaction must stay within 9: the
+//! `allocs_per_txn`) per committed transaction must stay within 5: the
 //! machine-independent regression gate on the typed event core, the
-//! borrowed record path and the exact-capacity index nodes. The count is
-//! deterministic, the same in debug and release; it is printed so a change
-//! can see where it stands (6.80 now; 7.55 before the index nodes reserved
-//! their fan-out, 89 before the typed event core).
+//! borrowed record path, the exact-capacity index nodes and the pages
+//! allocated once at their final size. The count is deterministic, the
+//! same in debug and release; it is printed so a change can see where it
+//! stands (3.53 now; 6.80 before a page was sized when it is created, 7.55
+//! before the index nodes reserved their fan-out, 89 before the typed
+//! event core).
+//!
+//! The allocator also keeps the bytes currently allocated, and the live
+//! heap at the end of the 40 sim-s — the loaded population plus one stored
+//! version per write, in pages, slots and index entries — must stay within
+//! [`LIVE_HEAP_MB`]: the same kind of gate on what a stored version costs
+//! (26.2 MB now; 44.8 MB with 16-byte slots, 24-byte index entries and
+//! page bodies that doubled their way up). Deterministic like the count:
+//! it sums requested sizes, which no allocator or build profile changes.
 //!
 //! Lives in its own test binary because a global allocator is
 //! process-wide.
@@ -25,21 +36,28 @@ use wattdb_core::{ClientBatching, WattDb};
 struct CountingAlloc;
 
 static HEAP_CALLS: AtomicU64 = AtomicU64::new(0);
+/// Bytes requested and not yet freed.
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         HEAP_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc(layout) }
     }
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.dealloc(ptr, layout) }
     }
     unsafe fn alloc_zeroed(&self, layout: Layout) -> *mut u8 {
         HEAP_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.alloc_zeroed(layout) }
     }
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         HEAP_CALLS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
@@ -50,7 +68,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// The gate on `allocs_per_txn` for the `oltp-steady` shape — what is
 /// known of the hot path (the module docs' count) plus headroom for a
 /// change that adds one or two calls knowingly, not tens.
-const BUDGET: f64 = 9.0;
+const BUDGET: f64 = 5.0;
+
+/// The gate on the live heap after the 40 sim-s, in MB (2^20 bytes): the
+/// module docs' figure plus 7 % of headroom.
+const LIVE_HEAP_MB: f64 = 28.0;
 
 #[test]
 fn oltp_steady_stays_within_its_allocation_budget() {
@@ -81,5 +103,12 @@ fn oltp_steady_stays_within_its_allocation_budget() {
     assert!(
         per_txn <= BUDGET,
         "{per_txn:.2} heap calls per committed transaction, budget {BUDGET}"
+    );
+
+    let live_mb = LIVE_BYTES.load(Ordering::Relaxed) as f64 / f64::from(1 << 20);
+    println!("live heap after 40 sim-s: {live_mb:.1} MB");
+    assert!(
+        live_mb <= LIVE_HEAP_MB,
+        "{live_mb:.1} MB live on the heap, bound {LIVE_HEAP_MB}"
     );
 }
