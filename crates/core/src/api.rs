@@ -42,8 +42,8 @@ use wattdb_txn::CcMode;
 use crate::autopilot::{AutoPilot, AutoPilotConfig, ControlEvent};
 use crate::cluster::{Cluster, ClusterConfig, ClusterRc, Scheme};
 use crate::executor;
-use crate::heat::{self, SegmentDriftStat, SegmentHeatStat};
-use crate::migration::{self, HelperReport, RebalanceReport, SegmentMove};
+use crate::heat::{self, SegmentHeatStat};
+use crate::migration::{self, ControlPlan, HelperAttach, HelperReport, RebalanceReport};
 use crate::policy::PolicyConfig;
 
 /// Builder for a ready-to-run WattDB deployment.
@@ -117,12 +117,6 @@ impl WattDbBuilder {
     /// Pages per segment.
     pub fn segment_pages(mut self, p: u32) -> Self {
         self.cfg.segment_pages = p;
-        self
-    }
-
-    /// Explicit per-node buffer pool size in pages (0 = auto 1/10 data).
-    pub fn buffer_pages(mut self, p: usize) -> Self {
-        self.cfg.buffer_pages = p;
         self
     }
 
@@ -361,43 +355,14 @@ pub struct ClusterStatus {
     pub events_by_kind: [(&'static str, u64); wattdb_sim::EVENT_KINDS.len()],
 }
 
-/// How [`WattDb::rebalance_with_helpers`] chooses its helper nodes.
-#[derive(Debug, Clone, Copy)]
-pub enum HelperSet<'a> {
-    /// Explicit helper list (the legacy manual path): `sources[i]` pairs
-    /// with `helpers[i % helpers.len()]`.
-    Manual(&'a [NodeId]),
-    /// Let the helper planner choose from the heat table's
-    /// net/remote-heavy components (see [`WattDb::plan_helpers`]).
-    Planned,
-}
-
-impl<'a> From<&'a [NodeId]> for HelperSet<'a> {
-    fn from(list: &'a [NodeId]) -> Self {
-        HelperSet::Manual(list)
-    }
-}
-
-impl<'a, const N: usize> From<&'a [NodeId; N]> for HelperSet<'a> {
-    fn from(list: &'a [NodeId; N]) -> Self {
-        HelperSet::Manual(list)
-    }
-}
-
-impl<'a> From<&'a Vec<NodeId>> for HelperSet<'a> {
-    fn from(list: &'a Vec<NodeId>) -> Self {
-        HelperSet::Manual(list)
-    }
-}
-
 /// A running WattDB deployment under simulation.
 pub struct WattDb {
     sim: Sim,
     cluster: ClusterRc,
     autopilot: Option<AutoPilot>,
     /// Policy in force — facade-side planning (`plan_scale_out`,
-    /// `plan_drain`) reads its `heat_tolerance` so manual plans match
-    /// what the autopilot would produce.
+    /// `plan_helpers`) reads its thresholds so manual plans match what
+    /// the autopilot would produce.
     policy: PolicyConfig,
 }
 
@@ -600,54 +565,38 @@ impl WattDb {
             .explain()
     }
 
-    /// Kick off a manual rebalance moving `fraction` of each source's
-    /// data. (The autopilot issues the same call on its own; this remains
-    /// for scripted experiments.)
-    pub fn rebalance(&mut self, fraction: f64, sources: &[NodeId], targets: &[NodeId]) {
-        migration::start_rebalance(&self.cluster, &mut self.sim, fraction, sources, targets);
+    /// Carry out a scripted [`ControlPlan`] — the same runner the
+    /// autopilot's decisions go through.
+    fn run(&mut self, plan: ControlPlan) {
+        migration::run(&self.cluster, &mut self.sim, plan);
     }
 
-    /// Rebalance with helper nodes attached for the duration (Fig. 8).
-    /// `helpers` is either an explicit node list — the manual path, pairing
-    /// `sources[i]` with `helpers[i % len]` exactly as before — or
-    /// [`HelperSet::Planned`], which lets the helper planner pick the
-    /// attachments from the heat table's net/remote-heavy components (see
-    /// [`WattDb::plan_helpers`]). Helpers detach automatically when the
-    /// rebalance completes.
-    pub fn rebalance_with_helpers<'a>(
+    /// Kick off a manual rebalance moving `fraction` of each source's
+    /// data with the fraction heuristic (the autopilot's fallback
+    /// planner; this remains for scripted experiments). A no-op while
+    /// another rebalance is in flight.
+    pub fn rebalance(&mut self, fraction: f64, sources: &[NodeId], targets: &[NodeId]) {
+        let plan = ControlPlan::fraction(&self.cluster.borrow(), fraction, sources, targets);
+        self.run(plan);
+    }
+
+    /// Rebalance with helper nodes attached for the duration (Fig. 8):
+    /// `sources[i]` pairs with `helpers[i % helpers.len()]`, and the
+    /// helpers detach automatically when the rebalance completes. For a
+    /// planner-chosen set, start the rebalance and attach
+    /// [`WattDb::plan_helpers`]' plan with [`WattDb::attach_helpers`].
+    pub fn rebalance_with_helpers(
         &mut self,
         fraction: f64,
         sources: &[NodeId],
         targets: &[NodeId],
-        helpers: impl Into<HelperSet<'a>>,
+        helpers: &[NodeId],
     ) {
-        match helpers.into() {
-            HelperSet::Manual(list) => {
-                migration::attach_helpers(&self.cluster, &mut self.sim, sources, list);
-                migration::start_rebalance(
-                    &self.cluster,
-                    &mut self.sim,
-                    fraction,
-                    sources,
-                    targets,
-                );
-            }
-            HelperSet::Planned => {
-                // Start the rebalance first so the helper planner's
-                // in-flight exclusion sees this rebalance's own sources
-                // and targets: a node about to receive shipped segments
-                // never moonlights as a log-shipping/buffer helper.
-                migration::start_rebalance(
-                    &self.cluster,
-                    &mut self.sim,
-                    fraction,
-                    sources,
-                    targets,
-                );
-                let plan = self.plan_helpers(sources);
-                migration::attach_helper_plan(&self.cluster, &mut self.sim, &plan, true);
-            }
-        }
+        let plan = ControlPlan {
+            attach: Some(HelperAttach::manual(sources, helpers)),
+            ..ControlPlan::fraction(&self.cluster.borrow(), fraction, sources, targets)
+        };
+        self.run(plan);
     }
 
     /// Plan (but do not attach) helper placements for `sources`, using the
@@ -663,22 +612,32 @@ impl WattDb {
     }
 
     /// Attach an externally produced helper plan (see
-    /// [`WattDb::plan_helpers`]). Facade attachments are scripted: the
-    /// helpers detach when the next rebalance completes, or on
+    /// [`WattDb::plan_helpers`]); false (and nothing attached) on an
+    /// empty plan. Facade attachments are scripted: the helpers detach
+    /// when the next rebalance completes, or on
     /// [`WattDb::detach_helpers`]. (Helpers the autopilot attaches for
     /// transient skew instead stay until the skew subsides.)
     pub fn attach_helpers(&mut self, plan: &HelperPlan) -> bool {
-        migration::attach_helper_plan(&self.cluster, &mut self.sim, plan, true)
+        self.run(ControlPlan {
+            attach: Some(HelperAttach::planned(plan, true)),
+            ..Default::default()
+        });
+        !plan.is_empty()
     }
 
     /// Detach every attached helper now; returns the nodes released.
     pub fn detach_helpers(&mut self) -> Vec<NodeId> {
-        migration::detach_helpers(&self.cluster, self.sim.now())
+        let detach = self.helpers_active();
+        self.run(ControlPlan {
+            detach: detach.clone(),
+            ..Default::default()
+        });
+        detach
     }
 
     /// Helper nodes currently attached (Fig. 8), in attachment order.
     pub fn helpers_active(&self) -> Vec<NodeId> {
-        self.cluster.borrow().helpers_active.clone()
+        self.cluster.borrow().helpers.nodes()
     }
 
     /// Plan (but do not start) a heat-aware scale-out from the current
@@ -697,32 +656,12 @@ impl WattDb {
         )
     }
 
-    /// Plan (but do not start) a heat-aware drain of `drain` onto
-    /// `remaining`, using the configured policy's heat tolerance.
-    pub fn plan_drain(&self, drain: &[NodeId], remaining: &[NodeId]) -> Plan {
-        let c = self.cluster.borrow();
-        heat::plan_drain(
-            &c,
-            self.sim.now(),
-            self.policy.heat_tolerance,
-            drain,
-            remaining,
-        )
-    }
-
-    /// Execute an externally produced plan (see [`WattDb::plan_scale_out`]
-    /// / [`WattDb::plan_drain`]): power on `targets` and start the moves.
-    /// Requires a segment scheme (physical/physiological). A no-op when
-    /// the plan is empty or another rebalance is already in flight.
+    /// Execute an externally produced plan (see
+    /// [`WattDb::plan_scale_out`]): power on `targets` and start the
+    /// moves. Requires a segment scheme (physical/physiological). A no-op
+    /// when the plan is empty or another rebalance is already in flight.
     pub fn rebalance_planned(&mut self, plan: &Plan, targets: &[NodeId]) {
-        let moves: Vec<SegmentMove> = plan.moves.iter().map(SegmentMove::from).collect();
-        migration::start_rebalance_planned(
-            &self.cluster,
-            &mut self.sim,
-            plan.planner,
-            moves,
-            targets,
-        );
+        self.run(ControlPlan::planned(plan, targets));
     }
 
     /// Is a rebalance still running?
@@ -785,7 +724,7 @@ impl WattDb {
     /// net-heat relief next to the bytes actually shipped and the remote
     /// buffer hits actually served.
     pub fn last_helper_report(&self) -> Option<HelperReport> {
-        self.cluster.borrow().last_helper_report.clone()
+        self.cluster.borrow().helpers.last_report.clone()
     }
 
     // ------------------------------------------------------------- readout
@@ -880,18 +819,6 @@ impl WattDb {
         agg: Option<wattdb_query::AggFunc>,
     ) -> crate::scan::ScanReport {
         crate::scan::submit_scan(&self.cluster, &mut self.sim, table, range, agg)
-    }
-
-    /// Per-segment drift snapshot at the given projection horizon,
-    /// hottest *projected* first: current heat, estimated velocity, and
-    /// `max(0, heat + velocity × horizon)`. Velocities accumulate while a
-    /// monitoring loop runs (the autopilot observes drift every window);
-    /// before the first observation every velocity is zero and the
-    /// projection equals the heat.
-    pub fn projected_heat(&self, horizon: SimDuration) -> Vec<SegmentDriftStat> {
-        let c = self.cluster.borrow();
-        c.drift
-            .snapshot(&c.heat, &c.seg_dir, self.sim.now(), horizon)
     }
 
     /// Live record keys across every segment index.

@@ -49,8 +49,9 @@ use wattdb_common::{NodeId, SimDuration, SimTime};
 use wattdb_sim::Sim;
 
 use crate::cluster::{ClusterRc, Lifecycle};
+use crate::migration::Applied;
 use crate::monitor::{self, ClusterView};
-use crate::policy::{self, Applied, Decision, ElasticityPolicy, PolicyConfig};
+use crate::policy::{self, Decision, ElasticityPolicy, PolicyConfig};
 
 /// Controller configuration: the policy thresholds plus the monitoring
 /// cadence ("the nodes send their monitoring data every few seconds").
@@ -256,9 +257,6 @@ impl AutoPilot {
             // refusal it names.
             let act = |sim: &mut Sim, signals: policy::PolicySignals, decision: Decision| {
                 let applied = policy::apply(cl, sim, &decision, &policy_cfg);
-                if applied.is_ok() {
-                    cl.borrow().debug_assert_replica_invariants();
-                }
                 let outcome = match applied {
                     Ok(_) => Outcome::Applied,
                     Err(reason) => Outcome::Deferred { reason },
@@ -376,7 +374,7 @@ impl AutoPilot {
                     for &n in &drained {
                         c.end_drain(n);
                     }
-                    c.debug_assert_replica_invariants();
+                    c.assert_replica_invariants();
                     // The power-down span opened at the drain's start
                     // closes here, when the nodes actually reach standby.
                     let span = c.powerdown_span.take();
@@ -415,14 +413,15 @@ impl AutoPilot {
             // subsided zero-heat source and is released.
             let pairs: Vec<(NodeId, NodeId)> = {
                 let c = cl.borrow();
+                let owned: Vec<NodeId> = c.helpers.policy_owned().collect();
                 let mut pairs: Vec<(NodeId, NodeId)> = c
                     .nodes
                     .iter()
                     .filter_map(|n| n.helper.map(|h| (n.id, h)))
-                    .filter(|(_, h)| !c.helpers_scripted.contains(h))
+                    .filter(|(_, h)| owned.contains(h))
                     .collect();
-                for &h in &c.helpers_active {
-                    if !c.helpers_scripted.contains(&h) && !pairs.iter().any(|&(_, p)| p == h) {
+                for &h in &owned {
+                    if !pairs.iter().any(|&(_, p)| p == h) {
                         pairs.push((h, h));
                     }
                 }

@@ -21,11 +21,13 @@
 //!                fail_node (from any state) ─▶ Failed (absorbing)
 //! ```
 //!
-//! * [`Cluster::power_on`] — the mover's launch (rebalance targets) and
-//!   helper attach. A no-op on a node that is up, and on a failed one.
+//! * [`Cluster::power_on`] — [`crate::migration::run`] (rebalance targets
+//!   and attached helpers). A no-op on a node that is up, and on a failed
+//!   one.
 //! * [`Cluster::power_off`] — post-drain suspension and helper detach;
 //!   panics on segments or follower copies.
-//! * [`Cluster::begin_drain`] — `policy::apply` of a scale-in.
+//! * [`Cluster::begin_drain`] — [`crate::migration::run`] of a scale-in's
+//!   plan.
 //! * [`Cluster::end_drain`] — the autopilot, when a drain episode ends
 //!   and the node could not suspend.
 //! * [`Cluster::fail_node`] — fault injection.
@@ -389,28 +391,10 @@ pub struct Cluster {
     /// When false, finished jobs do not auto-schedule the client's next
     /// standard-mix transaction (custom driver loops take over).
     pub auto_resubmit: bool,
-    /// Helper nodes currently attached (Fig. 8).
-    pub helpers_active: Vec<NodeId>,
-    /// The subset of `helpers_active` that was powered on *for* helper
-    /// duty (standbys at attach time): these return to standby on detach,
-    /// while a helper that was already serving data stays active.
-    pub helpers_powered: Vec<NodeId>,
-    /// The subset of `helpers_active` attached by a *scripted* rebalance
-    /// path (`rebalance_with_helpers`, or a facade-attached plan): these
-    /// auto-detach when the in-flight rebalance completes (Fig. 8).
-    /// Helpers the elasticity policy attached for transient skew are NOT
-    /// in this set — they ride out unrelated migrations and are released
-    /// only by `Decision::DetachHelpers` when the skew subsides.
-    pub helpers_scripted: Vec<NodeId>,
-    /// Predicted net/remote-traffic relief of the helper plan currently
-    /// attached (zero for manual attachments and when no helper runs).
-    pub helper_relief: f64,
-    /// Shipped-bytes / remote-buffer-hit baselines captured when the
-    /// current helper set attached (consumed by the detach-time
-    /// predicted-vs-realized relief report).
-    pub helper_baseline: Option<crate::migration::HelperBaseline>,
-    /// Predicted-vs-realized relief of the last fully detached helper set.
-    pub last_helper_report: Option<crate::migration::HelperReport>,
+    /// The helper deployment (Fig. 8): attached helpers and the accounting
+    /// of the response in progress. Written by [`crate::migration::run`]
+    /// and the mover's completion; a node failure drops its membership.
+    pub helpers: crate::migration::HelperDeployment,
     /// Per-segment leader/follower placement (empty while
     /// `cfg.replication.factor == 0`).
     pub replicas: ReplicaMap,
@@ -456,8 +440,6 @@ pub struct Cluster {
     /// Span of the failover in progress (detection → promotion → factor
     /// restored), if one is being worked.
     pub failover_span: Option<wattdb_telemetry::SpanId>,
-    /// Span of the helper deployment currently attached, if any.
-    pub helper_span: Option<wattdb_telemetry::SpanId>,
     /// Span of the scale-in power transition in flight (drain applied,
     /// nodes not yet suspended), if any.
     pub powerdown_span: Option<wattdb_telemetry::SpanId>,
@@ -511,12 +493,7 @@ impl Cluster {
             next_partition: 1,
             stopped: false,
             auto_resubmit: true,
-            helpers_active: Vec::new(),
-            helpers_powered: Vec::new(),
-            helpers_scripted: Vec::new(),
-            helper_relief: 0.0,
-            helper_baseline: None,
-            last_helper_report: None,
+            helpers: Default::default(),
             replicas: ReplicaMap::new(),
             replica_reads_by: std::collections::BTreeMap::new(),
             net_util,
@@ -530,7 +507,6 @@ impl Cluster {
             replica_route_weights: std::collections::BTreeMap::new(),
             telemetry: wattdb_telemetry::Telemetry::new(),
             failover_span: None,
-            helper_span: None,
             powerdown_span: None,
         }))
     }
@@ -645,9 +621,7 @@ impl Cluster {
             // failover decision rewrites the map.
             n.shipper.detach(node);
         }
-        self.helpers_active.retain(|&h| h != node);
-        self.helpers_powered.retain(|&h| h != node);
-        self.helpers_scripted.retain(|&h| h != node);
+        self.helpers.members.retain(|m| m.node != node);
         if let Some(m) = &mut self.mover {
             m.drop_node(node);
         }
@@ -796,20 +770,19 @@ impl Cluster {
         None
     }
 
-    /// Debug-mode assertion wrapper over
-    /// [`Cluster::check_replica_invariants`] — the autopilot calls this
-    /// after every applied decision.
-    pub fn debug_assert_replica_invariants(&self) {
-        if cfg!(debug_assertions) {
-            if let Some(violation) = self.check_replica_invariants() {
-                panic!("replica-map invariant violated: {violation}");
-            }
+    /// Panic on a [`Cluster::check_replica_invariants`] violation, in
+    /// every build profile. Checked once per transition: at the end of
+    /// [`crate::migration::run`] and after the autopilot suspends a
+    /// finished drain's nodes.
+    pub fn assert_replica_invariants(&self) {
+        if let Some(violation) = self.check_replica_invariants() {
+            panic!("replica-map invariant violated: {violation}");
         }
     }
 
     /// Current operating phase (Fig. 7 attribution).
     pub fn phase(&self) -> Phase {
-        match (&self.mover, self.helpers_active.is_empty()) {
+        match (&self.mover, self.helpers.members.is_empty()) {
             (None, _) => Phase::Normal,
             (Some(_), true) => Phase::Rebalancing,
             (Some(_), false) => Phase::RebalancingImproved,

@@ -32,7 +32,7 @@
 //! The [`drift`] submodule layers heat *velocity* on top: an EWMA of
 //! per-window heat deltas that lets the planner plan against projected
 //! heat — where the workload is going, not where it was (moving TPC-C
-//! insert hotspots). [`plan_scale_out`] and [`plan_drain`] consume the
+//! insert hotspots). [`plan_scale_out`] and [`plan_drain_replicated`] consume the
 //! projected view whenever the cluster's drift horizon is non-zero, and
 //! accumulate/project cost-heat exactly as they did count-heat.
 
@@ -412,7 +412,7 @@ impl HeatTable {
 
 /// Heat-aware scale-out plan over the live cluster state: snapshot
 /// [`segment_stats_projected`] and plan with the given tolerance. The
-/// single entry point shared by `policy::apply` and the facade, so both
+/// single entry point shared by `policy::plan` and the facade, so both
 /// always produce the same plan for the same state. Plans run against
 /// *projected* heat (heat plus drift velocity over the configured
 /// horizon); with a zero horizon or no drift observations this is exactly
@@ -433,27 +433,10 @@ pub fn plan_scale_out(
     )
 }
 
-/// Heat-aware drain plan over the live cluster state (see
-/// [`plan_scale_out`]). Survivor targets are ranked by projected heat,
-/// so a drained node's segments land on the nodes that will *stay* cold.
-pub fn plan_drain(
-    c: &crate::cluster::Cluster,
-    now: SimTime,
-    tolerance: f64,
-    drain: &[NodeId],
-    remaining: &[NodeId],
-) -> wattdb_planner::Plan {
-    let stats = segment_stats_projected(c, now);
-    wattdb_planner::plan_drain(
-        &stats,
-        drain,
-        remaining,
-        &wattdb_planner::PlanConfig { tolerance },
-    )
-}
-
-/// Replica-aware drain plan over the live cluster state: the
-/// [`plan_drain`] leader moves *plus* a re-home for every follower copy
+/// Replica-aware drain plan over the live cluster state (see
+/// [`plan_scale_out`]): the leader moves emptying the drained nodes —
+/// survivor targets ranked by projected heat, so the segments land on the
+/// nodes that will *stay* cold — *plus* a re-home for every follower copy
 /// the drained nodes host, planned atomically so a scale-in never
 /// orphans redundancy (see [`wattdb_planner::plan_drain_replicated`]).
 /// Re-home hosts are the active, healthy, non-draining survivors with
@@ -556,7 +539,7 @@ pub fn node_load_stats(
 /// in-flight migration, never one already helping, never the master
 /// while an alternative exists. A source already wired to a helper is
 /// dropped (it has its relief; planning is idempotent). The single entry
-/// point shared by `policy::apply` and the facade (see
+/// point shared by `policy::plan` and the facade (see
 /// [`plan_scale_out`]).
 pub fn plan_helpers(
     c: &crate::cluster::Cluster,
@@ -588,7 +571,7 @@ pub fn plan_helpers(
         .collect();
     let mut excluded: Vec<NodeId> = crate::migration::nodes_in_flight(c).into_iter().collect();
     excluded.extend(c.failed_nodes());
-    excluded.extend(c.helpers_active.iter().copied());
+    excluded.extend(c.helpers.nodes());
     // The full source list stays out of the candidate pool even where a
     // member was dropped from the loads above (already helped): a node
     // hot enough to be named a source never moonlights as a helper, and

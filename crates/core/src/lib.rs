@@ -52,7 +52,7 @@ pub mod replay;
 pub mod scan;
 pub mod telemetry_sink;
 
-pub use api::{ClusterStatus, HelperSet, NodeStatus, WattDb, WattDbBuilder};
+pub use api::{ClusterStatus, NodeStatus, WattDb, WattDbBuilder};
 pub use autopilot::{AutoPilot, AutoPilotConfig, ControlEvent, Outcome, ViewSummary};
 pub use cluster::{Cluster, ClusterConfig, ClusterRc, NodeRuntime, Partition, Scheme};
 pub use heat::{
@@ -60,7 +60,10 @@ pub use heat::{
     SegmentHeatStat,
 };
 pub use metrics::{Metrics, Phase};
-pub use migration::{HelperBaseline, HelperReport, MoveController, RebalanceReport, SegmentMove};
+pub use migration::{
+    Applied, ControlPlan, HelperAttach, HelperDeployment, HelperReport, MoveController, Moves,
+    RebalanceReport, SegmentMove,
+};
 pub use monitor::{ClusterView, NodeReport};
 pub use policy::{coldest_drain_target, Decision, ElasticityPolicy, PolicyConfig};
 pub use scan::{submit_scan, ScanReport};

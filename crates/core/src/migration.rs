@@ -143,7 +143,7 @@ impl MoveController {
 /// Plan which segments leave each source: the upper `fraction` of each
 /// (table, source) partition's key-ordered segments, paired with targets
 /// round-robin.
-pub fn plan_segment_moves(
+fn plan_segment_moves(
     c: &Cluster,
     fraction: f64,
     sources: &[NodeId],
@@ -177,7 +177,7 @@ pub fn plan_segment_moves(
 /// partition's segments in key order and accumulating their record counts
 /// — cutting the raw key-space envelope instead would be meaningless,
 /// since edge partitions extend to the key-space limits.
-pub fn plan_range_moves(
+fn plan_range_moves(
     c: &Cluster,
     fraction: f64,
     sources: &[NodeId],
@@ -226,188 +226,370 @@ pub fn plan_range_moves(
     moves
 }
 
-/// Start a rebalance moving `fraction` of each source's data to `targets`
-/// using the legacy fraction heuristic. Targets are powered on; copies
-/// start after a boot delay.
-pub fn start_rebalance(
-    cl: &ClusterRc,
-    sim: &mut Sim,
-    fraction: f64,
-    sources: &[NodeId],
-    targets: &[NodeId],
-) {
-    let scheme = cl.borrow().cfg.scheme;
-    let chains: Vec<MoverChain> = {
-        let c = cl.borrow();
-        match scheme {
-            Scheme::Physical | Scheme::Physiological => {
-                let all = plan_segment_moves(&c, fraction, sources, targets);
-                chains_for_segments(sources, &all)
+/// How a rebalance's data moves.
+#[derive(Debug, Clone)]
+pub enum Moves {
+    /// Whole segments (physical / physiological partitioning).
+    Segments(Vec<SegmentMove>),
+    /// Key ranges, record by record (logical partitioning).
+    Ranges(Vec<RangeMove>),
+}
+
+impl Default for Moves {
+    fn default() -> Self {
+        Moves::Segments(Vec::new())
+    }
+}
+
+/// Helpers to wire to their sources (Fig. 8): each source ships its log to
+/// its helper and extends its buffer pool into the helper's DRAM.
+#[derive(Debug, Clone, Default)]
+pub struct HelperAttach {
+    /// Every node joining the deployment, paired or not: all of them power
+    /// on and are tracked until detached.
+    pub helpers: Vec<NodeId>,
+    /// `(source, helper)` wirings.
+    pub pairs: Vec<(NodeId, NodeId)>,
+    /// Scripted helpers belong to the rebalance they accompany and detach
+    /// when it completes; the elasticity policy's own (`false`) ride out
+    /// unrelated migrations and leave only on skew subsidence.
+    pub scripted: bool,
+    /// Predicted net-traffic relief (zero for a manual list).
+    pub relief: f64,
+    /// The planner's candidate ranking, kept on the `helpers` span so the
+    /// exported timeline shows why each helper won over the alternatives.
+    pub ranking: Vec<String>,
+}
+
+impl HelperAttach {
+    /// A scripted Fig. 8 list: `sources[i]` pairs with
+    /// `helpers[i % helpers.len()]`.
+    pub fn manual(sources: &[NodeId], helpers: &[NodeId]) -> Self {
+        let pairs = match helpers.len() {
+            0 => Vec::new(),
+            n => (sources.iter().enumerate())
+                .map(|(i, &src)| (src, helpers[i % n]))
+                .collect(),
+        };
+        HelperAttach {
+            helpers: helpers.to_vec(),
+            pairs,
+            scripted: true,
+            ..Default::default()
+        }
+    }
+
+    /// A planner-produced [`wattdb_planner::HelperPlan`]: one helper per
+    /// assignment, with the plan's predicted relief and candidate ranking.
+    pub fn planned(plan: &wattdb_planner::HelperPlan, scripted: bool) -> Self {
+        HelperAttach {
+            helpers: plan.helpers(),
+            pairs: (plan.assignments.iter())
+                .map(|a| (a.source, a.helper))
+                .collect(),
+            scripted,
+            relief: plan.predicted_relief,
+            ranking: plan.ranking.clone(),
+        }
+    }
+}
+
+/// Everything one control action does to the cluster, as plain data:
+/// [`crate::policy::plan`] derives it from a decision, the facade's
+/// scripted methods fill it in by hand, and [`run`] is the only code that
+/// carries it out. The default plan does nothing.
+#[derive(Debug, Clone, Default)]
+pub struct ControlPlan {
+    /// The planner that produced the moves.
+    pub planner: Planner,
+    /// Fail over this dead node before anything else
+    /// ([`crate::failover::handle_failure`]).
+    pub promote: Option<NodeId>,
+    /// Helpers to release.
+    pub detach: Vec<NodeId>,
+    /// Helpers to wire.
+    pub attach: Option<HelperAttach>,
+    /// Nodes to mark draining; their suspension is accounted under a
+    /// `power-down` span the autopilot closes.
+    pub drain: Vec<NodeId>,
+    /// One mover chain per source, in this order; a chain carries the
+    /// moves leaving its source. Empty: no rebalance starts.
+    pub sources: Vec<NodeId>,
+    /// The moves.
+    pub moves: Moves,
+    /// The rebalance's targets, powered on before the moves start (a
+    /// no-op on a node already up).
+    pub power_up: Vec<NodeId>,
+    /// Follower copies leaving the drained nodes, re-homed on survivors.
+    pub rehomes: Vec<wattdb_planner::FollowerRehome>,
+}
+
+impl ControlPlan {
+    /// Execute a planner [`wattdb_planner::Plan`]'s segment moves onto
+    /// `targets`.
+    pub fn planned(plan: &wattdb_planner::Plan, targets: &[NodeId]) -> Self {
+        let moves: Vec<SegmentMove> = plan.moves.iter().map(SegmentMove::from).collect();
+        let mut sources: Vec<NodeId> = moves.iter().map(|m| m.from).collect();
+        sources.sort_unstable();
+        sources.dedup();
+        ControlPlan {
+            planner: plan.planner,
+            sources,
+            moves: Moves::Segments(moves),
+            power_up: targets.to_vec(),
+            ..Default::default()
+        }
+    }
+
+    /// The fraction heuristic: the upper `fraction` of each source's data
+    /// — segments, or records under logical partitioning — goes to
+    /// `targets` round-robin.
+    pub fn fraction(c: &Cluster, fraction: f64, sources: &[NodeId], targets: &[NodeId]) -> Self {
+        let moves = match c.cfg.scheme {
+            Scheme::Logical => Moves::Ranges(plan_range_moves(c, fraction, sources, targets)),
+            _ => Moves::Segments(plan_segment_moves(c, fraction, sources, targets)),
+        };
+        ControlPlan {
+            planner: Planner::Fraction,
+            sources: sources.to_vec(),
+            moves,
+            power_up: targets.to_vec(),
+            ..Default::default()
+        }
+    }
+}
+
+/// What a [`run`] started.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct Applied {
+    /// The planner that produced the started work — `Planner::Fraction`
+    /// when the heat-aware path fell back (logical scheme, no heat
+    /// recorded, or an empty plan).
+    pub planner: Planner,
+    /// The span the work is accounted under: the `helpers` span for an
+    /// attach or detach, else the `rebalance` span for moves (a drain
+    /// additionally opens `power-down`, kept on the cluster until the
+    /// nodes suspend), else the `failover` span for a promotion.
+    pub span: Option<wattdb_telemetry::SpanId>,
+    /// What the plan predicted: net-traffic relief for a helper
+    /// attachment, heat to relocate for moves.
+    pub predicted: Option<f64>,
+}
+
+fn names(nodes: &[NodeId]) -> wattdb_telemetry::AttrValue {
+    (nodes.iter().map(|n| n.to_string()))
+        .collect::<Vec<_>>()
+        .into()
+}
+
+/// Carry out a [`ControlPlan`]. The only code outside `cluster.rs` that
+/// powers a node on, marks a drain, installs a mover, wires a helper, or
+/// opens the `helpers` / `rebalance` / `power-up` / `power-down` spans —
+/// in that order, which is the order span ids are allocated in — and the
+/// one place the replica-map invariant is checked after a control action.
+/// Reports the first span the plan touched.
+///
+/// A plan with no sources, or one arriving while another rebalance is in
+/// flight, starts no rebalance and powers no target: a chainless
+/// controller would leave the cluster "rebalancing" forever, and
+/// overwriting a live one would let the old plan's scheduled steps index
+/// into the new one's chains.
+pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
+    let now = sim.now();
+    if let Some(failed) = plan.promote {
+        crate::failover::handle_failure(cl, sim, failed);
+    }
+    let mut report: Option<(Option<wattdb_telemetry::SpanId>, Option<f64>)> = None;
+    let chains = {
+        let mut c = cl.borrow_mut();
+        let c = &mut *c;
+        let launch = !plan.sources.is_empty() && c.mover.is_none();
+        let attach = plan.attach.as_ref().filter(|a| !a.helpers.is_empty());
+        let targets: &[NodeId] = if launch { &plan.power_up } else { &[] };
+        // Targets coming up from standby get a "power-up" child span; the
+        // ones already active boot nothing.
+        let booted: Vec<NodeId> = (targets.iter().copied())
+            .filter(|&t| c.life(t) == Lifecycle::Standby)
+            .collect();
+        for &n in attach.iter().flat_map(|a| &a.helpers).chain(targets) {
+            c.power_on(n);
+        }
+
+        if !plan.detach.is_empty() {
+            // A full detach closes the span: report it first.
+            report = Some((c.helpers.span, None));
+            detach_helper_set(c, &plan.detach, now);
+        }
+
+        if let Some(a) = attach {
+            // Relief accounting: the first attach of a response snapshots
+            // the shipped-bytes and remote-hit counters and opens its span
+            // (closed when the last helper detaches); later attaches while
+            // helpers remain wired fold their prediction into the same
+            // response.
+            match &mut c.helpers.baseline {
+                None => {
+                    c.helpers.baseline = Some(HelperBaseline {
+                        at: now,
+                        predicted: a.relief,
+                        shipped_bytes: c.nodes.iter().map(|n| n.shipper.shipped_bytes()).sum(),
+                        remote_hits: c.nodes.iter().map(|n| n.buffer.stats().remote_hits).sum(),
+                    });
+                    c.helpers.span = Some(c.telemetry.start_span(
+                        "helpers",
+                        now,
+                        vec![
+                            ("predicted_relief_mbps".into(), a.relief.into()),
+                            ("scripted".into(), a.scripted.into()),
+                        ],
+                    ));
+                }
+                Some(b) => {
+                    b.predicted += a.relief;
+                    if let Some(span) = c.helpers.span {
+                        let total = b.predicted.into();
+                        c.telemetry
+                            .spans
+                            .set_attr(span, "predicted_relief_mbps", total);
+                    }
+                }
             }
-            Scheme::Logical => {
-                let all = plan_range_moves(&c, fraction, sources, targets);
-                sources
-                    .iter()
-                    .enumerate()
+            for &h in &a.helpers {
+                match c.helpers.members.iter_mut().find(|m| m.node == h) {
+                    Some(m) => m.scripted |= a.scripted,
+                    None => c.helpers.members.push(HelperMember {
+                        node: h,
+                        scripted: a.scripted,
+                    }),
+                }
+            }
+            let remote_pages = c.cfg.buffer_pages;
+            for &(src, h) in &a.pairs {
+                if let Some(span) = c.helpers.span {
+                    c.telemetry.spans.add_event(
+                        span,
+                        now,
+                        "attach",
+                        vec![
+                            ("source".into(), src.to_string().into()),
+                            ("helper".into(), h.to_string().into()),
+                        ],
+                    );
+                }
+                // A source whose helper is *reassigned* first detaches its
+                // old shipping cursor — leaving it would accumulate an
+                // unbounded unshipped backlog for a follower nobody ever
+                // drains again.
+                let node = &mut c.nodes[src.raw() as usize];
+                if let Some(old) = node.helper.filter(|&old| old != h) {
+                    node.shipper.detach(old);
+                }
+                node.helper = Some(h);
+                node.buffer.set_remote_capacity(remote_pages);
+                node.shipper.attach(h, &node.log);
+            }
+            if let Some(span) = c.helpers.span.filter(|_| !a.ranking.is_empty()) {
+                let ranking = a.ranking.clone().into();
+                c.telemetry
+                    .spans
+                    .set_attr(span, "candidate_ranking", ranking);
+            }
+        }
+        if let Some(a) = &plan.attach {
+            report = Some((c.helpers.span, Some(a.relief)));
+        }
+
+        for &n in &plan.drain {
+            c.begin_drain(n);
+        }
+
+        if launch {
+            let (segments, ranges): (&[SegmentMove], &[RangeMove]) = match &plan.moves {
+                Moves::Segments(m) => (m, &[]),
+                Moves::Ranges(m) => (&[], m),
+            };
+            assert!(
+                segments.is_empty() || c.cfg.scheme != Scheme::Logical,
+                "planned segment moves need a segment scheme (physical/physiological)"
+            );
+            // What the plan intends to relocate, valued at plan time.
+            let heat_planned: f64 = (segments.iter())
+                .map(|m| c.heat.heat_of(m.seg, now).value())
+                .sum();
+            let from: std::collections::BTreeSet<NodeId> = (segments.iter().map(|m| m.from))
+                .chain(ranges.iter().map(|m| m.from))
+                .collect();
+            let rebalance = c.telemetry.start_span(
+                "rebalance",
+                now,
+                vec![
+                    ("scheme".into(), format!("{:?}", c.cfg.scheme).into()),
+                    ("planner".into(), format!("{:?}", plan.planner).into()),
+                    ("heat_planned".into(), heat_planned.into()),
+                    ("chains".into(), plan.sources.len().into()),
+                    ("sources".into(), names(&Vec::from_iter(from))),
+                    ("targets".into(), names(targets)),
+                ],
+            );
+            let power_span = (!booted.is_empty()).then(|| {
+                let ps = (c.telemetry.spans).start_child("power-up", now, Some(rebalance));
+                c.telemetry.spans.set_attr(ps, "nodes", names(&booted));
+                ps
+            });
+            c.mover = Some(MoveController {
+                scheme: c.cfg.scheme,
+                planner: plan.planner,
+                chains: (plan.sources.iter().enumerate())
                     .map(|(i, &src)| MoverChain {
                         id: i as u64,
-                        segments: VecDeque::new(),
-                        ranges: all.iter().filter(|m| m.from == src).copied().collect(),
+                        segments: (segments.iter().filter(|m| m.from == src).copied()).collect(),
+                        ranges: (ranges.iter().filter(|m| m.from == src).copied()).collect(),
                         cursor: None,
                         txn: None,
                         current: None,
                         done: false,
                     })
-                    .collect()
-            }
+                    .collect(),
+                started: now,
+                finished: None,
+                segments_moved: 0,
+                records_moved: 0,
+                bytes_moved: 0,
+                heat_planned,
+                heat_moved: 0.0,
+                span: Some(rebalance),
+                power_span,
+            });
+            report.get_or_insert((Some(rebalance), Some(heat_planned)));
+            plan.sources.len() as u64
+        } else {
+            0
         }
     };
-    launch(cl, sim, Planner::Fraction, chains, targets);
-}
-
-/// Start a rebalance executing externally planned segment moves (the
-/// heat-aware planner's output, or any scripted plan). Requires a segment
-/// scheme — logical repartitioning moves key ranges, not segments.
-pub fn start_rebalance_planned(
-    cl: &ClusterRc,
-    sim: &mut Sim,
-    planner: Planner,
-    moves: Vec<SegmentMove>,
-    targets: &[NodeId],
-) {
-    let scheme = cl.borrow().cfg.scheme;
-    assert!(
-        scheme != Scheme::Logical,
-        "planned segment moves need a segment scheme (physical/physiological)"
-    );
-    let mut sources: Vec<NodeId> = moves.iter().map(|m| m.from).collect();
-    sources.sort_unstable();
-    sources.dedup();
-    let chains = chains_for_segments(&sources, &moves);
-    launch(cl, sim, planner, chains, targets);
-}
-
-/// One mover chain per source, carrying that source's share of the moves.
-fn chains_for_segments(sources: &[NodeId], moves: &[SegmentMove]) -> Vec<MoverChain> {
-    sources
-        .iter()
-        .enumerate()
-        .map(|(i, &src)| MoverChain {
-            id: i as u64,
-            segments: moves.iter().filter(|m| m.from == src).copied().collect(),
-            ranges: VecDeque::new(),
-            cursor: None,
-            txn: None,
-            current: None,
-            done: false,
-        })
-        .collect()
-}
-
-/// Power targets, install the controller, and schedule the chains after
-/// the boot delay. A launch with nothing to move, or while another
-/// rebalance is in flight, is a no-op: installing a chainless controller
-/// would leave `rebalancing()` true forever (no step ever reaches
-/// `maybe_finish`), and overwriting a live controller would let the old
-/// plan's scheduled steps index into the new one's chains.
-fn launch(
-    cl: &ClusterRc,
-    sim: &mut Sim,
-    planner: Planner,
-    chains: Vec<MoverChain>,
-    targets: &[NodeId],
-) {
-    if chains.is_empty() || cl.borrow().mover.is_some() {
-        return;
-    }
-    let n = chains.len();
-    {
-        let mut c = cl.borrow_mut();
-        // Targets coming up from standby get a "power-up" child span; the
-        // ones already active boot nothing.
-        let powered: Vec<NodeId> = targets
-            .iter()
-            .copied()
-            .filter(|&t| c.life(t) == Lifecycle::Standby)
-            .collect();
-        for &t in targets {
-            c.power_on(t);
-        }
-        let now = sim.now();
-        // What the plan intends to relocate, valued at plan time.
-        let heat_planned: f64 = chains
-            .iter()
-            .flat_map(|ch| ch.segments.iter())
-            .map(|m| c.heat.heat_of(m.seg, now).value())
-            .sum();
-        let sources: Vec<String> = chains
-            .iter()
-            .flat_map(|ch| {
-                ch.segments
-                    .iter()
-                    .map(|m| m.from)
-                    .chain(ch.ranges.iter().map(|m| m.from))
-            })
-            .collect::<std::collections::BTreeSet<_>>()
-            .into_iter()
-            .map(|n| n.to_string())
-            .collect();
-        let scheme_label = format!("{:?}", c.cfg.scheme);
-        let span = c.telemetry.start_span(
-            "rebalance",
-            now,
-            vec![
-                ("scheme".into(), scheme_label.into()),
-                ("planner".into(), format!("{planner:?}").into()),
-                ("heat_planned".into(), heat_planned.into()),
-                ("chains".into(), n.into()),
-                ("sources".into(), sources.into()),
-                (
-                    "targets".into(),
-                    targets
-                        .iter()
-                        .map(|t| t.to_string())
-                        .collect::<Vec<_>>()
-                        .into(),
-                ),
-            ],
-        );
-        let power_span = if powered.is_empty() {
-            None
-        } else {
-            let ps = c.telemetry.spans.start_child("power-up", now, Some(span));
-            c.telemetry.spans.set_attr(
-                ps,
-                "nodes",
-                powered
-                    .iter()
-                    .map(|t| t.to_string())
-                    .collect::<Vec<_>>()
-                    .into(),
-            );
-            Some(ps)
-        };
-        c.mover = Some(MoveController {
-            scheme: c.cfg.scheme,
-            planner,
-            chains,
-            started: now,
-            finished: None,
-            segments_moved: 0,
-            records_moved: 0,
-            bytes_moved: 0,
-            heat_planned,
-            heat_moved: 0.0,
-            span: Some(span),
-            power_span,
-        });
-    }
-    // Boot delay for the freshly powered targets.
-    for id in 0..n as u64 {
+    // The moves start once the freshly powered targets have booted.
+    for id in 0..chains {
         let handle = cl.clone();
         sim.after(SimDuration::from_secs(5), move |sim| {
             next_step(&handle, sim, id)
         });
+    }
+    if !plan.rehomes.is_empty() {
+        crate::failover::schedule_follower_rehomes(cl, sim, &plan.rehomes);
+    }
+    let mut c = cl.borrow_mut();
+    let c = &mut *c;
+    if !plan.drain.is_empty() {
+        // The drain's eventual suspension is its own power transition,
+        // closed when the emptied nodes reach standby.
+        let attrs = vec![("drain".into(), names(&plan.drain))];
+        c.powerdown_span = Some(c.telemetry.start_span("power-down", now, attrs));
+    }
+    c.assert_replica_invariants();
+    let (span, predicted) = report.unwrap_or((plan.promote.and(c.failover_span), None));
+    Applied {
+        planner: plan.planner,
+        span,
+        predicted,
     }
 }
 
@@ -1056,7 +1238,10 @@ fn maybe_finish(c: &mut Cluster, now: SimTime) {
     // unrelated scale-out or drain finishing must not tear down a
     // response whose skew still persists — those detach only via
     // `Decision::DetachHelpers` on subsidence.
-    detach_scripted_helpers(c, now);
+    let scripted: Vec<NodeId> = (c.helpers.members.iter().filter(|m| m.scripted))
+        .map(|m| m.node)
+        .collect();
+    detach_helper_set(c, &scripted, now);
 }
 
 /// Summary of the last completed rebalance.
@@ -1116,178 +1301,63 @@ pub struct HelperReport {
     pub helpers: Vec<NodeId>,
 }
 
-/// Attach helper nodes for the improved physiological run (Fig. 8): each
-/// source ships its log to a helper and extends its buffer pool into the
-/// helper's DRAM. The manual entry point pairs `sources[i]` with
-/// `helpers[i % helpers.len()]` — the legacy mapping scripted experiments
-/// rely on; planner-chosen attachments go through
-/// [`attach_helper_plan`].
-pub fn attach_helpers(cl: &ClusterRc, sim: &mut Sim, sources: &[NodeId], helpers: &[NodeId]) {
-    if helpers.is_empty() {
-        return;
-    }
-    let pairs: Vec<(NodeId, NodeId)> = sources
-        .iter()
-        .enumerate()
-        .map(|(i, &src)| (src, helpers[i % helpers.len()]))
-        .collect();
-    // Every *listed* helper powers on and is tracked, paired or not — the
-    // legacy manual contract. A manual list is a scripted Fig. 8 run:
-    // the helpers detach when the accompanying rebalance completes.
-    attach_helper_pairs(&mut cl.borrow_mut(), helpers, &pairs, 0.0, true, sim.now());
+/// One attached helper.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct HelperMember {
+    /// The helper node.
+    pub node: NodeId,
+    /// Attached by a scripted rebalance path (released when the rebalance
+    /// completes) rather than by the elasticity policy (released on skew
+    /// subsidence).
+    pub scripted: bool,
 }
 
-/// Attach a planner-produced [`wattdb_planner::HelperPlan`]: one helper
-/// per assignment, with the plan's predicted net-traffic relief recorded
-/// for the control log. `scripted` marks the helpers as belonging to a
-/// scripted Fig. 8 rebalance — they auto-detach when the in-flight
-/// rebalance completes; policy-attached helpers (`scripted: false`) stay
-/// until [`Decision::DetachHelpers`](crate::policy::Decision) releases
-/// them on skew subsidence. Returns false (and attaches nothing) on an
-/// empty plan.
-pub fn attach_helper_plan(
-    cl: &ClusterRc,
-    sim: &mut Sim,
-    plan: &wattdb_planner::HelperPlan,
-    scripted: bool,
-) -> bool {
-    if plan.is_empty() {
-        return false;
-    }
-    let helpers = plan.helpers();
-    let pairs: Vec<(NodeId, NodeId)> = plan
-        .assignments
-        .iter()
-        .map(|a| (a.source, a.helper))
-        .collect();
-    attach_helper_pairs(
-        &mut cl.borrow_mut(),
-        &helpers,
-        &pairs,
-        plan.predicted_relief,
-        scripted,
-        sim.now(),
-    );
-    // The span keeps the planner's full candidate ranking: the exported
-    // timeline can show why each helper won over the alternatives.
-    {
-        let mut c = cl.borrow_mut();
-        let c = &mut *c;
-        if let Some(span) = c.helper_span {
-            if !plan.ranking.is_empty() {
-                c.telemetry
-                    .spans
-                    .set_attr(span, "candidate_ranking", plan.ranking.clone().into());
-            }
-        }
-    }
-    true
+/// The helper deployment (Fig. 8): who is attached, and the accounting of
+/// the response in progress — first attach to last detach.
+#[derive(Debug, Default)]
+pub struct HelperDeployment {
+    /// Attached helpers, in attachment order.
+    pub members: Vec<HelperMember>,
+    /// Counters captured when the response's first helper attached.
+    pub baseline: Option<HelperBaseline>,
+    /// Span of the response in progress.
+    pub span: Option<wattdb_telemetry::SpanId>,
+    /// Predicted-vs-realized relief of the last completed response.
+    pub last_report: Option<HelperReport>,
 }
 
-/// Shared attach path: power `helpers` on (remembering which were standby,
-/// so detach can power exactly those back off), wire each pair's log
-/// shipping and remote buffer extension, and record the helper set. A
-/// source whose helper is *reassigned* here first detaches its old
-/// shipping cursor — leaving it would accumulate an unbounded unshipped
-/// backlog for a follower nobody ever drains again.
-fn attach_helper_pairs(
-    c: &mut Cluster,
-    helpers: &[NodeId],
-    pairs: &[(NodeId, NodeId)],
-    relief: f64,
-    scripted: bool,
-    now: SimTime,
-) {
-    let remote_pages = c.cfg.buffer_pages;
-    // Relief accounting: the first attach of a response snapshots the
-    // shipped-bytes and remote-hit counters; later attaches while helpers
-    // remain wired fold their prediction into the same response.
-    match &mut c.helper_baseline {
-        None => {
-            c.helper_baseline = Some(HelperBaseline {
-                at: now,
-                predicted: relief,
-                shipped_bytes: c.nodes.iter().map(|n| n.shipper.shipped_bytes()).sum(),
-                remote_hits: c.nodes.iter().map(|n| n.buffer.stats().remote_hits).sum(),
-            });
-            // The response's span opens with its first attach and closes
-            // when the last helper detaches.
-            let span = c.telemetry.start_span(
-                "helpers",
-                now,
-                vec![
-                    ("predicted_relief_mbps".into(), relief.into()),
-                    ("scripted".into(), scripted.into()),
-                ],
-            );
-            c.helper_span = Some(span);
-        }
-        Some(b) => {
-            b.predicted += relief;
-            if let Some(span) = c.helper_span {
-                c.telemetry
-                    .spans
-                    .set_attr(span, "predicted_relief_mbps", b.predicted.into());
-            }
-        }
+impl HelperDeployment {
+    /// Attached helper nodes, in attachment order.
+    pub fn nodes(&self) -> Vec<NodeId> {
+        self.members.iter().map(|m| m.node).collect()
     }
-    if let Some(span) = c.helper_span {
-        for &(src, h) in pairs {
-            c.telemetry.spans.add_event(
-                span,
-                now,
-                "attach",
-                vec![
-                    ("source".into(), src.to_string().into()),
-                    ("helper".into(), h.to_string().into()),
-                ],
-            );
-        }
+
+    /// Is `node` attached as a helper?
+    pub fn contains(&self, node: NodeId) -> bool {
+        self.members.iter().any(|m| m.node == node)
     }
-    for &h in helpers {
-        if c.life(h) == Lifecycle::Standby && !c.helpers_powered.contains(&h) {
-            c.helpers_powered.push(h);
-        }
-        c.power_on(h);
-        if !c.helpers_active.contains(&h) {
-            c.helpers_active.push(h);
-        }
-        if scripted && !c.helpers_scripted.contains(&h) {
-            c.helpers_scripted.push(h);
-        }
+
+    /// The helpers the elasticity policy attached itself (not scripted).
+    pub fn policy_owned(&self) -> impl Iterator<Item = NodeId> + '_ {
+        (self.members.iter().filter(|m| !m.scripted)).map(|m| m.node)
     }
-    for &(src, h) in pairs {
-        let node = &mut c.nodes[src.raw() as usize];
-        if let Some(old) = node.helper {
-            if old != h {
-                node.shipper.detach(old);
-            }
-        }
-        node.helper = Some(h);
-        node.buffer.set_remote_capacity(remote_pages);
-        let log_ref = &node.log;
-        node.shipper.attach(h, log_ref);
-    }
-    c.helper_relief = relief;
 }
 
 /// Detach the given helpers: their sources fall back to local log flushes
 /// and plain buffer pools, shipping cursors are cleared — including any
 /// stale cursor left by a mid-flight helper reassignment — and every
 /// detached helper left with no segments to serve suspends to standby
-/// (one holding data stays active). Returns the helpers detached.
-fn detach_helper_set(c: &mut Cluster, set: &[NodeId], now: SimTime) -> Vec<NodeId> {
+/// (one holding data stays active).
+fn detach_helper_set(c: &mut Cluster, set: &[NodeId], now: SimTime) {
     let mut detached = Vec::new();
-    c.helpers_active.retain(|h| {
-        let keep = !set.contains(h);
+    c.helpers.members.retain(|m| {
+        let keep = !set.contains(&m.node);
         if !keep {
-            detached.push(*h);
+            detached.push(m.node);
         }
         keep
     });
-    c.helpers_powered.retain(|h| !detached.contains(h));
-    c.helpers_scripted.retain(|h| !detached.contains(h));
-    if let Some(span) = c.helper_span {
+    if let Some(span) = c.helpers.span {
         for &h in &detached {
             c.telemetry.spans.add_event(
                 span,
@@ -1297,12 +1367,11 @@ fn detach_helper_set(c: &mut Cluster, set: &[NodeId], now: SimTime) -> Vec<NodeI
             );
         }
     }
-    if c.helpers_active.is_empty() {
-        c.helper_relief = 0.0;
+    if c.helpers.members.is_empty() {
         // The response is over: realized relief is whatever the helpers
         // absorbed since the baseline — log bytes they persisted plus
         // reads their DRAM answered.
-        if let Some(b) = c.helper_baseline.take() {
+        if let Some(b) = c.helpers.baseline.take() {
             let shipped: u64 = c.nodes.iter().map(|n| n.shipper.shipped_bytes()).sum();
             let hits: u64 = c.nodes.iter().map(|n| n.buffer.stats().remote_hits).sum();
             let report = HelperReport {
@@ -1312,7 +1381,7 @@ fn detach_helper_set(c: &mut Cluster, set: &[NodeId], now: SimTime) -> Vec<NodeI
                 remote_hits: hits.saturating_sub(b.remote_hits),
                 helpers: detached.clone(),
             };
-            if let Some(span) = c.helper_span.take() {
+            if let Some(span) = c.helpers.span.take() {
                 // Realized relief in MB/s: bytes the helpers absorbed over
                 // the time they were wired.
                 let dt = now.since(b.at).as_secs_f64();
@@ -1325,19 +1394,10 @@ fn detach_helper_set(c: &mut Cluster, set: &[NodeId], now: SimTime) -> Vec<NodeI
                 spans.set_attr(span, "realized_relief_mbps", realized.into());
                 spans.set_attr(span, "shipped_bytes", report.shipped_bytes.into());
                 spans.set_attr(span, "remote_hits", report.remote_hits.into());
-                spans.set_attr(
-                    span,
-                    "helpers",
-                    report
-                        .helpers
-                        .iter()
-                        .map(|h| h.to_string())
-                        .collect::<Vec<_>>()
-                        .into(),
-                );
+                spans.set_attr(span, "helpers", names(&report.helpers));
                 spans.end(span, now);
             }
-            c.last_helper_report = Some(report);
+            c.helpers.last_report = Some(report);
         }
     }
     for &h in &detached {
@@ -1368,39 +1428,6 @@ fn detach_helper_set(c: &mut Cluster, set: &[NodeId], now: SimTime) -> Vec<NodeI
             c.power_off(h);
         }
     }
-    detached
-}
-
-/// `detach_helper_set` over every attached helper, scripted or not.
-pub fn detach_all_helpers(c: &mut Cluster, now: SimTime) -> Vec<NodeId> {
-    let all = c.helpers_active.clone();
-    detach_helper_set(c, &all, now)
-}
-
-/// Detach only the helpers a scripted rebalance attached (the
-/// migration-completion release); policy-attached helpers stay wired.
-fn detach_scripted_helpers(c: &mut Cluster, now: SimTime) -> Vec<NodeId> {
-    let set = std::mem::take(&mut c.helpers_scripted);
-    detach_helper_set(c, &set, now)
-}
-
-/// [`detach_all_helpers`] over the shared handle (the facade's
-/// release-everything entry point).
-pub fn detach_helpers(cl: &ClusterRc, now: SimTime) -> Vec<NodeId> {
-    detach_all_helpers(&mut cl.borrow_mut(), now)
-}
-
-/// Detach exactly the named helpers over the shared handle — the
-/// policy-side detach on skew subsidence, which must release only the
-/// set the policy attached and leave a concurrently scripted Fig. 8
-/// set to its own migration-completion lifecycle.
-pub fn detach_named_helpers(cl: &ClusterRc, set: &[NodeId], now: SimTime) -> Vec<NodeId> {
-    detach_helper_set(&mut cl.borrow_mut(), set, now)
-}
-
-/// Is a rebalance still running?
-pub fn rebalancing(cl: &ClusterRc) -> bool {
-    cl.borrow().mover.is_some()
 }
 
 /// Every node that is a source or target of the in-flight rebalance:
@@ -1457,6 +1484,25 @@ mod tests {
         cl
     }
 
+    /// The facade's scripted helper calls, over a bare cluster handle.
+    fn attach_helpers(cl: &ClusterRc, sim: &mut Sim, sources: &[NodeId], helpers: &[NodeId]) {
+        let plan = ControlPlan {
+            attach: Some(HelperAttach::manual(sources, helpers)),
+            ..Default::default()
+        };
+        run(cl, sim, plan);
+    }
+
+    fn detach_helpers(cl: &ClusterRc, sim: &mut Sim) -> Vec<NodeId> {
+        let detach = cl.borrow().helpers.nodes();
+        let plan = ControlPlan {
+            detach: detach.clone(),
+            ..Default::default()
+        };
+        run(cl, sim, plan);
+        detach
+    }
+
     #[test]
     fn helper_reassignment_leaves_no_stale_cursor() {
         let cl = cluster(false);
@@ -1480,15 +1526,14 @@ mod tests {
                 "stale cursor for the reassigned helper survived"
             );
             // Both helpers are tracked until the full detach.
-            assert_eq!(c.helpers_active, vec![NodeId(2), NodeId(3)]);
+            assert_eq!(c.helpers.nodes(), vec![NodeId(2), NodeId(3)]);
         }
-        let detached = detach_helpers(&cl, sim.now());
+        let detached = detach_helpers(&cl, &mut sim);
         assert_eq!(detached, vec![NodeId(2), NodeId(3)]);
         let c = cl.borrow();
         assert_eq!(c.nodes[0].helper, None);
         assert!(c.nodes[0].shipper.followers().is_empty());
-        assert!(c.helpers_active.is_empty());
-        assert!(c.helpers_powered.is_empty());
+        assert!(c.helpers.members.is_empty());
         // Both helpers were standbys powered on for the duty: both return.
         assert_eq!(c.nodes[2].life, Lifecycle::Standby);
         assert_eq!(c.nodes[3].life, Lifecycle::Standby);
@@ -1507,10 +1552,13 @@ mod tests {
             // but the cursor was left behind.
             let mut c = cl.borrow_mut();
             c.nodes[0].helper = Some(NodeId(3));
-            c.helpers_active = vec![NodeId(2), NodeId(3)];
+            c.helpers.members.push(HelperMember {
+                node: NodeId(3),
+                scripted: true,
+            });
             assert_eq!(c.nodes[0].shipper.followers(), vec![NodeId(2)]);
         }
-        detach_helpers(&cl, sim.now());
+        detach_helpers(&cl, &mut sim);
         let c = cl.borrow();
         assert!(
             c.nodes[0].shipper.followers().is_empty(),
@@ -1530,32 +1578,24 @@ mod tests {
         attach_helpers(&cl, &mut sim, &[NodeId(0)], &[NodeId(1), NodeId(2)]);
         // Pair a second source so both helpers serve someone.
         attach_helpers(&cl, &mut sim, &[NodeId(1)], &[NodeId(2)]);
-        {
-            let c = cl.borrow();
-            assert_eq!(c.helpers_powered, vec![NodeId(2)], "only the standby");
-        }
-        detach_helpers(&cl, sim.now());
+        detach_helpers(&cl, &mut sim);
         let c = cl.borrow();
         assert_eq!(c.nodes[1].life, Lifecycle::Active, "data node stays up");
         assert_eq!(c.nodes[2].life, Lifecycle::Standby);
-        assert!(c.helpers_active.is_empty());
+        assert!(c.helpers.members.is_empty());
     }
 
     #[test]
     fn detach_suspends_an_empty_active_helper() {
-        // A helper that was active-but-empty at attach time (so never in
-        // `helpers_powered`) has nothing left to serve after detach:
+        // A helper that was active-but-empty at attach time (not powered on
+        // for the duty) has nothing left to serve after detach:
         // leaving it up would idle a segmentless node at full power with
         // no remaining code path to suspend it — the same fate awaits an
         // active data helper drained empty mid-duty by a scale-in.
         let cl = cluster(false);
         let mut sim = Sim::new();
         attach_helpers(&cl, &mut sim, &[NodeId(0)], &[NodeId(1)]);
-        assert!(
-            cl.borrow().helpers_powered.is_empty(),
-            "node 1 was already active, not duty-powered"
-        );
-        detach_helpers(&cl, sim.now());
+        detach_helpers(&cl, &mut sim);
         let c = cl.borrow();
         assert_eq!(
             c.nodes[1].life,
@@ -1603,12 +1643,20 @@ mod tests {
             predicted_relief: 1.0,
             ranking: Vec::new(),
         };
-        assert!(attach_helper_plan(&cl, &mut sim, &plan, false));
+        let attach = ControlPlan {
+            attach: Some(HelperAttach::planned(&plan, false)),
+            ..Default::default()
+        };
+        run(&cl, &mut sim, attach);
         // Scripted attach alongside: node 5 helps node 1 for the
         // rebalance below.
         attach_helpers(&cl, &mut sim, &[NodeId(1)], &[NodeId(5)]);
-        assert_eq!(cl.borrow().helpers_scripted, vec![NodeId(5)]);
-        start_rebalance(&cl, &mut sim, 0.5, &[NodeId(1)], &[NodeId(2)]);
+        let scripted: Vec<bool> = (cl.borrow().helpers.members.iter())
+            .map(|m| m.scripted)
+            .collect();
+        assert_eq!(scripted, vec![false, true]);
+        let rebalance = ControlPlan::fraction(&cl.borrow(), 0.5, &[NodeId(1)], &[NodeId(2)]);
+        run(&cl, &mut sim, rebalance);
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
         {
             let c = cl.borrow();
@@ -1617,15 +1665,15 @@ mod tests {
             assert_eq!(c.nodes[1].helper, None);
             assert_eq!(c.nodes[5].life, Lifecycle::Standby);
             // ...while the policy helper is still wired.
-            assert_eq!(c.helpers_active, vec![NodeId(4)]);
+            assert_eq!(c.helpers.nodes(), vec![NodeId(4)]);
             assert_eq!(c.nodes[0].helper, Some(NodeId(4)));
             assert_eq!(c.nodes[0].shipper.followers(), vec![NodeId(4)]);
-            assert!(c.helpers_scripted.is_empty());
+            assert_eq!(c.helpers.policy_owned().count(), 1);
         }
         // The policy-side release still lets go of everything.
-        assert_eq!(detach_helpers(&cl, sim.now()), vec![NodeId(4)]);
+        assert_eq!(detach_helpers(&cl, &mut sim), vec![NodeId(4)]);
         let c = cl.borrow();
-        assert!(c.helpers_active.is_empty());
+        assert!(c.helpers.members.is_empty());
         assert_eq!(c.nodes[0].helper, None);
         assert_eq!(c.nodes[4].life, Lifecycle::Standby);
     }

@@ -23,16 +23,13 @@
 //! prediction — or the deferral reason, named at the guard that refused.
 //! The autopilot relays that reason; it re-derives nothing.
 
-use wattdb_common::{HelperPolicyConfig, NodeId, SegmentId};
+use wattdb_common::{HelperPolicyConfig, NodeId, SegmentId, SimTime};
 use wattdb_planner::Planner;
 use wattdb_sim::Sim;
 
-use crate::cluster::{ClusterRc, Scheme};
+use crate::cluster::{Cluster, ClusterRc, Scheme};
 use crate::heat;
-use crate::migration::{
-    attach_helper_plan, detach_named_helpers, nodes_in_flight, rebalancing, start_rebalance,
-    start_rebalance_planned, SegmentMove,
-};
+use crate::migration::{nodes_in_flight, run, Applied, ControlPlan, HelperAttach};
 use crate::monitor::ClusterView;
 
 /// Policy thresholds.
@@ -648,173 +645,83 @@ pub fn coldest_drain_target(view: &ClusterView, active_with_data: &[NodeId]) -> 
         .map(|(n, _, _, _)| n)
 }
 
-/// What an applied decision started.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct Applied {
-    /// The planner that actually produced the started work —
-    /// `Planner::Fraction` when the heat-aware path fell back (logical
-    /// scheme, no heat recorded, or an empty plan).
-    pub planner: Planner,
-    /// The span the decision's work is accounted under: the `rebalance`
-    /// span for moves (a drain additionally opens `power-down`, kept on
-    /// the cluster until the nodes suspend), the `helpers` span for an
-    /// attach or detach, the `failover` span for a promotion.
-    pub span: Option<wattdb_telemetry::SpanId>,
-    /// What the plan predicted: heat to relocate for moves, net-traffic
-    /// relief for a helper attachment.
-    pub predicted: Option<f64>,
-}
-
-/// Apply a decision to the cluster: power nodes, plan the moves with the
-/// configured [`Planner`], start migrations, and open the spans the work
-/// is accounted under. Logical repartitioning moves key ranges rather
-/// than segments, so it always uses the fraction path regardless of the
-/// planner choice.
+/// Turn a decision into the [`ControlPlan`] that carries it out, or name
+/// why nothing can be done. Pure: reads the cluster, changes nothing —
+/// every guard and every planner fallback lives here.
 ///
-/// Returns what was started, or — when nothing was — the reason, named
-/// by the guard that refused: `"rebalance in flight"` (one rebalance at a
-/// time), `"drain node is part of the active migration"`, `"drain node
-/// hosts follower replicas"`, or `"no applicable plan"`.
-pub fn apply(
-    cl: &ClusterRc,
-    sim: &mut Sim,
+/// The refusals, each named by the guard that raised it: `"rebalance in
+/// flight"` (one rebalance at a time), `"drain node is part of the active
+/// migration"`, `"drain node hosts follower replicas"`, and `"no
+/// applicable plan"`. Logical repartitioning moves key ranges rather than
+/// segments, so it always plans with the fraction heuristic regardless of
+/// the configured planner.
+pub fn plan(
+    c: &Cluster,
+    now: SimTime,
     decision: &Decision,
     cfg: &PolicyConfig,
-) -> Result<Applied, &'static str> {
+) -> Result<ControlPlan, &'static str> {
+    const NO_PLAN: &str = "no applicable plan";
     // Failover outranks the one-rebalance-at-a-time rule: a dead node
     // cannot wait out a migration — the migration may itself be wedged on
     // the corpse (its pending moves were dropped by `fail_node`, its
     // in-flight copy voids on completion).
     if let Decision::Promote { failed, .. } = decision {
-        crate::failover::handle_failure(cl, sim, *failed);
-        return Ok(Applied {
+        return Ok(ControlPlan {
             planner: cfg.planner,
-            span: cl.borrow().failover_span,
-            predicted: None,
+            promote: Some(*failed),
+            ..Default::default()
         });
     }
-    if rebalancing(cl) {
+    if c.mover.is_some() {
         // One rebalance at a time. A drain aimed at a node the in-flight
         // migration is filling or emptying gets its own reason: until the
         // moves land the segment directory understates what the node will
         // hold, and the drain plan would race the mover.
-        let in_flight = |drain: &[NodeId]| {
-            let busy = nodes_in_flight(&cl.borrow());
-            drain.iter().any(|n| busy.contains(n))
-        };
+        let busy = nodes_in_flight(c);
         return Err(match decision {
-            Decision::ScaleIn { drain } if in_flight(drain) => {
+            Decision::ScaleIn { drain } if drain.iter().any(|n| busy.contains(n)) => {
                 "drain node is part of the active migration"
             }
             _ => "rebalance in flight",
         });
     }
-    // A drained node hosting follower copies may only go once every copy
-    // has a replacement host planned — and never while earlier
-    // replacement copies are still on the wire (the map is
-    // mid-reconciliation and the coverage check would lie). Refusal, not
-    // half-execution: suspending a live follower host silently halves
-    // redundancy. Checked before any other drain guard so the timeline
-    // always says *why* the cluster stayed big.
-    if let Decision::ScaleIn { drain } = decision {
-        if drain_blocked_on_replicas(&cl.borrow(), sim.now(), drain) {
-            return Err("drain node hosts follower replicas");
+    let heat_aware = cfg.planner == Planner::HeatAware && c.cfg.scheme != Scheme::Logical;
+    // Skew is a heat signal; without the heat-aware planner — or under
+    // logical partitioning, which moves ranges — there is no sound way to
+    // act on it, and a plan that finds nothing movable starts nothing.
+    let heat_moves = |sources: &[NodeId], targets: &[NodeId]| {
+        if !heat_aware || targets.is_empty() {
+            return None;
         }
-    }
-    // A full detach closes the helper span: capture the id first so the
-    // caller's record still points at it.
-    let helper_span_before = cl.borrow().helper_span;
-    let planner = start(cl, sim, decision, cfg).ok_or("no applicable plan")?;
-    let mut c = cl.borrow_mut();
-    let c = &mut *c;
-    let of_mover = |c: &crate::cluster::Cluster| {
-        let m = c.mover.as_ref();
-        (m.and_then(|m| m.span), m.map(|m| m.heat_planned))
+        let p = heat::plan_scale_out(c, now, cfg.heat_tolerance, sources, targets);
+        (!p.moves.is_empty()).then(|| ControlPlan::planned(&p, targets))
     };
-    let (span, predicted) = match decision {
-        Decision::AttachHelpers { .. } => (c.helper_span, Some(c.helper_relief)),
-        Decision::DetachHelpers { .. } => (helper_span_before, None),
-        Decision::Rebalance { .. } | Decision::ScaleOut { .. } => of_mover(c),
-        Decision::ScaleIn { drain } => {
-            // The drain's eventual suspension is its own power
-            // transition, closed when the emptied nodes reach standby.
-            let pd = c.telemetry.start_span(
-                "power-down",
-                sim.now(),
-                vec![(
-                    "drain".into(),
-                    drain
-                        .iter()
-                        .map(|n| n.to_string())
-                        .collect::<Vec<_>>()
-                        .into(),
-                )],
-            );
-            c.powerdown_span = Some(pd);
-            of_mover(c)
-        }
-        Decision::Hold | Decision::Promote { .. } => (None, None),
-    };
-    Ok(Applied {
-        planner,
-        span,
-        predicted,
-    })
-}
-
-/// Plan and start the work a decision calls for; `None` when there is no
-/// applicable plan. The in-flight and replica guards have already passed
-/// ([`apply`]).
-fn start(
-    cl: &ClusterRc,
-    sim: &mut Sim,
-    decision: &Decision,
-    cfg: &PolicyConfig,
-) -> Option<Planner> {
-    let scheme = cl.borrow().cfg.scheme;
-    let heat_aware = cfg.planner == Planner::HeatAware && scheme != Scheme::Logical;
     match decision {
-        Decision::Hold | Decision::Promote { .. } => None,
-        Decision::ScaleOut { sources, targets } => {
-            if targets.is_empty() {
-                return None;
-            }
-            if heat_aware {
-                let moves = {
-                    let c = cl.borrow();
-                    let plan =
-                        heat::plan_scale_out(&c, sim.now(), cfg.heat_tolerance, sources, targets);
-                    plan.moves.iter().map(SegmentMove::from).collect::<Vec<_>>()
-                };
-                if !moves.is_empty() {
-                    start_rebalance_planned(cl, sim, Planner::HeatAware, moves, targets);
-                    return Some(Planner::HeatAware);
-                }
-                // No heat recorded (or nothing movable improves balance):
-                // fall back to the fraction heuristic so the cluster still
-                // reacts to the CPU signal.
-            }
-            start_rebalance(cl, sim, cfg.move_fraction, sources, targets);
-            Some(Planner::Fraction)
-        }
-        Decision::Rebalance { sources, targets } => {
-            skew_rebalance(cl, sim, cfg, heat_aware, sources, targets)
-        }
+        Decision::Hold | Decision::Promote { .. } => Err(NO_PLAN),
+        Decision::ScaleOut { targets, .. } if targets.is_empty() => Err(NO_PLAN),
+        // No heat recorded (or nothing movable improves balance): fall
+        // back to the fraction heuristic so the cluster still reacts to
+        // the CPU signal.
+        Decision::ScaleOut { sources, targets } => Ok(heat_moves(sources, targets)
+            .unwrap_or_else(|| ControlPlan::fraction(c, cfg.move_fraction, sources, targets))),
+        Decision::Rebalance { sources, targets } => heat_moves(sources, targets).ok_or(NO_PLAN),
         Decision::AttachHelpers { sources, targets } => {
             // Helper choice is a heat decision too: the planner ranks the
             // sources by their net/remote-heavy heat component and pairs
             // the heaviest with standbys / coldest actives.
             if !heat_aware {
-                return None;
+                return Err(NO_PLAN);
             }
-            let plan = {
-                let c = cl.borrow();
-                heat::plan_helpers(&c, sim.now(), &cfg.helper, sources)
-            };
-            // Policy helpers are not scripted: they ride out unrelated
-            // migrations and detach only on skew subsidence.
-            if attach_helper_plan(cl, sim, &plan, false) {
-                return Some(Planner::HeatAware);
+            let helpers = heat::plan_helpers(c, now, &cfg.helper, sources);
+            if !helpers.is_empty() {
+                // Policy helpers are not scripted: they ride out unrelated
+                // migrations and detach only on skew subsidence.
+                return Ok(ControlPlan {
+                    planner: Planner::HeatAware,
+                    attach: Some(HelperAttach::planned(&helpers, false)),
+                    ..Default::default()
+                });
             }
             // No helper worth attaching (nobody clears the net-heat floor,
             // or every candidate is entangled): fall back to the rebalance
@@ -823,7 +730,11 @@ fn start(
             // subsidence, so without this fallback a persistent-but-
             // fixable skew would re-escalate into refused attachments
             // forever, never shipping the segments that would fix it.
-            skew_rebalance(cl, sim, cfg, heat_aware, sources, targets)
+            let mut fallback = heat_moves(sources, targets).ok_or(NO_PLAN)?;
+            // Kept on purpose until ROADMAP 2(e) bumps the export format:
+            // the fallback reports as the empty attachment, `(None, Some(0.0))`.
+            fallback.attach = Some(HelperAttach::default());
+            Ok(fallback)
         }
         Decision::DetachHelpers { helpers } => {
             // Release exactly the helpers the decision names — the set
@@ -831,78 +742,79 @@ fn start(
             // scripted `rebalance_with_helpers` set attached alongside
             // belongs to the migration engine and must survive a
             // policy-side subsidence detach.
-            if detach_named_helpers(cl, helpers, sim.now()).is_empty() {
-                None
-            } else {
-                Some(cfg.planner)
+            let detach: Vec<NodeId> = (helpers.iter().copied())
+                .filter(|&h| c.helpers.contains(h))
+                .collect();
+            if detach.is_empty() {
+                return Err(NO_PLAN);
             }
+            Ok(ControlPlan {
+                planner: cfg.planner,
+                detach,
+                ..Default::default()
+            })
         }
         Decision::ScaleIn { drain } => {
+            // A drained node hosting follower copies may only go once
+            // every copy has a replacement host planned — and never while
+            // earlier replacement copies are still on the wire (the map is
+            // mid-reconciliation and the coverage check would lie).
+            // Refusal, not half-execution: suspending a live follower host
+            // silently halves redundancy. Checked before any other drain
+            // guard so the timeline always says *why* the cluster stayed
+            // big.
+            if drain_blocked_on_replicas(c, now, drain) {
+                return Err("drain node hosts follower replicas");
+            }
             // Move *everything* off the drained nodes onto the remaining
-            // data nodes, then the migration engine powers nothing off —
-            // the caller re-checks emptiness and powers down.
-            let targets: Vec<NodeId> = {
-                let c = cl.borrow();
-                c.active_nodes()
-                    .into_iter()
-                    .filter(|n| !drain.contains(n) && c.seg_dir.on_node(*n).next().is_some())
-                    .collect()
-            };
+            // data nodes; the autopilot suspends them once they are empty.
+            let targets: Vec<NodeId> = (c.active_nodes().into_iter())
+                .filter(|n| !drain.contains(n) && c.seg_dir.on_node(*n).next().is_some())
+                .collect();
             if targets.is_empty() {
-                return None;
+                return Err(NO_PLAN);
             }
-            // Plan the atomic "move leaders + re-home followers" unit.
-            // The re-home half executes regardless of which planner moves
-            // the leaders, so even a fraction-path drain keeps the factor.
-            let (dp, rehomes) = {
-                let c = cl.borrow();
-                let dp =
-                    heat::plan_drain_replicated(&c, sim.now(), cfg.heat_tolerance, drain, &targets);
-                let rehomes = if c.cfg.replication.enabled() {
-                    dp.rehomes.clone()
-                } else {
-                    Vec::new()
-                };
-                (dp, rehomes)
+            // The atomic "move leaders + re-home followers" unit. The
+            // re-home half executes regardless of which planner moves the
+            // leaders, so even a fraction-path drain keeps the factor.
+            let dp = heat::plan_drain_replicated(c, now, cfg.heat_tolerance, drain, &targets);
+            let rehomes = if c.cfg.replication.enabled() {
+                dp.rehomes
+            } else {
+                Vec::new()
             };
-            let mark_draining = |cl: &ClusterRc| {
-                let mut c = cl.borrow_mut();
-                for &n in drain {
-                    c.begin_drain(n);
-                }
+            // A drain must empty its nodes; a heat plan short of that
+            // (shouldn't happen) falls back to the fraction path, and so
+            // does one with nothing at all to do. With only follower
+            // copies to re-home no rebalance starts: the nodes suspend
+            // once the re-homes clear them of replica duty.
+            let expected: usize = drain.iter().map(|n| c.seg_dir.on_node(*n).count()).sum();
+            let complete = dp.plan.moves.len() == expected && (expected > 0 || !rehomes.is_empty());
+            let moves = if heat_aware && complete {
+                ControlPlan::planned(&dp.plan, &targets)
+            } else {
+                ControlPlan::fraction(c, 1.0, drain, &targets)
             };
-            if heat_aware {
-                let (moves, complete) = {
-                    let c = cl.borrow();
-                    // A drain must empty its nodes; anything short of that
-                    // (shouldn't happen) falls back to the fraction path.
-                    let expected: usize = drain.iter().map(|n| c.seg_dir.on_node(*n).count()).sum();
-                    let moves: Vec<SegmentMove> =
-                        dp.plan.moves.iter().map(SegmentMove::from).collect();
-                    let complete = moves.len() == expected;
-                    (moves, complete)
-                };
-                if complete && !moves.is_empty() {
-                    mark_draining(cl);
-                    start_rebalance_planned(cl, sim, Planner::HeatAware, moves, &targets);
-                    crate::failover::schedule_follower_rehomes(cl, sim, &rehomes);
-                    return Some(Planner::HeatAware);
-                }
-                if complete && moves.is_empty() && !rehomes.is_empty() {
-                    // Nothing to move, only follower copies to re-home:
-                    // no rebalance starts, the nodes suspend once the
-                    // re-homes clear them of replica duty.
-                    mark_draining(cl);
-                    crate::failover::schedule_follower_rehomes(cl, sim, &rehomes);
-                    return Some(Planner::HeatAware);
-                }
-            }
-            mark_draining(cl);
-            start_rebalance(cl, sim, 1.0, drain, &targets);
-            crate::failover::schedule_follower_rehomes(cl, sim, &rehomes);
-            Some(Planner::Fraction)
+            Ok(ControlPlan {
+                drain: drain.clone(),
+                rehomes,
+                ..moves
+            })
         }
     }
+}
+
+/// The single path from a [`Decision`] to the cluster: [`plan`] it, then
+/// [`run`] the plan. Returns what was started, or the refusal `plan`
+/// named.
+pub fn apply(
+    cl: &ClusterRc,
+    sim: &mut Sim,
+    decision: &Decision,
+    cfg: &PolicyConfig,
+) -> Result<Applied, &'static str> {
+    let plan = plan(&cl.borrow(), sim.now(), decision, cfg)?;
+    Ok(run(cl, sim, plan))
 }
 
 /// True when a replica-aware scale-in of `drain` must be *refused*: the
@@ -910,11 +822,7 @@ fn start(
 /// on the wire (re-replication in flight — the coverage check would run
 /// against a map that is mid-reconciliation) or the planner cannot find
 /// a distinct surviving host for every copy.
-fn drain_blocked_on_replicas(
-    c: &crate::cluster::Cluster,
-    now: wattdb_common::SimTime,
-    drain: &[NodeId],
-) -> bool {
+fn drain_blocked_on_replicas(c: &Cluster, now: SimTime, drain: &[NodeId]) -> bool {
     if !c.cfg.replication.enabled() {
         return false;
     }
@@ -932,35 +840,6 @@ fn drain_blocked_on_replicas(
     !heat::plan_drain_replicated(c, now, 0.0, drain, &remaining).is_fully_covered()
 }
 
-/// Plan and start the heat-planned segment rebalance a skew decision
-/// calls for (shared by [`Decision::Rebalance`] and the empty-helper-plan
-/// fallback of [`Decision::AttachHelpers`]). Skew is a heat signal;
-/// without the heat-aware planner — or under logical partitioning, which
-/// moves ranges — there is no sound way to act on it, and a plan that
-/// finds nothing movable starts nothing.
-fn skew_rebalance(
-    cl: &ClusterRc,
-    sim: &mut Sim,
-    cfg: &PolicyConfig,
-    heat_aware: bool,
-    sources: &[NodeId],
-    targets: &[NodeId],
-) -> Option<Planner> {
-    if !heat_aware || targets.is_empty() {
-        return None;
-    }
-    let moves = {
-        let c = cl.borrow();
-        let plan = heat::plan_scale_out(&c, sim.now(), cfg.heat_tolerance, sources, targets);
-        plan.moves.iter().map(SegmentMove::from).collect::<Vec<_>>()
-    };
-    if moves.is_empty() {
-        return None; // nothing movable improves the balance
-    }
-    start_rebalance_planned(cl, sim, Planner::HeatAware, moves, targets);
-    Some(Planner::HeatAware)
-}
-
 /// Power off every active node that holds no segments, runs no helper
 /// duty, and hosts no follower copies (post scale-in cleanup — a live
 /// follower host is still serving redundancy and reads, and suspending
@@ -974,7 +853,7 @@ pub fn suspend_empty_nodes(cl: &ClusterRc) -> Vec<NodeId> {
         // never the master
         let id = NodeId(i as u16);
         let empty = c.seg_dir.on_node(id).next().is_none();
-        let is_helper = c.helpers_active.contains(&id);
+        let is_helper = c.helpers.contains(id);
         let follows = !c.replicas.followed_by(id).is_empty();
         if empty && !is_helper && !follows && c.nodes[i].life.is_up() {
             c.power_off(id);
@@ -1778,10 +1657,11 @@ mod tests {
         .expect("applied");
         assert_eq!(attach.planner, Planner::HeatAware);
         assert_eq!(span_name(&db, attach.span), ("helpers".into(), true));
-        assert_eq!(attach.span, db.with_cluster(|c| c.helper_span));
+        assert_eq!(attach.span, db.with_cluster(|c| c.helpers.span));
         let relief = attach.predicted.expect("predicted relief");
         assert!(relief > 0.0);
-        assert_eq!(relief, db.with_cluster(|c| c.helper_relief));
+        let baseline = db.with_cluster(|c| c.helpers.baseline.expect("response open"));
+        assert_eq!(relief, baseline.predicted);
 
         // DetachHelpers closes that span inside apply; the result still
         // points at it.
@@ -1791,7 +1671,303 @@ mod tests {
         assert_eq!(detach.span, attach.span);
         assert_eq!(detach.predicted, None);
         assert_eq!(span_name(&db, detach.span), ("helpers".into(), false));
-        assert_eq!(db.with_cluster(|c| c.helper_span), None);
+        assert_eq!(db.with_cluster(|c| c.helpers.span), None);
+    }
+
+    // --------------------------------------------------- the plan contract
+
+    /// Four nodes and no simulator: data on n0–n2, n3 standby, n0 hot.
+    fn loaded(scheme: Scheme, replication: usize) -> ClusterRc {
+        let data = [NodeId(0), NodeId(1), NodeId(2)];
+        let mut cfg = crate::cluster::ClusterConfig {
+            nodes: 4,
+            scheme,
+            segment_pages: 8,
+            seed: 11,
+            ..Default::default()
+        };
+        cfg.replication.factor = replication;
+        let cl = Cluster::new(cfg, &data);
+        let mut c = cl.borrow_mut();
+        let tpcc = wattdb_tpcc::TpccConfig {
+            warehouses: 3,
+            density: 0.01,
+            seed: 11,
+            ..Default::default()
+        };
+        c.load_tpcc(tpcc, &data).expect("dataset loads");
+        c.bootstrap_replicas(SimTime::ZERO);
+        let hot: Vec<SegmentId> = c.seg_dir.on_node(NodeId(0)).map(|m| m.id).collect();
+        for seg in hot {
+            for _ in 0..50 {
+                c.heat.record_read(seg, SimTime::ZERO);
+            }
+        }
+        drop(c);
+        cl
+    }
+
+    /// One line per outcome: the refusal, or the plan's planner, what moves
+    /// from where to where, and every other step it carries.
+    fn shape(p: &Result<ControlPlan, &'static str>) -> String {
+        let p = match p {
+            Ok(p) => p,
+            Err(reason) => return format!("refused: {reason}"),
+        };
+        use crate::migration::Moves;
+        let list = |nodes: &[NodeId]| {
+            let names: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
+            names.join(",")
+        };
+        let mut out = format!("{:?}", p.planner);
+        let (kind, n, from_to): (_, _, Vec<(NodeId, NodeId)>) = match &p.moves {
+            Moves::Segments(m) => (
+                "segments",
+                m.len(),
+                m.iter().map(|m| (m.from, m.to)).collect(),
+            ),
+            Moves::Ranges(m) => (
+                "ranges",
+                m.len(),
+                m.iter().map(|m| (m.from, m.to)).collect(),
+            ),
+        };
+        if !p.sources.is_empty() {
+            assert!(n > 0, "a plan with sources moves something: {p:?}");
+            for (from, to) in from_to {
+                assert!(p.sources.contains(&from) && p.power_up.contains(&to));
+            }
+            out += &format!(" {kind} {}→{}", list(&p.sources), list(&p.power_up));
+        }
+        if !p.drain.is_empty() {
+            out += &format!(" drain {}", list(&p.drain));
+        }
+        if let Some(a) = &p.attach {
+            let pairs: Vec<String> = a.pairs.iter().map(|(s, h)| format!("{s}+{h}")).collect();
+            out += &format!(" attach {} scripted={}", pairs.join(","), a.scripted);
+        }
+        if !p.detach.is_empty() {
+            out += &format!(" detach {}", list(&p.detach));
+        }
+        if let Some(failed) = p.promote {
+            out += &format!(" promote {failed}");
+        }
+        out
+    }
+
+    #[test]
+    fn plan_maps_every_decision_to_its_plan_or_its_refusal() {
+        let nodes = |ns: &[u16]| ns.iter().map(|&n| NodeId(n)).collect::<Vec<_>>();
+        let scale_out = |targets: &[u16]| Decision::ScaleOut {
+            sources: nodes(&[0]),
+            targets: nodes(targets),
+        };
+        let skew = (nodes(&[0]), nodes(&[1]));
+        let no_helper = PolicyConfig {
+            helper: HelperPolicyConfig {
+                min_net_heat: f64::MAX, // nobody clears the floor
+                ..Default::default()
+            },
+            ..Default::default()
+        };
+        const NO_PLAN: &str = "refused: no applicable plan";
+        // (decision, config, [heat-aware, fraction planner, logical scheme])
+        let table: Vec<(Decision, PolicyConfig, [&str; 3])> = vec![
+            (Decision::Hold, PolicyConfig::default(), [NO_PLAN; 3]),
+            (
+                scale_out(&[3]),
+                PolicyConfig::default(),
+                [
+                    "HeatAware segments n0→n3",
+                    "Fraction segments n0→n3",
+                    "Fraction ranges n0→n3",
+                ],
+            ),
+            (scale_out(&[]), PolicyConfig::default(), [NO_PLAN; 3]),
+            (
+                Decision::Rebalance {
+                    sources: skew.0.clone(),
+                    targets: skew.1.clone(),
+                },
+                PolicyConfig::default(),
+                ["HeatAware segments n0→n1", NO_PLAN, NO_PLAN],
+            ),
+            (
+                Decision::AttachHelpers {
+                    sources: skew.0.clone(),
+                    targets: skew.1.clone(),
+                },
+                PolicyConfig::default(),
+                ["HeatAware attach n0+n3 scripted=false", NO_PLAN, NO_PLAN],
+            ),
+            // An empty helper plan falls back to the skew rebalance and
+            // keeps an (empty) attachment to report under.
+            (
+                Decision::AttachHelpers {
+                    sources: skew.0.clone(),
+                    targets: skew.1.clone(),
+                },
+                no_helper,
+                [
+                    "HeatAware segments n0→n1 attach  scripted=false",
+                    NO_PLAN,
+                    NO_PLAN,
+                ],
+            ),
+            // n3 is not attached: nothing to release.
+            (
+                Decision::DetachHelpers {
+                    helpers: nodes(&[3]),
+                },
+                PolicyConfig::default(),
+                [NO_PLAN; 3],
+            ),
+            (
+                Decision::ScaleIn { drain: nodes(&[2]) },
+                PolicyConfig::default(),
+                [
+                    "HeatAware segments n2→n0,n1 drain n2",
+                    "Fraction segments n2→n0,n1 drain n2",
+                    "Fraction ranges n2→n0,n1 drain n2",
+                ],
+            ),
+            (
+                Decision::Promote {
+                    failed: NodeId(2),
+                    orphaned: Vec::new(),
+                },
+                PolicyConfig::default(),
+                [
+                    "HeatAware promote n2",
+                    "Fraction promote n2",
+                    "HeatAware promote n2",
+                ],
+            ),
+        ];
+        let arms = [
+            (Scheme::Physiological, Planner::HeatAware),
+            (Scheme::Physiological, Planner::Fraction),
+            (Scheme::Logical, Planner::HeatAware),
+        ];
+        for (i, (scheme, planner)) in arms.into_iter().enumerate() {
+            let cl = loaded(scheme, 0);
+            let c = cl.borrow();
+            let before = c.telemetry.export_jsonl();
+            for (decision, cfg, expected) in &table {
+                let cfg = PolicyConfig { planner, ..*cfg };
+                let got = plan(&c, SimTime::ZERO, decision, &cfg);
+                let again = plan(&c, SimTime::ZERO, decision, &cfg);
+                assert_eq!(
+                    format!("{got:?}"),
+                    format!("{again:?}"),
+                    "plan is a function"
+                );
+                assert_eq!(
+                    shape(&got),
+                    expected[i],
+                    "{decision:?} under {scheme:?}/{planner:?}"
+                );
+            }
+            // Pure: planning (twice) left no trace on the flight recorder
+            // and no node changed state.
+            assert_eq!(c.telemetry.export_jsonl(), before);
+            assert_eq!(c.active_nodes(), nodes(&[0, 1, 2]));
+            assert!(c.draining_nodes().is_empty() && c.mover.is_none());
+        }
+    }
+
+    #[test]
+    fn plan_reads_helpers_replicas_and_the_mover_without_a_sim() {
+        use crate::migration::{HelperMember, MoveController, MoverChain, SegmentMove};
+        let cfg = PolicyConfig::default();
+        let drain = |n: u16| Decision::ScaleIn {
+            drain: vec![NodeId(n)],
+        };
+        let plan_of =
+            |cl: &ClusterRc, d: &Decision| shape(&plan(&cl.borrow(), SimTime::ZERO, d, &cfg));
+
+        // An attached helper is released by name, and only if attached.
+        let cl = loaded(Scheme::Physiological, 0);
+        cl.borrow_mut().helpers.members.push(HelperMember {
+            node: NodeId(3),
+            scripted: false,
+        });
+        let detach = Decision::DetachHelpers {
+            helpers: vec![NodeId(1), NodeId(3)],
+        };
+        assert_eq!(plan_of(&cl, &detach), "HeatAware detach n3");
+
+        // A heat-planned drain empties its node and re-homes the follower
+        // copies it hosts; with replacement copies still on the wire the
+        // drain is refused by name.
+        let cl = loaded(Scheme::Physiological, 1);
+        let p = plan(&cl.borrow(), SimTime::ZERO, &drain(2), &cfg).expect("covered drain");
+        {
+            let c = cl.borrow();
+            let crate::migration::Moves::Segments(moves) = &p.moves else {
+                panic!("segment scheme plans segment moves");
+            };
+            assert_eq!(moves.len(), c.seg_dir.on_node(NodeId(2)).count());
+            assert_eq!(p.rehomes.len(), c.replicas.followed_by(NodeId(2)).len());
+            assert!(!p.rehomes.is_empty(), "n2 hosted follower copies");
+        }
+        cl.borrow_mut().rereplication_inflight = 1;
+        assert_eq!(
+            plan_of(&cl, &drain(2)),
+            "refused: drain node hosts follower replicas"
+        );
+
+        // A rebalance in flight (n0 → n3) refuses everything but a
+        // promotion, and names a drain aimed at one of its nodes.
+        let cl = loaded(Scheme::Physiological, 0);
+        {
+            let mut c = cl.borrow_mut();
+            let m = c.seg_dir.on_node(NodeId(0)).next().expect("n0 holds data");
+            let mv = SegmentMove {
+                seg: m.id,
+                table: m.table,
+                range: m.key_range.expect("loaded segments have ranges"),
+                from: NodeId(0),
+                to: NodeId(3),
+            };
+            c.mover = Some(MoveController {
+                scheme: Scheme::Physiological,
+                planner: Planner::Fraction,
+                chains: vec![MoverChain {
+                    id: 0,
+                    segments: [mv].into(),
+                    ranges: Default::default(),
+                    cursor: None,
+                    txn: None,
+                    current: None,
+                    done: false,
+                }],
+                started: SimTime::ZERO,
+                finished: None,
+                segments_moved: 0,
+                records_moved: 0,
+                bytes_moved: 0,
+                heat_planned: 0.0,
+                heat_moved: 0.0,
+                span: None,
+                power_span: None,
+            });
+        }
+        let scale_out = Decision::ScaleOut {
+            sources: vec![NodeId(1)],
+            targets: vec![NodeId(3)],
+        };
+        assert_eq!(plan_of(&cl, &scale_out), "refused: rebalance in flight");
+        assert_eq!(plan_of(&cl, &drain(1)), "refused: rebalance in flight");
+        assert_eq!(
+            plan_of(&cl, &drain(3)),
+            "refused: drain node is part of the active migration"
+        );
+        let promote = Decision::Promote {
+            failed: NodeId(2),
+            orphaned: Vec::new(),
+        };
+        assert_eq!(plan_of(&cl, &promote), "HeatAware promote n2");
     }
 
     mod props {

@@ -304,73 +304,15 @@ pub fn plan_scale_out(
 /// (nodes holding data must not power off). Segments are assigned
 /// hottest-first to the coldest remaining node — longest-processing-time
 /// scheduling — so a drained node's hot segments spread across the
-/// survivors instead of piling onto one.
+/// survivors instead of piling onto one. This is
+/// [`plan_drain_replicated`] over a cluster with no follower copies.
 pub fn plan_drain(
     stats: &[SegmentStat],
     drain: &[NodeId],
     remaining: &[NodeId],
-    _cfg: &PlanConfig,
+    cfg: &PlanConfig,
 ) -> Plan {
-    let dests: Vec<NodeId> = remaining
-        .iter()
-        .copied()
-        .filter(|n| !drain.contains(n))
-        .collect();
-    let mut domain: Vec<NodeId> = drain.iter().chain(dests.iter()).copied().collect();
-    domain.sort_unstable();
-    domain.dedup();
-    let mut node_heat = heat_by_node(stats, &domain);
-    let initial_max_heat = node_heat.values().copied().fold(0.0, f64::max);
-
-    let mut moves = Vec::new();
-    let mut bytes_planned = 0u64;
-    let mut heat_planned = 0.0f64;
-    let mut assigned_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
-
-    if dests.is_empty() {
-        return Plan {
-            planner: Planner::HeatAware,
-            moves,
-            bytes_planned,
-            heat_planned,
-            predicted: node_heat,
-            initial_max_heat,
-        };
-    }
-
-    let mut evacuees: Vec<&SegmentStat> =
-        stats.iter().filter(|s| drain.contains(&s.node)).collect();
-    evacuees.sort_by(|a, b| {
-        b.heat
-            .partial_cmp(&a.heat)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| b.bytes.cmp(&a.bytes))
-            .then_with(|| a.seg.cmp(&b.seg))
-    });
-    for seg in evacuees {
-        let dest = coldest(&dests, &node_heat, &assigned_bytes).expect("dests non-empty");
-        *node_heat.get_mut(&seg.node).expect("drain in domain") -= seg.heat;
-        *node_heat.get_mut(&dest).expect("dest in domain") += seg.heat;
-        *assigned_bytes.entry(dest).or_insert(0) += seg.bytes;
-        bytes_planned += seg.bytes;
-        heat_planned += seg.heat;
-        moves.push(PlannedMove {
-            seg: seg.seg,
-            table: seg.table,
-            range: seg.range,
-            from: seg.node,
-            to: dest,
-        });
-    }
-
-    Plan {
-        planner: Planner::HeatAware,
-        moves,
-        bytes_planned,
-        heat_planned,
-        predicted: node_heat,
-        initial_max_heat,
-    }
+    plan_drain_replicated(stats, drain, remaining, cfg, &[], &[], 0).plan
 }
 
 // ------------------------------------------------------------------ helpers
@@ -797,8 +739,9 @@ pub fn plan_drain_replicated(
 ) -> DrainPlan {
     let site_of: DenseMap<SegmentId, &ReplicaSite> = sites.iter().map(|s| (s.seg, s)).collect();
 
-    // Leader moves: plan_drain's LPT loop, with a per-segment preference
-    // for destinations outside the segment's follower set.
+    // Leader moves: hottest first onto the coldest survivor (LPT), with a
+    // per-segment preference for destinations outside the segment's
+    // follower set.
     let dests: Vec<NodeId> = remaining
         .iter()
         .copied()

@@ -195,21 +195,18 @@ fn facade_attached_helpers_survive_the_autopilot() {
 
 #[test]
 fn planned_rebalance_never_enlists_its_own_targets_as_helpers() {
-    // `rebalance_with_helpers(HelperSet::Planned)` plans the helper set
-    // for the rebalance it starts: the rebalance's own targets are
-    // migration-entangled and must be off the candidate pool. Data on
+    // A helper set planned for a rebalance already started: the
+    // rebalance's own targets are migration-entangled and must be off
+    // the candidate pool (hence rebalance first, plan second). Data on
     // 0/1, standbys 2/3, shipping 0 → 2: were the exclusion missing, the
     // planner would happily take standby 2 — a node about to receive
     // shipped segments — as node 0's log-shipping/buffer helper.
     let mut db = builder(4, &[NodeId(0), NodeId(1)]).build();
     charge(&mut db, NodeId(0), 10, 8192, 200);
-    db.rebalance_with_helpers(
-        0.5,
-        &[NodeId(0)],
-        &[NodeId(2)],
-        wattdb_core::HelperSet::Planned,
-    );
+    db.rebalance(0.5, &[NodeId(0)], &[NodeId(2)]);
     assert!(db.rebalancing(), "rebalance started");
+    let plan = db.plan_helpers(&[NodeId(0)]);
+    assert!(db.attach_helpers(&plan));
     assert_eq!(
         db.helpers_active(),
         vec![NodeId(3)],
@@ -296,7 +293,7 @@ fn manual_run() -> (
                 .iter()
                 .map(|n| (n.id.raw(), n.helper.map(|h| h.raw())))
                 .collect(),
-            helpers_active: c.helpers_active.clone(),
+            helpers_active: c.helpers.nodes(),
             active_states: c.nodes.iter().map(|n| n.life.is_up()).collect(),
         })
     };

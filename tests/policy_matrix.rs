@@ -441,7 +441,7 @@ fn transient_bimodal_skew_attaches_helpers_and_never_ships() {
         assert!(!helped.is_empty(), "a hot source is wired to its helper");
         for n in &c.nodes {
             if let Some(h) = n.helper {
-                assert!(c.helpers_active.contains(&h));
+                assert!(c.helpers.contains(h));
                 assert_eq!(n.shipper.followers(), vec![h]);
             }
         }
