@@ -15,12 +15,13 @@
 //! a failed node still referenced by the replica map becomes a
 //! [`Decision::Promote`]; a finished drain suspends its nodes
 //! ([`policy::suspend_empty_nodes`], [`Cluster::end_drain`] for what
-//! could not suspend); the policy's decision goes to [`policy::apply`],
-//! which returns what it started ([`Applied`]) or the deferral reason
-//! named by the guard that refused. Whatever came of it is written by
-//! **one** `log` closure — the timeline's `DecisionRecord` and the
-//! facade's [`ControlEvent`] from the same arguments (`Hold` is recorded
-//! on the timeline only).
+//! could not suspend); the policy's decision goes to [`policy::apply`] —
+//! [`policy::plan`] turns it into a plan or names the guard that refused,
+//! [`crate::migration::run`] carries the plan out and returns what it
+//! started ([`Applied`]). Whatever came of it is written by **one** `log`
+//! closure — the timeline's `DecisionRecord` and the facade's
+//! [`ControlEvent`] from the same arguments (`Hold` is recorded on the
+//! timeline only).
 //!
 //! [`Cluster::end_drain`]: crate::cluster::Cluster::end_drain
 //!
@@ -379,11 +380,8 @@ impl AutoPilot {
                     // closes here, when the nodes actually reach standby.
                     let span = c.powerdown_span.take();
                     if let Some(sp) = span {
-                        c.telemetry.spans.set_attr(
-                            sp,
-                            "suspended",
-                            off.iter().map(|n| n.to_string()).collect::<Vec<_>>().into(),
-                        );
+                        let suspended = crate::migration::names(&off);
+                        c.telemetry.spans.set_attr(sp, "suspended", suspended);
                         c.telemetry.spans.end(sp, at);
                     }
                     span

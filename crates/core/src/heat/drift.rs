@@ -42,7 +42,7 @@ pub struct SegmentDrift {
 }
 
 /// A per-segment drift snapshot row, joined with catalog placement (what
-/// [`crate::api::WattDb::projected_heat`] returns).
+/// [`DriftTracker::snapshot`] returns).
 #[derive(Debug, Clone, Copy)]
 pub struct SegmentDriftStat {
     /// Segment id.

@@ -9,9 +9,12 @@
 //! * [`cluster`] — nodes, partitions, catalog, TPC-C loading, power;
 //! * [`executor`] — the closed-loop OLTP transaction engine, its in-flight
 //!   transactions kept in the [`jobs`] slab;
-//! * [`migration`] — physical / logical / physiological repartitioning
-//!   protocols (§4), including the §4.3 move protocol with master-first
-//!   dual pointers, segment read locks, and helper nodes (Fig. 8);
+//! * [`migration`] — the data plane: [`migration::run`] carries out a
+//!   [`migration::ControlPlan`] (power, drains, helper wiring (Fig. 8),
+//!   mover launch, spans), then the physical / logical / physiological
+//!   repartitioning protocols (§4) move the data — including the §4.3
+//!   move protocol with master-first dual pointers and segment read
+//!   locks;
 //! * [`heat`] — per-segment heat tracking (EWMA-decayed in sim-time),
 //!   the workload signal behind `wattdb_planner`'s heat-aware rebalance
 //!   plans. By default heat is **cost-based**: every access charges its
@@ -24,13 +27,15 @@
 //!   planner-driven re-replication;
 //! * [`scan`] — analytic range scans over live segments, evaluated and
 //!   costed by `wattdb_query` and replayed through the shared resources;
-//! * [`monitor`] / [`policy`] — utilization monitoring and the 80 %-CPU
-//!   threshold elasticity policy (§3.4) with a heat-skew rebalance
-//!   trigger and coldest-node scale-in, and a pluggable rebalance
-//!   planner (legacy fraction vs. heat-aware);
-//! * [`autopilot`] — the master's control loop tying monitor and policy
-//!   together: autonomous scale-out/scale-in with a queryable decision
-//!   log;
+//! * [`monitor`] / [`policy`] — the control plane: utilization
+//!   monitoring, the 80 %-CPU threshold elasticity policy (§3.4) with a
+//!   heat-skew rebalance trigger and coldest-node scale-in, and the pure
+//!   [`policy::plan`] that turns each decision into a `ControlPlan` (or
+//!   a named refusal) with the configured planner (legacy fraction vs.
+//!   heat-aware);
+//! * [`autopilot`] — the master's control loop: monitor → decide → plan →
+//!   run each window, autonomous scale-out/scale-in with a queryable
+//!   decision log;
 //! * [`replay`] — analytic query execution over shared resources
 //!   (Figs. 1–2);
 //! * [`metrics`] — throughput / response-time / power / energy series

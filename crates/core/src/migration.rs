@@ -17,6 +17,20 @@
 //!   updaters, blocks new writers, never blocks readers under MVCC), bulk
 //!   copy at raw device speed, ownership switch, redirect window, cleanup.
 //!
+//! # Plan, then run
+//!
+//! Nothing here decides. A [`ControlPlan`] — produced by
+//! [`crate::policy::plan`] from a decision, or filled in by the facade's
+//! scripted methods — says which nodes to power, what to move, what to
+//! drain, which follower copies to re-home and which helpers (Fig. 8) to
+//! wire or release; [`run`] carries it out. `run` is the only code
+//! outside `cluster.rs` that powers a node on, marks a drain, installs
+//! the [`MoveController`], wires a helper or opens the `helpers` /
+//! `rebalance` / `power-up` / `power-down` spans, and it returns what it
+//! started ([`Applied`]) instead of leaving callers to read it back. The
+//! step machines below then move the data; helper state lives in one
+//! [`HelperDeployment`] on the cluster.
+//!
 //! Bulk I/O volumes are multiplied by `cfg.io_scale` so the scaled-down
 //! dataset produces the paper's 100 GB-class transfer times (see
 //! [`crate::api::WattDbBuilder::io_scale`]).
@@ -265,15 +279,11 @@ impl HelperAttach {
     /// A scripted Fig. 8 list: `sources[i]` pairs with
     /// `helpers[i % helpers.len()]`.
     pub fn manual(sources: &[NodeId], helpers: &[NodeId]) -> Self {
-        let pairs = match helpers.len() {
-            0 => Vec::new(),
-            n => (sources.iter().enumerate())
-                .map(|(i, &src)| (src, helpers[i % n]))
-                .collect(),
-        };
         HelperAttach {
             helpers: helpers.to_vec(),
-            pairs,
+            pairs: (sources.iter().copied())
+                .zip(helpers.iter().copied().cycle())
+                .collect(),
             scripted: true,
             ..Default::default()
         }
@@ -376,7 +386,8 @@ pub struct Applied {
     pub predicted: Option<f64>,
 }
 
-fn names(nodes: &[NodeId]) -> wattdb_telemetry::AttrValue {
+/// A node list as a span attribute.
+pub(crate) fn names(nodes: &[NodeId]) -> wattdb_telemetry::AttrValue {
     (nodes.iter().map(|n| n.to_string()))
         .collect::<Vec<_>>()
         .into()

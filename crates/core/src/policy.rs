@@ -15,13 +15,16 @@
 //! Scale-in picks the **coldest** drainable node (its segments are the
 //! cheapest to relocate), not the highest-numbered one.
 //!
-//! [`apply`] is the single path from a [`Decision`] to the cluster: it
-//! owns every guard (one rebalance at a time, no drain of a node inside
-//! the active migration, no drain that strands follower copies), plans
-//! with the configured planner, starts the work, opens the spans it is
-//! accounted under, and returns either [`Applied`] — planner, span,
-//! prediction — or the deferral reason, named at the guard that refused.
-//! The autopilot relays that reason; it re-derives nothing.
+//! Deciding is split from doing. [`plan`] turns a [`Decision`] into a
+//! [`ControlPlan`] — plain data: nodes to power, moves, drains, follower
+//! re-homes, helpers to wire or release — and is *pure*: it reads the
+//! cluster and changes nothing. It owns every guard (one rebalance at a
+//! time, no drain of a node inside the active migration, no drain that
+//! strands follower copies) and every planner fallback, and names the
+//! guard that refused. [`crate::migration::run`] carries a plan out and
+//! returns what it started ([`Applied`]: planner, span, prediction);
+//! [`apply`] is the two in sequence. The autopilot relays the refusal; it
+//! re-derives nothing.
 
 use wattdb_common::{HelperPolicyConfig, NodeId, SegmentId, SimTime};
 use wattdb_planner::Planner;
@@ -134,14 +137,14 @@ pub enum Decision {
     /// without the skew ever subsiding, so the skew is transient and a
     /// rebalance would chase a hotspot that moves on before the copy
     /// lands. Which helpers (and which of the sources deserve one) is
-    /// decided by the helper planner at apply time
+    /// decided by the helper planner when the decision is planned
     /// ([`crate::heat::plan_helpers`]).
     AttachHelpers {
         /// Nodes carrying more than the mean heat — the planner ranks
         /// these by their net/remote-heavy heat component.
         sources: Vec<NodeId>,
         /// Cooler active nodes — the targets of the [`Decision::Rebalance`]
-        /// this fire would otherwise have been, which `apply` falls back
+        /// this fire would otherwise have been, which [`plan`] falls back
         /// to when the helper plan comes back empty.
         targets: Vec<NodeId>,
     },
