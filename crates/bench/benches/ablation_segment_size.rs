@@ -27,7 +27,7 @@ fn main() {
             .build();
         db.start_oltp(8, SimDuration::from_millis(100));
         db.run_for(SimDuration::from_secs(10));
-        let segments = db.segment_count();
+        let segments = db.status().segments;
         db.rebalance(0.5, &[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]);
         for _ in 0..200 {
             db.run_for(SimDuration::from_secs(5));

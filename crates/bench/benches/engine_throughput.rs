@@ -80,7 +80,8 @@ fn run_cell(scale: &'static str, n: u32, pooled: bool) -> Cell {
     let mut db = build(batching);
     let (carriers, weight) = if pooled { carrier_split(n) } else { (n, 1) };
     db.start_oltp(n, THINK);
-    assert_eq!(db.pooled_clients(), pooled, "forced mode must stick");
+    let is_pooled = db.with_cluster(|c| c.pool.is_some());
+    assert_eq!(is_pooled, pooled, "forced mode must stick");
     // Warm-up outside the measurement: dataset pages fault in, the first
     // arrivals stagger out.
     db.run_for(SimDuration::from_secs(WARMUP_SIM_SECS));

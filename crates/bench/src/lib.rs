@@ -14,6 +14,7 @@ use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
 use wattdb_core::executor;
 use wattdb_core::metrics::Phase;
+use wattdb_core::migration::{ControlPlan, HelperAttach};
 use wattdb_core::replay::{replay_trace, SortMemoryBroker};
 use wattdb_query::{execute, ExecConfig, PlanNode, SyntheticTable};
 use wattdb_sim::CostCategory;
@@ -164,7 +165,6 @@ pub fn run_planner_shootout(cfg: PlannerShootout) -> PlannerShootoutRow {
         .costs(scaled_costs(40))
         .seed(cfg.seed)
         .initial_data_nodes(&[NodeId(0)])
-        .planner(cfg.planner)
         .policy(wattdb_core::PolicyConfig {
             cpu_high: 0.8,
             cpu_low: 0.02, // no scale-in during the measurement
@@ -178,18 +178,13 @@ pub fn run_planner_shootout(cfg: PlannerShootout) -> PlannerShootoutRow {
         .monitoring(SimDuration::from_secs(5))
         .autopilot(true)
         .build();
-    db.with_cluster_mut(|c| {
-        c.auto_resubmit = false;
-        c.spawn_clients_skewed(
-            cfg.clients,
-            wattdb_tpcc::ClientConfig {
-                think_time: cfg.think,
-                ..Default::default()
-            },
-            cfg.hot_fraction,
-            cfg.hot_warehouses,
-        );
-    });
+    spawn_driven(
+        &mut db,
+        cfg.clients,
+        cfg.think,
+        cfg.hot_fraction,
+        cfg.hot_warehouses,
+    );
     db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
     settle_and_measure(&mut db, cfg.planner, 80, SimDuration::from_secs(30))
 }
@@ -325,18 +320,7 @@ pub fn run_drift_shootout(cfg: DriftShootout) -> PlannerShootoutRow {
         .autopilot(true)
         .build();
     let hot_n = (cfg.clients as f64 * cfg.hot_fraction.clamp(0.0, 1.0)).round() as usize;
-    db.with_cluster_mut(|c| {
-        c.auto_resubmit = false;
-        c.spawn_clients_skewed(
-            cfg.clients,
-            wattdb_tpcc::ClientConfig {
-                think_time: cfg.think,
-                ..Default::default()
-            },
-            cfg.hot_fraction,
-            1,
-        );
-    });
+    spawn_driven(&mut db, cfg.clients, cfg.think, cfg.hot_fraction, 1);
     db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
     // Warm up on warehouse 0, then advance the front to warehouse 1 (and
     // keep it advancing every `dwell` thereafter).
@@ -347,8 +331,8 @@ pub fn run_drift_shootout(cfg: DriftShootout) -> PlannerShootoutRow {
             c.clients[i].home_warehouse = front;
         }
     };
-    db.with_cluster_mut(|c| rehome(c, 1));
     db.with_runtime(|cl, sim| {
+        rehome(&mut cl.borrow_mut(), 1);
         let handle = cl.clone();
         let warehouses = cfg.warehouses;
         let mut front = 1u32;
@@ -361,7 +345,6 @@ pub fn run_drift_shootout(cfg: DriftShootout) -> PlannerShootoutRow {
     // Two windows on the new warehouse: history still favours warehouse
     // 0, velocity favours warehouse 1. Now arm the real thresholds.
     db.run_for(SimDuration::from_secs(10));
-    let pilot_cfg = db.autopilot().expect("engaged").config();
     db.engage_autopilot(wattdb_core::AutoPilotConfig {
         policy: wattdb_core::PolicyConfig {
             cpu_high: 0.8,
@@ -370,7 +353,7 @@ pub fn run_drift_shootout(cfg: DriftShootout) -> PlannerShootoutRow {
             skew_threshold: 0.0, // CPU-triggered only: isolate the planner input
             ..Default::default()
         },
-        period: pilot_cfg.period,
+        period: SimDuration::from_secs(5), // the cadence built with
     });
     // The settle window stays inside the current warehouse's dwell.
     settle_and_measure(
@@ -484,18 +467,7 @@ pub fn run_mixed_shootout(cfg: MixedShootout) -> PlannerShootoutRow {
         builder = builder.cost_model(None);
     }
     let mut db = builder.build();
-    db.with_cluster_mut(|c| {
-        c.auto_resubmit = false;
-        c.spawn_clients_skewed(
-            cfg.clients,
-            wattdb_tpcc::ClientConfig {
-                think_time: cfg.think,
-                ..Default::default()
-            },
-            1.0,
-            1,
-        );
-    });
+    spawn_driven(&mut db, cfg.clients, cfg.think, 1.0, 1);
     db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
     // Periodic scan+aggregation over the scanned warehouse range.
     let scan_table = wattdb_tpcc::TpccTable::OrderLine.table_id();
@@ -631,18 +603,7 @@ pub fn run_transient_shootout(cfg: TransientShootout) -> TransientShootoutRow {
         .autopilot(true)
         .build();
     let hot_n = (cfg.clients as f64 * cfg.hot_fraction.clamp(0.0, 1.0)).round() as usize;
-    db.with_cluster_mut(|c| {
-        c.auto_resubmit = false;
-        c.spawn_clients_skewed(
-            cfg.clients,
-            wattdb_tpcc::ClientConfig {
-                think_time: cfg.think,
-                ..Default::default()
-            },
-            cfg.hot_fraction,
-            1,
-        );
-    });
+    spawn_driven(&mut db, cfg.clients, cfg.think, cfg.hot_fraction, 1);
     db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
     db.run_for(cfg.warm);
     // The advancing flap: each dwell the hot population re-homes to a
@@ -688,7 +649,7 @@ pub fn run_transient_shootout(cfg: TransientShootout) -> TransientShootoutRow {
     } else {
         0.0
     };
-    let history = db.rebalance_history();
+    let history = db.with_cluster(|c| c.metrics.rebalances.clone());
     let events = db.events();
     let attaches = events
         .iter()
@@ -807,18 +768,7 @@ pub fn run_failover_shootout(cfg: FailoverShootout) -> FailoverShootoutRow {
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
         .replication(cfg.factor)
         .build();
-    db.with_cluster_mut(|c| {
-        c.auto_resubmit = false;
-        c.spawn_clients_skewed(
-            cfg.clients,
-            wattdb_tpcc::ClientConfig {
-                think_time: cfg.think,
-                ..Default::default()
-            },
-            cfg.hot_fraction,
-            1,
-        );
-    });
+    spawn_driven(&mut db, cfg.clients, cfg.think, cfg.hot_fraction, 1);
     db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
     db.run_for(cfg.warm);
     // Measurement on a fresh status window.
@@ -841,15 +791,15 @@ pub fn run_failover_shootout(cfg: FailoverShootout) -> FailoverShootoutRow {
         row: PlannerShootoutRow {
             planner: wattdb_core::Planner::HeatAware,
             rebalanced: false,
-            bytes_moved: db.replica_shipped_bytes(),
+            bytes_moved: db.with_cluster(|c| c.replica_shipped_bytes()),
             segments_moved: 0,
             heat_planned: 0.0,
             heat_moved: 0.0,
             post_max_cpu,
             post_max_heat_share,
         },
-        replica_reads: db.replica_reads(),
-        replica_shipped_bytes: db.replica_shipped_bytes(),
+        replica_reads: db.with_cluster(|c| c.replica_reads),
+        replica_shipped_bytes: db.with_cluster(|c| c.replica_shipped_bytes()),
         wal_flushed_bytes: db.with_cluster(|c| c.nodes.iter().map(|n| n.log.flushed_bytes()).sum()),
         completed: db.completed(),
     }
@@ -895,22 +845,11 @@ pub fn run_failover_recovery(cfg: FailoverShootout) -> FailoverRecovery {
         .monitoring(SimDuration::from_secs(5))
         .autopilot(true)
         .build();
-    db.with_cluster_mut(|c| {
-        c.auto_resubmit = false;
-        c.spawn_clients_skewed(
-            cfg.clients,
-            wattdb_tpcc::ClientConfig {
-                think_time: cfg.think,
-                ..Default::default()
-            },
-            cfg.hot_fraction,
-            1,
-        );
-    });
+    spawn_driven(&mut db, cfg.clients, cfg.think, cfg.hot_fraction, 1);
     db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
     db.run_for(cfg.warm);
     let victim = NodeId(1);
-    let orphaned = db.replica_map().led_by(victim).len();
+    let orphaned = db.with_cluster(|c| c.replicas.led_by(victim).len());
     db.fail_node(victim);
     let killed_at = db.now();
     let horizon = SimDuration::from_secs(600);
@@ -931,7 +870,7 @@ pub fn run_failover_recovery(cfg: FailoverShootout) -> FailoverRecovery {
     FailoverRecovery {
         recovered,
         recovery_secs: (db.now() - killed_at).as_secs_f64(),
-        rereplication_bytes: db.rereplication_bytes(),
+        rereplication_bytes: db.with_cluster(|c| c.rereplication_bytes),
         orphaned,
     }
 }
@@ -985,9 +924,11 @@ pub fn run_drain_under_replication(cfg: FailoverShootout) -> DrainUnderReplicati
         .monitoring(SimDuration::from_secs(5))
         .autopilot(true)
         .build();
-    let copies_at_start: std::collections::BTreeMap<NodeId, usize> = (0..4u16)
-        .map(|n| (NodeId(n), db.replica_map().followed_by(NodeId(n)).len()))
-        .collect();
+    let copies_at_start: std::collections::BTreeMap<NodeId, usize> = db.with_cluster(|c| {
+        (0..4u16)
+            .map(|n| (NodeId(n), c.replicas.followed_by(NodeId(n)).len()))
+            .collect()
+    });
     let engaged_at = db.now();
     let horizon = SimDuration::from_secs(600);
     let mut suspended: Vec<NodeId> = Vec::new();
@@ -1030,7 +971,7 @@ pub fn run_drain_under_replication(cfg: FailoverShootout) -> DrainUnderReplicati
         drained: !suspended.is_empty(),
         drain_secs,
         rehomed_copies,
-        rereplication_bytes: db.rereplication_bytes(),
+        rereplication_bytes: db.with_cluster(|c| c.rereplication_bytes),
         under_replicated,
         invariants_ok,
     }
@@ -1055,7 +996,6 @@ pub fn run_timeline_capture(cfg: PlannerShootout) -> String {
         .seed(cfg.seed)
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
         .replication(1)
-        .planner(cfg.planner)
         .policy(wattdb_core::PolicyConfig {
             cpu_high: 0.8,
             cpu_low: 0.02,
@@ -1069,18 +1009,13 @@ pub fn run_timeline_capture(cfg: PlannerShootout) -> String {
         .monitoring(SimDuration::from_secs(5))
         .autopilot(true)
         .build();
-    db.with_cluster_mut(|c| {
-        c.auto_resubmit = false;
-        c.spawn_clients_skewed(
-            cfg.clients,
-            wattdb_tpcc::ClientConfig {
-                think_time: cfg.think,
-                ..Default::default()
-            },
-            cfg.hot_fraction,
-            cfg.hot_warehouses,
-        );
-    });
+    spawn_driven(
+        &mut db,
+        cfg.clients,
+        cfg.think,
+        cfg.hot_fraction,
+        cfg.hot_warehouses,
+    );
     db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
     settle_and_measure(&mut db, cfg.planner, 80, SimDuration::from_secs(30));
     db.export_timeline_string()
@@ -1166,7 +1101,13 @@ pub fn run_scheme_experiment(cfg: SchemeExperiment) -> SchemeRun {
     let sources = [NodeId(0), NodeId(1)];
     let targets = [NodeId(2), NodeId(3)];
     if cfg.helpers {
-        db.rebalance_with_helpers(0.5, &sources, &targets, &[NodeId(4), NodeId(5)]);
+        // Fig. 8: the helpers wire up with the rebalance and detach when
+        // it completes.
+        let plan = db.with_cluster(|c| ControlPlan::fraction(c, 0.5, &sources, &targets));
+        db.run(ControlPlan {
+            attach: Some(HelperAttach::manual(&sources, &[NodeId(4), NodeId(5)])),
+            ..plan
+        });
     } else {
         db.rebalance(0.5, &sources, &targets);
     }
@@ -1414,17 +1355,8 @@ pub fn fig3_run(update_pct: u32, mode: CcMode) -> Fig3Point {
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
         .build();
     // Spawn clients; a custom driver loop submits the fixed mix.
-    db.with_cluster_mut(|c| {
-        c.auto_resubmit = false;
-        c.cfg.migration_batch = 64;
-        c.spawn_clients(
-            24,
-            wattdb_tpcc::ClientConfig {
-                think_time: SimDuration::from_millis(25),
-                ..Default::default()
-            },
-        );
-    });
+    db.with_runtime(|cl, _| cl.borrow_mut().cfg.migration_batch = 64);
+    spawn_driven(&mut db, 24, SimDuration::from_millis(25), 0.0, 1);
     db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, update_pct));
     db.run_for(SimDuration::from_secs(10));
     let move_start = db.now();
@@ -1472,6 +1404,27 @@ pub fn fig3_run(update_pct: u32, mode: CcMode) -> Fig3Point {
         ta_per_minute: ta,
         storage_ratio,
     }
+}
+
+/// Spawn `clients` closed-loop clients (`hot_fraction` of them homed in
+/// the first `hot_warehouses` warehouses) for a custom driver loop: a
+/// finished job does not resubmit by itself.
+fn spawn_driven(
+    db: &mut WattDb,
+    clients: u32,
+    think: SimDuration,
+    hot_fraction: f64,
+    hot_warehouses: u32,
+) {
+    db.with_runtime(|cl, _| {
+        let mut c = cl.borrow_mut();
+        c.auto_resubmit = false;
+        let client_cfg = wattdb_tpcc::ClientConfig {
+            think_time: think,
+            ..Default::default()
+        };
+        c.spawn_clients_skewed(clients, client_cfg, hot_fraction, hot_warehouses);
+    });
 }
 
 /// Custom closed-loop drivers with a fixed update fraction: updates are

@@ -109,26 +109,6 @@ impl KeyRange {
             end: self.end.min(other.end),
         }
     }
-
-    /// Partition `[0, n·step)`-style: cut the full range `[lo, hi)` into `n`
-    /// near-equal contiguous chunks. Used when initially partitioning a table
-    /// across nodes. Always returns exactly `n` non-empty ranges when the
-    /// span is at least `n` keys wide.
-    pub fn chunks(lo: Key, hi: Key, n: usize) -> Vec<KeyRange> {
-        assert!(n > 0, "cannot split into zero chunks");
-        let span = hi.0.saturating_sub(lo.0);
-        let base = span / n as u64;
-        let rem = span % n as u64;
-        let mut out = Vec::with_capacity(n);
-        let mut cur = lo.0;
-        for i in 0..n {
-            let width = base + u64::from((i as u64) < rem);
-            let next = cur + width;
-            out.push(KeyRange::new(Key(cur), Key(next)));
-            cur = next;
-        }
-        out
-    }
 }
 
 impl fmt::Display for KeyRange {
@@ -173,21 +153,6 @@ mod tests {
         assert!(r.split_at(Key(0)).is_none());
         assert!(r.split_at(Key(100)).is_none());
         assert!(r.split_at(Key(200)).is_none());
-    }
-
-    #[test]
-    fn chunk_tiling() {
-        let chunks = KeyRange::chunks(Key(0), Key(103), 4);
-        assert_eq!(chunks.len(), 4);
-        // Chunks tile without gaps or overlap.
-        assert_eq!(chunks[0].start, Key(0));
-        assert_eq!(chunks[3].end, Key(103));
-        for w in chunks.windows(2) {
-            assert_eq!(w[0].end, w[1].start);
-        }
-        // Total width preserved.
-        let total: u64 = chunks.iter().map(|c| c.end.0 - c.start.0).sum();
-        assert_eq!(total, 103);
     }
 
     #[test]

@@ -1,12 +1,25 @@
 //! The high-level WattDB facade: build a cluster, drive a workload, let
 //! the autopilot resize it, read out the experiment series.
 //!
-//! The facade owns the simulator and the cluster outright. Everyday
-//! operation goes through typed methods — [`WattDb::status`],
-//! [`WattDb::events`], [`WattDb::timeseries`], [`WattDb::rebalance`] —
-//! and research code that needs the raw engine state borrows it through
-//! the scoped [`WattDb::with_cluster`] family instead of reaching into
-//! `Rc<RefCell<…>>` internals.
+//! The facade owns the simulator and the cluster outright, and offers one
+//! entry point per operation, in three verb groups:
+//!
+//! * **lifecycle** — [`WattDb::builder`] / [`WattDbBuilder::build`], the
+//!   `start_*` workload calls, [`WattDb::run_for`], [`WattDb::now`],
+//!   [`WattDb::stop_clients`], [`WattDb::engage_autopilot`];
+//! * **act** — [`WattDb::plan`] turns a [`Decision`] into a
+//!   [`ControlPlan`] (or names the guard that refused) and
+//!   [`WattDb::run`] carries a plan out, exactly as the autopilot does;
+//!   a scripted helper run fills in `ControlPlan { attach / detach, .. }`
+//!   by hand. [`WattDb::rebalance`], [`WattDb::rebalance_planned`],
+//!   [`WattDb::fail_node`] and [`WattDb::scan`] are the scripted
+//!   shorthands that keep a name;
+//! * **read** — [`WattDb::status`] (per-node state, CPU, segments, heat,
+//!   power), [`WattDb::events`], [`WattDb::export_timeline_string`],
+//!   [`WattDb::timeseries`], [`WattDb::last_rebalance`] and the run
+//!   counters. Anything else is one scoped [`WattDb::with_cluster`]
+//!   closure over the raw engine state ([`WattDb::with_runtime`] adds the
+//!   simulator and mutable access) — never `Rc<RefCell<…>>` internals.
 //!
 //! ```
 //! use wattdb_core::api::WattDb;
@@ -29,12 +42,10 @@
 //! ```
 
 use wattdb_common::{
-    CostModel, DriftConfig, HeatConfig, HelperPolicyConfig, KeyRange, NodeId, SimDuration, SimTime,
-    TableId, Watts,
+    CostModel, DriftConfig, HeatConfig, KeyRange, NodeId, SimDuration, SimTime, TableId, Watts,
 };
 use wattdb_energy::NodeState;
-use wattdb_planner::{HelperPlan, Plan, Planner};
-use wattdb_replica::ReplicaMap;
+use wattdb_planner::Plan;
 use wattdb_sim::Sim;
 use wattdb_tpcc::{ClientConfig, LoadTrace, TpccConfig};
 use wattdb_txn::CcMode;
@@ -42,9 +53,9 @@ use wattdb_txn::CcMode;
 use crate::autopilot::{AutoPilot, AutoPilotConfig, ControlEvent};
 use crate::cluster::{Cluster, ClusterConfig, ClusterRc, Scheme};
 use crate::executor;
-use crate::heat::{self, SegmentHeatStat};
-use crate::migration::{self, ControlPlan, HelperAttach, HelperReport, RebalanceReport};
-use crate::policy::PolicyConfig;
+use crate::heat;
+use crate::migration::{self, Applied, ControlPlan, RebalanceReport};
+use crate::policy::{self, Decision, PolicyConfig};
 
 /// Builder for a ready-to-run WattDB deployment.
 pub struct WattDbBuilder {
@@ -55,7 +66,6 @@ pub struct WattDbBuilder {
     monitoring: SimDuration,
     autopilot: bool,
     telemetry: bool,
-    trace: Option<(LoadTrace, SimDuration)>,
 }
 
 impl Default for WattDbBuilder {
@@ -68,7 +78,6 @@ impl Default for WattDbBuilder {
             monitoring: SimDuration::from_secs(5),
             autopilot: false,
             telemetry: false,
-            trace: None,
         }
     }
 }
@@ -133,13 +142,6 @@ impl WattDbBuilder {
         self
     }
 
-    /// Which planner turns elasticity decisions into segment moves
-    /// (default: the heat-aware planner).
-    pub fn planner(mut self, p: Planner) -> Self {
-        self.policy.planner = p;
-        self
-    }
-
     /// Heat-tracking parameters: decay half-life and per-access weights.
     pub fn heat_tracking(mut self, h: HeatConfig) -> Self {
         self.cfg.heat = h;
@@ -163,23 +165,6 @@ impl WattDbBuilder {
     /// (the pre-drift behaviour).
     pub fn drift(mut self, d: DriftConfig) -> Self {
         self.cfg.drift = d;
-        self
-    }
-
-    /// Shorthand for setting only the projection horizon (see
-    /// [`WattDbBuilder::drift`]). `SimDuration::ZERO` disables projection.
-    pub fn drift_horizon(mut self, horizon: SimDuration) -> Self {
-        self.cfg.drift.horizon = horizon;
-        self
-    }
-
-    /// Helper-escalation policy: after how many skew fires without
-    /// subsidence the policy attaches Fig. 8 helpers instead of shipping
-    /// segments, how many helpers at most, and the net-heat floor below
-    /// which a source gets none. `escalation_fires: 0` disables helper
-    /// escalation (every skew fire rebalances, the pre-helper behaviour).
-    pub fn helper_policy(mut self, h: HelperPolicyConfig) -> Self {
-        self.policy.helper = h;
         self
     }
 
@@ -248,17 +233,6 @@ impl WattDbBuilder {
         self
     }
 
-    /// Start a trace-driven workload at build time: the
-    /// [`LoadTrace`]'s target-client schedule begins at t = 0 with the
-    /// default mean think time ([`ClientConfig::default`]). Equivalent
-    /// to calling [`WattDb::start_traced_oltp`] right after `build()`;
-    /// use the facade call to pick a different think time or a later
-    /// start.
-    pub fn workload_trace(mut self, trace: LoadTrace) -> Self {
-        self.trace = Some((trace, ClientConfig::default().think_time));
-        self
-    }
-
     /// Build, load TPC-C, start the power sampler, and — when requested —
     /// engage the autopilot.
     pub fn build(self) -> WattDb {
@@ -302,16 +276,12 @@ impl WattDbBuilder {
                 },
             );
         }
-        let mut db = WattDb {
+        WattDb {
             sim,
             cluster,
             autopilot,
             policy: self.policy,
-        };
-        if let Some((trace, think)) = self.trace {
-            db.start_traced_oltp(trace, think);
         }
-        db
     }
 }
 
@@ -360,9 +330,9 @@ pub struct WattDb {
     sim: Sim,
     cluster: ClusterRc,
     autopilot: Option<AutoPilot>,
-    /// Policy in force — facade-side planning (`plan_scale_out`,
-    /// `plan_helpers`) reads its thresholds so manual plans match what
-    /// the autopilot would produce.
+    /// Policy in force — facade-side planning (`plan`, `plan_scale_out`)
+    /// reads its thresholds so scripted plans match what the autopilot
+    /// would produce.
     policy: PolicyConfig,
 }
 
@@ -392,42 +362,26 @@ impl WattDb {
         WattDbBuilder::default()
     }
 
-    // ------------------------------------------------------------ workload
+    // ----------------------------------------------------------- lifecycle
+
+    /// Spawn `n` closed-loop clients with the given mean think time,
+    /// homed round-robin over all warehouses, and start them:
+    /// [`WattDb::start_oltp_skewed`] with no hot range.
+    pub fn start_oltp(&mut self, n: u32, think: SimDuration) {
+        self.start_oltp_skewed(n, think, 0.0, 1);
+    }
 
     /// Spawn `n` closed-loop clients with the given mean think time and
-    /// start them.
+    /// start them, with a hot-range skew: `hot_fraction` of the clients
+    /// are homed inside the first `hot_warehouses` warehouses,
+    /// concentrating access heat on the low end of the key space
+    /// (`0.0` homes every client round-robin over all warehouses).
     ///
     /// # Panics
     /// When `n == 0`: an empty population would silently generate no
     /// load and every downstream reading (throughput, heat, autopilot
     /// decisions) would be measuring an idle cluster. Use
     /// [`WattDb::run_for`] without a workload for idle experiments.
-    pub fn start_oltp(&mut self, n: u32, think: SimDuration) {
-        assert!(
-            n > 0,
-            "start_oltp: n == 0 clients would spawn no workload — \
-             run_for() alone measures an idle cluster"
-        );
-        {
-            let mut c = self.cluster.borrow_mut();
-            c.spawn_clients(
-                n,
-                ClientConfig {
-                    think_time: think,
-                    ..Default::default()
-                },
-            );
-        }
-        executor::start_clients(&self.cluster, &mut self.sim);
-    }
-
-    /// Like [`WattDb::start_oltp`], but with a hot-range skew:
-    /// `hot_fraction` of the clients are homed inside the first
-    /// `hot_warehouses` warehouses, concentrating access heat on the low
-    /// end of the key space.
-    ///
-    /// # Panics
-    /// When `n == 0`, for the same reason as [`WattDb::start_oltp`].
     pub fn start_oltp_skewed(
         &mut self,
         n: u32,
@@ -437,7 +391,7 @@ impl WattDb {
     ) {
         assert!(
             n > 0,
-            "start_oltp_skewed: n == 0 clients would spawn no workload — \
+            "start_oltp: n == 0 clients would spawn no workload — \
              run_for() alone measures an idle cluster"
         );
         {
@@ -482,27 +436,10 @@ impl WattDb {
         executor::schedule_trace(&self.cluster, &mut self.sim, &trace);
     }
 
-    /// The modeled-client target the pooled workload is currently
-    /// holding (the sum of per-tenant trace targets), or `None` in
-    /// per-client mode. Exported per window as the
-    /// `workload.target_clients` gauge.
-    pub fn workload_target(&self) -> Option<u64> {
-        self.cluster
-            .borrow()
-            .pool
-            .as_ref()
-            .map(|p| p.current_target())
-    }
-
     /// Advance virtual time by `d`.
     pub fn run_for(&mut self, d: SimDuration) {
         let until = self.sim.now() + d;
         self.sim.run_until(until);
-    }
-
-    /// Advance to absolute time `t`.
-    pub fn run_until(&mut self, t: SimTime) {
-        self.sim.run_until(t);
     }
 
     /// Current virtual time.
@@ -515,16 +452,9 @@ impl WattDb {
         self.cluster.borrow_mut().stopped = true;
     }
 
-    // ---------------------------------------------------------- elasticity
-
-    /// The autopilot handle, when engaged.
-    pub fn autopilot(&self) -> Option<&AutoPilot> {
-        self.autopilot.as_ref()
-    }
-
     /// Engage the elasticity control loop on a running deployment.
-    /// Replaces (and disengages) any previous loop; facade-side planning
-    /// follows the new policy from here on.
+    /// Replaces (and disengages) any previous loop; [`WattDb::plan`] and
+    /// [`WattDb::plan_scale_out`] follow the new policy from here on.
     pub fn engage_autopilot(&mut self, config: AutoPilotConfig) {
         if let Some(old) = self.autopilot.take() {
             old.disengage();
@@ -533,42 +463,23 @@ impl WattDb {
         self.autopilot = Some(AutoPilot::engage(&self.cluster, &mut self.sim, config));
     }
 
-    /// The controller's decision log (empty when no autopilot ran).
-    pub fn events(&self) -> Vec<ControlEvent> {
-        self.autopilot
-            .as_ref()
-            .map(|a| a.events())
-            .unwrap_or_default()
+    // ----------------------------------------------------------------- act
+
+    /// Turn a [`Decision`] into the [`ControlPlan`] that carries it out
+    /// under the policy in force, or name the guard that refused it —
+    /// [`policy::plan`], the planning step of every autopilot window.
+    /// Pure: reads the cluster, changes nothing.
+    pub fn plan(&self, decision: &Decision) -> Result<ControlPlan, &'static str> {
+        let c = self.cluster.borrow();
+        policy::plan(&c, self.sim.now(), decision, &self.policy)
     }
 
-    /// Borrow the cluster's telemetry recorder: tracing spans, the
-    /// per-window metrics registry, and the decision timeline.
-    pub fn telemetry(&self) -> std::cell::Ref<'_, wattdb_telemetry::Telemetry> {
-        std::cell::Ref::map(self.cluster.borrow(), |c| &c.telemetry)
-    }
-
-    /// Serialize the full flight-recorder state — spans, window samples,
-    /// decision records — as JSONL. Byte-identical across fixed-seed runs.
-    pub fn export_timeline_string(&self) -> String {
-        self.cluster.borrow().telemetry.export_jsonl()
-    }
-
-    /// Render the explainable autopilot timeline: one line per monitoring
-    /// window with the signal values, the decision, and its
-    /// predicted-vs-realized outcome. Derived *purely from the exported
-    /// form* — the recorder state is serialized to JSONL and re-parsed, so
-    /// this output is exactly what an offline reader of the artifact
-    /// would reconstruct.
-    pub fn explain(&self) -> Vec<String> {
-        wattdb_telemetry::parse_jsonl(&self.export_timeline_string())
-            .expect("own export parses")
-            .explain()
-    }
-
-    /// Carry out a scripted [`ControlPlan`] — the same runner the
-    /// autopilot's decisions go through.
-    fn run(&mut self, plan: ControlPlan) {
-        migration::run(&self.cluster, &mut self.sim, plan);
+    /// Carry out a [`ControlPlan`] — from [`WattDb::plan`], or filled in
+    /// by hand (a scripted helper run sets `attach` / `detach`) — through
+    /// [`migration::run`], the runner the autopilot's decisions go
+    /// through. Returns what was started.
+    pub fn run(&mut self, plan: ControlPlan) -> Applied {
+        migration::run(&self.cluster, &mut self.sim, plan)
     }
 
     /// Kick off a manual rebalance moving `fraction` of each source's
@@ -578,66 +489,6 @@ impl WattDb {
     pub fn rebalance(&mut self, fraction: f64, sources: &[NodeId], targets: &[NodeId]) {
         let plan = ControlPlan::fraction(&self.cluster.borrow(), fraction, sources, targets);
         self.run(plan);
-    }
-
-    /// Rebalance with helper nodes attached for the duration (Fig. 8):
-    /// `sources[i]` pairs with `helpers[i % helpers.len()]`, and the
-    /// helpers detach automatically when the rebalance completes. For a
-    /// planner-chosen set, start the rebalance and attach
-    /// [`WattDb::plan_helpers`]' plan with [`WattDb::attach_helpers`].
-    pub fn rebalance_with_helpers(
-        &mut self,
-        fraction: f64,
-        sources: &[NodeId],
-        targets: &[NodeId],
-        helpers: &[NodeId],
-    ) {
-        let plan = ControlPlan {
-            attach: Some(HelperAttach::manual(sources, helpers)),
-            ..ControlPlan::fraction(&self.cluster.borrow(), fraction, sources, targets)
-        };
-        self.run(plan);
-    }
-
-    /// Plan (but do not attach) helper placements for `sources`, using the
-    /// configured helper policy: sources ranked by the net/remote-heavy
-    /// component of their heat, helpers drawn from standbys and the
-    /// coldest actives — never a node entangled in the in-flight
-    /// migration, never one already helping, never the master while an
-    /// alternative exists. The same plan the autopilot attaches when the
-    /// skew trigger escalates.
-    pub fn plan_helpers(&self, sources: &[NodeId]) -> HelperPlan {
-        let c = self.cluster.borrow();
-        heat::plan_helpers(&c, self.sim.now(), &self.policy.helper, sources)
-    }
-
-    /// Attach an externally produced helper plan (see
-    /// [`WattDb::plan_helpers`]); false (and nothing attached) on an
-    /// empty plan. Facade attachments are scripted: the helpers detach
-    /// when the next rebalance completes, or on
-    /// [`WattDb::detach_helpers`]. (Helpers the autopilot attaches for
-    /// transient skew instead stay until the skew subsides.)
-    pub fn attach_helpers(&mut self, plan: &HelperPlan) -> bool {
-        self.run(ControlPlan {
-            attach: Some(HelperAttach::planned(plan, true)),
-            ..Default::default()
-        });
-        !plan.is_empty()
-    }
-
-    /// Detach every attached helper now; returns the nodes released.
-    pub fn detach_helpers(&mut self) -> Vec<NodeId> {
-        let detach = self.helpers_active();
-        self.run(ControlPlan {
-            detach: detach.clone(),
-            ..Default::default()
-        });
-        detach
-    }
-
-    /// Helper nodes currently attached (Fig. 8), in attachment order.
-    pub fn helpers_active(&self) -> Vec<NodeId> {
-        self.cluster.borrow().helpers.nodes()
     }
 
     /// Plan (but do not start) a heat-aware scale-out from the current
@@ -664,23 +515,6 @@ impl WattDb {
         self.run(ControlPlan::planned(plan, targets));
     }
 
-    /// Is a rebalance still running?
-    pub fn rebalancing(&self) -> bool {
-        self.cluster.borrow().mover.is_some()
-    }
-
-    /// Summary of the last completed rebalance, manual or autopiloted.
-    pub fn last_rebalance(&self) -> Option<RebalanceReport> {
-        self.cluster.borrow().last_rebalance
-    }
-
-    /// Every completed rebalance of the run, in completion order.
-    pub fn rebalance_history(&self) -> Vec<RebalanceReport> {
-        self.cluster.borrow().metrics.rebalances.clone()
-    }
-
-    // --------------------------------------------------------- replication
-
     /// Fault injection: kill `node` mid-anything. The node stops serving
     /// immediately (routing to it spins until failover re-points), its
     /// pending migration moves are dropped, and — with an autopilot
@@ -689,120 +523,6 @@ impl WattDb {
     /// schedules re-replication. Idempotent.
     pub fn fail_node(&mut self, node: NodeId) {
         self.cluster.borrow_mut().fail_node(node);
-    }
-
-    /// Nodes killed by [`WattDb::fail_node`], in id order.
-    pub fn failed_nodes(&self) -> Vec<NodeId> {
-        self.cluster.borrow().failed_nodes().collect()
-    }
-
-    /// Snapshot of the per-segment replica map (leader + follower set,
-    /// epoch-versioned).
-    pub fn replica_map(&self) -> ReplicaMap {
-        self.cluster.borrow().replicas.clone()
-    }
-
-    /// Reads served by a follower instead of the leader so far.
-    pub fn replica_reads(&self) -> u64 {
-        self.cluster.borrow().replica_reads
-    }
-
-    /// Total bytes of WAL shipped leader → follower for replication (the
-    /// wire cost of read fan-out and durability; helper log shipping is
-    /// counted separately).
-    pub fn replica_shipped_bytes(&self) -> u64 {
-        self.cluster.borrow().replica_shipped_bytes()
-    }
-
-    /// Total bytes shipped to rebuild follower copies after failures.
-    pub fn rereplication_bytes(&self) -> u64 {
-        self.cluster.borrow().rereplication_bytes
-    }
-
-    /// Predicted-vs-realized relief for the last completed helper
-    /// engagement (first attach to last detach): the planner's predicted
-    /// net-heat relief next to the bytes actually shipped and the remote
-    /// buffer hits actually served.
-    pub fn last_helper_report(&self) -> Option<HelperReport> {
-        self.cluster.borrow().helpers.last_report.clone()
-    }
-
-    // ------------------------------------------------------------- readout
-
-    /// Completed transactions so far.
-    pub fn completed(&self) -> u64 {
-        self.cluster.borrow().metrics.completed
-    }
-
-    /// Aborted transaction attempts so far.
-    pub fn aborted(&self) -> u64 {
-        self.cluster.borrow().metrics.aborted
-    }
-
-    /// Completed transactions by TPC-C profile (modeled counts — pooled
-    /// carriers contribute their full weight).
-    pub fn mix(&self) -> Vec<(wattdb_tpcc::TxnProfile, u64)> {
-        let c = self.cluster.borrow();
-        let mut v: Vec<_> = c.metrics.mix.iter().map(|(p, n)| (*p, *n)).collect();
-        v.sort_by_key(|(p, _)| format!("{p:?}"));
-        v
-    }
-
-    /// Modeled completions per home warehouse: the observed workload
-    /// skew, in the same units for per-client and pooled runs.
-    pub fn completions_by_warehouse(&self) -> Vec<(u32, u64)> {
-        let c = self.cluster.borrow();
-        let mut by: std::collections::BTreeMap<u32, u64> = std::collections::BTreeMap::new();
-        for cl in &c.clients {
-            *by.entry(cl.home_warehouse).or_insert(0) += cl.completed();
-        }
-        by.into_iter().collect()
-    }
-
-    /// Is the client workload running pooled (aggregated arrivals over
-    /// carrier clients) rather than one think timer per client?
-    pub fn pooled_clients(&self) -> bool {
-        self.cluster.borrow().pool.is_some()
-    }
-
-    /// Events the simulator has executed so far (engine-speed readout for
-    /// benchmarks; deterministic, sim-domain).
-    pub fn events_executed(&self) -> u64 {
-        self.sim.events_executed()
-    }
-
-    /// Nodes currently active.
-    pub fn active_nodes(&self) -> Vec<NodeId> {
-        self.cluster.borrow().active_nodes()
-    }
-
-    /// Segments stored on `node`.
-    pub fn segments_on(&self, node: NodeId) -> usize {
-        self.cluster.borrow().seg_dir.on_node(node).count()
-    }
-
-    /// Segments across the cluster.
-    pub fn segment_count(&self) -> usize {
-        self.cluster.borrow().seg_dir.len()
-    }
-
-    /// Per-segment access-heat snapshot, hottest first: decayed heat,
-    /// lifetime read/write/remote counters, placement, and footprint.
-    pub fn heat(&self) -> Vec<SegmentHeatStat> {
-        let c = self.cluster.borrow();
-        c.heat.snapshot(&c.seg_dir, self.sim.now())
-    }
-
-    /// Total decayed access heat of the segments stored on `node`.
-    pub fn node_heat(&self, node: NodeId) -> f64 {
-        let c = self.cluster.borrow();
-        c.heat.node_heat(&c.seg_dir, node, self.sim.now()).value()
-    }
-
-    /// The cost model scalarizing access cost into heat, if heat runs
-    /// cost-based (`None` = weighted counts).
-    pub fn cost_model(&self) -> Option<CostModel> {
-        self.cluster.borrow().heat.cost_model().copied()
     }
 
     /// Dispatch an analytic range scan of `table` over `range`, optionally
@@ -821,6 +541,54 @@ impl WattDb {
         crate::scan::submit_scan(&self.cluster, &mut self.sim, table, range, agg)
     }
 
+    // ---------------------------------------------------------------- read
+
+    /// The controller's decision log (empty when no autopilot ran).
+    pub fn events(&self) -> Vec<ControlEvent> {
+        self.autopilot
+            .as_ref()
+            .map(|a| a.events())
+            .unwrap_or_default()
+    }
+
+    /// Serialize the full flight-recorder state — spans, window samples,
+    /// decision records — as JSONL. Byte-identical across fixed-seed runs.
+    pub fn export_timeline_string(&self) -> String {
+        self.cluster.borrow().telemetry.export_jsonl()
+    }
+
+    /// Is a rebalance still running?
+    pub fn rebalancing(&self) -> bool {
+        self.cluster.borrow().mover.is_some()
+    }
+
+    /// Summary of the last completed rebalance, manual or autopiloted
+    /// (the whole run's reports are `metrics.rebalances`).
+    pub fn last_rebalance(&self) -> Option<RebalanceReport> {
+        self.cluster.borrow().metrics.rebalances.last().copied()
+    }
+
+    /// Completed transactions so far.
+    pub fn completed(&self) -> u64 {
+        self.cluster.borrow().metrics.completed
+    }
+
+    /// Aborted transaction attempts so far.
+    pub fn aborted(&self) -> u64 {
+        self.cluster.borrow().metrics.aborted
+    }
+
+    /// Events the simulator has executed so far (engine-speed readout for
+    /// benchmarks; deterministic, sim-domain).
+    pub fn events_executed(&self) -> u64 {
+        self.sim.events_executed()
+    }
+
+    /// Nodes currently active.
+    pub fn active_nodes(&self) -> Vec<NodeId> {
+        self.cluster.borrow().active_nodes()
+    }
+
     /// Live record keys across every segment index.
     pub fn live_records(&self) -> usize {
         self.cluster
@@ -829,12 +597,6 @@ impl WattDb {
             .values()
             .map(|i| i.len())
             .sum()
-    }
-
-    /// Vacuum every segment at the current GC horizon; returns versions
-    /// reclaimed.
-    pub fn vacuum(&mut self) -> usize {
-        self.cluster.borrow_mut().vacuum_all()
     }
 
     /// Per-node state/CPU/segments/power snapshot. CPU utilizations are
@@ -920,12 +682,6 @@ impl WattDb {
             .collect()
     }
 
-    /// Current total cluster power (fresh sample on the power probe).
-    pub fn power_now(&mut self) -> f64 {
-        let now = self.sim.now();
-        self.cluster.borrow_mut().sample_power(now).0
-    }
-
     /// The deployment's rated peak power `P_peak`: every node active at
     /// 100 % CPU with all drives spinning, plus the switch — the
     /// denominator of the ideal `P(u) = u · P_peak` proportionality line
@@ -952,15 +708,11 @@ impl WattDb {
         f(&self.cluster.borrow())
     }
 
-    /// Scoped mutable access to the engine state.
-    pub fn with_cluster_mut<R>(&mut self, f: impl FnOnce(&mut Cluster) -> R) -> R {
-        f(&mut self.cluster.borrow_mut())
-    }
-
     /// Scoped access to the shared cluster handle *and* the simulator, for
     /// research drivers that schedule their own events (custom workload
-    /// loops, probes, repeaters). The closure must not hold the handle
-    /// beyond its own scope.
+    /// loops, probes, repeaters) or mutate engine state
+    /// (`cl.borrow_mut()`). The closure must not hold the handle beyond
+    /// its own scope.
     pub fn with_runtime<R>(&mut self, f: impl FnOnce(&ClusterRc, &mut Sim) -> R) -> R {
         f(&self.cluster, &mut self.sim)
     }
@@ -1000,11 +752,11 @@ mod tests {
         let mut db = small();
         db.start_oltp(4, SimDuration::from_millis(50));
         db.run_for(SimDuration::from_secs(5));
-        assert_eq!(db.segments_on(NodeId(2)), 0);
+        assert_eq!(db.status().nodes[2].segments, 0);
         db.rebalance(0.5, &[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]);
         db.run_for(SimDuration::from_secs(120));
         assert!(!db.rebalancing(), "rebalance finished");
-        assert!(db.segments_on(NodeId(2)) > 0, "segments arrived");
+        assert!(db.status().nodes[2].segments > 0, "segments arrived");
         let r = db.last_rebalance().expect("report recorded");
         assert!(r.segments_moved > 0);
     }
@@ -1074,7 +826,7 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "start_oltp_skewed: n == 0 clients would spawn no workload")]
+    #[should_panic(expected = "n == 0 clients would spawn no workload")]
     fn start_oltp_skewed_rejects_zero_clients() {
         let mut db = small();
         db.start_oltp_skewed(0, SimDuration::from_millis(50), 0.8, 1);
@@ -1094,10 +846,14 @@ mod tests {
         });
         let mut db = small();
         db.start_traced_oltp(trace.clone(), SimDuration::from_millis(200));
-        assert!(db.pooled_clients(), "trace runs are always pooled");
-        assert_eq!(db.workload_target(), Some(20), "starts in the trough");
+        let target = |db: &WattDb| db.with_cluster(|c| c.pool.as_ref().map(|p| p.current_target()));
+        assert_eq!(
+            target(&db),
+            Some(20),
+            "trace runs are always pooled, and start in the trough"
+        );
         db.run_for(SimDuration::from_secs(32));
-        let mid = db.workload_target().unwrap();
+        let mid = target(&db).unwrap();
         assert_eq!(
             mid,
             trace.total_at(SimDuration::from_secs(32)),
@@ -1105,32 +861,6 @@ mod tests {
         );
         assert!(mid > 300, "half a period in, near the peak: {mid}");
         assert!(db.completed() > 0, "traced clients commit work");
-    }
-
-    #[test]
-    fn builder_workload_trace_starts_at_build() {
-        use wattdb_tpcc::{DiurnalConfig, LoadTrace};
-        let trace = LoadTrace::diurnal(DiurnalConfig {
-            min_clients: 10,
-            max_clients: 80,
-            period: SimDuration::from_secs(40),
-            phase: 0.0,
-            step: SimDuration::from_secs(5),
-            horizon: SimDuration::from_secs(40),
-            ..Default::default()
-        });
-        let mut db = WattDb::builder()
-            .nodes(4)
-            .warehouses(2)
-            .density(0.01)
-            .segment_pages(8)
-            .initial_data_nodes(&[NodeId(0), NodeId(1)])
-            .seed(9)
-            .workload_trace(trace)
-            .build();
-        assert!(db.pooled_clients());
-        db.run_for(SimDuration::from_secs(20));
-        assert!(db.completed() > 0);
     }
 
     #[test]
@@ -1142,24 +872,30 @@ mod tests {
         assert!(rated > 100.0, "rated peak {rated} W");
         db.start_oltp(4, SimDuration::from_millis(50));
         db.run_for(SimDuration::from_secs(10));
-        assert!(db.power_now() < rated, "observed power stays under rated");
+        assert!(
+            db.status().total_power.0 < rated,
+            "observed power stays under rated"
+        );
     }
 
     #[test]
     fn events_empty_without_autopilot() {
         let mut db = small();
         db.run_for(SimDuration::from_secs(10));
-        assert!(db.autopilot().is_none());
         assert!(db.events().is_empty());
     }
 
     #[test]
     fn engage_autopilot_after_build() {
         let mut db = small();
-        assert!(db.autopilot().is_none());
-        db.engage_autopilot(AutoPilotConfig::default());
-        assert!(db.autopilot().is_some());
         db.run_for(SimDuration::from_secs(20));
-        assert!(db.autopilot().unwrap().is_engaged());
+        let windows = |db: &WattDb| db.with_cluster(|c| c.telemetry.timeline.len());
+        assert_eq!(windows(&db), 0, "no loop, no decision records");
+        db.engage_autopilot(AutoPilotConfig::default());
+        db.run_for(SimDuration::from_secs(20));
+        assert!(
+            windows(&db) >= 3,
+            "one record per 5 s window, holds included"
+        );
     }
 }

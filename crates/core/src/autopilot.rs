@@ -11,19 +11,17 @@
 //! timeseries can be annotated with the exact moments the cluster decided
 //! to change size.
 //!
-//! The loop holds no guard and no bookkeeping of its own. Each window:
-//! a failed node still referenced by the replica map becomes a
-//! [`Decision::Promote`]; a finished drain suspends its nodes
-//! ([`policy::suspend_empty_nodes`], [`Cluster::end_drain`] for what
-//! could not suspend); the policy's decision goes to [`policy::apply`] —
-//! [`policy::plan`] turns it into a plan or names the guard that refused,
-//! [`crate::migration::run`] carries the plan out and returns what it
-//! started ([`Applied`]). Whatever came of it is written by **one** `log`
-//! closure — the timeline's `DecisionRecord` and the facade's
-//! [`ControlEvent`] from the same arguments (`Hold` is recorded on the
-//! timeline only).
-//!
-//! [`Cluster::end_drain`]: crate::cluster::Cluster::end_drain
+//! The loop holds no guard, no span and no bookkeeping of its own. Each
+//! window: a failed node still referenced by the replica map becomes a
+//! [`Decision::Promote`]; [`crate::migration::settle`] closes what has
+//! landed since the last window (the failover episode once the factor is
+//! restored, a finished drain — suspending its nodes); the policy's
+//! decision goes to [`policy::apply`] — [`policy::plan`] turns it into a
+//! plan or names the guard that refused, [`crate::migration::run`]
+//! carries the plan out and returns what it started ([`Applied`]).
+//! Whatever came of it is written by **one** `log` closure — the
+//! timeline's `DecisionRecord` and the facade's [`ControlEvent`] from the
+//! same arguments (`Hold` is recorded on the timeline only).
 //!
 //! Engage it through the facade:
 //!
@@ -175,7 +173,6 @@ struct Shared {
 /// [`disengage`]: AutoPilot::disengage
 #[derive(Clone)]
 pub struct AutoPilot {
-    config: AutoPilotConfig,
     shared: Rc<RefCell<Shared>>,
 }
 
@@ -284,24 +281,6 @@ impl AutoPilot {
             drop(c);
             if let Some(failed) = dead {
                 let orphaned = cl.borrow().replicas.led_by(failed);
-                // Open the failover span on first detection; promotion and
-                // re-replication events attach to it until the replication
-                // factor is restored.
-                {
-                    let mut c = cl.borrow_mut();
-                    let c = &mut *c;
-                    if c.failover_span.is_none() {
-                        let span = c.telemetry.start_span(
-                            "failover",
-                            at,
-                            vec![
-                                ("failed".into(), failed.to_string().into()),
-                                ("rereplicated_base".into(), c.rereplication_bytes.into()),
-                            ],
-                        );
-                        c.failover_span = Some(span);
-                    }
-                }
                 act(
                     sim,
                     policy.signals(),
@@ -326,84 +305,32 @@ impl AutoPilot {
             if needs_repair {
                 crate::failover::schedule_rereplication(cl, sim);
             }
-            // The failover span stays open across windows until no failed
-            // node is referenced and the replication factor is restored
-            // (immediately, when replication is off).
-            let failover_done = {
-                let c = cl.borrow();
-                c.failover_span.is_some()
-                    && !c.failed_nodes().any(|n| c.replicas.references(n))
-                    && (!c.cfg.replication.enabled()
-                        || (c.rereplication_inflight == 0
-                            && c.replicas
-                                .under_replicated(c.cfg.replication.factor)
-                                .is_empty()))
-            };
-            if failover_done {
-                let mut c = cl.borrow_mut();
-                let c = &mut *c;
-                if let Some(span) = c.failover_span.take() {
-                    let base = c
-                        .telemetry
-                        .spans
-                        .get(span)
-                        .and_then(|s| s.attr_f64("rereplicated_base"))
-                        .unwrap_or(0.0) as u64;
-                    c.telemetry.spans.set_attr(
-                        span,
-                        "rereplicated_bytes",
-                        c.rereplication_bytes.saturating_sub(base).into(),
-                    );
-                    c.telemetry.spans.end(span, at);
-                }
-            }
-            // A scale-in's drain finished since the last window: §3.4's
-            // "shutdown the nodes currently not needed".
-            // (The episode is the power-down span `apply` opened; it
-            // closes even when the drained node died first.)
-            if !rebalancing && cl.borrow().powerdown_span.is_some() {
-                let drained = cl.borrow().draining_nodes();
-                let off = policy::suspend_empty_nodes(cl);
-                let span = {
-                    let mut c = cl.borrow_mut();
-                    let c = &mut *c;
-                    // The drain episode is over: whatever could not suspend
-                    // (leftover segments, follower backfills still on the
-                    // wire) rejoins the plannable pool rather than staying
-                    // excluded as "draining" forever — the next window
-                    // re-decides.
-                    for &n in &drained {
-                        c.end_drain(n);
-                    }
-                    c.assert_replica_invariants();
-                    // The power-down span opened at the drain's start
-                    // closes here, when the nodes actually reach standby.
-                    let span = c.powerdown_span.take();
-                    if let Some(sp) = span {
-                        let suspended = crate::migration::names(&off);
-                        c.telemetry.spans.set_attr(sp, "suspended", suspended);
-                        c.telemetry.spans.end(sp, at);
-                    }
-                    span
-                };
+            // Episodes whose work has landed close: the failover span once
+            // the factor is restored, and a scale-in's drain that finished
+            // since the last window — its nodes suspend, and the log says
+            // so.
+            if let Some(done) = crate::migration::settle(cl, sim) {
                 log(
                     policy.signals(),
-                    Decision::ScaleIn { drain: drained },
+                    Decision::ScaleIn {
+                        drain: done.drained,
+                    },
                     "",
-                    Outcome::Suspended { nodes: off },
+                    Outcome::Suspended {
+                        nodes: done.suspended,
+                    },
                     None,
-                    span,
+                    Some(done.span),
                 );
             }
             // Observe *after* any suspension, so a node just returned to
             // standby is immediately available as a scale-out target.
             let (standby, with_data) = observe(cl);
             // The policy manages only the helpers it attached itself: a
-            // scripted `rebalance_with_helpers` set belongs to the
-            // migration engine (it detaches with its rebalance's
-            // completion) and must be invisible here — the policy must
-            // neither hold its skew fire for it nor tear it down on
-            // subsidence.
+            // scripted attachment belongs to the migration engine (it
+            // detaches with its rebalance's completion) and must be
+            // invisible here — the policy must neither hold its skew fire
+            // for it nor tear it down on subsidence.
             // The pairing is passed through so a single subsided source
             // can release just its own helper (partial detach) while the
             // others keep theirs. A policy helper whose source vanished
@@ -450,12 +377,7 @@ impl AutoPilot {
             }
             true
         });
-        AutoPilot { config, shared }
-    }
-
-    /// The configuration the loop runs with.
-    pub fn config(&self) -> AutoPilotConfig {
-        self.config
+        AutoPilot { shared }
     }
 
     /// Snapshot of the decision log so far.
@@ -530,14 +452,22 @@ mod tests {
 
     #[test]
     fn disengage_stops_the_log() {
-        let mut db = quiet_db();
+        let mut db = WattDb::builder()
+            .nodes(4)
+            .warehouses(2)
+            .density(0.01)
+            .segment_pages(8)
+            .seed(11)
+            .initial_data_nodes(&[NodeId(0), NodeId(1)])
+            .build();
+        let pilot =
+            db.with_runtime(|cl, sim| AutoPilot::engage(cl, sim, AutoPilotConfig::default()));
         db.run_for(SimDuration::from_secs(30));
-        let pilot = db.autopilot().expect("engaged").clone();
         pilot.disengage();
         db.run_for(SimDuration::from_secs(60));
-        let frozen = db.events().len();
+        let frozen = pilot.events().len();
         db.run_for(SimDuration::from_secs(60));
-        assert_eq!(db.events().len(), frozen, "no decisions after disengage");
+        assert_eq!(pilot.events().len(), frozen, "no decisions after disengage");
         assert!(!pilot.is_engaged());
     }
 

@@ -24,12 +24,13 @@
 //! * [`Cluster::power_on`] — [`crate::migration::run`] (rebalance targets
 //!   and attached helpers). A no-op on a node that is up, and on a failed
 //!   one.
-//! * [`Cluster::power_off`] — post-drain suspension and helper detach;
-//!   panics on segments or follower copies.
+//! * [`Cluster::power_off`] — post-drain suspension
+//!   ([`crate::migration::settle`]) and helper detach; panics on segments
+//!   or follower copies.
 //! * [`Cluster::begin_drain`] — [`crate::migration::run`] of a scale-in's
 //!   plan.
-//! * [`Cluster::end_drain`] — the autopilot, when a drain episode ends
-//!   and the node could not suspend.
+//! * [`Cluster::end_drain`] — [`crate::migration::settle`], when a drain
+//!   episode ends and the node could not suspend.
 //! * [`Cluster::fail_node`] — fault injection.
 //!
 //! Readers speak [`Lifecycle::is_up`] (powered and serving: routing,
@@ -369,8 +370,6 @@ pub struct Cluster {
     pub mover: Option<MoveController>,
     /// Key batch staged by the logical mover.
     pub pending_logical_keys: Vec<Key>,
-    /// Summary of the last completed rebalance.
-    pub last_rebalance: Option<crate::migration::RebalanceReport>,
     /// Per-segment access heat (the planner's workload signal).
     pub heat: HeatTable,
     /// Per-segment heat velocity (where the workload is *going*; fed by
@@ -483,7 +482,6 @@ impl Cluster {
             lock_waiters: IdMap::default(),
             mover: None,
             pending_logical_keys: Vec::new(),
-            last_rebalance: None,
             heat,
             drift,
             metrics,
@@ -772,8 +770,8 @@ impl Cluster {
 
     /// Panic on a [`Cluster::check_replica_invariants`] violation, in
     /// every build profile. Checked once per transition: at the end of
-    /// [`crate::migration::run`] and after the autopilot suspends a
-    /// finished drain's nodes.
+    /// [`crate::migration::run`] and after [`crate::migration::settle`]
+    /// suspends a finished drain's nodes.
     pub fn assert_replica_invariants(&self) {
         if let Some(violation) = self.check_replica_invariants() {
             panic!("replica-map invariant violated: {violation}");
@@ -789,22 +787,6 @@ impl Cluster {
         }
     }
 
-    /// Mint a partition for `table` on `node`.
-    pub fn create_partition(&mut self, table: TableId, node: NodeId) -> PartitionId {
-        let id = PartitionId(self.next_partition);
-        self.next_partition += 1;
-        self.partitions.insert(
-            id,
-            Partition {
-                id,
-                table,
-                node,
-                top: TopIndex::new(),
-            },
-        );
-        id
-    }
-
     /// The partition of `table` on `node`, creating it on demand (used by
     /// migrations targeting fresh nodes).
     pub fn partition_on(&mut self, table: TableId, node: NodeId) -> PartitionId {
@@ -815,7 +797,17 @@ impl Cluster {
         {
             return p.id;
         }
-        self.create_partition(table, node)
+        let id = PartitionId(self.next_partition);
+        self.next_partition += 1;
+        let top = TopIndex::new();
+        let fresh = Partition {
+            id,
+            table,
+            node,
+            top,
+        };
+        self.partitions.insert(id, fresh);
+        id
     }
 
     /// Instantaneous total cluster power, given per-node CPU utilizations
@@ -1032,24 +1024,19 @@ impl Cluster {
         Ok(())
     }
 
-    /// Spawn `n` closed-loop clients. Above the pooling threshold (or
-    /// when forced by [`ClusterConfig::client_batching`]) the modeled
-    /// population is folded onto at most [`wattdb_tpcc::MAX_CARRIERS`]
-    /// carrier clients driven by one aggregated arrival process.
+    /// Spawn `n` closed-loop clients homed round-robin over all
+    /// warehouses: [`Cluster::spawn_clients_skewed`] with no hot range.
     pub fn spawn_clients(&mut self, n: u32, client_cfg: ClientConfig) {
-        let w = self
-            .workload
-            .as_ref()
-            .map(|wl| wl.config().warehouses)
-            .unwrap_or(1);
-        let (spawn_n, _) = self.prepare_spawn(n, client_cfg.think_time);
-        self.clients = wattdb_tpcc::spawn_clients(spawn_n, w, client_cfg, &self.rng);
+        self.spawn_clients_skewed(n, client_cfg, 0.0, 1);
     }
 
     /// Spawn `n` closed-loop clients with a hot-range skew: `hot_fraction`
-    /// of them homed inside the first `hot_warehouses` warehouses. Pools
-    /// like [`Cluster::spawn_clients`]; the carriers inherit the same
-    /// hot-fraction homing rule, so the modeled skew is preserved.
+    /// of them homed inside the first `hot_warehouses` warehouses. Above
+    /// the pooling threshold (or when forced by
+    /// [`ClusterConfig::client_batching`]) the modeled population is
+    /// folded onto at most [`wattdb_tpcc::MAX_CARRIERS`] carrier clients
+    /// driven by one aggregated arrival process; the carriers inherit the
+    /// same hot-fraction homing rule, so the modeled skew is preserved.
     pub fn spawn_clients_skewed(
         &mut self,
         n: u32,
@@ -1062,7 +1049,22 @@ impl Cluster {
             .as_ref()
             .map(|wl| wl.config().warehouses)
             .unwrap_or(1);
-        let (spawn_n, _) = self.prepare_spawn(n, client_cfg.think_time);
+        // Pooled or per-client: set up (or clear) the aggregated arrival
+        // process and materialize only its carriers.
+        let spawn_n = if self.cfg.client_batching.pooled(n) {
+            let (carriers, weight) = carrier_split(n);
+            self.pool = Some(ClientPool::new(
+                carriers,
+                weight,
+                n as u64,
+                client_cfg.think_time,
+                self.rng.derive(0xC11E_47B0),
+            ));
+            carriers
+        } else {
+            self.pool = None;
+            n
+        };
         self.clients = wattdb_tpcc::spawn_clients_skewed(
             spawn_n,
             w,
@@ -1123,26 +1125,6 @@ impl Cluster {
         }
         self.pool = Some(pool);
         self.clients = clients;
-    }
-
-    /// Decide pooled vs. per-client for a spawn of `n` modeled clients:
-    /// sets up [`Cluster::pool`] (or clears it) and returns the carrier
-    /// count to materialize plus the per-carrier weight.
-    fn prepare_spawn(&mut self, n: u32, think: SimDuration) -> (u32, u64) {
-        if self.cfg.client_batching.pooled(n) {
-            let (carriers, weight) = carrier_split(n);
-            self.pool = Some(ClientPool::new(
-                carriers,
-                weight,
-                n as u64,
-                think,
-                self.rng.derive(0xC11E_47B0),
-            ));
-            (carriers, weight)
-        } else {
-            self.pool = None;
-            (n, 1)
-        }
     }
 
     /// Vacuum every segment at the current GC horizon: reclaims committed

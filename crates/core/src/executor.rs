@@ -162,14 +162,10 @@ struct Blocked {
 }
 
 impl Cluster {
-    /// Create a job for `client`'s next transaction. Returns `None` when
+    /// Create a job for `client`'s next transaction, with an explicit
+    /// profile (custom mixes, e.g. the Fig. 3 read/update-ratio sweep) or
+    /// — `None` — one drawn from the standard mix. Returns `None` when
     /// the experiment is stopped.
-    pub fn new_job(&mut self, client: usize, now: SimTime) -> Option<u64> {
-        self.new_job_with(client, None, now)
-    }
-
-    /// Create a job with an explicit profile (custom mixes, e.g. the
-    /// Fig. 3 read/update-ratio sweep); `None` draws from the standard mix.
     pub fn new_job_with(
         &mut self,
         client: usize,
@@ -821,13 +817,17 @@ pub fn install(cl: &ClusterRc, sim: &mut Sim) {
             }
         }
         Signal::ClientArrival { client } => {
-            let job = cl.borrow_mut().new_job(client as usize, sim.now());
+            let job = cl
+                .borrow_mut()
+                .new_job_with(client as usize, None, sim.now());
             if let Some(job_id) = job {
                 step(&cl, sim, job_id);
             }
         }
         Signal::PoolArrival { carrier } => {
-            let job = cl.borrow_mut().new_job(carrier as usize, sim.now());
+            let job = cl
+                .borrow_mut()
+                .new_job_with(carrier as usize, None, sim.now());
             match job {
                 Some(job_id) => step(&cl, sim, job_id),
                 // Stopped since the draw: the arrival is moot, but park the
@@ -1146,7 +1146,7 @@ fn abort_and_retry(cl: &ClusterRc, sim: &mut Sim, job_id: u64) {
             .abort(job.txn, &mut c.indexes, &mut c.store)
             .unwrap_or_default();
         c.lock_waiters.remove(&job.txn);
-        c.metrics.record_abort();
+        c.metrics.aborted += 1;
         let client = job.client;
         let backoff = c.clients[client].backoff();
         let resubmit = job.retries <= 10;

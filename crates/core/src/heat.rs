@@ -79,7 +79,7 @@ pub struct SegmentHeat {
 }
 
 /// A per-segment heat snapshot row, joined with catalog placement (what
-/// [`crate::api::WattDb::heat`] returns).
+/// [`HeatTable::snapshot`] returns).
 #[derive(Debug, Clone, Copy)]
 pub struct SegmentHeatStat {
     /// Segment id.
@@ -262,36 +262,14 @@ impl HeatTable {
         cost: CostVector,
         remote: bool,
     ) {
-        let weight = match &self.model {
-            Some(m) => m.heat_of(cost).value(),
-            None => {
-                let base = match kind {
-                    AccessKind::Read => self.cfg.read_weight,
-                    AccessKind::Write => self.cfg.write_weight,
-                };
-                base + if remote { self.cfg.remote_weight } else { 0.0 }
-            }
-        };
-        let costed = self.model.is_some();
-        let e = self.bump(seg, now, weight);
-        match kind {
-            AccessKind::Read => e.reads += 1,
-            AccessKind::Write => e.writes += 1,
-        }
-        if remote {
-            e.remote_fetches += 1;
-        }
-        if costed {
-            e.cost += cost;
-        }
+        self.record_access_n(seg, now, kind, cost, remote, 1);
     }
 
-    /// Weighted variant of [`HeatTable::record_access`]: one executed
-    /// carrier access standing in for `n` modeled accesses of the same
-    /// shape (pooled client mode). `cost` is the *per-access* vector; the
-    /// table scales heat, counters, and the accumulated cost by `n`.
-    /// Delegates to `record_access` at `n == 1`, so per-client runs are
-    /// bit-for-bit unaffected.
+    /// [`HeatTable::record_access`] for one executed carrier access
+    /// standing in for `n` modeled accesses of the same shape (pooled
+    /// client mode). `cost` is the *per-access* vector; the table scales
+    /// heat, counters, and the accumulated cost by `n` — exactly, at
+    /// `n == 1`, in both `f64` and `u64`.
     pub fn record_access_n(
         &mut self,
         seg: SegmentId,
@@ -301,9 +279,6 @@ impl HeatTable {
         remote: bool,
         n: u64,
     ) {
-        if n == 1 {
-            return self.record_access(seg, now, kind, cost, remote);
-        }
         let per = match &self.model {
             Some(m) => m.heat_of(cost).value(),
             None => {
@@ -459,15 +434,9 @@ pub fn plan_drain_replicated(
             followers: set.followers.clone(),
         })
         .collect();
-    let hosts: Vec<wattdb_planner::NodeLoadStat> = c
-        .nodes
-        .iter()
+    let hosts: Vec<wattdb_planner::NodeLoadStat> = (c.nodes.iter())
         .filter(|n| n.life == Lifecycle::Active && !drain.contains(&n.id))
-        .map(|n| wattdb_planner::NodeLoadStat {
-            node: n.id,
-            heat: c.heat.node_heat(&c.seg_dir, n.id, now).value(),
-            net_heat: c.net_util.get(n.id.raw() as usize).copied().unwrap_or(0.0),
-        })
+        .map(|n| host_row(c, n.id, now))
         .collect();
     wattdb_planner::plan_drain_replicated(
         &stats,
@@ -478,6 +447,22 @@ pub fn plan_drain_replicated(
         &hosts,
         c.cfg.replication.factor,
     )
+}
+
+/// `node`'s row as a placement *host* — for follower copies and helper
+/// duty: total decayed heat, and for `net_heat` the last windowed NIC
+/// egress utilization the monitoring loop persisted (planners never
+/// sample the stateful probes themselves).
+fn host_row(
+    c: &crate::cluster::Cluster,
+    node: NodeId,
+    now: SimTime,
+) -> wattdb_planner::NodeLoadStat {
+    wattdb_planner::NodeLoadStat {
+        node,
+        heat: c.heat.node_heat(&c.seg_dir, node, now).value(),
+        net_heat: c.net_util.get(node.raw() as usize).copied().unwrap_or(0.0),
+    }
 }
 
 /// Per-node helper-planning rows for the given nodes: total decayed heat
@@ -538,9 +523,7 @@ pub fn node_load_stats(
 /// the standbys and coldest actives — never a node entangled in the
 /// in-flight migration, never one already helping, never the master
 /// while an alternative exists. A source already wired to a helper is
-/// dropped (it has its relief; planning is idempotent). The single entry
-/// point shared by `policy::plan` and the facade (see
-/// [`plan_scale_out`]).
+/// dropped (it has its relief; planning is idempotent).
 pub fn plan_helpers(
     c: &crate::cluster::Cluster,
     now: SimTime,
@@ -556,17 +539,19 @@ pub fn plan_helpers(
     let candidates: Vec<wattdb_planner::HelperCandidate> = c
         .nodes
         .iter()
-        .map(|n| wattdb_planner::HelperCandidate {
-            node: n.id,
-            heat: c.heat.node_heat(&c.seg_dir, n.id, now).value(),
-            // Last windowed NIC egress, persisted by the monitoring loop:
-            // among equally attractive actives the planner takes the one
+        .map(|n| {
+            // Among equally attractive actives the planner takes the one
             // with the idlest interconnect, since helper duty is pure
             // network traffic.
-            net: c.net_util.get(n.id.raw() as usize).copied().unwrap_or(0.0),
-            // (A failed node also reads as down here; it is excluded
-            // below, before any ranking.)
-            standby: !n.life.is_up(),
+            let row = host_row(c, n.id, now);
+            wattdb_planner::HelperCandidate {
+                node: n.id,
+                heat: row.heat,
+                net: row.net_heat,
+                // (A failed node also reads as down here; it is excluded
+                // below, before any ranking.)
+                standby: !n.life.is_up(),
+            }
         })
         .collect();
     let mut excluded: Vec<NodeId> = crate::migration::nodes_in_flight(c).into_iter().collect();
@@ -628,17 +613,11 @@ pub fn plan_replicas(c: &crate::cluster::Cluster, now: SimTime) -> wattdb_planne
             }
         })
         .collect();
-    let hosts: Vec<wattdb_planner::NodeLoadStat> = c
-        .nodes
-        .iter()
+    let hosts: Vec<wattdb_planner::NodeLoadStat> = (c.nodes.iter())
         // A draining node is about to suspend: placing a fresh copy there
         // would only schedule its own re-home.
         .filter(|n| n.life == Lifecycle::Active)
-        .map(|n| wattdb_planner::NodeLoadStat {
-            node: n.id,
-            heat: c.heat.node_heat(&c.seg_dir, n.id, now).value(),
-            net_heat: c.net_util.get(n.id.raw() as usize).copied().unwrap_or(0.0),
-        })
+        .map(|n| host_row(c, n.id, now))
         .collect();
     wattdb_planner::plan_replicas(&needs, &hosts, factor)
 }

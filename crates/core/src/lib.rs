@@ -11,10 +11,11 @@
 //!   transactions kept in the [`jobs`] slab;
 //! * [`migration`] — the data plane: [`migration::run`] carries out a
 //!   [`migration::ControlPlan`] (power, drains, helper wiring (Fig. 8),
-//!   mover launch, spans), then the physical / logical / physiological
-//!   repartitioning protocols (§4) move the data — including the §4.3
-//!   move protocol with master-first dual pointers and segment read
-//!   locks;
+//!   mover launch, spans) and [`migration::settle`] closes what has
+//!   landed (failover episode, finished drain); in between the physical /
+//!   logical / physiological repartitioning protocols (§4) move the data
+//!   — including the §4.3 move protocol with master-first dual pointers
+//!   and segment read locks;
 //! * [`heat`] — per-segment heat tracking (EWMA-decayed in sim-time),
 //!   the workload signal behind `wattdb_planner`'s heat-aware rebalance
 //!   plans. By default heat is **cost-based**: every access charges its
@@ -33,14 +34,16 @@
 //!   [`policy::plan`] that turns each decision into a `ControlPlan` (or
 //!   a named refusal) with the configured planner (legacy fraction vs.
 //!   heat-aware);
-//! * [`autopilot`] — the master's control loop: monitor → decide → plan →
-//!   run each window, autonomous scale-out/scale-in with a queryable
-//!   decision log;
+//! * [`autopilot`] — the master's control loop: monitor → settle →
+//!   decide → plan → run each window, autonomous scale-out/scale-in with
+//!   a queryable decision log;
 //! * [`replay`] — analytic query execution over shared resources
 //!   (Figs. 1–2);
 //! * [`metrics`] — throughput / response-time / power / energy series
 //!   (Figs. 6, 8) and per-phase cost breakdowns (Fig. 7);
-//! * [`api`] — the [`api::WattDb`] facade used by examples and benches.
+//! * [`api`] — the [`api::WattDb`] facade used by examples and benches:
+//!   lifecycle, act (`plan` → `run`, the autopilot's own path) and read
+//!   (`status()`, or one `with_cluster` closure for anything else).
 
 pub mod api;
 pub mod autopilot;
@@ -57,30 +60,13 @@ pub mod replay;
 pub mod scan;
 pub mod telemetry_sink;
 
-pub use api::{ClusterStatus, NodeStatus, WattDb, WattDbBuilder};
-pub use autopilot::{AutoPilot, AutoPilotConfig, ControlEvent, Outcome, ViewSummary};
-pub use cluster::{Cluster, ClusterConfig, ClusterRc, NodeRuntime, Partition, Scheme};
-pub use heat::{
-    AccessKind, DriftTracker, HeatTable, SegmentDrift, SegmentDriftStat, SegmentHeat,
-    SegmentHeatStat,
-};
-pub use metrics::{Metrics, Phase};
-pub use migration::{
-    Applied, ControlPlan, HelperAttach, HelperDeployment, HelperReport, MoveController, Moves,
-    RebalanceReport, SegmentMove,
-};
-pub use monitor::{ClusterView, NodeReport};
-pub use policy::{coldest_drain_target, Decision, ElasticityPolicy, PolicyConfig};
-pub use scan::{submit_scan, ScanReport};
-pub use telemetry_sink::{decision_label, outcome_label, sample_window, signal_vector};
-pub use wattdb_common::{CostModel, CostVector, HelperPolicyConfig, ReplicaConfig};
-pub use wattdb_planner::{
-    HelperAssignment, HelperCandidate, HelperConfig, HelperPlan, NodeLoadStat, Plan, PlanConfig,
-    PlannedMove, Planner, ReplicaNeed, ReplicaPlacement, ReplicaPlan, SegmentStat,
-};
-pub use wattdb_replica::{pick_promotion, ReplicaMap, ReplicaSet};
-pub use wattdb_telemetry::{
-    DecisionRecord, MetricsRegistry, SignalVector, Span, SpanCollector, SpanId, Telemetry,
-    TimelineExport, WindowSample,
-};
-pub use wattdb_tpcc::{ClientBatching, MAX_CARRIERS, POOL_AUTO_THRESHOLD};
+pub use api::{WattDb, WattDbBuilder};
+pub use autopilot::{AutoPilotConfig, ControlEvent, Outcome};
+pub use cluster::{Cluster, ClusterConfig, ClusterRc};
+pub use heat::{AccessKind, HeatTable, SegmentHeatStat};
+pub use metrics::Phase;
+pub use migration::{HelperReport, RebalanceReport};
+pub use policy::{Decision, PolicyConfig};
+pub use telemetry_sink::{decision_label, outcome_label};
+pub use wattdb_planner::Planner;
+pub use wattdb_tpcc::ClientBatching;

@@ -59,21 +59,11 @@ impl Metrics {
         }
     }
 
-    /// Record one completed transaction.
-    pub fn record_completion(
-        &mut self,
-        now: SimTime,
-        response: SimDuration,
-        phase: Phase,
-        profile: CostProfile,
-    ) {
-        self.record_completion_weighted(now, response, phase, profile, 1);
-    }
-
-    /// Record a carrier completion standing in for `weight` modeled
-    /// transactions (pooled client mode): throughput counters scale by
-    /// the weight, while the response-time series and the per-phase cost
-    /// profile sample the one transaction that actually executed.
+    /// Record a completion standing in for `weight` modeled transactions
+    /// (1 per-client; a pooled carrier's weight otherwise): throughput
+    /// counters scale by the weight, while the response-time series and
+    /// the per-phase cost profile sample the one transaction that
+    /// actually executed.
     pub fn record_completion_weighted(
         &mut self,
         now: SimTime,
@@ -93,16 +83,6 @@ impl Metrics {
             .or_insert((0, CostProfile::new()));
         slot.0 += 1;
         slot.1 += profile;
-    }
-
-    /// Record an abort.
-    pub fn record_abort(&mut self) {
-        self.aborted += 1;
-    }
-
-    /// Record a completed rebalance.
-    pub fn record_rebalance(&mut self, report: crate::migration::RebalanceReport) {
-        self.rebalances.push(report);
     }
 
     /// Mean per-query cost profile for a phase (Fig. 7 bars).
@@ -128,11 +108,12 @@ mod tests {
         let mut p = CostProfile::new();
         p.record(CostCategory::DiskIo, SimDuration::from_millis(5));
         for s in [1u64, 2, 3, 15] {
-            m.record_completion(
+            m.record_completion_weighted(
                 SimTime::from_secs(s),
                 SimDuration::from_millis(20),
                 Phase::Normal,
                 p,
+                1,
             );
         }
         assert_eq!(m.completed, 4);
@@ -149,23 +130,26 @@ mod tests {
         let mut slow = CostProfile::new();
         slow.record(CostCategory::DiskIo, SimDuration::from_millis(30));
         slow.record(CostCategory::Locking, SimDuration::from_millis(10));
-        m.record_completion(
+        m.record_completion_weighted(
             SimTime::ZERO,
             SimDuration::from_millis(2),
             Phase::Normal,
             fast,
+            1,
         );
-        m.record_completion(
+        m.record_completion_weighted(
             SimTime::ZERO,
             SimDuration::from_millis(45),
             Phase::Rebalancing,
             slow,
+            1,
         );
-        m.record_completion(
+        m.record_completion_weighted(
             SimTime::ZERO,
             SimDuration::from_millis(45),
             Phase::Rebalancing,
             slow,
+            1,
         );
         let normal = m.mean_profile(Phase::Normal).unwrap();
         let rebal = m.mean_profile(Phase::Rebalancing).unwrap();
@@ -180,11 +164,12 @@ mod tests {
     #[test]
     fn sample_counter_resets() {
         let mut m = Metrics::new(SimTime::ZERO, SimDuration::from_secs(1));
-        m.record_completion(
+        m.record_completion_weighted(
             SimTime::ZERO,
             SimDuration::from_millis(1),
             Phase::Normal,
             CostProfile::new(),
+            1,
         );
         assert_eq!(m.take_completions(), 1);
         assert_eq!(m.take_completions(), 0);

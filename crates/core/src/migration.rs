@@ -20,16 +20,19 @@
 //! # Plan, then run
 //!
 //! Nothing here decides. A [`ControlPlan`] — produced by
-//! [`crate::policy::plan`] from a decision, or filled in by the facade's
-//! scripted methods — says which nodes to power, what to move, what to
-//! drain, which follower copies to re-home and which helpers (Fig. 8) to
-//! wire or release; [`run`] carries it out. `run` is the only code
-//! outside `cluster.rs` that powers a node on, marks a drain, installs
-//! the [`MoveController`], wires a helper or opens the `helpers` /
-//! `rebalance` / `power-up` / `power-down` spans, and it returns what it
-//! started ([`Applied`]) instead of leaving callers to read it back. The
-//! step machines below then move the data; helper state lives in one
-//! [`HelperDeployment`] on the cluster.
+//! [`crate::policy::plan`] from a decision, or filled in by a script
+//! through [`crate::api::WattDb::run`] — says which nodes to power, what
+//! to move, what to drain, which follower copies to re-home and which
+//! helpers (Fig. 8) to wire or release; [`run`] carries it out. `run` is
+//! the only code outside `cluster.rs` that powers a node on, marks a
+//! drain, installs the [`MoveController`], wires a helper or opens the
+//! `failover` / `helpers` / `rebalance` / `power-up` / `power-down`
+//! spans, and it returns what it started ([`Applied`]) instead of leaving
+//! callers to read it back. The step machines below then move the data;
+//! helper state lives in one [`HelperDeployment`] on the cluster.
+//! [`settle`] is `run`'s counterpart: once a window it closes the
+//! episodes whose work has landed — the failover span when the factor is
+//! restored, a finished drain by suspending its nodes.
 //!
 //! Bulk I/O volumes are multiplied by `cfg.io_scale` so the scaled-down
 //! dataset produces the paper's 100 GB-class transfer times (see
@@ -116,8 +119,6 @@ pub struct MoveController {
     pub chains: Vec<MoverChain>,
     /// Start time.
     pub started: SimTime,
-    /// Completion time, when finished.
-    pub finished: Option<SimTime>,
     /// Segments moved.
     pub segments_moved: u64,
     /// Records moved (logical).
@@ -136,11 +137,6 @@ pub struct MoveController {
 }
 
 impl MoveController {
-    /// True once every chain has drained.
-    pub fn all_done(&self) -> bool {
-        self.chains.iter().all(|c| c.done)
-    }
-
     /// Drop every *pending* move that sources from or targets `node` — the
     /// failover path's way of keeping a dead node out of the remaining
     /// plan. A move already in flight is left alone here;
@@ -305,9 +301,9 @@ impl HelperAttach {
 }
 
 /// Everything one control action does to the cluster, as plain data:
-/// [`crate::policy::plan`] derives it from a decision, the facade's
-/// scripted methods fill it in by hand, and [`run`] is the only code that
-/// carries it out. The default plan does nothing.
+/// [`crate::policy::plan`] derives it from a decision, a script fills it
+/// in by hand, and [`run`] is the only code that carries it out. The
+/// default plan does nothing.
 #[derive(Debug, Clone, Default)]
 pub struct ControlPlan {
     /// The planner that produced the moves.
@@ -320,7 +316,7 @@ pub struct ControlPlan {
     /// Helpers to wire.
     pub attach: Option<HelperAttach>,
     /// Nodes to mark draining; their suspension is accounted under a
-    /// `power-down` span the autopilot closes.
+    /// `power-down` span [`settle`] closes.
     pub drain: Vec<NodeId>,
     /// One mover chain per source, in this order; a chain carries the
     /// moves leaving its source. Empty: no rebalance starts.
@@ -387,7 +383,7 @@ pub struct Applied {
 }
 
 /// A node list as a span attribute.
-pub(crate) fn names(nodes: &[NodeId]) -> wattdb_telemetry::AttrValue {
+fn names(nodes: &[NodeId]) -> wattdb_telemetry::AttrValue {
     (nodes.iter().map(|n| n.to_string()))
         .collect::<Vec<_>>()
         .into()
@@ -395,10 +391,10 @@ pub(crate) fn names(nodes: &[NodeId]) -> wattdb_telemetry::AttrValue {
 
 /// Carry out a [`ControlPlan`]. The only code outside `cluster.rs` that
 /// powers a node on, marks a drain, installs a mover, wires a helper, or
-/// opens the `helpers` / `rebalance` / `power-up` / `power-down` spans —
-/// in that order, which is the order span ids are allocated in — and the
-/// one place the replica-map invariant is checked after a control action.
-/// Reports the first span the plan touched.
+/// opens the `failover` / `helpers` / `rebalance` / `power-up` /
+/// `power-down` spans — in that order, which is the order span ids are
+/// allocated in — and where the replica-map invariant is checked after a
+/// control action. Reports the first span the plan touched.
 ///
 /// A plan with no sources, or one arriving while another rebalance is in
 /// flight, starts no rebalance and powers no target: a chainless
@@ -408,6 +404,20 @@ pub(crate) fn names(nodes: &[NodeId]) -> wattdb_telemetry::AttrValue {
 pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
     let now = sim.now();
     if let Some(failed) = plan.promote {
+        // The failover span opens on first detection; promotion and
+        // re-replication events attach to it until [`settle`] finds the
+        // replication factor restored.
+        {
+            let mut c = cl.borrow_mut();
+            let c = &mut *c;
+            if c.failover_span.is_none() {
+                let attrs = vec![
+                    ("failed".into(), failed.to_string().into()),
+                    ("rereplicated_base".into(), c.rereplication_bytes.into()),
+                ];
+                c.failover_span = Some(c.telemetry.start_span("failover", now, attrs));
+            }
+        }
         crate::failover::handle_failure(cl, sim, failed);
     }
     let mut report: Option<(Option<wattdb_telemetry::SpanId>, Option<f64>)> = None;
@@ -562,7 +572,6 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
                     })
                     .collect(),
                 started: now,
-                finished: None,
                 segments_moved: 0,
                 records_moved: 0,
                 bytes_moved: 0,
@@ -604,11 +613,91 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
     }
 }
 
+/// A finished scale-in drain, as [`settle`] closed it.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct SettledDrain {
+    /// The nodes the drain was emptying.
+    pub drained: Vec<NodeId>,
+    /// The nodes returned to standby.
+    pub suspended: Vec<NodeId>,
+    /// The `power-down` span, now closed.
+    pub span: wattdb_telemetry::SpanId,
+}
+
+/// Close the episodes [`run`] opened whose work has landed since — once
+/// per monitoring window, after the autopilot's failover and repair steps.
+///
+/// The `failover` span closes once no failed node is referenced by the
+/// replica map and the replication factor is restored (immediately, when
+/// replication is off). A scale-in whose moves have all landed suspends
+/// its emptied nodes (§3.4's "shutdown the nodes currently not needed")
+/// and closes the `power-down` span — even when the drained node died
+/// first. Whatever could not suspend (leftover segments, follower
+/// backfills still on the wire) rejoins the plannable pool rather than
+/// staying excluded as "draining" forever; the next window re-decides.
+/// The finished drain is returned for the caller to log.
+pub fn settle(cl: &ClusterRc, sim: &Sim) -> Option<SettledDrain> {
+    let now = sim.now();
+    let mut c = cl.borrow_mut();
+    let c = &mut *c;
+    // (The map-wide under-replication scan runs only while one is open.)
+    let factor = c.cfg.replication.factor;
+    let recovered = c.failover_span.is_some()
+        && !c.failed_nodes().any(|n| c.replicas.references(n))
+        && (!c.cfg.replication.enabled()
+            || (c.rereplication_inflight == 0 && c.replicas.under_replicated(factor).is_empty()));
+    if let Some(span) = c.failover_span.take_if(|_| recovered) {
+        let spans = &mut c.telemetry.spans;
+        let base = (spans.get(span))
+            .and_then(|s| s.attr_f64("rereplicated_base"))
+            .unwrap_or(0.0) as u64;
+        let shipped = c.rereplication_bytes.saturating_sub(base);
+        spans.set_attr(span, "rereplicated_bytes", shipped.into());
+        spans.end(span, now);
+    }
+    if c.mover.is_some() {
+        return None;
+    }
+    let span = c.powerdown_span.take()?;
+    let drained = c.draining_nodes();
+    let suspended: Vec<NodeId> = (c.nodes.iter().map(|n| n.id))
+        .filter(|&n| can_suspend(c, n))
+        .collect();
+    for &n in &suspended {
+        c.power_off(n);
+    }
+    for &n in &drained {
+        c.end_drain(n);
+    }
+    c.assert_replica_invariants();
+    c.telemetry
+        .spans
+        .set_attr(span, "suspended", names(&suspended));
+    c.telemetry.spans.end(span, now);
+    Some(SettledDrain {
+        drained,
+        suspended,
+        span,
+    })
+}
+
+/// Can `node` power down to standby right now? Only a powered node that
+/// holds no segments, runs no helper duty and hosts no follower copies (a
+/// live follower host is still serving redundancy and reads; suspending
+/// it would silently drop the replication factor) — never the master.
+fn can_suspend(c: &Cluster, node: NodeId) -> bool {
+    node != NodeId::MASTER
+        && c.life(node).is_up()
+        && c.seg_dir.on_node(node).next().is_none()
+        && !c.helpers.contains(node)
+        && c.replicas.followed_by(node).is_empty()
+}
+
 /// Resume a mover chain parked on a lock.
 pub fn resume_mover(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
     let scheme = cl.borrow().mover.as_ref().map(|m| m.scheme);
     match scheme {
-        Some(Scheme::Logical) => logical_batch_locked(cl, sim, chain),
+        Some(Scheme::Logical) => logical_acquire_locks(cl, sim, chain),
         Some(_) => segment_lock_granted(cl, sim, chain),
         None => {}
     }
@@ -645,8 +734,7 @@ fn next_segment_move(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
         let m = c.mover.as_mut().expect("mover active");
         let Some(mv) = m.chains[chain as usize].segments.pop_front() else {
             m.chains[chain as usize].done = true;
-            drop(c);
-            try_finish(cl, sim);
+            maybe_finish(&mut c, sim.now());
             return;
         };
         m.chains[chain as usize].current = Some(mv);
@@ -912,7 +1000,10 @@ fn next_logical_batch(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
                 if let Some(txn) = leftover {
                     let _ = c.txn.commit(txn, &mut c.store);
                 }
-                finish_logical_range(c, rm);
+                // Leftover routing entries still marked moving complete, so
+                // future inserts in the moved range land at the target.
+                let _ = c.router.complete_move(rm.table, rm.range);
+                let _ = c.router.coalesce(rm.table);
                 let m = c.mover.as_mut().expect("mover active");
                 let ch = &mut m.chains[chain as usize];
                 ch.ranges.pop_front();
@@ -932,7 +1023,7 @@ fn next_logical_batch(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
         }
     };
     let Some((rm, batch_range, keys)) = planned else {
-        try_finish(cl, sim);
+        maybe_finish(&mut cl.borrow_mut(), sim.now());
         return;
     };
     // Master first: dual pointers for the batch range.
@@ -970,10 +1061,6 @@ fn next_logical_batch(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
 }
 
 /// Acquire X locks on every key of the pending batch; park on conflict.
-fn logical_batch_locked(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
-    logical_acquire_locks(cl, sim, chain)
-}
-
 fn logical_acquire_locks(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
     enum Outcome {
         Ready,
@@ -1142,21 +1229,16 @@ fn logical_apply_batch(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
                     &rec.payload,
                 );
             }
-            // WAL on both ends.
-            c.nodes[mv.from.raw() as usize].log.append(
-                txn,
-                LogPayload::Delete {
-                    segment: src_seg,
-                    before: vec![0; rec.logical_width as usize + 32],
-                },
-            );
-            c.nodes[mv.to.raw() as usize].log.append(
-                txn,
-                LogPayload::Insert {
-                    segment: dst_seg,
-                    after: vec![0; rec.logical_width as usize + 32],
-                },
-            );
+            // WAL on both ends: the delete's before-image, the insert's
+            // after-image.
+            let image_bytes = rec.logical_width + 32;
+            for (node, segment) in [(mv.from, src_seg), (mv.to, dst_seg)] {
+                let payload = LogPayload::Change {
+                    segment,
+                    image_bytes,
+                };
+                c.nodes[node.raw() as usize].log.append(txn, payload);
+            }
         }
         // Hand the batch range's ownership to the target.
         c.router
@@ -1187,29 +1269,11 @@ fn logical_apply_batch(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
     });
 }
 
-/// After a logical range drains, collapse the remaining routing so future
-/// inserts in the moved range land at the target.
-fn finish_logical_range(c: &mut Cluster, rm: RangeMove) {
-    // Any leftover routing entries still marked moving are completed.
-    let _ = c.router.complete_move(rm.table, rm.range);
-    let _ = c.router.coalesce(rm.table);
-}
-
-fn try_finish(cl: &ClusterRc, sim: &mut Sim) {
-    let mut c = cl.borrow_mut();
-    let c = &mut *c;
-    maybe_finish(c, sim.now());
-}
-
 fn maybe_finish(c: &mut Cluster, now: SimTime) {
-    let done = c.mover.as_ref().map(|m| m.all_done()).unwrap_or(false);
-    if !done {
+    // Finished once every chain has drained.
+    let Some(stats) = c.mover.take_if(|m| m.chains.iter().all(|ch| ch.done)) else {
         return;
-    }
-    if let Some(m) = c.mover.as_mut() {
-        m.finished = Some(now);
-    }
-    let stats = c.mover.take().expect("mover");
+    };
     let report = RebalanceReport {
         scheme: stats.scheme,
         planner: stats.planner,
@@ -1221,8 +1285,7 @@ fn maybe_finish(c: &mut Cluster, now: SimTime) {
         heat_planned: stats.heat_planned,
         heat_moved: stats.heat_moved,
     };
-    c.last_rebalance = Some(report);
-    c.metrics.record_rebalance(report);
+    c.metrics.rebalances.push(report);
     // Close the rebalance span with the realized counters next to the
     // planned ones set at launch.
     if let Some(ps) = stats.power_span {
@@ -1429,13 +1492,8 @@ fn detach_helper_set(c: &mut Cluster, set: &[NodeId], now: SimTime) {
         // node that was drained empty *during* its duty — leaving it up
         // would idle it at full power with no code path left to suspend
         // it. A helper holding segments (it was serving data at attach
-        // time, or became a rebalance target meanwhile) stays up; the
-        // master never suspends.
-        if h != NodeId(0)
-            && c.seg_dir.on_node(h).next().is_none()
-            && c.replicas.followed_by(h).is_empty()
-            && c.life(h).is_up()
-        {
+        // time, or became a rebalance target meanwhile) stays up.
+        if can_suspend(c, h) {
             c.power_off(h);
         }
     }

@@ -255,8 +255,8 @@ impl ElasticityPolicy {
     /// fire would only be deferred, so the trigger stays armed instead of
     /// burning its streak and cooldown on a decision nobody can act on);
     /// `helpers` the helper nodes the *policy itself* attached (callers
-    /// must not include a scripted `rebalance_with_helpers` set — those
-    /// belong to the migration engine and detach with its completion) —
+    /// must not include a scripted attachment — those belong to the
+    /// migration engine and detach with its rebalance's completion) —
     /// while any are, the skew trigger holds its fire (the helpers *are*
     /// the response in force) and the policy instead watches for
     /// subsidence to emit [`Decision::DetachHelpers`]. Attached helpers
@@ -742,9 +742,8 @@ pub fn plan(
         Decision::DetachHelpers { helpers } => {
             // Release exactly the helpers the decision names — the set
             // the policy attached (possibly a per-source subset). A
-            // scripted `rebalance_with_helpers` set attached alongside
-            // belongs to the migration engine and must survive a
-            // policy-side subsidence detach.
+            // scripted attachment alongside belongs to the migration
+            // engine and must survive a policy-side subsidence detach.
             let detach: Vec<NodeId> = (helpers.iter().copied())
                 .filter(|&h| c.helpers.contains(h))
                 .collect();
@@ -841,29 +840,6 @@ fn drain_blocked_on_replicas(c: &Cluster, now: SimTime, drain: &[NodeId]) -> boo
         .filter(|n| !drain.contains(n))
         .collect();
     !heat::plan_drain_replicated(c, now, 0.0, drain, &remaining).is_fully_covered()
-}
-
-/// Power off every active node that holds no segments, runs no helper
-/// duty, and hosts no follower copies (post scale-in cleanup — a live
-/// follower host is still serving redundancy and reads, and suspending
-/// it would silently drop the replication factor). Returns the nodes
-/// suspended.
-pub fn suspend_empty_nodes(cl: &ClusterRc) -> Vec<NodeId> {
-    let mut c = cl.borrow_mut();
-    let c = &mut *c;
-    let mut off = Vec::new();
-    for i in 1..c.nodes.len() {
-        // never the master
-        let id = NodeId(i as u16);
-        let empty = c.seg_dir.on_node(id).next().is_none();
-        let is_helper = c.helpers.contains(id);
-        let follows = !c.replicas.followed_by(id).is_empty();
-        if empty && !is_helper && !follows && c.nodes[i].life.is_up() {
-            c.power_off(id);
-            off.push(id);
-        }
-    }
-    off
 }
 
 #[cfg(test)]
@@ -1532,7 +1508,8 @@ mod tests {
     /// Warm every segment on `node` through the synthetic injection path.
     fn warm(db: &mut WattDb, node: NodeId, reads: u32) {
         let now = db.now();
-        db.with_cluster_mut(|c| {
+        db.with_runtime(|cl, _| {
+            let mut c = cl.borrow_mut();
             let segs: Vec<_> = c.seg_dir.on_node(node).map(|m| m.id).collect();
             for seg in segs {
                 for _ in 0..reads {
@@ -1574,7 +1551,7 @@ mod tests {
             }
             if factor > 0 {
                 // The map is mid-reconciliation, so the drain must wait.
-                db.with_cluster_mut(|c| c.rereplication_inflight = 1);
+                db.with_runtime(|cl, _| cl.borrow_mut().rereplication_inflight = 1);
             }
             let spans_before = db.with_cluster(|c| c.telemetry.spans.started());
             assert_eq!(
@@ -1668,7 +1645,7 @@ mod tests {
 
         // DetachHelpers closes that span inside apply; the result still
         // points at it.
-        let helpers = db.helpers_active();
+        let helpers = db.with_cluster(|c| c.helpers.nodes());
         assert!(!helpers.is_empty());
         let detach = apply_on(&mut db, &Decision::DetachHelpers { helpers }).expect("applied");
         assert_eq!(detach.span, attach.span);
@@ -1946,7 +1923,6 @@ mod tests {
                     done: false,
                 }],
                 started: SimTime::ZERO,
-                finished: None,
                 segments_moved: 0,
                 records_moved: 0,
                 bytes_moved: 0,

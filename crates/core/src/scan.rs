@@ -200,7 +200,8 @@ mod tests {
             report.heat_charged > 10.0,
             "a scan charges operator cost, not one access: {report:?}"
         );
-        let snap = db.heat();
+        let now = db.now();
+        let snap = db.with_cluster(|c| c.heat.snapshot(&c.seg_dir, now));
         let scanned: Vec<_> = snap.iter().filter(|s| s.scans > 0).collect();
         assert_eq!(scanned.len(), report.segments);
         assert!(scanned.iter().all(|s| s.cost.cpu.as_micros() > 0));

@@ -8,7 +8,7 @@
 //! be joined back onto the decision after the operation completes.
 //!
 //! [`render_explain`] turns records (plus their linked spans) into the
-//! human-readable account the facade's `explain()` returns:
+//! human-readable account `explain()` returns:
 //!
 //! ```text
 //! window 42 [t=210s]: skew 2.30 ≥ 2.00, streak 2/2 → AttachHelpers

@@ -80,11 +80,6 @@ impl Client {
         SimDuration::from_micros(self.rng.uniform(base / 2, base * 3 / 2))
     }
 
-    /// Record a completion.
-    pub fn complete(&mut self) {
-        self.completed += 1;
-    }
-
     /// Record `n` completions at once: a pooled carrier's one executed
     /// transaction completes on behalf of `weight` modeled clients.
     pub fn complete_n(&mut self, n: u64) {
@@ -112,11 +107,10 @@ impl Client {
     }
 }
 
-/// Spawn `n` clients spread round-robin over `warehouses` home warehouses.
+/// Spawn `n` clients spread round-robin over `warehouses` home
+/// warehouses: [`spawn_clients_skewed`] with no hot range.
 pub fn spawn_clients(n: u32, warehouses: u32, cfg: ClientConfig, root_rng: &DetRng) -> Vec<Client> {
-    (0..n)
-        .map(|i| Client::new(ClientId(i), i % warehouses.max(1), cfg, root_rng))
-        .collect()
+    spawn_clients_skewed(n, warehouses, cfg, root_rng, 0.0, 1)
 }
 
 /// Spawn `n` clients with a hot-range skew: the first
@@ -199,7 +193,7 @@ mod tests {
         let root = DetRng::new(4);
         let mut c = Client::new(ClientId(0), 0, ClientConfig::default(), &root);
         c.next_profile();
-        c.complete();
+        c.complete_n(1);
         c.backoff();
         assert_eq!(c.submitted(), 1);
         assert_eq!(c.completed(), 1);

@@ -6,8 +6,9 @@
 //! on, a diurnal trace from 40 to 800 clients over 120 s thinking 2 s —
 //! and prints one line per 5 s monitoring window: the trace's client
 //! target, commits per second, each node's state, CPU and segment count,
-//! cluster power, and whether a rebalance is in flight. `db.explain()`
-//! follows: what the autopilot decided in those windows, and why.
+//! cluster power, and whether a rebalance is in flight. The exported
+//! timeline's `explain()` follows: what the autopilot decided in those
+//! windows, and why.
 //!
 //! The per-layer benchmark table says *that* `elastic-diurnal` answers in
 //! seconds; this says *when*: which window the policy scaled in on a rising
@@ -75,7 +76,7 @@ fn main() {
     let mut committed = db.completed();
     for _ in 0..PERIOD_S / WINDOW_S {
         // The target in force during the window, read before it runs.
-        let target = db.workload_target().unwrap_or(0);
+        let target = db.with_cluster(|c| c.pool.as_ref().map_or(0, |p| p.current_target()));
         db.run_for(SimDuration::from_secs(WINDOW_S));
         let status = db.status();
         let per_s = (db.completed() - committed) as f64 / WINDOW_S as f64;
@@ -102,7 +103,11 @@ fn main() {
     db.stop_clients();
 
     println!("\nwhat the autopilot did, and why:");
-    for line in db.explain() {
+    // Rendered purely from the exported form: exactly what an offline
+    // reader of the artifact would reconstruct.
+    let timeline =
+        wattdb_telemetry::parse_jsonl(&db.export_timeline_string()).expect("own export parses");
+    for line in timeline.explain() {
         println!("  {line}");
     }
 }

@@ -73,7 +73,9 @@ fn main() {
         );
     }
     println!("\nhottest segments now:");
-    for s in db.heat().into_iter().take(5) {
+    let now = db.now();
+    let hottest = db.with_cluster(|c| c.heat.snapshot(&c.seg_dir, now));
+    for s in hottest.into_iter().take(5) {
         println!(
             "  seg {:>4} on {}  heat {:>8.2}  (r {} / w {} / remote {})",
             s.seg.raw(),

@@ -22,7 +22,9 @@ fn main() {
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
         .build();
 
-    println!("cluster up: power draw {:.1} W", db.power_now());
+    // `status()` reports power (and CPU) over the window since the
+    // previous `status()` call; the first one reads an idle cluster.
+    println!("cluster up: power draw {:.1} W", db.status().total_power.0);
 
     // 16 closed-loop clients with 100 ms mean think time.
     db.start_oltp(16, SimDuration::from_millis(100));
@@ -31,7 +33,7 @@ fn main() {
         "after 30 s: {} transactions completed ({} aborted), {:.1} W",
         db.completed(),
         db.aborted(),
-        db.power_now()
+        db.status().total_power.0
     );
 
     // Move half the data onto two freshly powered nodes, §4.3-style:
@@ -42,20 +44,22 @@ fn main() {
     }
     let report = db.last_rebalance().expect("rebalanced");
     println!(
-        "rebalanced: {} segments in {:.1} s ({} bytes shipped)",
+        "rebalanced: {} segments in {:.1} s ({} bytes shipped), {:.1} W meanwhile",
         report.segments_moved,
         report.finished.since(report.started).as_secs_f64(),
-        report.bytes_moved
+        report.bytes_moved,
+        db.status().total_power.0
     );
 
     // Keep serving: the new nodes now own half the key space.
     db.run_for(SimDuration::from_secs(30));
     db.stop_clients();
+    let status = db.status();
     println!(
         "final: {} transactions, cluster at {:.1} W across {} active nodes",
         db.completed(),
-        db.power_now(),
-        db.active_nodes().len()
+        status.total_power.0,
+        status.active_nodes
     );
 
     // Per-bucket series (the Fig. 6 data for this run).

@@ -56,7 +56,7 @@ fn autopilot_scales_out_under_load_and_back_in_when_idle() {
         let spread = db
             .active_nodes()
             .iter()
-            .filter(|&&n| db.segments_on(n) > 0)
+            .filter(|&&n| db.with_cluster(|c| c.seg_dir.on_node(n).count()) > 0)
             .count();
         if spread > 1 && !db.rebalancing() {
             scaled_out = true;
@@ -81,7 +81,7 @@ fn autopilot_scales_out_under_load_and_back_in_when_idle() {
         _ => unreachable!(),
     };
     assert!(
-        db.segments_on(target) > 0,
+        db.with_cluster(|c| c.seg_dir.on_node(target).count()) > 0,
         "segments arrived on the powered-on node {target}"
     );
     // The default planner is heat-aware; the event log and the rebalance
@@ -105,7 +105,7 @@ fn autopilot_scales_out_under_load_and_back_in_when_idle() {
             break;
         }
     }
-    db.vacuum();
+    db.with_runtime(|cl, _| cl.borrow_mut().vacuum_all());
     let records_at_rest = db.live_records();
     let mut suspended: Option<Vec<NodeId>> = None;
     for _ in 0..120 {
@@ -134,20 +134,24 @@ fn autopilot_scales_out_under_load_and_back_in_when_idle() {
 
     // The drained node is empty and back in standby, drawing 2.5 W.
     for &n in &suspended {
-        assert_eq!(db.segments_on(n), 0, "{n} drained before suspension");
+        assert_eq!(
+            db.with_cluster(|c| c.seg_dir.on_node(n).count()),
+            0,
+            "{n} drained before suspension"
+        );
     }
     let status = db.status();
     for &n in &suspended {
         assert_eq!(status.nodes[n.raw() as usize].state, NodeState::Standby);
     }
     // Nothing was lost across the scale-in drain.
-    db.vacuum();
+    db.with_runtime(|cl, _| cl.borrow_mut().vacuum_all());
     assert_eq!(db.live_records(), records_at_rest, "population intact");
     // And the cluster still holds data on at least one active node.
     let holders = db
         .active_nodes()
         .iter()
-        .filter(|&&n| db.segments_on(n) > 0)
+        .filter(|&&n| db.with_cluster(|c| c.seg_dir.on_node(n).count()) > 0)
         .count();
     assert!(holders >= 1, "survivors still serve the dataset");
 }

@@ -55,8 +55,9 @@ fn physiological_move_preserves_every_record() {
     );
     assert_eq!(key_checksum(&db), before_sum, "exact key population");
     // Ownership genuinely moved: targets now hold segments.
-    assert!(db.segments_on(NodeId(2)) > 0);
-    assert!(db.segments_on(NodeId(3)) > 0);
+    let status = db.status();
+    assert!(status.nodes[2].segments > 0);
+    assert!(status.nodes[3].segments > 0);
 }
 
 #[test]
@@ -73,7 +74,7 @@ fn logical_move_preserves_every_record() {
     assert!(!db.rebalancing(), "logical move finished");
     // The logical move tombstones source records; vacuum reclaims them,
     // leaving exactly the original key population (now at the targets).
-    db.vacuum();
+    db.with_runtime(|cl, _| cl.borrow_mut().vacuum_all());
     assert_eq!(db.live_records(), before_keys);
     assert!(db.last_rebalance().unwrap().records_moved > 0);
 }
@@ -112,7 +113,7 @@ fn physical_move_keeps_ownership_but_relocates_storage() {
     db.run_for(SimDuration::from_secs(200));
     assert!(!db.rebalancing());
     // Storage moved...
-    assert!(db.segments_on(NodeId(2)) > 0);
+    assert!(db.status().nodes[2].segments > 0);
     // ...but query ownership did not: the router still names only the
     // original nodes (that is physical partitioning's defect, §4.1/§5.2).
     assert_eq!(
@@ -145,7 +146,8 @@ fn transactions_started_before_move_read_consistently() {
     let key = wattdb_tpcc::keys::customer(3, 2, 1);
     let table = wattdb_tpcc::TpccTable::Customer.table_id();
     // Start a long transaction before the move.
-    let (snap_txn, seg_before) = db.with_cluster_mut(|c| {
+    let (snap_txn, seg_before) = db.with_runtime(|cl, _| {
+        let mut c = cl.borrow_mut();
         let txn = c.txn.begin(wattdb_txn::TxnKind::User);
         let route = c.router.route(table, key).unwrap();
         let part = &c.partitions[&route.primary.partition];

@@ -26,6 +26,7 @@
 use wattdb_common::{CostParams, NodeId, SimDuration};
 use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
+use wattdb_core::migration::{ControlPlan, HelperAttach};
 use wattdb_core::policy::PolicyConfig;
 use wattdb_core::ClientBatching;
 use wattdb_tpcc::{DiurnalConfig, LoadTrace, TenantSpec};
@@ -147,7 +148,11 @@ fn fixed_rebalance(
     match trigger {
         Trigger::Plain => db.rebalance(0.5, &sources, &targets),
         Trigger::WithHelpers => {
-            db.rebalance_with_helpers(0.5, &sources, &targets, &[NodeId(4), NodeId(5)][..])
+            let plan = db.with_cluster(|c| ControlPlan::fraction(c, 0.5, &sources, &targets));
+            db.run(ControlPlan {
+                attach: Some(HelperAttach::manual(&sources, &[NodeId(4), NodeId(5)])),
+                ..plan
+            });
         }
     }
     db.run_for(windows(after));

@@ -16,10 +16,12 @@
 //!   `helpers[i % len]`, all listed helpers powered, everything released
 //!   when the rebalance completes), bit-identical across fixed-seed runs.
 
-use wattdb_common::{CostVector, NodeId, SimDuration};
+use wattdb_common::{CostVector, HelperPolicyConfig, NodeId, SimDuration};
 use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
 use wattdb_core::heat::AccessKind;
+use wattdb_core::migration::{ControlPlan, HelperAttach};
+use wattdb_planner::HelperPlan;
 
 fn builder(nodes: u16, data: &[NodeId]) -> wattdb_core::WattDbBuilder {
     WattDb::builder()
@@ -37,7 +39,8 @@ fn builder(nodes: u16, data: &[NodeId]) -> wattdb_core::WattDbBuilder {
 /// node's) net share is exactly what the test dictates.
 fn charge(db: &mut WattDb, node: NodeId, cpu_us: u64, net: u64, times: u32) {
     let now = db.now();
-    db.with_cluster_mut(|c| {
+    db.with_runtime(|cl, _| {
+        let mut c = cl.borrow_mut();
         let seg = c
             .seg_dir
             .on_node(node)
@@ -60,6 +63,33 @@ fn charge(db: &mut WattDb, node: NodeId, cpu_us: u64, net: u64, times: u32) {
     });
 }
 
+/// The helper plan the policy in force would attach for `sources`
+/// ([`wattdb_core::heat::plan_helpers`] under `cfg`).
+fn plan_helpers(db: &WattDb, cfg: &HelperPolicyConfig, sources: &[NodeId]) -> HelperPlan {
+    let now = db.now();
+    db.with_cluster(|c| wattdb_core::heat::plan_helpers(c, now, cfg, sources))
+}
+
+/// A scripted attachment: released when the next rebalance completes, or
+/// by [`detach_helpers`].
+fn attach_helpers(db: &mut WattDb, plan: &HelperPlan) {
+    db.run(ControlPlan {
+        attach: Some(HelperAttach::planned(plan, true)),
+        ..Default::default()
+    });
+}
+
+fn helpers_active(db: &WattDb) -> Vec<NodeId> {
+    db.with_cluster(|c| c.helpers.nodes())
+}
+
+fn detach_helpers(db: &mut WattDb) {
+    db.run(ControlPlan {
+        detach: helpers_active(db),
+        ..Default::default()
+    });
+}
+
 #[test]
 fn planner_targets_the_net_heaviest_source_under_cost_heat() {
     let mut db = builder(4, &[NodeId(0), NodeId(1)]).build();
@@ -68,7 +98,7 @@ fn planner_targets_the_net_heaviest_source_under_cost_heat() {
     // its pain is exactly what a helper relieves.
     charge(&mut db, NodeId(0), 200, 0, 400);
     charge(&mut db, NodeId(1), 0, 8192, 200);
-    let plan = db.plan_helpers(&[NodeId(0), NodeId(1)]);
+    let plan = plan_helpers(&db, &HelperPolicyConfig::default(), &[NodeId(0), NodeId(1)]);
     assert_eq!(plan.assignments.len(), 2, "{plan:?}");
     assert_eq!(
         plan.assignments[0].source,
@@ -86,15 +116,14 @@ fn planner_targets_the_net_heaviest_source_under_cost_heat() {
 fn net_heat_floor_drops_cpu_pure_sources() {
     // With a positive net-heat floor, the CPU-pure node gets no helper at
     // all — its pain is not remote traffic.
-    let mut db = builder(4, &[NodeId(0), NodeId(1)])
-        .helper_policy(wattdb_common::HelperPolicyConfig {
-            min_net_heat: 1.0,
-            ..Default::default()
-        })
-        .build();
+    let mut db = builder(4, &[NodeId(0), NodeId(1)]).build();
     charge(&mut db, NodeId(0), 200, 0, 400);
     charge(&mut db, NodeId(1), 0, 8192, 200);
-    let plan = db.plan_helpers(&[NodeId(0), NodeId(1)]);
+    let floor = HelperPolicyConfig {
+        min_net_heat: 1.0,
+        ..Default::default()
+    };
+    let plan = plan_helpers(&db, &floor, &[NodeId(0), NodeId(1)]);
     assert_eq!(plan.assignments.len(), 1, "{plan:?}");
     assert_eq!(plan.assignments[0].source, NodeId(1));
 }
@@ -104,7 +133,8 @@ fn count_signal_falls_back_to_total_heat() {
     let mut db = builder(4, &[NodeId(0), NodeId(1)]).cost_model(None).build();
     // Pure access counts: the hotter node wins, components are invisible.
     let now = db.now();
-    db.with_cluster_mut(|c| {
+    db.with_runtime(|cl, _| {
+        let mut c = cl.borrow_mut();
         let s0 = c.seg_dir.on_node(NodeId(0)).next().unwrap().id;
         let s1 = c.seg_dir.on_node(NodeId(1)).next().unwrap().id;
         for _ in 0..50 {
@@ -114,7 +144,7 @@ fn count_signal_falls_back_to_total_heat() {
             c.heat.record_read(s1, now);
         }
     });
-    let plan = db.plan_helpers(&[NodeId(0), NodeId(1)]);
+    let plan = plan_helpers(&db, &HelperPolicyConfig::default(), &[NodeId(0), NodeId(1)]);
     assert!(!plan.is_empty());
     assert_eq!(
         plan.assignments[0].source,
@@ -135,22 +165,22 @@ fn planner_never_picks_migration_nodes_or_attached_helpers() {
     db.rebalance(0.5, &[NodeId(0)], &[NodeId(2)]);
     db.run_for(SimDuration::from_secs(8));
     assert!(db.rebalancing(), "migration still in flight");
-    let plan = db.plan_helpers(&[NodeId(1)]);
+    let plan = plan_helpers(&db, &HelperPolicyConfig::default(), &[NodeId(1)]);
     assert_eq!(plan.assignments.len(), 1, "{plan:?}");
     assert_eq!(
         plan.assignments[0].helper,
         NodeId(3),
         "only the uninvolved standby may help: {plan:?}"
     );
-    assert!(db.attach_helpers(&plan));
-    assert_eq!(db.helpers_active(), vec![NodeId(3)]);
-    let second = db.plan_helpers(&[NodeId(1)]);
+    attach_helpers(&mut db, &plan);
+    assert_eq!(helpers_active(&db), vec![NodeId(3)]);
+    let second = plan_helpers(&db, &HelperPolicyConfig::default(), &[NodeId(1)]);
     assert!(
         second.is_empty(),
         "every candidate is entangled or already helping: {second:?}"
     );
-    db.detach_helpers();
-    assert!(db.helpers_active().is_empty());
+    detach_helpers(&mut db);
+    assert!(helpers_active(&db).is_empty());
 }
 
 #[test]
@@ -170,13 +200,13 @@ fn facade_attached_helpers_survive_the_autopilot() {
         .build();
     charge(&mut db, NodeId(0), 10, 8192, 200);
     charge(&mut db, NodeId(1), 10, 8192, 200);
-    let plan = db.plan_helpers(&[NodeId(1)]);
-    assert!(db.attach_helpers(&plan));
-    let attached = db.helpers_active();
+    let plan = plan_helpers(&db, &HelperPolicyConfig::default(), &[NodeId(1)]);
+    attach_helpers(&mut db, &plan);
+    let attached = helpers_active(&db);
     assert!(!attached.is_empty());
     db.run_for(SimDuration::from_secs(60)); // a dozen monitoring windows
     assert_eq!(
-        db.helpers_active(),
+        helpers_active(&db),
         attached,
         "the policy must not detach a scripted attachment: {:?}",
         db.events()
@@ -189,8 +219,8 @@ fn facade_attached_helpers_survive_the_autopilot() {
         db.events()
     );
     // The explicit facade release still works.
-    db.detach_helpers();
-    assert!(db.helpers_active().is_empty());
+    detach_helpers(&mut db);
+    assert!(helpers_active(&db).is_empty());
 }
 
 #[test]
@@ -205,17 +235,17 @@ fn planned_rebalance_never_enlists_its_own_targets_as_helpers() {
     charge(&mut db, NodeId(0), 10, 8192, 200);
     db.rebalance(0.5, &[NodeId(0)], &[NodeId(2)]);
     assert!(db.rebalancing(), "rebalance started");
-    let plan = db.plan_helpers(&[NodeId(0)]);
-    assert!(db.attach_helpers(&plan));
+    let plan = plan_helpers(&db, &HelperPolicyConfig::default(), &[NodeId(0)]);
+    attach_helpers(&mut db, &plan);
     assert_eq!(
-        db.helpers_active(),
+        helpers_active(&db),
         vec![NodeId(3)],
         "the rebalance target must not moonlight as a helper"
     );
     db.run_for(SimDuration::from_secs(300));
     assert!(!db.rebalancing(), "rebalance completed");
     assert!(
-        db.helpers_active().is_empty(),
+        helpers_active(&db).is_empty(),
         "planned helpers on a scripted rebalance release with its completion"
     );
 }
@@ -229,7 +259,7 @@ fn master_helps_only_when_no_alternative_exists() {
     let mut db = builder(4, &[NodeId(1), NodeId(2)]).build();
     charge(&mut db, NodeId(1), 10, 8192, 200);
     charge(&mut db, NodeId(2), 10, 8192, 100);
-    let plan = db.plan_helpers(&[NodeId(1), NodeId(2)]);
+    let plan = plan_helpers(&db, &HelperPolicyConfig::default(), &[NodeId(1), NodeId(2)]);
     assert_eq!(
         plan.assignments.len(),
         1,
@@ -243,8 +273,8 @@ fn master_helps_only_when_no_alternative_exists() {
     );
     // Attach the standby; node 2 still wants help and only the master is
     // left. (Node 1, already helped, is dropped from the plan.)
-    assert!(db.attach_helpers(&plan));
-    let last_resort = db.plan_helpers(&[NodeId(1), NodeId(2)]);
+    attach_helpers(&mut db, &plan);
+    let last_resort = plan_helpers(&db, &HelperPolicyConfig::default(), &[NodeId(1), NodeId(2)]);
     assert_eq!(
         last_resort
             .assignments
@@ -285,7 +315,11 @@ fn manual_run() -> (
     db.run_for(SimDuration::from_secs(5));
     let sources = [NodeId(0), NodeId(1)];
     let targets = [NodeId(2), NodeId(3)];
-    db.rebalance_with_helpers(0.5, &sources, &targets, &[NodeId(4), NodeId(5)]);
+    let plan = db.with_cluster(|c| ControlPlan::fraction(c, 0.5, &sources, &targets));
+    db.run(ControlPlan {
+        attach: Some(HelperAttach::manual(&sources, &[NodeId(4), NodeId(5)])),
+        ..plan
+    });
     let snapshot = |db: &WattDb| {
         db.with_cluster(|c| AttachTrace {
             helper_of: c
@@ -302,7 +336,9 @@ fn manual_run() -> (
     assert!(!db.rebalancing(), "rebalance completed");
     let after = snapshot(&db);
     let report = db.last_rebalance().expect("report recorded");
-    let relief = db.last_helper_report().expect("helper report recorded");
+    let relief = db
+        .with_cluster(|c| c.helpers.last_report.clone())
+        .expect("helper report recorded");
     (during, after, report, relief)
 }
 

@@ -59,9 +59,15 @@ fn drive_mixed(db: &mut WattDb) {
     }
 }
 
+/// Per-segment heat snapshot, hottest first.
+fn heat(db: &WattDb) -> Vec<wattdb_core::SegmentHeatStat> {
+    let now = db.now();
+    db.with_cluster(|c| c.heat.snapshot(&c.seg_dir, now))
+}
+
 /// The count-hottest pure point segment (most accesses, never scanned).
 fn hottest_point_segment(db: &WattDb) -> wattdb_common::SegmentId {
-    db.heat()
+    heat(db)
         .iter()
         .filter(|s| s.scans == 0)
         .max_by_key(|s| s.reads + s.writes)
@@ -74,7 +80,7 @@ fn cost_heat_ships_the_scan_segments_and_spares_the_point_hotspot() {
     let mut db = builder(true).build();
     drive_mixed(&mut db);
 
-    let snap = db.heat();
+    let snap = heat(&db);
     let scanned: Vec<_> = snap.iter().filter(|s| s.scans > 0).collect();
     assert!(!scanned.is_empty(), "scans recorded");
     // The signal itself: a scanned segment with a handful of accesses
@@ -135,7 +141,7 @@ fn count_heat_inverts_the_plan_on_the_same_workload() {
     let mut db = builder(false).build();
     drive_mixed(&mut db);
 
-    let snap = db.heat();
+    let snap = heat(&db);
     let scanned: Vec<_> = snap.iter().filter(|s| s.scans > 0).map(|s| s.seg).collect();
     assert!(!scanned.is_empty());
     let hot_point = hottest_point_segment(&db);
@@ -178,7 +184,7 @@ fn count_based_trajectory() -> Vec<Vec<HeatRow>> {
             db.scan(stock, wattdb_tpcc::warehouse_range(2, 4), None);
         }
         checkpoints.push(
-            db.heat()
+            heat(&db)
                 .into_iter()
                 .map(|s| (s.seg.raw(), s.heat, s.reads, s.writes, s.remote_fetches))
                 .collect(),
@@ -233,7 +239,7 @@ fn count_fallback_reduces_exactly_to_weighted_counts() {
     }
     let cfg = db.with_cluster(|c| c.cfg.heat);
     let mut touched = 0;
-    for s in db.heat() {
+    for s in heat(&db) {
         let expected = s.reads as f64 * cfg.read_weight
             + s.writes as f64 * cfg.write_weight
             + s.remote_fetches as f64 * cfg.remote_weight
@@ -252,6 +258,6 @@ fn count_fallback_reduces_exactly_to_weighted_counts() {
     assert!(touched > 5, "a real workload touched many segments");
     // The facade reports which signal is in force.
     assert_eq!(db.status().heat_signal, "count");
-    assert!(db.cost_model().is_none());
+    assert!(db.with_cluster(|c| c.heat.cost_model().is_none()));
     assert_eq!(builder(true).build().status().heat_signal, "cost");
 }

@@ -59,11 +59,12 @@ fn heat_aware_beats_fraction_on_skewed_load_and_executes() {
     // public surface.
     let status = db.status();
     assert!(status.nodes[0].heat > 0.0, "hotspot visible in status()");
-    let snap = db.heat();
+    let now = db.now();
+    let snap = db.with_cluster(|c| c.heat.snapshot(&c.seg_dir, now));
     assert!(!snap.is_empty(), "per-segment stats exposed");
     assert!(
         snap.windows(2).all(|w| w[0].heat >= w[1].heat),
-        "heat() sorts hottest first"
+        "the snapshot sorts hottest first"
     );
     assert!(
         snap[0].reads + snap[0].writes > 0,
@@ -92,8 +93,8 @@ fn heat_aware_beats_fraction_on_skewed_load_and_executes() {
 
     // Execute the heat plan and let it run out.
     let pre_max_share = {
-        let total: f64 = (0..4).map(|n| db.node_heat(NodeId(n))).sum();
-        db.node_heat(NodeId(0)) / total
+        let nodes = db.status().nodes;
+        nodes[0].heat / nodes.iter().map(|n| n.heat).sum::<f64>()
     };
     assert!(pre_max_share > 0.99, "all heat starts on node 0");
     let planned_moves = heat_plan.moves.len() as u64;
@@ -114,14 +115,19 @@ fn heat_aware_beats_fraction_on_skewed_load_and_executes() {
         "planned heat recorded: {report:?}"
     );
     assert!(report.heat_moved > 0.0, "moved heat recorded: {report:?}");
-    assert_eq!(db.rebalance_history().len(), 1, "history records the run");
+    assert_eq!(
+        db.with_cluster(|c| c.metrics.rebalances.len()),
+        1,
+        "history records the run"
+    );
 
     // The hot segments genuinely arrived: heat shares (decay-invariant,
     // since every segment decays by the same factor) are now spread.
-    let total: f64 = (0..4).map(|n| db.node_heat(NodeId(n))).sum();
+    let nodes = db.status().nodes;
+    let total: f64 = nodes.iter().map(|n| n.heat).sum();
     assert!(total > 0.0);
-    let n0 = db.node_heat(NodeId(0)) / total;
-    let n2 = db.node_heat(NodeId(2)) / total;
+    let n0 = nodes[0].heat / total;
+    let n2 = nodes[2].heat / total;
     assert!(n2 > 0.0, "heat arrived on the target");
     let max_share = n0.max(n2);
     assert!(

@@ -78,7 +78,10 @@ fn build(policy: PolicyConfig, seed: u64, data_nodes: &[NodeId], horizon_secs: u
         .initial_data_nodes(data_nodes)
         .policy(policy)
         .monitoring(SimDuration::from_secs(WINDOW_SECS))
-        .drift_horizon(SimDuration::from_secs(horizon_secs))
+        .drift(wattdb_common::DriftConfig {
+            horizon: SimDuration::from_secs(horizon_secs),
+            ..Default::default()
+        })
         .autopilot(true)
         .build()
 }
@@ -113,6 +116,22 @@ fn segments_on(db: &WattDb, node: NodeId) -> Vec<SegmentId> {
             .map(|m| m.id)
             .collect()
     })
+}
+
+/// Total decayed heat of `node`'s segments, now.
+fn node_heat(db: &WattDb, node: NodeId) -> f64 {
+    let now = db.now();
+    db.with_cluster(|c| c.heat.node_heat(&c.seg_dir, node, now).value())
+}
+
+/// Every completed rebalance of the run, in completion order.
+fn rebalance_history(db: &WattDb) -> Vec<wattdb_core::RebalanceReport> {
+    db.with_cluster(|c| c.metrics.rebalances.clone())
+}
+
+/// Helper nodes currently attached, in attachment order.
+fn helpers_active(db: &WattDb) -> Vec<NodeId> {
+    db.with_cluster(|c| c.helpers.nodes())
 }
 
 /// Charge `n` unit reads to a segment.
@@ -229,8 +248,8 @@ fn bimodal_load_balanced_across_nodes_stays_quiet() {
     );
     println!(
         "[bimodal/skew-only] node heats: {:.1} vs {:.1}, no events",
-        db.node_heat(NodeId(0)),
-        db.node_heat(NodeId(1))
+        node_heat(&db, NodeId(0)),
+        node_heat(&db, NodeId(1))
     );
 }
 
@@ -267,7 +286,7 @@ fn stationary_hot_range_rebalances_with_zero_node_count_change() {
     );
     assert_eq!(db.active_nodes(), active_before, "no node powered on/off");
     // The rebalance executed via the heat planner and moved real heat.
-    let history = db.rebalance_history();
+    let history = rebalance_history(&db);
     assert!(!history.is_empty(), "rebalance completed");
     assert!(history
         .iter()
@@ -282,7 +301,7 @@ fn stationary_hot_range_rebalances_with_zero_node_count_change() {
         history.len()
     );
     // And the skew genuinely dropped: heat now lives on both nodes.
-    let (h0, h1) = (db.node_heat(NodeId(0)), db.node_heat(NodeId(1)));
+    let (h0, h1) = (node_heat(&db, NodeId(0)), node_heat(&db, NodeId(1)));
     assert!(h1 > 0.0, "heat arrived on the cold node");
     let skew_after = h0.max(h1) / ((h0 + h1) / 2.0);
     // Stationary skew is what rebalancing *fixes*: under the default
@@ -295,7 +314,7 @@ fn stationary_hot_range_rebalances_with_zero_node_count_change() {
         "stationary skew must never attach helpers: {events:?}"
     );
     assert!(
-        db.helpers_active().is_empty(),
+        helpers_active(&db).is_empty(),
         "no helper left attached after a stationary run"
     );
     println!(
@@ -418,11 +437,11 @@ fn transient_bimodal_skew_attaches_helpers_and_never_ships() {
         rebalance_events(&events).is_empty(),
         "transient skew must never ship segments: {events:?}"
     );
-    assert!(db.rebalance_history().is_empty(), "zero rebalances");
+    assert!(rebalance_history(&db).is_empty(), "zero rebalances");
     assert!(db.last_rebalance().is_none());
     // Planner-chosen helpers: attached, and drawn from nodes that are
     // neither the hot sources nor the master.
-    let helpers = db.helpers_active();
+    let helpers = helpers_active(&db);
     assert!(!helpers.is_empty(), "helpers still attached under the flap");
     for h in &helpers {
         assert!(
@@ -458,11 +477,11 @@ fn helpers_detach_once_the_skew_subsides() {
     let mut db = transient_bimodal_db();
     drive_bimodal_flap(&mut db, 18, 3);
     assert!(
-        !db.helpers_active().is_empty(),
+        !helpers_active(&db).is_empty(),
         "precondition: helpers attached under the flap: {:?}",
         db.events()
     );
-    let powered_helpers = db.helpers_active();
+    let powered_helpers = helpers_active(&db);
     // The flap ends and the load spreads evenly: the skew falls through
     // the rearm band and the helpers must be released.
     let all: Vec<SegmentId> = db.with_cluster(|c| c.seg_dir.iter().map(|m| m.id).collect());
@@ -479,7 +498,7 @@ fn helpers_detach_once_the_skew_subsides() {
         .unwrap_or_else(|| panic!("no detach on subsidence: {events:?}"));
     assert_eq!(detach.trigger, "helper");
     assert_eq!(detach.outcome, Outcome::Applied);
-    assert!(db.helpers_active().is_empty(), "helpers released");
+    assert!(helpers_active(&db).is_empty(), "helpers released");
     // Helpers powered on for the duty returned to standby; every log-
     // shipping cursor is gone.
     db.with_cluster(|c| {
@@ -498,7 +517,7 @@ fn helpers_detach_once_the_skew_subsides() {
         }
     });
     // Still: not a byte shipped across the whole run.
-    assert!(db.rebalance_history().is_empty());
+    assert!(rebalance_history(&db).is_empty());
     println!("[transient/detach] helpers released: {powered_helpers:?}");
 }
 
@@ -553,17 +572,17 @@ fn empty_helper_plan_falls_back_to_rebalancing() {
         "escalated fire must still act: {events:?}"
     );
     assert!(
-        db.helpers_active().is_empty(),
+        helpers_active(&db).is_empty(),
         "no helper cleared the floor"
     );
-    let history = db.rebalance_history();
+    let history = rebalance_history(&db);
     assert!(
         !history.is_empty(),
         "fallback must ship segments: {events:?}"
     );
     assert!(history[0].heat_moved > 0.0);
     assert!(
-        db.node_heat(NodeId(1)) > 0.0,
+        node_heat(&db, NodeId(1)) > 0.0,
         "the stationary skew actually got fixed"
     );
 }
@@ -698,7 +717,7 @@ fn scale_in_refuses_a_node_inside_an_active_migration() {
     assert_eq!(refused.trigger, "cpu-low");
     // The refusal is a deferral, not a cancellation: no second rebalance
     // ever started while the first was in flight.
-    assert!(db.rebalance_history().len() <= 1, "one rebalance at a time");
+    assert!(rebalance_history(&db).len() <= 1, "one rebalance at a time");
 }
 
 // ------------------------------------ scale-in under replication
@@ -903,7 +922,7 @@ fn kill_active_mid_migration_promotes_and_recovers() {
     let records_before = db.live_records();
     assert!(committed_before > 0, "writes committed before the failure");
     let victim = NodeId(1);
-    let map_before = db.replica_map();
+    let map_before = db.with_cluster(|c| c.replicas.clone());
     let led_before = map_before.led_by(victim);
     assert!(!led_before.is_empty(), "victim leads segments");
     // The migration is mid-flight off the victim when it dies.
@@ -934,7 +953,7 @@ fn kill_active_mid_migration_promotes_and_recovers() {
     // node that was its follower before the failure (factor 1: the single
     // follower IS the most-caught-up one), unless a completed migration
     // already moved it off the victim.
-    let map_after = db.replica_map();
+    let map_after = db.with_cluster(|c| c.replicas.clone());
     db.with_cluster(|c| {
         for &seg in &led_before {
             match map_after.leader_of(seg) {
@@ -967,7 +986,10 @@ fn kill_active_mid_migration_promotes_and_recovers() {
         !map_after.references(victim),
         "dead node erased from the map"
     );
-    assert!(db.rereplication_bytes() > 0, "re-replication shipped bytes");
+    assert!(
+        db.with_cluster(|c| c.rereplication_bytes) > 0,
+        "re-replication shipped bytes"
+    );
     // No committed write was lost: the workload keeps inserting, so the
     // population may grow — but never shrink past what was committed
     // before the failure — and the surviving cluster keeps serving the
@@ -983,7 +1005,7 @@ fn kill_active_mid_migration_promotes_and_recovers() {
     println!(
         "[failover/mid-migration] orphaned={} rereplicated={}B completed {}→{}",
         orphaned.len(),
-        db.rereplication_bytes(),
+        db.with_cluster(|c| c.rereplication_bytes),
         committed_before,
         db.completed()
     );
@@ -1011,7 +1033,7 @@ fn kill_follower_rereplicates_to_restore_the_factor() {
     db.start_oltp(6, SimDuration::from_millis(50));
     db.run_for(SimDuration::from_secs(15));
     let victim = NodeId(2);
-    let followed = db.replica_map().followed_by(victim);
+    let followed = db.with_cluster(|c| c.replicas.clone()).followed_by(victim);
     assert!(!followed.is_empty(), "victim follows other nodes' segments");
     db.fail_node(victim);
     db.run_for(SimDuration::from_secs(WINDOW_SECS * 30));
@@ -1023,7 +1045,7 @@ fn kill_follower_rereplicates_to_restore_the_factor() {
             .any(|e| matches!(e.decision, Decision::Promote { failed, .. } if failed == victim)),
         "failover logged: {events:?}"
     );
-    let map = db.replica_map();
+    let map = db.with_cluster(|c| c.replicas.clone());
     assert!(!map.references(victim), "dead follower erased everywhere");
     db.with_cluster(|c| {
         assert!(
@@ -1036,7 +1058,10 @@ fn kill_follower_rereplicates_to_restore_the_factor() {
     });
     // The restored copies were shipped over the wire, and none of the
     // segments the victim followed ended up with a co-located follower.
-    assert!(db.rereplication_bytes() > 0, "re-replication shipped bytes");
+    assert!(
+        db.with_cluster(|c| c.rereplication_bytes) > 0,
+        "re-replication shipped bytes"
+    );
     for seg in followed {
         if let Some(set) = map.get(seg) {
             assert!(
@@ -1047,7 +1072,7 @@ fn kill_follower_rereplicates_to_restore_the_factor() {
     }
     println!(
         "[failover/follower-kill] rereplicated={}B map epoch={}",
-        db.rereplication_bytes(),
+        db.with_cluster(|c| c.rereplication_bytes),
         map.epoch()
     );
 }
@@ -1096,7 +1121,7 @@ fn idle_then_burst_scales_out_on_cpu() {
         let spread = db
             .active_nodes()
             .iter()
-            .filter(|&&n| db.segments_on(n) > 0)
+            .filter(|&&n| !segments_on(&db, n).is_empty())
             .count();
         if spread > 1 && !db.rebalancing() {
             scaled_out = true;
@@ -1185,8 +1210,8 @@ fn run_advancing(horizon_secs: u64) -> AdvancingOutcome {
             bump(c, seg, now, 40);
         }
     });
-    let heats: Vec<f64> = (0..4).map(|n| db.node_heat(NodeId(n))).collect();
-    let history = db.rebalance_history();
+    let heats: Vec<f64> = (0..4).map(|n| node_heat(&db, NodeId(n))).collect();
+    let history = rebalance_history(&db);
     println!(
         "[advancing] horizon={horizon_secs}s track={track_len} fired_at={:?} segments_moved={:?} heat planned/moved={:.1}/{:.1}",
         history.first().map(|r| r.started),
@@ -1195,8 +1220,8 @@ fn run_advancing(horizon_secs: u64) -> AdvancingOutcome {
         history.first().map(|r| r.heat_moved).unwrap_or(0.0),
     );
     AdvancingOutcome {
-        rebalances: db.rebalance_history().len(),
-        bytes: db.rebalance_history().iter().map(|r| r.bytes_moved).sum(),
+        rebalances: rebalance_history(&db).len(),
+        bytes: rebalance_history(&db).iter().map(|r| r.bytes_moved).sum(),
         max_heat: heats.iter().copied().fold(0.0, f64::max),
         heats,
     }

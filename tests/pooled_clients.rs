@@ -53,27 +53,41 @@ fn oltp_run(batching: ClientBatching) -> WattDb {
     db
 }
 
+/// Share of the modeled completions per TPC-C profile, by profile name.
 fn mix_shares(db: &WattDb) -> Vec<(String, f64)> {
-    let mix = db.mix();
+    let mut mix: Vec<(String, u64)> = db.with_cluster(|c| {
+        (c.metrics.mix.iter())
+            .map(|(p, n)| (format!("{p:?}"), *n))
+            .collect()
+    });
+    mix.sort();
     let total: u64 = mix.iter().map(|(_, n)| n).sum();
     mix.into_iter()
-        .map(|(p, n)| (format!("{p:?}"), n as f64 / total.max(1) as f64))
+        .map(|(p, n)| (p, n as f64 / total.max(1) as f64))
         .collect()
 }
 
+/// Share of the modeled completions homed on warehouse 0.
 fn hot_share(db: &WattDb) -> f64 {
-    let by = db.completions_by_warehouse();
-    let total: u64 = by.iter().map(|(_, n)| n).sum();
-    let hot: u64 = by.iter().filter(|(w, _)| *w == 0).map(|(_, n)| n).sum();
-    hot as f64 / total.max(1) as f64
+    db.with_cluster(|c| {
+        let total: u64 = c.clients.iter().map(|cl| cl.completed()).sum();
+        let hot = c.clients.iter().filter(|cl| cl.home_warehouse == 0);
+        hot.map(|cl| cl.completed()).sum::<u64>() as f64 / total.max(1) as f64
+    })
+}
+
+/// Is the client workload running pooled (aggregated arrivals over
+/// carrier clients) rather than one think timer per client?
+fn pooled_clients(db: &WattDb) -> bool {
+    db.with_cluster(|c| c.pool.is_some())
 }
 
 #[test]
 fn pooled_matches_per_client_statistics() {
     let per_client = oltp_run(ClientBatching::PerClient);
     let pooled = oltp_run(ClientBatching::Pooled);
-    assert!(!per_client.pooled_clients());
-    assert!(pooled.pooled_clients());
+    assert!(!pooled_clients(&per_client));
+    assert!(pooled_clients(&pooled));
 
     // Throughput: the closed loop's offered load is set by clients and
     // think time, so modeled completions must agree within a few percent.
@@ -139,7 +153,7 @@ fn auto_mode_pools_large_populations_only() {
         .initial_data_nodes(&[NodeId(0)])
         .build();
     small.start_oltp(8, SimDuration::from_millis(100));
-    assert!(!small.pooled_clients());
+    assert!(!pooled_clients(&small));
 
     let mut forced = WattDb::builder()
         .nodes(2)
@@ -151,7 +165,7 @@ fn auto_mode_pools_large_populations_only() {
         .client_batching(ClientBatching::Pooled)
         .build();
     forced.start_oltp(8, SimDuration::from_millis(100));
-    assert!(forced.pooled_clients());
+    assert!(pooled_clients(&forced));
     forced.run_for(SimDuration::from_secs(10));
     assert!(forced.completed() > 0, "pooled arrivals drive transactions");
 }

@@ -43,7 +43,7 @@ proptest! {
         prop_assert!(!db.rebalancing(), "move must terminate");
         // Logical moves tombstone their sources; vacuum reclaims them
         // before comparing populations.
-        db.vacuum();
+        db.with_runtime(|cl, _| cl.borrow_mut().vacuum_all());
         prop_assert_eq!(db.live_records(), before, "population preserved");
         // Routing still resolves a sample of keys for every table.
         db.with_cluster(|c| {

@@ -42,7 +42,7 @@ fn replicated_db(factor: usize, initial: &[NodeId]) -> WattDb {
 #[test]
 fn bootstrap_places_followers_off_leader() {
     let db = replicated_db(1, &[NodeId(0), NodeId(1), NodeId(2)]);
-    let map = db.replica_map();
+    let map = db.with_cluster(|c| c.replicas.clone());
     assert!(!map.is_empty(), "every segment tracked");
     db.with_cluster(|c| {
         assert_eq!(map.len(), c.seg_dir.len(), "full coverage");
@@ -80,11 +80,11 @@ fn hot_reads_fan_out_to_followers() {
     db.run_for(SimDuration::from_secs(30));
     assert!(db.completed() > 0);
     assert!(
-        db.replica_reads() > 0,
+        db.with_cluster(|c| c.replica_reads) > 0,
         "caught-up followers must serve part of the read load"
     );
     assert!(
-        db.replica_shipped_bytes() > 0,
+        db.with_cluster(|c| c.replica_shipped_bytes()) > 0,
         "the write load must have shipped WAL to the followers"
     );
     // Staleness accounting never regresses: every cursor has
@@ -108,7 +108,7 @@ fn read_routing_weights_favor_cold_hosts() {
     let mut db = replicated_db(1, &[NodeId(0), NodeId(1)]);
     db.start_oltp(8, SimDuration::from_millis(40));
     db.run_for(SimDuration::from_secs(30));
-    assert!(db.replica_reads() > 0);
+    assert!(db.with_cluster(|c| c.replica_reads) > 0);
     db.with_cluster(|c| {
         assert!(c.replica_read_total > 0, "router decisions counted");
         assert!(
@@ -135,7 +135,7 @@ fn planned_rebalance_onto_a_follower_evicts_and_backfills() {
         (seg, set.leader, set.followers[0])
     });
     assert_eq!(
-        db.replica_map().get(seg).unwrap().followers.len(),
+        db.with_cluster(|c| c.replicas.followers_of(seg).len()),
         1,
         "{seg} at factor before the move"
     );
@@ -166,7 +166,7 @@ fn planned_rebalance_onto_a_follower_evicts_and_backfills() {
     assert!(!db.rebalancing(), "planned move ran out");
     // Let the backfill copy land.
     db.run_for(SimDuration::from_secs(60));
-    let map = db.replica_map();
+    let map = db.with_cluster(|c| c.replicas.clone());
     let set = map.get(seg).expect("segment still tracked");
     assert_eq!(set.leader, follower, "{seg}: leadership moved as planned");
     assert!(
@@ -212,11 +212,11 @@ fn leader_kill_promotes_and_keeps_serving() {
     // Four warehouses spread over the first two data nodes: node 1 is
     // the populated victim (node 2 hosts only follower copies).
     let victim = NodeId(1);
-    let led = db.replica_map().led_by(victim);
+    let led = db.with_cluster(|c| c.replicas.led_by(victim));
     assert!(!led.is_empty());
     db.fail_node(victim);
     db.run_for(SimDuration::from_secs(120));
-    let map = db.replica_map();
+    let map = db.with_cluster(|c| c.replicas.clone());
     assert!(!map.references(victim), "corpse erased from the map");
     for seg in led {
         let leader = map.leader_of(seg).expect("still tracked");
@@ -226,7 +226,10 @@ fn leader_kill_promotes_and_keeps_serving() {
     // nothing committed before the failure may be lost.
     assert!(db.live_records() >= records, "committed records lost");
     assert!(db.completed() > committed, "cluster wedged after failover");
-    assert_eq!(db.failed_nodes(), vec![victim]);
+    assert_eq!(
+        db.with_cluster(|c| c.failed_nodes().collect::<Vec<_>>()),
+        vec![victim]
+    );
 }
 
 /// The log keeps what is not yet flushed or shipped, whatever the run's
@@ -273,12 +276,12 @@ fn log_tail_stays_bounded_under_replication() {
         "run too short for the bound to mean anything: {appended:?} records"
     );
     let victim = NodeId(1);
-    let led = db.replica_map().led_by(victim);
+    let led = db.with_cluster(|c| c.replicas.led_by(victim));
     assert!(!led.is_empty());
     let committed = db.completed();
     db.fail_node(victim);
     db.run_for(SimDuration::from_secs(60));
-    let map = db.replica_map();
+    let map = db.with_cluster(|c| c.replicas.clone());
     assert!(!map.references(victim), "corpse erased from the map");
     for seg in led {
         assert_ne!(map.leader_of(seg).expect("still tracked"), victim);

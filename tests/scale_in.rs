@@ -4,7 +4,8 @@
 
 use wattdb_common::{NodeId, SimDuration};
 use wattdb_core::api::WattDb;
-use wattdb_core::cluster::Scheme;
+use wattdb_core::cluster::{Lifecycle, Scheme};
+use wattdb_core::migration::ControlPlan;
 use wattdb_core::policy::{Decision, PolicyConfig};
 use wattdb_energy::NodeState;
 
@@ -28,8 +29,12 @@ fn apply(db: &mut WattDb, decision: &Decision, fraction: f64) {
     db.with_runtime(|cl, sim| wattdb_core::policy::apply(cl, sim, decision, &cfg).ok());
 }
 
-fn suspend_empty(db: &mut WattDb) -> Vec<NodeId> {
-    db.with_runtime(|cl, _| wattdb_core::policy::suspend_empty_nodes(cl))
+/// Close a finished drain as the autopilot's window would; returns the
+/// nodes suspended.
+fn settle(db: &mut WattDb) -> Vec<NodeId> {
+    db.with_runtime(|cl, sim| wattdb_core::migration::settle(cl, sim))
+        .map(|drain| drain.suspended)
+        .unwrap_or_default()
 }
 
 fn node_state(db: &WattDb, node: NodeId) -> NodeState {
@@ -52,9 +57,9 @@ fn draining_a_node_moves_everything_and_powers_it_down() {
         }
     }
     assert!(!db.rebalancing(), "drain finished");
-    db.vacuum();
+    db.with_runtime(|cl, _| cl.borrow_mut().vacuum_all());
     assert_eq!(
-        db.segments_on(NodeId(2)),
+        db.status().nodes[2].segments,
         0,
         "node 2 holds no segments after draining"
     );
@@ -64,7 +69,7 @@ fn draining_a_node_moves_everything_and_powers_it_down() {
         "population preserved across drain"
     );
     // Now the empty node can be suspended.
-    let off = suspend_empty(&mut db);
+    let off = settle(&mut db);
     assert!(off.contains(&NodeId(2)), "drained node suspended: {off:?}");
     assert_eq!(node_state(&db, NodeId(2)), NodeState::Standby);
     // The survivors still serve: every warehouse's keys route somewhere.
@@ -87,23 +92,36 @@ fn draining_a_node_moves_everything_and_powers_it_down() {
 #[test]
 fn suspend_refuses_nodes_that_still_hold_data() {
     let mut db = build();
-    let off = suspend_empty(&mut db);
-    // Nodes 1 and 2 hold data; only never-used actives (none here besides
-    // data holders) may suspend. The master (node 0) is never suspended.
-    assert!(!off.contains(&NodeId(1)));
-    assert!(!off.contains(&NodeId(2)));
+    // A drain episode that moved nothing: nodes 1 and 2 are marked
+    // draining but still hold their data when the episode closes.
+    db.run(ControlPlan {
+        drain: vec![NodeId(1), NodeId(2)],
+        ..Default::default()
+    });
+    let off = settle(&mut db);
+    // Only emptied nodes may suspend (none here); the rest rejoin the
+    // plannable pool. The master (node 0) is never suspended.
+    assert_eq!(off, vec![], "data holders stay up");
     assert_eq!(
         node_state(&db, NodeId(0)),
         NodeState::Active,
         "master stays up"
     );
-    assert_eq!(node_state(&db, NodeId(1)), NodeState::Active);
+    db.with_cluster(|c| {
+        assert_eq!(c.life(NodeId(1)), Lifecycle::Active);
+        assert_eq!(c.life(NodeId(2)), Lifecycle::Active);
+        assert_eq!(c.powerdown_span, None, "the episode closed");
+    });
 }
 
 #[test]
 fn scale_in_lowers_cluster_power() {
     let mut db = build();
-    let p_before = db.power_now();
+    // `status()` reports power over the window since the previous call:
+    // five idle seconds at three active nodes before, two idle seconds
+    // after the drained node reached standby.
+    db.run_for(SimDuration::from_secs(5));
+    let p_before = db.status().total_power.0;
     apply(
         &mut db,
         &Decision::ScaleIn {
@@ -117,9 +135,10 @@ fn scale_in_lowers_cluster_power() {
             break;
         }
     }
-    suspend_empty(&mut db);
+    settle(&mut db);
+    db.status(); // the drain's copy work stays out of the "after" window
     db.run_for(SimDuration::from_secs(2));
-    let p_after = db.power_now();
+    let p_after = db.status().total_power.0;
     // One node from active (~22 W + drives ~9 W) to standby (2.5 W).
     assert!(
         p_before - p_after > 20.0,

@@ -4,8 +4,8 @@
 //! * **Determinism** — a fixed-seed run exports a byte-identical JSONL
 //!   timeline every time; there is no wall-clock anywhere in the
 //!   recorder.
-//! * **Explainability from the export alone** — `WattDb::explain()` is
-//!   defined as "parse the exported timeline, render it": every decision
+//! * **Explainability from the export alone** — the explainable timeline
+//!   is "parse the exported timeline, render it": every decision
 //!   the autopilot took (holds included) must be reproducible — trigger,
 //!   signal values, predicted-vs-realized outcome — purely from the
 //!   file, with no access to live cluster state.
@@ -138,8 +138,7 @@ fn explain_reproduces_every_decision_from_the_export_alone() {
 
     // The live recorder and the parsed file render the same account, so
     // nothing in `explain()` depends on state outside the export.
-    assert_eq!(db.telemetry().explain(), parsed.explain());
-    assert_eq!(db.explain(), parsed.explain());
+    assert_eq!(db.with_cluster(|c| c.telemetry.explain()), parsed.explain());
 
     // One record per monitoring window, holds included, contiguously
     // numbered from window 0.
