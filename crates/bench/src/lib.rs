@@ -1375,11 +1375,9 @@ pub fn fig3_run(update_pct: u32, mode: CcMode) -> Fig3Point {
             } else {
                 1.0
             };
-            // Locking mode: pending before-image bytes count as overhead.
-            let pending = c.txn.pending_change_bytes();
-            if pending > 0 {
-                ratio += pending as f64 / (live.max(1) as f64 * 128.0);
-            }
+            // Locking mode keeps pending changes, not versions: a row
+            // image held for undo is one more stored image of its row.
+            ratio += c.txn.pending_changes() as f64 / live.max(1) as f64;
             let mut p = peak.borrow_mut();
             if ratio > *p {
                 *p = ratio;

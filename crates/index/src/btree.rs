@@ -21,9 +21,17 @@
 //! the value) pays one root-to-leaf walk, not a `get` and an `insert`.
 //! [`BPlusTree::get_mut`] is the same for a key that must already exist.
 //!
-//! Node vectors reserve their full fan-out (`MAX + 1`: a node overflows by
-//! one entry before it splits) when they are created, so a node is
-//! allocated once and never regrown.
+//! **A node's vectors hold `MAX + 1` entries at most** (a node overflows
+//! by one entry before it splits) and are never allocated larger. A fresh
+//! root reserves that room at once. A split hands the node's existing
+//! buffer to the half the new entry landed in — the half that keeps
+//! filling: TPC-C's inserts append per district, so it is nearly always
+//! the upper one — and copies the half left behind into a vector that fits
+//! it exactly: after a sequential load every leaf but the last of each run
+//! is half full for good, and keeps 16 entries in room for 16, not for 33.
+//! Split point, separators and `height()` do not depend on which half got
+//! which buffer. A left-behind half that does grow again (a random insert,
+//! a borrow, a merge) regrows once, straight to `MAX + 1` (`grow`).
 
 use std::convert::Infallible;
 
@@ -63,20 +71,41 @@ enum InsertOutcome<V> {
     Split(Key, Node<V>),
 }
 
-/// The upper half of an overflowing node's vector, in a vector with room
-/// for a full node: `split_off` would size it to the half it holds and the
-/// next inserts would regrow it.
-fn split_upper<T>(v: &mut Vec<T>, at: usize, room: usize) -> Vec<T> {
-    let mut upper = Vec::with_capacity(room);
-    upper.extend(v.drain(at..));
-    upper
+/// Room of a leaf's vectors and of an internal node's children: the
+/// fan-out and the one entry of overflow. (`seps` is one shorter.)
+const ROOM: usize = MAX_LEAF + 1;
+
+/// Make sure `extra` more entries fit `v`, a node vector that holds at
+/// most `room`: a vector short of room goes straight to `room`, where
+/// `Vec`'s doubling would overshoot it (17 → 34).
+fn grow<T>(v: &mut Vec<T>, extra: usize, room: usize) {
+    if v.capacity() - v.len() < extra {
+        v.reserve_exact(room - v.len());
+    }
+}
+
+/// Split an overflowing node's vector: `v` keeps `v[..keep]`, `v[at..]`
+/// is returned, and what lies between (the separator an internal split
+/// sends up) is dropped. The half the new entry landed in — the upper one
+/// if `upper_grows` — gets the existing buffer, the other one a vector of
+/// exactly its length: one heap call either way.
+fn split_halves<T>(v: &mut Vec<T>, keep: usize, at: usize, upper_grows: bool) -> Vec<T> {
+    if upper_grows {
+        let mut lower = Vec::with_capacity(keep);
+        lower.extend(v.drain(..at).take(keep));
+        std::mem::replace(v, lower)
+    } else {
+        let upper = v.split_off(at);
+        v.truncate(keep);
+        upper
+    }
 }
 
 impl<V> Node<V> {
     fn new_leaf() -> Self {
         Node::L(Leaf {
-            keys: Vec::with_capacity(MAX_LEAF + 1),
-            vals: Vec::with_capacity(MAX_LEAF + 1),
+            keys: Vec::with_capacity(ROOM),
+            vals: Vec::with_capacity(ROOM),
         })
     }
 
@@ -191,8 +220,8 @@ impl<V> BPlusTree<V> {
             InsertOutcome::Done => {}
             InsertOutcome::Split(sep, right) => {
                 let mut root = Internal {
-                    seps: Vec::with_capacity(MAX_CHILDREN),
-                    children: Vec::with_capacity(MAX_CHILDREN + 1),
+                    seps: Vec::with_capacity(ROOM - 1),
+                    children: Vec::with_capacity(ROOM),
                 };
                 root.seps.push(sep);
                 root.children.push(right);
@@ -220,13 +249,15 @@ impl<V> BPlusTree<V> {
                 }
                 Err(i) => {
                     let value = make(None)?;
+                    grow(&mut l.keys, 1, ROOM);
+                    grow(&mut l.vals, 1, ROOM);
                     l.keys.insert(i, key);
                     l.vals.insert(i, value);
                     if l.keys.len() > MAX_LEAF {
                         let mid = l.keys.len() / 2;
                         let right = Leaf {
-                            keys: split_upper(&mut l.keys, mid, MAX_LEAF + 1),
-                            vals: split_upper(&mut l.vals, mid, MAX_LEAF + 1),
+                            keys: split_halves(&mut l.keys, mid, mid, i >= mid),
+                            vals: split_halves(&mut l.vals, mid, mid, i >= mid),
                         };
                         let sep = right.keys[0];
                         InsertOutcome::Split(sep, Node::L(right))
@@ -239,19 +270,19 @@ impl<V> BPlusTree<V> {
                 let idx = internal.seps.partition_point(|s| *s <= key);
                 match Self::upsert_rec(&mut internal.children[idx], key, make)? {
                     InsertOutcome::Split(sep, right) => {
+                        grow(&mut internal.seps, 1, ROOM - 1);
+                        grow(&mut internal.children, 1, ROOM);
                         internal.seps.insert(idx, sep);
                         internal.children.insert(idx + 1, right);
                         if internal.children.len() > MAX_CHILDREN {
                             // Split internal node: middle separator moves up.
                             let mid = internal.seps.len() / 2;
                             let up = internal.seps[mid];
-                            let right_seps = split_upper(&mut internal.seps, mid + 1, MAX_CHILDREN);
-                            internal.seps.pop(); // `up` leaves this node
-                            let right_children =
-                                split_upper(&mut internal.children, mid + 1, MAX_CHILDREN + 1);
+                            let upper_grows = idx >= mid;
+                            let Internal { seps, children } = internal;
                             let right = Internal {
-                                seps: right_seps,
-                                children: right_children,
+                                seps: split_halves(seps, mid, mid + 1, upper_grows),
+                                children: split_halves(children, mid + 1, mid + 1, upper_grows),
                             };
                             InsertOutcome::Split(up, Node::I(right))
                         } else {
@@ -313,6 +344,8 @@ impl<V> BPlusTree<V> {
                 (Node::L(l), Node::L(c)) => {
                     let k = l.keys.pop().expect("lender non-empty");
                     let v = l.vals.pop().expect("lender non-empty");
+                    grow(&mut c.keys, 1, ROOM);
+                    grow(&mut c.vals, 1, ROOM);
                     c.keys.insert(0, k);
                     c.vals.insert(0, v);
                     parent.seps[idx - 1] = c.keys[0];
@@ -322,6 +355,8 @@ impl<V> BPlusTree<V> {
                     let sep = l.seps.pop().expect("lender non-empty");
                     // Rotate through the parent separator.
                     let down = std::mem::replace(&mut parent.seps[idx - 1], sep);
+                    grow(&mut c.seps, 1, ROOM - 1);
+                    grow(&mut c.children, 1, ROOM);
                     c.seps.insert(0, down);
                     c.children.insert(0, child);
                 }
@@ -338,6 +373,8 @@ impl<V> BPlusTree<V> {
                 (Node::L(c), Node::L(r)) => {
                     let k = r.keys.remove(0);
                     let v = r.vals.remove(0);
+                    grow(&mut c.keys, 1, ROOM);
+                    grow(&mut c.vals, 1, ROOM);
                     c.keys.push(k);
                     c.vals.push(v);
                     parent.seps[idx] = r.keys[0];
@@ -346,6 +383,8 @@ impl<V> BPlusTree<V> {
                     let child = r.children.remove(0);
                     let sep = r.seps.remove(0);
                     let down = std::mem::replace(&mut parent.seps[idx], sep);
+                    grow(&mut c.seps, 1, ROOM - 1);
+                    grow(&mut c.children, 1, ROOM);
                     c.seps.push(down);
                     c.children.push(child);
                 }
@@ -360,10 +399,14 @@ impl<V> BPlusTree<V> {
         let left = &mut parent.children[merge_left_idx];
         match (left, right) {
             (Node::L(l), Node::L(mut r)) => {
+                grow(&mut l.keys, r.keys.len(), ROOM);
+                grow(&mut l.vals, r.vals.len(), ROOM);
                 l.keys.append(&mut r.keys);
                 l.vals.append(&mut r.vals);
             }
             (Node::I(l), Node::I(mut r)) => {
+                grow(&mut l.seps, 1 + r.seps.len(), ROOM - 1);
+                grow(&mut l.children, r.children.len(), ROOM);
                 l.seps.push(sep);
                 l.seps.append(&mut r.seps);
                 l.children.append(&mut r.children);
@@ -444,9 +487,31 @@ impl<V> BPlusTree<V> {
         self.range(KeyRange::all())
     }
 
+    /// What every node holds and what it has room for, as `(level, entries,
+    /// room)` in pre-order — so leaves (level 1) come out in key order. An
+    /// internal node's entries are its children. Memory diagnostics: the
+    /// tree's vectors cost their room, not their entries.
+    pub fn node_fill(&self) -> Vec<(usize, usize, usize)> {
+        fn walk<V>(node: &Node<V>, level: usize, out: &mut Vec<(usize, usize, usize)>) {
+            match node {
+                Node::L(l) => out.push((level, l.keys.len(), l.keys.capacity())),
+                Node::I(i) => {
+                    out.push((level, i.children.len(), i.children.capacity()));
+                    for c in &i.children {
+                        walk(c, level - 1, out);
+                    }
+                }
+            }
+        }
+        let mut out = Vec::new();
+        walk(&self.root, self.height, &mut out);
+        out
+    }
+
     /// Verify structural invariants (tests and debug assertions):
-    /// key ordering, separator correctness, node fill, uniform depth, and
-    /// the kept height against the depth actually walked.
+    /// key ordering, separator correctness, node fill, uniform depth, the
+    /// kept height against the depth actually walked, and that no node
+    /// vector was allocated beyond the fan-out.
     pub fn check_invariants(&self) {
         let depth = Self::check_rec(&self.root, None, None, true);
         assert_eq!(self.height, depth, "kept height");
@@ -461,6 +526,12 @@ impl<V> BPlusTree<V> {
                     assert!(l.keys.len() >= MIN_DEGREE, "leaf underfull");
                 }
                 assert!(l.keys.len() <= MAX_LEAF, "leaf overfull");
+                assert!(l.keys.capacity() <= ROOM, "leaf keys over-allocated");
+                // A vector of zero-sized values allocates nothing.
+                assert!(
+                    std::mem::size_of::<V>() == 0 || l.vals.capacity() <= ROOM,
+                    "leaf values over-allocated"
+                );
                 for k in &l.keys {
                     if let Some(lo) = lo {
                         assert!(*k >= lo, "key below subtree bound");
@@ -480,6 +551,8 @@ impl<V> BPlusTree<V> {
                     assert!(i.children.len() >= 2, "root internal needs 2 children");
                 }
                 assert!(i.children.len() <= MAX_CHILDREN, "internal overfull");
+                assert!(i.seps.capacity() < ROOM, "separators over-allocated");
+                assert!(i.children.capacity() <= ROOM, "children over-allocated");
                 let mut depth = None;
                 for (ci, c) in i.children.iter().enumerate() {
                     let clo = if ci == 0 { lo } else { Some(i.seps[ci - 1]) };

@@ -4,11 +4,51 @@
 //! fresh insert (with the splits a run of them causes), and a refusing
 //! closure that must leave entries, length and height alone — and the kept
 //! height as the length of an actual root-to-leaf walk, after every step.
+//!
+//! A split decides which half keeps the node's buffer; it must decide
+//! nothing else. `splits_keep_the_shape_and_only_the_room_they_need` runs
+//! the tree beside the one it replaced (`reference/btree_parent.rs`, whose
+//! upper half always got a fresh full-size vector): same entries, same
+//! leaves, same height after every operation, no vector ever allocated
+//! beyond the fan-out (`check_invariants`), and after each split the half
+//! the new entry went to holds the old buffer while the other fits exactly.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use wattdb_common::{Key, KeyRange};
 use wattdb_index::BPlusTree;
+
+#[path = "reference/btree_parent.rs"]
+mod reference;
+
+/// `MAX + 1`: the fan-out and the one entry of overflow.
+const ROOM: usize = 33;
+
+#[derive(Debug, Clone)]
+enum ShapeOp {
+    Insert(u64),
+    Remove(u64),
+    /// A run of inserts above the largest key (TPC-C's insert pattern).
+    Append(u64),
+}
+
+fn shape_strategy() -> impl Strategy<Value = ShapeOp> {
+    let key = 0u64..3_000;
+    prop_oneof![
+        4 => key.clone().prop_map(ShapeOp::Insert),
+        3 => key.prop_map(ShapeOp::Remove),
+        2 => (1u64..120).prop_map(ShapeOp::Append),
+    ]
+}
+
+/// `(entries, room)` of every node, per level (1 = leaves), left to right.
+fn levels(tree: &BPlusTree<u64>) -> BTreeMap<usize, Vec<(usize, usize)>> {
+    let mut out: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
+    for (level, len, room) in tree.node_fill() {
+        out.entry(level).or_default().push((len, room));
+    }
+    out
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -140,6 +180,85 @@ proptest! {
         let want: Vec<(u64, u64)> = model.into_iter().collect();
         prop_assert_eq!(got, want);
     }
+
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(48))]
+
+    #[test]
+    fn splits_keep_the_shape_and_only_the_room_they_need(
+        ops in proptest::collection::vec(shape_strategy(), 1..160),
+    ) {
+        let mut tree: BPlusTree<u64> = BPlusTree::new();
+        let mut parent: reference::BPlusTree<u64> = reference::BPlusTree::new();
+        let mut model: BTreeMap<u64, u64> = BTreeMap::new();
+        let steps = ops.into_iter().flat_map(|op| match op {
+            ShapeOp::Append(n) => (0..n).map(|_| None).collect(),
+            other => vec![Some(other)],
+        });
+        let mut after = levels(&tree);
+        for step in steps {
+            let before = after;
+            let inserted = match step {
+                Some(ShapeOp::Remove(k)) => {
+                    prop_assert_eq!(tree.remove(Key(k)), model.remove(&k));
+                    parent.remove(Key(k));
+                    None
+                }
+                Some(ShapeOp::Insert(k)) => Some(k),
+                _ => Some(model.keys().next_back().map_or(0, |k| k + 1)),
+            };
+            if let Some(k) = inserted {
+                prop_assert_eq!(tree.insert(Key(k), k), model.insert(k, k));
+                parent.insert(Key(k), k);
+            }
+
+            // The shape the engine is charged for is the parent's.
+            tree.check_invariants();
+            prop_assert_eq!(tree.height(), parent.height());
+            after = levels(&tree);
+            let leaves: Vec<usize> = after[&1].iter().map(|&(len, _)| len).collect();
+            prop_assert_eq!(&leaves, &parent.leaf_lens());
+            prop_assert_eq!(tree.iter(), parent.iter());
+
+            // A level that gained a node split one: the two halves sit
+            // where the first difference is.
+            for (level, now) in &after {
+                let Some(was) = before.get(level).filter(|was| was.len() + 1 == now.len()) else {
+                    continue;
+                };
+                let at = (0..was.len()).find(|&i| was[i] != now[i]).expect("a node split");
+                let (lower, upper) = (now[at], now[at + 1]);
+                prop_assert_eq!(lower.0 + upper.0, ROOM, "an overflowing node split");
+                // One half holds the old buffer, the other fits exactly.
+                let kept = |half: (usize, usize)| half.1 == ROOM;
+                let fits = |half: (usize, usize)| half.1 == half.0;
+                prop_assert!(
+                    kept(lower) && fits(upper) || fits(lower) && kept(upper),
+                    "level {level}: halves {lower:?} and {upper:?}"
+                );
+                if *level == 1 {
+                    // The new key's half is the one that keeps the buffer.
+                    let k = inserted.expect("only an insert splits");
+                    let rank = model.range(..k).count();
+                    let below: usize = leaves[..at].iter().sum();
+                    let (grows, left) = if rank < below + lower.0 {
+                        (lower, upper)
+                    } else {
+                        (upper, lower)
+                    };
+                    prop_assert!(kept(grows) && fits(left), "{k} went to {grows:?}");
+                }
+            }
+        }
+        let got: Vec<u64> = tree.iter().into_iter().map(|(k, _)| k.raw()).collect();
+        prop_assert_eq!(got, model.keys().copied().collect::<Vec<_>>());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(128))]
 
     #[test]
     fn btree_survives_heavy_deletion(keys in proptest::collection::btree_set(0u64..100_000, 100..1_500)) {

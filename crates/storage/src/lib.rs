@@ -16,6 +16,9 @@ pub mod store;
 pub use buffer::{BufferPool, BufferStats, Fetch};
 pub use disk::SimDisk;
 pub use page::{SlottedPage, PAGE_SIZE, SLOT_OVERHEAD};
-pub use record::{Record, RecordHeader, FLAG_TOMBSTONE, RECORD_HEADER_BYTES, TS_INFINITY};
+pub use record::{
+    Record, RecordHeader, FLAG_TOMBSTONE, RECORD_HEADER_LOGICAL, RECORD_HEADER_PHYSICAL,
+    TS_INFINITY,
+};
 pub use segment::{SegmentDirectory, SegmentMeta, SEGMENT_PAGES_DEFAULT};
 pub use store::PageStore;

@@ -14,15 +14,16 @@
 //! counts, and movement volumes match a real deployment at the configured
 //! scale while memory stays proportional to the compact payloads: a stored
 //! version costs its physical bytes plus one 8-byte slot. On the
-//! benchmark's `oltp-steady` that is 55 bytes (a 47-byte header, 8 of
-//! payload) and 65 bytes of page memory per stored version — the 63 it
-//! needs, and the room that pages still filling have not used yet.
+//! benchmark's `oltp-steady` that is 41 bytes (a 33-byte header — the
+//! logical charge stays 47, see [`crate::record`] — and 8 of payload) and
+//! 50 bytes of page memory per stored version: the 49 it needs, and the
+//! room that pages still filling have not used yet.
 //!
 //! Two things keep it there. [`SlottedPage::sized_for`] allocates body and
 //! slot directory once, at the size the page has when it is full of records
 //! like its first — every table has one row width, so that is the size it
-//! ends with — where a `Vec` doubling its way up holds 7 040 bytes for the
-//! 4 125 of a full 75-record page. And a slot's fields are as wide as the
+//! ends with — where a `Vec` doubling its way up would hold 5 248 bytes
+//! for the 3 075 of a full 75-record page. And a slot's fields are as wide as the
 //! values they can hold. A page whose records turn out different (or that
 //! is updated in place, which appends) grows past the reservation like any
 //! `Vec`.

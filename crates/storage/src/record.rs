@@ -11,6 +11,32 @@
 //! timestamp of the deleting/superseding transaction, or [`TS_INFINITY`]
 //! while the version is current.
 //!
+//! **Two header sizes, two jobs.** [`RECORD_HEADER_LOGICAL`] (47 bytes) is
+//! what the modeled cluster charges a version on top of its row width —
+//! page fill, I/O, movement volume ([`RecordHeader::logical_footprint`]).
+//! [`RECORD_HEADER_PHYSICAL`] (33 bytes) is what the compact stand-in in
+//! this process's memory spends, and holds nothing the page already knows:
+//!
+//! | offset | bytes | field |
+//! |---|---|---|
+//! | 0 | 8 | `key` |
+//! | 8 | 8 | `begin` |
+//! | 16 | 8 | `end` |
+//! | 24 | 4 | `prev` page number, `u32::MAX` = no previous version |
+//! | 28 | 2 | `prev` slot |
+//! | 30 | 1 | `flags` |
+//! | 31 | 2 | `logical_width` |
+//!
+//! A version chain never leaves its segment (the paper's segment is the
+//! unit that moves, pages and index together, §4.3), so `prev` is stored
+//! segment-local and every encode and decode names the segment the bytes
+//! live in: a `prev` of another segment handed to `encode` is a caller's
+//! bug and panics, exactly like a foreign record handed to a segment's
+//! index. The payload is whatever follows the header — its length is the
+//! slot's (or the log image's) and is not stored again. A logical width
+//! is below [`PAGE_SIZE`](crate::PAGE_SIZE), so 16 bits hold it; a wider
+//! one panics at `encode`.
+//!
 //! **When a payload is copied.** Never to look at a version and never to
 //! store one. [`Record::peek`] reads the fixed header ([`RecordHeader`]) and
 //! borrows the payload from the page; visibility walks, write-conflict
@@ -25,15 +51,28 @@ use wattdb_common::{Error, Key, PageId, RecordId, Result, SegmentId};
 /// `end` timestamp of a version that is still current.
 pub const TS_INFINITY: u64 = u64::MAX;
 
-/// Sentinel segment id meaning "no previous version".
-const NO_PREV: u64 = u64::MAX;
+/// Stored `prev` page number meaning "no previous version".
+const NO_PREV: u32 = u32::MAX;
 
-/// Fixed encoded header size in bytes.
-pub const RECORD_HEADER_BYTES: usize = 8 + 8 + 8 + 8 + 4 + 2 + 1 + 4 + 4;
+/// Header bytes the modeled cluster charges per version (capacity, I/O and
+/// movement accounting), whatever the stand-in in memory spends.
+pub const RECORD_HEADER_LOGICAL: usize = 47;
 
-/// Byte offsets of the visibility timestamps inside the encoded header.
+/// Encoded header size in bytes (module docs).
+pub const RECORD_HEADER_PHYSICAL: usize = 8 + 8 + 8 + 4 + 2 + 1 + 2;
+
+// One header per stored version: a byte added here is paid for hundreds of
+// thousands of times, and never more than the logical charge.
+const _: () = assert!(RECORD_HEADER_PHYSICAL == 33);
+const _: () = assert!(RECORD_HEADER_PHYSICAL <= RECORD_HEADER_LOGICAL);
+
+/// Byte offsets of the fields inside the encoded header.
 const BEGIN_OFFSET: usize = 8;
 const END_OFFSET: usize = 16;
+const PREV_PAGE_OFFSET: usize = 24;
+const PREV_SLOT_OFFSET: usize = 28;
+const FLAGS_OFFSET: usize = 30;
+const WIDTH_OFFSET: usize = 31;
 
 /// Header flag bit: this version is a deletion tombstone.
 pub const FLAG_TOMBSTONE: u8 = 0b0000_0001;
@@ -84,7 +123,7 @@ impl RecordHeader {
 
     /// Total logical footprint: declared row width plus the version header.
     pub fn logical_footprint(&self) -> usize {
-        self.logical_width as usize + RECORD_HEADER_BYTES
+        self.logical_width as usize + RECORD_HEADER_LOGICAL
     }
 
     /// The owned record this header and `payload` make.
@@ -102,22 +141,33 @@ impl RecordHeader {
     }
 
     /// Append the encoded version — this header, then `payload` — to `out`
-    /// (a page body, or any buffer).
-    pub fn encode_into(&self, payload: &[u8], out: &mut Vec<u8>) {
-        out.reserve(RECORD_HEADER_BYTES + payload.len());
+    /// (a page body of `segment`, or any buffer that travels with the
+    /// segment's id). Panics if `prev` lies in another segment or the
+    /// logical width does not fit 16 bits.
+    pub fn encode_into(&self, segment: SegmentId, payload: &[u8], out: &mut Vec<u8>) {
+        let (prev_page, prev_slot) = match self.prev {
+            Some(rid) => {
+                assert!(
+                    rid.page.segment == segment,
+                    "version chain of {segment} continues at {rid}"
+                );
+                assert!(
+                    rid.page.page_no != NO_PREV,
+                    "page number {NO_PREV} is reserved"
+                );
+                (rid.page.page_no, rid.slot)
+            }
+            None => (NO_PREV, 0),
+        };
+        let width = u16::try_from(self.logical_width).expect("logical width within a page");
+        out.reserve(RECORD_HEADER_PHYSICAL + payload.len());
         out.extend_from_slice(&self.key.raw().to_le_bytes());
         out.extend_from_slice(&self.begin.to_le_bytes());
         out.extend_from_slice(&self.end.to_le_bytes());
-        let (seg, page, slot) = match self.prev {
-            Some(rid) => (rid.page.segment.raw(), rid.page.page_no, rid.slot),
-            None => (NO_PREV, 0, 0),
-        };
-        out.extend_from_slice(&seg.to_le_bytes());
-        out.extend_from_slice(&page.to_le_bytes());
-        out.extend_from_slice(&slot.to_le_bytes());
+        out.extend_from_slice(&prev_page.to_le_bytes());
+        out.extend_from_slice(&prev_slot.to_le_bytes());
         out.push(self.flags);
-        out.extend_from_slice(&self.logical_width.to_le_bytes());
-        out.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        out.extend_from_slice(&width.to_le_bytes());
         out.extend_from_slice(payload);
     }
 }
@@ -174,46 +224,39 @@ impl Record {
         self.header().logical_footprint()
     }
 
-    /// Serialize to a buffer of its own.
-    pub fn encode(&self) -> Vec<u8> {
+    /// Serialize to a buffer of its own, as a version stored in `segment`.
+    pub fn encode(&self, segment: SegmentId) -> Vec<u8> {
         let mut out = Vec::new();
-        self.header().encode_into(&self.payload, &mut out);
+        self.header().encode_into(segment, &self.payload, &mut out);
         out
     }
 
-    /// Read an encoded version's header and borrow its payload: no copy.
-    /// Rejects exactly the inputs [`Record::decode`] rejects.
+    /// Read the header of a version encoded in `segment` and borrow its
+    /// payload — everything past the header: no copy. Rejects exactly the
+    /// inputs [`Record::decode`] rejects.
     #[inline]
-    pub fn peek(bytes: &[u8]) -> Result<(RecordHeader, &[u8])> {
-        if bytes.len() < RECORD_HEADER_BYTES {
-            return Err(Error::Corruption("record shorter than header"));
-        }
-        let u64_at = |o: usize| u64::from_le_bytes(bytes[o..o + 8].try_into().unwrap());
-        let u32_at = |o: usize| u32::from_le_bytes(bytes[o..o + 4].try_into().unwrap());
-        let u16_at = |o: usize| u16::from_le_bytes(bytes[o..o + 2].try_into().unwrap());
-        let prev_seg = u64_at(24);
-        let payload_len = u32_at(43) as usize;
-        let Some(payload) = bytes.get(RECORD_HEADER_BYTES..RECORD_HEADER_BYTES + payload_len)
-        else {
-            return Err(Error::Corruption("record payload truncated"));
+    pub fn peek(bytes: &[u8], segment: SegmentId) -> Result<(RecordHeader, &[u8])> {
+        let Some((head, payload)) = bytes.split_first_chunk::<RECORD_HEADER_PHYSICAL>() else {
+            return Err(SHORT);
         };
-        let prev = (prev_seg != NO_PREV)
-            .then(|| RecordId::new(PageId::new(SegmentId(prev_seg), u32_at(32)), u16_at(36)));
+        let prev_page = u32::from_le_bytes(field(head, PREV_PAGE_OFFSET));
+        let prev_slot = u16::from_le_bytes(field(head, PREV_SLOT_OFFSET));
         let header = RecordHeader {
-            key: Key(u64_at(0)),
-            begin: u64_at(BEGIN_OFFSET),
-            end: u64_at(END_OFFSET),
-            prev,
-            flags: bytes[38],
-            logical_width: u32_at(39),
+            key: Key(u64::from_le_bytes(field(head, 0))),
+            begin: u64::from_le_bytes(field(head, BEGIN_OFFSET)),
+            end: u64::from_le_bytes(field(head, END_OFFSET)),
+            prev: (prev_page != NO_PREV)
+                .then(|| RecordId::new(PageId::new(segment, prev_page), prev_slot)),
+            flags: head[FLAGS_OFFSET],
+            logical_width: u16::from_le_bytes(field(head, WIDTH_OFFSET)).into(),
         };
         Ok((header, payload))
     }
 
-    /// Deserialize from page bytes into an owned record (copies the
-    /// payload).
-    pub fn decode(bytes: &[u8]) -> Result<Record> {
-        let (header, payload) = Self::peek(bytes)?;
+    /// Deserialize a version encoded in `segment` into an owned record
+    /// (copies the payload).
+    pub fn decode(bytes: &[u8], segment: SegmentId) -> Result<Record> {
+        let (header, payload) = Self::peek(bytes, segment)?;
         Ok(header.with_payload(payload.to_vec()))
     }
 
@@ -228,43 +271,58 @@ impl Record {
     }
 
     fn timestamp(bytes: &[u8], offset: usize) -> Result<u64> {
-        match bytes.get(offset..offset + 8) {
-            Some(ts) if bytes.len() >= RECORD_HEADER_BYTES => {
-                Ok(u64::from_le_bytes(ts.try_into().expect("eight bytes")))
-            }
-            _ => Err(Error::Corruption("record shorter than header")),
-        }
+        let head = bytes.first_chunk().ok_or(SHORT)?;
+        Ok(u64::from_le_bytes(field(head, offset)))
     }
 
     /// Overwrite the `begin` timestamp of an encoded version in place.
     pub fn stamp_begin(bytes: &mut [u8], ts: u64) -> Result<()> {
-        Self::stamp(bytes, BEGIN_OFFSET, ts)
+        Self::patch(bytes, BEGIN_OFFSET, &ts.to_le_bytes())
     }
 
     /// Overwrite the `end` timestamp of an encoded version in place.
     pub fn stamp_end(bytes: &mut [u8], ts: u64) -> Result<()> {
-        Self::stamp(bytes, END_OFFSET, ts)
+        Self::patch(bytes, END_OFFSET, &ts.to_le_bytes())
     }
 
-    fn stamp(bytes: &mut [u8], offset: usize, ts: u64) -> Result<()> {
-        if bytes.len() < RECORD_HEADER_BYTES {
-            return Err(Error::Corruption("record shorter than header"));
-        }
-        bytes[offset..offset + 8].copy_from_slice(&ts.to_le_bytes());
+    /// Clear the `prev` pointer of an encoded version in place: the bytes
+    /// become those of the same version encoded with `prev: None`.
+    pub fn unlink_prev(bytes: &mut [u8]) -> Result<()> {
+        Self::patch(bytes, PREV_PAGE_OFFSET, &NO_PREV.to_le_bytes())?;
+        Self::patch(bytes, PREV_SLOT_OFFSET, &0u16.to_le_bytes())
+    }
+
+    fn patch(bytes: &mut [u8], offset: usize, field: &[u8]) -> Result<()> {
+        let head = bytes
+            .first_chunk_mut::<RECORD_HEADER_PHYSICAL>()
+            .ok_or(SHORT)?;
+        head[offset..offset + field.len()].copy_from_slice(field);
         Ok(())
     }
+}
+
+const SHORT: Error = Error::Corruption("record shorter than header");
+
+/// The `N` bytes of a header field at `offset`.
+#[inline]
+fn field<const N: usize>(head: &[u8; RECORD_HEADER_PHYSICAL], offset: usize) -> [u8; N] {
+    head[offset..offset + N]
+        .try_into()
+        .expect("field within the header")
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
 
+    const SEG: SegmentId = SegmentId(7);
+
     fn sample() -> Record {
         Record {
             key: Key(0xDEAD_BEEF),
             begin: 100,
             end: 250,
-            prev: Some(RecordId::new(PageId::new(SegmentId(7), 3), 12)),
+            prev: Some(RecordId::new(PageId::new(SEG, 3), 12)),
             flags: 0,
             logical_width: 306,
             payload: vec![1, 2, 3, 4, 5],
@@ -274,15 +332,17 @@ mod tests {
     #[test]
     fn encode_decode_roundtrip() {
         let r = sample();
-        let bytes = r.encode();
-        assert_eq!(Record::decode(&bytes).unwrap(), r);
+        let bytes = r.encode(SEG);
+        assert_eq!(bytes.len(), RECORD_HEADER_PHYSICAL + 5);
+        assert_eq!(Record::decode(&bytes, SEG).unwrap(), r);
     }
 
     #[test]
     fn roundtrip_without_prev() {
         let r = Record::new(Key(5), 1, 64, vec![9; 16]);
-        let bytes = r.encode();
-        let d = Record::decode(&bytes).unwrap();
+        // No chain, so no segment to agree with.
+        let bytes = r.encode(SegmentId(1));
+        let d = Record::decode(&bytes, SegmentId(2)).unwrap();
         assert_eq!(d.prev, None);
         assert_eq!(d.end, TS_INFINITY);
         assert_eq!(d, r);
@@ -290,23 +350,26 @@ mod tests {
 
     #[test]
     fn truncated_inputs_rejected() {
-        let r = sample();
-        let bytes = r.encode();
-        assert!(Record::decode(&bytes[..10]).is_err());
-        assert!(Record::decode(&bytes[..bytes.len() - 1]).is_err());
+        let bytes = sample().encode(SEG);
+        assert!(Record::decode(&bytes[..10], SEG).is_err());
+        assert!(Record::decode(&bytes[..RECORD_HEADER_PHYSICAL - 1], SEG).is_err());
+        // The header alone is a version with an empty payload.
+        let bare = Record::decode(&bytes[..RECORD_HEADER_PHYSICAL], SEG).unwrap();
+        assert_eq!(bare.header(), sample().header());
+        assert!(bare.payload.is_empty());
     }
 
     #[test]
     fn logical_footprint_includes_header() {
         let r = sample();
-        assert_eq!(r.logical_footprint(), 306 + RECORD_HEADER_BYTES);
+        assert_eq!(r.logical_footprint(), 306 + 47);
     }
 
     #[test]
     fn tombstone_roundtrip() {
         let t = Record::tombstone(Key(9), 77);
         assert!(t.is_tombstone());
-        let d = Record::decode(&t.encode()).unwrap();
+        let d = Record::decode(&t.encode(SEG), SEG).unwrap();
         assert!(d.is_tombstone());
         assert_eq!(d.key, Key(9));
         assert_eq!(d.begin, 77);
@@ -315,6 +378,6 @@ mod tests {
     #[test]
     fn empty_payload_roundtrip() {
         let r = Record::new(Key(0), 0, 0, vec![]);
-        assert_eq!(Record::decode(&r.encode()).unwrap(), r);
+        assert_eq!(Record::decode(&r.encode(SEG), SEG).unwrap(), r);
     }
 }

@@ -14,7 +14,11 @@
 //! page) and a slot lookup, with no hashing anywhere on the way. The
 //! stamping calls resolve their record once — [`PageStore::restamp_begin`]
 //! and [`PageStore::restamp_end`] read the timestamp they may replace from
-//! the same bytes they then patch.
+//! the same bytes they then patch, and [`PageStore::unlink_prev`] cuts a
+//! version chain by overwriting the one pointer. The store is also where a
+//! version's segment-local `prev` (see [`crate::record`]) meets the full
+//! [`RecordId`]s every caller speaks: each encode and decode is handed the
+//! segment of the page it touches.
 //!
 //! A page is born in one place, [`PageStore::insert_version`], which knows
 //! the first version it will hold: the page's buffers are allocated there,
@@ -26,7 +30,7 @@
 use wattdb_common::{DenseMap, Error, PageId, RecordId, Result, SegmentId};
 
 use crate::page::{SlottedPage, PAGE_SIZE, SLOT_OVERHEAD};
-use crate::record::{Record, RecordHeader, RECORD_HEADER_BYTES};
+use crate::record::{Record, RecordHeader, RECORD_HEADER_PHYSICAL};
 
 /// Process-wide page data, keyed by segment.
 #[derive(Debug, Default)]
@@ -113,19 +117,20 @@ impl PageStore {
             None => {
                 // The one place a page is born: sized for a page full of
                 // versions like this one, the table's one row width.
-                let physical = RECORD_HEADER_BYTES + payload.len();
+                let physical = RECORD_HEADER_PHYSICAL + payload.len();
                 pages.push(SlottedPage::sized_for(logical, physical));
                 pages.len() - 1
             }
         };
-        let slot = pages[page_no].insert_with(logical, |body| header.encode_into(payload, body))?;
+        let slot = pages[page_no]
+            .insert_with(logical, |body| header.encode_into(segment, payload, body))?;
         let rid = RecordId::new(PageId::new(segment, page_no as u32), slot);
         Ok((rid, allocated))
     }
 
     /// Decode the record stored at `rid` into an owned copy.
     pub fn read_record(&self, rid: RecordId) -> Result<Record> {
-        Record::decode(self.stored(rid)?)
+        Record::decode(self.stored(rid)?, rid.page.segment)
     }
 
     /// Header of the version at `rid`, read without touching its payload.
@@ -138,7 +143,7 @@ impl PageStore {
     /// page.
     #[inline]
     pub fn peek_payload(&self, rid: RecordId) -> Result<(RecordHeader, &[u8])> {
-        Record::peek(self.stored(rid)?)
+        Record::peek(self.stored(rid)?, rid.page.segment)
     }
 
     #[inline]
@@ -149,13 +154,15 @@ impl PageStore {
     }
 
     /// Overwrite the record at `rid` (same key; in-place updates of the
-    /// locking mode, unlinking a version chain's tail).
+    /// locking mode). The page appends the new image and counts the old
+    /// one dead.
     pub fn write_record(&mut self, rid: RecordId, record: &Record) -> Result<()> {
         let page = self.page_mut(rid.page)?;
         if page.get(rid.slot).is_none() {
             return Err(Error::RecordNotFound(rid));
         }
-        page.update(rid.slot, &record.encode(), record.logical_footprint())
+        let image = record.encode(rid.page.segment);
+        page.update(rid.slot, &image, record.logical_footprint())
     }
 
     /// Set the `begin` timestamp of the version at `rid` in place (commit
@@ -168,6 +175,12 @@ impl PageStore {
     /// version was superseded, or a superseder committed or rolled back).
     pub fn stamp_end(&mut self, rid: RecordId, ts: u64) -> Result<()> {
         Record::stamp_end(self.stored_mut(rid)?, ts)
+    }
+
+    /// Clear the `prev` pointer of the version at `rid` in place (vacuum
+    /// cut the chain below it): no new image, no dead bytes.
+    pub fn unlink_prev(&mut self, rid: RecordId) -> Result<()> {
+        Record::unlink_prev(self.stored_mut(rid)?)
     }
 
     /// [`PageStore::stamp_begin`] if `when` holds of the `begin` timestamp
@@ -269,7 +282,7 @@ mod tests {
         let mut store = PageStore::new();
         let seg = SegmentId(1);
         store.add_segment(seg);
-        // Logical footprint ≈ 2046+46=2092+8 slot → 3 per page.
+        // Logical footprint 2046 + 47 header + 8 slot = 2101 → 3 per page.
         let mut allocations = 0;
         for i in 0..30 {
             let (_, alloc) = store.insert_record(seg, &rec(i, 2046), 64).unwrap();
@@ -342,6 +355,16 @@ mod tests {
             assert_eq!(patched.logical_bytes(seg).unwrap(), used);
             assert!(patched.page(rid.page).unwrap().is_dirty());
             assert_eq!(patched.page(rid.page).unwrap().dead_bytes(), 0);
+
+            // Cutting the chain in place: the same version without `prev`,
+            // in the bytes it already had.
+            let bytes = patched.physical_bytes();
+            patched.unlink_prev(rid).unwrap();
+            copy.prev = None;
+            let stored = patched.page(rid.page).unwrap().get(rid.slot).unwrap();
+            assert_eq!(stored, &copy.encode(seg)[..]);
+            assert_eq!(patched.physical_bytes(), bytes);
+            assert_eq!(patched.page(rid.page).unwrap().dead_bytes(), 0);
         }
         // A dead slot has nothing to stamp.
         let mut store = PageStore::new();
@@ -349,6 +372,7 @@ mod tests {
         let (rid, _) = store.insert_record(seg, &rec(1, 64), 4).unwrap();
         store.delete_record(rid).unwrap();
         assert!(store.stamp_end(rid, 5).is_err());
+        assert!(store.unlink_prev(rid).is_err());
         assert!(store.peek(rid).is_err());
     }
 

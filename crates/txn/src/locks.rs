@@ -22,8 +22,11 @@
 //!   holders per mode, so "may this request be granted" is five counter
 //!   tests (the requester's own mode subtracted), never a walk over the
 //!   holders — a `Table` or `Segment` carries hundreds of `IX` holders.
-//!   A target's first holder is stored inline; the hash table is built
-//!   only for a second one, so a record `X` lock allocates nothing.
+//!   A target's first holder is stored inline; the hash table is needed
+//!   only for a second one, so a record `X` lock allocates nothing — and
+//!   a target that goes idle hands its emptied table to the lock table's
+//!   spare list, where the next second holder anywhere finds it, so in a
+//!   steady state a second holder allocates nothing either.
 //! * **A wait costs O(wait-states reached + their queues + conflicting
 //!   holders).** The manager indexes what every queued transaction waits
 //!   for, so the cycle search follows edges instead of scanning the lock
@@ -59,6 +62,18 @@
 //! rule is kept because grant order, the `waits`/`deadlocks` counters and
 //! with them every modeled result depend on the verdict; narrowing it to
 //! the requests ahead is a behaviour change of its own.
+//!
+//! # What a holder table's iteration order reaches
+//!
+//! The order the cycle search *visits* transactions in, and nothing else.
+//! `would_deadlock` answers whether the requester is
+//! reachable from its blockers along the waits-for index; `seen` and
+//! `expanded` only skip what was already reached, so they prune nothing
+//! reachable, and a reachability verdict does not depend on the order the
+//! stack was filled in. Grants come from the FIFO queues, never from a
+//! holder table. That is why a recycled table — whose capacity, and with
+//! it its iteration order, differs from a fresh one's — changes no
+//! verdict, grant or counter.
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -162,7 +177,7 @@ struct LockState {
     /// `X` lock) never builds the hash table.
     first: Option<(TxnId, LockMode)>,
     /// Every further holder and its (combined) mode.
-    rest: IdMap<TxnId, LockMode>,
+    rest: Holders,
     /// Mode census: holders per mode, indexed by `mode as usize`.
     counts: [u32; 5],
     /// FIFO wait queue (conversions re-queue at the front).
@@ -191,8 +206,15 @@ impl LockState {
             .any(|&m| !m.compatible(mode) && self.counts[m as usize] > u32::from(own == Some(m)))
     }
 
-    /// Make `txn`, which holds `held`, a holder in `mode`.
-    fn grant(&mut self, txn: TxnId, held: Option<LockMode>, mode: LockMode) {
+    /// Make `txn`, which holds `held`, a holder in `mode`. A second
+    /// holder's table comes from `spare` if there is one.
+    fn grant(
+        &mut self,
+        txn: TxnId,
+        held: Option<LockMode>,
+        mode: LockMode,
+        spare: &mut Vec<Holders>,
+    ) {
         if let Some(h) = held {
             self.counts[h as usize] -= 1;
         }
@@ -201,6 +223,9 @@ impl LockState {
             Some((t, m)) if *t == txn => *m = mode,
             None if held.is_none() => self.first = Some((txn, mode)),
             _ => {
+                if self.rest.capacity() == 0 {
+                    self.rest = spare.pop().unwrap_or_default();
+                }
                 self.rest.insert(txn, mode);
             }
         }
@@ -221,6 +246,16 @@ impl LockState {
 
     fn is_idle(&self) -> bool {
         self.first.is_none() && self.rest.is_empty() && self.queue.is_empty()
+    }
+
+    /// True if the state is idle and may be dropped; its holder table, if
+    /// it built one, has then gone to `spare`.
+    fn retire(&mut self, spare: &mut Vec<Holders>) -> bool {
+        let idle = self.is_idle();
+        if idle && self.rest.capacity() > 0 {
+            spare.push(std::mem::take(&mut self.rest));
+        }
+        idle
     }
 
     /// Push everyone a request for `mode` waits for: the incompatible
@@ -244,6 +279,9 @@ impl LockState {
     }
 }
 
+/// Second-holder tables ([`LockState::rest`]).
+type Holders = IdMap<TxnId, LockMode>;
+
 /// The lock table: one map per level of the hierarchy (module docs,
 /// "Which levels hash").
 #[derive(Debug, Default)]
@@ -252,17 +290,21 @@ struct LockTable {
     partitions: DenseMap<PartitionId, LockState>,
     segments: DenseMap<SegmentId, LockState>,
     records: IdMap<(TableId, Key), LockState>,
+    /// Emptied holder tables of targets that went idle, for the next
+    /// target that gets a second holder.
+    spare: Vec<Holders>,
 }
 
 /// [`LockTable::update`] on a dense level.
 fn update_dense<K: DenseKey>(
     level: &mut DenseMap<K, LockState>,
     id: K,
-    change: impl FnOnce(&mut LockState),
+    spare: &mut Vec<Holders>,
+    change: impl FnOnce(&mut LockState, &mut Vec<Holders>),
 ) {
     if let Some(state) = level.get_mut(&id) {
-        change(state);
-        if state.is_idle() {
+        change(state, spare);
+        if state.retire(spare) {
             level.remove(&id);
         }
     }
@@ -287,26 +329,34 @@ impl LockTable {
         self.get(target).expect("requested target has state")
     }
 
-    fn get_or_default(&mut self, target: LockTarget) -> &mut LockState {
-        match target {
+    /// `target`'s state, created if it has none, and the spare list a
+    /// grant on it may draw from.
+    fn get_or_default(&mut self, target: LockTarget) -> (&mut LockState, &mut Vec<Holders>) {
+        let state = match target {
             LockTarget::Table(t) => self.tables.get_or_insert_with(t, LockState::default),
             LockTarget::Partition(p) => self.partitions.get_or_insert_with(p, LockState::default),
             LockTarget::Segment(s) => self.segments.get_or_insert_with(s, LockState::default),
             LockTarget::Record(t, k) => self.records.entry((t, k)).or_default(),
-        }
+        };
+        (state, &mut self.spare)
     }
 
     /// Apply `change` to `target`'s state, if it has one, and drop the
     /// state if that left it idle — one probe of the record table.
-    fn update(&mut self, target: LockTarget, change: impl FnOnce(&mut LockState)) {
+    fn update(
+        &mut self,
+        target: LockTarget,
+        change: impl FnOnce(&mut LockState, &mut Vec<Holders>),
+    ) {
+        let spare = &mut self.spare;
         match target {
-            LockTarget::Table(t) => update_dense(&mut self.tables, t, change),
-            LockTarget::Partition(p) => update_dense(&mut self.partitions, p, change),
-            LockTarget::Segment(s) => update_dense(&mut self.segments, s, change),
+            LockTarget::Table(t) => update_dense(&mut self.tables, t, spare, change),
+            LockTarget::Partition(p) => update_dense(&mut self.partitions, p, spare, change),
+            LockTarget::Segment(s) => update_dense(&mut self.segments, s, spare, change),
             LockTarget::Record(t, k) => {
                 if let Entry::Occupied(mut entry) = self.records.entry((t, k)) {
-                    change(entry.get_mut());
-                    if entry.get().is_idle() {
+                    change(entry.get_mut(), spare);
+                    if entry.get_mut().retire(spare) {
                         entry.remove();
                     }
                 }
@@ -457,7 +507,7 @@ impl LockManager {
 
     /// Request `target` in `mode` for `txn`.
     pub fn acquire(&mut self, txn: TxnId, target: LockTarget, mode: LockMode) -> LockAcquire {
-        let state = self.locks.get_or_default(target);
+        let (state, spare) = self.locks.get_or_default(target);
         let held = state.held(txn);
         let effective = match held {
             Some(held) if held.covers(mode) => return LockAcquire::Granted,
@@ -467,7 +517,7 @@ impl LockManager {
         // Conversions may jump a non-empty queue if compatible with holders
         // (standard treatment, avoids instant self-deadlock).
         if !state.conflicts(effective, held) && (held.is_some() || state.queue.is_empty()) {
-            state.grant(txn, held, effective);
+            state.grant(txn, held, effective, spare);
             if held.is_none() {
                 self.txns.own(txn).touched.push(target);
             }
@@ -478,7 +528,7 @@ impl LockManager {
             self.deadlocks += 1;
             return LockAcquire::Deadlock;
         }
-        let state = self.locks.get_or_default(target); // the state found above
+        let (state, _) = self.locks.get_or_default(target); // the state found above
         if held.is_some() {
             // Conversion waits at the front.
             state.queue.push_front((txn, effective));
@@ -538,7 +588,7 @@ impl LockManager {
             return granted_now;
         };
         for &target in &own.touched {
-            self.locks.update(target, |state| {
+            self.locks.update(target, |state, spare| {
                 state.release(txn);
                 if own.waits.iter().any(|(t, _)| *t == target) {
                     state.queue.retain(|(t, _)| *t != txn);
@@ -551,7 +601,7 @@ impl LockManager {
                         break;
                     }
                     state.queue.pop_front();
-                    state.grant(t, held, eff);
+                    state.grant(t, held, eff, spare);
                     let waits = &mut self.txns.get_mut(t).waits;
                     let at = waits.iter().position(|w| *w == (target, m));
                     waits.swap_remove(at.expect("queued request is indexed"));
@@ -565,12 +615,17 @@ impl LockManager {
 
     /// Recount what the manager keeps incrementally (diagnostics/tests):
     /// each census against its holders, the waits-for index against the
-    /// queues, and `touched` against both.
+    /// queues, `touched` against both, and the recycling of holder tables
+    /// — a spare one is empty, and no idle state sits on one.
     pub fn check_invariants(&self) -> Result<(), String> {
+        if let Some(map) = self.locks.spare.iter().find(|map| !map.is_empty()) {
+            return Err(format!("spare holder table still holds {map:?}"));
+        }
         let mut queued = Vec::new();
         for (target, state) in self.locks.iter() {
             let target = &target;
             if state.is_idle() {
+                // And whatever holder table it built is lost to the spares.
                 return Err(format!("idle state kept for {target:?}"));
             }
             if let Some((t, _)) = state.first.filter(|(t, _)| state.rest.contains_key(t)) {

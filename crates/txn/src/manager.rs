@@ -77,14 +77,6 @@ impl TxnState {
         }
         self.writes.push(w);
     }
-
-    /// Bytes of pending-change state held for undo (locking mode).
-    pub fn before_image_bytes(&self) -> usize {
-        self.before_images
-            .iter()
-            .map(|b| b.prior.as_ref().map_or(0, |r| r.encode().len()))
-            .sum()
-    }
 }
 
 /// The transaction manager.
@@ -416,10 +408,13 @@ impl TxnManager {
         Ok(self.locks.release_all(txn))
     }
 
-    /// Total before-image bytes across live transactions (locking-mode
-    /// storage overhead, Fig. 3).
-    pub fn pending_change_bytes(&self) -> usize {
-        self.active.values().map(|t| t.before_image_bytes()).sum()
+    /// Row images held for undo across live transactions — one per
+    /// updated or deleted row; an insert's undo entry holds none. The
+    /// locking mode's storage overhead (Fig. 3), in the unit MVCC's is
+    /// counted in: stored images of a row beside the live one.
+    pub fn pending_changes(&self) -> usize {
+        let undo = self.active.values().flat_map(|t| &t.before_images);
+        undo.filter(|b| b.prior.is_some()).count()
     }
 }
 
@@ -490,7 +485,7 @@ mod tests {
             tm.read(t3, &idx, &st, Key(1)).unwrap().unwrap().payload,
             vec![2]
         );
-        assert!(tm.pending_change_bytes() > 0, "before-image retained");
+        assert_eq!(tm.pending_changes(), 1, "before-image retained");
         // Abort restores the old image.
         let mut map = IndexMap::default();
         map.insert(idx.segment(), idx);

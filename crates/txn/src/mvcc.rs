@@ -8,7 +8,9 @@
 //!
 //! Versions live in pages as [`Record`]s chained newest-first through their
 //! `prev` pointers; the segment's PK index always points at the newest
-//! version. Every walk and check below looks at version *headers* only
+//! version. A chain stays in the segment of the index that heads it: every
+//! `prev` written here is an address that index just handed out, which is
+//! what lets the stored pointer be segment-local. Every walk and check below looks at version *headers* only
 //! ([`PageStore::peek`]); a payload is copied out once, for the version
 //! [`read`] returns. Uncommitted timestamps are *provisional*: the creating
 //! transaction's id with the high bit set. Commit stamps them with the
@@ -306,9 +308,7 @@ pub fn vacuum(index: &mut SegmentIndex, store: &mut PageStore, horizon: u64) -> 
             let prev = store.peek(prev_rid)?;
             if !is_provisional(prev.end) && prev.end != TS_INFINITY && prev.end <= horizon {
                 // Unlink and reclaim the whole tail from prev down.
-                let mut cut = store.read_record(cur_rid)?;
-                cut.prev = None;
-                store.write_record(cur_rid, &cut)?;
+                store.unlink_prev(cur_rid)?;
                 let mut tail = Some(prev_rid);
                 while let Some(rid) = tail {
                     tail = store.peek(rid)?.prev;
@@ -501,6 +501,41 @@ mod tests {
         assert_eq!((versions, live), (1, 1));
         // Reader at a current snapshot still sees v2.
         let r = read(&idx, &st, Key(1), snap(40, 9)).unwrap().0.unwrap();
+        assert_eq!(r.payload, vec![2]);
+    }
+
+    #[test]
+    fn vacuum_cuts_a_chain_without_writing_an_image() {
+        let (mut idx, mut st) = setup();
+        // v1 of key 1 on page 0, which the other keys then fill, so that
+        // v2 and v3 land on page 1.
+        let v1 = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
+        commit(&mut st, &[v1], 10);
+        let mut k = 2;
+        while st.page_count(SegmentId(1)) == 1 {
+            let w = insert(&mut idx, &mut st, MAX_PAGES, Key(k), 64, &[0], snap(0, 1)).unwrap();
+            commit(&mut st, &[w], 10);
+            k += 1;
+        }
+        let v2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
+        commit(&mut st, &[v2], 30);
+        let v3 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[3], snap(40, 3)).unwrap();
+        commit(&mut st, &[v3], 50);
+        let page = v2.new_rid.page;
+        assert_eq!((v3.new_rid.page, v1.new_rid.page.page_no), (page, 0));
+        assert_eq!(page.page_no, 1);
+
+        // A horizon that reclaims v1 alone cuts at v2: a version that
+        // stays, on a page where nothing dies, and only loses a pointer.
+        let before = st.page(page).unwrap().clone();
+        assert_eq!(vacuum(&mut idx, &mut st, 30).unwrap(), 1);
+        let after = st.page(page).unwrap();
+        assert_eq!(after.physical_bytes(), before.physical_bytes());
+        assert_eq!(after.dead_bytes(), before.dead_bytes());
+        assert_eq!(st.peek(v2.new_rid).unwrap().prev, None);
+        assert_eq!(st.peek(v3.new_rid).unwrap().prev, Some(v2.new_rid));
+        assert!(st.peek(v1.new_rid).is_err(), "v1 reclaimed");
+        let r = read(&idx, &st, Key(1), snap(35, 9)).unwrap().0.unwrap();
         assert_eq!(r.payload, vec![2]);
     }
 

@@ -13,6 +13,12 @@
 //! 3. census and index equal to a recount (`check_invariants`) after every
 //!    step, and both empty once every transaction has released.
 //!
+//! Every schedule runs twice on one manager with a full drain in between:
+//! the second pass finds the holder tables the first one built in the
+//! manager's spare list, with whatever capacity and iteration order they
+//! ended up with, and must match the model all the same — a table's order
+//! reaches the cycle search's visit order and no verdict.
+//!
 //! The same schedules run a second time over targets whose ids straddle
 //! [`DENSE_BOUND`] — the last id the manager's dense levels index, the
 //! first they spill, and `MAX` — where the levels must still behave as one
@@ -209,11 +215,19 @@ fn release_both(lm: &mut LockManager, model: &mut Model, txn: TxnId) {
     );
 }
 
-/// Drive the manager and the model through `ops` over `targets`, comparing
-/// them after every step.
+/// Drive one manager and the model through `ops` over `targets` twice,
+/// comparing them after every step and draining both after each pass.
 fn run_schedule(targets: &[LockTarget], ops: &[Op]) {
     let mut lm = LockManager::new();
     let mut model = Model::default();
+    // The first pass builds holder tables; the second one is handed them
+    // back from the spare list.
+    for _ in 0..2 {
+        run_pass(&mut lm, &mut model, targets, ops);
+    }
+}
+
+fn run_pass(lm: &mut LockManager, model: &mut Model, targets: &[LockTarget], ops: &[Op]) {
     for op in ops {
         match *op {
             Op::Acquire {
@@ -226,10 +240,10 @@ fn run_schedule(targets: &[LockTarget], ops: &[Op]) {
                 let got = lm.acquire(txn, target, mode);
                 assert_eq!(got, model.acquire(txn, target, mode), "{op:?}");
                 if got == LockAcquire::Deadlock && abort {
-                    release_both(&mut lm, &mut model, txn);
+                    release_both(lm, model, txn);
                 }
             }
-            Op::ReleaseAll { txn } => release_both(&mut lm, &mut model, TxnId(txn)),
+            Op::ReleaseAll { txn } => release_both(lm, model, TxnId(txn)),
         }
         assert_eq!(lm.check_invariants(), Ok(()));
         assert_eq!(lm.wait_count(), model.waits);
@@ -258,7 +272,7 @@ fn run_schedule(targets: &[LockTarget], ops: &[Op]) {
         }
     }
     for txn in (1..=TXNS).map(TxnId) {
-        release_both(&mut lm, &mut model, txn);
+        release_both(lm, model, txn);
     }
     assert_eq!(lm.active_targets(), 0, "lock state leaked");
     assert_eq!(lm.queued_requests(), 0, "waits-for index leaked");

@@ -12,9 +12,18 @@
 //! back — drive both; every call must return the same `WriteOp` or the
 //! same error, and index, version chains and page accounting must come out
 //! identical.
+//!
+//! A stored version names its predecessor by page and slot alone, so a
+//! chain must never leave the segment of the index that heads it.
+//! `chains_stay_in_their_segment` runs two segments over one store through
+//! random inserts, updates, deletes, commits, aborts and vacuums: every
+//! link of every chain must resolve, in its own segment, to a version of
+//! the same key, and the chains of the two indexes must account for every
+//! live record in the store — nothing dangling, nothing crossed, nothing
+//! orphaned.
 
 use proptest::prelude::*;
-use wattdb_common::{Error, Key, KeyRange, Result, SegmentId, TxnId};
+use wattdb_common::{Error, Key, KeyRange, PageId, Result, SegmentId, TxnId};
 use wattdb_index::SegmentIndex;
 use wattdb_storage::{PageStore, RecordHeader, TS_INFINITY};
 use wattdb_txn::mvcc::{self, WriteOp};
@@ -254,5 +263,81 @@ proptest! {
         prop_assert_eq!(chains(&idx, &st), chains(&m_idx, &m_st));
         prop_assert_eq!(st.page_count(SEG), m_st.page_count(SEG));
         prop_assert_eq!(st.logical_bytes(SEG).unwrap(), m_st.logical_bytes(SEG).unwrap());
+    }
+
+    #[test]
+    fn chains_stay_in_their_segment(
+        ops in proptest::collection::vec((0usize..2, op_strategy(), any::<bool>()), 1..250)
+    ) {
+        const SEGS: [SegmentId; 2] = [SegmentId(1), SegmentId(2)];
+        let mut store = PageStore::new();
+        let mut indexes = SEGS.map(|seg| {
+            store.add_segment(seg);
+            SegmentIndex::new(seg, KeyRange::all())
+        });
+        let mut clock = 1u64;
+        let mut next_txn = 1u64;
+        let mut begin = |clock: u64| {
+            next_txn += 1;
+            (Snapshot { ts: clock, txn: TxnId(next_txn) }, Vec::new())
+        };
+        let mut live: Vec<(Snapshot, Vec<WriteOp>)> = (0..TXNS).map(|_| begin(clock)).collect();
+
+        for (s, op, vacuum) in ops {
+            let idx = &mut indexes[s];
+            match op {
+                Op::Insert(t, k, b) => {
+                    let (snap, writes) = &mut live[t];
+                    writes.extend(mvcc::insert(idx, &mut store, u32::MAX, Key(k), WIDTH, &[b], *snap).ok());
+                }
+                Op::Update(t, k, b) => {
+                    let (snap, writes) = &mut live[t];
+                    writes.extend(mvcc::update(idx, &mut store, u32::MAX, Key(k), WIDTH, &[b], *snap).ok());
+                }
+                Op::Delete(t, k) => {
+                    let (snap, writes) = &mut live[t];
+                    writes.extend(mvcc::delete(idx, &mut store, u32::MAX, Key(k), *snap).ok());
+                }
+                Op::Commit(t) => {
+                    clock += 1;
+                    let (_, writes) = std::mem::replace(&mut live[t], begin(clock));
+                    mvcc::commit_writes(&mut store, &writes, clock).unwrap();
+                }
+                Op::Abort(t) => {
+                    let (_, writes) = std::mem::replace(&mut live[t], begin(clock));
+                    // Newest first, each write against its own segment's index.
+                    for w in writes.iter().rev() {
+                        let idx = &mut indexes[w.segment.raw() as usize - 1];
+                        mvcc::abort_writes(idx, &mut store, std::slice::from_ref(w)).unwrap();
+                    }
+                }
+            }
+            if vacuum {
+                let horizon = live.iter().map(|(snap, _)| snap.ts).min().expect("live slots");
+                mvcc::vacuum(&mut indexes[s], &mut store, horizon).unwrap();
+            }
+
+            let mut chained = 0;
+            for idx in &indexes {
+                for (key, head) in idx.entries() {
+                    let mut next = Some(head);
+                    while let Some(rid) = next {
+                        prop_assert_eq!(rid.page.segment, idx.segment(), "{} of {}", rid, key);
+                        let version = store.peek(rid);
+                        prop_assert!(version.is_ok(), "{} of {} dangles", rid, key);
+                        let version = version.unwrap();
+                        prop_assert_eq!(version.key, key, "{} crossed chains", rid);
+                        chained += 1;
+                        next = version.prev;
+                    }
+                }
+            }
+            let stored: usize = SEGS
+                .iter()
+                .flat_map(|&seg| (0..store.page_count(seg)).map(move |p| PageId::new(seg, p as u32)))
+                .map(|page| store.page(page).unwrap().live_records())
+                .sum();
+            prop_assert_eq!(chained, stored, "every stored version is on a chain");
+        }
     }
 }

@@ -69,7 +69,7 @@ pub fn recover(
         }
         match &rec.payload {
             LogPayload::Insert { segment, after } => {
-                let image = Record::decode(after)?;
+                let image = Record::decode(after, *segment)?;
                 let idx = indexes
                     .get_mut(segment)
                     .ok_or(Error::UnknownSegment(*segment))?;
@@ -77,7 +77,7 @@ pub fn recover(
                 idx.insert(image.key, rid);
             }
             LogPayload::Update { segment, after, .. } => {
-                let image = Record::decode(after)?;
+                let image = Record::decode(after, *segment)?;
                 let idx = indexes
                     .get_mut(segment)
                     .ok_or(Error::UnknownSegment(*segment))?;
@@ -93,7 +93,7 @@ pub fn recover(
                 }
             }
             LogPayload::Delete { segment, before } => {
-                let image = Record::decode(before)?;
+                let image = Record::decode(before, *segment)?;
                 let idx = indexes
                     .get_mut(segment)
                     .ok_or(Error::UnknownSegment(*segment))?;
@@ -118,10 +118,12 @@ pub fn recover(
 }
 
 /// Build the log images for a data change (helpers for the cluster layer).
+/// An image is the version as `segment` stores it — chain pointer
+/// segment-local — and is decoded with the segment its payload names.
 pub fn insert_payload(segment: wattdb_common::SegmentId, after: &Record) -> LogPayload {
     LogPayload::Insert {
         segment,
-        after: after.encode(),
+        after: after.encode(segment),
     }
 }
 
@@ -133,8 +135,8 @@ pub fn update_payload(
 ) -> LogPayload {
     LogPayload::Update {
         segment,
-        before: before.encode(),
-        after: after.encode(),
+        before: before.encode(segment),
+        after: after.encode(segment),
     }
 }
 
@@ -142,7 +144,7 @@ pub fn update_payload(
 pub fn delete_payload(segment: wattdb_common::SegmentId, before: &Record) -> LogPayload {
     LogPayload::Delete {
         segment,
-        before: before.encode(),
+        before: before.encode(segment),
     }
 }
 

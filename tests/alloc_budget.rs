@@ -6,22 +6,27 @@
 //! per-client clients thinking 10 s, seed 11 — runs 10 sim-s of warm-up and
 //! then 30 sim-s under a counting `#[global_allocator]`. Heap calls
 //! (`alloc` + `alloc_zeroed` + `realloc`, counted like the benchmark's
-//! `allocs_per_txn`) per committed transaction must stay within 5: the
-//! machine-independent regression gate on the typed event core, the
-//! borrowed record path, the exact-capacity index nodes and the pages
-//! allocated once at their final size. The count is deterministic, the
-//! same in debug and release; it is printed so a change can see where it
-//! stands (3.53 now; 6.80 before a page was sized when it is created, 7.55
-//! before the index nodes reserved their fan-out, 89 before the typed
-//! event core).
+//! `allocs_per_txn`) per committed transaction must stay within
+//! [`BUDGET`]: the machine-independent regression gate on the typed event
+//! core, the borrowed record path, the index nodes that never outgrow
+//! their fan-out, the pages allocated once at their final size and the
+//! recycled lock-holder tables. The count is deterministic, the same in
+//! debug and release; it is printed so a change can see where it stands:
+//!
+//! | heap calls / commit | live heap, MB | as of |
+//! |---|---|---|
+//! | 1.68 | 18.9 | now: holder tables recycled, 33-byte version header, split halves sized to what they hold |
+//! | 3.53 | 26.2 | pages sized when created, 8-byte slots and index entries |
+//! | 6.80 | 44.8 | index nodes reserving their fan-out; 16-byte slots, 24-byte index entries, page bodies doubling their way up |
+//! | 7.55 | | typed event core, borrowed record path |
+//! | 89 | | before the typed event core |
 //!
 //! The allocator also keeps the bytes currently allocated, and the live
 //! heap at the end of the 40 sim-s — the loaded population plus one stored
 //! version per write, in pages, slots and index entries — must stay within
-//! [`LIVE_HEAP_MB`]: the same kind of gate on what a stored version costs
-//! (26.2 MB now; 44.8 MB with 16-byte slots, 24-byte index entries and
-//! page bodies that doubled their way up). Deterministic like the count:
-//! it sums requested sizes, which no allocator or build profile changes.
+//! [`LIVE_HEAP_MB`]: the same kind of gate on what a stored version costs.
+//! Deterministic like the count: it sums requested sizes, which no
+//! allocator or build profile changes.
 //!
 //! Lives in its own test binary because a global allocator is
 //! process-wide.
@@ -68,11 +73,11 @@ static GLOBAL: CountingAlloc = CountingAlloc;
 /// The gate on `allocs_per_txn` for the `oltp-steady` shape — what is
 /// known of the hot path (the module docs' count) plus headroom for a
 /// change that adds one or two calls knowingly, not tens.
-const BUDGET: f64 = 5.0;
+const BUDGET: f64 = 2.5;
 
 /// The gate on the live heap after the 40 sim-s, in MB (2^20 bytes): the
-/// module docs' figure plus 7 % of headroom.
-const LIVE_HEAP_MB: f64 = 28.0;
+/// module docs' figure plus 11 % of headroom.
+const LIVE_HEAP_MB: f64 = 21.0;
 
 #[test]
 fn oltp_steady_stays_within_its_allocation_budget() {
