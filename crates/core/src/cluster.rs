@@ -124,8 +124,6 @@ pub struct ClusterConfig {
     pub io_scale: u64,
     /// Records per logical-partitioning move batch.
     pub migration_batch: usize,
-    /// Group-commit window.
-    pub group_commit: SimDuration,
     /// Metric bucket width.
     pub bucket: SimDuration,
     /// Per-segment heat tracking (decay half-life and access weights).
@@ -163,7 +161,6 @@ impl Default for ClusterConfig {
             buffer_pages: 0,
             io_scale: 1,
             migration_batch: 64,
-            group_commit: SimDuration::from_millis(2),
             bucket: SimDuration::from_secs(10),
             heat: HeatConfig::default(),
             cost_model: Some(CostModel::default()),

@@ -43,7 +43,8 @@ pub enum Signal {
     },
     /// `job`'s abort backoff expired: start its next attempt.
     Retry { job: u64 },
-    /// `node`'s group-commit window closed: flush its log.
+    /// Flush `node`'s log: posted with no delay when the log had no flush
+    /// in flight, at the end of the group-commit window otherwise.
     FlushLog { node: NodeId },
     /// `node`'s in-flight flush batch `batch` reached stable storage (or
     /// its helper).

@@ -10,6 +10,12 @@
 //! the cluster layer charges the disk (or network, under log shipping) cost
 //! of a flush and then confirms it with [`LogManager::mark_durable`].
 //!
+//! **Commit rule** (the cluster layer's `executor::schedule_pending_flushes`):
+//! a commit that finds its node's log with no flush in flight flushes at
+//! once; one that arrives while a flush is on the disk (or the helper's
+//! wire) waits a fixed 2 ms window, and every commit queued by then rides
+//! in the next flush.
+//!
 //! **Retention rule:** a record stays in memory until it is both durable
 //! and shipped to every attached follower — after each flush the cluster
 //! layer calls [`LogManager::truncate_through`] with the lower of the

@@ -289,12 +289,12 @@ fn pinned(label: &str, expected: u64, scenario: fn() -> WattDb) -> String {
 
 #[test]
 fn per_client_export_is_byte_stable_across_runs() {
-    pinned("per-client", 0x346d_984f_26de_456f, oltp_run);
+    pinned("per-client", 0x2ee2_774b_55d1_1515, oltp_run);
 }
 
 #[test]
 fn traced_export_is_byte_stable_across_runs() {
-    let a = pinned("traced", 0x545d_0aa7_a7b4_e974, traced_run);
+    let a = pinned("traced", 0x86ae_f615_484b_94ee, traced_run);
     // The traced run actually exercises the trace machinery: the offered
     // load gauge is present and moves along the schedule.
     assert!(
@@ -305,30 +305,30 @@ fn traced_export_is_byte_stable_across_runs() {
 
 #[test]
 fn fraction_rebalance_under_load_is_byte_stable_across_runs() {
-    let a = pinned("rebalance", 0x092f_269f_466c_be61, rebalance_run);
+    let a = pinned("rebalance", 0xea3c_8349_c0fd_cf17, rebalance_run);
     assert!(a.contains("\"rebalance\""), "export carries the rebalance");
 }
 
 #[test]
 fn pooled_export_is_byte_stable_across_runs() {
-    pinned("pooled", 0xdcec_53ea_2f40_24a0, pooled_run);
+    pinned("pooled", 0xb7e1_e0fb_57e6_2741, pooled_run);
 }
 
 #[test]
 fn physical_rebalance_export_is_pinned() {
-    let a = pinned("physical", 0x1e6d_f831_724e_7320, physical_run);
+    let a = pinned("physical", 0xd17a_8940_7aa1_5be1, physical_run);
     assert!(a.contains("\"Physical\""), "export names the scheme");
 }
 
 #[test]
 fn logical_rebalance_export_is_pinned() {
-    let a = pinned("logical", 0x14fc_55f1_a37a_d8a8, logical_run);
+    let a = pinned("logical", 0x19ce_ce0d_f19b_3ff5, logical_run);
     assert!(a.contains("\"Logical\""), "export names the scheme");
 }
 
 #[test]
 fn scripted_helpers_export_is_pinned() {
-    let a = pinned("helpers", 0x11ae_f3fd_d551_29e8, helpers_run);
+    let a = pinned("helpers", 0x5a90_ad27_0db6_651b, helpers_run);
     assert!(a.contains("\"helpers\""), "export carries the helper span");
     assert!(a.contains("\"detach\""), "helpers detached with completion");
 }
@@ -337,7 +337,7 @@ fn scripted_helpers_export_is_pinned() {
 fn replicated_elastic_export_is_pinned() {
     let a = pinned(
         "replicated-elastic",
-        0xf753_49bf_eb07_6b26,
+        0x81f6_b409_3bac_fc9d,
         replicated_elastic_run,
     );
     // The paths this pin exists for all ran.
@@ -353,7 +353,7 @@ fn replicated_elastic_export_is_pinned() {
 
 #[test]
 fn failover_export_is_pinned() {
-    let a = pinned("failover", 0x6bd9_6b1d_d030_52df, failover_run);
+    let a = pinned("failover", 0x6476_c638_f3cf_a75f, failover_run);
     for needle in ["\"failover\"", "\"promote\"", "\"re-replicate\""] {
         assert!(a.contains(needle), "export carries {needle}");
     }
