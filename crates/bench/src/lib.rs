@@ -1355,7 +1355,6 @@ pub fn fig3_run(update_pct: u32, mode: CcMode) -> Fig3Point {
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
         .build();
     // Spawn clients; a custom driver loop submits the fixed mix.
-    db.with_runtime(|cl, _| cl.borrow_mut().cfg.migration_batch = 64);
     spawn_driven(&mut db, 24, SimDuration::from_millis(25), 0.0, 1);
     db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, update_pct));
     db.run_for(SimDuration::from_secs(10));

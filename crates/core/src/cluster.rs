@@ -122,8 +122,6 @@ pub struct ClusterConfig {
     /// volume of the paper's 100 GB deployment (see
     /// [`crate::api::WattDbBuilder::io_scale`]).
     pub io_scale: u64,
-    /// Records per logical-partitioning move batch.
-    pub migration_batch: usize,
     /// Metric bucket width.
     pub bucket: SimDuration,
     /// Per-segment heat tracking (decay half-life and access weights).
@@ -160,7 +158,6 @@ impl Default for ClusterConfig {
             segment_pages: 64,
             buffer_pages: 0,
             io_scale: 1,
-            migration_batch: 64,
             bucket: SimDuration::from_secs(10),
             heat: HeatConfig::default(),
             cost_model: Some(CostModel::default()),

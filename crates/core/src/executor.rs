@@ -24,9 +24,9 @@
 //! `CostTrace` collapses into — and charges it to the segment's heat
 //! at apply time. With a cost model configured (the default) the heat
 //! signal therefore measures the *work* each segment causes; with cost
-//! tracing off the executor falls back to the legacy flat-weight calls at
-//! the original call sites, reproducing the weighted-count signal
-//! exactly. All per-operation prices come from the shared
+//! tracing off the same one call (`HeatTable::record_access_n`) prices
+//! the access at the flat per-access weights instead, the weighted-count
+//! signal. All per-operation prices come from the shared
 //! [`wattdb_query::CostParams`] calibration — the executor keeps no
 //! constants of its own.
 
@@ -1068,7 +1068,7 @@ fn ship_replica_batches(cl: &ClusterRc, sim: &mut Sim, node: NodeId) {
             continue;
         }
         let n = &mut c.nodes[node.raw() as usize];
-        let Some((_, bytes)) = n.replica_shipper.take_batch(follower, &n.log) else {
+        let Some(bytes) = n.replica_shipper.take_batch(follower, &n.log) else {
             continue;
         };
         let Some(through) = n.replica_shipper.shipped_lsn(follower) else {

@@ -46,7 +46,7 @@ use crate::cluster::Lifecycle;
 
 pub mod drift;
 
-pub use drift::{DriftTracker, SegmentDrift, SegmentDriftStat};
+pub use drift::DriftTracker;
 
 /// What kind of record operation an access was (drives the flat-weight
 /// fallback and the lifetime counters).

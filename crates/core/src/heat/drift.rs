@@ -7,10 +7,9 @@
 //! The [`DriftTracker`] closes that gap: at every monitoring window it
 //! observes each segment's decayed heat, folds the per-window delta into
 //! an EWMA **velocity** (heat units per simulated second, keyed by the
-//! segment and carrying its key-range position), and exposes a
-//! [`projected`](DriftTracker::projected) view — `max(0, heat +
-//! velocity × horizon)` — that the planner consumes instead of raw heat
-//! (see [`super::segment_stats_projected`]).
+//! segment), and exposes a [`projected`](DriftTracker::projected) view —
+//! `max(0, heat + velocity × horizon)` — that the planner consumes instead
+//! of raw heat (see [`super::segment_stats_projected`]).
 //!
 //! Because every segment is observed at the same instants, the EWMA
 //! weights are identical across segments and velocity is *linear* in the
@@ -19,46 +18,21 @@
 //! unclamped projection conserves total heat exactly. Clamping at zero
 //! (heat cannot go negative) is the only deviation.
 
-use wattdb_common::{
-    DenseMap, DriftConfig, HeatVelocity, Key, NodeId, SegmentId, SimDuration, SimTime, TableId,
-};
+use wattdb_common::{DenseMap, DriftConfig, HeatVelocity, SegmentId, SimDuration, SimTime};
 use wattdb_storage::SegmentDirectory;
 
 use super::HeatTable;
 
-/// One segment's drift state: where it sits in the key space, the heat
-/// seen at the last observation, and the current velocity estimate.
+/// One segment's drift state: the heat seen at the last observation, and
+/// the current velocity estimate.
 #[derive(Debug, Clone, Copy)]
-pub struct SegmentDrift {
-    /// Key-range start at the last observation — the segment's position
-    /// in the key space the hotspot drifts through.
-    pub pos: Key,
+struct SegmentDrift {
     /// Decayed heat at the last observation.
-    pub heat: f64,
+    heat: f64,
     /// EWMA heat velocity.
-    pub velocity: HeatVelocity,
+    velocity: HeatVelocity,
     /// When the segment was last observed.
-    pub at: SimTime,
-}
-
-/// A per-segment drift snapshot row, joined with catalog placement (what
-/// [`DriftTracker::snapshot`] returns).
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentDriftStat {
-    /// Segment id.
-    pub seg: SegmentId,
-    /// Owning table.
-    pub table: TableId,
-    /// Node storing the segment.
-    pub node: NodeId,
-    /// Key-range start (position in the drifting key space).
-    pub pos: Key,
-    /// Decayed heat at snapshot time.
-    pub heat: f64,
-    /// Estimated heat velocity.
-    pub velocity: HeatVelocity,
-    /// Projected heat at the requested horizon (never negative).
-    pub projected: f64,
+    at: SimTime,
 }
 
 /// The cluster-wide drift tracker: velocity estimates for every segment
@@ -76,11 +50,6 @@ impl DriftTracker {
             cfg,
             segments: DenseMap::new(),
         }
-    }
-
-    /// The drift configuration in force.
-    pub fn config(&self) -> &DriftConfig {
-        &self.cfg
     }
 
     /// True until the first observation lands.
@@ -101,9 +70,7 @@ impl DriftTracker {
         let hl = self.cfg.velocity_half_life;
         for m in dir.iter() {
             let heat = table.heat_of(m.id, now).value();
-            let pos = m.key_range.map(|r| r.start).unwrap_or(Key::MIN);
             let e = self.segments.get_or_insert_with(m.id, || SegmentDrift {
-                pos,
                 heat,
                 velocity: HeatVelocity::ZERO,
                 at: now,
@@ -119,7 +86,6 @@ impl DriftTracker {
                 e.velocity = HeatVelocity(e.velocity.value() * (1.0 - alpha) + raw * alpha);
             }
             e.heat = heat;
-            e.pos = pos;
             e.at = now;
         }
     }
@@ -130,11 +96,6 @@ impl DriftTracker {
             .get(&seg)
             .map(|e| e.velocity)
             .unwrap_or(HeatVelocity::ZERO)
-    }
-
-    /// Raw drift state for a segment, if it was ever observed.
-    pub fn stats(&self, seg: SegmentId) -> Option<&SegmentDrift> {
-        self.segments.get(&seg)
     }
 
     /// Project `current_heat` ahead by `horizon` along the segment's
@@ -148,45 +109,12 @@ impl DriftTracker {
         let v = self.velocity(seg);
         (current_heat + v.over(horizon).value()).max(0.0)
     }
-
-    /// Joined per-segment snapshot over the whole catalog at the given
-    /// projection horizon, hottest projected first.
-    pub fn snapshot(
-        &self,
-        table: &HeatTable,
-        dir: &SegmentDirectory,
-        now: SimTime,
-        horizon: SimDuration,
-    ) -> Vec<SegmentDriftStat> {
-        let mut rows: Vec<SegmentDriftStat> = dir
-            .iter()
-            .map(|m| {
-                let heat = table.heat_of(m.id, now).value();
-                SegmentDriftStat {
-                    seg: m.id,
-                    table: m.table,
-                    node: m.node,
-                    pos: m.key_range.map(|r| r.start).unwrap_or(Key::MIN),
-                    heat,
-                    velocity: self.velocity(m.id),
-                    projected: self.projected(m.id, heat, horizon),
-                }
-            })
-            .collect();
-        rows.sort_by(|a, b| {
-            b.projected
-                .partial_cmp(&a.projected)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.seg.cmp(&b.seg))
-        });
-        rows
-    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wattdb_common::{DiskId, HeatConfig, NodeId, TableId};
+    use wattdb_common::{DiskId, HeatConfig, Key, NodeId, TableId};
 
     /// A heat table with decay disabled, so injected heats behave as plain
     /// counters and drift arithmetic is exact.
@@ -230,11 +158,17 @@ mod tests {
         let (dir, segs) = dir_with(2);
         let mut heat = counter_table();
         heat.record_read(segs[0], SimTime::from_secs(1));
-        let mut d = tracker(10, 5);
+        let mut d = tracker(0, 5); // zero half-life: last delta wins
         d.observe(&heat, &dir, SimTime::from_secs(1));
         assert_eq!(d.velocity(segs[0]), HeatVelocity::ZERO);
-        assert_eq!(d.stats(segs[0]).unwrap().heat, 1.0);
         assert!(!d.is_empty());
+        // One second later with +2 heat: velocity reads exactly 2.0, which
+        // it only can if the first observation stored heat 1.0.
+        for _ in 0..2 {
+            heat.record_read(segs[0], SimTime::from_secs(2));
+        }
+        d.observe(&heat, &dir, SimTime::from_secs(2));
+        assert_eq!(d.velocity(segs[0]), HeatVelocity(2.0));
     }
 
     #[test]
@@ -324,35 +258,6 @@ mod tests {
         let h = decaying.heat_of(segs[0], SimTime::from_secs(1)).value();
         let p = d.projected(segs[0], h, SimDuration::from_secs(100));
         assert_eq!(p, 0.0, "projection clamps instead of going negative");
-    }
-
-    #[test]
-    fn snapshot_ranks_by_projected_heat() {
-        // Segment 0 is hot but cooling hard; segment 1 is cooler but
-        // heating: at a long enough horizon their projected order flips.
-        let (dir, segs) = dir_with(2);
-        let mut heat = counter_table();
-        let mut d = tracker(0, 10);
-        for _ in 0..20 {
-            heat.record_read(segs[0], SimTime::ZERO);
-        }
-        d.observe(&heat, &dir, SimTime::ZERO);
-        // One second later: seg 0 unchanged (velocity 0), seg 1 gained 8.
-        for _ in 0..8 {
-            heat.record_read(segs[1], SimTime::from_secs(1));
-        }
-        d.observe(&heat, &dir, SimTime::from_secs(1));
-        let snap = d.snapshot(
-            &heat,
-            &dir,
-            SimTime::from_secs(1),
-            SimDuration::from_secs(10),
-        );
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].seg, segs[1], "projected winner leads: {snap:?}");
-        assert!((snap[0].projected - (8.0 + 8.0 * 10.0)).abs() < 1e-9);
-        assert!((snap[1].projected - 20.0).abs() < 1e-9);
-        assert!(snap[0].velocity.value() > 0.0);
     }
 
     mod props {

@@ -954,12 +954,15 @@ fn segment_copy_done(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
 
 // ----------------------------------------------------------------- logical
 
+/// Records per logical-partitioning move batch: one mover transaction
+/// moves up to this many keys before the next batch is scheduled.
+const MIGRATION_BATCH: usize = 64;
+
 fn next_logical_batch(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
-    // Pick the batch: up to `migration_batch` keys starting at the cursor.
+    // Pick the batch: up to `MIGRATION_BATCH` keys starting at the cursor.
     let planned = {
         let mut c = cl.borrow_mut();
         let c = &mut *c;
-        let batch_size = c.cfg.migration_batch;
         loop {
             let (rm, cursor) = {
                 let m = c.mover.as_mut().expect("mover active");
@@ -979,12 +982,12 @@ fn next_logical_batch(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
                 .find(|p| p.table == rm.table && p.node == rm.from)
                 .expect("source partition");
             let scan_range = KeyRange::new(cursor, rm.range.end);
-            let mut keys: Vec<Key> = Vec::with_capacity(batch_size);
+            let mut keys: Vec<Key> = Vec::with_capacity(MIGRATION_BATCH);
             'outer: for (seg, seg_range) in src_part.top.prune(scan_range) {
                 let lo = seg_range.start.max(cursor);
                 for (k, _) in c.indexes[&seg].range_scan(KeyRange::new(lo, rm.range.end)) {
                     keys.push(k);
-                    if keys.len() >= batch_size {
+                    if keys.len() >= MIGRATION_BATCH {
                         break 'outer;
                     }
                 }
@@ -1011,7 +1014,7 @@ fn next_logical_batch(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
                 continue;
             }
             let last = *keys.last().expect("non-empty");
-            let batch_end = if keys.len() < batch_size {
+            let batch_end = if keys.len() < MIGRATION_BATCH {
                 rm.range.end
             } else {
                 Key(last.raw() + 1)

@@ -30,7 +30,7 @@
 
 use std::ops::Range;
 
-use wattdb_common::{Error, Lsn, Result};
+use wattdb_common::{Error, Result};
 
 /// Logical page size in bytes (8 KiB, 4096 pages per 32 MiB segment).
 pub const PAGE_SIZE: usize = 8192;
@@ -85,7 +85,11 @@ impl Slot {
     }
 }
 
-/// An in-memory slotted page.
+/// An in-memory slotted page: body, slot directory and space accounting,
+/// nothing else. It has no recovery LSN, because nothing replays the log
+/// (the failure story is replication, not restart), and no dirty bit,
+/// because write-back reads the buffer pool's per-frame one
+/// (`BufferPool::{touch, mark_clean, dirty_pages}`).
 #[derive(Debug, Clone)]
 pub struct SlottedPage {
     data: Vec<u8>,
@@ -97,10 +101,11 @@ pub struct SlottedPage {
     /// Dead slots in the directory: an insert only hunts for a slot number
     /// to reuse when there is one.
     dead_slots: usize,
-    /// Recovery LSN of the latest change.
-    page_lsn: Lsn,
-    dirty: bool,
 }
+
+// One per page of every segment: the store holds about 11 k of them on the
+// benchmark's `oltp-steady`.
+const _: () = assert!(std::mem::size_of::<SlottedPage>() == 72);
 
 impl Default for SlottedPage {
     fn default() -> Self {
@@ -117,8 +122,6 @@ impl SlottedPage {
             logical_used: 0,
             dead_bytes: 0,
             dead_slots: 0,
-            page_lsn: Lsn::ZERO,
-            dirty: false,
         }
     }
 
@@ -156,26 +159,6 @@ impl SlottedPage {
         logical + SLOT_OVERHEAD <= self.free_logical()
     }
 
-    /// Recovery LSN of the last change to this page.
-    pub fn lsn(&self) -> Lsn {
-        self.page_lsn
-    }
-
-    /// Set the recovery LSN (called by the WAL layer after logging).
-    pub fn set_lsn(&mut self, lsn: Lsn) {
-        self.page_lsn = lsn;
-    }
-
-    /// Whether the page has unflushed changes.
-    pub fn is_dirty(&self) -> bool {
-        self.dirty
-    }
-
-    /// Mark flushed.
-    pub fn mark_clean(&mut self) {
-        self.dirty = false;
-    }
-
     /// Insert a record with the given physical `payload` and `logical`
     /// width; returns the slot number. Fails with [`Error::PageFull`]-shaped
     /// `None`-free error when logical capacity is exhausted (the caller maps
@@ -201,7 +184,6 @@ impl SlottedPage {
         );
         let slot = Slot::live(offset, len, logical);
         self.logical_used += logical + SLOT_OVERHEAD;
-        self.dirty = true;
         // Reuse the lowest tombstone slot number if there is one.
         if self.dead_slots > 0 {
             let i = self.slots.iter().position(|s| !s.is_live());
@@ -224,10 +206,9 @@ impl SlottedPage {
     }
 
     /// Mutable view of the physical payload of `slot`, for patches that
-    /// keep its length; marks the page dirty.
+    /// keep its length.
     pub fn get_mut(&mut self, slot: u16) -> Option<&mut [u8]> {
         let extent = self.live_slot(slot)?.extent();
-        self.dirty = true;
         Some(&mut self.data[extent])
     }
 
@@ -245,7 +226,6 @@ impl SlottedPage {
         self.logical_used -= s.logical as usize + SLOT_OVERHEAD;
         self.slots[slot as usize] = Slot::DEAD;
         self.dead_slots += 1;
-        self.dirty = true;
         Ok(())
     }
 
@@ -269,7 +249,6 @@ impl SlottedPage {
         self.dead_bytes += old.len as usize;
         self.slots[slot as usize] = new;
         self.logical_used = new_used;
-        self.dirty = true;
         Ok(())
     }
 
@@ -294,7 +273,6 @@ impl SlottedPage {
             self.slots.pop();
             self.dead_slots -= 1;
         }
-        self.dirty = true;
     }
 
     /// Iterate `(slot, payload)` over live records.
@@ -332,7 +310,6 @@ mod tests {
         assert_eq!(p.get(s1), Some(&b"world!"[..]));
         assert_eq!(p.logical_width(s0), Some(100));
         assert_eq!(p.live_records(), 2);
-        assert!(p.is_dirty());
     }
 
     #[test]
@@ -445,17 +422,5 @@ mod tests {
         p.delete(b).unwrap();
         let got: Vec<(u16, Vec<u8>)> = p.iter().map(|(s, d)| (s, d.to_vec())).collect();
         assert_eq!(got, vec![(a, b"a".to_vec()), (c, b"c".to_vec())]);
-    }
-
-    #[test]
-    fn lsn_tracking() {
-        let mut p = SlottedPage::new();
-        assert_eq!(p.lsn(), Lsn::ZERO);
-        p.set_lsn(Lsn(42));
-        assert_eq!(p.lsn(), Lsn(42));
-        p.mark_clean();
-        assert!(!p.is_dirty());
-        p.insert(b"x", 8).unwrap();
-        assert!(p.is_dirty());
     }
 }

@@ -353,7 +353,6 @@ mod tests {
             assert_eq!(patched.read_record(rid).unwrap(), copy);
             assert_eq!(patched.peek(rid).unwrap(), copy.header());
             assert_eq!(patched.logical_bytes(seg).unwrap(), used);
-            assert!(patched.page(rid.page).unwrap().is_dirty());
             assert_eq!(patched.page(rid.page).unwrap().dead_bytes(), 0);
 
             // Cutting the chain in place: the same version without `prev`,

@@ -1,19 +1,17 @@
-//! Write-ahead logging, recovery, and log shipping for WattDB-RS.
+//! Volume-only write-ahead logging, group commit and log shipping for
+//! WattDB-RS.
 //!
-//! Implements the durability story of §4.3: per-node logical WAL with group
-//! commit, ARIES-style analysis/redo recovery from checkpoint images (the
-//! read-locked segment move doubles as a checkpoint), log truncation after
-//! moves, and log shipping to helper nodes for the improved rebalancing
-//! experiment (Fig. 8).
+//! Implements the log of §4.3 as the paper's figures price it: a per-node
+//! byte ledger with group commit (Fig. 7's logging share), log truncation
+//! after moves, and log shipping to helper nodes and replica followers
+//! (Fig. 8). There is no restart recovery: the failure story is
+//! replication, not restart — followers receive the log and a dead
+//! leader's segments are promoted.
 
 pub mod log;
 pub mod record;
-pub mod recovery;
 pub mod shipping;
 
 pub use log::LogManager;
-pub use record::{LogPayload, LogRecord, LOG_HEADER_BYTES};
-pub use recovery::{
-    check_consistency, delete_payload, insert_payload, recover, update_payload, RecoveryReport,
-};
+pub use record::{LogPayload, LOG_HEADER_BYTES};
 pub use shipping::LogShipper;

@@ -6,9 +6,13 @@
 //! [`LogManager`]; a moved partition starts logging into the *new* node's
 //! manager after the move completes.
 //!
-//! The manager buffers appended records and exposes the pending byte count;
-//! the cluster layer charges the disk (or network, under log shipping) cost
-//! of a flush and then confirms it with [`LogManager::mark_durable`].
+//! The manager is a byte ledger. It buffers appended records and exposes
+//! the pending byte count; the cluster layer charges the disk (or network,
+//! under log shipping) cost of a flush and then confirms it with
+//! [`LogManager::mark_durable`]. Nothing replays the log — a failed node's
+//! segments are promoted from their followers, which received the log — so
+//! a retained record is read for its LSN and its encoded length only, and
+//! the length is all the manager keeps of it.
 //!
 //! **Commit rule** (the cluster layer's `executor::schedule_pending_flushes`):
 //! a commit that finds its node's log with no flush in flight flushes at
@@ -22,18 +26,19 @@
 //! durable LSN and the slowest shipping cursor — so the retained tail is
 //! bounded by the flush and shipping backlog, not by the age of the run.
 
-use std::collections::vec_deque::{Iter, VecDeque};
+use std::collections::VecDeque;
 
 use wattdb_common::{Lsn, TxnId};
 
-use crate::record::{LogPayload, LogRecord};
+use crate::record::LogPayload;
 
 /// Append-only log for one node.
 #[derive(Debug)]
 pub struct LogManager {
-    /// Retained tail. LSNs are dense, so the record with LSN `l` sits at
-    /// index `l - first_lsn()`.
-    records: VecDeque<LogRecord>,
+    /// Encoded length of each retained record. LSNs are dense, so the
+    /// record with LSN `l` sits at index `l - first`, `first` being the
+    /// lowest retained LSN.
+    lens: VecDeque<u32>,
     next_lsn: u64,
     /// All records with `lsn <= durable` are on stable storage.
     durable: Lsn,
@@ -54,7 +59,7 @@ impl LogManager {
     /// Empty log.
     pub fn new() -> Self {
         Self {
-            records: VecDeque::new(),
+            lens: VecDeque::new(),
             next_lsn: 1,
             durable: Lsn::ZERO,
             pending_bytes: 0,
@@ -64,13 +69,15 @@ impl LogManager {
     }
 
     /// Append a record; returns its LSN. The record is *not* durable until
-    /// a flush covers it.
-    pub fn append(&mut self, txn: TxnId, payload: LogPayload) -> Lsn {
+    /// a flush covers it. The ledger keeps no owner: `_txn` stays because
+    /// the benchmark's frozen `wal.append_ns` probe calls this signature.
+    pub fn append(&mut self, _txn: TxnId, payload: LogPayload) -> Lsn {
         let lsn = Lsn(self.next_lsn);
         self.next_lsn += 1;
-        let rec = LogRecord { lsn, txn, payload };
-        self.pending_bytes += rec.encoded_len();
-        self.records.push_back(rec);
+        let len = payload.encoded_len();
+        self.pending_bytes += len;
+        self.lens
+            .push_back(len.try_into().expect("log record below 4 GiB"));
         lsn
     }
 
@@ -89,10 +96,10 @@ impl LogManager {
         self.pending_bytes
     }
 
-    /// Index in `records` of the first record with an LSN above `lsn`.
+    /// Index in `lens` of the first record with an LSN above `lsn`.
     fn index_after(&self, lsn: Lsn) -> usize {
-        let first = self.next_lsn - self.records.len() as u64;
-        ((lsn.raw() + 1).saturating_sub(first) as usize).min(self.records.len())
+        let first = self.next_lsn - self.lens.len() as u64;
+        ((lsn.raw() + 1).saturating_sub(first) as usize).min(self.lens.len())
     }
 
     /// Mark everything up to `lsn` durable (after the flush I/O completed).
@@ -107,7 +114,7 @@ impl LogManager {
         let lo = self.index_after(self.durable);
         self.durable = lsn;
         let hi = self.index_after(lsn);
-        let newly: usize = self.records.range(lo..hi).map(|r| r.encoded_len()).sum();
+        let newly: usize = self.lens.range(lo..hi).map(|&l| l as usize).sum();
         self.pending_bytes -= newly;
         self.flushed_bytes += newly as u64;
         self.flushes += 1;
@@ -123,15 +130,12 @@ impl LogManager {
         self.flushes
     }
 
-    /// All retained records as one slice (recovery input). Takes `&mut`
-    /// because the ring may have to rotate to become contiguous.
-    pub fn records(&mut self) -> &[LogRecord] {
-        self.records.make_contiguous()
-    }
-
-    /// Retained records after `from` (exclusive), for log shipping.
-    pub fn records_after(&self, from: Lsn) -> Iter<'_, LogRecord> {
-        self.records.range(self.index_after(from)..)
+    /// Total bytes of the retained records after `from` (exclusive) — what
+    /// shipping the tail past a cursor at `from` puts on the wire. `None`
+    /// when no retained record lies past it.
+    pub fn bytes_after(&self, from: Lsn) -> Option<usize> {
+        let i = self.index_after(from);
+        (i < self.lens.len()).then(|| self.lens.range(i..).map(|&l| l as usize).sum())
     }
 
     /// Drop records at or below `lsn` (post-checkpoint truncation; §4.3:
@@ -140,29 +144,30 @@ impl LogManager {
     pub fn truncate_through(&mut self, lsn: Lsn) {
         assert!(lsn <= self.durable, "cannot truncate undurable log records");
         let n = self.index_after(lsn);
-        self.records.drain(..n);
+        self.lens.drain(..n);
     }
 
     /// Number of retained records.
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.lens.len()
     }
 
     /// True if the retained log is empty.
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.lens.is_empty()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::record::LOG_HEADER_BYTES;
     use wattdb_common::SegmentId;
 
     #[test]
     fn append_assigns_dense_lsns() {
         let mut log = LogManager::new();
-        let a = log.append(TxnId(1), LogPayload::Begin);
+        let a = log.append(TxnId(1), LogPayload::Commit);
         let b = log.append(TxnId(1), LogPayload::Commit);
         assert_eq!(a, Lsn(1));
         assert_eq!(b, Lsn(2));
@@ -173,12 +178,12 @@ mod tests {
     #[test]
     fn durability_tracking() {
         let mut log = LogManager::new();
-        let l1 = log.append(TxnId(1), LogPayload::Begin);
+        let l1 = log.append(TxnId(1), LogPayload::Commit);
         let l2 = log.append(
             TxnId(1),
-            LogPayload::Insert {
+            LogPayload::Change {
                 segment: SegmentId(1),
-                after: vec![0; 50],
+                image_bytes: 50,
             },
         );
         assert!(log.durable_lsn() < l1);
@@ -203,7 +208,7 @@ mod tests {
     #[test]
     fn mark_durable_is_monotonic_and_idempotent() {
         let mut log = LogManager::new();
-        log.append(TxnId(1), LogPayload::Begin);
+        log.append(TxnId(1), LogPayload::Commit);
         log.append(TxnId(1), LogPayload::Commit);
         log.mark_durable(Lsn(2));
         let flushed = log.flushed_bytes();
@@ -211,7 +216,7 @@ mod tests {
         log.mark_durable(Lsn(2)); // repeat: no-op
         assert_eq!(log.flushed_bytes(), flushed);
         // Beyond the end clamps.
-        log.append(TxnId(2), LogPayload::Begin);
+        log.append(TxnId(2), LogPayload::Commit);
         log.mark_durable(Lsn(99));
         assert_eq!(log.durable_lsn(), Lsn(3));
     }
@@ -220,13 +225,11 @@ mod tests {
     fn shipping_window() {
         let mut log = LogManager::new();
         for t in 1..=4u64 {
-            log.append(TxnId(t), LogPayload::Begin);
+            log.append(TxnId(t), LogPayload::Commit);
         }
-        let mut tail = log.records_after(Lsn(2));
-        assert_eq!(tail.len(), 2);
-        assert_eq!(tail.next().unwrap().lsn, Lsn(3));
-        assert_eq!(log.records_after(Lsn(4)).len(), 0);
-        assert_eq!(log.records_after(Lsn::ZERO).len(), 4);
+        assert_eq!(log.bytes_after(Lsn(2)), Some(2 * LOG_HEADER_BYTES));
+        assert_eq!(log.bytes_after(Lsn(4)), None);
+        assert_eq!(log.bytes_after(Lsn::ZERO), Some(4 * LOG_HEADER_BYTES));
     }
 
     #[test]
@@ -238,16 +241,17 @@ mod tests {
         log.mark_durable(Lsn(4));
         log.truncate_through(Lsn(2));
         assert_eq!(log.len(), 2);
-        assert_eq!(log.records()[0].lsn, Lsn(3));
+        // Only LSNs 3 and 4 are left to ship, from any cursor below them.
+        assert_eq!(log.bytes_after(Lsn::ZERO), Some(2 * LOG_HEADER_BYTES));
         // New appends continue the LSN sequence.
-        assert_eq!(log.append(TxnId(9), LogPayload::Begin), Lsn(5));
+        assert_eq!(log.append(TxnId(9), LogPayload::Commit), Lsn(5));
     }
 
     #[test]
     #[should_panic(expected = "undurable")]
     fn cannot_truncate_volatile_tail() {
         let mut log = LogManager::new();
-        log.append(TxnId(1), LogPayload::Begin);
+        log.append(TxnId(1), LogPayload::Commit);
         log.truncate_through(Lsn(1));
     }
 }

@@ -1,13 +1,17 @@
-//! Write-ahead log records.
+//! Write-ahead log records: a byte ledger.
 //!
-//! WattDB logs logically at record granularity ("physiological" logging in
-//! the classic sense: logical within a segment): each data change carries
-//! the key, segment, and before/after images needed for REDO and UNDO.
-//! Segment moves appear as bracketing records — the move itself needs no
-//! per-record logging because it read-locks the partition and acts as a
-//! checkpoint (§4.3, *Logging*).
+//! The paper prices the log by its volume — the flush I/O of Fig. 7's
+//! logging share and the wire bytes of Fig. 8's log shipping — and no
+//! figure measures a restart. The failure story is replication, not
+//! restart: followers receive the log and a dead leader's segments are
+//! promoted. So a record only has to know how many bytes it adds to the
+//! log ([`LogPayload::encoded_len`]); a data change records the size its
+//! before/after images would have, not the images. Segment moves appear
+//! as bracketing records — the move itself needs no per-record logging
+//! because it read-locks the partition and acts as a checkpoint (§4.3,
+//! *Logging*).
 
-use wattdb_common::{Lsn, SegmentId, TxnId};
+use wattdb_common::SegmentId;
 
 /// Fixed per-record header overhead counted toward log volume (LSN, txn,
 /// kind tag, lengths).
@@ -16,20 +20,11 @@ pub const LOG_HEADER_BYTES: usize = 32;
 /// What happened.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum LogPayload {
-    /// Transaction began.
-    Begin,
     /// Transaction committed.
     Commit,
-    /// Transaction aborted (undo completed).
-    Abort,
-    /// A key was inserted: after-image bytes.
-    Insert {
-        /// Segment holding the key.
-        segment: SegmentId,
-        /// Encoded after-image ([`wattdb_storage::Record`] bytes).
-        after: Vec<u8>,
-    },
-    /// A key was updated: before and after images.
+    /// A key was updated: before and after images. Nothing in the engine
+    /// logs it; the benchmark's `wal.append_ns` probe
+    /// (`benchmark/src/probe.rs`, frozen with the benchmark) does.
     Update {
         /// Segment holding the key.
         segment: SegmentId,
@@ -38,17 +33,8 @@ pub enum LogPayload {
         /// Encoded after-image.
         after: Vec<u8>,
     },
-    /// A key was deleted: before image.
-    Delete {
-        /// Segment holding the key.
-        segment: SegmentId,
-        /// Encoded before-image.
-        before: Vec<u8>,
-    },
-    /// A data change logged for its volume alone. The cluster's executor
-    /// models what a change costs the log — flush I/O, shipping bytes — and
-    /// never replays it, so it records how many image bytes a redoable
-    /// record would carry instead of the images. Recovery rejects it.
+    /// A data change logged for its volume alone: how many image bytes a
+    /// redoable record would carry, instead of the images.
     Change {
         /// Segment holding the key.
         segment: SegmentId,
@@ -68,49 +54,19 @@ pub enum LogPayload {
         /// Moved segment.
         segment: SegmentId,
     },
-    /// Fuzzy checkpoint: transactions live at checkpoint time.
-    Checkpoint {
-        /// Transactions in flight.
-        active: Vec<TxnId>,
-    },
 }
 
-/// One log record.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct LogRecord {
-    /// Sequence number (unique, dense, per node).
-    pub lsn: Lsn,
-    /// Owning transaction ([`TxnId::NONE`] for checkpoints/moves).
-    pub txn: TxnId,
-    /// The change.
-    pub payload: LogPayload,
-}
-
-impl LogRecord {
+impl LogPayload {
     /// Bytes this record contributes to the log (header + images); drives
     /// flush I/O and log-shipping network volume.
     pub fn encoded_len(&self) -> usize {
         LOG_HEADER_BYTES
-            + match &self.payload {
-                LogPayload::Begin | LogPayload::Commit | LogPayload::Abort => 0,
-                LogPayload::Insert { after, .. } => after.len(),
+            + match self {
+                LogPayload::Commit => 0,
                 LogPayload::Update { before, after, .. } => before.len() + after.len(),
-                LogPayload::Delete { before, .. } => before.len(),
                 LogPayload::Change { image_bytes, .. } => *image_bytes as usize,
                 LogPayload::SegmentMoveStart { .. } | LogPayload::SegmentMoveEnd { .. } => 16,
-                LogPayload::Checkpoint { active } => 8 * active.len(),
             }
-    }
-
-    /// True for records that change data (need redo/undo).
-    pub fn is_data_change(&self) -> bool {
-        matches!(
-            self.payload,
-            LogPayload::Insert { .. }
-                | LogPayload::Update { .. }
-                | LogPayload::Delete { .. }
-                | LogPayload::Change { .. }
-        )
     }
 }
 
@@ -120,50 +76,17 @@ mod tests {
 
     #[test]
     fn encoded_len_scales_with_images() {
-        let small = LogRecord {
-            lsn: Lsn(1),
-            txn: TxnId(1),
-            payload: LogPayload::Commit,
+        let big = LogPayload::Update {
+            segment: SegmentId(1),
+            before: vec![0; 100],
+            after: vec![0; 120],
         };
-        let big = LogRecord {
-            lsn: Lsn(2),
-            txn: TxnId(1),
-            payload: LogPayload::Update {
-                segment: SegmentId(1),
-                before: vec![0; 100],
-                after: vec![0; 120],
-            },
+        let sized = LogPayload::Change {
+            segment: SegmentId(1),
+            image_bytes: 220,
         };
-        let sized = LogRecord {
-            lsn: Lsn(3),
-            txn: TxnId(1),
-            payload: LogPayload::Change {
-                segment: SegmentId(1),
-                image_bytes: 220,
-            },
-        };
-        assert_eq!(small.encoded_len(), LOG_HEADER_BYTES);
+        assert_eq!(LogPayload::Commit.encoded_len(), LOG_HEADER_BYTES);
         assert_eq!(big.encoded_len(), LOG_HEADER_BYTES + 220);
         assert_eq!(sized.encoded_len(), big.encoded_len());
-    }
-
-    #[test]
-    fn data_change_classification() {
-        let mk = |p| LogRecord {
-            lsn: Lsn(1),
-            txn: TxnId(1),
-            payload: p,
-        };
-        assert!(mk(LogPayload::Insert {
-            segment: SegmentId(1),
-            after: vec![]
-        })
-        .is_data_change());
-        assert!(!mk(LogPayload::Begin).is_data_change());
-        assert!(!mk(LogPayload::Checkpoint { active: vec![] }).is_data_change());
-        assert!(!mk(LogPayload::SegmentMoveEnd {
-            segment: SegmentId(1)
-        })
-        .is_data_change());
     }
 }

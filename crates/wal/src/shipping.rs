@@ -7,12 +7,9 @@
 //! [`LogShipper`] tracks, per follower, how far the log has been shipped
 //! and acknowledged; the cluster layer charges the network costs.
 
-use std::collections::vec_deque::Iter;
-
 use wattdb_common::{Lsn, NodeId};
 
 use crate::log::LogManager;
-use crate::record::LogRecord;
 
 /// Per-follower shipping cursor over one node's log.
 #[derive(Debug, Default)]
@@ -52,11 +49,6 @@ impl LogShipper {
         self.cursors.retain(|c| c.0 != follower);
     }
 
-    /// Whether any follower is attached (enables shipping mode).
-    pub fn active(&self) -> bool {
-        !self.cursors.is_empty()
-    }
-
     /// Attached followers, in id order.
     pub fn followers(&self) -> Vec<NodeId> {
         self.cursors.iter().map(|c| c.0).collect()
@@ -68,19 +60,15 @@ impl LogShipper {
         self.cursors.get(i).map(|c| c.0)
     }
 
-    /// Records not yet shipped to `follower`, with their total byte size.
-    /// Marks them shipped (in flight).
-    pub fn take_batch<'a>(
-        &mut self,
-        follower: NodeId,
-        log: &'a LogManager,
-    ) -> Option<(Iter<'a, LogRecord>, usize)> {
+    /// Ship the records not yet shipped to `follower`: marks them shipped
+    /// (in flight) and returns their total byte size, `None` when there is
+    /// nothing to ship.
+    pub fn take_batch(&mut self, follower: NodeId, log: &LogManager) -> Option<usize> {
         let (_, shipped, _) = self.cursor_mut(follower)?;
-        let batch = log.records_after(*shipped);
-        *shipped = batch.clone().next_back()?.lsn;
-        let bytes: usize = batch.clone().map(|r| r.encoded_len()).sum();
+        let bytes = log.bytes_after(*shipped)?;
+        *shipped = log.last_lsn();
         self.shipped_bytes += bytes as u64;
-        Some((batch, bytes))
+        Some(bytes)
     }
 
     /// The slowest follower's shipping cursor: no record at or below it
@@ -134,7 +122,7 @@ impl LogShipper {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::record::LogPayload;
+    use crate::record::{LogPayload, LOG_HEADER_BYTES};
     use wattdb_common::TxnId;
 
     #[test]
@@ -143,14 +131,14 @@ mod tests {
         let mut shipper = LogShipper::new();
         let helper = NodeId(5);
         shipper.attach(helper, &log);
-        assert!(shipper.active());
+        assert_eq!(shipper.followers(), vec![helper]);
         // New traffic arrives.
         for t in 1..=3u64 {
             log.append(TxnId(t), LogPayload::Commit);
         }
-        let (batch, bytes) = shipper.take_batch(helper, &log).unwrap();
-        assert_eq!(batch.len(), 3);
-        assert!(bytes > 0);
+        let bytes = shipper.take_batch(helper, &log).unwrap();
+        assert_eq!(bytes, 3 * LOG_HEADER_BYTES);
+        assert_eq!(shipper.shipped_lsn(helper), Some(Lsn(3)));
         // Nothing more to ship until new appends.
         assert!(shipper.take_batch(helper, &log).is_none());
         let durable = shipper.acknowledge(helper, Lsn(3)).unwrap();
@@ -167,9 +155,9 @@ mod tests {
         shipper.attach(NodeId(5), &log);
         assert!(shipper.take_batch(NodeId(5), &log).is_none());
         log.append(TxnId(11), LogPayload::Commit);
-        let (mut batch, _) = shipper.take_batch(NodeId(5), &log).unwrap();
-        assert_eq!(batch.len(), 1);
-        assert_eq!(batch.next().unwrap().txn, TxnId(11));
+        let bytes = shipper.take_batch(NodeId(5), &log).unwrap();
+        assert_eq!(bytes, LOG_HEADER_BYTES, "the one new record, not history");
+        assert_eq!(shipper.shipped_lsn(NodeId(5)), Some(Lsn(11)));
     }
 
     #[test]

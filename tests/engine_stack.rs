@@ -1,11 +1,10 @@
-//! Integration: the storage/index/txn/WAL stack working together without
-//! the cluster layer — the embedded-engine view of WattDB.
+//! Integration: the storage/index/txn stack working together without the
+//! cluster layer — the embedded-engine view of WattDB.
 
 use wattdb_common::{Key, KeyRange, SegmentId, TxnId};
 use wattdb_index::SegmentIndex;
-use wattdb_storage::{PageStore, Record};
+use wattdb_storage::PageStore;
 use wattdb_txn::{CcMode, IndexMap, LockAcquire, LockMode, LockTarget, TxnKind, TxnManager};
-use wattdb_wal::{insert_payload, recover, LogManager, LogPayload};
 
 fn setup() -> (SegmentId, IndexMap, PageStore) {
     let seg = SegmentId(1);
@@ -14,53 +13,6 @@ fn setup() -> (SegmentId, IndexMap, PageStore) {
     let mut indexes = IndexMap::default();
     indexes.insert(seg, SegmentIndex::new(seg, KeyRange::all()));
     (seg, indexes, store)
-}
-
-#[test]
-fn mvcc_lifecycle_with_wal_recovery() {
-    let (seg, mut indexes, mut store) = setup();
-    let mut tm = TxnManager::new(CcMode::Mvcc);
-    let mut log = LogManager::new();
-
-    // Commit 100 inserts, logging each; abort 50 more after logging begin.
-    for i in 0..100u64 {
-        let t = tm.begin(TxnKind::User);
-        log.append(t, LogPayload::Begin);
-        let idx = indexes.get_mut(&seg).unwrap();
-        tm.insert(t, idx, &mut store, u32::MAX, Key(i), 64, &[i as u8])
-            .unwrap();
-        let rec = Record::new(Key(i), 1, 64, vec![i as u8]);
-        log.append(t, insert_payload(seg, &rec));
-        log.append(t, LogPayload::Commit);
-        tm.commit(t, &mut store).unwrap();
-    }
-    for i in 100..150u64 {
-        let t = tm.begin(TxnKind::User);
-        log.append(t, LogPayload::Begin);
-        let idx = indexes.get_mut(&seg).unwrap();
-        tm.insert(t, idx, &mut store, u32::MAX, Key(i), 64, &[0])
-            .unwrap();
-        let rec = Record::new(Key(i), 1, 64, vec![0]);
-        log.append(t, insert_payload(seg, &rec));
-        // Crash before commit: no Commit record.
-        tm.abort(t, &mut indexes, &mut store).unwrap();
-    }
-    log.mark_durable(log.last_lsn());
-
-    // Recover onto a fresh image: only the 100 committed keys return.
-    let (_, mut r_indexes, mut r_store) = setup();
-    // setup() returns seg id 1 again.
-    let report = recover(log.records(), &mut r_indexes, &mut r_store).unwrap();
-    assert_eq!(report.winners, 100);
-    assert_eq!(report.losers, 50);
-    let idx = &r_indexes[&seg];
-    assert_eq!(idx.len(), 100);
-    for i in 0..100u64 {
-        assert!(idx.get(Key(i)).0.is_some());
-    }
-    for i in 100..150u64 {
-        assert!(idx.get(Key(i)).0.is_none());
-    }
 }
 
 #[test]
