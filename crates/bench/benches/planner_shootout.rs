@@ -12,8 +12,8 @@
 //! Advancing phase: the hot client population warms warehouse 0, then
 //! re-homes to warehouse 1 just before the thresholds arm (TPC-C's
 //! insert-advancing front). Historical heat points at the warehouse the
-//! front already left; the drift layer projects heat along its velocity
-//! so the planner ships where the heat is *going*.
+//! front already left; projection carries each segment's heat along its
+//! velocity so the planner ships where the heat is *going*.
 //!
 //! Mixed-operator phase: point-read-hot clients on warehouse 0 share the
 //! node with periodic scan+aggregation queries over another warehouse.

@@ -312,9 +312,10 @@ pub fn run_drift_shootout(cfg: DriftShootout) -> PlannerShootoutRow {
             skew_threshold: 0.0,
             ..Default::default()
         })
-        .drift(wattdb_common::DriftConfig {
+        .heat_tracking(wattdb_common::HeatConfig {
             velocity_half_life: SimDuration::from_secs(5),
             horizon: cfg.horizon,
+            ..Default::default()
         })
         .monitoring(SimDuration::from_secs(5))
         .autopilot(true)

@@ -63,8 +63,8 @@ impl fmt::Display for Heat {
     }
 }
 
-/// Configuration of the heat tracker: decay horizon and per-access-kind
-/// weights.
+/// Configuration of the heat tracker: decay horizon, per-access-kind
+/// weights, and the velocity EWMA behind projected-heat planning.
 #[derive(Debug, Clone, Copy)]
 pub struct HeatConfig {
     /// Half-life of the exponential decay, in simulated time. Accesses
@@ -80,6 +80,17 @@ pub struct HeatConfig {
     /// fetch (wire plus remote disk — the cost the planner most wants to
     /// eliminate by moving the segment to where it is used).
     pub remote_weight: f64,
+    /// Half-life of the per-segment heat-velocity EWMA (heat units per
+    /// second, folded in once per monitoring window): how much history a
+    /// velocity estimate remembers. Shorter adapts faster to direction
+    /// changes but is noisier; zero makes every window replace the
+    /// estimate outright.
+    pub velocity_half_life: SimDuration,
+    /// Projection horizon: the planner plans against
+    /// `max(0, heat + velocity × horizon)` instead of raw heat, so a
+    /// moving hotspot is planned where it is going. Zero plans on
+    /// historical heat.
+    pub horizon: SimDuration,
 }
 
 impl Default for HeatConfig {
@@ -89,62 +100,6 @@ impl Default for HeatConfig {
             read_weight: 1.0,
             write_weight: 2.0,
             remote_weight: 1.0,
-        }
-    }
-}
-
-/// A rate of heat change: heat units per simulated second.
-///
-/// Positive velocity means the segment is getting hotter (the workload is
-/// arriving — e.g. the advancing front of an insert-heavy key range);
-/// negative means it is cooling (the workload has moved past it). Linear
-/// extrapolation `heat + velocity · horizon` predicts where heat is
-/// *going*, which is what a planner facing a moving hotspot needs.
-#[derive(Debug, Clone, Copy, PartialEq, PartialOrd, Default)]
-pub struct HeatVelocity(pub f64);
-
-impl HeatVelocity {
-    /// No movement at all.
-    pub const ZERO: HeatVelocity = HeatVelocity(0.0);
-
-    /// Raw value in heat units per second.
-    #[inline]
-    pub fn value(self) -> f64 {
-        self.0
-    }
-
-    /// The heat this velocity adds (or removes) over `horizon`.
-    #[inline]
-    pub fn over(self, horizon: SimDuration) -> Heat {
-        Heat(self.0 * horizon.as_secs_f64())
-    }
-}
-
-impl fmt::Display for HeatVelocity {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(f, "{:+.3}/s", self.0)
-    }
-}
-
-/// Configuration of the heat-drift tracker: how fast velocity estimates
-/// adapt, and how far ahead the planner projects.
-#[derive(Debug, Clone, Copy)]
-pub struct DriftConfig {
-    /// Half-life of the velocity EWMA, in simulated time: how much history
-    /// a velocity estimate remembers. Shorter adapts faster to direction
-    /// changes but is noisier; zero makes every observation replace the
-    /// estimate outright.
-    pub velocity_half_life: SimDuration,
-    /// Default projection horizon: the planner plans against
-    /// `heat + velocity × horizon` instead of raw heat. Zero disables
-    /// projection entirely (plans use historical heat, the pre-drift
-    /// behaviour).
-    pub horizon: SimDuration,
-}
-
-impl Default for DriftConfig {
-    fn default() -> Self {
-        Self {
             velocity_half_life: SimDuration::from_secs(15),
             horizon: SimDuration::from_secs(10),
         }
@@ -228,19 +183,5 @@ mod tests {
         let cfg = HeatConfig::default();
         assert!(cfg.write_weight > cfg.read_weight);
         assert!(cfg.half_life > SimDuration::ZERO);
-    }
-
-    #[test]
-    fn velocity_extrapolates_over_a_horizon() {
-        let v = HeatVelocity(0.5);
-        let gained = v.over(SimDuration::from_secs(8));
-        assert!((gained.value() - 4.0).abs() < 1e-9);
-        let cooling = HeatVelocity(-2.0).over(SimDuration::from_secs(3));
-        assert!((cooling.value() + 6.0).abs() < 1e-9);
-        assert_eq!(
-            HeatVelocity::ZERO.over(SimDuration::from_secs(100)).value(),
-            0.0
-        );
-        assert_eq!(v.to_string(), "+0.500/s");
     }
 }

@@ -28,7 +28,7 @@ pub use cost::{CostModel, CostVector};
 pub use dense::{DenseKey, DenseMap, DENSE_BOUND};
 pub use error::{Error, Result};
 pub use hash::{IdMap, IdSet};
-pub use heat::{DriftConfig, Heat, HeatConfig, HeatVelocity, HelperPolicyConfig};
+pub use heat::{Heat, HeatConfig, HelperPolicyConfig};
 pub use ids::{
     ClientId, DiskId, Lsn, NodeId, PageId, PartitionId, QueryId, RecordId, SegmentId, TableId,
     TxnId,

@@ -42,7 +42,7 @@
 //! ```
 
 use wattdb_common::{
-    CostModel, DriftConfig, HeatConfig, KeyRange, NodeId, SimDuration, SimTime, TableId, Watts,
+    CostModel, HeatConfig, KeyRange, NodeId, SimDuration, SimTime, TableId, Watts,
 };
 use wattdb_energy::NodeState;
 use wattdb_planner::Plan;
@@ -142,7 +142,10 @@ impl WattDbBuilder {
         self
     }
 
-    /// Heat-tracking parameters: decay half-life and per-access weights.
+    /// Heat-tracking parameters: decay half-life, per-access weights, how
+    /// fast per-segment velocity estimates adapt, and how far ahead the
+    /// planner projects heat (a zero [`HeatConfig::horizon`] plans on
+    /// historical heat).
     pub fn heat_tracking(mut self, h: HeatConfig) -> Self {
         self.cfg.heat = h;
         self
@@ -156,15 +159,6 @@ impl WattDbBuilder {
     /// counts).
     pub fn cost_model(mut self, m: impl Into<Option<CostModel>>) -> Self {
         self.cfg.cost_model = m.into();
-        self
-    }
-
-    /// Heat-drift parameters: how fast per-segment velocity estimates
-    /// adapt and how far ahead the planner projects heat. A zero
-    /// [`DriftConfig::horizon`] makes every plan use historical heat
-    /// (the pre-drift behaviour).
-    pub fn drift(mut self, d: DriftConfig) -> Self {
-        self.cfg.drift = d;
         self
     }
 

@@ -93,7 +93,7 @@ impl ViewSummary {
         Self {
             mean_active_cpu: view.mean_active_cpu(),
             max_cpu: active.iter().map(|r| r.cpu).fold(0.0, f64::max),
-            heat_skew: view.heat_skew(),
+            heat_skew: view.heat_skew(&[]).0,
             active_nodes: active.len(),
             standby_nodes: view.reports.len() - active.len(),
         }

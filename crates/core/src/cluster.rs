@@ -50,9 +50,9 @@ use std::rc::Rc;
 
 use wattdb_common::config::DiskKind;
 use wattdb_common::{
-    ByteSize, CostModel, CostParams, DenseMap, DetRng, DiskId, DriftConfig, HardwareSpec, Heat,
-    HeatConfig, IdMap, Key, KeyRange, Lsn, NetworkSpec, NodeId, PartitionId, PowerSpec,
-    ReplicaConfig, Result, SegmentId, SimDuration, SimTime, TableId, Watts,
+    ByteSize, CostModel, CostParams, DenseMap, DetRng, DiskId, HardwareSpec, Heat, HeatConfig,
+    IdMap, Key, KeyRange, Lsn, NetworkSpec, NodeId, PartitionId, PowerSpec, ReplicaConfig, Result,
+    SegmentId, SimDuration, SimTime, TableId, Watts,
 };
 use wattdb_energy::{EnergyMeter, NodeState, PowerModel};
 use wattdb_index::{GlobalRouter, SegmentIndex, TopIndex};
@@ -124,7 +124,9 @@ pub struct ClusterConfig {
     pub io_scale: u64,
     /// Metric bucket width.
     pub bucket: SimDuration,
-    /// Per-segment heat tracking (decay half-life and access weights).
+    /// Per-segment heat tracking: decay half-life, access weights, and the
+    /// velocity half-life and projection horizon the planner plans on
+    /// (zero horizon = historical heat).
     pub heat: HeatConfig,
     /// Scalarization of per-access cost vectors into heat. `Some` (the
     /// default) makes heat **cost-based** — every access weighs its
@@ -132,9 +134,6 @@ pub struct ClusterConfig {
     /// heat falls back to the flat per-access weights in `heat`
     /// (the weighted-count signal).
     pub cost_model: Option<CostModel>,
-    /// Heat-drift tracking: velocity EWMA horizon and the projection
-    /// horizon the planner plans against (zero horizon = historical heat).
-    pub drift: DriftConfig,
     /// Per-segment replication: follower count, read fan-out policy.
     pub replication: ReplicaConfig,
     /// Per-client think timers vs. the pooled aggregated arrival process
@@ -161,7 +160,6 @@ impl Default for ClusterConfig {
             bucket: SimDuration::from_secs(10),
             heat: HeatConfig::default(),
             cost_model: Some(CostModel::default()),
-            drift: DriftConfig::default(),
             replication: ReplicaConfig::default(),
             client_batching: ClientBatching::default(),
             seed: 42,
@@ -364,11 +362,9 @@ pub struct Cluster {
     pub mover: Option<MoveController>,
     /// Key batch staged by the logical mover.
     pub pending_logical_keys: Vec<Key>,
-    /// Per-segment access heat (the planner's workload signal).
+    /// Per-segment access heat and heat velocity (the planner's workload
+    /// signal; velocity is fed by the monitoring loop).
     pub heat: HeatTable,
-    /// Per-segment heat velocity (where the workload is *going*; fed by
-    /// the monitoring loop, consumed by projected-heat planning).
-    pub drift: crate::heat::DriftTracker,
     /// Metrics.
     pub metrics: Metrics,
     /// Power/energy meter.
@@ -458,7 +454,6 @@ impl Cluster {
         let power_model = PowerModel::new(cfg.power);
         let cc = cfg.cc_mode;
         let heat = HeatTable::with_cost_model(cfg.heat, cfg.cost_model);
-        let drift = crate::heat::DriftTracker::new(cfg.drift);
         Rc::new(RefCell::new(Cluster {
             cfg,
             nodes,
@@ -477,7 +472,6 @@ impl Cluster {
             mover: None,
             pending_logical_keys: Vec::new(),
             heat,
-            drift,
             metrics,
             meter: EnergyMeter::new(SimTime::ZERO),
             power_model,

@@ -29,24 +29,24 @@
 //! up heat immediately reflects its new load, which is exactly what the
 //! next planning round needs.
 //!
-//! The [`drift`] submodule layers heat *velocity* on top: an EWMA of
-//! per-window heat deltas that lets the planner plan against projected
-//! heat — where the workload is going, not where it was (moving TPC-C
-//! insert hotspots). [`plan_scale_out`] and [`plan_drain_replicated`] consume the
-//! projected view whenever the cluster's drift horizon is non-zero, and
-//! accumulate/project cost-heat exactly as they did count-heat.
+//! The same slot keeps the segment's heat *velocity*: every monitoring
+//! window [`HeatTable::observe`] folds each segment's heat delta into an
+//! EWMA, and [`segment_stats`] projects heat `horizon` ahead along it —
+//! where the workload is going, not where it was (moving TPC-C insert
+//! hotspots). [`plan_scale_out`] and [`plan_drain_replicated`] plan on
+//! that projected view at `HeatConfig::horizon`; a zero horizon is
+//! historical heat. Every segment is observed at the same instants, so
+//! the EWMA weights are shared and velocity is linear in the deltas: when
+//! a hotspot moves rather than grows, velocities sum to zero and the
+//! unclamped projection conserves total heat exactly. Clamping at zero
+//! (heat cannot go negative) is the only deviation.
 
 use wattdb_common::{
     CostModel, CostVector, DenseMap, Heat, HeatConfig, NodeId, SegmentId, SimDuration, SimTime,
-    TableId,
 };
 use wattdb_storage::SegmentDirectory;
 
 use crate::cluster::Lifecycle;
-
-pub mod drift;
-
-pub use drift::DriftTracker;
 
 /// What kind of record operation an access was (drives the flat-weight
 /// fallback and the lifetime counters).
@@ -58,7 +58,8 @@ pub enum AccessKind {
     Write,
 }
 
-/// One segment's tracked heat, raw access counters, and accumulated cost.
+/// One segment's tracked heat, raw access counters, accumulated cost, and
+/// heat velocity.
 #[derive(Debug, Clone, Copy)]
 pub struct SegmentHeat {
     /// Decayed heat as of `last_touch`.
@@ -76,32 +77,32 @@ pub struct SegmentHeat {
     pub cost: CostVector,
     /// When `heat` was last brought current.
     pub last_touch: SimTime,
+    /// EWMA heat velocity, heat units per second (zero until two windows
+    /// have observed the segment).
+    velocity: f64,
+    /// Heat at the last window that observed the segment.
+    seen_heat: f64,
+    /// When the last window observed the segment (`None` before the
+    /// first).
+    seen_at: Option<SimTime>,
 }
 
-/// A per-segment heat snapshot row, joined with catalog placement (what
-/// [`HeatTable::snapshot`] returns).
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentHeatStat {
-    /// Segment id.
-    pub seg: SegmentId,
-    /// Owning table.
-    pub table: TableId,
-    /// Node storing the segment.
-    pub node: NodeId,
-    /// Decayed heat at snapshot time.
-    pub heat: f64,
-    /// Lifetime read accesses.
-    pub reads: u64,
-    /// Lifetime write accesses.
-    pub writes: u64,
-    /// Lifetime remote page fetches.
-    pub remote_fetches: u64,
-    /// Lifetime analytic scans.
-    pub scans: u64,
-    /// Lifetime hardware demand (zero when running count-based).
-    pub cost: CostVector,
-    /// Disk footprint in bytes (before `io_scale`).
-    pub bytes: u64,
+impl SegmentHeat {
+    /// A slot with no heat, no history, and no observation.
+    fn cold(now: SimTime) -> Self {
+        Self {
+            heat: Heat::ZERO,
+            reads: 0,
+            writes: 0,
+            remote_fetches: 0,
+            scans: 0,
+            cost: CostVector::ZERO,
+            last_touch: now,
+            velocity: 0.0,
+            seen_heat: 0.0,
+            seen_at: None,
+        }
+    }
 }
 
 /// The cluster-wide heat table.
@@ -114,9 +115,9 @@ pub struct SegmentHeatStat {
 /// precomputed once, and the factor for an arbitrary elapsed delta is
 /// the product over the set bits of its microsecond count (≤ 64
 /// multiplies, within ~1e-15 of the closed-form `exp2` — pinned ≤ 1e-9
-/// by a regression test). [`HeatTable::decay_sweep`] additionally
-/// brings every segment current once per monitoring window in one pass,
-/// so planner reads inside the window see zero-elapsed entries.
+/// by a regression test). [`HeatTable::observe`] additionally brings
+/// every segment current once per monitoring window in one pass, so
+/// planner reads inside the window see zero-elapsed entries.
 #[derive(Debug)]
 pub struct HeatTable {
     cfg: HeatConfig,
@@ -125,7 +126,8 @@ pub struct HeatTable {
     model: Option<CostModel>,
     /// `pow2[j] = 2^(−(2^j µs) / half_life)`; all ones when decay is off.
     pow2: [f64; 64],
-    /// Tracked segments (a segment never touched has no entry).
+    /// Tracked segments (a segment neither touched nor observed by a
+    /// window has no entry).
     slots: DenseMap<SegmentId, SegmentHeat>,
 }
 
@@ -147,12 +149,6 @@ fn factor_of(pow2: &[f64; 64], elapsed: SimDuration) -> f64 {
 }
 
 impl HeatTable {
-    /// Empty **count-based** table with the given decay/weight
-    /// configuration (cost vectors are ignored).
-    pub fn new(cfg: HeatConfig) -> Self {
-        Self::with_cost_model(cfg, None)
-    }
-
     /// Empty table; with a [`CostModel`] the heat signal is the
     /// scalarized access cost, without one it is the flat weighted count.
     pub fn with_cost_model(cfg: HeatConfig, model: Option<CostModel>) -> Self {
@@ -189,11 +185,9 @@ impl HeatTable {
     }
 
     /// Bring every tracked segment's heat current to `now` in one flat
-    /// pass. The monitoring loop calls this once per window, so the
-    /// planner's `node_heat`/`snapshot` reads inside the window hit
-    /// zero-elapsed entries and the record path only ever decays across
-    /// short intra-window deltas.
-    pub fn decay_sweep(&mut self, now: SimTime) {
+    /// pass, so reads inside the window hit zero-elapsed entries and the
+    /// record path only ever decays across short intra-window deltas.
+    fn decay_sweep(&mut self, now: SimTime) {
         if self.cfg.half_life.as_micros() == 0 {
             return;
         }
@@ -207,9 +201,54 @@ impl HeatTable {
         }
     }
 
-    /// The tracking configuration in force.
-    pub fn config(&self) -> &HeatConfig {
-        &self.cfg
+    /// Close one monitoring window: decay every slot to `now`, then fold
+    /// each catalog segment's heat delta since the previous window into
+    /// its velocity EWMA. A segment's first window only records its
+    /// baseline (velocity needs two points); a catalog segment nothing
+    /// has touched gets a zero slot.
+    ///
+    /// The blend weight is `α = 1 − 2^(−Δt / velocity_half_life)`, so an
+    /// irregular cadence still forgets history at a constant rate per
+    /// simulated second; a zero half-life makes each window replace the
+    /// estimate.
+    pub fn observe(&mut self, dir: &SegmentDirectory, now: SimTime) {
+        self.decay_sweep(now);
+        let hl = self.cfg.velocity_half_life.as_micros();
+        for m in dir.iter() {
+            let e = self
+                .slots
+                .get_or_insert_with(m.id, || SegmentHeat::cold(now));
+            // Current to `now` after the sweep (or decay is off).
+            let heat = e.heat.value();
+            if let Some(at) = e.seen_at {
+                let dt = now.since(at);
+                if dt.as_micros() > 0 {
+                    let raw = (heat - e.seen_heat) / dt.as_secs_f64();
+                    let alpha = if hl == 0 {
+                        1.0
+                    } else {
+                        1.0 - (-(dt.as_micros() as f64 / hl as f64)).exp2()
+                    };
+                    e.velocity = e.velocity * (1.0 - alpha) + raw * alpha;
+                }
+            }
+            e.seen_heat = heat;
+            e.seen_at = Some(now);
+        }
+    }
+
+    /// The segment's velocity estimate in heat units per second (zero
+    /// until two windows have observed it).
+    pub fn velocity(&self, seg: SegmentId) -> f64 {
+        self.entry(seg).map_or(0.0, |e| e.velocity)
+    }
+
+    /// The segment's heat at `now` projected `horizon` ahead along its
+    /// velocity: `max(0, heat + velocity × horizon)`. With a zero horizon
+    /// or a zero velocity this is [`HeatTable::heat_of`], bit for bit
+    /// (heat is never negative).
+    pub fn projected(&self, seg: SegmentId, now: SimTime, horizon: SimDuration) -> f64 {
+        (self.heat_of(seg, now).value() + self.velocity(seg) * horizon.as_secs_f64()).max(0.0)
     }
 
     /// The cost model in force, if the table runs cost-based.
@@ -230,15 +269,9 @@ impl HeatTable {
     }
 
     fn bump(&mut self, seg: SegmentId, now: SimTime, weight: f64) -> &mut SegmentHeat {
-        let e = self.slots.get_or_insert_with(seg, || SegmentHeat {
-            heat: Heat::ZERO,
-            reads: 0,
-            writes: 0,
-            remote_fetches: 0,
-            scans: 0,
-            cost: CostVector::ZERO,
-            last_touch: now,
-        });
+        let e = self
+            .slots
+            .get_or_insert_with(seg, || SegmentHeat::cold(now));
         let elapsed = now.since(e.last_touch);
         if self.cfg.half_life.as_micros() != 0 && elapsed.as_micros() != 0 {
             e.heat = Heat(e.heat.value() * factor_of(&self.pow2, elapsed));
@@ -333,8 +366,7 @@ impl HeatTable {
         self.bump(seg, now, w).reads += 1;
     }
 
-    /// The segment's heat decayed to `now` (zero for never-touched
-    /// segments).
+    /// The segment's heat decayed to `now` (zero for untracked segments).
     pub fn heat_of(&self, seg: SegmentId, now: SimTime) -> Heat {
         match self.entry(seg) {
             Some(e) => self.decay(e.heat, now.since(e.last_touch)),
@@ -342,7 +374,8 @@ impl HeatTable {
         }
     }
 
-    /// Raw tracked state for a segment, if it was ever touched.
+    /// Raw tracked state for a segment, if it was ever touched or observed
+    /// by a window.
     pub fn stats(&self, seg: SegmentId) -> Option<&SegmentHeat> {
         self.entry(seg)
     }
@@ -354,44 +387,12 @@ impl HeatTable {
             .map(|m| self.heat_of(m.id, now))
             .fold(Heat::ZERO, |a, b| a + b)
     }
-
-    /// Joined per-segment snapshot over the whole catalog, hottest first.
-    pub fn snapshot(&self, dir: &SegmentDirectory, now: SimTime) -> Vec<SegmentHeatStat> {
-        let mut rows: Vec<SegmentHeatStat> = dir
-            .iter()
-            .map(|m| {
-                let tracked = self.entry(m.id);
-                SegmentHeatStat {
-                    seg: m.id,
-                    table: m.table,
-                    node: m.node,
-                    heat: self.heat_of(m.id, now).value(),
-                    reads: tracked.map(|t| t.reads).unwrap_or(0),
-                    writes: tracked.map(|t| t.writes).unwrap_or(0),
-                    remote_fetches: tracked.map(|t| t.remote_fetches).unwrap_or(0),
-                    scans: tracked.map(|t| t.scans).unwrap_or(0),
-                    cost: tracked.map(|t| t.cost).unwrap_or(CostVector::ZERO),
-                    bytes: m.disk_footprint().as_u64(),
-                }
-            })
-            .collect();
-        rows.sort_by(|a, b| {
-            b.heat
-                .partial_cmp(&a.heat)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.seg.cmp(&b.seg))
-        });
-        rows
-    }
 }
 
-/// Heat-aware scale-out plan over the live cluster state: snapshot
-/// [`segment_stats_projected`] and plan with the given tolerance. The
-/// single entry point shared by `policy::plan` and the facade, so both
-/// always produce the same plan for the same state. Plans run against
-/// *projected* heat (heat plus drift velocity over the configured
-/// horizon); with a zero horizon or no drift observations this is exactly
-/// historical heat.
+/// Heat-aware scale-out plan over the live cluster state: take
+/// [`segment_stats`] at the configured horizon and plan with the given
+/// tolerance. The single entry point shared by `policy::plan` and the
+/// facade, so both always produce the same plan for the same state.
 pub fn plan_scale_out(
     c: &crate::cluster::Cluster,
     now: SimTime,
@@ -399,7 +400,7 @@ pub fn plan_scale_out(
     sources: &[NodeId],
     targets: &[NodeId],
 ) -> wattdb_planner::Plan {
-    let stats = segment_stats_projected(c, now);
+    let stats = segment_stats(c, now, c.cfg.heat.horizon);
     wattdb_planner::plan_scale_out(
         &stats,
         sources,
@@ -424,7 +425,7 @@ pub fn plan_drain_replicated(
     drain: &[NodeId],
     remaining: &[NodeId],
 ) -> wattdb_planner::DrainPlan {
-    let stats = segment_stats_projected(c, now);
+    let stats = segment_stats(c, now, c.cfg.heat.horizon);
     let sites: Vec<wattdb_planner::ReplicaSite> = c
         .replicas
         .iter()
@@ -623,10 +624,13 @@ pub fn plan_replicas(c: &crate::cluster::Cluster, now: SimTime) -> wattdb_planne
 }
 
 /// Planner inputs for the whole catalog: footprint bytes scaled by
-/// `io_scale`, heat decayed to `now`.
+/// `io_scale`, heat decayed to `now` and projected `horizon` ahead
+/// ([`HeatTable::projected`]). A zero horizon — or no window yet, when
+/// every velocity is zero — gives historical heat bit for bit.
 pub fn segment_stats(
     c: &crate::cluster::Cluster,
     now: SimTime,
+    horizon: SimDuration,
 ) -> Vec<wattdb_planner::SegmentStat> {
     c.seg_dir
         .iter()
@@ -636,42 +640,28 @@ pub fn segment_stats(
             range: m.key_range.unwrap_or_else(wattdb_common::KeyRange::all),
             node: m.node,
             bytes: c.copy_bytes(m.id).expect("segment is in the catalog"),
-            heat: c.heat.heat_of(m.id, now).value(),
+            heat: c.heat.projected(m.id, now, horizon),
         })
         .collect()
-}
-
-/// [`segment_stats`] with each segment's heat replaced by its *projected*
-/// heat at the cluster's configured drift horizon (`cfg.drift.horizon`).
-/// Identical to `segment_stats` when the horizon is zero or no drift has
-/// been observed yet.
-pub fn segment_stats_projected(
-    c: &crate::cluster::Cluster,
-    now: SimTime,
-) -> Vec<wattdb_planner::SegmentStat> {
-    let horizon = c.cfg.drift.horizon;
-    let mut stats = segment_stats(c, now);
-    if horizon.as_micros() == 0 || c.drift.is_empty() {
-        return stats;
-    }
-    for s in &mut stats {
-        s.heat = c.drift.projected(s.seg, s.heat, horizon);
-    }
-    stats
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use wattdb_common::{DiskId, SimDuration};
+    use wattdb_common::{DiskId, TableId};
 
-    fn table() -> HeatTable {
-        HeatTable::new(HeatConfig {
+    fn cfg() -> HeatConfig {
+        HeatConfig {
             half_life: SimDuration::from_secs(10),
             read_weight: 1.0,
             write_weight: 2.0,
             remote_weight: 0.5,
-        })
+            ..Default::default()
+        }
+    }
+
+    fn table() -> HeatTable {
+        HeatTable::with_cost_model(cfg(), None)
     }
 
     #[test]
@@ -725,19 +715,51 @@ mod tests {
         assert!((t.node_heat(&dir, NodeId(1), now).value() - 4.0).abs() < 1e-9);
     }
 
+    /// Before the first window every velocity is zero, and a zero horizon
+    /// multiplies any velocity away: either way the planner rows carry
+    /// historical heat bit for bit, which is why projection needs no
+    /// "no window yet" short-circuit.
     #[test]
-    fn snapshot_sorts_hottest_first() {
-        let mut dir = SegmentDirectory::new();
-        let a = dir.create(TableId(1), NodeId(0), DiskId::new(NodeId(0), 1), None, 16);
-        let b = dir.create(TableId(1), NodeId(0), DiskId::new(NodeId(0), 1), None, 16);
-        let mut t = table();
-        let now = SimTime::from_secs(1);
-        t.record_read(a, now);
-        t.record_access(b, now, AccessKind::Write, CostVector::ZERO, false);
-        let snap = t.snapshot(&dir, now);
-        assert_eq!(snap.len(), 2);
-        assert_eq!(snap[0].seg, b, "writes outweigh reads");
-        assert!(snap[0].heat > snap[1].heat);
+    fn projection_is_historical_heat_before_any_window_and_at_zero_horizon() {
+        let mut db = crate::api::WattDb::builder()
+            .nodes(2)
+            .warehouses(2)
+            .density(0.02)
+            .segment_pages(8)
+            .seed(9)
+            .initial_data_nodes(&[NodeId(0)])
+            .build();
+        db.start_oltp(8, SimDuration::from_millis(20));
+        db.run_for(SimDuration::from_secs(2));
+        // (historical heat, planner-row heat) of every segment, as bits.
+        let rows = |db: &crate::api::WattDb, horizon| {
+            let now = db.now();
+            db.with_cluster(|c| {
+                let historical: Vec<u64> = (c.seg_dir.iter())
+                    .map(|m| c.heat.heat_of(m.id, now).value().to_bits())
+                    .collect();
+                let stats: Vec<u64> = (segment_stats(c, now, horizon).iter())
+                    .map(|s| s.heat.to_bits())
+                    .collect();
+                (historical, stats)
+            })
+        };
+        let horizon = db.with_cluster(|c| c.cfg.heat.horizon);
+        let (historical, projected) = rows(&db, horizon);
+        assert!(historical.iter().any(|&h| f64::from_bits(h) > 0.0));
+        assert_eq!(projected, historical, "no window yet: history");
+        // Two windows give the touched segments a velocity.
+        for _ in 0..2 {
+            db.with_runtime(|cl, sim| {
+                let c = &mut *cl.borrow_mut();
+                c.heat.observe(&c.seg_dir, sim.now());
+            });
+            db.run_for(SimDuration::from_secs(2));
+        }
+        let (historical, projected) = rows(&db, horizon);
+        assert_ne!(projected, historical, "velocity now moves the projection");
+        let (historical, at_zero) = rows(&db, SimDuration::ZERO);
+        assert_eq!(at_zero, historical, "a zero horizon is history");
     }
 
     // ------------------------------------------------------ cost-based heat
@@ -757,7 +779,7 @@ mod tests {
         // the flat weights (`read`/`write` plus the `remote` surcharge) on
         // the decayed total, whatever cost vectors the executor hands it.
         let mut unified = table();
-        let cfg = *unified.config();
+        let cfg = cfg();
         let mut flat = LegacyRef {
             heat: 0.0,
             last: SimTime::ZERO,
@@ -849,7 +871,7 @@ mod tests {
         let mut counted = table();
         counted.record_scan(SegmentId(1), now, scan_cost);
         let h = counted.heat_of(SegmentId(1), now).value();
-        assert!((h - counted.config().read_weight).abs() < 1e-9, "{h}");
+        assert!((h - cfg().read_weight).abs() < 1e-9, "{h}");
     }
 
     // ------------------------------------------------- lazy-decay regression
@@ -897,12 +919,7 @@ mod tests {
     fn cached_decay_matches_legacy_exp2_within_1e9() {
         for sweep_every in [0usize, 3] {
             let half_life = SimDuration::from_secs(30);
-            let mut t = HeatTable::new(HeatConfig {
-                half_life,
-                read_weight: 1.0,
-                write_weight: 2.0,
-                remote_weight: 0.5,
-            });
+            let mut t = HeatTable::with_cost_model(HeatConfig { half_life, ..cfg() }, None);
             let mut r = LegacyRef {
                 heat: 0.0,
                 last: SimTime::ZERO,
@@ -938,12 +955,13 @@ mod tests {
     /// no factor ever applied, sweeps are no-ops.
     #[test]
     fn decay_off_is_bitwise_stable() {
-        let mut t = HeatTable::new(HeatConfig {
-            half_life: SimDuration::ZERO,
-            read_weight: 1.0,
-            write_weight: 2.0,
-            remote_weight: 0.5,
-        });
+        let mut t = HeatTable::with_cost_model(
+            HeatConfig {
+                half_life: SimDuration::ZERO,
+                ..cfg()
+            },
+            None,
+        );
         let mut r = LegacyRef {
             heat: 0.0,
             last: SimTime::ZERO,
@@ -960,6 +978,238 @@ mod tests {
                 old.to_bits(),
                 "decay-off bits diverged at step {i}: {new} vs {old}"
             );
+        }
+    }
+}
+
+/// Heat velocity and projection.
+#[cfg(test)]
+mod drift {
+    mod tests {
+        use crate::heat::*;
+        use wattdb_common::{DiskId, Key, KeyRange, TableId};
+
+        /// Decay disabled, so injected heats behave as plain counters and
+        /// velocity arithmetic is exact.
+        fn counter_table(velocity_half_life_secs: u64) -> HeatTable {
+            HeatTable::with_cost_model(
+                HeatConfig {
+                    half_life: SimDuration::ZERO,
+                    read_weight: 1.0,
+                    write_weight: 1.0,
+                    remote_weight: 1.0,
+                    velocity_half_life: SimDuration::from_secs(velocity_half_life_secs),
+                    ..Default::default()
+                },
+                None,
+            )
+        }
+
+        /// Set `seg`'s heat outright as of `now`: models heat that moved
+        /// away from a segment, which accesses (they only add) cannot.
+        fn set_heat(t: &mut HeatTable, seg: SegmentId, now: SimTime, heat: f64) {
+            let e = t.slots.get_or_insert_with(seg, || SegmentHeat::cold(now));
+            e.heat = Heat(heat);
+            e.last_touch = now;
+        }
+
+        fn dir_with(n: u64) -> (SegmentDirectory, Vec<SegmentId>) {
+            let mut dir = SegmentDirectory::new();
+            let segs = (0..n)
+                .map(|i| {
+                    dir.create(
+                        TableId(1),
+                        NodeId(0),
+                        DiskId::new(NodeId(0), 1),
+                        Some(KeyRange::new(Key(i * 1000), Key((i + 1) * 1000))),
+                        16,
+                    )
+                })
+                .collect();
+            (dir, segs)
+        }
+
+        #[test]
+        fn first_observation_is_a_baseline() {
+            let (dir, segs) = dir_with(2);
+            let mut heat = counter_table(0); // zero half-life: last delta wins
+            heat.record_read(segs[0], SimTime::from_secs(1));
+            heat.observe(&dir, SimTime::from_secs(1));
+            assert_eq!(heat.velocity(segs[0]), 0.0);
+            assert!(
+                heat.stats(segs[1]).is_some(),
+                "the window gave the untouched segment a zero slot"
+            );
+            // One second later with +2 heat: velocity reads exactly 2.0,
+            // which it only can if the first window stored heat 1.0.
+            for _ in 0..2 {
+                heat.record_read(segs[0], SimTime::from_secs(2));
+            }
+            heat.observe(&dir, SimTime::from_secs(2));
+            assert_eq!(heat.velocity(segs[0]), 2.0);
+        }
+
+        #[test]
+        fn velocity_converges_on_a_linearly_advancing_hotspot() {
+            // Segment 1's heat grows by exactly 2.0 per second; the EWMA
+            // must converge to +2.0/s while the untouched neighbour stays
+            // at zero.
+            let (dir, segs) = dir_with(2);
+            let mut heat = counter_table(2);
+            for t in 0..40u64 {
+                let now = SimTime::from_secs(t);
+                for _ in 0..2 {
+                    heat.record_read(segs[1], now);
+                }
+                heat.observe(&dir, now);
+            }
+            let v = heat.velocity(segs[1]);
+            assert!((v - 2.0).abs() < 1e-3, "converged velocity: {v}");
+            assert_eq!(heat.velocity(segs[0]), 0.0);
+            // A segment whose heat stops changing settles at zero.
+            let mut cooling = counter_table(2);
+            for _ in 0..100 {
+                cooling.record_read(segs[0], SimTime::ZERO);
+            }
+            cooling.observe(&dir, SimTime::ZERO);
+            // No further touches, decay disabled: heat is flat, velocity ~0.
+            for t in 1..20u64 {
+                cooling.observe(&dir, SimTime::from_secs(t));
+            }
+            assert!(cooling.velocity(segs[0]).abs() < 1e-9);
+        }
+
+        #[test]
+        fn projection_is_exact_for_constant_velocity() {
+            // Once the velocity has converged on a constant-rate ramp, the
+            // projected heat equals the heat the ramp will actually reach.
+            let (dir, segs) = dir_with(1);
+            let mut heat = counter_table(1);
+            let rate = 3u64; // heat units per second
+            let last = 60u64;
+            for t in 0..=last {
+                let now = SimTime::from_secs(t);
+                if t > 0 {
+                    for _ in 0..rate {
+                        heat.record_read(segs[0], now);
+                    }
+                }
+                heat.observe(&dir, now);
+            }
+            let now = SimTime::from_secs(last);
+            let now_heat = heat.heat_of(segs[0], now).value();
+            let projected = heat.projected(segs[0], now, SimDuration::from_secs(10));
+            let truth = now_heat + (rate * 10) as f64;
+            assert!(
+                (projected - truth).abs() < 1e-6,
+                "projected {projected} vs true future heat {truth}"
+            );
+            // Zero horizon returns the heat unchanged.
+            assert_eq!(heat.projected(segs[0], now, SimDuration::ZERO), now_heat);
+        }
+
+        #[test]
+        fn projection_clamps_at_zero() {
+            let (dir, segs) = dir_with(1);
+            let mut heat = counter_table(0); // zero half-life: last delta wins
+            for _ in 0..10 {
+                heat.record_read(segs[0], SimTime::ZERO);
+            }
+            heat.observe(&dir, SimTime::ZERO);
+            // A cooling segment: one second later its heat has halved.
+            let now = SimTime::from_secs(1);
+            set_heat(&mut heat, segs[0], now, 5.0);
+            heat.observe(&dir, now);
+            assert!(heat.velocity(segs[0]) < 0.0, "cooling detected");
+            let p = heat.projected(segs[0], now, SimDuration::from_secs(100));
+            assert_eq!(p, 0.0, "projection clamps instead of going negative");
+        }
+
+        mod props {
+            use super::*;
+            use proptest::prelude::*;
+
+            proptest! {
+                #![proptest_config(ProptestConfig::with_cases(48))]
+
+                /// Projected heat is never negative, and when total heat is
+                /// conserved between windows (the hotspot moves rather than
+                /// grows) the unclamped projection conserves total heat:
+                /// clamping can only add, never lose.
+                #[test]
+                fn projection_non_negative_and_conserved(
+                    shifts in proptest::collection::vec(0u64..5, 4..20),
+                    horizon_secs in 1u64..30,
+                ) {
+                    let (dir, segs) = dir_with(5);
+                    let mut heat = counter_table(8);
+                    // Start with all heat on segment 0.
+                    let total = 100u64;
+                    for _ in 0..total {
+                        heat.record_read(segs[0], SimTime::ZERO);
+                    }
+                    heat.observe(&dir, SimTime::ZERO);
+                    // Each window "moves" `shift` units one segment to the
+                    // right: a ledger of per-segment totals sets every
+                    // segment's heat before the window observes it.
+                    let mut ledger = [total, 0, 0, 0, 0];
+                    for (t, &s) in shifts.iter().enumerate() {
+                        let from = t % 4;
+                        let moved = s.min(ledger[from]);
+                        ledger[from] -= moved;
+                        ledger[from + 1] += moved;
+                        let now = SimTime::from_secs(t as u64 + 1);
+                        for (i, &amount) in ledger.iter().enumerate() {
+                            set_heat(&mut heat, segs[i], now, amount as f64);
+                        }
+                        heat.observe(&dir, now);
+                    }
+                    let now = SimTime::from_secs(shifts.len() as u64);
+                    let horizon = SimDuration::from_secs(horizon_secs);
+                    let mut sum_now = 0.0;
+                    let mut sum_projected = 0.0;
+                    let mut sum_unclamped = 0.0;
+                    for &s in &segs {
+                        let h = heat.heat_of(s, now).value();
+                        let p = heat.projected(s, now, horizon);
+                        prop_assert!(p >= 0.0, "projected heat negative: {p}");
+                        sum_now += h;
+                        sum_projected += p;
+                        sum_unclamped += h + heat.velocity(s) * horizon.as_secs_f64();
+                    }
+                    // Velocities are a shared-weight EWMA of per-window
+                    // deltas that sum to zero, so the unclamped totals
+                    // agree exactly.
+                    prop_assert!(
+                        (sum_unclamped - sum_now).abs() < 1e-6,
+                        "unclamped projection conserves heat: {sum_unclamped} vs {sum_now}"
+                    );
+                    // Clamping only ever adds heat back.
+                    prop_assert!(sum_projected >= sum_unclamped - 1e-9);
+                }
+
+                /// Velocity estimates are independent of *which* segment id
+                /// carries the load: relabelling segments relabels
+                /// velocities.
+                #[test]
+                fn velocity_tracks_the_segment_not_the_label(
+                    rate in 1u64..6,
+                    windows in 3u64..12,
+                ) {
+                    let (dir, segs) = dir_with(3);
+                    let mut heat = counter_table(5);
+                    for t in 0..windows {
+                        let now = SimTime::from_secs(t);
+                        for _ in 0..rate {
+                            heat.record_read(segs[2], now);
+                        }
+                        heat.observe(&dir, now);
+                    }
+                    prop_assert!(heat.velocity(segs[2]) > 0.0);
+                    prop_assert_eq!(heat.velocity(segs[0]), 0.0);
+                    prop_assert_eq!(heat.velocity(segs[1]), 0.0);
+                }
+            }
         }
     }
 }

@@ -20,9 +20,9 @@
 //!   the workload signal behind `wattdb_planner`'s heat-aware rebalance
 //!   plans. By default heat is **cost-based**: every access charges its
 //!   scalarized CPU/page/network cost (`CostModel`), so CPU-heavy
-//!   operators weigh more than point reads; the [`heat::drift`] velocity
-//!   layer lets the planner plan against *projected* heat (moving
-//!   hotspots);
+//!   operators weigh more than point reads; each segment's heat velocity,
+//!   kept in the same table, lets the planner plan against *projected*
+//!   heat (moving hotspots);
 //! * [`failover`] — node-loss recovery over the per-segment replica map:
 //!   most-caught-up follower promotion, key-space re-covering, and
 //!   planner-driven re-replication;
@@ -63,7 +63,7 @@ pub mod telemetry_sink;
 pub use api::{WattDb, WattDbBuilder};
 pub use autopilot::{AutoPilotConfig, ControlEvent, Outcome};
 pub use cluster::{Cluster, ClusterConfig, ClusterRc};
-pub use heat::{AccessKind, HeatTable, SegmentHeatStat};
+pub use heat::{AccessKind, HeatTable};
 pub use metrics::Phase;
 pub use migration::{HelperReport, RebalanceReport};
 pub use policy::{Decision, PolicyConfig};

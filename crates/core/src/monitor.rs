@@ -129,41 +129,33 @@ impl ClusterView {
         active.iter().map(|r| r.cpu).sum::<f64>() / active.len() as f64
     }
 
-    /// Nodes above the CPU bound.
-    pub fn overloaded(&self, bound: f64) -> Vec<NodeId> {
-        self.reports
-            .iter()
-            .filter(|r| r.active && r.cpu > bound)
-            .map(|r| r.node)
-            .collect()
-    }
-
-    /// The hottest active node by access heat, if any heat was observed.
-    pub fn hottest(&self) -> Option<(NodeId, f64)> {
-        self.reports
-            .iter()
-            .filter(|r| r.active && r.heat > 0.0)
-            .map(|r| (r.node, r.heat))
-            .max_by(|a, b| a.1.partial_cmp(&b.1).unwrap_or(std::cmp::Ordering::Equal))
-    }
-
-    /// Ratio of the hottest active node's heat to the mean active heat
-    /// (1.0 = perfectly balanced; large = skewed). Zero when no heat.
-    pub fn heat_skew(&self) -> f64 {
-        let active: Vec<f64> = self
+    /// The heat-skew signals over the active nodes not in `excluded`:
+    /// (ratio of the hottest one's heat to their mean heat, that mean).
+    /// The ratio is 1.0 when perfectly balanced, large when skewed, and
+    /// zero when there is no heat.
+    ///
+    /// The policy excludes its attached helpers. A helper is an active
+    /// node holding (near-)zero heat by construction: counting it would
+    /// dilute the mean and inflate the ratio (two balanced data nodes plus
+    /// two helpers would read as skew 2.0), so the subsidence predicate
+    /// could never pass and attached helpers would stay powered forever.
+    pub fn heat_skew(&self, excluded: &[NodeId]) -> (f64, f64) {
+        let heats: Vec<f64> = self
             .reports
             .iter()
-            .filter(|r| r.active)
+            .filter(|r| r.active && !excluded.contains(&r.node))
             .map(|r| r.heat)
             .collect();
-        if active.is_empty() {
-            return 0.0;
+        if heats.is_empty() {
+            return (0.0, 0.0);
         }
-        let mean = active.iter().sum::<f64>() / active.len() as f64;
-        if mean <= 0.0 {
-            return 0.0;
-        }
-        active.iter().copied().fold(0.0, f64::max) / mean
+        let mean = heats.iter().sum::<f64>() / heats.len() as f64;
+        let skew = if mean <= 0.0 {
+            0.0
+        } else {
+            heats.iter().copied().fold(0.0, f64::max) / mean
+        };
+        (skew, mean)
     }
 }
 
@@ -173,9 +165,11 @@ impl ClusterView {
 /// client stop flag, so the master keeps watching (and can scale in) after
 /// the workload drains.
 ///
-/// Each window also feeds the master's heat-[`drift`](crate::heat::drift)
-/// tracker, so any monitored cluster accumulates per-segment velocity
-/// estimates for projected-heat planning.
+/// Each window opens with [`HeatTable::observe`](crate::heat::HeatTable::observe):
+/// one flat decay pass, so every heat read below (and any planner read
+/// inside the window) hits a zero-elapsed entry, and one velocity update
+/// per segment, so any monitored cluster accumulates the estimates
+/// projected-heat planning reads.
 pub fn start_monitoring(
     cl: &ClusterRc,
     sim: &mut Sim,
@@ -185,19 +179,14 @@ pub fn start_monitoring(
     let handle = cl.clone();
     Repeater::every(sim, period, move |sim| {
         let view = {
-            let mut c = handle.borrow_mut();
-            // One flat decay pass per window: every heat read below (and
-            // any planner read inside the window) hits a zero-elapsed
-            // entry instead of paying per-segment decay on demand.
-            c.heat.decay_sweep(sim.now());
+            let c = &mut *handle.borrow_mut();
+            c.heat.observe(&c.seg_dir, sim.now());
             let n = c.nodes.len();
             let mut view = ClusterView::default();
             for i in 0..n {
-                let report = sample_node(&mut c, NodeId(i as u16), sim.now());
+                let report = sample_node(c, NodeId(i as u16), sim.now());
                 view.reports.push(report);
             }
-            let c = &mut *c;
-            c.drift.observe(&c.heat, &c.seg_dir, sim.now());
             view
         };
         on_view(&handle, sim, &view)
@@ -233,16 +222,13 @@ mod tests {
             ],
         };
         assert!((view.mean_active_cpu() - 0.55).abs() < 1e-9);
-        assert_eq!(view.overloaded(0.8), vec![NodeId(0)]);
     }
 
     #[test]
     fn empty_view() {
         let view = ClusterView::default();
         assert_eq!(view.mean_active_cpu(), 0.0);
-        assert!(view.overloaded(0.8).is_empty());
-        assert_eq!(view.hottest(), None);
-        assert_eq!(view.heat_skew(), 0.0);
+        assert_eq!(view.heat_skew(&[]), (0.0, 0.0));
     }
 
     #[test]
@@ -253,10 +239,15 @@ mod tests {
         b.heat = 3.0;
         let mut standby = report(2, 0.0, false);
         standby.heat = 100.0; // standby excluded from the active view
+        let helper = report(3, 0.1, true); // active, zero heat
         let view = ClusterView {
-            reports: vec![a, b, standby],
+            reports: vec![a, b, standby, helper],
         };
-        assert_eq!(view.hottest(), Some((NodeId(0), 9.0)));
-        assert!((view.heat_skew() - 1.5).abs() < 1e-9);
+        let (skew, mean) = view.heat_skew(&[NodeId(3)]);
+        assert!((skew - 1.5).abs() < 1e-9, "helper excluded: {skew}");
+        assert!((mean - 6.0).abs() < 1e-9);
+        let (skew, mean) = view.heat_skew(&[]);
+        assert!((skew - 2.25).abs() < 1e-9, "helper included: {skew}");
+        assert!((mean - 4.0).abs() < 1e-9);
     }
 }

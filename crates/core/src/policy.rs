@@ -262,7 +262,7 @@ impl ElasticityPolicy {
     /// subsidence to emit [`Decision::DetachHelpers`]. Attached helpers
     /// are excluded from the skew signals themselves: they are active
     /// nodes holding no heat, and counting them would inflate the ratio
-    /// enough to mask every subsidence (see `skew_signals`).
+    /// enough to mask every subsidence (see [`ClusterView::heat_skew`]).
     ///
     /// Precedence: CPU saturation (scale-out) beats everything — an
     /// overloaded cluster needs more hardware, not reshuffling. A
@@ -284,7 +284,7 @@ impl ElasticityPolicy {
         let skew_ready = self.tick_skew(view, active_with_data, helpers);
         // Freeze the signal vector the branches below act on: the
         // telemetry timeline attaches it to this window's decision.
-        let (skew, mean_heat) = skew_signals(view, helpers);
+        let (skew, mean_heat) = view.heat_skew(helpers);
         self.signals = PolicySignals {
             skew,
             mean_heat,
@@ -408,7 +408,7 @@ impl ElasticityPolicy {
         if decision != Decision::Hold || helpers.is_empty() || rebalancing {
             return decision;
         }
-        let (_, mean_heat) = skew_signals(view, &helpers);
+        let (_, mean_heat) = view.heat_skew(&helpers);
         if mean_heat < self.cfg.skew_min_heat {
             // A cooling cluster is the *global* subsidence case — the
             // delegate above owns it (and just chose to hold).
@@ -481,7 +481,7 @@ impl ElasticityPolicy {
             self.subsided_now = false;
             return false;
         }
-        let (skew, mean_heat) = skew_signals(view, helpers);
+        let (skew, mean_heat) = view.heat_skew(helpers);
         // The single subsidence predicate: below the rearm band, or the
         // cluster cooled below the heat floor. It resets the armed streak
         // and the escalation counter, and drives the helper detach.
@@ -543,7 +543,7 @@ impl ElasticityPolicy {
             .iter()
             .filter(|r| r.active && !helpers.contains(&r.node))
             .collect();
-        let (_, mean_heat) = skew_signals(view, helpers);
+        let (_, mean_heat) = view.heat_skew(helpers);
         let sources: Vec<NodeId> = active
             .iter()
             .filter(|r| r.heat > mean_heat)
@@ -571,32 +571,6 @@ impl ElasticityPolicy {
     pub fn config(&self) -> &PolicyConfig {
         &self.cfg
     }
-}
-
-/// The heat-skew signals of a view: (skew ratio, mean active heat),
-/// computed over the active nodes *serving data* — attached helpers are
-/// excluded. A helper is an active node holding (near-)zero heat by
-/// construction: counting it would dilute the mean and inflate the skew
-/// ratio (two balanced data nodes plus two helpers would read as skew
-/// 2.0), so the subsidence predicate could never pass and attached
-/// helpers would stay powered forever.
-fn skew_signals(view: &ClusterView, helpers: &[NodeId]) -> (f64, f64) {
-    let heats: Vec<f64> = view
-        .reports
-        .iter()
-        .filter(|r| r.active && !helpers.contains(&r.node))
-        .map(|r| r.heat)
-        .collect();
-    if heats.is_empty() {
-        return (0.0, 0.0);
-    }
-    let mean_heat = heats.iter().sum::<f64>() / heats.len() as f64;
-    let skew = if mean_heat <= 0.0 {
-        0.0
-    } else {
-        heats.iter().copied().fold(0.0, f64::max) / mean_heat
-    };
-    (skew, mean_heat)
 }
 
 /// The coldest drainable node: lowest *effective* load — reported leader
@@ -1990,7 +1964,7 @@ mod tests {
                         (1, (3.0 - skew).max(0.0) * 100.0),
                         (2, 0.0),
                     ]);
-                    let realized = v.heat_skew();
+                    let (realized, _) = v.heat_skew(&[]);
                     let armed_now = realized > threshold;
                     ever_armed |= armed_now;
                     let d = p.evaluate(&v, &[], &data, false, &[]);

@@ -200,9 +200,12 @@ mod tests {
             report.heat_charged > 10.0,
             "a scan charges operator cost, not one access: {report:?}"
         );
-        let now = db.now();
-        let snap = db.with_cluster(|c| c.heat.snapshot(&c.seg_dir, now));
-        let scanned: Vec<_> = snap.iter().filter(|s| s.scans > 0).collect();
+        let scanned: Vec<_> = db.with_cluster(|c| {
+            (c.seg_dir.iter())
+                .filter_map(|m| c.heat.stats(m.id).copied())
+                .filter(|s| s.scans > 0)
+                .collect()
+        });
         assert_eq!(scanned.len(), report.segments);
         assert!(scanned.iter().all(|s| s.cost.cpu.as_micros() > 0));
         // The replayed demands occupy the storage node's resources.

@@ -180,7 +180,7 @@ pub fn sample_window(c: &mut Cluster, view: &ClusterView, at: SimTime, events: u
         let active = if report.active { 1.0 } else { 0.0 };
         gauge(r, format_args!("node.{n}.active"), active);
     }
-    r.set_gauge("heat.skew", view.heat_skew());
+    r.set_gauge("heat.skew", view.heat_skew(&[]).0);
     // Replication: shipped bytes, WAL shipping lag (worst follower),
     // follower read fan-out, re-replication repair traffic.
     let shipped: u64 = c

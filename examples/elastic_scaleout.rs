@@ -10,6 +10,7 @@
 use wattdb_common::{CostParams, NodeId, SimDuration};
 use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
+use wattdb_core::heat::segment_stats;
 use wattdb_core::policy::PolicyConfig;
 
 fn main() {
@@ -74,18 +75,22 @@ fn main() {
     }
     println!("\nhottest segments now:");
     let now = db.now();
-    let hottest = db.with_cluster(|c| c.heat.snapshot(&c.seg_dir, now));
-    for s in hottest.into_iter().take(5) {
-        println!(
-            "  seg {:>4} on {}  heat {:>8.2}  (r {} / w {} / remote {})",
-            s.seg.raw(),
-            s.node,
-            s.heat,
-            s.reads,
-            s.writes,
-            s.remote_fetches,
-        );
-    }
+    db.with_cluster(|c| {
+        let mut hottest = segment_stats(c, now, SimDuration::ZERO);
+        hottest.sort_by(|a, b| b.heat.total_cmp(&a.heat).then(a.seg.cmp(&b.seg)));
+        for s in hottest.into_iter().take(5) {
+            let (r, w, remote) = c
+                .heat
+                .stats(s.seg)
+                .map_or((0, 0, 0), |h| (h.reads, h.writes, h.remote_fetches));
+            println!(
+                "  seg {:>4} on {}  heat {:>8.2}  (r {r} / w {w} / remote {remote})",
+                s.seg.raw(),
+                s.node,
+                s.heat,
+            );
+        }
+    });
 
     let status = db.status();
     println!(

@@ -14,9 +14,10 @@
 //! asserted as identical heat trajectories across same-seed runs *and*
 //! as exact weighted-counter arithmetic with decay off.
 
-use wattdb_common::{HeatConfig, NodeId, SimDuration};
+use wattdb_common::{HeatConfig, NodeId, SegmentId, SimDuration};
 use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
+use wattdb_core::heat::{segment_stats, SegmentHeat};
 use wattdb_query::AggFunc;
 use wattdb_tpcc::TpccTable;
 
@@ -59,18 +60,38 @@ fn drive_mixed(db: &mut WattDb) {
     }
 }
 
-/// Per-segment heat snapshot, hottest first.
-fn heat(db: &WattDb) -> Vec<wattdb_core::SegmentHeatStat> {
+/// One tracked segment: its planner row (historical heat) and its
+/// lifetime counters.
+struct Row {
+    seg: SegmentId,
+    heat: f64,
+    counts: SegmentHeat,
+}
+
+/// Per-segment heat of every tracked segment, hottest first.
+fn heat(db: &WattDb) -> Vec<Row> {
     let now = db.now();
-    db.with_cluster(|c| c.heat.snapshot(&c.seg_dir, now))
+    let mut rows: Vec<Row> = db.with_cluster(|c| {
+        (segment_stats(c, now, SimDuration::ZERO).into_iter())
+            .filter_map(|s| {
+                Some(Row {
+                    seg: s.seg,
+                    heat: s.heat,
+                    counts: *c.heat.stats(s.seg)?,
+                })
+            })
+            .collect()
+    });
+    rows.sort_by(|a, b| b.heat.total_cmp(&a.heat).then(a.seg.cmp(&b.seg)));
+    rows
 }
 
 /// The count-hottest pure point segment (most accesses, never scanned).
-fn hottest_point_segment(db: &WattDb) -> wattdb_common::SegmentId {
+fn hottest_point_segment(db: &WattDb) -> SegmentId {
     heat(db)
         .iter()
-        .filter(|s| s.scans == 0)
-        .max_by_key(|s| s.reads + s.writes)
+        .filter(|s| s.counts.scans == 0)
+        .max_by_key(|s| s.counts.reads + s.counts.writes)
         .map(|s| s.seg)
         .expect("point-read segments exist")
 }
@@ -81,7 +102,7 @@ fn cost_heat_ships_the_scan_segments_and_spares_the_point_hotspot() {
     drive_mixed(&mut db);
 
     let snap = heat(&db);
-    let scanned: Vec<_> = snap.iter().filter(|s| s.scans > 0).collect();
+    let scanned: Vec<_> = snap.iter().filter(|s| s.counts.scans > 0).collect();
     assert!(!scanned.is_empty(), "scans recorded");
     // The signal itself: a scanned segment with a handful of accesses
     // out-weighs the point-read segment with orders of magnitude more.
@@ -91,12 +112,13 @@ fn cost_heat_ships_the_scan_segments_and_spares_the_point_hotspot() {
         .iter()
         .max_by(|a, b| a.heat.partial_cmp(&b.heat).unwrap())
         .unwrap();
+    let (scan_counts, point_counts) = (top_scan.counts, point_row.counts);
     assert!(
-        top_scan.reads + top_scan.writes + top_scan.scans
-            < (point_row.reads + point_row.writes) / 4,
+        scan_counts.reads + scan_counts.writes + scan_counts.scans
+            < (point_counts.reads + point_counts.writes) / 4,
         "scan segment has far fewer accesses: {} vs {}",
-        top_scan.reads + top_scan.writes + top_scan.scans,
-        point_row.reads + point_row.writes
+        scan_counts.reads + scan_counts.writes + scan_counts.scans,
+        point_counts.reads + point_counts.writes
     );
     assert!(
         top_scan.heat > point_row.heat,
@@ -105,9 +127,9 @@ fn cost_heat_ships_the_scan_segments_and_spares_the_point_hotspot() {
         point_row.heat
     );
     assert!(
-        top_scan.cost.cpu.as_micros() > 0 && top_scan.cost.pages > 0,
+        scan_counts.cost.cpu.as_micros() > 0 && scan_counts.cost.pages > 0,
         "cost components exposed: {:?}",
-        top_scan.cost
+        scan_counts.cost
     );
 
     // The planner ships the work.
@@ -142,7 +164,10 @@ fn count_heat_inverts_the_plan_on_the_same_workload() {
     drive_mixed(&mut db);
 
     let snap = heat(&db);
-    let scanned: Vec<_> = snap.iter().filter(|s| s.scans > 0).map(|s| s.seg).collect();
+    let scanned: Vec<_> = (snap.iter())
+        .filter(|s| s.counts.scans > 0)
+        .map(|s| s.seg)
+        .collect();
     assert!(!scanned.is_empty());
     let hot_point = hottest_point_segment(&db);
 
@@ -186,7 +211,10 @@ fn count_based_trajectory() -> Vec<Vec<HeatRow>> {
         checkpoints.push(
             heat(&db)
                 .into_iter()
-                .map(|s| (s.seg.raw(), s.heat, s.reads, s.writes, s.remote_fetches))
+                .map(|s| {
+                    let c = s.counts;
+                    (s.seg.raw(), s.heat, c.reads, c.writes, c.remote_fetches)
+                })
                 .collect(),
         );
     }
@@ -240,17 +268,18 @@ fn count_fallback_reduces_exactly_to_weighted_counts() {
     let cfg = db.with_cluster(|c| c.cfg.heat);
     let mut touched = 0;
     for s in heat(&db) {
-        let expected = s.reads as f64 * cfg.read_weight
-            + s.writes as f64 * cfg.write_weight
-            + s.remote_fetches as f64 * cfg.remote_weight
-            + s.scans as f64 * cfg.read_weight;
+        let c = s.counts;
+        let expected = c.reads as f64 * cfg.read_weight
+            + c.writes as f64 * cfg.write_weight
+            + c.remote_fetches as f64 * cfg.remote_weight
+            + c.scans as f64 * cfg.read_weight;
         assert!(
             (s.heat - expected).abs() < 1e-6,
             "segment {:?}: heat {} != weighted counts {expected}",
             s.seg,
             s.heat
         );
-        assert!(s.cost.is_zero(), "no cost accumulates when tracing is off");
+        assert!(c.cost.is_zero(), "no cost accumulates when tracing is off");
         if expected > 0.0 {
             touched += 1;
         }

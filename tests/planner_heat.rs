@@ -59,21 +59,18 @@ fn heat_aware_beats_fraction_on_skewed_load_and_executes() {
     // public surface.
     let status = db.status();
     assert!(status.nodes[0].heat > 0.0, "hotspot visible in status()");
-    let now = db.now();
-    let snap = db.with_cluster(|c| c.heat.snapshot(&c.seg_dir, now));
-    assert!(!snap.is_empty(), "per-segment stats exposed");
-    assert!(
-        snap.windows(2).all(|w| w[0].heat >= w[1].heat),
-        "the snapshot sorts hottest first"
-    );
-    assert!(
-        snap[0].reads + snap[0].writes > 0,
-        "access counters recorded: {:?}",
-        snap[0]
-    );
-
     // Plan both ways over the identical cluster state.
-    let stats = db.with_runtime(|cl, sim| segment_stats(&cl.borrow(), sim.now()));
+    let stats =
+        db.with_runtime(|cl, sim| segment_stats(&cl.borrow(), sim.now(), SimDuration::ZERO));
+    assert!(!stats.is_empty(), "per-segment stats exposed");
+    let hottest = (stats.iter())
+        .max_by(|a, b| a.heat.total_cmp(&b.heat))
+        .unwrap();
+    let counts = db.with_cluster(|c| *c.heat.stats(hottest.seg).unwrap());
+    assert!(
+        counts.reads + counts.writes > 0,
+        "access counters recorded: {counts:?}"
+    );
     let heat_plan = db.plan_scale_out(&[NodeId(0)], &[NodeId(2)]);
     let frac_plan = wattdb_planner::plan_fraction(&stats, 0.5, &[NodeId(0)], &[NodeId(2)]);
 
@@ -142,7 +139,8 @@ fn fraction_planner_ships_cold_segments_on_the_same_skew() {
     // heuristic relocates less heat per byte than the heat-aware plan —
     // the imbalance the tentpole exists to fix.
     let mut db = skewed_db();
-    let stats = db.with_runtime(|cl, sim| segment_stats(&cl.borrow(), sim.now()));
+    let stats =
+        db.with_runtime(|cl, sim| segment_stats(&cl.borrow(), sim.now(), SimDuration::ZERO));
     let heat_plan = db.plan_scale_out(&[NodeId(0)], &[NodeId(2)]);
     let frac_plan = wattdb_planner::plan_fraction(&stats, 0.5, &[NodeId(0)], &[NodeId(2)]);
     let heat_eff = heat_plan.heat_planned / heat_plan.bytes_planned.max(1) as f64;

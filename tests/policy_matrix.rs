@@ -78,7 +78,7 @@ fn build(policy: PolicyConfig, seed: u64, data_nodes: &[NodeId], horizon_secs: u
         .initial_data_nodes(data_nodes)
         .policy(policy)
         .monitoring(SimDuration::from_secs(WINDOW_SECS))
-        .drift(wattdb_common::DriftConfig {
+        .heat_tracking(wattdb_common::HeatConfig {
             horizon: SimDuration::from_secs(horizon_secs),
             ..Default::default()
         })
@@ -1182,11 +1182,12 @@ fn run_advancing(horizon_secs: u64) -> AdvancingOutcome {
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
         .policy(policy)
         .monitoring(SimDuration::from_secs(WINDOW_SECS))
-        .drift(wattdb_common::DriftConfig {
+        .heat_tracking(wattdb_common::HeatConfig {
             // Adapt fast: a segment the front just reached earns a strong
             // velocity estimate within a window or two.
             velocity_half_life: SimDuration::from_secs(3),
             horizon: SimDuration::from_secs(horizon_secs),
+            ..Default::default()
         })
         .autopilot(true)
         .build();
