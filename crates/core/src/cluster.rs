@@ -693,26 +693,36 @@ impl Cluster {
     /// follower sets. Attach is idempotent (a fresh cursor starts at the
     /// leader's log end), detach drops cursors the map no longer wants.
     /// Call after any replica-map mutation.
+    ///
+    /// Walks the cursors and the map in place, building no list: each
+    /// leader's cursors detach in id order unless a segment it leads
+    /// wants them, then one pass over the map attaches what is missing.
+    /// The order of attaching is not observable — every cursor attached
+    /// in one call starts at the same log end, and a leader keeps its
+    /// cursors sorted by follower.
     pub fn sync_replica_cursors(&mut self) {
-        let mut desired: Vec<std::collections::BTreeSet<NodeId>> =
-            vec![std::collections::BTreeSet::new(); self.nodes.len()];
-        for (_, set) in self.replicas.iter() {
-            for &f in &set.followers {
-                desired[set.leader.raw() as usize].insert(f);
+        let Cluster {
+            nodes, replicas, ..
+        } = self;
+        for (leader, node) in (0..).map(NodeId).zip(nodes.iter_mut()) {
+            let shipper = &mut node.replica_shipper;
+            let mut i = 0;
+            while let Some(f) = shipper.follower_at(i) {
+                let mut sets = replicas.iter().map(|(_, set)| set);
+                if sets.any(|set| set.leader == leader && set.followers.contains(&f)) {
+                    i += 1;
+                } else {
+                    shipper.detach(f);
+                }
             }
         }
-        for (node, wanted) in self.nodes.iter_mut().zip(&desired) {
+        for (_, set) in replicas.iter() {
             let NodeRuntime {
                 log,
                 replica_shipper,
                 ..
-            } = node;
-            for f in replica_shipper.followers() {
-                if !wanted.contains(&f) {
-                    replica_shipper.detach(f);
-                }
-            }
-            for &f in wanted {
+            } = &mut nodes[set.leader.raw() as usize];
+            for &f in &set.followers {
                 replica_shipper.attach(f, log);
             }
         }

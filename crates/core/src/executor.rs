@@ -39,7 +39,7 @@ use wattdb_sim::Completion::{self, Detached};
 use wattdb_sim::{CostCategory, CostProfile, Resource, Signal, Sim};
 use wattdb_storage::{Fetch, PAGE_SIZE};
 use wattdb_tpcc::{Op, OpKind, TpccTable, TxnProfile};
-use wattdb_txn::{CcMode, LockAcquire, LockMode, LockTarget};
+use wattdb_txn::{CcMode, Grant, LockAcquire, LockMode, LockTarget};
 use wattdb_wal::LogPayload;
 
 use crate::cluster::{Cluster, ClusterRc, FlushBatch};
@@ -1177,9 +1177,11 @@ fn abort_and_retry(cl: &ClusterRc, sim: &mut Sim, job_id: u64) {
     }
 }
 
-/// Resume lock waiters granted by a release.
-pub fn resume_grants(cl: &ClusterRc, sim: &mut Sim, grants: Vec<(TxnId, LockTarget, LockMode)>) {
-    for (txn, _, _) in grants {
+/// Resume lock waiters granted by a release, then hand the list back to
+/// the transaction manager for the next release to fill. A resumed job
+/// may commit, and so resume a list of its own, before this one is back.
+pub fn resume_grants(cl: &ClusterRc, sim: &mut Sim, grants: Vec<Grant>) {
+    for &(txn, _, _) in &grants {
         let waiter = {
             let mut c = cl.borrow_mut();
             c.lock_waiters.remove(&txn)
@@ -1204,6 +1206,7 @@ pub fn resume_grants(cl: &ClusterRc, sim: &mut Sim, grants: Vec<(TxnId, LockTarg
             None => {}
         }
     }
+    cl.borrow_mut().txn.recycle_grants(grants);
 }
 
 /// Schedule a client's next submission after its think time. In pooled

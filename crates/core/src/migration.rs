@@ -813,15 +813,7 @@ fn segment_lock_granted(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
             },
         );
         // Dirty pages of the segment flush before the copy.
-        let dirty: Vec<_> = c.nodes[mv.from.raw() as usize]
-            .buffer
-            .dirty_pages()
-            .into_iter()
-            .filter(|p| p.segment == mv.seg)
-            .collect();
-        for p in &dirty {
-            c.nodes[mv.from.raw() as usize].buffer.mark_clean(*p);
-        }
+        c.nodes[mv.from.raw() as usize].buffer.clean_segment(mv.seg);
         (mv, bytes, src_disk_idx)
     };
     // Join: disk read ∥ network ship; the later arm runs the completion
@@ -983,13 +975,15 @@ fn next_logical_batch(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
                 .expect("source partition");
             let scan_range = KeyRange::new(cursor, rm.range.end);
             let mut keys: Vec<Key> = Vec::with_capacity(MIGRATION_BATCH);
-            'outer: for (seg, seg_range) in src_part.top.prune(scan_range) {
+            for (seg, seg_range) in src_part.top.prune(scan_range) {
                 let lo = seg_range.start.max(cursor);
-                for (k, _) in c.indexes[&seg].range_scan(KeyRange::new(lo, rm.range.end)) {
-                    keys.push(k);
-                    if keys.len() >= MIGRATION_BATCH {
-                        break 'outer;
+                c.indexes[&seg].visit_range(KeyRange::new(lo, rm.range.end), |k, _| {
+                    if keys.len() < MIGRATION_BATCH {
+                        keys.push(k);
                     }
+                });
+                if keys.len() >= MIGRATION_BATCH {
+                    break;
                 }
             }
             if keys.is_empty() {

@@ -205,7 +205,7 @@ mod tests {
         d
     }
 
-    fn scan(n: u64, on: u16) -> PlanNode {
+    fn scan(n: u64, on: u16) -> PlanNode<'static> {
         PlanNode::Scan {
             source: Box::new(SyntheticTable::new(n, 100, 100)),
             on: NodeId(on),

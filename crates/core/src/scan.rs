@@ -4,8 +4,8 @@
 //! for the *other* half of the workload: table/range scans (optionally
 //! with an aggregation) that run through `wattdb_query`'s volcano
 //! executor against the cluster's real segments. Each covered segment
-//! becomes one per-segment plan; [`wattdb_query::execute`] evaluates it
-//! and emits the [`wattdb_query::CostTrace`] whose stages are replayed
+//! becomes one per-segment plan; [`wattdb_query::execute_into`] evaluates
+//! it and emits the [`wattdb_query::CostTrace`] whose stages are replayed
 //! through the shared node resources — so scans contend with OLTP for
 //! the CPUs the monitor watches — and whose collapsed
 //! [`wattdb_common::CostVector`] is charged to the segment's heat.
@@ -20,87 +20,57 @@
 //! Heat is charged at **dispatch time** from the trace — i.e. from the
 //! optimizer's cost estimate, exactly the signal Arsov et al. plan on —
 //! while the hardware demand is replayed in virtual time.
+//!
+//! # Cost
+//!
+//! Segments are planned one at a time, and the plan's scan reads the
+//! segment's index in place ([`SegmentIndex::visit_range`]): the range is
+//! walked once to count it (an empty segment gets no plan, no heat and no
+//! trace) and once by the scan, whose tuples the executor pushes through
+//! the aggregation and drops at the root. No key list, range list or row
+//! list is built, so a scan's heap is the same whatever its row count —
+//! per segment, the two plan boxes, the aggregation's groups and the
+//! trace the replay takes over.
 
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use wattdb_common::{Key, KeyRange, NodeId, RecordId, SegmentId, TableId};
-use wattdb_query::{execute, AggFunc, ExecConfig, PlanNode, RowSource, Tuple, Values};
+use wattdb_common::{KeyRange, TableId};
+use wattdb_index::SegmentIndex;
+use wattdb_query::{execute_into, AggFunc, ExecConfig, PlanNode, RowSource, Tuple, Values};
 
-use crate::cluster::{Cluster, ClusterRc};
+use crate::cluster::ClusterRc;
 use crate::replay::{replay_trace, SortMemoryBroker};
 
-/// A snapshot of one segment's live keys, adapted to the query engine's
-/// [`RowSource`]. Taking it under the cluster borrow keeps `execute` pure
-/// (it runs with no engine access); the tuples are built once, when the
-/// scan operator pulls them, and own no heap memory of their own.
-struct SegmentSource {
-    entries: Vec<(Key, RecordId)>,
+/// One segment's keys in the scanned range, adapted to the query engine's
+/// [`RowSource`]: it borrows the segment's index under the cluster borrow
+/// and walks the range in place when the scan operator pulls, so no key
+/// list is built and each tuple, owning no heap memory, goes straight to
+/// the operator above.
+struct SegmentSource<'a> {
+    index: &'a SegmentIndex,
+    range: KeyRange,
     pages: u64,
 }
 
-impl RowSource for SegmentSource {
-    fn row_count(&self) -> u64 {
-        self.entries.len() as u64
-    }
-
+impl RowSource for SegmentSource<'_> {
     fn page_count(&self) -> u64 {
         self.pages
     }
 
-    fn rows(&self) -> Vec<Tuple> {
-        let rows = self.entries.iter().map(|(k, _)| Tuple {
-            key: *k,
-            // Deterministic pseudo-columns: a value and a group column
-            // derived from the key, enough for filter/agg operators.
-            values: Values::from([(k.raw() % 1000) as i64, (k.raw() % 16) as i64]),
-            // Logical row image shipped between operators (compact column
-            // subset; the stored width only matters for disk footprints).
-            width: 64,
-        });
-        rows.collect()
-    }
-}
-
-/// One segment's scan assignment: the plan input plus where it lives.
-struct SegmentScan {
-    seg: SegmentId,
-    node: NodeId,
-    source: SegmentSource,
-}
-
-/// Collect the scan assignments for every segment of `table` intersecting
-/// `range`, in segment order.
-fn covered_segments(c: &Cluster, table: TableId, range: KeyRange) -> Vec<SegmentScan> {
-    let mut scans = Vec::new();
-    let mut metas: Vec<_> = c
-        .seg_dir
-        .iter()
-        .filter(|m| m.table == table)
-        .filter(|m| match m.key_range {
-            Some(r) => r.start < range.end && range.start < r.end,
-            None => false,
-        })
-        .collect();
-    metas.sort_by_key(|m| m.id);
-    for m in metas {
-        let Some(idx) = c.indexes.get(&m.id) else {
-            continue;
-        };
-        let entries = idx.range_scan(range);
-        if entries.is_empty() {
-            continue;
-        }
-        scans.push(SegmentScan {
-            seg: m.id,
-            node: m.node,
-            source: SegmentSource {
-                entries,
-                pages: (c.store.page_count(m.id) as u64).max(1),
-            },
+    fn push_rows(&self, out: &mut dyn FnMut(Tuple)) {
+        self.index.visit_range(self.range, |k, _| {
+            out(Tuple {
+                key: k,
+                // Deterministic pseudo-columns: a value and a group column
+                // derived from the key, enough for filter/agg operators.
+                values: Values::from([(k.raw() % 1000) as i64, (k.raw() % 16) as i64]),
+                // Logical row image shipped between operators (compact column
+                // subset; the stored width only matters for disk footprints).
+                width: 64,
+            })
         });
     }
-    scans
 }
 
 /// Outcome of one dispatched scan.
@@ -117,11 +87,12 @@ pub struct ScanReport {
 
 /// Dispatch a range scan of `table` over `range`, optionally topped by a
 /// [`AggFunc`] group-aggregation on the storage node (the CPU-heavy
-/// shape). Per covered segment: evaluate the plan, charge the trace's
-/// cost to the segment's heat at the current virtual time, and replay the
-/// hardware demands through the cluster's shared resources. Returns the
-/// dispatch-time report; the demands drain asynchronously in virtual
-/// time.
+/// shape). Per covered segment, in id order — a segment with no key in
+/// `range` is not covered: plan it, evaluate the plan with the rows
+/// dropped at the root, charge the trace's cost to the segment's heat at
+/// the current virtual time, and replay the hardware demands through the
+/// cluster's shared resources. Returns the dispatch-time report; the
+/// demands drain asynchronously in virtual time.
 pub fn submit_scan(
     cl: &ClusterRc,
     sim: &mut wattdb_sim::Sim,
@@ -131,18 +102,32 @@ pub fn submit_scan(
 ) -> ScanReport {
     let mut report = ScanReport::default();
     let broker = Rc::new(RefCell::new(SortMemoryBroker::default()));
-    let jobs = {
+    let mut jobs = Vec::new();
+    {
         let mut c = cl.borrow_mut();
-        let scans = covered_segments(&c, table, range);
-        let params = c.cfg.costs;
-        let cfg = ExecConfig::default();
-        let now = sim.now();
-        let mut jobs = Vec::with_capacity(scans.len());
-        for scan in scans {
-            let on = scan.node;
-            let scanned = scan.source.row_count();
+        let c = &mut *c;
+        let (params, cfg, now) = (c.cfg.costs, ExecConfig::default(), sim.now());
+        let overlapping = |r: KeyRange| r.start < range.end && range.start < r.end;
+        for m in c.seg_dir.of_table(table) {
+            if !m.key_range.is_some_and(overlapping) {
+                continue;
+            }
+            let Some(index) = c.indexes.get(&m.id) else {
+                continue;
+            };
+            let mut rows = 0;
+            index.visit_range(range, |_, _| rows += 1);
+            if rows == 0 {
+                continue;
+            }
+            let source = SegmentSource {
+                index,
+                range,
+                pages: (c.store.page_count(m.id) as u64).max(1),
+            };
+            let on = m.node;
             let mut plan = PlanNode::Scan {
-                source: Box::new(scan.source),
+                source: Box::new(source),
                 on,
             };
             if let Some(func) = agg {
@@ -152,17 +137,16 @@ pub fn submit_scan(
                     on,
                 };
             }
-            let (_, trace) = execute(&plan, &params, &cfg);
+            let trace = execute_into(&plan, &params, &cfg, &mut |_| {});
             let cost = trace.cost_vector();
-            let before = c.heat.heat_of(scan.seg, now).value();
-            c.heat.record_scan(scan.seg, now, cost);
-            report.heat_charged += c.heat.heat_of(scan.seg, now).value() - before;
+            let before = c.heat.heat_of(m.id, now).value();
+            c.heat.record_scan(m.id, now, cost);
+            report.heat_charged += c.heat.heat_of(m.id, now).value() - before;
             report.segments += 1;
-            report.rows += scanned;
+            report.rows += rows;
             jobs.push(trace);
         }
-        jobs
-    };
+    }
     for trace in jobs {
         replay_trace(cl, sim, trace, broker.clone(), |_, _| {});
     }

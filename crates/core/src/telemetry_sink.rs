@@ -190,8 +190,9 @@ pub fn sample_window(c: &mut Cluster, view: &ClusterView, at: SimTime, events: u
         .sum();
     let mut lag_max = 0u64;
     for node in &c.nodes {
-        for f in node.replica_shipper.followers() {
-            if let Some(lag) = node.replica_shipper.lag(f, &node.log) {
+        let shipper = &node.replica_shipper;
+        for f in (0..).map_while(|i| shipper.follower_at(i)) {
+            if let Some(lag) = shipper.lag(f, &node.log) {
                 lag_max = lag_max.max(lag);
             }
         }

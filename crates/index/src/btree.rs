@@ -452,21 +452,25 @@ impl<V> BPlusTree<V> {
     /// Entries with keys in `range`, in ascending order.
     pub fn range(&self, range: KeyRange) -> Vec<(Key, &V)> {
         let mut out = Vec::new();
-        if !range.is_empty() {
-            Self::range_rec(&self.root, &range, &mut out);
-        }
+        self.visit_range(range, |k, v| out.push((k, v)));
         out
     }
 
-    fn range_rec<'a>(node: &'a Node<V>, range: &KeyRange, out: &mut Vec<(Key, &'a V)>) {
+    /// Show `visit` every entry with a key in `range`, in ascending order,
+    /// where it lies: [`BPlusTree::range`] without the list.
+    pub fn visit_range<'a>(&'a self, range: KeyRange, mut visit: impl FnMut(Key, &'a V)) {
+        if !range.is_empty() {
+            Self::visit_rec(&self.root, &range, &mut visit);
+        }
+    }
+
+    fn visit_rec<'a>(node: &'a Node<V>, range: &KeyRange, visit: &mut impl FnMut(Key, &'a V)) {
         match node {
             Node::L(l) => {
                 let start = l.keys.partition_point(|k| *k < range.start);
-                for i in start..l.keys.len() {
-                    if l.keys[i] >= range.end {
-                        break;
-                    }
-                    out.push((l.keys[i], &l.vals[i]));
+                let end = l.keys.partition_point(|k| *k < range.end);
+                for i in start..end {
+                    visit(l.keys[i], &l.vals[i]);
                 }
             }
             Node::I(internal) => {
@@ -476,7 +480,7 @@ impl<V> BPlusTree<V> {
                 let lo = internal.seps.partition_point(|s| *s <= range.start);
                 let hi = internal.seps.partition_point(|s| *s < range.end);
                 for c in &internal.children[lo..=hi] {
-                    Self::range_rec(c, range, out);
+                    Self::visit_rec(c, range, visit);
                 }
             }
         }

@@ -164,11 +164,18 @@ impl SegmentIndex {
 
     /// Entries within `range` (ascending).
     pub fn range_scan(&self, range: KeyRange) -> Vec<(Key, RecordId)> {
+        let mut out = Vec::new();
+        self.visit_range(range, |k, rid| out.push((k, rid)));
+        out
+    }
+
+    /// Show `visit` every entry within `range`, in ascending key order,
+    /// straight off the tree ([`BPlusTree::visit_range`]): a scan that
+    /// reads each entry once builds no list.
+    pub fn visit_range(&self, range: KeyRange, mut visit: impl FnMut(Key, RecordId)) {
+        let segment = self.segment;
         self.tree
-            .range(range)
-            .into_iter()
-            .map(|(k, p)| (k, p.rid(self.segment)))
-            .collect()
+            .visit_range(range, |k, p| visit(k, p.rid(segment)));
     }
 
     /// All entries (ascending).

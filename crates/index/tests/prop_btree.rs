@@ -12,6 +12,13 @@
 //! leaves, same height after every operation, no vector ever allocated
 //! beyond the fan-out (`check_invariants`), and after each split the half
 //! the new entry went to holds the old buffer while the other fits exactly.
+//!
+//! `range_visitor_matches_the_parent_range` drives `visit_range`, which
+//! the scan path walks in place, beside the parent's list-building
+//! `range`: empty and reversed ranges, single keys, and ranges starting
+//! and ending at every leaf boundary (a leaf's last key, the next leaf's
+//! first key — where its separator sits — and one past or short of each),
+//! over trees of one to three levels.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
@@ -272,5 +279,58 @@ proptest! {
         }
         prop_assert!(tree.is_empty());
         tree.check_invariants();
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(64))]
+
+    #[test]
+    fn range_visitor_matches_the_parent_range(
+        keys in proptest::collection::btree_set(0u64..6_000, 0..3_000),
+        removed in proptest::collection::btree_set(0u64..6_000, 0..600),
+    ) {
+        let mut tree: BPlusTree<u64> = BPlusTree::new();
+        let mut parent: reference::BPlusTree<u64> = reference::BPlusTree::new();
+        for &k in &keys {
+            tree.insert(Key(k), k);
+            parent.insert(Key(k), k);
+        }
+        // Removals leave separators that no longer equal a leaf's first key.
+        for &k in &removed {
+            tree.remove(Key(k));
+            parent.remove(Key(k));
+        }
+        let sorted: Vec<u64> = tree.iter().into_iter().map(|(k, _)| k.raw()).collect();
+        let mut points = vec![0, 6_000];
+        let mut at = 0;
+        for len in levels(&tree).get(&1).into_iter().flatten().map(|&(len, _)| len) {
+            if len > 0 {
+                let (first, last) = (sorted[at], sorted[at + len - 1]);
+                points.extend([first.saturating_sub(1), first, last, last + 1]);
+            }
+            at += len;
+        }
+        points.sort_unstable();
+        points.dedup();
+
+        let check = |a: u64, b: u64| {
+            let range = KeyRange::new(Key(a), Key(b));
+            let mut got = Vec::new();
+            tree.visit_range(range, |k, v| got.push((k, *v)));
+            let want: Vec<(Key, u64)> = parent.range(range).into_iter().map(|(k, v)| (k, *v)).collect();
+            prop_assert_eq!(&got, &want, "[{}, {})", a, b);
+            prop_assert_eq!(got.len(), sorted.iter().filter(|&&k| a <= k && k < b).count());
+        };
+        for (i, &a) in points.iter().enumerate() {
+            check(a, a);
+            check(a, a + 1);
+            check(a + 1, a);
+            for &b in &points[i..(i + 6).min(points.len())] {
+                check(a, b);
+            }
+        }
+        check(0, u64::MAX);
+        prop_assert!(tree.height() <= 3);
     }
 }

@@ -14,6 +14,16 @@
 //! * **buffering operator** — a prefetch proxy on the producer's node that
 //!   overlaps shipping with production, hiding transfer time behind
 //!   upstream work.
+//!
+//! **Pipelining is literal.** A scan pushes each tuple into its consumer
+//! as its [`RowSource`](crate::plan::RowSource) yields it, and Filter,
+//! Project, Buffer and Limit pass it on, counting rows and widths as they
+//! go; only the blocking operators hold anything — Sort its input,
+//! GroupAgg its groups. [`execute_into`] hands the root's tuples to a
+//! sink, so a caller that keeps only the trace (a segment scan charging
+//! heat) builds no row list at all. Each operator pushes its stages when
+//! its input ends, so the trace is in post-order with the numbers a
+//! materialize-everything evaluation gives.
 
 use wattdb_common::{CostParams, CostVector, NodeId, SimDuration};
 
@@ -66,7 +76,7 @@ pub struct Stage {
 }
 
 /// Ordered hardware demands of one query.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct CostTrace {
     /// Stages in execution (pull) order.
     pub stages: Vec<Stage>,
@@ -140,186 +150,214 @@ impl Default for ExecConfig {
 }
 
 /// Run a plan: returns the result tuples and the cost trace.
-pub fn execute(plan: &PlanNode, params: &CostParams, cfg: &ExecConfig) -> (Vec<Tuple>, CostTrace) {
-    let mut trace = CostTrace::default();
-    let rows = run(plan, params, cfg, &mut trace, plan.placement(), false);
+pub fn execute(
+    plan: &PlanNode<'_>,
+    params: &CostParams,
+    cfg: &ExecConfig,
+) -> (Vec<Tuple>, CostTrace) {
+    let mut rows = Vec::new();
+    let trace = execute_into(plan, params, cfg, &mut |t| rows.push(t));
     (rows, trace)
 }
 
-/// Recursive evaluation. `consumer_on` is the node pulling from this
-/// operator; `buffered` is true when a Buffer proxy sits between this
-/// producer and the consumer.
-fn run(
-    node: &PlanNode,
+/// Run a plan, pushing each result tuple into `sink` as the root emits
+/// it; returns the cost trace. A caller that wants only the trace passes
+/// a sink that drops the rows, and nothing but the blocking operators'
+/// state is ever held.
+pub fn execute_into(
+    plan: &PlanNode<'_>,
     params: &CostParams,
     cfg: &ExecConfig,
-    trace: &mut CostTrace,
-    consumer_on: NodeId,
-    buffered: bool,
-) -> Vec<Tuple> {
-    match node {
-        PlanNode::Scan { source, on } => {
-            let rows = source.rows();
-            trace.stages.push(Stage {
-                on: *on,
-                kind: StageKind::PageReads {
-                    pages: source.page_count(),
-                },
-            });
-            trace.stages.push(Stage {
-                on: *on,
-                kind: StageKind::Cpu {
-                    dur: params.scan_per_record * rows.len() as u64,
-                },
-            });
-            ship_if_remote(&rows, *on, consumer_on, cfg, params, trace, buffered);
-            rows
-        }
-        PlanNode::Filter {
-            input,
-            threshold,
-            on,
-        } => {
-            let rows = run(input, params, cfg, trace, *on, false);
-            let calls = calls_for(rows.len() as u64, cfg);
-            let out: Vec<Tuple> = rows
-                .into_iter()
-                .filter(|t| t.values.first().copied().unwrap_or(0) >= *threshold)
-                .collect();
-            trace.stages.push(Stage {
-                on: *on,
-                kind: StageKind::Cpu {
-                    dur: params.project_per_record * out.len() as u64
-                        + params.call_overhead * calls,
-                },
-            });
-            ship_if_remote(&out, *on, consumer_on, cfg, params, trace, buffered);
-            out
-        }
-        PlanNode::Project {
-            input,
-            keep_width,
-            on,
-        } => {
-            let rows = run(input, params, cfg, trace, *on, false);
-            let calls = calls_for(rows.len() as u64, cfg);
-            let out: Vec<Tuple> = rows
-                .into_iter()
-                .map(|mut t| {
+    sink: &mut dyn FnMut(Tuple),
+) -> CostTrace {
+    let mut run = Run {
+        params,
+        cfg,
+        trace: CostTrace::default(),
+    };
+    run.node(plan, plan.placement(), false, sink);
+    run.trace
+}
+
+/// Rows and logical bytes an operator has emitted: what shipping them
+/// costs.
+#[derive(Default)]
+struct Flow {
+    rows: u64,
+    bytes: u64,
+}
+
+impl Flow {
+    fn count(&mut self, t: &Tuple) {
+        self.rows += 1;
+        self.bytes += t.width as u64;
+    }
+}
+
+/// One evaluation: the settings and the trace being written.
+struct Run<'p> {
+    params: &'p CostParams,
+    cfg: &'p ExecConfig,
+    trace: CostTrace,
+}
+
+impl Run<'_> {
+    /// Evaluate `node`, pushing its output into `out`. `consumer_on` is
+    /// the node `out` runs on; `buffered` is true when a Buffer proxy sits
+    /// between this producer and the consumer. An operator pushes its
+    /// stages once its input has ended, after its input's own: the trace
+    /// comes out in post-order, the order the stages are demanded in.
+    fn node(
+        &mut self,
+        node: &PlanNode<'_>,
+        consumer_on: NodeId,
+        buffered: bool,
+        out: &mut dyn FnMut(Tuple),
+    ) {
+        let params = self.params;
+        match node {
+            PlanNode::Scan { source, on } => {
+                let mut flow = Flow::default();
+                source.push_rows(&mut |t| {
+                    flow.count(&t);
+                    out(t);
+                });
+                let pages = source.page_count();
+                self.stage(*on, StageKind::PageReads { pages });
+                let dur = params.scan_per_record * flow.rows;
+                self.stage(*on, StageKind::Cpu { dur });
+                self.ship(&flow, *on, consumer_on, buffered);
+            }
+            PlanNode::Filter {
+                input,
+                threshold,
+                on,
+            } => {
+                let (mut seen, mut flow) = (0, Flow::default());
+                self.node(input, *on, false, &mut |t| {
+                    seen += 1;
+                    if t.values.first().copied().unwrap_or(0) >= *threshold {
+                        flow.count(&t);
+                        out(t);
+                    }
+                });
+                self.pipelined(*on, seen, &flow);
+                self.ship(&flow, *on, consumer_on, buffered);
+            }
+            PlanNode::Project {
+                input,
+                keep_width,
+                on,
+            } => {
+                let mut flow = Flow::default();
+                self.node(input, *on, false, &mut |mut t| {
                     t.width = t.width.min(*keep_width);
                     t.values.truncate(1);
-                    t
-                })
-                .collect();
-            trace.stages.push(Stage {
-                on: *on,
-                kind: StageKind::Cpu {
-                    dur: params.project_per_record * out.len() as u64
-                        + params.call_overhead * calls,
-                },
-            });
-            ship_if_remote(&out, *on, consumer_on, cfg, params, trace, buffered);
-            out
-        }
-        PlanNode::Sort { input, on } => {
-            let mut rows = run(input, params, cfg, trace, *on, false);
-            rows.sort_by_key(|t| t.key);
-            let n = rows.len() as u64;
-            let levels = 64 - n.max(1).leading_zeros() as u64;
-            let bytes: u64 = rows.iter().map(|t| t.width as u64).sum();
-            trace.stages.push(Stage {
-                on: *on,
-                kind: StageKind::SortWorkspace {
-                    bytes,
-                    cpu: params.sort_per_record_level * n * levels,
-                },
-            });
-            ship_if_remote(&rows, *on, consumer_on, cfg, params, trace, buffered);
-            rows
-        }
-        PlanNode::GroupAgg { input, func, on } => {
-            let rows = run(input, params, cfg, trace, *on, false);
-            let n = rows.len() as u64;
-            let mut groups: std::collections::BTreeMap<i64, i64> =
-                std::collections::BTreeMap::new();
-            for t in &rows {
-                let g = t.values.get(1).copied().unwrap_or(0);
-                let v = t.values.first().copied().unwrap_or(0);
-                let slot = groups.entry(g).or_insert(0);
-                match func {
-                    AggFunc::Count => *slot += 1,
-                    AggFunc::Sum => *slot += v,
+                    flow.count(&t);
+                    out(t);
+                });
+                self.pipelined(*on, flow.rows, &flow);
+                self.ship(&flow, *on, consumer_on, buffered);
+            }
+            PlanNode::Sort { input, on } => {
+                let mut rows = Vec::new();
+                self.node(input, *on, false, &mut |t| rows.push(t));
+                rows.sort_by_key(|t| t.key);
+                let mut flow = Flow::default();
+                rows.iter().for_each(|t| flow.count(t));
+                let levels = 64 - flow.rows.max(1).leading_zeros() as u64;
+                let cpu = params.sort_per_record_level * flow.rows * levels;
+                let bytes = flow.bytes;
+                self.stage(*on, StageKind::SortWorkspace { bytes, cpu });
+                self.ship(&flow, *on, consumer_on, buffered);
+                rows.into_iter().for_each(out);
+            }
+            PlanNode::GroupAgg { input, func, on } => {
+                let (mut n, mut groups) = (0, std::collections::BTreeMap::<i64, i64>::new());
+                self.node(input, *on, false, &mut |t| {
+                    n += 1;
+                    let g = t.values.get(1).copied().unwrap_or(0);
+                    let v = t.values.first().copied().unwrap_or(0);
+                    let slot = groups.entry(g).or_insert(0);
+                    match func {
+                        AggFunc::Count => *slot += 1,
+                        AggFunc::Sum => *slot += v,
+                    }
+                });
+                let dur = params.agg_per_record * n;
+                self.stage(*on, StageKind::Cpu { dur });
+                let width = 16;
+                let rows = groups.len() as u64;
+                let flow = Flow {
+                    rows,
+                    bytes: rows * width as u64,
+                };
+                self.ship(&flow, *on, consumer_on, buffered);
+                for (i, (g, v)) in groups.into_iter().enumerate() {
+                    out(Tuple {
+                        key: wattdb_common::Key(i as u64),
+                        values: Values::from([v, g]),
+                        width,
+                    });
                 }
             }
-            let out: Vec<Tuple> = groups
-                .into_iter()
-                .enumerate()
-                .map(|(i, (g, v))| Tuple {
-                    key: wattdb_common::Key(i as u64),
-                    values: Values::from([v, g]),
-                    width: 16,
-                })
-                .collect();
-            trace.stages.push(Stage {
-                on: *on,
-                kind: StageKind::Cpu {
-                    dur: params.agg_per_record * n,
-                },
-            });
-            ship_if_remote(&out, *on, consumer_on, cfg, params, trace, buffered);
-            out
+            PlanNode::Buffer { input } => {
+                // The proxy sits on the producer's node; it marks the producer's
+                // shipment to the consumer as overlapped.
+                self.node(input, consumer_on, true, out)
+            }
+            PlanNode::Limit { input, n } => {
+                // Drains its input all the same: the producer is charged for
+                // every row it makes, as when it ran to completion first.
+                let mut left = *n;
+                self.node(input, consumer_on, buffered, &mut |t| {
+                    if left > 0 {
+                        left -= 1;
+                        out(t);
+                    }
+                });
+            }
         }
-        PlanNode::Buffer { input } => {
-            // The proxy sits on the producer's node; it marks the producer's
-            // shipment to the consumer as overlapped.
-            run(input, params, cfg, trace, consumer_on, true)
+    }
+
+    fn stage(&mut self, on: NodeId, kind: StageKind) {
+        self.trace.stages.push(Stage { on, kind });
+    }
+
+    /// A pipelining operator's CPU: per row it emitted, plus one call
+    /// overhead per batch of the `seen` rows it was handed.
+    fn pipelined(&mut self, on: NodeId, seen: u64, flow: &Flow) {
+        let calls = calls_for(seen, self.cfg);
+        let dur = self.params.project_per_record * flow.rows + self.params.call_overhead * calls;
+        self.stage(on, StageKind::Cpu { dur });
+    }
+
+    fn ship(&mut self, flow: &Flow, from: NodeId, to: NodeId, overlapped: bool) {
+        if from == to {
+            return;
         }
-        PlanNode::Limit { input, n } => {
-            let mut rows = run(input, params, cfg, trace, consumer_on, buffered);
-            rows.truncate(*n as usize);
-            rows
-        }
+        let calls = calls_for(flow.rows, self.cfg);
+        let bytes = flow.bytes + calls * self.cfg.message_overhead;
+        self.stage(
+            from,
+            StageKind::NetTransfer {
+                from,
+                to,
+                bytes,
+                calls,
+                overlapped,
+            },
+        );
+        // Marshalling CPU for both endpoints, charged at the receiver: a
+        // separate sender-side stage would convoy behind the sender's queued
+        // scans in the FIFO replay and serialize the whole pipeline.
+        let dur = self.params.call_overhead * calls * 2;
+        self.stage(to, StageKind::Cpu { dur });
     }
 }
 
 fn calls_for(rows: u64, cfg: &ExecConfig) -> u64 {
     rows.div_ceil(cfg.batch_size.max(1)).max(1)
-}
-
-fn ship_if_remote(
-    rows: &[Tuple],
-    from: NodeId,
-    to: NodeId,
-    cfg: &ExecConfig,
-    params: &CostParams,
-    trace: &mut CostTrace,
-    overlapped: bool,
-) {
-    if from == to {
-        return;
-    }
-    let calls = calls_for(rows.len() as u64, cfg);
-    let bytes: u64 =
-        rows.iter().map(|t| t.width as u64).sum::<u64>() + calls * cfg.message_overhead;
-    trace.stages.push(Stage {
-        on: from,
-        kind: StageKind::NetTransfer {
-            from,
-            to,
-            bytes,
-            calls,
-            overlapped,
-        },
-    });
-    // Marshalling CPU for both endpoints, charged at the receiver: a
-    // separate sender-side stage would convoy behind the sender's queued
-    // scans in the FIFO replay and serialize the whole pipeline.
-    trace.stages.push(Stage {
-        on: to,
-        kind: StageKind::Cpu {
-            dur: params.call_overhead * calls * 2,
-        },
-    });
 }
 
 #[cfg(test)]
@@ -332,7 +370,7 @@ mod tests {
         CostParams::default()
     }
 
-    fn scan(n: u64, on: u16) -> PlanNode {
+    fn scan(n: u64, on: u16) -> PlanNode<'static> {
         PlanNode::Scan {
             source: Box::new(SyntheticTable::new(n, 100, 50)),
             on: NodeId(on),

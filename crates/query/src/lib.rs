@@ -9,13 +9,14 @@
 //!
 //! Execution is functional *and* costed: [`execute`] returns real result
 //! tuples plus a [`CostTrace`] of hardware demands that the cluster layer
-//! replays through the shared simulated resources.
+//! replays through the shared simulated resources; [`execute_into`] pushes
+//! the tuples into a sink instead of collecting them.
 
 pub mod exec;
 pub mod optimizer;
 pub mod plan;
 
-pub use exec::{execute, CostTrace, ExecConfig, Stage, StageKind};
+pub use exec::{execute, execute_into, CostTrace, ExecConfig, Stage, StageKind};
 pub use optimizer::{place, NodeLoad, PlacementPolicy};
 pub use plan::{AggFunc, PlanNode, RowSource, SyntheticTable, Tuple, Values};
 

@@ -126,7 +126,7 @@ mod tests {
     use super::*;
     use crate::plan::{AggFunc, SyntheticTable};
 
-    fn scan_on(node: u16) -> PlanNode {
+    fn scan_on(node: u16) -> PlanNode<'static> {
         PlanNode::Scan {
             source: Box::new(SyntheticTable::new(100, 100, 10)),
             on: NodeId(node),

@@ -12,8 +12,8 @@ use wattdb_common::{Key, KeyRange, NodeId};
 
 /// A tuple's column values, carried inline: no operator of this engine
 /// produces more than [`Values::MAX`] columns, so a tuple owns no heap
-/// memory and materializing a scan allocates per batch, not per row. Reads
-/// like a slice (`values[0]`, `values.first()`, `values.get(1)`).
+/// memory and a pipelining operator passes rows on without allocating
+/// any. Reads like a slice (`values[0]`, `values.first()`, `values.get(1)`).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Values {
     len: u8,
@@ -65,12 +65,10 @@ pub struct Tuple {
 /// The cluster layer adapts segments to this; benches use
 /// [`SyntheticTable`].
 pub trait RowSource {
-    /// Total tuples this source will yield.
-    fn row_count(&self) -> u64;
     /// Pages the scan will touch (drives buffer/disk costs).
     fn page_count(&self) -> u64;
-    /// Produce all tuples, in storage order.
-    fn rows(&self) -> Vec<Tuple>;
+    /// Push every tuple into `out`, in storage order.
+    fn push_rows(&self, out: &mut dyn FnMut(Tuple));
 }
 
 /// A deterministic in-memory table for micro-benchmarks (Fig. 1/2).
@@ -100,10 +98,9 @@ impl SyntheticTable {
         self.range = Some(range);
         self
     }
-}
 
-impl RowSource for SyntheticTable {
-    fn row_count(&self) -> u64 {
+    /// Total tuples the table yields.
+    pub fn row_count(&self) -> u64 {
         match self.range {
             None => self.rows,
             Some(r) => {
@@ -113,18 +110,20 @@ impl RowSource for SyntheticTable {
             }
         }
     }
+}
 
+impl RowSource for SyntheticTable {
     fn page_count(&self) -> u64 {
         self.row_count().div_ceil(self.rows_per_page)
     }
 
-    fn rows(&self) -> Vec<Tuple> {
+    fn push_rows(&self, out: &mut dyn FnMut(Tuple)) {
         let (lo, hi) = match self.range {
             None => (0, self.rows),
             Some(r) => (r.start.raw().min(self.rows), r.end.raw().min(self.rows)),
         };
-        (lo..hi)
-            .map(|i| Tuple {
+        for i in lo..hi {
+            out(Tuple {
                 key: Key(i),
                 // Deterministic pseudo-columns: value and a group column.
                 values: Values::from([
@@ -132,8 +131,8 @@ impl RowSource for SyntheticTable {
                     (i % 16) as i64,
                 ]),
                 width: self.width,
-            })
-            .collect()
+            });
+        }
     }
 }
 
@@ -147,12 +146,14 @@ pub enum AggFunc {
 }
 
 /// A physical plan node. `on` is the node executing the operator; a child
-/// placed elsewhere implies record shipping at the boundary.
-pub enum PlanNode {
+/// placed elsewhere implies record shipping at the boundary. `'a` is what
+/// a scan's source borrows — a segment's index, read in place — and
+/// `'static` for a source that owns its rows.
+pub enum PlanNode<'a> {
     /// Leaf: scan a table/partition. Always placed on the data's node.
     Scan {
         /// The data.
-        source: Box<dyn RowSource>,
+        source: Box<dyn RowSource + 'a>,
         /// Node holding the data.
         on: NodeId,
     },
@@ -160,7 +161,7 @@ pub enum PlanNode {
     /// predicate; enough to model selectivity).
     Filter {
         /// Input operator.
-        input: Box<PlanNode>,
+        input: Box<PlanNode<'a>>,
         /// Predicate threshold.
         threshold: i64,
         /// Placement.
@@ -169,7 +170,7 @@ pub enum PlanNode {
     /// Narrow tuples to `keep_width` bytes (pipelining operator).
     Project {
         /// Input operator.
-        input: Box<PlanNode>,
+        input: Box<PlanNode<'a>>,
         /// Output width.
         keep_width: u32,
         /// Placement.
@@ -178,14 +179,14 @@ pub enum PlanNode {
     /// Sort by key (blocking operator; needs workspace memory).
     Sort {
         /// Input operator.
-        input: Box<PlanNode>,
+        input: Box<PlanNode<'a>>,
         /// Placement.
         on: NodeId,
     },
     /// Hash group-by on `values[1]` (blocking).
     GroupAgg {
         /// Input operator.
-        input: Box<PlanNode>,
+        input: Box<PlanNode<'a>>,
         /// Aggregate.
         func: AggFunc,
         /// Placement.
@@ -195,18 +196,18 @@ pub enum PlanNode {
     /// *producer's* node that hides downstream shipping latency (§3.3).
     Buffer {
         /// Input operator.
-        input: Box<PlanNode>,
+        input: Box<PlanNode<'a>>,
     },
     /// Stop after `n` tuples.
     Limit {
         /// Input operator.
-        input: Box<PlanNode>,
+        input: Box<PlanNode<'a>>,
         /// Row cap.
         n: u64,
     },
 }
 
-impl PlanNode {
+impl PlanNode<'_> {
     /// The node this operator runs on (Buffer runs with its input; Limit
     /// with its input's consumer side).
     pub fn placement(&self) -> NodeId {
@@ -231,12 +232,18 @@ impl PlanNode {
 mod tests {
     use super::*;
 
+    fn rows_of(source: &dyn RowSource) -> Vec<Tuple> {
+        let mut rows = Vec::new();
+        source.push_rows(&mut |t| rows.push(t));
+        rows
+    }
+
     #[test]
     fn synthetic_table_shape() {
         let t = SyntheticTable::new(100, 200, 10);
         assert_eq!(t.row_count(), 100);
         assert_eq!(t.page_count(), 10);
-        let rows = t.rows();
+        let rows = rows_of(&t);
         assert_eq!(rows.len(), 100);
         assert_eq!(rows[5].key, Key(5));
         assert_eq!(rows[5].width, 200);
@@ -247,7 +254,7 @@ mod tests {
         let t = SyntheticTable::new(100, 200, 10).with_range(KeyRange::new(Key(20), Key(50)));
         assert_eq!(t.row_count(), 30);
         assert_eq!(t.page_count(), 3);
-        let rows = t.rows();
+        let rows = rows_of(&t);
         assert_eq!(rows.first().unwrap().key, Key(20));
         assert_eq!(rows.last().unwrap().key, Key(49));
     }
@@ -272,8 +279,8 @@ mod tests {
 
     #[test]
     fn rows_deterministic() {
-        let a = SyntheticTable::new(50, 8, 10).rows();
-        let b = SyntheticTable::new(50, 8, 10).rows();
+        let a = rows_of(&SyntheticTable::new(50, 8, 10));
+        let b = rows_of(&SyntheticTable::new(50, 8, 10));
         assert_eq!(a, b);
     }
 }

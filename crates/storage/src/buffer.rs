@@ -248,6 +248,14 @@ impl BufferPool {
         v
     }
 
+    /// Mark every resident page of `segment` clean (its dirty pages were
+    /// flushed before a copy), in place.
+    pub fn clean_segment(&mut self, segment: wattdb_common::SegmentId) {
+        for (_, f) in self.frames.iter_mut().filter(|(p, _)| p.segment == segment) {
+            f.dirty = false;
+        }
+    }
+
     /// Drop every resident page of `segment` (segment moved away or
     /// dropped). Dirty pages of a moved segment were flushed by the
     /// migration protocol before this point.
@@ -388,6 +396,18 @@ mod tests {
             Fetch::Miss { writeback } => assert_eq!(writeback, None),
             other => panic!("unexpected {other:?}"),
         }
+    }
+
+    #[test]
+    fn clean_segment_leaves_other_segments_dirty() {
+        let mut bp = BufferPool::new(8);
+        for (seg, no) in [(1, 0), (1, 1), (2, 0)] {
+            bp.fetch_pin(pid(seg, no));
+            bp.unpin(pid(seg, no), true);
+        }
+        bp.clean_segment(SegmentId(1));
+        assert_eq!(bp.dirty_pages(), vec![pid(2, 0)]);
+        assert_eq!(bp.resident(), 3, "cleaning evicts nothing");
     }
 
     #[test]

@@ -11,6 +11,6 @@ pub mod locks;
 pub mod manager;
 pub mod mvcc;
 
-pub use locks::{LockAcquire, LockManager, LockMode, LockTarget};
+pub use locks::{Grant, LockAcquire, LockManager, LockMode, LockTarget};
 pub use manager::{CcMode, IndexMap, TxnKind, TxnManager, TxnState};
 pub use mvcc::{is_provisional, owner, provisional, visible, Snapshot, WriteOp, TXN_MARK};

@@ -33,10 +33,15 @@
 //!   table. All waiters of one `(target, mode)` wait-state have the same
 //!   blockers, so each state is expanded once, and its holders are walked
 //!   only when the census says one of them conflicts. The search buffers
-//!   live in the manager: a wait allocates nothing.
+//!   live in the manager, and a target's wait queue is recycled the way
+//!   its holder table is — an idle target hands it to a spare list, the
+//!   next first waiter anywhere takes it — so a wait allocates nothing.
 //! * **Release is O(own targets).** A queue is only filtered when the
 //!   index says the transaction is in it, and the per-transaction
-//!   bookkeeping vectors are recycled.
+//!   bookkeeping vectors are recycled. [`LockManager::release_all_into`]
+//!   appends the grants to a list the caller recycles, so a release
+//!   allocates nothing either; [`LockManager::release_all`] is the same
+//!   with a fresh list.
 //!
 //! # Which levels hash
 //!
@@ -73,7 +78,8 @@
 //! stack was filled in. Grants come from the FIFO queues, never from a
 //! holder table. That is why a recycled table — whose capacity, and with
 //! it its iteration order, differs from a fresh one's — changes no
-//! verdict, grant or counter.
+//! verdict, grant or counter. A recycled queue is empty when it is taken,
+//! and a `VecDeque` keeps FIFO order whatever its capacity.
 
 use std::collections::hash_map::Entry;
 use std::collections::VecDeque;
@@ -160,6 +166,9 @@ impl LockMode {
     }
 }
 
+/// A queued request a release granted: `(txn, target, mode)`.
+pub type Grant = (TxnId, LockTarget, LockMode);
+
 /// Result of a lock request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum LockAcquire {
@@ -181,7 +190,7 @@ struct LockState {
     /// Mode census: holders per mode, indexed by `mode as usize`.
     counts: [u32; 5],
     /// FIFO wait queue (conversions re-queue at the front).
-    queue: VecDeque<(TxnId, LockMode)>,
+    queue: Queue,
 }
 
 impl LockState {
@@ -208,13 +217,7 @@ impl LockState {
 
     /// Make `txn`, which holds `held`, a holder in `mode`. A second
     /// holder's table comes from `spare` if there is one.
-    fn grant(
-        &mut self,
-        txn: TxnId,
-        held: Option<LockMode>,
-        mode: LockMode,
-        spare: &mut Vec<Holders>,
-    ) {
+    fn grant(&mut self, txn: TxnId, held: Option<LockMode>, mode: LockMode, spare: &mut Spares) {
         if let Some(h) = held {
             self.counts[h as usize] -= 1;
         }
@@ -224,7 +227,7 @@ impl LockState {
             None if held.is_none() => self.first = Some((txn, mode)),
             _ => {
                 if self.rest.capacity() == 0 {
-                    self.rest = spare.pop().unwrap_or_default();
+                    self.rest = spare.holders.pop().unwrap_or_default();
                 }
                 self.rest.insert(txn, mode);
             }
@@ -248,12 +251,28 @@ impl LockState {
         self.first.is_none() && self.rest.is_empty() && self.queue.is_empty()
     }
 
-    /// True if the state is idle and may be dropped; its holder table, if
-    /// it built one, has then gone to `spare`.
-    fn retire(&mut self, spare: &mut Vec<Holders>) -> bool {
+    /// Queue `txn` for `mode`: a conversion at the front, anyone else at
+    /// the back. A first queue comes from `spare` if there is one.
+    fn enqueue(&mut self, txn: TxnId, mode: LockMode, conversion: bool, spare: &mut Spares) {
+        if self.queue.capacity() == 0 {
+            self.queue = spare.queues.pop().unwrap_or_default();
+        }
+        if conversion {
+            self.queue.push_front((txn, mode));
+        } else {
+            self.queue.push_back((txn, mode));
+        }
+    }
+
+    /// True if the state is idle and may be dropped; its holder table and
+    /// wait queue, if it built them, have then gone to `spare`.
+    fn retire(&mut self, spare: &mut Spares) -> bool {
         let idle = self.is_idle();
         if idle && self.rest.capacity() > 0 {
-            spare.push(std::mem::take(&mut self.rest));
+            spare.holders.push(std::mem::take(&mut self.rest));
+        }
+        if idle && self.queue.capacity() > 0 {
+            spare.queues.push(std::mem::take(&mut self.queue));
         }
         idle
     }
@@ -282,6 +301,17 @@ impl LockState {
 /// Second-holder tables ([`LockState::rest`]).
 type Holders = IdMap<TxnId, LockMode>;
 
+/// Wait queues ([`LockState::queue`]).
+type Queue = VecDeque<(TxnId, LockMode)>;
+
+/// Emptied holder tables and wait queues of targets that went idle, for
+/// the next target that needs one.
+#[derive(Debug, Default)]
+struct Spares {
+    holders: Vec<Holders>,
+    queues: Vec<Queue>,
+}
+
 /// The lock table: one map per level of the hierarchy (module docs,
 /// "Which levels hash").
 #[derive(Debug, Default)]
@@ -290,17 +320,15 @@ struct LockTable {
     partitions: DenseMap<PartitionId, LockState>,
     segments: DenseMap<SegmentId, LockState>,
     records: IdMap<(TableId, Key), LockState>,
-    /// Emptied holder tables of targets that went idle, for the next
-    /// target that gets a second holder.
-    spare: Vec<Holders>,
+    spare: Spares,
 }
 
 /// [`LockTable::update`] on a dense level.
 fn update_dense<K: DenseKey>(
     level: &mut DenseMap<K, LockState>,
     id: K,
-    spare: &mut Vec<Holders>,
-    change: impl FnOnce(&mut LockState, &mut Vec<Holders>),
+    spare: &mut Spares,
+    change: impl FnOnce(&mut LockState, &mut Spares),
 ) {
     if let Some(state) = level.get_mut(&id) {
         change(state, spare);
@@ -329,9 +357,9 @@ impl LockTable {
         self.get(target).expect("requested target has state")
     }
 
-    /// `target`'s state, created if it has none, and the spare list a
-    /// grant on it may draw from.
-    fn get_or_default(&mut self, target: LockTarget) -> (&mut LockState, &mut Vec<Holders>) {
+    /// `target`'s state, created if it has none, and the spares a grant
+    /// or a wait on it may draw from.
+    fn get_or_default(&mut self, target: LockTarget) -> (&mut LockState, &mut Spares) {
         let state = match target {
             LockTarget::Table(t) => self.tables.get_or_insert_with(t, LockState::default),
             LockTarget::Partition(p) => self.partitions.get_or_insert_with(p, LockState::default),
@@ -343,11 +371,7 @@ impl LockTable {
 
     /// Apply `change` to `target`'s state, if it has one, and drop the
     /// state if that left it idle — one probe of the record table.
-    fn update(
-        &mut self,
-        target: LockTarget,
-        change: impl FnOnce(&mut LockState, &mut Vec<Holders>),
-    ) {
+    fn update(&mut self, target: LockTarget, change: impl FnOnce(&mut LockState, &mut Spares)) {
         let spare = &mut self.spare;
         match target {
             LockTarget::Table(t) => update_dense(&mut self.tables, t, spare, change),
@@ -528,13 +552,8 @@ impl LockManager {
             self.deadlocks += 1;
             return LockAcquire::Deadlock;
         }
-        let (state, _) = self.locks.get_or_default(target); // the state found above
-        if held.is_some() {
-            // Conversion waits at the front.
-            state.queue.push_front((txn, effective));
-        } else {
-            state.queue.push_back((txn, effective));
-        }
+        let (state, spare) = self.locks.get_or_default(target); // the state found above
+        state.enqueue(txn, effective, held.is_some(), spare);
         let own = self.txns.own(txn);
         own.touched.push(target);
         own.waits.push((target, effective));
@@ -582,10 +601,17 @@ impl LockManager {
     /// Release everything `txn` holds or waits for. Returns newly granted
     /// `(txn, target, mode)` requests for the caller to resume, in grant
     /// order.
-    pub fn release_all(&mut self, txn: TxnId) -> Vec<(TxnId, LockTarget, LockMode)> {
-        let mut granted_now = Vec::new();
+    pub fn release_all(&mut self, txn: TxnId) -> Vec<Grant> {
+        let mut granted = Vec::new();
+        self.release_all_into(txn, &mut granted);
+        granted
+    }
+
+    /// [`LockManager::release_all`], appending the grants to `granted`: a
+    /// caller that recycles the list allocates nothing per release.
+    pub fn release_all_into(&mut self, txn: TxnId, granted: &mut Vec<Grant>) {
         let Some((slot, own)) = self.txns.remove(txn) else {
-            return granted_now;
+            return;
         };
         for &target in &own.touched {
             self.locks.update(target, |state, spare| {
@@ -605,27 +631,31 @@ impl LockManager {
                     let waits = &mut self.txns.get_mut(t).waits;
                     let at = waits.iter().position(|w| *w == (target, m));
                     waits.swap_remove(at.expect("queued request is indexed"));
-                    granted_now.push((t, target, eff));
+                    granted.push((t, target, eff));
                 }
             });
         }
         self.txns.recycle(slot, own);
-        granted_now
     }
 
     /// Recount what the manager keeps incrementally (diagnostics/tests):
     /// each census against its holders, the waits-for index against the
     /// queues, `touched` against both, and the recycling of holder tables
-    /// — a spare one is empty, and no idle state sits on one.
+    /// and wait queues — a spare one is empty, and no idle state sits on
+    /// one.
     pub fn check_invariants(&self) -> Result<(), String> {
-        if let Some(map) = self.locks.spare.iter().find(|map| !map.is_empty()) {
+        let spare = &self.locks.spare;
+        if let Some(map) = spare.holders.iter().find(|map| !map.is_empty()) {
             return Err(format!("spare holder table still holds {map:?}"));
+        }
+        if let Some(queue) = spare.queues.iter().find(|queue| !queue.is_empty()) {
+            return Err(format!("spare wait queue still holds {queue:?}"));
         }
         let mut queued = Vec::new();
         for (target, state) in self.locks.iter() {
             let target = &target;
             if state.is_idle() {
-                // And whatever holder table it built is lost to the spares.
+                // And whatever table or queue it built is lost to the spares.
                 return Err(format!("idle state kept for {target:?}"));
             }
             if let Some((t, _)) = state.first.filter(|(t, _)| state.rest.contains_key(t)) {
@@ -797,6 +827,56 @@ mod tests {
         lm.release_all(TxnId(1));
         assert_eq!(lm.active_targets(), 0);
         assert_eq!(lm.held_mode(TxnId(1), rec(1)), None);
+    }
+
+    #[test]
+    fn a_recycled_queue_grants_in_fifo_order_conversion_first() {
+        let mut lm = LockManager::new();
+        // A wait builds a queue; the target going idle hands it back.
+        lm.acquire(TxnId(1), rec(1), X);
+        assert_eq!(lm.acquire(TxnId(2), rec(1), S), LockAcquire::Waiting);
+        assert_eq!(lm.release_all(TxnId(1)), vec![(TxnId(2), rec(1), S)]);
+        lm.release_all(TxnId(2));
+        assert_eq!(lm.active_targets(), 0);
+        assert_eq!(lm.locks.spare.queues.len(), 1);
+
+        // The next first waiter anywhere takes it.
+        let tbl = LockTarget::Table(TableId(1));
+        lm.acquire(TxnId(3), tbl, IS);
+        lm.acquire(TxnId(4), tbl, IX);
+        assert_eq!(lm.acquire(TxnId(5), tbl, S), LockAcquire::Waiting);
+        assert!(
+            lm.locks.spare.queues.is_empty(),
+            "the spare queue was reused"
+        );
+        // A conversion queues at the front, ahead of the earlier waiter.
+        assert_eq!(lm.acquire(TxnId(3), tbl, S), LockAcquire::Waiting);
+        lm.check_invariants().unwrap();
+        assert_eq!(
+            lm.release_all(TxnId(4)),
+            vec![(TxnId(3), tbl, S), (TxnId(5), tbl, S)]
+        );
+        lm.check_invariants().unwrap();
+    }
+
+    #[test]
+    fn invariants_reject_a_spare_queue_that_is_not_empty() {
+        let mut lm = LockManager::new();
+        lm.check_invariants().unwrap();
+        lm.locks.spare.queues.push(VecDeque::from([(TxnId(1), X)]));
+        let err = lm.check_invariants().unwrap_err();
+        assert!(err.contains("spare wait queue"), "{err}");
+    }
+
+    #[test]
+    fn release_all_into_appends_to_the_callers_list() {
+        let mut lm = LockManager::new();
+        lm.acquire(TxnId(1), rec(1), X);
+        lm.acquire(TxnId(2), rec(1), X);
+        let mut granted = Vec::with_capacity(4);
+        granted.push((TxnId(9), rec(9), S));
+        lm.release_all_into(TxnId(1), &mut granted);
+        assert_eq!(granted, vec![(TxnId(9), rec(9), S), (TxnId(2), rec(1), X)]);
     }
 
     #[test]

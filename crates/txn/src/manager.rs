@@ -15,7 +15,7 @@ use wattdb_common::{DenseMap, Error, IdMap, Key, Result, SegmentId, TxnId};
 use wattdb_index::SegmentIndex;
 use wattdb_storage::{PageStore, Record, RecordHeader, TS_INFINITY};
 
-use crate::locks::{LockManager, LockMode, LockTarget};
+use crate::locks::{Grant, LockManager};
 use crate::mvcc::{self, Snapshot, WriteOp};
 
 /// The canonical container for a node's segment indexes, as consumed by
@@ -91,6 +91,11 @@ pub struct TxnManager {
     /// Emptied write sets of committed transactions, handed to the next
     /// transaction that writes so a steady state allocates none.
     spare_writes: Vec<Vec<WriteOp>>,
+    /// Grant lists handed back through [`TxnManager::recycle_grants`],
+    /// for the next commit or abort to fill. A stack, not one buffer: the
+    /// caller resuming one list's grants may commit again before it hands
+    /// that list back.
+    spare_grants: Vec<Vec<Grant>>,
     /// The lock manager (shared by both modes).
     pub locks: LockManager,
     commits: u64,
@@ -106,6 +111,7 @@ impl TxnManager {
             clock: 1,
             active: IdMap::default(),
             spare_writes: Vec::new(),
+            spare_grants: Vec::new(),
             locks: LockManager::new(),
             commits: 0,
             aborts: 0,
@@ -335,13 +341,10 @@ impl TxnManager {
     }
 
     /// Commit: stamps MVCC versions (or drops before-images), bumps the
-    /// clock, releases locks. Returns `(commit_ts, lock grants to resume)`.
-    #[allow(clippy::type_complexity)]
-    pub fn commit(
-        &mut self,
-        txn: TxnId,
-        store: &mut PageStore,
-    ) -> Result<(u64, Vec<(TxnId, LockTarget, LockMode)>)> {
+    /// clock, releases locks. Returns `(commit_ts, lock grants to resume)`;
+    /// the grant list is a recycled one, to be handed back through
+    /// [`TxnManager::recycle_grants`] once its grants are resumed.
+    pub fn commit(&mut self, txn: TxnId, store: &mut PageStore) -> Result<(u64, Vec<Grant>)> {
         let mut st = self
             .active
             .remove(&txn)
@@ -356,16 +359,17 @@ impl TxnManager {
             self.spare_writes.push(st.writes);
         }
         self.commits += 1;
-        Ok((commit_ts, self.locks.release_all(txn)))
+        Ok((commit_ts, self.release(txn)))
     }
 
-    /// Abort: undoes writes and releases locks. Returns lock grants.
+    /// Abort: undoes writes and releases locks. Returns lock grants, in a
+    /// recycled list like [`TxnManager::commit`]'s.
     pub fn abort(
         &mut self,
         txn: TxnId,
         indexes: &mut IndexMap,
         store: &mut PageStore,
-    ) -> Result<Vec<(TxnId, LockTarget, LockMode)>> {
+    ) -> Result<Vec<Grant>> {
         let st = self
             .active
             .remove(&txn)
@@ -405,7 +409,23 @@ impl TxnManager {
             }
         }
         self.aborts += 1;
-        Ok(self.locks.release_all(txn))
+        Ok(self.release(txn))
+    }
+
+    /// Release `txn`'s locks into a spare grant list.
+    fn release(&mut self, txn: TxnId) -> Vec<Grant> {
+        let mut granted = self.spare_grants.pop().unwrap_or_default();
+        self.locks.release_all_into(txn, &mut granted);
+        granted
+    }
+
+    /// Take back a grant list [`TxnManager::commit`] or
+    /// [`TxnManager::abort`] returned, once its grants are resumed.
+    pub fn recycle_grants(&mut self, mut granted: Vec<Grant>) {
+        if granted.capacity() > 0 {
+            granted.clear();
+            self.spare_grants.push(granted);
+        }
     }
 
     /// Row images held for undo across live transactions — one per
@@ -538,6 +558,25 @@ mod tests {
         tm.commit(t3, &mut st).unwrap();
         // Horizon pinned by t2's snapshot.
         assert_eq!(tm.gc_horizon(), held);
+    }
+
+    #[test]
+    fn grant_lists_come_back_for_the_next_release() {
+        use crate::locks::{LockMode, LockTarget};
+        use wattdb_common::TableId;
+        let (_, mut st) = setup();
+        let mut tm = TxnManager::new(CcMode::Mvcc);
+        let (a, b) = (tm.begin(TxnKind::User), tm.begin(TxnKind::User));
+        let target = LockTarget::Record(TableId(1), Key(1));
+        tm.locks.acquire(a, target, LockMode::X);
+        tm.locks.acquire(b, target, LockMode::X);
+        let (_, granted) = tm.commit(a, &mut st).unwrap();
+        assert_eq!(granted, vec![(b, target, LockMode::X)]);
+        let room = granted.capacity();
+        tm.recycle_grants(granted);
+        let (_, granted) = tm.commit(b, &mut st).unwrap();
+        assert!(granted.is_empty(), "cleared when handed back");
+        assert_eq!(granted.capacity(), room, "the same list, not a new one");
     }
 
     #[test]
