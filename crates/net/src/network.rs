@@ -9,6 +9,13 @@
 //! after both links are clear. Contention — the effect that makes remote
 //! volcano `next()` calls catastrophic in Fig. 1 and bulk segment copies
 //! interfere with query traffic — emerges from the queues.
+//!
+//! A message costs one link event, not two, whenever a link is free: the
+//! two arms serialize the same bytes, so the arm that clears last is the
+//! one that has to queue or, with both links free, the ingress arm, whose
+//! key is taken after the egress arm's. That arm closes the message's
+//! join; the other is a detached occupancy with no event of its own
+//! ([`Resource::submit_pair`]).
 
 use std::cell::Cell;
 
@@ -144,6 +151,13 @@ fn stream(
 
 /// One piece occupying the sender's egress and the receiver's ingress in
 /// parallel; `done` is due `hop` after the later of the two clears.
+///
+/// Both links serialize the piece for the same wire time, so the link that
+/// clears last is known when it is sent: a link that has to queue clears
+/// after a free one, and of two free links the ingress, submitted second,
+/// holds the later key. That arm carries the join and the other costs no
+/// event ([`Resource::submit_pair`]); only when both links queue do both
+/// arms join.
 pub(crate) fn send_piece(
     tx: &ResourceHandle,
     rx: &ResourceHandle,
@@ -154,9 +168,7 @@ pub(crate) fn send_piece(
     done: Completion,
 ) {
     let wire = bytes.transfer_time(spec.bandwidth);
-    let join = sim.join(2, hop, done);
-    Resource::submit(tx, sim, wire, Completion::JoinArm(join));
-    Resource::submit(rx, sim, wire, Completion::JoinArm(join));
+    Resource::submit_pair(tx, rx, sim, wire, hop, done);
 }
 
 #[cfg(test)]

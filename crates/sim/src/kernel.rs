@@ -23,6 +23,26 @@
 //! slot. Firing counts by kind of completion fall out of the dispatcher
 //! ([`Sim::events_by_kind`]).
 //!
+//! **What is not an event.** A resource request whose completion is
+//! [`Completion::Detached`] and that nothing queues behind costs no event
+//! at all: the resource takes a *reserved key* — the `(at, seq)` its event
+//! would have had, with `seq` consumed exactly as a push consumes it — and
+//! books the request itself once the kernel's **position** has passed that
+//! key (see [`crate::resource`]). The position is
+//!
+//! * `(now, seq)` of the event firing, and of the last one fired between
+//!   [`Sim::step`] calls;
+//! * `(t, next seq)` once [`Sim::run_until`]`(t)` returns, or once a
+//!   [`Sim::step`] finds the queue drained (with `t` the later of the clock
+//!   and the last reserved end, where the drained queue leaves the clock):
+//!   after every key reserved so far and before every key reserved later;
+//! * before every key until the first event fires.
+//!
+//! Firing order, the clock and every resource's busy integral are what they
+//! were when each of those requests was an event; [`Sim::events_executed`]
+//! and [`Sim::pending`] no longer count them. A message's link arm that
+//! cannot finish last is one of them ([`Resource::submit_pair`]).
+//!
 //! # Queue layout — hierarchical timer wheel
 //!
 //! The kernel's traffic is dominated by short timers: resource service
@@ -147,6 +167,12 @@ const NO_FREE: u32 = u32::MAX;
 pub struct Sim {
     now: SimTime,
     seq: u64,
+    /// With `now`, the kernel's position: every key before
+    /// `(now, position_seq)` has fired or is due to settle.
+    position_seq: u64,
+    /// Resources that took a reserved key since the queue last drained;
+    /// a drained queue settles them, as firing their events would have.
+    reserving: Vec<ResourceHandle>,
     executed: u64,
     /// Arena of event payloads; indices are stable while scheduled.
     arena: Vec<Entry>,
@@ -191,6 +217,8 @@ impl Sim {
         Self {
             now: SimTime::ZERO,
             seq: 0,
+            position_seq: 0,
+            reserving: Vec::new(),
             executed: 0,
             arena: Vec::new(),
             free_head: NO_FREE,
@@ -231,7 +259,8 @@ impl Sim {
         std::array::from_fn(|i| (EVENT_KINDS[i], self.by_kind[i]))
     }
 
-    /// Number of events currently pending.
+    /// Number of events currently pending (a request on a reserved key is
+    /// not one).
     pub fn pending(&self) -> usize {
         self.current.len() + self.wheel_len + self.overflow.len()
     }
@@ -384,6 +413,52 @@ impl Sim {
         self.push(self.now + service, kind);
     }
 
+    /// Take the key `(at, seq)` a push due at `at` would take, without
+    /// filing an event under it.
+    pub(crate) fn reserve_seq(&mut self, at: SimTime) -> u64 {
+        assert!(
+            at >= self.now,
+            "reserving in the past: {at} < now {}",
+            self.now
+        );
+        let seq = self.seq;
+        self.seq += 1;
+        seq
+    }
+
+    /// Settle `resource`'s reserved requests when the queue drains.
+    pub(crate) fn settle_on_drain(&mut self, resource: ResourceHandle) {
+        self.reserving.push(resource);
+    }
+
+    /// The kernel's position: a reserved key strictly before it has
+    /// happened.
+    #[inline]
+    pub(crate) fn position(&self) -> (SimTime, u64) {
+        (self.now, self.position_seq)
+    }
+
+    /// Turn a detached request on the reserved key `(at, seq)` back into
+    /// the resource completion it stood for.
+    pub(crate) fn post_served_reserved(
+        &mut self,
+        at: SimTime,
+        seq: u64,
+        resource: ResourceHandle,
+        service: SimDuration,
+        waited: SimDuration,
+    ) {
+        debug_assert!((at, seq) >= self.position(), "materialising the past");
+        let kind = EventKind::Served {
+            resource,
+            service,
+            waited,
+            then: Completion::Detached,
+        };
+        let idx = self.alloc_entry(at, seq, kind);
+        self.enqueue(idx);
+    }
+
     /// Schedule closure `f` at absolute time `at` (one box; see
     /// [`Sim::post`] for the allocation-free form).
     pub fn schedule(&mut self, at: SimTime, f: impl FnOnce(&mut Sim) + 'static) {
@@ -452,14 +527,23 @@ impl Sim {
         self.push(self.now + period, kind);
     }
 
-    /// Execute the next event, if any. Returns false when the queue is empty.
+    /// Execute the next event, if any. Returns false when the queue is
+    /// empty, having settled every reserved request and moved the clock to
+    /// the last one's end if that is later — where firing their completions
+    /// would have left both.
     pub fn step(&mut self) -> bool {
         if !self.refill_current() {
+            let mut end = self.now;
+            for resource in self.reserving.drain(..) {
+                end = end.max(resource.borrow_mut().settle_all());
+            }
+            self.settle_clock(end);
             return false;
         }
         let key = self.current.pop().expect("refill_current said non-empty");
         debug_assert!(key.at >= self.now);
         self.now = key.at;
+        self.position_seq = key.seq;
         self.executed += 1;
         // Move the payload out so the arena isn't borrowed while the
         // event runs (events freely schedule more events).
@@ -528,10 +612,17 @@ impl Sim {
             }
             self.step();
         }
-        if t > self.now {
-            self.now = t;
-        }
+        self.settle_clock(t);
         self.executed - before
+    }
+
+    /// With nothing pending at or before `t`, move the clock to `t` and the
+    /// position past every key reserved so far.
+    fn settle_clock(&mut self, t: SimTime) {
+        if t >= self.now {
+            self.now = t;
+            self.position_seq = self.seq;
+        }
     }
 }
 
@@ -716,7 +807,9 @@ mod tests {
             ("call", 1),
             ("repeat", 1),
             ("join_arm", 1),
-            ("detached", 3), // posted, carried by the request, the join's `then`
+            // Posted, and the join's `then`; the request on a free slot
+            // settles on its reserved key without an event.
+            ("detached", 2),
         ] {
             assert_eq!(count_of(&sim, kind), n, "{kind}");
         }

@@ -3,7 +3,8 @@
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up phase (arena growth, heap/wheel capacity growth amortize
 //! out), a long stretch of repeater firings, data events, resource
-//! requests and joins must report **zero** new allocations from the
+//! requests (detached ones on reserved keys included) and joins must
+//! report **zero** new allocations from the
 //! kernel itself, and a closure one-shot exactly its box. This is the
 //! contract that lets a 100×-client scenario run: the event loop's cost
 //! per firing is a few pointer moves, not a malloc.
@@ -149,8 +150,41 @@ fn resource_requests_with_data_completions_are_allocation_free() {
     assert_eq!(allocs() - before, 0, "a resource request allocated");
 }
 
-/// A two-arm join — the NIC's tx/rx pair — allocates nothing: its slot is
-/// recycled and its arms are data.
+/// Detached requests allocate nothing: on a free slot one takes a reserved
+/// key and no event, it settles on a later submit, it becomes an event
+/// when a request queues behind it, and one re-armed with nothing behind
+/// it takes a reserved key again.
+#[test]
+fn detached_requests_are_allocation_free() {
+    let (mut sim, seen) = counting_sim();
+    let cpu = Resource::new("cpu", 4);
+    let disk = Resource::new("disk", 1);
+    let service = SimDuration::from_micros(100);
+    let round = |sim: &mut Sim, n: u64| {
+        for job in 0..n {
+            for _ in 0..4 {
+                Resource::submit(&cpu, sim, service, Completion::Detached);
+            }
+            Resource::submit(&disk, sim, service, Completion::Detached);
+            Resource::submit(&disk, sim, service, resume(job, sim.now()));
+            Resource::submit(&disk, sim, service, Completion::Detached);
+            sim.run_to_completion();
+        }
+    };
+    round(&mut sim, 300);
+    let (before, seen_before) = (allocs(), seen.get());
+    let events_before = sim.events_executed();
+    round(&mut sim, 1_000); // 7 000 submissions
+    assert_eq!(seen.get() - seen_before, 1_000, "every data completion ran");
+    // Per round: the first disk request, materialised, and the waited-on one.
+    assert_eq!(sim.events_executed() - events_before, 2_000);
+    assert_eq!(cpu.borrow().stats().max_queue, 0, "the cpu was idle");
+    assert_eq!(allocs() - before, 0, "a detached request allocated");
+}
+
+/// A message's link pair — the NIC's tx/rx — allocates nothing, whether
+/// one arm carries a one-arm join (free links) or both arms join (busy
+/// ones): the join slot is recycled and the arms are data.
 #[test]
 fn two_arm_joins_are_allocation_free() {
     let (mut sim, seen) = counting_sim();
@@ -159,12 +193,11 @@ fn two_arm_joins_are_allocation_free() {
     let hop = SimDuration::from_micros(450);
     let round = |sim: &mut Sim, n: u64| {
         for job in 0..n {
-            // Two messages in flight at once: two live join slots.
+            // Two messages in flight at once: two live join slots, the
+            // first on free links, the second behind it on both.
             for wire in [10, 25] {
-                let join = sim.join(2, hop, resume(job, sim.now()));
                 let wire = SimDuration::from_micros(wire);
-                Resource::submit(&tx, sim, wire, Completion::JoinArm(join));
-                Resource::submit(&rx, sim, wire, Completion::JoinArm(join));
+                Resource::submit_pair(&tx, &rx, sim, wire, hop, resume(job, sim.now()));
             }
             sim.run_to_completion();
         }

@@ -1,14 +1,24 @@
 //! Export pins: the byte-level contract of every behaviour-preserving
 //! refactor.
 //!
-//! Each scenario below is a fixed-seed run whose exported telemetry
-//! timeline (spans, span events, per-window samples, decision records)
-//! is hashed with FNV-1a and compared against a **committed constant**.
-//! A refactor that changes what the engine does — a different decision,
-//! a span opened in a different order, a copy voided that used to land —
-//! changes the hash and fails tier-1, even when it changes two
-//! in-process runs identically. The hashes are the same in debug and
-//! release builds.
+//! Each scenario below is a fixed-seed run pinned twice against
+//! **committed constants**:
+//!
+//! * the **model pin** — its exported telemetry timeline (spans, span
+//!   events, per-window samples, decision records) hashed with FNV-1a,
+//!   with the values of the two engine-cost gauges, `engine.events` and
+//!   `engine.events_per_sec`, blanked. A refactor that changes what the
+//!   modelled cluster does — a different decision, a span opened in a
+//!   different order, a copy voided that used to land — changes the hash
+//!   and fails tier-1, even when it changes two in-process runs
+//!   identically;
+//! * the **engine pin** — the kernel events the run executed
+//!   (`events_executed()`), a count of what the simulator spent, not of
+//!   what it modelled.
+//!
+//! So a kernel-only change (an event saved, the modelled order kept)
+//! moves only the engine pins, and a behaviour change moves a model pin.
+//! Both are the same in debug and release builds.
 //!
 //! The first four scenarios cover the per-client executor path, a
 //! fraction rebalance under load, a pooled run and a traced autopilot
@@ -18,10 +28,12 @@
 //! with follower re-homes and a refused drain, and a failover with
 //! promotion and re-replication.
 //!
-//! When a pin fails on purpose (a deliberate modeled-behaviour change),
-//! the failure message carries the new hash and the export's length;
-//! diff the export against the parent's
-//! (`db.export_timeline_string()`) before re-pinning.
+//! When a model pin fails on purpose (a deliberate modeled-behaviour
+//! change), the failure message carries the new hash and the export's
+//! length; diff the export against the parent's
+//! (`db.export_timeline_string()`) before re-pinning. An engine pin that
+//! moves with every model pin holding is a kernel cost change: re-pin it
+//! and say by how much it moved.
 
 use wattdb_common::{CostParams, NodeId, SimDuration};
 use wattdb_core::api::WattDb;
@@ -271,30 +283,54 @@ fn pooled_run() -> WattDb {
     db
 }
 
-/// Run `scenario` once and hold its export against the committed hash;
+/// The export with the values of the engine-cost gauges blanked: what is
+/// left is the modelled run.
+fn model_only(export: &str) -> String {
+    let mut out = String::with_capacity(export.len());
+    let mut rest = export;
+    while let Some(at) = ["\"engine.events\": ", "\"engine.events_per_sec\": "]
+        .iter()
+        .filter_map(|key| rest.find(key).map(|i| i + key.len()))
+        .min()
+    {
+        out.push_str(&rest[..at]);
+        rest = rest[at..].trim_start_matches(|c: char| c.is_ascii_digit() || ".eE+-".contains(c));
+    }
+    out.push_str(rest);
+    out
+}
+
+/// Run `scenario` once and hold its export against the committed model
+/// hash and its kernel event count against the committed engine count;
 /// returns the export.
-fn pinned(label: &str, expected: u64, scenario: fn() -> WattDb) -> String {
-    let export = scenario().export_timeline_string();
+fn pinned(label: &str, expected: u64, events: u64, scenario: fn() -> WattDb) -> String {
+    let db = scenario();
+    let export = db.export_timeline_string();
     assert!(!export.is_empty());
-    let got = fnv1a(export.as_bytes());
+    let got = fnv1a(model_only(&export).as_bytes());
     assert_eq!(
         got,
         expected,
-        "export pin ({label}) moved: expected fnv1a={expected:016x}, got fnv1a={got:016x} \
+        "model pin ({label}) moved: expected fnv1a={expected:016x}, got fnv1a={got:016x} \
          len={} — diff the export against the parent commit's",
         export.len()
+    );
+    assert_eq!(
+        db.events_executed(),
+        events,
+        "engine pin ({label}) moved: the modelled run held, the kernel's event count did not"
     );
     export
 }
 
 #[test]
 fn per_client_export_is_byte_stable_across_runs() {
-    pinned("per-client", 0x2ee2_774b_55d1_1515, oltp_run);
+    pinned("per-client", 0x07c7_75b8_8059_3740, 478_928, oltp_run);
 }
 
 #[test]
 fn traced_export_is_byte_stable_across_runs() {
-    let a = pinned("traced", 0x86ae_f615_484b_94ee, traced_run);
+    let a = pinned("traced", 0xdaff_1a66_c992_67ea, 281_016, traced_run);
     // The traced run actually exercises the trace machinery: the offered
     // load gauge is present and moves along the schedule.
     assert!(
@@ -305,30 +341,30 @@ fn traced_export_is_byte_stable_across_runs() {
 
 #[test]
 fn fraction_rebalance_under_load_is_byte_stable_across_runs() {
-    let a = pinned("rebalance", 0xea3c_8349_c0fd_cf17, rebalance_run);
+    let a = pinned("rebalance", 0xced5_abc6_84f0_888d, 350_531, rebalance_run);
     assert!(a.contains("\"rebalance\""), "export carries the rebalance");
 }
 
 #[test]
 fn pooled_export_is_byte_stable_across_runs() {
-    pinned("pooled", 0xb7e1_e0fb_57e6_2741, pooled_run);
+    pinned("pooled", 0x35b0_2dba_6ba8_4c6f, 127_178, pooled_run);
 }
 
 #[test]
 fn physical_rebalance_export_is_pinned() {
-    let a = pinned("physical", 0xd17a_8940_7aa1_5be1, physical_run);
+    let a = pinned("physical", 0x74ad_15a2_26a2_6e5d, 480_646, physical_run);
     assert!(a.contains("\"Physical\""), "export names the scheme");
 }
 
 #[test]
 fn logical_rebalance_export_is_pinned() {
-    let a = pinned("logical", 0x19ce_ce0d_f19b_3ff5, logical_run);
+    let a = pinned("logical", 0x9d0d_2b48_9fbb_04ed, 350_550, logical_run);
     assert!(a.contains("\"Logical\""), "export names the scheme");
 }
 
 #[test]
 fn scripted_helpers_export_is_pinned() {
-    let a = pinned("helpers", 0x5a90_ad27_0db6_651b, helpers_run);
+    let a = pinned("helpers", 0xea37_183a_be9b_dd49, 429_073, helpers_run);
     assert!(a.contains("\"helpers\""), "export carries the helper span");
     assert!(a.contains("\"detach\""), "helpers detached with completion");
 }
@@ -337,7 +373,8 @@ fn scripted_helpers_export_is_pinned() {
 fn replicated_elastic_export_is_pinned() {
     let a = pinned(
         "replicated-elastic",
-        0x81f6_b409_3bac_fc9d,
+        0x5ce2_ee2b_6c7a_39aa,
+        872_431,
         replicated_elastic_run,
     );
     // The paths this pin exists for all ran.
@@ -353,7 +390,7 @@ fn replicated_elastic_export_is_pinned() {
 
 #[test]
 fn failover_export_is_pinned() {
-    let a = pinned("failover", 0x6476_c638_f3cf_a75f, failover_run);
+    let a = pinned("failover", 0xb671_13f8_9121_44d9, 752_941, failover_run);
     for needle in ["\"failover\"", "\"promote\"", "\"re-replicate\""] {
         assert!(a.contains(needle), "export carries {needle}");
     }
