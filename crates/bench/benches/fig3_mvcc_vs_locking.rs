@@ -8,15 +8,15 @@
 use wattdb_bench::fig3_run;
 use wattdb_txn::CcMode;
 
-fn main() {
+fn main() -> wattdb_common::Result<()> {
     println!("Fig. 3 — MVCC vs MGL-RX while moving 50% of the records");
     println!(
         "{:>10} {:>14} {:>14} {:>9} {:>12} {:>12}",
         "update %", "MVCC TA/min", "MGL TA/min", "MVCC/MGL", "MVCC space", "MGL space"
     );
     for pct in [0u32, 20, 40, 60, 80, 100] {
-        let mvcc = fig3_run(pct, CcMode::Mvcc);
-        let lock = fig3_run(pct, CcMode::LockingRx);
+        let mvcc = fig3_run(pct, CcMode::Mvcc)?;
+        let lock = fig3_run(pct, CcMode::LockingRx)?;
         println!(
             "{:>10} {:>14.0} {:>14.0} {:>9.2} {:>11.0}% {:>11.0}%",
             pct,
@@ -27,4 +27,5 @@ fn main() {
             lock.storage_ratio * 100.0,
         );
     }
+    Ok(())
 }

@@ -9,7 +9,7 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use wattdb_common::{CostParams, NodeId, SimDuration};
+use wattdb_common::{CostParams, NodeId, Result, SimDuration};
 use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
 use wattdb_core::executor;
@@ -1341,8 +1341,9 @@ pub struct Fig3Point {
 
 /// Run the Fig. 3 micro-benchmark: a read/update mix at `update_pct`
 /// percent updates, while a logical move relocates 50 % of the records,
-/// under the given CC mode.
-pub fn fig3_run(update_pct: u32, mode: CcMode) -> Fig3Point {
+/// under the given CC mode. Fails with the first version chain that does
+/// not resolve while the storage line is sampled.
+pub fn fig3_run(update_pct: u32, mode: CcMode) -> Result<Fig3Point> {
     let mut db = WattDb::builder()
         .nodes(4)
         .scheme(Scheme::Logical)
@@ -1362,14 +1363,22 @@ pub fn fig3_run(update_pct: u32, mode: CcMode) -> Fig3Point {
     let move_start = db.now();
     let completed_before = db.completed();
     db.rebalance(0.5, &[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]);
-    // Track peak storage overhead during the move.
-    let peak: Rc<RefCell<f64>> = Rc::new(RefCell::new(1.0));
+    // Track peak storage overhead during the move; a chain that does not
+    // resolve ends the sampling and the run.
+    let peak: Rc<RefCell<Result<f64>>> = Rc::new(RefCell::new(Ok(1.0)));
     db.with_runtime(|cl, sim| {
         let cl = cl.clone();
         let peak = peak.clone();
         wattdb_sim::Repeater::every(sim, SimDuration::from_secs(2), move |_| {
             let c = cl.borrow();
-            let (versions, live) = c.version_stats();
+            let mut peak = peak.borrow_mut();
+            let (versions, live) = match c.version_stats() {
+                Ok(stats) => stats,
+                Err(e) => {
+                    *peak = Err(e);
+                    return false;
+                }
+            };
             let mut ratio = if live > 0 {
                 versions as f64 / live as f64
             } else {
@@ -1378,9 +1387,8 @@ pub fn fig3_run(update_pct: u32, mode: CcMode) -> Fig3Point {
             // Locking mode keeps pending changes, not versions: a row
             // image held for undo is one more stored image of its row.
             ratio += c.txn.pending_changes() as f64 / live.max(1) as f64;
-            let mut p = peak.borrow_mut();
-            if ratio > *p {
-                *p = ratio;
+            if let Ok(p) = peak.as_mut() {
+                *p = p.max(ratio);
             }
             c.mover.is_some()
         });
@@ -1396,12 +1404,12 @@ pub fn fig3_run(update_pct: u32, mode: CcMode) -> Fig3Point {
     db.stop_clients();
     let move_minutes = db.now().since(move_start).as_secs_f64() / 60.0;
     let ta = (db.completed() - completed_before) as f64 / move_minutes.max(1e-9);
-    let storage_ratio = *peak.borrow();
-    Fig3Point {
+    let storage_ratio = peak.borrow().clone()?;
+    Ok(Fig3Point {
         update_pct,
         ta_per_minute: ta,
         storage_ratio,
-    }
+    })
 }
 
 /// Spawn `clients` closed-loop clients (`hot_fraction` of them homed in

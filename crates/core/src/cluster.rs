@@ -861,9 +861,7 @@ impl Cluster {
             }
         };
         let rec = RecordHeader::new(row.key, 1, row.width);
-        let (rid, allocated) = self
-            .store
-            .insert_version(seg, &rec, &row.payload, u32::MAX)?;
+        let (rid, allocated) = self.store.insert_version(seg, &rec, u32::MAX)?;
         if allocated {
             let meta = self.seg_dir.get_mut(seg)?;
             meta.allocated_pages += 1;
@@ -1126,27 +1124,28 @@ impl Cluster {
     }
 
     /// Vacuum every segment at the current GC horizon: reclaims committed
-    /// superseded versions and old tombstones. Returns versions reclaimed.
-    pub fn vacuum_all(&mut self) -> usize {
+    /// superseded versions and old tombstones. Returns versions reclaimed,
+    /// or the error of the first segment whose chains do not resolve.
+    pub fn vacuum_all(&mut self) -> Result<usize> {
         let horizon = self.txn.gc_horizon();
         let mut reclaimed = 0;
         for idx in self.indexes.values_mut() {
-            reclaimed += wattdb_txn::mvcc::vacuum(idx, &mut self.store, horizon).unwrap_or(0);
+            reclaimed += wattdb_txn::mvcc::vacuum(idx, &mut self.store, horizon)?;
         }
-        reclaimed
+        Ok(reclaimed)
     }
 
-    /// Total stored record versions and live keys (Fig. 3 storage line).
-    pub fn version_stats(&self) -> (usize, usize) {
-        let mut versions = 0;
-        let mut live = 0;
+    /// Total stored record versions and live keys (Fig. 3 storage line),
+    /// or the error of the first segment whose chains do not resolve: a
+    /// segment skipped would drop out of the line unseen.
+    pub fn version_stats(&self) -> Result<(usize, usize)> {
+        let (mut versions, mut live) = (0, 0);
         for idx in self.indexes.values() {
-            if let Ok((v, l)) = wattdb_txn::mvcc::version_stats(idx, &self.store) {
-                versions += v;
-                live += l;
-            }
+            let (v, l) = wattdb_txn::mvcc::version_stats(idx, &self.store)?;
+            versions += v;
+            live += l;
         }
-        (versions, live)
+        Ok((versions, live))
     }
 
     /// Start the periodic power sampler (1 s cadence).
@@ -1180,7 +1179,6 @@ mod tests {
         TpccConfig {
             warehouses: 4,
             density: 0.01,
-            payload_bytes: 8,
             seed: 7,
         }
     }

@@ -655,32 +655,21 @@ impl Cluster {
                 let width = op.table.row_width();
                 let txn = job.txn;
                 let idx = self.indexes.get_mut(&seg).expect("segment index");
-                let payload = op.key.raw().to_le_bytes();
                 let r = match op.kind {
                     OpKind::Read => self.txn.sees(txn, idx, &self.store, op.key).map(|_| ()),
                     OpKind::Update => {
-                        match self.txn.update(
-                            txn,
-                            idx,
-                            &mut self.store,
-                            max_pages,
-                            op.key,
-                            width,
-                            &payload,
-                        ) {
+                        match self
+                            .txn
+                            .update(txn, idx, &mut self.store, max_pages, op.key, width)
+                        {
                             Err(Error::KeyNotFound(_)) => Ok(()), // racing delete
                             other => other,
                         }
                     }
-                    OpKind::Insert => self.txn.insert(
-                        txn,
-                        idx,
-                        &mut self.store,
-                        max_pages,
-                        op.key,
-                        width,
-                        &payload,
-                    ),
+                    OpKind::Insert => {
+                        self.txn
+                            .insert(txn, idx, &mut self.store, max_pages, op.key, width)
+                    }
                     OpKind::Delete => {
                         match self
                             .txn
@@ -1325,7 +1314,6 @@ mod tests {
             let tpcc = TpccConfig {
                 warehouses: 2,
                 density: 0.01,
-                payload_bytes: 8,
                 seed: 7,
             };
             c.load_tpcc(tpcc, &data).unwrap();

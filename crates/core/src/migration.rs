@@ -1216,15 +1216,9 @@ fn logical_apply_batch(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
             }
             {
                 let idx = c.indexes.get_mut(&dst_seg).expect("index");
-                let _ = c.txn.insert(
-                    txn,
-                    idx,
-                    &mut c.store,
-                    u32::MAX,
-                    k,
-                    rec.logical_width,
-                    &rec.payload,
-                );
+                let _ = c
+                    .txn
+                    .insert(txn, idx, &mut c.store, u32::MAX, k, rec.logical_width);
             }
             // WAL on both ends: the delete's before-image, the insert's
             // after-image.
@@ -1540,7 +1534,6 @@ mod tests {
                     wattdb_tpcc::TpccConfig {
                         warehouses: 2,
                         density: 0.01,
-                        payload_bytes: 8,
                         seed: 7,
                     },
                     &[NodeId(0), NodeId(1)],
@@ -1692,7 +1685,6 @@ mod tests {
                 wattdb_tpcc::TpccConfig {
                     warehouses: 2,
                     density: 0.01,
-                    payload_bytes: 8,
                     seed: 7,
                 },
                 &[NodeId(0), NodeId(1)],

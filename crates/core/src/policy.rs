@@ -1647,7 +1647,6 @@ mod tests {
             warehouses: 3,
             density: 0.01,
             seed: 11,
-            ..Default::default()
         };
         c.load_tpcc(tpcc, &data).expect("dataset loads");
         c.bootstrap_replicas(SimTime::ZERO);

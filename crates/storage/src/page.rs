@@ -1,32 +1,28 @@
 //! Slotted pages.
 //!
 //! A page is the unit of buffering and of data transfer between nodes (§4).
-//! Records are stored in a classic slotted layout: a slot directory maps
-//! stable slot numbers to byte extents in the page body; deletes leave holes
-//! that compaction reclaims; updates relocate in place when they grow.
+//! Each page holds records of **one length**: the first record fixes the
+//! stride, slot `i` lives at body offset `i × stride`, and the slot
+//! directory is one 16-bit logical width per slot, so the address of a
+//! record is arithmetic and reading it does not wait on the directory. Slot
+//! numbers are stable (record ids embed them): a delete retires one, the
+//! next insert reuses the lowest retired one, and both that insert and an
+//! update overwrite the slot in place. A record of another length is
+//! refused and leaves the page untouched. One length is all the engine
+//! needs: every version it stores is a header and nothing else
+//! ([`crate::record`]).
 //!
 //! **Logical vs. physical size.** The paper's experiments run against
-//! ~200 GB of raw data; holding that many literal bytes in test memory is
-//! pointless. Each record therefore carries a *logical width* (the schema's
-//! row width, used for capacity, I/O, and network cost accounting) that may
-//! exceed its *physical payload* (the compact bytes actually stored). A page
-//! is "full" when logical bytes reach [`PAGE_SIZE`], so page counts, segment
-//! counts, and movement volumes match a real deployment at the configured
-//! scale while memory stays proportional to the compact payloads: a stored
-//! version costs its physical bytes plus one 8-byte slot. On the
-//! benchmark's `oltp-steady` that is 41 bytes (a 33-byte header — the
-//! logical charge stays 47, see [`crate::record`] — and 8 of payload) and
-//! 50 bytes of page memory per stored version: the 49 it needs, and the
-//! room that pages still filling have not used yet.
-//!
-//! Two things keep it there. [`SlottedPage::sized_for`] allocates body and
-//! slot directory once, at the size the page has when it is full of records
-//! like its first — every table has one row width, so that is the size it
-//! ends with — where a `Vec` doubling its way up would hold 5 248 bytes
-//! for the 3 075 of a full 75-record page. And a slot's fields are as wide as the
-//! values they can hold. A page whose records turn out different (or that
-//! is updated in place, which appends) grows past the reservation like any
-//! `Vec`.
+//! ~200 GB of raw data. Each record carries a *logical width* (the schema's
+//! row width, used for capacity, I/O and network cost accounting) that may
+//! exceed its physical bytes. A page is "full" when logical bytes reach
+//! [`PAGE_SIZE`], so page counts, segment counts and movement volumes match
+//! a real deployment at the configured scale while memory stays
+//! proportional to the physical bytes: a stored version costs its 33-byte
+//! header plus a 2-byte width. [`SlottedPage::sized_for`] allocates body
+//! and directory once, at the size they have when the page is full of
+//! records like its first — every table has one row width, so that is the
+//! size it ends with.
 
 use std::ops::Range;
 
@@ -38,74 +34,46 @@ pub const PAGE_SIZE: usize = 8192;
 /// Per-slot bookkeeping overhead counted against logical capacity.
 pub const SLOT_OVERHEAD: usize = 8;
 
-/// One entry of the slot directory: the byte extent of a record in `data`
-/// and its logical width. `len <= logical <= PAGE_SIZE - SLOT_OVERHEAD`
-/// fit 16 bits; the offset does not, because every `update` appends to the
-/// body.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-struct Slot {
-    offset: u32,
-    len: u16,
-    logical: u16,
-}
+/// One entry of the slot directory: the logical width of the slot's record,
+/// or [`DEAD`]. A live width is at most `PAGE_SIZE - SLOT_OVERHEAD`.
+type Width = u16;
 
-// One slot per stored version: a field added here is paid for hundreds of
+/// Width of a retired slot number.
+const DEAD: Width = Width::MAX;
+
+// One entry per stored version: a byte added here is paid for hundreds of
 // thousands of times.
-const _: () = assert!(std::mem::size_of::<Slot>() == 8);
+const _: () = assert!(std::mem::size_of::<Width>() == 2);
 // No live record can have the logical width that marks a dead slot.
-const _: () = assert!(PAGE_SIZE < Slot::DEAD.logical as usize);
-
-impl Slot {
-    /// Tombstone: slot number retired until an insert reuses it or
-    /// compaction drops it.
-    const DEAD: Slot = Slot {
-        offset: 0,
-        len: 0,
-        logical: u16::MAX,
-    };
-
-    /// A live slot; the page has checked `len <= logical` and that
-    /// `logical` fits it.
-    fn live(offset: usize, len: usize, logical: usize) -> Slot {
-        Slot {
-            offset: u32::try_from(offset).expect("page body below 4 GiB"),
-            len: u16::try_from(len).expect("record length within its logical width"),
-            logical: u16::try_from(logical).expect("logical width within the page"),
-        }
-    }
-
-    fn is_live(&self) -> bool {
-        self.logical != Slot::DEAD.logical
-    }
-
-    /// Byte extent of the record in the page body.
-    fn extent(&self) -> Range<usize> {
-        let start = self.offset as usize;
-        start..start + self.len as usize
-    }
-}
+const _: () = assert!(PAGE_SIZE < DEAD as usize);
 
 /// An in-memory slotted page: body, slot directory and space accounting,
 /// nothing else. It has no recovery LSN, because nothing replays the log
 /// (the failure story is replication, not restart), and no dirty bit,
 /// because write-back reads the buffer pool's per-frame one
-/// (`BufferPool::{touch, mark_clean, dirty_pages}`).
-#[derive(Debug, Clone)]
+/// (`BufferPool::{touch, mark_clean, dirty_pages}`). Two pages are equal
+/// when their bytes are, dead slots' included.
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub struct SlottedPage {
+    /// Record bytes, slot `i` at `i * stride`; a dead slot's bytes stay
+    /// until an insert reuses it.
     data: Vec<u8>,
-    slots: Vec<Slot>,
-    /// Logical bytes consumed (records + slot overhead).
-    logical_used: usize,
-    /// Physical bytes wasted by dead records (reclaimable by compaction).
-    dead_bytes: usize,
+    /// Logical width per slot, [`DEAD`] for a retired slot number.
+    widths: Vec<Width>,
+    /// Length of every record on the page, fixed by the first one (and
+    /// meaningless while the directory is empty).
+    stride: u16,
+    /// Logical bytes consumed (records + slot overhead), at most
+    /// [`PAGE_SIZE`].
+    logical_used: u16,
     /// Dead slots in the directory: an insert only hunts for a slot number
     /// to reuse when there is one.
-    dead_slots: usize,
+    dead_slots: u16,
 }
 
 // One per page of every segment: the store holds about 11 k of them on the
 // benchmark's `oltp-steady`.
-const _: () = assert!(std::mem::size_of::<SlottedPage>() == 72);
+const _: () = assert!(std::mem::size_of::<SlottedPage>() == 56);
 
 impl Default for SlottedPage {
     fn default() -> Self {
@@ -113,14 +81,20 @@ impl Default for SlottedPage {
     }
 }
 
+/// `n` as a field of the page; every caller has checked it against
+/// [`PAGE_SIZE`].
+fn narrow(n: usize) -> u16 {
+    u16::try_from(n).expect("within a page")
+}
+
 impl SlottedPage {
     /// An empty page.
     pub fn new() -> Self {
         Self {
             data: Vec::new(),
-            slots: Vec::new(),
+            widths: Vec::new(),
+            stride: 0,
             logical_used: 0,
-            dead_bytes: 0,
             dead_slots: 0,
         }
     }
@@ -134,157 +108,148 @@ impl SlottedPage {
         Self {
             // `physical <= logical` for every record a page accepts.
             data: Vec::with_capacity((records * physical).min(PAGE_SIZE)),
-            slots: Vec::with_capacity(records),
+            widths: Vec::with_capacity(records),
             ..Self::new()
         }
     }
 
-    /// Remaining logical capacity in bytes.
-    pub fn free_logical(&self) -> usize {
-        PAGE_SIZE - self.logical_used
-    }
-
     /// Logical bytes in use (records + slot overhead).
     pub fn logical_used(&self) -> usize {
-        self.logical_used
+        self.logical_used.into()
     }
 
     /// Number of live records.
     pub fn live_records(&self) -> usize {
-        self.slots.len() - self.dead_slots
+        self.widths.len() - usize::from(self.dead_slots)
     }
 
     /// True if `logical` more bytes fit.
     pub fn fits(&self, logical: usize) -> bool {
-        logical + SLOT_OVERHEAD <= self.free_logical()
+        self.logical_used() + logical + SLOT_OVERHEAD <= PAGE_SIZE
     }
 
-    /// Insert a record with the given physical `payload` and `logical`
-    /// width; returns the slot number. Fails with [`Error::PageFull`]-shaped
-    /// `None`-free error when logical capacity is exhausted (the caller maps
-    /// it to its page id).
-    pub fn insert(&mut self, payload: &[u8], logical: usize) -> Result<u16> {
-        self.insert_with(logical, |body| body.extend_from_slice(payload))
+    /// The length of every record on the page, once its first record has
+    /// fixed it.
+    pub fn record_len(&self) -> Option<usize> {
+        (!self.widths.is_empty()).then_some(self.stride.into())
     }
 
-    /// [`SlottedPage::insert`] for a record produced in place: `write`
-    /// appends the physical bytes to the page body (nothing is written when
-    /// the page is full).
-    pub fn insert_with(&mut self, logical: usize, write: impl FnOnce(&mut Vec<u8>)) -> Result<u16> {
+    /// True if a record of `len` bytes and `logical` width would be
+    /// inserted: it [fits](SlottedPage::fits) and has the page's length.
+    pub fn takes(&self, len: usize, logical: usize) -> bool {
+        self.fits(logical) && self.record_len().is_none_or(|l| l == len)
+    }
+
+    /// Insert a record of `logical` width; returns the slot number. Fails,
+    /// leaving the page untouched, when logical capacity is exhausted (the
+    /// caller maps that to its page id), when the record is longer than
+    /// `logical`, or when its length is not the page's.
+    pub fn insert(&mut self, record: &[u8], logical: usize) -> Result<u16> {
         if !self.fits(logical) {
             // The caller knows the page id; signal with a placeholder id.
             return Err(Error::InvalidState("page full"));
         }
-        let offset = self.data.len();
-        write(&mut self.data);
-        let len = self.data.len() - offset;
-        assert!(
-            logical >= len,
-            "logical width {logical} below physical payload {len}"
-        );
-        let slot = Slot::live(offset, len, logical);
-        self.logical_used += logical + SLOT_OVERHEAD;
-        // Reuse the lowest tombstone slot number if there is one.
-        if self.dead_slots > 0 {
-            let i = self.slots.iter().position(|s| !s.is_live());
-            let i = i.expect("dead-slot count matches the directory");
-            self.slots[i] = slot;
+        let len = record.len();
+        self.check_len(len, logical)?;
+        let slot = if self.dead_slots > 0 {
+            // Reuse the lowest dead slot number, in place.
+            let dead = self.widths.iter().position(|&w| w == DEAD);
+            let slot = dead.expect("dead-slot count matches the directory");
+            self.data[slot * len..][..len].copy_from_slice(record);
+            self.widths[slot] = narrow(logical);
             self.dead_slots -= 1;
-            return Ok(i as u16);
+            slot
+        } else {
+            self.data.extend_from_slice(record);
+            self.widths.push(narrow(logical));
+            self.widths.len() - 1
+        };
+        self.stride = narrow(len);
+        self.logical_used += narrow(logical + SLOT_OVERHEAD);
+        Ok(narrow(slot))
+    }
+
+    /// A record of `len` bytes fits its `logical` width and the page.
+    fn check_len(&self, len: usize, logical: usize) -> Result<()> {
+        if len > logical {
+            return Err(Error::InvalidState("record longer than its logical width"));
         }
-        self.slots.push(slot);
-        Ok((self.slots.len() - 1) as u16)
+        if self.record_len().is_some_and(|l| l != len) {
+            return Err(Error::InvalidState("record length differs from the page's"));
+        }
+        Ok(())
     }
 
-    fn live_slot(&self, slot: u16) -> Option<Slot> {
-        self.slots.get(slot as usize).copied().filter(Slot::is_live)
+    /// Byte extent of the record in a live `slot`: the address is
+    /// arithmetic, only liveness reads the directory.
+    #[inline]
+    fn extent(&self, slot: u16) -> Option<Range<usize>> {
+        let stride = usize::from(self.stride);
+        let start = usize::from(slot) * stride;
+        let live = self
+            .widths
+            .get(usize::from(slot))
+            .is_some_and(|&w| w != DEAD);
+        live.then_some(start..start + stride)
     }
 
-    /// Read the physical payload of `slot`.
+    /// Read the physical bytes of `slot`.
+    #[inline]
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
-        Some(&self.data[self.live_slot(slot)?.extent()])
+        Some(&self.data[self.extent(slot)?])
     }
 
-    /// Mutable view of the physical payload of `slot`, for patches that
-    /// keep its length.
+    /// Mutable view of the physical bytes of `slot`, for patches that keep
+    /// its length.
     pub fn get_mut(&mut self, slot: u16) -> Option<&mut [u8]> {
-        let extent = self.live_slot(slot)?.extent();
+        let extent = self.extent(slot)?;
         Some(&mut self.data[extent])
     }
 
     /// Logical width of the record in `slot`.
     pub fn logical_width(&self, slot: u16) -> Option<usize> {
-        Some(self.live_slot(slot)?.logical as usize)
+        let w = *self.widths.get(usize::from(slot))?;
+        (w != DEAD).then_some(w.into())
     }
 
-    /// Delete the record in `slot`, leaving a tombstone.
+    /// Delete the record in `slot`, retiring its slot number.
     pub fn delete(&mut self, slot: u16) -> Result<()> {
-        let Some(s) = self.live_slot(slot) else {
+        let Some(logical) = self.logical_width(slot) else {
             return Err(Error::InvalidState("delete of dead or missing slot"));
         };
-        self.dead_bytes += s.len as usize;
-        self.logical_used -= s.logical as usize + SLOT_OVERHEAD;
-        self.slots[slot as usize] = Slot::DEAD;
+        self.logical_used -= narrow(logical + SLOT_OVERHEAD);
+        self.widths[usize::from(slot)] = DEAD;
         self.dead_slots += 1;
         Ok(())
     }
 
-    /// Replace the record in `slot`. The logical width may change; fails,
-    /// leaving the page untouched, if growth exceeds capacity or `payload`
-    /// is longer than `logical`.
-    pub fn update(&mut self, slot: u16, payload: &[u8], logical: usize) -> Result<()> {
-        let Some(old) = self.live_slot(slot) else {
+    /// Replace the record in `slot` in place. The logical width may change,
+    /// the length may not; fails, leaving the page untouched, if growth
+    /// exceeds capacity, `record` is longer than `logical`, or its length is
+    /// not the page's.
+    pub fn update(&mut self, slot: u16, record: &[u8], logical: usize) -> Result<()> {
+        let Some(old) = self.logical_width(slot) else {
             return Err(Error::InvalidState("update of dead or missing slot"));
         };
-        if payload.len() > logical {
-            return Err(Error::InvalidState("payload exceeds logical width"));
-        }
-        let new_used = self.logical_used - old.logical as usize + logical;
+        self.check_len(record.len(), logical)?;
+        let new_used = self.logical_used() - old + logical;
         if new_used > PAGE_SIZE {
             return Err(Error::InvalidState("page full"));
         }
-        // Append the new image; old bytes become dead space.
-        let new = Slot::live(self.data.len(), payload.len(), logical);
-        self.data.extend_from_slice(payload);
-        self.dead_bytes += old.len as usize;
-        self.slots[slot as usize] = new;
-        self.logical_used = new_used;
+        self.get_mut(slot)
+            .expect("slot is live")
+            .copy_from_slice(record);
+        self.widths[usize::from(slot)] = narrow(logical);
+        self.logical_used = narrow(new_used);
         Ok(())
     }
 
-    /// Physical bytes reclaimable by compaction.
-    pub fn dead_bytes(&self) -> usize {
-        self.dead_bytes
-    }
-
-    /// Rewrite the page body, dropping dead bytes and trailing tombstone
-    /// slots. Live slot numbers are preserved (required: record ids embed
-    /// them).
-    pub fn compact(&mut self) {
-        let mut data = Vec::with_capacity(self.data.len() - self.dead_bytes);
-        for s in self.slots.iter_mut().filter(|s| s.is_live()) {
-            let extent = s.extent();
-            s.offset = u32::try_from(data.len()).expect("no larger than the offset it replaces");
-            data.extend_from_slice(&self.data[extent]);
-        }
-        self.data = data;
-        self.dead_bytes = 0;
-        while self.slots.last().is_some_and(|s| !s.is_live()) {
-            self.slots.pop();
-            self.dead_slots -= 1;
-        }
-    }
-
-    /// Iterate `(slot, payload)` over live records.
+    /// Iterate `(slot, bytes)` over live records.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> + '_ {
-        self.slots
-            .iter()
-            .enumerate()
-            .filter(|(_, s)| s.is_live())
-            .map(|(i, s)| (i as u16, &self.data[s.extent()]))
+        (0..self.widths.len()).filter_map(|i| Some((narrow(i), self.get(narrow(i))?)))
     }
 
-    /// Physical bytes held by the page body (memory footprint measure).
+    /// Physical bytes held by the page body, dead slots' included.
     pub fn physical_bytes(&self) -> usize {
         self.data.len()
     }
@@ -293,7 +258,7 @@ impl SlottedPage {
     /// costs in memory whatever it holds. A page sized at creation for
     /// the records it then gets keeps both for life.
     pub fn capacity(&self) -> (usize, usize) {
-        (self.data.capacity(), self.slots.capacity())
+        (self.data.capacity(), self.widths.capacity())
     }
 }
 
@@ -305,11 +270,13 @@ mod tests {
     fn insert_get_roundtrip() {
         let mut p = SlottedPage::new();
         let s0 = p.insert(b"hello", 100).unwrap();
-        let s1 = p.insert(b"world!", 200).unwrap();
+        let s1 = p.insert(b"world", 200).unwrap();
         assert_eq!(p.get(s0), Some(&b"hello"[..]));
-        assert_eq!(p.get(s1), Some(&b"world!"[..]));
+        assert_eq!(p.get(s1), Some(&b"world"[..]));
         assert_eq!(p.logical_width(s0), Some(100));
+        assert_eq!(p.logical_width(s1), Some(200));
         assert_eq!(p.live_records(), 2);
+        assert_eq!(p.record_len(), Some(5));
     }
 
     #[test]
@@ -338,6 +305,7 @@ mod tests {
         let s2 = p.insert(b"cccc", 4000).unwrap();
         assert_eq!(s2, s0, "tombstone slot number is reused");
         assert_eq!(p.get(s2), Some(&b"cccc"[..]));
+        assert_eq!(p.physical_bytes(), 8, "overwritten in place");
     }
 
     #[test]
@@ -353,12 +321,13 @@ mod tests {
     fn update_in_place_and_grow() {
         let mut p = SlottedPage::new();
         let s = p.insert(b"short", 100).unwrap();
-        p.update(s, b"a considerably longer payload", 150).unwrap();
-        assert_eq!(p.get(s), Some(&b"a considerably longer payload"[..]));
+        p.update(s, b"later", 150).unwrap();
+        assert_eq!(p.get(s), Some(&b"later"[..]));
         assert_eq!(p.logical_width(s), Some(150));
+        assert_eq!(p.physical_bytes(), 5, "no second image");
         // Growth beyond capacity is rejected and leaves the record intact.
-        assert!(p.update(s, b"x", PAGE_SIZE).is_err());
-        assert_eq!(p.get(s), Some(&b"a considerably longer payload"[..]));
+        assert!(p.update(s, b"xxxxx", PAGE_SIZE).is_err());
+        assert_eq!(p.get(s), Some(&b"later"[..]));
     }
 
     #[test]
@@ -367,50 +336,34 @@ mod tests {
         let s = p.insert(b"four", 8).unwrap();
         let (used, bytes) = (p.logical_used(), p.physical_bytes());
         assert!(matches!(
-            p.update(s, b"nine byte", 8),
+            p.update(s, b"four", 3),
             Err(Error::InvalidState(_))
         ));
         assert_eq!(p.get(s), Some(&b"four"[..]));
         assert_eq!(p.logical_width(s), Some(8));
         assert_eq!((p.logical_used(), p.physical_bytes()), (used, bytes));
-        assert_eq!(p.dead_bytes(), 0);
-        p.update(s, b"eight by", 8).unwrap();
+        p.update(s, b"FOUR", 4).unwrap();
     }
 
     #[test]
-    fn compaction_preserves_live_records_and_slots() {
+    fn a_record_of_another_length_is_refused() {
         let mut p = SlottedPage::new();
-        let mut live = Vec::new();
-        for i in 0..20u32 {
-            let payload = i.to_le_bytes();
-            let s = p.insert(&payload, 64).unwrap();
-            live.push((s, payload));
-        }
-        // Delete every other record.
-        for (s, _) in live.iter().step_by(2) {
-            p.delete(*s).unwrap();
-        }
-        let dead_before = p.dead_bytes();
-        assert!(dead_before > 0);
-        p.compact();
-        assert_eq!(p.dead_bytes(), 0);
-        for (i, (s, payload)) in live.iter().enumerate() {
-            if i % 2 == 0 {
-                assert_eq!(p.get(*s), None);
-            } else {
-                assert_eq!(p.get(*s), Some(&payload[..]));
-            }
-        }
-    }
-
-    #[test]
-    fn update_then_compact_keeps_latest_image() {
-        let mut p = SlottedPage::new();
-        let s = p.insert(b"v1", 32).unwrap();
-        p.update(s, b"v2", 32).unwrap();
-        p.compact();
-        assert_eq!(p.get(s), Some(&b"v2"[..]));
-        assert_eq!(p.physical_bytes(), 2);
+        let s = p.insert(b"four", 64).unwrap();
+        assert!(p.takes(4, 64) && !p.takes(5, 64));
+        assert!(matches!(
+            p.insert(b"five!", 64),
+            Err(Error::InvalidState(_))
+        ));
+        assert!(matches!(
+            p.update(s, b"six!!!", 64),
+            Err(Error::InvalidState(_))
+        ));
+        assert_eq!(p.get(s), Some(&b"four"[..]));
+        assert_eq!((p.live_records(), p.physical_bytes()), (1, 4));
+        // A page emptied by deletes keeps its length.
+        p.delete(s).unwrap();
+        assert_eq!(p.record_len(), Some(4));
+        assert!(p.insert(b"five!", 64).is_err());
     }
 
     #[test]

@@ -4,7 +4,7 @@
 //! creates a new version rather than overwriting, so readers can continue to
 //! see old versions — including during partition moves. Each stored record
 //! is one *version* with visibility timestamps and an optional pointer to
-//! the previous version, encoded in a fixed header ahead of the payload.
+//! the previous version, encoded in a fixed header.
 //!
 //! Timestamps: `begin` is the commit timestamp of the creating transaction
 //! (or a provisional marker while uncommitted); `end` is the commit
@@ -27,24 +27,27 @@
 //! | 30 | 1 | `flags` |
 //! | 31 | 2 | `logical_width` |
 //!
-//! A version chain never leaves its segment (the paper's segment is the
-//! unit that moves, pages and index together, §4.3), so `prev` is stored
-//! segment-local and every encode and decode names the segment the bytes
-//! live in: a `prev` of another segment handed to `encode` is a caller's
-//! bug and panics, exactly like a foreign record handed to a segment's
-//! index. The payload is whatever follows the header — its length is the
-//! slot's (or the log image's) and is not stored again. A logical width
-//! is below [`PAGE_SIZE`](crate::PAGE_SIZE), so 16 bits hold it; a wider
-//! one panics at `encode`.
+//! The key stays although the index knows it: a chain walk checks that each
+//! link is a version of the key it started from. A version chain never
+//! leaves its segment (the paper's segment is the unit that moves, pages
+//! and index together, §4.3), so `prev` is stored segment-local and every
+//! encode and decode names the segment the bytes live in: a `prev` of
+//! another segment handed to [`RecordHeader::encode`] is a caller's bug and
+//! panics, exactly like a foreign record handed to a segment's index. A
+//! logical width is below [`PAGE_SIZE`](crate::PAGE_SIZE), so 16 bits hold
+//! it; a wider one panics there too.
 //!
-//! **When a payload is copied.** Never to look at a version and never to
-//! store one. [`Record::peek`] reads the fixed header ([`RecordHeader`]) and
-//! borrows the payload from the page; visibility walks, write-conflict
-//! checks and chain traversals use only that. [`RecordHeader::encode_into`]
-//! writes header and payload straight into a page body from a borrowed
-//! slice. The one copy left is [`Record::decode`] (and
-//! [`Record::encode`] for callers that want the bytes by themselves): an
-//! owned [`Record`] is built for the version a caller actually returns.
+//! **A version is its header.** Nothing reads a row's bytes — a row costs
+//! its logical width — so the transaction layer stores header-only
+//! versions, and every page holds records of one length ([`crate::page`]).
+//! A [`Record`] keeps its `payload` (whatever follows the header), and
+//! [`PageStore::insert_record`](crate::PageStore::insert_record) still
+//! stores one it is handed, because the benchmark's micro-probes build
+//! `Record::new(key, begin, width, payload)`; the benchmark's ledger
+//! revision (ROADMAP item 1) may retire the field. Looking at a version
+//! copies nothing: [`Record::peek`] reads the header and borrows the
+//! payload from the page; [`Record::decode`] builds the owned [`Record`] a
+//! caller returns.
 
 use wattdb_common::{Error, Key, PageId, RecordId, Result, SegmentId};
 
@@ -140,11 +143,10 @@ impl RecordHeader {
         }
     }
 
-    /// Append the encoded version — this header, then `payload` — to `out`
-    /// (a page body of `segment`, or any buffer that travels with the
-    /// segment's id). Panics if `prev` lies in another segment or the
-    /// logical width does not fit 16 bits.
-    pub fn encode_into(&self, segment: SegmentId, payload: &[u8], out: &mut Vec<u8>) {
+    /// The header encoded for a page of `segment` (or any buffer that
+    /// travels with the segment's id). Panics if `prev` lies in another
+    /// segment or the logical width does not fit 16 bits.
+    pub fn encode(&self, segment: SegmentId) -> [u8; RECORD_HEADER_PHYSICAL] {
         let (prev_page, prev_slot) = match self.prev {
             Some(rid) => {
                 assert!(
@@ -160,15 +162,15 @@ impl RecordHeader {
             None => (NO_PREV, 0),
         };
         let width = u16::try_from(self.logical_width).expect("logical width within a page");
-        out.reserve(RECORD_HEADER_PHYSICAL + payload.len());
-        out.extend_from_slice(&self.key.raw().to_le_bytes());
-        out.extend_from_slice(&self.begin.to_le_bytes());
-        out.extend_from_slice(&self.end.to_le_bytes());
-        out.extend_from_slice(&prev_page.to_le_bytes());
-        out.extend_from_slice(&prev_slot.to_le_bytes());
-        out.push(self.flags);
-        out.extend_from_slice(&width.to_le_bytes());
-        out.extend_from_slice(payload);
+        let mut head = [0; RECORD_HEADER_PHYSICAL];
+        head[..BEGIN_OFFSET].copy_from_slice(&self.key.raw().to_le_bytes());
+        head[BEGIN_OFFSET..END_OFFSET].copy_from_slice(&self.begin.to_le_bytes());
+        head[END_OFFSET..PREV_PAGE_OFFSET].copy_from_slice(&self.end.to_le_bytes());
+        head[PREV_PAGE_OFFSET..PREV_SLOT_OFFSET].copy_from_slice(&prev_page.to_le_bytes());
+        head[PREV_SLOT_OFFSET..FLAGS_OFFSET].copy_from_slice(&prev_slot.to_le_bytes());
+        head[FLAGS_OFFSET] = self.flags;
+        head[WIDTH_OFFSET..].copy_from_slice(&width.to_le_bytes());
+        head
     }
 }
 
@@ -187,7 +189,8 @@ pub struct Record {
     pub flags: u8,
     /// Logical row width used for capacity/I-O/network cost accounting.
     pub logical_width: u32,
-    /// Compact physical payload.
+    /// Bytes stored after the header; empty for every version the
+    /// transaction layer writes (module docs).
     pub payload: Vec<u8>,
 }
 
@@ -224,11 +227,9 @@ impl Record {
         self.header().logical_footprint()
     }
 
-    /// Serialize to a buffer of its own, as a version stored in `segment`.
+    /// Serialize, header then payload, as a version stored in `segment`.
     pub fn encode(&self, segment: SegmentId) -> Vec<u8> {
-        let mut out = Vec::new();
-        self.header().encode_into(segment, &self.payload, &mut out);
-        out
+        [&self.header().encode(segment)[..], &self.payload].concat()
     }
 
     /// Read the header of a version encoded in `segment` and borrow its

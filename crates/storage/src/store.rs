@@ -20,17 +20,20 @@
 //! [`RecordId`]s every caller speaks: each encode and decode is handed the
 //! segment of the page it touches.
 //!
-//! A page is born in one place, [`PageStore::insert_version`], which knows
-//! the first version it will hold: the page's buffers are allocated there,
-//! once, for a page full of versions of that width
+//! A page is born in one place, the insert every version goes through,
+//! which knows the first version it will hold: the page's buffers are
+//! allocated there, once, for a page full of versions of that width
 //! ([`SlottedPage::sized_for`]). Every TPC-C table has one row width, so on
 //! the benchmark's `oltp-steady` 99 % of all pages never regrow a buffer
-//! (the rest mix rows with the narrower tombstones of deleted ones).
+//! (the rest mix rows with the narrower tombstones of deleted ones). The
+//! transaction layer writes header-only versions
+//! ([`PageStore::insert_version`]); [`PageStore::insert_record`] still
+//! stores a payload (see [`crate::record`]), on a page of its own length.
 
 use wattdb_common::{DenseMap, Error, PageId, RecordId, Result, SegmentId};
 
 use crate::page::{SlottedPage, PAGE_SIZE, SLOT_OVERHEAD};
-use crate::record::{Record, RecordHeader, RECORD_HEADER_PHYSICAL};
+use crate::record::{Record, RecordHeader};
 
 /// Process-wide page data, keyed by segment.
 #[derive(Debug, Default)]
@@ -70,43 +73,57 @@ impl PageStore {
             .ok_or(Error::UnknownSegment(id.segment))
     }
 
-    /// Insert a record into `segment`, appending to the last page with room
-    /// or allocating a new page (up to `max_pages`). Returns the record's
-    /// address and whether a page was allocated.
+    /// Insert a record into `segment`, payload and all, on the last page
+    /// that [takes](SlottedPage::takes) it, else the first one that does,
+    /// else a new page (up to `max_pages`). Returns the record's address
+    /// and whether a page was allocated.
     pub fn insert_record(
         &mut self,
         segment: SegmentId,
         record: &Record,
         max_pages: u32,
     ) -> Result<(RecordId, bool)> {
-        self.insert_version(segment, &record.header(), &record.payload, max_pages)
+        let bytes = record.encode(segment);
+        self.insert_bytes(segment, &bytes, record.logical_footprint(), max_pages)
     }
 
-    /// [`PageStore::insert_record`] from a header and a borrowed payload:
-    /// the version is encoded straight into the page body.
+    /// [`PageStore::insert_record`] for a header-only version, the kind
+    /// the transaction layer writes; nothing is allocated but, maybe, the
+    /// page.
     pub fn insert_version(
         &mut self,
         segment: SegmentId,
         header: &RecordHeader,
-        payload: &[u8],
         max_pages: u32,
     ) -> Result<(RecordId, bool)> {
-        let logical = header.logical_footprint();
+        let bytes = header.encode(segment);
+        self.insert_bytes(segment, &bytes, header.logical_footprint(), max_pages)
+    }
+
+    fn insert_bytes(
+        &mut self,
+        segment: SegmentId,
+        bytes: &[u8],
+        logical: usize,
+        max_pages: u32,
+    ) -> Result<(RecordId, bool)> {
         assert!(
             logical + SLOT_OVERHEAD <= PAGE_SIZE,
             "record logical width exceeds page size"
         );
+        let len = bytes.len();
         let pages = self
             .segments
             .get_mut(&segment)
             .ok_or(Error::UnknownSegment(segment))?;
         // Fast path: last page has room (append workloads). Otherwise scan
         // earlier pages for a hole (records freed by moves/GC).
+        let takes = |p: &SlottedPage| p.takes(len, logical);
         let last = pages.len().saturating_sub(1);
-        let with_room = if pages.last().is_some_and(|p| p.fits(logical)) {
+        let with_room = if pages.last().is_some_and(takes) {
             Some(last)
         } else {
-            pages.iter().position(|p| p.fits(logical))
+            pages.iter().position(takes)
         };
         let allocated = with_room.is_none();
         let page_no = match with_room {
@@ -117,13 +134,11 @@ impl PageStore {
             None => {
                 // The one place a page is born: sized for a page full of
                 // versions like this one, the table's one row width.
-                let physical = RECORD_HEADER_PHYSICAL + payload.len();
-                pages.push(SlottedPage::sized_for(logical, physical));
+                pages.push(SlottedPage::sized_for(logical, len));
                 pages.len() - 1
             }
         };
-        let slot = pages[page_no]
-            .insert_with(logical, |body| header.encode_into(segment, payload, body))?;
+        let slot = pages[page_no].insert(bytes, logical)?;
         let rid = RecordId::new(PageId::new(segment, page_no as u32), slot);
         Ok((rid, allocated))
     }
@@ -153,16 +168,17 @@ impl PageStore {
             .ok_or(Error::RecordNotFound(rid))
     }
 
-    /// Overwrite the record at `rid` (same key; in-place updates of the
-    /// locking mode). The page appends the new image and counts the old
-    /// one dead.
-    pub fn write_record(&mut self, rid: RecordId, record: &Record) -> Result<()> {
+    /// Overwrite the header-only version at `rid` in place with `header`
+    /// (the locking mode's in-place update, and the undo that puts the
+    /// prior header back). A version with a payload is of another length
+    /// and is refused.
+    pub fn write_header(&mut self, rid: RecordId, header: &RecordHeader) -> Result<()> {
+        let bytes = header.encode(rid.page.segment);
         let page = self.page_mut(rid.page)?;
         if page.get(rid.slot).is_none() {
             return Err(Error::RecordNotFound(rid));
         }
-        let image = record.encode(rid.page.segment);
-        page.update(rid.slot, &image, record.logical_footprint())
+        page.update(rid.slot, &bytes, header.logical_footprint())
     }
 
     /// Set the `begin` timestamp of the version at `rid` in place (commit
@@ -178,7 +194,7 @@ impl PageStore {
     }
 
     /// Clear the `prev` pointer of the version at `rid` in place (vacuum
-    /// cut the chain below it): no new image, no dead bytes.
+    /// cut the chain below it).
     pub fn unlink_prev(&mut self, rid: RecordId) -> Result<()> {
         Record::unlink_prev(self.stored_mut(rid)?)
     }
@@ -237,15 +253,6 @@ impl PageStore {
         page.delete(rid.slot)
     }
 
-    /// Total physical bytes held (memory footprint diagnostics).
-    pub fn physical_bytes(&self) -> usize {
-        self.segments
-            .values()
-            .flat_map(|ps| ps.iter())
-            .map(|p| p.physical_bytes())
-            .sum()
-    }
-
     /// Total logical bytes of live data in a segment.
     pub fn logical_bytes(&self, segment: SegmentId) -> Result<u64> {
         let pages = self
@@ -259,10 +266,12 @@ impl PageStore {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RECORD_HEADER_PHYSICAL;
     use wattdb_common::Key;
 
+    /// A version as the transaction layer stores it: header only.
     fn rec(key: u64, width: u32) -> Record {
-        Record::new(Key(key), 1, width, key.to_le_bytes().to_vec())
+        Record::new(Key(key), 1, width, Vec::new())
     }
 
     #[test]
@@ -317,8 +326,15 @@ mod tests {
         let (rid, _) = store.insert_record(seg, &rec(5, 64), 4).unwrap();
         let mut r = store.read_record(rid).unwrap();
         r.end = 99;
-        store.write_record(rid, &r).unwrap();
-        assert_eq!(store.read_record(rid).unwrap().end, 99);
+        r.logical_width = 80;
+        store.write_header(rid, &r.header()).unwrap();
+        assert_eq!(store.read_record(rid).unwrap(), r);
+        assert_eq!(store.logical_bytes(seg).unwrap(), 80 + 47 + 8);
+        // A version with a payload is not rewritten as a header alone.
+        let with_payload = Record::new(Key(6), 1, 64, vec![1; 8]);
+        let (other, _) = store.insert_record(seg, &with_payload, 4).unwrap();
+        assert!(store.write_header(other, &with_payload.header()).is_err());
+        assert_eq!(store.read_record(other).unwrap(), with_payload);
         store.delete_record(rid).unwrap();
         assert!(store.read_record(rid).is_err());
         assert!(store.delete_record(rid).is_err());
@@ -334,7 +350,7 @@ mod tests {
         tombstone.prev = Some(prev);
         for original in [rec(4, 64), chained, tombstone] {
             // Two stores with the same record: one stamped in place, one
-            // through a decoded copy written back whole.
+            // through a decoded copy whose header is written back.
             let mut patched = PageStore::new();
             let mut rewritten = PageStore::new();
             patched.add_segment(seg);
@@ -348,22 +364,21 @@ mod tests {
             let mut copy = rewritten.read_record(rid).unwrap();
             copy.begin = 77;
             copy.end = 1 << 63 | 9;
-            rewritten.write_record(rid, &copy).unwrap();
+            rewritten.write_header(rid, &copy.header()).unwrap();
 
             assert_eq!(patched.read_record(rid).unwrap(), copy);
+            assert_eq!(rewritten.read_record(rid).unwrap(), copy);
             assert_eq!(patched.peek(rid).unwrap(), copy.header());
             assert_eq!(patched.logical_bytes(seg).unwrap(), used);
-            assert_eq!(patched.page(rid.page).unwrap().dead_bytes(), 0);
+            assert_eq!(patched.page(rid.page), rewritten.page(rid.page));
 
             // Cutting the chain in place: the same version without `prev`,
             // in the bytes it already had.
-            let bytes = patched.physical_bytes();
             patched.unlink_prev(rid).unwrap();
             copy.prev = None;
-            let stored = patched.page(rid.page).unwrap().get(rid.slot).unwrap();
-            assert_eq!(stored, &copy.encode(seg)[..]);
-            assert_eq!(patched.physical_bytes(), bytes);
-            assert_eq!(patched.page(rid.page).unwrap().dead_bytes(), 0);
+            let page = patched.page(rid.page).unwrap();
+            assert_eq!(page.get(rid.slot).unwrap(), &copy.encode(seg)[..]);
+            assert_eq!(page.physical_bytes(), RECORD_HEADER_PHYSICAL);
         }
         // A dead slot has nothing to stamp.
         let mut store = PageStore::new();
@@ -373,6 +388,31 @@ mod tests {
         assert!(store.stamp_end(rid, 5).is_err());
         assert!(store.unlink_prev(rid).is_err());
         assert!(store.peek(rid).is_err());
+        assert!(store.write_header(rid, &rec(1, 64).header()).is_err());
+    }
+
+    #[test]
+    fn versions_of_another_length_go_to_a_page_of_their_own() {
+        let mut store = PageStore::new();
+        let seg = SegmentId(1);
+        store.add_segment(seg);
+        let header = RecordHeader::new(Key(1), 1, 64);
+        let (bare, _) = store.insert_version(seg, &header, 4).unwrap();
+        let payload = Record::new(Key(2), 1, 64, vec![2; 8]);
+        let (with_payload, allocated) = store.insert_record(seg, &payload, 4).unwrap();
+        assert!(allocated, "page 0 holds header-only versions");
+        assert_eq!((bare.page.page_no, with_payload.page.page_no), (0, 1));
+        let (next, _) = store.insert_version(seg, &header, 4).unwrap();
+        assert_eq!(next.page.page_no, 0);
+        let stored = store.page(bare.page).unwrap().get(bare.slot).unwrap();
+        assert_eq!(stored.len(), RECORD_HEADER_PHYSICAL);
+        assert_eq!(
+            store.read_record(bare).unwrap(),
+            header.with_payload(Vec::new())
+        );
+        assert_eq!(store.read_record(with_payload).unwrap(), payload);
+        let page = |n| store.page(PageId::new(seg, n)).unwrap().physical_bytes();
+        assert_eq!((page(0), page(1)), (2 * RECORD_HEADER_PHYSICAL, 41));
     }
 
     #[test]

@@ -1,187 +1,200 @@
-//! Property tests: the slotted page against a model map.
+//! Property tests: the slotted page against a model.
 //!
-//! Random sequences of insert/update/delete/compact must keep the page's
-//! live contents identical to a reference `HashMap<slot, payload>` and keep
-//! the logical-space accounting consistent.
+//! The model is a map slot → (bytes, logical width) plus the length of the
+//! slot directory. Random insert, update and delete sequences on a page of
+//! one record length — aimed at raw slot numbers, so dead and missing slots
+//! are hit too — must give the model's slot numbers (an insert reuses the
+//! lowest dead one), bytes, logical widths, logical use, `fits` answers,
+//! live counts and errors.
 //!
-//! A page sized when it is created ([`SlottedPage::sized_for`]) is the same
-//! page as [`SlottedPage::new`] in everything but when it allocates: the
-//! same sequences, now aimed at raw slot numbers and with updates longer
-//! than their logical width, must give both the same slot numbers, bytes,
-//! errors and accounting — and a page that gets the uniform records it was
-//! sized for never changes either buffer's capacity. The 8-byte slot is
-//! driven to the edges of its fields at the end.
+//! Beside it: a record of another length is refused and leaves the page
+//! byte-for-byte unchanged; a page sized when it is created
+//! ([`SlottedPage::sized_for`]) is the same page as [`SlottedPage::new`] in
+//! everything but when it allocates, and one that only ever holds records
+//! like its first never reallocates; and the 16-bit fields are driven to
+//! their edges at the end.
 
 use proptest::prelude::*;
-use std::collections::HashMap;
+use std::collections::BTreeMap;
 use wattdb_storage::page::{SlottedPage, PAGE_SIZE, SLOT_OVERHEAD};
+
+/// Highest slot number the raw operations aim at.
+const SLOTS: u16 = 24;
 
 #[derive(Debug, Clone)]
 enum Op {
-    Insert { payload: Vec<u8>, logical: usize },
-    Update { victim: usize, payload: Vec<u8> },
-    Delete { victim: usize },
-    Compact,
+    Insert { fill: u8, logical: usize },
+    Update { slot: u16, fill: u8, logical: usize },
+    Delete { slot: u16 },
 }
 
 fn op_strategy() -> impl Strategy<Value = Op> {
     prop_oneof![
-        4 => (proptest::collection::vec(any::<u8>(), 0..64), 64usize..512).prop_map(
-            |(payload, logical)| {
-                let logical = logical.max(payload.len());
-                Op::Insert { payload, logical }
-            }
-        ),
-        2 => (any::<usize>(), proptest::collection::vec(any::<u8>(), 0..64))
-            .prop_map(|(victim, payload)| Op::Update { victim, payload }),
-        2 => any::<usize>().prop_map(|victim| Op::Delete { victim }),
-        1 => Just(Op::Compact),
+        4 => (any::<u8>(), 0usize..700).prop_map(|(fill, logical)| Op::Insert { fill, logical }),
+        3 => (0..SLOTS, any::<u8>(), 0usize..700)
+            .prop_map(|(slot, fill, logical)| Op::Update { slot, fill, logical }),
+        2 => (0..SLOTS).prop_map(|slot| Op::Delete { slot }),
     ]
+}
+
+/// What a page of one record length must hold.
+#[derive(Debug, Default)]
+struct Model {
+    slots: BTreeMap<u16, (Vec<u8>, usize)>,
+    /// Length of the slot directory: an insert reuses the lowest dead slot
+    /// number in it, or extends it.
+    directory: u16,
+}
+
+impl Model {
+    fn logical_used(&self) -> usize {
+        self.slots.values().map(|(_, l)| l + SLOT_OVERHEAD).sum()
+    }
+
+    fn fits(&self, logical: usize) -> bool {
+        self.logical_used() + logical + SLOT_OVERHEAD <= PAGE_SIZE
+    }
+
+    /// The slot an insert of `bytes` at `logical` takes, or `None` when the
+    /// page refuses it.
+    fn insert(&mut self, bytes: Vec<u8>, logical: usize) -> Option<u16> {
+        if !self.fits(logical) || bytes.len() > logical {
+            return None;
+        }
+        let lowest_dead = (0..self.directory).find(|s| !self.slots.contains_key(s));
+        let slot = lowest_dead.unwrap_or(self.directory);
+        self.directory = self.directory.max(slot + 1);
+        self.slots.insert(slot, (bytes, logical));
+        Some(slot)
+    }
+
+    fn update(&mut self, slot: u16, bytes: Vec<u8>, logical: usize) -> bool {
+        let Some((_, old)) = self.slots.get(&slot) else {
+            return false;
+        };
+        let ok = self.logical_used() - old + logical <= PAGE_SIZE && bytes.len() <= logical;
+        if ok {
+            self.slots.insert(slot, (bytes, logical));
+        }
+        ok
+    }
+
+    fn delete(&mut self, slot: u16) -> bool {
+        self.slots.remove(&slot).is_some()
+    }
+}
+
+/// Apply `op` with records of `len` bytes to the page and the model; the
+/// two must agree on the outcome.
+fn step(page: &mut SlottedPage, model: &mut Model, len: usize, op: &Op) {
+    match *op {
+        Op::Insert { fill, logical } => {
+            let bytes = vec![fill; len];
+            let (fits, expected) = (model.fits(logical), model.insert(bytes.clone(), logical));
+            prop_assert_eq!(page.fits(logical), fits);
+            prop_assert_eq!(page.insert(&bytes, logical).ok(), expected, "{:?}", op);
+        }
+        Op::Update {
+            slot,
+            fill,
+            logical,
+        } => {
+            let bytes = vec![fill; len];
+            let expected = model.update(slot, bytes.clone(), logical);
+            prop_assert_eq!(
+                page.update(slot, &bytes, logical).is_ok(),
+                expected,
+                "{:?}",
+                op
+            );
+        }
+        Op::Delete { slot } => {
+            prop_assert_eq!(page.delete(slot).is_ok(), model.delete(slot), "{:?}", op);
+        }
+    }
+    prop_assert_eq!(page.live_records(), model.slots.len());
+    prop_assert_eq!(page.logical_used(), model.logical_used());
+    prop_assert!(page.logical_used() <= PAGE_SIZE);
+    for probe in [0, 100, 700, 4_000] {
+        prop_assert_eq!(page.fits(probe), model.fits(probe));
+    }
+    for slot in 0..SLOTS.max(model.directory + 1) {
+        let held = model.slots.get(&slot);
+        prop_assert_eq!(page.get(slot), held.map(|(b, _)| &b[..]), "slot {}", slot);
+        prop_assert_eq!(
+            page.logical_width(slot),
+            held.map(|&(_, l)| l),
+            "slot {}",
+            slot
+        );
+    }
+    let listed: Vec<(u16, &[u8])> = model.slots.iter().map(|(&s, (b, _))| (s, &b[..])).collect();
+    prop_assert!(page.iter().eq(listed));
 }
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
-    fn page_matches_model(ops in proptest::collection::vec(op_strategy(), 1..200)) {
+    fn page_matches_model(len in 0usize..48, ops in proptest::collection::vec(op_strategy(), 1..300)) {
         let mut page = SlottedPage::new();
-        let mut model: HashMap<u16, (Vec<u8>, usize)> = HashMap::new();
-        // Length of the slot directory: an insert reuses the lowest dead
-        // slot number in it, or extends it.
-        let mut directory = 0u16;
-
-        for op in ops {
-            match op {
-                Op::Insert { payload, logical } => {
-                    let fits = page.fits(logical);
-                    match page.insert(&payload, logical) {
-                        Ok(slot) => {
-                            prop_assert!(fits, "insert succeeded though fits() was false");
-                            let lowest_dead = (0..directory).find(|s| !model.contains_key(s));
-                            prop_assert_eq!(slot, lowest_dead.unwrap_or(directory));
-                            directory = directory.max(slot + 1);
-                            model.insert(slot, (payload, logical));
-                        }
-                        Err(_) => prop_assert!(!fits, "insert failed though fits() was true"),
-                    }
-                }
-                Op::Update { victim, payload } => {
-                    let slots: Vec<u16> = model.keys().copied().collect();
-                    if slots.is_empty() { continue; }
-                    let slot = slots[victim % slots.len()];
-                    let logical = model[&slot].1.max(payload.len());
-                    if page.update(slot, &payload, logical).is_ok() {
-                        model.insert(slot, (payload, logical));
-                    }
-                }
-                Op::Delete { victim } => {
-                    let slots: Vec<u16> = model.keys().copied().collect();
-                    if slots.is_empty() { continue; }
-                    let slot = slots[victim % slots.len()];
-                    page.delete(slot).unwrap();
-                    model.remove(&slot);
-                }
-                Op::Compact => {
-                    page.compact();
-                    prop_assert_eq!(page.dead_bytes(), 0);
-                    // Trailing dead slots leave the directory.
-                    directory = model.keys().map(|s| s + 1).max().unwrap_or(0);
-                }
-            }
-
-            // Invariants after every step.
-            prop_assert_eq!(page.live_records(), model.len());
-            prop_assert!(page.logical_used() <= PAGE_SIZE);
-            let expected_logical: usize = model
-                .values()
-                .map(|(_, l)| l + SLOT_OVERHEAD)
-                .sum();
-            prop_assert_eq!(page.logical_used(), expected_logical);
-            for (&slot, (payload, logical)) in &model {
-                prop_assert_eq!(page.get(slot), Some(&payload[..]));
-                prop_assert_eq!(page.logical_width(slot), Some(*logical));
-            }
+        let mut model = Model::default();
+        for op in &ops {
+            step(&mut page, &mut model, len, op);
         }
+        prop_assert_eq!(page.record_len(), (model.directory > 0).then_some(len));
+    }
 
-        // Final compaction preserves everything.
-        page.compact();
-        prop_assert_eq!(page.live_records(), model.len());
-        for (&slot, (payload, _)) in &model {
-            prop_assert_eq!(page.get(slot), Some(&payload[..]));
+    #[test]
+    fn a_record_of_another_length_leaves_the_page_unchanged(
+        len in 0usize..48,
+        other in 0usize..48,
+        ops in proptest::collection::vec(op_strategy(), 1..200),
+        logical in 48usize..700,
+    ) {
+        let mut page = SlottedPage::new();
+        let mut model = Model::default();
+        for op in &ops {
+            step(&mut page, &mut model, len, op);
+        }
+        if other == len || page.record_len().is_none() {
+            continue;
+        }
+        let before = page.clone();
+        let record = vec![0xEE; other];
+        prop_assert!(!page.takes(other, logical));
+        prop_assert!(page.insert(&record, logical).is_err());
+        prop_assert_eq!(&page, &before);
+        for slot in 0..SLOTS {
+            prop_assert!(page.update(slot, &record, logical).is_err());
+            prop_assert_eq!(&page, &before);
         }
     }
-}
-
-/// Operations by raw slot number: dead and missing slots are hit too, and
-/// an update's logical width is free to be shorter than its payload.
-#[derive(Debug, Clone)]
-enum RawOp {
-    Insert {
-        payload: Vec<u8>,
-        logical: usize,
-    },
-    Update {
-        slot: u16,
-        payload: Vec<u8>,
-        logical: usize,
-    },
-    Delete {
-        slot: u16,
-    },
-    Compact,
-}
-
-fn raw_op_strategy() -> impl Strategy<Value = RawOp> {
-    let payload = || proptest::collection::vec(any::<u8>(), 0..64);
-    prop_oneof![
-        4 => (payload(), 0usize..700).prop_map(|(payload, logical)| {
-            let logical = logical.max(payload.len());
-            RawOp::Insert { payload, logical }
-        }),
-        3 => (0u16..24, payload(), 0usize..700)
-            .prop_map(|(slot, payload, logical)| RawOp::Update { slot, payload, logical }),
-        2 => (0u16..24).prop_map(|slot| RawOp::Delete { slot }),
-        1 => Just(RawOp::Compact),
-    ]
-}
-
-fn apply(page: &mut SlottedPage, op: &RawOp) -> wattdb_common::Result<Option<u16>> {
-    match op {
-        RawOp::Insert { payload, logical } => page.insert(payload, *logical).map(Some),
-        RawOp::Update {
-            slot,
-            payload,
-            logical,
-        } => page.update(*slot, payload, *logical).map(|()| None),
-        RawOp::Delete { slot } => page.delete(*slot).map(|()| None),
-        RawOp::Compact => {
-            page.compact();
-            Ok(None)
-        }
-    }
-}
-
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(256))]
 
     #[test]
     fn sized_page_is_the_unsized_page(
         sized_for in (0usize..9_000, 0usize..200),
-        ops in proptest::collection::vec(raw_op_strategy(), 1..300),
+        lens in proptest::collection::vec(0usize..6, 1..300),
+        ops in proptest::collection::vec(op_strategy(), 1..300),
     ) {
+        // Lengths drawn from a few, so that most records are refused as
+        // being of another length and some are taken.
         let mut sized = SlottedPage::sized_for(sized_for.0, sized_for.1);
         let mut plain = SlottedPage::new();
-        for op in &ops {
-            prop_assert_eq!(apply(&mut sized, op), apply(&mut plain, op), "{:?}", op);
-            prop_assert_eq!(sized.logical_used(), plain.logical_used());
-            prop_assert_eq!(sized.dead_bytes(), plain.dead_bytes());
-            prop_assert_eq!(sized.physical_bytes(), plain.physical_bytes());
-            prop_assert_eq!(sized.live_records(), plain.live_records());
-            prop_assert!(sized.iter().eq(plain.iter()));
-            for slot in 0..24 {
-                prop_assert_eq!(sized.get(slot), plain.get(slot));
-                prop_assert_eq!(sized.logical_width(slot), plain.logical_width(slot));
-            }
+        for (op, len) in ops.iter().zip(lens.iter().cycle()) {
+            let (a, b) = match *op {
+                Op::Insert { fill, logical } => {
+                    let bytes = vec![fill; *len];
+                    (sized.insert(&bytes, logical).map(Some), plain.insert(&bytes, logical).map(Some))
+                }
+                Op::Update { slot, fill, logical } => {
+                    let bytes = vec![fill; *len];
+                    (sized.update(slot, &bytes, logical).map(|()| None), plain.update(slot, &bytes, logical).map(|()| None))
+                }
+                Op::Delete { slot } => (sized.delete(slot).map(|()| None), plain.delete(slot).map(|()| None)),
+            };
+            prop_assert_eq!(a, b, "{:?}", op);
+            prop_assert_eq!(&sized, &plain);
         }
     }
 
@@ -189,30 +202,36 @@ proptest! {
     fn uniform_records_never_regrow_a_sized_page(
         logical in 47usize..2_000,
         physical in 0usize..200,
-        deletes in proptest::collection::vec(any::<u16>(), 0..8),
+        ops in proptest::collection::vec(op_strategy(), 0..200),
     ) {
         let physical = physical.min(logical);
-        let payload = vec![0xAB; physical];
         let mut page = SlottedPage::sized_for(logical, physical);
         let born_with = page.capacity();
         let fill = PAGE_SIZE / (logical + SLOT_OVERHEAD);
         prop_assert_eq!(born_with, (fill * physical, fill));
 
         for i in 0..fill {
-            prop_assert_eq!(page.insert(&payload, logical).unwrap() as usize, i);
+            prop_assert_eq!(page.insert(&vec![0xAB; physical], logical).unwrap() as usize, i);
             prop_assert_eq!(page.capacity(), born_with);
         }
-        prop_assert!(page.insert(&payload, logical).is_err(), "the page is full");
+        prop_assert!(page.insert(&vec![0xAB; physical], logical).is_err(), "the page is full");
         prop_assert_eq!(page.physical_bytes(), born_with.0, "an exact fit");
-        for victim in deletes {
-            let _ = page.delete(victim % fill as u16);
+        // Whatever follows, with records like the first, stays in the
+        // buffers the page was born with.
+        for op in ops {
+            match op {
+                Op::Insert { fill: b, .. } => drop(page.insert(&vec![b; physical], logical)),
+                Op::Update { slot, fill: b, .. } => drop(page.update(slot, &vec![b; physical], logical)),
+                Op::Delete { slot } => drop(page.delete(slot)),
+            }
+            prop_assert_eq!(page.capacity(), born_with);
         }
-        prop_assert_eq!(page.capacity(), born_with);
     }
 }
 
-/// One record as wide as a page: `logical` at its maximum and `len` equal
-/// to it, both at the top of what a slot's 16-bit fields must hold.
+/// One record as wide as a page: `logical` at its maximum and the record's
+/// length equal to it, both at the top of what the page's 16-bit fields
+/// must hold.
 #[test]
 fn slot_holds_a_page_wide_record() {
     let widest = PAGE_SIZE - SLOT_OVERHEAD;
@@ -227,36 +246,36 @@ fn slot_holds_a_page_wide_record() {
         assert_eq!(page.logical_width(slot), Some(widest));
         assert_eq!(page.logical_used(), PAGE_SIZE);
         assert!(!page.fits(0));
-        // Replaced at full width, then shrunk: the accounting follows.
-        page.update(slot, &payload, widest).unwrap();
-        assert_eq!(page.dead_bytes(), widest);
-        page.update(slot, b"small", 5).unwrap();
-        assert_eq!(page.get(slot), Some(&b"small"[..]));
-        assert_eq!(page.logical_used(), 5 + SLOT_OVERHEAD);
+        // Replaced in place at full width: the page holds one image.
+        let reversed: Vec<u8> = payload.iter().rev().copied().collect();
+        page.update(slot, &reversed, widest).unwrap();
+        assert_eq!(page.get(slot), Some(&reversed[..]));
+        assert_eq!(page.physical_bytes(), widest);
+        // Retired and reused, still in the same bytes.
+        page.delete(slot).unwrap();
+        assert_eq!(page.logical_used(), 0);
+        assert_eq!(page.insert(&payload, widest).unwrap(), slot);
+        assert_eq!(page.physical_bytes(), widest);
     }
 }
 
-/// Every update appends, so a body passes 64 KiB long before anything
-/// compacts it: the offset is the one slot field 16 bits cannot hold.
+/// The most slots a page can have: records of no bytes and no logical
+/// width, each charged only its slot overhead.
 #[test]
-fn slot_offset_passes_64_kib_through_updates() {
-    let mut page = SlottedPage::sized_for(64, 64);
-    let slot = page.insert(&[0; 64], 64).unwrap();
-    let neighbour = page.insert(b"neighbour", 64).unwrap();
-    for round in 1..=1_100u32 {
-        let mut image = [0u8; 64];
-        image[..4].copy_from_slice(&round.to_le_bytes());
-        page.update(slot, &image, 64).unwrap();
-        assert_eq!(&page.get(slot).unwrap()[..4], &round.to_le_bytes());
+fn directory_holds_a_page_of_empty_records() {
+    let most = PAGE_SIZE / SLOT_OVERHEAD;
+    let mut page = SlottedPage::sized_for(0, 0);
+    for i in 0..most {
+        assert_eq!(page.insert(&[], 0).unwrap() as usize, i);
     }
-    assert!(page.physical_bytes() > 1 << 16);
-    assert_eq!(page.dead_bytes(), 1_100 * 64);
-    assert_eq!(page.get(neighbour), Some(&b"neighbour"[..]));
-    // A record inserted now lies past 64 KiB from its first byte.
-    let late = page.insert(b"late", 64).unwrap();
-    assert_eq!(page.get(late), Some(&b"late"[..]));
-    page.compact();
-    assert_eq!(page.physical_bytes(), 64 + 9 + 4);
-    assert_eq!(&page.get(slot).unwrap()[..4], &1_100u32.to_le_bytes());
-    assert_eq!(page.get(late), Some(&b"late"[..]));
+    assert!(page.insert(&[], 0).is_err());
+    assert_eq!(
+        (page.live_records(), page.logical_used()),
+        (most, PAGE_SIZE)
+    );
+    for slot in (0..most as u16).rev() {
+        page.delete(slot).unwrap();
+    }
+    assert_eq!((page.live_records(), page.logical_used()), (0, 0));
+    assert_eq!(page.insert(&[], 0).unwrap(), 0, "the lowest dead slot");
 }

@@ -9,9 +9,8 @@
 //! version in place (`stamp_begin`, `stamp_end`, `unlink_prev`) leaves the
 //! bytes a decode-modify-encode would. The logical charge does not follow
 //! the physical format: `logical_footprint()` is the row width plus 47.
-//! Encoding straight into a page body (`RecordHeader::encode_into`, through
-//! `PageStore::insert_version`) leaves the page byte-identical to
-//! inserting the separately encoded bytes.
+//! `PageStore::insert_record` leaves the page byte-identical to inserting
+//! the separately encoded bytes into the page that takes them.
 
 use proptest::prelude::*;
 use wattdb_common::{Key, PageId, RecordId, SegmentId};
@@ -19,8 +18,8 @@ use wattdb_storage::{
     PageStore, Record, SlottedPage, FLAG_TOMBSTONE, RECORD_HEADER_LOGICAL, RECORD_HEADER_PHYSICAL,
 };
 
-// The format the claims in `docs/benchmarks.md` are made for; `Slot`'s
-// eight bytes are pinned next to its definition.
+// The format the claims in `docs/benchmarks.md` are made for; a slot's
+// two bytes are pinned next to their definition.
 const _: () = assert!(RECORD_HEADER_PHYSICAL == 33);
 const _: () = assert!(RECORD_HEADER_LOGICAL == 47);
 
@@ -126,21 +125,21 @@ proptest! {
         let mut pages: Vec<SlottedPage> = Vec::new();
         for rec in &recs {
             // The owning path, by hand: encode, then insert the bytes into
-            // the page the store would pick (last, else first with room).
-            let logical = rec.logical_footprint();
+            // the page the store would pick (last, else first that takes
+            // the record's length and width).
+            let (bytes, logical) = (rec.encode(SEG), rec.logical_footprint());
+            let takes = |p: &SlottedPage| p.takes(bytes.len(), logical);
             let page_no = match pages.last() {
-                Some(last) if last.fits(logical) => pages.len() - 1,
-                _ => pages.iter().position(|p| p.fits(logical)).unwrap_or_else(|| {
+                Some(last) if takes(last) => pages.len() - 1,
+                _ => pages.iter().position(takes).unwrap_or_else(|| {
                     pages.push(SlottedPage::new());
                     pages.len() - 1
                 }),
             };
-            let slot = pages[page_no].insert(&rec.encode(SEG), logical).unwrap();
+            let slot = pages[page_no].insert(&bytes, logical).unwrap();
             let page_no = page_no as u32;
-            // The borrowed path: header + payload slice, encoded in place.
-            let (rid, _) = store
-                .insert_version(SEG, &rec.header(), &rec.payload, u32::MAX)
-                .unwrap();
+            // The store's path: header and payload written into the slot.
+            let (rid, _) = store.insert_record(SEG, rec, u32::MAX).unwrap();
             prop_assert_eq!(rid, RecordId::new(PageId::new(SEG, page_no), slot));
             prop_assert_eq!(store.peek(rid).unwrap(), rec.header());
             prop_assert_eq!(&store.read_record(rid).unwrap(), rec);

@@ -1,10 +1,18 @@
 //! TPC-C data generation.
 //!
-//! Produces the initial dataset as streams of `(table, key, logical width,
-//! compact payload)` rows. The `density` knob scales the per-warehouse
-//! cardinalities so tests and benches can run the *same code paths* at a
-//! fraction of the 100 GB the paper loads, while the logical widths keep
-//! per-row I/O costs authentic.
+//! Produces the initial dataset as streams of `(table, key, logical width)`
+//! rows. The `density` knob scales the per-warehouse cardinalities so tests
+//! and benches can run the *same code paths* at a fraction of the 100 GB the
+//! paper loads, while the logical widths keep per-row I/O costs authentic.
+//! No row bytes are generated: the engine stores a version as its header
+//! alone, and a row costs its logical width.
+//!
+//! **The RNG stream is the dataset.** Every row is drawn from one seeded
+//! stream per warehouse (and one for ITEM), in load order, and the number
+//! of order lines per order comes out of the same stream. So every draw is
+//! part of the dataset: rows once carried eight random stand-in bytes, and
+//! those values are still drawn, and dropped, for every row — take them out
+//! and every order after the first gets a different number of lines.
 
 use wattdb_common::{DetRng, Key};
 
@@ -18,9 +26,6 @@ pub struct TpccConfig {
     /// Cardinality scale in (0, 1]: customers/orders/stock per warehouse
     /// are multiplied by this (minimum 1 row where the table is non-empty).
     pub density: f64,
-    /// Physical payload bytes stored per row (compact stand-in for the
-    /// logical row image).
-    pub payload_bytes: usize,
     /// Experiment seed.
     pub seed: u64,
 }
@@ -30,7 +35,6 @@ impl Default for TpccConfig {
         Self {
             warehouses: 4,
             density: 0.02,
-            payload_bytes: 8,
             seed: 42,
         }
     }
@@ -85,12 +89,21 @@ pub struct GenRow {
     pub key: Key,
     /// Logical width (schema row width).
     pub width: u32,
-    /// Compact payload.
-    pub payload: Vec<u8>,
 }
 
-fn payload(rng: &mut DetRng, n: usize) -> Vec<u8> {
-    (0..n).map(|_| rng.uniform(0, 255) as u8).collect()
+/// The row `table`/`key`, drawn from `rng`.
+fn row(table: TpccTable, key: Key, rng: &mut DetRng) -> GenRow {
+    // The eight stand-in bytes a row once stored: nothing reads them, but
+    // the stream they came from is the dataset (module docs), so they are
+    // drawn and dropped.
+    for _ in 0..8 {
+        rng.uniform(0, 255);
+    }
+    GenRow {
+        table,
+        key,
+        width: table.row_width(),
+    }
 }
 
 /// Generate all rows of one warehouse, in load order. Deterministic in
@@ -98,50 +111,37 @@ fn payload(rng: &mut DetRng, n: usize) -> Vec<u8> {
 pub fn warehouse_rows(cfg: &TpccConfig, w: u32) -> Vec<GenRow> {
     let mut rng = DetRng::new(cfg.seed).derive(w as u64 + 1);
     let mut out = Vec::new();
-    let mut push = |table: TpccTable, key: Key, rng: &mut DetRng, pb: usize| {
-        out.push(GenRow {
-            table,
-            key,
-            width: table.row_width(),
-            payload: payload(rng, pb),
-        });
-    };
-    let pb = cfg.payload_bytes;
-    push(TpccTable::Warehouse, keys::warehouse(w), &mut rng, pb);
+    let mut push = |table: TpccTable, key: Key, rng: &mut DetRng| out.push(row(table, key, rng));
+    push(TpccTable::Warehouse, keys::warehouse(w), &mut rng);
     let cust_per_d = cfg.customers_per_district();
     let orders_per_d = cfg.orders_per_district();
     // 2/3 of initial orders are delivered; the last third populates
     // NEW-ORDER, per the spec's 900/3000 ratio.
     let new_order_floor = orders_per_d - (orders_per_d * 3 / 10).max(1).min(orders_per_d);
     for d in 0..10u32 {
-        push(TpccTable::District, keys::district(w, d), &mut rng, pb);
+        push(TpccTable::District, keys::district(w, d), &mut rng);
         for c in 0..cust_per_d {
             push(
                 TpccTable::Customer,
                 keys::customer(w, d, c as u32),
                 &mut rng,
-                pb,
             );
-            push(TpccTable::History, keys::history(w, d, c), &mut rng, pb);
+            push(TpccTable::History, keys::history(w, d, c), &mut rng);
         }
         for o in 0..orders_per_d {
-            push(TpccTable::Orders, keys::order(w, d, o), &mut rng, pb);
+            push(TpccTable::Orders, keys::order(w, d, o), &mut rng);
             let lines = rng.uniform(5, 15);
             for l in 0..lines {
-                push(
-                    TpccTable::OrderLine,
-                    keys::order_line(w, d, o, l as u32),
-                    &mut rng,
-                    pb,
-                );
+                let key = keys::order_line(w, d, o, l as u32);
+                push(TpccTable::OrderLine, key, &mut rng);
             }
             if o >= new_order_floor {
-                push(TpccTable::NewOrder, keys::new_order(w, d, o), &mut rng, pb);
+                push(TpccTable::NewOrder, keys::new_order(w, d, o), &mut rng);
             }
         }
     }
     for i in 0..cfg.stock_per_warehouse() {
-        push(TpccTable::Stock, keys::stock(w, i), &mut rng, pb);
+        push(TpccTable::Stock, keys::stock(w, i), &mut rng);
     }
     out
 }
@@ -150,12 +150,7 @@ pub fn warehouse_rows(cfg: &TpccConfig, w: u32) -> Vec<GenRow> {
 pub fn item_rows(cfg: &TpccConfig) -> Vec<GenRow> {
     let mut rng = DetRng::new(cfg.seed).derive(0xC0FFEE);
     (0..cfg.item_rows())
-        .map(|i| GenRow {
-            table: TpccTable::Item,
-            key: keys::item(i, cfg.warehouses),
-            width: TpccTable::Item.row_width(),
-            payload: payload(&mut rng, cfg.payload_bytes),
-        })
+        .map(|i| row(TpccTable::Item, keys::item(i, cfg.warehouses), &mut rng))
         .collect()
 }
 
@@ -169,7 +164,6 @@ mod tests {
         TpccConfig {
             warehouses: 2,
             density: 0.01,
-            payload_bytes: 8,
             seed: 7,
         }
     }
@@ -224,7 +218,6 @@ mod tests {
         let rows = warehouse_rows(&cfg(), 0);
         for r in &rows {
             assert_eq!(r.width, r.table.row_width());
-            assert_eq!(r.payload.len(), 8);
         }
     }
 
@@ -255,5 +248,42 @@ mod tests {
         let items = item_rows(&c);
         let whs: HashSet<u32> = items.iter().map(|r| key_warehouse(r.key)).collect();
         assert!(whs.len() > 1, "items should spread: {whs:?}");
+    }
+
+    /// FNV-1a over `(table, key, width)` of every row `item_rows` and
+    /// `warehouse_rows` (each warehouse) produce, and the row count.
+    fn dataset_fingerprint(cfg: &TpccConfig) -> (u64, usize) {
+        let mut rows = item_rows(cfg);
+        for w in 0..cfg.warehouses {
+            rows.extend(warehouse_rows(cfg, w));
+        }
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        for r in &rows {
+            let table = r.table.table_id().raw().to_le_bytes();
+            let (key, width) = (r.key.raw().to_le_bytes(), r.width.to_le_bytes());
+            for b in table.iter().chain(&key).chain(&width) {
+                h = (h ^ u64::from(*b)).wrapping_mul(0x0100_0000_01b3);
+            }
+        }
+        (h, rows.len())
+    }
+
+    /// The dataset the stand-in bytes were generated with, to the row: the
+    /// values they took are still drawn, so the order-line counts — and
+    /// everything keyed after them — are what they were.
+    #[test]
+    fn the_dataset_is_the_one_generated_with_stand_in_bytes() {
+        let pins = [
+            (11, 0xf34c_a69c_189f_83e5, 31_919),
+            (12, 0x3dd7_3b63_5bb4_1422, 31_835),
+        ];
+        for (seed, hash, rows) in pins {
+            let cfg = TpccConfig {
+                warehouses: 3,
+                density: 0.02,
+                seed,
+            };
+            assert_eq!(dataset_fingerprint(&cfg), (hash, rows), "seed {seed}");
+        }
     }
 }

@@ -338,7 +338,6 @@ mod tests {
         let cfg = TpccConfig {
             warehouses: 4,
             density: 0.02,
-            payload_bytes: 8,
             seed: 3,
         };
         (TpccWorkload::new(cfg), DetRng::new(99))

@@ -4,9 +4,10 @@
 //! * [`CcMode::Mvcc`] — snapshot reads over version chains; writers take X
 //!   record locks (write-write serialization) but never block readers.
 //! * [`CcMode::LockingRx`] — classical MGL-RX: readers take S record locks,
-//!   writers X, updates happen in place with before-images retained for
-//!   undo. The before-image list is the "additional storage space to hold a
-//!   list of pending changes" the paper attributes to the locking variant.
+//!   writers X, updates rewrite the version header in place with
+//!   before-images retained for undo. The before-image list is the
+//!   "additional storage space to hold a list of pending changes" the paper
+//!   attributes to the locking variant.
 //!
 //! The manager also mints *system transactions* (§3.5) used by the
 //! migration engine to serialize record movement against user work.
@@ -213,8 +214,7 @@ impl TxnManager {
         }
     }
 
-    /// Insert `key`.
-    #[allow(clippy::too_many_arguments)]
+    /// Insert `key`: a header-only version of `logical_width`.
     pub fn insert(
         &mut self,
         txn: TxnId,
@@ -223,22 +223,13 @@ impl TxnManager {
         max_pages: u32,
         key: Key,
         logical_width: u32,
-        payload: &[u8],
     ) -> Result<()> {
         // One probe of `active`: the state gives the snapshot before the
         // write and takes the undo entry after it.
         let st = self.active.get_mut(&txn).ok_or(UNKNOWN_TXN)?;
         match self.mode {
             CcMode::Mvcc => {
-                let w = mvcc::insert(
-                    index,
-                    store,
-                    max_pages,
-                    key,
-                    logical_width,
-                    payload,
-                    st.snapshot,
-                )?;
+                let w = mvcc::insert(index, store, max_pages, key, logical_width, st.snapshot)?;
                 st.log_write(&mut self.spare_writes, w);
             }
             CcMode::LockingRx => {
@@ -246,8 +237,7 @@ impl TxnManager {
                     return Err(Error::DuplicateKey(key));
                 }
                 let header = RecordHeader::new(key, self.clock, logical_width);
-                let (rid, _) =
-                    store.insert_version(index.segment(), &header, payload, max_pages)?;
+                let (rid, _) = store.insert_version(index.segment(), &header, max_pages)?;
                 index.insert(key, rid);
                 st.before_images.push(BeforeImage {
                     segment: index.segment(),
@@ -260,8 +250,8 @@ impl TxnManager {
         Ok(())
     }
 
-    /// Update `key` in place (locking) or via a new version (MVCC).
-    #[allow(clippy::too_many_arguments)]
+    /// Update `key` to `logical_width`: a new version (MVCC), or the
+    /// header rewritten in place (locking).
     pub fn update(
         &mut self,
         txn: TxnId,
@@ -270,20 +260,11 @@ impl TxnManager {
         max_pages: u32,
         key: Key,
         logical_width: u32,
-        payload: &[u8],
     ) -> Result<()> {
         let st = self.active.get_mut(&txn).ok_or(UNKNOWN_TXN)?;
         match self.mode {
             CcMode::Mvcc => {
-                let w = mvcc::update(
-                    index,
-                    store,
-                    max_pages,
-                    key,
-                    logical_width,
-                    payload,
-                    st.snapshot,
-                )?;
+                let w = mvcc::update(index, store, max_pages, key, logical_width, st.snapshot)?;
                 st.log_write(&mut self.spare_writes, w);
             }
             CcMode::LockingRx => {
@@ -293,10 +274,11 @@ impl TxnManager {
                 if prior.is_tombstone() {
                     return Err(Error::KeyNotFound(key));
                 }
-                let mut new = prior.clone();
-                new.payload = payload.to_vec();
-                new.logical_width = logical_width;
-                store.write_record(rid, &new)?;
+                let header = RecordHeader {
+                    logical_width,
+                    ..prior.header()
+                };
+                store.write_header(rid, &header)?;
                 st.before_images.push(BeforeImage {
                     segment: index.segment(),
                     key,
@@ -393,7 +375,7 @@ impl TxnManager {
                     match b.prior {
                         Some(prior) => {
                             if store.read_record(b.rid).is_ok() {
-                                store.write_record(b.rid, &prior)?;
+                                store.write_header(b.rid, &prior.header())?;
                             } else {
                                 // Undo of a delete: re-insert the image.
                                 let (rid, _) = store.insert_record(b.segment, &prior, u32::MAX)?;
@@ -446,6 +428,12 @@ mod tests {
     use super::*;
     use wattdb_common::KeyRange;
 
+    /// Versions are told apart by their logical width: version `tag` of
+    /// a key is `64 + tag` wide.
+    fn tagged(tag: u32) -> u32 {
+        64 + tag
+    }
+
     fn setup() -> (SegmentIndex, PageStore) {
         let seg = SegmentId(1);
         let mut store = PageStore::new();
@@ -458,7 +446,7 @@ mod tests {
         let (mut idx, mut st) = setup();
         let mut tm = TxnManager::new(CcMode::Mvcc);
         let t1 = tm.begin(TxnKind::User);
-        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, &[1])
+        tm.insert(t1, &mut idx, &mut st, 64, Key(1), tagged(1))
             .unwrap();
         // Another txn doesn't see it yet.
         let t2 = tm.begin(TxnKind::User);
@@ -476,7 +464,7 @@ mod tests {
         let (mut idx, mut st) = setup();
         let mut tm = TxnManager::new(CcMode::Mvcc);
         let t1 = tm.begin(TxnKind::User);
-        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, &[1])
+        tm.insert(t1, &mut idx, &mut st, 64, Key(1), tagged(1))
             .unwrap();
         let mut map = IndexMap::default();
         map.insert(idx.segment(), idx);
@@ -492,18 +480,21 @@ mod tests {
         let (mut idx, mut st) = setup();
         let mut tm = TxnManager::new(CcMode::LockingRx);
         let t1 = tm.begin(TxnKind::User);
-        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, &[1])
+        tm.insert(t1, &mut idx, &mut st, 64, Key(1), tagged(1))
             .unwrap();
         tm.commit(t1, &mut st).unwrap();
         let t2 = tm.begin(TxnKind::User);
-        tm.update(t2, &mut idx, &mut st, 64, Key(1), 64, &[2])
+        tm.update(t2, &mut idx, &mut st, 64, Key(1), tagged(2))
             .unwrap();
         // In-place: even an unrelated reader sees the new value (that's why
         // locking mode needs the S/X protocol).
         let t3 = tm.begin(TxnKind::User);
         assert_eq!(
-            tm.read(t3, &idx, &st, Key(1)).unwrap().unwrap().payload,
-            vec![2]
+            tm.read(t3, &idx, &st, Key(1))
+                .unwrap()
+                .unwrap()
+                .logical_width,
+            tagged(2)
         );
         assert_eq!(tm.pending_changes(), 1, "before-image retained");
         // Abort restores the old image.
@@ -512,8 +503,11 @@ mod tests {
         tm.abort(t2, &mut map, &mut st).unwrap();
         let idx = map.remove(&SegmentId(1)).unwrap();
         assert_eq!(
-            tm.read(t3, &idx, &st, Key(1)).unwrap().unwrap().payload,
-            vec![1]
+            tm.read(t3, &idx, &st, Key(1))
+                .unwrap()
+                .unwrap()
+                .logical_width,
+            tagged(1)
         );
     }
 
@@ -522,7 +516,7 @@ mod tests {
         let (mut idx, mut st) = setup();
         let mut tm = TxnManager::new(CcMode::LockingRx);
         let t1 = tm.begin(TxnKind::User);
-        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, &[1])
+        tm.insert(t1, &mut idx, &mut st, 64, Key(1), tagged(1))
             .unwrap();
         tm.commit(t1, &mut st).unwrap();
         let t2 = tm.begin(TxnKind::User);
@@ -534,8 +528,11 @@ mod tests {
         let idx = map.remove(&SegmentId(1)).unwrap();
         let t3 = tm.begin(TxnKind::User);
         assert_eq!(
-            tm.read(t3, &idx, &st, Key(1)).unwrap().unwrap().payload,
-            vec![1]
+            tm.read(t3, &idx, &st, Key(1))
+                .unwrap()
+                .unwrap()
+                .logical_width,
+            tagged(1)
         );
     }
 
@@ -545,7 +542,7 @@ mod tests {
         let mut tm = TxnManager::new(CcMode::Mvcc);
         let t1 = tm.begin(TxnKind::User);
         let h1 = tm.gc_horizon();
-        tm.insert(t1, &mut idx, &mut st, 64, Key(1), 64, &[1])
+        tm.insert(t1, &mut idx, &mut st, 64, Key(1), tagged(1))
             .unwrap();
         tm.commit(t1, &mut st).unwrap();
         // Idle: horizon advances with the clock.
@@ -553,7 +550,7 @@ mod tests {
         let _t2 = tm.begin(TxnKind::User);
         let held = tm.gc_horizon();
         let t3 = tm.begin(TxnKind::User);
-        tm.insert(t3, &mut idx, &mut st, 64, Key(2), 64, &[2])
+        tm.insert(t3, &mut idx, &mut st, 64, Key(2), tagged(2))
             .unwrap();
         tm.commit(t3, &mut st).unwrap();
         // Horizon pinned by t2's snapshot.

@@ -10,11 +10,14 @@
 //! `prev` pointers; the segment's PK index always points at the newest
 //! version. A chain stays in the segment of the index that heads it: every
 //! `prev` written here is an address that index just handed out, which is
-//! what lets the stored pointer be segment-local. Every walk and check below looks at version *headers* only
-//! ([`PageStore::peek`]); a payload is copied out once, for the version
-//! [`read`] returns. Uncommitted timestamps are *provisional*: the creating
-//! transaction's id with the high bit set. Commit stamps them with the
-//! commit timestamp; abort unlinks the provisional version.
+//! what lets the stored pointer be segment-local. A version is its header:
+//! the writes below store no row bytes, only the header with the row's
+//! logical width ([`PageStore::insert_version`]). Every walk and check
+//! looks at headers only ([`PageStore::peek`]); [`read`] hands out the
+//! version it finds as an owned [`Record`]. Uncommitted timestamps are
+//! *provisional*: the creating transaction's id with the high bit set.
+//! Commit stamps them with the commit timestamp; abort unlinks the
+//! provisional version.
 //!
 //! A write descends its segment's index once: it finds the entry of its
 //! key, checks the version the entry points at, stores the new version and
@@ -159,14 +162,12 @@ fn check_write_conflict(newest: &RecordHeader, snap: Snapshot) -> Result<()> {
 
 /// Insert a new key. Fails with [`Error::DuplicateKey`] if a visible
 /// version exists.
-#[allow(clippy::too_many_arguments)]
 pub fn insert(
     index: &mut SegmentIndex,
     store: &mut PageStore,
     max_pages: u32,
     key: Key,
     logical_width: u32,
-    payload: &[u8],
     snap: Snapshot,
 ) -> Result<WriteOp> {
     let segment = index.segment();
@@ -184,7 +185,7 @@ pub fn insert(
             prev: existing,
             ..RecordHeader::new(key, provisional(snap.txn), logical_width)
         };
-        let (rid, _) = store.insert_version(segment, &header, payload, max_pages)?;
+        let (rid, _) = store.insert_version(segment, &header, max_pages)?;
         if let Some(old_rid) = existing {
             store.stamp_end(old_rid, provisional(snap.txn))?;
         }
@@ -199,19 +200,17 @@ pub fn insert(
     })
 }
 
-/// Update an existing key with a new payload (creates a version).
-#[allow(clippy::too_many_arguments)]
+/// Update an existing key (creates a version of `logical_width`).
 pub fn update(
     index: &mut SegmentIndex,
     store: &mut PageStore,
     max_pages: u32,
     key: Key,
     logical_width: u32,
-    payload: &[u8],
     snap: Snapshot,
 ) -> Result<WriteOp> {
     let header = RecordHeader::new(key, provisional(snap.txn), logical_width);
-    write_version(index, store, max_pages, snap, header, payload)
+    write_version(index, store, max_pages, snap, header)
 }
 
 /// Delete an existing key (creates a tombstone version).
@@ -223,17 +222,16 @@ pub fn delete(
     snap: Snapshot,
 ) -> Result<WriteOp> {
     let header = RecordHeader::tombstone(key, provisional(snap.txn));
-    write_version(index, store, max_pages, snap, header, &[])
+    write_version(index, store, max_pages, snap, header)
 }
 
-/// Chain the version `header` + `payload` on top of its key's current one.
+/// Chain the version `header` on top of its key's current one.
 fn write_version(
     index: &mut SegmentIndex,
     store: &mut PageStore,
     max_pages: u32,
     snap: Snapshot,
     mut header: RecordHeader,
-    payload: &[u8],
 ) -> Result<WriteOp> {
     let key = header.key;
     let segment = index.segment();
@@ -246,7 +244,7 @@ fn write_version(
                 return Err(Error::KeyNotFound(key));
             }
             header.prev = Some(old_rid);
-            let (rid, _) = store.insert_version(segment, &header, payload, max_pages)?;
+            let (rid, _) = store.insert_version(segment, &header, max_pages)?;
             store.stamp_end(old_rid, provisional(snap.txn))?;
             new_rid = Some(rid);
             Ok(rid)
@@ -371,6 +369,12 @@ mod tests {
         }
     }
 
+    /// Versions are told apart by their logical width: version `tag` of
+    /// a key is `64 + tag` wide.
+    fn tagged(tag: u32) -> u32 {
+        64 + tag
+    }
+
     fn commit(store: &mut PageStore, writes: &[WriteOp], ts: u64) {
         commit_writes(store, writes, ts).unwrap();
     }
@@ -378,7 +382,7 @@ mod tests {
     #[test]
     fn insert_commit_read() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[7], snap(10, 1)).unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(7), snap(10, 1)).unwrap();
         // Own uncommitted write is visible to self, invisible to others.
         assert!(read(&idx, &st, Key(1), snap(10, 1)).unwrap().0.is_some());
         assert!(read(&idx, &st, Key(1), snap(10, 2)).unwrap().0.is_none());
@@ -391,23 +395,23 @@ mod tests {
     #[test]
     fn update_preserves_old_version_for_readers() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
         // Updater at ts 20.
-        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
         commit(&mut st, &[w2], 30);
         // A reader whose snapshot predates the update still sees v1 —
         // the paper's key property while records are on the move.
         let old = read(&idx, &st, Key(1), snap(25, 3)).unwrap().0.unwrap();
-        assert_eq!(old.payload, vec![1]);
+        assert_eq!(old.logical_width, tagged(1));
         let new = read(&idx, &st, Key(1), snap(30, 3)).unwrap().0.unwrap();
-        assert_eq!(new.payload, vec![2]);
+        assert_eq!(new.logical_width, tagged(2));
     }
 
     #[test]
     fn delete_leaves_tombstone_until_vacuum() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
         let w2 = delete(&mut idx, &mut st, MAX_PAGES, Key(1), snap(15, 2)).unwrap();
         commit(&mut st, &[w2], 20);
@@ -422,47 +426,47 @@ mod tests {
     #[test]
     fn write_write_conflict_aborts_second_writer() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let _w1 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
+        let _w1 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
         // Txn 3 tries to update the same record while txn 2 is in flight.
-        let err = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[3], snap(20, 3));
+        let err = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(20, 3));
         assert!(matches!(err, Err(Error::TxnAborted { .. })));
     }
 
     #[test]
     fn read_committed_writes_chain_after_commit() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
         // Txn 2 and 3 both start at ts 20. Txn 2 updates and commits at 30.
-        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
         commit(&mut st, &[w2], 30);
         // Txn 3's snapshot (20) predates that commit, but with the record's
         // X lock serializing writers, its update applies on top of txn 2's
         // committed version (read-committed write semantics) instead of
         // aborting — hot TPC-C counters depend on this.
-        let w3 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[3], snap(20, 3)).unwrap();
+        let w3 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(20, 3)).unwrap();
         commit(&mut st, &[w3], 40);
         let r = read(&idx, &st, Key(1), snap(40, 9)).unwrap().0.unwrap();
-        assert_eq!(r.payload, vec![3]);
+        assert_eq!(r.logical_width, tagged(3));
         // An old snapshot still sees the pre-churn version.
         let r = read(&idx, &st, Key(1), snap(15, 9)).unwrap().0.unwrap();
-        assert_eq!(r.payload, vec![1]);
+        assert_eq!(r.logical_width, tagged(1));
     }
 
     #[test]
     fn abort_restores_previous_state() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
         abort_writes(&mut idx, &mut st, &[w2]).unwrap();
         let r = read(&idx, &st, Key(1), snap(20, 3)).unwrap().0.unwrap();
-        assert_eq!(r.payload, vec![1]);
+        assert_eq!(r.logical_width, tagged(1));
         assert_eq!(r.end, TS_INFINITY);
         // A fresh insert that aborts leaves no key behind.
-        let w3 = insert(&mut idx, &mut st, MAX_PAGES, Key(9), 64, &[9], snap(20, 4)).unwrap();
+        let w3 = insert(&mut idx, &mut st, MAX_PAGES, Key(9), tagged(9), snap(20, 4)).unwrap();
         abort_writes(&mut idx, &mut st, &[w3]).unwrap();
         assert_eq!(idx.get(Key(9)).0, None);
     }
@@ -470,26 +474,26 @@ mod tests {
     #[test]
     fn duplicate_insert_rejected_reinsert_over_tombstone_ok() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
         assert!(matches!(
-            insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)),
+            insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)),
             Err(Error::DuplicateKey(_))
         ));
         let w2 = delete(&mut idx, &mut st, MAX_PAGES, Key(1), snap(20, 2)).unwrap();
         commit(&mut st, &[w2], 30);
-        let w3 = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[3], snap(40, 3)).unwrap();
+        let w3 = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(40, 3)).unwrap();
         commit(&mut st, &[w3], 50);
         let r = read(&idx, &st, Key(1), snap(50, 4)).unwrap().0.unwrap();
-        assert_eq!(r.payload, vec![3]);
+        assert_eq!(r.logical_width, tagged(3));
     }
 
     #[test]
     fn vacuum_respects_active_snapshots() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
         commit(&mut st, &[w2], 30);
         // Horizon 25: the old version (end=30) may still be needed.
         assert_eq!(vacuum(&mut idx, &mut st, 25).unwrap(), 0);
@@ -501,7 +505,7 @@ mod tests {
         assert_eq!((versions, live), (1, 1));
         // Reader at a current snapshot still sees v2.
         let r = read(&idx, &st, Key(1), snap(40, 9)).unwrap().0.unwrap();
-        assert_eq!(r.payload, vec![2]);
+        assert_eq!(r.logical_width, tagged(2));
     }
 
     #[test]
@@ -509,17 +513,17 @@ mod tests {
         let (mut idx, mut st) = setup();
         // v1 of key 1 on page 0, which the other keys then fill, so that
         // v2 and v3 land on page 1.
-        let v1 = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
+        let v1 = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[v1], 10);
         let mut k = 2;
         while st.page_count(SegmentId(1)) == 1 {
-            let w = insert(&mut idx, &mut st, MAX_PAGES, Key(k), 64, &[0], snap(0, 1)).unwrap();
-            commit(&mut st, &[w], 10);
+            let fill = insert(&mut idx, &mut st, MAX_PAGES, Key(k), tagged(0), snap(0, 1)).unwrap();
+            commit(&mut st, &[fill], 10);
             k += 1;
         }
-        let v2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
+        let v2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
         commit(&mut st, &[v2], 30);
-        let v3 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[3], snap(40, 3)).unwrap();
+        let v3 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(40, 3)).unwrap();
         commit(&mut st, &[v3], 50);
         let page = v2.new_rid.page;
         assert_eq!((v3.new_rid.page, v1.new_rid.page.page_no), (page, 0));
@@ -527,30 +531,33 @@ mod tests {
 
         // A horizon that reclaims v1 alone cuts at v2: a version that
         // stays, on a page where nothing dies, and only loses a pointer.
-        let before = st.page(page).unwrap().clone();
+        let mut expected = st.page(page).unwrap().clone();
+        Record::unlink_prev(expected.get_mut(v2.new_rid.slot).unwrap()).unwrap();
         assert_eq!(vacuum(&mut idx, &mut st, 30).unwrap(), 1);
-        let after = st.page(page).unwrap();
-        assert_eq!(after.physical_bytes(), before.physical_bytes());
-        assert_eq!(after.dead_bytes(), before.dead_bytes());
+        assert_eq!(
+            st.page(page).unwrap(),
+            &expected,
+            "only the pointer changed"
+        );
         assert_eq!(st.peek(v2.new_rid).unwrap().prev, None);
         assert_eq!(st.peek(v3.new_rid).unwrap().prev, Some(v2.new_rid));
         assert!(st.peek(v1.new_rid).is_err(), "v1 reclaimed");
         let r = read(&idx, &st, Key(1), snap(35, 9)).unwrap().0.unwrap();
-        assert_eq!(r.payload, vec![2]);
+        assert_eq!(r.logical_width, tagged(2));
     }
 
     #[test]
     fn own_double_update_chains() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[1], snap(0, 1)).unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let w1 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[2], snap(20, 2)).unwrap();
-        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), 64, &[3], snap(20, 2)).unwrap();
+        let w1 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(20, 2)).unwrap();
         // Own snapshot sees the latest own write.
         let r = read(&idx, &st, Key(1), snap(20, 2)).unwrap().0.unwrap();
-        assert_eq!(r.payload, vec![3]);
+        assert_eq!(r.logical_width, tagged(3));
         commit(&mut st, &[w1, w2], 30);
         let r = read(&idx, &st, Key(1), snap(30, 5)).unwrap().0.unwrap();
-        assert_eq!(r.payload, vec![3]);
+        assert_eq!(r.logical_width, tagged(3));
     }
 }

@@ -50,7 +50,6 @@ mod model {
         store: &mut PageStore,
         key: Key,
         width: u32,
-        payload: &[u8],
         snap: Snapshot,
     ) -> Result<WriteOp> {
         let (existing_rid, _) = index.get(key);
@@ -70,7 +69,7 @@ mod model {
             ..RecordHeader::new(key, provisional(snap.txn), width)
         };
         let segment = index.segment();
-        let (new_rid, _) = store.insert_version(segment, &header, payload, u32::MAX)?;
+        let (new_rid, _) = store.insert_version(segment, &header, u32::MAX)?;
         if let Some(old_rid) = prev {
             store.stamp_end(old_rid, provisional(snap.txn))?;
         }
@@ -88,7 +87,6 @@ mod model {
         store: &mut PageStore,
         snap: Snapshot,
         mut header: RecordHeader,
-        payload: &[u8],
     ) -> Result<WriteOp> {
         let key = header.key;
         let (rid, _) = index.get(key);
@@ -100,7 +98,7 @@ mod model {
         }
         let segment = index.segment();
         header.prev = Some(old_rid);
-        let (new_rid, _) = store.insert_version(segment, &header, payload, u32::MAX)?;
+        let (new_rid, _) = store.insert_version(segment, &header, u32::MAX)?;
         store.stamp_end(old_rid, provisional(snap.txn))?;
         index.insert(key, new_rid);
         Ok(WriteOp {
@@ -151,6 +149,12 @@ mod model {
 const SEG: SegmentId = SegmentId(1);
 const TXNS: usize = 4;
 const WIDTH: u32 = 700; // ~11 versions a page: runs span several pages
+
+/// The logical width of a version written with tag `b`: tags tell versions
+/// of one key apart in the chains compared.
+fn width(b: u8) -> u32 {
+    WIDTH + u32::from(b)
+}
 
 #[derive(Debug, Clone)]
 enum Op {
@@ -217,17 +221,17 @@ proptest! {
             match op {
                 Op::Insert(t, k, b) | Op::Update(t, k, b) => {
                     let (snap, writes, m_writes) = &mut live[t];
-                    let (key, payload) = (Key(k), [b; 3]);
+                    let (key, width) = (Key(k), width(b));
                     let (got, want) = if matches!(op, Op::Insert(..)) {
                         (
-                            mvcc::insert(&mut idx, &mut st, u32::MAX, key, WIDTH, &payload, *snap),
-                            model::insert(&mut m_idx, &mut m_st, key, WIDTH, &payload, *snap),
+                            mvcc::insert(&mut idx, &mut st, u32::MAX, key, width, *snap),
+                            model::insert(&mut m_idx, &mut m_st, key, width, *snap),
                         )
                     } else {
-                        let header = RecordHeader::new(key, provisional(snap.txn), WIDTH);
+                        let header = RecordHeader::new(key, provisional(snap.txn), width);
                         (
-                            mvcc::update(&mut idx, &mut st, u32::MAX, key, WIDTH, &payload, *snap),
-                            model::write_version(&mut m_idx, &mut m_st, *snap, header, &payload),
+                            mvcc::update(&mut idx, &mut st, u32::MAX, key, width, *snap),
+                            model::write_version(&mut m_idx, &mut m_st, *snap, header),
                         )
                     };
                     prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{:?}", op);
@@ -238,7 +242,7 @@ proptest! {
                     let (snap, writes, m_writes) = &mut live[t];
                     let header = RecordHeader::tombstone(Key(k), provisional(snap.txn));
                     let got = mvcc::delete(&mut idx, &mut st, u32::MAX, Key(k), *snap);
-                    let want = model::write_version(&mut m_idx, &mut m_st, *snap, header, &[]);
+                    let want = model::write_version(&mut m_idx, &mut m_st, *snap, header);
                     prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{:?}", op);
                     writes.extend(got.ok());
                     m_writes.extend(want.ok());
@@ -288,11 +292,11 @@ proptest! {
             match op {
                 Op::Insert(t, k, b) => {
                     let (snap, writes) = &mut live[t];
-                    writes.extend(mvcc::insert(idx, &mut store, u32::MAX, Key(k), WIDTH, &[b], *snap).ok());
+                    writes.extend(mvcc::insert(idx, &mut store, u32::MAX, Key(k), width(b), *snap).ok());
                 }
                 Op::Update(t, k, b) => {
                     let (snap, writes) = &mut live[t];
-                    writes.extend(mvcc::update(idx, &mut store, u32::MAX, Key(k), WIDTH, &[b], *snap).ok());
+                    writes.extend(mvcc::update(idx, &mut store, u32::MAX, Key(k), width(b), *snap).ok());
                 }
                 Op::Delete(t, k) => {
                     let (snap, writes) = &mut live[t];

@@ -105,7 +105,8 @@ fn autopilot_scales_out_under_load_and_back_in_when_idle() {
             break;
         }
     }
-    db.with_runtime(|cl, _| cl.borrow_mut().vacuum_all());
+    db.with_runtime(|cl, _| cl.borrow_mut().vacuum_all())
+        .unwrap();
     let records_at_rest = db.live_records();
     let mut suspended: Option<Vec<NodeId>> = None;
     for _ in 0..120 {
@@ -145,7 +146,8 @@ fn autopilot_scales_out_under_load_and_back_in_when_idle() {
         assert_eq!(status.nodes[n.raw() as usize].state, NodeState::Standby);
     }
     // Nothing was lost across the scale-in drain.
-    db.with_runtime(|cl, _| cl.borrow_mut().vacuum_all());
+    db.with_runtime(|cl, _| cl.borrow_mut().vacuum_all())
+        .unwrap();
     assert_eq!(db.live_records(), records_at_rest, "population intact");
     // And the cluster still holds data on at least one active node.
     let holders = db

@@ -1,10 +1,11 @@
 //! Integration: full cluster lifecycle — load, serve, rebalance under
 //! load, verify §4.3's correctness obligations end to end.
 
-use wattdb_common::{NodeId, SimDuration};
+use wattdb_common::{NodeId, PageId, SimDuration};
 use wattdb_core::api::{WattDb, WattDbBuilder};
 use wattdb_core::cluster::Scheme;
 use wattdb_core::ClientBatching;
+use wattdb_storage::RECORD_HEADER_PHYSICAL;
 
 fn builder(scheme: Scheme, seed: u64) -> WattDbBuilder {
     WattDb::builder()
@@ -74,7 +75,8 @@ fn logical_move_preserves_every_record() {
     assert!(!db.rebalancing(), "logical move finished");
     // The logical move tombstones source records; vacuum reclaims them,
     // leaving exactly the original key population (now at the targets).
-    db.with_runtime(|cl, _| cl.borrow_mut().vacuum_all());
+    db.with_runtime(|cl, _| cl.borrow_mut().vacuum_all())
+        .unwrap();
     assert_eq!(db.live_records(), before_keys);
     assert!(db.last_rebalance().unwrap().records_moved > 0);
 }
@@ -138,6 +140,45 @@ fn rebalance_under_load_serves_queries_throughout() {
     db.stop_clients();
 }
 
+/// A version is its header: after an OLTP run and a logical move, every
+/// version in the store — loaded, written by a client, tombstoned or
+/// re-created by the mover — is exactly a header long, so no stand-in
+/// payload creeps back.
+#[test]
+fn every_stored_version_is_a_header() {
+    let mut db = build(Scheme::Logical, 6);
+    db.start_oltp(8, SimDuration::from_millis(50));
+    db.run_for(SimDuration::from_secs(10));
+    db.rebalance(0.5, &[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]);
+    db.run_for(SimDuration::from_secs(20));
+    db.stop_clients();
+    let (versions, keys) = db.with_cluster(|c| {
+        let mut versions = 0;
+        for (seg, idx) in c.indexes.iter() {
+            for page_no in 0..c.store.page_count(seg) {
+                let page = c.store.page(PageId::new(seg, page_no as u32)).unwrap();
+                for (slot, bytes) in page.iter() {
+                    assert_eq!(
+                        bytes.len(),
+                        RECORD_HEADER_PHYSICAL,
+                        "{seg} page {page_no} slot {slot}"
+                    );
+                    versions += 1;
+                }
+            }
+            assert!(idx.len() <= versions);
+        }
+        (
+            versions,
+            c.indexes.values().map(|idx| idx.len()).sum::<usize>(),
+        )
+    });
+    assert!(
+        versions > keys,
+        "the run wrote versions: {versions} for {keys} keys"
+    );
+}
+
 #[test]
 fn transactions_started_before_move_read_consistently() {
     // §4.3 proof obligation 1: a snapshot taken before rebalancing stays
@@ -154,31 +195,26 @@ fn transactions_started_before_move_read_consistently() {
         let seg = part.top.segment_for(key).unwrap();
         (txn, seg)
     });
-    let before_payload = db.with_cluster(|c| {
+    // A version is its header: the one the snapshot sees is named by its
+    // key and the commit that created it.
+    let version = |r: wattdb_storage::Record| (r.key, r.begin, r.logical_width);
+    let before = db.with_cluster(|c| {
         let idx = &c.indexes[&seg_before];
-        c.txn
-            .read(snap_txn, idx, &c.store, key)
-            .unwrap()
-            .unwrap()
-            .payload
+        version(c.txn.read(snap_txn, idx, &c.store, key).unwrap().unwrap())
     });
     db.rebalance(0.5, &[NodeId(0), NodeId(1)], &[NodeId(2), NodeId(3)]);
     db.run_for(SimDuration::from_secs(200));
     assert!(!db.rebalancing());
     // The old transaction still reads its snapshot — the segment index
     // moved intact with the segment.
-    let after_payload = db.with_cluster(|c| {
+    let after = db.with_cluster(|c| {
         let route = c.router.route(table, key).unwrap();
         let part = &c.partitions[&route.primary.partition];
         let seg = part.top.segment_for(key).unwrap();
         let idx = &c.indexes[&seg];
-        c.txn
-            .read(snap_txn, idx, &c.store, key)
-            .unwrap()
-            .unwrap()
-            .payload
+        version(c.txn.read(snap_txn, idx, &c.store, key).unwrap().unwrap())
     });
-    assert_eq!(before_payload, after_payload);
+    assert_eq!(before, after);
 }
 
 #[test]

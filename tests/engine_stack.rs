@@ -54,28 +54,28 @@ fn snapshot_readers_survive_concurrent_version_churn() {
     let t0 = tm.begin(TxnKind::User);
     {
         let idx = indexes.get_mut(&seg).unwrap();
-        tm.insert(t0, idx, &mut store, u32::MAX, Key(1), 64, &[0])
+        tm.insert(t0, idx, &mut store, u32::MAX, Key(1), 64)
             .unwrap();
     }
     tm.commit(t0, &mut store).unwrap();
     // Long reader pins its snapshot.
     let reader = tm.begin(TxnKind::User);
-    // 20 writers churn versions on top.
-    for v in 1..=20u8 {
+    // 20 writers churn versions on top; version `v` is `64 + v` wide.
+    for v in 1..=20 {
         let t = tm.begin(TxnKind::User);
         let idx = indexes.get_mut(&seg).unwrap();
-        tm.update(t, idx, &mut store, u32::MAX, Key(1), 64, &[v])
+        tm.update(t, idx, &mut store, u32::MAX, Key(1), 64 + v)
             .unwrap();
         tm.commit(t, &mut store).unwrap();
     }
     // The reader still sees version 0.
     let idx = &indexes[&seg];
     let seen = tm.read(reader, idx, &store, Key(1)).unwrap().unwrap();
-    assert_eq!(seen.payload, vec![0]);
+    assert_eq!(seen.logical_width, 64);
     // A fresh reader sees version 20.
     let fresh = tm.begin(TxnKind::User);
     let seen = tm.read(fresh, idx, &store, Key(1)).unwrap().unwrap();
-    assert_eq!(seen.payload, vec![20]);
+    assert_eq!(seen.logical_width, 84);
     // Vacuum respects the old reader: only versions newer than its
     // snapshot may go.
     let horizon = tm.gc_horizon();
@@ -83,7 +83,7 @@ fn snapshot_readers_survive_concurrent_version_churn() {
     wattdb_txn::mvcc::vacuum(idx, &mut store, horizon).unwrap();
     let idx = &indexes[&seg];
     let seen = tm.read(reader, idx, &store, Key(1)).unwrap().unwrap();
-    assert_eq!(seen.payload, vec![0], "old snapshot intact after vacuum");
+    assert_eq!(seen.logical_width, 64, "old snapshot intact after vacuum");
 }
 
 #[test]
@@ -93,7 +93,7 @@ fn locking_mode_reader_writer_interaction() {
     let t0 = tm.begin(TxnKind::User);
     {
         let idx = indexes.get_mut(&seg).unwrap();
-        tm.insert(t0, idx, &mut store, u32::MAX, Key(1), 64, &[1])
+        tm.insert(t0, idx, &mut store, u32::MAX, Key(1), 64)
             .unwrap();
     }
     tm.commit(t0, &mut store).unwrap();
@@ -120,8 +120,7 @@ fn version_stats_reflect_update_volume() {
     for i in 0..50u64 {
         let t = tm.begin(TxnKind::User);
         let idx = indexes.get_mut(&seg).unwrap();
-        tm.insert(t, idx, &mut store, u32::MAX, Key(i), 64, &[0])
-            .unwrap();
+        tm.insert(t, idx, &mut store, u32::MAX, Key(i), 64).unwrap();
         tm.commit(t, &mut store).unwrap();
     }
     let idx = &indexes[&seg];
@@ -129,10 +128,10 @@ fn version_stats_reflect_update_volume() {
     assert_eq!((v1, l1), (50, 50));
     // Update half the keys twice.
     for i in 0..25u64 {
-        for v in 1..=2u8 {
+        for v in 1..=2 {
             let t = tm.begin(TxnKind::User);
             let idx = indexes.get_mut(&seg).unwrap();
-            tm.update(t, idx, &mut store, u32::MAX, Key(i), 64, &[v])
+            tm.update(t, idx, &mut store, u32::MAX, Key(i), 64 + v)
                 .unwrap();
             tm.commit(t, &mut store).unwrap();
         }

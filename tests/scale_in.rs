@@ -57,7 +57,8 @@ fn draining_a_node_moves_everything_and_powers_it_down() {
         }
     }
     assert!(!db.rebalancing(), "drain finished");
-    db.with_runtime(|cl, _| cl.borrow_mut().vacuum_all());
+    db.with_runtime(|cl, _| cl.borrow_mut().vacuum_all())
+        .unwrap();
     assert_eq!(
         db.status().nodes[2].segments,
         0,
