@@ -792,15 +792,15 @@ pub fn run_failover_shootout(cfg: FailoverShootout) -> FailoverShootoutRow {
         row: PlannerShootoutRow {
             planner: wattdb_core::Planner::HeatAware,
             rebalanced: false,
-            bytes_moved: db.with_cluster(|c| c.replica_shipped_bytes()),
+            bytes_moved: db.with_cluster(|c| c.replication.shipped_bytes()),
             segments_moved: 0,
             heat_planned: 0.0,
             heat_moved: 0.0,
             post_max_cpu,
             post_max_heat_share,
         },
-        replica_reads: db.with_cluster(|c| c.replica_reads),
-        replica_shipped_bytes: db.with_cluster(|c| c.replica_shipped_bytes()),
+        replica_reads: db.with_cluster(|c| c.replication.reads()),
+        replica_shipped_bytes: db.with_cluster(|c| c.replication.shipped_bytes()),
         wal_flushed_bytes: db.with_cluster(|c| c.nodes.iter().map(|n| n.log.flushed_bytes()).sum()),
         completed: db.completed(),
     }
@@ -850,7 +850,7 @@ pub fn run_failover_recovery(cfg: FailoverShootout) -> FailoverRecovery {
     db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
     db.run_for(cfg.warm);
     let victim = NodeId(1);
-    let orphaned = db.with_cluster(|c| c.replicas.led_by(victim).len());
+    let orphaned = db.with_cluster(|c| c.replication.map().led_by(victim).len());
     db.fail_node(victim);
     let killed_at = db.now();
     let horizon = SimDuration::from_secs(600);
@@ -858,10 +858,7 @@ pub fn run_failover_recovery(cfg: FailoverShootout) -> FailoverRecovery {
     while db.now() - killed_at < horizon {
         db.run_for(SimDuration::from_secs(1));
         let done = db.with_cluster(|c| {
-            !c.replicas.references(victim)
-                && c.replicas
-                    .under_replicated(c.cfg.replication.factor)
-                    .is_empty()
+            !c.replication.map().references(victim) && c.replication.under_replicated().is_empty()
         });
         if done {
             recovered = true;
@@ -871,7 +868,7 @@ pub fn run_failover_recovery(cfg: FailoverShootout) -> FailoverRecovery {
     FailoverRecovery {
         recovered,
         recovery_secs: (db.now() - killed_at).as_secs_f64(),
-        rereplication_bytes: db.with_cluster(|c| c.rereplication_bytes),
+        rereplication_bytes: db.with_cluster(|c| c.replication.rereplicated_bytes),
         orphaned,
     }
 }
@@ -927,7 +924,7 @@ pub fn run_drain_under_replication(cfg: FailoverShootout) -> DrainUnderReplicati
         .build();
     let copies_at_start: std::collections::BTreeMap<NodeId, usize> = db.with_cluster(|c| {
         (0..4u16)
-            .map(|n| (NodeId(n), c.replicas.followed_by(NodeId(n)).len()))
+            .map(|n| (NodeId(n), c.replication.map().followed_by(NodeId(n)).len()))
             .collect()
     });
     let engaged_at = db.now();
@@ -953,7 +950,7 @@ pub fn run_drain_under_replication(cfg: FailoverShootout) -> DrainUnderReplicati
             }
             continue;
         }
-        let settled = db.with_cluster(|c| c.mover.is_none() && c.rereplication_inflight == 0);
+        let settled = db.with_cluster(|c| c.mover.is_none() && c.replication.copies_in_flight == 0);
         if settled {
             break;
         }
@@ -964,15 +961,15 @@ pub fn run_drain_under_replication(cfg: FailoverShootout) -> DrainUnderReplicati
         .sum();
     let (under_replicated, invariants_ok) = db.with_cluster(|c| {
         (
-            c.replicas.under_replicated(c.cfg.replication.factor).len(),
-            c.check_replica_invariants().is_none(),
+            c.replication.under_replicated().len(),
+            c.replication.check_invariants(&c.nodes).is_none(),
         )
     });
     DrainUnderReplication {
         drained: !suspended.is_empty(),
         drain_secs,
         rehomed_copies,
-        rereplication_bytes: db.with_cluster(|c| c.rereplication_bytes),
+        rereplication_bytes: db.with_cluster(|c| c.replication.rereplicated_bytes),
         under_replicated,
         invariants_ok,
     }

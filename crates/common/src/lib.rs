@@ -17,7 +17,6 @@ pub mod hash;
 pub mod heat;
 pub mod ids;
 pub mod key;
-pub mod replica;
 pub mod rng;
 pub mod stats;
 pub mod time;
@@ -34,7 +33,6 @@ pub use ids::{
     TxnId,
 };
 pub use key::{Key, KeyRange};
-pub use replica::ReplicaConfig;
 pub use rng::DetRng;
 pub use stats::{Histogram, TimeBuckets};
 pub use time::{SimDuration, SimTime};

@@ -166,10 +166,10 @@ impl WattDbBuilder {
     /// segment (0, the default, is the paper's single-copy behaviour).
     /// Followers are placed by the heat-aware planner at build time —
     /// coldest nodes first, never the leader's own node — fed from the
-    /// leader's WAL, and serve caught-up reads when
-    /// [`wattdb_common::ReplicaConfig::read_routing`] allows.
+    /// leader's WAL, and serve an MVCC read once caught up with the
+    /// segment's last write (see [`crate::replication`]).
     pub fn replication(mut self, factor: usize) -> Self {
-        self.cfg.replication.factor = factor;
+        self.cfg.replication = factor;
         self
     }
 
@@ -235,9 +235,11 @@ impl WattDbBuilder {
         executor::install(&cluster, &mut sim);
         {
             let mut c = cluster.borrow_mut();
+            let c = &mut *c;
             c.load_tpcc(self.tpcc, &self.initial)
                 .expect("dataset loads");
-            c.bootstrap_replicas(sim.now());
+            let plan = crate::heat::plan_replicas(c, sim.now());
+            c.replication.place(&plan, &c.nodes);
         }
         Cluster::start_power_sampler(&cluster, &mut sim);
         let autopilot = self.autopilot.then(|| {

@@ -277,10 +277,11 @@ impl AutoPilot {
             // promotion even while a rebalance is in flight. One node per
             // window (lowest id first) keeps the event log legible.
             let c = cl.borrow();
-            let dead = c.failed_nodes().find(|&n| c.replicas.references(n));
+            let map = c.replication.map();
+            let dead = c.failed_nodes().find(|&n| map.references(n));
             drop(c);
             if let Some(failed) = dead {
-                let orphaned = cl.borrow().replicas.led_by(failed);
+                let orphaned = cl.borrow().replication.map().led_by(failed);
                 act(
                     sim,
                     policy.signals(),
@@ -294,13 +295,8 @@ impl AutoPilot {
             // clear, re-plan whatever is still missing a follower; with
             // no eligible host this plans nothing and costs nothing.
             let needs_repair = {
-                let c = cl.borrow();
-                c.cfg.replication.enabled()
-                    && c.rereplication_inflight == 0
-                    && !c
-                        .replicas
-                        .under_replicated(c.cfg.replication.factor)
-                        .is_empty()
+                let replication = &cl.borrow().replication;
+                replication.copies_in_flight == 0 && !replication.under_replicated().is_empty()
             };
             if needs_repair {
                 crate::failover::schedule_rereplication(cl, sim);

@@ -41,8 +41,10 @@
 //! # One routine per protocol step
 //!
 //! The §4.3 ownership switch is [`Cluster::hand_over`] (physiological
-//! mover and failover promotion), the SSD a moved or followed segment
-//! uses is [`Cluster::data_disk`], and the bytes a segment copy costs are
+//! mover and failover promotion), with leadership following it in
+//! [`crate::replication::Replication::follow_owner`], the one owner of
+//! follower state. The SSD a moved or followed segment uses is
+//! [`Cluster::data_disk`], and the bytes a segment copy costs are
 //! [`Cluster::copy_bytes`] (mover, follower copies, planner statistics).
 
 use std::cell::RefCell;
@@ -50,14 +52,13 @@ use std::rc::Rc;
 
 use wattdb_common::config::DiskKind;
 use wattdb_common::{
-    ByteSize, CostModel, CostParams, DenseMap, DetRng, DiskId, HardwareSpec, Heat, HeatConfig,
-    IdMap, Key, KeyRange, Lsn, NetworkSpec, NodeId, PartitionId, PowerSpec, ReplicaConfig, Result,
-    SegmentId, SimDuration, SimTime, TableId, Watts,
+    ByteSize, CostModel, CostParams, DenseMap, DetRng, DiskId, HardwareSpec, HeatConfig, IdMap,
+    Key, KeyRange, Lsn, NetworkSpec, NodeId, PartitionId, PowerSpec, Result, SegmentId,
+    SimDuration, SimTime, TableId, Watts,
 };
 use wattdb_energy::{EnergyMeter, NodeState, PowerModel};
 use wattdb_index::{GlobalRouter, SegmentIndex, TopIndex};
 use wattdb_net::Network;
-use wattdb_replica::ReplicaMap;
 use wattdb_sim::{Resource, ResourceHandle, Sim, UtilizationProbe};
 use wattdb_storage::{BufferPool, PageStore, RecordHeader, SegmentDirectory, SimDisk, PAGE_SIZE};
 use wattdb_tpcc::{
@@ -71,6 +72,7 @@ use crate::heat::HeatTable;
 use crate::jobs::JobSlab;
 use crate::metrics::{Metrics, Phase};
 use crate::migration::MoveController;
+use crate::replication::Replication;
 
 /// The repartitioning scheme in force (§4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -134,8 +136,8 @@ pub struct ClusterConfig {
     /// heat falls back to the flat per-access weights in `heat`
     /// (the weighted-count signal).
     pub cost_model: Option<CostModel>,
-    /// Per-segment replication: follower count, read fan-out policy.
-    pub replication: ReplicaConfig,
+    /// Follower copies per segment (0: the paper's single copy).
+    pub replication: usize,
     /// Per-client think timers vs. the pooled aggregated arrival process
     /// (see [`wattdb_tpcc::ClientBatching`]; `Auto` pools above
     /// [`wattdb_tpcc::POOL_AUTO_THRESHOLD`] modeled clients).
@@ -160,7 +162,7 @@ impl Default for ClusterConfig {
             bucket: SimDuration::from_secs(10),
             heat: HeatConfig::default(),
             cost_model: Some(CostModel::default()),
-            replication: ReplicaConfig::default(),
+            replication: 0,
             client_batching: ClientBatching::default(),
             seed: 42,
         }
@@ -218,11 +220,6 @@ pub struct NodeRuntime {
     pub log: LogManager,
     /// Log shipping cursors (helper mode).
     pub shipper: LogShipper,
-    /// Log shipping cursors feeding this node's **replica followers**.
-    /// Kept separate from `shipper`: helper detach clears helper cursors
-    /// on every node unconditionally, and must never destroy replication
-    /// state when a node is both helper and replica leader.
-    pub replica_shipper: LogShipper,
     /// Ship log flushes to this helper instead of local disk.
     pub helper: Option<NodeId>,
     /// Jobs waiting on this node's next group-commit flush.
@@ -247,18 +244,6 @@ pub struct NodeRuntime {
     /// Persistent monitoring probe for NIC egress, windowed like the CPU
     /// probe.
     pub net_probe: UtilizationProbe,
-    /// Replica-shipping bytes at the last monitoring sample — the window
-    /// baseline behind `NodeReport::replica_ship_tx`.
-    pub ship_probe_base: u64,
-    /// When the replica-shipping baseline was last taken (window start).
-    pub ship_probe_at: SimTime,
-    /// This node's follower-served reads at the last monitoring sample
-    /// (window baseline for the read fan-out share).
-    pub fanout_reads_base: u64,
-    /// Cluster-wide routed-read total at the last monitoring sample (the
-    /// fan-out share's denominator baseline; each node keeps its own
-    /// copy because samples are taken per node).
-    pub fanout_total_base: u64,
 }
 
 /// One group-commit flush in flight (`jobs` empty: the slot is free).
@@ -288,7 +273,6 @@ impl NodeRuntime {
             buffer: BufferPool::new(buffer_pages.max(64)),
             log: LogManager::new(),
             shipper: LogShipper::new(),
-            replica_shipper: LogShipper::new(),
             helper: None,
             commit_queue: Vec::new(),
             flushes: Vec::new(),
@@ -298,10 +282,6 @@ impl NodeRuntime {
             status_probe: UtilizationProbe::new(),
             disk_probes: (0..n_disks).map(|_| UtilizationProbe::new()).collect(),
             net_probe: UtilizationProbe::new(),
-            ship_probe_base: 0,
-            ship_probe_at: SimTime::ZERO,
-            fanout_reads_base: 0,
-            fanout_total_base: 0,
         }
     }
 }
@@ -382,44 +362,13 @@ pub struct Cluster {
     /// of the response in progress. Written by [`crate::migration::run`]
     /// and the mover's completion; a node failure drops its membership.
     pub helpers: crate::migration::HelperDeployment,
-    /// Per-segment leader/follower placement (empty while
-    /// `cfg.replication.factor == 0`).
-    pub replicas: ReplicaMap,
-    /// Reads served by follower replicas, per serving node (lifetime; the
-    /// per-node split of `replica_reads`). The monitoring loop windows
-    /// this into each node's read fan-out share.
-    pub replica_reads_by: std::collections::BTreeMap<NodeId, u64>,
+    /// Follower replication (inert while `cfg.replication == 0`).
+    pub replication: Replication,
     /// Last windowed NIC egress utilization per node, persisted by the
     /// monitoring loop. Planners read this instead of sampling: the
     /// probes are stateful window samplers and an ad-hoc sample would
     /// disturb the monitoring windows.
     pub net_util: Vec<f64>,
-    /// Per-segment LSN of the last write, in the leader's log space — the
-    /// catch-up bar a follower must clear before serving that segment's
-    /// reads.
-    pub seg_last_write: DenseMap<SegmentId, Lsn>,
-    /// Per-segment round-robin cursor over read-eligible replicas.
-    pub replica_rr: DenseMap<SegmentId, usize>,
-    /// Scratch of the read router: the copies eligible for the read being
-    /// routed and their hosts' heat. Kept for its capacity only.
-    pub(crate) read_pool: Vec<(NodeId, Heat)>,
-    /// Reads served by follower replicas (lifetime).
-    pub replica_reads: u64,
-    /// Bytes shipped to seed replacement followers after a loss (lifetime).
-    pub rereplication_bytes: u64,
-    /// Re-replication copies currently on the wire. The autopilot holds
-    /// its background factor repair while any are in flight, then
-    /// re-plans whatever is still under-replicated (copies voided by a
-    /// mid-flight death or leadership move).
-    pub rereplication_inflight: usize,
-    /// Read-routing resolutions that passed every replica gate (leader
-    /// current, heat above floor) — the denominator of the follower
-    /// read fan-out share next to `replica_reads`.
-    pub replica_read_total: u64,
-    /// Last heat-weighted read-routing weight per pool host, refreshed
-    /// by the executor whenever it rotates a read (exported as the
-    /// `replica.route_weight.*` telemetry gauges).
-    pub replica_route_weights: std::collections::BTreeMap<NodeId, u64>,
     /// Control-plane flight recorder: tracing spans, per-window metric
     /// samples, and the autopilot decision timeline. Always on; every
     /// ring inside is bounded.
@@ -452,6 +401,7 @@ impl Cluster {
         let power_model = PowerModel::new(cfg.power);
         let cc = cfg.cc_mode;
         let heat = HeatTable::with_cost_model(cfg.heat, cfg.cost_model);
+        let replication = Replication::new(cfg.replication, cfg.nodes as usize);
         Rc::new(RefCell::new(Cluster {
             cfg,
             nodes,
@@ -477,17 +427,8 @@ impl Cluster {
             stopped: false,
             auto_resubmit: true,
             helpers: Default::default(),
-            replicas: ReplicaMap::new(),
-            replica_reads_by: std::collections::BTreeMap::new(),
+            replication,
             net_util,
-            seg_last_write: DenseMap::new(),
-            replica_rr: DenseMap::new(),
-            read_pool: Vec::new(),
-            replica_reads: 0,
-            rereplication_bytes: 0,
-            rereplication_inflight: 0,
-            replica_read_total: 0,
-            replica_route_weights: std::collections::BTreeMap::new(),
             telemetry: wattdb_telemetry::Telemetry::new(),
             failover_span: None,
             powerdown_span: None,
@@ -550,7 +491,7 @@ impl Cluster {
             "cannot power off {node}: segments present"
         );
         assert!(
-            self.replicas.followed_by(node).is_empty(),
+            self.replication.map().followed_by(node).is_empty(),
             "cannot power off {node}: follower copies present"
         );
         let life = &mut self.nodes[node.raw() as usize].life;
@@ -661,116 +602,6 @@ impl Cluster {
         let disk = self.data_disk(to, seg);
         self.seg_dir.relocate(seg, to, disk)?;
         self.router.complete_move(table, range)
-    }
-
-    /// Build the initial replica map: every segment gets
-    /// `cfg.replication.factor` followers placed by the planner (coldest
-    /// healthy nodes first, never the leader's node), and each leader's
-    /// replica shipping cursors are attached. No-op with replication off.
-    pub fn bootstrap_replicas(&mut self, now: SimTime) {
-        if !self.cfg.replication.enabled() {
-            return;
-        }
-        let plan = crate::heat::plan_replicas(self, now);
-        for p in &plan.placements {
-            match self.replicas.get(p.seg) {
-                None => self.replicas.set(p.seg, p.leader, p.followers.clone()),
-                Some(_) => {
-                    for &f in &p.followers {
-                        self.replicas.add_follower(p.seg, f);
-                    }
-                }
-            }
-        }
-        self.sync_replica_cursors();
-    }
-
-    /// Reconcile every node's replica shipping cursors with the replica
-    /// map: each leader ships to exactly the union of its segments'
-    /// follower sets. Attach is idempotent (a fresh cursor starts at the
-    /// leader's log end), detach drops cursors the map no longer wants.
-    /// Call after any replica-map mutation.
-    ///
-    /// Walks the cursors and the map in place, building no list: each
-    /// leader's cursors detach in id order unless a segment it leads
-    /// wants them, then one pass over the map attaches what is missing.
-    /// The order of attaching is not observable — every cursor attached
-    /// in one call starts at the same log end, and a leader keeps its
-    /// cursors sorted by follower.
-    pub fn sync_replica_cursors(&mut self) {
-        let Cluster {
-            nodes, replicas, ..
-        } = self;
-        for (leader, node) in (0..).map(NodeId).zip(nodes.iter_mut()) {
-            let shipper = &mut node.replica_shipper;
-            let mut i = 0;
-            while let Some(f) = shipper.follower_at(i) {
-                let mut sets = replicas.iter().map(|(_, set)| set);
-                if sets.any(|set| set.leader == leader && set.followers.contains(&f)) {
-                    i += 1;
-                } else {
-                    shipper.detach(f);
-                }
-            }
-        }
-        for (_, set) in replicas.iter() {
-            let NodeRuntime {
-                log,
-                replica_shipper,
-                ..
-            } = &mut nodes[set.leader.raw() as usize];
-            for &f in &set.followers {
-                replica_shipper.attach(f, log);
-            }
-        }
-    }
-
-    /// Total bytes shipped to replica followers across all leaders — the
-    /// wire cost of read fan-out and durability, distinct from helper
-    /// log shipping.
-    pub fn replica_shipped_bytes(&self) -> u64 {
-        self.nodes
-            .iter()
-            .map(|n| n.replica_shipper.shipped_bytes())
-            .sum()
-    }
-
-    /// Check the replica-map placement invariant: every referenced node is
-    /// up and no follower host is draining (a failed node is exempt while
-    /// its failover is pending — the map still names it until promotion
-    /// rewrites it), and no leader appears in its own follower set.
-    /// Returns the first violation as a message, `None` when clean.
-    pub fn check_replica_invariants(&self) -> Option<String> {
-        for (seg, set) in self.replicas.iter() {
-            if set.followers.contains(&set.leader) {
-                return Some(format!(
-                    "{seg}: leader {} in its own follower set",
-                    set.leader
-                ));
-            }
-            for &n in std::iter::once(&set.leader).chain(set.followers.iter()) {
-                if self.life(n) == Lifecycle::Standby {
-                    // (Failed is exempt: promotion will rewrite the map.)
-                    return Some(format!("{seg}: references suspended node {n}"));
-                }
-            }
-            for &f in &set.followers {
-                if self.life(f) == Lifecycle::Draining {
-                    return Some(format!("{seg}: follower {f} is draining"));
-                }
-            }
-        }
-        None
-    }
-
-    /// Panic on a [`Cluster::check_replica_invariants`] violation, in
-    /// every build profile. Checked once per transition: at the end of
-    /// [`crate::migration::run`] and after [`crate::migration::settle`]
-    /// suspends a finished drain's nodes.
-    pub fn assert_replica_invariants(&self) {
-        if let Some(violation) = self.check_replica_invariants() {
-            panic!("replica-map invariant violated: {violation}");
-        }
     }
 
     /// Current operating phase (Fig. 7 attribution).
@@ -1356,22 +1187,21 @@ mod tests {
     #[test]
     fn follower_hosts_neither_power_off_nor_drain_unnoticed() {
         let cfg = ClusterConfig {
-            replication: ReplicaConfig {
-                factor: 1,
-                ..Default::default()
-            },
+            replication: 1,
             ..small_cfg()
         };
         let cl = Cluster::new(cfg, &[NodeId(0), NodeId(1), NodeId(2)]);
         let mut c = cl.borrow_mut();
+        let c = &mut *c;
         c.load_tpcc(tpcc_cfg(), &[NodeId(0), NodeId(1)]).unwrap();
-        c.bootstrap_replicas(SimTime::ZERO);
-        assert_eq!(c.check_replica_invariants(), None);
+        let plan = crate::heat::plan_replicas(c, SimTime::ZERO);
+        c.replication.place(&plan, &c.nodes);
+        assert_eq!(c.replication.check_invariants(&c.nodes), None);
         // n2 stores no segment, but the planner spread follower copies
         // onto it: it is still "data on disk".
         let host = NodeId(2);
         assert!(c.seg_dir.on_node(host).next().is_none());
-        assert!(!c.replicas.followed_by(host).is_empty());
+        assert!(!c.replication.map().followed_by(host).is_empty());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             c.power_off(host);
         }));
@@ -1380,10 +1210,10 @@ mod tests {
         // A drain that leaves follower copies behind is a reported
         // violation until the copies are re-homed or the drain ends.
         c.begin_drain(host);
-        let violation = c.check_replica_invariants().expect("draining follower");
+        let violation = (c.replication.check_invariants(&c.nodes)).expect("draining follower");
         assert!(violation.contains("is draining"), "{violation}");
         c.end_drain(host);
-        assert_eq!(c.check_replica_invariants(), None);
+        assert_eq!(c.replication.check_invariants(&c.nodes), None);
     }
 
     #[test]

@@ -31,8 +31,8 @@
 //! constants of its own.
 
 use wattdb_common::{
-    ByteSize, CostVector, Error, Heat, Key, Lsn, NodeId, PageId, PartitionId, SegmentId,
-    SimDuration, SimTime, TxnId,
+    ByteSize, CostVector, Error, Key, Lsn, NodeId, PageId, PartitionId, SegmentId, SimDuration,
+    SimTime, TxnId,
 };
 use wattdb_query::CostParams;
 use wattdb_sim::Completion::{self, Detached};
@@ -354,14 +354,14 @@ impl Cluster {
         // acknowledged shipping LSN; a transaction that has written
         // anything keeps reading leaders (read-your-writes).
         let node = if op.kind == OpKind::Read
-            && self.cfg.replication.enabled()
-            && self.cfg.replication.read_routing
+            && self.cfg.replication > 0
             && self.txn.mode() == CcMode::Mvcc
             && job.write_nodes.is_empty()
         {
-            let at = job.current_node;
-            let w = job.weight;
-            self.replica_read_target(seg, node, at, now, w)
+            let (at, w) = (job.current_node, job.weight);
+            let (heat, dir) = (&self.heat, &self.seg_dir);
+            self.replication
+                .route_read(seg, node, at, w, now, heat, dir, &self.nodes)
                 .unwrap_or(node)
         } else {
             node
@@ -394,120 +394,6 @@ impl Cluster {
         }
         job.stage = OpStage::Cpu;
         Action::Loop
-    }
-
-    /// Pick the copy to serve a read of `seg`, or `None` to stay on the
-    /// leader. The segment must be hot enough to fan out
-    /// ([`wattdb_common::ReplicaConfig::read_heat_min`]) and a follower
-    /// only joins the pool when live and **caught up**: its acknowledged
-    /// shipping LSN at or past the segment's last write, so every
-    /// committed write is visible. The leader is always in the pool — the
-    /// rotation splits the read load across the copies instead of pushing
-    /// it all onto the followers. A job already sitting on an eligible
-    /// follower stays there (the start stage re-runs after each hop and
-    /// must not ping-pong); otherwise the copies rotate round-robin per
-    /// segment.
-    fn replica_read_target(
-        &mut self,
-        seg: SegmentId,
-        leader: NodeId,
-        at: NodeId,
-        now: SimTime,
-        weight: u64,
-    ) -> Option<NodeId> {
-        if self.replicas.leader_of(seg) != Some(leader) {
-            return None; // map out of step with routing: serve the owner
-        }
-        if self.heat.heat_of(seg, now).value() < self.cfg.replication.read_heat_min {
-            return None;
-        }
-        let floor = self.seg_last_write.get(&seg).copied().unwrap_or(Lsn::ZERO);
-        let shipper = &self.nodes[leader.raw() as usize].replica_shipper;
-        // The leader stays in the rotation — fan-out *splits* the read
-        // load across every live copy rather than re-homing it wholesale
-        // onto the followers (which would merely relocate the hotspot).
-        // The pool is scratch kept on the cluster: a routed read borrows
-        // its capacity instead of allocating.
-        let followers = self.replicas.followers_of(seg);
-        let mut pool = std::mem::take(&mut self.read_pool);
-        pool.clear();
-        pool.push((leader, Heat::ZERO));
-        pool.extend(
-            followers
-                .iter()
-                .filter(|&&f| !self.is_failed(f))
-                .filter(|&&f| shipper.acked_lsn(f).is_some_and(|a| a >= floor))
-                .map(|&f| (f, Heat::ZERO)),
-        );
-        let pick = self.rotate_read(&mut pool, seg, leader, at, now, weight);
-        self.read_pool = pool;
-        pick
-    }
-
-    /// Pick the copy of `seg` that serves a read from `pool`, the leader
-    /// first and then its caught-up followers (hosts' heats not yet
-    /// filled in); `None` when only the leader is eligible.
-    fn rotate_read(
-        &mut self,
-        pool: &mut [(NodeId, Heat)],
-        seg: SegmentId,
-        leader: NodeId,
-        at: NodeId,
-        now: SimTime,
-        weight: u64,
-    ) -> Option<NodeId> {
-        if pool.len() == 1 {
-            return None;
-        }
-        // A carrier resolution stands in for `weight` modeled reads —
-        // keeps the fan-out share's denominator in the same units as the
-        // weighted served counts.
-        self.replica_read_total += weight;
-        // A job already sitting on a caught-up follower stays: `op_start`
-        // re-runs after every hop, and re-rolling the rotation there would
-        // bounce the job between copies forever.
-        if pool[1..].iter().any(|&(f, _)| f == at) {
-            return Some(at);
-        }
-        // The split is heat-weighted: each copy's rotation weight scales
-        // 1..=4 with how much *colder* its host is than the pool's hottest
-        // member, so a cold follower absorbs up to 4× the reads of an
-        // already-hot one. Equal heats degrade to the plain round-robin.
-        // One pass over the directory sums every member's node heat, each
-        // in segment-id order like `HeatTable::node_heat`.
-        for m in self.seg_dir.iter() {
-            if let Some((_, heat)) = pool.iter_mut().find(|(n, _)| *n == m.node) {
-                *heat += self.heat.heat_of(m.id, now);
-            }
-        }
-        let heats = pool.iter().map(|(_, h)| h.value());
-        let max_h = heats.clone().fold(f64::MIN, f64::max);
-        let spread = max_h - heats.fold(f64::MAX, f64::min);
-        let weight_of = |h: Heat| {
-            if spread > 0.0 {
-                1 + (3.0 * (max_h - h.value()) / spread).round() as u64
-            } else {
-                1
-            }
-        };
-        let mut total = 0u64;
-        for &(n, h) in pool.iter() {
-            self.replica_route_weights.insert(n, weight_of(h));
-            total += weight_of(h);
-        }
-        let rr = self.replica_rr.get_or_insert_with(seg, || 0);
-        let slot = (*rr as u64) % total;
-        *rr = rr.wrapping_add(1);
-        let mut cum = 0u64;
-        let mut pick = leader;
-        for &(n, h) in pool.iter() {
-            cum += weight_of(h);
-            if slot < cum {
-                pick = n;
-                break;
-            }
-        }
-        Some(pick)
     }
 
     fn locks_for(
@@ -570,12 +456,12 @@ impl Cluster {
         // executing node's local disk — that locality is the whole point
         // of read fan-out.
         let meta = self.seg_dir.get(seg).expect("segment meta");
-        let (storage_node, disk) =
-            if meta.node != exec_node && self.replicas.followers_of(seg).contains(&exec_node) {
-                (exec_node, self.data_disk(exec_node, seg).index)
-            } else {
-                (meta.node, meta.disk.index)
-            };
+        let follows = |n| self.replication.map().followers_of(seg).contains(&n);
+        let (storage_node, disk) = if meta.node != exec_node && follows(exec_node) {
+            (exec_node, self.data_disk(exec_node, seg).index)
+        } else {
+            (meta.node, meta.disk.index)
+        };
         let writeback_latch = self.cfg.costs.writeback_latch;
         let buffer_hit = self.cfg.costs.buffer_hit;
         // Nothing happens between the fetch and the release, so the pin is
@@ -636,9 +522,8 @@ impl Cluster {
             // An off-leader read is a replica-served read (apply runs once
             // per operation, so this counts each fan-out exactly once —
             // or `weight` modeled fan-outs for a pooled carrier).
-            if op.kind == OpKind::Read && self.replicas.leader_of(seg).is_some_and(|l| l != node) {
-                self.replica_reads += w;
-                *self.replica_reads_by.entry(node).or_insert(0) += w;
+            if op.kind == OpKind::Read {
+                self.replication.record_read(seg, node, w);
             }
             let kind = match op.kind {
                 OpKind::Read => crate::heat::AccessKind::Read,
@@ -693,11 +578,7 @@ impl Cluster {
                         },
                     };
                     let lsn = self.nodes[node.raw() as usize].log.append(txn, payload);
-                    if self.cfg.replication.enabled() {
-                        // Followers must acknowledge up to here before they
-                        // may serve this segment's reads.
-                        self.seg_last_write.insert(seg, lsn);
-                    }
+                    self.replication.record_write(seg, lsn);
                     if !job.write_nodes.contains(&node) {
                         job.write_nodes.push(node);
                     }
@@ -797,12 +678,10 @@ pub fn install(cl: &ClusterRc, sim: &mut Sim) {
             follower,
             through,
         } => {
-            // An endpoint that failed mid-flight voids its delivery.
             let mut c = cl.borrow_mut();
-            if !c.is_failed(leader) && !c.is_failed(follower) {
-                let shipper = &mut c.nodes[leader.raw() as usize].replica_shipper;
-                shipper.acknowledge(follower, through);
-            }
+            let c = &mut *c;
+            c.replication
+                .acknowledge(leader, follower, through, &c.nodes);
         }
         Signal::ClientArrival { client } => {
             let job = cl
@@ -1013,15 +892,24 @@ fn flush_done(cl: &ClusterRc, sim: &mut Sim, node: NodeId, batch: usize) {
         }
         jobs
     };
-    // The freshly durable tail fans out to this node's replica
-    // followers in the background; commits do not wait on it.
-    ship_replica_batches(cl, sim, node);
     {
-        // Nothing reads a record that is durable and past every
-        // shipping cursor: cut the log there.
-        let mut c = cl.borrow_mut();
+        // The durable tail ships to this node's followers in the
+        // background (commits do not wait), then the log is cut where no
+        // shipping cursor will read again.
+        let c = &mut *cl.borrow_mut();
+        let (replication, net) = (&mut c.replication, &c.net);
+        replication.ship(node, &c.nodes, |follower, bytes, through| {
+            let ack = Signal::ShipAck {
+                leader: node,
+                follower,
+                through,
+            };
+            let bytes = ByteSize::bytes(bytes as u64);
+            net.send(sim, node, follower, bytes, ack.into());
+        });
         let n = &mut c.nodes[node.raw() as usize];
-        let horizon = [n.shipper.min_shipped(), n.replica_shipper.min_shipped()]
+        let replicas = replication.shipper(node);
+        let horizon = [n.shipper.min_shipped(), replicas.min_shipped()]
             .into_iter()
             .flatten()
             .fold(n.log.durable_lsn(), Lsn::min);
@@ -1034,48 +922,6 @@ fn flush_done(cl: &ClusterRc, sim: &mut Sim, node: NodeId, batch: usize) {
     cl.borrow_mut().nodes[node.raw() as usize].flushes[batch].jobs = jobs;
     // New commits may have queued while flushing.
     schedule_pending_flushes(cl, sim);
-}
-
-/// Ship the durable log tail to every live replica follower attached to
-/// `node`: one wire transfer per follower cursor with new records,
-/// acknowledged on delivery ([`Signal::ShipAck`]) — which advances the
-/// staleness bound that gates follower-served reads.
-fn ship_replica_batches(cl: &ClusterRc, sim: &mut Sim, node: NodeId) {
-    let mut c = cl.borrow_mut();
-    let c = &mut *c;
-    if c.is_failed(node) {
-        return;
-    }
-    // By position: the loop ships through the cursors it walks.
-    let mut next = 0;
-    while let Some(follower) = c.nodes[node.raw() as usize]
-        .replica_shipper
-        .follower_at(next)
-    {
-        next += 1;
-        if c.is_failed(follower) {
-            continue;
-        }
-        let n = &mut c.nodes[node.raw() as usize];
-        let Some(bytes) = n.replica_shipper.take_batch(follower, &n.log) else {
-            continue;
-        };
-        let Some(through) = n.replica_shipper.shipped_lsn(follower) else {
-            continue;
-        };
-        let ack = Signal::ShipAck {
-            leader: node,
-            follower,
-            through,
-        };
-        c.net.send(
-            sim,
-            node,
-            follower,
-            ByteSize::bytes(bytes as u64),
-            ack.into(),
-        );
-    }
 }
 
 fn commit_ack(cl: &ClusterRc, sim: &mut Sim, job_id: u64) {

@@ -19,8 +19,9 @@
 //! void-on-death rule; its callers add only the predicate that really
 //! differs and their own span event.
 
-use wattdb_common::{ByteSize, Lsn, NodeId, SegmentId, SimTime};
+use wattdb_common::{ByteSize, NodeId, SegmentId, SimTime};
 use wattdb_sim::{Completion, Sim};
+use wattdb_telemetry::AttrValue;
 
 use crate::cluster::{Cluster, ClusterRc, Lifecycle};
 
@@ -29,25 +30,10 @@ use crate::cluster::{Cluster, ClusterRc, Lifecycle};
 /// per promotion, in segment order. The failed node must already be
 /// marked via [`Cluster::fail_node`].
 pub fn promote_orphans(c: &mut Cluster, now: SimTime, failed: NodeId) -> Vec<(SegmentId, NodeId)> {
-    let orphaned = c.replicas.led_by(failed);
+    let orphaned = c.replication.map().led_by(failed);
     let mut promotions = Vec::new();
     for seg in orphaned {
-        // Most-caught-up live follower, per the dead leader's own shipping
-        // cursors (they survive `fail_node` for exactly this read).
-        let candidates: Vec<(NodeId, Lsn)> = c
-            .replicas
-            .followers_of(seg)
-            .iter()
-            .filter(|&&f| !c.is_failed(f))
-            .map(|&f| {
-                let acked = c.nodes[failed.raw() as usize]
-                    .replica_shipper
-                    .acked_lsn(f)
-                    .unwrap_or(Lsn::ZERO);
-                (f, acked)
-            })
-            .collect();
-        let follower_winner = wattdb_replica::pick_promotion(&candidates);
+        let follower_winner = c.replication.winner(seg, failed, &c.nodes);
         // Every follower died with the leader: fall back to the coldest
         // live node (an archive-rebuild stand-in — the sim's record store
         // survives node death, so re-pointing ownership suffices).
@@ -71,10 +57,13 @@ pub fn promote_orphans(c: &mut Cluster, now: SimTime, failed: NodeId) -> Vec<(Se
             // node (a migration landed it elsewhere before the failure
             // was noticed). Re-point the map at the actual owner so
             // detection converges instead of re-firing every window.
-            match c.seg_dir.get(seg).ok() {
-                Some(meta) if meta.node != failed => c.replicas.set_leader(seg, meta.node),
-                _ => c.replicas.remove(seg),
-            }
+            let owner = c
+                .seg_dir
+                .get(seg)
+                .ok()
+                .map(|m| m.node)
+                .filter(|&n| n != failed);
+            c.replication.repoint(seg, owner, &c.nodes);
             continue;
         };
         // §4.3-style ownership switch, master first. A migration that died
@@ -89,15 +78,9 @@ pub fn promote_orphans(c: &mut Cluster, now: SimTime, failed: NodeId) -> Vec<(Se
         }
         c.hand_over(seg, table, range, src_pid, winner)
             .expect("promotion hand-over");
-        if follower_winner.is_some() {
-            c.replicas.promote(seg, winner);
-        } else {
-            // Rebuilt from scratch: the old set is history.
-            c.replicas.set(seg, winner, Vec::new());
-        }
-        // The new leader's log is now the segment's staleness reference.
-        let lsn = c.nodes[winner.raw() as usize].log.last_lsn();
-        c.seg_last_write.insert(seg, lsn);
+        // A follower winner keeps its siblings; a rebuilt segment does not.
+        let keep = follower_winner.is_some();
+        c.replication.follow_owner(seg, winner, keep, &c.nodes);
         promotions.push((seg, winner));
     }
     promotions
@@ -137,16 +120,14 @@ fn ship_copy(
     let bytes = cl.borrow().copy_bytes(seg).ok()?;
     let handle = cl.clone();
     let done = Completion::call(move |_sim| {
-        let mut c = handle.borrow_mut();
-        c.rereplication_inflight = c.rereplication_inflight.saturating_sub(1);
-        if c.life(to) != Lifecycle::Active || void(&c) {
-            return;
+        let c = &mut *handle.borrow_mut();
+        let in_flight = &mut c.replication.copies_in_flight;
+        *in_flight = in_flight.saturating_sub(1);
+        if c.life(to) == Lifecycle::Active && !void(c) {
+            c.replication.add_copy(seg, to, bytes, &c.nodes);
         }
-        c.replicas.add_follower(seg, to);
-        c.rereplication_bytes += bytes;
-        c.sync_replica_cursors();
     });
-    cl.borrow_mut().rereplication_inflight += 1;
+    cl.borrow_mut().replication.copies_in_flight += 1;
     cl.borrow()
         .net
         .send(sim, leader, to, ByteSize::bytes(bytes), done);
@@ -167,27 +148,23 @@ pub fn schedule_rereplication(cl: &ClusterRc, sim: &mut Sim) -> usize {
     for p in &plan.placements {
         let (seg, leader) = (p.seg, p.leader);
         for &f in &p.followers {
-            let void =
-                move |c: &Cluster| c.is_failed(leader) || c.replicas.leader_of(seg) != Some(leader);
+            let void = move |c: &Cluster| {
+                c.is_failed(leader) || c.replication.map().leader_of(seg) != Some(leader)
+            };
             let Some(bytes) = ship_copy(cl, sim, seg, leader, f, void) else {
                 continue;
             };
             let mut c = cl.borrow_mut();
             let c = &mut *c;
             if let Some(span) = c.failover_span {
-                c.telemetry.spans.add_event(
-                    span,
-                    sim.now(),
-                    "re-replicate",
-                    vec![
-                        (
-                            "segment".into(),
-                            wattdb_telemetry::AttrValue::U64(seg.raw()),
-                        ),
-                        ("follower".into(), f.to_string().into()),
-                        ("bytes".into(), bytes.into()),
-                    ],
-                );
+                let attrs = vec![
+                    ("segment".into(), AttrValue::U64(seg.raw())),
+                    ("follower".into(), f.to_string().into()),
+                    ("bytes".into(), bytes.into()),
+                ];
+                c.telemetry
+                    .spans
+                    .add_event(span, sim.now(), "re-replicate", attrs);
             }
             scheduled += 1;
         }
@@ -208,10 +185,9 @@ pub fn schedule_follower_rehomes(
 ) -> usize {
     {
         let mut c = cl.borrow_mut();
-        for r in rehomes {
-            c.replicas.remove_follower(r.seg, r.from);
-        }
-        c.sync_replica_cursors();
+        let c = &mut *c;
+        let copies = rehomes.iter().map(|r| (r.seg, r.from));
+        c.replication.remove_followers(copies, &c.nodes);
     }
     let mut scheduled = 0;
     for r in rehomes {
@@ -219,10 +195,10 @@ pub fn schedule_follower_rehomes(
         // Ship from the segment's *current* leader: the planned leader may
         // not have landed yet (the drain's leader moves are still in
         // flight), and the copy must come from a live log.
-        let Some(leader) = cl.borrow().replicas.leader_of(seg) else {
+        let Some(leader) = cl.borrow().replication.map().leader_of(seg) else {
             continue;
         };
-        let void = move |c: &Cluster| c.replicas.leader_of(seg) == Some(to);
+        let void = move |c: &Cluster| c.replication.map().leader_of(seg) == Some(to);
         let Some(bytes) = ship_copy(cl, sim, seg, leader, to, void) else {
             continue;
         };
@@ -232,20 +208,15 @@ pub fn schedule_follower_rehomes(
         // so the exported timeline shows the drain as one atomic
         // "move leaders + re-home followers" account.
         if let Some(span) = c.mover.as_ref().and_then(|m| m.span) {
-            c.telemetry.spans.add_event(
-                span,
-                sim.now(),
-                "re-home",
-                vec![
-                    (
-                        "segment".into(),
-                        wattdb_telemetry::AttrValue::U64(seg.raw()),
-                    ),
-                    ("from".into(), from.to_string().into()),
-                    ("to".into(), to.to_string().into()),
-                    ("bytes".into(), bytes.into()),
-                ],
-            );
+            let attrs = vec![
+                ("segment".into(), AttrValue::U64(seg.raw())),
+                ("from".into(), from.to_string().into()),
+                ("to".into(), to.to_string().into()),
+                ("bytes".into(), bytes.into()),
+            ];
+            c.telemetry
+                .spans
+                .add_event(span, sim.now(), "re-home", attrs);
         }
         scheduled += 1;
     }
@@ -262,22 +233,16 @@ pub fn handle_failure(cl: &ClusterRc, sim: &mut Sim, failed: NodeId) -> Vec<(Seg
         let mut c = cl.borrow_mut();
         let c = &mut *c;
         let promotions = promote_orphans(c, sim.now(), failed);
-        c.replicas.drop_follower_node(failed);
-        c.sync_replica_cursors();
+        c.replication.drop_node(failed, &c.nodes);
         if let Some(span) = c.failover_span {
             for &(seg, winner) in &promotions {
-                c.telemetry.spans.add_event(
-                    span,
-                    sim.now(),
-                    "promote",
-                    vec![
-                        (
-                            "segment".into(),
-                            wattdb_telemetry::AttrValue::U64(seg.raw()),
-                        ),
-                        ("leader".into(), winner.to_string().into()),
-                    ],
-                );
+                let attrs = vec![
+                    ("segment".into(), AttrValue::U64(seg.raw())),
+                    ("leader".into(), winner.to_string().into()),
+                ];
+                c.telemetry
+                    .spans
+                    .add_event(span, sim.now(), "promote", attrs);
             }
             c.telemetry
                 .spans

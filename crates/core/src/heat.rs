@@ -426,9 +426,7 @@ pub fn plan_drain_replicated(
     remaining: &[NodeId],
 ) -> wattdb_planner::DrainPlan {
     let stats = segment_stats(c, now, c.cfg.heat.horizon);
-    let sites: Vec<wattdb_planner::ReplicaSite> = c
-        .replicas
-        .iter()
+    let sites: Vec<wattdb_planner::ReplicaSite> = (c.replication.map().iter())
         .map(|(seg, set)| wattdb_planner::ReplicaSite {
             seg,
             leader: set.leader,
@@ -446,7 +444,7 @@ pub fn plan_drain_replicated(
         &wattdb_planner::PlanConfig { tolerance },
         &sites,
         &hosts,
-        c.cfg.replication.factor,
+        c.cfg.replication,
     )
 }
 
@@ -577,7 +575,7 @@ pub fn plan_helpers(
 
 /// Replica placement plan over the live cluster state: one
 /// [`wattdb_planner::ReplicaNeed`] per segment whose follower count is
-/// below `cfg.replication.factor` (leader = the current owner in the
+/// below `cfg.replication` (leader = the current owner in the
 /// segment catalog), hosted on the active, non-failed nodes. Host rows
 /// carry total decayed heat plus the *measured* NIC utilization persisted
 /// by the monitoring loop, so followers land on cold nodes with idle
@@ -585,7 +583,7 @@ pub fn plan_helpers(
 /// (never the leader's node, distinct nodes per segment). The single
 /// entry point shared by bootstrap and post-failover re-replication.
 pub fn plan_replicas(c: &crate::cluster::Cluster, now: SimTime) -> wattdb_planner::ReplicaPlan {
-    let factor = c.cfg.replication.factor;
+    let factor = c.cfg.replication;
     if factor == 0 {
         return wattdb_planner::ReplicaPlan {
             placements: Vec::new(),
@@ -596,9 +594,7 @@ pub fn plan_replicas(c: &crate::cluster::Cluster, now: SimTime) -> wattdb_planne
         .iter()
         .filter(|m| !c.is_failed(m.node))
         .filter_map(|m| {
-            let existing: Vec<NodeId> = c
-                .replicas
-                .followers_of(m.id)
+            let existing: Vec<NodeId> = (c.replication.map().followers_of(m.id))
                 .iter()
                 .copied()
                 .filter(|&f| !c.is_failed(f))

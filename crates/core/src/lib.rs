@@ -23,6 +23,8 @@
 //!   operators weigh more than point reads; each segment's heat velocity,
 //!   kept in the same table, lets the planner plan against *projected*
 //!   heat (moving hotspots);
+//! * [`replication`] — follower copies: replica map, WAL shipping cursors
+//!   and the caught-up read router, behind one owner;
 //! * [`failover`] — node-loss recovery over the per-segment replica map:
 //!   most-caught-up follower promotion, key-space re-covering, and
 //!   planner-driven re-replication;
@@ -57,6 +59,7 @@ pub mod migration;
 pub mod monitor;
 pub mod policy;
 pub mod replay;
+pub mod replication;
 pub mod scan;
 pub mod telemetry_sink;
 

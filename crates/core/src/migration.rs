@@ -434,9 +434,10 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
             let mut c = cl.borrow_mut();
             let c = &mut *c;
             if c.failover_span.is_none() {
+                let base = c.replication.rereplicated_bytes;
                 let attrs = vec![
                     ("failed".into(), failed.to_string().into()),
-                    ("rereplicated_base".into(), c.rereplication_bytes.into()),
+                    ("rereplicated_base".into(), base.into()),
                 ];
                 c.failover_span = Some(c.telemetry.start_span("failover", now, attrs));
             }
@@ -631,7 +632,7 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
         let attrs = vec![("drain".into(), names(&plan.drain))];
         c.powerdown_span = Some(c.telemetry.start_span("power-down", now, attrs));
     }
-    c.assert_replica_invariants();
+    c.replication.assert_invariants(&c.nodes);
     let (span, predicted) = report.unwrap_or((plan.promote.and(c.failover_span), None));
     Applied {
         planner: plan.planner,
@@ -668,17 +669,17 @@ pub fn settle(cl: &ClusterRc, sim: &Sim) -> Option<SettledDrain> {
     let mut c = cl.borrow_mut();
     let c = &mut *c;
     // (The map-wide under-replication scan runs only while one is open.)
-    let factor = c.cfg.replication.factor;
+    let replication = &c.replication;
     let recovered = c.failover_span.is_some()
-        && !c.failed_nodes().any(|n| c.replicas.references(n))
-        && (!c.cfg.replication.enabled()
-            || (c.rereplication_inflight == 0 && c.replicas.under_replicated(factor).is_empty()));
+        && !c.failed_nodes().any(|n| replication.map().references(n))
+        && replication.copies_in_flight == 0
+        && replication.under_replicated().is_empty();
     if let Some(span) = c.failover_span.take_if(|_| recovered) {
         let spans = &mut c.telemetry.spans;
         let base = (spans.get(span))
             .and_then(|s| s.attr_f64("rereplicated_base"))
             .unwrap_or(0.0) as u64;
-        let shipped = c.rereplication_bytes.saturating_sub(base);
+        let shipped = c.replication.rereplicated_bytes.saturating_sub(base);
         spans.set_attr(span, "rereplicated_bytes", shipped.into());
         spans.end(span, now);
     }
@@ -696,7 +697,7 @@ pub fn settle(cl: &ClusterRc, sim: &Sim) -> Option<SettledDrain> {
     for &n in &drained {
         c.end_drain(n);
     }
-    c.assert_replica_invariants();
+    c.replication.assert_invariants(&c.nodes);
     c.telemetry
         .spans
         .set_attr(span, "suspended", names(&suspended));
@@ -717,7 +718,7 @@ fn can_suspend(c: &Cluster, node: NodeId) -> bool {
         && c.life(node).is_up()
         && c.seg_dir.on_node(node).next().is_none()
         && !c.helpers.contains(node)
-        && c.replicas.followed_by(node).is_empty()
+        && c.replication.map().followed_by(node).is_empty()
 }
 
 /// The running mover's chain `chain`, or `None` once the mover is gone:
@@ -974,31 +975,17 @@ fn apply_segment(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
                 let src_pid = c.partition_on(mv.table, mv.from);
                 c.hand_over(mv.seg, mv.table, mv.range, src_pid, mv.to)
                     .expect("ownership switch");
-                // Leadership follows ownership: the replica map tracks the
-                // move, the new leader's log becomes the segment's
-                // staleness reference, and shipping cursors re-wire to the
-                // new leader. A destination that held one of the segment's
-                // follower copies consumes it by becoming leader — the
-                // copy leaves the follower set *explicitly* and a backfill
-                // restores the factor instead of silently halving it.
-                if c.cfg.replication.enabled() && c.replicas.get(mv.seg).is_some() {
-                    if c.replicas.followers_of(mv.seg).contains(&mv.to) {
-                        c.replicas.remove_follower(mv.seg, mv.to);
-                        follower_evicted = true;
-                        if let Some(span) = mover_span {
-                            let segment = wattdb_telemetry::AttrValue::U64(mv.seg.raw());
-                            let attrs = vec![
-                                ("segment".into(), segment),
-                                ("node".into(), mv.to.to_string().into()),
-                            ];
-                            let spans = &mut c.telemetry.spans;
-                            spans.add_event(span, now, "follower-evicted", attrs);
-                        }
-                    }
-                    c.replicas.set_leader(mv.seg, mv.to);
-                    let lsn = c.nodes[mv.to.raw() as usize].log.last_lsn();
-                    c.seg_last_write.insert(mv.seg, lsn);
-                    c.sync_replica_cursors();
+                // Leadership follows ownership; a follower copy the
+                // destination held is consumed, and a backfill restores it.
+                follower_evicted = c.replication.follow_owner(mv.seg, mv.to, true, &c.nodes);
+                if let Some(span) = mover_span.filter(|_| follower_evicted) {
+                    let segment = wattdb_telemetry::AttrValue::U64(mv.seg.raw());
+                    let attrs = vec![
+                        ("segment".into(), segment),
+                        ("node".into(), mv.to.to_string().into()),
+                    ];
+                    let spans = &mut c.telemetry.spans;
+                    spans.add_event(span, now, "follower-evicted", attrs);
                 }
             } else {
                 // §4.1: only the physical placement changes; ownership and
@@ -1024,7 +1011,7 @@ fn apply_segment(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
     // the shared re-replication machinery, unless copies are already on
     // the wire (then the autopilot's background-repair pass — the single
     // reconciliation point — picks up whatever remains short).
-    if follower_evicted && cl.borrow().rereplication_inflight == 0 {
+    if follower_evicted && cl.borrow().replication.copies_in_flight == 0 {
         crate::failover::schedule_rereplication(cl, sim);
     }
     next_step(cl, sim, chain);

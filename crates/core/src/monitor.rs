@@ -70,34 +70,8 @@ pub fn sample_node(c: &mut Cluster, node: NodeId, now: SimTime) -> NodeReport {
     c.net_util[idx] = net_tx;
     let stats = c.nodes[idx].buffer.stats();
     let heat = c.heat.node_heat(&c.seg_dir, node, now).value();
-    // Windowed replica-shipping egress: bytes this leader shipped to its
-    // followers since the last sample, converted to NIC utilization via
-    // wire time over the window.
-    let shipped = c.nodes[idx].replica_shipper.shipped_bytes();
-    let ship_delta = shipped.saturating_sub(c.nodes[idx].ship_probe_base);
-    c.nodes[idx].ship_probe_base = shipped;
-    let window = now.since(c.nodes[idx].ship_probe_at);
-    c.nodes[idx].ship_probe_at = now;
-    let replica_ship_tx = if ship_delta > 0 && window.as_micros() > 0 {
-        let wire = c.net.wire_time(wattdb_common::ByteSize::bytes(ship_delta));
-        (wire.as_micros() as f64 / window.as_micros() as f64).min(1.0)
-    } else {
-        0.0
-    };
-    // Windowed read fan-out share: follower reads this node served over
-    // all routed replica reads in the window.
-    let served = c.replica_reads_by.get(&node).copied().unwrap_or(0);
-    let served_delta = served.saturating_sub(c.nodes[idx].fanout_reads_base);
-    c.nodes[idx].fanout_reads_base = served;
-    let total_delta = c
-        .replica_read_total
-        .saturating_sub(c.nodes[idx].fanout_total_base);
-    c.nodes[idx].fanout_total_base = c.replica_read_total;
-    let replica_fanout = if total_delta > 0 {
-        served_delta as f64 / total_delta as f64
-    } else {
-        0.0
-    };
+    // Windowed replica-shipping egress and read fan-out share.
+    let (replica_ship_tx, replica_fanout) = c.replication.sample_window(node, now, &c.net);
     NodeReport {
         node,
         at: now,

@@ -754,11 +754,7 @@ pub fn plan(
             // re-home half executes regardless of which planner moves the
             // leaders, so even a fraction-path drain keeps the factor.
             let dp = heat::plan_drain_replicated(c, now, cfg.heat_tolerance, drain, &targets);
-            let rehomes = if c.cfg.replication.enabled() {
-                dp.rehomes
-            } else {
-                Vec::new()
-            };
+            let rehomes = dp.rehomes;
             // A drain must empty its nodes; a heat plan short of that
             // (shouldn't happen) falls back to the fraction path, and so
             // does one with nothing at all to do. With only follower
@@ -799,13 +795,11 @@ pub fn apply(
 /// against a map that is mid-reconciliation) or the planner cannot find
 /// a distinct surviving host for every copy.
 fn drain_blocked_on_replicas(c: &Cluster, now: SimTime, drain: &[NodeId]) -> bool {
-    if !c.cfg.replication.enabled() {
+    let map = c.replication.map();
+    if !drain.iter().any(|n| !map.followed_by(*n).is_empty()) {
         return false;
     }
-    if !drain.iter().any(|n| !c.replicas.followed_by(*n).is_empty()) {
-        return false;
-    }
-    if c.rereplication_inflight > 0 {
+    if c.replication.copies_in_flight > 0 {
         return true;
     }
     let remaining: Vec<NodeId> = c
@@ -1525,7 +1519,7 @@ mod tests {
             }
             if factor > 0 {
                 // The map is mid-reconciliation, so the drain must wait.
-                db.with_runtime(|cl, _| cl.borrow_mut().rereplication_inflight = 1);
+                db.with_runtime(|cl, _| cl.borrow_mut().replication.copies_in_flight = 1);
             }
             let spans_before = db.with_cluster(|c| c.telemetry.spans.started());
             assert_eq!(
@@ -1633,30 +1627,32 @@ mod tests {
     /// Four nodes and no simulator: data on n0–n2, n3 standby, n0 hot.
     fn loaded(scheme: Scheme, replication: usize) -> ClusterRc {
         let data = [NodeId(0), NodeId(1), NodeId(2)];
-        let mut cfg = crate::cluster::ClusterConfig {
+        let cfg = crate::cluster::ClusterConfig {
             nodes: 4,
             scheme,
             segment_pages: 8,
             seed: 11,
+            replication,
             ..Default::default()
         };
-        cfg.replication.factor = replication;
         let cl = Cluster::new(cfg, &data);
-        let mut c = cl.borrow_mut();
         let tpcc = wattdb_tpcc::TpccConfig {
             warehouses: 3,
             density: 0.01,
             seed: 11,
         };
-        c.load_tpcc(tpcc, &data).expect("dataset loads");
-        c.bootstrap_replicas(SimTime::ZERO);
-        let hot: Vec<SegmentId> = c.seg_dir.on_node(NodeId(0)).map(|m| m.id).collect();
-        for seg in hot {
-            for _ in 0..50 {
-                c.heat.record_read(seg, SimTime::ZERO);
+        {
+            let c = &mut *cl.borrow_mut();
+            c.load_tpcc(tpcc, &data).expect("dataset loads");
+            let plan = crate::heat::plan_replicas(c, SimTime::ZERO);
+            c.replication.place(&plan, &c.nodes);
+            let hot: Vec<SegmentId> = c.seg_dir.on_node(NodeId(0)).map(|m| m.id).collect();
+            for seg in hot {
+                for _ in 0..50 {
+                    c.heat.record_read(seg, SimTime::ZERO);
+                }
             }
         }
-        drop(c);
         cl
     }
 
@@ -1863,10 +1859,13 @@ mod tests {
                 panic!("segment scheme plans segment moves");
             };
             assert_eq!(moves.len(), c.seg_dir.on_node(NodeId(2)).count());
-            assert_eq!(p.rehomes.len(), c.replicas.followed_by(NodeId(2)).len());
+            assert_eq!(
+                p.rehomes.len(),
+                c.replication.map().followed_by(NodeId(2)).len()
+            );
             assert!(!p.rehomes.is_empty(), "n2 hosted follower copies");
         }
-        cl.borrow_mut().rereplication_inflight = 1;
+        cl.borrow_mut().replication.copies_in_flight = 1;
         assert_eq!(
             plan_of(&cl, &drain(2)),
             "refused: drain node hosts follower replicas"

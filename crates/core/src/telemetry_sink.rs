@@ -183,36 +183,7 @@ pub fn sample_window(c: &mut Cluster, view: &ClusterView, at: SimTime, events: u
     r.set_gauge("heat.skew", view.heat_skew(&[]).0);
     // Replication: shipped bytes, WAL shipping lag (worst follower),
     // follower read fan-out, re-replication repair traffic.
-    let shipped: u64 = c
-        .nodes
-        .iter()
-        .map(|n| n.replica_shipper.shipped_bytes())
-        .sum();
-    let mut lag_max = 0u64;
-    for node in &c.nodes {
-        let shipper = &node.replica_shipper;
-        for f in (0..).map_while(|i| shipper.follower_at(i)) {
-            if let Some(lag) = shipper.lag(f, &node.log) {
-                lag_max = lag_max.max(lag);
-            }
-        }
-    }
-    let r = &mut c.telemetry.registry;
-    r.set_counter("replica.shipped_bytes", shipped);
-    r.set_gauge("replica.lag_max", lag_max as f64);
-    r.set_counter("replica.reads", c.replica_reads);
-    r.set_counter("replica.routed_reads", c.replica_read_total);
-    let share = if c.replica_read_total > 0 {
-        c.replica_reads as f64 / c.replica_read_total as f64
-    } else {
-        0.0
-    };
-    r.set_gauge("replica.read_share", share);
-    r.set_counter("rereplication.bytes", c.rereplication_bytes);
-    for (&node, &w) in &c.replica_route_weights {
-        let path = format_args!("replica.route_weight.{}", node.raw());
-        gauge(r, path, w as f64);
-    }
+    c.replication.export(r, &c.nodes, &mut name);
     // Offered load: the pooled workload's modeled-client target in
     // force this window (trace-driven runs move it along the schedule).
     // Per-client runs carry no pool and no gauge — their exports stay

@@ -2,8 +2,8 @@
 //!
 //! The paper's cluster keeps exactly one copy of every segment, so a node
 //! loss is unrecoverable and a read hotspot can only be *moved*, never
-//! fanned out. This crate adds the metadata half of the fix: an
-//! epoch-versioned [`ReplicaMap`] recording, per segment, the **leader**
+//! fanned out. This crate adds the metadata half of the fix: a
+//! [`ReplicaMap`] recording, per segment, the **leader**
 //! (the owning node — writes and routing authority) and a set of
 //! **follower** nodes fed from the leader's WAL via the existing
 //! `wattdb_wal::LogShipper` path.
@@ -11,9 +11,9 @@
 //! The map is pure bookkeeping — it holds no cluster state and performs no
 //! I/O — so placement invariants (a follower never co-locates with its
 //! leader, promotion always picks the most-caught-up follower) can be
-//! property-tested exhaustively. Every mutation bumps the map's epoch; a
-//! cached routing decision taken under an older epoch is stale and must be
-//! re-resolved.
+//! property-tested exhaustively. The cluster's one writer of the map is
+//! `wattdb_core::replication`, which re-syncs the leaders' shipping
+//! cursors after every mutation.
 
 use wattdb_common::{DenseMap, Lsn, NodeId, SegmentId};
 
@@ -33,25 +33,18 @@ impl ReplicaSet {
     }
 }
 
-/// Epoch-versioned map from segment to its [`ReplicaSet`].
+/// Map from segment to its [`ReplicaSet`].
 #[derive(Debug, Clone, Default)]
 pub struct ReplicaMap {
-    epoch: u64,
     /// Indexed by segment id: the read path asks for a segment's leader
     /// and followers per operation. Walks are in id order.
     segments: DenseMap<SegmentId, ReplicaSet>,
 }
 
 impl ReplicaMap {
-    /// Empty map at epoch zero.
+    /// Empty map.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    /// Current epoch: bumped by every mutation. Routing decisions cached
-    /// under an older epoch are stale.
-    pub fn epoch(&self) -> u64 {
-        self.epoch
     }
 
     /// Number of segments with replication state.
@@ -94,13 +87,13 @@ impl ReplicaMap {
             !followers.contains(&leader),
             "{seg}: follower set co-locates with leader {leader}"
         );
-        self.epoch += 1;
         self.segments.insert(seg, ReplicaSet { leader, followers });
     }
 
-    /// Record that the segment's leadership moved (a completed migration):
-    /// the replica set follows ownership. If the new leader was a
-    /// follower, it leaves the follower set.
+    /// Record that the segment's leadership moved (a completed migration,
+    /// or a follower promoted after the leader failed): the replica set
+    /// follows ownership. If the new leader was a follower, it leaves the
+    /// follower set; the old leader is *not* demoted to follower.
     pub fn set_leader(&mut self, seg: SegmentId, leader: NodeId) {
         if let Some(r) = self.segments.get_mut(&seg) {
             if r.leader == leader {
@@ -108,7 +101,6 @@ impl ReplicaMap {
             }
             r.leader = leader;
             r.followers.retain(|&f| f != leader);
-            self.epoch += 1;
         }
     }
 
@@ -118,7 +110,6 @@ impl ReplicaMap {
             assert!(r.leader != node, "{seg}: follower {node} is the leader");
             if !r.followers.contains(&node) {
                 r.followers.push(node);
-                self.epoch += 1;
             }
         }
     }
@@ -126,36 +117,13 @@ impl ReplicaMap {
     /// Remove a follower from a tracked segment.
     pub fn remove_follower(&mut self, seg: SegmentId, node: NodeId) {
         if let Some(r) = self.segments.get_mut(&seg) {
-            let before = r.followers.len();
             r.followers.retain(|&f| f != node);
-            if r.followers.len() != before {
-                self.epoch += 1;
-            }
         }
     }
 
     /// Stop tracking a segment (dropped table / merged segment).
     pub fn remove(&mut self, seg: SegmentId) {
-        if self.segments.remove(&seg).is_some() {
-            self.epoch += 1;
-        }
-    }
-
-    /// Promote `node` to leader of `seg` after the old leader failed: the
-    /// promotee leaves the follower set; the dead ex-leader is *not*
-    /// demoted to follower — it is gone.
-    pub fn promote(&mut self, seg: SegmentId, node: NodeId) {
-        let r = self
-            .segments
-            .get_mut(&seg)
-            .expect("promoting untracked segment");
-        assert!(
-            r.followers.contains(&node),
-            "{seg}: promotee {node} is not a follower"
-        );
-        r.followers.retain(|&f| f != node);
-        r.leader = node;
-        self.epoch += 1;
+        self.segments.remove(&seg);
     }
 
     /// Segments whose *leader* is `node` — the segments orphaned when the
@@ -177,13 +145,20 @@ impl ReplicaMap {
             .collect()
     }
 
+    /// True if `leader` leads a segment `follower` follows: the leader
+    /// must ship its log there.
+    pub fn ships(&self, leader: NodeId, follower: NodeId) -> bool {
+        let mut sets = self.segments.values();
+        sets.any(|r| r.leader == leader && r.followers.contains(&follower))
+    }
+
     /// True if `node` appears anywhere in the map (leader or follower).
     pub fn references(&self, node: NodeId) -> bool {
         self.segments.values().any(|r| r.contains(node))
     }
 
     /// Erase a failed node from every follower set (its led segments must
-    /// be promoted first, via [`ReplicaMap::promote`]). Returns the
+    /// be promoted first, via [`ReplicaMap::set_leader`]). Returns the
     /// segments that lost a follower — the re-replication work list.
     pub fn drop_follower_node(&mut self, node: NodeId) -> Vec<SegmentId> {
         let mut lost = Vec::new();
@@ -193,9 +168,6 @@ impl ReplicaMap {
             if r.followers.len() != before {
                 lost.push(seg);
             }
-        }
-        if !lost.is_empty() {
-            self.epoch += 1;
         }
         lost
     }
@@ -215,10 +187,9 @@ impl ReplicaMap {
 /// acknowledged LSN)` pairs read off the dead leader's shipping cursors:
 /// the **most-caught-up** follower wins (highest acked LSN), ties broken
 /// by lowest node id for determinism. `None` when there is no candidate.
-pub fn pick_promotion(candidates: &[(NodeId, Lsn)]) -> Option<NodeId> {
+pub fn pick_promotion(candidates: impl IntoIterator<Item = (NodeId, Lsn)>) -> Option<NodeId> {
     candidates
-        .iter()
-        .copied()
+        .into_iter()
         .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
         .map(|(n, _)| n)
 }
@@ -236,7 +207,6 @@ mod tests {
         let mut m = ReplicaMap::new();
         assert!(m.is_empty());
         m.set(seg(1), NodeId(1), vec![NodeId(2), NodeId(3)]);
-        assert_eq!(m.epoch(), 1);
         assert_eq!(m.leader_of(seg(1)), Some(NodeId(1)));
         assert_eq!(m.followers_of(seg(1)), &[NodeId(2), NodeId(3)]);
         assert_eq!(m.followers_of(seg(9)), &[] as &[NodeId]);
@@ -248,25 +218,6 @@ mod tests {
     fn follower_never_co_locates_with_leader() {
         let mut m = ReplicaMap::new();
         m.set(seg(1), NodeId(1), vec![NodeId(1)]);
-    }
-
-    #[test]
-    fn every_mutation_bumps_the_epoch() {
-        let mut m = ReplicaMap::new();
-        m.set(seg(1), NodeId(1), vec![NodeId(2)]);
-        let e = m.epoch();
-        m.add_follower(seg(1), NodeId(3));
-        assert_eq!(m.epoch(), e + 1);
-        m.add_follower(seg(1), NodeId(3)); // already present: no change
-        assert_eq!(m.epoch(), e + 1);
-        m.remove_follower(seg(1), NodeId(3));
-        assert_eq!(m.epoch(), e + 2);
-        m.remove_follower(seg(1), NodeId(3)); // absent: no change
-        assert_eq!(m.epoch(), e + 2);
-        m.set_leader(seg(1), NodeId(1)); // unchanged leader: no change
-        assert_eq!(m.epoch(), e + 2);
-        m.remove(seg(1));
-        assert_eq!(m.epoch(), e + 3);
     }
 
     #[test]
@@ -284,7 +235,7 @@ mod tests {
     fn promotion_removes_the_dead_leader() {
         let mut m = ReplicaMap::new();
         m.set(seg(1), NodeId(1), vec![NodeId(2), NodeId(3)]);
-        m.promote(seg(1), NodeId(3));
+        m.set_leader(seg(1), NodeId(3));
         assert_eq!(m.leader_of(seg(1)), Some(NodeId(3)));
         assert_eq!(m.followers_of(seg(1)), &[NodeId(2)]);
         assert!(
@@ -302,8 +253,8 @@ mod tests {
         assert_eq!(m.led_by(NodeId(1)), vec![seg(1), seg(2)]);
         assert_eq!(m.followed_by(NodeId(1)), vec![seg(3)]);
         assert!(m.references(NodeId(1)));
-        m.promote(seg(1), NodeId(2));
-        m.promote(seg(2), NodeId(3));
+        m.set_leader(seg(1), NodeId(2));
+        m.set_leader(seg(2), NodeId(3));
         let lost = m.drop_follower_node(NodeId(1));
         assert_eq!(lost, vec![seg(3)]);
         assert!(!m.references(NodeId(1)));
@@ -317,13 +268,13 @@ mod tests {
 
     #[test]
     fn promotion_picks_max_lsn_then_lowest_id() {
-        assert_eq!(pick_promotion(&[]), None);
+        assert_eq!(pick_promotion([]), None);
         assert_eq!(
-            pick_promotion(&[(NodeId(2), Lsn(5)), (NodeId(3), Lsn(9))]),
+            pick_promotion([(NodeId(2), Lsn(5)), (NodeId(3), Lsn(9))]),
             Some(NodeId(3))
         );
         assert_eq!(
-            pick_promotion(&[
+            pick_promotion([
                 (NodeId(4), Lsn(7)),
                 (NodeId(2), Lsn(7)),
                 (NodeId(3), Lsn(7))

@@ -787,20 +787,18 @@ fn scale_in_with_replication_rehomes_followers_before_suspension() {
     );
     db.with_cluster(|c| {
         assert_eq!(
-            c.check_replica_invariants(),
+            c.replication.check_invariants(&c.nodes),
             None,
             "replica map consistent after the drain"
         );
         assert!(
-            c.replicas
-                .under_replicated(c.cfg.replication.factor)
-                .is_empty(),
+            c.replication.under_replicated().is_empty(),
             "drain orphaned follower copies: {:?}",
-            c.replicas.under_replicated(c.cfg.replication.factor)
+            c.replication.under_replicated()
         );
         for &n in &suspended {
             assert!(
-                !c.replicas.references(n),
+                !c.replication.map().references(n),
                 "suspended node {n} still referenced by the replica map"
             );
         }
@@ -866,13 +864,11 @@ fn scale_in_refuses_a_drain_that_would_strand_follower_copies() {
     );
     assert_eq!(db.active_nodes(), active_before, "node count unchanged");
     db.with_cluster(|c| {
-        assert_eq!(c.check_replica_invariants(), None);
+        assert_eq!(c.replication.check_invariants(&c.nodes), None);
         assert!(
-            c.replicas
-                .under_replicated(c.cfg.replication.factor)
-                .is_empty(),
+            c.replication.under_replicated().is_empty(),
             "refused drain still lost copies: {:?}",
-            c.replicas.under_replicated(c.cfg.replication.factor)
+            c.replication.under_replicated()
         );
     });
 }
@@ -922,7 +918,7 @@ fn kill_active_mid_migration_promotes_and_recovers() {
     let records_before = db.live_records();
     assert!(committed_before > 0, "writes committed before the failure");
     let victim = NodeId(1);
-    let map_before = db.with_cluster(|c| c.replicas.clone());
+    let map_before = db.with_cluster(|c| c.replication.map().clone());
     let led_before = map_before.led_by(victim);
     assert!(!led_before.is_empty(), "victim leads segments");
     // The migration is mid-flight off the victim when it dies.
@@ -953,7 +949,7 @@ fn kill_active_mid_migration_promotes_and_recovers() {
     // node that was its follower before the failure (factor 1: the single
     // follower IS the most-caught-up one), unless a completed migration
     // already moved it off the victim.
-    let map_after = db.with_cluster(|c| c.replicas.clone());
+    let map_after = db.with_cluster(|c| c.replication.map().clone());
     db.with_cluster(|c| {
         for &seg in &led_before {
             match map_after.leader_of(seg) {
@@ -975,11 +971,9 @@ fn kill_active_mid_migration_promotes_and_recovers() {
         );
         // Replication factor restored by re-replication.
         assert!(
-            c.replicas
-                .under_replicated(c.cfg.replication.factor)
-                .is_empty(),
+            c.replication.under_replicated().is_empty(),
             "factor not restored: {:?}",
-            c.replicas.under_replicated(c.cfg.replication.factor)
+            c.replication.under_replicated()
         );
     });
     assert!(
@@ -987,7 +981,7 @@ fn kill_active_mid_migration_promotes_and_recovers() {
         "dead node erased from the map"
     );
     assert!(
-        db.with_cluster(|c| c.rereplication_bytes) > 0,
+        db.with_cluster(|c| c.replication.rereplicated_bytes) > 0,
         "re-replication shipped bytes"
     );
     // No committed write was lost: the workload keeps inserting, so the
@@ -1005,7 +999,7 @@ fn kill_active_mid_migration_promotes_and_recovers() {
     println!(
         "[failover/mid-migration] orphaned={} rereplicated={}B completed {}→{}",
         orphaned.len(),
-        db.with_cluster(|c| c.rereplication_bytes),
+        db.with_cluster(|c| c.replication.rereplicated_bytes),
         committed_before,
         db.completed()
     );
@@ -1033,7 +1027,9 @@ fn kill_follower_rereplicates_to_restore_the_factor() {
     db.start_oltp(6, SimDuration::from_millis(50));
     db.run_for(SimDuration::from_secs(15));
     let victim = NodeId(2);
-    let followed = db.with_cluster(|c| c.replicas.clone()).followed_by(victim);
+    let followed = db
+        .with_cluster(|c| c.replication.map().clone())
+        .followed_by(victim);
     assert!(!followed.is_empty(), "victim follows other nodes' segments");
     db.fail_node(victim);
     db.run_for(SimDuration::from_secs(WINDOW_SECS * 30));
@@ -1045,21 +1041,19 @@ fn kill_follower_rereplicates_to_restore_the_factor() {
             .any(|e| matches!(e.decision, Decision::Promote { failed, .. } if failed == victim)),
         "failover logged: {events:?}"
     );
-    let map = db.with_cluster(|c| c.replicas.clone());
+    let map = db.with_cluster(|c| c.replication.map().clone());
     assert!(!map.references(victim), "dead follower erased everywhere");
     db.with_cluster(|c| {
         assert!(
-            c.replicas
-                .under_replicated(c.cfg.replication.factor)
-                .is_empty(),
+            c.replication.under_replicated().is_empty(),
             "factor not restored: {:?}",
-            c.replicas.under_replicated(c.cfg.replication.factor)
+            c.replication.under_replicated()
         );
     });
     // The restored copies were shipped over the wire, and none of the
     // segments the victim followed ended up with a co-located follower.
     assert!(
-        db.with_cluster(|c| c.rereplication_bytes) > 0,
+        db.with_cluster(|c| c.replication.rereplicated_bytes) > 0,
         "re-replication shipped bytes"
     );
     for seg in followed {
@@ -1071,9 +1065,9 @@ fn kill_follower_rereplicates_to_restore_the_factor() {
         }
     }
     println!(
-        "[failover/follower-kill] rereplicated={}B map epoch={}",
-        db.with_cluster(|c| c.rereplication_bytes),
-        map.epoch()
+        "[failover/follower-kill] rereplicated={}B map segments={}",
+        db.with_cluster(|c| c.replication.rereplicated_bytes),
+        map.len()
     );
 }
 

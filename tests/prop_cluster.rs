@@ -135,7 +135,7 @@ proptest! {
                 _ => {}
             }
             db.run_for(SimDuration::from_secs(15));
-            let violation = db.with_cluster(|c| c.check_replica_invariants());
+            let violation = db.with_cluster(|c| c.replication.check_invariants(&c.nodes));
             prop_assert!(violation.is_none(), "after op {}: {:?}", op, violation);
         }
         // Let everything in flight land: migrations, failover promotion,
@@ -143,12 +143,12 @@ proptest! {
         for _ in 0..80 {
             db.run_for(SimDuration::from_secs(5));
             let busy =
-                db.rebalancing() || db.with_cluster(|c| c.rereplication_inflight > 0);
+                db.rebalancing() || db.with_cluster(|c| c.replication.copies_in_flight > 0);
             if !busy {
                 break;
             }
         }
-        let violation = db.with_cluster(|c| c.check_replica_invariants());
+        let violation = db.with_cluster(|c| c.replication.check_invariants(&c.nodes));
         prop_assert!(violation.is_none(), "after settling: {:?}", violation);
         let (active_hosts, under) = db.with_cluster(|c| {
             let active_hosts = c
@@ -158,7 +158,7 @@ proptest! {
                 .count();
             (
                 active_hosts,
-                c.replicas.under_replicated(c.cfg.replication.factor),
+                c.replication.under_replicated(),
             )
         });
         if active_hosts >= 2 {

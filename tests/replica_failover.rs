@@ -42,7 +42,7 @@ fn replicated_db(factor: usize, initial: &[NodeId]) -> WattDb {
 #[test]
 fn bootstrap_places_followers_off_leader() {
     let db = replicated_db(1, &[NodeId(0), NodeId(1), NodeId(2)]);
-    let map = db.with_cluster(|c| c.replicas.clone());
+    let map = db.with_cluster(|c| c.replication.map().clone());
     assert!(!map.is_empty(), "every segment tracked");
     db.with_cluster(|c| {
         assert_eq!(map.len(), c.seg_dir.len(), "full coverage");
@@ -66,8 +66,12 @@ fn bootstrap_places_followers_off_leader() {
                 .filter(|(_, s)| s.leader == n.id)
                 .flat_map(|(_, s)| s.followers.iter().copied())
                 .collect();
-            let have: std::collections::BTreeSet<NodeId> =
-                n.replica_shipper.followers().into_iter().collect();
+            let have: std::collections::BTreeSet<NodeId> = c
+                .replication
+                .shipper(n.id)
+                .followers()
+                .into_iter()
+                .collect();
             assert_eq!(have, wanted, "node {} shipping cursors", n.id);
         }
     });
@@ -80,18 +84,18 @@ fn hot_reads_fan_out_to_followers() {
     db.run_for(SimDuration::from_secs(30));
     assert!(db.completed() > 0);
     assert!(
-        db.with_cluster(|c| c.replica_reads) > 0,
+        db.with_cluster(|c| c.replication.reads()) > 0,
         "caught-up followers must serve part of the read load"
     );
     assert!(
-        db.with_cluster(|c| c.replica_shipped_bytes()) > 0,
+        db.with_cluster(|c| c.replication.shipped_bytes()) > 0,
         "the write load must have shipped WAL to the followers"
     );
     // Staleness accounting never regresses: every cursor has
     // acked ≤ shipped ≤ the leader's log end.
     db.with_cluster(|c| {
         for n in &c.nodes {
-            for (f, shipped, acked) in n.replica_shipper.cursors() {
+            for (f, shipped, acked) in c.replication.shipper(n.id).cursors() {
                 assert!(acked <= shipped, "{f}: acked past shipped");
                 assert!(shipped <= n.log.last_lsn(), "{f}: shipped past the log");
             }
@@ -108,15 +112,15 @@ fn read_routing_weights_favor_cold_hosts() {
     let mut db = replicated_db(1, &[NodeId(0), NodeId(1)]);
     db.start_oltp(8, SimDuration::from_millis(40));
     db.run_for(SimDuration::from_secs(30));
-    assert!(db.with_cluster(|c| c.replica_reads) > 0);
+    assert!(db.with_cluster(|c| c.replication.reads()) > 0);
     db.with_cluster(|c| {
-        assert!(c.replica_read_total > 0, "router decisions counted");
+        assert!(c.replication.routed_reads > 0, "router decisions counted");
         assert!(
-            c.replica_read_total >= c.replica_reads,
+            c.replication.routed_reads >= c.replication.reads(),
             "every follower-served read went through the router"
         );
-        assert!(!c.replica_route_weights.is_empty(), "weights recorded");
-        for (&n, &w) in &c.replica_route_weights {
+        assert!(!c.replication.route_weights.is_empty(), "weights recorded");
+        for (&n, &w) in &c.replication.route_weights {
             assert!((1..=4).contains(&w), "{n}: weight {w} out of range");
         }
     });
@@ -131,11 +135,16 @@ fn planned_rebalance_onto_a_follower_evicts_and_backfills() {
     // instead of silently dropping to zero.
     let mut db = replicated_db(1, &[NodeId(0), NodeId(1), NodeId(2)]);
     let (seg, leader, follower) = db.with_cluster(|c| {
-        let (seg, set) = c.replicas.iter().next().expect("replicated segment");
+        let (seg, set) = c
+            .replication
+            .map()
+            .iter()
+            .next()
+            .expect("replicated segment");
         (seg, set.leader, set.followers[0])
     });
     assert_eq!(
-        db.with_cluster(|c| c.replicas.followers_of(seg).len()),
+        db.with_cluster(|c| c.replication.map().followers_of(seg).len()),
         1,
         "{seg} at factor before the move"
     );
@@ -166,7 +175,7 @@ fn planned_rebalance_onto_a_follower_evicts_and_backfills() {
     assert!(!db.rebalancing(), "planned move ran out");
     // Let the backfill copy land.
     db.run_for(SimDuration::from_secs(60));
-    let map = db.with_cluster(|c| c.replicas.clone());
+    let map = db.with_cluster(|c| c.replication.map().clone());
     let set = map.get(seg).expect("segment still tracked");
     assert_eq!(set.leader, follower, "{seg}: leadership moved as planned");
     assert!(
@@ -185,7 +194,7 @@ fn planned_rebalance_onto_a_follower_evicts_and_backfills() {
     );
     db.with_cluster(|c| {
         assert_eq!(
-            c.check_replica_invariants(),
+            c.replication.check_invariants(&c.nodes),
             None,
             "replica map consistent after evict + backfill"
         );
@@ -212,11 +221,11 @@ fn leader_kill_promotes_and_keeps_serving() {
     // Four warehouses spread over the first two data nodes: node 1 is
     // the populated victim (node 2 hosts only follower copies).
     let victim = NodeId(1);
-    let led = db.with_cluster(|c| c.replicas.led_by(victim));
+    let led = db.with_cluster(|c| c.replication.map().led_by(victim));
     assert!(!led.is_empty());
     db.fail_node(victim);
     db.run_for(SimDuration::from_secs(120));
-    let map = db.with_cluster(|c| c.replicas.clone());
+    let map = db.with_cluster(|c| c.replication.map().clone());
     assert!(!map.references(victim), "corpse erased from the map");
     for seg in led {
         let leader = map.leader_of(seg).expect("still tracked");
@@ -261,10 +270,14 @@ fn log_tail_stays_bounded_under_replication() {
                     n.log.len(),
                     n.log.last_lsn()
                 );
-                for (f, shipped, acked) in n.replica_shipper.cursors() {
+                for (f, shipped, acked) in c.replication.shipper(n.id).cursors() {
                     assert!(acked <= shipped, "{f}: acked past shipped");
                     assert!(shipped <= n.log.last_lsn(), "{f}: shipped past the log");
-                    let lag = n.replica_shipper.lag(f, &n.log).expect("attached");
+                    let lag = c
+                        .replication
+                        .shipper(n.id)
+                        .lag(f, &n.log)
+                        .expect("attached");
                     assert_eq!(lag, n.log.last_lsn().raw() - acked.raw());
                 }
             }
@@ -276,12 +289,12 @@ fn log_tail_stays_bounded_under_replication() {
         "run too short for the bound to mean anything: {appended:?} records"
     );
     let victim = NodeId(1);
-    let led = db.with_cluster(|c| c.replicas.led_by(victim));
+    let led = db.with_cluster(|c| c.replication.map().led_by(victim));
     assert!(!led.is_empty());
     let committed = db.completed();
     db.fail_node(victim);
     db.run_for(SimDuration::from_secs(60));
-    let map = db.with_cluster(|c| c.replicas.clone());
+    let map = db.with_cluster(|c| c.replication.map().clone());
     assert!(!map.references(victim), "corpse erased from the map");
     for seg in led {
         assert_ne!(map.leader_of(seg).expect("still tracked"), victim);
@@ -305,7 +318,7 @@ proptest! {
             .filter(|&(n, _)| seen.insert(n))
             .map(|(n, l)| (NodeId(n), Lsn(l)))
             .collect();
-        match pick_promotion(&candidates) {
+        match pick_promotion(candidates.iter().copied()) {
             None => prop_assert!(candidates.is_empty()),
             Some(winner) => {
                 let max = candidates.iter().map(|&(_, l)| l).max().unwrap();
