@@ -950,8 +950,7 @@ pub fn run_drain_under_replication(cfg: FailoverShootout) -> DrainUnderReplicati
             }
             continue;
         }
-        let settled = db.with_cluster(|c| c.mover.is_none() && c.replication.copies_in_flight == 0);
-        if settled {
+        if !db.rebalancing() {
             break;
         }
     }

@@ -41,7 +41,7 @@ impl fmt::Display for Key {
 ///
 /// The full key space is `KeyRange::all()`. An empty range has
 /// `start >= end`.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub struct KeyRange {
     /// Inclusive lower bound.
     pub start: Key,

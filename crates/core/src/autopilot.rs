@@ -288,15 +288,15 @@ impl AutoPilot {
                     Decision::Promote { failed, orphaned },
                 );
             }
-            // Background factor repair: a re-replication copy voided
-            // mid-flight (its host died, or a migration moved leadership
-            // while the bytes were on the wire) leaves segments under the
-            // factor with no failover left to re-fire. Once the wire is
-            // clear, re-plan whatever is still missing a follower; with
+            // Background factor repair: a follower copy voided mid-flight
+            // (its host died, or a migration moved leadership while the
+            // bytes were on the wire) leaves segments under the factor
+            // with no failover left to re-fire. Once no copy is left on a
+            // chain, re-plan whatever is still missing a follower; with
             // no eligible host this plans nothing and costs nothing.
             let needs_repair = {
-                let replication = &cl.borrow().replication;
-                replication.copies_in_flight == 0 && !replication.under_replicated().is_empty()
+                let c = cl.borrow();
+                !crate::migration::copying(&c) && !c.replication.under_replicated().is_empty()
             };
             if needs_repair {
                 crate::failover::schedule_rereplication(cl, sim);

@@ -511,9 +511,9 @@ impl Cluster {
         }
     }
 
-    /// The drain episode is over and `node` could not suspend (leftover
-    /// segments, follower backfills still on the wire): it rejoins the
-    /// plannable pool rather than staying excluded forever.
+    /// The drain episode is over and `node` could not suspend (a segment
+    /// whose move was voided, helper duty): it rejoins the plannable pool
+    /// rather than staying excluded forever.
     pub fn end_drain(&mut self, node: NodeId) {
         let life = &mut self.nodes[node.raw() as usize].life;
         if *life == Lifecycle::Draining {

@@ -13,17 +13,18 @@
 //! — master first, then [`Cluster::hand_over`], the routine the mover
 //! uses — but ships no bytes: the follower already holds the segment via
 //! log shipping. Only *re-replication* (new followers for the now
-//! under-replicated segments) pays wire time, and every follower copy —
-//! failover backfill, background repair, a drain's re-homes — is shipped
-//! by one routine, `ship_copy`, which owns the in-flight counter and the
-//! void-on-death rule; its callers add only the predicate that really
-//! differs and their own span event.
+//! under-replicated segments) copies data, and every follower copy —
+//! failover re-replication, background repair, a drain's re-homes, the
+//! mover's backfill — is a step on a mover chain: read off the leader's
+//! disk while it crosses the wire, like a segment move, and landed only
+//! if its host is still active and its source still leads the segment.
 
-use wattdb_common::{ByteSize, NodeId, SegmentId, SimTime};
-use wattdb_sim::{Completion, Sim};
-use wattdb_telemetry::AttrValue;
+use wattdb_common::{NodeId, SegmentId, SimTime};
+use wattdb_sim::Sim;
+use wattdb_telemetry::{AttrValue, SpanId};
 
-use crate::cluster::{Cluster, ClusterRc, Lifecycle};
+use crate::cluster::{Cluster, ClusterRc};
+use crate::migration::{next_step, FollowerCopy};
 
 /// Promote a follower for every segment the failed node led, re-pointing
 /// routing and placement at the winners. Returns `(segment, new leader)`
@@ -100,138 +101,103 @@ fn coldest_live(c: &Cluster, now: SimTime, failed: NodeId) -> Option<NodeId> {
         .map(|(n, _)| n)
 }
 
-/// Ship one follower copy of `seg` from `leader` to `to`. The follower
-/// joins the map (and the leader's shipping cursors) only when its bytes
-/// land, and only if the host is then still serving and not draining and
-/// the caller's `void` predicate — what else would make this particular
-/// copy meaningless — does not hold. Owns the in-flight counter the
-/// autopilot's background repair waits on: whatever a voided copy leaves
-/// under-replicated is re-planned there, the single reconciliation
-/// point. Returns the bytes put on the wire, `None` (nothing scheduled)
-/// when the segment is unknown.
-fn ship_copy(
+/// Queue one follower copy per `(segment, host, attrs)` on its leader's
+/// mover chain ([`crate::migration::MoveController::queue_copy`]), under a
+/// controller for copies alone when none runs, each logged as `event` on
+/// `span` with the segment, `attrs` and its bytes; then start every chain
+/// that was idle.
+fn queue_copies(
     cl: &ClusterRc,
     sim: &mut Sim,
-    seg: SegmentId,
-    leader: NodeId,
-    to: NodeId,
-    void: impl Fn(&Cluster) -> bool + 'static,
-) -> Option<u64> {
-    let bytes = cl.borrow().copy_bytes(seg).ok()?;
-    let handle = cl.clone();
-    let done = Completion::call(move |_sim| {
-        let c = &mut *handle.borrow_mut();
-        let in_flight = &mut c.replication.copies_in_flight;
-        *in_flight = in_flight.saturating_sub(1);
-        if c.life(to) == Lifecycle::Active && !void(c) {
-            c.replication.add_copy(seg, to, bytes, &c.nodes);
+    span: Option<SpanId>,
+    event: &str,
+    copies: impl IntoIterator<Item = (SegmentId, NodeId, Vec<(String, AttrValue)>)>,
+) {
+    let mut idle = Vec::new();
+    {
+        let mut c = cl.borrow_mut();
+        let c = &mut *c;
+        for (seg, to, named) in copies {
+            let (Ok(bytes), Some(from)) = (c.copy_bytes(seg), c.replication.map().leader_of(seg))
+            else {
+                continue;
+            };
+            let copy = FollowerCopy {
+                seg,
+                from,
+                to,
+                bytes,
+            };
+            idle.extend(
+                c.mover
+                    .get_or_insert_with(Default::default)
+                    .queue_copy(copy),
+            );
+            if let Some(span) = span {
+                let mut attrs = vec![("segment".into(), AttrValue::U64(seg.raw()))];
+                attrs.extend(named);
+                attrs.push(("bytes".into(), bytes.into()));
+                c.telemetry.spans.add_event(span, sim.now(), event, attrs);
+            }
         }
-    });
-    cl.borrow_mut().replication.copies_in_flight += 1;
-    cl.borrow()
-        .net
-        .send(sim, leader, to, ByteSize::bytes(bytes), done);
-    Some(bytes)
+    }
+    for chain in idle {
+        next_step(cl, sim, chain);
+    }
 }
 
 /// Restore the replication factor: ask the heat-aware planner for fresh
-/// follower placements and ship each segment's footprint to its new host
-/// over the wire (`ship_copy`); a leader that dies or loses leadership
-/// in the meantime voids the delivery. Returns the number of copies
-/// scheduled.
-pub fn schedule_rereplication(cl: &ClusterRc, sim: &mut Sim) -> usize {
-    let plan = {
+/// follower placements and queue each copy on a mover chain. A copy
+/// joins the map only if its host is still active and its source still
+/// leads the segment when it lands.
+pub fn schedule_rereplication(cl: &ClusterRc, sim: &mut Sim) {
+    let (plan, span) = {
         let c = cl.borrow();
-        crate::heat::plan_replicas(&c, sim.now())
+        (crate::heat::plan_replicas(&c, sim.now()), c.failover_span)
     };
-    let mut scheduled = 0;
-    for p in &plan.placements {
-        let (seg, leader) = (p.seg, p.leader);
-        for &f in &p.followers {
-            let void = move |c: &Cluster| {
-                c.is_failed(leader) || c.replication.map().leader_of(seg) != Some(leader)
-            };
-            let Some(bytes) = ship_copy(cl, sim, seg, leader, f, void) else {
-                continue;
-            };
-            let mut c = cl.borrow_mut();
-            let c = &mut *c;
-            if let Some(span) = c.failover_span {
-                let attrs = vec![
-                    ("segment".into(), AttrValue::U64(seg.raw())),
-                    ("follower".into(), f.to_string().into()),
-                    ("bytes".into(), bytes.into()),
-                ];
-                c.telemetry
-                    .spans
-                    .add_event(span, sim.now(), "re-replicate", attrs);
-            }
-            scheduled += 1;
-        }
-    }
-    scheduled
+    let copies = plan.placements.iter().flat_map(|p| {
+        let named = |f: NodeId| vec![("follower".into(), f.to_string().into())];
+        p.followers.iter().map(move |&f| (p.seg, f, named(f)))
+    });
+    queue_copies(cl, sim, span, "re-replicate", copies);
 }
 
 /// Execute a drain's planned follower re-homes: each copy on a draining
 /// node leaves the map immediately (the node must be empty of replica
-/// duty before it may suspend) and a replacement copy ships from the
-/// segment's leader to the planned host (`ship_copy`); it is void if
-/// the segment's leadership ended up on the planned host (a leader is
-/// never its own follower). Returns the number of copies scheduled.
+/// duty before it may suspend) and a replacement copy is queued on a
+/// mover chain — behind the segment's leader move when the drain moves
+/// it, so it ships from the post-move leader.
 pub fn schedule_follower_rehomes(
     cl: &ClusterRc,
     sim: &mut Sim,
     rehomes: &[wattdb_planner::FollowerRehome],
-) -> usize {
-    {
+) {
+    // Re-homed-follower events land on the drain's rebalance span so the
+    // exported timeline shows the drain as one atomic "move leaders +
+    // re-home followers" account.
+    let span = {
         let mut c = cl.borrow_mut();
         let c = &mut *c;
         let copies = rehomes.iter().map(|r| (r.seg, r.from));
         c.replication.remove_followers(copies, &c.nodes);
-    }
-    let mut scheduled = 0;
-    for r in rehomes {
-        let (seg, from, to) = (r.seg, r.from, r.to);
-        // Ship from the segment's *current* leader: the planned leader may
-        // not have landed yet (the drain's leader moves are still in
-        // flight), and the copy must come from a live log.
-        let Some(leader) = cl.borrow().replication.map().leader_of(seg) else {
-            continue;
-        };
-        let void = move |c: &Cluster| c.replication.map().leader_of(seg) == Some(to);
-        let Some(bytes) = ship_copy(cl, sim, seg, leader, to, void) else {
-            continue;
-        };
-        let mut c = cl.borrow_mut();
-        let c = &mut *c;
-        // Re-homed-follower events land on the drain's rebalance span
-        // so the exported timeline shows the drain as one atomic
-        // "move leaders + re-home followers" account.
-        if let Some(span) = c.mover.as_ref().and_then(|m| m.span) {
-            let attrs = vec![
-                ("segment".into(), AttrValue::U64(seg.raw())),
-                ("from".into(), from.to_string().into()),
-                ("to".into(), to.to_string().into()),
-                ("bytes".into(), bytes.into()),
-            ];
-            c.telemetry
-                .spans
-                .add_event(span, sim.now(), "re-home", attrs);
-        }
-        scheduled += 1;
-    }
-    scheduled
+        c.mover.as_ref().and_then(|m| m.span)
+    };
+    let copies = rehomes.iter().map(|r| {
+        let named = [("from", r.from), ("to", r.to)];
+        let named = named.map(|(k, n)| (k.into(), n.to_string().into()));
+        (r.seg, r.to, named.into())
+    });
+    queue_copies(cl, sim, span, "re-home", copies);
 }
 
 /// Full failover for one dead node: promote every segment it led, erase
 /// it from all follower sets, re-wire shipping cursors, and schedule
 /// re-replication for whatever is now under-replicated (both its led
 /// segments, which lost their promotee as a follower, and segments it
-/// merely followed). Returns the promotions performed.
-pub fn handle_failure(cl: &ClusterRc, sim: &mut Sim, failed: NodeId) -> Vec<(SegmentId, NodeId)> {
-    let promotions = {
-        let mut c = cl.borrow_mut();
-        let c = &mut *c;
+/// merely followed).
+pub fn handle_failure(cl: &ClusterRc, sim: &mut Sim, failed: NodeId) {
+    {
+        let c = &mut *cl.borrow_mut();
         let promotions = promote_orphans(c, sim.now(), failed);
         c.replication.drop_node(failed, &c.nodes);
         if let Some(span) = c.failover_span {
@@ -248,8 +214,6 @@ pub fn handle_failure(cl: &ClusterRc, sim: &mut Sim, failed: NodeId) -> Vec<(Seg
                 .spans
                 .set_attr(span, "promotions", promotions.len().into());
         }
-        promotions
-    };
+    }
     schedule_rereplication(cl, sim);
-    promotions
 }

@@ -421,7 +421,6 @@ pub fn plan_scale_out(
 pub fn plan_drain_replicated(
     c: &crate::cluster::Cluster,
     now: SimTime,
-    tolerance: f64,
     drain: &[NodeId],
     remaining: &[NodeId],
 ) -> wattdb_planner::DrainPlan {
@@ -441,7 +440,6 @@ pub fn plan_drain_replicated(
         &stats,
         drain,
         remaining,
-        &wattdb_planner::PlanConfig { tolerance },
         &sites,
         &hosts,
         c.cfg.replication,

@@ -25,7 +25,7 @@
 //! to move, what to drain, which follower copies to re-home and which
 //! helpers (Fig. 8) to wire or release; [`run`] carries it out. `run` is
 //! the only code outside `cluster.rs` that powers a node on, marks a
-//! drain, installs the [`MoveController`], wires a helper or opens the
+//! drain, starts a rebalance's [`MoveController`], wires a helper or opens the
 //! `failover` / `helpers` / `rebalance` / `power-up` / `power-down`
 //! spans, and it returns what it started ([`Applied`]) instead of leaving
 //! callers to read it back. The step machine below then moves the data;
@@ -36,12 +36,14 @@
 //!
 //! # One step machine
 //!
-//! Each source runs one [`MoverChain`]: a queue of moves and the [`Step`]
-//! in flight — a segment, or a batch of a range's records staged on the
-//! chain. One path drives both: pick (master first) → [`lock_step`] →
-//! copy → apply → release; the schemes differ only in which lock, what
-//! the copy bills and what apply does (§4.1–4.3). A failed step takes the
-//! one rewind; every landed step asserts that it routes to where it lies.
+//! Each source runs one [`MoverChain`]: a queue of moves and the step
+//! in flight — a segment, a follower copy, or a batch of a range's
+//! records staged on the chain. One path drives them all: pick (master
+//! first) → [`lock_step`] → copy → apply → release; the schemes differ
+//! only in which lock, what the copy bills and what apply does
+//! (§4.1–4.3). A follower copy takes no lock and bills what a segment
+//! does. A failed step takes the one rewind; every landed move asserts
+//! that it routes to where it lies.
 //!
 //! Bulk I/O volumes are multiplied by `cfg.io_scale` so the scaled-down
 //! dataset produces the paper's 100 GB-class transfer times (see
@@ -79,18 +81,6 @@ pub struct SegmentMove {
     pub to: NodeId,
 }
 
-impl From<&wattdb_planner::PlannedMove> for SegmentMove {
-    fn from(m: &wattdb_planner::PlannedMove) -> Self {
-        SegmentMove {
-            seg: m.seg,
-            table: m.table,
-            range: m.range,
-            from: m.from,
-            to: m.to,
-        }
-    }
-}
-
 /// One planned logical range move (per table, per source).
 #[derive(Debug, Clone, Copy)]
 pub struct RangeMove {
@@ -104,6 +94,21 @@ pub struct RangeMove {
     pub to: NodeId,
 }
 
+/// One follower copy: a segment's footprint from its leader to a new
+/// follower host. Log shipping catches the copy up once it joins the map.
+/// It takes no lock and writes no move bracket.
+#[derive(Debug, Clone, Copy)]
+pub struct FollowerCopy {
+    /// Copied segment.
+    pub seg: SegmentId,
+    /// The segment's leader: as queued, then as the chain reaches it.
+    pub from: NodeId,
+    /// The new follower host.
+    pub to: NodeId,
+    /// The segment's footprint when the copy was queued (post io_scale).
+    pub bytes: u64,
+}
+
 /// A planned move waiting in a chain's queue.
 #[derive(Debug, Clone, Copy)]
 pub enum Pending {
@@ -111,6 +116,8 @@ pub enum Pending {
     Segment(SegmentMove),
     /// A key range, moved batch by batch (logical).
     Range(RangeMove),
+    /// A follower copy.
+    Copy(FollowerCopy),
 }
 
 /// `[from, to]` of a queued move.
@@ -118,52 +125,61 @@ fn ends(p: Pending) -> [NodeId; 2] {
     match p {
         Pending::Segment(m) => [m.from, m.to],
         Pending::Range(m) => [m.from, m.to],
+        Pending::Copy(m) => [m.from, m.to],
     }
 }
 
-/// The step a chain has in flight; its kind decides the lock, the copy's
-/// bill and what apply does.
-#[derive(Debug, Clone)]
-pub enum Step {
-    /// One whole segment (§4.1, §4.3).
-    Segment(SegmentMove),
-    /// One batch of a range move's records (§4.2), staged on its chain.
-    Batch {
-        /// The range move the batch belongs to.
-        mv: RangeMove,
-        /// The batch's slice of `mv.range`.
-        range: KeyRange,
-        /// The keys picked, in key order.
-        keys: Vec<Key>,
-        /// Their head versions' logical widths, summed at pick.
-        width: u64,
-    },
+/// The batch of a range move's records (§4.2) in flight, staged on its
+/// chain.
+#[derive(Debug, Default)]
+pub struct Batch {
+    /// The batch's slice of the move's range.
+    pub range: KeyRange,
+    /// The keys picked, in key order.
+    pub keys: Vec<Key>,
+    /// Their head versions' logical widths, summed at pick.
+    pub width: u64,
 }
 
-/// Per-source migration chain: its queue and its step in flight. Its
-/// index in [`MoveController::chains`] is its lock-waiter token.
+/// Per-source migration chain: its queue and its step in flight, whose
+/// kind decides the lock, the copy's bill and what apply does. Its index
+/// in [`MoveController::chains`] is its lock-waiter token.
 #[derive(Default)]
 pub struct MoverChain {
+    /// The node its moves leave (a follower copy: its segment's leader).
+    pub source: NodeId,
     /// Moves not started yet, in plan order.
     pub queue: VecDeque<Pending>,
     /// Where the next batch of the started range at the front starts.
     pub cursor: Option<Key>,
     /// The system transaction held (under MGL-RX, across a range).
     pub txn: Option<TxnId>,
-    /// The step picked and not yet applied.
-    pub step: Option<Step>,
+    /// The move picked and not yet applied; a range moves one `batch` at
+    /// a time.
+    pub step: Option<Pending>,
+    /// The range step's batch.
+    pub batch: Batch,
     /// Done flag.
     pub done: bool,
 }
 
+impl MoverChain {
+    /// The step in flight, then the queued moves.
+    pub fn moves(&self) -> impl Iterator<Item = Pending> + '_ {
+        self.step.into_iter().chain(self.queue.iter().copied())
+    }
+}
+
 /// Cluster-wide migration controller.
+#[derive(Default)]
 pub struct MoveController {
     /// Chains by id.
     pub chains: Vec<MoverChain>,
     /// The report so far: scheme, planner, start and planned heat as
     /// launched, the counters as each step lands; `finished` is stamped
-    /// when the last chain drains.
-    pub report: RebalanceReport,
+    /// when the last chain drains. `None` for a controller started for
+    /// follower copies alone, which records no rebalance.
+    pub report: Option<RebalanceReport>,
     /// Tracing span covering this rebalance, closed by `maybe_finish`.
     pub span: Option<wattdb_telemetry::SpanId>,
     /// Child span covering the targets' power-on + boot, closed when the
@@ -175,8 +191,8 @@ impl MoveController {
     /// Drop every *pending* move that sources from or targets `node` — the
     /// failover path's way of keeping a dead node out of the remaining
     /// plan. A move already in flight — the step picked, or a range
-    /// already started — is left alone here; `apply_segment`'s failed-node
-    /// guard voids a segment when the copy completes against a corpse.
+    /// already started — is left alone here; the apply voids a segment or
+    /// follower copy that completes against a corpse.
     pub fn drop_node(&mut self, node: NodeId) {
         for ch in &mut self.chains {
             let started = ch.cursor.and_then(|_| ch.queue.pop_front());
@@ -186,53 +202,61 @@ impl MoveController {
             }
         }
     }
-}
 
-/// Plan which segments leave each source: the upper `fraction` of each
-/// (table, source) partition's key-ordered segments, paired with targets
-/// round-robin.
-fn plan_segment_moves(
-    c: &Cluster,
-    fraction: f64,
-    sources: &[NodeId],
-    targets: &[NodeId],
-) -> Vec<SegmentMove> {
-    let mut moves = Vec::new();
-    for (i, &src) in sources.iter().enumerate() {
-        let to = targets[i % targets.len()];
-        for part in c.partitions.values().filter(|p| p.node == src) {
-            let segs = part.top.segments();
-            let keep = ((segs.len() as f64) * (1.0 - fraction)).round() as usize;
-            for (seg, range) in segs.into_iter().skip(keep) {
-                moves.push(SegmentMove {
-                    seg,
-                    table: part.table,
-                    range,
-                    from: src,
-                    to,
-                });
-            }
-        }
+    /// Queue a follower copy on its leader's chain, right behind the
+    /// segment's own move when that is queued there; the chain is created,
+    /// or revived when done. Returns the chain to kick, if it was idle.
+    pub fn queue_copy(&mut self, copy: FollowerCopy) -> Option<u64> {
+        let chain = self.chains.iter().position(|ch| ch.source == copy.from);
+        let id = chain.unwrap_or_else(|| {
+            // A new chain starts idle, to be revived like a done one.
+            self.chains.push(MoverChain {
+                source: copy.from,
+                done: true,
+                ..Default::default()
+            });
+            self.chains.len() - 1
+        });
+        let ch = &mut self.chains[id];
+        let own_move =
+            (ch.queue.iter()).position(|p| matches!(p, Pending::Segment(mv) if mv.seg == copy.seg));
+        let at = own_move.map_or(ch.queue.len(), |i| i + 1);
+        ch.queue.insert(at, Pending::Copy(copy));
+        std::mem::take(&mut ch.done).then_some(id as u64)
     }
-    moves
 }
 
-/// Plan logical range moves: the upper `fraction` *of the records* of each
-/// (table, source) partition. The cut point is found by walking the
-/// partition's segments in key order and accumulating their record counts
-/// — cutting the raw key-space envelope instead would be meaningless,
-/// since edge partitions extend to the key-space limits.
-fn plan_range_moves(
+/// The fraction heuristic: the upper `fraction` of each (table, source)
+/// partition goes to `targets` round-robin — its key-ordered segments, or
+/// under logical partitioning the key range holding that share *of its
+/// records*. The cut point is found by walking the partition's segments in
+/// key order and accumulating their record counts — cutting the raw
+/// key-space envelope instead would be meaningless, since edge partitions
+/// extend to the key-space limits.
+fn plan_fraction_moves(
     c: &Cluster,
     fraction: f64,
     sources: &[NodeId],
     targets: &[NodeId],
-) -> Vec<RangeMove> {
+) -> Vec<Pending> {
     let mut moves = Vec::new();
     for (i, &src) in sources.iter().enumerate() {
         let to = targets[i % targets.len()];
         for part in c.partitions.values().filter(|p| p.node == src) {
-            let segs = part.top.segments();
+            let (segs, table) = (part.top.segments(), part.table);
+            if c.cfg.scheme != Scheme::Logical {
+                let keep = ((segs.len() as f64) * (1.0 - fraction)).round() as usize;
+                for (seg, range) in segs.into_iter().skip(keep) {
+                    moves.push(Pending::Segment(SegmentMove {
+                        seg,
+                        table,
+                        range,
+                        from: src,
+                        to,
+                    }));
+                }
+                continue;
+            }
             let records = |s: SegmentId| c.seg_dir.get(s).map_or(0, |m| m.records);
             let total: u64 = segs.iter().map(|&(s, _)| records(s)).sum();
             let keep = ((total as f64) * (1.0 - fraction)) as u64;
@@ -247,31 +271,16 @@ fn plan_range_moves(
             };
             let range = KeyRange::new(cut.start, last.end);
             if total > 0 && !range.is_empty() {
-                moves.push(RangeMove {
-                    table: part.table,
+                moves.push(Pending::Range(RangeMove {
+                    table,
                     range,
                     from: src,
                     to,
-                });
+                }));
             }
         }
     }
     moves
-}
-
-/// How a rebalance's data moves.
-#[derive(Debug, Clone)]
-pub enum Moves {
-    /// Whole segments (physical / physiological partitioning).
-    Segments(Vec<SegmentMove>),
-    /// Key ranges, record by record (logical partitioning).
-    Ranges(Vec<RangeMove>),
-}
-
-impl Default for Moves {
-    fn default() -> Self {
-        Moves::Segments(Vec::new())
-    }
 }
 
 /// Helpers to wire to their sources (Fig. 8): each source ships its log to
@@ -344,8 +353,9 @@ pub struct ControlPlan {
     /// One mover chain per source, in this order; a chain carries the
     /// moves leaving its source. Empty: no rebalance starts.
     pub sources: Vec<NodeId>,
-    /// The moves.
-    pub moves: Moves,
+    /// The moves: whole segments (physical / physiological partitioning)
+    /// or key ranges (logical).
+    pub moves: Vec<Pending>,
     /// The rebalance's targets, powered on before the moves start (a
     /// no-op on a node already up).
     pub power_up: Vec<NodeId>,
@@ -357,14 +367,23 @@ impl ControlPlan {
     /// Execute a planner [`wattdb_planner::Plan`]'s segment moves onto
     /// `targets`.
     pub fn planned(plan: &wattdb_planner::Plan, targets: &[NodeId]) -> Self {
-        let moves: Vec<SegmentMove> = plan.moves.iter().map(SegmentMove::from).collect();
-        let mut sources: Vec<NodeId> = moves.iter().map(|m| m.from).collect();
+        let mut sources: Vec<NodeId> = plan.moves.iter().map(|m| m.from).collect();
         sources.sort_unstable();
         sources.dedup();
+        let moves = plan.moves.iter().map(|m| {
+            let (seg, table, range, from, to) = (m.seg, m.table, m.range, m.from, m.to);
+            Pending::Segment(SegmentMove {
+                seg,
+                table,
+                range,
+                from,
+                to,
+            })
+        });
         ControlPlan {
             planner: plan.planner,
             sources,
-            moves: Moves::Segments(moves),
+            moves: moves.collect(),
             power_up: targets.to_vec(),
             ..Default::default()
         }
@@ -374,14 +393,10 @@ impl ControlPlan {
     /// — segments, or records under logical partitioning — goes to
     /// `targets` round-robin.
     pub fn fraction(c: &Cluster, fraction: f64, sources: &[NodeId], targets: &[NodeId]) -> Self {
-        let moves = match c.cfg.scheme {
-            Scheme::Logical => Moves::Ranges(plan_range_moves(c, fraction, sources, targets)),
-            _ => Moves::Segments(plan_segment_moves(c, fraction, sources, targets)),
-        };
         ControlPlan {
             planner: Planner::Fraction,
             sources: sources.to_vec(),
-            moves,
+            moves: plan_fraction_moves(c, fraction, sources, targets),
             power_up: targets.to_vec(),
             ..Default::default()
         }
@@ -549,21 +564,18 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
         }
 
         if launch {
-            let moves: Vec<Pending> = match &plan.moves {
-                Moves::Segments(m) => m.iter().map(|&m| Pending::Segment(m)).collect(),
-                Moves::Ranges(m) => m.iter().map(|&m| Pending::Range(m)).collect(),
-            };
-            let segments: &[SegmentMove] = match &plan.moves {
-                Moves::Segments(m) => m,
-                Moves::Ranges(_) => &[],
+            let moves = &plan.moves;
+            let segment = |p: &Pending| match *p {
+                Pending::Segment(m) => Some(m),
+                _ => None,
             };
             assert!(
-                segments.is_empty() || c.cfg.scheme != Scheme::Logical,
+                c.cfg.scheme != Scheme::Logical || !moves.iter().any(|p| segment(p).is_some()),
                 "planned segment moves need a segment scheme (physical/physiological)"
             );
             // What the plan intends to relocate, valued at plan time.
-            let heat = |m: &SegmentMove| c.heat.heat_of(m.seg, now).value();
-            let heat_planned: f64 = segments.iter().map(heat).sum();
+            let heat = |m: SegmentMove| c.heat.heat_of(m.seg, now).value();
+            let heat_planned: f64 = moves.iter().filter_map(segment).map(heat).sum();
             let from: std::collections::BTreeSet<NodeId> =
                 moves.iter().map(|&p| ends(p)[0]).collect();
             let rebalance = c.telemetry.start_span(
@@ -585,16 +597,17 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
             });
             c.mover = Some(MoveController {
                 chains: (plan.sources.iter())
-                    .map(|&src| MoverChain {
+                    .map(|&source| MoverChain {
+                        source,
                         queue: moves
                             .iter()
                             .copied()
-                            .filter(|&p| ends(p)[0] == src)
+                            .filter(|&p| ends(p)[0] == source)
                             .collect(),
                         ..Default::default()
                     })
                     .collect(),
-                report: RebalanceReport {
+                report: Some(RebalanceReport {
                     scheme: c.cfg.scheme,
                     planner: plan.planner,
                     started: now,
@@ -604,7 +617,7 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
                     bytes_moved: 0,
                     heat_planned,
                     heat_moved: 0.0,
-                },
+                }),
                 span: Some(rebalance),
                 power_span,
             });
@@ -656,14 +669,15 @@ pub struct SettledDrain {
 /// per monitoring window, after the autopilot's failover and repair steps.
 ///
 /// The `failover` span closes once no failed node is referenced by the
-/// replica map and the replication factor is restored (immediately, when
-/// replication is off). A scale-in whose moves have all landed suspends
-/// its emptied nodes (§3.4's "shutdown the nodes currently not needed")
-/// and closes the `power-down` span — even when the drained node died
-/// first. Whatever could not suspend (leftover segments, follower
-/// backfills still on the wire) rejoins the plannable pool rather than
-/// staying excluded as "draining" forever; the next window re-decides.
-/// The finished drain is returned for the caller to log.
+/// replica map, no follower copy is left on a chain and the replication
+/// factor is restored (immediately, when replication is off). A scale-in
+/// whose moves and re-homes have all landed suspends its emptied nodes
+/// (§3.4's "shutdown the nodes currently not needed") and closes the
+/// `power-down` span — even when the drained node died first. Whatever
+/// could not suspend (a segment whose move was voided, helper duty)
+/// rejoins the plannable pool rather than staying excluded as "draining"
+/// forever; the next window re-decides. The finished drain is returned
+/// for the caller to log.
 pub fn settle(cl: &ClusterRc, sim: &Sim) -> Option<SettledDrain> {
     let now = sim.now();
     let mut c = cl.borrow_mut();
@@ -672,7 +686,7 @@ pub fn settle(cl: &ClusterRc, sim: &Sim) -> Option<SettledDrain> {
     let replication = &c.replication;
     let recovered = c.failover_span.is_some()
         && !c.failed_nodes().any(|n| replication.map().references(n))
-        && replication.copies_in_flight == 0
+        && !copying(c)
         && replication.under_replicated().is_empty();
     if let Some(span) = c.failover_span.take_if(|_| recovered) {
         let spans = &mut c.telemetry.spans;
@@ -733,8 +747,8 @@ const MIGRATION_BATCH: usize = 64;
 /// Pick the chain's next step and start it: the master first, keeping
 /// both pointers (§4.3 step 1) for a step that changes ownership, then the
 /// step's system transaction (under MGL-RX, one per range), then the locks.
-fn next_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
-    {
+pub(crate) fn next_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
+    let copy = {
         let mut c = cl.borrow_mut();
         let c = &mut *c;
         // First chain to start moving marks boot completion for the
@@ -746,11 +760,14 @@ fn next_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
             maybe_finish(c, sim.now());
             return;
         };
-        let routed = match &step {
-            Step::Segment(mv) => {
+        let routed = match step {
+            Pending::Segment(mv) => {
                 (c.cfg.scheme == Scheme::Physiological).then_some((mv.table, mv.range, mv.to))
             }
-            Step::Batch { mv, range, .. } => Some((mv.table, *range, mv.to)),
+            Pending::Copy(_) => None,
+            Pending::Range(mv) => {
+                chain_mut(&mut c.mover, chain).map(|ch| (mv.table, ch.batch.range, mv.to))
+            }
         };
         if let Some((table, range, to)) = routed {
             let pid = c.partition_on(table, to);
@@ -758,18 +775,27 @@ fn next_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
                 .begin_move(table, range, pid, to)
                 .expect("routable move");
         }
+        // A follower copy takes no lock: log shipping catches it up.
+        let copy = matches!(step, Pending::Copy(_));
         if let Some(ch) = chain_mut(&mut c.mover, chain) {
-            ch.txn = ch.txn.or_else(|| Some(c.txn.begin(TxnKind::System)));
+            if !copy {
+                ch.txn = ch.txn.or_else(|| Some(c.txn.begin(TxnKind::System)));
+            }
             ch.step = Some(step);
         }
+        copy
+    };
+    if copy {
+        copy_step(cl, sim, chain);
+    } else {
+        lock_step(cl, sim, chain);
     }
-    lock_step(cl, sim, chain);
 }
 
-/// The chain's next step: the next segment, or up to [`MIGRATION_BATCH`]
-/// keys of the front range from its cursor, the batch reaching to the next
-/// key or the range's end. `None`: the chain is done.
-fn pick(c: &mut Cluster, chain: u64) -> Option<Step> {
+/// The chain's next step: the next segment or follower copy, or up to
+/// [`MIGRATION_BATCH`] keys of the front range from its cursor, the batch
+/// reaching to the next key or the range's end. `None`: the chain is done.
+fn pick(c: &mut Cluster, chain: u64) -> Option<Pending> {
     loop {
         let ch = chain_mut(&mut c.mover, chain)?;
         let mv = match ch.queue.front().copied() {
@@ -777,11 +803,22 @@ fn pick(c: &mut Cluster, chain: u64) -> Option<Step> {
                 ch.done = true;
                 return None;
             }
-            Some(Pending::Segment(mv)) => {
-                ch.queue.pop_front();
-                return Some(Step::Segment(mv));
-            }
             Some(Pending::Range(mv)) => mv,
+            Some(Pending::Copy(cp)) => {
+                // It ships from the segment's leader as the chain reaches
+                // it: behind the segment's own move, the post-move leader.
+                ch.queue.pop_front();
+                match c.replication.map().leader_of(cp.seg) {
+                    Some(from) if from != cp.to => {
+                        return Some(Pending::Copy(FollowerCopy { from, ..cp }))
+                    }
+                    _ => continue,
+                }
+            }
+            segment => {
+                ch.queue.pop_front();
+                return segment;
+            }
         };
         let (start, held) = (ch.cursor.unwrap_or(mv.range.start), ch.txn.is_some());
         let src = c.partition_on(mv.table, mv.from);
@@ -810,12 +847,8 @@ fn pick(c: &mut Cluster, chain: u64) -> Option<Step> {
         }
         let range = KeyRange::new(start, next.unwrap_or(mv.range.end));
         ch.cursor = Some(range.end);
-        return Some(Step::Batch {
-            mv,
-            range,
-            keys,
-            width,
-        });
+        ch.batch = Batch { range, keys, width };
+        return Some(Pending::Range(mv));
     }
 }
 
@@ -830,6 +863,7 @@ pub fn lock_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
         let Some(MoverChain {
             step: Some(step),
             txn: Some(txn),
+            batch,
             ..
         }) = chain_mut(&mut c.mover, chain)
         else {
@@ -837,13 +871,14 @@ pub fn lock_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
         };
         let txn = *txn;
         let mut outcome = LockAcquire::Granted;
-        let (table, keys): (_, &[Key]) = match step {
-            Step::Segment(mv) => {
+        let (table, keys): (_, &[Key]) = match *step {
+            Pending::Segment(mv) => {
                 let target = LockTarget::Segment(mv.seg);
                 outcome = c.txn.locks.acquire(txn, target, LockMode::S);
                 (mv.table, &[])
             }
-            Step::Batch { mv, keys, .. } => (mv.table, if locking { keys } else { &[] }),
+            Pending::Range(mv) => (mv.table, if locking { &batch.keys } else { &[] }),
+            Pending::Copy(_) => return, // never locked: `next_step` copies it
         };
         for &k in keys {
             outcome = (c.txn.locks).acquire(txn, LockTarget::Record(table, k), LockMode::X);
@@ -864,16 +899,25 @@ pub fn lock_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
 }
 
 /// Copy the step's data and bill what it ships: a segment flushes its dirty
-/// pages and is read at raw device speed while it crosses the wire; a
-/// batch pays a scattered page read per record, CPU, then its widths.
+/// pages and, like a follower copy, is read at raw device speed while it
+/// crosses the wire; a batch pays a scattered page read per record, CPU,
+/// then its widths.
 fn copy_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
     let mut c = cl.borrow_mut();
     let c = &mut *c;
     let io_scale = c.cfg.io_scale;
-    let step = chain_mut(&mut c.mover, chain).and_then(|ch| ch.step.as_ref());
+    let Some(ch) = chain_mut(&mut c.mover, chain) else {
+        return;
+    };
+    let (step, records, width) = (ch.step, ch.batch.keys.len() as u64, ch.batch.width);
+    let copy = matches!(step, Some(Pending::Copy(_)));
     let (from, to, disk, read, cpu, ship) = match step {
         None => return,
-        Some(&Step::Segment(mv)) => {
+        Some(Pending::Copy(cp)) => {
+            let disk = c.seg_dir.get(cp.seg).map_or(1, |m| m.disk.index);
+            (cp.from, cp.to, disk, cp.bytes, None, cp.bytes)
+        }
+        Some(Pending::Segment(mv)) => {
             let bytes = c.copy_bytes(mv.seg).expect("segment meta");
             let disk = c.seg_dir.get(mv.seg).expect("segment meta").disk.index;
             // Log the move bracket on the source's WAL; dirty pages of the
@@ -888,18 +932,16 @@ fn copy_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
             src.buffer.clean_segment(segment);
             (mv.from, mv.to, disk, bytes, None, bytes)
         }
-        Some(Step::Batch {
-            mv, keys, width, ..
-        }) => {
-            let records = keys.len() as u64;
+        Some(Pending::Range(mv)) => {
             let disk = (c.seg_dir.on_node(mv.from).next()).map_or(1, |s| s.disk.index);
             let read = records * wattdb_storage::PAGE_SIZE as u64 * io_scale / 8;
             let cpu = c.cfg.costs.scan_per_record * records * 2;
             (mv.from, mv.to, disk, read, Some(cpu), width * io_scale)
         }
     };
-    if let Some(m) = c.mover.as_mut() {
-        m.report.bytes_moved += ship;
+    // A copy's bytes count as re-replicated when it lands, not as moved.
+    if let Some(r) = c.mover.as_mut().and_then(|m| m.report.as_mut()) {
+        r.bytes_moved += if copy { 0 } else { ship };
     }
     let disk = &mut c.nodes[from.raw() as usize].disks[disk as usize];
     let Some(cpu) = cpu else {
@@ -938,9 +980,12 @@ fn copy_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
 
 /// Apply a copied segment — §4.3's ownership switch or §4.1's new storage
 /// place, void if an endpoint died — release its lock, pick the next step.
+/// A follower copy joins the map only if its host is still active and
+/// `from` still leads the segment; anything else voids it, and background
+/// repair re-plans whatever is left short.
 fn apply_segment(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
     let mut follower_evicted = false;
-    let grants = {
+    let grants = 'apply: {
         let mut c = cl.borrow_mut();
         let c = &mut *c;
         let scheme = c.cfg.scheme;
@@ -948,7 +993,16 @@ fn apply_segment(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
         let Some(ch) = chain_mut(&mut c.mover, chain) else {
             return;
         };
-        let (Some(Step::Segment(mv)), Some(txn)) = (ch.step.take(), ch.txn.take()) else {
+        let (step, txn) = (ch.step.take(), ch.txn.take());
+        if let Some(Pending::Copy(cp)) = step {
+            let leads =
+                !c.is_failed(cp.from) && c.replication.map().leader_of(cp.seg) == Some(cp.from);
+            if leads && c.life(cp.to) == Lifecycle::Active {
+                c.replication.add_copy(cp.seg, cp.to, cp.bytes, &c.nodes);
+            }
+            break 'apply Vec::new();
+        }
+        let (Some(Pending::Segment(mv)), Some(txn)) = (step, txn) else {
             return;
         };
         let mover_span = c.mover.as_ref().and_then(|m| m.span);
@@ -961,11 +1015,10 @@ fn apply_segment(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
             if scheme == Scheme::Physiological {
                 c.router.abort_move(mv.table, mv.range).ok();
             }
-            c.txn.commit(txn, &mut c.store).expect("system commit").1
         } else {
-            if let Some(m) = c.mover.as_mut() {
-                m.report.segments_moved += 1;
-                m.report.heat_moved += c.heat.heat_of(mv.seg, now).value();
+            if let Some(r) = c.mover.as_mut().and_then(|m| m.report.as_mut()) {
+                r.segments_moved += 1;
+                r.heat_moved += c.heat.heat_of(mv.seg, now).value();
             }
             if scheme == Scheme::Physiological {
                 // §4.3 step 4: ownership switch — detach from the source's
@@ -1001,20 +1054,26 @@ fn apply_segment(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
             c.nodes[mv.from.raw() as usize]
                 .log
                 .append(TxnId::NONE, LogPayload::SegmentMoveEnd { segment: mv.seg });
-            // Release the segment lock: queued writers resume, redirected to
-            // the new owner by routing on their next op.
-            c.txn.commit(txn, &mut c.store).expect("system commit").1
         }
+        // Release the segment lock: queued writers resume, redirected to the
+        // new owner by routing on their next op.
+        c.txn.commit(txn, &mut c.store).expect("system commit").1
     };
     resume_grants(cl, sim, grants);
     // The consumed copy left the segment under factor: backfill through
-    // the shared re-replication machinery, unless copies are already on
-    // the wire (then the autopilot's background-repair pass — the single
+    // the shared re-replication machinery, unless copies are already on a
+    // chain (then the autopilot's background-repair pass — the single
     // reconciliation point — picks up whatever remains short).
-    if follower_evicted && cl.borrow().replication.copies_in_flight == 0 {
+    if follower_evicted && !copying(&cl.borrow()) {
         crate::failover::schedule_rereplication(cl, sim);
     }
     next_step(cl, sim, chain);
+}
+
+/// Is a follower copy queued or in flight on a mover chain?
+pub fn copying(c: &Cluster) -> bool {
+    let mut moves = c.mover.iter().flat_map(|m| &m.chains);
+    moves.any(|ch| ch.moves().any(|p| matches!(p, Pending::Copy(_))))
 }
 
 /// Apply a copied batch, then, after both logs flush, the next step.
@@ -1036,15 +1095,10 @@ fn move_batch(c: &mut Cluster, chain: u64) -> Result<Vec<Grant>> {
     let Some(ch) = chain_mut(&mut c.mover, chain) else {
         return Ok(Vec::new());
     };
-    let (
-        Some(Step::Batch {
-            mv, range, keys, ..
-        }),
-        Some(txn),
-    ) = (ch.step.take(), ch.txn)
-    else {
+    let (Some(Pending::Range(mv)), Some(txn)) = (ch.step.take(), ch.txn) else {
         return Ok(Vec::new());
     };
+    let Batch { range, keys, .. } = std::mem::take(&mut ch.batch);
     let dst_pid = c.partition_on(mv.table, mv.to);
     if c.partitions[&dst_pid].top.prune(range).is_empty() {
         c.open_segment(mv.table, mv.to, dst_pid, range)?;
@@ -1140,8 +1194,8 @@ fn land(c: &mut Cluster, chain: u64, txn: TxnId, mv: RangeMove) -> Result<Vec<Gr
             landed += 1;
         });
     }
-    if let Some(m) = c.mover.as_mut() {
-        m.report.records_moved += landed;
+    if let Some(r) = c.mover.as_mut().and_then(|m| m.report.as_mut()) {
+        r.records_moved += landed;
     }
     Ok(c.txn.commit(txn, &mut c.store)?.1)
 }
@@ -1160,16 +1214,17 @@ fn rewind(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
         };
         let (step, txn) = (ch.step.take(), ch.txn.take());
         let routed = match step {
-            Some(Step::Segment(mv)) => {
+            Some(Pending::Segment(mv)) => {
                 ch.queue.push_front(Pending::Segment(mv));
                 physiological.then_some((mv.table, mv.range))
             }
-            Some(Step::Batch { mv, range, .. }) => {
+            Some(Pending::Range(mv)) => {
+                let range = ch.batch.range;
                 let start = if locking { mv.range.start } else { range.start };
                 ch.cursor = Some(start);
                 Some((mv.table, KeyRange::new(start, range.end)))
             }
-            None => None,
+            Some(Pending::Copy(_)) | None => None, // a copy takes no lock
         };
         if let Some((table, span)) = routed {
             c.router.abort_move(table, span).ok();
@@ -1189,9 +1244,13 @@ fn maybe_finish(c: &mut Cluster, now: SimTime) {
     let Some(stats) = c.mover.take_if(|m| m.chains.iter().all(|ch| ch.done)) else {
         return;
     };
+    // A controller started for follower copies alone ends here.
+    let Some(report) = stats.report else {
+        return;
+    };
     let report = RebalanceReport {
         finished: now,
-        ..stats.report
+        ..report
     };
     c.metrics.rebalances.push(report);
     // Close the rebalance span with the realized counters next to the
@@ -1398,20 +1457,13 @@ fn detach_helper_set(c: &mut Cluster, set: &[NodeId], now: SimTime) {
 }
 
 /// Every node that is a source or target of the in-flight rebalance: its
-/// queued moves and its steps in flight. Empty when no rebalance is
+/// queued moves and copies and its steps in flight. Empty when no mover is
 /// running. Scale-in must never drain one of these nodes — the segment
 /// directory understates what they will hold until the moves land.
 pub fn nodes_in_flight(c: &Cluster) -> std::collections::BTreeSet<NodeId> {
     let mut busy = std::collections::BTreeSet::new();
-    for ch in c.mover.iter().flat_map(|m| &m.chains) {
-        let step = ch.step.as_ref().map(|s| match s {
-            Step::Segment(mv) => Pending::Segment(*mv),
-            Step::Batch { mv, .. } => Pending::Range(*mv),
-        });
-        for p in ch.queue.iter().copied().chain(step) {
-            busy.extend(ends(p));
-        }
-    }
+    let chains = c.mover.iter().flat_map(|m| &m.chains);
+    busy.extend(chains.flat_map(MoverChain::moves).flat_map(ends));
     busy
 }
 

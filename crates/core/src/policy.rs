@@ -708,7 +708,7 @@ pub fn plan(
             // fixable skew would re-escalate into refused attachments
             // forever, never shipping the segments that would fix it.
             let mut fallback = heat_moves(sources, targets).ok_or(NO_PLAN)?;
-            // Kept on purpose until ROADMAP 2(e) bumps the export format:
+            // Kept on purpose until ROADMAP 7(e) bumps the export format:
             // the fallback reports as the empty attachment, `(None, Some(0.0))`.
             fallback.attach = Some(HelperAttach::default());
             Ok(fallback)
@@ -731,21 +731,27 @@ pub fn plan(
             })
         }
         Decision::ScaleIn { drain } => {
-            // A drained node hosting follower copies may only go once
-            // every copy has a replacement host planned — and never while
-            // earlier replacement copies are still on the wire (the map is
-            // mid-reconciliation and the coverage check would lie).
+            // A drained node hosting follower copies may only go once every
+            // copy has a replacement host planned (a copy still on a chain
+            // already refused the drain above, as a rebalance in flight).
             // Refusal, not half-execution: suspending a live follower host
             // silently halves redundancy. Checked before any other drain
             // guard so the timeline always says *why* the cluster stayed
             // big.
-            if drain_blocked_on_replicas(c, now, drain) {
+            let remaining: Vec<NodeId> = (c.active_nodes().into_iter())
+                .filter(|n| !drain.contains(n))
+                .collect();
+            let hosts_copies =
+                (drain.iter()).any(|&n| !c.replication.map().followed_by(n).is_empty());
+            if hosts_copies
+                && !heat::plan_drain_replicated(c, now, drain, &remaining).is_fully_covered()
+            {
                 return Err("drain node hosts follower replicas");
             }
             // Move *everything* off the drained nodes onto the remaining
             // data nodes; the autopilot suspends them once they are empty.
-            let targets: Vec<NodeId> = (c.active_nodes().into_iter())
-                .filter(|n| !drain.contains(n) && c.seg_dir.on_node(*n).next().is_some())
+            let targets: Vec<NodeId> = (remaining.into_iter())
+                .filter(|n| c.seg_dir.on_node(*n).next().is_some())
                 .collect();
             if targets.is_empty() {
                 return Err(NO_PLAN);
@@ -753,7 +759,7 @@ pub fn plan(
             // The atomic "move leaders + re-home followers" unit. The
             // re-home half executes regardless of which planner moves the
             // leaders, so even a fraction-path drain keeps the factor.
-            let dp = heat::plan_drain_replicated(c, now, cfg.heat_tolerance, drain, &targets);
+            let dp = heat::plan_drain_replicated(c, now, drain, &targets);
             let rehomes = dp.rehomes;
             // A drain must empty its nodes; a heat plan short of that
             // (shouldn't happen) falls back to the fraction path, and so
@@ -787,27 +793,6 @@ pub fn apply(
 ) -> Result<Applied, &'static str> {
     let plan = plan(&cl.borrow(), sim.now(), decision, cfg)?;
     Ok(run(cl, sim, plan))
-}
-
-/// True when a replica-aware scale-in of `drain` must be *refused*: the
-/// nodes host follower copies and either replacement copies are already
-/// on the wire (re-replication in flight — the coverage check would run
-/// against a map that is mid-reconciliation) or the planner cannot find
-/// a distinct surviving host for every copy.
-fn drain_blocked_on_replicas(c: &Cluster, now: SimTime, drain: &[NodeId]) -> bool {
-    let map = c.replication.map();
-    if !drain.iter().any(|n| !map.followed_by(*n).is_empty()) {
-        return false;
-    }
-    if c.replication.copies_in_flight > 0 {
-        return true;
-    }
-    let remaining: Vec<NodeId> = c
-        .active_nodes()
-        .into_iter()
-        .filter(|n| !drain.contains(n))
-        .collect();
-    !heat::plan_drain_replicated(c, now, 0.0, drain, &remaining).is_fully_covered()
 }
 
 #[cfg(test)]
@@ -1469,6 +1454,25 @@ mod tests {
             .build()
     }
 
+    /// Queue a real follower copy onto `to` on a mover chain: an `n0`
+    /// segment's follower elsewhere is re-homed there.
+    fn queue_copy_onto(cl: &ClusterRc, sim: &mut Sim, to: NodeId) {
+        let rehome = {
+            let c = cl.borrow();
+            let (seg, set) = (c.replication.map().iter())
+                .find(|(_, s)| s.leader == NodeId(0) && !s.followers.contains(&to))
+                .expect("an n0 segment followed elsewhere");
+            let (leader, from) = (set.leader, set.followers[0]);
+            wattdb_planner::FollowerRehome {
+                seg,
+                leader,
+                from,
+                to,
+            }
+        };
+        crate::failover::schedule_follower_rehomes(cl, sim, &[rehome]);
+    }
+
     fn apply_on(db: &mut WattDb, decision: &Decision) -> Result<Applied, &'static str> {
         db.with_runtime(|cl, sim| apply(cl, sim, decision, &PolicyConfig::default()))
     }
@@ -1496,8 +1500,9 @@ mod tests {
         let drain = |n: u16| Decision::ScaleIn {
             drain: vec![NodeId(n)],
         };
-        // (replication factor, rebalance n0 → n3 in flight?, decision, reason)
-        let table: [(usize, bool, Decision, &str); 5] = [
+        // (replication factor, in flight: a rebalance n0 → n3 unreplicated,
+        // else a follower copy n0 → n2 on a chain, decision, reason)
+        let table: [(usize, bool, Decision, &str); 7] = [
             (0, true, scale_out(&[3]), "rebalance in flight"),
             (0, true, drain(1), "rebalance in flight"),
             (
@@ -1506,21 +1511,28 @@ mod tests {
                 drain(3),
                 "drain node is part of the active migration",
             ),
-            // n2 hosts follower copies while earlier replacement copies
-            // are still on the wire (set below).
-            (1, false, drain(2), "drain node hosts follower replicas"),
+            // A copy on a chain is a mover in flight: the map is
+            // mid-reconciliation, so the drain must wait.
+            (1, true, drain(1), "rebalance in flight"),
+            (
+                1,
+                true,
+                drain(2),
+                "drain node is part of the active migration",
+            ),
+            // At factor 2 the two survivors cannot host a third copy.
+            (2, false, drain(2), "drain node hosts follower replicas"),
             (0, false, scale_out(&[]), "no applicable plan"),
         ];
         for (factor, in_flight, decision, reason) in table {
             let mut db = deployment(factor);
-            if in_flight {
+            if in_flight && factor == 0 {
                 db.rebalance(0.5, &[NodeId(0)], &[NodeId(3)]);
-                assert!(db.rebalancing());
             }
-            if factor > 0 {
-                // The map is mid-reconciliation, so the drain must wait.
-                db.with_runtime(|cl, _| cl.borrow_mut().replication.copies_in_flight = 1);
+            if in_flight && factor > 0 {
+                db.with_runtime(|cl, sim| queue_copy_onto(cl, sim, NodeId(2)));
             }
+            assert_eq!(db.rebalancing(), in_flight);
             let spans_before = db.with_cluster(|c| c.telemetry.spans.started());
             assert_eq!(
                 apply_on(&mut db, &decision),
@@ -1663,26 +1675,26 @@ mod tests {
             Ok(p) => p,
             Err(reason) => return format!("refused: {reason}"),
         };
-        use crate::migration::Moves;
+        use crate::migration::Pending;
         let list = |nodes: &[NodeId]| {
             let names: Vec<String> = nodes.iter().map(|n| n.to_string()).collect();
             names.join(",")
         };
         let mut out = format!("{:?}", p.planner);
-        let (kind, n, from_to): (_, _, Vec<(NodeId, NodeId)>) = match &p.moves {
-            Moves::Segments(m) => (
-                "segments",
-                m.len(),
-                m.iter().map(|m| (m.from, m.to)).collect(),
-            ),
-            Moves::Ranges(m) => (
-                "ranges",
-                m.len(),
-                m.iter().map(|m| (m.from, m.to)).collect(),
-            ),
+        let kind = match p.moves.first() {
+            Some(Pending::Range(_)) => "ranges",
+            _ => "segments",
         };
+        let from_to = p.moves.iter().map(|m| match *m {
+            Pending::Segment(m) => (m.from, m.to),
+            Pending::Range(m) => (m.from, m.to),
+            Pending::Copy(m) => (m.from, m.to),
+        });
         if !p.sources.is_empty() {
-            assert!(n > 0, "a plan with sources moves something: {p:?}");
+            assert!(
+                !p.moves.is_empty(),
+                "a plan with sources moves something: {p:?}"
+            );
             for (from, to) in from_to {
                 assert!(p.sources.contains(&from) && p.power_up.contains(&to));
             }
@@ -1827,9 +1839,7 @@ mod tests {
 
     #[test]
     fn plan_reads_helpers_replicas_and_the_mover_without_a_sim() {
-        use crate::migration::{
-            HelperMember, MoveController, MoverChain, Pending, RebalanceReport, SegmentMove,
-        };
+        use crate::migration::{HelperMember, MoveController, MoverChain, Pending, SegmentMove};
         let cfg = PolicyConfig::default();
         let drain = |n: u16| Decision::ScaleIn {
             drain: vec![NodeId(n)],
@@ -1849,26 +1859,28 @@ mod tests {
         assert_eq!(plan_of(&cl, &detach), "HeatAware detach n3");
 
         // A heat-planned drain empties its node and re-homes the follower
-        // copies it hosts; with replacement copies still on the wire the
-        // drain is refused by name.
+        // copies it hosts; with a replacement copy onto it still on a
+        // chain the drain is refused by name.
         let cl = loaded(Scheme::Physiological, 1);
         let p = plan(&cl.borrow(), SimTime::ZERO, &drain(2), &cfg).expect("covered drain");
         {
             let c = cl.borrow();
-            let crate::migration::Moves::Segments(moves) = &p.moves else {
-                panic!("segment scheme plans segment moves");
-            };
-            assert_eq!(moves.len(), c.seg_dir.on_node(NodeId(2)).count());
+            let segment = |m: &Pending| matches!(m, Pending::Segment(_));
+            assert!(
+                p.moves.iter().all(segment),
+                "segment scheme plans segment moves"
+            );
+            assert_eq!(p.moves.len(), c.seg_dir.on_node(NodeId(2)).count());
             assert_eq!(
                 p.rehomes.len(),
                 c.replication.map().followed_by(NodeId(2)).len()
             );
             assert!(!p.rehomes.is_empty(), "n2 hosted follower copies");
         }
-        cl.borrow_mut().replication.copies_in_flight = 1;
+        queue_copy_onto(&cl, &mut Sim::new(), NodeId(2));
         assert_eq!(
             plan_of(&cl, &drain(2)),
-            "refused: drain node hosts follower replicas"
+            "refused: drain node is part of the active migration"
         );
 
         // A rebalance in flight (n0 → n3) refuses everything but a
@@ -1886,25 +1898,11 @@ mod tests {
             };
             c.mover = Some(MoveController {
                 chains: vec![MoverChain {
+                    source: NodeId(0),
                     queue: [Pending::Segment(mv)].into(),
-                    cursor: None,
-                    txn: None,
-                    step: None,
-                    done: false,
+                    ..Default::default()
                 }],
-                report: RebalanceReport {
-                    scheme: Scheme::Physiological,
-                    planner: Planner::Fraction,
-                    started: SimTime::ZERO,
-                    finished: SimTime::ZERO,
-                    segments_moved: 0,
-                    records_moved: 0,
-                    bytes_moved: 0,
-                    heat_planned: 0.0,
-                    heat_moved: 0.0,
-                },
-                span: None,
-                power_span: None,
+                ..Default::default()
             });
         }
         let scale_out = Decision::ScaleOut {

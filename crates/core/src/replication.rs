@@ -54,8 +54,6 @@ pub struct Replication {
     pub route_weights: BTreeMap<NodeId, u64>,
     /// Bytes shipped to seed new follower copies (lifetime).
     pub rereplicated_bytes: u64,
-    /// Follower copies on the wire (background repair waits for zero).
-    pub copies_in_flight: usize,
 }
 
 fn is_failed(nodes: &[NodeRuntime], node: NodeId) -> bool {

@@ -306,13 +306,8 @@ pub fn plan_scale_out(
 /// scheduling — so a drained node's hot segments spread across the
 /// survivors instead of piling onto one. This is
 /// [`plan_drain_replicated`] over a cluster with no follower copies.
-pub fn plan_drain(
-    stats: &[SegmentStat],
-    drain: &[NodeId],
-    remaining: &[NodeId],
-    cfg: &PlanConfig,
-) -> Plan {
-    plan_drain_replicated(stats, drain, remaining, cfg, &[], &[], 0).plan
+pub fn plan_drain(stats: &[SegmentStat], drain: &[NodeId], remaining: &[NodeId]) -> Plan {
+    plan_drain_replicated(stats, drain, remaining, &[], &[], 0).plan
 }
 
 // ------------------------------------------------------------------ helpers
@@ -732,7 +727,6 @@ pub fn plan_drain_replicated(
     stats: &[SegmentStat],
     drain: &[NodeId],
     remaining: &[NodeId],
-    _cfg: &PlanConfig,
     sites: &[ReplicaSite],
     hosts: &[NodeLoadStat],
     factor: usize,
@@ -1038,12 +1032,7 @@ mod tests {
             stat(3, 2, 100, 1.0),
             stat(4, 0, 100, 1.0), // survivor's existing load
         ];
-        let plan = plan_drain(
-            &stats,
-            &[NodeId(2)],
-            &[NodeId(0), NodeId(1)],
-            &PlanConfig::default(),
-        );
+        let plan = plan_drain(&stats, &[NodeId(2)], &[NodeId(0), NodeId(1)]);
         assert_eq!(plan.moves.len(), 4, "every segment leaves the drain");
         assert!(plan.moves.iter().all(|m| m.to != NodeId(2)));
         // LPT: the two hot segments land on different survivors.
@@ -1429,7 +1418,6 @@ mod tests {
             &stats,
             &[NodeId(3)],
             &[NodeId(1), NodeId(2), NodeId(4)],
-            &PlanConfig::default(),
             &sites,
             &hosts,
             1,
@@ -1457,7 +1445,6 @@ mod tests {
             &stats,
             &[NodeId(3)],
             &[NodeId(1), NodeId(2)],
-            &PlanConfig::default(),
             &sites,
             &hosts,
             1,
@@ -1471,15 +1458,7 @@ mod tests {
         assert_eq!(mv.to, NodeId(2), "follower host avoided: {dp:?}");
         // With node 2 gone, the follower host is the only destination —
         // the fallback still empties the drain rather than wedging.
-        let dp = plan_drain_replicated(
-            &stats,
-            &[NodeId(3)],
-            &[NodeId(1)],
-            &PlanConfig::default(),
-            &sites,
-            &hosts[..1],
-            1,
-        );
+        let dp = plan_drain_replicated(&stats, &[NodeId(3)], &[NodeId(1)], &sites, &hosts[..1], 1);
         let mv = dp
             .plan
             .moves
@@ -1501,7 +1480,6 @@ mod tests {
             &stats,
             &[NodeId(3), NodeId(4)],
             &[NodeId(1)],
-            &PlanConfig::default(),
             &sites,
             &hosts,
             1,
@@ -1527,7 +1505,6 @@ mod tests {
             &stats,
             &[NodeId(3)],
             &[NodeId(2), NodeId(4), NodeId(5)],
-            &PlanConfig::default(),
             &sites,
             &hosts,
             2,

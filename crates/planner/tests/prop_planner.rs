@@ -134,7 +134,6 @@ proptest! {
             &stats,
             &[NodeId(9)],
             &[NodeId(1), NodeId(2)],
-            &PlanConfig::default(),
         );
         prop_assert_eq!(plan.moves.len(), heats.len(), "every evacuee planned");
         let mut seen = BTreeSet::new();

@@ -21,6 +21,7 @@ pub struct SimDisk {
     used: ByteSize,
     reads: u64,
     writes: u64,
+    bulk_bytes: u64,
 }
 
 impl SimDisk {
@@ -33,6 +34,7 @@ impl SimDisk {
             used: ByteSize::ZERO,
             reads: 0,
             writes: 0,
+            bulk_bytes: 0,
         }
     }
 
@@ -81,6 +83,11 @@ impl SimDisk {
         self.writes
     }
 
+    /// Bytes moved by bulk transfers.
+    pub fn bulk_bytes(&self) -> u64 {
+        self.bulk_bytes
+    }
+
     /// Reserve space for newly allocated data (segment placement).
     pub fn reserve(&mut self, bytes: ByteSize) {
         self.used += bytes;
@@ -104,6 +111,7 @@ impl SimDisk {
     /// multi-second request.
     pub fn bulk_transfer(&mut self, sim: &mut Sim, bytes: ByteSize, done: Completion) {
         self.writes += 1;
+        self.bulk_bytes += bytes.as_u64();
         stream_chunks(&self.resource, self.spec, sim, bytes.as_u64(), done);
     }
 

@@ -390,7 +390,7 @@ fn replicated_elastic_export_is_pinned() {
 
 #[test]
 fn failover_export_is_pinned() {
-    let a = pinned("failover", 0xb671_13f8_9121_44d9, 752_941, failover_run);
+    let a = pinned("failover", 0x0a55_b9d0_95a0_495f, 754_701, failover_run);
     for needle in ["\"failover\"", "\"promote\"", "\"re-replicate\""] {
         assert!(a.contains(needle), "export carries {needle}");
     }

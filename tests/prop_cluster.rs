@@ -5,7 +5,17 @@
 use proptest::prelude::*;
 use wattdb_common::{NodeId, SimDuration};
 use wattdb_core::api::WattDb;
-use wattdb_core::cluster::{Lifecycle, Scheme};
+use wattdb_core::cluster::{Cluster, Lifecycle, Scheme};
+use wattdb_core::migration::{FollowerCopy, Pending};
+
+/// The follower copies in flight on the mover's chains.
+fn copies_in_flight(c: &Cluster) -> impl Iterator<Item = FollowerCopy> + '_ {
+    let chains = c.mover.iter().flat_map(|m| &m.chains);
+    chains.filter_map(|ch| match ch.step {
+        Some(Pending::Copy(cp)) => Some(cp),
+        _ => None,
+    })
+}
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
@@ -62,17 +72,19 @@ proptest! {
     }
 
     /// A replicated autopilot cluster driven through a random sequence of
-    /// manual rebalances, node failures, and idle stretches (during which
+    /// manual rebalances, node failures — a data node, or the host of a
+    /// follower copy still on a chain — and idle stretches (during which
     /// the controller scales in, drains, repairs, and suspends on its
     /// own). After every step — and after everything settles — the
     /// replica map must hold its invariants: no leader in its own
     /// follower set, no reference to a suspended node, no follower on a
     /// draining node. With enough surviving hosts, the replication factor
-    /// must also end fully restored.
+    /// must also end fully restored, and every key must be where it
+    /// routes.
     #[test]
     fn replica_map_survives_any_decision_sequence(
         seed in 0u64..1000,
-        ops in proptest::collection::vec(0u8..3, 4..8),
+        ops in proptest::collection::vec(0u8..4, 4..8),
     ) {
         let policy = wattdb_core::PolicyConfig {
             cpu_high: 1.1, // scale-out out of reach: drains and failover dominate
@@ -131,6 +143,27 @@ proptest! {
                         kills += 1;
                     }
                 }
+                // Kill the host of the first follower copy in flight within
+                // 30 s (never the master; at most two kills per run): when
+                // the copy lands, its dead host must not join the map.
+                3 if kills < 2 => {
+                    let until = db.now() + SimDuration::from_secs(30);
+                    let pick = |c: &Cluster| copies_in_flight(c).find(|cp| cp.to != NodeId(0));
+                    let mut copy = None;
+                    while copy.is_none() && db.now() < until && db.with_runtime(|_, s| s.step()) {
+                        copy = db.with_cluster(pick);
+                    }
+                    if let Some(cp) = copy {
+                        db.fail_node(cp.to);
+                        kills += 1;
+                        let same = |x: FollowerCopy| (x.seg, x.to) == (cp.seg, cp.to);
+                        let landing = |c: &Cluster| copies_in_flight(c).any(same);
+                        while db.with_cluster(landing) && db.with_runtime(|_, s| s.step()) {}
+                        let map = db.with_cluster(|c| c.replication.map().clone());
+                        let joined = map.followers_of(cp.seg).contains(&cp.to);
+                        prop_assert!(!joined, "{:?} joined on its dead host", cp);
+                    }
+                }
                 // Idle: the autopilot decides on its own.
                 _ => {}
             }
@@ -142,14 +175,14 @@ proptest! {
         // re-replication backfills, post-drain suspensions.
         for _ in 0..80 {
             db.run_for(SimDuration::from_secs(5));
-            let busy =
-                db.rebalancing() || db.with_cluster(|c| c.replication.copies_in_flight > 0);
-            if !busy {
+            if !db.rebalancing() {
                 break;
             }
         }
         let violation = db.with_cluster(|c| c.replication.check_invariants(&c.nodes));
         prop_assert!(violation.is_none(), "after settling: {:?}", violation);
+        let reachable = db.with_cluster(|c| c.check_reachable());
+        prop_assert_eq!(reachable, Ok(()), "every key is where it routes");
         let (active_hosts, under) = db.with_cluster(|c| {
             let active_hosts = c
                 .nodes
