@@ -518,7 +518,7 @@ impl WattDb {
     /// the most-caught-up follower for every segment it led, and
     /// schedules re-replication. Idempotent.
     pub fn fail_node(&mut self, node: NodeId) {
-        self.cluster.borrow_mut().fail_node(node);
+        self.cluster.borrow_mut().fail_node(node, self.sim.now());
     }
 
     /// Dispatch an analytic range scan of `table` over `range`, optionally

@@ -322,34 +322,12 @@ impl AutoPilot {
             // Observe *after* any suspension, so a node just returned to
             // standby is immediately available as a scale-out target.
             let (standby, with_data) = observe(cl);
-            // The policy manages only the helpers it attached itself: a
-            // scripted attachment belongs to the migration engine (it
-            // detaches with its rebalance's completion) and must be
-            // invisible here — the policy must neither hold its skew fire
-            // for it nor tear it down on subsidence.
-            // The pairing is passed through so a single subsided source
-            // can release just its own helper (partial detach) while the
-            // others keep theirs. A policy helper whose source vanished
-            // (failed or drained away) pairs with itself: it reads as a
-            // subsided zero-heat source and is released.
-            let pairs: Vec<(NodeId, NodeId)> = {
-                let c = cl.borrow();
-                let owned: Vec<NodeId> = c.helpers.policy_owned().collect();
-                let mut pairs: Vec<(NodeId, NodeId)> = c
-                    .nodes
-                    .iter()
-                    .filter_map(|n| n.helper.map(|h| (n.id, h)))
-                    .filter(|(_, h)| owned.contains(h))
-                    .collect();
-                for &h in &owned {
-                    if !pairs.iter().any(|&(_, p)| p == h) {
-                        pairs.push((h, h));
-                    }
-                }
-                pairs
-            };
-            let decision =
-                policy.evaluate_with_pairs(view, &standby, &with_data, rebalancing, &pairs);
+            // The policy manages only the helpers it attached itself, by
+            // their `(source, helper)` pairs: a scripted attachment
+            // belongs to the migration engine (it detaches with its
+            // rebalance's completion) and is invisible here.
+            let pairs = cl.borrow().helpers.pairs();
+            let decision = policy.evaluate(view, &standby, &with_data, rebalancing, &pairs);
             // `evaluate` froze this window's signal vector; every record
             // below — Hold included — carries it, so the exported timeline
             // can explain *why* each decision (or non-decision) was made.

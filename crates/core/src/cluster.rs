@@ -25,13 +25,14 @@
 //!   and attached helpers). A no-op on a node that is up, and on a failed
 //!   one.
 //! * [`Cluster::power_off`] — post-drain suspension
-//!   ([`crate::migration::settle`]) and helper detach; panics on segments
-//!   or follower copies.
+//!   ([`crate::migration::settle`]) and [`crate::helpers::detach`];
+//!   panics on segments or follower copies.
 //! * [`Cluster::begin_drain`] — [`crate::migration::run`] of a scale-in's
 //!   plan.
 //! * [`Cluster::end_drain`] — [`crate::migration::settle`], when a drain
 //!   episode ends and the node could not suspend.
-//! * [`Cluster::fail_node`] — fault injection.
+//! * [`Cluster::fail_node`] — fault injection (it also releases the
+//!   node from helper duty through [`crate::helpers::detach`]).
 //!
 //! Readers speak [`Lifecycle::is_up`] (powered and serving: routing,
 //! monitoring, drain targets), `== Lifecycle::Active` (the replica
@@ -66,7 +67,7 @@ use wattdb_tpcc::{
     TpccTable, TpccWorkload, MAX_CARRIERS,
 };
 use wattdb_txn::{CcMode, IndexMap, TxnManager};
-use wattdb_wal::{LogManager, LogShipper};
+use wattdb_wal::LogManager;
 
 use crate::heat::HeatTable;
 use crate::jobs::JobSlab;
@@ -218,13 +219,9 @@ pub struct NodeRuntime {
     pub buffer: BufferPool,
     /// Write-ahead log.
     pub log: LogManager,
-    /// Log shipping cursors (helper mode).
-    pub shipper: LogShipper,
-    /// Ship log flushes to this helper instead of local disk.
-    pub helper: Option<NodeId>,
     /// Jobs waiting on this node's next group-commit flush.
     pub commit_queue: Vec<u64>,
-    /// Flushes on their way to the disk or the helper, by the batch index
+    /// Flushes on their way to the disk or a helper, by the batch index
     /// a [`wattdb_sim::Signal::FlushDone`] carries. A finished batch keeps
     /// its emptied list, which the next flush swaps with `commit_queue`.
     pub flushes: Vec<FlushBatch>,
@@ -253,8 +250,6 @@ pub struct FlushBatch {
     pub jobs: Vec<u64>,
     /// The log's end when the flush was issued.
     pub last_lsn: Lsn,
-    /// The helper the flush was shipped to instead of the local disk.
-    pub helper: Option<NodeId>,
 }
 
 impl NodeRuntime {
@@ -272,8 +267,6 @@ impl NodeRuntime {
                 .collect(),
             buffer: BufferPool::new(buffer_pages.max(64)),
             log: LogManager::new(),
-            shipper: LogShipper::new(),
-            helper: None,
             commit_queue: Vec::new(),
             flushes: Vec::new(),
             flush_scheduled: false,
@@ -358,10 +351,10 @@ pub struct Cluster {
     /// When false, finished jobs do not auto-schedule the client's next
     /// standard-mix transaction (custom driver loops take over).
     pub auto_resubmit: bool,
-    /// The helper deployment (Fig. 8): attached helpers and the accounting
-    /// of the response in progress. Written by [`crate::migration::run`]
-    /// and the mover's completion; a node failure drops its membership.
-    pub helpers: crate::migration::HelperDeployment,
+    /// The helper deployment (Fig. 8): wires, members and the response in
+    /// progress, written only through [`crate::helpers::attach`] and
+    /// [`crate::helpers::detach`].
+    pub helpers: crate::helpers::Helpers,
     /// Follower replication (inert while `cfg.replication == 0`).
     pub replication: Replication,
     /// Last windowed NIC egress utilization per node, persisted by the
@@ -522,30 +515,21 @@ impl Cluster {
     }
 
     /// Fault injection: kill `node` mid-anything. The node drops out of
-    /// every planning pool, its helper entanglements are severed, and any
-    /// queued migration moves touching it are cancelled. Unlike
-    /// [`Cluster::power_off`] this deliberately bypasses the
-    /// "no segments on disk" invariant — that is the whole point of a
-    /// failure: the segments it led are orphaned until the autopilot
-    /// promotes their most-caught-up followers. The dead node's own
-    /// replica shipping cursors are *kept* — promotion reads them to find
-    /// the follower that loses the least committed history.
-    pub fn fail_node(&mut self, node: NodeId) {
+    /// every planning pool, it is released from helper duty the way a
+    /// detach releases it (its wires go, and the response closes with its
+    /// last helper; nothing powers off), and any queued migration moves
+    /// touching it are cancelled. Unlike [`Cluster::power_off`] this
+    /// deliberately bypasses the "no segments on disk" invariant — that is
+    /// the whole point of a failure: the segments it led are orphaned until
+    /// the autopilot promotes their most-caught-up followers. The dead
+    /// node's own replica shipping cursors are *kept* — promotion reads
+    /// them to find the follower that loses the least committed history.
+    pub fn fail_node(&mut self, node: NodeId, now: SimTime) {
         if self.is_failed(node) {
             return;
         }
         self.nodes[node.raw() as usize].life = Lifecycle::Failed;
-        self.nodes[node.raw() as usize].helper = None;
-        for n in &mut self.nodes {
-            if n.helper == Some(node) {
-                n.helper = None;
-            }
-            // Helper cursors pointing at the dead node are garbage; its
-            // *replica* cursors on surviving leaders stay until the
-            // failover decision rewrites the map.
-            n.shipper.detach(node);
-        }
-        self.helpers.members.retain(|m| m.node != node);
+        crate::helpers::detach(self, &[node], now);
         if let Some(m) = &mut self.mover {
             m.drop_node(node);
         }
@@ -606,7 +590,7 @@ impl Cluster {
 
     /// Current operating phase (Fig. 7 attribution).
     pub fn phase(&self) -> Phase {
-        match (&self.mover, self.helpers.members.is_empty()) {
+        match (&self.mover, self.helpers.is_empty()) {
             (None, _) => Phase::Normal,
             (Some(_), true) => Phase::Rebalancing,
             (Some(_), false) => Phase::RebalancingImproved,
@@ -1166,7 +1150,7 @@ mod tests {
         );
         // A draining node can die; nothing brings a dead node back.
         c.begin_drain(n1);
-        c.fail_node(n1);
+        c.fail_node(n1, SimTime::ZERO);
         assert_eq!(c.life(n1), Lifecycle::Failed);
         assert!(c.draining_nodes().is_empty());
         for transition in [
@@ -1174,7 +1158,7 @@ mod tests {
             Cluster::power_off,
             Cluster::begin_drain,
             Cluster::end_drain,
-            Cluster::fail_node,
+            |c: &mut Cluster, n| c.fail_node(n, SimTime::ZERO),
         ] {
             transition(&mut c, n1);
             assert_eq!(c.life(n1), Lifecycle::Failed);

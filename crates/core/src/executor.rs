@@ -31,8 +31,8 @@
 //! constants of its own.
 
 use wattdb_common::{
-    ByteSize, CostVector, Error, Key, Lsn, NodeId, PageId, PartitionId, SegmentId, SimDuration,
-    SimTime, TxnId,
+    ByteSize, CostVector, Error, Key, NodeId, PageId, PartitionId, SegmentId, SimDuration, SimTime,
+    TxnId,
 };
 use wattdb_query::CostParams;
 use wattdb_sim::Completion::{self, Detached};
@@ -791,7 +791,7 @@ fn run(cl: &ClusterRc, sim: &mut Sim, job_id: u64, charge: Option<(CostCategory,
         Action::RemoteBufferFetch(exec) => {
             // rDMA fetch from a helper's memory: round trip + page.
             let c = cl.borrow();
-            let helper = c.nodes[exec.raw() as usize].helper.unwrap_or(exec);
+            let helper = c.helpers.helper_of(exec).unwrap_or(exec);
             if w > 1 {
                 let wire = ByteSize::bytes(PAGE_ON_WIRE * (w - 1));
                 c.net.send(sim, helper, exec, wire, Detached);
@@ -854,9 +854,7 @@ fn flush_node_log(cl: &ClusterRc, sim: &mut Sim, node: NodeId) {
     let bytes = ByteSize::bytes(n.log.pending_bytes() as u64);
     // Under log shipping the flush *is* the shipment: the helper's
     // cursor moves to the log's end with it.
-    if let Some(h) = n.helper {
-        n.shipper.take_batch(h, &n.log);
-    }
+    let helper = c.helpers.ship(node, &n.log);
     // The queue trades places with the emptied list of a finished flush.
     let free = n.flushes.iter().position(|b| b.jobs.is_empty());
     let batch = free.unwrap_or_else(|| {
@@ -866,12 +864,11 @@ fn flush_node_log(cl: &ClusterRc, sim: &mut Sim, node: NodeId) {
     let b = &mut n.flushes[batch];
     std::mem::swap(&mut b.jobs, &mut n.commit_queue);
     b.last_lsn = n.log.last_lsn();
-    b.helper = n.helper;
     let done = Signal::FlushDone {
         node,
         batch: batch as u32,
     };
-    match n.helper {
+    match helper {
         // Log shipping: the flush travels the wire instead of the disk.
         Some(h) => c.net.send(sim, node, h, bytes, done.into()),
         // WAL lives on disk 0 (the HDD).
@@ -884,12 +881,8 @@ fn flush_done(cl: &ClusterRc, sim: &mut Sim, node: NodeId, batch: usize) {
         let mut c = cl.borrow_mut();
         let n = &mut c.nodes[node.raw() as usize];
         let b = &mut n.flushes[batch];
-        let (last_lsn, helper) = (b.last_lsn, b.helper);
         let jobs = std::mem::take(&mut b.jobs);
-        n.log.mark_durable(last_lsn);
-        if let Some(h) = helper {
-            n.shipper.acknowledge(h, last_lsn);
-        }
+        n.log.mark_durable(b.last_lsn);
         jobs
     };
     {
@@ -907,13 +900,11 @@ fn flush_done(cl: &ClusterRc, sim: &mut Sim, node: NodeId, batch: usize) {
             let bytes = ByteSize::bytes(bytes as u64);
             net.send(sim, node, follower, bytes, ack.into());
         });
-        let n = &mut c.nodes[node.raw() as usize];
-        let replicas = replication.shipper(node);
-        let horizon = [n.shipper.min_shipped(), replicas.min_shipped()]
-            .into_iter()
-            .flatten()
-            .fold(n.log.durable_lsn(), Lsn::min);
-        n.log.truncate_through(horizon);
+        // (A helper's cursor is never below the durable LSN.)
+        let log = &mut c.nodes[node.raw() as usize].log;
+        let shipped = replication.shipper(node).min_shipped();
+        let horizon = shipped.map_or(log.durable_lsn(), |s| s.min(log.durable_lsn()));
+        log.truncate_through(horizon);
     }
     for &job_id in &jobs {
         commit_ack(cl, sim, job_id);
@@ -1305,9 +1296,9 @@ mod tests {
         let (cl, mut sim) = harness(if pooled { 5_000 } else { ARRIVALS as u32 }, pooled);
         if helper {
             let mut c = cl.borrow_mut();
-            let n = &mut c.nodes[0];
-            n.helper = Some(NodeId(2));
-            n.shipper.attach(NodeId(2), &n.log);
+            c.power_on(NodeId(2));
+            let wire = crate::helpers::HelperAttach::manual(&[NodeId(0)], &[NodeId(2)]);
+            crate::helpers::attach(&mut c, &wire, SimTime::ZERO);
         }
         let mut rng = DetRng::new(seed);
         let mut client = 0;
@@ -1345,10 +1336,8 @@ mod tests {
             assert!(n.flushes.iter().all(|b| b.jobs.is_empty()), "seed {seed}");
             assert_eq!(n.log.durable_lsn(), n.log.last_lsn(), "seed {seed}");
         }
-        if helper {
-            let n = &c.nodes[0];
-            assert_eq!(n.shipper.acked_lsn(NodeId(2)), Some(n.log.last_lsn()));
-        }
+        // The wire shipped through each durable log end.
+        assert_eq!(c.helpers.check_invariants(&c.nodes), None, "seed {seed}");
     }
 
     #[test]

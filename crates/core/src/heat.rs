@@ -530,7 +530,7 @@ pub fn plan_helpers(
     let unhelped: Vec<NodeId> = sources
         .iter()
         .copied()
-        .filter(|n| c.nodes[n.raw() as usize].helper.is_none())
+        .filter(|&n| c.helpers.helper_of(n).is_none())
         .collect();
     let loads = node_load_stats(c, now, &unhelped);
     let candidates: Vec<wattdb_planner::HelperCandidate> = c
@@ -559,16 +559,9 @@ pub fn plan_helpers(
     // hot enough to be named a source never moonlights as a helper, and
     // neither does any node currently leaning on one.
     excluded.extend(sources.iter().copied());
-    excluded.extend(c.nodes.iter().filter(|n| n.helper.is_some()).map(|n| n.id));
-    wattdb_planner::plan_helpers(
-        &loads,
-        &candidates,
-        &excluded,
-        &wattdb_planner::HelperConfig {
-            max_helpers: cfg.max_helpers,
-            min_net_heat: cfg.min_net_heat,
-        },
-    )
+    let helped = c.nodes.iter().map(|n| n.id);
+    excluded.extend(helped.filter(|&n| c.helpers.helper_of(n).is_some()));
+    wattdb_planner::plan_helpers(&loads, &candidates, &excluded, cfg)
 }
 
 /// Replica placement plan over the live cluster state: one

@@ -23,6 +23,9 @@
 //!   operators weigh more than point reads; each segment's heat velocity,
 //!   kept in the same table, lets the planner plan against *projected*
 //!   heat (moving hotspots);
+//! * [`helpers`] — the Fig. 8 helper nodes: source → helper wires with
+//!   their log-shipping cursors, members and the relief accounting,
+//!   behind one owner;
 //! * [`replication`] — follower copies: replica map, WAL shipping cursors
 //!   and the caught-up read router, behind one owner;
 //! * [`failover`] — node-loss recovery over the per-segment replica map:
@@ -53,6 +56,7 @@ pub mod cluster;
 pub mod executor;
 pub mod failover;
 pub mod heat;
+pub mod helpers;
 pub mod jobs;
 pub mod metrics;
 pub mod migration;
@@ -68,7 +72,7 @@ pub use autopilot::{AutoPilotConfig, ControlEvent, Outcome};
 pub use cluster::{Cluster, ClusterConfig, ClusterRc};
 pub use heat::{AccessKind, HeatTable};
 pub use metrics::Phase;
-pub use migration::{HelperReport, RebalanceReport};
+pub use migration::RebalanceReport;
 pub use policy::{Decision, PolicyConfig};
 pub use telemetry_sink::{decision_label, outcome_label};
 pub use wattdb_planner::Planner;

@@ -29,7 +29,7 @@
 //! `failover` / `helpers` / `rebalance` / `power-up` / `power-down`
 //! spans, and it returns what it started ([`Applied`]) instead of leaving
 //! callers to read it back. The step machine below then moves the data;
-//! helper state lives in one [`HelperDeployment`] on the cluster.
+//! helper state lives in one [`crate::helpers::Helpers`] on the cluster.
 //! [`settle`] is `run`'s counterpart: once a window it closes the
 //! episodes whose work has landed — the failover span when the factor is
 //! restored, a finished drain by suspending its nodes.
@@ -283,54 +283,7 @@ fn plan_fraction_moves(
     moves
 }
 
-/// Helpers to wire to their sources (Fig. 8): each source ships its log to
-/// its helper and extends its buffer pool into the helper's DRAM.
-#[derive(Debug, Clone, Default)]
-pub struct HelperAttach {
-    /// Every node joining the deployment, paired or not: all of them power
-    /// on and are tracked until detached.
-    pub helpers: Vec<NodeId>,
-    /// `(source, helper)` wirings.
-    pub pairs: Vec<(NodeId, NodeId)>,
-    /// Scripted helpers belong to the rebalance they accompany and detach
-    /// when it completes; the elasticity policy's own (`false`) ride out
-    /// unrelated migrations and leave only on skew subsidence.
-    pub scripted: bool,
-    /// Predicted net-traffic relief (zero for a manual list).
-    pub relief: f64,
-    /// The planner's candidate ranking, kept on the `helpers` span so the
-    /// exported timeline shows why each helper won over the alternatives.
-    pub ranking: Vec<String>,
-}
-
-impl HelperAttach {
-    /// A scripted Fig. 8 list: `sources[i]` pairs with
-    /// `helpers[i % helpers.len()]`.
-    pub fn manual(sources: &[NodeId], helpers: &[NodeId]) -> Self {
-        HelperAttach {
-            helpers: helpers.to_vec(),
-            pairs: (sources.iter().copied())
-                .zip(helpers.iter().copied().cycle())
-                .collect(),
-            scripted: true,
-            ..Default::default()
-        }
-    }
-
-    /// A planner-produced [`wattdb_planner::HelperPlan`]: one helper per
-    /// assignment, with the plan's predicted relief and candidate ranking.
-    pub fn planned(plan: &wattdb_planner::HelperPlan, scripted: bool) -> Self {
-        HelperAttach {
-            helpers: plan.helpers(),
-            pairs: (plan.assignments.iter())
-                .map(|a| (a.source, a.helper))
-                .collect(),
-            scripted,
-            relief: plan.predicted_relief,
-            ranking: plan.ranking.clone(),
-        }
-    }
-}
+pub use crate::helpers::HelperAttach;
 
 /// Everything one control action does to the cluster, as plain data:
 /// [`crate::policy::plan`] derives it from a decision, a script fills it
@@ -421,7 +374,7 @@ pub struct Applied {
 }
 
 /// A node list as a span attribute.
-fn names(nodes: &[NodeId]) -> wattdb_telemetry::AttrValue {
+pub(crate) fn names(nodes: &[NodeId]) -> wattdb_telemetry::AttrValue {
     (nodes.iter().map(|n| n.to_string()))
         .collect::<Vec<_>>()
         .into()
@@ -464,99 +417,24 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
         let mut c = cl.borrow_mut();
         let c = &mut *c;
         let launch = !plan.sources.is_empty() && c.mover.is_none();
-        let attach = plan.attach.as_ref().filter(|a| !a.helpers.is_empty());
         let targets: &[NodeId] = if launch { &plan.power_up } else { &[] };
         // Targets coming up from standby get a "power-up" child span; the
         // ones already active boot nothing.
         let booted: Vec<NodeId> = (targets.iter().copied())
             .filter(|&t| c.life(t) == Lifecycle::Standby)
             .collect();
-        for &n in attach.iter().flat_map(|a| &a.helpers).chain(targets) {
+        for &n in plan.attach.iter().flat_map(|a| &a.helpers).chain(targets) {
             c.power_on(n);
         }
 
         if !plan.detach.is_empty() {
             // A full detach closes the span: report it first.
-            report = Some((c.helpers.span, None));
-            detach_helper_set(c, &plan.detach, now);
-        }
-
-        if let Some(a) = attach {
-            // Relief accounting: the first attach of a response snapshots
-            // the shipped-bytes and remote-hit counters and opens its span
-            // (closed when the last helper detaches); later attaches while
-            // helpers remain wired fold their prediction into the same
-            // response.
-            match &mut c.helpers.baseline {
-                None => {
-                    c.helpers.baseline = Some(HelperBaseline {
-                        at: now,
-                        predicted: a.relief,
-                        shipped_bytes: c.nodes.iter().map(|n| n.shipper.shipped_bytes()).sum(),
-                        remote_hits: c.nodes.iter().map(|n| n.buffer.stats().remote_hits).sum(),
-                    });
-                    c.helpers.span = Some(c.telemetry.start_span(
-                        "helpers",
-                        now,
-                        vec![
-                            ("predicted_relief_mbps".into(), a.relief.into()),
-                            ("scripted".into(), a.scripted.into()),
-                        ],
-                    ));
-                }
-                Some(b) => {
-                    b.predicted += a.relief;
-                    if let Some(span) = c.helpers.span {
-                        let total = b.predicted.into();
-                        c.telemetry
-                            .spans
-                            .set_attr(span, "predicted_relief_mbps", total);
-                    }
-                }
-            }
-            for &h in &a.helpers {
-                match c.helpers.members.iter_mut().find(|m| m.node == h) {
-                    Some(m) => m.scripted |= a.scripted,
-                    None => c.helpers.members.push(HelperMember {
-                        node: h,
-                        scripted: a.scripted,
-                    }),
-                }
-            }
-            let remote_pages = c.cfg.buffer_pages;
-            for &(src, h) in &a.pairs {
-                if let Some(span) = c.helpers.span {
-                    c.telemetry.spans.add_event(
-                        span,
-                        now,
-                        "attach",
-                        vec![
-                            ("source".into(), src.to_string().into()),
-                            ("helper".into(), h.to_string().into()),
-                        ],
-                    );
-                }
-                // A source whose helper is *reassigned* first detaches its
-                // old shipping cursor — leaving it would accumulate an
-                // unbounded unshipped backlog for a follower nobody ever
-                // drains again.
-                let node = &mut c.nodes[src.raw() as usize];
-                if let Some(old) = node.helper.filter(|&old| old != h) {
-                    node.shipper.detach(old);
-                }
-                node.helper = Some(h);
-                node.buffer.set_remote_capacity(remote_pages);
-                node.shipper.attach(h, &node.log);
-            }
-            if let Some(span) = c.helpers.span.filter(|_| !a.ranking.is_empty()) {
-                let ranking = a.ranking.clone().into();
-                c.telemetry
-                    .spans
-                    .set_attr(span, "candidate_ranking", ranking);
-            }
+            report = Some((c.helpers.span(), None));
+            crate::helpers::detach(c, &plan.detach, now);
         }
         if let Some(a) = &plan.attach {
-            report = Some((c.helpers.span, Some(a.relief)));
+            crate::helpers::attach(c, a, now);
+            report = Some((c.helpers.span(), Some(a.relief)));
         }
 
         for &n in &plan.drain {
@@ -646,6 +524,7 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
         c.powerdown_span = Some(c.telemetry.start_span("power-down", now, attrs));
     }
     c.replication.assert_invariants(&c.nodes);
+    c.helpers.assert_invariants(&c.nodes);
     let (span, predicted) = report.unwrap_or((plan.promote.and(c.failover_span), None));
     Applied {
         planner: plan.planner,
@@ -712,6 +591,7 @@ pub fn settle(cl: &ClusterRc, sim: &Sim) -> Option<SettledDrain> {
         c.end_drain(n);
     }
     c.replication.assert_invariants(&c.nodes);
+    c.helpers.assert_invariants(&c.nodes);
     c.telemetry
         .spans
         .set_attr(span, "suspended", names(&suspended));
@@ -727,7 +607,7 @@ pub fn settle(cl: &ClusterRc, sim: &Sim) -> Option<SettledDrain> {
 /// holds no segments, runs no helper duty and hosts no follower copies (a
 /// live follower host is still serving redundancy and reads; suspending
 /// it would silently drop the replication factor) — never the master.
-fn can_suspend(c: &Cluster, node: NodeId) -> bool {
+pub(crate) fn can_suspend(c: &Cluster, node: NodeId) -> bool {
     node != NodeId::MASTER
         && c.life(node).is_up()
         && c.seg_dir.on_node(node).next().is_none()
@@ -1275,10 +1155,8 @@ fn maybe_finish(c: &mut Cluster, now: SimTime) {
     // unrelated scale-out or drain finishing must not tear down a
     // response whose skew still persists — those detach only via
     // `Decision::DetachHelpers` on subsidence.
-    let scripted: Vec<NodeId> = (c.helpers.members.iter().filter(|m| m.scripted))
-        .map(|m| m.node)
-        .collect();
-    detach_helper_set(c, &scripted, now);
+    let scripted: Vec<NodeId> = c.helpers.attached_by(true).collect();
+    crate::helpers::detach(c, &scripted, now);
 }
 
 /// Summary of the last completed rebalance.
@@ -1304,156 +1182,6 @@ pub struct RebalanceReport {
     pub heat_planned: f64,
     /// Heat actually relocated (decayed, valued as each segment moved).
     pub heat_moved: f64,
-}
-
-/// Net-traffic counters captured when the first helper of a response
-/// attaches: the baseline against which realized relief is measured.
-#[derive(Debug, Clone, Copy)]
-pub struct HelperBaseline {
-    /// Attach time of the first helper in the response.
-    pub at: SimTime,
-    /// Predicted net-traffic relief, summed over the response's attaches.
-    pub predicted: f64,
-    /// Cumulative helper-shipped log bytes across all nodes at attach.
-    pub shipped_bytes: u64,
-    /// Cumulative remote-buffer hits across all nodes at attach.
-    pub remote_hits: u64,
-}
-
-/// Predicted-vs-realized relief for a completed helper response — the
-/// helper-side analogue of [`RebalanceReport`]'s planned-vs-moved heat
-/// accounting. Emitted when the last helper detaches.
-#[derive(Debug, Clone)]
-pub struct HelperReport {
-    /// When the response's first helper attached.
-    pub attached: SimTime,
-    /// Predicted net-traffic relief recorded at attach time.
-    pub predicted: f64,
-    /// Log bytes actually shipped to helpers while attached.
-    pub shipped_bytes: u64,
-    /// Reads served out of helper DRAM (remote-buffer hits) while
-    /// attached.
-    pub remote_hits: u64,
-    /// The helpers released at the end of the response.
-    pub helpers: Vec<NodeId>,
-}
-
-/// One attached helper.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct HelperMember {
-    /// The helper node.
-    pub node: NodeId,
-    /// Attached by a scripted rebalance path (released when the rebalance
-    /// completes) rather than by the elasticity policy (released on skew
-    /// subsidence).
-    pub scripted: bool,
-}
-
-/// The helper deployment (Fig. 8): who is attached, and the accounting of
-/// the response in progress — first attach to last detach.
-#[derive(Debug, Default)]
-pub struct HelperDeployment {
-    /// Attached helpers, in attachment order.
-    pub members: Vec<HelperMember>,
-    /// Counters captured when the response's first helper attached.
-    pub baseline: Option<HelperBaseline>,
-    /// Span of the response in progress.
-    pub span: Option<wattdb_telemetry::SpanId>,
-    /// Predicted-vs-realized relief of the last completed response.
-    pub last_report: Option<HelperReport>,
-}
-
-impl HelperDeployment {
-    /// Attached helper nodes, in attachment order.
-    pub fn nodes(&self) -> Vec<NodeId> {
-        self.members.iter().map(|m| m.node).collect()
-    }
-
-    /// Is `node` attached as a helper?
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.members.iter().any(|m| m.node == node)
-    }
-
-    /// The helpers the elasticity policy attached itself (not scripted).
-    pub fn policy_owned(&self) -> impl Iterator<Item = NodeId> + '_ {
-        (self.members.iter().filter(|m| !m.scripted)).map(|m| m.node)
-    }
-}
-
-/// Detach the given helpers: their sources fall back to local log flushes
-/// and plain buffer pools, shipping cursors are cleared — including any
-/// stale cursor left by a mid-flight helper reassignment — and every
-/// detached helper left with no segments to serve suspends to standby
-/// (one holding data stays active).
-fn detach_helper_set(c: &mut Cluster, set: &[NodeId], now: SimTime) {
-    let members = std::mem::take(&mut c.helpers.members);
-    let (gone, kept): (Vec<HelperMember>, _) =
-        members.into_iter().partition(|m| set.contains(&m.node));
-    c.helpers.members = kept;
-    let detached: Vec<NodeId> = gone.iter().map(|m| m.node).collect();
-    if let Some(span) = c.helpers.span {
-        for &h in &detached {
-            c.telemetry.spans.add_event(
-                span,
-                now,
-                "detach",
-                vec![("helper".into(), h.to_string().into())],
-            );
-        }
-    }
-    if c.helpers.members.is_empty() {
-        // The response is over: realized relief is whatever the helpers
-        // absorbed since the baseline — log bytes they persisted plus
-        // reads their DRAM answered.
-        if let Some(b) = c.helpers.baseline.take() {
-            let shipped: u64 = c.nodes.iter().map(|n| n.shipper.shipped_bytes()).sum();
-            let hits: u64 = c.nodes.iter().map(|n| n.buffer.stats().remote_hits).sum();
-            let report = HelperReport {
-                attached: b.at,
-                predicted: b.predicted,
-                shipped_bytes: shipped.saturating_sub(b.shipped_bytes),
-                remote_hits: hits.saturating_sub(b.remote_hits),
-                helpers: detached.clone(),
-            };
-            if let Some(span) = c.helpers.span.take() {
-                // Realized relief in MB/s: bytes the helpers absorbed over
-                // the time they were wired.
-                let dt = now.since(b.at).as_secs_f64();
-                let realized = (dt > 0.0).then(|| report.shipped_bytes as f64 / dt / 1e6);
-                let realized = realized.unwrap_or(0.0);
-                let spans = &mut c.telemetry.spans;
-                spans.set_attr(span, "realized_relief_mbps", realized.into());
-                spans.set_attr(span, "shipped_bytes", report.shipped_bytes.into());
-                spans.set_attr(span, "remote_hits", report.remote_hits.into());
-                spans.set_attr(span, "helpers", names(&report.helpers));
-                spans.end(span, now);
-            }
-            c.helpers.last_report = Some(report);
-        }
-    }
-    for &h in &detached {
-        for n in &mut c.nodes {
-            if n.helper == Some(h) {
-                n.helper = None;
-                n.buffer.set_remote_capacity(0);
-            }
-            // Cursors clear unconditionally: a node whose helper was
-            // reassigned mid-flight still carries a cursor for the old
-            // helper even though `n.helper` no longer names it.
-            n.shipper.detach(h);
-        }
-    }
-    for &h in &detached {
-        // A detached helper with nothing left to serve suspends: the
-        // duty-powered standbys return to standby, and so does an active
-        // node that was drained empty *during* its duty — leaving it up
-        // would idle it at full power with no code path left to suspend
-        // it. A helper holding segments (it was serving data at attach
-        // time, or became a rebalance target meanwhile) stays up.
-        if can_suspend(c, h) {
-            c.power_off(h);
-        }
-    }
 }
 
 /// Every node that is a source or target of the in-flight rebalance: its
@@ -1521,63 +1249,26 @@ mod tests {
         let cl = cluster(false);
         let mut sim = Sim::new();
         attach_helpers(&cl, &mut sim, &[NodeId(0)], &[NodeId(2)]);
-        {
-            let c = cl.borrow();
-            assert_eq!(c.nodes[0].helper, Some(NodeId(2)));
-            assert_eq!(c.nodes[0].shipper.followers(), vec![NodeId(2)]);
-        }
-        // Mid-flight reassignment 0→3: the cursor for helper 2 must go
-        // with it, or node 0 accumulates an unshipped backlog for a
-        // follower nobody drains.
+        assert_eq!(cl.borrow().helpers.helper_of(NodeId(0)), Some(NodeId(2)));
+        // Mid-flight reassignment 0→3: the wire to helper 2 goes with it,
+        // or node 0 would keep shipping to a helper nobody drains.
         attach_helpers(&cl, &mut sim, &[NodeId(0)], &[NodeId(3)]);
         {
             let c = cl.borrow();
-            assert_eq!(c.nodes[0].helper, Some(NodeId(3)));
-            assert_eq!(
-                c.nodes[0].shipper.followers(),
-                vec![NodeId(3)],
-                "stale cursor for the reassigned helper survived"
-            );
+            assert_eq!(c.helpers.helper_of(NodeId(0)), Some(NodeId(3)));
+            assert_eq!(c.helpers.check_invariants(&c.nodes), None);
             // Both helpers are tracked until the full detach.
             assert_eq!(c.helpers.nodes(), vec![NodeId(2), NodeId(3)]);
         }
         let detached = detach_helpers(&cl, &mut sim);
         assert_eq!(detached, vec![NodeId(2), NodeId(3)]);
         let c = cl.borrow();
-        assert_eq!(c.nodes[0].helper, None);
-        assert!(c.nodes[0].shipper.followers().is_empty());
-        assert!(c.helpers.members.is_empty());
+        assert_eq!(c.helpers.helper_of(NodeId(0)), None);
+        assert_eq!(c.nodes[0].buffer.remote_capacity(), 0);
+        assert!(c.helpers.is_empty());
         // Both helpers were standbys powered on for the duty: both return.
         assert_eq!(c.nodes[2].life, Lifecycle::Standby);
         assert_eq!(c.nodes[3].life, Lifecycle::Standby);
-    }
-
-    #[test]
-    fn detach_clears_cursors_no_helper_field_names_anymore() {
-        // The detach path must clear cursors *unconditionally*: a cursor
-        // whose helper no node's `helper` field names anymore (the stale
-        // state older code paths could leave) still goes away.
-        let cl = cluster(false);
-        let mut sim = Sim::new();
-        attach_helpers(&cl, &mut sim, &[NodeId(0)], &[NodeId(2)]);
-        {
-            // Simulate the stale state directly: the helper field moved on
-            // but the cursor was left behind.
-            let mut c = cl.borrow_mut();
-            c.nodes[0].helper = Some(NodeId(3));
-            c.helpers.members.push(HelperMember {
-                node: NodeId(3),
-                scripted: true,
-            });
-            assert_eq!(c.nodes[0].shipper.followers(), vec![NodeId(2)]);
-        }
-        detach_helpers(&cl, &mut sim);
-        let c = cl.borrow();
-        assert!(
-            c.nodes[0].shipper.followers().is_empty(),
-            "stale cursor survived the detach"
-        );
-        assert_eq!(c.nodes[0].helper, None);
     }
 
     #[test]
@@ -1595,7 +1286,7 @@ mod tests {
         let c = cl.borrow();
         assert_eq!(c.nodes[1].life, Lifecycle::Active, "data node stays up");
         assert_eq!(c.nodes[2].life, Lifecycle::Standby);
-        assert!(c.helpers.members.is_empty());
+        assert!(c.helpers.is_empty());
     }
 
     #[test]
@@ -1663,10 +1354,11 @@ mod tests {
         // Scripted attach alongside: node 5 helps node 1 for the
         // rebalance below.
         attach_helpers(&cl, &mut sim, &[NodeId(1)], &[NodeId(5)]);
-        let scripted: Vec<bool> = (cl.borrow().helpers.members.iter())
-            .map(|m| m.scripted)
-            .collect();
-        assert_eq!(scripted, vec![false, true]);
+        {
+            let c = cl.borrow();
+            assert_eq!(c.helpers.attached_by(true).collect::<Vec<_>>(), [NodeId(5)]);
+            assert_eq!(c.helpers.pairs(), vec![(NodeId(0), NodeId(4))]);
+        }
         let rebalance = ControlPlan::fraction(&cl.borrow(), 0.5, &[NodeId(1)], &[NodeId(2)]);
         run(&cl, &mut sim, rebalance);
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
@@ -1674,19 +1366,18 @@ mod tests {
             let c = cl.borrow();
             assert!(c.mover.is_none(), "rebalance completed");
             // The scripted helper went with the completion...
-            assert_eq!(c.nodes[1].helper, None);
+            assert_eq!(c.helpers.helper_of(NodeId(1)), None);
             assert_eq!(c.nodes[5].life, Lifecycle::Standby);
             // ...while the policy helper is still wired.
             assert_eq!(c.helpers.nodes(), vec![NodeId(4)]);
-            assert_eq!(c.nodes[0].helper, Some(NodeId(4)));
-            assert_eq!(c.nodes[0].shipper.followers(), vec![NodeId(4)]);
-            assert_eq!(c.helpers.policy_owned().count(), 1);
+            assert_eq!(c.helpers.pairs(), vec![(NodeId(0), NodeId(4))]);
+            assert_eq!(c.helpers.check_invariants(&c.nodes), None);
         }
         // The policy-side release still lets go of everything.
         assert_eq!(detach_helpers(&cl, &mut sim), vec![NodeId(4)]);
         let c = cl.borrow();
-        assert!(c.helpers.members.is_empty());
-        assert_eq!(c.nodes[0].helper, None);
+        assert!(c.helpers.is_empty());
+        assert_eq!(c.helpers.helper_of(NodeId(0)), None);
         assert_eq!(c.nodes[4].life, Lifecycle::Standby);
     }
 

@@ -152,7 +152,7 @@ pub enum Decision {
     /// subsided (fallen below the rearm band, or the cluster cooled below
     /// the heat floor). May name a *subset* of the attached helpers when
     /// only some sources subsided (see
-    /// [`ElasticityPolicy::evaluate_with_pairs`]).
+    /// [`ElasticityPolicy::evaluate`]).
     DetachHelpers {
         /// Helpers attached at decision time.
         helpers: Vec<NodeId>,
@@ -217,7 +217,7 @@ pub struct ElasticityPolicy {
     /// never disagree on what "subsided" means.
     subsided_now: bool,
     /// Consecutive windows each helped *source* has spent below the
-    /// per-source rearm band ([`ElasticityPolicy::evaluate_with_pairs`]):
+    /// per-source rearm band ([`ElasticityPolicy::evaluate`]):
     /// a source's helper is only released once its streak outlasts
     /// `skew_cooldown`, so a flapping hotspot that cools for a couple of
     /// windows keeps its helper instead of churning through
@@ -249,27 +249,21 @@ impl ElasticityPolicy {
         self.signals
     }
 
-    /// Evaluate one monitoring view. `standby` lists nodes available to
-    /// power on; `active_with_data` the nodes currently serving;
-    /// `rebalancing` whether a migration is already in flight (a skew
-    /// fire would only be deferred, so the trigger stays armed instead of
-    /// burning its streak and cooldown on a decision nobody can act on);
-    /// `helpers` the helper nodes the *policy itself* attached (callers
-    /// must not include a scripted attachment — those belong to the
-    /// migration engine and detach with its rebalance's completion) —
-    /// while any are, the skew trigger holds its fire (the helpers *are*
-    /// the response in force) and the policy instead watches for
-    /// subsidence to emit [`Decision::DetachHelpers`]. Attached helpers
-    /// are excluded from the skew signals themselves: they are active
-    /// nodes holding no heat, and counting them would inflate the ratio
-    /// enough to mask every subsidence (see [`ClusterView::heat_skew`]).
+    /// The policy's decision over `helpers`, the helper nodes the policy
+    /// itself attached: while any are, the skew trigger holds its fire
+    /// (the helpers *are* the response in force) and the policy instead
+    /// watches for subsidence to emit [`Decision::DetachHelpers`].
+    /// Attached helpers are excluded from the skew signals themselves:
+    /// they are active nodes holding no heat, and counting them would
+    /// inflate the ratio enough to mask every subsidence (see
+    /// [`ClusterView::heat_skew`]).
     ///
     /// Precedence: CPU saturation (scale-out) beats everything — an
     /// overloaded cluster needs more hardware, not reshuffling. A
     /// cluster-wide idle spell (scale-in) beats the skew trigger —
     /// rebalancing nodes that are about to be drained ships bytes twice.
     /// Only then does heat skew get a say.
-    pub fn evaluate(
+    fn decide(
         &mut self,
         view: &ClusterView,
         standby: &[NodeId],
@@ -379,8 +373,17 @@ impl ElasticityPolicy {
         self.fire_skew(view, skew_ready, rebalancing, helpers)
     }
 
-    /// [`ElasticityPolicy::evaluate`] with the `(source, helper)` pairing
-    /// visible, enabling **partial detach**: when the cluster-wide skew
+    /// Evaluate one monitoring view. `standby` lists nodes available to
+    /// power on; `active_with_data` the nodes currently serving;
+    /// `rebalancing` whether a migration is already in flight (a skew
+    /// fire would only be deferred, so the trigger stays armed instead of
+    /// burning its streak and cooldown on a decision nobody can act on);
+    /// `pairs` the `(source, helper)` wiring of the helpers the *policy
+    /// itself* attached ([`crate::helpers::Helpers::pairs`]; a scripted
+    /// attachment belongs to the migration engine and detaches with its
+    /// rebalance's completion).
+    ///
+    /// The pairing enables **partial detach**: when the cluster-wide skew
     /// persists (so the all-or-nothing subsidence detach stays silent)
     /// but an *individual* source has cooled below the rearm band, that
     /// source's helper is released on its own — instead of staying wired
@@ -390,10 +393,7 @@ impl ElasticityPolicy {
     /// per-source cool streak of `max(skew_cooldown, 1)` windows, so a
     /// hotspot flapping between nodes keeps both helpers wired instead
     /// of churning through detach/re-attach cycles every flip.
-    ///
-    /// Every other decision delegates to `evaluate` unchanged, so the two
-    /// entry points can never disagree on streaks or escalation.
-    pub fn evaluate_with_pairs(
+    pub fn evaluate(
         &mut self,
         view: &ClusterView,
         standby: &[NodeId],
@@ -404,7 +404,7 @@ impl ElasticityPolicy {
         let mut helpers: Vec<NodeId> = pairs.iter().map(|&(_, h)| h).collect();
         helpers.sort_unstable();
         helpers.dedup();
-        let decision = self.evaluate(view, standby, active_with_data, rebalancing, &helpers);
+        let decision = self.decide(view, standby, active_with_data, rebalancing, &helpers);
         if decision != Decision::Hold || helpers.is_empty() || rebalancing {
             return decision;
         }
@@ -1183,17 +1183,17 @@ mod tests {
         });
         let skewed = heat_view(&[(0, 10.0), (1, 1.0), (2, 1.0)]);
         let data = [NodeId(0), NodeId(1), NodeId(2)];
-        let helpers = [NodeId(3)];
+        let pairs = [(NodeId(0), NodeId(3))];
         // Armed and ready, but helpers are the response in force: hold.
         for _ in 0..4 {
             assert_eq!(
-                p.evaluate(&skewed, &[], &data, false, &helpers),
+                p.evaluate(&skewed, &[], &data, false, &pairs),
                 Decision::Hold
             );
         }
         // The skew subsides: the helpers detach.
         let balanced = heat_view(&[(0, 4.0), (1, 4.0), (2, 4.0)]);
-        match p.evaluate(&balanced, &[], &data, false, &helpers) {
+        match p.evaluate(&balanced, &[], &data, false, &pairs) {
             Decision::DetachHelpers { helpers: h } => assert_eq!(h, vec![NodeId(3)]),
             other => panic!("expected detach on subsidence, got {other:?}"),
         }
@@ -1221,9 +1221,9 @@ mod tests {
             ..Default::default()
         });
         let data = [NodeId(0), NodeId(1)];
-        let helpers = [NodeId(2), NodeId(3)];
+        let pairs = [(NodeId(0), NodeId(2)), (NodeId(0), NodeId(3))];
         let balanced = heat_view(&[(0, 6.0), (1, 6.0), (2, 0.0), (3, 0.0)]);
-        match p.evaluate(&balanced, &[], &data, false, &helpers) {
+        match p.evaluate(&balanced, &[], &data, false, &pairs) {
             Decision::DetachHelpers { helpers: h } => {
                 assert_eq!(h, vec![NodeId(2), NodeId(3)]);
             }
@@ -1232,7 +1232,7 @@ mod tests {
         // Conversely a *real* data-node skew keeps them attached.
         let skewed = heat_view(&[(0, 10.0), (1, 1.0), (2, 0.0), (3, 0.0)]);
         assert_eq!(
-            p.evaluate(&skewed, &[], &data, false, &helpers),
+            p.evaluate(&skewed, &[], &data, false, &pairs),
             Decision::Hold,
             "helpers stay while the data-node skew persists"
         );
@@ -1328,7 +1328,7 @@ mod tests {
         let v = heat_view(&[(0, 10.0), (1, 0.2), (2, 2.0), (3, 0.0), (4, 0.0)]);
         let data = [NodeId(0), NodeId(1), NodeId(2)];
         let pairs = [(NodeId(0), NodeId(3)), (NodeId(1), NodeId(4))];
-        match p.evaluate_with_pairs(&v, &[], &data, false, &pairs) {
+        match p.evaluate(&v, &[], &data, false, &pairs) {
             Decision::DetachHelpers { helpers } => assert_eq!(helpers, vec![NodeId(4)]),
             other => panic!("expected a per-source detach, got {other:?}"),
         }
@@ -1348,10 +1348,7 @@ mod tests {
         let v = heat_view(&[(0, 10.0), (1, 0.2), (2, 2.0), (3, 0.0)]);
         let data = [NodeId(0), NodeId(1), NodeId(2)];
         let pairs = [(NodeId(0), NodeId(3)), (NodeId(1), NodeId(3))];
-        assert_eq!(
-            p.evaluate_with_pairs(&v, &[], &data, false, &pairs),
-            Decision::Hold
-        );
+        assert_eq!(p.evaluate(&v, &[], &data, false, &pairs), Decision::Hold);
     }
 
     #[test]
@@ -1617,11 +1614,14 @@ mod tests {
         .expect("applied");
         assert_eq!(attach.planner, Planner::HeatAware);
         assert_eq!(span_name(&db, attach.span), ("helpers".into(), true));
-        assert_eq!(attach.span, db.with_cluster(|c| c.helpers.span));
+        assert_eq!(attach.span, db.with_cluster(|c| c.helpers.span()));
         let relief = attach.predicted.expect("predicted relief");
         assert!(relief > 0.0);
-        let baseline = db.with_cluster(|c| c.helpers.baseline.expect("response open"));
-        assert_eq!(relief, baseline.predicted);
+        let predicted = db.with_cluster(|c| {
+            let span = c.telemetry.spans.get(attach.span.expect("response open"));
+            span.and_then(|s| s.attr_f64("predicted_relief_mbps"))
+        });
+        assert_eq!(Some(relief), predicted);
 
         // DetachHelpers closes that span inside apply; the result still
         // points at it.
@@ -1631,7 +1631,7 @@ mod tests {
         assert_eq!(detach.span, attach.span);
         assert_eq!(detach.predicted, None);
         assert_eq!(span_name(&db, detach.span), ("helpers".into(), false));
-        assert_eq!(db.with_cluster(|c| c.helpers.span), None);
+        assert_eq!(db.with_cluster(|c| c.helpers.span()), None);
     }
 
     // --------------------------------------------------- the plan contract
@@ -1839,7 +1839,7 @@ mod tests {
 
     #[test]
     fn plan_reads_helpers_replicas_and_the_mover_without_a_sim() {
-        use crate::migration::{HelperMember, MoveController, MoverChain, Pending, SegmentMove};
+        use crate::migration::{MoveController, MoverChain, Pending, SegmentMove};
         let cfg = PolicyConfig::default();
         let drain = |n: u16| Decision::ScaleIn {
             drain: vec![NodeId(n)],
@@ -1849,10 +1849,11 @@ mod tests {
 
         // An attached helper is released by name, and only if attached.
         let cl = loaded(Scheme::Physiological, 0);
-        cl.borrow_mut().helpers.members.push(HelperMember {
-            node: NodeId(3),
-            scripted: false,
-        });
+        let policy_helper = HelperAttach {
+            helpers: vec![NodeId(3)],
+            ..Default::default()
+        };
+        crate::helpers::attach(&mut cl.borrow_mut(), &policy_helper, SimTime::ZERO);
         let detach = Decision::DetachHelpers {
             helpers: vec![NodeId(1), NodeId(3)],
         };

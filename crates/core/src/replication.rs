@@ -36,8 +36,7 @@ pub struct Replication {
     factor: usize,
     /// Per-segment leader/follower placement (empty at factor 0).
     map: ReplicaMap,
-    /// Each leader's cursors, by node id (apart from helper shipping,
-    /// which helper detach clears on every node).
+    /// Each leader's cursors to its followers, by node id.
     shippers: Vec<LogShipper>,
     /// Per-segment last write in the leader's log: the catch-up bar.
     seg_last_write: DenseMap<SegmentId, Lsn>,
@@ -95,7 +94,7 @@ impl Replication {
         self.map.under_replicated(self.factor)
     }
 
-    /// Bytes shipped to followers by all leaders (helper shipping apart).
+    /// Bytes shipped to followers by all leaders.
     pub fn shipped_bytes(&self) -> u64 {
         self.shippers.iter().map(LogShipper::shipped_bytes).sum()
     }

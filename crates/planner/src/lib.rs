@@ -35,7 +35,7 @@
 
 use std::collections::BTreeMap;
 
-use wattdb_common::{DenseMap, KeyRange, NodeId, SegmentId, TableId};
+use wattdb_common::{DenseMap, HelperPolicyConfig, KeyRange, NodeId, SegmentId, TableId};
 
 /// Which algorithm plans rebalance moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -346,25 +346,6 @@ pub struct HelperCandidate {
     pub standby: bool,
 }
 
-/// Helper-planning knobs (the planner-facing subset of the policy's
-/// `HelperPolicyConfig`).
-#[derive(Debug, Clone, Copy)]
-pub struct HelperConfig {
-    /// Most source→helper assignments in one plan.
-    pub max_helpers: usize,
-    /// Sources with less net heat than this get no helper.
-    pub min_net_heat: f64,
-}
-
-impl Default for HelperConfig {
-    fn default() -> Self {
-        Self {
-            max_helpers: 2,
-            min_net_heat: 0.0,
-        }
-    }
-}
-
 /// One planned helper attachment.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HelperAssignment {
@@ -434,7 +415,7 @@ pub fn plan_helpers(
     sources: &[NodeLoadStat],
     candidates: &[HelperCandidate],
     excluded: &[NodeId],
-    cfg: &HelperConfig,
+    cfg: &HelperPolicyConfig,
 ) -> HelperPlan {
     let mut plan = HelperPlan::default();
     if cfg.max_helpers == 0 {
@@ -1099,7 +1080,7 @@ mod tests {
         // heat: node 2 gets the first (standby) helper.
         let sources = [load(1, 100.0, 5.0), load(2, 60.0, 40.0)];
         let cands = [cand(3, 0.0, true), cand(4, 0.0, true)];
-        let plan = plan_helpers(&sources, &cands, &[], &HelperConfig::default());
+        let plan = plan_helpers(&sources, &cands, &[], &HelperPolicyConfig::default());
         assert_eq!(plan.assignments.len(), 2);
         assert_eq!(plan.assignments[0].source, NodeId(2));
         assert_eq!(plan.assignments[0].helper, NodeId(3));
@@ -1114,10 +1095,10 @@ mod tests {
         // A cold active, an even colder active, and one standby: the
         // standby wins despite the actives' low heat.
         let cands = [cand(2, 1.0, false), cand(3, 0.5, false), cand(4, 0.0, true)];
-        let plan = plan_helpers(&sources, &cands, &[], &HelperConfig::default());
+        let plan = plan_helpers(&sources, &cands, &[], &HelperPolicyConfig::default());
         assert_eq!(plan.helpers(), vec![NodeId(4)]);
         // Without the standby, the coldest active is next in line.
-        let plan = plan_helpers(&sources, &cands[..2], &[], &HelperConfig::default());
+        let plan = plan_helpers(&sources, &cands[..2], &[], &HelperPolicyConfig::default());
         assert_eq!(plan.helpers(), vec![NodeId(3)]);
     }
 
@@ -1141,7 +1122,7 @@ mod tests {
                 standby: false,
             },
         ];
-        let plan = plan_helpers(&sources, &cands, &[], &HelperConfig::default());
+        let plan = plan_helpers(&sources, &cands, &[], &HelperPolicyConfig::default());
         assert_eq!(plan.helpers(), vec![NodeId(3)], "{plan:?}");
         // A standby still outranks any active, busy NIC or not.
         let with_standby = [
@@ -1153,7 +1134,7 @@ mod tests {
                 standby: true,
             },
         ];
-        let plan = plan_helpers(&sources, &with_standby, &[], &HelperConfig::default());
+        let plan = plan_helpers(&sources, &with_standby, &[], &HelperPolicyConfig::default());
         assert_eq!(plan.helpers(), vec![NodeId(4)]);
     }
 
@@ -1183,7 +1164,7 @@ mod tests {
                 standby: true,
             },
         ];
-        let plan = plan_helpers(&sources, &cands, &[], &HelperConfig::default());
+        let plan = plan_helpers(&sources, &cands, &[], &HelperPolicyConfig::default());
         assert_eq!(
             plan.ranking,
             vec![
@@ -1208,9 +1189,10 @@ mod tests {
             &sources,
             &cands,
             &[NodeId(3)],
-            &HelperConfig {
+            &HelperPolicyConfig {
                 max_helpers: 4,
                 min_net_heat: 0.0,
+                ..Default::default()
             },
         );
         assert_eq!(plan.helpers(), vec![NodeId(4)], "{plan:?}");
@@ -1221,10 +1203,15 @@ mod tests {
     fn master_helps_only_as_last_resort() {
         let sources = [load(1, 50.0, 50.0)];
         let with_alternative = [cand(0, 0.0, false), cand(2, 5.0, false)];
-        let plan = plan_helpers(&sources, &with_alternative, &[], &HelperConfig::default());
+        let plan = plan_helpers(
+            &sources,
+            &with_alternative,
+            &[],
+            &HelperPolicyConfig::default(),
+        );
         assert_eq!(plan.helpers(), vec![NodeId(2)], "master spared: {plan:?}");
         let master_only = [cand(0, 0.0, false)];
-        let plan = plan_helpers(&sources, &master_only, &[], &HelperConfig::default());
+        let plan = plan_helpers(&sources, &master_only, &[], &HelperPolicyConfig::default());
         assert_eq!(plan.helpers(), vec![NodeId(0)], "last resort: {plan:?}");
     }
 
@@ -1238,9 +1225,10 @@ mod tests {
             &sources,
             &cands,
             &[],
-            &HelperConfig {
+            &HelperPolicyConfig {
                 max_helpers: 3,
                 min_net_heat: 0.0,
+                ..Default::default()
             },
         );
         assert_eq!(plan.sources(), vec![NodeId(1), NodeId(2)], "{plan:?}");
@@ -1256,9 +1244,10 @@ mod tests {
             &sources,
             &dup_cands,
             &[],
-            &HelperConfig {
+            &HelperPolicyConfig {
                 max_helpers: 3,
                 min_net_heat: 0.0,
+                ..Default::default()
             },
         );
         assert_eq!(plan.helpers(), vec![NodeId(3), NodeId(4)], "{plan:?}");
@@ -1273,9 +1262,10 @@ mod tests {
             &sources,
             &cands,
             &[],
-            &HelperConfig {
+            &HelperPolicyConfig {
                 max_helpers: 1,
                 min_net_heat: 1.0,
+                ..Default::default()
             },
         );
         assert_eq!(plan.assignments.len(), 1);
@@ -1284,30 +1274,32 @@ mod tests {
         // shipping relieves its commit path), ranked behind any net-heavy
         // source — but any positive floor excludes it.
         let cpu_only = [load(1, 9.0, 0.0), load(2, 5.0, 3.0)];
-        let plan = plan_helpers(&cpu_only, &cands, &[], &HelperConfig::default());
+        let plan = plan_helpers(&cpu_only, &cands, &[], &HelperPolicyConfig::default());
         assert_eq!(plan.sources(), vec![NodeId(2), NodeId(1)], "{plan:?}");
         let plan = plan_helpers(
             &cpu_only,
             &cands,
             &[],
-            &HelperConfig {
+            &HelperPolicyConfig {
                 max_helpers: 2,
                 min_net_heat: 0.5,
+                ..Default::default()
             },
         );
         assert_eq!(plan.sources(), vec![NodeId(2)], "{plan:?}");
         // A cold source (no heat at all) never gets one.
         let cold = [load(1, 0.0, 0.0)];
-        let plan = plan_helpers(&cold, &cands, &[], &HelperConfig::default());
+        let plan = plan_helpers(&cold, &cands, &[], &HelperPolicyConfig::default());
         assert!(plan.is_empty(), "{plan:?}");
         // max_helpers = 0 disables planning outright.
         let plan = plan_helpers(
             &sources,
             &cands,
             &[],
-            &HelperConfig {
+            &HelperPolicyConfig {
                 max_helpers: 0,
                 min_net_heat: 0.0,
+                ..Default::default()
             },
         );
         assert!(plan.is_empty());

@@ -115,6 +115,11 @@ impl BufferPool {
         self.frames.len()
     }
 
+    /// Pages the remote (rDMA) tier may hold; zero while it is off.
+    pub fn remote_capacity(&self) -> usize {
+        self.remote_capacity
+    }
+
     /// Enable/resize the remote (rDMA) tier; shrinking drops spilled pages
     /// arbitrarily (they are clean copies — the store has the truth).
     pub fn set_remote_capacity(&mut self, pages: usize) {

@@ -3,10 +3,10 @@
 //!
 //! Implements the log of §4.3 as the paper's figures price it: a per-node
 //! byte ledger with group commit (Fig. 7's logging share), log truncation
-//! after moves, and log shipping to helper nodes and replica followers
-//! (Fig. 8). There is no restart recovery: the failure story is
-//! replication, not restart — followers receive the log and a dead
-//! leader's segments are promoted.
+//! after moves, and log shipping to replica followers (a Fig. 8 helper's
+//! cursor lives with the cluster's helper wiring). There is no restart
+//! recovery: the failure story is replication, not restart — followers
+//! receive the log and a dead leader's segments are promoted.
 
 pub mod log;
 pub mod record;

@@ -21,9 +21,9 @@
 //! in the next flush.
 //!
 //! **Retention rule:** a record stays in memory until it is both durable
-//! and shipped to every attached follower — after each flush the cluster
+//! and shipped to every replica follower — after each flush the cluster
 //! layer calls [`LogManager::truncate_through`] with the lower of the
-//! durable LSN and the slowest shipping cursor — so the retained tail is
+//! durable LSN and the slowest follower's cursor — so the retained tail is
 //! bounded by the flush and shipping backlog, not by the age of the run.
 
 use std::collections::VecDeque;

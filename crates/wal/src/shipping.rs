@@ -1,11 +1,11 @@
-//! Log shipping to helper nodes.
+//! Log shipping to replica followers.
 //!
-//! In the paper's improved physiological experiment (Fig. 8), helper nodes
-//! are "used for log shipping and provision of additional buffer space":
-//! instead of competing with rebalancing I/O for the local disks, the
-//! loaded node streams its log tail to a helper, which persists it. The
-//! [`LogShipper`] tracks, per follower, how far the log has been shipped
-//! and acknowledged; the cluster layer charges the network costs.
+//! A segment's leader streams its durable log tail to the nodes holding
+//! follower copies, which apply it and acknowledge; a follower that has
+//! acknowledged far enough serves reads, and the most-acknowledged one is
+//! promoted when the leader dies. The [`LogShipper`] tracks, per
+//! follower, how far one node's log has been shipped and acknowledged;
+//! the cluster layer charges the network costs.
 
 use wattdb_common::{Lsn, NodeId};
 
@@ -44,7 +44,7 @@ impl LogShipper {
         }
     }
 
-    /// Detach a follower (helper powered down after rebalancing).
+    /// Detach a follower (its copies promoted, re-homed or dropped).
     pub fn detach(&mut self, follower: NodeId) {
         self.cursors.retain(|c| c.0 != follower);
     }
@@ -129,19 +129,19 @@ mod tests {
     fn ship_and_acknowledge() {
         let mut log = LogManager::new();
         let mut shipper = LogShipper::new();
-        let helper = NodeId(5);
-        shipper.attach(helper, &log);
-        assert_eq!(shipper.followers(), vec![helper]);
+        let follower = NodeId(5);
+        shipper.attach(follower, &log);
+        assert_eq!(shipper.followers(), vec![follower]);
         // New traffic arrives.
         for t in 1..=3u64 {
             log.append(TxnId(t), LogPayload::Commit);
         }
-        let bytes = shipper.take_batch(helper, &log).unwrap();
+        let bytes = shipper.take_batch(follower, &log).unwrap();
         assert_eq!(bytes, 3 * LOG_HEADER_BYTES);
-        assert_eq!(shipper.shipped_lsn(helper), Some(Lsn(3)));
+        assert_eq!(shipper.shipped_lsn(follower), Some(Lsn(3)));
         // Nothing more to ship until new appends.
-        assert!(shipper.take_batch(helper, &log).is_none());
-        let durable = shipper.acknowledge(helper, Lsn(3)).unwrap();
+        assert!(shipper.take_batch(follower, &log).is_none());
+        let durable = shipper.acknowledge(follower, Lsn(3)).unwrap();
         assert_eq!(durable, Lsn(3));
     }
 

@@ -15,6 +15,8 @@
 //!   the exact legacy attach/detach trace (`sources[i]` paired with
 //!   `helpers[i % len]`, all listed helpers powered, everything released
 //!   when the rebalance completes), bit-identical across fixed-seed runs.
+//! * A helper killed mid-rebalance stops serving at once, and the
+//!   response closes with its last helper.
 
 use wattdb_common::{CostVector, HelperPolicyConfig, NodeId, SimDuration};
 use wattdb_core::api::WattDb;
@@ -22,6 +24,7 @@ use wattdb_core::cluster::Scheme;
 use wattdb_core::heat::AccessKind;
 use wattdb_core::migration::{ControlPlan, HelperAttach};
 use wattdb_planner::HelperPlan;
+use wattdb_telemetry::{AttrValue, Span};
 
 fn builder(nodes: u16, data: &[NodeId]) -> wattdb_core::WattDbBuilder {
     WattDb::builder()
@@ -296,12 +299,9 @@ struct AttachTrace {
     active_states: Vec<bool>,
 }
 
-fn manual_run() -> (
-    AttachTrace,
-    AttachTrace,
-    wattdb_core::RebalanceReport,
-    wattdb_core::HelperReport,
-) {
+/// The Fig. 8 shape: n0 and n1 rebalance half their data onto n2 and n3
+/// under OLTP load, with n4 and n5 as their scripted helpers.
+fn fig8_run(io_scale: u64) -> WattDb {
     let mut db = WattDb::builder()
         .nodes(6)
         .scheme(Scheme::Physiological)
@@ -309,6 +309,7 @@ fn manual_run() -> (
         .density(0.02)
         .segment_pages(8)
         .seed(101)
+        .io_scale(io_scale)
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
         .build();
     db.start_oltp(4, SimDuration::from_millis(50));
@@ -320,12 +321,25 @@ fn manual_run() -> (
         attach: Some(HelperAttach::manual(&sources, &[NodeId(4), NodeId(5)])),
         ..plan
     });
+    db
+}
+
+/// The last closed `helpers` span: the record of a finished response.
+fn closed_response(db: &WattDb) -> Option<Span> {
+    db.with_cluster(|c| {
+        let closed = c.telemetry.spans.closed();
+        closed.filter(|s| s.name == "helpers").last().cloned()
+    })
+}
+
+fn manual_run() -> (AttachTrace, AttachTrace, wattdb_core::RebalanceReport, Span) {
+    let mut db = fig8_run(1);
     let snapshot = |db: &WattDb| {
         db.with_cluster(|c| AttachTrace {
             helper_of: c
                 .nodes
                 .iter()
-                .map(|n| (n.id.raw(), n.helper.map(|h| h.raw())))
+                .map(|n| (n.id.raw(), c.helpers.helper_of(n.id).map(|h| h.raw())))
                 .collect(),
             helpers_active: c.helpers.nodes(),
             active_states: c.nodes.iter().map(|n| n.life.is_up()).collect(),
@@ -336,9 +350,7 @@ fn manual_run() -> (
     assert!(!db.rebalancing(), "rebalance completed");
     let after = snapshot(&db);
     let report = db.last_rebalance().expect("report recorded");
-    let relief = db
-        .with_cluster(|c| c.helpers.last_report.clone())
-        .expect("helper report recorded");
+    let relief = closed_response(&db).expect("helper response recorded");
     (during, after, report, relief)
 }
 
@@ -359,8 +371,10 @@ fn manual_helper_list_keeps_the_legacy_attach_detach_trace() {
     assert!(report.segments_moved > 0);
     // While attached, every flush of a source's log went to its helper,
     // and the helper's cursor — and the realized relief — moved with it.
-    assert_eq!(relief.helpers, vec![NodeId(4), NodeId(5)]);
-    assert!(relief.shipped_bytes > 0, "helpers shipped nothing");
+    let released = AttrValue::StrList(vec!["n4".into(), "n5".into()]);
+    assert_eq!(relief.attr("helpers"), Some(&released));
+    let shipped = relief.attr_f64("shipped_bytes").expect("shipped bytes");
+    assert!(shipped > 0.0, "helpers shipped nothing");
     // And the whole trace is a fixed-seed invariant: a second identical
     // run reproduces it bit for bit.
     let (during2, after2, report2, relief2) = manual_run();
@@ -369,15 +383,49 @@ fn manual_helper_list_keeps_the_legacy_attach_detach_trace() {
     assert_eq!(report.segments_moved, report2.segments_moved);
     assert_eq!(report.bytes_moved, report2.bytes_moved);
     assert_eq!(report.started, report2.started);
-    assert_eq!(relief.shipped_bytes, relief2.shipped_bytes);
+    assert_eq!(relief, relief2);
+}
+
+#[test]
+fn a_killed_helper_stops_serving_and_closes_the_response() {
+    // Both helpers die 7 s into a rebalance that runs on well past that
+    // at this I/O scale.
+    let mut db = fig8_run(200);
+    db.run_for(SimDuration::from_secs(7));
+    assert!(db.rebalancing(), "the rebalance outlives its helpers");
+    let remote_hits = |db: &WattDb| {
+        let hits =
+            |c: &wattdb_core::Cluster| c.nodes.iter().map(|n| n.buffer.stats().remote_hits).sum();
+        db.with_cluster(hits)
+    };
+    let killed_at = db.now();
+    db.fail_node(NodeId(4));
+    db.fail_node(NodeId(5));
+    // The response closes with its last helper's death and names it.
+    let response = closed_response(&db).expect("the response closed at the kill");
+    assert_eq!(response.end, Some(killed_at));
+    let last = AttrValue::StrList(vec!["n5".into()]);
+    assert_eq!(response.attr("helpers"), Some(&last));
+    // The sources lost their remote buffer tier with their helpers: no
+    // page is fetched from a dead node's DRAM (or bounced back at the
+    // source itself) from here on.
+    let at_kill: u64 = remote_hits(&db);
+    assert!(at_kill > 0, "the helpers served reads while alive");
+    db.run_for(SimDuration::from_secs(60));
+    assert_eq!(
+        remote_hits(&db),
+        at_kill,
+        "remote hits after the helpers died"
+    );
 }
 
 // ------------------------------------------------------------- properties
 
 mod props {
     use proptest::prelude::*;
+    use wattdb_common::HelperPolicyConfig;
     use wattdb_common::NodeId;
-    use wattdb_planner::{plan_helpers, HelperCandidate, HelperConfig, NodeLoadStat};
+    use wattdb_planner::{plan_helpers, HelperCandidate, NodeLoadStat};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -415,7 +463,7 @@ mod props {
                     standby: h == 0.0,
                 })
                 .collect();
-            let cfg = HelperConfig { max_helpers, min_net_heat: 0.0 };
+            let cfg = HelperPolicyConfig { max_helpers, min_net_heat: 0.0, ..Default::default() };
             let plan_a = plan_helpers(&sources, &candidates, &[], &cfg);
 
             let perm = |id: NodeId| {
@@ -486,7 +534,7 @@ mod props {
             } else {
                 Vec::new()
             };
-            let cfg = HelperConfig { max_helpers, min_net_heat: floor };
+            let cfg = HelperPolicyConfig { max_helpers, min_net_heat: floor, ..Default::default() };
             let plan = plan_helpers(&sources, &candidates, &excluded, &cfg);
             prop_assert!(plan.assignments.len() <= max_helpers);
             let mut seen = std::collections::BTreeSet::new();

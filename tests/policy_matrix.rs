@@ -454,16 +454,11 @@ fn transient_bimodal_skew_attaches_helpers_and_never_ships() {
         let helped: Vec<NodeId> = c
             .nodes
             .iter()
-            .filter(|n| n.helper.is_some())
+            .filter(|n| c.helpers.helper_of(n.id).is_some())
             .map(|n| n.id)
             .collect();
         assert!(!helped.is_empty(), "a hot source is wired to its helper");
-        for n in &c.nodes {
-            if let Some(h) = n.helper {
-                assert!(c.helpers.contains(h));
-                assert_eq!(n.shipper.followers(), vec![h]);
-            }
-        }
+        assert_eq!(c.helpers.check_invariants(&c.nodes), None);
     });
     println!(
         "[transient/helpers-first] attaches={} helpers={helpers:?} relief={:.1}",
@@ -512,8 +507,13 @@ fn helpers_detach_once_the_skew_subsides() {
             }
         }
         for n in &c.nodes {
-            assert_eq!(n.helper, None);
-            assert!(n.shipper.followers().is_empty(), "cursor left on {}", n.id);
+            assert_eq!(c.helpers.helper_of(n.id), None, "wire left on {}", n.id);
+            assert_eq!(
+                n.buffer.remote_capacity(),
+                0,
+                "remote tier left on {}",
+                n.id
+            );
         }
     });
     // Still: not a byte shipped across the whole run.

@@ -6,7 +6,49 @@ use proptest::prelude::*;
 use wattdb_common::{NodeId, SimDuration};
 use wattdb_core::api::WattDb;
 use wattdb_core::cluster::{Cluster, Lifecycle, Scheme};
-use wattdb_core::migration::{FollowerCopy, Pending};
+use wattdb_core::migration::{ControlPlan, FollowerCopy, HelperAttach, Pending};
+
+/// Scripted Fig. 8 helpers — one standby per source — for the rebalance in
+/// flight, or for a fresh one off the fullest node when only follower
+/// copies (or nothing) are moving. Returns the helpers attached.
+fn attach_helpers(db: &mut WattDb) -> Vec<NodeId> {
+    let plan = db.with_cluster(|c| {
+        let standby = c.nodes.iter().filter(|n| n.life == Lifecycle::Standby);
+        let standby: Vec<NodeId> = standby.map(|n| n.id).collect();
+        let (sources, rebalance) = match &c.mover {
+            Some(m) if m.report.is_some() => {
+                let sources = m.chains.iter().map(|ch| ch.source);
+                (sources.filter(|&s| c.life(s).is_up()).collect(), None)
+            }
+            Some(_) => return None,
+            None => {
+                let src = c.seg_dir.iter().map(|m| m.node).max()?;
+                let dst = *standby.first()?;
+                (
+                    vec![src],
+                    Some(ControlPlan::fraction(c, 0.4, &[src], &[dst])),
+                )
+            }
+        };
+        // A fresh rebalance's target powers on with it: not a helper.
+        let skip = rebalance.as_ref().map_or(0, |r| r.power_up.len());
+        let helpers: Vec<NodeId> = standby.into_iter().skip(skip).take(sources.len()).collect();
+        (!helpers.is_empty() && !sources.is_empty()).then(|| ControlPlan {
+            attach: Some(HelperAttach::manual(&sources, &helpers)),
+            ..rebalance.unwrap_or_default()
+        })
+    });
+    let Some(plan) = plan else {
+        return Vec::new();
+    };
+    let helpers = plan
+        .attach
+        .as_ref()
+        .map(|a| a.helpers.clone())
+        .unwrap_or_default();
+    db.run(plan);
+    helpers
+}
 
 /// The follower copies in flight on the mover's chains.
 fn copies_in_flight(c: &Cluster) -> impl Iterator<Item = FollowerCopy> + '_ {
@@ -72,19 +114,21 @@ proptest! {
     }
 
     /// A replicated autopilot cluster driven through a random sequence of
-    /// manual rebalances, node failures — a data node, or the host of a
-    /// follower copy still on a chain — and idle stretches (during which
-    /// the controller scales in, drains, repairs, and suspends on its
-    /// own). After every step — and after everything settles — the
-    /// replica map must hold its invariants: no leader in its own
-    /// follower set, no reference to a suspended node, no follower on a
-    /// draining node. With enough surviving hosts, the replication factor
-    /// must also end fully restored, and every key must be where it
-    /// routes.
+    /// manual rebalances, scripted helper attaches, node failures — a data
+    /// node, the host of a follower copy still on a chain, or an attached
+    /// helper — and idle stretches (during which the controller scales in,
+    /// drains, repairs, and suspends on its own). After every step — and
+    /// after everything settles — the replica map must hold its
+    /// invariants: no leader in its own follower set, no reference to a
+    /// suspended node, no follower on a draining node; and so must the
+    /// helper deployment (no wire to a dead or detached helper, no remote
+    /// tier without a wire). With enough surviving hosts, the replication
+    /// factor must also end fully restored, and every key must be where
+    /// it routes.
     #[test]
     fn replica_map_survives_any_decision_sequence(
         seed in 0u64..1000,
-        ops in proptest::collection::vec(0u8..4, 4..8),
+        ops in proptest::collection::vec(0u8..6, 4..8),
     ) {
         let policy = wattdb_core::PolicyConfig {
             cpu_high: 1.1, // scale-out out of reach: drains and failover dominate
@@ -164,11 +208,37 @@ proptest! {
                         prop_assert!(!joined, "{:?} joined on its dead host", cp);
                     }
                 }
+                // Scripted helpers for the rebalance in flight (or a
+                // fresh one).
+                4 => {
+                    attach_helpers(&mut db);
+                }
+                // Kill an attached helper mid-duty (attaching one first if
+                // none is): it stops serving at once, and the response
+                // closes with the deployment's last helper.
+                5 if kills < 2 => {
+                    let mut attached = db.with_cluster(|c| c.helpers.nodes());
+                    if attached.is_empty() {
+                        attached = attach_helpers(&mut db);
+                    }
+                    if let Some(&h) = attached.first() {
+                        db.fail_node(h);
+                        kills += 1;
+                        let (member, span) = db.with_cluster(|c| (c.helpers.contains(h), c.helpers.span()));
+                        prop_assert!(!member, "dead helper {} still attached", h);
+                        let last = attached.len() == 1;
+                        prop_assert!(!last || span.is_none(), "response open past its last helper");
+                    }
+                }
                 // Idle: the autopilot decides on its own.
                 _ => {}
             }
+            let violation = db.with_cluster(|c| c.helpers.check_invariants(&c.nodes));
+            prop_assert!(violation.is_none(), "helpers right after op {}: {:?}", op, violation);
             db.run_for(SimDuration::from_secs(15));
-            let violation = db.with_cluster(|c| c.replication.check_invariants(&c.nodes));
+            let violation = db.with_cluster(|c| {
+                (c.replication.check_invariants(&c.nodes)).or_else(|| c.helpers.check_invariants(&c.nodes))
+            });
             prop_assert!(violation.is_none(), "after op {}: {:?}", op, violation);
         }
         // Let everything in flight land: migrations, failover promotion,
@@ -179,7 +249,9 @@ proptest! {
                 break;
             }
         }
-        let violation = db.with_cluster(|c| c.replication.check_invariants(&c.nodes));
+        let violation = db.with_cluster(|c| {
+            (c.replication.check_invariants(&c.nodes)).or_else(|| c.helpers.check_invariants(&c.nodes))
+        });
         prop_assert!(violation.is_none(), "after settling: {:?}", violation);
         let reachable = db.with_cluster(|c| c.check_reachable());
         prop_assert_eq!(reachable, Ok(()), "every key is where it routes");
