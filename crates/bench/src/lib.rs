@@ -1100,7 +1100,9 @@ pub fn run_scheme_experiment(cfg: SchemeExperiment) -> SchemeRun {
     if cfg.helpers {
         // Fig. 8: the helpers wire up with the rebalance and detach when
         // it completes.
-        let plan = db.with_cluster(|c| ControlPlan::fraction(c, 0.5, &sources, &targets));
+        let plan = db.with_runtime(|cl, sim| {
+            ControlPlan::fraction(&cl.borrow(), sim.now(), 0.5, &sources, &targets)
+        });
         db.run(ControlPlan {
             attach: Some(HelperAttach::manual(&sources, &[NodeId(4), NodeId(5)])),
             ..plan

@@ -481,9 +481,10 @@ impl WattDb {
     /// Kick off a manual rebalance moving `fraction` of each source's
     /// data with the fraction heuristic (the autopilot's fallback
     /// planner; this remains for scripted experiments). A no-op while
-    /// another rebalance is in flight.
+    /// another rebalance is in flight, or with no target.
     pub fn rebalance(&mut self, fraction: f64, sources: &[NodeId], targets: &[NodeId]) {
-        let plan = ControlPlan::fraction(&self.cluster.borrow(), fraction, sources, targets);
+        let now = self.sim.now();
+        let plan = ControlPlan::fraction(&self.cluster.borrow(), now, fraction, sources, targets);
         self.run(plan);
     }
 
@@ -608,10 +609,7 @@ impl WattDb {
             let cpu_res = n.cpu.clone();
             let cpu = n.status_probe.sample(&cpu_res, now);
             let state = n.life.power();
-            let mut power = c.power_model.node_power(state, cpu);
-            for d in &n.disks {
-                power += c.power_model.disk_power(d.kind(), state);
-            }
+            let power = n.draw(&c.power_model, state, cpu, Watts(0.0));
             total += power;
             nodes.push(NodeStatus {
                 node: n.id,
@@ -686,14 +684,10 @@ impl WattDb {
     /// that never reaches full load from inflating its score.
     pub fn rated_peak_watts(&self) -> Watts {
         let c = self.cluster.borrow();
-        let mut total = c.power_model.switch_power();
-        for n in &c.nodes {
-            total += c.power_model.node_power(NodeState::Active, 1.0);
-            for d in &n.disks {
-                total += c.power_model.disk_power(d.kind(), NodeState::Active);
-            }
-        }
-        total
+        let total = c.power_model.switch_power();
+        (c.nodes.iter()).fold(total, |t, n| {
+            n.draw(&c.power_model, NodeState::Active, 1.0, t)
+        })
     }
 
     // ------------------------------------------------------- escape hatch

@@ -51,7 +51,6 @@
 use std::cell::RefCell;
 use std::rc::Rc;
 
-use wattdb_common::config::DiskKind;
 use wattdb_common::{
     ByteSize, CostModel, CostParams, DenseMap, DetRng, DiskId, HardwareSpec, HeatConfig, IdMap,
     Key, KeyRange, Lsn, NetworkSpec, NodeId, PartitionId, PowerSpec, Result, SegmentId,
@@ -253,6 +252,17 @@ pub struct FlushBatch {
 }
 
 impl NodeRuntime {
+    /// `total` plus this node's draw in `state` at CPU `util`: the node,
+    /// then each disk in turn — the summation order every metered sample
+    /// is pinned to.
+    pub fn draw(&self, model: &PowerModel, state: NodeState, util: f64, total: Watts) -> Watts {
+        let mut total = total + model.node_power(state, util);
+        for d in &self.disks {
+            total += model.disk_power(d.kind(), state);
+        }
+        total
+    }
+
     fn new(id: NodeId, hw: &HardwareSpec, buffer_pages: usize) -> Self {
         let n_disks = hw.disks.len();
         Self {
@@ -624,15 +634,10 @@ impl Cluster {
     /// sampled over the last window.
     pub fn sample_power(&mut self, now: SimTime) -> Watts {
         let mut total = self.power_model.switch_power();
-        for i in 0..self.nodes.len() {
-            let state = self.nodes[i].life.power();
-            let cpu = self.nodes[i].cpu.clone();
-            let util = self.nodes[i].power_probe.sample(&cpu, now);
-            total += self.power_model.node_power(state, util);
-            for d in 0..self.nodes[i].disks.len() {
-                let kind: DiskKind = self.nodes[i].disks[d].kind();
-                total += self.power_model.disk_power(kind, state);
-            }
+        for n in &mut self.nodes {
+            let cpu = n.cpu.clone();
+            let util = n.power_probe.sample(&cpu, now);
+            total = n.draw(&self.power_model, n.life.power(), util, total);
         }
         total
     }
@@ -947,14 +952,21 @@ impl Cluster {
         Ok(reclaimed)
     }
 
-    /// The segment a `table` key resolves to, as the executor resolves it
-    /// (§4.3's dual pointers): the routed owner's segment covering the key,
-    /// else the second pointer's.
-    pub fn home_of(&self, table: TableId, key: Key) -> Option<SegmentId> {
-        let route = self.router.route(table, key).ok()?;
-        let covering =
-            |loc: wattdb_index::Location| self.partitions.get(&loc.partition)?.top.segment_for(key);
-        covering(route.primary).or_else(|| route.also.and_then(covering))
+    /// Where a `table` key lives (§4.3's dual pointers): the routed
+    /// owner's partition, node and segment covering the key, else the
+    /// second pointer's. `Err`: the key routes nowhere; `Ok(None)`: neither
+    /// pointer's top index covers it (a moving window's edge).
+    pub fn home_of(
+        &self,
+        table: TableId,
+        key: Key,
+    ) -> Result<Option<(PartitionId, NodeId, SegmentId)>> {
+        let route = self.router.route(table, key)?;
+        let covering = |loc: wattdb_index::Location| {
+            let part = self.partitions.get(&loc.partition)?;
+            Some((loc.partition, loc.node, part.top.segment_for(key)?))
+        };
+        Ok(covering(route.primary).or_else(|| route.also.and_then(covering)))
     }
 
     /// Visit every index entry as `(key, head version, at home)`: a key is
@@ -966,7 +978,8 @@ impl Cluster {
         for (seg, idx) in self.indexes.iter() {
             let table = self.seg_dir.get(seg)?.table;
             for (key, head) in idx.entries() {
-                visit(key, head, self.home_of(table, key) == Some(seg))?;
+                let home = self.home_of(table, key).ok().flatten();
+                visit(key, head, home.is_some_and(|(.., s)| s == seg))?;
             }
         }
         Ok(())

@@ -310,21 +310,14 @@ impl Cluster {
             return Action::Loop;
         }
         let table = op.table.table_id();
-        let Ok(route) = self.router.route(table, op.key) else {
+        // Dual-pointer resolution (§4.3): prefer the location whose top
+        // index currently covers the key; fall back to the second pointer.
+        let Ok(home) = self.home_of(table, op.key) else {
             // Unroutable key (shouldn't happen): skip the op.
             job.next_op += 1;
             return Action::Loop;
         };
-        // Dual-pointer resolution (§4.3): prefer the location whose top
-        // index currently covers the key; fall back to the second pointer.
-        // Each location's partition and top index are resolved once.
-        let covering = |loc: wattdb_index::Location| {
-            let part = self.partitions.get(&loc.partition)?;
-            Some((loc.partition, loc.node, part.top.segment_for(op.key)?))
-        };
-        let Some((pid, node, seg)) =
-            covering(route.primary).or_else(|| route.also.and_then(covering))
-        else {
+        let Some((pid, node, seg)) = home else {
             // Moving window edge: retry shortly via a tiny CPU spin.
             return Action::Cpu(
                 job.current_node,

@@ -37,7 +37,7 @@
 //!   monitoring, the 80 %-CPU threshold elasticity policy (§3.4) with a
 //!   heat-skew rebalance trigger and coldest-node scale-in, and the pure
 //!   [`policy::plan`] that turns each decision into a `ControlPlan` (or
-//!   a named refusal) with the configured planner (legacy fraction vs.
+//!   a named refusal) with the configured planner (fraction vs.
 //!   heat-aware);
 //! * [`autopilot`] — the master's control loop: monitor → settle →
 //!   decide → plan → run each window, autonomous scale-out/scale-in with

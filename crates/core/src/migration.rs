@@ -20,9 +20,11 @@
 //! # Plan, then run
 //!
 //! Nothing here decides. A [`ControlPlan`] — produced by
-//! [`crate::policy::plan`] from a decision, or filled in by a script
-//! through [`crate::api::WattDb::run`] — says which nodes to power, what
-//! to move, what to drain, which follower copies to re-home and which
+//! [`crate::policy::plan`] from a decision, by the fraction heuristic
+//! beside it ([`ControlPlan::fraction`]), from a planner crate
+//! [`wattdb_planner::Plan`] ([`ControlPlan::planned`]), or filled in by a
+//! script through [`crate::api::WattDb::run`] — says which nodes to power,
+//! what to move, what to drain, which follower copies to re-home and which
 //! helpers (Fig. 8) to wire or release; [`run`] carries it out. `run` is
 //! the only code outside `cluster.rs` that powers a node on, marks a
 //! drain, starts a rebalance's [`MoveController`], wires a helper or opens the
@@ -56,7 +58,7 @@ use std::rc::Rc;
 use wattdb_common::{
     ByteSize, Error, Key, KeyRange, NodeId, Result, SegmentId, SimDuration, SimTime, TableId, TxnId,
 };
-use wattdb_planner::Planner;
+use wattdb_planner::{PlannedMove, Planner};
 use wattdb_sim::{Completion, Sim};
 use wattdb_txn::{
     is_provisional, owner, CcMode, Grant, LockAcquire, LockMode, LockTarget, TxnKind,
@@ -65,21 +67,6 @@ use wattdb_wal::LogPayload;
 
 use crate::cluster::{Cluster, ClusterRc, Lifecycle, Scheme};
 use crate::executor::{resume_grants, Waiter};
-
-/// One planned segment move.
-#[derive(Debug, Clone, Copy)]
-pub struct SegmentMove {
-    /// Moving segment.
-    pub seg: SegmentId,
-    /// Table it belongs to.
-    pub table: TableId,
-    /// Covered key range.
-    pub range: KeyRange,
-    /// Source node.
-    pub from: NodeId,
-    /// Destination node.
-    pub to: NodeId,
-}
 
 /// One planned logical range move (per table, per source).
 #[derive(Debug, Clone, Copy)]
@@ -113,7 +100,7 @@ pub struct FollowerCopy {
 #[derive(Debug, Clone, Copy)]
 pub enum Pending {
     /// A whole segment (physical / physiological).
-    Segment(SegmentMove),
+    Segment(PlannedMove),
     /// A key range, moved batch by batch (logical).
     Range(RangeMove),
     /// A follower copy.
@@ -226,63 +213,6 @@ impl MoveController {
     }
 }
 
-/// The fraction heuristic: the upper `fraction` of each (table, source)
-/// partition goes to `targets` round-robin — its key-ordered segments, or
-/// under logical partitioning the key range holding that share *of its
-/// records*. The cut point is found by walking the partition's segments in
-/// key order and accumulating their record counts — cutting the raw
-/// key-space envelope instead would be meaningless, since edge partitions
-/// extend to the key-space limits.
-fn plan_fraction_moves(
-    c: &Cluster,
-    fraction: f64,
-    sources: &[NodeId],
-    targets: &[NodeId],
-) -> Vec<Pending> {
-    let mut moves = Vec::new();
-    for (i, &src) in sources.iter().enumerate() {
-        let to = targets[i % targets.len()];
-        for part in c.partitions.values().filter(|p| p.node == src) {
-            let (segs, table) = (part.top.segments(), part.table);
-            if c.cfg.scheme != Scheme::Logical {
-                let keep = ((segs.len() as f64) * (1.0 - fraction)).round() as usize;
-                for (seg, range) in segs.into_iter().skip(keep) {
-                    moves.push(Pending::Segment(SegmentMove {
-                        seg,
-                        table,
-                        range,
-                        from: src,
-                        to,
-                    }));
-                }
-                continue;
-            }
-            let records = |s: SegmentId| c.seg_dir.get(s).map_or(0, |m| m.records);
-            let total: u64 = segs.iter().map(|&(s, _)| records(s)).sum();
-            let keep = ((total as f64) * (1.0 - fraction)) as u64;
-            let mut cum = 0;
-            let cut = segs.iter().find(|&&(s, _)| {
-                let past = cum >= keep;
-                cum += records(s);
-                past
-            });
-            let (Some(&(_, cut)), Some(&(_, last))) = (cut, segs.last()) else {
-                continue;
-            };
-            let range = KeyRange::new(cut.start, last.end);
-            if total > 0 && !range.is_empty() {
-                moves.push(Pending::Range(RangeMove {
-                    table,
-                    range,
-                    from: src,
-                    to,
-                }));
-            }
-        }
-    }
-    moves
-}
-
 pub use crate::helpers::HelperAttach;
 
 /// Everything one control action does to the cluster, as plain data:
@@ -323,33 +253,10 @@ impl ControlPlan {
         let mut sources: Vec<NodeId> = plan.moves.iter().map(|m| m.from).collect();
         sources.sort_unstable();
         sources.dedup();
-        let moves = plan.moves.iter().map(|m| {
-            let (seg, table, range, from, to) = (m.seg, m.table, m.range, m.from, m.to);
-            Pending::Segment(SegmentMove {
-                seg,
-                table,
-                range,
-                from,
-                to,
-            })
-        });
         ControlPlan {
             planner: plan.planner,
             sources,
-            moves: moves.collect(),
-            power_up: targets.to_vec(),
-            ..Default::default()
-        }
-    }
-
-    /// The fraction heuristic: the upper `fraction` of each source's data
-    /// — segments, or records under logical partitioning — goes to
-    /// `targets` round-robin.
-    pub fn fraction(c: &Cluster, fraction: f64, sources: &[NodeId], targets: &[NodeId]) -> Self {
-        ControlPlan {
-            planner: Planner::Fraction,
-            sources: sources.to_vec(),
-            moves: plan_fraction_moves(c, fraction, sources, targets),
+            moves: plan.moves.iter().copied().map(Pending::Segment).collect(),
             power_up: targets.to_vec(),
             ..Default::default()
         }
@@ -452,7 +359,7 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
                 "planned segment moves need a segment scheme (physical/physiological)"
             );
             // What the plan intends to relocate, valued at plan time.
-            let heat = |m: SegmentMove| c.heat.heat_of(m.seg, now).value();
+            let heat = |m: PlannedMove| c.heat.heat_of(m.seg, now).value();
             let heat_planned: f64 = moves.iter().filter_map(segment).map(heat).sum();
             let from: std::collections::BTreeSet<NodeId> =
                 moves.iter().map(|&p| ends(p)[0]).collect();
@@ -929,8 +836,13 @@ fn apply_segment(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
             // Old buffered pages are dropped at the source.
             c.nodes[mv.from.raw() as usize].buffer.evict_segment(mv.seg);
             // The step landed where its range routes.
-            let home = c.home_of(mv.table, mv.range.start);
-            assert_eq!(home, Some(mv.seg), "{} lands off its route", mv.seg);
+            let home = c.home_of(mv.table, mv.range.start).ok().flatten();
+            assert_eq!(
+                home.map(|(.., s)| s),
+                Some(mv.seg),
+                "{} lands off its route",
+                mv.seg
+            );
             c.nodes[mv.from.raw() as usize]
                 .log
                 .append(TxnId::NONE, LogPayload::SegmentMoveEnd { segment: mv.seg });
@@ -1069,8 +981,8 @@ fn land(c: &mut Cluster, chain: u64, txn: TxnId, mv: RangeMove) -> Result<Vec<Gr
     let (dst, mut landed) = (c.partition_on(mv.table, mv.to), 0);
     for (seg, _) in c.partitions[&dst].top.prune(mv.range) {
         c.indexes[&seg].visit_range(mv.range, |k, _| {
-            let home = c.home_of(mv.table, k);
-            assert_eq!(home, Some(seg), "{k} lands off its route");
+            let home = c.home_of(mv.table, k).ok().flatten();
+            assert_eq!(home.map(|(.., s)| s), Some(seg), "{k} lands off its route");
             landed += 1;
         });
     }
@@ -1359,7 +1271,8 @@ mod tests {
             assert_eq!(c.helpers.attached_by(true).collect::<Vec<_>>(), [NodeId(5)]);
             assert_eq!(c.helpers.pairs(), vec![(NodeId(0), NodeId(4))]);
         }
-        let rebalance = ControlPlan::fraction(&cl.borrow(), 0.5, &[NodeId(1)], &[NodeId(2)]);
+        let rebalance =
+            ControlPlan::fraction(&cl.borrow(), sim.now(), 0.5, &[NodeId(1)], &[NodeId(2)]);
         run(&cl, &mut sim, rebalance);
         sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
         {
@@ -1408,7 +1321,7 @@ mod tests {
             .load_tpcc(tpcc, &[NodeId(0), NodeId(1)])
             .unwrap();
         let mut sim = Sim::new();
-        let plan = ControlPlan::fraction(&cl.borrow(), 0.5, &[NodeId(0)], &[NodeId(2)]);
+        let plan = ControlPlan::fraction(&cl.borrow(), sim.now(), 0.5, &[NodeId(0)], &[NodeId(2)]);
         run(&cl, &mut sim, plan);
         // Run until a range's batch 1 has applied: its transaction is held
         // between batches.

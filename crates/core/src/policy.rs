@@ -26,13 +26,15 @@
 //! [`apply`] is the two in sequence. The autopilot relays the refusal; it
 //! re-derives nothing.
 
-use wattdb_common::{HelperPolicyConfig, NodeId, SegmentId, SimTime};
+use wattdb_common::{HelperPolicyConfig, KeyRange, NodeId, SegmentId, SimTime};
 use wattdb_planner::Planner;
 use wattdb_sim::Sim;
 
 use crate::cluster::{Cluster, ClusterRc, Scheme};
 use crate::heat;
-use crate::migration::{nodes_in_flight, run, Applied, ControlPlan, HelperAttach};
+use crate::migration::{
+    nodes_in_flight, run, Applied, ControlPlan, HelperAttach, Pending, RangeMove,
+};
 use crate::monitor::ClusterView;
 
 /// Policy thresholds.
@@ -624,14 +626,17 @@ pub fn coldest_drain_target(view: &ClusterView, active_with_data: &[NodeId]) -> 
 
 /// Turn a decision into the [`ControlPlan`] that carries it out, or name
 /// why nothing can be done. Pure: reads the cluster, changes nothing —
-/// every guard and every planner fallback lives here.
+/// every guard and every planner fallback lives here, and the one
+/// fraction heuristic ([`ControlPlan::fraction`]) sits below it.
 ///
 /// The refusals, each named by the guard that raised it: `"rebalance in
 /// flight"` (one rebalance at a time), `"drain node is part of the active
 /// migration"`, `"drain node hosts follower replicas"`, and `"no
 /// applicable plan"`. Logical repartitioning moves key ranges rather than
 /// segments, so it always plans with the fraction heuristic regardless of
-/// the configured planner.
+/// the configured planner. A scale-out whose heat plan finds nothing
+/// movable (no heat recorded) falls back to a fraction; a heat-planned
+/// drain always empties its nodes, so it needs no fallback.
 pub fn plan(
     c: &Cluster,
     now: SimTime,
@@ -681,7 +686,7 @@ pub fn plan(
         // back to the fraction heuristic so the cluster still reacts to
         // the CPU signal.
         Decision::ScaleOut { sources, targets } => Ok(heat_moves(sources, targets)
-            .unwrap_or_else(|| ControlPlan::fraction(c, cfg.move_fraction, sources, targets))),
+            .unwrap_or_else(|| ControlPlan::fraction(c, now, cfg.move_fraction, sources, targets))),
         Decision::Rebalance { sources, targets } => heat_moves(sources, targets).ok_or(NO_PLAN),
         Decision::AttachHelpers { sources, targets } => {
             // Helper choice is a heat decision too: the planner ranks the
@@ -758,28 +763,98 @@ pub fn plan(
             }
             // The atomic "move leaders + re-home followers" unit. The
             // re-home half executes regardless of which planner moves the
-            // leaders, so even a fraction-path drain keeps the factor.
-            let dp = heat::plan_drain_replicated(c, now, drain, &targets);
-            let rehomes = dp.rehomes;
-            // A drain must empty its nodes; a heat plan short of that
-            // (shouldn't happen) falls back to the fraction path, and so
-            // does one with nothing at all to do. With only follower
-            // copies to re-home no rebalance starts: the nodes suspend
+            // leaders, so even a fraction-path drain keeps the factor. The
+            // heat plan moves every segment off the drained nodes; with
+            // none to move it starts no rebalance, and the nodes suspend
             // once the re-homes clear them of replica duty.
-            let expected: usize = drain.iter().map(|n| c.seg_dir.on_node(*n).count()).sum();
-            let complete = dp.plan.moves.len() == expected && (expected > 0 || !rehomes.is_empty());
-            let moves = if heat_aware && complete {
+            let dp = heat::plan_drain_replicated(c, now, drain, &targets);
+            let moves = if heat_aware {
                 ControlPlan::planned(&dp.plan, &targets)
             } else {
-                ControlPlan::fraction(c, 1.0, drain, &targets)
+                ControlPlan::fraction(c, now, 1.0, drain, &targets)
             };
             Ok(ControlPlan {
                 drain: drain.clone(),
-                rehomes,
+                rehomes: dp.rehomes,
                 ..moves
             })
         }
     }
+}
+
+impl ControlPlan {
+    /// The fraction heuristic: the upper `fraction` of each source's data
+    /// goes to `targets` round-robin, one chain per source in the given
+    /// order. Under the segment schemes it is
+    /// [`wattdb_planner::plan_fraction`] over the segments each source
+    /// stores; under logical partitioning it is the record-count range cut
+    /// below. With no target nothing starts.
+    pub fn fraction(
+        c: &Cluster,
+        now: SimTime,
+        fraction: f64,
+        sources: &[NodeId],
+        targets: &[NodeId],
+    ) -> Self {
+        if targets.is_empty() {
+            return ControlPlan {
+                planner: Planner::Fraction,
+                ..Default::default()
+            };
+        }
+        let moves = if c.cfg.scheme == Scheme::Logical {
+            range_cut(c, fraction, sources, targets)
+        } else {
+            let stats = heat::segment_stats(c, now, c.cfg.heat.horizon);
+            let plan = wattdb_planner::plan_fraction(&stats, fraction, sources, targets);
+            plan.moves.into_iter().map(Pending::Segment).collect()
+        };
+        ControlPlan {
+            planner: Planner::Fraction,
+            sources: sources.to_vec(),
+            moves,
+            power_up: targets.to_vec(),
+            ..Default::default()
+        }
+    }
+}
+
+/// The logical fraction cut: per (table, source) partition, the key range
+/// holding the upper `fraction` *of its records*, to `targets` round-robin.
+/// The cut point is found by walking the partition's segments in key order
+/// and accumulating their record counts — cutting the raw key-space
+/// envelope instead would be meaningless, since edge partitions extend to
+/// the key-space limits.
+fn range_cut(c: &Cluster, fraction: f64, sources: &[NodeId], targets: &[NodeId]) -> Vec<Pending> {
+    let mut moves = Vec::new();
+    for (i, &src) in sources.iter().enumerate() {
+        let to = targets[i % targets.len()];
+        for part in c.partitions.values().filter(|p| p.node == src) {
+            let (segs, table) = (part.top.segments(), part.table);
+            let records = |s: SegmentId| c.seg_dir.get(s).map_or(0, |m| m.records);
+            let total: u64 = segs.iter().map(|&(s, _)| records(s)).sum();
+            let keep = ((total as f64) * (1.0 - fraction)) as u64;
+            let mut cum = 0;
+            let cut = segs.iter().find(|&&(s, _)| {
+                let past = cum >= keep;
+                cum += records(s);
+                past
+            });
+            let (Some(&(_, cut)), Some(&(_, last))) = (cut, segs.last()) else {
+                continue;
+            };
+            let range = KeyRange::new(cut.start, last.end);
+            if total > 0 && !range.is_empty() {
+                moves.push(Pending::Range(RangeMove {
+                    table,
+                    range,
+                    from: src,
+                    to,
+                }));
+            }
+        }
+    }
+    moves
 }
 
 /// The single path from a [`Decision`] to the cluster: [`plan`] it, then
@@ -1839,7 +1914,8 @@ mod tests {
 
     #[test]
     fn plan_reads_helpers_replicas_and_the_mover_without_a_sim() {
-        use crate::migration::{MoveController, MoverChain, Pending, SegmentMove};
+        use crate::migration::{MoveController, MoverChain};
+        use wattdb_planner::PlannedMove;
         let cfg = PolicyConfig::default();
         let drain = |n: u16| Decision::ScaleIn {
             drain: vec![NodeId(n)],
@@ -1890,7 +1966,7 @@ mod tests {
         {
             let mut c = cl.borrow_mut();
             let m = c.seg_dir.on_node(NodeId(0)).next().expect("n0 holds data");
-            let mv = SegmentMove {
+            let mv = PlannedMove {
                 seg: m.id,
                 table: m.table,
                 range: m.key_range.expect("loaded segments have ranges"),

@@ -11,12 +11,14 @@
 //!   coldest targets until every source sits within a configurable
 //!   tolerance of the mean heat — minimizing bytes shipped for the balance
 //!   achieved, and never splitting a segment.
-//! * [`plan_drain`] empties nodes selected for scale-in, spreading their
-//!   segments hottest-first across the remaining nodes (longest-processing-
-//!   time scheduling) instead of dumping everything onto one target.
-//! * [`plan_fraction`] reproduces the legacy fraction heuristic on the same
-//!   inputs, so experiments and property tests can compare plans
-//!   byte-for-byte.
+//! * [`plan_drain_replicated`] empties nodes selected for scale-in,
+//!   spreading their segments hottest-first across the remaining nodes
+//!   (longest-processing-time scheduling) instead of dumping everything
+//!   onto one target, and re-homes the follower copies they host.
+//! * [`plan_fraction`] is the fraction heuristic itself: the engine runs it
+//!   for every segment-scheme fraction rebalance (scripted, and the
+//!   policy's fallback), and experiments and property tests compare the
+//!   heat-aware plans against it on the same inputs.
 //!
 //! Inputs are plain [`SegmentStat`] rows (id, placement, footprint bytes,
 //! decayed heat); the crate holds no cluster state and performs no I/O, so
@@ -40,8 +42,9 @@ use wattdb_common::{DenseMap, HelperPolicyConfig, KeyRange, NodeId, SegmentId, T
 /// Which algorithm plans rebalance moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
 pub enum Planner {
-    /// Legacy heuristic: move a fixed fraction of each source's
-    /// key-ordered segments, targets assigned round-robin.
+    /// The fraction heuristic ([`plan_fraction`]): move a fixed fraction
+    /// of each source's key-ordered segments, targets assigned
+    /// round-robin.
     Fraction,
     /// Heat-aware greedy bin-packing over per-segment access heat
     /// (default).
@@ -298,16 +301,6 @@ pub fn plan_scale_out(
         predicted: node_heat,
         initial_max_heat,
     }
-}
-
-/// Plan a scale-in drain: *every* segment on the `drain` nodes must leave
-/// (nodes holding data must not power off). Segments are assigned
-/// hottest-first to the coldest remaining node — longest-processing-time
-/// scheduling — so a drained node's hot segments spread across the
-/// survivors instead of piling onto one. This is
-/// [`plan_drain_replicated`] over a cluster with no follower copies.
-pub fn plan_drain(stats: &[SegmentStat], drain: &[NodeId], remaining: &[NodeId]) -> Plan {
-    plan_drain_replicated(stats, drain, remaining, &[], &[], 0).plan
 }
 
 // ------------------------------------------------------------------ helpers
@@ -687,12 +680,16 @@ impl DrainPlan {
     }
 }
 
-/// Plan a replica-aware scale-in drain: empty the `drain` nodes like
-/// [`plan_drain`] *and*, in the same plan, re-home every follower copy
-/// they host via [`plan_replicas`] so the drain never drops a segment
-/// below `factor`.
+/// Plan a replica-aware scale-in drain: *every* segment on the `drain`
+/// nodes must leave (nodes holding data must not power off). Segments are
+/// assigned hottest-first to the coldest remaining node —
+/// longest-processing-time scheduling — so a drained node's hot segments
+/// spread across the survivors instead of piling onto one. In the same
+/// plan, every follower copy the drained nodes host is re-homed via
+/// [`plan_replicas`] so the drain never drops a segment below `factor`;
+/// with no follower copies (`sites` empty) only the leader moves remain.
 ///
-/// Beyond [`plan_drain`]'s guarantees:
+/// Besides:
 /// * a drained segment's leader move prefers destinations that do not
 ///   already hold one of its follower copies, so the move itself does
 ///   not silently evict a copy (falling back to a follower host only
@@ -853,10 +850,11 @@ pub fn plan_drain_replicated(
     }
 }
 
-/// The legacy fraction heuristic expressed in planner terms, for
-/// apples-to-apples comparison: per (table, source), keep the lower
-/// `1 − fraction` of key-ordered segments and move the rest to targets
-/// round-robin by source index.
+/// The fraction heuristic, as the engine runs it under the segment
+/// schemes: per (table, source), keep the lower `1 − fraction` of the
+/// key-ordered segments the source *stores* and move the rest to targets
+/// round-robin by source index. Heat-blind, so it is also the baseline the
+/// heat-aware plans are compared against.
 pub fn plan_fraction(
     stats: &[SegmentStat],
     fraction: f64,
@@ -1013,7 +1011,8 @@ mod tests {
             stat(3, 2, 100, 1.0),
             stat(4, 0, 100, 1.0), // survivor's existing load
         ];
-        let plan = plan_drain(&stats, &[NodeId(2)], &[NodeId(0), NodeId(1)]);
+        let plan =
+            plan_drain_replicated(&stats, &[NodeId(2)], &[NodeId(0), NodeId(1)], &[], &[], 0).plan;
         assert_eq!(plan.moves.len(), 4, "every segment leaves the drain");
         assert!(plan.moves.iter().all(|m| m.to != NodeId(2)));
         // LPT: the two hot segments land on different survivors.

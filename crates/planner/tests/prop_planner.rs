@@ -1,12 +1,14 @@
 //! Property tests for the heat-aware planner: conservation, target
 //! discipline, the balance-tolerance bound, and the byte envelope against
-//! the legacy fraction heuristic.
+//! the fraction heuristic the engine runs.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use wattdb_common::{Key, KeyRange, NodeId, SegmentId, TableId};
-use wattdb_planner::{plan_drain, plan_fraction, plan_scale_out, PlanConfig, SegmentStat};
+use wattdb_planner::{
+    plan_drain_replicated, plan_fraction, plan_scale_out, PlanConfig, SegmentStat,
+};
 
 /// Build one segment per heat entry, laid out in key order on `node`.
 fn stats_on(heats: &[f64], node: u16, bytes: u64, seg_base: u64) -> Vec<SegmentStat> {
@@ -94,7 +96,7 @@ proptest! {
 
     /// For the same balance goal on uniform-size segments (the paper's
     /// fixed 32 MB segments), the heat-aware plan never ships more bytes
-    /// than the legacy fraction plan — and achieves a max heat at least as
+    /// than the fraction plan — and achieves a max heat at least as
     /// good.
     #[test]
     fn scale_out_ships_no_more_bytes_than_fraction(
@@ -130,11 +132,15 @@ proptest! {
     ) {
         let mut stats = stats_on(&heats, 9, 100, 0);
         stats.extend(stats_on(&survivor_heats, 1, 100, 1000));
-        let plan = plan_drain(
+        let plan = plan_drain_replicated(
             &stats,
             &[NodeId(9)],
             &[NodeId(1), NodeId(2)],
-        );
+            &[],
+            &[],
+            0,
+        )
+        .plan;
         prop_assert_eq!(plan.moves.len(), heats.len(), "every evacuee planned");
         let mut seen = BTreeSet::new();
         for m in &plan.moves {

@@ -4,6 +4,7 @@
 use wattdb_common::{NodeId, PageId, SimDuration};
 use wattdb_core::api::{WattDb, WattDbBuilder};
 use wattdb_core::cluster::Scheme;
+use wattdb_core::migration::Pending;
 use wattdb_core::ClientBatching;
 use wattdb_storage::RECORD_HEADER_PHYSICAL;
 use wattdb_txn::CcMode;
@@ -157,6 +158,71 @@ fn physical_move_keeps_ownership_but_relocates_storage() {
         db.with_cluster(|c| c.router.nodes_with_data()),
         router_before
     );
+}
+
+/// Under physical partitioning a segment leaves its *storage* node: after
+/// a first move shipped half of n0's segments to n1 (n0 still owns them),
+/// a second fraction rebalance off n0 plans only segments n0 still stores
+/// — never n1's, whose bytes n0's disk and NIC would be billed for.
+#[test]
+fn physical_replan_moves_only_what_the_source_stores() {
+    let mut db = WattDb::builder()
+        .nodes(4)
+        .scheme(Scheme::Physical)
+        .warehouses(2)
+        .density(0.02)
+        .segment_pages(8)
+        .seed(17)
+        .initial_data_nodes(&[NodeId(0)])
+        .build();
+    db.start_oltp(8, SimDuration::from_millis(100));
+    let settle = |db: &mut WattDb| {
+        for _ in 0..60 {
+            db.run_for(SimDuration::from_secs(5));
+            if !db.rebalancing() {
+                return;
+            }
+        }
+        panic!("rebalance did not finish");
+    };
+    let stored = |db: &WattDb| {
+        db.with_cluster(|c| {
+            (0..3)
+                .map(|n| c.seg_dir.on_node(NodeId(n)).count())
+                .collect::<Vec<_>>()
+        })
+    };
+    db.rebalance(0.5, &[NodeId(0)], &[NodeId(1)]);
+    settle(&mut db);
+    let first = stored(&db);
+    assert_eq!(&first[..2], [37, 31]);
+    db.rebalance(0.5, &[NodeId(0)], &[NodeId(2)]);
+    let moves = db.with_cluster(|c| {
+        let chains = c.mover.iter().flat_map(|m| &m.chains);
+        let segments = chains.flat_map(|ch| ch.moves()).filter_map(|p| match p {
+            Pending::Segment(mv) => Some((mv.from, c.seg_dir.get(mv.seg).unwrap().node)),
+            _ => None,
+        });
+        segments.collect::<Vec<_>>()
+    });
+    assert!(!moves.is_empty(), "n0 still stores segments to shed");
+    for (from, stored_on) in moves {
+        assert_eq!(
+            (from, stored_on),
+            (NodeId(0), NodeId(0)),
+            "a move leaves where it lies"
+        );
+    }
+    settle(&mut db);
+    let second = stored(&db);
+    assert_eq!(second[1], first[1], "n1 keeps what it stores");
+    assert_eq!(
+        second[0] + second[2],
+        first[0],
+        "n0's segments split with n2"
+    );
+    assert!(second[2] > 0);
+    db.stop_clients();
 }
 
 #[test]

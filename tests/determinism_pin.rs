@@ -160,7 +160,9 @@ fn fixed_rebalance(
     match trigger {
         Trigger::Plain => db.rebalance(0.5, &sources, &targets),
         Trigger::WithHelpers => {
-            let plan = db.with_cluster(|c| ControlPlan::fraction(c, 0.5, &sources, &targets));
+            let plan = db.with_runtime(|cl, sim| {
+                ControlPlan::fraction(&cl.borrow(), sim.now(), 0.5, &sources, &targets)
+            });
             db.run(ControlPlan {
                 attach: Some(HelperAttach::manual(&sources, &[NodeId(4), NodeId(5)])),
                 ..plan

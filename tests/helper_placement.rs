@@ -316,7 +316,9 @@ fn fig8_run(io_scale: u64) -> WattDb {
     db.run_for(SimDuration::from_secs(5));
     let sources = [NodeId(0), NodeId(1)];
     let targets = [NodeId(2), NodeId(3)];
-    let plan = db.with_cluster(|c| ControlPlan::fraction(c, 0.5, &sources, &targets));
+    let plan = db.with_runtime(|cl, sim| {
+        ControlPlan::fraction(&cl.borrow(), sim.now(), 0.5, &sources, &targets)
+    });
     db.run(ControlPlan {
         attach: Some(HelperAttach::manual(&sources, &[NodeId(4), NodeId(5)])),
         ..plan

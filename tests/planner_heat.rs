@@ -2,7 +2,8 @@
 //! workload — the acceptance scenario for the heat/planner subsystem.
 //!
 //! Most clients hammer warehouse 0, which sits at the *bottom* of node
-//! 0's key space. The legacy fraction heuristic shaves the *top* half of
+//! 0's key space. The fraction heuristic — `wattdb_planner::plan_fraction`,
+//! the one a scripted `db.rebalance` runs — shaves the *top* half of
 //! the key-ordered segments, so it ships cold data and leaves the hotspot
 //! in place; the heat-aware planner must (a) predict a strictly lower
 //! post-rebalance max-node heat, (b) ship no more bytes, and (c) actually
@@ -135,7 +136,7 @@ fn heat_aware_beats_fraction_on_skewed_load_and_executes() {
 
 #[test]
 fn fraction_planner_ships_cold_segments_on_the_same_skew() {
-    // Control experiment: on the identical skewed state, the legacy
+    // Control experiment: on the identical skewed state, the fraction
     // heuristic relocates less heat per byte than the heat-aware plan —
     // the imbalance the tentpole exists to fix.
     let mut db = skewed_db();
@@ -168,6 +169,9 @@ fn empty_planned_rebalance_is_a_noop() {
     assert!(plan.is_empty(), "no heat, nothing to move");
     db.rebalance_planned(&plan, &[NodeId(2)]);
     assert!(!db.rebalancing(), "empty plan installs no mover");
+    // Neither does a fraction rebalance with no target to move onto.
+    db.rebalance(0.5, &[NodeId(0)], &[]);
+    assert!(!db.rebalancing(), "targetless rebalance installs no mover");
     db.run_for(SimDuration::from_secs(10));
     assert!(!db.rebalancing());
     let status = db.status();

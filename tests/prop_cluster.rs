@@ -12,6 +12,7 @@ use wattdb_core::migration::{ControlPlan, FollowerCopy, HelperAttach, Pending};
 /// flight, or for a fresh one off the fullest node when only follower
 /// copies (or nothing) are moving. Returns the helpers attached.
 fn attach_helpers(db: &mut WattDb) -> Vec<NodeId> {
+    let now = db.now();
     let plan = db.with_cluster(|c| {
         let standby = c.nodes.iter().filter(|n| n.life == Lifecycle::Standby);
         let standby: Vec<NodeId> = standby.map(|n| n.id).collect();
@@ -26,7 +27,7 @@ fn attach_helpers(db: &mut WattDb) -> Vec<NodeId> {
                 let dst = *standby.first()?;
                 (
                     vec![src],
-                    Some(ControlPlan::fraction(c, 0.4, &[src], &[dst])),
+                    Some(ControlPlan::fraction(c, now, 0.4, &[src], &[dst])),
                 )
             }
         };
@@ -57,6 +58,18 @@ fn copies_in_flight(c: &Cluster) -> impl Iterator<Item = FollowerCopy> + '_ {
         Some(Pending::Copy(cp)) => Some(cp),
         _ => None,
     })
+}
+
+/// A segment move queued or in flight on a chain that does not leave its
+/// segment's catalog node. Copies and range moves are exempt, and so is a
+/// step whose source died mid-copy: its apply voids it.
+fn stray_segment_move(c: &Cluster) -> Option<wattdb_planner::PlannedMove> {
+    let chains = c.mover.iter().flat_map(|m| &m.chains);
+    let mut segments = chains.flat_map(|ch| ch.moves()).filter_map(|p| match p {
+        Pending::Segment(mv) if !c.is_failed(mv.from) => Some(mv),
+        _ => None,
+    });
+    segments.find(|mv| c.seg_dir.get(mv.seg).map(|m| m.node).ok() != Some(mv.from))
 }
 
 proptest! {
@@ -122,7 +135,8 @@ proptest! {
     /// invariants: no leader in its own follower set, no reference to a
     /// suspended node, no follower on a draining node; and so must the
     /// helper deployment (no wire to a dead or detached helper, no remote
-    /// tier without a wire). With enough surviving hosts, the replication
+    /// tier without a wire), and every segment move on a chain must leave
+    /// its segment's catalog node. With enough surviving hosts, the replication
     /// factor must also end fully restored, and every key must be where
     /// it routes.
     #[test]
@@ -235,11 +249,15 @@ proptest! {
             }
             let violation = db.with_cluster(|c| c.helpers.check_invariants(&c.nodes));
             prop_assert!(violation.is_none(), "helpers right after op {}: {:?}", op, violation);
+            let stray = db.with_cluster(stray_segment_move);
+            prop_assert!(stray.is_none(), "right after op {}: {:?} leaves off its segment", op, stray);
             db.run_for(SimDuration::from_secs(15));
             let violation = db.with_cluster(|c| {
                 (c.replication.check_invariants(&c.nodes)).or_else(|| c.helpers.check_invariants(&c.nodes))
             });
             prop_assert!(violation.is_none(), "after op {}: {:?}", op, violation);
+            let stray = db.with_cluster(stray_segment_move);
+            prop_assert!(stray.is_none(), "after op {}: {:?} leaves off its segment", op, stray);
         }
         // Let everything in flight land: migrations, failover promotion,
         // re-replication backfills, post-drain suspensions.
