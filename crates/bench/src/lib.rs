@@ -337,7 +337,7 @@ pub fn run_drift_shootout(cfg: DriftShootout) -> PlannerShootoutRow {
         let handle = cl.clone();
         let warehouses = cfg.warehouses;
         let mut front = 1u32;
-        wattdb_sim::Repeater::every(sim, cfg.dwell, move |_| {
+        sim.every(cfg.dwell, move |_| {
             front = (front + 1) % warehouses;
             rehome(&mut handle.borrow_mut(), front);
             true
@@ -346,15 +346,12 @@ pub fn run_drift_shootout(cfg: DriftShootout) -> PlannerShootoutRow {
     // Two windows on the new warehouse: history still favours warehouse
     // 0, velocity favours warehouse 1. Now arm the real thresholds.
     db.run_for(SimDuration::from_secs(10));
-    db.engage_autopilot(wattdb_core::AutoPilotConfig {
-        policy: wattdb_core::PolicyConfig {
-            cpu_high: 0.8,
-            cpu_low: 0.02, // no scale-in during the measurement
-            patience: 2,
-            skew_threshold: 0.0, // CPU-triggered only: isolate the planner input
-            ..Default::default()
-        },
-        period: SimDuration::from_secs(5), // the cadence built with
+    db.engage_autopilot(wattdb_core::PolicyConfig {
+        cpu_high: 0.8,
+        cpu_low: 0.02, // no scale-in during the measurement
+        patience: 2,
+        skew_threshold: 0.0, // CPU-triggered only: isolate the planner input
+        ..Default::default()
     });
     // The settle window stays inside the current warehouse's dwell.
     settle_and_measure(
@@ -475,7 +472,7 @@ pub fn run_mixed_shootout(cfg: MixedShootout) -> PlannerShootoutRow {
     let scan_range = wattdb_tpcc::warehouse_range(cfg.scan_lo, cfg.scan_hi);
     db.with_runtime(|cl, sim| {
         let handle = cl.clone();
-        wattdb_sim::Repeater::every(sim, cfg.scan_period, move |sim| {
+        sim.every(cfg.scan_period, move |sim| {
             wattdb_core::scan::submit_scan(
                 &handle,
                 sim,
@@ -621,7 +618,7 @@ pub fn run_transient_shootout(cfg: TransientShootout) -> TransientShootoutRow {
         let handle = cl.clone();
         let warehouses = cfg.warehouses;
         let mut step = 0u32;
-        wattdb_sim::Repeater::every(sim, cfg.dwell, move |_| {
+        sim.every(cfg.dwell, move |_| {
             step += 1;
             let wh = if step % 2 == 1 {
                 half + step / 2
@@ -1367,7 +1364,7 @@ pub fn fig3_run(update_pct: u32, mode: CcMode) -> Result<Fig3Point> {
     db.with_runtime(|cl, sim| {
         let cl = cl.clone();
         let peak = peak.clone();
-        wattdb_sim::Repeater::every(sim, SimDuration::from_secs(2), move |_| {
+        sim.every(SimDuration::from_secs(2), move |_| {
             let c = cl.borrow();
             let mut peak = peak.borrow_mut();
             let (versions, live) = match c.version_stats() {
@@ -1479,7 +1476,7 @@ fn arm_mixed(
         executor::step(&handle, sim, job_id);
         // Poll for completion, then re-arm.
         let poll = handle.clone();
-        wattdb_sim::Repeater::every(sim, SimDuration::from_millis(25), move |sim| {
+        sim.every(SimDuration::from_millis(25), move |sim| {
             if poll.borrow().jobs.get(job_id).is_some() {
                 return true;
             }

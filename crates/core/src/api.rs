@@ -50,7 +50,7 @@ use wattdb_sim::Sim;
 use wattdb_tpcc::{ClientConfig, LoadTrace, TpccConfig};
 use wattdb_txn::CcMode;
 
-use crate::autopilot::{AutoPilot, AutoPilotConfig, ControlEvent};
+use crate::autopilot::{AutoPilot, ControlEvent};
 use crate::cluster::{Cluster, ClusterConfig, ClusterRc, Scheme};
 use crate::executor;
 use crate::heat;
@@ -203,32 +203,34 @@ impl WattDbBuilder {
     }
 
     /// Monitoring cadence: how often nodes report utilization to the
-    /// master (paper: "every few seconds"; default 5 s).
+    /// master (paper: "every few seconds"; default 5 s) — the period of
+    /// the deployment's one monitoring window, whether `.autopilot`,
+    /// `.telemetry` or [`WattDb::engage_autopilot`] arms it.
     pub fn monitoring(mut self, period: SimDuration) -> Self {
         self.monitoring = period;
         self
     }
 
-    /// Engage the elasticity autopilot at build time: the cluster then
+    /// Engage the elasticity autopilot at build time: the monitoring
+    /// window is armed with the builder's `.policy` in it, so the cluster
     /// monitors itself and powers nodes up/down autonomously, logging
-    /// every decision to [`WattDb::events`].
+    /// every decision to [`WattDb::events`]. Implies `.telemetry(true)`.
     pub fn autopilot(mut self, enabled: bool) -> Self {
         self.autopilot = enabled;
         self
     }
 
-    /// Sample telemetry windows even without the autopilot: a
-    /// monitoring-cadence loop freezes the metrics registry every window.
-    /// Redundant (and ignored) when the autopilot is engaged — its
-    /// control loop already samples each window, and two loops must never
-    /// both drive the stateful utilization probes.
+    /// Arm the monitoring window at build time even without a policy: it
+    /// samples every node and freezes the metrics registry every window,
+    /// and decides nothing until [`WattDb::engage_autopilot`] puts a
+    /// policy in it. Implied by `.autopilot(true)`.
     pub fn telemetry(mut self, enabled: bool) -> Self {
         self.telemetry = enabled;
         self
     }
 
     /// Build, load TPC-C, start the power sampler, and — when requested —
-    /// engage the autopilot.
+    /// arm the monitoring window and engage the autopilot in it.
     pub fn build(self) -> WattDb {
         let cluster = Cluster::new(self.cfg, &self.initial);
         let mut sim = Sim::new();
@@ -242,42 +244,19 @@ impl WattDbBuilder {
             c.replication.place(&plan, &c.nodes);
         }
         Cluster::start_power_sampler(&cluster, &mut sim);
-        let autopilot = self.autopilot.then(|| {
-            AutoPilot::engage(
-                &cluster,
-                &mut sim,
-                AutoPilotConfig {
-                    policy: self.policy,
-                    period: self.monitoring,
-                },
-            )
-        });
-        if self.telemetry && autopilot.is_none() {
-            // Sampling-only loop: the autopilot's loop does this itself,
-            // and the stateful utilization probes tolerate exactly one
-            // sampler.
-            crate::monitor::start_monitoring(
-                &cluster,
-                &mut sim,
-                self.monitoring,
-                |cl, sim, view| {
-                    let at = sim.now();
-                    crate::telemetry_sink::sample_window(
-                        &mut cl.borrow_mut(),
-                        view,
-                        at,
-                        sim.events_executed(),
-                    );
-                    true
-                },
-            );
-        }
-        WattDb {
+        let mut db = WattDb {
             sim,
             cluster,
-            autopilot,
+            autopilot: None,
             policy: self.policy,
+            monitoring: self.monitoring,
+        };
+        if self.autopilot {
+            db.engage_autopilot(self.policy);
+        } else if self.telemetry {
+            db.arm_window();
         }
+        db
     }
 }
 
@@ -325,11 +304,14 @@ pub struct ClusterStatus {
 pub struct WattDb {
     sim: Sim,
     cluster: ClusterRc,
+    /// The policy slot of the monitoring window, once the window is armed.
     autopilot: Option<AutoPilot>,
     /// Policy in force — facade-side planning (`plan`, `plan_scale_out`)
     /// reads its thresholds so scripted plans match what the autopilot
     /// would produce.
     policy: PolicyConfig,
+    /// The monitoring window's period.
+    monitoring: SimDuration,
 }
 
 impl Drop for WattDb {
@@ -448,15 +430,27 @@ impl WattDb {
         self.cluster.borrow_mut().stopped = true;
     }
 
-    /// Engage the elasticity control loop on a running deployment.
-    /// Replaces (and disengages) any previous loop; [`WattDb::plan`] and
-    /// [`WattDb::plan_scale_out`] follow the new policy from here on.
-    pub fn engage_autopilot(&mut self, config: AutoPilotConfig) {
-        if let Some(old) = self.autopilot.take() {
-            old.disengage();
-        }
-        self.policy = config.policy;
-        self.autopilot = Some(AutoPilot::engage(&self.cluster, &mut self.sim, config));
+    /// Engage `policy` in the deployment's monitoring window, arming the
+    /// window at the builder's `.monitoring` cadence if the build did not.
+    /// A policy already engaged is swapped out in place: the window keeps
+    /// its cadence and the decision log carries on, and the new policy
+    /// decides from the next window with fresh streaks. [`WattDb::plan`]
+    /// and [`WattDb::plan_scale_out`] follow it from here on.
+    pub fn engage_autopilot(&mut self, policy: PolicyConfig) {
+        self.policy = policy;
+        let pilot = self.arm_window().clone();
+        pilot.engage(&self.cluster.borrow(), policy);
+    }
+
+    /// The policy slot of the deployment's one monitoring window, arming
+    /// the window on first use.
+    fn arm_window(&mut self) -> &AutoPilot {
+        let (cluster, sim, period) = (&self.cluster, &mut self.sim, self.monitoring);
+        self.autopilot.get_or_insert_with(|| {
+            let pilot = AutoPilot::default();
+            crate::monitor::start_monitoring(cluster, sim, period, pilot.clone());
+            pilot
+        })
     }
 
     // ----------------------------------------------------------------- act
@@ -540,7 +534,7 @@ impl WattDb {
 
     // ---------------------------------------------------------------- read
 
-    /// The controller's decision log (empty when no autopilot ran).
+    /// The controller's decision log (empty when no policy was engaged).
     pub fn events(&self) -> Vec<ControlEvent> {
         self.autopilot
             .as_ref()
@@ -752,6 +746,34 @@ mod tests {
     }
 
     #[test]
+    fn an_empty_fraction_plan_starts_nothing() {
+        // One segment per table on n0: a 40 % cut of each table rounds
+        // down to no segment at all.
+        let mut db = WattDb::builder()
+            .nodes(4)
+            .scheme(Scheme::Physiological)
+            .warehouses(1)
+            .density(0.01)
+            .segment_pages(4096)
+            .initial_data_nodes(&[NodeId(0)])
+            .build();
+        let (n0, n1) = (NodeId(0), NodeId(1));
+        let plan = db.with_runtime(|cl, sim| {
+            ControlPlan::fraction(&cl.borrow(), sim.now(), 0.4, &[n0], &[n1])
+        });
+        assert!(plan.moves.is_empty(), "nothing to move: {:?}", plan.moves);
+        let spans = |db: &WattDb| db.with_cluster(|c| c.telemetry.spans.started());
+        let before = spans(&db);
+        db.rebalance(0.4, &[n0], &[n1]);
+        assert!(!db.rebalancing(), "no mover started");
+        assert_eq!(spans(&db), before, "no rebalance span opened");
+        db.run_for(SimDuration::from_secs(10));
+        assert_eq!(db.status().nodes[1].state, NodeState::Standby);
+        let report = db.last_rebalance();
+        assert!(report.is_none(), "no report recorded: {report:?}");
+    }
+
+    #[test]
     fn no_records_lost_across_physiological_move() {
         let mut db = small();
         // No OLTP load: the record population must be identical.
@@ -881,7 +903,7 @@ mod tests {
         db.run_for(SimDuration::from_secs(20));
         let windows = |db: &WattDb| db.with_cluster(|c| c.telemetry.timeline.len());
         assert_eq!(windows(&db), 0, "no loop, no decision records");
-        db.engage_autopilot(AutoPilotConfig::default());
+        db.engage_autopilot(PolicyConfig::default());
         db.run_for(SimDuration::from_secs(20));
         assert!(
             windows(&db) >= 3,

@@ -1017,7 +1017,7 @@ impl Cluster {
     /// Start the periodic power sampler (1 s cadence).
     pub fn start_power_sampler(cl: &ClusterRc, sim: &mut Sim) {
         let handle = cl.clone();
-        wattdb_sim::Repeater::every(sim, SimDuration::from_secs(1), move |sim| {
+        sim.every(SimDuration::from_secs(1), move |sim| {
             let mut c = handle.borrow_mut();
             let now = sim.now();
             let p = c.sample_power(now);

@@ -1062,7 +1062,7 @@ pub fn start_clients(cl: &ClusterRc, sim: &mut Sim) {
         return;
     };
     let handle = cl.clone();
-    wattdb_sim::Repeater::every(sim, tick, move |sim| {
+    sim.every(tick, move |sim| {
         let due = {
             let mut c = handle.borrow_mut();
             if c.stopped {

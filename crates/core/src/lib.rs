@@ -33,15 +33,16 @@
 //!   planner-driven re-replication;
 //! * [`scan`] — analytic range scans over live segments, evaluated and
 //!   costed by `wattdb_query` and replayed through the shared resources;
-//! * [`monitor`] / [`policy`] — the control plane: utilization
-//!   monitoring, the 80 %-CPU threshold elasticity policy (§3.4) with a
+//! * [`monitor`] / [`policy`] — the control plane: the one monitoring
+//!   window per deployment (sample, freeze telemetry, run the engaged
+//!   policy's step), the 80 %-CPU threshold elasticity policy (§3.4) with a
 //!   heat-skew rebalance trigger and coldest-node scale-in, and the pure
 //!   [`policy::plan`] that turns each decision into a `ControlPlan` (or
 //!   a named refusal) with the configured planner (fraction vs.
 //!   heat-aware);
-//! * [`autopilot`] — the master's control loop: monitor → settle →
-//!   decide → plan → run each window, autonomous scale-out/scale-in with
-//!   a queryable decision log;
+//! * [`autopilot`] — the window's policy slot, the master's control
+//!   step: settle → decide → plan → run each window, autonomous
+//!   scale-out/scale-in with a queryable decision log;
 //! * [`replay`] — analytic query execution over shared resources
 //!   (Figs. 1–2);
 //! * [`metrics`] — throughput / response-time / power / energy series
@@ -68,7 +69,7 @@ pub mod scan;
 pub mod telemetry_sink;
 
 pub use api::{WattDb, WattDbBuilder};
-pub use autopilot::{AutoPilotConfig, ControlEvent, Outcome};
+pub use autopilot::{ControlEvent, Outcome};
 pub use cluster::{Cluster, ClusterConfig, ClusterRc};
 pub use heat::{AccessKind, HeatTable};
 pub use metrics::Phase;

@@ -323,7 +323,9 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
     let chains = {
         let mut c = cl.borrow_mut();
         let c = &mut *c;
-        let launch = !plan.sources.is_empty() && c.mover.is_none();
+        // A plan with no move starts nothing: no target powers on, no
+        // `rebalance` span opens, no report is recorded.
+        let launch = !plan.sources.is_empty() && !plan.moves.is_empty() && c.mover.is_none();
         let targets: &[NodeId] = if launch { &plan.power_up } else { &[] };
         // Targets coming up from standby get a "power-up" child span; the
         // ones already active boot nothing.

@@ -5,10 +5,17 @@
 //! data every few seconds to the master node." The master compares reports
 //! against thresholds and decides on scale-out/scale-in
 //! ([`crate::policy`]).
+//!
+//! A deployment runs one such window loop ([`start_monitoring`]): the
+//! node probes are stateful window samplers and tolerate exactly one
+//! sampler. Each window it samples every node, freezes the telemetry
+//! window, and runs the control step of the policy engaged in its
+//! [`AutoPilot`] slot, if any.
 
 use wattdb_common::{NodeId, SimDuration, SimTime};
-use wattdb_sim::{Repeater, Sim};
+use wattdb_sim::Sim;
 
+use crate::autopilot::AutoPilot;
 use crate::cluster::{Cluster, ClusterRc};
 
 /// One node's utilization report for a monitoring window.
@@ -24,8 +31,6 @@ pub struct NodeReport {
     pub disk: f64,
     /// Network egress utilization over the window.
     pub net_tx: f64,
-    /// Buffer-pool hit ratio in the window (cumulative approximation).
-    pub buffer_hit_ratio: f64,
     /// Total decayed heat of the segments stored on the node — the
     /// planner's placement signal. Under the default cost model this is
     /// scalarized access *cost* (CPU/pages/network), so a node running
@@ -68,7 +73,6 @@ pub fn sample_node(c: &mut Cluster, node: NodeId, now: SimTime) -> NodeReport {
     // interconnect idleness, and the probe itself must only ever be
     // sampled here (it is a stateful window sampler).
     c.net_util[idx] = net_tx;
-    let stats = c.nodes[idx].buffer.stats();
     let heat = c.heat.node_heat(&c.seg_dir, node, now).value();
     // Windowed replica-shipping egress and read fan-out share.
     let (replica_ship_tx, replica_fanout) = c.replication.sample_window(node, now, &c.net);
@@ -78,7 +82,6 @@ pub fn sample_node(c: &mut Cluster, node: NodeId, now: SimTime) -> NodeReport {
         cpu,
         disk,
         net_tx,
-        buffer_hit_ratio: stats.hit_ratio(),
         heat,
         replica_ship_tx,
         replica_fanout,
@@ -133,37 +136,41 @@ impl ClusterView {
     }
 }
 
-/// Start periodic monitoring: every `period`, all nodes report to the
-/// master and `on_view` sees the assembled view (policy hook). The loop
-/// runs until `on_view` returns `false` — deliberately independent of the
-/// client stop flag, so the master keeps watching (and can scale in) after
-/// the workload drains.
+/// Arm the deployment's one monitoring window: every `period`, all nodes
+/// report to the master, the window's metrics are frozen
+/// ([`crate::telemetry_sink::sample_window`]), and the policy engaged in
+/// `pilot`, if any, runs its control step on the view. The loop never
+/// stops — deliberately independent of the client stop flag, so the
+/// master keeps watching (and can scale in) after the workload drains.
 ///
 /// Each window opens with [`HeatTable::observe`](crate::heat::HeatTable::observe):
 /// one flat decay pass, so every heat read below (and any planner read
 /// inside the window) hits a zero-elapsed entry, and one velocity update
 /// per segment, so any monitored cluster accumulates the estimates
 /// projected-heat planning reads.
-pub fn start_monitoring(
-    cl: &ClusterRc,
-    sim: &mut Sim,
-    period: SimDuration,
-    mut on_view: impl FnMut(&ClusterRc, &mut Sim, &ClusterView) -> bool + 'static,
-) {
+pub fn start_monitoring(cl: &ClusterRc, sim: &mut Sim, period: SimDuration, pilot: AutoPilot) {
     let handle = cl.clone();
-    Repeater::every(sim, period, move |sim| {
+    sim.every(period, move |sim| {
+        let now = sim.now();
         let view = {
             let c = &mut *handle.borrow_mut();
-            c.heat.observe(&c.seg_dir, sim.now());
+            c.heat.observe(&c.seg_dir, now);
             let n = c.nodes.len();
             let mut view = ClusterView::default();
             for i in 0..n {
-                let report = sample_node(c, NodeId(i as u16), sim.now());
+                let report = sample_node(c, NodeId(i as u16), now);
                 view.reports.push(report);
             }
             view
         };
-        on_view(&handle, sim, &view)
+        // Freeze this window's metrics before the policy acts: every
+        // decision record shares the window index with the sample it was
+        // based on.
+        let events = sim.events_executed();
+        let window =
+            crate::telemetry_sink::sample_window(&mut handle.borrow_mut(), &view, now, events);
+        pilot.step(&handle, sim, &view, window);
+        true
     });
 }
 
@@ -178,7 +185,6 @@ mod tests {
             cpu,
             disk: 0.0,
             net_tx: 0.0,
-            buffer_hit_ratio: 0.0,
             heat: 0.0,
             replica_ship_tx: 0.0,
             replica_fanout: 0.0,

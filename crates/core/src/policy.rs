@@ -886,7 +886,6 @@ mod tests {
                     cpu,
                     disk: 0.0,
                     net_tx: 0.0,
-                    buffer_hit_ratio: 0.9,
                     heat: 0.0,
                     replica_ship_tx: 0.0,
                     replica_fanout: 0.0,
@@ -907,7 +906,6 @@ mod tests {
                     cpu: 0.5,
                     disk: 0.0,
                     net_tx: 0.0,
-                    buffer_hit_ratio: 0.9,
                     heat,
                     replica_ship_tx: 0.0,
                     replica_fanout: 0.0,

@@ -5,9 +5,10 @@
 //! owns the *vocabulary* — which gauges exist, how a [`Decision`]
 //! renders on the timeline, and how the policy's [`PolicySignals`] and
 //! the monitoring view combine into the exported
-//! [`SignalVector`]. Everything here is called from the monitoring /
-//! autopilot loop, once per window, on already-sampled state: probes
-//! are stateful window samplers and are never touched from here.
+//! [`SignalVector`]. Everything here is called from the one monitoring
+//! window ([`crate::monitor::start_monitoring`]) and the policy step it
+//! runs, on already-sampled state: probes are stateful window samplers
+//! and are never touched from here.
 
 use std::fmt::Write;
 
@@ -66,15 +67,16 @@ pub fn outcome_label(outcome: &Outcome) -> String {
 /// Combine the monitoring view and the policy's frozen signals into the
 /// exported signal vector.
 pub fn signal_vector(view: &ClusterView, sig: &PolicySignals) -> SignalVector {
-    let active: Vec<_> = view.reports.iter().filter(|r| r.active).collect();
+    let active = || view.reports.iter().filter(|r| r.active);
+    let active_nodes = active().count();
     SignalVector {
         mean_active_cpu: view.mean_active_cpu(),
-        max_cpu: active.iter().map(|r| r.cpu).fold(0.0, f64::max),
-        max_net: active.iter().map(|r| r.net_tx).fold(0.0, f64::max),
+        max_cpu: active().map(|r| r.cpu).fold(0.0, f64::max),
+        max_net: active().map(|r| r.net_tx).fold(0.0, f64::max),
         heat_skew: sig.skew,
         mean_heat: sig.mean_heat,
-        active_nodes: active.len() as u64,
-        standby_nodes: (view.reports.len() - active.len()) as u64,
+        active_nodes: active_nodes as u64,
+        standby_nodes: (view.reports.len() - active_nodes) as u64,
         high_streak: sig.high_streak as u64,
         low_streak: sig.low_streak as u64,
         skew_streak: sig.skew_streak as u64,
@@ -233,5 +235,41 @@ mod tests {
             }),
             "suspended: n3"
         );
+    }
+
+    #[test]
+    fn signal_vector_aggregates() {
+        use crate::monitor::NodeReport;
+        let report = |node: u16, cpu: f64, active: bool| NodeReport {
+            node: NodeId(node),
+            at: SimTime::ZERO,
+            cpu,
+            disk: 0.0,
+            net_tx: 0.0,
+            heat: 0.0,
+            replica_ship_tx: 0.0,
+            replica_fanout: 0.0,
+            active,
+        };
+        let view = ClusterView {
+            reports: vec![
+                report(0, 0.9, true),
+                report(1, 0.1, true),
+                report(2, 0.0, false),
+            ],
+        };
+        let sig = PolicySignals {
+            skew: 1.5,
+            high_streak: 2,
+            ..Default::default()
+        };
+        let s = signal_vector(&view, &sig);
+        assert!((s.mean_active_cpu - 0.5).abs() < 1e-9);
+        assert!((s.max_cpu - 0.9).abs() < 1e-9);
+        // The skew is the policy's (helpers excluded), not the view's.
+        assert_eq!(s.heat_skew, 1.5);
+        assert_eq!(s.high_streak, 2);
+        assert_eq!(s.active_nodes, 2);
+        assert_eq!(s.standby_nodes, 1);
     }
 }

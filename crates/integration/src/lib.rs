@@ -35,7 +35,7 @@ pub use wattdb_wal as wal;
 pub mod prelude {
     pub use wattdb_common::{NodeId, SimDuration, SimTime};
     pub use wattdb_core::api::{ClusterStatus, NodeStatus, WattDb, WattDbBuilder};
-    pub use wattdb_core::autopilot::{AutoPilotConfig, ControlEvent, Outcome};
+    pub use wattdb_core::autopilot::{ControlEvent, Outcome};
     pub use wattdb_core::cluster::Scheme;
     pub use wattdb_core::policy::{Decision, PolicyConfig};
 }

@@ -24,6 +24,6 @@ pub mod resource;
 
 pub use event::{Completion, EventFn, JoinId, RepeatFn, Signal, EVENT_KINDS};
 pub use kernel::Sim;
-pub use probe::{Repeater, UtilizationProbe};
+pub use probe::UtilizationProbe;
 pub use profile::{CostCategory, CostProfile};
 pub use resource::{Resource, ResourceHandle, ResourceStats};

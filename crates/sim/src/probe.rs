@@ -1,13 +1,12 @@
-//! Sampling helpers: windowed utilization probes and repeating events.
+//! Windowed utilization probes.
 //!
 //! WattDB nodes "send their monitoring data every few seconds to the master
 //! node" (§3.4); [`UtilizationProbe`] computes the per-window utilization of
-//! a resource the same way, and [`Repeater`] drives periodic actions such as
-//! monitoring reports and power sampling.
+//! a resource the same way. Periodic actions such as monitoring reports and
+//! power sampling are [`Sim::every`](crate::Sim::every) events.
 
-use wattdb_common::{SimDuration, SimTime};
+use wattdb_common::SimTime;
 
-use crate::kernel::Sim;
 use crate::resource::ResourceHandle;
 
 /// Computes per-window utilization of a [`Resource`] from deltas of its
@@ -54,28 +53,15 @@ impl UtilizationProbe {
     }
 }
 
-/// Schedules a closure every `period`; the closure returns `true` to keep
-/// going or `false` to stop.
-pub struct Repeater;
-
-impl Repeater {
-    /// Start repeating `f` every `period`, with the first firing one period
-    /// from now.
-    ///
-    /// Thin wrapper over [`Sim::every`], which re-arms by reusing the
-    /// event's arena entry — a steady-state firing allocates nothing.
-    pub fn every(sim: &mut Sim, period: SimDuration, f: impl FnMut(&mut Sim) -> bool + 'static) {
-        sim.every(period, f);
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::event::Completion;
+    use crate::kernel::Sim;
     use crate::resource::Resource;
     use std::cell::RefCell;
     use std::rc::Rc;
+    use wattdb_common::SimDuration;
 
     #[test]
     fn utilization_half_busy_window() {
@@ -126,7 +112,7 @@ mod tests {
         let mut sim = Sim::new();
         let hits: Rc<RefCell<Vec<SimTime>>> = Rc::new(RefCell::new(Vec::new()));
         let h = hits.clone();
-        Repeater::every(&mut sim, SimDuration::from_secs(1), move |sim| {
+        sim.every(SimDuration::from_secs(1), move |sim| {
             h.borrow_mut().push(sim.now());
             h.borrow().len() < 3
         });

@@ -18,7 +18,7 @@ use std::cell::{Cell, RefCell};
 use std::rc::Rc;
 
 use wattdb_common::{SimDuration, SimTime};
-use wattdb_sim::{Completion, CostCategory, Repeater, Resource, Signal, Sim};
+use wattdb_sim::{Completion, CostCategory, Resource, Signal, Sim};
 
 struct CountingAlloc;
 
@@ -54,13 +54,13 @@ fn steady_state_repeater_is_allocation_free() {
     let mut sim = Sim::new();
     let count = Rc::new(RefCell::new(0u64));
     let c = count.clone();
-    Repeater::every(&mut sim, SimDuration::from_millis(7), move |_| {
+    sim.every(SimDuration::from_millis(7), move |_| {
         *c.borrow_mut() += 1;
         true
     });
     // A second repeater on a different period keeps the wheel honest
     // (two live arena entries, interleaving slots).
-    Repeater::every(&mut sim, SimDuration::from_millis(13), |_| true);
+    sim.every(SimDuration::from_millis(13), |_| true);
 
     // Warm-up: arena, wheel slot vectors, and heap capacity stabilize.
     sim.run_until(SimTime::from_secs(2));

@@ -55,8 +55,8 @@ fn main() {
         println!(
             "  t={:>4.0}s  mean cpu {:>4.1}%  max {:>4.1}%  [{}] {:?} -> {:?}",
             e.at.as_secs_f64(),
-            e.view.mean_active_cpu * 100.0,
-            e.view.max_cpu * 100.0,
+            e.signals.mean_active_cpu * 100.0,
+            e.signals.max_cpu * 100.0,
             e.planner.label(),
             e.decision,
             e.outcome,

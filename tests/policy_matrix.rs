@@ -152,7 +152,7 @@ fn drive(
     db.with_runtime(|cl, sim| {
         let handle = cl.clone();
         let counter = counter.clone();
-        wattdb_sim::Repeater::every(sim, SimDuration::from_secs(WINDOW_SECS), move |sim| {
+        sim.every(SimDuration::from_secs(WINDOW_SECS), move |sim| {
             let w = {
                 let mut c = counter.borrow_mut();
                 let w = *c;
@@ -1131,7 +1131,7 @@ fn idle_then_burst_scales_out_on_cpu() {
         .expect("scale-out logged");
     assert_eq!(scale_out.trigger, "cpu-high");
     assert_eq!(scale_out.outcome, Outcome::Applied);
-    assert!(scale_out.view.max_cpu > 0.8, "driven by a CPU breach");
+    assert!(scale_out.signals.max_cpu > 0.8, "driven by a CPU breach");
 }
 
 // ------------------------------------- advancing hotspot: drift pays off

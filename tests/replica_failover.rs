@@ -210,15 +210,12 @@ fn planned_rebalance_onto_a_follower_evicts_and_backfills() {
 #[test]
 fn rereplication_reads_the_leaders_data_disks() {
     let mut db = replicated_db(1, &[NodeId(0), NodeId(1), NodeId(2)]);
-    db.engage_autopilot(wattdb_core::AutoPilotConfig {
-        policy: wattdb_core::PolicyConfig {
-            cpu_high: 1.1,
-            cpu_low: 0.0,
-            skew_threshold: 0.0,
-            net_high: 2.0, // only failover decisions fire
-            ..Default::default()
-        },
-        period: SimDuration::from_secs(5),
+    db.engage_autopilot(wattdb_core::PolicyConfig {
+        cpu_high: 1.1,
+        cpu_low: 0.0,
+        skew_threshold: 0.0,
+        net_high: 2.0, // only failover decisions fire
+        ..Default::default()
     });
     db.start_oltp(6, SimDuration::from_millis(40));
     db.run_for(SimDuration::from_secs(20));
@@ -252,15 +249,12 @@ fn rereplication_reads_the_leaders_data_disks() {
 #[test]
 fn leader_kill_promotes_and_keeps_serving() {
     let mut db = replicated_db(1, &[NodeId(0), NodeId(1), NodeId(2)]);
-    db.engage_autopilot(wattdb_core::AutoPilotConfig {
-        policy: wattdb_core::PolicyConfig {
-            cpu_high: 1.1,
-            cpu_low: 0.0,
-            skew_threshold: 0.0,
-            net_high: 2.0, // NIC trigger off: only failover decisions fire
-            ..Default::default()
-        },
-        period: SimDuration::from_secs(5),
+    db.engage_autopilot(wattdb_core::PolicyConfig {
+        cpu_high: 1.1,
+        cpu_low: 0.0,
+        skew_threshold: 0.0,
+        net_high: 2.0, // NIC trigger off: only failover decisions fire
+        ..Default::default()
     });
     db.start_oltp(6, SimDuration::from_millis(40));
     db.run_for(SimDuration::from_secs(20));
@@ -296,15 +290,12 @@ fn leader_kill_promotes_and_keeps_serving() {
 fn log_tail_stays_bounded_under_replication() {
     const TAIL_BOUND: usize = 200;
     let mut db = replicated_db(1, &[NodeId(0), NodeId(1), NodeId(2)]);
-    db.engage_autopilot(wattdb_core::AutoPilotConfig {
-        policy: wattdb_core::PolicyConfig {
-            cpu_high: 1.1,
-            cpu_low: 0.0,
-            skew_threshold: 0.0,
-            net_high: 2.0, // only failover decisions fire
-            ..Default::default()
-        },
-        period: SimDuration::from_secs(5),
+    db.engage_autopilot(wattdb_core::PolicyConfig {
+        cpu_high: 1.1,
+        cpu_low: 0.0,
+        skew_threshold: 0.0,
+        net_high: 2.0, // only failover decisions fire
+        ..Default::default()
     });
     db.start_oltp(6, SimDuration::from_millis(40));
     for window in 1..=12 {

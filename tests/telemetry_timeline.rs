@@ -91,7 +91,7 @@ fn drive(
     db.with_runtime(|cl, sim| {
         let handle = cl.clone();
         let counter = counter.clone();
-        wattdb_sim::Repeater::every(sim, SimDuration::from_secs(WINDOW_SECS), move |sim| {
+        sim.every(SimDuration::from_secs(WINDOW_SECS), move |sim| {
             let w = {
                 let mut c = counter.borrow_mut();
                 let w = *c;
