@@ -11,6 +11,14 @@
 //!
 //! The manager also mints *system transactions* (§3.5) used by the
 //! migration engine to serialize record movement against user work.
+//!
+//! It keeps the MVCC GC horizon, the oldest live snapshot, and hands it to
+//! every write: a write onto a version committed at or before the horizon
+//! reclaims the versions below it (the rule is in [`crate::mvcc`]). Begins
+//! queue in snapshot order and ends pop the queue's ended front, so the
+//! horizon is read in O(1) and kept in amortized O(1) per transaction.
+
+use std::collections::VecDeque;
 
 use wattdb_common::{DenseMap, Error, IdMap, Key, Result, SegmentId, TxnId};
 use wattdb_index::SegmentIndex;
@@ -89,6 +97,11 @@ pub struct TxnManager {
     /// increment it.
     clock: u64,
     active: IdMap<TxnId, TxnState>,
+    /// `(snapshot ts, txn)` of begun transactions in begin order, hence
+    /// in `ts` order; the front one is live, and holds the GC horizon.
+    /// Ended transactions leave from the front, or all at once when they
+    /// outnumber the live ones.
+    begun: VecDeque<(u64, TxnId)>,
     /// Emptied write sets of committed transactions, handed to the next
     /// transaction that writes so a steady state allocates none.
     spare_writes: Vec<Vec<WriteOp>>,
@@ -111,6 +124,7 @@ impl TxnManager {
             next_txn: 1,
             clock: 1,
             active: IdMap::default(),
+            begun: VecDeque::new(),
             spare_writes: Vec::new(),
             spare_grants: Vec::new(),
             locks: LockManager::new(),
@@ -137,6 +151,7 @@ impl TxnManager {
             ts: self.clock,
             txn: id,
         };
+        self.begun.push_back((snapshot.ts, id));
         self.active.insert(
             id,
             TxnState {
@@ -160,14 +175,25 @@ impl TxnManager {
         Ok(self.state(txn)?.snapshot)
     }
 
-    /// Oldest snapshot timestamp among live transactions (vacuum horizon);
-    /// the current clock when idle.
+    /// Oldest snapshot timestamp among live transactions (the GC
+    /// horizon); the current clock when idle. O(1).
     pub fn gc_horizon(&self) -> u64 {
-        self.active
-            .values()
-            .map(|t| t.snapshot.ts)
-            .min()
-            .unwrap_or(self.clock)
+        self.begun.front().map_or(self.clock, |&(ts, _)| ts)
+    }
+
+    /// Drop ended transactions from `begun`: off its front, so that the
+    /// front is live again, and everywhere once they outnumber the live
+    /// ones, so that a long-lived snapshot does not hold every later
+    /// begin. Each entry leaves once: amortized O(1).
+    fn retire_ended(&mut self) {
+        let active = &self.active;
+        let live = |(_, t): &(u64, TxnId)| active.contains_key(t);
+        while self.begun.front().is_some_and(|b| !live(b)) {
+            self.begun.pop_front();
+        }
+        if self.begun.len() > 2 * active.len() + 64 {
+            self.begun.retain(live);
+        }
     }
 
     /// Read `key`. MVCC: snapshot read, no lock needed (caller acquires S
@@ -226,10 +252,12 @@ impl TxnManager {
     ) -> Result<()> {
         // One probe of `active`: the state gives the snapshot before the
         // write and takes the undo entry after it.
+        let horizon = self.gc_horizon();
         let st = self.active.get_mut(&txn).ok_or(UNKNOWN_TXN)?;
         match self.mode {
             CcMode::Mvcc => {
-                let w = mvcc::insert(index, store, max_pages, key, logical_width, st.snapshot)?;
+                let snap = st.snapshot;
+                let w = mvcc::insert(index, store, max_pages, key, logical_width, snap, horizon)?;
                 st.log_write(&mut self.spare_writes, w);
             }
             CcMode::LockingRx => {
@@ -261,10 +289,12 @@ impl TxnManager {
         key: Key,
         logical_width: u32,
     ) -> Result<()> {
+        let horizon = self.gc_horizon();
         let st = self.active.get_mut(&txn).ok_or(UNKNOWN_TXN)?;
         match self.mode {
             CcMode::Mvcc => {
-                let w = mvcc::update(index, store, max_pages, key, logical_width, st.snapshot)?;
+                let snap = st.snapshot;
+                let w = mvcc::update(index, store, max_pages, key, logical_width, snap, horizon)?;
                 st.log_write(&mut self.spare_writes, w);
             }
             CcMode::LockingRx => {
@@ -299,10 +329,11 @@ impl TxnManager {
         max_pages: u32,
         key: Key,
     ) -> Result<()> {
+        let horizon = self.gc_horizon();
         let st = self.active.get_mut(&txn).ok_or(UNKNOWN_TXN)?;
         match self.mode {
             CcMode::Mvcc => {
-                let w = mvcc::delete(index, store, max_pages, key, st.snapshot)?;
+                let w = mvcc::delete(index, store, max_pages, key, st.snapshot, horizon)?;
                 st.log_write(&mut self.spare_writes, w);
             }
             CcMode::LockingRx => {
@@ -331,6 +362,7 @@ impl TxnManager {
             .active
             .remove(&txn)
             .ok_or(Error::InvalidState("commit of unknown transaction"))?;
+        self.retire_ended();
         self.clock += 1;
         let commit_ts = self.clock;
         if self.mode == CcMode::Mvcc {
@@ -356,6 +388,7 @@ impl TxnManager {
             .active
             .remove(&txn)
             .ok_or(Error::InvalidState("abort of unknown transaction"))?;
+        self.retire_ended();
         match self.mode {
             CcMode::Mvcc => {
                 // Newest first, so repeated writes to one key restore
@@ -558,6 +591,26 @@ mod tests {
         tm.commit(t3, &mut st).unwrap();
         // Horizon pinned by t2's snapshot.
         assert_eq!(tm.gc_horizon(), held);
+    }
+
+    #[test]
+    fn the_horizon_queue_stays_small_behind_a_long_reader() {
+        let (_, mut st) = setup();
+        let mut tm = TxnManager::new(CcMode::Mvcc);
+        let reader = tm.begin(TxnKind::User);
+        let held = tm.gc_horizon();
+        for _ in 0..1_000 {
+            let (a, b) = (tm.begin(TxnKind::User), tm.begin(TxnKind::User));
+            tm.commit(b, &mut st).unwrap();
+            tm.commit(a, &mut st).unwrap();
+            assert_eq!(tm.gc_horizon(), held, "pinned by the reader");
+        }
+        assert!(tm.begun.len() <= 2 * tm.active.len() + 65, "compacted");
+        let late = tm.begin(TxnKind::User);
+        tm.commit(reader, &mut st).unwrap();
+        assert_eq!(tm.gc_horizon(), tm.snapshot(late).unwrap().ts);
+        tm.commit(late, &mut st).unwrap();
+        assert_eq!((tm.gc_horizon(), tm.begun.len()), (tm.clock, 0), "idle");
     }
 
     #[test]

@@ -32,7 +32,7 @@
 //! behaviour that keeps TPC-C's hot counter rows (W_YTD, D_NEXT_O_ID) from
 //! aborting every concurrent increment. Snapshot reads are unaffected.
 
-use wattdb_common::{Error, Key, Result, SegmentId, TxnId};
+use wattdb_common::{Error, Key, RecordId, Result, SegmentId, TxnId};
 use wattdb_index::SegmentIndex;
 use wattdb_storage::{PageStore, Record, RecordHeader, TS_INFINITY};
 
@@ -92,9 +92,9 @@ pub struct WriteOp {
     /// The key written.
     pub key: Key,
     /// The provisional new version.
-    pub new_rid: wattdb_common::RecordId,
+    pub new_rid: RecordId,
     /// The superseded version, if the key existed.
-    pub old_rid: Option<wattdb_common::RecordId>,
+    pub old_rid: Option<RecordId>,
 }
 
 /// A version as it lies in its page: header, and the payload borrowed.
@@ -160,8 +160,37 @@ fn check_write_conflict(newest: &RecordHeader, snap: Snapshot) -> Result<()> {
     Ok(())
 }
 
+/// Did the version with header `h` commit at or before `horizon`? Then
+/// no snapshot at or after the horizon reaches a version below it.
+fn settled(h: &RecordHeader, horizon: u64) -> bool {
+    !is_provisional(h.begin) && h.begin <= horizon
+}
+
+/// The one reclamation rule: if the version `h` at `rid` is settled at
+/// `horizon`, unlink and delete every version below it. Returns the
+/// versions reclaimed.
+fn reclaim_below(
+    store: &mut PageStore,
+    rid: RecordId,
+    h: &RecordHeader,
+    horizon: u64,
+) -> Result<usize> {
+    if h.prev.is_none() || !settled(h, horizon) {
+        return Ok(0);
+    }
+    store.unlink_prev(rid)?;
+    let (mut tail, mut reclaimed) = (h.prev, 0);
+    while let Some(rid) = tail {
+        tail = store.peek(rid)?.prev;
+        store.delete_record(rid)?;
+        reclaimed += 1;
+    }
+    Ok(reclaimed)
+}
+
 /// Insert a new key. Fails with [`Error::DuplicateKey`] if a visible
-/// version exists.
+/// version exists. A re-insert over a tombstone reclaims below it at
+/// `horizon` (`reclaim_below`).
 pub fn insert(
     index: &mut SegmentIndex,
     store: &mut PageStore,
@@ -169,6 +198,7 @@ pub fn insert(
     key: Key,
     logical_width: u32,
     snap: Snapshot,
+    horizon: u64,
 ) -> Result<WriteOp> {
     let segment = index.segment();
     let mut new_rid = None;
@@ -180,6 +210,7 @@ pub fn insert(
                 return Err(Error::DuplicateKey(key));
             }
             // Re-insert over a tombstone: chain through it.
+            reclaim_below(store, rid, &newest, horizon)?;
         }
         let header = RecordHeader {
             prev: existing,
@@ -200,7 +231,8 @@ pub fn insert(
     })
 }
 
-/// Update an existing key (creates a version of `logical_width`).
+/// Update an existing key (creates a version of `logical_width`),
+/// reclaiming at `horizon` below the version it supersedes.
 pub fn update(
     index: &mut SegmentIndex,
     store: &mut PageStore,
@@ -208,29 +240,34 @@ pub fn update(
     key: Key,
     logical_width: u32,
     snap: Snapshot,
+    horizon: u64,
 ) -> Result<WriteOp> {
     let header = RecordHeader::new(key, provisional(snap.txn), logical_width);
-    write_version(index, store, max_pages, snap, header)
+    write_version(index, store, max_pages, snap, horizon, header)
 }
 
-/// Delete an existing key (creates a tombstone version).
+/// Delete an existing key (creates a tombstone version), reclaiming at
+/// `horizon` below the version it supersedes.
 pub fn delete(
     index: &mut SegmentIndex,
     store: &mut PageStore,
     max_pages: u32,
     key: Key,
     snap: Snapshot,
+    horizon: u64,
 ) -> Result<WriteOp> {
     let header = RecordHeader::tombstone(key, provisional(snap.txn));
-    write_version(index, store, max_pages, snap, header)
+    write_version(index, store, max_pages, snap, horizon, header)
 }
 
-/// Chain the version `header` on top of its key's current one.
+/// Chain the version `header` on top of its key's current one, first
+/// reclaiming below that one at `horizon`.
 fn write_version(
     index: &mut SegmentIndex,
     store: &mut PageStore,
     max_pages: u32,
     snap: Snapshot,
+    horizon: u64,
     mut header: RecordHeader,
 ) -> Result<WriteOp> {
     let key = header.key;
@@ -243,6 +280,7 @@ fn write_version(
             if newest.is_tombstone() {
                 return Err(Error::KeyNotFound(key));
             }
+            reclaim_below(store, old_rid, &newest, horizon)?;
             header.prev = Some(old_rid);
             let (rid, _) = store.insert_version(segment, &header, max_pages)?;
             store.stamp_end(old_rid, provisional(snap.txn))?;
@@ -294,36 +332,30 @@ pub fn abort_writes(
 }
 
 /// Garbage-collect versions no snapshot at or after `horizon` can see:
-/// committed versions with `end <= horizon`, plus tombstone heads older
-/// than the horizon. Returns versions reclaimed.
+/// everything below each chain's newest version settled at the horizon
+/// (`reclaim_below`), plus tombstone heads older than the horizon. The
+/// full sweep of what the write path reclaims one chain at a time.
+/// Returns versions reclaimed.
 pub fn vacuum(index: &mut SegmentIndex, store: &mut PageStore, horizon: u64) -> Result<usize> {
     let mut reclaimed = 0;
     for (key, head_rid) in index.entries() {
-        // Walk the chain, keeping the head; cut the first link whose target
-        // is invisible to every active snapshot.
-        let mut cur_rid = head_rid;
-        while let Some(prev_rid) = store.peek(cur_rid)?.prev {
-            let prev = store.peek(prev_rid)?;
-            if !is_provisional(prev.end) && prev.end != TS_INFINITY && prev.end <= horizon {
-                // Unlink and reclaim the whole tail from prev down.
-                store.unlink_prev(cur_rid)?;
-                let mut tail = Some(prev_rid);
-                while let Some(rid) = tail {
-                    tail = store.peek(rid)?.prev;
-                    store.delete_record(rid)?;
-                    reclaimed += 1;
-                }
+        // Walk down past the versions still too young, to the first one
+        // every snapshot at the horizon sees or looks past.
+        let mut rid = head_rid;
+        loop {
+            let version = store.peek(rid)?;
+            if settled(&version, horizon) {
+                reclaimed += reclaim_below(store, rid, &version, horizon)?;
                 break;
             }
-            cur_rid = prev_rid;
+            match version.prev {
+                Some(prev) => rid = prev,
+                None => break,
+            }
         }
         // Drop fully-dead tombstone heads (no chain, committed, old).
         let head = store.peek(head_rid)?;
-        if head.is_tombstone()
-            && head.prev.is_none()
-            && !is_provisional(head.begin)
-            && head.begin <= horizon
-        {
+        if head.is_tombstone() && head.prev.is_none() && settled(&head, horizon) {
             store.delete_record(head_rid)?;
             index.remove(key);
             reclaimed += 1;
@@ -333,7 +365,7 @@ pub fn vacuum(index: &mut SegmentIndex, store: &mut PageStore, horizon: u64) -> 
 }
 
 /// Stored versions in the chain headed by `head`, the head included.
-pub fn chain_len(store: &PageStore, head: wattdb_common::RecordId) -> Result<usize> {
+pub fn chain_len(store: &PageStore, head: RecordId) -> Result<usize> {
     let (mut versions, mut rid) = (0, Some(head));
     while let Some(r) = rid {
         versions += 1;
@@ -358,6 +390,10 @@ mod tests {
     use wattdb_common::KeyRange;
 
     const MAX_PAGES: u32 = 1024;
+
+    /// A horizon below every commit: a snapshot taken before the first
+    /// commit is still open, so a write reclaims nothing.
+    const OLDEST_OPEN: u64 = 0;
 
     fn setup() -> (SegmentIndex, PageStore) {
         let seg = SegmentId(1);
@@ -387,7 +423,16 @@ mod tests {
     #[test]
     fn insert_commit_read() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(7), snap(10, 1)).unwrap();
+        let w = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(7),
+            snap(10, 1),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         // Own uncommitted write is visible to self, invisible to others.
         assert!(read(&idx, &st, Key(1), snap(10, 1)).unwrap().0.is_some());
         assert!(read(&idx, &st, Key(1), snap(10, 2)).unwrap().0.is_none());
@@ -400,10 +445,28 @@ mod tests {
     #[test]
     fn update_preserves_old_version_for_readers() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
+        let w = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(1),
+            snap(0, 1),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w], 10);
         // Updater at ts 20.
-        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
+        let w2 = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(2),
+            snap(20, 2),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w2], 30);
         // A reader whose snapshot predates the update still sees v1 —
         // the paper's key property while records are on the move.
@@ -416,9 +479,26 @@ mod tests {
     #[test]
     fn delete_leaves_tombstone_until_vacuum() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
+        let w = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(1),
+            snap(0, 1),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w], 10);
-        let w2 = delete(&mut idx, &mut st, MAX_PAGES, Key(1), snap(15, 2)).unwrap();
+        let w2 = delete(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            snap(15, 2),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w2], 20);
         assert!(read(&idx, &st, Key(1), snap(15, 3)).unwrap().0.is_some());
         assert!(read(&idx, &st, Key(1), snap(20, 3)).unwrap().0.is_none());
@@ -431,27 +511,80 @@ mod tests {
     #[test]
     fn write_write_conflict_aborts_second_writer() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
+        let w = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(1),
+            snap(0, 1),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w], 10);
-        let _w1 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
+        let _w1 = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(2),
+            snap(20, 2),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         // Txn 3 tries to update the same record while txn 2 is in flight.
-        let err = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(20, 3));
+        let err = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(3),
+            snap(20, 3),
+            OLDEST_OPEN,
+        );
         assert!(matches!(err, Err(Error::TxnAborted { .. })));
     }
 
     #[test]
     fn read_committed_writes_chain_after_commit() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
+        let w = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(1),
+            snap(0, 1),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w], 10);
         // Txn 2 and 3 both start at ts 20. Txn 2 updates and commits at 30.
-        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
+        let w2 = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(2),
+            snap(20, 2),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w2], 30);
         // Txn 3's snapshot (20) predates that commit, but with the record's
         // X lock serializing writers, its update applies on top of txn 2's
         // committed version (read-committed write semantics) instead of
         // aborting — hot TPC-C counters depend on this.
-        let w3 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(20, 3)).unwrap();
+        let w3 = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(3),
+            snap(20, 3),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w3], 40);
         let r = read(&idx, &st, Key(1), snap(40, 9)).unwrap().0.unwrap();
         assert_eq!(r.logical_width, tagged(3));
@@ -463,15 +596,42 @@ mod tests {
     #[test]
     fn abort_restores_previous_state() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
+        let w = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(1),
+            snap(0, 1),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w], 10);
-        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
+        let w2 = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(2),
+            snap(20, 2),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         abort_writes(&mut idx, &mut st, &[w2]).unwrap();
         let r = read(&idx, &st, Key(1), snap(20, 3)).unwrap().0.unwrap();
         assert_eq!(r.logical_width, tagged(1));
         assert_eq!(r.end, TS_INFINITY);
         // A fresh insert that aborts leaves no key behind.
-        let w3 = insert(&mut idx, &mut st, MAX_PAGES, Key(9), tagged(9), snap(20, 4)).unwrap();
+        let w3 = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(9),
+            tagged(9),
+            snap(20, 4),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         abort_writes(&mut idx, &mut st, &[w3]).unwrap();
         assert_eq!(idx.get(Key(9)).0, None);
     }
@@ -479,15 +639,49 @@ mod tests {
     #[test]
     fn duplicate_insert_rejected_reinsert_over_tombstone_ok() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
+        let w = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(1),
+            snap(0, 1),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w], 10);
         assert!(matches!(
-            insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)),
+            insert(
+                &mut idx,
+                &mut st,
+                MAX_PAGES,
+                Key(1),
+                tagged(2),
+                snap(20, 2),
+                OLDEST_OPEN
+            ),
             Err(Error::DuplicateKey(_))
         ));
-        let w2 = delete(&mut idx, &mut st, MAX_PAGES, Key(1), snap(20, 2)).unwrap();
+        let w2 = delete(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            snap(20, 2),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w2], 30);
-        let w3 = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(40, 3)).unwrap();
+        let w3 = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(3),
+            snap(40, 3),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w3], 50);
         let r = read(&idx, &st, Key(1), snap(50, 4)).unwrap().0.unwrap();
         assert_eq!(r.logical_width, tagged(3));
@@ -496,9 +690,27 @@ mod tests {
     #[test]
     fn vacuum_respects_active_snapshots() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
+        let w = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(1),
+            snap(0, 1),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w], 10);
-        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
+        let w2 = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(2),
+            snap(20, 2),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w2], 30);
         // Horizon 25: the old version (end=30) may still be needed.
         assert_eq!(vacuum(&mut idx, &mut st, 25).unwrap(), 0);
@@ -518,17 +730,53 @@ mod tests {
         let (mut idx, mut st) = setup();
         // v1 of key 1 on page 0, which the other keys then fill, so that
         // v2 and v3 land on page 1.
-        let v1 = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
+        let v1 = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(1),
+            snap(0, 1),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[v1], 10);
         let mut k = 2;
         while st.page_count(SegmentId(1)) == 1 {
-            let fill = insert(&mut idx, &mut st, MAX_PAGES, Key(k), tagged(0), snap(0, 1)).unwrap();
+            let fill = insert(
+                &mut idx,
+                &mut st,
+                MAX_PAGES,
+                Key(k),
+                tagged(0),
+                snap(0, 1),
+                OLDEST_OPEN,
+            )
+            .unwrap();
             commit(&mut st, &[fill], 10);
             k += 1;
         }
-        let v2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
+        let v2 = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(2),
+            snap(20, 2),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[v2], 30);
-        let v3 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(40, 3)).unwrap();
+        let v3 = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(3),
+            snap(40, 3),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[v3], 50);
         let page = v2.new_rid.page;
         assert_eq!((v3.new_rid.page, v1.new_rid.page.page_no), (page, 0));
@@ -552,12 +800,137 @@ mod tests {
     }
 
     #[test]
+    fn a_write_over_a_settled_head_cuts_the_chain_below_it() {
+        let (mut idx, mut st) = setup();
+        let w = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(1),
+            snap(0, 1),
+            0,
+        )
+        .unwrap();
+        commit(&mut st, &[w], 10);
+        let w = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(2),
+            snap(10, 2),
+            10,
+        )
+        .unwrap();
+        commit(&mut st, &[w], 20);
+        // A snapshot at 15 is live: v2 (begin 20) is not settled, and v1
+        // is what that snapshot reads.
+        let w = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(3),
+            snap(20, 3),
+            15,
+        )
+        .unwrap();
+        commit(&mut st, &[w], 30);
+        assert_eq!(chain_len(&st, idx.get(Key(1)).0.unwrap()).unwrap(), 3);
+        let r = read(&idx, &st, Key(1), snap(15, 9)).unwrap().0.unwrap();
+        assert_eq!(r.logical_width, tagged(1));
+        // It ended: at horizon 30 every snapshot sees v3 or newer, and
+        // the next write cuts v2 and v1 below it.
+        let v4 = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(4),
+            snap(30, 4),
+            30,
+        )
+        .unwrap();
+        let v3 = v4.old_rid.unwrap();
+        assert_eq!(chain_len(&st, v4.new_rid).unwrap(), 2);
+        assert_eq!(st.peek(v3).unwrap().prev, None);
+        let r = read(&idx, &st, Key(1), snap(30, 9)).unwrap().0.unwrap();
+        assert_eq!(r.logical_width, tagged(3), "the settled head stays");
+        commit(&mut st, &[v4], 40);
+        let r = read(&idx, &st, Key(1), snap(40, 9)).unwrap().0.unwrap();
+        assert_eq!(r.logical_width, tagged(4));
+    }
+
+    #[test]
+    fn a_reinsert_over_a_settled_tombstone_cuts_below_it() {
+        let (mut idx, mut st) = setup();
+        let w = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(1),
+            snap(0, 1),
+            0,
+        )
+        .unwrap();
+        commit(&mut st, &[w], 10);
+        let w = delete(&mut idx, &mut st, MAX_PAGES, Key(1), snap(10, 2), 10).unwrap();
+        commit(&mut st, &[w], 20);
+        let w = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(3),
+            snap(20, 3),
+            20,
+        )
+        .unwrap();
+        let tombstone = st.peek(w.old_rid.unwrap()).unwrap();
+        assert!(tombstone.is_tombstone() && tombstone.prev.is_none());
+        assert_eq!(chain_len(&st, w.new_rid).unwrap(), 2);
+        // Vacuum makes the same cut: nothing is left for it.
+        commit(&mut st, &[w], 30);
+        assert_eq!(vacuum(&mut idx, &mut st, 20).unwrap(), 0);
+        assert_eq!(vacuum(&mut idx, &mut st, 30).unwrap(), 1, "the tombstone");
+    }
+
+    #[test]
     fn own_double_update_chains() {
         let (mut idx, mut st) = setup();
-        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
+        let w = insert(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(1),
+            snap(0, 1),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         commit(&mut st, &[w], 10);
-        let w1 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
-        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(20, 2)).unwrap();
+        let w1 = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(2),
+            snap(20, 2),
+            OLDEST_OPEN,
+        )
+        .unwrap();
+        let w2 = update(
+            &mut idx,
+            &mut st,
+            MAX_PAGES,
+            Key(1),
+            tagged(3),
+            snap(20, 2),
+            OLDEST_OPEN,
+        )
+        .unwrap();
         // Own snapshot sees the latest own write.
         let r = read(&idx, &st, Key(1), snap(20, 2)).unwrap().0.unwrap();
         assert_eq!(r.logical_width, tagged(3));

@@ -21,18 +21,48 @@
 //! the same key, and the chains of the two indexes must account for every
 //! live record in the store — nothing dangling, nothing crossed, nothing
 //! orphaned.
+//!
+//! A write reclaims the versions below a head that committed at or before
+//! the GC horizon. `reclamation_is_invisible_to_live_snapshots` runs
+//! writers, commits, aborts and long-lived readers through a
+//! `TxnManager`, and the same schedule through the model's writes at a
+//! horizon nothing passes: after every step, every live snapshot must
+//! read every key as it does without reclamation, the manager's horizon
+//! must be the oldest live snapshot, and a write onto a settled head must
+//! leave nothing below that head.
 
 use proptest::prelude::*;
-use wattdb_common::{Error, Key, KeyRange, PageId, Result, SegmentId, TxnId};
+use wattdb_common::{Error, Key, KeyRange, PageId, RecordId, Result, SegmentId, TxnId};
 use wattdb_index::SegmentIndex;
 use wattdb_storage::{PageStore, RecordHeader, TS_INFINITY};
 use wattdb_txn::mvcc::{self, WriteOp};
-use wattdb_txn::{is_provisional, owner, provisional, Snapshot};
+use wattdb_txn::{
+    is_provisional, owner, provisional, CcMode, IndexMap, Snapshot, TxnKind, TxnManager,
+};
 
 /// The write path as it was before the index learned `upsert_with` and
-/// `repoint`, and the store `restamp_*`.
+/// `repoint`, and the store `restamp_*`, with the reclamation rule
+/// written out the long way.
 mod model {
     use super::*;
+
+    /// A head committed at or before `horizon` loses every version below.
+    fn reclaim(
+        store: &mut PageStore,
+        rid: RecordId,
+        head: &RecordHeader,
+        horizon: u64,
+    ) -> Result<()> {
+        if is_provisional(head.begin) || head.begin > horizon || head.prev.is_none() {
+            return Ok(());
+        }
+        let mut below = head.prev;
+        while let Some(rid) = below {
+            below = store.peek(rid)?.prev;
+            store.delete_record(rid)?;
+        }
+        store.unlink_prev(rid)
+    }
 
     fn check_write_conflict(newest: &RecordHeader, snap: Snapshot) -> Result<()> {
         let foreign = |ts: u64| is_provisional(ts) && owner(ts) != snap.txn;
@@ -51,6 +81,7 @@ mod model {
         key: Key,
         width: u32,
         snap: Snapshot,
+        horizon: u64,
     ) -> Result<WriteOp> {
         let (existing_rid, _) = index.get(key);
         let prev = match existing_rid {
@@ -60,6 +91,7 @@ mod model {
                 if !newest.is_tombstone() {
                     return Err(Error::DuplicateKey(key));
                 }
+                reclaim(store, rid, &newest, horizon)?;
                 Some(rid)
             }
             None => None,
@@ -86,6 +118,7 @@ mod model {
         index: &mut SegmentIndex,
         store: &mut PageStore,
         snap: Snapshot,
+        horizon: u64,
         mut header: RecordHeader,
     ) -> Result<WriteOp> {
         let key = header.key;
@@ -96,6 +129,7 @@ mod model {
         if newest.is_tombstone() {
             return Err(Error::KeyNotFound(key));
         }
+        reclaim(store, old_rid, &newest, horizon)?;
         let segment = index.segment();
         header.prev = Some(old_rid);
         let (new_rid, _) = store.insert_version(segment, &header, u32::MAX)?;
@@ -198,6 +232,29 @@ fn chains(index: &SegmentIndex, store: &PageStore) -> Vec<(Key, Vec<wattdb_stora
     entries.map(|(key, head)| (key, walk(head))).collect()
 }
 
+const READERS: usize = 2;
+const KEYS: u64 = 12;
+
+/// A writer's step, or the end of a long-lived reader (which begins again
+/// at the current clock).
+#[derive(Debug, Clone)]
+enum Step {
+    Write(Op),
+    EndReader(usize),
+}
+
+fn step_strategy() -> impl Strategy<Value = Step> {
+    prop_oneof![
+        12 => op_strategy().prop_map(Step::Write),
+        1 => (0..READERS).prop_map(Step::EndReader),
+    ]
+}
+
+/// What `snap` reads of every key: the width of the version it sees.
+fn reads(mut read: impl FnMut(Key) -> Option<u32>) -> Vec<Option<u32>> {
+    (0..KEYS).map(|k| read(Key(k))).collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(192))]
 
@@ -218,20 +275,21 @@ proptest! {
             (0..TXNS).map(|_| begin(clock)).collect();
 
         for op in ops {
+            let h = live.iter().map(|(snap, ..)| snap.ts).min().expect("live slots");
             match op {
                 Op::Insert(t, k, b) | Op::Update(t, k, b) => {
                     let (snap, writes, m_writes) = &mut live[t];
                     let (key, width) = (Key(k), width(b));
                     let (got, want) = if matches!(op, Op::Insert(..)) {
                         (
-                            mvcc::insert(&mut idx, &mut st, u32::MAX, key, width, *snap),
-                            model::insert(&mut m_idx, &mut m_st, key, width, *snap),
+                            mvcc::insert(&mut idx, &mut st, u32::MAX, key, width, *snap, h),
+                            model::insert(&mut m_idx, &mut m_st, key, width, *snap, h),
                         )
                     } else {
                         let header = RecordHeader::new(key, provisional(snap.txn), width);
                         (
-                            mvcc::update(&mut idx, &mut st, u32::MAX, key, width, *snap),
-                            model::write_version(&mut m_idx, &mut m_st, *snap, header),
+                            mvcc::update(&mut idx, &mut st, u32::MAX, key, width, *snap, h),
+                            model::write_version(&mut m_idx, &mut m_st, *snap, h, header),
                         )
                     };
                     prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{:?}", op);
@@ -241,8 +299,8 @@ proptest! {
                 Op::Delete(t, k) => {
                     let (snap, writes, m_writes) = &mut live[t];
                     let header = RecordHeader::tombstone(Key(k), provisional(snap.txn));
-                    let got = mvcc::delete(&mut idx, &mut st, u32::MAX, Key(k), *snap);
-                    let want = model::write_version(&mut m_idx, &mut m_st, *snap, header);
+                    let got = mvcc::delete(&mut idx, &mut st, u32::MAX, Key(k), *snap, h);
+                    let want = model::write_version(&mut m_idx, &mut m_st, *snap, h, header);
                     prop_assert_eq!(format!("{got:?}"), format!("{want:?}"), "{:?}", op);
                     writes.extend(got.ok());
                     m_writes.extend(want.ok());
@@ -289,18 +347,19 @@ proptest! {
 
         for (s, op, vacuum) in ops {
             let idx = &mut indexes[s];
+            let h = live.iter().map(|(snap, _)| snap.ts).min().expect("live slots");
             match op {
                 Op::Insert(t, k, b) => {
                     let (snap, writes) = &mut live[t];
-                    writes.extend(mvcc::insert(idx, &mut store, u32::MAX, Key(k), width(b), *snap).ok());
+                    writes.extend(mvcc::insert(idx, &mut store, u32::MAX, Key(k), width(b), *snap, h).ok());
                 }
                 Op::Update(t, k, b) => {
                     let (snap, writes) = &mut live[t];
-                    writes.extend(mvcc::update(idx, &mut store, u32::MAX, Key(k), width(b), *snap).ok());
+                    writes.extend(mvcc::update(idx, &mut store, u32::MAX, Key(k), width(b), *snap, h).ok());
                 }
                 Op::Delete(t, k) => {
                     let (snap, writes) = &mut live[t];
-                    writes.extend(mvcc::delete(idx, &mut store, u32::MAX, Key(k), *snap).ok());
+                    writes.extend(mvcc::delete(idx, &mut store, u32::MAX, Key(k), *snap, h).ok());
                 }
                 Op::Commit(t) => {
                     clock += 1;
@@ -317,8 +376,8 @@ proptest! {
                 }
             }
             if vacuum {
-                let horizon = live.iter().map(|(snap, _)| snap.ts).min().expect("live slots");
-                mvcc::vacuum(&mut indexes[s], &mut store, horizon).unwrap();
+                let h = live.iter().map(|(snap, _)| snap.ts).min().expect("live slots");
+                mvcc::vacuum(&mut indexes[s], &mut store, h).unwrap();
             }
 
             let mut chained = 0;
@@ -342,6 +401,102 @@ proptest! {
                 .map(|page| store.page(page).unwrap().live_records())
                 .sum();
             prop_assert_eq!(chained, stored, "every stored version is on a chain");
+        }
+    }
+
+    #[test]
+    fn reclamation_is_invisible_to_live_snapshots(
+        steps in proptest::collection::vec(step_strategy(), 1..300)
+    ) {
+        let mut tm = TxnManager::new(CcMode::Mvcc);
+        let (idx, mut st) = fresh();
+        let mut indexes = IndexMap::default();
+        indexes.insert(SEG, idx);
+        // The model: the two-descent writes at a horizon below every commit.
+        let (mut m_idx, mut m_st) = fresh();
+        let mut clock = 1;
+        // Readers begin first, so they hold the horizon from the start.
+        let mut readers: Vec<TxnId> = (0..READERS).map(|_| tm.begin(TxnKind::User)).collect();
+        // Writer slot → (its transaction, the model's writes so far).
+        let mut writers: Vec<(TxnId, Vec<WriteOp>)> =
+            (0..TXNS).map(|_| (tm.begin(TxnKind::User), Vec::new())).collect();
+
+        for step in steps {
+            let horizon = tm.gc_horizon();
+            match step {
+                Step::EndReader(r) => {
+                    tm.commit(readers[r], &mut st).unwrap();
+                    clock += 1;
+                    readers[r] = tm.begin(TxnKind::User);
+                }
+                Step::Write(Op::Commit(t)) => {
+                    let (txn, m_writes) = &mut writers[t];
+                    let (ts, _) = tm.commit(*txn, &mut st).unwrap();
+                    model::commit_writes(&mut m_st, m_writes, ts).unwrap();
+                    clock = ts;
+                    writers[t] = (tm.begin(TxnKind::User), Vec::new());
+                }
+                Step::Write(Op::Abort(t)) => {
+                    let (txn, m_writes) = &writers[t];
+                    tm.abort(*txn, &mut indexes, &mut st).unwrap();
+                    model::abort_writes(&mut m_idx, &mut m_st, m_writes).unwrap();
+                    writers[t] = (tm.begin(TxnKind::User), Vec::new());
+                }
+                Step::Write(op) => {
+                    let (Op::Insert(t, k, _) | Op::Update(t, k, _) | Op::Delete(t, k)) = op else {
+                        unreachable!("commits and aborts are matched above")
+                    };
+                    let (txn, m_writes) = &mut writers[t];
+                    let snap = tm.snapshot(*txn).unwrap();
+                    let idx = indexes.get_mut(&SEG).unwrap();
+                    let (got, want) = match op {
+                        Op::Insert(_, _, b) => (
+                            tm.insert(*txn, idx, &mut st, u32::MAX, Key(k), width(b)),
+                            model::insert(&mut m_idx, &mut m_st, Key(k), width(b), snap, 0),
+                        ),
+                        Op::Update(_, _, b) => {
+                            let header = RecordHeader::new(Key(k), provisional(snap.txn), width(b));
+                            (
+                                tm.update(*txn, idx, &mut st, u32::MAX, Key(k), width(b)),
+                                model::write_version(&mut m_idx, &mut m_st, snap, 0, header),
+                            )
+                        }
+                        _ => {
+                            let header = RecordHeader::tombstone(Key(k), provisional(snap.txn));
+                            (
+                                tm.delete(*txn, idx, &mut st, u32::MAX, Key(k)),
+                                model::write_version(&mut m_idx, &mut m_st, snap, 0, header),
+                            )
+                        }
+                    };
+                    let want_err = want.as_ref().err().map(|e| format!("{e:?}"));
+                    prop_assert_eq!(got.as_ref().err().map(|e| format!("{e:?}")), want_err);
+                    m_writes.extend(want.ok());
+                    // The version written over, if any: nothing is left
+                    // below it if it had settled at the horizon.
+                    let head = idx.get(Key(k)).0.map(|rid| st.peek(rid).unwrap());
+                    if let (Ok(()), Some(rid)) = (got, head.and_then(|h| h.prev)) {
+                        let under = st.peek(rid).unwrap();
+                        if !is_provisional(under.begin) && under.begin <= horizon {
+                            prop_assert_eq!(under.prev, None, "{:?} at horizon {}", op, horizon);
+                        }
+                    }
+                }
+            }
+
+            let live: Vec<TxnId> = readers.iter().chain(writers.iter().map(|w| &w.0)).copied().collect();
+            let oldest = live.iter().map(|&t| tm.snapshot(t).unwrap().ts).min().unwrap_or(clock);
+            prop_assert_eq!(tm.gc_horizon(), oldest);
+            let idx = &indexes[&SEG];
+            for txn in live {
+                let snap = tm.snapshot(txn).unwrap();
+                let got = reads(|k| tm.read(txn, idx, &st, k).unwrap().map(|r| r.logical_width));
+                let want = reads(|k| {
+                    let (rec, _) = mvcc::read(&m_idx, &m_st, k, snap).unwrap();
+                    rec.map(|r| r.logical_width)
+                });
+                prop_assert_eq!(got, want, "snapshot {:?}", snap);
+            }
         }
     }
 }

@@ -126,6 +126,9 @@ fn version_stats_reflect_update_volume() {
     let idx = &indexes[&seg];
     let (v1, l1) = wattdb_txn::mvcc::version_stats(idx, &store).unwrap();
     assert_eq!((v1, l1), (50, 50));
+    // A reader open across the updates keeps every version it can see,
+    // and every version above those.
+    let reader = tm.begin(TxnKind::User);
     // Update half the keys twice.
     for i in 0..25u64 {
         for v in 1..=2 {
@@ -140,6 +143,18 @@ fn version_stats_reflect_update_volume() {
     let (v2, l2) = wattdb_txn::mvcc::version_stats(idx, &store).unwrap();
     assert_eq!(l2, 50);
     assert_eq!(v2, 100, "50 base + 50 extra versions");
+    // The reader ends: the next write over key 0 cuts both versions below
+    // the head it supersedes.
+    tm.commit(reader, &mut store).unwrap();
+    let t = tm.begin(TxnKind::User);
+    let idx = indexes.get_mut(&seg).unwrap();
+    tm.update(t, idx, &mut store, u32::MAX, Key(0), 67).unwrap();
+    tm.commit(t, &mut store).unwrap();
+    let idx = &indexes[&seg];
+    let head = idx.get(Key(0)).0.unwrap();
+    assert_eq!(wattdb_txn::mvcc::chain_len(&store, head).unwrap(), 2);
+    let (v3, _) = wattdb_txn::mvcc::version_stats(idx, &store).unwrap();
+    assert_eq!(v3, 99, "two versions cut, one written");
 }
 
 #[test]
