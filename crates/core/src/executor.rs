@@ -837,14 +837,16 @@ pub fn schedule_pending_flushes(cl: &ClusterRc, sim: &mut Sim) {
 }
 
 fn flush_node_log(cl: &ClusterRc, sim: &mut Sim, node: NodeId) {
-    let mut c = cl.borrow_mut();
-    let c = &mut *c;
+    let c = &mut *cl.borrow_mut();
     let n = &mut c.nodes[node.raw() as usize];
     n.flush_scheduled = false;
     if n.commit_queue.is_empty() {
         return;
     }
-    let bytes = ByteSize::bytes(n.log.pending_bytes() as u64);
+    // Bill past the newest in-flight flush's end (a finished one's is durable).
+    let ends = n.flushes.iter().map(|b| b.last_lsn);
+    let from = ends.fold(n.log.durable_lsn(), Ord::max);
+    let bytes = ByteSize::bytes(n.log.bytes_after(from).unwrap_or(0) as u64);
     // Under log shipping the flush *is* the shipment: the helper's
     // cursor moves to the log's end with it.
     let helper = c.helpers.ship(node, &n.log);
@@ -871,12 +873,10 @@ fn flush_node_log(cl: &ClusterRc, sim: &mut Sim, node: NodeId) {
 
 fn flush_done(cl: &ClusterRc, sim: &mut Sim, node: NodeId, batch: usize) {
     let mut jobs = {
-        let mut c = cl.borrow_mut();
-        let n = &mut c.nodes[node.raw() as usize];
+        let n = &mut cl.borrow_mut().nodes[node.raw() as usize];
         let b = &mut n.flushes[batch];
-        let jobs = std::mem::take(&mut b.jobs);
         n.log.mark_durable(b.last_lsn);
-        jobs
+        std::mem::take(&mut b.jobs)
     };
     {
         // The durable tail ships to this node's followers in the
@@ -1231,9 +1231,17 @@ mod tests {
     #[test]
     fn a_commit_behind_a_flush_in_flight_waits_the_window() {
         let (cl, mut sim) = harness(2, false);
+        // A's flush carries 100 kB of changes: billed twice, they would
+        // add a millisecond to B's flush.
+        let change = LogPayload::Change {
+            segment: SegmentId(0),
+            image_bytes: 100_000,
+        };
+        cl.borrow_mut().nodes[0].log.append(TxnId::NONE, change);
         let a = committer(&mut cl.borrow_mut(), 0, &[NodeId(0)], sim.now());
         step(&cl, &mut sim, a);
         let (t0, s_a) = (sim.now(), service(&cl, 0));
+        let a_end = cl.borrow().nodes[0].log.last_lsn();
         // B commits 1 ms into A's flush.
         sim.run_until(t0 + SimDuration::from_millis(1));
         let b = committer(&mut cl.borrow_mut(), 1, &[NodeId(0)], sim.now());
@@ -1248,9 +1256,16 @@ mod tests {
         assert_eq!((in_flight(&cl, 0), queued(&cl)), (1, 1), "B collects");
         sim.run_until(t1 + GROUP_COMMIT);
         assert_eq!((in_flight(&cl, 0), queued(&cl)), (2, 0), "B flushes");
-        // B's flush queues behind A's on the one log disk, and writes the
-        // undurable tail A's is still writing along with B's own bytes.
-        let s_b = service(&cl, 0);
+        // B's flush queues behind A's on the one log disk, and writes only
+        // the bytes past A's: the tail A's is still writing is not billed
+        // twice.
+        let s_b = {
+            let c = cl.borrow();
+            let n = &c.nodes[0];
+            let past_a = n.log.bytes_after(a_end).expect("B's commit record");
+            n.disks[0].estimate(ByteSize::bytes(past_a as u64))
+        };
+        assert!(s_b < service(&cl, 0), "A's bytes billed again");
         sim.run_until(t0 + s_a);
         assert_eq!((completed(&cl, 0), completed(&cl, 1)), (1, 0));
         sim.run_until(t0 + s_a + (s_b - US));
