@@ -94,7 +94,7 @@ fn fig6_physiological_recovers_fastest_and_ends_best() {
     let physical = run(Scheme::Physical, false);
     let logical = run(Scheme::Logical, false);
     let physiological = run(Scheme::Physiological, false);
-    // Scheme ordering by committed work: 68 789 > 62 209 > 61 708.
+    // Scheme ordering by committed work: 70 353 > 62 338 > 61 961.
     assert!(
         physiological.completed > physical.completed && physical.completed > logical.completed,
         "completed: physiological {} physical {} logical {}",
@@ -102,9 +102,9 @@ fn fig6_physiological_recovers_fastest_and_ends_best() {
         physical.completed,
         logical.completed
     );
-    // Physiological ends well above its old level (350.9 vs 293.9 qps,
-    // 1.19×); physical "never recovers beyond its old level" (0.998×);
-    // logical is still below it when the window closes (0.952×).
+    // Physiological ends well above its old level (365.0 vs 293.4 qps,
+    // 1.24×); physical "never recovers beyond its old level" (1.002×);
+    // logical is still below it when the window closes (0.963×).
     let (p, ph, l) = (
         recovery(physiological),
         recovery(physical),
@@ -113,7 +113,7 @@ fn fig6_physiological_recovers_fastest_and_ends_best() {
     assert!(p >= 1.15, "physiological recovery {p:.3}");
     assert!(ph <= 1.05, "physical recovery {ph:.3}");
     assert!(l < 1.0, "logical recovery {l:.3}");
-    // Segment schemes finish in ≈ 73.8 s; logical is still moving records
+    // Segment schemes finish in ≈ 73.7 s; logical is still moving records
     // when the 180 s window ends.
     for (label, r) in [("physical", physical), ("physiological", physiological)] {
         let secs = r.rebalance_secs.unwrap_or(f64::NAN);
@@ -129,7 +129,7 @@ fn fig7_disk_and_network_grow_most_and_helpers_claw_time_back() {
     let normal = plain.normal.expect("normal-phase samples");
     let rebalancing = plain.rebalancing.expect("rebalancing-phase samples");
     let ms = |p: &CostProfile, cat: CostCategory| p.get(cat).as_millis_f64();
-    // Normal → rebalancing: disk I/O (1.2 → 35 ms) and network I/O
+    // Normal → rebalancing: disk I/O (1.2 → 34 ms) and network I/O
     // (0.7 → 19 ms) are the two largest relative increases.
     let mut growth: Vec<(CostCategory, f64)> = CostCategory::ALL
         .into_iter()
@@ -143,10 +143,10 @@ fn fig7_disk_and_network_grow_most_and_helpers_claw_time_back() {
         "largest relative increases: {growth:?}"
     );
     assert!(growth[1].1 > 10.0, "an order of magnitude: {growth:?}");
-    // Locking (119 → 138 ms) and the total (202 → 260 ms) grow.
+    // Locking (113 → 140 ms) and the total (194 → 260 ms) grow.
     assert!(ms(&rebalancing, CostCategory::Locking) > ms(&normal, CostCategory::Locking));
     assert!(rebalancing.total() > normal.total());
-    // With helpers, logging (16.7 → 10.9 ms) and the total (260 → 250 ms)
+    // With helpers, logging (16.1 → 10.8 ms) and the total (260 → 250 ms)
     // fall: log shipping sends the flush over the wire, not to the log disk.
     let improved = run(Scheme::Physiological, true)
         .improved
@@ -161,7 +161,7 @@ fn fig8_helpers_buy_performance_with_energy() {
     let plain = run(Scheme::Physiological, false);
     let helped = run(Scheme::Physiological, true);
     // Inside the rebalance window (t = 0–60 s) the two helpers raise mean
-    // power (223.3 W vs 166.1 W) and energy per query (0.84 vs 0.64 J)…
+    // power (223.2 W vs 166.1 W) and energy per query (0.84 vs 0.64 J)…
     let watts = |r: &Run| mean_over(r, 0.0, 60.0, |row| row.watts);
     let jpq = |r: &Run| mean_over(r, 0.0, 60.0, |row| row.jpq);
     assert!(
@@ -176,11 +176,11 @@ fn fig8_helpers_buy_performance_with_energy() {
         jpq(helped),
         jpq(plain)
     );
-    // …and buy throughput with it (69 902 vs 68 789 committed).
+    // …and buy throughput with it (70 968 vs 70 353 committed).
     assert!(helped.completed > plain.completed);
     // "After rebalancing, the additional nodes should be turned off
     // again": from t = 90 s both runs sit at the four-node level, 168.5 W
-    // (168.4 and 168.6).
+    // (168.8 and 168.8).
     for (label, r) in [("plain", plain), ("helped", helped)] {
         let settled = mean_over(r, 90.0, f64::MAX, |row| row.watts);
         assert!(
@@ -201,12 +201,12 @@ fn fig3_mvcc_beats_locking_at_every_update_share() -> wattdb_common::Result<()> 
         let lock = fig3_run(pct, CcMode::LockingRx)?;
         let ratio = mvcc.ta_per_minute / lock.ta_per_minute;
         if pct < 100 {
-            // 2.10, 2.12, 1.84, 1.76, 1.72 at 0–80 % updates; the bound is
+            // 2.10, 2.12, 1.86, 1.75, 1.75 at 0–80 % updates; the bound is
             // the smallest reading floored to one decimal.
             assert!(ratio >= 1.7, "MVCC/MGL at {pct} % updates: {ratio:.2}");
         } else {
             // The paper has MVCC ahead for pure writers too, by up to
-            // ~90 %. Here 1.15 (12 087 vs 10 496 ta/min); MGL-RX's own
+            // ~90 %. Here 1.19 (12 492 vs 10 496 ta/min); MGL-RX's own
             // throughput rises most from 80 % (7 135).
             assert!(ratio > 1.0, "MVCC/MGL at 100 % updates: {ratio:.2}");
         }
@@ -222,7 +222,10 @@ fn fig3_mvcc_beats_locking_at_every_update_share() -> wattdb_common::Result<()> 
     }
     // MVCC pays in version chains, counted at each key's routed home (a
     // moved record's source copy is unreachable once routing flips):
-    // 1.000, 1.327, 1.514, 1.603, 1.639, 2.197 over 0–100 % updates.
+    // 1.000, 1.094, 1.187, 1.200, 1.268, 1.482 over 0–100 % updates. A
+    // write reclaims what no live snapshot can see, so a written key keeps
+    // its head and the version under it, plus what a live snapshot pins
+    // (2.197 at 100 % before writes reclaimed).
     assert!(
         mvcc_space.windows(2).all(|w| w[0] <= w[1]),
         "MVCC space not monotone over the update ratios: {mvcc_space:?}"

@@ -47,7 +47,9 @@
 //! revision (ROADMAP item 1) may retire the field. Looking at a version
 //! copies nothing: [`Record::peek`] reads the header and borrows the
 //! payload from the page; [`Record::decode`] builds the owned [`Record`] a
-//! caller returns.
+//! caller returns. A superseded version is freed once no live snapshot
+//! can see it — the next write to its key cuts it, or a vacuum does —
+//! so a page's dead slots are taken again by the versions that follow.
 
 use wattdb_common::{Error, Key, PageId, RecordId, Result, SegmentId};
 

@@ -16,7 +16,8 @@
 //!
 //! | heap calls / commit | live heap, MB | as of |
 //! |---|---|---|
-//! | 1.60 | 15.0 | now: header-only versions, one record length per page, 2-byte slots |
+//! | 1.41 | 14.7 | now: a write reclaims the versions no live snapshot can see; a flush behind a flush bills only its own bytes |
+//! | 1.60 | 15.0 | header-only versions, one record length per page, 2-byte slots |
 //! | 1.60 | 18.7 | wait queues and grant lists recycled too |
 //! | 1.68 | 18.9 | holder tables recycled, 33-byte version header, split halves sized to what they hold |
 //! | 3.53 | 26.2 | pages sized when created, 8-byte slots and index entries |
@@ -25,9 +26,12 @@
 //! | 89 | | before the typed event core |
 //!
 //! The allocator also keeps the bytes currently allocated, and the live
-//! heap at the end of the 40 sim-s — the loaded population plus one stored
-//! version per write, in pages, slots and index entries — must stay within
-//! [`LIVE_HEAP_MB`]: the same kind of gate on what a stored version costs.
+//! heap at the end of the 40 sim-s — the loaded population plus what the
+//! writes leave, in pages, slots and index entries: a version per inserted
+//! row, and per updated row its head and the version that head superseded
+//! (a write reclaims the versions below a head no live snapshot looks past)
+//! — must stay within [`LIVE_HEAP_MB`]: the same kind of gate on what a
+//! stored version costs.
 //! Deterministic like the count: it sums requested sizes, which no
 //! allocator or build profile changes. Nor may the heap rise more than
 //! [`SPIKE_MB`] above that end value during the 30 sim-s.
@@ -48,11 +52,11 @@ use counting_alloc::{heap_calls, live_mb, peak_mb, reset_peak};
 /// The gate on `allocs_per_txn` for the `oltp-steady` shape — what is
 /// known of the hot path (the module docs' count) plus headroom for a
 /// change that adds one or two calls knowingly, not tens.
-const BUDGET: f64 = 2.5;
+const BUDGET: f64 = 2.3;
 
 /// The gate on the live heap after the 40 sim-s, in MB (2^20 bytes): the
 /// module docs' figure plus 10 % of headroom.
-const LIVE_HEAP_MB: f64 = 16.5;
+const LIVE_HEAP_MB: f64 = 16.2;
 
 /// How far the live heap may rise above its end value during the
 /// measured window, in MB: nothing the engine does transiently holds

@@ -16,7 +16,8 @@
 //!
 //! | heap calls / commit | live-heap peak over the window's end, MB | as of |
 //! |---|---|---|
-//! | 2.50 | 0.00 | now: header-only versions, one record length per page (22 211 heap calls, 9 more) |
+//! | 2.09 | 0.00 | now: a write reclaims the versions no live snapshot can see (18 705 heap calls; live heap 20.18 MB at the window's end, was 22.10); a flush behind a flush bills only its own bytes |
+//! | 2.50 | 0.00 | header-only versions, one record length per page (22 211 heap calls, 9 more) |
 //! | 2.49 | 0.00 | streamed scans, recycled grant lists and wait queues, in-place cursor sync and segment cleaning |
 //! | 4.03 | 2.08 | scans that listed every covered segment's keys, then its rows |
 //!
@@ -34,9 +35,9 @@ use wattdb_tpcc::{warehouse_range, TpccTable};
 
 use counting_alloc::{heap_calls, live_mb, peak_mb, reset_peak};
 
-/// The gate on heap calls per commit: the module docs' count plus 11 %,
+/// The gate on heap calls per commit: the module docs' count plus 10 %,
 /// the headroom `alloc_budget.rs` gives its live heap.
-const BUDGET: f64 = 2.8;
+const BUDGET: f64 = 2.3;
 
 /// How far the live heap may rise above its end value during the window,
 /// in MB.

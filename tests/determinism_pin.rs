@@ -327,12 +327,12 @@ fn pinned(label: &str, expected: u64, events: u64, scenario: fn() -> WattDb) -> 
 
 #[test]
 fn per_client_export_is_byte_stable_across_runs() {
-    pinned("per-client", 0x07c7_75b8_8059_3740, 478_928, oltp_run);
+    pinned("per-client", 0xace4_fd05_c4e0_e953, 483_008, oltp_run);
 }
 
 #[test]
 fn traced_export_is_byte_stable_across_runs() {
-    let a = pinned("traced", 0xdaff_1a66_c992_67ea, 281_016, traced_run);
+    let a = pinned("traced", 0x6e99_1847_fe5d_2a48, 294_028, traced_run);
     // The traced run actually exercises the trace machinery: the offered
     // load gauge is present and moves along the schedule.
     assert!(
@@ -343,30 +343,30 @@ fn traced_export_is_byte_stable_across_runs() {
 
 #[test]
 fn fraction_rebalance_under_load_is_byte_stable_across_runs() {
-    let a = pinned("rebalance", 0xced5_abc6_84f0_888d, 350_531, rebalance_run);
+    let a = pinned("rebalance", 0x7a28_b00b_b328_a3a4, 355_104, rebalance_run);
     assert!(a.contains("\"rebalance\""), "export carries the rebalance");
 }
 
 #[test]
 fn pooled_export_is_byte_stable_across_runs() {
-    pinned("pooled", 0x35b0_2dba_6ba8_4c6f, 127_178, pooled_run);
+    pinned("pooled", 0xc7cd_7759_41d1_8c1d, 125_169, pooled_run);
 }
 
 #[test]
 fn physical_rebalance_export_is_pinned() {
-    let a = pinned("physical", 0x74ad_15a2_26a2_6e5d, 480_646, physical_run);
+    let a = pinned("physical", 0xffaa_8691_57c7_eca1, 490_447, physical_run);
     assert!(a.contains("\"Physical\""), "export names the scheme");
 }
 
 #[test]
 fn logical_rebalance_export_is_pinned() {
-    let a = pinned("logical", 0x7087_b1ed_9204_ca4d, 413_085, logical_run);
+    let a = pinned("logical", 0xfa6b_627b_f80f_6757, 417_730, logical_run);
     assert!(a.contains("\"Logical\""), "export names the scheme");
 }
 
 #[test]
 fn scripted_helpers_export_is_pinned() {
-    let a = pinned("helpers", 0xea37_183a_be9b_dd49, 429_073, helpers_run);
+    let a = pinned("helpers", 0xcbad_8bdd_9670_f10f, 432_819, helpers_run);
     assert!(a.contains("\"helpers\""), "export carries the helper span");
     assert!(a.contains("\"detach\""), "helpers detached with completion");
 }
@@ -375,8 +375,8 @@ fn scripted_helpers_export_is_pinned() {
 fn replicated_elastic_export_is_pinned() {
     let a = pinned(
         "replicated-elastic",
-        0x5ce2_ee2b_6c7a_39aa,
-        872_431,
+        0x5439_9751_3b2a_180a,
+        880_992,
         replicated_elastic_run,
     );
     // The paths this pin exists for all ran.
@@ -392,7 +392,7 @@ fn replicated_elastic_export_is_pinned() {
 
 #[test]
 fn failover_export_is_pinned() {
-    let a = pinned("failover", 0x0a55_b9d0_95a0_495f, 754_701, failover_run);
+    let a = pinned("failover", 0x6812_98d9_7ce2_b893, 779_591, failover_run);
     for needle in ["\"failover\"", "\"promote\"", "\"re-replicate\""] {
         assert!(a.contains(needle), "export carries {needle}");
     }
