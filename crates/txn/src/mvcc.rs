@@ -391,10 +391,6 @@ mod tests {
 
     const MAX_PAGES: u32 = 1024;
 
-    /// A horizon below every commit: a snapshot taken before the first
-    /// commit is still open, so a write reclaims nothing.
-    const OLDEST_OPEN: u64 = 0;
-
     fn setup() -> (SegmentIndex, PageStore) {
         let seg = SegmentId(1);
         let mut store = PageStore::new();
@@ -420,19 +416,57 @@ mod tests {
         commit_writes(store, writes, ts).unwrap();
     }
 
+    // The writes as most tests here make them: at a horizon below every
+    // commit, as if a snapshot taken before the first commit were still
+    // open, so that a write reclaims nothing.
+
+    fn insert(
+        idx: &mut SegmentIndex,
+        st: &mut PageStore,
+        max_pages: u32,
+        key: Key,
+        width: u32,
+        snap: Snapshot,
+    ) -> Result<WriteOp> {
+        super::insert(idx, st, max_pages, key, width, snap, 0)
+    }
+
+    fn update(
+        idx: &mut SegmentIndex,
+        st: &mut PageStore,
+        max_pages: u32,
+        key: Key,
+        width: u32,
+        snap: Snapshot,
+    ) -> Result<WriteOp> {
+        super::update(idx, st, max_pages, key, width, snap, 0)
+    }
+
+    fn delete(
+        idx: &mut SegmentIndex,
+        st: &mut PageStore,
+        max_pages: u32,
+        key: Key,
+        snap: Snapshot,
+    ) -> Result<WriteOp> {
+        super::delete(idx, st, max_pages, key, snap, 0)
+    }
+
+    /// Update key 1 to version `tag` as `snap`, at `horizon`.
+    fn update_at(
+        idx: &mut SegmentIndex,
+        st: &mut PageStore,
+        tag: u32,
+        snap: Snapshot,
+        horizon: u64,
+    ) -> WriteOp {
+        super::update(idx, st, MAX_PAGES, Key(1), tagged(tag), snap, horizon).unwrap()
+    }
+
     #[test]
     fn insert_commit_read() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(7),
-            snap(10, 1),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(7), snap(10, 1)).unwrap();
         // Own uncommitted write is visible to self, invisible to others.
         assert!(read(&idx, &st, Key(1), snap(10, 1)).unwrap().0.is_some());
         assert!(read(&idx, &st, Key(1), snap(10, 2)).unwrap().0.is_none());
@@ -445,28 +479,10 @@ mod tests {
     #[test]
     fn update_preserves_old_version_for_readers() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(1),
-            snap(0, 1),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
         // Updater at ts 20.
-        let w2 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(2),
-            snap(20, 2),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
         commit(&mut st, &[w2], 30);
         // A reader whose snapshot predates the update still sees v1 —
         // the paper's key property while records are on the move.
@@ -479,26 +495,9 @@ mod tests {
     #[test]
     fn delete_leaves_tombstone_until_vacuum() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(1),
-            snap(0, 1),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let w2 = delete(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            snap(15, 2),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w2 = delete(&mut idx, &mut st, MAX_PAGES, Key(1), snap(15, 2)).unwrap();
         commit(&mut st, &[w2], 20);
         assert!(read(&idx, &st, Key(1), snap(15, 3)).unwrap().0.is_some());
         assert!(read(&idx, &st, Key(1), snap(20, 3)).unwrap().0.is_none());
@@ -511,80 +510,27 @@ mod tests {
     #[test]
     fn write_write_conflict_aborts_second_writer() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(1),
-            snap(0, 1),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let _w1 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(2),
-            snap(20, 2),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let _w1 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
         // Txn 3 tries to update the same record while txn 2 is in flight.
-        let err = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(3),
-            snap(20, 3),
-            OLDEST_OPEN,
-        );
+        let err = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(20, 3));
         assert!(matches!(err, Err(Error::TxnAborted { .. })));
     }
 
     #[test]
     fn read_committed_writes_chain_after_commit() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(1),
-            snap(0, 1),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
         // Txn 2 and 3 both start at ts 20. Txn 2 updates and commits at 30.
-        let w2 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(2),
-            snap(20, 2),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
         commit(&mut st, &[w2], 30);
         // Txn 3's snapshot (20) predates that commit, but with the record's
         // X lock serializing writers, its update applies on top of txn 2's
         // committed version (read-committed write semantics) instead of
         // aborting — hot TPC-C counters depend on this.
-        let w3 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(3),
-            snap(20, 3),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w3 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(20, 3)).unwrap();
         commit(&mut st, &[w3], 40);
         let r = read(&idx, &st, Key(1), snap(40, 9)).unwrap().0.unwrap();
         assert_eq!(r.logical_width, tagged(3));
@@ -596,42 +542,15 @@ mod tests {
     #[test]
     fn abort_restores_previous_state() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(1),
-            snap(0, 1),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let w2 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(2),
-            snap(20, 2),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
         abort_writes(&mut idx, &mut st, &[w2]).unwrap();
         let r = read(&idx, &st, Key(1), snap(20, 3)).unwrap().0.unwrap();
         assert_eq!(r.logical_width, tagged(1));
         assert_eq!(r.end, TS_INFINITY);
         // A fresh insert that aborts leaves no key behind.
-        let w3 = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(9),
-            tagged(9),
-            snap(20, 4),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w3 = insert(&mut idx, &mut st, MAX_PAGES, Key(9), tagged(9), snap(20, 4)).unwrap();
         abort_writes(&mut idx, &mut st, &[w3]).unwrap();
         assert_eq!(idx.get(Key(9)).0, None);
     }
@@ -639,49 +558,15 @@ mod tests {
     #[test]
     fn duplicate_insert_rejected_reinsert_over_tombstone_ok() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(1),
-            snap(0, 1),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
         assert!(matches!(
-            insert(
-                &mut idx,
-                &mut st,
-                MAX_PAGES,
-                Key(1),
-                tagged(2),
-                snap(20, 2),
-                OLDEST_OPEN
-            ),
+            insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)),
             Err(Error::DuplicateKey(_))
         ));
-        let w2 = delete(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            snap(20, 2),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w2 = delete(&mut idx, &mut st, MAX_PAGES, Key(1), snap(20, 2)).unwrap();
         commit(&mut st, &[w2], 30);
-        let w3 = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(3),
-            snap(40, 3),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w3 = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(40, 3)).unwrap();
         commit(&mut st, &[w3], 50);
         let r = read(&idx, &st, Key(1), snap(50, 4)).unwrap().0.unwrap();
         assert_eq!(r.logical_width, tagged(3));
@@ -690,27 +575,9 @@ mod tests {
     #[test]
     fn vacuum_respects_active_snapshots() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(1),
-            snap(0, 1),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let w2 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(2),
-            snap(20, 2),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
         commit(&mut st, &[w2], 30);
         // Horizon 25: the old version (end=30) may still be needed.
         assert_eq!(vacuum(&mut idx, &mut st, 25).unwrap(), 0);
@@ -730,53 +597,17 @@ mod tests {
         let (mut idx, mut st) = setup();
         // v1 of key 1 on page 0, which the other keys then fill, so that
         // v2 and v3 land on page 1.
-        let v1 = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(1),
-            snap(0, 1),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let v1 = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[v1], 10);
         let mut k = 2;
         while st.page_count(SegmentId(1)) == 1 {
-            let fill = insert(
-                &mut idx,
-                &mut st,
-                MAX_PAGES,
-                Key(k),
-                tagged(0),
-                snap(0, 1),
-                OLDEST_OPEN,
-            )
-            .unwrap();
+            let fill = insert(&mut idx, &mut st, MAX_PAGES, Key(k), tagged(0), snap(0, 1)).unwrap();
             commit(&mut st, &[fill], 10);
             k += 1;
         }
-        let v2 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(2),
-            snap(20, 2),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let v2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
         commit(&mut st, &[v2], 30);
-        let v3 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(3),
-            snap(40, 3),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let v3 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(40, 3)).unwrap();
         commit(&mut st, &[v3], 50);
         let page = v2.new_rid.page;
         assert_eq!((v3.new_rid.page, v1.new_rid.page.page_no), (page, 0));
@@ -802,56 +633,20 @@ mod tests {
     #[test]
     fn a_write_over_a_settled_head_cuts_the_chain_below_it() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(1),
-            snap(0, 1),
-            0,
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let w = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(2),
-            snap(10, 2),
-            10,
-        )
-        .unwrap();
+        let w = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(10, 2)).unwrap();
         commit(&mut st, &[w], 20);
         // A snapshot at 15 is live: v2 (begin 20) is not settled, and v1
         // is what that snapshot reads.
-        let w = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(3),
-            snap(20, 3),
-            15,
-        )
-        .unwrap();
+        let w = update_at(&mut idx, &mut st, 3, snap(20, 3), 15);
         commit(&mut st, &[w], 30);
         assert_eq!(chain_len(&st, idx.get(Key(1)).0.unwrap()).unwrap(), 3);
         let r = read(&idx, &st, Key(1), snap(15, 9)).unwrap().0.unwrap();
         assert_eq!(r.logical_width, tagged(1));
         // It ended: at horizon 30 every snapshot sees v3 or newer, and
         // the next write cuts v2 and v1 below it.
-        let v4 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(4),
-            snap(30, 4),
-            30,
-        )
-        .unwrap();
+        let v4 = update_at(&mut idx, &mut st, 4, snap(30, 4), 30);
         let v3 = v4.old_rid.unwrap();
         assert_eq!(chain_len(&st, v4.new_rid).unwrap(), 2);
         assert_eq!(st.peek(v3).unwrap().prev, None);
@@ -865,20 +660,12 @@ mod tests {
     #[test]
     fn a_reinsert_over_a_settled_tombstone_cuts_below_it() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(1),
-            snap(0, 1),
-            0,
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let w = delete(&mut idx, &mut st, MAX_PAGES, Key(1), snap(10, 2), 10).unwrap();
+        let w = delete(&mut idx, &mut st, MAX_PAGES, Key(1), snap(10, 2)).unwrap();
         commit(&mut st, &[w], 20);
-        let w = insert(
+        // A re-insert at horizon 20, where the tombstone has settled.
+        let w = super::insert(
             &mut idx,
             &mut st,
             MAX_PAGES,
@@ -900,37 +687,10 @@ mod tests {
     #[test]
     fn own_double_update_chains() {
         let (mut idx, mut st) = setup();
-        let w = insert(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(1),
-            snap(0, 1),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w = insert(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(1), snap(0, 1)).unwrap();
         commit(&mut st, &[w], 10);
-        let w1 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(2),
-            snap(20, 2),
-            OLDEST_OPEN,
-        )
-        .unwrap();
-        let w2 = update(
-            &mut idx,
-            &mut st,
-            MAX_PAGES,
-            Key(1),
-            tagged(3),
-            snap(20, 2),
-            OLDEST_OPEN,
-        )
-        .unwrap();
+        let w1 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(2), snap(20, 2)).unwrap();
+        let w2 = update(&mut idx, &mut st, MAX_PAGES, Key(1), tagged(3), snap(20, 2)).unwrap();
         // Own snapshot sees the latest own write.
         let r = read(&idx, &st, Key(1), snap(20, 2)).unwrap().0.unwrap();
         assert_eq!(r.logical_width, tagged(3));
