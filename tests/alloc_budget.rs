@@ -29,9 +29,9 @@
 //! heap at the end of the 40 sim-s — the loaded population plus what the
 //! writes leave, in pages, slots and index entries: a version per inserted
 //! row, and per updated row its head and the version that head superseded
-//! (a write reclaims the versions below a head no live snapshot looks past)
-//! — must stay within [`LIVE_HEAP_MB`]: the same kind of gate on what a
-//! stored version costs.
+//! (a write reclaims the versions no live snapshot can see) — must stay
+//! within [`LIVE_HEAP_MB`]: the same kind of gate on what a stored version
+//! costs.
 //! Deterministic like the count: it sums requested sizes, which no
 //! allocator or build profile changes. Nor may the heap rise more than
 //! [`SPIKE_MB`] above that end value during the 30 sim-s.
