@@ -169,9 +169,7 @@ pub fn run_planner_shootout(cfg: PlannerShootout) -> PlannerShootoutRow {
             cpu_high: 0.8,
             cpu_low: 0.02, // no scale-in during the measurement
             patience: 2,
-            move_fraction: 0.5,
             planner: cfg.planner,
-            heat_tolerance: 0.1,
             skew_threshold: 0.0, // CPU-triggered only: isolate the planner
             ..Default::default()
         })
@@ -588,7 +586,6 @@ pub fn run_transient_shootout(cfg: TransientShootout) -> TransientShootoutRow {
             cpu_low: 0.0,
             patience: 2,
             skew_threshold: 1.5,
-            skew_min_heat: 1.0,
             skew_cooldown: 2,
             helper: wattdb_common::HelperPolicyConfig {
                 escalation_fires: u32::from(cfg.helpers),
@@ -994,9 +991,7 @@ pub fn run_timeline_capture(cfg: PlannerShootout) -> String {
             cpu_high: 0.8,
             cpu_low: 0.02,
             patience: 2,
-            move_fraction: 0.5,
             planner: cfg.planner,
-            heat_tolerance: 0.1,
             skew_threshold: 0.0,
             ..Default::default()
         })
@@ -1420,11 +1415,7 @@ fn spawn_driven(
     db.with_runtime(|cl, _| {
         let mut c = cl.borrow_mut();
         c.auto_resubmit = false;
-        let client_cfg = wattdb_tpcc::ClientConfig {
-            think_time: think,
-            ..Default::default()
-        };
-        c.spawn_clients_skewed(clients, client_cfg, hot_fraction, hot_warehouses);
+        c.spawn_clients_skewed(clients, think, hot_fraction, hot_warehouses);
     });
 }
 

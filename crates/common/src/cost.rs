@@ -13,8 +13,8 @@
 //! executor's per-operation accounting, so both layers feed one model.
 //!
 //! With no cost model configured, heat falls back to the original flat
-//! per-access weights (see `HeatConfig`), byte-for-byte identical to the
-//! pre-cost behaviour.
+//! per-access weights (`wattdb_core::heat::READ_WEIGHT` and its
+//! siblings), byte-for-byte identical to the pre-cost behaviour.
 
 use std::fmt;
 use std::ops::{Add, AddAssign};
@@ -95,15 +95,16 @@ impl fmt::Display for CostVector {
 /// Scalarization weights turning a [`CostVector`] into [`Heat`]:
 /// `heat = cpu_µs · cpu_weight + pages · page_weight + bytes · net_byte_weight`.
 ///
-/// The defaults are calibrated against the legacy flat access weights so
+/// The defaults are calibrated against the flat count-heat weights
+/// (`wattdb_core::heat::{READ_WEIGHT, WRITE_WEIGHT, REMOTE_WEIGHT}`) so
 /// that cost-based heat lands in the same magnitude band the elasticity
-/// thresholds (e.g. `skew_min_heat`) were tuned for: a default-cost point
-/// read scalarizes to ≈ the old `read_weight` (1.0), an update to ≈ the
-/// old `write_weight` (2.0), and one remote page fetch (8 KiB + envelope)
-/// to ≈ the old `remote_weight` (1.0). What changes is everything the
-/// flat weights could not see: a 2 000-record scan with an aggregation is
-/// now worth hundreds of heat units instead of the single access count it
-/// used to be.
+/// thresholds (e.g. the skew trigger's heat floor of 1.0) were tuned for:
+/// a default-cost point read scalarizes to ≈ the read weight (1.0), an
+/// update to ≈ the write weight (2.0), and one remote page fetch (8 KiB +
+/// envelope) to ≈ the remote surcharge (1.0). What changes is everything
+/// the flat weights could not see: a 2 000-record scan with an
+/// aggregation is now worth hundreds of heat units instead of the single
+/// access count it used to be.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct CostModel {
     /// Heat per core-microsecond of CPU.
@@ -182,13 +183,14 @@ mod tests {
     fn defaults_calibrate_to_the_legacy_flat_weights() {
         let m = CostModel::default();
         // A point read's CPU (≈12 µs on the default CostParams) lands near
-        // the legacy read_weight of 1.0.
+        // the count-heat read weight of 1.0.
         let read = m.heat_of(CostVector::cpu(SimDuration::from_micros(12)));
         assert!((read.value() - 1.0).abs() < 0.05, "{read}");
-        // An update (≈22–24 µs) lands near the legacy write_weight of 2.0.
+        // An update (≈22–24 µs) lands near the count-heat write weight of 2.0.
         let write = m.heat_of(CostVector::cpu(SimDuration::from_micros(24)));
         assert!((write.value() - 2.0).abs() < 0.1, "{write}");
-        // One remote page fetch lands near the legacy remote_weight of 1.0.
+        // One remote page fetch lands near the count-heat remote surcharge
+        // of 1.0.
         let remote = m.heat_of(CostVector {
             cpu: SimDuration::ZERO,
             pages: 0,

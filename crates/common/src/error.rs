@@ -92,22 +92,6 @@ impl fmt::Display for Error {
 
 impl std::error::Error for Error {}
 
-impl Error {
-    /// True for errors that abort only the current transaction and can be
-    /// retried by the client (the standard OLTP retry loop).
-    pub fn is_retryable(&self) -> bool {
-        matches!(
-            self,
-            Error::TxnAborted {
-                reason: AbortReason::Deadlock
-                    | AbortReason::WriteConflict
-                    | AbortReason::LockTimeout,
-                ..
-            }
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -120,21 +104,6 @@ mod tests {
         };
         assert_eq!(e.to_string(), "txn7 aborted: deadlock victim");
         assert_eq!(Error::KeyNotFound(Key(9)).to_string(), "key k9 not found");
-    }
-
-    #[test]
-    fn retryability() {
-        let dead = Error::TxnAborted {
-            txn: TxnId(1),
-            reason: AbortReason::Deadlock,
-        };
-        let req = Error::TxnAborted {
-            txn: TxnId(1),
-            reason: AbortReason::Requested,
-        };
-        assert!(dead.is_retryable());
-        assert!(!req.is_retryable());
-        assert!(!Error::BufferExhausted.is_retryable());
     }
 
     #[test]

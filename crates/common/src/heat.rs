@@ -4,10 +4,11 @@
 //! decides where to distribute data" (§3.4). Raw access counts are a poor
 //! distribution signal — a segment hammered an hour ago is not hot *now* —
 //! so WattDB-RS tracks per-segment **heat**: a weighted access count that
-//! decays exponentially in *simulated* time. Reads, writes, and remote page
-//! fetches contribute with configurable weights; the half-life controls how
-//! fast history fades. The heat planner (`wattdb_planner`) consumes these
-//! values to balance load while minimizing bytes shipped.
+//! decays exponentially in *simulated* time. Each access adds what it
+//! cost (or, with cost tracing off, a fixed weight per read, write and
+//! remote page fetch); the half-life controls how fast history fades.
+//! The heat planner (`wattdb_planner`) consumes these values to balance
+//! load while minimizing bytes shipped.
 
 use std::fmt;
 use std::ops::{Add, AddAssign};
@@ -63,23 +64,14 @@ impl fmt::Display for Heat {
     }
 }
 
-/// Configuration of the heat tracker: decay horizon, per-access-kind
-/// weights, and the velocity EWMA behind projected-heat planning.
+/// Configuration of the heat tracker: decay horizon and the velocity
+/// EWMA behind projected-heat planning.
 #[derive(Debug, Clone, Copy)]
 pub struct HeatConfig {
     /// Half-life of the exponential decay, in simulated time. Accesses
     /// older than a few half-lives stop influencing placement. Zero
     /// disables decay.
     pub half_life: SimDuration,
-    /// Heat added by one local read.
-    pub read_weight: f64,
-    /// Heat added by one write (update/insert/delete); writes weigh more
-    /// because they dirty pages and append log records.
-    pub write_weight: f64,
-    /// Extra heat added when serving the access required a remote page
-    /// fetch (wire plus remote disk — the cost the planner most wants to
-    /// eliminate by moving the segment to where it is used).
-    pub remote_weight: f64,
     /// Half-life of the per-segment heat-velocity EWMA (heat units per
     /// second, folded in once per monitoring window): how much history a
     /// velocity estimate remembers. Shorter adapts faster to direction
@@ -97,9 +89,6 @@ impl Default for HeatConfig {
     fn default() -> Self {
         Self {
             half_life: SimDuration::from_secs(30),
-            read_weight: 1.0,
-            write_weight: 2.0,
-            remote_weight: 1.0,
             velocity_half_life: SimDuration::from_secs(15),
             horizon: SimDuration::from_secs(10),
         }
@@ -176,12 +165,5 @@ mod tests {
         let sum = h + Heat(0.5);
         assert_eq!(sum.value(), 2.0);
         assert_eq!(sum.to_string(), "2.00");
-    }
-
-    #[test]
-    fn default_weights_rank_writes_over_reads() {
-        let cfg = HeatConfig::default();
-        assert!(cfg.write_weight > cfg.read_weight);
-        assert!(cfg.half_life > SimDuration::ZERO);
     }
 }

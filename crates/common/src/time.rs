@@ -78,12 +78,6 @@ impl SimDuration {
         SimDuration(s * 1_000_000)
     }
 
-    /// Construct from fractional seconds, rounding to the nearest µs.
-    #[inline]
-    pub fn from_secs_f64(s: f64) -> Self {
-        SimDuration((s * 1e6).round().max(0.0) as u64)
-    }
-
     /// Microseconds in this duration.
     #[inline]
     pub const fn as_micros(self) -> u64 {
@@ -210,8 +204,6 @@ mod tests {
     fn construction_and_conversion() {
         assert_eq!(SimTime::from_secs(2), SimTime(2_000_000));
         assert_eq!(SimTime::from_millis(3), SimTime(3_000));
-        assert_eq!(SimDuration::from_secs_f64(0.0015).as_micros(), 1_500);
-        assert_eq!(SimDuration::from_secs_f64(-1.0), SimDuration::ZERO);
     }
 
     #[test]

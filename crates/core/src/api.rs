@@ -47,7 +47,7 @@ use wattdb_common::{
 use wattdb_energy::NodeState;
 use wattdb_planner::Plan;
 use wattdb_sim::Sim;
-use wattdb_tpcc::{ClientConfig, LoadTrace, TpccConfig};
+use wattdb_tpcc::{LoadTrace, TpccConfig};
 use wattdb_txn::CcMode;
 
 use crate::autopilot::{AutoPilot, ControlEvent};
@@ -142,10 +142,9 @@ impl WattDbBuilder {
         self
     }
 
-    /// Heat-tracking parameters: decay half-life, per-access weights, how
-    /// fast per-segment velocity estimates adapt, and how far ahead the
-    /// planner projects heat (a zero [`HeatConfig::horizon`] plans on
-    /// historical heat).
+    /// Heat-tracking parameters: decay half-life, how fast per-segment
+    /// velocity estimates adapt, and how far ahead the planner projects
+    /// heat (a zero [`HeatConfig::horizon`] plans on historical heat).
     pub fn heat_tracking(mut self, h: HeatConfig) -> Self {
         self.cfg.heat = h;
         self
@@ -155,8 +154,8 @@ impl WattDbBuilder {
     /// **cost-based**: every access charges its scalarized CPU/page/
     /// network demand, so CPU-heavy operators weigh more than cheap point
     /// reads. `None` disables cost tracing; heat falls back to the flat
-    /// per-access weights of [`WattDbBuilder::heat_tracking`] (weighted
-    /// counts).
+    /// per-access weights ([`crate::heat::READ_WEIGHT`] and its
+    /// siblings: weighted counts).
     pub fn cost_model(mut self, m: impl Into<Option<CostModel>>) -> Self {
         self.cfg.cost_model = m.into();
         self
@@ -306,9 +305,9 @@ pub struct WattDb {
     cluster: ClusterRc,
     /// The policy slot of the monitoring window, once the window is armed.
     autopilot: Option<AutoPilot>,
-    /// Policy in force — facade-side planning (`plan`, `plan_scale_out`)
-    /// reads its thresholds so scripted plans match what the autopilot
-    /// would produce.
+    /// Policy in force — facade-side planning (`plan`) reads its
+    /// planner and helper settings so scripted plans match what the
+    /// autopilot would produce.
     policy: PolicyConfig,
     /// The monitoring window's period.
     monitoring: SimDuration,
@@ -374,15 +373,7 @@ impl WattDb {
         );
         {
             let mut c = self.cluster.borrow_mut();
-            c.spawn_clients_skewed(
-                n,
-                ClientConfig {
-                    think_time: think,
-                    ..Default::default()
-                },
-                hot_fraction,
-                hot_warehouses,
-            );
+            c.spawn_clients_skewed(n, think, hot_fraction, hot_warehouses);
         }
         executor::start_clients(&self.cluster, &mut self.sim);
     }
@@ -402,13 +393,7 @@ impl WattDb {
         );
         {
             let mut c = self.cluster.borrow_mut();
-            c.spawn_traced_clients(
-                &trace,
-                ClientConfig {
-                    think_time: think,
-                    ..Default::default()
-                },
-            );
+            c.spawn_traced_clients(&trace, think);
         }
         executor::start_clients(&self.cluster, &mut self.sim);
         executor::schedule_trace(&self.cluster, &mut self.sim, &trace);
@@ -483,19 +468,11 @@ impl WattDb {
     }
 
     /// Plan (but do not start) a heat-aware scale-out from the current
-    /// heat table, using the configured policy's heat tolerance — the
-    /// same plan the autopilot would produce. Returns the full plan —
-    /// moves, bytes, and the predicted per-node heat — for inspection or
-    /// for [`WattDb::rebalance_planned`].
+    /// heat table — the same plan the autopilot would produce. Returns
+    /// the full plan — moves, bytes, and the predicted per-node heat —
+    /// for inspection or for [`WattDb::rebalance_planned`].
     pub fn plan_scale_out(&self, sources: &[NodeId], targets: &[NodeId]) -> Plan {
-        let c = self.cluster.borrow();
-        heat::plan_scale_out(
-            &c,
-            self.sim.now(),
-            self.policy.heat_tolerance,
-            sources,
-            targets,
-        )
+        heat::plan_scale_out(&self.cluster.borrow(), self.sim.now(), sources, targets)
     }
 
     /// Execute an externally produced plan (see

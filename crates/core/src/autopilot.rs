@@ -118,15 +118,10 @@ fn trigger_of(decision: &Decision) -> &'static str {
     }
 }
 
-/// The engaged policy: the thresholds it enforces and its streak state.
-struct Engaged {
-    cfg: PolicyConfig,
-    policy: ElasticityPolicy,
-}
-
 #[derive(Default)]
 struct Shared {
-    engaged: RefCell<Option<Engaged>>,
+    /// The engaged policy: its thresholds and its streak state.
+    engaged: RefCell<Option<ElasticityPolicy>>,
     events: RefCell<Vec<ControlEvent>>,
 }
 
@@ -152,8 +147,7 @@ impl AutoPilot {
         if c.cfg.scheme == Scheme::Logical {
             cfg.skew_threshold = 0.0;
         }
-        let policy = ElasticityPolicy::new(cfg);
-        *self.shared.engaged.borrow_mut() = Some(Engaged { cfg, policy });
+        *self.shared.engaged.borrow_mut() = Some(ElasticityPolicy::new(cfg));
     }
 
     /// Snapshot of the decision log so far.
@@ -167,10 +161,10 @@ impl AutoPilot {
     /// Nothing happens while the slot is empty.
     pub(crate) fn step(&self, cl: &ClusterRc, sim: &mut Sim, view: &ClusterView, window: u64) {
         let mut slot = self.shared.engaged.borrow_mut();
-        let Some(Engaged { cfg, policy }) = slot.as_mut() else {
+        let Some(policy) = slot.as_mut() else {
             return;
         };
-        let cfg = *cfg;
+        let cfg = *policy.config();
         let at = sim.now();
         let signal = cl.borrow().heat.signal_label();
         // The one place a decision is recorded: the timeline's

@@ -62,8 +62,8 @@ use wattdb_net::Network;
 use wattdb_sim::{Resource, ResourceHandle, Sim, UtilizationProbe};
 use wattdb_storage::{BufferPool, PageStore, RecordHeader, SegmentDirectory, SimDisk, PAGE_SIZE};
 use wattdb_tpcc::{
-    carrier_split, Client, ClientBatching, ClientConfig, ClientPool, GenRow, LoadTrace, TpccConfig,
-    TpccTable, TpccWorkload, MAX_CARRIERS,
+    carrier_split, Client, ClientBatching, ClientPool, GenRow, LoadTrace, TpccConfig, TpccTable,
+    TpccWorkload, MAX_CARRIERS,
 };
 use wattdb_txn::{CcMode, IndexMap, TxnManager};
 use wattdb_wal::LogManager;
@@ -101,12 +101,6 @@ impl Scheme {
 pub struct ClusterConfig {
     /// Total nodes (paper: 10). Node 0 is the master.
     pub nodes: u16,
-    /// Per-node hardware.
-    pub hardware: HardwareSpec,
-    /// Power model parameters.
-    pub power: PowerSpec,
-    /// Interconnect parameters.
-    pub network: NetworkSpec,
     /// CPU cost calibration.
     pub costs: CostParams,
     /// Concurrency control (MVCC unless benchmarking the MGL-RX baseline).
@@ -126,15 +120,16 @@ pub struct ClusterConfig {
     pub io_scale: u64,
     /// Metric bucket width.
     pub bucket: SimDuration,
-    /// Per-segment heat tracking: decay half-life, access weights, and the
-    /// velocity half-life and projection horizon the planner plans on
-    /// (zero horizon = historical heat).
+    /// Per-segment heat tracking: decay half-life, and the velocity
+    /// half-life and projection horizon the planner plans on (zero
+    /// horizon = historical heat).
     pub heat: HeatConfig,
     /// Scalarization of per-access cost vectors into heat. `Some` (the
     /// default) makes heat **cost-based** — every access weighs its
     /// actual CPU/page/network demand; `None` disables cost tracing and
-    /// heat falls back to the flat per-access weights in `heat`
-    /// (the weighted-count signal).
+    /// heat falls back to the flat per-access weights
+    /// ([`crate::heat::READ_WEIGHT`] and its siblings: the weighted-count
+    /// signal).
     pub cost_model: Option<CostModel>,
     /// Follower copies per segment (0: the paper's single copy).
     pub replication: usize,
@@ -150,9 +145,6 @@ impl Default for ClusterConfig {
     fn default() -> Self {
         Self {
             nodes: 10,
-            hardware: HardwareSpec::default(),
-            power: PowerSpec::default(),
-            network: NetworkSpec::default(),
             costs: CostParams::default(),
             cc_mode: CcMode::Mvcc,
             scheme: Scheme::Physiological,
@@ -386,22 +378,24 @@ pub struct Cluster {
 
 impl Cluster {
     /// Build a cluster; all nodes start in standby except those in
-    /// `initially_active`.
+    /// `initially_active`. Every node is the §3.1 testbed's
+    /// ([`HardwareSpec`], [`PowerSpec`] and [`NetworkSpec`] defaults).
     pub fn new(cfg: ClusterConfig, initially_active: &[NodeId]) -> ClusterRc {
+        let hardware = HardwareSpec::default();
         let nodes = (0..cfg.nodes)
             .map(|i| {
-                let mut n = NodeRuntime::new(NodeId(i), &cfg.hardware, cfg.buffer_pages);
+                let mut n = NodeRuntime::new(NodeId(i), &hardware, cfg.buffer_pages);
                 if initially_active.contains(&NodeId(i)) {
                     n.life = Lifecycle::Active;
                 }
                 n
             })
             .collect();
-        let net = Network::new(cfg.nodes as usize, cfg.network);
+        let net = Network::new(cfg.nodes as usize, NetworkSpec::default());
         let net_util = vec![0.0; cfg.nodes as usize];
         let rng = DetRng::new(cfg.seed);
         let metrics = Metrics::new(SimTime::ZERO, cfg.bucket);
-        let power_model = PowerModel::new(cfg.power);
+        let power_model = PowerModel::new(PowerSpec::default());
         let cc = cfg.cc_mode;
         let heat = HeatTable::with_cost_model(cfg.heat, cfg.cost_model);
         let replication = Replication::new(cfg.replication, cfg.nodes as usize);
@@ -839,21 +833,22 @@ impl Cluster {
 
     /// Spawn `n` closed-loop clients homed round-robin over all
     /// warehouses: [`Cluster::spawn_clients_skewed`] with no hot range.
-    pub fn spawn_clients(&mut self, n: u32, client_cfg: ClientConfig) {
-        self.spawn_clients_skewed(n, client_cfg, 0.0, 1);
+    pub fn spawn_clients(&mut self, n: u32, think: SimDuration) {
+        self.spawn_clients_skewed(n, think, 0.0, 1);
     }
 
-    /// Spawn `n` closed-loop clients with a hot-range skew: `hot_fraction`
-    /// of them homed inside the first `hot_warehouses` warehouses. Above
-    /// the pooling threshold (or when forced by
-    /// [`ClusterConfig::client_batching`]) the modeled population is
-    /// folded onto at most [`wattdb_tpcc::MAX_CARRIERS`] carrier clients
-    /// driven by one aggregated arrival process; the carriers inherit the
-    /// same hot-fraction homing rule, so the modeled skew is preserved.
+    /// Spawn `n` closed-loop clients with mean think time `think` and a
+    /// hot-range skew: `hot_fraction` of them homed inside the first
+    /// `hot_warehouses` warehouses. Above the pooling threshold (or when
+    /// forced by [`ClusterConfig::client_batching`]) the modeled
+    /// population is folded onto at most [`wattdb_tpcc::MAX_CARRIERS`]
+    /// carrier clients driven by one aggregated arrival process; the
+    /// carriers inherit the same hot-fraction homing rule, so the modeled
+    /// skew is preserved.
     pub fn spawn_clients_skewed(
         &mut self,
         n: u32,
-        client_cfg: ClientConfig,
+        think: SimDuration,
         hot_fraction: f64,
         hot_warehouses: u32,
     ) {
@@ -870,7 +865,7 @@ impl Cluster {
                 carriers,
                 weight,
                 n as u64,
-                client_cfg.think_time,
+                think,
                 self.rng.derive(0xC11E_47B0),
             ));
             carriers
@@ -881,7 +876,7 @@ impl Cluster {
         self.clients = wattdb_tpcc::spawn_clients_skewed(
             spawn_n,
             w,
-            client_cfg,
+            think,
             &self.rng,
             hot_fraction,
             hot_warehouses,
@@ -895,7 +890,7 @@ impl Cluster {
     /// [`crate::executor::schedule_trace`]). Trace runs are always
     /// pooled — resizing is O(groups) per breakpoint instead of a spawn
     /// storm — regardless of [`ClusterConfig::client_batching`].
-    pub fn spawn_traced_clients(&mut self, trace: &LoadTrace, client_cfg: ClientConfig) {
+    pub fn spawn_traced_clients(&mut self, trace: &LoadTrace, think: SimDuration) {
         let tenants = trace.tenants();
         assert!(
             !tenants.is_empty() && !trace.points().is_empty(),
@@ -927,11 +922,10 @@ impl Cluster {
                     j % w
                 };
                 let id = wattdb_common::ClientId(clients.len() as u32);
-                clients.push(Client::new(id, home, client_cfg, &self.rng));
+                clients.push(Client::new(id, home, think, &self.rng));
             }
         }
-        let mut pool =
-            ClientPool::new_grouped(&specs, client_cfg.think_time, self.rng.derive(0xC11E_47B0));
+        let mut pool = ClientPool::new_grouped(&specs, think, self.rng.derive(0xC11E_47B0));
         let first = &trace.points()[0];
         for (g, &target) in first.targets.iter().enumerate() {
             pool.set_target(g, target);
@@ -1021,8 +1015,7 @@ impl Cluster {
             let mut c = handle.borrow_mut();
             let now = sim.now();
             let p = c.sample_power(now);
-            let q = c.metrics.take_completions();
-            c.meter.sample(now, p, q);
+            c.meter.sample(now, p);
             true
         });
     }

@@ -1118,7 +1118,7 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use wattdb_common::DetRng;
-    use wattdb_tpcc::{ClientBatching, ClientConfig, TpccConfig};
+    use wattdb_tpcc::{ClientBatching, TpccConfig};
 
     const US: SimDuration = SimDuration::from_micros(1);
 
@@ -1148,7 +1148,7 @@ mod tests {
             };
             c.load_tpcc(tpcc, &data).unwrap();
             c.auto_resubmit = false;
-            c.spawn_clients(clients, ClientConfig::default());
+            c.spawn_clients(clients, SimDuration::from_millis(100));
         }
         let mut sim = Sim::new();
         install(&cl, &mut sim);

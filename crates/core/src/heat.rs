@@ -15,8 +15,8 @@
 //!   what *it* costs. This is the query-cost-estimated planning of Arsov
 //!   et al.: the planner balances *work*, not access counts.
 //! * **Count-based** (cost tracing off, `CostModel` absent): flat
-//!   per-access-kind weights (reads, writes, and remote page fetches
-//!   weigh differently, see [`HeatConfig`]). Kept as the arm the
+//!   per-access-kind weights ([`READ_WEIGHT`], [`WRITE_WEIGHT`], plus
+//!   [`REMOTE_WEIGHT`] for a remote page fetch). Kept as the arm the
 //!   `planner_shootout` mixed-operator cell and `tests/planner_cost.rs`
 //!   compare cost-heat against.
 //!
@@ -47,6 +47,16 @@ use wattdb_common::{
 use wattdb_storage::SegmentDirectory;
 
 use crate::cluster::Lifecycle;
+
+/// Count-heat charged by one read.
+pub const READ_WEIGHT: f64 = 1.0;
+/// Count-heat charged by one write (update/insert/delete): writes dirty
+/// pages and append log records.
+pub const WRITE_WEIGHT: f64 = 2.0;
+/// Count-heat surcharge for an access served by a remote page fetch —
+/// the wire and remote disk the planner most wants to save by moving the
+/// segment to where it is used.
+pub const REMOTE_WEIGHT: f64 = 1.0;
 
 /// What kind of record operation an access was (drives the flat-weight
 /// fallback and the lifetime counters).
@@ -122,7 +132,8 @@ impl SegmentHeat {
 pub struct HeatTable {
     cfg: HeatConfig,
     /// Scalarization of cost vectors into heat; `None` falls back to the
-    /// flat per-access weights in `cfg` (the count-based signal).
+    /// flat per-access weights ([`READ_WEIGHT`] and its siblings: the
+    /// count-based signal).
     model: Option<CostModel>,
     /// `pow2[j] = 2^(−(2^j µs) / half_life)`; all ones when decay is off.
     pow2: [f64; 64],
@@ -316,10 +327,10 @@ impl HeatTable {
             Some(m) => m.heat_of(cost).value(),
             None => {
                 let base = match kind {
-                    AccessKind::Read => self.cfg.read_weight,
-                    AccessKind::Write => self.cfg.write_weight,
+                    AccessKind::Read => READ_WEIGHT,
+                    AccessKind::Write => WRITE_WEIGHT,
                 };
-                base + if remote { self.cfg.remote_weight } else { 0.0 }
+                base + if remote { REMOTE_WEIGHT } else { 0.0 }
             }
         };
         let costed = self.model.is_some();
@@ -343,12 +354,12 @@ impl HeatTable {
     /// Charge one analytic scan (plus any attached operators) executed
     /// over the segment. Cost-based tables charge the operator cost — the
     /// whole point of cost-heat: a scan weighs its CPU/pages/bytes, not
-    /// its single access. Count-based tables charge one `read_weight`
+    /// its single access. Count-based tables charge one [`READ_WEIGHT`]
     /// (one access is what the count signal can see).
     pub fn record_scan(&mut self, seg: SegmentId, now: SimTime, cost: CostVector) {
         let weight = match &self.model {
             Some(m) => m.heat_of(cost).value(),
-            None => self.cfg.read_weight,
+            None => READ_WEIGHT,
         };
         let costed = self.model.is_some();
         let e = self.bump(seg, now, weight);
@@ -358,12 +369,11 @@ impl HeatTable {
         }
     }
 
-    /// Charge a local read access at the flat `read_weight` whatever the
-    /// configured signal: the entry point synthetic scenario drivers and
-    /// tests inject heat through (the executor never calls it).
+    /// Charge a local read access at the flat [`READ_WEIGHT`] whatever
+    /// the configured signal: the entry point synthetic scenario drivers
+    /// and tests inject heat through (the executor never calls it).
     pub fn record_read(&mut self, seg: SegmentId, now: SimTime) {
-        let w = self.cfg.read_weight;
-        self.bump(seg, now, w).reads += 1;
+        self.bump(seg, now, READ_WEIGHT).reads += 1;
     }
 
     /// The segment's heat decayed to `now` (zero for untracked segments).
@@ -390,13 +400,14 @@ impl HeatTable {
 }
 
 /// Heat-aware scale-out plan over the live cluster state: take
-/// [`segment_stats`] at the configured horizon and plan with the given
-/// tolerance. The single entry point shared by `policy::plan` and the
-/// facade, so both always produce the same plan for the same state.
+/// [`segment_stats`] at the configured horizon and plan with the
+/// planner's default tolerance (a source sheds until it sits within 10 %
+/// of the mean heat). The single entry point shared by `policy::plan`
+/// and the facade, so both always produce the same plan for the same
+/// state.
 pub fn plan_scale_out(
     c: &crate::cluster::Cluster,
     now: SimTime,
-    tolerance: f64,
     sources: &[NodeId],
     targets: &[NodeId],
 ) -> wattdb_planner::Plan {
@@ -405,7 +416,7 @@ pub fn plan_scale_out(
         &stats,
         sources,
         targets,
-        &wattdb_planner::PlanConfig { tolerance },
+        &wattdb_planner::PlanConfig::default(),
     )
 }
 
@@ -640,9 +651,6 @@ mod tests {
     fn cfg() -> HeatConfig {
         HeatConfig {
             half_life: SimDuration::from_secs(10),
-            read_weight: 1.0,
-            write_weight: 2.0,
-            remote_weight: 0.5,
             ..Default::default()
         }
     }
@@ -657,10 +665,27 @@ mod tests {
         let now = SimTime::from_secs(1);
         t.record_read(SegmentId(1), now);
         t.record_access(SegmentId(1), now, AccessKind::Write, CostVector::ZERO, true);
+        // One read, plus one write served by a remote fetch.
         let h = t.heat_of(SegmentId(1), now).value();
-        assert!((h - 3.5).abs() < 1e-9, "{h}");
+        assert!((h - 4.0).abs() < 1e-9, "{h}");
         let s = t.stats(SegmentId(1)).unwrap();
         assert_eq!((s.reads, s.writes, s.remote_fetches), (1, 1, 1));
+    }
+
+    #[test]
+    fn default_weights_rank_writes_over_reads() {
+        let mut t = HeatTable::with_cost_model(HeatConfig::default(), None);
+        let now = SimTime::from_secs(1);
+        t.record_access(SegmentId(1), now, AccessKind::Read, CostVector::ZERO, false);
+        t.record_access(
+            SegmentId(2),
+            now,
+            AccessKind::Write,
+            CostVector::ZERO,
+            false,
+        );
+        assert!(t.heat_of(SegmentId(2), now) > t.heat_of(SegmentId(1), now));
+        assert!(HeatConfig::default().half_life > SimDuration::ZERO);
     }
 
     #[test]
@@ -784,10 +809,10 @@ mod tests {
             let now = SimTime::from_secs(secs);
             unified.record_access(seg, now, kind, point_read_cost(), remote);
             let base = match kind {
-                AccessKind::Read => cfg.read_weight,
-                AccessKind::Write => cfg.write_weight,
+                AccessKind::Read => READ_WEIGHT,
+                AccessKind::Write => WRITE_WEIGHT,
             };
-            flat.touch(now, base + if remote { cfg.remote_weight } else { 0.0 });
+            flat.touch(now, base + if remote { REMOTE_WEIGHT } else { 0.0 });
             let (hu, hf) = (unified.heat_of(seg, now).value(), flat.at(now));
             assert!(
                 (hu - hf).abs() < 1e-12,
@@ -858,7 +883,7 @@ mod tests {
         let mut counted = table();
         counted.record_scan(SegmentId(1), now, scan_cost);
         let h = counted.heat_of(SegmentId(1), now).value();
-        assert!((h - cfg().read_weight).abs() < 1e-9, "{h}");
+        assert!((h - READ_WEIGHT).abs() < 1e-9, "{h}");
     }
 
     // ------------------------------------------------- lazy-decay regression
@@ -982,9 +1007,6 @@ mod drift {
             HeatTable::with_cost_model(
                 HeatConfig {
                     half_life: SimDuration::ZERO,
-                    read_weight: 1.0,
-                    write_weight: 1.0,
-                    remote_weight: 1.0,
                     velocity_half_life: SimDuration::from_secs(velocity_half_life_secs),
                     ..Default::default()
                 },

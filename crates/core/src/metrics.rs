@@ -36,8 +36,6 @@ pub struct Metrics {
     pub mix: HashMap<TxnProfile, u64>,
     /// Transactions aborted (before any successful retry).
     pub aborted: u64,
-    /// Completions since the last power sample (J/query accounting).
-    pub completions_since_sample: u64,
     /// Every completed rebalance of the run, in completion order — the
     /// planned-vs-moved heat record experiments read out.
     pub rebalances: Vec<crate::migration::RebalanceReport>,
@@ -54,7 +52,6 @@ impl Metrics {
             completed: 0,
             mix: HashMap::new(),
             aborted: 0,
-            completions_since_sample: 0,
             rebalances: Vec::new(),
         }
     }
@@ -73,7 +70,6 @@ impl Metrics {
         weight: u64,
     ) {
         self.completed += weight;
-        self.completions_since_sample += weight;
         self.qps.record(now, weight as f64);
         self.response.record(now, response.as_millis_f64());
         self.response_hist.record(response);
@@ -89,11 +85,6 @@ impl Metrics {
     pub fn mean_profile(&self, phase: Phase) -> Option<CostProfile> {
         let (n, sum) = self.profiles.get(&phase)?;
         Some(sum.scaled_down(*n))
-    }
-
-    /// Take the completion count since the last call (power sampling).
-    pub fn take_completions(&mut self) -> u64 {
-        std::mem::take(&mut self.completions_since_sample)
     }
 }
 
@@ -159,19 +150,5 @@ mod tests {
             SimDuration::from_millis(30)
         );
         assert!(m.mean_profile(Phase::RebalancingImproved).is_none());
-    }
-
-    #[test]
-    fn sample_counter_resets() {
-        let mut m = Metrics::new(SimTime::ZERO, SimDuration::from_secs(1));
-        m.record_completion_weighted(
-            SimTime::ZERO,
-            SimDuration::from_millis(1),
-            Phase::Normal,
-            CostProfile::new(),
-            1,
-        );
-        assert_eq!(m.take_completions(), 1);
-        assert_eq!(m.take_completions(), 0);
     }
 }

@@ -47,14 +47,8 @@ pub struct PolicyConfig {
     /// Consecutive breaching windows before acting (hysteresis). Shared
     /// by the CPU triggers and the heat-skew trigger.
     pub patience: u32,
-    /// Fraction of the hot node's data to offload (legacy
-    /// [`Planner::Fraction`] only).
-    pub move_fraction: f64,
     /// Which planner turns decisions into segment moves.
     pub planner: Planner,
-    /// Allowed per-node overshoot above mean heat before the heat-aware
-    /// planner stops shedding (see [`wattdb_planner::PlanConfig::tolerance`]).
-    pub heat_tolerance: f64,
     /// Heat-skew ratio ([`ClusterView::heat_skew`]: hottest active node's
     /// heat over the mean) that arms the skew trigger. Values ≤ 0 disable
     /// the trigger entirely; it is also inert unless `planner` is
@@ -62,15 +56,6 @@ pub struct PolicyConfig {
     /// moves). The skew must stay armed for `patience` windows before a
     /// [`Decision::Rebalance`] fires.
     pub skew_threshold: f64,
-    /// Hysteresis: an armed skew streak only resets once the skew falls
-    /// below `skew_threshold × skew_rearm` (a value in `(0, 1]`). Skew
-    /// hovering right at the threshold neither re-fires endlessly nor
-    /// loses its streak.
-    pub skew_rearm: f64,
-    /// Mean active-node heat below which the skew trigger stays silent:
-    /// ratios over near-zero heat are noise, and rebalancing a cooling
-    /// cluster that is about to scale in wastes the bytes.
-    pub skew_min_heat: f64,
     /// Monitoring windows the skew trigger stays disarmed after firing,
     /// bounding rebalance churn to at most one skew rebalance per
     /// `skew_cooldown + patience` windows.
@@ -95,12 +80,8 @@ impl Default for PolicyConfig {
             cpu_high: 0.8,
             cpu_low: 0.25,
             patience: 3,
-            move_fraction: 0.5,
             planner: Planner::HeatAware,
-            heat_tolerance: 0.1,
             skew_threshold: 1.5,
-            skew_rearm: 0.9,
-            skew_min_heat: 1.0,
             skew_cooldown: 3,
             helper: HelperPolicyConfig::default(),
             net_high: 0.9,
@@ -200,6 +181,17 @@ pub struct PolicySignals {
     /// Consecutive all-low windows before this one.
     pub low_streak: u32,
 }
+
+/// Hysteresis of the skew trigger: an armed streak resets only once the
+/// skew falls below `skew_threshold × SKEW_REARM`, so a skew hovering
+/// right at the threshold neither re-fires endlessly nor loses its
+/// streak.
+const SKEW_REARM: f64 = 0.9;
+
+/// Mean active-node heat below which the skew trigger stays silent:
+/// ratios over near-zero heat are noise, and rebalancing a cooling
+/// cluster that is about to scale in wastes the bytes.
+const SKEW_MIN_HEAT: f64 = 1.0;
 
 /// Stateful policy evaluated once per monitoring window.
 #[derive(Debug)]
@@ -411,7 +403,7 @@ impl ElasticityPolicy {
             return decision;
         }
         let (_, mean_heat) = view.heat_skew(&helpers);
-        if mean_heat < self.cfg.skew_min_heat {
+        if mean_heat < SKEW_MIN_HEAT {
             // A cooling cluster is the *global* subsidence case — the
             // delegate above owns it (and just chose to hold).
             return decision;
@@ -419,7 +411,7 @@ impl ElasticityPolicy {
         // A source has subsided when its own heat sits below the rearm
         // band relative to the mean — the per-node restriction of the
         // cluster-wide predicate in `tick_skew`.
-        let band = self.cfg.skew_threshold * self.cfg.skew_rearm.clamp(0.0, 1.0);
+        let band = self.cfg.skew_threshold * SKEW_REARM;
         let subsided = |src: NodeId| {
             view.reports
                 .iter()
@@ -464,7 +456,7 @@ impl ElasticityPolicy {
 
     /// Advance the heat-skew trigger's state for this window: arm while
     /// the skew ratio exceeds the threshold, hold the streak inside the
-    /// hysteresis band (`skew_rearm`), reset below it, and count the
+    /// hysteresis band ([`SKEW_REARM`]), reset below it, and count the
     /// post-fire cooldown down. Returns whether the trigger is ready to
     /// fire (armed this window with `patience` behind it).
     ///
@@ -487,8 +479,7 @@ impl ElasticityPolicy {
         // The single subsidence predicate: below the rearm band, or the
         // cluster cooled below the heat floor. It resets the armed streak
         // and the escalation counter, and drives the helper detach.
-        let subsided = skew < cfg.skew_threshold * cfg.skew_rearm.clamp(0.0, 1.0)
-            || mean_heat < cfg.skew_min_heat;
+        let subsided = skew < cfg.skew_threshold * SKEW_REARM || mean_heat < SKEW_MIN_HEAT;
         self.subsided_now = subsided;
         // The escalation counter watches for subsidence every window —
         // including cooldown windows, or a skew that briefly healed
@@ -501,9 +492,8 @@ impl ElasticityPolicy {
             self.skew_streak = 0;
             return false;
         }
-        let armed = skew > cfg.skew_threshold
-            && mean_heat >= cfg.skew_min_heat
-            && active_with_data.len() > 1;
+        let armed =
+            skew > cfg.skew_threshold && mean_heat >= SKEW_MIN_HEAT && active_with_data.len() > 1;
         if armed {
             self.skew_streak += 1;
         } else if subsided {
@@ -592,7 +582,7 @@ pub fn coldest_drain_target(view: &ClusterView, active_with_data: &[NodeId]) -> 
     let mut candidates: Vec<NodeId> = active_with_data
         .iter()
         .copied()
-        .filter(|n| *n != NodeId(0))
+        .filter(|n| !n.is_master())
         .collect();
     if candidates.is_empty() {
         candidates = active_with_data.to_vec();
@@ -623,6 +613,11 @@ pub fn coldest_drain_target(view: &ClusterView, active_with_data: &[NodeId]) -> 
         })
         .map(|(n, _, _, _)| n)
 }
+
+/// Fraction of each hot source's data a scale-out moves when the heat
+/// plan finds nothing movable (and under [`Planner::Fraction`] or the
+/// logical scheme, always).
+const MOVE_FRACTION: f64 = 0.5;
 
 /// Turn a decision into the [`ControlPlan`] that carries it out, or name
 /// why nothing can be done. Pure: reads the cluster, changes nothing —
@@ -676,7 +671,7 @@ pub fn plan(
         if !heat_aware || targets.is_empty() {
             return None;
         }
-        let p = heat::plan_scale_out(c, now, cfg.heat_tolerance, sources, targets);
+        let p = heat::plan_scale_out(c, now, sources, targets);
         (!p.moves.is_empty()).then(|| ControlPlan::planned(&p, targets))
     };
     match decision {
@@ -686,7 +681,7 @@ pub fn plan(
         // back to the fraction heuristic so the cluster still reacts to
         // the CPU signal.
         Decision::ScaleOut { sources, targets } => Ok(heat_moves(sources, targets)
-            .unwrap_or_else(|| ControlPlan::fraction(c, now, cfg.move_fraction, sources, targets))),
+            .unwrap_or_else(|| ControlPlan::fraction(c, now, MOVE_FRACTION, sources, targets))),
         Decision::Rebalance { sources, targets } => heat_moves(sources, targets).ok_or(NO_PLAN),
         Decision::AttachHelpers { sources, targets } => {
             // Helper choice is a heat decision too: the planner ranks the
@@ -1053,7 +1048,6 @@ mod tests {
         let mut p = ElasticityPolicy::new(PolicyConfig {
             patience: 2,
             skew_threshold: 1.5,
-            skew_min_heat: 1.0,
             ..Default::default()
         });
         // Node 0 carries 10 of 12 heat units: skew = 10 / 4 = 2.5.
@@ -1078,7 +1072,6 @@ mod tests {
         let mut p = ElasticityPolicy::new(PolicyConfig {
             patience: 1,
             skew_threshold: 1.5,
-            skew_min_heat: 1.0,
             ..Default::default()
         });
         let data = [NodeId(0), NodeId(1)];
@@ -1119,7 +1112,6 @@ mod tests {
             patience: 1,
             planner: Planner::Fraction,
             skew_threshold: 1.5,
-            skew_min_heat: 0.1,
             ..Default::default()
         });
         let skewed = heat_view(&[(0, 100.0), (1, 1.0)]);
@@ -1139,7 +1131,6 @@ mod tests {
             patience: 3,
             cpu_low: 0.25,
             skew_threshold: 1.5,
-            skew_min_heat: 0.1,
             skew_cooldown: 0,
             ..Default::default()
         });
@@ -1168,7 +1159,6 @@ mod tests {
         let mut p = ElasticityPolicy::new(PolicyConfig {
             patience: 2,
             skew_threshold: 1.5,
-            skew_min_heat: 0.1,
             ..Default::default()
         });
         let skewed = heat_view(&[(0, 10.0), (1, 1.0), (2, 1.0)]);
@@ -1192,7 +1182,6 @@ mod tests {
         let mut p = ElasticityPolicy::new(PolicyConfig {
             patience: 2,
             skew_threshold: 1.5,
-            skew_min_heat: 0.1,
             skew_cooldown: 1,
             ..Default::default()
         });
@@ -1222,7 +1211,6 @@ mod tests {
         let mut p = ElasticityPolicy::new(PolicyConfig {
             patience: 1,
             skew_threshold: 1.5,
-            skew_min_heat: 0.1,
             skew_cooldown: 1,
             ..Default::default()
         });
@@ -1250,7 +1238,6 @@ mod tests {
         let mut p = ElasticityPolicy::new(PolicyConfig {
             patience: 1,
             skew_threshold: 1.5,
-            skew_min_heat: 0.1,
             skew_cooldown: 0,
             ..Default::default()
         });
@@ -1289,7 +1276,6 @@ mod tests {
         let mut p = ElasticityPolicy::new(PolicyConfig {
             patience: 1,
             skew_threshold: 1.5,
-            skew_min_heat: 0.1,
             skew_cooldown: 0,
             ..Default::default()
         });
@@ -1390,7 +1376,6 @@ mod tests {
         let mut p = ElasticityPolicy::new(PolicyConfig {
             patience: 1,
             skew_threshold: 1.5,
-            skew_min_heat: 0.1,
             skew_cooldown: 0,
             ..Default::default()
         });
@@ -1412,7 +1397,6 @@ mod tests {
         let mut p = ElasticityPolicy::new(PolicyConfig {
             patience: 1,
             skew_threshold: 1.5,
-            skew_min_heat: 0.1,
             skew_cooldown: 0,
             ..Default::default()
         });
@@ -1431,7 +1415,6 @@ mod tests {
         let mut p = ElasticityPolicy::new(PolicyConfig {
             patience: 1,
             skew_threshold: 1.5,
-            skew_min_heat: 0.1,
             skew_cooldown: 0,
             helper: wattdb_common::HelperPolicyConfig {
                 escalation_fires: 1,
@@ -1452,7 +1435,6 @@ mod tests {
         let mut p = ElasticityPolicy::new(PolicyConfig {
             patience: 1,
             skew_threshold: 1.5,
-            skew_min_heat: 0.1,
             skew_cooldown: 0,
             helper: wattdb_common::HelperPolicyConfig {
                 escalation_fires: 0,
@@ -1473,21 +1455,19 @@ mod tests {
 
     #[test]
     fn skew_streak_survives_the_hysteresis_band() {
-        // Threshold 2.0, rearm 0.75: skew dipping to 1.6 (inside the
-        // [1.5, 2.0) band) holds the streak; dipping to 1.0 resets it.
+        // Threshold 2.0, rearm 0.9: skew dipping to 1.9 (inside the
+        // [1.8, 2.0) band) holds the streak; dipping to 1.6 resets it.
         let cfg = PolicyConfig {
             patience: 3,
             skew_threshold: 2.0,
-            skew_rearm: 0.75,
-            skew_min_heat: 0.1,
             skew_cooldown: 0,
             ..Default::default()
         };
         let data = [NodeId(0), NodeId(1), NodeId(2)];
         // skew = max/mean over 3 nodes: craft exact ratios.
         let above = heat_view(&[(0, 9.0), (1, 1.0), (2, 2.0)]); // 9/4  = 2.25
-        let band = heat_view(&[(0, 8.0), (1, 3.0), (2, 4.0)]); // 8/5  = 1.6
-        let below = heat_view(&[(0, 4.0), (1, 4.0), (2, 4.0)]); // 1.0
+        let band = heat_view(&[(0, 19.0), (1, 4.0), (2, 7.0)]); // 19/10 = 1.9
+        let below = heat_view(&[(0, 8.0), (1, 3.0), (2, 4.0)]); // 8/5  = 1.6
 
         let mut p = ElasticityPolicy::new(cfg);
         p.evaluate(&above, &[], &data, false, &[]);
@@ -2019,8 +1999,6 @@ mod tests {
                 let cfg = PolicyConfig {
                     patience,
                     skew_threshold: threshold,
-                    skew_rearm: 0.9,
-                    skew_min_heat: 0.1,
                     skew_cooldown: cooldown,
                     ..Default::default()
                 };
@@ -2053,7 +2031,7 @@ mod tests {
                     }
                     if armed_now {
                         armed_run += 1;
-                    } else if realized < threshold * 0.9 {
+                    } else if realized < threshold * SKEW_REARM {
                         armed_run = 0;
                     }
                     if fired {

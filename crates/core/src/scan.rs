@@ -14,8 +14,9 @@
 //! 2 000-record scan with an aggregation charges its full CPU/page bill
 //! to the segment, so a scan-heavy segment with a handful of accesses
 //! out-weighs a point-read-hot one and the planner ships the *work*. With
-//! cost tracing off the same scan is a single access (one `read_weight`),
-//! which is all the legacy count signal could see.
+//! cost tracing off the same scan is a single access (one
+//! [`crate::heat::READ_WEIGHT`]), which is all the legacy count signal
+//! could see.
 //!
 //! Heat is charged at **dispatch time** from the trace — i.e. from the
 //! optimizer's cost estimate, exactly the signal Arsov et al. plan on —
@@ -81,7 +82,7 @@ pub struct ScanReport {
     /// Rows produced across all per-segment plans (pre-aggregation).
     pub rows: u64,
     /// Heat charged across the covered segments (cost-scalarized, or one
-    /// `read_weight` per segment under the count fallback).
+    /// [`crate::heat::READ_WEIGHT`] per segment under the count fallback).
     pub heat_charged: f64,
 }
 
@@ -213,9 +214,8 @@ mod tests {
             db.with_runtime(|cl, sim| submit_scan(cl, sim, table, range, Some(AggFunc::Count)));
         assert!(report.segments > 0);
         let per_seg = report.heat_charged / report.segments as f64;
-        let read_weight = db.with_cluster(|c| c.cfg.heat.read_weight);
         assert!(
-            (per_seg - read_weight).abs() < 1e-9,
+            (per_seg - crate::heat::READ_WEIGHT).abs() < 1e-9,
             "count fallback sees one access per segment: {per_seg}"
         );
     }

@@ -2,10 +2,11 @@
 //!
 //! The meter is fed a power sample per interval (like the wall-socket meter
 //! in the paper's testbed) and accumulates Joules; per-interval Watt
-//! readings and Joule-per-query series come out the other side — the data
-//! behind Fig. 6c/d and 8c/d.
+//! readings come out the other side — the power series behind Fig. 6c/d
+//! and 8c/d (`WattDb::timeseries` divides it by its own per-bucket
+//! completions for J/query).
 
-use wattdb_common::{Joules, SimDuration, SimTime, Watts};
+use wattdb_common::{Joules, SimTime, Watts};
 
 /// One reading in the power time series.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -14,19 +15,6 @@ pub struct PowerSample {
     pub at: SimTime,
     /// Mean power draw during the interval.
     pub power: Watts,
-    /// Queries completed during the interval (for J/query).
-    pub queries: u64,
-}
-
-impl PowerSample {
-    /// Energy per query in this interval; `None` when no queries completed.
-    pub fn joules_per_query(&self, width: SimDuration) -> Option<Joules> {
-        if self.queries == 0 {
-            None
-        } else {
-            Some(Joules(self.power.over(width).0 / self.queries as f64))
-        }
-    }
 }
 
 /// Accumulates power samples into total energy plus a time series.
@@ -48,15 +36,13 @@ impl EnergyMeter {
     }
 
     /// Record that the cluster drew (on average) `power` from the previous
-    /// sample time up to `now`, completing `queries` queries in the
-    /// interval.
-    pub fn sample(&mut self, now: SimTime, power: Watts, queries: u64) {
+    /// sample time up to `now`.
+    pub fn sample(&mut self, now: SimTime, power: Watts) {
         let width = now.since(self.last_sample_at);
         self.total += power.over(width);
         self.series.push(PowerSample {
             at: self.last_sample_at,
             power,
-            queries,
         });
         self.last_sample_at = now;
     }
@@ -70,21 +56,6 @@ impl EnergyMeter {
     pub fn series(&self) -> &[PowerSample] {
         &self.series
     }
-
-    /// Total queries across all samples.
-    pub fn total_queries(&self) -> u64 {
-        self.series.iter().map(|s| s.queries).sum()
-    }
-
-    /// Mean energy per query over the entire run; `None` if no queries.
-    pub fn mean_joules_per_query(&self) -> Option<Joules> {
-        let q = self.total_queries();
-        if q == 0 {
-            None
-        } else {
-            Some(Joules(self.total.0 / q as f64))
-        }
-    }
 }
 
 #[cfg(test)]
@@ -96,18 +67,17 @@ mod tests {
         let mut m = EnergyMeter::new(SimTime::ZERO);
         // 100 W for 10 s, sampled each second = 1000 J.
         for s in 1..=10 {
-            m.sample(SimTime::from_secs(s), Watts(100.0), 5);
+            m.sample(SimTime::from_secs(s), Watts(100.0));
         }
         assert!((m.total_energy().0 - 1000.0).abs() < 1e-9);
-        assert_eq!(m.total_queries(), 50);
-        assert!((m.mean_joules_per_query().unwrap().0 - 20.0).abs() < 1e-9);
+        assert_eq!(m.series().len(), 10);
     }
 
     #[test]
     fn varying_power() {
         let mut m = EnergyMeter::new(SimTime::ZERO);
-        m.sample(SimTime::from_secs(2), Watts(50.0), 0); // 100 J
-        m.sample(SimTime::from_secs(3), Watts(200.0), 4); // 200 J
+        m.sample(SimTime::from_secs(2), Watts(50.0)); // 100 J
+        m.sample(SimTime::from_secs(3), Watts(200.0)); // 200 J
         assert!((m.total_energy().0 - 300.0).abs() < 1e-9);
         assert_eq!(m.series().len(), 2);
         assert_eq!(m.series()[0].at, SimTime::ZERO);
@@ -115,27 +85,9 @@ mod tests {
     }
 
     #[test]
-    fn joules_per_query_sample() {
-        let s = PowerSample {
-            at: SimTime::ZERO,
-            power: Watts(120.0),
-            queries: 60,
-        };
-        // 120 W over 10 s = 1200 J over 60 queries = 20 J/query.
-        let jpq = s.joules_per_query(SimDuration::from_secs(10)).unwrap();
-        assert!((jpq.0 - 20.0).abs() < 1e-9);
-        let idle = PowerSample {
-            at: SimTime::ZERO,
-            power: Watts(120.0),
-            queries: 0,
-        };
-        assert!(idle.joules_per_query(SimDuration::from_secs(10)).is_none());
-    }
-
-    #[test]
     fn empty_meter() {
         let m = EnergyMeter::new(SimTime::from_secs(5));
         assert_eq!(m.total_energy(), Joules::ZERO);
-        assert!(m.mean_joules_per_query().is_none());
+        assert!(m.series().is_empty());
     }
 }

@@ -15,8 +15,10 @@
 //! * mean and peak watts over the run;
 //! * Wh per committed transaction, overall and per trace phase
 //!   (trough/shoulder/peak, baseline/ramp/burst/decay);
-//! * the response-time p95 ceiling — the worst window's p95, i.e. what
-//!   elasticity cost the clients at its most expensive moment;
+//! * the response-time p95 ceiling — the highest `txn.response_ms.p95`
+//!   any window carries. That gauge reads a histogram cumulative over
+//!   the run, so the ceiling is the worst run-so-far p95 at a window's
+//!   end, not the worst single window's p95;
 //! * a nodes-powered histogram (how many windows ran on how many nodes).
 //!
 //! Utilization per window is the offered load: the
@@ -92,7 +94,8 @@ pub struct Scorecard {
     pub committed: u64,
     /// Watt-hours per committed transaction over the whole run.
     pub wh_per_txn: f64,
-    /// Worst per-window p95 response time, in milliseconds.
+    /// Highest run-so-far p95 response time read at any window's end, in
+    /// milliseconds.
     pub p95_ceiling_ms: f64,
     /// `(active nodes, windows at that count)`, ascending.
     pub nodes_powered: Vec<(u64, u64)>,

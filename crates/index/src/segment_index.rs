@@ -183,11 +183,6 @@ impl SegmentIndex {
         self.range_scan(KeyRange::all())
     }
 
-    /// Split helper for segment splits: entries at or above `mid`.
-    pub fn entries_from(&self, mid: Key) -> Vec<(Key, RecordId)> {
-        self.range_scan(KeyRange::new(mid, self.range.end))
-    }
-
     /// Structural self-check (tests).
     pub fn check_invariants(&self) {
         self.tree.check_invariants();
@@ -232,7 +227,7 @@ mod tests {
         for k in (100..200).step_by(10) {
             i.insert(Key(k), rid(k as u32));
         }
-        let hi = i.entries_from(Key(150));
+        let hi = i.range_scan(KeyRange::new(Key(150), Key(200)));
         let keys: Vec<u64> = hi.iter().map(|(k, _)| k.raw()).collect();
         assert_eq!(keys, vec![150, 160, 170, 180, 190]);
         let window = i.range_scan(KeyRange::new(Key(120), Key(140)));

@@ -220,12 +220,6 @@ impl PlanNode<'_> {
             PlanNode::Buffer { input } | PlanNode::Limit { input, .. } => input.placement(),
         }
     }
-
-    /// True for operators that must materialize their input before emitting
-    /// (candidates for offloading, §3.3).
-    pub fn is_blocking(&self) -> bool {
-        matches!(self, PlanNode::Sort { .. } | PlanNode::GroupAgg { .. })
-    }
 }
 
 #[cfg(test)]
@@ -274,7 +268,6 @@ mod tests {
             on: NodeId(4),
         };
         assert_eq!(sort.placement(), NodeId(4));
-        assert!(sort.is_blocking());
     }
 
     #[test]

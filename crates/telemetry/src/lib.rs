@@ -9,9 +9,9 @@
 //!   every long-running operation, with structured attributes (planned
 //!   vs. realized heat/bytes, predicted vs. realized relief) and child
 //!   events, kept in a bounded ring.
-//! * **Metrics registry** ([`registry`]): named counters, gauges, and
-//!   histograms frozen once per monitoring window into a deterministic
-//!   time-series snapshot.
+//! * **Metrics registry** ([`registry`]): named counters and gauges
+//!   frozen once per monitoring window into a deterministic time-series
+//!   snapshot.
 //! * **Decision timeline** ([`timeline`]): one record per monitoring
 //!   window — `Hold` included — carrying the full signal vector the
 //!   policy saw, linked to the span its decision started, rendered by
@@ -35,7 +35,7 @@ pub mod span;
 pub mod timeline;
 
 pub use export::{parse_jsonl, ExportMeta, SchemaError, TimelineExport, SCHEMA_VERSION};
-pub use registry::{F64Histogram, MetricName, MetricsRegistry, WindowSample};
+pub use registry::{MetricName, MetricsRegistry, WindowSample};
 pub use span::{AttrValue, Span, SpanCollector, SpanEvent, SpanId};
 pub use timeline::{render_explain, render_record, DecisionRecord, DecisionTimeline, SignalVector};
 

@@ -122,14 +122,6 @@ impl Span {
             _ => None,
         }
     }
-
-    /// Attribute as string slice.
-    pub fn attr_str(&self, key: &str) -> Option<&str> {
-        match self.attr(key)? {
-            AttrValue::Str(s) => Some(s),
-            _ => None,
-        }
-    }
 }
 
 /// Collects spans into open storage plus a bounded ring of closed spans.
@@ -266,7 +258,10 @@ mod tests {
         c.end(a, t(4));
         assert_eq!(c.open().count(), 0);
         let span = c.get(a).unwrap();
-        assert_eq!(span.attr_str("trigger"), Some("heat-skew"));
+        assert_eq!(
+            span.attr("trigger"),
+            Some(&AttrValue::Str("heat-skew".into()))
+        );
         assert_eq!(span.events.len(), 1);
         assert_eq!(c.get(b).unwrap().parent, Some(a));
     }

@@ -15,23 +15,9 @@ use wattdb_common::{ClientId, DetRng, SimDuration};
 
 use crate::txns::TxnProfile;
 
-/// Client behaviour parameters.
-#[derive(Debug, Clone, Copy)]
-pub struct ClientConfig {
-    /// Mean think time between transactions (exponentially distributed).
-    pub think_time: SimDuration,
-    /// Retry aborted transactions after a short backoff.
-    pub retry_backoff: SimDuration,
-}
-
-impl Default for ClientConfig {
-    fn default() -> Self {
-        Self {
-            think_time: SimDuration::from_millis(100),
-            retry_backoff: SimDuration::from_millis(10),
-        }
-    }
-}
+/// Mean backoff before an aborted transaction is retried (jittered to
+/// 0.5–1.5× per retry).
+const RETRY_BACKOFF: SimDuration = SimDuration::from_millis(10);
 
 /// One closed-loop client bound to a home warehouse.
 #[derive(Debug)]
@@ -40,7 +26,8 @@ pub struct Client {
     pub id: ClientId,
     /// Home warehouse (transactions are homed here, per the spec).
     pub home_warehouse: u32,
-    cfg: ClientConfig,
+    /// Mean think time between transactions (exponentially distributed).
+    think: SimDuration,
     rng: DetRng,
     submitted: u64,
     completed: u64,
@@ -48,12 +35,13 @@ pub struct Client {
 }
 
 impl Client {
-    /// A client with its own derived random stream.
-    pub fn new(id: ClientId, home_warehouse: u32, cfg: ClientConfig, root_rng: &DetRng) -> Self {
+    /// A client with mean think time `think` and its own derived random
+    /// stream.
+    pub fn new(id: ClientId, home_warehouse: u32, think: SimDuration, root_rng: &DetRng) -> Self {
         Self {
             id,
             home_warehouse,
-            cfg,
+            think,
             rng: root_rng.derive(0x10_0000 + id.raw() as u64),
             submitted: 0,
             completed: 0,
@@ -69,14 +57,14 @@ impl Client {
 
     /// Exponentially distributed think time before the next submission.
     pub fn think(&mut self) -> SimDuration {
-        SimDuration::from_micros(self.rng.exp_micros(self.cfg.think_time.as_micros() as f64))
+        SimDuration::from_micros(self.rng.exp_micros(self.think.as_micros() as f64))
     }
 
     /// Backoff before retrying an aborted transaction.
     pub fn backoff(&mut self) -> SimDuration {
         self.retried += 1;
-        // Jittered: 0.5–1.5× the configured backoff.
-        let base = self.cfg.retry_backoff.as_micros();
+        // Jittered: 0.5–1.5× the mean backoff.
+        let base = RETRY_BACKOFF.as_micros();
         SimDuration::from_micros(self.rng.uniform(base / 2, base * 3 / 2))
     }
 
@@ -109,8 +97,13 @@ impl Client {
 
 /// Spawn `n` clients spread round-robin over `warehouses` home
 /// warehouses: [`spawn_clients_skewed`] with no hot range.
-pub fn spawn_clients(n: u32, warehouses: u32, cfg: ClientConfig, root_rng: &DetRng) -> Vec<Client> {
-    spawn_clients_skewed(n, warehouses, cfg, root_rng, 0.0, 1)
+pub fn spawn_clients(
+    n: u32,
+    warehouses: u32,
+    think: SimDuration,
+    root_rng: &DetRng,
+) -> Vec<Client> {
+    spawn_clients_skewed(n, warehouses, think, root_rng, 0.0, 1)
 }
 
 /// Spawn `n` clients with a hot-range skew: the first
@@ -122,7 +115,7 @@ pub fn spawn_clients(n: u32, warehouses: u32, cfg: ClientConfig, root_rng: &DetR
 pub fn spawn_clients_skewed(
     n: u32,
     warehouses: u32,
-    cfg: ClientConfig,
+    think: SimDuration,
     root_rng: &DetRng,
     hot_fraction: f64,
     hot_warehouses: u32,
@@ -133,7 +126,7 @@ pub fn spawn_clients_skewed(
     (0..n)
         .map(|i| {
             let home = if i < hot_n { i % hot_w } else { i % w };
-            Client::new(ClientId(i), home, cfg, root_rng)
+            Client::new(ClientId(i), home, think, root_rng)
         })
         .collect()
 }
@@ -145,9 +138,9 @@ mod tests {
     #[test]
     fn clients_have_decorrelated_streams() {
         let root = DetRng::new(1);
-        let cfg = ClientConfig::default();
-        let mut a = Client::new(ClientId(0), 0, cfg, &root);
-        let mut b = Client::new(ClientId(1), 0, cfg, &root);
+        let think = SimDuration::from_millis(100);
+        let mut a = Client::new(ClientId(0), 0, think, &root);
+        let mut b = Client::new(ClientId(1), 0, think, &root);
         let sa: Vec<u64> = (0..8).map(|_| a.think().as_micros()).collect();
         let sb: Vec<u64> = (0..8).map(|_| b.think().as_micros()).collect();
         assert_ne!(sa, sb);
@@ -156,11 +149,7 @@ mod tests {
     #[test]
     fn think_time_mean_tracks_config() {
         let root = DetRng::new(2);
-        let cfg = ClientConfig {
-            think_time: SimDuration::from_millis(50),
-            ..Default::default()
-        };
-        let mut c = Client::new(ClientId(0), 0, cfg, &root);
+        let mut c = Client::new(ClientId(0), 0, SimDuration::from_millis(50), &root);
         let n = 20_000;
         let sum: u64 = (0..n).map(|_| c.think().as_micros()).sum();
         let mean = sum as f64 / n as f64;
@@ -170,7 +159,7 @@ mod tests {
     #[test]
     fn round_robin_homes() {
         let root = DetRng::new(3);
-        let clients = spawn_clients(7, 3, ClientConfig::default(), &root);
+        let clients = spawn_clients(7, 3, SimDuration::from_millis(100), &root);
         let homes: Vec<u32> = clients.iter().map(|c| c.home_warehouse).collect();
         assert_eq!(homes, vec![0, 1, 2, 0, 1, 2, 0]);
     }
@@ -178,7 +167,7 @@ mod tests {
     #[test]
     fn skewed_homes_concentrate_on_the_hot_range() {
         let root = DetRng::new(6);
-        let clients = spawn_clients_skewed(10, 4, ClientConfig::default(), &root, 0.8, 1);
+        let clients = spawn_clients_skewed(10, 4, SimDuration::from_millis(100), &root, 0.8, 1);
         let hot = clients.iter().filter(|c| c.home_warehouse == 0).count();
         assert!(
             hot >= 8,
@@ -191,7 +180,7 @@ mod tests {
     #[test]
     fn counters() {
         let root = DetRng::new(4);
-        let mut c = Client::new(ClientId(0), 0, ClientConfig::default(), &root);
+        let mut c = Client::new(ClientId(0), 0, SimDuration::from_millis(100), &root);
         c.next_profile();
         c.complete_n(1);
         c.backoff();
@@ -203,11 +192,7 @@ mod tests {
     #[test]
     fn backoff_jitter_bounded() {
         let root = DetRng::new(5);
-        let cfg = ClientConfig {
-            retry_backoff: SimDuration::from_millis(10),
-            ..Default::default()
-        };
-        let mut c = Client::new(ClientId(0), 0, cfg, &root);
+        let mut c = Client::new(ClientId(0), 0, SimDuration::from_millis(100), &root);
         for _ in 0..100 {
             let b = c.backoff().as_micros();
             assert!((5_000..=15_000).contains(&b), "{b}");

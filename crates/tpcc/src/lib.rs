@@ -14,7 +14,7 @@ pub mod schema;
 pub mod trace;
 pub mod txns;
 
-pub use client::{spawn_clients, spawn_clients_skewed, Client, ClientConfig};
+pub use client::{spawn_clients, spawn_clients_skewed, Client};
 pub use gen::{item_rows, warehouse_rows, GenRow, TpccConfig};
 pub use pool::{carrier_split, ClientBatching, ClientPool, MAX_CARRIERS, POOL_AUTO_THRESHOLD};
 pub use schema::{

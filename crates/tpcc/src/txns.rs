@@ -77,11 +77,6 @@ impl TxnProfile {
             TxnProfile::StockLevel => 1 + 2 * 20,
         }
     }
-
-    /// True if the profile never writes.
-    pub fn read_only(self) -> bool {
-        matches!(self, TxnProfile::OrderStatus | TxnProfile::StockLevel)
-    }
 }
 
 /// Stateful transaction generator: tracks order-id high-water marks per
@@ -398,7 +393,6 @@ mod tests {
                     "{p:?} must be read-only"
                 );
             }
-            assert!(p.read_only());
         }
     }
 

@@ -37,7 +37,6 @@ fn main() {
             cpu_high: 0.8,
             cpu_low: 0.2,
             patience: 2,
-            move_fraction: 0.5,
             ..Default::default()
         })
         .monitoring(SimDuration::from_secs(5))

@@ -50,7 +50,6 @@ fn round_trip_policy() -> PolicyConfig {
         cpu_high: 0.8,
         cpu_low: 0.2,
         patience: 2,
-        move_fraction: 0.5,
         ..Default::default()
     }
 }

@@ -17,7 +17,7 @@
 use wattdb_common::{HeatConfig, NodeId, SegmentId, SimDuration};
 use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
-use wattdb_core::heat::{segment_stats, SegmentHeat};
+use wattdb_core::heat::{segment_stats, SegmentHeat, READ_WEIGHT, REMOTE_WEIGHT, WRITE_WEIGHT};
 use wattdb_query::AggFunc;
 use wattdb_tpcc::TpccTable;
 
@@ -265,14 +265,13 @@ fn count_fallback_reduces_exactly_to_weighted_counts() {
             break;
         }
     }
-    let cfg = db.with_cluster(|c| c.cfg.heat);
     let mut touched = 0;
     for s in heat(&db) {
         let c = s.counts;
-        let expected = c.reads as f64 * cfg.read_weight
-            + c.writes as f64 * cfg.write_weight
-            + c.remote_fetches as f64 * cfg.remote_weight
-            + c.scans as f64 * cfg.read_weight;
+        let expected = c.reads as f64 * READ_WEIGHT
+            + c.writes as f64 * WRITE_WEIGHT
+            + c.remote_fetches as f64 * REMOTE_WEIGHT
+            + c.scans as f64 * READ_WEIGHT;
         assert!(
             (s.heat - expected).abs() < 1e-6,
             "segment {:?}: heat {} != weighted counts {expected}",

@@ -50,7 +50,6 @@ fn skew_only() -> PolicyConfig {
         cpu_low: 0.0,
         patience: 2,
         skew_threshold: 1.5,
-        skew_min_heat: 1.0,
         skew_cooldown: 4,
         ..Default::default()
     }
@@ -365,7 +364,6 @@ fn transient_bimodal_db() -> WattDb {
         cpu_low: 0.0,
         patience: 2,
         skew_threshold: 1.5,
-        skew_min_heat: 1.0,
         skew_cooldown: 4,
         helper: wattdb_common::HelperPolicyConfig {
             escalation_fires: 1,
@@ -533,7 +531,6 @@ fn empty_helper_plan_falls_back_to_rebalancing() {
         cpu_low: 0.0,
         patience: 2,
         skew_threshold: 1.5,
-        skew_min_heat: 1.0,
         skew_cooldown: 4,
         helper: wattdb_common::HelperPolicyConfig {
             escalation_fires: 1, // every fire escalates...
@@ -1162,7 +1159,6 @@ fn run_advancing(horizon_secs: u64) -> AdvancingOutcome {
         // exists, and the velocity estimates have matured.
         patience: 11,
         skew_threshold: 1.5,
-        skew_min_heat: 1.0,
         skew_cooldown: 100, // exactly one skew rebalance per run
         ..Default::default()
     };

@@ -24,7 +24,6 @@ fn skew_only() -> PolicyConfig {
         cpu_low: 0.0,
         patience: 2,
         skew_threshold: 1.5,
-        skew_min_heat: 1.0,
         skew_cooldown: 4,
         ..Default::default()
     }

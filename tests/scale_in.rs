@@ -21,11 +21,8 @@ fn build() -> WattDb {
         .build()
 }
 
-fn apply(db: &mut WattDb, decision: &Decision, fraction: f64) {
-    let cfg = PolicyConfig {
-        move_fraction: fraction,
-        ..Default::default()
-    };
+fn apply(db: &mut WattDb, decision: &Decision) {
+    let cfg = PolicyConfig::default();
     db.with_runtime(|cl, sim| wattdb_core::policy::apply(cl, sim, decision, &cfg).ok());
 }
 
@@ -49,7 +46,7 @@ fn draining_a_node_moves_everything_and_powers_it_down() {
     let decision = Decision::ScaleIn {
         drain: vec![NodeId(2)],
     };
-    apply(&mut db, &decision, 1.0);
+    apply(&mut db, &decision);
     for _ in 0..120 {
         db.run_for(SimDuration::from_secs(5));
         if !db.rebalancing() {
@@ -128,7 +125,6 @@ fn scale_in_lowers_cluster_power() {
         &Decision::ScaleIn {
             drain: vec![NodeId(2)],
         },
-        1.0,
     );
     for _ in 0..120 {
         db.run_for(SimDuration::from_secs(5));
