@@ -28,7 +28,6 @@
 use wattdb_common::{CostParams, NodeId, SimDuration, SimTime};
 use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
-use wattdb_core::ClientBatching;
 use wattdb_energy::{score_jsonl, PhaseSpan, Scorecard};
 use wattdb_tpcc::{DiurnalConfig, FlashCrowdConfig, LoadTrace, TenantLoad, TenantSpec};
 
@@ -50,20 +49,6 @@ struct Cell {
     trace: &'static str,
     policy: &'static str,
     card: Scorecard,
-}
-
-/// Heavier per-operation CPU (the full SQL-layer work on wimpy Atom
-/// cores, same idiom as the autopilot round-trip test) so the client
-/// load actually saturates nodes and the CPU-threshold policy has a
-/// signal to act on.
-fn heavy_costs() -> CostParams {
-    let mut costs = CostParams::default();
-    costs.index_node_visit = costs.index_node_visit * 40;
-    costs.record_read = costs.record_read * 40;
-    costs.record_write = costs.record_write * 40;
-    costs.log_append = costs.log_append * 40;
-    costs.buffer_hit = costs.buffer_hit * 40;
-    costs
 }
 
 fn diurnal() -> LoadTrace {
@@ -126,11 +111,11 @@ fn run_cell(trace_name: &'static str, trace: &LoadTrace, autopilot: bool) -> Cel
         .warehouses(8)
         .density(0.02)
         .segment_pages(8)
-        .costs(heavy_costs())
+        // ×40 per-operation CPU: the client load saturates nodes, so the
+        // CPU-threshold policy has a signal to act on.
+        .costs(CostParams::scaled(40))
         .seed(SEED)
         .initial_data_nodes(initial)
-        .client_batching(ClientBatching::Pooled)
-        .monitoring(SimDuration::from_secs(5))
         .autopilot(autopilot)
         .telemetry(true)
         .build();

@@ -8,16 +8,13 @@
 //! behind); logical dips deepest then overtakes once enough records moved;
 //! physiological recovers fastest and ends best.
 
-use wattdb_bench::{print_series, run_scheme_experiment, SchemeExperiment};
+use wattdb_bench::{print_series, run_scheme_experiment};
 use wattdb_core::cluster::Scheme;
 
 fn main() {
     println!("Fig. 6 — partitioning schemes under a TPC-C mix (rebalance at t=0)\n");
     for scheme in [Scheme::Physical, Scheme::Logical, Scheme::Physiological] {
-        let run = run_scheme_experiment(SchemeExperiment {
-            scheme,
-            ..Default::default()
-        });
+        let run = run_scheme_experiment(scheme, false);
         print_series(scheme.label(), &run);
     }
 }

@@ -7,23 +7,16 @@
 //! nearly unchanged; logging takes significantly longer; helpers claw much
 //! of it back.
 
-use wattdb_bench::{print_breakdown, run_scheme_experiment, SchemeExperiment};
+use wattdb_bench::{print_breakdown, run_scheme_experiment};
 use wattdb_core::cluster::Scheme;
 use wattdb_core::metrics::Phase;
 
 fn main() {
     println!("Fig. 7 — impact factors on query runtime when rebalancing\n");
-    let plain = run_scheme_experiment(SchemeExperiment {
-        scheme: Scheme::Physiological,
-        ..Default::default()
-    });
+    let plain = run_scheme_experiment(Scheme::Physiological, false);
     print_breakdown("normal operation", &plain.db, Phase::Normal);
     print_breakdown("while rebalancing", &plain.db, Phase::Rebalancing);
-    let improved = run_scheme_experiment(SchemeExperiment {
-        scheme: Scheme::Physiological,
-        helpers: true,
-        ..Default::default()
-    });
+    let improved = run_scheme_experiment(Scheme::Physiological, true);
     print_breakdown(
         "rebalancing improved",
         &improved.db,

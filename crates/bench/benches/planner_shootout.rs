@@ -29,8 +29,7 @@
 use wattdb_bench::{
     run_drain_under_replication, run_drift_shootout, run_failover_recovery, run_failover_shootout,
     run_mixed_shootout, run_planner_shootout, run_timeline_capture, run_transient_shootout,
-    shootout_json, BenchJsonRow, DriftShootout, FailoverShootout, MixedShootout, PlannerShootout,
-    PlannerShootoutRow, TransientShootout,
+    shootout_json, BenchJsonRow, FailoverShootoutRow, PlannerShootoutRow, MIXED_SCAN_WAREHOUSES,
 };
 use wattdb_common::SimDuration;
 use wattdb_core::Planner;
@@ -54,33 +53,33 @@ fn header(first_col: &str) {
     );
 }
 
+/// The extra keys of a read-scaling row.
+fn replica_extra(r: &FailoverShootoutRow) -> String {
+    format!(
+        ", \"replica_reads\": {}, \"replica_shipped_bytes\": {}, \"completed\": {}",
+        r.replica_reads, r.replica_shipped_bytes, r.completed
+    )
+}
+
 fn main() {
     let mut json = Vec::new();
+    let mut push = |phase, variant, row, extra| {
+        json.push(BenchJsonRow {
+            phase,
+            variant,
+            row,
+            extra,
+        })
+    };
 
     println!("Planner shootout — skewed (hot-range) TPC-C, autopilot scale-out");
     header("planner");
-    let frac = run_planner_shootout(PlannerShootout {
-        planner: Planner::Fraction,
-        ..Default::default()
-    });
+    let frac = run_planner_shootout(Planner::Fraction);
     row(frac.planner.label(), &frac);
-    let heat = run_planner_shootout(PlannerShootout {
-        planner: Planner::HeatAware,
-        ..Default::default()
-    });
+    let heat = run_planner_shootout(Planner::HeatAware);
     row(heat.planner.label(), &heat);
-    json.push(BenchJsonRow {
-        phase: "stationary",
-        variant: "fraction".into(),
-        row: frac,
-        extra: String::new(),
-    });
-    json.push(BenchJsonRow {
-        phase: "stationary",
-        variant: "heat-aware".into(),
-        row: heat,
-        extra: String::new(),
-    });
+    push("stationary", "fraction", frac, String::new());
+    push("stationary", "heat-aware", heat, String::new());
 
     let verdict = if heat.post_max_cpu < frac.post_max_cpu && heat.bytes_moved <= frac.bytes_moved {
         "heat-aware wins: lower post-rebalance max CPU for no more bytes"
@@ -93,25 +92,12 @@ fn main() {
 
     println!("\nAdvancing hotspot — the hot warehouse just moved on, heat-aware planner");
     header("heat input");
-    let historical = run_drift_shootout(DriftShootout {
-        horizon: SimDuration::ZERO,
-        ..Default::default()
-    });
+    let historical = run_drift_shootout(SimDuration::ZERO);
     row("historical", &historical);
-    let projected = run_drift_shootout(DriftShootout::default());
+    let projected = run_drift_shootout(SimDuration::from_secs(15));
     row("projected", &projected);
-    json.push(BenchJsonRow {
-        phase: "advancing",
-        variant: "historical".into(),
-        row: historical,
-        extra: String::new(),
-    });
-    json.push(BenchJsonRow {
-        phase: "advancing",
-        variant: "projected".into(),
-        row: projected,
-        extra: String::new(),
-    });
+    push("advancing", "historical", historical, String::new());
+    push("advancing", "projected", projected, String::new());
     let verdict = if projected.post_max_cpu < historical.post_max_cpu
         && projected.bytes_moved <= historical.bytes_moved
     {
@@ -123,129 +109,73 @@ fn main() {
     };
     println!("\n{verdict}");
 
-    let mixed_cfg = MixedShootout::default();
     println!(
-        "\nMixed operators — point reads on warehouse 0, scans on warehouses {}..{}",
-        mixed_cfg.scan_lo, mixed_cfg.scan_hi
+        "\nMixed operators — point reads on warehouse 0, scans on warehouses {:?}",
+        MIXED_SCAN_WAREHOUSES
     );
     header("heat signal");
-    let count = run_mixed_shootout(MixedShootout {
-        cost_based: false,
-        ..mixed_cfg
-    });
+    let count = run_mixed_shootout(false);
     row("count-heat", &count);
-    let cost = run_mixed_shootout(mixed_cfg);
+    let cost = run_mixed_shootout(true);
     row("cost-heat", &cost);
-    json.push(BenchJsonRow {
-        phase: "mixed",
-        variant: "count-heat".into(),
-        row: count,
-        extra: String::new(),
-    });
-    json.push(BenchJsonRow {
-        phase: "mixed",
-        variant: "cost-heat".into(),
-        row: cost,
-        extra: String::new(),
-    });
+    push("mixed", "count-heat", count, String::new());
+    push("mixed", "cost-heat", cost, String::new());
     println!("\nTransient skew — the hot node flaps; helpers vs segment-shipping");
     header("response");
-    let shipping = run_transient_shootout(TransientShootout {
-        helpers: false,
-        ..Default::default()
-    });
+    let shipping = run_transient_shootout(false);
     row("ship-segments", &shipping.row);
-    let helped = run_transient_shootout(TransientShootout::default());
+    let helped = run_transient_shootout(true);
     row("helpers", &helped.row);
-    json.push(BenchJsonRow {
-        phase: "transient",
-        variant: "segment-shipping".into(),
-        row: shipping.row,
-        extra: String::new(),
-    });
-    json.push(BenchJsonRow {
-        phase: "transient",
-        variant: "helpers".into(),
-        row: helped.row,
-        extra: String::new(),
-    });
+    push("transient", "segment-shipping", shipping.row, String::new());
+    push("transient", "helpers", helped.row, String::new());
 
     println!("\nReplication — hot reads fanned out across follower copies");
     header("replicas");
-    let base = run_failover_shootout(FailoverShootout {
-        factor: 0,
-        ..Default::default()
-    });
+    let base = run_failover_shootout(0);
     row("off", &base.row);
-    let rep = run_failover_shootout(FailoverShootout::default());
+    let rep = run_failover_shootout(1);
     row("factor-1", &rep.row);
-    json.push(BenchJsonRow {
-        phase: "failover",
-        variant: "no-replicas".into(),
-        row: base.row,
-        extra: format!(
-            ", \"replica_reads\": {}, \"replica_shipped_bytes\": {}, \"completed\": {}",
-            base.replica_reads, base.replica_shipped_bytes, base.completed
-        ),
-    });
-    json.push(BenchJsonRow {
-        phase: "failover",
-        variant: "replicated".into(),
-        row: rep.row,
-        extra: format!(
-            ", \"replica_reads\": {}, \"replica_shipped_bytes\": {}, \"completed\": {}",
-            rep.replica_reads, rep.replica_shipped_bytes, rep.completed
-        ),
-    });
-    let recovery = run_failover_recovery(FailoverShootout::default());
+    push("failover", "no-replicas", base.row, replica_extra(&base));
+    push("failover", "replicated", rep.row, replica_extra(&rep));
+    let recovery = run_failover_recovery();
     println!(
         "\nNode kill: {} orphaned segments re-led and factor restored in {:.1}s \
          ({} B re-replicated)",
         recovery.orphaned, recovery.recovery_secs, recovery.rereplication_bytes,
     );
-    json.push(BenchJsonRow {
-        phase: "failover",
-        variant: "node-kill".into(),
-        row: PlannerShootoutRow {
-            planner: wattdb_core::Planner::HeatAware,
-            rebalanced: recovery.recovered,
-            bytes_moved: recovery.rereplication_bytes,
-            segments_moved: recovery.orphaned as u64,
-            heat_planned: 0.0,
-            heat_moved: 0.0,
-            post_max_cpu: 0.0,
-            post_max_heat_share: 0.0,
-        },
-        extra: format!(
+    push(
+        "failover",
+        "node-kill",
+        PlannerShootoutRow::shipped(
+            recovery.recovered,
+            recovery.rereplication_bytes,
+            recovery.orphaned as u64,
+        ),
+        format!(
             ", \"recovery_secs\": {:.1}, \"rereplication_bytes\": {}, \"orphaned\": {}",
             recovery.recovery_secs, recovery.rereplication_bytes, recovery.orphaned
         ),
-    });
-    let drain = run_drain_under_replication(FailoverShootout::default());
+    );
+    let drain = run_drain_under_replication();
     println!(
         "Replica-aware drain: node suspended in {:.1}s, {} follower copies re-homed \
          ({} B shipped), {} segments under-replicated after settle",
         drain.drain_secs, drain.rehomed_copies, drain.rereplication_bytes, drain.under_replicated,
     );
-    json.push(BenchJsonRow {
-        phase: "failover",
-        variant: "drain-under-replication".into(),
-        row: PlannerShootoutRow {
-            planner: wattdb_core::Planner::HeatAware,
-            rebalanced: drain.drained,
-            bytes_moved: drain.rereplication_bytes,
-            segments_moved: drain.rehomed_copies as u64,
-            heat_planned: 0.0,
-            heat_moved: 0.0,
-            post_max_cpu: 0.0,
-            post_max_heat_share: 0.0,
-        },
-        extra: format!(
+    push(
+        "failover",
+        "drain-under-replication",
+        PlannerShootoutRow::shipped(
+            drain.drained,
+            drain.rereplication_bytes,
+            drain.rehomed_copies as u64,
+        ),
+        format!(
             ", \"drain_secs\": {:.1}, \"rehomed_copies\": {}, \"under_replicated\": {}, \
              \"invariants_ok\": {}",
             drain.drain_secs, drain.rehomed_copies, drain.under_replicated, drain.invariants_ok
         ),
-    });
+    );
 
     // Write the artifact BEFORE the acceptance gates, and land it at the
     // repository root whatever CWD cargo ran the bench with: a failing
@@ -278,7 +208,7 @@ fn main() {
     // decision records) as the second machine-readable artifact. The
     // schema gate lives in `wattdb-telemetry`'s `schema_validate` test,
     // which parses this file line for line when present.
-    let timeline = run_timeline_capture(PlannerShootout::default());
+    let timeline = run_timeline_capture();
     let timeline_path = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
         .join("../..")
         .join("BENCH_timeline.jsonl");

@@ -5,17 +5,23 @@
 //! from the simulated substrate; the comparisons —
 //! which scheme wins, where the crossovers fall — are the reproduction
 //! target; `tests/paper_figures.rs` holds them as assertions.
+//!
+//! Every experiment is one fixed setup: its deployment, clients, windows
+//! and seed are constants beside the runner that reads them, and a runner
+//! takes only the value its bench compares.
 
 use std::cell::RefCell;
+use std::ops::Range;
 use std::rc::Rc;
 
-use wattdb_common::{CostParams, NodeId, Result, SimDuration};
-use wattdb_core::api::WattDb;
+use wattdb_common::{CostParams, HeatConfig, HelperPolicyConfig, NodeId, Result, SimDuration};
+use wattdb_core::api::{WattDb, WattDbBuilder};
 use wattdb_core::cluster::Scheme;
 use wattdb_core::executor;
 use wattdb_core::metrics::Phase;
 use wattdb_core::migration::{ControlPlan, HelperAttach};
 use wattdb_core::replay::{replay_trace, SortMemoryBroker};
+use wattdb_core::{Cluster, Decision, Outcome, Planner, PolicyConfig};
 use wattdb_query::{execute, ExecConfig, PlanNode, SyntheticTable};
 use wattdb_sim::CostCategory;
 use wattdb_tpcc::TxnProfile;
@@ -36,104 +42,11 @@ pub struct SeriesRow {
     pub jpq: f64,
 }
 
-/// Configuration for the scheme-comparison experiments (Figs. 6–8).
-#[derive(Debug, Clone, Copy)]
-pub struct SchemeExperiment {
-    /// Scheme under test.
-    pub scheme: Scheme,
-    /// Attach helper nodes during the rebalance (Fig. 8).
-    pub helpers: bool,
-    /// Warm-up before the rebalance trigger.
-    pub warmup: SimDuration,
-    /// Observation window after the trigger.
-    pub window: SimDuration,
-    /// OLTP clients.
-    pub clients: u32,
-    /// Mean think time.
-    pub think: SimDuration,
-    /// TPC-C warehouses.
-    pub warehouses: u32,
-    /// Cardinality density.
-    pub density: f64,
-    /// Bulk-I/O scale (see `WattDbBuilder::io_scale`).
-    pub io_scale: u64,
-    /// Multiplier on per-operation CPU costs: models the full SQL-layer
-    /// work per record op on the wimpy Atom cores, putting the two initial
-    /// nodes near saturation as in the paper's runs.
-    pub cpu_scale: u64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for SchemeExperiment {
-    fn default() -> Self {
-        Self {
-            scheme: Scheme::Physiological,
-            helpers: false,
-            warmup: SimDuration::from_secs(40),
-            window: SimDuration::from_secs(180),
-            clients: 80,
-            think: SimDuration::from_millis(50),
-            warehouses: 8,
-            density: 0.05,
-            io_scale: 800,
-            cpu_scale: 40,
-            seed: 42,
-        }
-    }
-}
-
-/// Configuration of the planner shootout: a skewed (hot-range) TPC-C run
-/// where the autopilot rebalances with the planner under test.
-#[derive(Debug, Clone, Copy)]
-pub struct PlannerShootout {
-    /// Planner the autopilot uses.
-    pub planner: wattdb_core::Planner,
-    /// OLTP clients.
-    pub clients: u32,
-    /// Mean client think time. Long enough that throughput stays
-    /// client-limited after the rebalance, so post-rebalance CPU compares
-    /// balance rather than the extra work a balanced cluster completes.
-    pub think: SimDuration,
-    /// Percentage of Payment (update) transactions in the mix; the rest
-    /// are OrderStatus reads. This stationary mix keeps the hotspot on
-    /// fixed warehouse/district/customer ranges, where access history
-    /// predicts future load (insert-heavy mixes have a *moving* hotspot —
-    /// see the module docs of `wattdb_planner`).
-    pub update_pct: u32,
-    /// Fraction of clients homed on the hot range.
-    pub hot_fraction: f64,
-    /// Warehouses forming the hot range.
-    pub hot_warehouses: u32,
-    /// TPC-C warehouses.
-    pub warehouses: u32,
-    /// Bulk-I/O scale.
-    pub io_scale: u64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for PlannerShootout {
-    fn default() -> Self {
-        Self {
-            planner: wattdb_core::Planner::HeatAware,
-            clients: 80,
-            think: SimDuration::from_millis(10),
-            update_pct: 20,
-            hot_fraction: 0.85,
-            hot_warehouses: 1,
-            warehouses: 4,
-            io_scale: 10,
-            seed: 3,
-        }
-    }
-}
-
 /// Outcome of one shootout run.
 #[derive(Debug, Clone, Copy)]
 pub struct PlannerShootoutRow {
     /// Planner used.
-    pub planner: wattdb_core::Planner,
+    pub planner: Planner,
     /// Did a rebalance complete in-window?
     pub rebalanced: bool,
     /// Bytes the rebalance shipped.
@@ -150,41 +63,79 @@ pub struct PlannerShootoutRow {
     pub post_max_heat_share: f64,
 }
 
-/// Run the planner shootout: one data node, skewed clients (the hot range
-/// sits at the *bottom* of the key space, the worst case for the fraction
-/// heuristic), autopilot engaged with the planner under test, one standby
-/// target.
-pub fn run_planner_shootout(cfg: PlannerShootout) -> PlannerShootoutRow {
-    let mut db = WattDb::builder()
-        .nodes(2)
+impl PlannerShootoutRow {
+    /// A row that records only what a phase shipped: no heat planned or
+    /// moved, no window measured.
+    pub fn shipped(rebalanced: bool, bytes_moved: u64, segments_moved: u64) -> Self {
+        Self {
+            planner: Planner::HeatAware,
+            rebalanced,
+            bytes_moved,
+            segments_moved,
+            heat_planned: 0.0,
+            heat_moved: 0.0,
+            post_max_cpu: 0.0,
+            post_max_heat_share: 0.0,
+        }
+    }
+}
+
+/// Mean think time of the shootout clients. Long enough that throughput
+/// stays client-limited after the rebalance, so post-rebalance CPU
+/// compares balance rather than the extra work a balanced cluster
+/// completes.
+const THINK: SimDuration = SimDuration::from_millis(10);
+/// Percentage of Payment (update) transactions in the shootouts' mix; the
+/// rest are OrderStatus reads. This mix keeps the hotspot on fixed
+/// warehouse/district/customer ranges, where access history predicts
+/// future load (insert-heavy mixes have a *moving* hotspot — see the
+/// module docs of `wattdb_planner`).
+const UPDATE_PCT: u32 = 20;
+/// Clients of the stationary, advancing and telemetry runs.
+const HOT_CLIENTS: u32 = 80;
+/// Share of [`HOT_CLIENTS`] homed on the hot warehouse.
+const HOT_FRACTION: f64 = 0.85;
+
+/// The shootouts' one deployment: physiological segments of 16 pages, a
+/// TPC-C dataset of `warehouses` at density 0.02 on the `data` nodes,
+/// bulk I/O ×10, the ×40 wimpy-core costs and seed 3.
+fn shootout_cluster(nodes: u16, warehouses: u32, data: &[NodeId]) -> WattDbBuilder {
+    WattDb::builder()
+        .nodes(nodes)
         .scheme(Scheme::Physiological)
-        .warehouses(cfg.warehouses)
+        .warehouses(warehouses)
         .density(0.02)
         .segment_pages(16)
-        .io_scale(cfg.io_scale)
-        .costs(scaled_costs(40))
-        .seed(cfg.seed)
-        .initial_data_nodes(&[NodeId(0)])
-        .policy(wattdb_core::PolicyConfig {
-            cpu_high: 0.8,
-            cpu_low: 0.02, // no scale-in during the measurement
-            patience: 2,
-            planner: cfg.planner,
-            skew_threshold: 0.0, // CPU-triggered only: isolate the planner
-            ..Default::default()
-        })
-        .monitoring(SimDuration::from_secs(5))
+        .io_scale(10)
+        .costs(CostParams::scaled(40))
+        .seed(3)
+        .initial_data_nodes(data)
+}
+
+/// The shootouts' CPU-triggered scale-out with `planner`: out after two
+/// windows above 80 % CPU, no scale-in during the measurement, and the
+/// skew trigger off, so the compared input alone shapes the plan.
+fn cpu_scale_out(planner: Planner) -> PolicyConfig {
+    PolicyConfig {
+        cpu_high: 0.8,
+        cpu_low: 0.02,
+        patience: 2,
+        planner,
+        skew_threshold: 0.0,
+        ..Default::default()
+    }
+}
+
+/// Run the planner shootout: one data node, skewed clients (the hot range
+/// sits at the *bottom* of the key space, the worst case for the fraction
+/// heuristic), autopilot engaged with `planner`, one standby target.
+pub fn run_planner_shootout(planner: Planner) -> PlannerShootoutRow {
+    let mut db = shootout_cluster(2, 4, &[NodeId(0)])
+        .policy(cpu_scale_out(planner))
         .autopilot(true)
         .build();
-    spawn_driven(
-        &mut db,
-        cfg.clients,
-        cfg.think,
-        cfg.hot_fraction,
-        cfg.hot_warehouses,
-    );
-    db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
-    settle_and_measure(&mut db, cfg.planner, 80, SimDuration::from_secs(30))
+    start_driven(&mut db, HOT_CLIENTS, THINK, HOT_FRACTION, UPDATE_PCT);
+    settle_and_measure(&mut db, planner, 80, SimDuration::from_secs(30))
 }
 
 /// The shared tail of every shootout phase: run until the autopilot's
@@ -193,7 +144,7 @@ pub fn run_planner_shootout(cfg: PlannerShootout) -> PlannerShootoutRow {
 /// window.
 fn settle_and_measure(
     db: &mut WattDb,
-    planner: wattdb_core::Planner,
+    planner: Planner,
     poll_windows: u32,
     settle: SimDuration,
 ) -> PlannerShootoutRow {
@@ -205,21 +156,7 @@ fn settle_and_measure(
             break;
         }
     }
-    let _ = db.status();
-    db.run_for(settle);
-    let status = db.status();
-    let post_max_cpu = status
-        .nodes
-        .iter()
-        .filter(|n| n.state == wattdb_energy::NodeState::Active)
-        .map(|n| n.cpu)
-        .fold(0.0, f64::max);
-    let total_heat: f64 = status.nodes.iter().map(|n| n.heat).sum();
-    let post_max_heat_share = if total_heat > 0.0 {
-        status.nodes.iter().map(|n| n.heat).fold(0.0, f64::max) / total_heat
-    } else {
-        0.0
-    };
+    let (post_max_cpu, post_max_heat_share) = measure_window(db, settle);
     let report = db.last_rebalance();
     PlannerShootoutRow {
         planner,
@@ -233,244 +170,135 @@ fn settle_and_measure(
     }
 }
 
-/// Configuration of the advancing-hotspot (drift) shootout: the hot
-/// client population re-homes to the next warehouse on a fixed cadence,
-/// modelling TPC-C's insert-advancing ORDER/ORDER-LINE/NEW-ORDER front.
-/// The autopilot rebalances with the heat-aware planner either from
-/// historical heat (`horizon == 0`) or from drift-projected heat.
-#[derive(Debug, Clone, Copy)]
-pub struct DriftShootout {
-    /// Drift projection horizon the planner plans against (zero =
-    /// historical heat).
-    pub horizon: SimDuration,
-    /// OLTP clients.
-    pub clients: u32,
-    /// Mean client think time.
-    pub think: SimDuration,
-    /// Percentage of Payment (update) transactions; the rest OrderStatus.
-    pub update_pct: u32,
-    /// Fraction of clients following the advancing hot warehouse.
-    pub hot_fraction: f64,
-    /// TPC-C warehouses (the hot front advances through them).
-    pub warehouses: u32,
-    /// Warm-up on the first warehouse before the front's first advance —
-    /// the access history the historical planner will chase.
-    pub warm: SimDuration,
-    /// Dwell per warehouse after the first advance.
-    pub dwell: SimDuration,
-    /// Bulk-I/O scale.
-    pub io_scale: u64,
-    /// Seed.
-    pub seed: u64,
+/// Run `window` on a fresh status window and read the max active-node
+/// CPU and the hottest node's share of total heat over it.
+fn measure_window(db: &mut WattDb, window: SimDuration) -> (f64, f64) {
+    let _ = db.status();
+    db.run_for(window);
+    let status = db.status();
+    let max_cpu = status
+        .nodes
+        .iter()
+        .filter(|n| n.state == wattdb_energy::NodeState::Active)
+        .map(|n| n.cpu)
+        .fold(0.0, f64::max);
+    let total_heat: f64 = status.nodes.iter().map(|n| n.heat).sum();
+    let max_heat_share = if total_heat > 0.0 {
+        status.nodes.iter().map(|n| n.heat).fold(0.0, f64::max) / total_heat
+    } else {
+        0.0
+    };
+    (max_cpu, max_heat_share)
 }
 
-impl Default for DriftShootout {
-    fn default() -> Self {
-        Self {
-            horizon: SimDuration::from_secs(15),
-            clients: 80,
-            think: SimDuration::from_millis(10),
-            update_pct: 20,
-            hot_fraction: 0.85,
-            warehouses: 8,
-            warm: SimDuration::from_secs(20),
-            dwell: SimDuration::from_secs(60),
-            io_scale: 10,
-            seed: 3,
-        }
+/// Re-home the first `hot` clients onto warehouse `wh`.
+fn rehome(c: &mut Cluster, hot: usize, wh: u32) {
+    for client in c.clients.iter_mut().take(hot) {
+        client.home_warehouse = wh;
     }
 }
 
-/// Run the drift shootout: one data node, an advancing hot warehouse,
-/// the heat-aware planner fed historical or drift-projected heat, one
-/// standby target.
+/// Run the advancing-hotspot (drift) shootout: one data node, the hot
+/// client population re-homing to the next of 8 warehouses every 60 s
+/// (TPC-C's insert-advancing ORDER/ORDER-LINE/NEW-ORDER front), one
+/// standby target, and the heat-aware planner fed historical heat
+/// (`horizon` zero) or heat projected `horizon` ahead along each
+/// segment's velocity.
 ///
 /// Sequencing matters: the cluster first runs monitor-only (the CPU
-/// ceiling out of reach) while warehouse 0 accumulates history; then the
-/// front advances to warehouse 1 and, a couple of windows later, the real
-/// thresholds are engaged. The scale-out plan therefore forms exactly in
-/// the regime the ROADMAP describes — history pointing at a warehouse the
-/// front has already left — and the post-rebalance window is measured
-/// inside the new warehouse's dwell. Reports the same row as the
-/// stationary shootout so both phases print side by side.
-pub fn run_drift_shootout(cfg: DriftShootout) -> PlannerShootoutRow {
-    let mut db = WattDb::builder()
-        .nodes(2)
-        .scheme(Scheme::Physiological)
-        .warehouses(cfg.warehouses)
-        .density(0.02)
-        .segment_pages(16)
-        .io_scale(cfg.io_scale)
-        .costs(scaled_costs(40))
-        .seed(cfg.seed)
-        .initial_data_nodes(&[NodeId(0)])
-        .policy(wattdb_core::PolicyConfig {
+/// ceiling out of reach) while warehouse 0 accumulates 20 s of history;
+/// then the front advances to warehouse 1 and, a couple of windows later,
+/// the real thresholds are engaged. The scale-out plan therefore forms
+/// exactly in the regime the ROADMAP describes — history pointing at a
+/// warehouse the front has already left — and the post-rebalance window
+/// is measured inside the new warehouse's dwell. Reports the same row as
+/// the stationary shootout so both phases print side by side.
+pub fn run_drift_shootout(horizon: SimDuration) -> PlannerShootoutRow {
+    const WAREHOUSES: u32 = 8;
+    const DWELL: SimDuration = SimDuration::from_secs(60);
+    let mut db = shootout_cluster(2, WAREHOUSES, &[NodeId(0)])
+        .policy(PolicyConfig {
             cpu_high: 1.1, // monitor-only during warm-up: drift observes, nothing fires
             cpu_low: 0.0,
             skew_threshold: 0.0,
             ..Default::default()
         })
-        .heat_tracking(wattdb_common::HeatConfig {
+        .heat_tracking(HeatConfig {
             velocity_half_life: SimDuration::from_secs(5),
-            horizon: cfg.horizon,
+            horizon,
             ..Default::default()
         })
-        .monitoring(SimDuration::from_secs(5))
         .autopilot(true)
         .build();
-    let hot_n = (cfg.clients as f64 * cfg.hot_fraction.clamp(0.0, 1.0)).round() as usize;
-    spawn_driven(&mut db, cfg.clients, cfg.think, cfg.hot_fraction, 1);
-    db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
+    let hot_n = (HOT_CLIENTS as f64 * HOT_FRACTION).round() as usize;
+    start_driven(&mut db, HOT_CLIENTS, THINK, HOT_FRACTION, UPDATE_PCT);
     // Warm up on warehouse 0, then advance the front to warehouse 1 (and
-    // keep it advancing every `dwell` thereafter).
-    db.run_for(cfg.warm);
-    let rehome = move |c: &mut wattdb_core::Cluster, front: u32| {
-        let n = hot_n.min(c.clients.len());
-        for i in 0..n {
-            c.clients[i].home_warehouse = front;
-        }
-    };
+    // keep it advancing every dwell thereafter).
+    db.run_for(SimDuration::from_secs(20));
     db.with_runtime(|cl, sim| {
-        rehome(&mut cl.borrow_mut(), 1);
+        rehome(&mut cl.borrow_mut(), hot_n, 1);
         let handle = cl.clone();
-        let warehouses = cfg.warehouses;
         let mut front = 1u32;
-        sim.every(cfg.dwell, move |_| {
-            front = (front + 1) % warehouses;
-            rehome(&mut handle.borrow_mut(), front);
+        sim.every(DWELL, move |_| {
+            front = (front + 1) % WAREHOUSES;
+            rehome(&mut handle.borrow_mut(), hot_n, front);
             true
         });
     });
     // Two windows on the new warehouse: history still favours warehouse
     // 0, velocity favours warehouse 1. Now arm the real thresholds.
     db.run_for(SimDuration::from_secs(10));
-    db.engage_autopilot(wattdb_core::PolicyConfig {
-        cpu_high: 0.8,
-        cpu_low: 0.02, // no scale-in during the measurement
-        patience: 2,
-        skew_threshold: 0.0, // CPU-triggered only: isolate the planner input
-        ..Default::default()
-    });
+    db.engage_autopilot(cpu_scale_out(Planner::HeatAware));
     // The settle window stays inside the current warehouse's dwell.
-    settle_and_measure(
-        &mut db,
-        wattdb_core::Planner::HeatAware,
-        40,
-        SimDuration::from_secs(25),
-    )
+    settle_and_measure(&mut db, Planner::HeatAware, 40, SimDuration::from_secs(25))
 }
 
-fn scaled_costs(scale: u64) -> CostParams {
-    let mut c = CostParams::default();
-    c.index_node_visit = c.index_node_visit * scale;
-    c.record_read = c.record_read * scale;
-    c.record_write = c.record_write * scale;
-    c.log_append = c.log_append * scale;
-    c.buffer_hit = c.buffer_hit * scale;
-    c
-}
-
-/// [`scaled_costs`] with an independent multiplier on the analytic
-/// operator costs: the mixed-operator shootout models light SQL point
-/// operations sharing a node with genuinely heavy scan/aggregation
-/// queries. Both heat signals in the comparison run with the *same*
-/// calibration — only the signal differs.
-fn mixed_costs(point_scale: u64, analytic_scale: u64) -> CostParams {
-    let mut c = scaled_costs(point_scale);
-    c.scan_per_record = c.scan_per_record * analytic_scale;
-    c.agg_per_record = c.agg_per_record * analytic_scale;
-    c.project_per_record = c.project_per_record * analytic_scale;
-    c.sort_per_record_level = c.sort_per_record_level * analytic_scale;
-    c
-}
-
-/// Configuration of the mixed-operator shootout: point-read-hot clients on
-/// warehouse 0 share a node with periodic scan+aggregation queries over a
-/// different warehouse range. Count-based heat sees only access counts
-/// (the point segments), cost-based heat sees the *work* (the scan
-/// segments); the autopilot scales out with whichever signal is in force.
-#[derive(Debug, Clone, Copy)]
-pub struct MixedShootout {
-    /// Heat signal under test: cost-based (`true`) or count-based.
-    pub cost_based: bool,
-    /// OLTP clients (all homed on the hot warehouse).
-    pub clients: u32,
-    /// Mean client think time.
-    pub think: SimDuration,
-    /// Percentage of Payment (update) transactions; the rest OrderStatus.
-    pub update_pct: u32,
-    /// First warehouse of the scanned range (default: warehouse 2 only —
-    /// half-open `scan_lo..scan_hi`). The scanned table is ORDER-LINE:
-    /// the most rows per warehouse (most operator CPU) at the smallest
-    /// row width (fewest bytes to ship) — maximum contrast between
-    /// access-count heat and cost heat.
-    pub scan_lo: u32,
-    /// One past the last scanned warehouse.
-    pub scan_hi: u32,
-    /// Scan dispatch cadence.
-    pub scan_period: SimDuration,
-    /// TPC-C warehouses.
-    pub warehouses: u32,
-    /// Bulk-I/O scale.
-    pub io_scale: u64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for MixedShootout {
-    fn default() -> Self {
-        Self {
-            cost_based: true,
-            clients: 32,
-            think: SimDuration::from_millis(10),
-            update_pct: 20,
-            scan_lo: 2,
-            scan_hi: 3,
-            scan_period: SimDuration::from_secs(3),
-            warehouses: 4,
-            io_scale: 10,
-            seed: 3,
-        }
+/// The mixed-operator shootout's costs: light SQL point operations (the
+/// wimpy-core recipe at ×8) sharing a node with genuinely heavy
+/// scan/aggregation queries (the analytic operators ×40). Both heat
+/// signals in the comparison run with the *same* calibration — only the
+/// signal differs.
+fn mixed_costs() -> CostParams {
+    let c = CostParams::scaled(8);
+    CostParams {
+        scan_per_record: c.scan_per_record * 40,
+        agg_per_record: c.agg_per_record * 40,
+        project_per_record: c.project_per_record * 40,
+        sort_per_record_level: c.sort_per_record_level * 40,
+        ..c
     }
 }
 
-/// Run the mixed-operator shootout: one data node carrying both the
-/// point-read hotspot (warehouse 0) and the scanned range, one standby
-/// target, autopilot scale-out on the CPU ceiling. Scans re-resolve each
-/// segment's storage node at dispatch, so whichever segments the planner
-/// ships take their scan CPU with them.
-pub fn run_mixed_shootout(cfg: MixedShootout) -> PlannerShootoutRow {
-    let mut builder = WattDb::builder()
-        .nodes(2)
-        .scheme(Scheme::Physiological)
-        .warehouses(cfg.warehouses)
-        .density(0.02)
-        .segment_pages(16)
-        .io_scale(cfg.io_scale)
-        .costs(mixed_costs(8, 40))
-        .seed(cfg.seed)
-        .initial_data_nodes(&[NodeId(0)])
-        .policy(wattdb_core::PolicyConfig {
-            cpu_high: 0.8,
-            cpu_low: 0.02, // no scale-in during the measurement
-            patience: 2,
-            skew_threshold: 0.0, // CPU-triggered only: isolate the heat signal
-            ..Default::default()
-        })
-        .monitoring(SimDuration::from_secs(5))
+/// The warehouses the mixed-operator shootout scans. The scanned table is
+/// ORDER-LINE: the most rows per warehouse (most operator CPU) at the
+/// smallest row width (fewest bytes to ship) — maximum contrast between
+/// access-count heat and cost heat.
+pub const MIXED_SCAN_WAREHOUSES: Range<u32> = 2..3;
+
+/// Run the mixed-operator shootout: 32 point-read-hot clients on
+/// warehouse 0 share the one data node with a scan+aggregation over
+/// [`MIXED_SCAN_WAREHOUSES`] every 3 s, one standby target, autopilot
+/// scale-out on the CPU ceiling. Count-based heat (`cost_based` false)
+/// sees only access counts (the point segments), cost-based heat sees
+/// the *work* (the scan segments). Scans re-resolve each segment's
+/// storage node at dispatch, so whichever segments the planner ships take
+/// their scan CPU with them.
+pub fn run_mixed_shootout(cost_based: bool) -> PlannerShootoutRow {
+    let mut builder = shootout_cluster(2, 4, &[NodeId(0)])
+        .costs(mixed_costs())
+        .policy(cpu_scale_out(Planner::HeatAware))
         .autopilot(true);
-    if !cfg.cost_based {
+    if !cost_based {
         builder = builder.cost_model(None);
     }
     let mut db = builder.build();
-    spawn_driven(&mut db, cfg.clients, cfg.think, 1.0, 1);
-    db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
-    // Periodic scan+aggregation over the scanned warehouse range.
+    start_driven(&mut db, 32, THINK, 1.0, UPDATE_PCT);
     let scan_table = wattdb_tpcc::TpccTable::OrderLine.table_id();
-    let scan_range = wattdb_tpcc::warehouse_range(cfg.scan_lo, cfg.scan_hi);
+    let scan_range =
+        wattdb_tpcc::warehouse_range(MIXED_SCAN_WAREHOUSES.start, MIXED_SCAN_WAREHOUSES.end);
     db.with_runtime(|cl, sim| {
         let handle = cl.clone();
-        sim.every(cfg.scan_period, move |sim| {
+        sim.every(SimDuration::from_secs(3), move |sim| {
             wattdb_core::scan::submit_scan(
                 &handle,
                 sim,
@@ -481,67 +309,7 @@ pub fn run_mixed_shootout(cfg: MixedShootout) -> PlannerShootoutRow {
             true
         });
     });
-    settle_and_measure(
-        &mut db,
-        wattdb_core::Planner::HeatAware,
-        80,
-        SimDuration::from_secs(30),
-    )
-}
-
-/// Configuration of the transient-skew shootout: every dwell the hot
-/// client population re-homes to a *fresh* warehouse on the opposite
-/// node (0 → 4 → 1 → 5 → …), so the heat-skew trigger keeps firing while
-/// which node is hot alternates and the hot range never repeats — the
-/// regime where shipping segments chases a hotspot that has moved on
-/// before the copy pays off. Compared: the policy answering every skew
-/// fire with a segment rebalance (`helpers: false`, helper escalation
-/// disabled) vs. the helpers-first escalation (`helpers: true`): Fig. 8
-/// helpers attach to the hot source and detach on subsidence, shipping
-/// nothing.
-#[derive(Debug, Clone, Copy)]
-pub struct TransientShootout {
-    /// Helper escalation on (`escalation_fires: 1`) or off (every skew
-    /// fire rebalances).
-    pub helpers: bool,
-    /// OLTP clients.
-    pub clients: u32,
-    /// Mean client think time.
-    pub think: SimDuration,
-    /// Percentage of Payment (update) transactions; the rest OrderStatus.
-    pub update_pct: u32,
-    /// Fraction of clients following the flapping hot warehouse.
-    pub hot_fraction: f64,
-    /// TPC-C warehouses, split across the two data nodes.
-    pub warehouses: u32,
-    /// Warm-up on the first hot warehouse before the flap starts.
-    pub warm: SimDuration,
-    /// Dwell per side of the flap.
-    pub dwell: SimDuration,
-    /// Flips to run (the last dwell is the measurement window).
-    pub flips: u32,
-    /// Bulk-I/O scale.
-    pub io_scale: u64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for TransientShootout {
-    fn default() -> Self {
-        Self {
-            helpers: true,
-            clients: 64,
-            think: SimDuration::from_millis(10),
-            update_pct: 20,
-            hot_fraction: 0.95,
-            warehouses: 8,
-            warm: SimDuration::from_secs(25),
-            dwell: SimDuration::from_secs(40),
-            flips: 6,
-            io_scale: 10,
-            seed: 3,
-        }
-    }
+    settle_and_measure(&mut db, Planner::HeatAware, 80, SimDuration::from_secs(30))
 }
 
 /// Outcome of one transient-shootout run: the standard row plus the
@@ -557,112 +325,83 @@ pub struct TransientShootoutRow {
     pub helper_detaches: usize,
 }
 
-/// Run the transient-skew shootout: two data nodes, the hot population
-/// flapping between a warehouse on each, skew-only policy (the CPU
-/// bounds out of reach), with or without helper escalation. Measures the
-/// max active-node CPU over the final dwell and the total bytes every
-/// rebalance of the run shipped.
-pub fn run_transient_shootout(cfg: TransientShootout) -> TransientShootoutRow {
-    let mut db = WattDb::builder()
-        .nodes(4)
-        .scheme(Scheme::Physiological)
-        .warehouses(cfg.warehouses)
-        .density(0.02)
-        .segment_pages(16)
-        .io_scale(cfg.io_scale)
-        .costs(scaled_costs(40))
-        .seed(cfg.seed)
-        .initial_data_nodes(&[NodeId(0), NodeId(1)])
+/// Run the transient-skew shootout: two data nodes holding 8 warehouses,
+/// 95 % of 64 clients re-homing every 40 s dwell to a *fresh* warehouse
+/// on the opposite node (0 → 4 → 1 → 5 → …), so the heat-skew trigger
+/// keeps firing while which node is hot alternates and the hot range
+/// never repeats — the regime where shipping segments chases a hotspot
+/// that has moved on before the copy pays off. The policy is skew-only
+/// (the CPU bounds out of reach). Compared: answering every skew fire
+/// with a segment rebalance (`helpers` false, helper escalation off) vs.
+/// the helpers-first escalation (`helpers` true): Fig. 8 helpers attach
+/// to the hot source and detach on subsidence, shipping nothing.
+/// Measures the max active-node CPU over the final dwell and the total
+/// bytes every rebalance of the run shipped.
+pub fn run_transient_shootout(helpers: bool) -> TransientShootoutRow {
+    const WAREHOUSES: u32 = 8;
+    const CLIENTS: u32 = 64;
+    const HOT_SHARE: f64 = 0.95;
+    const DWELL: SimDuration = SimDuration::from_secs(40);
+    // Flips run; the last dwell is the measurement window.
+    const FLIPS: u64 = 6;
+    let mut db = shootout_cluster(4, WAREHOUSES, &[NodeId(0), NodeId(1)])
         // A short heat half-life keeps the flap sharp: the side the hot
         // population just left cools before the next monitoring windows,
         // so the skew ratio genuinely alternates instead of smearing
         // toward balance.
-        .heat_tracking(wattdb_common::HeatConfig {
+        .heat_tracking(HeatConfig {
             half_life: SimDuration::from_secs(15),
             ..Default::default()
         })
-        .policy(wattdb_core::PolicyConfig {
+        .policy(PolicyConfig {
             cpu_high: 1.1, // skew-only: the CPU bounds stay out of reach
             cpu_low: 0.0,
             patience: 2,
             skew_threshold: 1.5,
             skew_cooldown: 2,
-            helper: wattdb_common::HelperPolicyConfig {
-                escalation_fires: u32::from(cfg.helpers),
+            helper: HelperPolicyConfig {
+                escalation_fires: u32::from(helpers),
                 max_helpers: 2,
                 min_net_heat: 0.0,
             },
             ..Default::default()
         })
-        .monitoring(SimDuration::from_secs(5))
         .autopilot(true)
         .build();
-    let hot_n = (cfg.clients as f64 * cfg.hot_fraction.clamp(0.0, 1.0)).round() as usize;
-    spawn_driven(&mut db, cfg.clients, cfg.think, cfg.hot_fraction, 1);
-    db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
-    db.run_for(cfg.warm);
+    let hot_n = (CLIENTS as f64 * HOT_SHARE).round() as usize;
+    start_driven(&mut db, CLIENTS, THINK, HOT_SHARE, UPDATE_PCT);
+    db.run_for(SimDuration::from_secs(25));
     // The advancing flap: each dwell the hot population re-homes to a
     // fresh warehouse on the opposite node — 0, then half, then 1, then
     // half+1, … — so the hot node alternates and no hot range repeats.
-    let half = cfg.warehouses.div_ceil(2);
-    let rehome = move |c: &mut wattdb_core::Cluster, wh: u32| {
-        let n = hot_n.min(c.clients.len());
-        for i in 0..n {
-            c.clients[i].home_warehouse = wh;
-        }
-    };
+    let half = WAREHOUSES.div_ceil(2);
     db.with_runtime(|cl, sim| {
         let handle = cl.clone();
-        let warehouses = cfg.warehouses;
         let mut step = 0u32;
-        sim.every(cfg.dwell, move |_| {
+        sim.every(DWELL, move |_| {
             step += 1;
             let wh = if step % 2 == 1 {
                 half + step / 2
             } else {
                 step / 2
             };
-            rehome(&mut handle.borrow_mut(), wh % warehouses);
+            rehome(&mut handle.borrow_mut(), hot_n, wh % WAREHOUSES);
             true
         });
     });
-    let flips = cfg.flips.max(2);
-    db.run_for(cfg.dwell * (flips as u64 - 1));
-    // Measurement: the final dwell on a fresh status window.
-    let _ = db.status();
-    db.run_for(cfg.dwell);
-    let status = db.status();
-    let post_max_cpu = status
-        .nodes
-        .iter()
-        .filter(|n| n.state == wattdb_energy::NodeState::Active)
-        .map(|n| n.cpu)
-        .fold(0.0, f64::max);
-    let total_heat: f64 = status.nodes.iter().map(|n| n.heat).sum();
-    let post_max_heat_share = if total_heat > 0.0 {
-        status.nodes.iter().map(|n| n.heat).fold(0.0, f64::max) / total_heat
-    } else {
-        0.0
-    };
+    db.run_for(DWELL * (FLIPS - 1));
+    let (post_max_cpu, post_max_heat_share) = measure_window(&mut db, DWELL);
     let history = db.with_cluster(|c| c.metrics.rebalances.clone());
     let events = db.events();
-    let attaches = events
-        .iter()
-        .filter(|e| {
-            matches!(e.decision, wattdb_core::Decision::AttachHelpers { .. })
-                && e.outcome == wattdb_core::Outcome::Applied
-        })
-        .count();
-    let detaches = events
-        .iter()
-        .filter(|e| {
-            matches!(e.decision, wattdb_core::Decision::DetachHelpers { .. })
-                && e.outcome == wattdb_core::Outcome::Applied
-        })
-        .count();
+    let applied = |kind: fn(&Decision) -> bool| {
+        events
+            .iter()
+            .filter(|e| kind(&e.decision) && e.outcome == Outcome::Applied)
+            .count()
+    };
     TransientShootoutRow {
         row: PlannerShootoutRow {
-            planner: wattdb_core::Planner::HeatAware,
+            planner: Planner::HeatAware,
             rebalanced: !history.is_empty(),
             bytes_moved: history.iter().map(|r| r.bytes_moved).sum(),
             segments_moved: history.iter().map(|r| r.segments_moved).sum(),
@@ -674,59 +413,8 @@ pub fn run_transient_shootout(cfg: TransientShootout) -> TransientShootoutRow {
             post_max_cpu,
             post_max_heat_share,
         },
-        helper_attaches: attaches,
-        helper_detaches: detaches,
-    }
-}
-
-/// Configuration of the replication shootout's read-scaling phase: a
-/// read-heavy population hammering one warehouse on the first of two
-/// data nodes, served with (`factor: 1`) or without (`factor: 0`)
-/// follower replicas. With replicas, the executor's heat-aware read
-/// routing rotates eligible reads across the leader and its caught-up
-/// follower, splitting the hot node's CPU; the wire cost is bounded by
-/// the WAL itself (each flushed record ships at most once per follower).
-#[derive(Debug, Clone, Copy)]
-pub struct FailoverShootout {
-    /// Replication factor (0 = baseline, no replication subsystem).
-    pub factor: usize,
-    /// OLTP clients.
-    pub clients: u32,
-    /// Mean client think time.
-    pub think: SimDuration,
-    /// Percentage of Payment (update) transactions; the rest OrderStatus
-    /// reads — read-heavy, the regime follower read scaling targets.
-    pub update_pct: u32,
-    /// Fraction of clients homed on the hot warehouse.
-    pub hot_fraction: f64,
-    /// TPC-C warehouses, split across the two data nodes.
-    pub warehouses: u32,
-    /// Warm-up before the measurement window.
-    pub warm: SimDuration,
-    /// Measurement window (max active-node CPU on a fresh status probe).
-    pub measure: SimDuration,
-    /// Bulk-I/O scale.
-    pub io_scale: u64,
-    /// Seed.
-    pub seed: u64,
-}
-
-impl Default for FailoverShootout {
-    fn default() -> Self {
-        Self {
-            factor: 1,
-            // Hot but unsaturated: the baseline's hot node must sit below
-            // 100 % CPU, or the fan-out's split hides inside the clip.
-            clients: 16,
-            think: SimDuration::from_millis(60),
-            update_pct: 10,
-            hot_fraction: 0.9,
-            warehouses: 4,
-            warm: SimDuration::from_secs(30),
-            measure: SimDuration::from_secs(60),
-            io_scale: 10,
-            seed: 3,
-        }
+        helper_attaches: applied(|d| matches!(d, Decision::AttachHelpers { .. })),
+        helper_detaches: applied(|d| matches!(d, Decision::DetachHelpers { .. })),
     }
 }
 
@@ -747,54 +435,41 @@ pub struct FailoverShootoutRow {
     pub completed: u64,
 }
 
-/// Run the read-scaling phase: two data nodes, a hot warehouse on the
-/// first, no autopilot (nothing rebalances — the comparison isolates
-/// what read fan-out alone buys).
-pub fn run_failover_shootout(cfg: FailoverShootout) -> FailoverShootoutRow {
-    let mut db = WattDb::builder()
-        .nodes(4)
-        .scheme(Scheme::Physiological)
-        .warehouses(cfg.warehouses)
-        .density(0.02)
-        .segment_pages(16)
-        .io_scale(cfg.io_scale)
-        .costs(scaled_costs(40))
-        .seed(cfg.seed)
-        .initial_data_nodes(&[NodeId(0), NodeId(1)])
-        .replication(cfg.factor)
+/// Warm-up of the read-scaling and node-kill runs.
+const REPLICA_WARM: SimDuration = SimDuration::from_secs(30);
+
+/// The read-scaling and node-kill load: a read-heavy population (10 %
+/// Payments), 90 % of it on one hot warehouse. Hot but unsaturated: the
+/// baseline's hot node must sit below 100 % CPU, or the fan-out's split
+/// hides inside the clip.
+fn start_replica_load(db: &mut WattDb) {
+    start_driven(db, 16, SimDuration::from_millis(60), 0.9, 10);
+}
+
+/// Run the replication shootout's read-scaling phase: two data nodes, the
+/// hot warehouse on the first, served with (`factor` 1) or without
+/// (`factor` 0) follower replicas, and no autopilot (nothing rebalances —
+/// the comparison isolates what read fan-out alone buys). With replicas,
+/// the executor's heat-aware read routing rotates eligible reads across
+/// the leader and its caught-up follower, splitting the hot node's CPU;
+/// the wire cost is bounded by the WAL itself (each flushed record ships
+/// at most once per follower). Measures max active-node CPU over 60 s.
+pub fn run_failover_shootout(factor: usize) -> FailoverShootoutRow {
+    let mut db = shootout_cluster(4, 4, &[NodeId(0), NodeId(1)])
+        .replication(factor)
         .build();
-    spawn_driven(&mut db, cfg.clients, cfg.think, cfg.hot_fraction, 1);
-    db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
-    db.run_for(cfg.warm);
-    // Measurement on a fresh status window.
-    let _ = db.status();
-    db.run_for(cfg.measure);
-    let status = db.status();
-    let post_max_cpu = status
-        .nodes
-        .iter()
-        .filter(|n| n.state == wattdb_energy::NodeState::Active)
-        .map(|n| n.cpu)
-        .fold(0.0, f64::max);
-    let total_heat: f64 = status.nodes.iter().map(|n| n.heat).sum();
-    let post_max_heat_share = if total_heat > 0.0 {
-        status.nodes.iter().map(|n| n.heat).fold(0.0, f64::max) / total_heat
-    } else {
-        0.0
-    };
+    start_replica_load(&mut db);
+    db.run_for(REPLICA_WARM);
+    let (post_max_cpu, post_max_heat_share) = measure_window(&mut db, SimDuration::from_secs(60));
+    let shipped = db.with_cluster(|c| c.replication.shipped_bytes());
     FailoverShootoutRow {
         row: PlannerShootoutRow {
-            planner: wattdb_core::Planner::HeatAware,
-            rebalanced: false,
-            bytes_moved: db.with_cluster(|c| c.replication.shipped_bytes()),
-            segments_moved: 0,
-            heat_planned: 0.0,
-            heat_moved: 0.0,
             post_max_cpu,
             post_max_heat_share,
+            ..PlannerShootoutRow::shipped(false, shipped, 0)
         },
         replica_reads: db.with_cluster(|c| c.replication.reads()),
-        replica_shipped_bytes: db.with_cluster(|c| c.replication.shipped_bytes()),
+        replica_shipped_bytes: shipped,
         wal_flushed_bytes: db.with_cluster(|c| c.nodes.iter().map(|n| n.log.flushed_bytes()).sum()),
         completed: db.completed(),
     }
@@ -815,34 +490,24 @@ pub struct FailoverRecovery {
     pub orphaned: usize,
 }
 
-/// Run the node-kill phase: three data nodes under factor 1, autopilot
-/// on a failover-only policy, the middle node killed after warm-up.
-/// Polls each simulated second until the factor is restored.
-pub fn run_failover_recovery(cfg: FailoverShootout) -> FailoverRecovery {
-    let mut db = WattDb::builder()
-        .nodes(4)
-        .scheme(Scheme::Physiological)
-        .warehouses(cfg.warehouses.max(6))
-        .density(0.02)
-        .segment_pages(16)
-        .io_scale(cfg.io_scale)
-        .costs(scaled_costs(40))
-        .seed(cfg.seed)
-        .initial_data_nodes(&[NodeId(0), NodeId(1), NodeId(2)])
-        .replication(cfg.factor.max(1))
-        .policy(wattdb_core::PolicyConfig {
+/// Run the node-kill phase: three data nodes holding 6 warehouses under
+/// factor 1, the read-scaling load, autopilot on a failover-only policy,
+/// the middle node killed after warm-up. Polls each simulated second
+/// until the factor is restored.
+pub fn run_failover_recovery() -> FailoverRecovery {
+    let mut db = shootout_cluster(4, 6, &[NodeId(0), NodeId(1), NodeId(2)])
+        .replication(1)
+        .policy(PolicyConfig {
             cpu_high: 1.1, // failover-only: every elasticity trigger inert
             cpu_low: 0.0,
             skew_threshold: 0.0,
             net_high: 2.0,
             ..Default::default()
         })
-        .monitoring(SimDuration::from_secs(5))
         .autopilot(true)
         .build();
-    spawn_driven(&mut db, cfg.clients, cfg.think, cfg.hot_fraction, 1);
-    db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
-    db.run_for(cfg.warm);
+    start_replica_load(&mut db);
+    db.run_for(REPLICA_WARM);
     let victim = NodeId(1);
     let orphaned = db.with_cluster(|c| c.replication.map().led_by(victim).len());
     db.fail_node(victim);
@@ -887,25 +552,17 @@ pub struct DrainUnderReplication {
     pub invariants_ok: bool,
 }
 
-/// Run the drain-under-replication phase: three replicated data nodes
-/// idle below the low-CPU bound, autopilot on a drain-only policy. The
-/// coldest node hosts follower copies for the survivors' segments — the
-/// scale-in must re-home those copies in the same decision, suspend the
-/// node, and leave zero under-replicated segments once the backfill
-/// copies land. Polls each simulated second until settled.
-pub fn run_drain_under_replication(cfg: FailoverShootout) -> DrainUnderReplication {
-    let mut db = WattDb::builder()
-        .nodes(4)
-        .scheme(Scheme::Physiological)
-        .warehouses(cfg.warehouses.max(6))
-        .density(0.02)
-        .segment_pages(16)
-        .io_scale(cfg.io_scale)
-        .costs(scaled_costs(40))
-        .seed(cfg.seed)
-        .initial_data_nodes(&[NodeId(0), NodeId(1), NodeId(2)])
-        .replication(cfg.factor.max(1))
-        .policy(wattdb_core::PolicyConfig {
+/// Run the drain-under-replication phase: three data nodes holding 6
+/// warehouses under factor 1, idle below the low-CPU bound, autopilot on
+/// a drain-only policy. The coldest node hosts follower copies for the
+/// survivors' segments — the scale-in must re-home those copies in the
+/// same decision, suspend the node, and leave zero under-replicated
+/// segments once the backfill copies land. Polls each simulated second
+/// until settled.
+pub fn run_drain_under_replication() -> DrainUnderReplication {
+    let mut db = shootout_cluster(4, 6, &[NodeId(0), NodeId(1), NodeId(2)])
+        .replication(1)
+        .policy(PolicyConfig {
             cpu_high: 1.1, // drain-only: the idle cluster breaches cpu_low at once
             cpu_low: 0.5,
             patience: 2,
@@ -913,7 +570,6 @@ pub fn run_drain_under_replication(cfg: FailoverShootout) -> DrainUnderReplicati
             net_high: 2.0,
             ..Default::default()
         })
-        .monitoring(SimDuration::from_secs(5))
         .autopilot(true)
         .build();
     let copies_at_start: std::collections::BTreeMap<NodeId, usize> = db.with_cluster(|c| {
@@ -932,9 +588,7 @@ pub fn run_drain_under_replication(cfg: FailoverShootout) -> DrainUnderReplicati
                 .events()
                 .iter()
                 .filter_map(|e| match &e.outcome {
-                    wattdb_core::autopilot::Outcome::Suspended { nodes } if !nodes.is_empty() => {
-                        Some(nodes.clone())
-                    }
+                    Outcome::Suspended { nodes } if !nodes.is_empty() => Some(nodes.clone()),
                     _ => None,
                 })
                 .flatten()
@@ -975,48 +629,24 @@ pub fn run_drain_under_replication(cfg: FailoverShootout) -> DrainUnderReplicati
 /// utilization, replica read share, watts, Wh-per-committed-txn), and a
 /// decision record per monitoring window. Returns the JSONL export the
 /// shootout writes to `BENCH_timeline.jsonl`.
-pub fn run_timeline_capture(cfg: PlannerShootout) -> String {
-    let mut db = WattDb::builder()
-        .nodes(4)
-        .scheme(Scheme::Physiological)
-        .warehouses(cfg.warehouses)
-        .density(0.02)
-        .segment_pages(16)
-        .io_scale(cfg.io_scale)
-        .costs(scaled_costs(40))
-        .seed(cfg.seed)
-        .initial_data_nodes(&[NodeId(0), NodeId(1)])
+pub fn run_timeline_capture() -> String {
+    let mut db = shootout_cluster(4, 4, &[NodeId(0), NodeId(1)])
         .replication(1)
-        .policy(wattdb_core::PolicyConfig {
-            cpu_high: 0.8,
-            cpu_low: 0.02,
-            patience: 2,
-            planner: cfg.planner,
-            skew_threshold: 0.0,
-            ..Default::default()
-        })
-        .monitoring(SimDuration::from_secs(5))
+        .policy(cpu_scale_out(Planner::HeatAware))
         .autopilot(true)
         .build();
-    spawn_driven(
-        &mut db,
-        cfg.clients,
-        cfg.think,
-        cfg.hot_fraction,
-        cfg.hot_warehouses,
-    );
-    db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, cfg.update_pct));
-    settle_and_measure(&mut db, cfg.planner, 80, SimDuration::from_secs(30));
+    start_driven(&mut db, HOT_CLIENTS, THINK, HOT_FRACTION, UPDATE_PCT);
+    settle_and_measure(&mut db, Planner::HeatAware, 80, SimDuration::from_secs(30));
     db.export_timeline_string()
 }
 
 /// One labelled row of the machine-readable shootout summary.
 #[derive(Debug, Clone)]
 pub struct BenchJsonRow {
-    /// Shootout phase (`"stationary"`, `"advancing"`, `"mixed"`).
+    /// Shootout phase (`"stationary"`, `"advancing"`, `"mixed"`, …).
     pub phase: &'static str,
     /// Variant within the phase (planner or heat-signal label).
-    pub variant: String,
+    pub variant: &'static str,
     /// The measured row.
     pub row: PlannerShootoutRow,
     /// Extra JSON key/value pairs spliced verbatim into the row object
@@ -1069,27 +699,33 @@ pub struct SchemeRun {
     pub db: WattDb,
 }
 
-/// Run the §5.1 experiment: load on two nodes, warm up, then move 50 % of
-/// the data to two fresh nodes under the configured scheme.
-pub fn run_scheme_experiment(cfg: SchemeExperiment) -> SchemeRun {
+/// Run the §5.1 experiment: 80 OLTP clients on two loaded nodes, 40 s of
+/// warm-up, then move 50 % of the data to two fresh nodes under `scheme`
+/// and observe 180 s. With `helpers`, two helper nodes attach during the
+/// rebalance (Fig. 8).
+pub fn run_scheme_experiment(scheme: Scheme, helpers: bool) -> SchemeRun {
     let mut db = WattDb::builder()
         .nodes(10)
-        .scheme(cfg.scheme)
-        .warehouses(cfg.warehouses)
-        .density(cfg.density)
-        .io_scale(cfg.io_scale)
-        .costs(scaled_costs(cfg.cpu_scale))
+        .scheme(scheme)
+        .warehouses(8)
+        .density(0.05)
+        // Bulk I/O ×800: Fig. 6-class rebalance durations from the
+        // scaled-down dataset.
+        .io_scale(800)
+        // ×40 puts the two initial nodes near saturation, as in the
+        // paper's runs.
+        .costs(CostParams::scaled(40))
         .segment_pages(16)
         .bucket(SimDuration::from_secs(5))
-        .seed(cfg.seed)
+        .seed(42)
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
         .build();
-    db.start_oltp(cfg.clients, cfg.think);
-    db.run_for(cfg.warmup);
+    db.start_oltp(80, SimDuration::from_millis(50));
+    db.run_for(SimDuration::from_secs(40));
     let trigger = db.now();
     let sources = [NodeId(0), NodeId(1)];
     let targets = [NodeId(2), NodeId(3)];
-    if cfg.helpers {
+    if helpers {
         // Fig. 8: the helpers wire up with the rebalance and detach when
         // it completes.
         let plan = db.with_runtime(|cl, sim| {
@@ -1102,7 +738,7 @@ pub fn run_scheme_experiment(cfg: SchemeExperiment) -> SchemeRun {
     } else {
         db.rebalance(0.5, &sources, &targets);
     }
-    db.run_for(cfg.window);
+    db.run_for(SimDuration::from_secs(180));
     db.stop_clients();
     let rebalance_secs = db
         .last_rebalance()
@@ -1346,9 +982,7 @@ pub fn fig3_run(update_pct: u32, mode: CcMode) -> Result<Fig3Point> {
         .seed(7)
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
         .build();
-    // Spawn clients; a custom driver loop submits the fixed mix.
-    spawn_driven(&mut db, 24, SimDuration::from_millis(25), 0.0, 1);
-    db.with_runtime(|cl, sim| start_mixed_clients(cl, sim, update_pct));
+    start_driven(&mut db, 24, SimDuration::from_millis(25), 0.0, update_pct);
     db.run_for(SimDuration::from_secs(10));
     let move_start = db.now();
     let completed_before = db.completed();
@@ -1402,31 +1036,29 @@ pub fn fig3_run(update_pct: u32, mode: CcMode) -> Result<Fig3Point> {
     })
 }
 
-/// Spawn `clients` closed-loop clients (`hot_fraction` of them homed in
-/// the first `hot_warehouses` warehouses) for a custom driver loop: a
-/// finished job does not resubmit by itself.
-fn spawn_driven(
+/// Spawn `clients` closed-loop clients (`hot_fraction` of them homed on
+/// the first warehouse) and drive them with a fixed mix: `update_pct`
+/// percent Payments, the rest OrderStatus. Each client keeps exactly one
+/// transaction in flight, polling for completion; a finished job does not
+/// resubmit by itself.
+fn start_driven(
     db: &mut WattDb,
     clients: u32,
     think: SimDuration,
     hot_fraction: f64,
-    hot_warehouses: u32,
+    update_pct: u32,
 ) {
-    db.with_runtime(|cl, _| {
-        let mut c = cl.borrow_mut();
-        c.auto_resubmit = false;
-        c.spawn_clients_skewed(clients, think, hot_fraction, hot_warehouses);
+    db.with_runtime(|cl, sim| {
+        {
+            let mut c = cl.borrow_mut();
+            c.auto_resubmit = false;
+            c.spawn_clients_skewed(clients, think, hot_fraction, 1);
+        }
+        let n = cl.borrow().clients.len();
+        for client in 0..n {
+            arm_mixed(cl, sim, client, update_pct);
+        }
     });
-}
-
-/// Custom closed-loop drivers with a fixed update fraction: updates are
-/// Payments, reads OrderStatus. Each client keeps exactly one transaction
-/// in flight, polling for completion.
-fn start_mixed_clients(cl: &wattdb_core::ClusterRc, sim: &mut wattdb_sim::Sim, update_pct: u32) {
-    let n = cl.borrow().clients.len();
-    for client in 0..n {
-        arm_mixed(cl, sim, client, update_pct);
-    }
 }
 
 fn arm_mixed(

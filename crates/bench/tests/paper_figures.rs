@@ -4,7 +4,7 @@
 //! assert nothing, so a simplification could silently un-reproduce the
 //! paper. This file pins each figure's *qualitative* claim — which scheme
 //! wins, which cost category grows, where the crossover falls — at the
-//! harness defaults. Seeds are fixed and the simulator is deterministic,
+//! harness constants. Seeds are fixed and the simulator is deterministic,
 //! so the margins below are for readability, not for noise; the measured
 //! value is quoted next to each bound.
 //!
@@ -17,7 +17,7 @@
 
 use std::sync::OnceLock;
 
-use wattdb_bench::{fig3_run, run_scheme_experiment, SchemeExperiment, SeriesRow};
+use wattdb_bench::{fig3_run, run_scheme_experiment, SeriesRow};
 use wattdb_core::cluster::Scheme;
 use wattdb_core::metrics::Phase;
 use wattdb_sim::{CostCategory, CostProfile};
@@ -34,7 +34,7 @@ struct Run {
     improved: Option<CostProfile>,
 }
 
-/// The §5.1 experiment at the harness defaults, run once per variant and
+/// The §5.1 experiment at the harness constants, run once per variant and
 /// shared by the figures that plot it.
 fn run(scheme: Scheme, helpers: bool) -> &'static Run {
     static RUNS: [OnceLock<Run>; 4] = [
@@ -51,11 +51,7 @@ fn run(scheme: Scheme, helpers: bool) -> &'static Run {
         other => panic!("no figure plots {other:?}"),
     };
     RUNS[slot].get_or_init(|| {
-        let r = run_scheme_experiment(SchemeExperiment {
-            scheme,
-            helpers,
-            ..Default::default()
-        });
+        let r = run_scheme_experiment(scheme, helpers);
         let profile = |phase| r.db.with_cluster(|c| c.metrics.mean_profile(phase));
         Run {
             completed: r.completed,

@@ -196,6 +196,25 @@ impl Default for CostParams {
     }
 }
 
+impl CostParams {
+    /// The wimpy-core SQL layer: the per-record point costs (index node
+    /// visit, record read and write, log append, buffer hit) times `k`,
+    /// modelling the full SQL-layer work per record operation on an Atom
+    /// core. At `k = 40` a node saturates under the benches' client loads,
+    /// as the two loaded nodes do in the paper's runs.
+    pub fn scaled(k: u64) -> Self {
+        let c = Self::default();
+        Self {
+            index_node_visit: c.index_node_visit * k,
+            record_read: c.record_read * k,
+            record_write: c.record_write * k,
+            log_append: c.log_append * k,
+            buffer_hit: c.buffer_hit * k,
+            ..c
+        }
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -37,12 +37,7 @@ fn main() {
 
     // The full SQL-layer work on wimpy cores, so the client load saturates
     // nodes (the calibration `elastic-diurnal` runs under).
-    let mut costs = CostParams::default();
-    costs.index_node_visit = costs.index_node_visit * 40;
-    costs.record_read = costs.record_read * 40;
-    costs.record_write = costs.record_write * 40;
-    costs.log_append = costs.log_append * 40;
-    costs.buffer_hit = costs.buffer_hit * 40;
+    let costs = CostParams::scaled(40);
 
     let mut db = WattDb::builder()
         .scheme(Scheme::Physiological)

@@ -16,12 +16,7 @@ use wattdb_core::policy::PolicyConfig;
 fn main() {
     // Heavier per-operation CPU (the full SQL-layer work on wimpy Atom
     // cores) so a single node saturates under this client load.
-    let mut costs = CostParams::default();
-    costs.index_node_visit = costs.index_node_visit * 40;
-    costs.record_read = costs.record_read * 40;
-    costs.record_write = costs.record_write * 40;
-    costs.log_append = costs.log_append * 40;
-    costs.buffer_hit = costs.buffer_hit * 40;
+    let costs = CostParams::scaled(40);
 
     let mut db = WattDb::builder()
         .nodes(6)

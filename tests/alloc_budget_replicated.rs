@@ -43,17 +43,6 @@ const BUDGET: f64 = 2.3;
 /// in MB.
 const SPIKE_MB: f64 = 0.5;
 
-/// ×40 per-operation CPU, as the workload runs it.
-fn heavy_costs() -> CostParams {
-    let mut c = CostParams::default();
-    c.index_node_visit = c.index_node_visit * 40;
-    c.record_read = c.record_read * 40;
-    c.record_write = c.record_write * 40;
-    c.log_append = c.log_append * 40;
-    c.buffer_hit = c.buffer_hit * 40;
-    c
-}
-
 #[test]
 fn rebalance_replicated_stays_within_its_allocation_budget() {
     let mut db = WattDb::builder()
@@ -63,7 +52,7 @@ fn rebalance_replicated_stays_within_its_allocation_budget() {
         .density(0.05)
         .segment_pages(16)
         .io_scale(400)
-        .costs(heavy_costs())
+        .costs(CostParams::scaled(40))
         .seed(11)
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
         .replication(1)

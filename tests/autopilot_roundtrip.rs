@@ -18,18 +18,6 @@ use wattdb_core::cluster::Scheme;
 use wattdb_core::policy::{Decision, PolicyConfig};
 use wattdb_energy::NodeState;
 
-/// Heavier per-operation CPU (the full SQL-layer work on wimpy Atom
-/// cores) so a single node saturates under this client load.
-fn heavy_costs() -> CostParams {
-    let mut costs = CostParams::default();
-    costs.index_node_visit = costs.index_node_visit * 40;
-    costs.record_read = costs.record_read * 40;
-    costs.record_write = costs.record_write * 40;
-    costs.log_append = costs.log_append * 40;
-    costs.buffer_hit = costs.buffer_hit * 40;
-    costs
-}
-
 /// Four nodes, all data on n0, heavy per-operation CPU, 5 s windows.
 fn hot_node_builder() -> WattDbBuilder {
     WattDb::builder()
@@ -38,7 +26,7 @@ fn hot_node_builder() -> WattDbBuilder {
         .warehouses(4)
         .density(0.02)
         .segment_pages(16)
-        .costs(heavy_costs())
+        .costs(CostParams::scaled(40))
         .seed(1)
         .initial_data_nodes(&[NodeId(0)])
         .monitoring(SimDuration::from_secs(5))

@@ -195,18 +195,6 @@ fn helpers_run() -> WattDb {
     fixed_rebalance(6, Scheme::Physiological, 50, Trigger::WithHelpers, 14)
 }
 
-/// `policy_matrix`'s CPU-heavy calibration: a handful of clients can
-/// saturate a node.
-fn heavy_costs() -> CostParams {
-    let mut costs = CostParams::default();
-    costs.index_node_visit = costs.index_node_visit * 40;
-    costs.record_read = costs.record_read * 40;
-    costs.record_write = costs.record_write * 40;
-    costs.log_append = costs.log_append * 40;
-    costs.buffer_hit = costs.buffer_hit * 40;
-    costs
-}
-
 /// Replicated elasticity round trip: load forces a scale-out onto all
 /// three standbys, then the clients stop and the autopilot drains node
 /// after node — leader moves plus follower re-homes, suspensions — until
@@ -217,7 +205,7 @@ fn replicated_elastic_run() -> WattDb {
         .warehouses(6)
         .density(0.02)
         .segment_pages(16)
-        .costs(heavy_costs())
+        .costs(CostParams::scaled(40))
         .seed(3)
         .initial_data_nodes(&[NodeId(0), NodeId(1), NodeId(2)])
         .replication(1)

@@ -35,12 +35,7 @@ fn energy(db: &WattDb) -> f64 {
 fn reads_never_perturb_the_run() {
     // ×40 per-operation CPU on one data node: the autopilot scales out
     // inside the run, so there is a rebalance and a decision log to read.
-    let mut costs = CostParams::default();
-    costs.index_node_visit = costs.index_node_visit * 40;
-    costs.record_read = costs.record_read * 40;
-    costs.record_write = costs.record_write * 40;
-    costs.log_append = costs.log_append * 40;
-    costs.buffer_hit = costs.buffer_hit * 40;
+    let costs = CostParams::scaled(40);
     let run = |looking: bool| {
         let mut db = builder()
             .costs(costs)

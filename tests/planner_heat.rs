@@ -15,17 +15,6 @@ use wattdb_core::cluster::Scheme;
 use wattdb_core::heat::segment_stats;
 use wattdb_core::Planner;
 
-/// Heavier per-operation CPU so a single node saturates under load.
-fn heavy_costs() -> CostParams {
-    let mut costs = CostParams::default();
-    costs.index_node_visit = costs.index_node_visit * 40;
-    costs.record_read = costs.record_read * 40;
-    costs.record_write = costs.record_write * 40;
-    costs.log_append = costs.log_append * 40;
-    costs.buffer_hit = costs.buffer_hit * 40;
-    costs
-}
-
 fn skewed_db() -> WattDb {
     let mut db = WattDb::builder()
         .nodes(4)
@@ -33,7 +22,7 @@ fn skewed_db() -> WattDb {
         .warehouses(4)
         .density(0.02)
         .segment_pages(16)
-        .costs(heavy_costs())
+        .costs(CostParams::scaled(40))
         .seed(3)
         .initial_data_nodes(&[NodeId(0)])
         .build();

@@ -1070,18 +1070,6 @@ fn kill_follower_rereplicates_to_restore_the_factor() {
 
 // ------------------------------------------------------- idle-then-burst
 
-/// Heavier per-operation CPU so a single node saturates under load (the
-/// full SQL-layer work on wimpy Atom cores).
-fn heavy_costs() -> CostParams {
-    let mut costs = CostParams::default();
-    costs.index_node_visit = costs.index_node_visit * 40;
-    costs.record_read = costs.record_read * 40;
-    costs.record_write = costs.record_write * 40;
-    costs.log_append = costs.log_append * 40;
-    costs.buffer_hit = costs.buffer_hit * 40;
-    costs
-}
-
 #[test]
 fn idle_then_burst_scales_out_on_cpu() {
     let mut db = WattDb::builder()
@@ -1090,7 +1078,7 @@ fn idle_then_burst_scales_out_on_cpu() {
         .warehouses(4)
         .density(0.02)
         .segment_pages(16)
-        .costs(heavy_costs())
+        .costs(CostParams::scaled(40))
         .seed(1)
         .initial_data_nodes(&[NodeId(0)])
         .policy(both())

@@ -219,17 +219,6 @@ fn needle_in(hay: &str, needle: &str) -> bool {
     hay.contains(needle)
 }
 
-/// Heavier per-operation CPU so a single node saturates under load.
-fn heavy_costs() -> CostParams {
-    let mut costs = CostParams::default();
-    costs.index_node_visit = costs.index_node_visit * 40;
-    costs.record_read = costs.record_read * 40;
-    costs.record_write = costs.record_write * 40;
-    costs.log_append = costs.log_append * 40;
-    costs.buffer_hit = costs.buffer_hit * 40;
-    costs
-}
-
 #[test]
 fn burst_scale_out_span_nests_its_power_up_child() {
     let mut db = WattDb::builder()
@@ -238,7 +227,7 @@ fn burst_scale_out_span_nests_its_power_up_child() {
         .warehouses(4)
         .density(0.02)
         .segment_pages(16)
-        .costs(heavy_costs())
+        .costs(CostParams::scaled(40))
         .seed(1)
         .initial_data_nodes(&[NodeId(0)])
         .policy(PolicyConfig {
