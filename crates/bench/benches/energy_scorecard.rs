@@ -135,10 +135,9 @@ fn run_cell(trace_name: &'static str, trace: &LoadTrace, autopilot: bool) -> Cel
         .expect("own timeline export scores");
     let policy = if autopilot { "autopilot" } else { "static" };
     println!(
-        "{trace_name:>10} {policy:>9}: prop(rated)={:.3} prop(obs)={:.3} mean={:.1}W \
+        "{trace_name:>10} {policy:>9}: prop(rated)={:.3} mean={:.1}W \
          peak={:.1}W committed={} wh/txn={:.5} p95_ceiling={:.0}ms nodes={:?}",
         card.proportionality_rated,
-        card.proportionality_observed,
         card.mean_watts,
         card.peak_watts,
         card.committed,
@@ -162,7 +161,7 @@ fn json(cells: &[Cell]) -> String {
         let c = &cell.card;
         out.push_str(&format!(
             "    {{\"trace\": \"{}\", \"policy\": \"{}\", \"windows\": {}, \
-             \"proportionality_rated\": {:.4}, \"proportionality_observed\": {:.4}, \
+             \"proportionality_rated\": {:.4}, \
              \"mean_watts\": {:.2}, \"peak_watts\": {:.2}, \"rated_watts\": {:.2}, \
              \"committed_txns\": {}, \"wh_per_txn\": {:.6}, \"p95_ceiling_ms\": {:.1}, \
              \"nodes_powered\": [",
@@ -170,7 +169,6 @@ fn json(cells: &[Cell]) -> String {
             cell.policy,
             c.windows,
             c.proportionality_rated,
-            c.proportionality_observed,
             c.mean_watts,
             c.peak_watts,
             c.rated_watts,

@@ -15,7 +15,8 @@
 //!   [`WattDb::fail_node`] and [`WattDb::scan`] are the scripted
 //!   shorthands that keep a name;
 //! * **read** — [`WattDb::status`] (per-node state, CPU, segments, heat,
-//!   power), [`WattDb::events`], [`WattDb::export_timeline_string`],
+//!   power), [`WattDb::events`] (the decision timeline's non-hold
+//!   entries), [`WattDb::export_timeline_string`],
 //!   [`WattDb::timeseries`], [`WattDb::last_rebalance`] and the run
 //!   counters. Anything else is one scoped [`WattDb::with_cluster`]
 //!   closure over the raw engine state ([`WattDb::with_runtime`] adds the
@@ -50,7 +51,7 @@ use wattdb_sim::Sim;
 use wattdb_tpcc::{LoadTrace, TpccConfig};
 use wattdb_txn::CcMode;
 
-use crate::autopilot::{AutoPilot, ControlEvent};
+use crate::autopilot::{ControlEvent, Outcome};
 use crate::cluster::{Cluster, ClusterConfig, ClusterRc, Scheme};
 use crate::executor;
 use crate::heat;
@@ -246,7 +247,7 @@ impl WattDbBuilder {
         let mut db = WattDb {
             sim,
             cluster,
-            autopilot: None,
+            windowed: false,
             policy: self.policy,
             monitoring: self.monitoring,
         };
@@ -303,8 +304,9 @@ pub struct ClusterStatus {
 pub struct WattDb {
     sim: Sim,
     cluster: ClusterRc,
-    /// The policy slot of the monitoring window, once the window is armed.
-    autopilot: Option<AutoPilot>,
+    /// Whether the monitoring window is armed (its policy slot is
+    /// [`Cluster::policy`]).
+    windowed: bool,
     /// Policy in force — facade-side planning (`plan`) reads its
     /// planner and helper settings so scripted plans match what the
     /// autopilot would produce.
@@ -423,19 +425,16 @@ impl WattDb {
     /// and [`WattDb::plan_scale_out`] follow it from here on.
     pub fn engage_autopilot(&mut self, policy: PolicyConfig) {
         self.policy = policy;
-        let pilot = self.arm_window().clone();
-        pilot.engage(&self.cluster.borrow(), policy);
+        self.arm_window();
+        crate::autopilot::engage(&mut self.cluster.borrow_mut(), policy);
     }
 
-    /// The policy slot of the deployment's one monitoring window, arming
-    /// the window on first use.
-    fn arm_window(&mut self) -> &AutoPilot {
-        let (cluster, sim, period) = (&self.cluster, &mut self.sim, self.monitoring);
-        self.autopilot.get_or_insert_with(|| {
-            let pilot = AutoPilot::default();
-            crate::monitor::start_monitoring(cluster, sim, period, pilot.clone());
-            pilot
-        })
+    /// Arm the deployment's one monitoring window, once.
+    fn arm_window(&mut self) {
+        if !self.windowed {
+            self.windowed = true;
+            crate::monitor::start_monitoring(&self.cluster, &mut self.sim, self.monitoring);
+        }
     }
 
     // ----------------------------------------------------------------- act
@@ -511,12 +510,14 @@ impl WattDb {
 
     // ---------------------------------------------------------------- read
 
-    /// The controller's decision log (empty when no policy was engaged).
+    /// The controller's decision log: the telemetry timeline's entries
+    /// other than holds, oldest first (empty when no policy was engaged).
     pub fn events(&self) -> Vec<ControlEvent> {
-        self.autopilot
-            .as_ref()
-            .map(|a| a.events())
-            .unwrap_or_default()
+        let c = self.cluster.borrow();
+        let log = c.telemetry.timeline.records();
+        log.filter(|e| e.outcome != Outcome::Hold)
+            .cloned()
+            .collect()
     }
 
     /// Serialize the full flight-recorder state — spans, window samples,

@@ -68,10 +68,12 @@ use wattdb_tpcc::{
 use wattdb_txn::{CcMode, IndexMap, TxnManager};
 use wattdb_wal::LogManager;
 
+use crate::autopilot::ControlEvent;
 use crate::heat::HeatTable;
 use crate::jobs::JobSlab;
 use crate::metrics::{Metrics, Phase};
 use crate::migration::MoveController;
+use crate::policy::ElasticityPolicy;
 use crate::replication::Replication;
 
 /// The repartitioning scheme in force (§4).
@@ -365,9 +367,15 @@ pub struct Cluster {
     /// disturb the monitoring windows.
     pub net_util: Vec<f64>,
     /// Control-plane flight recorder: tracing spans, per-window metric
-    /// samples, and the autopilot decision timeline. Always on; every
-    /// ring inside is bounded.
-    pub telemetry: wattdb_telemetry::Telemetry,
+    /// samples, and the autopilot decision timeline — the one log of
+    /// every window's [`ControlEvent`]. Always on; every ring inside is
+    /// bounded.
+    pub telemetry: wattdb_telemetry::Telemetry<ControlEvent>,
+    /// The policy slot of the monitoring window: the engaged policy, its
+    /// thresholds and its streak state, put in by
+    /// [`crate::api::WattDb::engage_autopilot`]. Empty, the window
+    /// decides nothing.
+    pub policy: Option<ElasticityPolicy>,
     /// Span of the failover in progress (detection → promotion → factor
     /// restored), if one is being worked.
     pub failover_span: Option<wattdb_telemetry::SpanId>,
@@ -427,6 +435,7 @@ impl Cluster {
             replication,
             net_util,
             telemetry: wattdb_telemetry::Telemetry::new(),
+            policy: None,
             failover_span: None,
             powerdown_span: None,
         }))

@@ -401,10 +401,10 @@ impl HeatTable {
 
 /// Heat-aware scale-out plan over the live cluster state: take
 /// [`segment_stats`] at the configured horizon and plan with the
-/// planner's default tolerance (a source sheds until it sits within 10 %
-/// of the mean heat). The single entry point shared by `policy::plan`
-/// and the facade, so both always produce the same plan for the same
-/// state.
+/// planner's tolerance (a source sheds until it sits within
+/// [`wattdb_planner::SCALE_OUT_TOLERANCE`], 10 %, of the mean heat). The
+/// single entry point shared by `policy::plan` and the facade, so both
+/// always produce the same plan for the same state.
 pub fn plan_scale_out(
     c: &crate::cluster::Cluster,
     now: SimTime,
@@ -412,12 +412,7 @@ pub fn plan_scale_out(
     targets: &[NodeId],
 ) -> wattdb_planner::Plan {
     let stats = segment_stats(c, now, c.cfg.heat.horizon);
-    wattdb_planner::plan_scale_out(
-        &stats,
-        sources,
-        targets,
-        &wattdb_planner::PlanConfig::default(),
-    )
+    wattdb_planner::plan_scale_out(&stats, sources, targets)
 }
 
 /// Replica-aware drain plan over the live cluster state (see

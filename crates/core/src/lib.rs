@@ -40,9 +40,10 @@
 //!   [`policy::plan`] that turns each decision into a `ControlPlan` (or
 //!   a named refusal) with the configured planner (fraction vs.
 //!   heat-aware);
-//! * [`autopilot`] — the window's policy slot, the master's control
-//!   step: settle → decide → plan → run each window, autonomous
-//!   scale-out/scale-in with a queryable decision log;
+//! * [`autopilot`] — the master's control step the window runs on the
+//!   cluster's policy slot: settle → decide → plan → run each window,
+//!   autonomous scale-out/scale-in, each decision stored once on the
+//!   telemetry timeline;
 //! * [`replay`] — analytic query execution over shared resources
 //!   (Figs. 1–2);
 //! * [`metrics`] — throughput / response-time / power / energy series

@@ -9,13 +9,12 @@
 //! A deployment runs one such window loop ([`start_monitoring`]): the
 //! node probes are stateful window samplers and tolerate exactly one
 //! sampler. Each window it samples every node, freezes the telemetry
-//! window, and runs the control step of the policy engaged in its
-//! [`AutoPilot`] slot, if any.
+//! window, and runs the control step (`autopilot::step`) of the
+//! policy engaged in the cluster's slot, [`Cluster::policy`], if any.
 
 use wattdb_common::{NodeId, SimDuration, SimTime};
 use wattdb_sim::Sim;
 
-use crate::autopilot::AutoPilot;
 use crate::cluster::{Cluster, ClusterRc};
 
 /// One node's utilization report for a monitoring window.
@@ -139,16 +138,17 @@ impl ClusterView {
 /// Arm the deployment's one monitoring window: every `period`, all nodes
 /// report to the master, the window's metrics are frozen
 /// ([`crate::telemetry_sink::sample_window`]), and the policy engaged in
-/// `pilot`, if any, runs its control step on the view. The loop never
-/// stops — deliberately independent of the client stop flag, so the
-/// master keeps watching (and can scale in) after the workload drains.
+/// [`Cluster::policy`], if any, runs its control step on the view. The
+/// loop never stops — deliberately independent of the client stop flag,
+/// so the master keeps watching (and can scale in) after the workload
+/// drains.
 ///
 /// Each window opens with [`HeatTable::observe`](crate::heat::HeatTable::observe):
 /// one flat decay pass, so every heat read below (and any planner read
 /// inside the window) hits a zero-elapsed entry, and one velocity update
 /// per segment, so any monitored cluster accumulates the estimates
 /// projected-heat planning reads.
-pub fn start_monitoring(cl: &ClusterRc, sim: &mut Sim, period: SimDuration, pilot: AutoPilot) {
+pub fn start_monitoring(cl: &ClusterRc, sim: &mut Sim, period: SimDuration) {
     let handle = cl.clone();
     sim.every(period, move |sim| {
         let now = sim.now();
@@ -169,7 +169,7 @@ pub fn start_monitoring(cl: &ClusterRc, sim: &mut Sim, period: SimDuration, pilo
         let events = sim.events_executed();
         let window =
             crate::telemetry_sink::sample_window(&mut handle.borrow_mut(), &view, now, events);
-        pilot.step(&handle, sim, &view, window);
+        crate::autopilot::step(&handle, sim, &view, window);
         true
     });
 }

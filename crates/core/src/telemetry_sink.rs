@@ -2,9 +2,9 @@
 //! [`wattdb_telemetry`] flight recorder.
 //!
 //! The telemetry crate knows virtual time and metric names; this module
-//! owns the *vocabulary* — which gauges exist, how a [`Decision`]
-//! renders on the timeline, and how the policy's [`PolicySignals`] and
-//! the monitoring view combine into the exported
+//! owns the *vocabulary* — which gauges exist, how a [`ControlEvent`]
+//! renders as the exported `DecisionRecord`, and how the policy's
+//! [`PolicySignals`] and the monitoring view combine into the exported
 //! [`SignalVector`]. Everything here is called from the one monitoring
 //! window ([`crate::monitor::start_monitoring`]) and the policy step it
 //! runs, on already-sampled state: probes are stateful window samplers
@@ -13,9 +13,9 @@
 use std::fmt::Write;
 
 use wattdb_common::{NodeId, SimTime};
-use wattdb_telemetry::{DecisionRecord, MetricsRegistry, SignalVector};
+use wattdb_telemetry::{DecisionRecord, MetricsRegistry, SignalVector, ToRecord};
 
-use crate::autopilot::Outcome;
+use crate::autopilot::{ControlEvent, Outcome};
 use crate::cluster::Cluster;
 use crate::monitor::ClusterView;
 use crate::policy::{Decision, PolicySignals};
@@ -55,9 +55,10 @@ pub fn decision_label(d: &Decision) -> String {
     }
 }
 
-/// Render an applied/deferred/suspended outcome for the timeline.
+/// Render a hold/applied/deferred/suspended outcome for the timeline.
 pub fn outcome_label(outcome: &Outcome) -> String {
     match outcome {
+        Outcome::Hold => "hold".to_string(),
         Outcome::Applied => "applied".to_string(),
         Outcome::Deferred { reason } => format!("deferred: {reason}"),
         Outcome::Suspended { nodes } => format!("suspended: {}", node_list(nodes)),
@@ -86,29 +87,21 @@ pub fn signal_vector(view: &ClusterView, sig: &PolicySignals) -> SignalVector {
     }
 }
 
-/// Push one decision record onto the timeline.
-#[allow(clippy::too_many_arguments)]
-pub fn record_decision(
-    c: &mut Cluster,
-    window: u64,
-    at: SimTime,
-    decision: &Decision,
-    trigger: &str,
-    outcome: String,
-    signals: SignalVector,
-    predicted: Option<f64>,
-    span: Option<wattdb_telemetry::SpanId>,
-) {
-    c.telemetry.timeline.push(DecisionRecord {
-        window,
-        at,
-        decision: decision_label(decision),
-        trigger: trigger.to_string(),
-        outcome,
-        signals,
-        predicted,
-        span: span.map(|s| s.0),
-    });
+/// A control event renders as its timeline record when exported or
+/// explained: the labels are built then, not every window.
+impl ToRecord for ControlEvent {
+    fn to_record(&self) -> DecisionRecord {
+        DecisionRecord {
+            window: self.window,
+            at: self.at,
+            decision: decision_label(&self.decision),
+            trigger: self.trigger.to_string(),
+            outcome: outcome_label(&self.outcome),
+            signals: self.signals.clone(),
+            predicted: self.predicted,
+            span: self.span.map(|s| s.0),
+        }
+    }
 }
 
 /// Freeze one monitoring window into the metrics registry: transaction
@@ -223,6 +216,7 @@ mod tests {
         };
         assert_eq!(decision_label(&d), "ScaleOut(n1+n2→n4)");
         assert_eq!(decision_label(&Decision::Hold), "Hold");
+        assert_eq!(outcome_label(&Outcome::Hold), "hold");
         assert_eq!(
             outcome_label(&Outcome::Deferred {
                 reason: "rebalance in flight"

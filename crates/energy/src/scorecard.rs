@@ -10,8 +10,7 @@
 //! and condenses a whole trace-driven run into one [`Scorecard`]:
 //!
 //! * the proportionality index against the **rated** peak
-//!   ([`crate::proportionality_index_rated`]) and, for reference, the
-//!   legacy observed-peak form;
+//!   ([`crate::proportionality_index_rated`]);
 //! * mean and peak watts over the run;
 //! * Wh per committed transaction, overall and per trace phase
 //!   (trough/shoulder/peak, baseline/ramp/burst/decay);
@@ -33,7 +32,7 @@ use std::collections::BTreeMap;
 use wattdb_common::{SimTime, Watts};
 use wattdb_telemetry::{parse_jsonl, SchemaError, TimelineExport, WindowSample};
 
-use crate::proportionality::{proportionality_index, proportionality_index_rated, UtilPower};
+use crate::proportionality::{proportionality_index_rated, UtilPower};
 
 /// One labelled stretch of the trace, in absolute sim-time (a trace
 /// started at t = 0 can use its breakpoint offsets directly).
@@ -82,8 +81,6 @@ pub struct Scorecard {
     pub windows: u64,
     /// Proportionality index vs. the rated `P_peak` ideal line.
     pub proportionality_rated: f64,
-    /// Legacy observed-peak index, for comparison with older runs.
-    pub proportionality_observed: f64,
     /// Mean power across windows.
     pub mean_watts: f64,
     /// Highest per-window power.
@@ -217,7 +214,6 @@ pub fn score_export(export: &TimelineExport, phases: &[PhaseSpan], rated_peak: W
     Scorecard {
         windows: obs.len() as u64,
         proportionality_rated: proportionality_index_rated(&obs, rated_peak),
-        proportionality_observed: proportionality_index(&obs),
         mean_watts: if powers.is_empty() {
             0.0
         } else {
@@ -341,7 +337,7 @@ mod tests {
     #[test]
     fn jsonl_round_trip_scores_identically() {
         // An export serialized by the real recorder must parse and score.
-        let mut tel = wattdb_telemetry::Telemetry::new();
+        let mut tel = wattdb_telemetry::Telemetry::<wattdb_telemetry::DecisionRecord>::new();
         tel.registry.set_gauge("workload.target_clients", 400.0);
         tel.registry.set_gauge("power.watts", 90.0);
         tel.registry.set_gauge("energy.joules", 450.0);

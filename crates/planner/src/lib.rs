@@ -8,9 +8,9 @@
 //!
 //! * [`plan_scale_out`] relieves overloaded sources by greedy bin-packing:
 //!   it moves the segments with the best heat-per-byte ratio onto the
-//!   coldest targets until every source sits within a configurable
-//!   tolerance of the mean heat — minimizing bytes shipped for the balance
-//!   achieved, and never splitting a segment.
+//!   coldest targets until every source sits within
+//!   [`SCALE_OUT_TOLERANCE`] of the mean heat — minimizing bytes shipped
+//!   for the balance achieved, and never splitting a segment.
 //! * [`plan_drain_replicated`] empties nodes selected for scale-in,
 //!   spreading their segments hottest-first across the remaining nodes
 //!   (longest-processing-time scheduling) instead of dumping everything
@@ -32,8 +32,10 @@
 //! insert-heavy tables with ascending keys (orders, order-lines) have an
 //! *advancing* hot range — the segments that were hot cool off as inserts
 //! move past them, so relocating them buys less than the heat table
-//! suggests. Tracking heat velocity to plan for where heat is *going* is
-//! an open item (see the repository ROADMAP).
+//! suggests. The engine plans for where heat is *going*: its heat layer
+//! (`wattdb_core::heat`) tracks each segment's heat velocity and hands
+//! this crate stats projected `HeatConfig::horizon` ahead, so the planner
+//! itself stays a pure function of the heat it is given.
 
 use std::collections::BTreeMap;
 
@@ -81,19 +83,10 @@ pub struct SegmentStat {
     pub heat: f64,
 }
 
-/// Planner tuning knobs.
-#[derive(Debug, Clone, Copy)]
-pub struct PlanConfig {
-    /// Allowed overshoot above the mean per-node heat: a source stops
-    /// shedding once its heat is ≤ `mean × (1 + tolerance)`.
-    pub tolerance: f64,
-}
-
-impl Default for PlanConfig {
-    fn default() -> Self {
-        Self { tolerance: 0.1 }
-    }
-}
+/// Allowed overshoot above the mean per-node heat in
+/// [`plan_scale_out`]: a source stops shedding once its heat is
+/// ≤ `mean × (1 + SCALE_OUT_TOLERANCE)`.
+pub const SCALE_OUT_TOLERANCE: f64 = 0.1;
 
 /// One planned segment relocation.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -174,8 +167,8 @@ fn coldest(
 
 /// Plan a scale-out: relieve `sources` by moving their hottest-per-byte
 /// segments onto `targets` until every source's heat is within
-/// `cfg.tolerance` of the mean over the planning domain (sources ∪
-/// targets) — or no further move can improve the balance.
+/// [`SCALE_OUT_TOLERANCE`] of the mean over the planning domain
+/// (sources ∪ targets) — or no further move can improve the balance.
 ///
 /// Guarantees:
 /// * segments are never split and never land on a source;
@@ -183,12 +176,7 @@ fn coldest(
 ///   predicted maximum never exceeds the initial maximum;
 /// * cold segments (zero heat) are never shipped — bytes buy balance or
 ///   they stay home.
-pub fn plan_scale_out(
-    stats: &[SegmentStat],
-    sources: &[NodeId],
-    targets: &[NodeId],
-    cfg: &PlanConfig,
-) -> Plan {
+pub fn plan_scale_out(stats: &[SegmentStat], sources: &[NodeId], targets: &[NodeId]) -> Plan {
     let mut domain: Vec<NodeId> = sources.iter().chain(targets.iter()).copied().collect();
     domain.sort_unstable();
     domain.dedup();
@@ -200,7 +188,7 @@ pub fn plan_scale_out(
     } else {
         total / domain.len() as f64
     };
-    let ceiling = mean * (1.0 + cfg.tolerance.max(0.0));
+    let ceiling = mean * (1.0 + SCALE_OUT_TOLERANCE);
 
     let mut moves = Vec::new();
     let mut bytes_planned = 0u64;
@@ -946,7 +934,7 @@ mod tests {
     fn scale_out_balances_single_hot_source() {
         // Four equal segments, all heat on node 0, one fresh target.
         let stats: Vec<_> = (0..4).map(|i| stat(i, 0, 100, 1.0)).collect();
-        let plan = plan_scale_out(&stats, &[NodeId(0)], &[NodeId(1)], &PlanConfig::default());
+        let plan = plan_scale_out(&stats, &[NodeId(0)], &[NodeId(1)]);
         assert_eq!(plan.moves.len(), 2, "half the heat moves: {plan:?}");
         assert!(plan.moves.iter().all(|m| m.to == NodeId(1)));
         assert!((max_heat(&plan) - 2.0).abs() < 1e-9);
@@ -962,7 +950,7 @@ mod tests {
             stat(2, 0, 100, 2.5),
             stat(3, 0, 100, 2.0),
         ];
-        let plan = plan_scale_out(&stats, &[NodeId(0)], &[NodeId(1)], &PlanConfig::default());
+        let plan = plan_scale_out(&stats, &[NodeId(0)], &[NodeId(1)]);
         assert!(
             plan.moves.iter().all(|m| m.seg != SegmentId(0)),
             "the huge segment stays: {plan:?}"
@@ -978,7 +966,7 @@ mod tests {
             stat(1, 0, 100, 0.0),
             stat(2, 0, 100, 0.0),
         ];
-        let plan = plan_scale_out(&stats, &[NodeId(0)], &[NodeId(1)], &PlanConfig::default());
+        let plan = plan_scale_out(&stats, &[NodeId(0)], &[NodeId(1)]);
         assert!(
             plan.moves.iter().all(|m| m.seg == SegmentId(0)),
             "only the hot segment may ship: {plan:?}"
@@ -988,7 +976,7 @@ mod tests {
     #[test]
     fn scale_out_without_targets_is_empty() {
         let stats = vec![stat(0, 0, 100, 4.0)];
-        let plan = plan_scale_out(&stats, &[NodeId(0)], &[], &PlanConfig::default());
+        let plan = plan_scale_out(&stats, &[NodeId(0)], &[]);
         assert!(plan.is_empty());
     }
 
@@ -997,7 +985,7 @@ mod tests {
         // One indivisible hot segment: moving it would only shift the
         // hotspot, so the plan leaves it.
         let stats = vec![stat(0, 0, 100, 10.0)];
-        let plan = plan_scale_out(&stats, &[NodeId(0)], &[NodeId(1)], &PlanConfig::default());
+        let plan = plan_scale_out(&stats, &[NodeId(0)], &[NodeId(1)]);
         assert!(plan.is_empty(), "{plan:?}");
         assert!((max_heat(&plan) - plan.initial_max_heat).abs() < 1e-9);
     }
@@ -1042,8 +1030,7 @@ mod tests {
             let heat = if i < 2 { 10.0 } else { 0.5 };
             stats.push(stat(i, 0, 100, heat));
         }
-        let cfg = PlanConfig { tolerance: 0.1 };
-        let heat_plan = plan_scale_out(&stats, &[NodeId(0)], &[NodeId(1)], &cfg);
+        let heat_plan = plan_scale_out(&stats, &[NodeId(0)], &[NodeId(1)]);
         let frac_plan = plan_fraction(&stats, 0.5, &[NodeId(0)], &[NodeId(1)]);
         assert!(
             max_heat(&heat_plan) < max_heat(&frac_plan),
@@ -1525,13 +1512,7 @@ mod tests {
             let stats: Vec<_> = (0..n)
                 .map(|i| stat(i as u64, 0, 100, (next() % 100) as f64))
                 .collect();
-            let tol = (case % 4) as f64 * 0.1;
-            let heat_plan = plan_scale_out(
-                &stats,
-                &[NodeId(0)],
-                &[NodeId(1)],
-                &PlanConfig { tolerance: tol },
-            );
+            let heat_plan = plan_scale_out(&stats, &[NodeId(0)], &[NodeId(1)]);
             let frac_plan = plan_fraction(&stats, 0.5, &[NodeId(0)], &[NodeId(1)]);
             assert!(
                 heat_plan.bytes_planned <= frac_plan.bytes_planned,

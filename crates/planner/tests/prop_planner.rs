@@ -7,7 +7,7 @@ use std::collections::BTreeSet;
 use proptest::prelude::*;
 use wattdb_common::{Key, KeyRange, NodeId, SegmentId, TableId};
 use wattdb_planner::{
-    plan_drain_replicated, plan_fraction, plan_scale_out, PlanConfig, SegmentStat,
+    plan_drain_replicated, plan_fraction, plan_scale_out, SegmentStat, SCALE_OUT_TOLERANCE,
 };
 
 /// Build one segment per heat entry, laid out in key order on `node`.
@@ -49,7 +49,7 @@ proptest! {
         let sources: Vec<NodeId> = (0..n_sources as u16).map(NodeId).collect();
         let targets: Vec<NodeId> =
             (10..10 + n_targets as u16).map(NodeId).collect();
-        let plan = plan_scale_out(&stats, &sources, &targets, &PlanConfig::default());
+        let plan = plan_scale_out(&stats, &sources, &targets);
 
         let mut seen = BTreeSet::new();
         for m in &plan.moves {
@@ -74,15 +74,10 @@ proptest! {
     #[test]
     fn scale_out_respects_the_tolerance_bound(
         heats in proptest::collection::vec(0.0f64..100.0, 1..24),
-        tol in 0.0f64..0.5,
     ) {
+        let tol = SCALE_OUT_TOLERANCE;
         let stats = stats_on(&heats, 0, 100, 0);
-        let plan = plan_scale_out(
-            &stats,
-            &[NodeId(0)],
-            &[NodeId(1)],
-            &PlanConfig { tolerance: tol },
-        );
+        let plan = plan_scale_out(&stats, &[NodeId(0)], &[NodeId(1)]);
         let total: f64 = heats.iter().sum();
         let mean = total / 2.0;
         let hottest = heats.iter().copied().fold(0.0, f64::max);
@@ -101,15 +96,9 @@ proptest! {
     #[test]
     fn scale_out_ships_no_more_bytes_than_fraction(
         heats in proptest::collection::vec(0.0f64..100.0, 1..24),
-        tol in 0.0f64..0.5,
     ) {
         let stats = stats_on(&heats, 0, 4096, 0);
-        let heat_plan = plan_scale_out(
-            &stats,
-            &[NodeId(0)],
-            &[NodeId(1)],
-            &PlanConfig { tolerance: tol },
-        );
+        let heat_plan = plan_scale_out(&stats, &[NodeId(0)], &[NodeId(1)]);
         let frac_plan = plan_fraction(&stats, 0.5, &[NodeId(0)], &[NodeId(1)]);
         prop_assert!(
             heat_plan.bytes_planned <= frac_plan.bytes_planned,

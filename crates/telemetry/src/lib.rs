@@ -37,7 +37,9 @@ pub mod timeline;
 pub use export::{parse_jsonl, ExportMeta, SchemaError, TimelineExport, SCHEMA_VERSION};
 pub use registry::{MetricName, MetricsRegistry, WindowSample};
 pub use span::{AttrValue, Span, SpanCollector, SpanEvent, SpanId};
-pub use timeline::{render_explain, render_record, DecisionRecord, DecisionTimeline, SignalVector};
+pub use timeline::{
+    render_explain, render_record, DecisionRecord, DecisionTimeline, SignalVector, ToRecord,
+};
 
 use wattdb_common::SimTime;
 
@@ -51,39 +53,33 @@ pub const DEFAULT_DECISION_CAPACITY: usize = 8192;
 /// The assembled flight recorder: spans + registry + decision timeline.
 ///
 /// Embedded in the cluster and always on; the bounded rings make the
-/// steady-state memory cost constant regardless of run length.
+/// steady-state memory cost constant regardless of run length. `R` is
+/// the decision type the timeline stores, rendered as a
+/// [`DecisionRecord`] only by [`Telemetry::export_jsonl`] and
+/// [`Telemetry::explain`].
 #[derive(Debug)]
-pub struct Telemetry {
+pub struct Telemetry<R> {
     /// Tracing spans for long-running operations.
     pub spans: SpanCollector,
     /// Per-window metrics registry.
     pub registry: MetricsRegistry,
     /// The autopilot decision timeline.
-    pub timeline: DecisionTimeline,
+    pub timeline: DecisionTimeline<R>,
 }
 
-impl Default for Telemetry {
+impl<R: ToRecord> Default for Telemetry<R> {
     fn default() -> Self {
         Self::new()
     }
 }
 
-impl Telemetry {
+impl<R: ToRecord> Telemetry<R> {
     /// Recorder with the default ring bounds.
     pub fn new() -> Self {
-        Self::with_capacity(
-            DEFAULT_SPAN_CAPACITY,
-            DEFAULT_SAMPLE_CAPACITY,
-            DEFAULT_DECISION_CAPACITY,
-        )
-    }
-
-    /// Recorder with explicit ring bounds (spans, samples, decisions).
-    pub fn with_capacity(spans: usize, samples: usize, decisions: usize) -> Self {
         Self {
-            spans: SpanCollector::new(spans),
-            registry: MetricsRegistry::new(samples),
-            timeline: DecisionTimeline::new(decisions),
+            spans: SpanCollector::new(DEFAULT_SPAN_CAPACITY),
+            registry: MetricsRegistry::new(DEFAULT_SAMPLE_CAPACITY),
+            timeline: DecisionTimeline::new(DEFAULT_DECISION_CAPACITY),
         }
     }
 
@@ -111,7 +107,7 @@ impl Telemetry {
             out.push('\n');
         }
         for record in self.timeline.records() {
-            out.push_str(&export::decision_line(record));
+            out.push_str(&export::decision_line(&record.to_record()));
             out.push('\n');
         }
         out
@@ -144,7 +140,7 @@ mod tests {
 
     #[test]
     fn export_parses_back_and_explains_identically() {
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::<DecisionRecord>::new();
         let span = t.start_span(
             "helpers",
             SimTime::from_secs(10),

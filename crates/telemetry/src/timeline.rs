@@ -1,14 +1,16 @@
 //! The explainable autopilot timeline.
 //!
-//! Every monitoring window produces exactly one [`DecisionRecord`] —
-//! including the windows where the policy held still — carrying the full
-//! [`SignalVector`] that produced the decision (utilization, skew,
-//! streak counters, cooldown state). Applied decisions link to the span
-//! of the operation they started, so predicted-vs-realized outcomes can
-//! be joined back onto the decision after the operation completes.
+//! Every monitoring window produces exactly one decision — including the
+//! windows where the policy held still — carrying the full
+//! [`SignalVector`] that produced it (utilization, skew, streak counters,
+//! cooldown state). Applied decisions link to the span of the operation
+//! they started, so predicted-vs-realized outcomes can be joined back
+//! onto the decision after the operation completes.
 //!
-//! [`render_explain`] turns records (plus their linked spans) into the
-//! human-readable account `explain()` returns:
+//! The [`DecisionTimeline`] ring stores the recorder's own typed decision
+//! and renders it as a [`DecisionRecord`] ([`ToRecord`]) only when it is
+//! exported or explained. [`render_explain`] turns records (plus their
+//! linked spans) into the human-readable account `explain()` returns:
 //!
 //! ```text
 //! window 42 [t=210s]: skew 2.30 ≥ 2.00, streak 2/2 → AttachHelpers
@@ -74,16 +76,30 @@ pub struct DecisionRecord {
     pub span: Option<u64>,
 }
 
-/// Bounded ring of decision records.
+/// A stored decision: anything the timeline can render as a
+/// [`DecisionRecord`] when it is exported or explained. The labels are
+/// built then, not when the decision is recorded.
+pub trait ToRecord {
+    /// The record this decision exports as.
+    fn to_record(&self) -> DecisionRecord;
+}
+
+impl ToRecord for DecisionRecord {
+    fn to_record(&self) -> DecisionRecord {
+        self.clone()
+    }
+}
+
+/// Bounded ring of decisions, one per monitoring window.
 #[derive(Debug)]
-pub struct DecisionTimeline {
-    records: VecDeque<DecisionRecord>,
+pub struct DecisionTimeline<R> {
+    records: VecDeque<R>,
     capacity: usize,
     /// Records evicted from the ring since the start of the run.
     pub dropped: u64,
 }
 
-impl DecisionTimeline {
+impl<R> DecisionTimeline<R> {
     /// Timeline with a ring bound on retained records.
     pub fn new(capacity: usize) -> Self {
         Self {
@@ -94,7 +110,7 @@ impl DecisionTimeline {
     }
 
     /// Append one window's record.
-    pub fn push(&mut self, record: DecisionRecord) {
+    pub fn push(&mut self, record: R) {
         if self.records.len() == self.capacity {
             self.records.pop_front();
             self.dropped += 1;
@@ -103,7 +119,7 @@ impl DecisionTimeline {
     }
 
     /// Records oldest-surviving first.
-    pub fn records(&self) -> impl Iterator<Item = &DecisionRecord> {
+    pub fn records(&self) -> impl Iterator<Item = &R> {
         self.records.iter()
     }
 
@@ -182,12 +198,15 @@ pub fn render_record(record: &DecisionRecord, span: Option<&Span>) -> String {
 
 /// Render a full timeline: one line per record, joined with the spans
 /// they link to. `lookup` resolves a span id to its span, when retained.
-pub fn render_explain<'a>(
-    records: impl Iterator<Item = &'a DecisionRecord>,
+pub fn render_explain<'a, R: ToRecord + 'a>(
+    records: impl Iterator<Item = &'a R>,
     mut lookup: impl FnMut(u64) -> Option<&'a Span>,
 ) -> Vec<String> {
     records
-        .map(|r| render_record(r, r.span.and_then(&mut lookup)))
+        .map(|r| {
+            let r = r.to_record();
+            render_record(&r, r.span.and_then(&mut lookup))
+        })
         .collect()
 }
 

@@ -5,7 +5,7 @@
 
 use proptest::prelude::*;
 use wattdb_common::SimTime;
-use wattdb_telemetry::{parse_jsonl, SpanCollector, SpanId, Telemetry};
+use wattdb_telemetry::{parse_jsonl, DecisionRecord, SpanCollector, SpanId, Telemetry};
 
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
@@ -86,7 +86,7 @@ proptest! {
         names in proptest::collection::vec(0u8..4, 1..24),
         close_mask in proptest::collection::vec(0u8..2, 24),
     ) {
-        let mut t = Telemetry::new();
+        let mut t = Telemetry::<DecisionRecord>::new();
         let labels = ["rebalance", "helpers", "failover", "power"];
         let mut ids = Vec::new();
         for (i, &n) in names.iter().enumerate() {

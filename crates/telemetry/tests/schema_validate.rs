@@ -46,7 +46,7 @@ fn bench_timeline_artifact_is_schema_valid_when_present() {
 
 #[test]
 fn generated_export_round_trips_line_for_line() {
-    let mut t = Telemetry::new();
+    let mut t = Telemetry::<DecisionRecord>::new();
     let span = t.start_span(
         "rebalance",
         SimTime::from_secs(5),

@@ -23,7 +23,6 @@ fn artifact_path() -> PathBuf {
 const CELL_NUMS: &[&str] = &[
     "windows",
     "proportionality_rated",
-    "proportionality_observed",
     "mean_watts",
     "peak_watts",
     "rated_watts",
@@ -85,13 +84,14 @@ fn validate(doc: &JsonValue) {
                 "cell {trace}/{policy} field {field} must be finite and non-negative"
             );
         }
-        for idx in ["proportionality_rated", "proportionality_observed"] {
-            let v = c.get(idx).and_then(|v| v.as_f64()).unwrap();
-            assert!(
-                (0.0..=1.0).contains(&v),
-                "cell {trace}/{policy} {idx} {v} out of [0,1]"
-            );
-        }
+        let rated = c
+            .get("proportionality_rated")
+            .and_then(|v| v.as_f64())
+            .unwrap();
+        assert!(
+            (0.0..=1.0).contains(&rated),
+            "cell {trace}/{policy} proportionality_rated {rated} out of [0,1]"
+        );
         assert!(
             c.get("committed_txns").and_then(|v| v.as_u64()).unwrap() > 0,
             "cell {trace}/{policy} committed no work"
@@ -172,12 +172,12 @@ fn inline_exemplar_round_trips_the_schema() {
   "seed": 42,
   "p95_bound": 4.0,
   "cells": [
-    {"trace": "diurnal", "policy": "autopilot", "windows": 49, "proportionality_rated": 0.91, "proportionality_observed": 0.76, "mean_watts": 61.0, "peak_watts": 110.0, "rated_watts": 150.0, "committed_txns": 29000, "wh_per_txn": 0.00013, "p95_ceiling_ms": 260.0, "nodes_powered": [[1, 20], [2, 19], [3, 10]], "phases": [{"label": "trough", "windows": 16, "mean_watts": 36.0, "committed_txns": 3000, "wh_per_txn": 0.0002}, {"label": "shoulder", "windows": 17, "mean_watts": 60.0, "committed_txns": 10000, "wh_per_txn": 0.00014}, {"label": "peak", "windows": 16, "mean_watts": 95.0, "committed_txns": 16000, "wh_per_txn": 0.0001}]},
-    {"trace": "diurnal", "policy": "static", "windows": 49, "proportionality_rated": 0.62, "proportionality_observed": 0.55, "mean_watts": 144.0, "peak_watts": 145.0, "rated_watts": 150.0, "committed_txns": 31000, "wh_per_txn": 0.00027, "p95_ceiling_ms": 130.0, "nodes_powered": [[4, 49]], "phases": [{"label": "trough", "windows": 16, "mean_watts": 143.0, "committed_txns": 3200, "wh_per_txn": 0.0008}, {"label": "shoulder", "windows": 17, "mean_watts": 144.0, "committed_txns": 11000, "wh_per_txn": 0.00026}, {"label": "peak", "windows": 16, "mean_watts": 145.0, "committed_txns": 16800, "wh_per_txn": 0.00017}]},
-    {"trace": "flash-crowd", "policy": "autopilot", "windows": 49, "proportionality_rated": 0.88, "proportionality_observed": 0.71, "mean_watts": 58.0, "peak_watts": 112.0, "rated_watts": 150.0, "committed_txns": 21000, "wh_per_txn": 0.00016, "p95_ceiling_ms": 520.0, "nodes_powered": [[1, 28], [3, 21]], "phases": [{"label": "baseline", "windows": 25, "mean_watts": 38.0, "committed_txns": 5000, "wh_per_txn": 0.00021}, {"label": "ramp", "windows": 4, "mean_watts": 70.0, "committed_txns": 2000, "wh_per_txn": 0.00018}, {"label": "burst", "windows": 12, "mean_watts": 108.0, "committed_txns": 11000, "wh_per_txn": 0.00013}, {"label": "decay", "windows": 8, "mean_watts": 66.0, "committed_txns": 3000, "wh_per_txn": 0.00019}]},
-    {"trace": "flash-crowd", "policy": "static", "windows": 49, "proportionality_rated": 0.55, "proportionality_observed": 0.48, "mean_watts": 144.0, "peak_watts": 145.0, "rated_watts": 150.0, "committed_txns": 22000, "wh_per_txn": 0.00037, "p95_ceiling_ms": 130.0, "nodes_powered": [[4, 49]], "phases": [{"label": "baseline", "windows": 25, "mean_watts": 144.0, "committed_txns": 5200, "wh_per_txn": 0.00096}, {"label": "ramp", "windows": 4, "mean_watts": 144.0, "committed_txns": 2100, "wh_per_txn": 0.00038}, {"label": "burst", "windows": 12, "mean_watts": 145.0, "committed_txns": 11400, "wh_per_txn": 0.00021}, {"label": "decay", "windows": 8, "mean_watts": 144.0, "committed_txns": 3300, "wh_per_txn": 0.00048}]},
-    {"trace": "tenant-mix", "policy": "autopilot", "windows": 49, "proportionality_rated": 0.83, "proportionality_observed": 0.79, "mean_watts": 66.0, "peak_watts": 90.0, "rated_watts": 150.0, "committed_txns": 33000, "wh_per_txn": 0.00011, "p95_ceiling_ms": 260.0, "nodes_powered": [[2, 40], [3, 9]], "phases": [{"label": "shoulder", "windows": 49, "mean_watts": 66.0, "committed_txns": 33000, "wh_per_txn": 0.00011}]},
-    {"trace": "tenant-mix", "policy": "static", "windows": 49, "proportionality_rated": 0.58, "proportionality_observed": 0.52, "mean_watts": 144.0, "peak_watts": 145.0, "rated_watts": 150.0, "committed_txns": 35000, "wh_per_txn": 0.00023, "p95_ceiling_ms": 130.0, "nodes_powered": [[4, 49]], "phases": [{"label": "shoulder", "windows": 49, "mean_watts": 144.0, "committed_txns": 35000, "wh_per_txn": 0.00023}]}
+    {"trace": "diurnal", "policy": "autopilot", "windows": 49, "proportionality_rated": 0.91, "mean_watts": 61.0, "peak_watts": 110.0, "rated_watts": 150.0, "committed_txns": 29000, "wh_per_txn": 0.00013, "p95_ceiling_ms": 260.0, "nodes_powered": [[1, 20], [2, 19], [3, 10]], "phases": [{"label": "trough", "windows": 16, "mean_watts": 36.0, "committed_txns": 3000, "wh_per_txn": 0.0002}, {"label": "shoulder", "windows": 17, "mean_watts": 60.0, "committed_txns": 10000, "wh_per_txn": 0.00014}, {"label": "peak", "windows": 16, "mean_watts": 95.0, "committed_txns": 16000, "wh_per_txn": 0.0001}]},
+    {"trace": "diurnal", "policy": "static", "windows": 49, "proportionality_rated": 0.62, "mean_watts": 144.0, "peak_watts": 145.0, "rated_watts": 150.0, "committed_txns": 31000, "wh_per_txn": 0.00027, "p95_ceiling_ms": 130.0, "nodes_powered": [[4, 49]], "phases": [{"label": "trough", "windows": 16, "mean_watts": 143.0, "committed_txns": 3200, "wh_per_txn": 0.0008}, {"label": "shoulder", "windows": 17, "mean_watts": 144.0, "committed_txns": 11000, "wh_per_txn": 0.00026}, {"label": "peak", "windows": 16, "mean_watts": 145.0, "committed_txns": 16800, "wh_per_txn": 0.00017}]},
+    {"trace": "flash-crowd", "policy": "autopilot", "windows": 49, "proportionality_rated": 0.88, "mean_watts": 58.0, "peak_watts": 112.0, "rated_watts": 150.0, "committed_txns": 21000, "wh_per_txn": 0.00016, "p95_ceiling_ms": 520.0, "nodes_powered": [[1, 28], [3, 21]], "phases": [{"label": "baseline", "windows": 25, "mean_watts": 38.0, "committed_txns": 5000, "wh_per_txn": 0.00021}, {"label": "ramp", "windows": 4, "mean_watts": 70.0, "committed_txns": 2000, "wh_per_txn": 0.00018}, {"label": "burst", "windows": 12, "mean_watts": 108.0, "committed_txns": 11000, "wh_per_txn": 0.00013}, {"label": "decay", "windows": 8, "mean_watts": 66.0, "committed_txns": 3000, "wh_per_txn": 0.00019}]},
+    {"trace": "flash-crowd", "policy": "static", "windows": 49, "proportionality_rated": 0.55, "mean_watts": 144.0, "peak_watts": 145.0, "rated_watts": 150.0, "committed_txns": 22000, "wh_per_txn": 0.00037, "p95_ceiling_ms": 130.0, "nodes_powered": [[4, 49]], "phases": [{"label": "baseline", "windows": 25, "mean_watts": 144.0, "committed_txns": 5200, "wh_per_txn": 0.00096}, {"label": "ramp", "windows": 4, "mean_watts": 144.0, "committed_txns": 2100, "wh_per_txn": 0.00038}, {"label": "burst", "windows": 12, "mean_watts": 145.0, "committed_txns": 11400, "wh_per_txn": 0.00021}, {"label": "decay", "windows": 8, "mean_watts": 144.0, "committed_txns": 3300, "wh_per_txn": 0.00048}]},
+    {"trace": "tenant-mix", "policy": "autopilot", "windows": 49, "proportionality_rated": 0.83, "mean_watts": 66.0, "peak_watts": 90.0, "rated_watts": 150.0, "committed_txns": 33000, "wh_per_txn": 0.00011, "p95_ceiling_ms": 260.0, "nodes_powered": [[2, 40], [3, 9]], "phases": [{"label": "shoulder", "windows": 49, "mean_watts": 66.0, "committed_txns": 33000, "wh_per_txn": 0.00011}]},
+    {"trace": "tenant-mix", "policy": "static", "windows": 49, "proportionality_rated": 0.58, "mean_watts": 144.0, "peak_watts": 145.0, "rated_watts": 150.0, "committed_txns": 35000, "wh_per_txn": 0.00023, "p95_ceiling_ms": 130.0, "nodes_powered": [[4, 49]], "phases": [{"label": "shoulder", "windows": 49, "mean_watts": 144.0, "committed_txns": 35000, "wh_per_txn": 0.00023}]}
   ]
 }
 "#;

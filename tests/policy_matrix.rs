@@ -426,7 +426,7 @@ fn transient_bimodal_skew_attaches_helpers_and_never_ships() {
     let attach = applied[0];
     assert_eq!(attach.trigger, "helper");
     assert!(
-        attach.relief > 0.0,
+        attach.predicted > Some(0.0),
         "applied attachment logs its predicted relief: {attach:?}"
     );
     // Not a single segment shipped: no rebalance decision, no history,
@@ -461,7 +461,7 @@ fn transient_bimodal_skew_attaches_helpers_and_never_ships() {
     println!(
         "[transient/helpers-first] attaches={} helpers={helpers:?} relief={:.1}",
         applied.len(),
-        attach.relief
+        attach.predicted.unwrap_or_default()
     );
 }
 
