@@ -21,21 +21,30 @@
 //! the value) pays one root-to-leaf walk, not a `get` and an `insert`.
 //! [`BPlusTree::get_mut`] is the same for a key that must already exist.
 //!
-//! **A node's vectors hold `MAX + 1` entries at most** (a node overflows
-//! by one entry before it splits) and are never allocated larger. A fresh
-//! root reserves that room at once. A split hands the node's existing
-//! buffer to the half the new entry landed in — the half that keeps
-//! filling: TPC-C's inserts append per district, so it is nearly always
-//! the upper one — and copies the half left behind into a vector that fits
-//! it exactly: after a sequential load every leaf but the last of each run
-//! is half full for good, and keeps 16 entries in room for 16, not for 33.
-//! Split point, separators and `height()` do not depend on which half got
-//! which buffer. A left-behind half that does grow again (a random insert,
-//! a borrow, a merge) regrows once, straight to `MAX + 1` (`grow`).
+//! **A node is one heap block** (`crate::block`): its keys, then its
+//! values — a leaf's entries, or an internal node's separators and its
+//! children, held inline. A binary search walks keys packed eight to a
+//! cache line, and what it lands on is in the same block, not behind a
+//! second pointer. A split, a fresh root and a regrow each cost one heap
+//! call.
+//!
+//! **A node's block holds `MAX + 1` entries at most** (a node overflows by
+//! one entry before it splits) and is never allocated larger. A fresh root
+//! reserves that room at once. A split hands the node's existing block to
+//! the half the new entry landed in — the half that keeps filling: TPC-C's
+//! inserts append per district, so it is nearly always the upper one — and
+//! copies the half left behind into a block that fits it exactly: after a
+//! sequential load every leaf but the last of each run is half full for
+//! good, and keeps 16 entries in room for 16, not for 33. Split point,
+//! separators and `height()` do not depend on which half got which block.
+//! A left-behind half that does grow again (a random insert, a borrow, a
+//! merge) regrows once, straight to `MAX + 1` (`grow`).
 
 use std::convert::Infallible;
 
 use wattdb_common::{Key, KeyRange};
+
+use crate::block::Block;
 
 /// Minimum number of entries in a non-root leaf, and minimum number of
 /// children in a non-root internal node. Fanout is `2 * MIN_DEGREE`.
@@ -43,24 +52,19 @@ const MIN_DEGREE: usize = 16;
 const MAX_LEAF: usize = 2 * MIN_DEGREE; // max entries per leaf
 const MAX_CHILDREN: usize = 2 * MIN_DEGREE; // max children per internal
 
-#[derive(Debug, Clone)]
-struct Leaf<V> {
-    keys: Vec<Key>,
-    vals: Vec<V>,
-}
-
-#[derive(Debug, Clone)]
-struct Internal<V> {
-    /// `seps[i]` is the smallest key reachable through `children[i + 1]`.
-    seps: Vec<Key>,
-    children: Vec<Node<V>>,
-}
-
+/// A node: a leaf's entries, or an internal node's children, each child
+/// beside the separator in front of it — key `i` (for `i >= 1`) is the
+/// smallest key reachable through child `i`; the first child has no
+/// separator, and its key is never read.
 #[derive(Debug, Clone)]
 enum Node<V> {
-    L(Leaf<V>),
-    I(Internal<V>),
+    L(Block<V>),
+    I(Block<Node<V>>),
 }
+
+// One per child of every internal node: a field added here is paid for in
+// every node of every segment's index.
+const _: () = assert!(std::mem::size_of::<Node<u64>>() == 24);
 
 enum InsertOutcome<V> {
     /// Key existed; previous value returned.
@@ -71,48 +75,30 @@ enum InsertOutcome<V> {
     Split(Key, Node<V>),
 }
 
-/// Room of a leaf's vectors and of an internal node's children: the
-/// fan-out and the one entry of overflow. (`seps` is one shorter.)
+/// Room of a node's block: the fan-out and the one entry of overflow.
 const ROOM: usize = MAX_LEAF + 1;
 
-/// Make sure `extra` more entries fit `v`, a node vector that holds at
-/// most `room`: a vector short of room goes straight to `room`, where
-/// `Vec`'s doubling would overshoot it (17 → 34).
-fn grow<T>(v: &mut Vec<T>, extra: usize, room: usize) {
-    if v.capacity() - v.len() < extra {
-        v.reserve_exact(room - v.len());
+/// Make sure `extra` more entries fit `b`, a node's block: a block short
+/// of room goes straight to [`ROOM`], where doubling would overshoot it
+/// (17 → 34).
+fn grow<T>(b: &mut Block<T>, extra: usize) {
+    if b.room() - b.len() < extra {
+        b.reserve_exact(ROOM - b.len());
     }
 }
 
-/// Split an overflowing node's vector: `v` keeps `v[..keep]`, `v[at..]`
-/// is returned, and what lies between (the separator an internal split
-/// sends up) is dropped. The half the new entry landed in — the upper one
-/// if `upper_grows` — gets the existing buffer, the other one a vector of
-/// exactly its length: one heap call either way.
-fn split_halves<T>(v: &mut Vec<T>, keep: usize, at: usize, upper_grows: bool) -> Vec<T> {
-    if upper_grows {
-        let mut lower = Vec::with_capacity(keep);
-        lower.extend(v.drain(..at).take(keep));
-        std::mem::replace(v, lower)
-    } else {
-        let upper = v.split_off(at);
-        v.truncate(keep);
-        upper
-    }
+/// The child of an internal node whose subtree holds `key`.
+#[inline]
+fn child_index<V>(kids: &Block<Node<V>>, key: Key) -> usize {
+    kids.keys()[1..].partition_point(|sep| *sep <= key)
 }
 
 impl<V> Node<V> {
-    fn new_leaf() -> Self {
-        Node::L(Leaf {
-            keys: Vec::with_capacity(ROOM),
-            vals: Vec::with_capacity(ROOM),
-        })
-    }
-
-    fn is_underflowed(&self) -> bool {
+    /// Entries of a leaf, children of an internal node.
+    fn len(&self) -> usize {
         match self {
-            Node::L(l) => l.keys.len() < MIN_DEGREE,
-            Node::I(i) => i.children.len() < MIN_DEGREE,
+            Node::L(l) => l.len(),
+            Node::I(kids) => kids.len(),
         }
     }
 }
@@ -136,7 +122,7 @@ impl<V> BPlusTree<V> {
     /// An empty tree.
     pub fn new() -> Self {
         Self {
-            root: Node::new_leaf(),
+            root: Node::L(Block::with_room(ROOM)),
             len: 0,
             height: 1,
         }
@@ -165,14 +151,11 @@ impl<V> BPlusTree<V> {
         loop {
             match n {
                 Node::L(l) => {
-                    return match l.keys.binary_search(&key) {
-                        Ok(i) => (Some(&l.vals[i]), visits),
-                        Err(_) => (None, visits),
-                    };
+                    let found = l.keys().binary_search(&key).ok();
+                    return (found.map(|i| &l.vals()[i]), visits);
                 }
-                Node::I(i) => {
-                    let idx = i.seps.partition_point(|s| *s <= key);
-                    n = &i.children[idx];
+                Node::I(kids) => {
+                    n = &kids.vals()[child_index(kids, key)];
                     visits += 1;
                 }
             }
@@ -185,14 +168,12 @@ impl<V> BPlusTree<V> {
         loop {
             match n {
                 Node::L(l) => {
-                    return match l.keys.binary_search(&key) {
-                        Ok(i) => Some(&mut l.vals[i]),
-                        Err(_) => None,
-                    };
+                    let found = l.keys().binary_search(&key).ok();
+                    return found.map(|i| &mut l.vals_mut()[i]);
                 }
-                Node::I(i) => {
-                    let idx = i.seps.partition_point(|s| *s <= key);
-                    n = &mut i.children[idx];
+                Node::I(kids) => {
+                    let idx = child_index(kids, key);
+                    n = &mut kids.vals_mut()[idx];
                 }
             }
         }
@@ -219,16 +200,11 @@ impl<V> BPlusTree<V> {
             InsertOutcome::Replaced(old) => return Ok(Some(old)),
             InsertOutcome::Done => {}
             InsertOutcome::Split(sep, right) => {
-                let mut root = Internal {
-                    seps: Vec::with_capacity(ROOM - 1),
-                    children: Vec::with_capacity(ROOM),
-                };
-                root.seps.push(sep);
-                root.children.push(right);
-                let old_root = std::mem::replace(&mut self.root, Node::I(root));
-                if let Node::I(root) = &mut self.root {
-                    root.children.insert(0, old_root);
-                }
+                let mut root = Block::with_room(ROOM);
+                let old_root = std::mem::replace(&mut self.root, Node::L(Block::with_room(0)));
+                root.push(Key::MIN, old_root);
+                root.push(sep, right);
+                self.root = Node::I(root);
                 self.height += 1;
             }
         }
@@ -242,49 +218,37 @@ impl<V> BPlusTree<V> {
         make: impl FnOnce(Option<&V>) -> Result<V, E>,
     ) -> Result<InsertOutcome<V>, E> {
         Ok(match node {
-            Node::L(l) => match l.keys.binary_search(&key) {
+            Node::L(l) => match l.keys().binary_search(&key) {
                 Ok(i) => {
-                    let value = make(Some(&l.vals[i]))?;
-                    InsertOutcome::Replaced(std::mem::replace(&mut l.vals[i], value))
+                    let value = make(Some(&l.vals()[i]))?;
+                    InsertOutcome::Replaced(std::mem::replace(&mut l.vals_mut()[i], value))
                 }
                 Err(i) => {
                     let value = make(None)?;
-                    grow(&mut l.keys, 1, ROOM);
-                    grow(&mut l.vals, 1, ROOM);
-                    l.keys.insert(i, key);
-                    l.vals.insert(i, value);
-                    if l.keys.len() > MAX_LEAF {
-                        let mid = l.keys.len() / 2;
-                        let right = Leaf {
-                            keys: split_halves(&mut l.keys, mid, mid, i >= mid),
-                            vals: split_halves(&mut l.vals, mid, mid, i >= mid),
-                        };
-                        let sep = right.keys[0];
-                        InsertOutcome::Split(sep, Node::L(right))
+                    grow(l, 1);
+                    l.insert(i, key, value);
+                    if l.len() > MAX_LEAF {
+                        let mid = l.len() / 2;
+                        let right = l.split(mid, i >= mid);
+                        InsertOutcome::Split(right.keys()[0], Node::L(right))
                     } else {
                         InsertOutcome::Done
                     }
                 }
             },
-            Node::I(internal) => {
-                let idx = internal.seps.partition_point(|s| *s <= key);
-                match Self::upsert_rec(&mut internal.children[idx], key, make)? {
+            Node::I(kids) => {
+                let idx = child_index(kids, key);
+                match Self::upsert_rec(&mut kids.vals_mut()[idx], key, make)? {
                     InsertOutcome::Split(sep, right) => {
-                        grow(&mut internal.seps, 1, ROOM - 1);
-                        grow(&mut internal.children, 1, ROOM);
-                        internal.seps.insert(idx, sep);
-                        internal.children.insert(idx + 1, right);
-                        if internal.children.len() > MAX_CHILDREN {
-                            // Split internal node: middle separator moves up.
-                            let mid = internal.seps.len() / 2;
-                            let up = internal.seps[mid];
-                            let upper_grows = idx >= mid;
-                            let Internal { seps, children } = internal;
-                            let right = Internal {
-                                seps: split_halves(seps, mid, mid + 1, upper_grows),
-                                children: split_halves(children, mid + 1, mid + 1, upper_grows),
-                            };
-                            InsertOutcome::Split(up, Node::I(right))
+                        grow(kids, 1);
+                        kids.insert(idx + 1, sep, right);
+                        if kids.len() > MAX_CHILDREN {
+                            // Split internal node: the lower half keeps one
+                            // child more, and the separator in front of the
+                            // upper half's first child moves up.
+                            let at = kids.len().div_ceil(2);
+                            let right = kids.split(at, idx + 1 >= at);
+                            InsertOutcome::Split(right.keys()[0], Node::I(right))
                         } else {
                             InsertOutcome::Done
                         }
@@ -302,9 +266,9 @@ impl<V> BPlusTree<V> {
             self.len -= 1;
         }
         // Shrink the root if it degenerated to a single child.
-        if let Node::I(i) = &mut self.root {
-            if i.children.len() == 1 {
-                let child = i.children.pop().expect("one child");
+        if let Node::I(kids) = &mut self.root {
+            if kids.len() == 1 {
+                let (_, child) = kids.pop().expect("one child");
                 self.root = child;
                 self.height -= 1;
             }
@@ -314,111 +278,84 @@ impl<V> BPlusTree<V> {
 
     fn remove_rec(node: &mut Node<V>, key: Key) -> Option<V> {
         match node {
-            Node::L(l) => match l.keys.binary_search(&key) {
-                Ok(i) => {
-                    l.keys.remove(i);
-                    Some(l.vals.remove(i))
-                }
-                Err(_) => None,
-            },
-            Node::I(internal) => {
-                let idx = internal.seps.partition_point(|s| *s <= key);
-                let removed = Self::remove_rec(&mut internal.children[idx], key)?;
-                if internal.children[idx].is_underflowed() {
-                    Self::fix_underflow(internal, idx);
+            Node::L(l) => {
+                let found = l.keys().binary_search(&key).ok();
+                found.map(|i| l.remove(i).1)
+            }
+            Node::I(kids) => {
+                let idx = child_index(kids, key);
+                let removed = Self::remove_rec(&mut kids.vals_mut()[idx], key)?;
+                if kids.vals()[idx].len() < MIN_DEGREE {
+                    Self::fix_underflow(kids, idx);
                 }
                 Some(removed)
             }
         }
     }
 
-    /// Restore the invariant at `children[idx]` by borrowing from a sibling
-    /// or merging with one.
-    fn fix_underflow(parent: &mut Internal<V>, idx: usize) {
+    /// Restore the invariant at child `idx` by borrowing from a sibling or
+    /// merging with one.
+    fn fix_underflow(kids: &mut Block<Node<V>>, idx: usize) {
         // Try borrowing from the left sibling.
-        if idx > 0 && Self::can_lend(&parent.children[idx - 1]) {
-            let (left, rest) = parent.children.split_at_mut(idx);
-            let left = &mut left[idx - 1];
-            let cur = &mut rest[0];
-            match (left, cur) {
+        if idx > 0 && kids.vals()[idx - 1].len() > MIN_DEGREE {
+            let down = kids.keys()[idx];
+            let (left, cur) = kids.vals_mut().split_at_mut(idx);
+            let sep = match (&mut left[idx - 1], &mut cur[0]) {
                 (Node::L(l), Node::L(c)) => {
-                    let k = l.keys.pop().expect("lender non-empty");
-                    let v = l.vals.pop().expect("lender non-empty");
-                    grow(&mut c.keys, 1, ROOM);
-                    grow(&mut c.vals, 1, ROOM);
-                    c.keys.insert(0, k);
-                    c.vals.insert(0, v);
-                    parent.seps[idx - 1] = c.keys[0];
+                    let (k, v) = l.pop().expect("lender non-empty");
+                    grow(c, 1);
+                    c.insert(0, k, v);
+                    k
                 }
                 (Node::I(l), Node::I(c)) => {
-                    let child = l.children.pop().expect("lender non-empty");
-                    let sep = l.seps.pop().expect("lender non-empty");
                     // Rotate through the parent separator.
-                    let down = std::mem::replace(&mut parent.seps[idx - 1], sep);
-                    grow(&mut c.seps, 1, ROOM - 1);
-                    grow(&mut c.children, 1, ROOM);
-                    c.seps.insert(0, down);
-                    c.children.insert(0, child);
+                    let (up, child) = l.pop().expect("lender non-empty");
+                    c.keys_mut()[0] = down;
+                    grow(c, 1);
+                    c.insert(0, Key::MIN, child);
+                    up
                 }
                 _ => unreachable!("siblings at same level share node kind"),
-            }
+            };
+            kids.keys_mut()[idx] = sep;
             return;
         }
         // Try borrowing from the right sibling.
-        if idx + 1 < parent.children.len() && Self::can_lend(&parent.children[idx + 1]) {
-            let (cur_part, right_part) = parent.children.split_at_mut(idx + 1);
-            let cur = &mut cur_part[idx];
-            let right = &mut right_part[0];
-            match (cur, right) {
+        if idx + 1 < kids.len() && kids.vals()[idx + 1].len() > MIN_DEGREE {
+            let down = kids.keys()[idx + 1];
+            let (cur, right) = kids.vals_mut().split_at_mut(idx + 1);
+            let sep = match (&mut cur[idx], &mut right[0]) {
                 (Node::L(c), Node::L(r)) => {
-                    let k = r.keys.remove(0);
-                    let v = r.vals.remove(0);
-                    grow(&mut c.keys, 1, ROOM);
-                    grow(&mut c.vals, 1, ROOM);
-                    c.keys.push(k);
-                    c.vals.push(v);
-                    parent.seps[idx] = r.keys[0];
+                    let (k, v) = r.remove(0);
+                    grow(c, 1);
+                    c.push(k, v);
+                    r.keys()[0]
                 }
                 (Node::I(c), Node::I(r)) => {
-                    let child = r.children.remove(0);
-                    let sep = r.seps.remove(0);
-                    let down = std::mem::replace(&mut parent.seps[idx], sep);
-                    grow(&mut c.seps, 1, ROOM - 1);
-                    grow(&mut c.children, 1, ROOM);
-                    c.seps.push(down);
-                    c.children.push(child);
+                    let (_, child) = r.remove(0);
+                    grow(c, 1);
+                    c.push(down, child);
+                    r.keys()[0]
                 }
                 _ => unreachable!("siblings at same level share node kind"),
-            }
+            };
+            kids.keys_mut()[idx + 1] = sep;
             return;
         }
         // Merge with a sibling (prefer left).
         let merge_left_idx = if idx > 0 { idx - 1 } else { idx };
-        let sep = parent.seps.remove(merge_left_idx);
-        let right = parent.children.remove(merge_left_idx + 1);
-        let left = &mut parent.children[merge_left_idx];
-        match (left, right) {
+        let (sep, right) = kids.remove(merge_left_idx + 1);
+        match (&mut kids.vals_mut()[merge_left_idx], right) {
             (Node::L(l), Node::L(mut r)) => {
-                grow(&mut l.keys, r.keys.len(), ROOM);
-                grow(&mut l.vals, r.vals.len(), ROOM);
-                l.keys.append(&mut r.keys);
-                l.vals.append(&mut r.vals);
+                grow(l, r.len());
+                l.append(&mut r);
             }
             (Node::I(l), Node::I(mut r)) => {
-                grow(&mut l.seps, 1 + r.seps.len(), ROOM - 1);
-                grow(&mut l.children, r.children.len(), ROOM);
-                l.seps.push(sep);
-                l.seps.append(&mut r.seps);
-                l.children.append(&mut r.children);
+                r.keys_mut()[0] = sep;
+                grow(l, r.len());
+                l.append(&mut r);
             }
             _ => unreachable!("siblings at same level share node kind"),
-        }
-    }
-
-    fn can_lend(n: &Node<V>) -> bool {
-        match n {
-            Node::L(l) => l.keys.len() > MIN_DEGREE,
-            Node::I(i) => i.children.len() > MIN_DEGREE,
         }
     }
 
@@ -427,8 +364,8 @@ impl<V> BPlusTree<V> {
         let mut n = &self.root;
         loop {
             match n {
-                Node::L(l) => return l.keys.first().map(|k| (*k, &l.vals[0])),
-                Node::I(i) => n = &i.children[0],
+                Node::L(l) => return l.keys().first().map(|k| (*k, &l.vals()[0])),
+                Node::I(kids) => n = &kids.vals()[0],
             }
         }
     }
@@ -438,13 +375,8 @@ impl<V> BPlusTree<V> {
         let mut n = &self.root;
         loop {
             match n {
-                Node::L(l) => {
-                    return l
-                        .keys
-                        .last()
-                        .map(|k| (*k, l.vals.last().expect("parallel vecs")));
-                }
-                Node::I(i) => n = i.children.last().expect("non-empty internal"),
+                Node::L(l) => return l.keys().iter().zip(l.vals()).last().map(|(k, v)| (*k, v)),
+                Node::I(kids) => n = kids.vals().last().expect("non-empty internal"),
             }
         }
     }
@@ -467,19 +399,20 @@ impl<V> BPlusTree<V> {
     fn visit_rec<'a>(node: &'a Node<V>, range: &KeyRange, visit: &mut impl FnMut(Key, &'a V)) {
         match node {
             Node::L(l) => {
-                let start = l.keys.partition_point(|k| *k < range.start);
-                let end = l.keys.partition_point(|k| *k < range.end);
-                for i in start..end {
-                    visit(l.keys[i], &l.vals[i]);
+                let keys = l.keys();
+                let start = keys.partition_point(|k| *k < range.start);
+                let end = keys.partition_point(|k| *k < range.end);
+                for (k, v) in keys[start..end].iter().zip(&l.vals()[start..end]) {
+                    visit(*k, v);
                 }
             }
-            Node::I(internal) => {
+            Node::I(kids) => {
                 // Children overlapping [start, end): from the child that
                 // could contain `start` through the child containing the
                 // last key < end.
-                let lo = internal.seps.partition_point(|s| *s <= range.start);
-                let hi = internal.seps.partition_point(|s| *s < range.end);
-                for c in &internal.children[lo..=hi] {
+                let lo = child_index(kids, range.start);
+                let hi = kids.keys()[1..].partition_point(|sep| *sep < range.end);
+                for c in &kids.vals()[lo..=hi] {
                     Self::visit_rec(c, range, visit);
                 }
             }
@@ -493,15 +426,15 @@ impl<V> BPlusTree<V> {
 
     /// What every node holds and what it has room for, as `(level, entries,
     /// room)` in pre-order — so leaves (level 1) come out in key order. An
-    /// internal node's entries are its children. Memory diagnostics: the
-    /// tree's vectors cost their room, not their entries.
+    /// internal node's entries are its children. Memory diagnostics: a
+    /// node's block costs its room, not its entries.
     pub fn node_fill(&self) -> Vec<(usize, usize, usize)> {
         fn walk<V>(node: &Node<V>, level: usize, out: &mut Vec<(usize, usize, usize)>) {
             match node {
-                Node::L(l) => out.push((level, l.keys.len(), l.keys.capacity())),
-                Node::I(i) => {
-                    out.push((level, i.children.len(), i.children.capacity()));
-                    for c in &i.children {
+                Node::L(l) => out.push((level, l.len(), l.room())),
+                Node::I(kids) => {
+                    out.push((level, kids.len(), kids.room()));
+                    for c in kids.vals() {
                         walk(c, level - 1, out);
                     }
                 }
@@ -514,8 +447,8 @@ impl<V> BPlusTree<V> {
 
     /// Verify structural invariants (tests and debug assertions):
     /// key ordering, separator correctness, node fill, uniform depth, the
-    /// kept height against the depth actually walked, and that no node
-    /// vector was allocated beyond the fan-out.
+    /// kept height against the depth actually walked, and that no node's
+    /// block was allocated beyond the fan-out.
     pub fn check_invariants(&self) {
         let depth = Self::check_rec(&self.root, None, None, true);
         assert_eq!(self.height, depth, "kept height");
@@ -524,19 +457,14 @@ impl<V> BPlusTree<V> {
     fn check_rec(node: &Node<V>, lo: Option<Key>, hi: Option<Key>, is_root: bool) -> usize {
         match node {
             Node::L(l) => {
-                assert_eq!(l.keys.len(), l.vals.len(), "parallel vec lengths");
-                assert!(l.keys.windows(2).all(|w| w[0] < w[1]), "leaf keys sorted");
+                let keys = l.keys();
+                assert!(keys.windows(2).all(|w| w[0] < w[1]), "leaf keys sorted");
                 if !is_root {
-                    assert!(l.keys.len() >= MIN_DEGREE, "leaf underfull");
+                    assert!(l.len() >= MIN_DEGREE, "leaf underfull");
                 }
-                assert!(l.keys.len() <= MAX_LEAF, "leaf overfull");
-                assert!(l.keys.capacity() <= ROOM, "leaf keys over-allocated");
-                // A vector of zero-sized values allocates nothing.
-                assert!(
-                    std::mem::size_of::<V>() == 0 || l.vals.capacity() <= ROOM,
-                    "leaf values over-allocated"
-                );
-                for k in &l.keys {
+                assert!(l.len() <= MAX_LEAF, "leaf overfull");
+                assert!(l.room() <= ROOM, "leaf over-allocated");
+                for k in keys {
                     if let Some(lo) = lo {
                         assert!(*k >= lo, "key below subtree bound");
                     }
@@ -546,25 +474,20 @@ impl<V> BPlusTree<V> {
                 }
                 1
             }
-            Node::I(i) => {
-                assert_eq!(i.children.len(), i.seps.len() + 1, "child/sep count");
-                assert!(i.seps.windows(2).all(|w| w[0] < w[1]), "seps sorted");
+            Node::I(kids) => {
+                let seps = &kids.keys()[1..];
+                assert!(seps.windows(2).all(|w| w[0] < w[1]), "seps sorted");
                 if !is_root {
-                    assert!(i.children.len() >= MIN_DEGREE, "internal underfull");
+                    assert!(kids.len() >= MIN_DEGREE, "internal underfull");
                 } else {
-                    assert!(i.children.len() >= 2, "root internal needs 2 children");
+                    assert!(kids.len() >= 2, "root internal needs 2 children");
                 }
-                assert!(i.children.len() <= MAX_CHILDREN, "internal overfull");
-                assert!(i.seps.capacity() < ROOM, "separators over-allocated");
-                assert!(i.children.capacity() <= ROOM, "children over-allocated");
+                assert!(kids.len() <= MAX_CHILDREN, "internal overfull");
+                assert!(kids.room() <= ROOM, "internal over-allocated");
                 let mut depth = None;
-                for (ci, c) in i.children.iter().enumerate() {
-                    let clo = if ci == 0 { lo } else { Some(i.seps[ci - 1]) };
-                    let chi = if ci == i.seps.len() {
-                        hi
-                    } else {
-                        Some(i.seps[ci])
-                    };
+                for (ci, c) in kids.vals().iter().enumerate() {
+                    let clo = if ci == 0 { lo } else { Some(seps[ci - 1]) };
+                    let chi = seps.get(ci).copied().or(hi);
                     let d = Self::check_rec(c, clo, chi, false);
                     match depth {
                         None => depth = Some(d),
@@ -712,6 +635,45 @@ mod tests {
         let (_, visits) = t.get(Key(54_321));
         assert_eq!(visits, h);
         assert!(h >= 3);
+    }
+
+    #[test]
+    fn every_value_is_dropped_once() {
+        use std::rc::Rc;
+        let value = Rc::new(());
+        let mut t = BPlusTree::new();
+        for i in 0..5_000u64 {
+            t.insert(Key((i * 2_654_435_761) % 1_000_003), value.clone());
+        }
+        for i in (0..5_000u64).step_by(3) {
+            assert!(t.remove(Key((i * 2_654_435_761) % 1_000_003)).is_some());
+        }
+        t.check_invariants();
+        let copy = t.clone();
+        copy.check_invariants();
+        assert_eq!(Rc::strong_count(&value), 1 + 2 * t.len());
+        drop((t, copy));
+        assert_eq!(Rc::strong_count(&value), 1);
+    }
+
+    #[test]
+    fn a_clone_fits_its_entries() {
+        let mut t = BPlusTree::new();
+        let empty = t.clone();
+        assert_eq!(empty.node_fill(), [(1, 0, 0)]);
+        for i in 0..40u64 {
+            t.insert(Key(i), i);
+        }
+        let copy = t.clone();
+        let fill: Vec<(usize, usize)> = copy
+            .node_fill()
+            .iter()
+            .map(|&(_, n, room)| (n, room))
+            .collect();
+        assert_eq!(fill, [(2, 2), (16, 16), (24, 24)]);
+        let mut grown = empty;
+        grown.insert(Key(1), 1);
+        assert_eq!(grown.node_fill(), [(1, 1, 33)]);
     }
 
     #[test]

@@ -11,6 +11,7 @@
 //! 3. [`GlobalRouter`] — the master's key-range → (partition, node) table
 //!    with dual pointers during moves.
 
+mod block;
 pub mod btree;
 pub mod routing;
 pub mod segment_index;

@@ -5,13 +5,17 @@
 //! closure that must leave entries, length and height alone — and the kept
 //! height as the length of an actual root-to-leaf walk, after every step.
 //!
-//! A split decides which half keeps the node's buffer; it must decide
-//! nothing else. `splits_keep_the_shape_and_only_the_room_they_need` runs
-//! the tree beside the one it replaced (`reference/btree_parent.rs`, whose
-//! upper half always got a fresh full-size vector): same entries, same
-//! leaves, same height after every operation, no vector ever allocated
-//! beyond the fan-out (`check_invariants`), and after each split the half
-//! the new entry went to holds the old buffer while the other fits exactly.
+//! A node is one heap block, and a split decides which half keeps it; it
+//! must decide nothing else. `splits_keep_the_shape_and_only_the_room_they_need`
+//! runs the tree beside the one it replaced (`reference/btree_parent.rs`,
+//! whose leaves are two vectors and whose internal nodes are two more):
+//! same entries, the same entries and room in every node of every level
+//! (`node_fill`), same height after every insert, append and remove, no
+//! block ever allocated beyond the fan-out (`check_invariants`), and after
+//! each split the half the new entry went to holds the old block while the
+//! other fits exactly. Random keys rarely split an internal node, so
+//! `internal_splits_at_every_position_keep_the_shape` makes a root of 32
+//! children split once for each child that can overflow it.
 //!
 //! `range_visitor_matches_the_parent_range` drives `visit_range`, which
 //! the scan path walks in place, beside the parent's list-building
@@ -48,10 +52,11 @@ fn shape_strategy() -> impl Strategy<Value = ShapeOp> {
     ]
 }
 
-/// `(entries, room)` of every node, per level (1 = leaves), left to right.
-fn levels(tree: &BPlusTree<u64>) -> BTreeMap<usize, Vec<(usize, usize)>> {
+/// `(entries, room)` of every node, per level (1 = leaves), left to right,
+/// from a tree's `node_fill`.
+fn levels(fill: Vec<(usize, usize, usize)>) -> BTreeMap<usize, Vec<(usize, usize)>> {
     let mut out: BTreeMap<usize, Vec<(usize, usize)>> = BTreeMap::new();
-    for (level, len, room) in tree.node_fill() {
+    for (level, len, room) in fill {
         out.entry(level).or_default().push((len, room));
     }
     out
@@ -204,7 +209,7 @@ proptest! {
             ShapeOp::Append(n) => (0..n).map(|_| None).collect(),
             other => vec![Some(other)],
         });
-        let mut after = levels(&tree);
+        let mut after = levels(tree.node_fill());
         for step in steps {
             let before = after;
             let inserted = match step {
@@ -221,12 +226,13 @@ proptest! {
                 parent.insert(Key(k), k);
             }
 
-            // The shape the engine is charged for is the parent's.
+            // The shape the engine is charged for, and the room each node
+            // holds, are the parent's.
             tree.check_invariants();
             prop_assert_eq!(tree.height(), parent.height());
-            after = levels(&tree);
+            after = levels(tree.node_fill());
+            prop_assert_eq!(&after, &levels(parent.node_fill()));
             let leaves: Vec<usize> = after[&1].iter().map(|&(len, _)| len).collect();
-            prop_assert_eq!(&leaves, &parent.leaf_lens());
             prop_assert_eq!(tree.iter(), parent.iter());
 
             // A level that gained a node split one: the two halves sit
@@ -238,7 +244,7 @@ proptest! {
                 let at = (0..was.len()).find(|&i| was[i] != now[i]).expect("a node split");
                 let (lower, upper) = (now[at], now[at + 1]);
                 prop_assert_eq!(lower.0 + upper.0, ROOM, "an overflowing node split");
-                // One half holds the old buffer, the other fits exactly.
+                // One half holds the old block, the other fits exactly.
                 let kept = |half: (usize, usize)| half.1 == ROOM;
                 let fits = |half: (usize, usize)| half.1 == half.0;
                 prop_assert!(
@@ -246,7 +252,7 @@ proptest! {
                     "level {level}: halves {lower:?} and {upper:?}"
                 );
                 if *level == 1 {
-                    // The new key's half is the one that keeps the buffer.
+                    // The new key's half is the one that keeps the block.
                     let k = inserted.expect("only an insert splits");
                     let rank = model.range(..k).count();
                     let below: usize = leaves[..at].iter().sum();
@@ -261,6 +267,43 @@ proptest! {
         }
         let got: Vec<u64> = tree.iter().into_iter().map(|(k, _)| k.raw()).collect();
         prop_assert_eq!(got, model.keys().copied().collect::<Vec<_>>());
+    }
+}
+
+/// An internal split at every position: a root of 32 children, built by
+/// appends, takes keys into child `j` until that leaf splits and the
+/// root splits with it, the new child at `j + 1`. After every insert the
+/// tree has the parent's shape and room, and at the split the half that
+/// got the new child keeps the root's block.
+#[test]
+fn internal_splits_at_every_position_keep_the_shape() {
+    for j in 0..32 {
+        let mut tree: BPlusTree<u64> = BPlusTree::new();
+        let mut parent: reference::BPlusTree<u64> = reference::BPlusTree::new();
+        let mut k = 0;
+        while levels(tree.node_fill()).get(&2).is_none_or(|root| root[0].0 < 32) {
+            tree.insert(Key(64 * k), k);
+            parent.insert(Key(64 * k), k);
+            k += 1;
+        }
+        // Keys between leaf `j`'s first two, until the root splits.
+        let first = |tree: &BPlusTree<u64>| {
+            let below: usize = levels(tree.node_fill())[&1][..j].iter().map(|l| l.0).sum();
+            tree.iter()[below].0.raw()
+        };
+        let base = first(&tree);
+        let mut gap = 1;
+        while tree.height() == 2 {
+            tree.insert(Key(base + gap), gap);
+            parent.insert(Key(base + gap), gap);
+            gap += 1;
+            assert_eq!(levels(tree.node_fill()), levels(parent.node_fill()), "child {j}");
+        }
+        assert_eq!(tree.iter(), parent.iter());
+        let halves = &levels(tree.node_fill())[&2];
+        let kept = if j + 1 < 17 { halves[0] } else { halves[1] };
+        assert_eq!(kept.1, 33, "child {j}: the new child's half keeps the block");
+        tree.check_invariants();
     }
 }
 
@@ -304,7 +347,7 @@ proptest! {
         let sorted: Vec<u64> = tree.iter().into_iter().map(|(k, _)| k.raw()).collect();
         let mut points = vec![0, 6_000];
         let mut at = 0;
-        for len in levels(&tree).get(&1).into_iter().flatten().map(|&(len, _)| len) {
+        for len in levels(tree.node_fill()).get(&1).into_iter().flatten().map(|&(len, _)| len) {
             if len > 0 {
                 let (first, last) = (sorted[at], sorted[at + len - 1]);
                 points.extend([first.saturating_sub(1), first, last, last + 1]);

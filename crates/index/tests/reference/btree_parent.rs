@@ -1,10 +1,11 @@
-//! The B+-tree as it was before a split learned which half keeps the
-//! node's buffer (`split_upper`: the upper half always gets a fresh
-//! full-fan-out vector, the lower half always keeps the old one), cut down
-//! to what `prop_btree` drives. Test-only reference: the tree in
-//! `src/btree.rs` must keep this one's shape — same leaves, same entries
-//! in each, same height — after every operation, because the engine
-//! charges `height()` node visits per record operation.
+//! The B+-tree as it was before a node became one heap block: a leaf is
+//! two vectors (`keys`, `vals`) and an internal node two more (`seps`,
+//! `children`, the children held inline), so a split costs two heap calls.
+//! Cut down to what `prop_btree` drives. Test-only reference: the tree in
+//! `src/btree.rs` must keep this one's shape — same entries, the same
+//! entries and room in every node of every level, same height — after
+//! every operation, because the engine charges `height()` node visits per
+//! record operation.
 
 use std::convert::Infallible;
 
@@ -44,20 +45,41 @@ enum InsertOutcome<V> {
     Split(Key, Node<V>),
 }
 
-/// The upper half of an overflowing node's vector, in a vector with room
-/// for a full node: `split_off` would size it to the half it holds and the
-/// next inserts would regrow it.
-fn split_upper<T>(v: &mut Vec<T>, at: usize, room: usize) -> Vec<T> {
-    let mut upper = Vec::with_capacity(room);
-    upper.extend(v.drain(at..));
-    upper
+/// Room of a leaf's vectors and of an internal node's children: the
+/// fan-out and the one entry of overflow. (`seps` is one shorter.)
+const ROOM: usize = MAX_LEAF + 1;
+
+/// Make sure `extra` more entries fit `v`, a node vector that holds at
+/// most `room`: a vector short of room goes straight to `room`, where
+/// `Vec`'s doubling would overshoot it (17 → 34).
+fn grow<T>(v: &mut Vec<T>, extra: usize, room: usize) {
+    if v.capacity() - v.len() < extra {
+        v.reserve_exact(room - v.len());
+    }
+}
+
+/// Split an overflowing node's vector: `v` keeps `v[..keep]`, `v[at..]`
+/// is returned, and what lies between (the separator an internal split
+/// sends up) is dropped. The half the new entry landed in — the upper one
+/// if `upper_grows` — gets the existing buffer, the other one a vector of
+/// exactly its length: one heap call either way.
+fn split_halves<T>(v: &mut Vec<T>, keep: usize, at: usize, upper_grows: bool) -> Vec<T> {
+    if upper_grows {
+        let mut lower = Vec::with_capacity(keep);
+        lower.extend(v.drain(..at).take(keep));
+        std::mem::replace(v, lower)
+    } else {
+        let upper = v.split_off(at);
+        v.truncate(keep);
+        upper
+    }
 }
 
 impl<V> Node<V> {
     fn new_leaf() -> Self {
         Node::L(Leaf {
-            keys: Vec::with_capacity(MAX_LEAF + 1),
-            vals: Vec::with_capacity(MAX_LEAF + 1),
+            keys: Vec::with_capacity(ROOM),
+            vals: Vec::with_capacity(ROOM),
         })
     }
 
@@ -116,8 +138,8 @@ impl<V> BPlusTree<V> {
             InsertOutcome::Done => {}
             InsertOutcome::Split(sep, right) => {
                 let mut root = Internal {
-                    seps: Vec::with_capacity(MAX_CHILDREN),
-                    children: Vec::with_capacity(MAX_CHILDREN + 1),
+                    seps: Vec::with_capacity(ROOM - 1),
+                    children: Vec::with_capacity(ROOM),
                 };
                 root.seps.push(sep);
                 root.children.push(right);
@@ -145,13 +167,15 @@ impl<V> BPlusTree<V> {
                 }
                 Err(i) => {
                     let value = make(None)?;
+                    grow(&mut l.keys, 1, ROOM);
+                    grow(&mut l.vals, 1, ROOM);
                     l.keys.insert(i, key);
                     l.vals.insert(i, value);
                     if l.keys.len() > MAX_LEAF {
                         let mid = l.keys.len() / 2;
                         let right = Leaf {
-                            keys: split_upper(&mut l.keys, mid, MAX_LEAF + 1),
-                            vals: split_upper(&mut l.vals, mid, MAX_LEAF + 1),
+                            keys: split_halves(&mut l.keys, mid, mid, i >= mid),
+                            vals: split_halves(&mut l.vals, mid, mid, i >= mid),
                         };
                         let sep = right.keys[0];
                         InsertOutcome::Split(sep, Node::L(right))
@@ -164,19 +188,19 @@ impl<V> BPlusTree<V> {
                 let idx = internal.seps.partition_point(|s| *s <= key);
                 match Self::upsert_rec(&mut internal.children[idx], key, make)? {
                     InsertOutcome::Split(sep, right) => {
+                        grow(&mut internal.seps, 1, ROOM - 1);
+                        grow(&mut internal.children, 1, ROOM);
                         internal.seps.insert(idx, sep);
                         internal.children.insert(idx + 1, right);
                         if internal.children.len() > MAX_CHILDREN {
                             // Split internal node: middle separator moves up.
                             let mid = internal.seps.len() / 2;
                             let up = internal.seps[mid];
-                            let right_seps = split_upper(&mut internal.seps, mid + 1, MAX_CHILDREN);
-                            internal.seps.pop(); // `up` leaves this node
-                            let right_children =
-                                split_upper(&mut internal.children, mid + 1, MAX_CHILDREN + 1);
+                            let upper_grows = idx >= mid;
+                            let Internal { seps, children } = internal;
                             let right = Internal {
-                                seps: right_seps,
-                                children: right_children,
+                                seps: split_halves(seps, mid, mid + 1, upper_grows),
+                                children: split_halves(children, mid + 1, mid + 1, upper_grows),
                             };
                             InsertOutcome::Split(up, Node::I(right))
                         } else {
@@ -238,6 +262,8 @@ impl<V> BPlusTree<V> {
                 (Node::L(l), Node::L(c)) => {
                     let k = l.keys.pop().expect("lender non-empty");
                     let v = l.vals.pop().expect("lender non-empty");
+                    grow(&mut c.keys, 1, ROOM);
+                    grow(&mut c.vals, 1, ROOM);
                     c.keys.insert(0, k);
                     c.vals.insert(0, v);
                     parent.seps[idx - 1] = c.keys[0];
@@ -247,6 +273,8 @@ impl<V> BPlusTree<V> {
                     let sep = l.seps.pop().expect("lender non-empty");
                     // Rotate through the parent separator.
                     let down = std::mem::replace(&mut parent.seps[idx - 1], sep);
+                    grow(&mut c.seps, 1, ROOM - 1);
+                    grow(&mut c.children, 1, ROOM);
                     c.seps.insert(0, down);
                     c.children.insert(0, child);
                 }
@@ -263,6 +291,8 @@ impl<V> BPlusTree<V> {
                 (Node::L(c), Node::L(r)) => {
                     let k = r.keys.remove(0);
                     let v = r.vals.remove(0);
+                    grow(&mut c.keys, 1, ROOM);
+                    grow(&mut c.vals, 1, ROOM);
                     c.keys.push(k);
                     c.vals.push(v);
                     parent.seps[idx] = r.keys[0];
@@ -271,6 +301,8 @@ impl<V> BPlusTree<V> {
                     let child = r.children.remove(0);
                     let sep = r.seps.remove(0);
                     let down = std::mem::replace(&mut parent.seps[idx], sep);
+                    grow(&mut c.seps, 1, ROOM - 1);
+                    grow(&mut c.children, 1, ROOM);
                     c.seps.push(down);
                     c.children.push(child);
                 }
@@ -285,10 +317,14 @@ impl<V> BPlusTree<V> {
         let left = &mut parent.children[merge_left_idx];
         match (left, right) {
             (Node::L(l), Node::L(mut r)) => {
+                grow(&mut l.keys, r.keys.len(), ROOM);
+                grow(&mut l.vals, r.vals.len(), ROOM);
                 l.keys.append(&mut r.keys);
                 l.vals.append(&mut r.vals);
             }
             (Node::I(l), Node::I(mut r)) => {
+                grow(&mut l.seps, 1 + r.seps.len(), ROOM - 1);
+                grow(&mut l.children, r.children.len(), ROOM);
                 l.seps.push(sep);
                 l.seps.append(&mut r.seps);
                 l.children.append(&mut r.children);
@@ -307,21 +343,25 @@ impl<V> BPlusTree<V> {
     /// Entries with keys in `range`, in ascending order.
     pub fn range(&self, range: KeyRange) -> Vec<(Key, &V)> {
         let mut out = Vec::new();
-        if !range.is_empty() {
-            Self::range_rec(&self.root, &range, &mut out);
-        }
+        self.visit_range(range, |k, v| out.push((k, v)));
         out
     }
 
-    fn range_rec<'a>(node: &'a Node<V>, range: &KeyRange, out: &mut Vec<(Key, &'a V)>) {
+    /// Show `visit` every entry with a key in `range`, in ascending order,
+    /// where it lies: [`BPlusTree::range`] without the list.
+    pub fn visit_range<'a>(&'a self, range: KeyRange, mut visit: impl FnMut(Key, &'a V)) {
+        if !range.is_empty() {
+            Self::visit_rec(&self.root, &range, &mut visit);
+        }
+    }
+
+    fn visit_rec<'a>(node: &'a Node<V>, range: &KeyRange, visit: &mut impl FnMut(Key, &'a V)) {
         match node {
             Node::L(l) => {
                 let start = l.keys.partition_point(|k| *k < range.start);
-                for i in start..l.keys.len() {
-                    if l.keys[i] >= range.end {
-                        break;
-                    }
-                    out.push((l.keys[i], &l.vals[i]));
+                let end = l.keys.partition_point(|k| *k < range.end);
+                for i in start..end {
+                    visit(l.keys[i], &l.vals[i]);
                 }
             }
             Node::I(internal) => {
@@ -331,7 +371,7 @@ impl<V> BPlusTree<V> {
                 let lo = internal.seps.partition_point(|s| *s <= range.start);
                 let hi = internal.seps.partition_point(|s| *s < range.end);
                 for c in &internal.children[lo..=hi] {
-                    Self::range_rec(c, range, out);
+                    Self::visit_rec(c, range, visit);
                 }
             }
         }
@@ -342,16 +382,24 @@ impl<V> BPlusTree<V> {
         self.range(KeyRange::all())
     }
 
-    /// Entries per leaf, in key order.
-    pub fn leaf_lens(&self) -> Vec<usize> {
-        fn walk<V>(node: &Node<V>, out: &mut Vec<usize>) {
+    /// What every node holds and what it has room for, as `(level, entries,
+    /// room)` in pre-order — so leaves (level 1) come out in key order. An
+    /// internal node's entries are its children. Memory diagnostics: the
+    /// tree's vectors cost their room, not their entries.
+    pub fn node_fill(&self) -> Vec<(usize, usize, usize)> {
+        fn walk<V>(node: &Node<V>, level: usize, out: &mut Vec<(usize, usize, usize)>) {
             match node {
-                Node::L(l) => out.push(l.keys.len()),
-                Node::I(i) => i.children.iter().for_each(|c| walk(c, out)),
+                Node::L(l) => out.push((level, l.keys.len(), l.keys.capacity())),
+                Node::I(i) => {
+                    out.push((level, i.children.len(), i.children.capacity()));
+                    for c in &i.children {
+                        walk(c, level - 1, out);
+                    }
+                }
             }
         }
         let mut out = Vec::new();
-        walk(&self.root, &mut out);
+        walk(&self.root, self.height, &mut out);
         out
     }
 }

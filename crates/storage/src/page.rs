@@ -19,10 +19,16 @@
 //! [`PAGE_SIZE`], so page counts, segment counts and movement volumes match
 //! a real deployment at the configured scale while memory stays
 //! proportional to the physical bytes: a stored version costs its 33-byte
-//! header plus a 2-byte width. [`SlottedPage::sized_for`] allocates body
-//! and directory once, at the size they have when the page is full of
-//! records like its first — every table has one row width, so that is the
-//! size it ends with.
+//! header plus a 2-byte width.
+//!
+//! **A page is one heap block**: the body, then the slot directory. Each
+//! part has its own room, and each grows as a vector of its own would (so
+//! a page's [`capacity`](SlottedPage::capacity) is what the two vectors a
+//! page used to be would have), but a growth of either part, or of both
+//! at once, is one reallocation. [`SlottedPage::sized_for`] allocates the
+//! block once, at the size body and directory have when the page is full
+//! of records like its first — every table has one row width, so that is
+//! the size it ends with.
 
 use std::ops::Range;
 
@@ -52,14 +58,18 @@ const _: () = assert!(PAGE_SIZE < DEAD as usize);
 /// (the failure story is replication, not restart), and no dirty bit,
 /// because write-back reads the buffer pool's per-frame one
 /// (`BufferPool::{touch, mark_clean, dirty_pages}`). Two pages are equal
-/// when their bytes are, dead slots' included.
-#[derive(Debug, Clone, PartialEq, Eq)]
+/// when their bytes are, dead slots' included, whatever room they have.
+#[derive(Debug, Clone)]
 pub struct SlottedPage {
-    /// Record bytes, slot `i` at `i * stride`; a dead slot's bytes stay
-    /// until an insert reuses it.
-    data: Vec<u8>,
-    /// Logical width per slot, [`DEAD`] for a retired slot number.
-    widths: Vec<Width>,
+    /// The body — `body_room` bytes, slot `i` at `i * stride`, a dead
+    /// slot's bytes kept until an insert reuses it — then the directory:
+    /// the logical width per slot, little-endian, [`DEAD`] for a retired
+    /// slot number.
+    block: Box<[u8]>,
+    /// Bytes of `block` that belong to the body; the rest is directory.
+    body_room: u16,
+    /// Slots in the directory, live and dead.
+    slots: u16,
     /// Length of every record on the page, fixed by the first one (and
     /// meaningless while the directory is empty).
     stride: u16,
@@ -73,7 +83,7 @@ pub struct SlottedPage {
 
 // One per page of every segment: the store holds about 11 k of them on the
 // benchmark's `oltp-steady`.
-const _: () = assert!(std::mem::size_of::<SlottedPage>() == 56);
+const _: () = assert!(std::mem::size_of::<SlottedPage>() == 32);
 
 impl Default for SlottedPage {
     fn default() -> Self {
@@ -81,36 +91,120 @@ impl Default for SlottedPage {
     }
 }
 
+impl PartialEq for SlottedPage {
+    fn eq(&self, other: &Self) -> bool {
+        (
+            self.body(),
+            self.directory(),
+            self.stride,
+            self.logical_used,
+        ) == (
+            other.body(),
+            other.directory(),
+            other.stride,
+            other.logical_used,
+        )
+    }
+}
+
+impl Eq for SlottedPage {}
+
 /// `n` as a field of the page; every caller has checked it against
 /// [`PAGE_SIZE`].
 fn narrow(n: usize) -> u16 {
     u16::try_from(n).expect("within a page")
 }
 
+/// The room a vector of `room` elements, holding `len`, has once `extra`
+/// more are pushed onto it: unchanged while they fit, else what `Vec`'s
+/// amortised growth gives — at least double, and at least `min` (8 bytes,
+/// or 4 elements of 2 bytes).
+fn grown(room: usize, len: usize, extra: usize, min: usize) -> usize {
+    if len + extra <= room {
+        room
+    } else {
+        (2 * room).max(len + extra).max(min)
+    }
+}
+
+/// A zeroed block of `bytes`: one heap call, none for an empty one.
+fn block(bytes: usize) -> Box<[u8]> {
+    vec![0; bytes].into_boxed_slice()
+}
+
 impl SlottedPage {
     /// An empty page.
     pub fn new() -> Self {
         Self {
-            data: Vec::new(),
-            widths: Vec::new(),
+            block: Box::default(),
+            body_room: 0,
+            slots: 0,
             stride: 0,
             logical_used: 0,
             dead_slots: 0,
         }
     }
 
-    /// An empty page whose body and slot directory are allocated now, at
-    /// exactly the size they have once the page is full of records of
+    /// An empty page whose block is allocated now, at exactly the size
+    /// body and directory have once the page is full of records of
     /// `logical` width stored in `physical` bytes. It behaves like
     /// [`SlottedPage::new`] in everything but when it allocates.
     pub fn sized_for(logical: usize, physical: usize) -> Self {
         let records = PAGE_SIZE / (logical + SLOT_OVERHEAD);
+        // `physical <= logical` for every record a page accepts.
+        let body = (records * physical).min(PAGE_SIZE);
         Self {
-            // `physical <= logical` for every record a page accepts.
-            data: Vec::with_capacity((records * physical).min(PAGE_SIZE)),
-            widths: Vec::with_capacity(records),
+            block: block(body + records * size_of::<Width>()),
+            body_room: narrow(body),
             ..Self::new()
         }
+    }
+
+    /// The body's live bytes, dead slots' included.
+    fn body(&self) -> &[u8] {
+        &self.block[..self.physical_bytes()]
+    }
+
+    /// The directory's slots, as bytes.
+    fn directory(&self) -> &[u8] {
+        let start = usize::from(self.body_room);
+        &self.block[start..start + usize::from(self.slots) * size_of::<Width>()]
+    }
+
+    /// Slots the directory has room for.
+    fn slot_room(&self) -> usize {
+        (self.block.len() - usize::from(self.body_room)) / size_of::<Width>()
+    }
+
+    /// The directory entry of `slot`, if the directory has one.
+    #[inline]
+    fn width(&self, slot: u16) -> Option<Width> {
+        if slot >= self.slots {
+            return None;
+        }
+        let at = usize::from(self.body_room) + usize::from(slot) * size_of::<Width>();
+        Some(Width::from_le_bytes(*self.block.get(at..)?.first_chunk()?))
+    }
+
+    fn set_width(&mut self, slot: u16, width: Width) {
+        let at = usize::from(self.body_room) + usize::from(slot) * size_of::<Width>();
+        self.block[at..at + size_of::<Width>()].copy_from_slice(&width.to_le_bytes());
+    }
+
+    /// Make room for one more slot holding `len` bytes: body and directory
+    /// each grow as their own vector would, in one reallocation.
+    fn reserve_slot(&mut self, len: usize) {
+        let (body, slots) = (self.physical_bytes(), usize::from(self.slots));
+        let body_room = grown(self.body_room.into(), body, len, 8);
+        let slot_room = grown(self.slot_room(), slots, 1, 4);
+        if (body_room, slot_room) == self.capacity() {
+            return;
+        }
+        let mut block = block(body_room + slot_room * size_of::<Width>());
+        block[..body].copy_from_slice(self.body());
+        block[body_room..][..slots * size_of::<Width>()].copy_from_slice(self.directory());
+        self.block = block;
+        self.body_room = narrow(body_room);
     }
 
     /// Logical bytes in use (records + slot overhead).
@@ -120,7 +214,7 @@ impl SlottedPage {
 
     /// Number of live records.
     pub fn live_records(&self) -> usize {
-        self.widths.len() - usize::from(self.dead_slots)
+        usize::from(self.slots - self.dead_slots)
     }
 
     /// True if `logical` more bytes fit.
@@ -131,7 +225,7 @@ impl SlottedPage {
     /// The length of every record on the page, once its first record has
     /// fixed it.
     pub fn record_len(&self) -> Option<usize> {
-        (!self.widths.is_empty()).then_some(self.stride.into())
+        (self.slots > 0).then_some(self.stride.into())
     }
 
     /// True if a record of `len` bytes and `logical` width would be
@@ -153,20 +247,20 @@ impl SlottedPage {
         self.check_len(len, logical)?;
         let slot = if self.dead_slots > 0 {
             // Reuse the lowest dead slot number, in place.
-            let dead = self.widths.iter().position(|&w| w == DEAD);
-            let slot = dead.expect("dead-slot count matches the directory");
-            self.data[slot * len..][..len].copy_from_slice(record);
-            self.widths[slot] = narrow(logical);
+            let dead = (0..self.slots).find(|&s| self.width(s) == Some(DEAD));
             self.dead_slots -= 1;
-            slot
+            dead.expect("dead-slot count matches the directory")
         } else {
-            self.data.extend_from_slice(record);
-            self.widths.push(narrow(logical));
-            self.widths.len() - 1
+            self.reserve_slot(len);
+            self.slots += 1;
+            self.slots - 1
         };
+        let start = usize::from(slot) * len;
+        self.block[start..start + len].copy_from_slice(record);
+        self.set_width(slot, narrow(logical));
         self.stride = narrow(len);
         self.logical_used += narrow(logical + SLOT_OVERHEAD);
-        Ok(narrow(slot))
+        Ok(slot)
     }
 
     /// A record of `len` bytes fits its `logical` width and the page.
@@ -186,29 +280,26 @@ impl SlottedPage {
     fn extent(&self, slot: u16) -> Option<Range<usize>> {
         let stride = usize::from(self.stride);
         let start = usize::from(slot) * stride;
-        let live = self
-            .widths
-            .get(usize::from(slot))
-            .is_some_and(|&w| w != DEAD);
+        let live = self.width(slot).is_some_and(|w| w != DEAD);
         live.then_some(start..start + stride)
     }
 
     /// Read the physical bytes of `slot`.
     #[inline]
     pub fn get(&self, slot: u16) -> Option<&[u8]> {
-        Some(&self.data[self.extent(slot)?])
+        Some(&self.block[self.extent(slot)?])
     }
 
     /// Mutable view of the physical bytes of `slot`, for patches that keep
     /// its length.
     pub fn get_mut(&mut self, slot: u16) -> Option<&mut [u8]> {
         let extent = self.extent(slot)?;
-        Some(&mut self.data[extent])
+        Some(&mut self.block[extent])
     }
 
     /// Logical width of the record in `slot`.
     pub fn logical_width(&self, slot: u16) -> Option<usize> {
-        let w = *self.widths.get(usize::from(slot))?;
+        let w = self.width(slot)?;
         (w != DEAD).then_some(w.into())
     }
 
@@ -218,7 +309,7 @@ impl SlottedPage {
             return Err(Error::InvalidState("delete of dead or missing slot"));
         };
         self.logical_used -= narrow(logical + SLOT_OVERHEAD);
-        self.widths[usize::from(slot)] = DEAD;
+        self.set_width(slot, DEAD);
         self.dead_slots += 1;
         Ok(())
     }
@@ -239,26 +330,26 @@ impl SlottedPage {
         self.get_mut(slot)
             .expect("slot is live")
             .copy_from_slice(record);
-        self.widths[usize::from(slot)] = narrow(logical);
+        self.set_width(slot, narrow(logical));
         self.logical_used = narrow(new_used);
         Ok(())
     }
 
     /// Iterate `(slot, bytes)` over live records.
     pub fn iter(&self) -> impl Iterator<Item = (u16, &[u8])> + '_ {
-        (0..self.widths.len()).filter_map(|i| Some((narrow(i), self.get(narrow(i))?)))
+        (0..self.slots).filter_map(|i| Some((i, self.get(i)?)))
     }
 
     /// Physical bytes held by the page body, dead slots' included.
     pub fn physical_bytes(&self) -> usize {
-        self.data.len()
+        usize::from(self.slots) * usize::from(self.stride)
     }
 
     /// Room allocated for the page, as (body bytes, slots): what the page
     /// costs in memory whatever it holds. A page sized at creation for
     /// the records it then gets keeps both for life.
     pub fn capacity(&self) -> (usize, usize) {
-        (self.data.capacity(), self.widths.capacity())
+        (self.body_room.into(), self.slot_room())
     }
 }
 

@@ -21,11 +21,12 @@
 //! segment of the page it touches.
 //!
 //! A page is born in one place, the insert every version goes through,
-//! which knows the first version it will hold: the page's buffers are
-//! allocated there, once, for a page full of versions of that width
-//! ([`SlottedPage::sized_for`]). Every TPC-C table has one row width, so on
-//! the benchmark's `oltp-steady` 99 % of all pages never regrow a buffer
-//! (the rest mix rows with the narrower tombstones of deleted ones). The
+//! which knows the first version it will hold: the page's one heap block,
+//! body and slot directory, is allocated there, once, for a page full of
+//! versions of that width ([`SlottedPage::sized_for`]). Every TPC-C table
+//! has one row width, so on the benchmark's `oltp-steady` 99 % of all
+//! pages never regrow their block (the rest mix rows with the narrower
+//! tombstones of deleted ones, and regrow it in one call). The
 //! transaction layer writes header-only versions
 //! ([`PageStore::insert_version`]); [`PageStore::insert_record`] still
 //! stores a payload (see [`crate::record`]), on a page of its own length.

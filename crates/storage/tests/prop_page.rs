@@ -13,10 +13,21 @@
 //! everything but when it allocates, and one that only ever holds records
 //! like its first never reallocates; and the 16-bit fields are driven to
 //! their edges at the end.
+//!
+//! A page is one heap block, body and directory; it replaced a page of two
+//! vectors (`reference/page_parent.rs`). `one_block_page_is_the_two_vector_page`
+//! runs the two side by side, born empty or sized, through inserts of
+//! mixed lengths and logical widths (so a sized page outgrows its room),
+//! updates and deletes: the same outcomes and slot numbers (dead slots
+//! reused lowest first), the same bytes and widths in every slot, the same
+//! logical use, and the same `capacity()` after every step.
 
 use proptest::prelude::*;
 use std::collections::BTreeMap;
 use wattdb_storage::page::{SlottedPage, PAGE_SIZE, SLOT_OVERHEAD};
+
+#[path = "reference/page_parent.rs"]
+mod reference;
 
 /// Highest slot number the raw operations aim at.
 const SLOTS: u16 = 24;
@@ -225,6 +236,65 @@ proptest! {
                 Op::Delete { slot } => drop(page.delete(slot)),
             }
             prop_assert_eq!(page.capacity(), born_with);
+        }
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn one_block_page_is_the_two_vector_page(
+        born_sized in any::<bool>(),
+        sized_for in (0usize..2_000, 0usize..40),
+        lens in proptest::collection::vec(0usize..40, 1..3),
+        ops in proptest::collection::vec(op_strategy(), 1..400),
+    ) {
+        let sized = born_sized.then_some(sized_for);
+        let (mut page, mut parent) = match sized {
+            Some((logical, physical)) => (
+                SlottedPage::sized_for(logical, physical),
+                reference::SlottedPage::sized_for(logical, physical),
+            ),
+            None => (SlottedPage::new(), reference::SlottedPage::new()),
+        };
+        prop_assert_eq!(page.capacity(), parent.capacity());
+        // Mostly one length, the page's own once `sized` fixed it.
+        let len = |i: usize| match sized {
+            Some((_, physical)) if !i.is_multiple_of(4) => physical,
+            _ => lens[i % lens.len()],
+        };
+        for (i, op) in ops.iter().enumerate() {
+            let bytes = |fill: u8| vec![fill; len(i)];
+            match *op {
+                Op::Insert { fill, logical } => prop_assert_eq!(
+                    page.insert(&bytes(fill), logical).ok(),
+                    parent.insert(&bytes(fill), logical).ok(),
+                    "{:?}", op
+                ),
+                Op::Update { slot, fill, logical } => prop_assert_eq!(
+                    page.update(slot, &bytes(fill), logical).is_ok(),
+                    parent.update(slot, &bytes(fill), logical).is_ok(),
+                    "{:?}", op
+                ),
+                Op::Delete { slot } => prop_assert_eq!(
+                    page.delete(slot).is_ok(),
+                    parent.delete(slot).is_ok(),
+                    "{:?}", op
+                ),
+            }
+            prop_assert!(page.iter().eq(parent.iter()));
+            let directory = page.iter().last().map_or(0, |(s, _)| s + 1);
+            for slot in 0..SLOTS.max(directory + 1) {
+                prop_assert_eq!(page.get(slot), parent.get(slot), "slot {}", slot);
+                prop_assert_eq!(page.logical_width(slot), parent.logical_width(slot));
+            }
+            prop_assert_eq!(page.logical_used(), parent.logical_used());
+            prop_assert_eq!(page.live_records(), parent.live_records());
+            prop_assert_eq!(page.physical_bytes(), parent.physical_bytes());
+            prop_assert_eq!(page.record_len(), parent.record_len());
+            prop_assert_eq!(page.fits(100), parent.fits(100));
+            prop_assert_eq!(page.capacity(), parent.capacity(), "after {:?}", op);
         }
     }
 }

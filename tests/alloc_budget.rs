@@ -16,7 +16,8 @@
 //!
 //! | heap calls / commit | live heap, MB | as of |
 //! |---|---|---|
-//! | 1.41 | 14.7 | now: a write reclaims the versions no live snapshot can see; a flush behind a flush bills only its own bytes |
+//! | 0.73 | 13.8 | now: an index node is one heap block, and so is a page (body and slot directory) |
+//! | 1.41 | 14.7 | a write reclaims the versions no live snapshot can see; a flush behind a flush bills only its own bytes |
 //! | 1.60 | 15.0 | header-only versions, one record length per page, 2-byte slots |
 //! | 1.60 | 18.7 | wait queues and grant lists recycled too |
 //! | 1.68 | 18.9 | holder tables recycled, 33-byte version header, split halves sized to what they hold |
@@ -50,13 +51,14 @@ use wattdb_core::{ClientBatching, WattDb};
 use counting_alloc::{heap_calls, live_mb, peak_mb, reset_peak};
 
 /// The gate on `allocs_per_txn` for the `oltp-steady` shape — what is
-/// known of the hot path (the module docs' count) plus headroom for a
-/// change that adds one or two calls knowingly, not tens.
-const BUDGET: f64 = 2.3;
+/// known of the hot path (the module docs' count) plus 10 % of headroom:
+/// room for a change that knowingly adds a call every dozen commits, not
+/// one per commit.
+const BUDGET: f64 = 0.81;
 
 /// The gate on the live heap after the 40 sim-s, in MB (2^20 bytes): the
 /// module docs' figure plus 10 % of headroom.
-const LIVE_HEAP_MB: f64 = 16.2;
+const LIVE_HEAP_MB: f64 = 15.2;
 
 /// How far the live heap may rise above its end value during the
 /// measured window, in MB: nothing the engine does transiently holds
