@@ -361,7 +361,6 @@ pub fn run_transient_shootout(helpers: bool) -> TransientShootoutRow {
             skew_cooldown: 2,
             helper: HelperPolicyConfig {
                 escalation_fires: u32::from(helpers),
-                max_helpers: 2,
                 min_net_heat: 0.0,
             },
             ..Default::default()

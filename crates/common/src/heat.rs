@@ -107,7 +107,9 @@ impl Default for HeatConfig {
 /// to the hot source: the helper takes the source's log shipping and
 /// extends its buffer pool, relieving its disks and its remote traffic
 /// without shipping a single segment. Helpers detach again once the skew
-/// subsides.
+/// subsides. Which sources get a helper, and which node helps each, is
+/// the helper planner's choice (`wattdb_planner::plan_helpers`); one plan
+/// attaches at most `wattdb_planner::MAX_HELPERS` (2).
 #[derive(Debug, Clone, Copy)]
 pub struct HelperPolicyConfig {
     /// Consecutive skew-trigger fires *without an intervening subsidence*
@@ -118,8 +120,6 @@ pub struct HelperPolicyConfig {
     /// escalation entirely (the pre-helper behaviour: every skew fire
     /// rebalances).
     pub escalation_fires: u32,
-    /// Most helpers attached at once; also caps a single helper plan.
-    pub max_helpers: usize,
     /// Net-heat floor: a source whose net/remote-heavy heat component sits
     /// below this is not worth a helper (its pain is not remote traffic).
     pub min_net_heat: f64,
@@ -131,7 +131,6 @@ impl Default for HelperPolicyConfig {
             // A rebalance gets one chance; if the skew re-fires without
             // ever subsiding, the second fire attaches helpers instead.
             escalation_fires: 2,
-            max_helpers: 2,
             min_net_heat: 0.0,
         }
     }

@@ -438,9 +438,9 @@ pub fn plan_drain_replicated(
             followers: set.followers.clone(),
         })
         .collect();
-    let hosts: Vec<wattdb_planner::NodeLoadStat> = (c.nodes.iter())
+    let hosts: Vec<wattdb_planner::HostRow> = (c.nodes.iter())
         .filter(|n| n.life == Lifecycle::Active && !drain.contains(&n.id))
-        .map(|n| host_row(c, n.id, now))
+        .map(|n| host_row(c, n, now))
         .collect();
     wattdb_planner::plan_drain_replicated(
         &stats,
@@ -452,32 +452,38 @@ pub fn plan_drain_replicated(
     )
 }
 
-/// `node`'s row as a placement *host* — for follower copies and helper
-/// duty: total decayed heat, and for `net_heat` the last windowed NIC
-/// egress utilization the monitoring loop persisted (planners never
-/// sample the stateful probes themselves).
+/// `node`'s row as a placement *host*, for follower copies and helper
+/// duty ([`wattdb_planner::HostRow`]): total decayed heat, the last
+/// windowed NIC egress utilization the monitoring loop persisted
+/// (planners never sample the stateful probes themselves), and whether
+/// the node is down. A failed node also reads as down; every caller
+/// filters or excludes it before any ranking.
 fn host_row(
     c: &crate::cluster::Cluster,
-    node: NodeId,
+    n: &crate::cluster::NodeRuntime,
     now: SimTime,
-) -> wattdb_planner::NodeLoadStat {
-    wattdb_planner::NodeLoadStat {
+) -> wattdb_planner::HostRow {
+    let node = n.id;
+    wattdb_planner::HostRow {
         node,
         heat: c.heat.node_heat(&c.seg_dir, node, now).value(),
-        net_heat: c.net_util.get(node.raw() as usize).copied().unwrap_or(0.0),
+        nic: c.net_util.get(node.raw() as usize).copied().unwrap_or(0.0),
+        standby: !n.life.is_up(),
     }
 }
 
-/// Per-node helper-planning rows for the given nodes: total decayed heat
-/// and its net/remote-heavy component.
+/// Helper-source rows for the given nodes
+/// ([`wattdb_planner::NodeLoadStat`]): total decayed heat and its
+/// net/remote-heavy component. The candidate helpers are host rows
+/// ([`wattdb_planner::HostRow`]) instead, whose NIC field is measured
+/// utilization, not a heat component.
 ///
 /// Under the cost signal each segment's decayed heat is split by the
 /// *net share* of its lifetime cost vector (`net_bytes ×
 /// net_byte_weight` over the scalarized total), so a node whose heat is
 /// mostly remote page fetches and record shipping ranks far above one
 /// burning the same heat in local CPU. Under the count signal the
-/// components are invisible and `net_heat` falls back to the total heat
-/// (see [`wattdb_planner::NodeLoadStat`]).
+/// components are invisible and `net_heat` falls back to the total heat.
 pub fn node_load_stats(
     c: &crate::cluster::Cluster,
     now: SimTime,
@@ -539,24 +545,8 @@ pub fn plan_helpers(
         .filter(|&n| c.helpers.helper_of(n).is_none())
         .collect();
     let loads = node_load_stats(c, now, &unhelped);
-    let candidates: Vec<wattdb_planner::HelperCandidate> = c
-        .nodes
-        .iter()
-        .map(|n| {
-            // Among equally attractive actives the planner takes the one
-            // with the idlest interconnect, since helper duty is pure
-            // network traffic.
-            let row = host_row(c, n.id, now);
-            wattdb_planner::HelperCandidate {
-                node: n.id,
-                heat: row.heat,
-                net: row.net_heat,
-                // (A failed node also reads as down here; it is excluded
-                // below, before any ranking.)
-                standby: !n.life.is_up(),
-            }
-        })
-        .collect();
+    let candidates: Vec<wattdb_planner::HostRow> =
+        c.nodes.iter().map(|n| host_row(c, n, now)).collect();
     let mut excluded: Vec<NodeId> = crate::migration::nodes_in_flight(c).into_iter().collect();
     excluded.extend(c.failed_nodes());
     excluded.extend(c.helpers.nodes());
@@ -571,9 +561,9 @@ pub fn plan_helpers(
 }
 
 /// Replica placement plan over the live cluster state: one
-/// [`wattdb_planner::ReplicaNeed`] per segment whose follower count is
-/// below `cfg.replication` (leader = the current owner in the
-/// segment catalog), hosted on the active, non-failed nodes. Host rows
+/// [`wattdb_planner::ReplicaSite`] per segment whose live follower count
+/// is below `cfg.replication` (leader = the current owner in the segment
+/// catalog, followers = the live ones), hosted on the active nodes. Host rows
 /// carry total decayed heat plus the *measured* NIC utilization persisted
 /// by the monitoring loop, so followers land on cold nodes with idle
 /// interconnects — the same failure-domain spread the planner enforces
@@ -586,32 +576,28 @@ pub fn plan_replicas(c: &crate::cluster::Cluster, now: SimTime) -> wattdb_planne
             placements: Vec::new(),
         };
     }
-    let needs: Vec<wattdb_planner::ReplicaNeed> = c
+    let needs: Vec<wattdb_planner::ReplicaSite> = c
         .seg_dir
         .iter()
         .filter(|m| !c.is_failed(m.node))
         .filter_map(|m| {
-            let existing: Vec<NodeId> = (c.replication.map().followers_of(m.id))
+            let followers: Vec<NodeId> = (c.replication.map().followers_of(m.id))
                 .iter()
                 .copied()
                 .filter(|&f| !c.is_failed(f))
                 .collect();
-            if existing.len() < factor {
-                Some(wattdb_planner::ReplicaNeed {
-                    seg: m.id,
-                    leader: m.node,
-                    existing,
-                })
-            } else {
-                None
-            }
+            (followers.len() < factor).then_some(wattdb_planner::ReplicaSite {
+                seg: m.id,
+                leader: m.node,
+                followers,
+            })
         })
         .collect();
-    let hosts: Vec<wattdb_planner::NodeLoadStat> = (c.nodes.iter())
+    let hosts: Vec<wattdb_planner::HostRow> = (c.nodes.iter())
         // A draining node is about to suspend: placing a fresh copy there
         // would only schedule its own re-home.
         .filter(|n| n.life == Lifecycle::Active)
-        .map(|n| host_row(c, n.id, now))
+        .map(|n| host_row(c, n, now))
         .collect();
     wattdb_planner::plan_replicas(&needs, &hosts, factor)
 }

@@ -48,14 +48,12 @@ impl HelperAttach {
         }
     }
 
-    /// A planner-produced [`wattdb_planner::HelperPlan`]: one helper per
-    /// assignment, with the plan's predicted relief and candidate ranking.
+    /// A planner-produced [`wattdb_planner::HelperPlan`]: its pairs, with
+    /// the plan's predicted relief and candidate ranking.
     pub fn planned(plan: &wattdb_planner::HelperPlan, scripted: bool) -> Self {
         HelperAttach {
             helpers: plan.helpers(),
-            pairs: (plan.assignments.iter())
-                .map(|a| (a.source, a.helper))
-                .collect(),
+            pairs: plan.pairs.clone(),
             scripted,
             relief: plan.predicted_relief,
             ranking: plan.ranking.clone(),

@@ -1252,11 +1252,7 @@ mod tests {
         let mut sim = Sim::new();
         // Policy attach (scripted: false): node 4 helps node 0.
         let plan = wattdb_planner::HelperPlan {
-            assignments: vec![wattdb_planner::HelperAssignment {
-                source: NodeId(0),
-                helper: NodeId(4),
-                net_heat: 1.0,
-            }],
+            pairs: vec![(NodeId(0), NodeId(4))],
             predicted_relief: 1.0,
             ranking: Vec::new(),
         };

@@ -553,7 +553,7 @@ impl ElasticityPolicy {
         self.skew_cooldown_left = self.cfg.skew_cooldown;
         self.skew_fires += 1;
         let h = &self.cfg.helper;
-        if h.escalation_fires > 0 && h.max_helpers > 0 && self.skew_fires >= h.escalation_fires {
+        if h.escalation_fires > 0 && self.skew_fires >= h.escalation_fires {
             return Decision::AttachHelpers { sources, targets };
         }
         Decision::Rebalance { sources, targets }
@@ -708,7 +708,7 @@ pub fn plan(
             // fixable skew would re-escalate into refused attachments
             // forever, never shipping the segments that would fix it.
             let mut fallback = heat_moves(sources, targets).ok_or(NO_PLAN)?;
-            // Kept on purpose until ROADMAP 7(e) bumps the export format:
+            // Kept on purpose until ROADMAP 8(e) bumps the export format:
             // the fallback reports as the empty attachment, `(None, Some(0.0))`.
             fallback.attach = Some(HelperAttach::default());
             Ok(fallback)
@@ -731,38 +731,33 @@ pub fn plan(
             })
         }
         Decision::ScaleIn { drain } => {
-            // A drained node hosting follower copies may only go once every
-            // copy has a replacement host planned (a copy still on a chain
-            // already refused the drain above, as a rebalance in flight).
-            // Refusal, not half-execution: suspending a live follower host
-            // silently halves redundancy. Checked before any other drain
-            // guard so the timeline always says *why* the cluster stayed
-            // big.
-            let remaining: Vec<NodeId> = (c.active_nodes().into_iter())
-                .filter(|n| !drain.contains(n))
-                .collect();
-            let hosts_copies =
-                (drain.iter()).any(|&n| !c.replication.map().followed_by(n).is_empty());
-            if hosts_copies
-                && !heat::plan_drain_replicated(c, now, drain, &remaining).is_fully_covered()
-            {
-                return Err("drain node hosts follower replicas");
-            }
             // Move *everything* off the drained nodes onto the remaining
             // data nodes; the autopilot suspends them once they are empty.
-            let targets: Vec<NodeId> = (remaining.into_iter())
-                .filter(|n| c.seg_dir.on_node(*n).next().is_some())
-                .collect();
-            if targets.is_empty() {
-                return Err(NO_PLAN);
-            }
-            // The atomic "move leaders + re-home followers" unit. The
-            // re-home half executes regardless of which planner moves the
+            // The plan is the atomic "move leaders + re-home followers"
+            // unit. Its re-home half executes whichever planner moves the
             // leaders, so even a fraction-path drain keeps the factor. The
             // heat plan moves every segment off the drained nodes; with
             // none to move it starts no rebalance, and the nodes suspend
             // once the re-homes clear them of replica duty.
+            let targets: Vec<NodeId> = (c.active_nodes().into_iter())
+                .filter(|n| !drain.contains(n) && c.seg_dir.on_node(*n).next().is_some())
+                .collect();
             let dp = heat::plan_drain_replicated(c, now, drain, &targets);
+            // A drained node hosting follower copies may only go once every
+            // copy has a replacement host in that plan (a copy still on a
+            // chain already refused the drain above, as a rebalance in
+            // flight). Refusal, not half-execution: suspending a live
+            // follower host silently halves redundancy. Checked before any
+            // other drain guard so the timeline always says *why* the
+            // cluster stayed big.
+            let hosts_copies =
+                (drain.iter()).any(|&n| !c.replication.map().followed_by(n).is_empty());
+            if hosts_copies && !dp.is_fully_covered() {
+                return Err("drain node hosts follower replicas");
+            }
+            if targets.is_empty() {
+                return Err(NO_PLAN);
+            }
             let moves = if heat_aware {
                 ControlPlan::planned(&dp.plan, &targets)
             } else {

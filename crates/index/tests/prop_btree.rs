@@ -281,7 +281,10 @@ fn internal_splits_at_every_position_keep_the_shape() {
         let mut tree: BPlusTree<u64> = BPlusTree::new();
         let mut parent: reference::BPlusTree<u64> = reference::BPlusTree::new();
         let mut k = 0;
-        while levels(tree.node_fill()).get(&2).is_none_or(|root| root[0].0 < 32) {
+        while levels(tree.node_fill())
+            .get(&2)
+            .is_none_or(|root| root[0].0 < 32)
+        {
             tree.insert(Key(64 * k), k);
             parent.insert(Key(64 * k), k);
             k += 1;
@@ -297,12 +300,19 @@ fn internal_splits_at_every_position_keep_the_shape() {
             tree.insert(Key(base + gap), gap);
             parent.insert(Key(base + gap), gap);
             gap += 1;
-            assert_eq!(levels(tree.node_fill()), levels(parent.node_fill()), "child {j}");
+            assert_eq!(
+                levels(tree.node_fill()),
+                levels(parent.node_fill()),
+                "child {j}"
+            );
         }
         assert_eq!(tree.iter(), parent.iter());
         let halves = &levels(tree.node_fill())[&2];
         let kept = if j + 1 < 17 { halves[0] } else { halves[1] };
-        assert_eq!(kept.1, 33, "child {j}: the new child's half keeps the block");
+        assert_eq!(
+            kept.1, 33,
+            "child {j}: the new child's half keeps the block"
+        );
         tree.check_invariants();
     }
 }

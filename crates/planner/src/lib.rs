@@ -20,9 +20,20 @@
 //!   policy's fallback), and experiments and property tests compare the
 //!   heat-aware plans against it on the same inputs.
 //!
-//! Inputs are plain [`SegmentStat`] rows (id, placement, footprint bytes,
-//! decayed heat); the crate holds no cluster state and performs no I/O, so
-//! it can be property-tested exhaustively.
+//! The three segment planners differ only in which segment goes where:
+//! each books its moves through one private ledger, which keeps the
+//! plan's predicted per-node heat, its byte and heat totals and the bytes
+//! each destination has taken, so a term added to every plan is written
+//! once. [`plan_replicas`] places follower copies and [`plan_helpers`]
+//! pairs hot nodes with Fig. 8 helpers.
+//!
+//! Inputs are plain rows, one type per concept: [`SegmentStat`] (id,
+//! placement, footprint bytes, heat) for a segment that may move,
+//! [`ReplicaSite`] for a segment's leader and followers, [`HostRow`] for a
+//! node that may take a follower copy or helper duty, and
+//! [`NodeLoadStat`] for a hot node a helper may relieve. The crate holds
+//! no cluster state and performs no I/O, so it can be property-tested
+//! exhaustively.
 //!
 //! ## Stationary vs. moving hotspots
 //!
@@ -112,7 +123,10 @@ pub struct Plan {
     pub moves: Vec<PlannedMove>,
     /// Total bytes the plan ships.
     pub bytes_planned: u64,
-    /// Total heat the plan relocates.
+    /// Total heat the plan relocates, in the heat it was given: the
+    /// engine plans on heat projected `HeatConfig::horizon` ahead. This
+    /// is not the launch-time heat that `RebalanceReport::heat_planned`
+    /// and the `rebalance` span carry.
     pub heat_planned: f64,
     /// Predicted per-node heat after the plan executes, over the nodes the
     /// plan was allowed to touch (sources and targets).
@@ -133,36 +147,76 @@ impl Plan {
     }
 }
 
-/// Sum per-node heat over the given domain.
-fn heat_by_node(stats: &[SegmentStat], domain: &[NodeId]) -> BTreeMap<NodeId, f64> {
-    let mut by_node: BTreeMap<NodeId, f64> = domain.iter().map(|&n| (n, 0.0)).collect();
-    for s in stats {
-        if let Some(h) = by_node.get_mut(&s.node) {
-            *h += s.heat;
-        }
-    }
-    by_node
+/// A segment plan under construction: the [`Plan`] so far plus the bytes
+/// each destination has been assigned. Every segment planner books its
+/// moves through [`Ledger::ship`], so the totals and the predicted heat
+/// always come from the same arithmetic in the same order.
+struct Ledger {
+    plan: Plan,
+    assigned_bytes: BTreeMap<NodeId, u64>,
 }
 
-/// The coldest node among `choices` (ties broken by fewest assigned bytes,
-/// then lowest id, for determinism).
-fn coldest(
-    choices: &[NodeId],
-    heat: &BTreeMap<NodeId, f64>,
-    assigned_bytes: &BTreeMap<NodeId, u64>,
-) -> Option<NodeId> {
-    choices.iter().copied().min_by(|a, b| {
-        let (ha, hb) = (heat[a], heat[b]);
-        ha.partial_cmp(&hb)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| {
-                assigned_bytes
-                    .get(a)
-                    .unwrap_or(&0)
-                    .cmp(assigned_bytes.get(b).unwrap_or(&0))
-            })
-            .then_with(|| a.cmp(b))
-    })
+impl Ledger {
+    /// An empty plan over `domain` (duplicates collapse), each node
+    /// starting at the summed heat of the segments it stores.
+    fn new(
+        planner: Planner,
+        stats: &[SegmentStat],
+        domain: impl IntoIterator<Item = NodeId>,
+    ) -> Self {
+        let mut predicted: BTreeMap<NodeId, f64> = domain.into_iter().map(|n| (n, 0.0)).collect();
+        for s in stats {
+            if let Some(h) = predicted.get_mut(&s.node) {
+                *h += s.heat;
+            }
+        }
+        let initial_max_heat = predicted.values().copied().fold(0.0, f64::max);
+        Ledger {
+            plan: Plan {
+                planner,
+                moves: Vec::new(),
+                bytes_planned: 0,
+                heat_planned: 0.0,
+                predicted,
+                initial_max_heat,
+            },
+            assigned_bytes: BTreeMap::new(),
+        }
+    }
+
+    /// `node`'s heat with the moves booked so far.
+    fn heat(&self, node: NodeId) -> f64 {
+        self.plan.predicted[&node]
+    }
+
+    /// The coldest node among `choices` (ties broken by fewest assigned
+    /// bytes, then lowest id, for determinism).
+    fn coldest(&self, choices: &[NodeId]) -> Option<NodeId> {
+        let bytes = |n: &NodeId| self.assigned_bytes.get(n).copied().unwrap_or(0);
+        choices.iter().copied().min_by(|a, b| {
+            (self.heat(*a).partial_cmp(&self.heat(*b)))
+                .unwrap_or(std::cmp::Ordering::Equal)
+                .then_with(|| bytes(a).cmp(&bytes(b)))
+                .then_with(|| a.cmp(b))
+        })
+    }
+
+    /// Book `stat`'s move from the node storing it to `to`.
+    fn ship(&mut self, stat: &SegmentStat, to: NodeId) {
+        let predicted = &mut self.plan.predicted;
+        *predicted.get_mut(&stat.node).expect("source in domain") -= stat.heat;
+        *predicted.get_mut(&to).expect("destination in domain") += stat.heat;
+        *self.assigned_bytes.entry(to).or_insert(0) += stat.bytes;
+        self.plan.bytes_planned += stat.bytes;
+        self.plan.heat_planned += stat.heat;
+        self.plan.moves.push(PlannedMove {
+            seg: stat.seg,
+            table: stat.table,
+            range: stat.range,
+            from: stat.node,
+            to,
+        });
+    }
 }
 
 /// Plan a scale-out: relieve `sources` by moving their hottest-per-byte
@@ -177,46 +231,8 @@ fn coldest(
 /// * cold segments (zero heat) are never shipped — bytes buy balance or
 ///   they stay home.
 pub fn plan_scale_out(stats: &[SegmentStat], sources: &[NodeId], targets: &[NodeId]) -> Plan {
-    let mut domain: Vec<NodeId> = sources.iter().chain(targets.iter()).copied().collect();
-    domain.sort_unstable();
-    domain.dedup();
-    let mut node_heat = heat_by_node(stats, &domain);
-    let initial_max_heat = node_heat.values().copied().fold(0.0, f64::max);
-    let total: f64 = node_heat.values().sum();
-    let mean = if domain.is_empty() {
-        0.0
-    } else {
-        total / domain.len() as f64
-    };
-    let ceiling = mean * (1.0 + SCALE_OUT_TOLERANCE);
-
-    let mut moves = Vec::new();
-    let mut bytes_planned = 0u64;
-    let mut heat_planned = 0.0f64;
-    let mut assigned_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
-
-    if targets.is_empty() {
-        return Plan {
-            planner: Planner::HeatAware,
-            moves,
-            bytes_planned,
-            heat_planned,
-            predicted: node_heat,
-            initial_max_heat,
-        };
-    }
-
-    // Hottest sources first: the worst imbalance gets first pick of the
-    // empty targets.
-    let mut src_order: Vec<NodeId> = sources.to_vec();
-    src_order.sort_by(|a, b| {
-        node_heat[b]
-            .partial_cmp(&node_heat[a])
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| a.cmp(b))
-    });
-    src_order.dedup();
-
+    let domain = sources.iter().chain(targets).copied();
+    let mut ledger = Ledger::new(Planner::HeatAware, stats, domain);
     // Destinations are targets only — never another (possibly also hot)
     // source.
     let dests: Vec<NodeId> = targets
@@ -225,15 +241,20 @@ pub fn plan_scale_out(stats: &[SegmentStat], sources: &[NodeId], targets: &[Node
         .filter(|t| !sources.contains(t))
         .collect();
     if dests.is_empty() {
-        return Plan {
-            planner: Planner::HeatAware,
-            moves,
-            bytes_planned,
-            heat_planned,
-            predicted: node_heat,
-            initial_max_heat,
-        };
+        return ledger.plan;
     }
+    let total: f64 = ledger.plan.predicted.values().sum();
+    let ceiling = total / ledger.plan.predicted.len() as f64 * (1.0 + SCALE_OUT_TOLERANCE);
+
+    // Hottest sources first: the worst imbalance gets first pick of the
+    // empty targets.
+    let mut src_order: Vec<NodeId> = sources.to_vec();
+    src_order.sort_by(|a, b| {
+        (ledger.heat(*b).partial_cmp(&ledger.heat(*a)))
+            .unwrap_or(std::cmp::Ordering::Equal)
+            .then_with(|| a.cmp(b))
+    });
+    src_order.dedup();
 
     for src in src_order {
         // Candidates: this source's segments carrying heat, best
@@ -255,45 +276,29 @@ pub fn plan_scale_out(stats: &[SegmentStat], sources: &[NodeId], targets: &[Node
                 .then_with(|| a.seg.cmp(&b.seg))
         });
         for cand in cands {
-            if node_heat[&src] <= ceiling {
+            if ledger.heat(src) <= ceiling {
                 break;
             }
-            let Some(dest) = coldest(&dests, &node_heat, &assigned_bytes) else {
+            let Some(dest) = ledger.coldest(&dests) else {
                 break;
             };
             // Only move if the pair's maximum strictly improves; shifting
             // the hotspot to the target ships bytes for nothing.
-            if node_heat[&dest] + cand.heat >= node_heat[&src] {
+            if ledger.heat(dest) + cand.heat >= ledger.heat(src) {
                 continue;
             }
-            *node_heat.get_mut(&src).expect("source in domain") -= cand.heat;
-            *node_heat.get_mut(&dest).expect("target in domain") += cand.heat;
-            *assigned_bytes.entry(dest).or_insert(0) += cand.bytes;
-            bytes_planned += cand.bytes;
-            heat_planned += cand.heat;
-            moves.push(PlannedMove {
-                seg: cand.seg,
-                table: cand.table,
-                range: cand.range,
-                from: src,
-                to: dest,
-            });
+            ledger.ship(cand, dest);
         }
     }
-
-    Plan {
-        planner: Planner::HeatAware,
-        moves,
-        bytes_planned,
-        heat_planned,
-        predicted: node_heat,
-        initial_max_heat,
-    }
+    ledger.plan
 }
 
 // ------------------------------------------------------------------ helpers
 
-/// One node's load row for helper planning: how hot it runs overall and
+/// Most helpers one [`plan_helpers`] call attaches.
+pub const MAX_HELPERS: usize = 2;
+
+/// One hot node's row as a helper *source*: how hot it runs overall and
 /// how much of that heat is *net/remote-heavy* — the component a Fig. 8
 /// helper (log shipping + remote buffer extension) actually relieves.
 /// Under the cost-based heat signal the caller splits the components from
@@ -309,41 +314,34 @@ pub struct NodeLoadStat {
     pub net_heat: f64,
 }
 
-/// One node eligible to serve as a helper.
+/// One node's row as a *host*: a node that may take a follower copy
+/// ([`plan_replicas`], [`plan_drain_replicated`]) or helper duty
+/// ([`plan_helpers`]). Both add network traffic, so an idle NIC counts:
+/// replica placement takes the coldest host, the idlest NIC breaking
+/// ties; helper choice takes standbys first, then the idlest NIC, then
+/// the coldest.
 #[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HelperCandidate {
-    /// Candidate node.
+pub struct HostRow {
+    /// The node.
     pub node: NodeId,
     /// Its current decayed heat (zero for standbys).
     pub heat: f64,
-    /// Its current NIC load (net-heavy heat component, or measured
-    /// transmit utilization — zero for standbys). A helper takes on its
-    /// source's log shipping and remote-buffer traffic, so a candidate
-    /// whose NIC is already busy relieves less than an idle one.
-    pub net: f64,
+    /// Its measured NIC egress utilization from the last monitoring
+    /// window (zero for standbys).
+    pub nic: f64,
     /// True when the node is in standby — the preferred helper pool: a
     /// standby brings fresh DRAM and an idle NIC at the cost of powering
-    /// on, while an active node lends capacity it may still need.
+    /// on, while an active node lends capacity it may still need. Replica
+    /// hosts are active nodes.
     pub standby: bool,
-}
-
-/// One planned helper attachment.
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct HelperAssignment {
-    /// Hot source whose log shipping and buffer overflow the helper takes.
-    pub source: NodeId,
-    /// The helper node.
-    pub helper: NodeId,
-    /// The source's net-heat component at planning time — what the
-    /// attachment is predicted to relieve.
-    pub net_heat: f64,
 }
 
 /// A complete helper plan with its predicted effect.
 #[derive(Debug, Clone, Default)]
 pub struct HelperPlan {
-    /// Assignments in descending source net-heat order.
-    pub assignments: Vec<HelperAssignment>,
+    /// `(source, helper)` pairs in descending source net-heat order: the
+    /// helper takes the hot source's log shipping and buffer overflow.
+    pub pairs: Vec<(NodeId, NodeId)>,
     /// Total net/remote-heavy heat the plan relieves (the sum over the
     /// helped sources).
     pub predicted_relief: f64,
@@ -358,23 +356,23 @@ pub struct HelperPlan {
 impl HelperPlan {
     /// True when no helper is worth attaching.
     pub fn is_empty(&self) -> bool {
-        self.assignments.is_empty()
+        self.pairs.is_empty()
     }
 
-    /// The helper nodes of the plan, in assignment order.
+    /// The helper nodes of the plan, in pair order.
     pub fn helpers(&self) -> Vec<NodeId> {
-        self.assignments.iter().map(|a| a.helper).collect()
+        self.pairs.iter().map(|&(_, h)| h).collect()
     }
 
-    /// The helped sources of the plan, in assignment order.
+    /// The helped sources of the plan, in pair order.
     pub fn sources(&self) -> Vec<NodeId> {
-        self.assignments.iter().map(|a| a.source).collect()
+        self.pairs.iter().map(|&(s, _)| s).collect()
     }
 }
 
 /// Plan helper attachments: rank `sources` by their net/remote-heavy heat
 /// component and pair the heaviest with helpers drawn from `candidates`,
-/// one helper per source, at most `cfg.max_helpers` assignments.
+/// one helper per source, at most [`MAX_HELPERS`] pairs.
 ///
 /// Helper choice prefers standbys, then idle-NIC candidates (a busy NIC
 /// cannot absorb a source's shipping traffic), then the coldest
@@ -394,14 +392,11 @@ impl HelperPlan {
 /// changing which physical nodes pair up.
 pub fn plan_helpers(
     sources: &[NodeLoadStat],
-    candidates: &[HelperCandidate],
+    candidates: &[HostRow],
     excluded: &[NodeId],
     cfg: &HelperPolicyConfig,
 ) -> HelperPlan {
     let mut plan = HelperPlan::default();
-    if cfg.max_helpers == 0 {
-        return plan;
-    }
     // Net-heaviest sources first; deterministic tie-break on id.
     let mut ranked: Vec<&NodeLoadStat> = sources
         .iter()
@@ -427,11 +422,11 @@ pub fn plan_helpers(
     // Eligible helpers: not excluded, not a source. Standbys first, then
     // the coldest actives; the master only as the pool of last resort.
     let is_source = |n: NodeId| sources.iter().any(|s| s.node == n);
-    let eligible: Vec<&HelperCandidate> = candidates
+    let eligible: Vec<&HostRow> = candidates
         .iter()
         .filter(|c| !excluded.contains(&c.node) && !is_source(c.node))
         .collect();
-    let mut pool: Vec<&HelperCandidate> = eligible
+    let mut pool: Vec<&HostRow> = eligible
         .iter()
         .copied()
         .filter(|c| c.node != NodeId(0))
@@ -443,8 +438,8 @@ pub fn plan_helpers(
         b.standby
             .cmp(&a.standby)
             .then_with(|| {
-                a.net
-                    .partial_cmp(&b.net)
+                a.nic
+                    .partial_cmp(&b.nic)
                     .unwrap_or(std::cmp::Ordering::Equal)
             })
             .then_with(|| {
@@ -465,49 +460,34 @@ pub fn plan_helpers(
                 "{} {} net={:.3} heat={:.3}",
                 c.node,
                 if c.standby { "standby" } else { "active" },
-                c.net,
+                c.nic,
                 c.heat
             )
         })
         .collect();
 
-    let mut next = pool.into_iter();
-    for src in ranked.into_iter().take(cfg.max_helpers) {
-        let Some(helper) = next.next() else {
-            break;
-        };
+    for (src, helper) in ranked.into_iter().take(MAX_HELPERS).zip(pool) {
         plan.predicted_relief += src.net_heat;
-        plan.assignments.push(HelperAssignment {
-            source: src.node,
-            helper: helper.node,
-            net_heat: src.net_heat,
-        });
+        plan.pairs.push((src.node, helper.node));
     }
     plan
 }
 
 // ----------------------------------------------------------------- replicas
 
-/// One segment's replica-planning input: its leader and the followers it
-/// already has (kept, never duplicated by the plan).
-#[derive(Debug, Clone)]
-pub struct ReplicaNeed {
-    /// The segment needing followers.
-    pub seg: SegmentId,
-    /// Its current leader — never a follower host.
-    pub leader: NodeId,
-    /// Followers already in place (after a failure: the survivors).
-    pub existing: Vec<NodeId>,
-}
-
-/// One segment's planned follower additions.
+/// One segment's replication: its leader and its follower hosts. The same
+/// row is a planning input — the followers a segment already has
+/// ([`plan_replicas`], kept and never duplicated) or all its current
+/// followers, staying and draining ([`plan_drain_replicated`]) — and a
+/// planned placement, whose followers are the **new** ones to attach
+/// ([`ReplicaPlan::placements`]).
 #[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicaPlacement {
+pub struct ReplicaSite {
     /// The segment.
     pub seg: SegmentId,
-    /// Its leader (unchanged by the plan).
+    /// Its leader — never a follower host, and unchanged by a placement.
     pub leader: NodeId,
-    /// **New** followers to attach, in assignment order.
+    /// Follower hosts, in assignment order for a placement.
     pub followers: Vec<NodeId>,
 }
 
@@ -516,7 +496,7 @@ pub struct ReplicaPlacement {
 pub struct ReplicaPlan {
     /// Per-segment follower additions; segments already at factor are
     /// omitted.
-    pub placements: Vec<ReplicaPlacement>,
+    pub placements: Vec<ReplicaSite>,
 }
 
 impl ReplicaPlan {
@@ -531,45 +511,46 @@ impl ReplicaPlan {
     }
 }
 
-/// Plan follower placement: bring every segment in `needs` up to
+/// Plan follower placement: bring every segment in `sites` up to
 /// `factor` followers, drawing hosts from `hosts`.
 ///
 /// Failure domains are nodes, so the guarantees are:
 /// * a follower never lands on its segment's leader;
-/// * a segment's followers are pairwise distinct (and distinct from any
-///   `existing` survivor);
-/// * hosts fill coldest-first ([`NodeLoadStat::heat`]), preferring idle
-///   NICs ([`NodeLoadStat::net_heat`]) among equally cold hosts, with a
-///   per-host assignment count spreading follower load across the
-///   cluster instead of piling every copy onto the single coldest node.
+/// * a segment's followers are pairwise distinct (and distinct from the
+///   followers it already has);
+/// * hosts fill coldest-first ([`HostRow::heat`]), preferring idle NICs
+///   ([`HostRow::nic`]) among equally cold hosts, with a per-host
+///   assignment count spreading follower load across the cluster instead
+///   of piling every copy onto the single coldest node.
 ///
 /// A segment that cannot reach factor (not enough distinct eligible
 /// hosts) gets as many followers as exist — the plan never invents a
 /// co-located copy to hit the number.
-pub fn plan_replicas(needs: &[ReplicaNeed], hosts: &[NodeLoadStat], factor: usize) -> ReplicaPlan {
+pub fn plan_replicas(sites: &[ReplicaSite], hosts: &[HostRow], factor: usize) -> ReplicaPlan {
     let mut plan = ReplicaPlan::default();
     if factor == 0 {
         return plan;
     }
     // One row per host, deterministic: duplicates collapse to the first.
-    let mut pool: Vec<&NodeLoadStat> = hosts.iter().collect();
+    let mut pool: Vec<&HostRow> = hosts.iter().collect();
     pool.sort_by_key(|h| h.node);
     let mut seen = std::collections::BTreeSet::new();
     pool.retain(|h| seen.insert(h.node));
     let mut assigned: BTreeMap<NodeId, usize> = BTreeMap::new();
 
-    for need in needs {
-        if need.existing.len() >= factor {
+    for site in sites {
+        let existing = &site.followers;
+        if existing.len() >= factor {
             continue;
         }
-        let deficit = factor - need.existing.len();
+        let deficit = factor - existing.len();
         let mut followers = Vec::with_capacity(deficit);
         for _ in 0..deficit {
             let pick = pool
                 .iter()
                 .filter(|h| {
-                    h.node != need.leader
-                        && !need.existing.contains(&h.node)
+                    h.node != site.leader
+                        && !existing.contains(&h.node)
                         && !followers.contains(&h.node)
                 })
                 .min_by(|a, b| {
@@ -584,8 +565,8 @@ pub fn plan_replicas(needs: &[ReplicaNeed], hosts: &[NodeLoadStat], factor: usiz
                                 .unwrap_or(std::cmp::Ordering::Equal)
                         })
                         .then_with(|| {
-                            a.net_heat
-                                .partial_cmp(&b.net_heat)
+                            a.nic
+                                .partial_cmp(&b.nic)
                                 .unwrap_or(std::cmp::Ordering::Equal)
                         })
                         .then_with(|| a.node.cmp(&b.node))
@@ -598,27 +579,14 @@ pub fn plan_replicas(needs: &[ReplicaNeed], hosts: &[NodeLoadStat], factor: usiz
             followers.push(host);
         }
         if !followers.is_empty() {
-            plan.placements.push(ReplicaPlacement {
-                seg: need.seg,
-                leader: need.leader,
+            plan.placements.push(ReplicaSite {
+                seg: site.seg,
+                leader: site.leader,
                 followers,
             });
         }
     }
     plan
-}
-
-/// One segment's *current* replication state, as planning input for a
-/// replica-aware drain: which node leads it and which nodes hold its
-/// follower copies (both the ones staying and the ones about to drain).
-#[derive(Debug, Clone)]
-pub struct ReplicaSite {
-    /// The replicated segment.
-    pub seg: SegmentId,
-    /// Its current leader.
-    pub leader: NodeId,
-    /// All current follower hosts.
-    pub followers: Vec<NodeId>,
 }
 
 /// One planned follower re-home: the copy on `from` (a draining node) is
@@ -694,7 +662,7 @@ pub fn plan_drain_replicated(
     drain: &[NodeId],
     remaining: &[NodeId],
     sites: &[ReplicaSite],
-    hosts: &[NodeLoadStat],
+    hosts: &[HostRow],
     factor: usize,
 ) -> DrainPlan {
     let site_of: DenseMap<SegmentId, &ReplicaSite> = sites.iter().map(|s| (s.seg, s)).collect();
@@ -707,17 +675,8 @@ pub fn plan_drain_replicated(
         .copied()
         .filter(|n| !drain.contains(n))
         .collect();
-    let mut domain: Vec<NodeId> = drain.iter().chain(dests.iter()).copied().collect();
-    domain.sort_unstable();
-    domain.dedup();
-    let mut node_heat = heat_by_node(stats, &domain);
-    let initial_max_heat = node_heat.values().copied().fold(0.0, f64::max);
-
-    let mut moves = Vec::new();
-    let mut bytes_planned = 0u64;
-    let mut heat_planned = 0.0f64;
-    let mut assigned_bytes: BTreeMap<NodeId, u64> = BTreeMap::new();
-
+    let domain = drain.iter().chain(&dests).copied();
+    let mut ledger = Ledger::new(Planner::HeatAware, stats, domain);
     if !dests.is_empty() {
         let mut evacuees: Vec<&SegmentStat> =
             stats.iter().filter(|s| drain.contains(&s.node)).collect();
@@ -738,60 +697,37 @@ pub fn plan_drain_replicated(
                 .copied()
                 .filter(|d| !followers.contains(d))
                 .collect();
-            let dest = coldest(&preferred, &node_heat, &assigned_bytes)
-                .or_else(|| coldest(&dests, &node_heat, &assigned_bytes))
+            let dest = (ledger.coldest(&preferred))
+                .or_else(|| ledger.coldest(&dests))
                 .expect("dests non-empty");
-            *node_heat.get_mut(&seg.node).expect("drain in domain") -= seg.heat;
-            *node_heat.get_mut(&dest).expect("dest in domain") += seg.heat;
-            *assigned_bytes.entry(dest).or_insert(0) += seg.bytes;
-            bytes_planned += seg.bytes;
-            heat_planned += seg.heat;
-            moves.push(PlannedMove {
-                seg: seg.seg,
-                table: seg.table,
-                range: seg.range,
-                from: seg.node,
-                to: dest,
-            });
+            ledger.ship(seg, dest);
         }
     }
+    let plan = ledger.plan;
 
     // Follower re-homes: every copy hosted on a drained node gets a
     // replacement, planned against the *post-move* leaders so a backfill
-    // source is never its own destination.
+    // source is never its own destination. Each need keeps the surviving
+    // followers; `lost` holds the draining ones, index for index.
     let mut needs = Vec::new();
-    let mut lost_by_seg: Vec<(SegmentId, Vec<NodeId>)> = Vec::new();
-    let mut orphaned_copies = 0usize;
+    let mut lost_by_need: Vec<Vec<NodeId>> = Vec::new();
     for site in sites {
-        let lost: Vec<NodeId> = site
-            .followers
-            .iter()
-            .copied()
-            .filter(|f| drain.contains(f))
-            .collect();
+        let (lost, kept): (Vec<NodeId>, Vec<NodeId>) =
+            site.followers.iter().partition(|f| drain.contains(f));
         if lost.is_empty() {
             continue;
         }
-        orphaned_copies += lost.len();
-        let existing: Vec<NodeId> = site
-            .followers
-            .iter()
-            .copied()
-            .filter(|f| !drain.contains(f))
-            .collect();
-        let leader = moves
-            .iter()
+        let leader = (plan.moves.iter())
             .find(|m| m.seg == site.seg)
-            .map(|m| m.to)
-            .unwrap_or(site.leader);
-        needs.push(ReplicaNeed {
+            .map_or(site.leader, |m| m.to);
+        needs.push(ReplicaSite {
             seg: site.seg,
             leader,
-            existing,
+            followers: kept,
         });
-        lost_by_seg.push((site.seg, lost));
+        lost_by_need.push(lost);
     }
-    let host_pool: Vec<NodeLoadStat> = hosts
+    let host_pool: Vec<HostRow> = hosts
         .iter()
         .copied()
         .filter(|h| !drain.contains(&h.node))
@@ -800,40 +736,29 @@ pub fn plan_drain_replicated(
 
     let mut rehomes = Vec::new();
     let mut uncovered = 0usize;
-    for (need, (seg, lost)) in needs.iter().zip(lost_by_seg.iter()) {
-        let planned: &[NodeId] = rp
-            .placements
-            .iter()
-            .find(|p| p.seg == *seg)
-            .map(|p| p.followers.as_slice())
-            .unwrap_or(&[]);
+    for (need, lost) in needs.iter().zip(&lost_by_need) {
+        let planned: &[NodeId] = (rp.placements.iter())
+            .find(|p| p.seg == need.seg)
+            .map_or(&[], |p| p.followers.as_slice());
         // Pair each orphaned copy with a planned host; extra plan slots
         // (pre-existing deficit top-ups) are left to background repair.
-        for (from, to) in lost.iter().zip(planned.iter()) {
+        for (&from, &to) in lost.iter().zip(planned) {
             rehomes.push(FollowerRehome {
-                seg: *seg,
+                seg: need.seg,
                 leader: need.leader,
-                from: *from,
-                to: *to,
+                from,
+                to,
             });
         }
-        let executed = lost.len().min(planned.len());
-        let kept = need.existing.len() + executed;
-        let pre_drain = need.existing.len() + lost.len();
+        let kept = need.followers.len() + lost.len().min(planned.len());
+        let pre_drain = need.followers.len() + lost.len();
         uncovered += pre_drain.min(factor).saturating_sub(kept);
     }
 
     DrainPlan {
-        plan: Plan {
-            planner: Planner::HeatAware,
-            moves,
-            bytes_planned,
-            heat_planned,
-            predicted: node_heat,
-            initial_max_heat,
-        },
+        plan,
         rehomes,
-        orphaned_copies,
+        orphaned_copies: lost_by_need.iter().map(Vec::len).sum(),
         uncovered,
     }
 }
@@ -849,24 +774,10 @@ pub fn plan_fraction(
     sources: &[NodeId],
     targets: &[NodeId],
 ) -> Plan {
-    let mut domain: Vec<NodeId> = sources.iter().chain(targets.iter()).copied().collect();
-    domain.sort_unstable();
-    domain.dedup();
-    let mut node_heat = heat_by_node(stats, &domain);
-    let initial_max_heat = node_heat.values().copied().fold(0.0, f64::max);
-
-    let mut moves = Vec::new();
-    let mut bytes_planned = 0u64;
-    let mut heat_planned = 0.0f64;
+    let domain = sources.iter().chain(targets).copied();
+    let mut ledger = Ledger::new(Planner::Fraction, stats, domain);
     if targets.is_empty() {
-        return Plan {
-            planner: Planner::Fraction,
-            moves,
-            bytes_planned,
-            heat_planned,
-            predicted: node_heat,
-            initial_max_heat,
-        };
+        return ledger.plan;
     }
     for (i, &src) in sources.iter().enumerate() {
         let to = targets[i % targets.len()];
@@ -885,29 +796,11 @@ pub fn plan_fraction(
             segs.sort_by_key(|s| (s.range.start, s.seg));
             let keep = ((segs.len() as f64) * (1.0 - fraction)).round() as usize;
             for s in segs.into_iter().skip(keep) {
-                *node_heat.get_mut(&src).expect("source in domain") -= s.heat;
-                *node_heat.get_mut(&to).expect("target in domain") += s.heat;
-                bytes_planned += s.bytes;
-                heat_planned += s.heat;
-                moves.push(PlannedMove {
-                    seg: s.seg,
-                    table: s.table,
-                    range: s.range,
-                    from: src,
-                    to,
-                });
+                ledger.ship(s, to);
             }
         }
     }
-
-    Plan {
-        planner: Planner::Fraction,
-        moves,
-        bytes_planned,
-        heat_planned,
-        predicted: node_heat,
-        initial_max_heat,
-    }
+    ledger.plan
 }
 
 #[cfg(test)]
@@ -1051,12 +944,21 @@ mod tests {
         }
     }
 
-    fn cand(node: u16, heat: f64, standby: bool) -> HelperCandidate {
-        HelperCandidate {
+    fn cand(node: u16, heat: f64, standby: bool) -> HostRow {
+        HostRow {
             node: NodeId(node),
             heat,
-            net: 0.0,
+            nic: 0.0,
             standby,
+        }
+    }
+
+    fn host(node: u16, heat: f64, nic: f64) -> HostRow {
+        HostRow {
+            node: NodeId(node),
+            heat,
+            nic,
+            standby: false,
         }
     }
 
@@ -1067,11 +969,10 @@ mod tests {
         let sources = [load(1, 100.0, 5.0), load(2, 60.0, 40.0)];
         let cands = [cand(3, 0.0, true), cand(4, 0.0, true)];
         let plan = plan_helpers(&sources, &cands, &[], &HelperPolicyConfig::default());
-        assert_eq!(plan.assignments.len(), 2);
-        assert_eq!(plan.assignments[0].source, NodeId(2));
-        assert_eq!(plan.assignments[0].helper, NodeId(3));
-        assert_eq!(plan.assignments[1].source, NodeId(1));
-        assert_eq!(plan.assignments[1].helper, NodeId(4));
+        assert_eq!(
+            plan.pairs,
+            vec![(NodeId(2), NodeId(3)), (NodeId(1), NodeId(4))]
+        );
         assert!((plan.predicted_relief - 45.0).abs() < 1e-9);
     }
 
@@ -1095,16 +996,16 @@ mod tests {
         // hotter with an idle NIC. The idle NIC wins — a busy NIC cannot
         // absorb the source's shipping traffic.
         let cands = [
-            HelperCandidate {
+            HostRow {
                 node: NodeId(2),
                 heat: 1.0,
-                net: 8.0,
+                nic: 8.0,
                 standby: false,
             },
-            HelperCandidate {
+            HostRow {
                 node: NodeId(3),
                 heat: 2.0,
-                net: 0.0,
+                nic: 0.0,
                 standby: false,
             },
         ];
@@ -1113,10 +1014,10 @@ mod tests {
         // A standby still outranks any active, busy NIC or not.
         let with_standby = [
             cands[1],
-            HelperCandidate {
+            HostRow {
                 node: NodeId(4),
                 heat: 0.0,
-                net: 0.0,
+                nic: 0.0,
                 standby: true,
             },
         ];
@@ -1131,22 +1032,22 @@ mod tests {
         // the winner won.
         let sources = [load(1, 50.0, 50.0)];
         let cands = [
-            HelperCandidate {
+            HostRow {
                 node: NodeId(2),
                 heat: 1.0,
-                net: 8.0,
+                nic: 8.0,
                 standby: false,
             },
-            HelperCandidate {
+            HostRow {
                 node: NodeId(3),
                 heat: 2.0,
-                net: 0.0,
+                nic: 0.0,
                 standby: false,
             },
-            HelperCandidate {
+            HostRow {
                 node: NodeId(4),
                 heat: 0.0,
-                net: 0.0,
+                nic: 0.0,
                 standby: true,
             },
         ];
@@ -1175,11 +1076,7 @@ mod tests {
             &sources,
             &cands,
             &[NodeId(3)],
-            &HelperPolicyConfig {
-                max_helpers: 4,
-                min_net_heat: 0.0,
-                ..Default::default()
-            },
+            &HelperPolicyConfig::default(),
         );
         assert_eq!(plan.helpers(), vec![NodeId(4)], "{plan:?}");
         assert_eq!(plan.sources(), vec![NodeId(1)]);
@@ -1207,16 +1104,7 @@ mod tests {
         // still collect exactly one helper (from its best-ranked row).
         let sources = [load(1, 50.0, 10.0), load(2, 40.0, 5.0), load(1, 10.0, 3.0)];
         let cands = [cand(3, 0.0, true), cand(4, 0.0, true), cand(5, 0.0, true)];
-        let plan = plan_helpers(
-            &sources,
-            &cands,
-            &[],
-            &HelperPolicyConfig {
-                max_helpers: 3,
-                min_net_heat: 0.0,
-                ..Default::default()
-            },
-        );
+        let plan = plan_helpers(&sources, &cands, &[], &HelperPolicyConfig::default());
         assert_eq!(plan.sources(), vec![NodeId(1), NodeId(2)], "{plan:?}");
         // Same for candidates: a helper listed twice (with differing
         // heats) serves at most one source.
@@ -1226,36 +1114,31 @@ mod tests {
             cand(3, 1.0, false),
             cand(4, 5.0, false),
         ];
-        let plan = plan_helpers(
-            &sources,
-            &dup_cands,
-            &[],
-            &HelperPolicyConfig {
-                max_helpers: 3,
-                min_net_heat: 0.0,
-                ..Default::default()
-            },
-        );
+        let plan = plan_helpers(&sources, &dup_cands, &[], &HelperPolicyConfig::default());
         assert_eq!(plan.helpers(), vec![NodeId(3), NodeId(4)], "{plan:?}");
     }
 
     #[test]
     fn net_heat_floor_and_cap_bound_the_plan() {
-        let sources = [load(1, 9.0, 9.0), load(2, 8.0, 8.0), load(3, 1.0, 0.4)];
+        let sources = [
+            load(1, 9.0, 9.0),
+            load(2, 8.0, 8.0),
+            load(3, 1.0, 0.4),
+            load(7, 7.0, 7.0),
+        ];
         let cands = [cand(4, 0.0, true), cand(5, 0.0, true), cand(6, 0.0, true)];
-        // The floor silences node 3; the cap keeps one assignment.
+        // The floor silences node 3; the cap keeps the two net-heaviest.
         let plan = plan_helpers(
             &sources,
             &cands,
             &[],
             &HelperPolicyConfig {
-                max_helpers: 1,
                 min_net_heat: 1.0,
                 ..Default::default()
             },
         );
-        assert_eq!(plan.assignments.len(), 1);
-        assert_eq!(plan.assignments[0].source, NodeId(1));
+        assert_eq!(plan.pairs.len(), MAX_HELPERS);
+        assert_eq!(plan.sources(), vec![NodeId(1), NodeId(2)]);
         // A zero-net source still gets a helper under the zero floor (log
         // shipping relieves its commit path), ranked behind any net-heavy
         // source — but any positive floor excludes it.
@@ -1267,7 +1150,6 @@ mod tests {
             &cands,
             &[],
             &HelperPolicyConfig {
-                max_helpers: 2,
                 min_net_heat: 0.5,
                 ..Default::default()
             },
@@ -1277,34 +1159,14 @@ mod tests {
         let cold = [load(1, 0.0, 0.0)];
         let plan = plan_helpers(&cold, &cands, &[], &HelperPolicyConfig::default());
         assert!(plan.is_empty(), "{plan:?}");
-        // max_helpers = 0 disables planning outright.
-        let plan = plan_helpers(
-            &sources,
-            &cands,
-            &[],
-            &HelperPolicyConfig {
-                max_helpers: 0,
-                min_net_heat: 0.0,
-                ..Default::default()
-            },
-        );
-        assert!(plan.is_empty());
     }
 
     // ----------------------------------------------------------- replicas
 
-    fn need(seg: u64, leader: u16, existing: &[u16]) -> ReplicaNeed {
-        ReplicaNeed {
-            seg: SegmentId(seg),
-            leader: NodeId(leader),
-            existing: existing.iter().map(|&n| NodeId(n)).collect(),
-        }
-    }
-
     #[test]
     fn replicas_never_co_locate_with_the_leader_and_stay_distinct() {
-        let hosts = [load(1, 5.0, 0.0), load(2, 1.0, 0.0), load(3, 2.0, 0.0)];
-        let needs = [need(1, 1, &[]), need(2, 2, &[])];
+        let hosts = [host(1, 5.0, 0.0), host(2, 1.0, 0.0), host(3, 2.0, 0.0)];
+        let needs = [site(1, 1, &[]), site(2, 2, &[])];
         let plan = plan_replicas(&needs, &hosts, 2);
         assert_eq!(plan.additions(), 4);
         for p in &plan.placements {
@@ -1321,12 +1183,12 @@ mod tests {
         // Three segments on node 1, factor 1: the followers spread across
         // the other hosts (coldest first) instead of piling onto one.
         let hosts = [
-            load(1, 9.0, 0.0),
-            load(2, 1.0, 0.0),
-            load(3, 2.0, 0.0),
-            load(4, 3.0, 0.0),
+            host(1, 9.0, 0.0),
+            host(2, 1.0, 0.0),
+            host(3, 2.0, 0.0),
+            host(4, 3.0, 0.0),
         ];
-        let needs = [need(1, 1, &[]), need(2, 1, &[]), need(3, 1, &[])];
+        let needs = [site(1, 1, &[]), site(2, 1, &[]), site(3, 1, &[])];
         let plan = plan_replicas(&needs, &hosts, 1);
         let picked: Vec<NodeId> = plan
             .placements
@@ -1343,31 +1205,31 @@ mod tests {
     #[test]
     fn replicas_prefer_idle_nics_among_equally_cold_hosts() {
         // Two standby-cold hosts; node 3's NIC already carries traffic.
-        let hosts = [load(2, 0.0, 4.0), load(3, 0.0, 0.0)];
-        let plan = plan_replicas(&[need(1, 1, &[])], &hosts, 1);
+        let hosts = [host(2, 0.0, 4.0), host(3, 0.0, 0.0)];
+        let plan = plan_replicas(&[site(1, 1, &[])], &hosts, 1);
         // Equal heat → the idle NIC wins the tie.
         assert_eq!(plan.placements[0].followers, vec![NodeId(3)], "{plan:?}");
     }
 
     #[test]
     fn replica_deficit_only_and_capacity_bounds() {
-        let hosts = [load(2, 0.0, 0.0), load(3, 1.0, 0.0)];
+        let hosts = [host(2, 0.0, 0.0), host(3, 1.0, 0.0)];
         // Already at factor: nothing planned.
-        let plan = plan_replicas(&[need(1, 1, &[2])], &hosts, 1);
+        let plan = plan_replicas(&[site(1, 1, &[2])], &hosts, 1);
         assert!(plan.is_empty(), "{plan:?}");
         // Deficit of one: only the missing follower is added, avoiding
         // the survivor.
-        let plan = plan_replicas(&[need(1, 1, &[2])], &hosts, 2);
+        let plan = plan_replicas(&[site(1, 1, &[2])], &hosts, 2);
         assert_eq!(plan.placements[0].followers, vec![NodeId(3)]);
         // Not enough distinct hosts: as many as exist, never a co-located
         // copy to hit the number.
-        let plan = plan_replicas(&[need(1, 1, &[])], &hosts, 5);
+        let plan = plan_replicas(&[site(1, 1, &[])], &hosts, 5);
         assert_eq!(plan.placements[0].followers, vec![NodeId(2), NodeId(3)]);
         // Factor zero disables planning.
-        assert!(plan_replicas(&[need(1, 1, &[])], &hosts, 0).is_empty());
+        assert!(plan_replicas(&[site(1, 1, &[])], &hosts, 0).is_empty());
         // The leader being the only host yields nothing.
-        let only_leader = [load(1, 0.0, 0.0)];
-        assert!(plan_replicas(&[need(1, 1, &[])], &only_leader, 1).is_empty());
+        let only_leader = [host(1, 0.0, 0.0)];
+        assert!(plan_replicas(&[site(1, 1, &[])], &only_leader, 1).is_empty());
     }
 
     // ------------------------------------------------- replica-aware drain
@@ -1391,7 +1253,7 @@ mod tests {
             stat(30, 3, 100, 1.0),
         ];
         let sites = [site(10, 1, &[3]), site(20, 2, &[3]), site(30, 3, &[1])];
-        let hosts = [load(1, 2.0, 0.0), load(2, 2.0, 0.0), load(4, 0.0, 0.0)];
+        let hosts = [host(1, 2.0, 0.0), host(2, 2.0, 0.0), host(4, 0.0, 0.0)];
         let dp = plan_drain_replicated(
             &stats,
             &[NodeId(3)],
@@ -1418,7 +1280,7 @@ mod tests {
         // there would evict the copy — node 2 must win instead.
         let stats = vec![stat(30, 3, 100, 1.0), stat(40, 2, 100, 0.5)];
         let sites = [site(30, 3, &[1])];
-        let hosts = [load(1, 0.0, 0.0), load(2, 0.5, 0.0)];
+        let hosts = [host(1, 0.0, 0.0), host(2, 0.5, 0.0)];
         let dp = plan_drain_replicated(
             &stats,
             &[NodeId(3)],
@@ -1453,7 +1315,7 @@ mod tests {
         // leader, not the old one.
         let stats = vec![stat(30, 3, 100, 1.0)];
         let sites = [site(30, 3, &[4])];
-        let hosts = [load(1, 0.0, 0.0), load(4, 0.0, 0.0)];
+        let hosts = [host(1, 0.0, 0.0), host(4, 0.0, 0.0)];
         let dp = plan_drain_replicated(
             &stats,
             &[NodeId(3), NodeId(4)],
@@ -1478,7 +1340,7 @@ mod tests {
         // old deficit stays background repair's job and does not block.
         let stats = vec![stat(10, 1, 100, 1.0)];
         let sites = [site(10, 1, &[3])];
-        let hosts = [load(2, 0.0, 0.0), load(4, 0.0, 0.0), load(5, 0.0, 0.0)];
+        let hosts = [host(2, 0.0, 0.0), host(4, 0.0, 0.0), host(5, 0.0, 0.0)];
         let dp = plan_drain_replicated(
             &stats,
             &[NodeId(3)],

@@ -1,13 +1,14 @@
 //! Property tests for the heat-aware planner: conservation, target
-//! discipline, the balance-tolerance bound, and the byte envelope against
-//! the fraction heuristic the engine runs.
+//! discipline, the balance-tolerance bound, the byte envelope against
+//! the fraction heuristic the engine runs, and the replay of every segment
+//! plan's totals from its moves.
 
 use std::collections::BTreeSet;
 
 use proptest::prelude::*;
 use wattdb_common::{Key, KeyRange, NodeId, SegmentId, TableId};
 use wattdb_planner::{
-    plan_drain_replicated, plan_fraction, plan_scale_out, SegmentStat, SCALE_OUT_TOLERANCE,
+    plan_drain_replicated, plan_fraction, plan_scale_out, Plan, SegmentStat, SCALE_OUT_TOLERANCE,
 };
 
 /// Build one segment per heat entry, laid out in key order on `node`.
@@ -29,8 +30,70 @@ fn stats_on(heats: &[f64], node: u16, bytes: u64, seg_base: u64) -> Vec<SegmentS
         .collect()
 }
 
+/// Replay `plan`'s moves over `stats` and check every figure the plan
+/// reports against the replay: its byte and heat totals, its predicted
+/// per-node heat and its pre-move maximum, with no segment moved twice.
+fn check_replay(stats: &[SegmentStat], plan: &Plan) {
+    let mut seen = BTreeSet::new();
+    let mut bytes = 0u64;
+    let mut heat = 0.0f64;
+    let mut placed: Vec<SegmentStat> = stats.to_vec();
+    for m in &plan.moves {
+        assert!(seen.insert(m.seg), "segment moved twice: {m:?}");
+        let s = placed.iter_mut().find(|s| s.seg == m.seg);
+        let s = s.expect("a move names an existing segment");
+        assert_eq!(s.node, m.from, "a move starts where the segment is");
+        assert!(
+            plan.predicted.contains_key(&m.to),
+            "destination outside the domain"
+        );
+        s.node = m.to;
+        bytes += s.bytes;
+        heat += s.heat;
+    }
+    assert_eq!(plan.bytes_planned, bytes);
+    assert_eq!(plan.heat_planned, heat);
+    let node_sum = |rows: &[SegmentStat], n| -> f64 {
+        rows.iter().filter(|s| s.node == n).map(|s| s.heat).sum()
+    };
+    let mut initial_max = 0.0f64;
+    for (&n, &predicted) in &plan.predicted {
+        let replayed = node_sum(&placed, n);
+        assert!(
+            (predicted - replayed).abs() < 1e-9,
+            "{n}: predicted {predicted} vs replayed {replayed}"
+        );
+        initial_max = initial_max.max(node_sum(stats, n));
+    }
+    assert_eq!(plan.initial_max_heat, initial_max);
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
+
+    /// Every segment planner books its moves through the same ledger: the
+    /// totals, the predicted heat and the pre-move maximum of a scale-out,
+    /// a fraction and a drain plan all replay from their moves.
+    #[test]
+    fn every_segment_plan_replays_from_its_moves(
+        segs in proptest::collection::vec((0u16..5, 1u64..10_000, 0.0f64..100.0), 1..24),
+        n_sources in 1u16..4,
+        fraction in 0.0f64..1.0,
+    ) {
+        let stats: Vec<SegmentStat> = segs
+            .iter()
+            .enumerate()
+            .flat_map(|(i, &(node, bytes, heat))| {
+                stats_on(&[heat], node, bytes, i as u64)
+            })
+            .collect();
+        let sources: Vec<NodeId> = (0..n_sources).map(NodeId).collect();
+        let targets: Vec<NodeId> = (n_sources..5).map(NodeId).collect();
+        check_replay(&stats, &plan_scale_out(&stats, &sources, &targets));
+        check_replay(&stats, &plan_fraction(&stats, fraction, &sources, &targets));
+        let drain = plan_drain_replicated(&stats, &sources, &targets, &[], &[], 0);
+        check_replay(&stats, &drain.plan);
+    }
 
     /// Every move relocates an existing segment exactly once, from the
     /// node that holds it, onto a target — never onto a source.

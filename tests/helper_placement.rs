@@ -9,7 +9,7 @@
 //!   one already helping, and never the master while an alternative
 //!   exists.
 //! * Property tests: helper choice is invariant under node renumbering,
-//!   and a plan never exceeds `max_helpers` nor assigns a source or a
+//!   and a plan never exceeds `MAX_HELPERS` nor assigns a source or a
 //!   duplicate as a helper.
 //! * The manual path regression: an explicit helper list still produces
 //!   the exact legacy attach/detach trace (`sources[i]` paired with
@@ -102,16 +102,16 @@ fn planner_targets_the_net_heaviest_source_under_cost_heat() {
     charge(&mut db, NodeId(0), 200, 0, 400);
     charge(&mut db, NodeId(1), 0, 8192, 200);
     let plan = plan_helpers(&db, &HelperPolicyConfig::default(), &[NodeId(0), NodeId(1)]);
-    assert_eq!(plan.assignments.len(), 2, "{plan:?}");
+    assert_eq!(plan.pairs.len(), 2, "{plan:?}");
     assert_eq!(
-        plan.assignments[0].source,
+        plan.pairs[0].0,
         NodeId(1),
         "net-heavy outranks hotter-but-local: {plan:?}"
     );
     assert!(plan.predicted_relief > 0.0);
     // Helpers come from the standby pool, never a source.
-    for a in &plan.assignments {
-        assert!(a.helper == NodeId(2) || a.helper == NodeId(3), "{plan:?}");
+    for &(_, helper) in &plan.pairs {
+        assert!(helper == NodeId(2) || helper == NodeId(3), "{plan:?}");
     }
 }
 
@@ -127,8 +127,8 @@ fn net_heat_floor_drops_cpu_pure_sources() {
         ..Default::default()
     };
     let plan = plan_helpers(&db, &floor, &[NodeId(0), NodeId(1)]);
-    assert_eq!(plan.assignments.len(), 1, "{plan:?}");
-    assert_eq!(plan.assignments[0].source, NodeId(1));
+    assert_eq!(plan.pairs.len(), 1, "{plan:?}");
+    assert_eq!(plan.pairs[0].0, NodeId(1));
 }
 
 #[test]
@@ -150,7 +150,7 @@ fn count_signal_falls_back_to_total_heat() {
     let plan = plan_helpers(&db, &HelperPolicyConfig::default(), &[NodeId(0), NodeId(1)]);
     assert!(!plan.is_empty());
     assert_eq!(
-        plan.assignments[0].source,
+        plan.pairs[0].0,
         NodeId(1),
         "count fallback ranks by total heat: {plan:?}"
     );
@@ -169,9 +169,9 @@ fn planner_never_picks_migration_nodes_or_attached_helpers() {
     db.run_for(SimDuration::from_secs(8));
     assert!(db.rebalancing(), "migration still in flight");
     let plan = plan_helpers(&db, &HelperPolicyConfig::default(), &[NodeId(1)]);
-    assert_eq!(plan.assignments.len(), 1, "{plan:?}");
+    assert_eq!(plan.pairs.len(), 1, "{plan:?}");
     assert_eq!(
-        plan.assignments[0].helper,
+        plan.pairs[0].1,
         NodeId(3),
         "only the uninvolved standby may help: {plan:?}"
     );
@@ -263,14 +263,10 @@ fn master_helps_only_when_no_alternative_exists() {
     charge(&mut db, NodeId(1), 10, 8192, 200);
     charge(&mut db, NodeId(2), 10, 8192, 100);
     let plan = plan_helpers(&db, &HelperPolicyConfig::default(), &[NodeId(1), NodeId(2)]);
+    assert_eq!(plan.pairs.len(), 1, "one candidate pool spot: {plan:?}");
+    assert_eq!(plan.pairs[0].0, NodeId(1), "net-heaviest first");
     assert_eq!(
-        plan.assignments.len(),
-        1,
-        "one candidate pool spot: {plan:?}"
-    );
-    assert_eq!(plan.assignments[0].source, NodeId(1), "net-heaviest first");
-    assert_eq!(
-        plan.assignments[0].helper,
+        plan.pairs[0].1,
         NodeId(3),
         "master spared while standby 3 exists: {plan:?}"
     );
@@ -279,11 +275,7 @@ fn master_helps_only_when_no_alternative_exists() {
     attach_helpers(&mut db, &plan);
     let last_resort = plan_helpers(&db, &HelperPolicyConfig::default(), &[NodeId(1), NodeId(2)]);
     assert_eq!(
-        last_resort
-            .assignments
-            .iter()
-            .map(|a| (a.source, a.helper))
-            .collect::<Vec<_>>(),
+        last_resort.pairs,
         vec![(NodeId(2), NodeId(0))],
         "master is the pool of last resort: {last_resort:?}"
     );
@@ -427,7 +419,7 @@ mod props {
     use proptest::prelude::*;
     use wattdb_common::HelperPolicyConfig;
     use wattdb_common::NodeId;
-    use wattdb_planner::{plan_helpers, HelperCandidate, NodeLoadStat};
+    use wattdb_planner::{plan_helpers, HostRow, NodeLoadStat, MAX_HELPERS};
 
     proptest! {
         #![proptest_config(ProptestConfig::with_cases(64))]
@@ -440,7 +432,6 @@ mod props {
             src_heats in proptest::collection::vec(1.0f64..100.0, 1..4),
             cand_heats in proptest::collection::vec(0.0f64..50.0, 1..5),
             rot in 1usize..7,
-            max_helpers in 1usize..4,
         ) {
             // Distinct signals (perturbed by index) on nodes 1..; node 0
             // is the master and stays fixed under renumbering.
@@ -455,17 +446,17 @@ mod props {
                     net_heat: h + i as f64 * 1e-3,
                 })
                 .collect();
-            let candidates: Vec<HelperCandidate> = cand_heats
+            let candidates: Vec<HostRow> = cand_heats
                 .iter()
                 .enumerate()
-                .map(|(i, &h)| HelperCandidate {
+                .map(|(i, &h)| HostRow {
                     node: NodeId((n_src + i) as u16 + 1),
                     heat: h + i as f64 * 1e-3,
-                    net: h * 0.25,
+                    nic: h * 0.25,
                     standby: h == 0.0,
                 })
                 .collect();
-            let cfg = HelperPolicyConfig { max_helpers, min_net_heat: 0.0, ..Default::default() };
+            let cfg = HelperPolicyConfig::default();
             let plan_a = plan_helpers(&sources, &candidates, &[], &cfg);
 
             let perm = |id: NodeId| {
@@ -479,26 +470,21 @@ mod props {
                 .iter()
                 .map(|s| NodeLoadStat { node: perm(s.node), ..*s })
                 .collect();
-            let candidates_b: Vec<HelperCandidate> = candidates
+            let candidates_b: Vec<HostRow> = candidates
                 .iter()
-                .map(|c| HelperCandidate { node: perm(c.node), ..*c })
+                .map(|c| HostRow { node: perm(c.node), ..*c })
                 .collect();
             let plan_b = plan_helpers(&sources_b, &candidates_b, &[], &cfg);
 
             let mapped: Vec<(NodeId, NodeId)> = plan_a
-                .assignments
+                .pairs
                 .iter()
-                .map(|a| (perm(a.source), perm(a.helper)))
+                .map(|&(s, h)| (perm(s), perm(h)))
                 .collect();
-            let got: Vec<(NodeId, NodeId)> = plan_b
-                .assignments
-                .iter()
-                .map(|a| (a.source, a.helper))
-                .collect();
-            prop_assert_eq!(mapped, got, "renumbering changed the physical pairing");
+            prop_assert_eq!(mapped, plan_b.pairs, "renumbering changed the physical pairing");
         }
 
-        /// Structural invariants: the plan never exceeds `max_helpers`,
+        /// Structural invariants: the plan never exceeds `MAX_HELPERS`,
         /// never assigns a source (or an excluded node) as a helper,
         /// never reuses a helper, and its relief is the sum of the helped
         /// sources' net heat.
@@ -506,7 +492,6 @@ mod props {
         fn helper_plan_respects_its_bounds(
             src_heats in proptest::collection::vec(0.0f64..100.0, 0..5),
             cand_heats in proptest::collection::vec(0.0f64..50.0, 0..6),
-            max_helpers in 0usize..4,
             floor in 0.0f64..30.0,
             exclude_first in 0u8..2,
         ) {
@@ -521,13 +506,13 @@ mod props {
                     net_heat: h * 0.7,
                 })
                 .collect();
-            let candidates: Vec<HelperCandidate> = cand_heats
+            let candidates: Vec<HostRow> = cand_heats
                 .iter()
                 .enumerate()
-                .map(|(i, &h)| HelperCandidate {
+                .map(|(i, &h)| HostRow {
                     node: NodeId((n_src + i) as u16 + 1),
                     heat: h,
-                    net: h * 0.5,
+                    nic: h * 0.5,
                     standby: i % 2 == 0,
                 })
                 .collect();
@@ -536,20 +521,22 @@ mod props {
             } else {
                 Vec::new()
             };
-            let cfg = HelperPolicyConfig { max_helpers, min_net_heat: floor, ..Default::default() };
+            let cfg = HelperPolicyConfig { min_net_heat: floor, ..Default::default() };
             let plan = plan_helpers(&sources, &candidates, &excluded, &cfg);
-            prop_assert!(plan.assignments.len() <= max_helpers);
+            prop_assert!(plan.pairs.len() <= MAX_HELPERS);
             let mut seen = std::collections::BTreeSet::new();
             let mut relief = 0.0;
-            for a in &plan.assignments {
-                prop_assert!(seen.insert(a.helper), "helper reused: {:?}", plan);
+            for &(source, helper) in &plan.pairs {
+                prop_assert!(seen.insert(helper), "helper reused: {:?}", plan);
                 prop_assert!(
-                    !sources.iter().any(|s| s.node == a.helper),
+                    !sources.iter().any(|s| s.node == helper),
                     "a source helps itself: {:?}", plan
                 );
-                prop_assert!(!excluded.contains(&a.helper), "excluded helper: {:?}", plan);
-                prop_assert!(a.net_heat >= floor, "floor violated: {:?}", plan);
-                relief += a.net_heat;
+                prop_assert!(!excluded.contains(&helper), "excluded helper: {:?}", plan);
+                let net_heat = sources.iter().find(|s| s.node == source).map(|s| s.net_heat);
+                let net_heat = net_heat.expect("a pair's source is a source row");
+                prop_assert!(net_heat >= floor, "floor violated: {:?}", plan);
+                relief += net_heat;
             }
             prop_assert!((plan.predicted_relief - relief).abs() < 1e-9);
         }

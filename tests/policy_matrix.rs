@@ -367,7 +367,6 @@ fn transient_bimodal_db() -> WattDb {
         skew_cooldown: 4,
         helper: wattdb_common::HelperPolicyConfig {
             escalation_fires: 1,
-            max_helpers: 2,
             min_net_heat: 0.0,
         },
         ..Default::default()
@@ -534,8 +533,7 @@ fn empty_helper_plan_falls_back_to_rebalancing() {
         skew_cooldown: 4,
         helper: wattdb_common::HelperPolicyConfig {
             escalation_fires: 1, // every fire escalates...
-            max_helpers: 2,
-            min_net_heat: 1e12, // ...but no source ever clears the floor
+            min_net_heat: 1e12,  // ...but no source ever clears the floor
         },
         ..Default::default()
     };

@@ -20,7 +20,7 @@ use proptest::prelude::*;
 use wattdb_common::{Lsn, NodeId, SegmentId, SimDuration, TxnId};
 use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
-use wattdb_planner::{plan_replicas, NodeLoadStat, ReplicaNeed};
+use wattdb_planner::{plan_replicas, HostRow, ReplicaSite};
 use wattdb_replica::pick_promotion;
 use wattdb_wal::{LogManager, LogPayload, LogShipper};
 
@@ -389,27 +389,28 @@ proptest! {
         // One need per segment, and a follower listed at most once —
         // the shape the replica map hands the planner.
         let mut seen = std::collections::BTreeSet::new();
-        let needs: Vec<ReplicaNeed> = needs
+        let needs: Vec<ReplicaSite> = needs
             .into_iter()
             .filter(|&(s, _, _)| seen.insert(s))
             .map(|(s, leader, existing)| {
-                let mut existing: Vec<NodeId> =
+                let mut followers: Vec<NodeId> =
                     existing.into_iter().map(NodeId).collect();
-                existing.sort_unstable();
-                existing.dedup();
-                ReplicaNeed {
+                followers.sort_unstable();
+                followers.dedup();
+                ReplicaSite {
                     seg: SegmentId(s),
                     leader: NodeId(leader),
-                    existing,
+                    followers,
                 }
             })
             .collect();
-        let hosts: Vec<NodeLoadStat> = hosts
+        let hosts: Vec<HostRow> = hosts
             .into_iter()
-            .map(|(n, heat, net)| NodeLoadStat {
+            .map(|(n, heat, nic)| HostRow {
                 node: NodeId(n),
                 heat,
-                net_heat: net,
+                nic,
+                standby: false,
             })
             .collect();
         let plan = plan_replicas(&needs, &hosts, factor);
@@ -425,12 +426,12 @@ proptest! {
             prop_assert_eq!(uniq.len(), p.followers.len(), "duplicate follower");
             for f in &p.followers {
                 prop_assert!(
-                    !need.existing.contains(f),
+                    !need.followers.contains(f),
                     "{}: {} already a follower", p.seg, f
                 );
             }
             prop_assert!(
-                need.existing.len() + p.followers.len() <= factor,
+                need.followers.len() + p.followers.len() <= factor,
                 "{}: planned past the factor", p.seg
             );
         }
