@@ -732,27 +732,24 @@ pub fn plan(
         }
         Decision::ScaleIn { drain } => {
             // Move *everything* off the drained nodes onto the remaining
-            // data nodes; the autopilot suspends them once they are empty.
-            // The plan is the atomic "move leaders + re-home followers"
-            // unit. Its re-home half executes whichever planner moves the
-            // leaders, so even a fraction-path drain keeps the factor. The
-            // heat plan moves every segment off the drained nodes; with
-            // none to move it starts no rebalance, and the nodes suspend
+            // data nodes in one atomic "move leaders + re-home followers"
+            // plan; the re-homes execute whichever planner moves the
+            // leaders, so even a fraction-path drain keeps the factor. With
+            // no segment to move no rebalance starts, and the nodes suspend
             // once the re-homes clear them of replica duty.
             let targets: Vec<NodeId> = (c.active_nodes().into_iter())
                 .filter(|n| !drain.contains(n) && c.seg_dir.on_node(*n).next().is_some())
                 .collect();
             let dp = heat::plan_drain_replicated(c, now, drain, &targets);
             // A drained node hosting follower copies may only go once every
-            // copy has a replacement host in that plan (a copy still on a
-            // chain already refused the drain above, as a rebalance in
-            // flight). Refusal, not half-execution: suspending a live
-            // follower host silently halves redundancy. Checked before any
-            // other drain guard so the timeline always says *why* the
-            // cluster stayed big.
+            // copy has a replacement host in that plan; with no target no
+            // plan runs, so none has (a copy still on a chain already refused
+            // the drain above). Refusal, not half-execution: suspending a
+            // live follower host silently halves redundancy. Checked first so
+            // the timeline always says *why* the cluster stayed big.
             let hosts_copies =
                 (drain.iter()).any(|&n| !c.replication.map().followed_by(n).is_empty());
-            if hosts_copies && !dp.is_fully_covered() {
+            if hosts_copies && (targets.is_empty() || !dp.is_fully_covered()) {
                 return Err("drain node hosts follower replicas");
             }
             if targets.is_empty() {
@@ -1595,6 +1592,69 @@ mod tests {
             apply_on(&mut deployment(0), &Decision::Hold),
             Err("no applicable plan")
         );
+    }
+
+    /// Five nodes: data on n0–n2, n3 and n4 powered on but holding no
+    /// segment. At `factor` 3 every segment starts followed by the other
+    /// two data nodes, and each n1 segment gets its missing copy on n3.
+    fn spare_actives(factor: usize) -> WattDb {
+        let mut db = WattDb::builder()
+            .nodes(5)
+            .warehouses(3)
+            .density(0.01)
+            .segment_pages(8)
+            .seed(11)
+            .initial_data_nodes(&[NodeId(0), NodeId(1), NodeId(2)])
+            .replication(factor)
+            .build();
+        db.with_runtime(|cl, _| {
+            let c = &mut *cl.borrow_mut();
+            c.power_on(NodeId(3));
+            c.power_on(NodeId(4));
+            let led_by_n1: Vec<_> = (c.replication.map().iter())
+                .filter(|(_, set)| set.leader == NodeId(1) && set.followers.len() < factor)
+                .map(|(seg, _)| seg)
+                .collect();
+            for seg in led_by_n1 {
+                c.replication.add_copy(seg, NodeId(3), 0, &c.nodes);
+            }
+        });
+        db
+    }
+
+    #[test]
+    fn drain_guard_checks_the_plan_that_runs() {
+        let drain = |nodes: &[u16]| Decision::ScaleIn {
+            drain: nodes.iter().map(|&n| NodeId(n)).collect(),
+        };
+        // Draining n1 and n2 leaves n0 as the only data node, so every
+        // leader moves there. An n1 segment (followers n0, n2, n3) then
+        // needs one copy off {n0, n3}: n4 hosts it. A plan that also sent
+        // leaders to the empty n3 and n4 would put that segment's leader on
+        // n4 and find no host for the copy.
+        let mut db = spare_actives(3);
+        assert!(db.with_cluster(|c| c.replication.map().followed_by(NodeId(3)).len()) > 0);
+        assert_eq!(apply_on(&mut db, &drain(&[1, 2])).map(|_| ()), Ok(()));
+        assert_eq!(
+            db.with_cluster(|c| c.draining_nodes()),
+            vec![NodeId(1), NodeId(2)]
+        );
+        // Draining every data node leaves no target, so no plan runs: with
+        // copies on the drained nodes the follower guard refuses first,
+        // without any it is "no applicable plan".
+        for (factor, reason) in [
+            (3, "drain node hosts follower replicas"),
+            (1, "drain node hosts follower replicas"),
+            (0, "no applicable plan"),
+        ] {
+            let mut db = spare_actives(factor);
+            assert_eq!(
+                apply_on(&mut db, &drain(&[0, 1, 2])),
+                Err(reason),
+                "factor {factor}"
+            );
+            assert!(db.with_cluster(|c| c.draining_nodes()).is_empty());
+        }
     }
 
     #[test]

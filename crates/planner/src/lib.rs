@@ -1101,8 +1101,10 @@ mod tests {
     #[test]
     fn duplicate_rows_collapse_to_the_best_ranked_occurrence() {
         // Duplicate source rows sort apart by their heats; the node must
-        // still collect exactly one helper (from its best-ranked row).
-        let sources = [load(1, 50.0, 10.0), load(2, 40.0, 5.0), load(1, 10.0, 3.0)];
+        // still collect exactly one helper (from its best-ranked row). The
+        // duplicate ranks second, inside the cap, so a plan that kept it
+        // would read [1, 1].
+        let sources = [load(1, 50.0, 10.0), load(1, 10.0, 8.0), load(2, 40.0, 5.0)];
         let cands = [cand(3, 0.0, true), cand(4, 0.0, true), cand(5, 0.0, true)];
         let plan = plan_helpers(&sources, &cands, &[], &HelperPolicyConfig::default());
         assert_eq!(plan.sources(), vec![NodeId(1), NodeId(2)], "{plan:?}");
