@@ -88,6 +88,7 @@ fn tenant_mix() -> LoadTrace {
                 hot_fraction: 0.7,
                 hot_first: 2 * i,
                 hot_warehouses: 2,
+                ..TenantSpec::default()
             },
         })
         .collect();

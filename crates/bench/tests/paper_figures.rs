@@ -197,13 +197,13 @@ fn fig3_mvcc_beats_locking_at_every_update_share() -> wattdb_common::Result<()> 
         let lock = fig3_run(pct, CcMode::LockingRx)?;
         let ratio = mvcc.ta_per_minute / lock.ta_per_minute;
         if pct < 100 {
-            // 2.10, 2.12, 1.86, 1.75, 1.75 at 0–80 % updates; the bound is
-            // the smallest reading floored to one decimal.
+            // 2.05, 1.89, 1.80 (1.798), 2.05, 2.09 at 0–80 % updates; the
+            // bound is the smallest reading floored to one decimal.
             assert!(ratio >= 1.7, "MVCC/MGL at {pct} % updates: {ratio:.2}");
         } else {
             // The paper has MVCC ahead for pure writers too, by up to
-            // ~90 %. Here 1.19 (12 492 vs 10 496 ta/min); MGL-RX's own
-            // throughput rises most from 80 % (7 135).
+            // ~90 %. Here 1.20 (12 548 vs 10 480 ta/min); MGL-RX's own
+            // throughput rises most from 80 % (7 278).
             assert!(ratio > 1.0, "MVCC/MGL at 100 % updates: {ratio:.2}");
         }
         // MGL keeps pending changes, not versions: 1.000 throughout. The
@@ -218,7 +218,7 @@ fn fig3_mvcc_beats_locking_at_every_update_share() -> wattdb_common::Result<()> 
     }
     // MVCC pays in version chains, counted at each key's routed home (a
     // moved record's source copy is unreachable once routing flips):
-    // 1.000, 1.094, 1.187, 1.200, 1.268, 1.482 over 0–100 % updates. A
+    // 1.000, 1.148, 1.243, 1.375, 1.424, 1.463 over 0–100 % updates. A
     // write reclaims what no live snapshot can see, so a written key keeps
     // its head and the version under it, plus what a live snapshot pins
     // (2.197 at 100 % before writes reclaimed).

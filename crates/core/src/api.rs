@@ -48,7 +48,7 @@ use wattdb_common::{
 use wattdb_energy::NodeState;
 use wattdb_planner::Plan;
 use wattdb_sim::Sim;
-use wattdb_tpcc::{LoadTrace, TpccConfig};
+use wattdb_tpcc::{LoadTrace, TenantSpec, TpccConfig};
 use wattdb_txn::CcMode;
 
 use crate::autopilot::{ControlEvent, Outcome};
@@ -183,7 +183,9 @@ impl WattDbBuilder {
     /// Client arrival batching: per-client think timers, the pooled
     /// aggregated arrival process, or `Auto` (the default — pooled above
     /// [`wattdb_tpcc::POOL_AUTO_THRESHOLD`] modeled clients). Forcing
-    /// either mode pins the spawn path regardless of population size.
+    /// either mode pins how [`WattDb::start_oltp`] and
+    /// [`WattDb::start_tenant`] spawn, regardless of population size; a
+    /// trace is always pooled.
     pub fn client_batching(mut self, b: wattdb_tpcc::ClientBatching) -> Self {
         self.cfg.client_batching = b;
         self
@@ -344,60 +346,59 @@ impl WattDb {
     // ----------------------------------------------------------- lifecycle
 
     /// Spawn `n` closed-loop clients with the given mean think time,
-    /// homed round-robin over all warehouses, and start them:
-    /// [`WattDb::start_oltp_skewed`] with no hot range.
+    /// drawing the standard mix and homed round-robin over all
+    /// warehouses, and start them: [`WattDb::start_tenant`] with the
+    /// default [`TenantSpec`].
     pub fn start_oltp(&mut self, n: u32, think: SimDuration) {
-        self.start_oltp_skewed(n, think, 0.0, 1);
+        self.start_tenant(n, think, TenantSpec::default());
     }
 
-    /// Spawn `n` closed-loop clients with the given mean think time and
-    /// start them, with a hot-range skew: `hot_fraction` of the clients
-    /// are homed inside the first `hot_warehouses` warehouses,
-    /// concentrating access heat on the low end of the key space
-    /// (`0.0` homes every client round-robin over all warehouses).
+    /// Spawn `n` closed-loop clients of one tenant with the given mean
+    /// think time and start them: each draws its transactions from the
+    /// tenant's `txn_mix`, and the tenant's hot range concentrates
+    /// `hot_fraction` of them (and their access heat) on its warehouses.
+    /// [`crate::ClientBatching`] decides per-client or pooled.
     ///
     /// # Panics
     /// When `n == 0`: an empty population would silently generate no
     /// load and every downstream reading (throughput, heat, autopilot
     /// decisions) would be measuring an idle cluster. Use
     /// [`WattDb::run_for`] without a workload for idle experiments.
-    pub fn start_oltp_skewed(
-        &mut self,
-        n: u32,
-        think: SimDuration,
-        hot_fraction: f64,
-        hot_warehouses: u32,
-    ) {
+    /// When a population was already started (by any `start_*`): a
+    /// deployment runs one population, and a second would strand the
+    /// first one's jobs and arrival loop on the new clients.
+    pub fn start_tenant(&mut self, n: u32, think: SimDuration, tenant: TenantSpec) {
         assert!(
             n > 0,
             "start_oltp: n == 0 clients would spawn no workload — \
              run_for() alone measures an idle cluster"
         );
-        {
-            let mut c = self.cluster.borrow_mut();
-            c.spawn_clients_skewed(n, think, hot_fraction, hot_warehouses);
-        }
-        executor::start_clients(&self.cluster, &mut self.sim);
+        let pooled = self.cluster.borrow().cfg.client_batching.pooled(n);
+        let tenants = [(tenant, n as u64)];
+        executor::start_clients(&self.cluster, &mut self.sim, &tenants, think, pooled);
     }
 
     /// Start a trace-driven workload: spawn the [`LoadTrace`]'s carrier
-    /// population (one pooled carrier group per tenant, homed by each
-    /// tenant's hot-warehouse rule) and schedule the trace's breakpoints
-    /// to resize the offered load over sim-time, beginning now. Trace
-    /// runs are always pooled; `think` is every carrier's mean think
-    /// time, so a target of `n` clients offers `n / think` transactions
-    /// per second.
+    /// population (one pooled carrier group per tenant, sized for the
+    /// tenant's peak and homed and mixed by its [`TenantSpec`]) and
+    /// schedule the trace's breakpoints to resize the offered load over
+    /// sim-time, beginning now. Trace runs are always pooled; `think` is
+    /// every carrier's mean think time, so a target of `n` clients
+    /// offers `n / think` transactions per second.
+    ///
+    /// # Panics
+    /// When the trace never targets a client, or when a population was
+    /// already started (see [`WattDb::start_tenant`]).
     pub fn start_traced_oltp(&mut self, trace: LoadTrace, think: SimDuration) {
         assert!(
             trace.total_peak() > 0,
             "start_traced_oltp: the trace never targets a single client — \
              an all-zero schedule would spawn no workload"
         );
-        {
-            let mut c = self.cluster.borrow_mut();
-            c.spawn_traced_clients(&trace, think);
-        }
-        executor::start_clients(&self.cluster, &mut self.sim);
+        let tenants: Vec<(TenantSpec, u64)> = (trace.tenants().iter().enumerate())
+            .map(|(i, &tenant)| (tenant, trace.tenant_peak(i)))
+            .collect();
+        executor::start_clients(&self.cluster, &mut self.sim, &tenants, think, true);
         executor::schedule_trace(&self.cluster, &mut self.sim, &trace);
     }
 
@@ -817,9 +818,62 @@ mod tests {
 
     #[test]
     #[should_panic(expected = "n == 0 clients would spawn no workload")]
-    fn start_oltp_skewed_rejects_zero_clients() {
+    fn start_tenant_rejects_zero_clients() {
+        let tenant = TenantSpec {
+            hot_fraction: 0.8,
+            ..TenantSpec::default()
+        };
         let mut db = small();
-        db.start_oltp_skewed(0, SimDuration::from_millis(50), 0.8, 1);
+        db.start_tenant(0, SimDuration::from_millis(50), tenant);
+    }
+
+    #[test]
+    fn a_tenant_commits_its_own_mix() {
+        use wattdb_tpcc::TxnProfile;
+        for (payment_pct, only) in [(100, TxnProfile::Payment), (0, TxnProfile::OrderStatus)] {
+            let tenant = TenantSpec {
+                txn_mix: [0, payment_pct, 100 - payment_pct, 0, 0],
+                ..TenantSpec::default()
+            };
+            let mut db = small();
+            db.start_tenant(8, SimDuration::from_millis(50), tenant);
+            db.run_for(SimDuration::from_secs(5));
+            let mix = db.with_cluster(|c| c.metrics.mix.clone());
+            assert!(mix.get(&only).copied().unwrap_or(0) > 0, "{mix:?}");
+            assert_eq!(mix.len(), 1, "only {only:?} commits: {mix:?}");
+        }
+    }
+
+    #[test]
+    #[should_panic(expected = "a client population is already running")]
+    fn a_second_start_is_refused() {
+        // The second population would replace the first while its jobs
+        // are in flight, and a finishing job would index a client that is
+        // gone.
+        let mut db = small();
+        db.start_oltp(40, SimDuration::from_millis(50));
+        db.run_for(SimDuration::from_secs(2));
+        db.start_oltp(4, SimDuration::from_millis(50));
+        db.run_for(SimDuration::from_secs(2));
+    }
+
+    #[test]
+    #[should_panic(expected = "a client population is already running")]
+    fn a_second_pooled_start_is_refused() {
+        // Pooled, the first population's arrival loop would run on,
+        // drawing arrivals from the second one's pool.
+        let mut db = WattDb::builder()
+            .nodes(4)
+            .warehouses(2)
+            .density(0.01)
+            .segment_pages(8)
+            .initial_data_nodes(&[NodeId(0), NodeId(1)])
+            .seed(7)
+            .client_batching(wattdb_tpcc::ClientBatching::Pooled)
+            .build();
+        db.start_oltp(40, SimDuration::from_secs(2));
+        db.start_oltp(40, SimDuration::from_secs(2));
+        db.run_for(SimDuration::from_secs(10));
     }
 
     #[test]
@@ -836,7 +890,7 @@ mod tests {
         });
         let mut db = small();
         db.start_traced_oltp(trace.clone(), SimDuration::from_millis(200));
-        let target = |db: &WattDb| db.with_cluster(|c| c.pool.as_ref().map(|p| p.current_target()));
+        let target = |db: &WattDb| db.with_cluster(|c| c.pool.as_ref().map(|p| p.modeled()));
         assert_eq!(
             target(&db),
             Some(20),

@@ -62,8 +62,8 @@ use wattdb_net::Network;
 use wattdb_sim::{Resource, ResourceHandle, Sim, UtilizationProbe};
 use wattdb_storage::{BufferPool, PageStore, RecordHeader, SegmentDirectory, SimDisk, PAGE_SIZE};
 use wattdb_tpcc::{
-    carrier_split, Client, ClientBatching, ClientPool, GenRow, LoadTrace, TpccConfig, TpccTable,
-    TpccWorkload, MAX_CARRIERS,
+    carrier_split_within, Client, ClientBatching, ClientPool, GenRow, TenantSpec, TpccConfig,
+    TpccTable, TpccWorkload, MAX_CARRIERS,
 };
 use wattdb_txn::{CcMode, IndexMap, TxnManager};
 use wattdb_wal::LogManager;
@@ -325,7 +325,7 @@ pub struct Cluster {
     /// [`Cluster::pool`], each standing in for `pool.weight()` modeled
     /// clients.
     pub clients: Vec<Client>,
-    /// Aggregated client arrival process (`Some` when the last spawn ran
+    /// Aggregated client arrival process (`Some` when the population runs
     /// pooled): one repeater drives batched Binomial arrivals over the
     /// carriers instead of one think timer per client.
     pub pool: Option<ClientPool>,
@@ -352,9 +352,6 @@ pub struct Cluster {
     pub next_partition: u64,
     /// Stop flag: clients cease submitting.
     pub stopped: bool,
-    /// When false, finished jobs do not auto-schedule the client's next
-    /// standard-mix transaction (custom driver loops take over).
-    pub auto_resubmit: bool,
     /// The helper deployment (Fig. 8): wires, members and the response in
     /// progress, written only through [`crate::helpers::attach`] and
     /// [`crate::helpers::detach`].
@@ -430,7 +427,6 @@ impl Cluster {
             rng,
             next_partition: 1,
             stopped: false,
-            auto_resubmit: true,
             helpers: Default::default(),
             replication,
             net_util,
@@ -840,106 +836,61 @@ impl Cluster {
         Ok(())
     }
 
-    /// Spawn `n` closed-loop clients homed round-robin over all
-    /// warehouses: [`Cluster::spawn_clients_skewed`] with no hot range.
-    pub fn spawn_clients(&mut self, n: u32, think: SimDuration) {
-        self.spawn_clients_skewed(n, think, 0.0, 1);
-    }
-
-    /// Spawn `n` closed-loop clients with mean think time `think` and a
-    /// hot-range skew: `hot_fraction` of them homed inside the first
-    /// `hot_warehouses` warehouses. Above the pooling threshold (or when
-    /// forced by [`ClusterConfig::client_batching`]) the modeled
-    /// population is folded onto at most [`wattdb_tpcc::MAX_CARRIERS`]
-    /// carrier clients driven by one aggregated arrival process; the
-    /// carriers inherit the same hot-fraction homing rule, so the modeled
-    /// skew is preserved.
-    pub fn spawn_clients_skewed(
+    /// Spawn the deployment's one client population with mean think time
+    /// `think`: for each `(tenant, n)`, `n` closed-loop clients homed and
+    /// mixed by the tenant's [`TenantSpec`]. Per-client, every client runs
+    /// its own think timer. Pooled, each tenant is one carrier group of the one
+    /// aggregated arrival process: the groups share
+    /// [`wattdb_tpcc::MAX_CARRIERS`] evenly, a group's weight folds its
+    /// `n` onto its share, and the group targets `n` modeled clients
+    /// until a trace retargets it (see
+    /// [`crate::executor::schedule_trace`]).
+    ///
+    /// # Panics
+    /// When a population was already spawned: its in-flight jobs and
+    /// its arrival loop would run on against the new clients.
+    pub fn spawn_clients(
         &mut self,
-        n: u32,
+        tenants: &[(TenantSpec, u64)],
         think: SimDuration,
-        hot_fraction: f64,
-        hot_warehouses: u32,
+        pooled: bool,
     ) {
+        assert!(
+            self.clients.is_empty(),
+            "start_*: a client population is already running — \
+             a deployment runs one population, started once"
+        );
         let w = self
             .workload
             .as_ref()
             .map(|wl| wl.config().warehouses)
             .unwrap_or(1);
-        // Pooled or per-client: set up (or clear) the aggregated arrival
-        // process and materialize only its carriers.
-        let spawn_n = if self.cfg.client_batching.pooled(n) {
-            let (carriers, weight) = carrier_split(n);
-            self.pool = Some(ClientPool::new(
-                carriers,
-                weight,
-                n as u64,
-                think,
-                self.rng.derive(0xC11E_47B0),
-            ));
-            carriers
-        } else {
-            self.pool = None;
-            n
-        };
-        self.clients = wattdb_tpcc::spawn_clients_skewed(
-            spawn_n,
-            w,
-            think,
-            &self.rng,
-            hot_fraction,
-            hot_warehouses,
-        );
-    }
-
-    /// Spawn the carrier population for a [`LoadTrace`]: one carrier
-    /// group per tenant, sized for the tenant's trace peak and homed by
-    /// its hot-warehouse rule, all driven by one pooled arrival process
-    /// whose per-group targets the trace's breakpoints resize (see
-    /// [`crate::executor::schedule_trace`]). Trace runs are always
-    /// pooled — resizing is O(groups) per breakpoint instead of a spawn
-    /// storm — regardless of [`ClusterConfig::client_batching`].
-    pub fn spawn_traced_clients(&mut self, trace: &LoadTrace, think: SimDuration) {
-        let tenants = trace.tenants();
-        assert!(
-            !tenants.is_empty() && !trace.points().is_empty(),
-            "a load trace needs at least one tenant and one breakpoint"
-        );
-        let w = self
-            .workload
-            .as_ref()
-            .map(|wl| wl.config().warehouses)
-            .unwrap_or(1)
-            .max(1);
-        // Carrier budget split evenly across tenants; per-tenant weight
-        // folds the tenant's peak onto its share, so the activation
-        // granularity is one weight's worth of modeled clients.
-        let budget = (MAX_CARRIERS / tenants.len() as u32).max(1);
-        let mut specs: Vec<(u32, u64)> = Vec::with_capacity(tenants.len());
+        let budget = MAX_CARRIERS / tenants.len() as u32;
+        let mut groups: Vec<(u32, u64)> = Vec::with_capacity(tenants.len());
         let mut clients = Vec::new();
-        for (ti, tenant) in tenants.iter().enumerate() {
-            let peak = trace.tenant_peak(ti).max(1);
-            let weight = peak.div_ceil(budget as u64).max(1);
-            let carriers = (peak.div_ceil(weight) as u32).max(1);
-            specs.push((carriers, weight));
-            let hot_w = tenant.hot_warehouses.clamp(1, w);
-            let hot_n = (carriers as f64 * tenant.hot_fraction.clamp(0.0, 1.0)).round() as u32;
-            for j in 0..carriers {
-                let home = if j < hot_n {
-                    (tenant.hot_first + (j % hot_w)) % w
-                } else {
-                    j % w
-                };
+        for &(tenant, n) in tenants {
+            assert!(
+                tenant.txn_mix.iter().any(|&w| w > 0),
+                "start_*: a tenant's txn_mix needs a positive weight"
+            );
+            let (carriers, weight) = if pooled {
+                carrier_split_within(n, budget)
+            } else {
+                (n as u32, 1)
+            };
+            groups.push((carriers, weight));
+            for home in tenant.homes(carriers, w) {
                 let id = wattdb_common::ClientId(clients.len() as u32);
-                clients.push(Client::new(id, home, think, &self.rng));
+                clients.push(Client::new(id, home, think, tenant.txn_mix, &self.rng));
             }
         }
-        let mut pool = ClientPool::new_grouped(&specs, think, self.rng.derive(0xC11E_47B0));
-        let first = &trace.points()[0];
-        for (g, &target) in first.targets.iter().enumerate() {
-            pool.set_target(g, target);
-        }
-        self.pool = Some(pool);
+        self.pool = pooled.then(|| {
+            let mut pool = ClientPool::new_grouped(&groups, think, self.rng.derive(0xC11E_47B0));
+            for (g, &(_, n)) in tenants.iter().enumerate() {
+                pool.set_target(g, n);
+            }
+            pool
+        });
         self.clients = clients;
     }
 

@@ -166,24 +166,13 @@ struct Blocked {
 }
 
 impl Cluster {
-    /// Create a job for `client`'s next transaction, with an explicit
-    /// profile (custom mixes, e.g. the Fig. 3 read/update-ratio sweep) or
-    /// — `None` — one drawn from the standard mix. Returns `None` when
-    /// the experiment is stopped.
-    pub fn new_job_with(
-        &mut self,
-        client: usize,
-        profile: Option<TxnProfile>,
-        now: SimTime,
-    ) -> Option<u64> {
-        if self.stopped {
-            return None;
-        }
+    /// Create a job for `client`'s next transaction, its profile drawn
+    /// from the client's tenant mix.
+    pub fn new_job(&mut self, client: usize, now: SimTime) -> u64 {
         let weight = self.pool.as_ref().map_or(1, |p| p.weight_of(client as u32));
         let workload = self.workload.as_mut().expect("dataset loaded");
         let cl = &mut self.clients[client];
-        let drawn = cl.next_profile();
-        let profile = profile.unwrap_or(drawn);
+        let profile = cl.next_profile();
         // The slot's last tenant lends its box and its lists' capacity.
         let (id, mut recycled) = self.jobs.alloc();
         let (mut ops, mut write_nodes) = match &mut recycled {
@@ -226,7 +215,7 @@ impl Cluster {
             }
             None => Box::new(job),
         });
-        Some(id)
+        id
     }
 
     /// Advance `job_id` until it blocks. The job is checked out of the slab
@@ -677,26 +666,30 @@ pub fn install(cl: &ClusterRc, sim: &mut Sim) {
                 .acknowledge(leader, follower, through, &c.nodes);
         }
         Signal::ClientArrival { client } => {
-            let job = cl
-                .borrow_mut()
-                .new_job_with(client as usize, None, sim.now());
+            let job = {
+                let mut c = cl.borrow_mut();
+                (!c.stopped).then(|| c.new_job(client as usize, sim.now()))
+            };
             if let Some(job_id) = job {
                 step(&cl, sim, job_id);
             }
         }
         Signal::PoolArrival { carrier } => {
-            let job = cl
-                .borrow_mut()
-                .new_job_with(carrier as usize, None, sim.now());
-            match job {
-                Some(job_id) => step(&cl, sim, job_id),
-                // Stopped since the draw: the arrival is moot, but park the
-                // carrier so the pool's books stay balanced.
-                None => {
-                    if let Some(pool) = cl.borrow_mut().pool.as_mut() {
+            let job = {
+                let mut c = cl.borrow_mut();
+                if c.stopped {
+                    // Stopped since the draw: the arrival is moot, but park
+                    // the carrier so the pool's books stay balanced.
+                    if let Some(pool) = c.pool.as_mut() {
                         pool.park(carrier);
                     }
+                    None
+                } else {
+                    Some(c.new_job(carrier as usize, sim.now()))
                 }
+            };
+            if let Some(job_id) = job {
+                step(&cl, sim, job_id);
             }
         }
     });
@@ -1034,7 +1027,7 @@ pub fn resume_grants(cl: &ClusterRc, sim: &mut Sim, grants: Vec<Grant>) {
 pub fn schedule_client(cl: &ClusterRc, sim: &mut Sim, client: usize) {
     let think = {
         let mut c = cl.borrow_mut();
-        if c.stopped || !c.auto_resubmit {
+        if c.stopped {
             return;
         }
         if let Some(pool) = c.pool.as_mut() {
@@ -1049,10 +1042,19 @@ pub fn schedule_client(cl: &ClusterRc, sim: &mut Sim, client: usize) {
     sim.post_after(think, arrival.into());
 }
 
-/// Kick off all clients. Per-client mode staggers each by its first think
-/// time; pooled mode starts the single arrival repeater that drives the
-/// whole carrier population with one periodic event.
-pub fn start_clients(cl: &ClusterRc, sim: &mut Sim) {
+/// The one spawn path of every `start_*`: spawn the deployment's client
+/// population ([`Cluster::spawn_clients`]) and kick it off. Per-client
+/// mode staggers each client by its first think time; pooled mode starts
+/// the single arrival repeater that drives the whole carrier population
+/// with one periodic event.
+pub fn start_clients(
+    cl: &ClusterRc,
+    sim: &mut Sim,
+    tenants: &[(wattdb_tpcc::TenantSpec, u64)],
+    think: SimDuration,
+    pooled: bool,
+) {
+    cl.borrow_mut().spawn_clients(tenants, think, pooled);
     let tick = cl.borrow().pool.as_ref().map(|p| p.tick());
     let Some(tick) = tick else {
         let n = cl.borrow().clients.len();
@@ -1065,17 +1067,10 @@ pub fn start_clients(cl: &ClusterRc, sim: &mut Sim) {
     sim.every(tick, move |sim| {
         let due = {
             let mut c = handle.borrow_mut();
-            if c.stopped {
-                return false; // workload drained: the arrival loop ends
-            }
-            if !c.auto_resubmit {
-                // A custom driver loop owns submission; keep ticking so
-                // the pool resumes when auto-resubmit is restored.
-                return true;
-            }
+            let c = &mut *c;
             match c.pool.as_mut() {
-                Some(pool) => pool.arrivals(),
-                None => return false, // respawned per-client mid-run
+                Some(pool) if !c.stopped => pool.arrivals(),
+                _ => return false, // workload drained: the arrival loop ends
             }
         };
         for (carrier, jitter) in due {
@@ -1089,22 +1084,28 @@ pub fn start_clients(cl: &ClusterRc, sim: &mut Sim) {
 }
 
 /// Schedule a [`wattdb_tpcc::LoadTrace`]'s breakpoints against the
-/// pooled arrival process: each breakpoint after the first becomes one
-/// simulator event that retargets the pool's carrier groups (the first
-/// breakpoint was applied at spawn). Breakpoint offsets are relative to
-/// *now*, so call this when the trace starts. O(points) events total —
-/// no spawn storms, no per-client timers.
+/// pooled arrival process: the first retargets the pool's carrier groups
+/// at once, each later one becomes one simulator event that retargets
+/// them. Breakpoint offsets are relative to *now*, so call this when the
+/// trace starts. O(points) events total — no spawn storms, no per-client
+/// timers.
 pub fn schedule_trace(cl: &ClusterRc, sim: &mut Sim, trace: &wattdb_tpcc::LoadTrace) {
-    for point in trace.points().iter().skip(1) {
+    fn retarget(c: &mut Cluster, targets: &[u64]) {
+        if let Some(pool) = c.pool.as_mut() {
+            for (group, &target) in targets.iter().enumerate() {
+                pool.set_target(group, target);
+            }
+        }
+    }
+    let mut points = trace.points().iter();
+    if let Some(first) = points.next() {
+        retarget(&mut cl.borrow_mut(), &first.targets);
+    }
+    for point in points {
         let targets = point.targets.clone();
         let handle = cl.clone();
         sim.after(point.at, move |_sim| {
-            let mut c = handle.borrow_mut();
-            if let Some(pool) = c.pool.as_mut() {
-                for (group, &target) in targets.iter().enumerate() {
-                    pool.set_target(group, target);
-                }
-            }
+            retarget(&mut handle.borrow_mut(), &targets)
         });
     }
 }
@@ -1118,24 +1119,19 @@ mod tests {
     use super::*;
     use crate::cluster::ClusterConfig;
     use wattdb_common::DetRng;
-    use wattdb_tpcc::{ClientBatching, TpccConfig};
+    use wattdb_tpcc::{TenantSpec, TpccConfig};
 
     const US: SimDuration = SimDuration::from_micros(1);
 
     /// A loaded four-node cluster (data on n0 and n1) with `clients`
-    /// clients, pooled when asked, that never resubmit.
+    /// clients, pooled when asked. It is stopped, so no client submits or
+    /// resubmits by itself: the tests build each job by hand.
     fn harness(clients: u32, pooled: bool) -> (ClusterRc, Sim) {
-        let client_batching = if pooled {
-            ClientBatching::Pooled
-        } else {
-            ClientBatching::PerClient
-        };
         let data = [NodeId(0), NodeId(1)];
         let cfg = ClusterConfig {
             nodes: 4,
             segment_pages: 16,
             buffer_pages: 256,
-            client_batching,
             ..Default::default()
         };
         let cl = Cluster::new(cfg, &data);
@@ -1147,8 +1143,9 @@ mod tests {
                 seed: 7,
             };
             c.load_tpcc(tpcc, &data).unwrap();
-            c.auto_resubmit = false;
-            c.spawn_clients(clients, SimDuration::from_millis(100));
+            c.stopped = true;
+            let tenant = (TenantSpec::default(), clients as u64);
+            c.spawn_clients(&[tenant], SimDuration::from_millis(100), pooled);
         }
         let mut sim = Sim::new();
         install(&cl, &mut sim);
@@ -1158,7 +1155,7 @@ mod tests {
     /// A job for `client` whose operations are done and whose writes sit
     /// on `nodes`: stepping it commits.
     fn committer(c: &mut Cluster, client: usize, nodes: &[NodeId], now: SimTime) -> u64 {
-        let id = c.new_job_with(client, None, now).expect("not stopped");
+        let id = c.new_job(client, now);
         let job = c.jobs.get_mut(id).expect("fresh job");
         job.routed = true;
         job.next_op = job.ops.len();

@@ -183,7 +183,7 @@ pub fn sample_window(c: &mut Cluster, view: &ClusterView, at: SimTime, events: u
     // force this window (trace-driven runs move it along the schedule).
     // Per-client runs carry no pool and no gauge — their exports stay
     // byte-identical to the pre-trace format.
-    let target = c.pool.as_ref().map(|p| p.current_target());
+    let target = c.pool.as_ref().map(|p| p.modeled());
     let r = &mut c.telemetry.registry;
     if let Some(target) = target {
         r.set_gauge("workload.target_clients", target as f64);

@@ -97,13 +97,7 @@ impl GlobalRouter {
         if range.is_empty() {
             return Err(Error::InvalidState("empty range assignment"));
         }
-        self.split_at(table, range.start)?;
-        self.split_at(table, range.end)?;
-        let entries = self.table_mut(table)?;
-        let covered: Vec<u64> = entries
-            .range(range.start.raw()..range.end.raw())
-            .map(|(k, _)| *k)
-            .collect();
+        let (entries, covered) = self.carve(table, range)?;
         for k in covered {
             let e = entries.remove(&k).expect("present");
             if e.is_moving() {
@@ -120,6 +114,23 @@ impl GlobalRouter {
             },
         );
         Ok(())
+    }
+
+    /// Carve `range` out of `table`: put an entry boundary at each of its
+    /// ends, then return the table and the keys of the entries inside it.
+    fn carve(
+        &mut self,
+        table: TableId,
+        range: KeyRange,
+    ) -> Result<(&mut BTreeMap<u64, RouteEntry>, Vec<u64>)> {
+        self.split_at(table, range.start)?;
+        self.split_at(table, range.end)?;
+        let entries = self.table_mut(table)?;
+        let inside = entries
+            .range(range.start.raw()..range.end.raw())
+            .map(|(k, _)| *k)
+            .collect();
+        Ok((entries, inside))
     }
 
     /// Ensure an entry boundary exists at `at` (splitting a straddling
@@ -167,13 +178,7 @@ impl GlobalRouter {
         to_partition: PartitionId,
         to_node: NodeId,
     ) -> Result<()> {
-        self.split_at(table, range.start)?;
-        self.split_at(table, range.end)?;
-        let entries = self.table_mut(table)?;
-        let keys: Vec<u64> = entries
-            .range(range.start.raw()..range.end.raw())
-            .map(|(k, _)| *k)
-            .collect();
+        let (entries, keys) = self.carve(table, range)?;
         if keys.is_empty() {
             return Err(Error::KeyNotFound(range.start));
         }
@@ -197,14 +202,8 @@ impl GlobalRouter {
     /// the owner, and adjacent same-owner entries coalesce. `range` may be
     /// any part of a move in flight.
     pub fn complete_move(&mut self, table: TableId, range: KeyRange) -> Result<()> {
-        self.split_at(table, range.start)?;
-        self.split_at(table, range.end)?;
         {
-            let entries = self.table_mut(table)?;
-            let keys: Vec<u64> = entries
-                .range(range.start.raw()..range.end.raw())
-                .map(|(k, _)| *k)
-                .collect();
+            let (entries, keys) = self.carve(table, range)?;
             if keys.is_empty() {
                 return Err(Error::KeyNotFound(range.start));
             }
@@ -223,13 +222,7 @@ impl GlobalRouter {
     /// Abort a move: drop the second pointer, ownership stays put. `range`
     /// may be any part of a move in flight.
     pub fn abort_move(&mut self, table: TableId, range: KeyRange) -> Result<()> {
-        self.split_at(table, range.start)?;
-        self.split_at(table, range.end)?;
-        let entries = self.table_mut(table)?;
-        let keys: Vec<u64> = entries
-            .range(range.start.raw()..range.end.raw())
-            .map(|(k, _)| *k)
-            .collect();
+        let (entries, keys) = self.carve(table, range)?;
         for k in keys {
             entries.get_mut(&k).expect("present").moving_to = None;
         }

@@ -14,14 +14,16 @@ pub mod schema;
 pub mod trace;
 pub mod txns;
 
-pub use client::{spawn_clients, spawn_clients_skewed, Client};
+pub use client::{Client, TenantSpec};
 pub use gen::{item_rows, warehouse_rows, GenRow, TpccConfig};
-pub use pool::{carrier_split, ClientBatching, ClientPool, MAX_CARRIERS, POOL_AUTO_THRESHOLD};
+pub use pool::{
+    carrier_split, carrier_split_within, ClientBatching, ClientPool, MAX_CARRIERS,
+    POOL_AUTO_THRESHOLD,
+};
 pub use schema::{
     key_district, key_entity, key_warehouse, keys, warehouse_range, wkey, TpccTable, ITEM_ROWS,
 };
 pub use trace::{
-    diurnal_target, flash_shape, DiurnalConfig, FlashCrowdConfig, LoadTrace, TenantLoad,
-    TenantSpec, TracePoint,
+    diurnal_target, flash_shape, DiurnalConfig, FlashCrowdConfig, LoadTrace, TenantLoad, TracePoint,
 };
 pub use txns::{Op, OpKind, TpccWorkload, TxnProfile};

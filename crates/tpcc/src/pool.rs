@@ -17,10 +17,10 @@
 //!
 //! What stays statistically identical to per-client mode:
 //!
-//! * the transaction mix — carriers draw profiles from the same per-client
-//!   derived RNG streams;
-//! * the per-warehouse skew — carriers are homed by the same round-robin /
-//!   hot-fraction rules over the same warehouse count;
+//! * the transaction mix — carriers draw profiles with their tenant's
+//!   weights from the same per-client derived RNG streams;
+//! * the per-warehouse skew — carriers are homed by the same
+//!   [`crate::TenantSpec::homes`] rule over the same warehouse count;
 //! * the offered load — `carriers / weight × (T + R)` reproduces the
 //!   modeled population's throughput, with each executed carrier
 //!   transaction charged `weight`× into metrics, heat, and resource
@@ -33,8 +33,9 @@
 
 use wattdb_common::{DetRng, SimDuration};
 
-/// How `spawn_clients`/`spawn_clients_skewed` decide between per-client
-/// think timers and the pooled arrival process.
+/// How a one-tenant population (`WattDb::start_oltp` / `start_tenant`)
+/// decides between per-client think timers and the pooled arrival
+/// process. Trace-driven populations are always pooled.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum ClientBatching {
     /// Pooled above [`POOL_AUTO_THRESHOLD`] modeled clients, per-client
@@ -69,12 +70,19 @@ impl ClientBatching {
 }
 
 /// Carrier count and per-carrier weight for a pooled population of `n`
-/// modeled clients: `weight = ceil(n / MAX_CARRIERS)` and
+/// modeled clients: [`carrier_split_within`] the whole
+/// [`MAX_CARRIERS`] budget.
+pub fn carrier_split(n: u32) -> (u32, u64) {
+    carrier_split_within(n as u64, MAX_CARRIERS)
+}
+
+/// Carrier count and per-carrier weight for `n` modeled clients on at
+/// most `budget` carriers: `weight = ceil(n / budget)` and
 /// `carriers = ceil(n / weight)`, so `carriers × weight ≥ n` with at
 /// most one carrier of slack and weight 1 whenever the population fits.
-pub fn carrier_split(n: u32) -> (u32, u64) {
-    let weight = (n as u64).div_ceil(MAX_CARRIERS as u64).max(1);
-    let carriers = ((n as u64).div_ceil(weight) as u32).max(1);
+pub fn carrier_split_within(n: u64, budget: u32) -> (u32, u64) {
+    let weight = n.div_ceil(budget.max(1) as u64).max(1);
+    let carriers = (n.div_ceil(weight) as u32).max(1);
     (carriers, weight)
 }
 
@@ -145,8 +153,9 @@ fn tick_and_p(think_mean: SimDuration) -> (SimDuration, f64) {
 impl ClientPool {
     /// A single-group pool over `carriers` carrier clients, each
     /// representing `weight` modeled clients of a `modeled`-strong
-    /// population with the given mean think time. All carriers start
-    /// thinking and active.
+    /// population with the given mean think time: the one-group case of
+    /// [`ClientPool::new_grouped`], targeting `modeled`. All carriers
+    /// start thinking and active.
     pub fn new(
         carriers: u32,
         weight: u64,
@@ -154,20 +163,9 @@ impl ClientPool {
         think_mean: SimDuration,
         rng: DetRng,
     ) -> Self {
-        let (tick, p) = tick_and_p(think_mean);
-        Self {
-            groups: vec![CarrierGroup {
-                start: 0,
-                len: carriers,
-                weight,
-                active: carriers,
-                target: modeled,
-            }],
-            tick,
-            p,
-            thinking: (0..carriers).collect(),
-            rng,
-        }
+        let mut pool = Self::new_grouped(&[(carriers, weight)], think_mean, rng);
+        pool.groups[0].target = modeled;
+        pool
     }
 
     /// A multi-group pool: one `(carriers, weight)` group per tenant,
@@ -224,16 +222,11 @@ impl ClientPool {
         self.group_of(carrier).weight
     }
 
-    /// Total modeled population currently targeted across groups.
-    pub fn modeled(&self) -> u64 {
-        self.groups.iter().map(|g| g.target).sum()
-    }
-
-    /// Alias of [`ClientPool::modeled`] under the trace vocabulary: the
+    /// Total modeled population currently targeted across groups: the
     /// sum of per-group targets in force right now (exported as the
     /// `workload.target_clients` gauge).
-    pub fn current_target(&self) -> u64 {
-        self.modeled()
+    pub fn modeled(&self) -> u64 {
+        self.groups.iter().map(|g| g.target).sum()
     }
 
     fn group_of(&self, carrier: u32) -> &CarrierGroup {
@@ -373,15 +366,15 @@ mod tests {
         assert_eq!(pool.weight_of(4), 25);
         assert_eq!(pool.weight_of(5), 25);
         let active = |pool: &ClientPool| pool.groups.iter().map(|g| g.active).sum::<u32>();
-        assert_eq!(pool.current_target(), 4 * 10 + 2 * 25);
+        assert_eq!(pool.modeled(), 4 * 10 + 2 * 25);
         assert_eq!(active(&pool), 6);
         // Retarget group 0 down: ceil(15/10) = 2 carriers stay active.
         pool.set_target(0, 15);
         assert_eq!(active(&pool), 2 + 2);
-        assert_eq!(pool.current_target(), 15 + 50);
+        assert_eq!(pool.modeled(), 15 + 50);
         // Targets clamp at group capacity.
         pool.set_target(1, 1_000_000);
-        assert_eq!(pool.current_target(), 15 + 50);
+        assert_eq!(pool.modeled(), 15 + 50);
         // Zero target disables the group entirely.
         pool.set_target(1, 0);
         assert_eq!(active(&pool), 2);

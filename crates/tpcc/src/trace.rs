@@ -36,28 +36,7 @@ use std::f64::consts::PI;
 
 use wattdb_common::SimDuration;
 
-/// One tenant's homing rule: what fraction of its carriers concentrate
-/// on which hot warehouses.
-#[derive(Debug, Clone, Copy)]
-pub struct TenantSpec {
-    /// Fraction of the tenant's carriers homed on the hot range.
-    pub hot_fraction: f64,
-    /// First warehouse of the tenant's hot range.
-    pub hot_first: u32,
-    /// Width of the hot range in warehouses (≥ 1).
-    pub hot_warehouses: u32,
-}
-
-impl Default for TenantSpec {
-    /// No skew: carriers spread round-robin over every warehouse.
-    fn default() -> Self {
-        Self {
-            hot_fraction: 0.0,
-            hot_first: 0,
-            hot_warehouses: 1,
-        }
-    }
-}
+use crate::client::TenantSpec;
 
 /// One breakpoint of the schedule: from `at` (relative to trace start)
 /// until the next breakpoint, tenant `i` targets `targets[i]` modeled
@@ -94,7 +73,7 @@ pub struct DiurnalConfig {
     pub step: SimDuration,
     /// Total trace length.
     pub horizon: SimDuration,
-    /// Homing rule for the single tenant.
+    /// Mix and homing rule of the single tenant.
     pub tenant: TenantSpec,
 }
 
@@ -131,7 +110,7 @@ pub struct FlashCrowdConfig {
     pub step: SimDuration,
     /// Total trace length.
     pub horizon: SimDuration,
-    /// Homing rule for the single tenant.
+    /// Mix and homing rule of the single tenant.
     pub tenant: TenantSpec,
 }
 
@@ -160,7 +139,7 @@ pub struct TenantLoad {
     pub max_clients: u64,
     /// Phase offset in radians — stagger these to de-synchronize peaks.
     pub phase: f64,
-    /// Homing rule (hot warehouses) for this tenant's carriers.
+    /// Mix and homing rule (hot warehouses) of this tenant's carriers.
     pub spec: TenantSpec,
 }
 
@@ -346,8 +325,8 @@ impl LoadTrace {
         &self.points
     }
 
-    /// Per-tenant homing rules, index-aligned with every breakpoint's
-    /// `targets`.
+    /// Per-tenant mixes and homing rules, index-aligned with every
+    /// breakpoint's `targets`.
     pub fn tenants(&self) -> &[TenantSpec] {
         &self.tenants
     }
@@ -476,7 +455,7 @@ mod tests {
             spec: TenantSpec {
                 hot_fraction: 0.8,
                 hot_first,
-                hot_warehouses: 1,
+                ..TenantSpec::default()
             },
         };
         let period = SimDuration::from_secs(120);

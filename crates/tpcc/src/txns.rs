@@ -62,9 +62,10 @@ impl TxnProfile {
         (TxnProfile::StockLevel, 4),
     ];
 
-    /// Draw a profile according to the standard mix.
-    pub fn draw(rng: &mut DetRng) -> TxnProfile {
-        Self::MIX[rng.weighted(&Self::MIX.map(|(_, w)| w))].0
+    /// Draw a profile with the given weights, in [`TxnProfile::MIX`]
+    /// order.
+    pub fn draw(rng: &mut DetRng, weights: &[u32; 5]) -> TxnProfile {
+        Self::MIX[rng.weighted(weights)].0
     }
 
     /// Most operations one transaction of this profile generates.
@@ -440,9 +441,12 @@ mod tests {
     #[test]
     fn mix_draw_roughly_matches_weights() {
         let mut rng = DetRng::new(5);
+        let standard = TxnProfile::MIX.map(|(_, w)| w);
         let mut counts = std::collections::HashMap::new();
         for _ in 0..10_000 {
-            *counts.entry(TxnProfile::draw(&mut rng)).or_insert(0u32) += 1;
+            *counts
+                .entry(TxnProfile::draw(&mut rng, &standard))
+                .or_insert(0u32) += 1;
         }
         let no = counts[&TxnProfile::NewOrder] as f64 / 10_000.0;
         let pay = counts[&TxnProfile::Payment] as f64 / 10_000.0;

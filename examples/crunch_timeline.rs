@@ -71,7 +71,7 @@ fn main() {
     let mut committed = db.completed();
     for _ in 0..PERIOD_S / WINDOW_S {
         // The target in force during the window, read before it runs.
-        let target = db.with_cluster(|c| c.pool.as_ref().map_or(0, |p| p.current_target()));
+        let target = db.with_cluster(|c| c.pool.as_ref().map_or(0, |p| p.modeled()));
         db.run_for(SimDuration::from_secs(WINDOW_S));
         let status = db.status();
         let per_s = (db.completed() - committed) as f64 / WINDOW_S as f64;

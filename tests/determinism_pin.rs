@@ -75,7 +75,11 @@ fn oltp_run() -> WattDb {
         .monitoring(windows(1))
         .autopilot(true)
         .build();
-    db.start_oltp_skewed(24, SimDuration::from_millis(40), 0.85, 1);
+    let tenant = TenantSpec {
+        hot_fraction: 0.85,
+        ..TenantSpec::default()
+    };
+    db.start_tenant(24, SimDuration::from_millis(40), tenant);
     db.run_for(windows(24));
     db.stop_clients();
     db.run_for(windows(1));

@@ -6,14 +6,16 @@
 //! * **Plan, then run** — `db.plan(&d)` followed by `db.run(plan)` is
 //!   `policy::apply`, the autopilot's own path, for every scripted
 //!   decision.
-//! * **Uniform is skew zero** — `start_oltp` is `start_oltp_skewed` with
-//!   no hot range, per-client and pooled.
+//! * **Uniform is skew zero** — `start_oltp` is `start_tenant` with a
+//!   zero hot fraction, wherever its hot range sits, per-client and
+//!   pooled.
 
 use wattdb_common::{CostParams, NodeId, SimDuration};
 use wattdb_core::api::WattDb;
 use wattdb_core::migration::ControlPlan;
 use wattdb_core::policy::{self, Decision, PolicyConfig};
 use wattdb_core::{ClientBatching, WattDbBuilder};
+use wattdb_tpcc::TenantSpec;
 
 fn builder() -> WattDbBuilder {
     WattDb::builder()
@@ -147,7 +149,13 @@ fn uniform_is_skew_zero() {
             let mut db = builder().telemetry(true).client_batching(batching).build();
             let think = SimDuration::from_millis(60);
             if skewed {
-                db.start_oltp_skewed(40, think, 0.0, 1);
+                let tenant = TenantSpec {
+                    hot_fraction: 0.0,
+                    hot_first: 2,
+                    hot_warehouses: 3,
+                    ..TenantSpec::default()
+                };
+                db.start_tenant(40, think, tenant);
             } else {
                 db.start_oltp(40, think);
             }

@@ -19,7 +19,7 @@ use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
 use wattdb_core::heat::{segment_stats, SegmentHeat, READ_WEIGHT, REMOTE_WEIGHT, WRITE_WEIGHT};
 use wattdb_query::AggFunc;
-use wattdb_tpcc::TpccTable;
+use wattdb_tpcc::{TenantSpec, TpccTable};
 
 const SEED: u64 = 31;
 
@@ -39,11 +39,20 @@ fn builder(cost_based: bool) -> wattdb_core::WattDbBuilder {
     }
 }
 
+/// A standard-mix tenant with `hot_fraction` of its clients on
+/// warehouse 0.
+fn hot(hot_fraction: f64) -> TenantSpec {
+    TenantSpec {
+        hot_fraction,
+        ..TenantSpec::default()
+    }
+}
+
 /// Drive the mixed workload: every client hammers warehouse 0 with point
 /// operations while Stock in warehouses 2..4 takes frequent
 /// scan+aggregation queries — few accesses, heavy operators.
 fn drive_mixed(db: &mut WattDb) {
-    db.start_oltp_skewed(8, SimDuration::from_millis(50), 1.0, 1);
+    db.start_tenant(8, SimDuration::from_millis(50), hot(1.0));
     let stock = TpccTable::Stock.table_id();
     let scan_range = wattdb_tpcc::warehouse_range(2, 4);
     for _ in 0..16 {
@@ -200,7 +209,7 @@ fn count_based_trajectory() -> Vec<Vec<HeatRow>> {
             ..Default::default()
         })
         .build();
-    db.start_oltp_skewed(16, SimDuration::from_millis(30), 0.85, 1);
+    db.start_tenant(16, SimDuration::from_millis(30), hot(0.85));
     let stock = TpccTable::Stock.table_id();
     let mut checkpoints = Vec::new();
     for i in 0..6 {
@@ -251,7 +260,7 @@ fn count_fallback_reduces_exactly_to_weighted_counts() {
             ..Default::default()
         })
         .build();
-    db.start_oltp_skewed(16, SimDuration::from_millis(30), 0.85, 1);
+    db.start_tenant(16, SimDuration::from_millis(30), hot(0.85));
     db.run_for(SimDuration::from_secs(20));
     db.scan(
         TpccTable::Stock.table_id(),

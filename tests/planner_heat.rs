@@ -14,6 +14,7 @@ use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
 use wattdb_core::heat::segment_stats;
 use wattdb_core::Planner;
+use wattdb_tpcc::TenantSpec;
 
 fn skewed_db() -> WattDb {
     let mut db = WattDb::builder()
@@ -28,7 +29,11 @@ fn skewed_db() -> WattDb {
         .build();
     // 85 % of the clients live on warehouse 0: a hot range at the bottom
     // of node 0's key space.
-    db.start_oltp_skewed(32, SimDuration::from_millis(30), 0.85, 1);
+    let tenant = TenantSpec {
+        hot_fraction: 0.85,
+        ..TenantSpec::default()
+    };
+    db.start_tenant(32, SimDuration::from_millis(30), tenant);
     db.run_for(SimDuration::from_secs(60));
     db.stop_clients();
     // Drain in-flight work so footprints and heat are stable.

@@ -13,6 +13,7 @@ use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
 use wattdb_core::policy::PolicyConfig;
 use wattdb_core::ClientBatching;
+use wattdb_tpcc::{DiurnalConfig, LoadTrace, TenantSpec};
 
 const WINDOW_SECS: u64 = 5;
 const CLIENTS: u32 = 96;
@@ -45,7 +46,11 @@ fn oltp_run(batching: ClientBatching) -> WattDb {
         .autopilot(true)
         .client_batching(batching)
         .build();
-    db.start_oltp_skewed(CLIENTS, SimDuration::from_millis(160), HOT_FRACTION, 1);
+    let tenant = TenantSpec {
+        hot_fraction: HOT_FRACTION,
+        ..TenantSpec::default()
+    };
+    db.start_tenant(CLIENTS, SimDuration::from_millis(160), tenant);
     db.run_for(SimDuration::from_secs(WINDOW_SECS * 24));
     db.stop_clients();
     db.run_for(SimDuration::from_secs(WINDOW_SECS));
@@ -167,4 +172,49 @@ fn auto_mode_pools_large_populations_only() {
     assert!(pooled_clients(&forced));
     forced.run_for(SimDuration::from_secs(10));
     assert!(forced.completed() > 0, "pooled arrivals drive transactions");
+}
+
+#[test]
+fn a_flat_one_tenant_trace_runs_as_start_oltp() {
+    // One spawn path: a trace whose one tenant holds at `CLIENTS` builds
+    // the same carriers, homes, weights and pool target as `start_oltp`.
+    // The trace has one breakpoint, so it schedules no retarget events
+    // and the exports' kernel event gauges agree too.
+    let think = SimDuration::from_millis(160);
+    let run = SimDuration::from_secs(WINDOW_SECS * 6);
+    let build = || {
+        WattDb::builder()
+            .nodes(4)
+            .warehouses(4)
+            .density(0.05)
+            .segment_pages(8)
+            .seed(17)
+            .initial_data_nodes(&[NodeId(0), NodeId(1)])
+            .monitoring(SimDuration::from_secs(WINDOW_SECS))
+            .telemetry(true)
+            .client_batching(ClientBatching::Pooled)
+            .build()
+    };
+    let mut oltp = build();
+    oltp.start_oltp(CLIENTS, think);
+    let mut traced = build();
+    traced.start_traced_oltp(
+        LoadTrace::diurnal(DiurnalConfig {
+            min_clients: CLIENTS as u64,
+            max_clients: CLIENTS as u64,
+            step: run,
+            horizon: run,
+            ..Default::default()
+        }),
+        think,
+    );
+    for db in [&mut oltp, &mut traced] {
+        db.run_for(run);
+    }
+    assert!(oltp.completed() > 0);
+    assert_eq!(oltp.completed(), traced.completed());
+    assert_eq!(
+        oltp.export_timeline_string(),
+        traced.export_timeline_string()
+    );
 }
