@@ -28,8 +28,8 @@
 
 use wattdb_bench::{
     run_drain_under_replication, run_drift_shootout, run_failover_recovery, run_failover_shootout,
-    run_mixed_shootout, run_planner_shootout, run_timeline_capture, run_transient_shootout,
-    shootout_json, BenchJsonRow, FailoverShootoutRow, PlannerShootoutRow, MIXED_SCAN_WAREHOUSES,
+    run_mixed_shootout, run_planner_shootout, run_timeline_capture, shootout_json, BenchJsonRow,
+    FailoverShootoutRow, PlannerShootoutRow, MIXED_SCAN_WAREHOUSES,
 };
 use wattdb_common::SimDuration;
 use wattdb_core::Planner;
@@ -120,14 +120,6 @@ fn main() {
     row("cost-heat", &cost);
     push("mixed", "count-heat", count, String::new());
     push("mixed", "cost-heat", cost, String::new());
-    println!("\nTransient skew — the hot node flaps; helpers vs segment-shipping");
-    header("response");
-    let shipping = run_transient_shootout(false);
-    row("ship-segments", &shipping.row);
-    let helped = run_transient_shootout(true);
-    row("helpers", &helped.row);
-    push("transient", "segment-shipping", shipping.row, String::new());
-    push("transient", "helpers", helped.row, String::new());
 
     println!("\nReplication — hot reads fanned out across follower copies");
     header("replicas");
@@ -251,47 +243,6 @@ fn main() {
         count.bytes_moved
     );
     println!("\ncost-heat wins: lower post-rebalance max CPU for no more bytes");
-
-    // Transient phase: every skew fire must have shipped under the
-    // shipping policy, none under helpers-first — and helpers must win
-    // on bytes at comparable post-rebalance max CPU.
-    assert!(
-        shipping.row.rebalanced && shipping.row.bytes_moved > 0,
-        "the shipping policy must have rebalanced the transient skew"
-    );
-    assert_eq!(
-        shipping.helper_attaches, 0,
-        "helper escalation disabled must never attach"
-    );
-    assert!(
-        helped.helper_attaches > 0,
-        "the helpers policy must have attached helpers"
-    );
-    assert!(
-        helped.helper_detaches > 0,
-        "helpers must actually detach when a flap's skew subsides — \
-         a wedged subsidence predicate keeps them powered forever"
-    );
-    assert_eq!(
-        helped.row.bytes_moved, 0,
-        "helpers-first must ship zero segment bytes, shipped {}",
-        helped.row.bytes_moved
-    );
-    assert!(
-        helped.row.post_max_cpu <= shipping.row.post_max_cpu + 0.10,
-        "helpers must hold a comparable post-rebalance max CPU: {:.1}% vs {:.1}%",
-        helped.row.post_max_cpu * 100.0,
-        shipping.row.post_max_cpu * 100.0
-    );
-    println!(
-        "\nhelpers win the transient phase: 0 B shipped (vs {} B) at {:.1}% vs {:.1}% max CPU \
-         ({} attaches, {} detaches)",
-        shipping.row.bytes_moved,
-        helped.row.post_max_cpu * 100.0,
-        shipping.row.post_max_cpu * 100.0,
-        helped.helper_attaches,
-        helped.helper_detaches,
-    );
 
     // Replication phase: fanning the hot reads over a follower must
     // realize a strictly lower max CPU, for a wire cost bounded by the

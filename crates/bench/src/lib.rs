@@ -14,13 +14,13 @@ use std::cell::RefCell;
 use std::ops::Range;
 use std::rc::Rc;
 
-use wattdb_common::{CostParams, HeatConfig, HelperPolicyConfig, NodeId, Result, SimDuration};
+use wattdb_common::{CostParams, HeatConfig, NodeId, Result, SimDuration};
 use wattdb_core::api::{WattDb, WattDbBuilder};
 use wattdb_core::cluster::Scheme;
 use wattdb_core::metrics::Phase;
 use wattdb_core::migration::{ControlPlan, HelperAttach};
 use wattdb_core::replay::{replay_trace, SortMemoryBroker};
-use wattdb_core::{Cluster, Decision, Outcome, Planner, PolicyConfig};
+use wattdb_core::{Cluster, Outcome, Planner, PolicyConfig};
 use wattdb_query::{execute, ExecConfig, PlanNode, SyntheticTable};
 use wattdb_sim::CostCategory;
 use wattdb_tpcc::TenantSpec;
@@ -82,8 +82,7 @@ impl PlannerShootoutRow {
 /// Mean think time of the shootout clients. The hot node saturates before
 /// any rebalance and, in the stationary and advancing phases, still reads
 /// 97–99 % CPU after it, so those rows compare what a plan ships more than
-/// the balance it reaches. 35 ms would restore the headroom but fails the
-/// transient gate (helpers 93.2 % against shipping's 82.6 % + 0.10).
+/// the balance it reaches.
 const THINK: SimDuration = SimDuration::from_millis(10);
 /// Percentage of Payment (update) transactions in the shootouts' mix; the
 /// rest are OrderStatus reads. This mix keeps the hotspot on fixed
@@ -124,15 +123,14 @@ fn shootout_cluster(nodes: u16, warehouses: u32, data: &[NodeId]) -> WattDbBuild
 }
 
 /// The shootouts' CPU-triggered scale-out with `planner`: out after two
-/// windows above 80 % CPU, no scale-in during the measurement, and the
-/// skew trigger off, so the compared input alone shapes the plan.
+/// windows above 80 % CPU and no scale-in during the measurement, so the
+/// compared input alone shapes the plan.
 fn cpu_scale_out(planner: Planner) -> PolicyConfig {
     PolicyConfig {
         cpu_high: 0.8,
         cpu_low: 0.02,
         patience: 2,
         planner,
-        skew_threshold: 0.0,
         ..Default::default()
     }
 }
@@ -231,7 +229,6 @@ pub fn run_drift_shootout(horizon: SimDuration) -> PlannerShootoutRow {
         .policy(PolicyConfig {
             cpu_high: 1.1, // monitor-only during warm-up: drift observes, nothing fires
             cpu_low: 0.0,
-            skew_threshold: 0.0,
             ..Default::default()
         })
         .heat_tracking(HeatConfig {
@@ -323,111 +320,6 @@ pub fn run_mixed_shootout(cost_based: bool) -> PlannerShootoutRow {
     settle_and_measure(&mut db, Planner::HeatAware, 80, SimDuration::from_secs(30))
 }
 
-/// Outcome of one transient-shootout run: the standard row plus the
-/// helper-event counts the bench asserts on.
-#[derive(Debug, Clone, Copy)]
-pub struct TransientShootoutRow {
-    /// The standard shootout measurements (`bytes_moved` sums *every*
-    /// rebalance of the run; `rebalanced` = any completed).
-    pub row: PlannerShootoutRow,
-    /// Applied helper attachments over the run.
-    pub helper_attaches: usize,
-    /// Applied helper detachments over the run.
-    pub helper_detaches: usize,
-}
-
-/// Run the transient-skew shootout: two data nodes holding 8 warehouses,
-/// 95 % of 64 clients re-homing every 40 s dwell to a *fresh* warehouse
-/// on the opposite node (0 → 4 → 1 → 5 → …), so the heat-skew trigger
-/// keeps firing while which node is hot alternates and the hot range
-/// never repeats — the regime where shipping segments chases a hotspot
-/// that has moved on before the copy pays off. The policy is skew-only
-/// (the CPU bounds out of reach). Compared: answering every skew fire
-/// with a segment rebalance (`helpers` false, helper escalation off) vs.
-/// the helpers-first escalation (`helpers` true): Fig. 8 helpers attach
-/// to the hot source and detach on subsidence, shipping nothing.
-/// Measures the max active-node CPU over the final dwell and the total
-/// bytes every rebalance of the run shipped.
-pub fn run_transient_shootout(helpers: bool) -> TransientShootoutRow {
-    const WAREHOUSES: u32 = 8;
-    const CLIENTS: u32 = 64;
-    const HOT_SHARE: f64 = 0.95;
-    const DWELL: SimDuration = SimDuration::from_secs(40);
-    // Flips run; the last dwell is the measurement window.
-    const FLIPS: u64 = 6;
-    let mut db = shootout_cluster(4, WAREHOUSES, &[NodeId(0), NodeId(1)])
-        // A short heat half-life keeps the flap sharp: the side the hot
-        // population just left cools before the next monitoring windows,
-        // so the skew ratio genuinely alternates instead of smearing
-        // toward balance.
-        .heat_tracking(HeatConfig {
-            half_life: SimDuration::from_secs(15),
-            ..Default::default()
-        })
-        .policy(PolicyConfig {
-            cpu_high: 1.1, // skew-only: the CPU bounds stay out of reach
-            cpu_low: 0.0,
-            patience: 2,
-            skew_threshold: 1.5,
-            skew_cooldown: 2,
-            helper: HelperPolicyConfig {
-                escalation_fires: u32::from(helpers),
-                min_net_heat: 0.0,
-            },
-            ..Default::default()
-        })
-        .autopilot(true)
-        .build();
-    let hot_n = (CLIENTS as f64 * HOT_SHARE).round() as usize;
-    db.start_tenant(CLIENTS, THINK, mixed_tenant(HOT_SHARE, UPDATE_PCT));
-    db.run_for(SimDuration::from_secs(25));
-    // The advancing flap: each dwell the hot population re-homes to a
-    // fresh warehouse on the opposite node — 0, then half, then 1, then
-    // half+1, … — so the hot node alternates and no hot range repeats.
-    let half = WAREHOUSES.div_ceil(2);
-    db.with_runtime(|cl, sim| {
-        let handle = cl.clone();
-        let mut step = 0u32;
-        sim.every(DWELL, move |_| {
-            step += 1;
-            let wh = if step % 2 == 1 {
-                half + step / 2
-            } else {
-                step / 2
-            };
-            rehome(&mut handle.borrow_mut(), hot_n, wh % WAREHOUSES);
-            true
-        });
-    });
-    db.run_for(DWELL * (FLIPS - 1));
-    let (post_max_cpu, post_max_heat_share) = measure_window(&mut db, DWELL);
-    let history = db.with_cluster(|c| c.metrics.rebalances.clone());
-    let events = db.events();
-    let applied = |kind: fn(&Decision) -> bool| {
-        events
-            .iter()
-            .filter(|e| kind(&e.decision) && e.outcome == Outcome::Applied)
-            .count()
-    };
-    TransientShootoutRow {
-        row: PlannerShootoutRow {
-            planner: Planner::HeatAware,
-            rebalanced: !history.is_empty(),
-            bytes_moved: history.iter().map(|r| r.bytes_moved).sum(),
-            segments_moved: history.iter().map(|r| r.segments_moved).sum(),
-            heat_planned: history
-                .iter()
-                .map(|r| r.heat_planned)
-                .fold(0.0, |a, b| a + b),
-            heat_moved: history.iter().map(|r| r.heat_moved).fold(0.0, |a, b| a + b),
-            post_max_cpu,
-            post_max_heat_share,
-        },
-        helper_attaches: applied(|d| matches!(d, Decision::AttachHelpers { .. })),
-        helper_detaches: applied(|d| matches!(d, Decision::DetachHelpers { .. })),
-    }
-}
-
 /// Outcome of one read-scaling run: the standard row (its `bytes_moved`
 /// is the replica WAL shipped) plus the replication counters the bench
 /// gates on.
@@ -510,7 +402,6 @@ pub fn run_failover_recovery() -> FailoverRecovery {
         .policy(PolicyConfig {
             cpu_high: 1.1, // failover-only: every elasticity trigger inert
             cpu_low: 0.0,
-            skew_threshold: 0.0,
             net_high: 2.0,
             ..Default::default()
         })
@@ -576,7 +467,6 @@ pub fn run_drain_under_replication() -> DrainUnderReplication {
             cpu_high: 1.1, // drain-only: the idle cluster breaches cpu_low at once
             cpu_low: 0.5,
             patience: 2,
-            skew_threshold: 0.0,
             net_high: 2.0,
             ..Default::default()
         })

@@ -97,8 +97,7 @@ impl fmt::Display for CostVector {
 ///
 /// The defaults are calibrated against the flat count-heat weights
 /// (`wattdb_core::heat::{READ_WEIGHT, WRITE_WEIGHT, REMOTE_WEIGHT}`) so
-/// that cost-based heat lands in the same magnitude band the elasticity
-/// thresholds (e.g. the skew trigger's heat floor of 1.0) were tuned for:
+/// that cost-based heat lands in the same magnitude band as count heat:
 /// a default-cost point read scalarizes to ≈ the read weight (1.0), an
 /// update to ≈ the write weight (2.0), and one remote page fetch (8 KiB +
 /// envelope) to ≈ the remote surcharge (1.0). What changes is everything

@@ -95,47 +95,6 @@ impl Default for HeatConfig {
     }
 }
 
-/// Configuration of the helper-escalation response (Fig. 8 helper nodes
-/// as an elasticity decision).
-///
-/// Shipping segments answers *stationary* skew: the bytes buy a balance
-/// that lasts. When the skew is **transient** — the skew trigger keeps
-/// re-firing the moment its cooldown expires because the last rebalance
-/// did not make the skew subside — moving data chases a hotspot that will
-/// have moved on by the time the copy lands. The cheaper response
-/// (DynaHash's principle, and the paper's Fig. 8) is to *attach a helper*
-/// to the hot source: the helper takes the source's log shipping and
-/// extends its buffer pool, relieving its disks and its remote traffic
-/// without shipping a single segment. Helpers detach again once the skew
-/// subsides. Which sources get a helper, and which node helps each, is
-/// the helper planner's choice (`wattdb_planner::plan_helpers`); one plan
-/// attaches at most `wattdb_planner::MAX_HELPERS` (2).
-#[derive(Debug, Clone, Copy)]
-pub struct HelperPolicyConfig {
-    /// Consecutive skew-trigger fires *without an intervening subsidence*
-    /// (skew never fell back below the rearm band between them) after
-    /// which the policy escalates from `Rebalance` to `AttachHelpers`.
-    /// `1` attaches helpers on the first fire (a helpers-first response
-    /// for workloads known to be transient); `0` disables helper
-    /// escalation entirely (the pre-helper behaviour: every skew fire
-    /// rebalances).
-    pub escalation_fires: u32,
-    /// Net-heat floor: a source whose net/remote-heavy heat component sits
-    /// below this is not worth a helper (its pain is not remote traffic).
-    pub min_net_heat: f64,
-}
-
-impl Default for HelperPolicyConfig {
-    fn default() -> Self {
-        Self {
-            // A rebalance gets one chance; if the skew re-fires without
-            // ever subsiding, the second fire attaches helpers instead.
-            escalation_fires: 2,
-            min_net_heat: 0.0,
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;

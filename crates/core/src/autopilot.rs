@@ -51,7 +51,7 @@ use wattdb_common::{NodeId, SimTime};
 use wattdb_sim::Sim;
 use wattdb_telemetry::{SignalVector, SpanId};
 
-use crate::cluster::{Cluster, ClusterRc, Lifecycle, Scheme};
+use crate::cluster::{Cluster, ClusterRc, Lifecycle};
 use crate::migration::Applied;
 use crate::monitor::ClusterView;
 use crate::policy::{self, Decision, ElasticityPolicy, PolicyConfig};
@@ -89,18 +89,14 @@ pub struct ControlEvent {
     /// What the policy decided.
     pub decision: Decision,
     /// Which threshold drove the decision: `"cpu-high"` (scale-out),
-    /// `"cpu-low"` (scale-in), `"heat-skew"` (rebalance-in-place),
-    /// `"helper"` (helper attach/detach — the skew trigger escalated or
-    /// its skew subsided), `"failover"` (a failed node's segments were
+    /// `"cpu-low"` (scale-in), `"failover"` (a failed node's segments were
     /// promoted to followers), or `""` for a hold and for bookkeeping
     /// entries like post-drain suspension.
     pub trigger: &'static str,
     /// What the controller did about it.
     pub outcome: Outcome,
     /// For an applied decision that made one, the plan's predicted
-    /// benefit: net/remote-traffic relief for a helper attachment (the
-    /// summed net-heat of the helped sources), planned heat share for a
-    /// rebalance.
+    /// benefit: the heat its moves relocate.
     pub predicted: Option<f64>,
     /// For applied decisions, the planner that actually produced the
     /// moves (the heat-aware path can fall back to the fraction
@@ -116,23 +112,14 @@ fn trigger_of(decision: &Decision) -> &'static str {
         Decision::Hold => "",
         Decision::ScaleOut { .. } => "cpu-high",
         Decision::ScaleIn { .. } => "cpu-low",
-        Decision::Rebalance { .. } => "heat-skew",
-        Decision::AttachHelpers { .. } | Decision::DetachHelpers { .. } => "helper",
         Decision::Promote { .. } => "failover",
     }
 }
 
 /// Put `cfg` in the cluster's policy slot, replacing any policy there
-/// (its streaks and cooldowns go with it; the decision log stays). The
-/// window loop runs it from its next window on.
-pub(crate) fn engage(c: &mut Cluster, mut cfg: PolicyConfig) {
-    // Skew rebalances are heat-planned segment moves; logical
-    // repartitioning moves key ranges and cannot execute them, so the
-    // trigger is disabled outright rather than firing decisions that
-    // would be refused forever.
-    if c.cfg.scheme == Scheme::Logical {
-        cfg.skew_threshold = 0.0;
-    }
+/// (its streaks go with it; the decision log stays). The window loop runs
+/// it from its next window on.
+pub(crate) fn engage(c: &mut Cluster, cfg: PolicyConfig) {
     c.policy = Some(ElasticityPolicy::new(cfg));
 }
 
@@ -240,12 +227,7 @@ pub(crate) fn step(cl: &ClusterRc, sim: &mut Sim, view: &ClusterView, window: u6
     // Observe *after* any suspension, so a node just returned to standby
     // is immediately available as a scale-out target.
     let (standby, with_data) = observe(cl);
-    // The policy manages only the helpers it attached itself, by their
-    // `(source, helper)` pairs: a scripted attachment belongs to the
-    // migration engine (it detaches with its rebalance's completion) and
-    // is invisible here.
-    let pairs = cl.borrow().helpers.pairs();
-    let decision = policy.evaluate(view, &standby, &with_data, rebalancing, &pairs);
+    let decision = policy.evaluate(view, &standby, &with_data, rebalancing);
     // `evaluate` froze this window's signal vector; the record below —
     // Hold included — carries it, so the exported timeline can explain
     // *why* each decision (or non-decision) was made.

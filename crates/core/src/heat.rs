@@ -440,7 +440,7 @@ pub fn plan_drain_replicated(
         .collect();
     let hosts: Vec<wattdb_planner::HostRow> = (c.nodes.iter())
         .filter(|n| n.life == Lifecycle::Active && !drain.contains(&n.id))
-        .map(|n| host_row(c, n, now))
+        .map(|n| host_row(c, n.id, now))
         .collect();
     wattdb_planner::plan_drain_replicated(
         &stats,
@@ -452,112 +452,17 @@ pub fn plan_drain_replicated(
     )
 }
 
-/// `node`'s row as a placement *host*, for follower copies and helper
-/// duty ([`wattdb_planner::HostRow`]): total decayed heat, the last
+/// `node`'s row as a placement *host* for follower copies
+/// ([`wattdb_planner::HostRow`]): total decayed heat and the last
 /// windowed NIC egress utilization the monitoring loop persisted
-/// (planners never sample the stateful probes themselves), and whether
-/// the node is down. A failed node also reads as down; every caller
-/// filters or excludes it before any ranking.
-fn host_row(
-    c: &crate::cluster::Cluster,
-    n: &crate::cluster::NodeRuntime,
-    now: SimTime,
-) -> wattdb_planner::HostRow {
-    let node = n.id;
+/// (planners never sample the stateful probes themselves). Every caller
+/// passes active nodes only.
+fn host_row(c: &crate::cluster::Cluster, node: NodeId, now: SimTime) -> wattdb_planner::HostRow {
     wattdb_planner::HostRow {
         node,
         heat: c.heat.node_heat(&c.seg_dir, node, now).value(),
         nic: c.net_util.get(node.raw() as usize).copied().unwrap_or(0.0),
-        standby: !n.life.is_up(),
     }
-}
-
-/// Helper-source rows for the given nodes
-/// ([`wattdb_planner::NodeLoadStat`]): total decayed heat and its
-/// net/remote-heavy component. The candidate helpers are host rows
-/// ([`wattdb_planner::HostRow`]) instead, whose NIC field is measured
-/// utilization, not a heat component.
-///
-/// Under the cost signal each segment's decayed heat is split by the
-/// *net share* of its lifetime cost vector (`net_bytes ×
-/// net_byte_weight` over the scalarized total), so a node whose heat is
-/// mostly remote page fetches and record shipping ranks far above one
-/// burning the same heat in local CPU. Under the count signal the
-/// components are invisible and `net_heat` falls back to the total heat.
-pub fn node_load_stats(
-    c: &crate::cluster::Cluster,
-    now: SimTime,
-    nodes: &[NodeId],
-) -> Vec<wattdb_planner::NodeLoadStat> {
-    let model = c.heat.cost_model();
-    nodes
-        .iter()
-        .map(|&n| {
-            let mut total = 0.0;
-            let mut net = 0.0;
-            for m in c.seg_dir.on_node(n) {
-                let heat = c.heat.heat_of(m.id, now).value();
-                total += heat;
-                let share = match (model, c.heat.stats(m.id)) {
-                    (Some(model), Some(s)) if !s.cost.is_zero() => {
-                        let whole = model.heat_of(s.cost).value();
-                        if whole > 0.0 {
-                            let net_only = CostVector {
-                                net_bytes: s.cost.net_bytes,
-                                ..CostVector::ZERO
-                            };
-                            model.heat_of(net_only).value() / whole
-                        } else {
-                            0.0
-                        }
-                    }
-                    // Count signal (or a synthetically warmed segment with
-                    // no cost trace): components are invisible — fall back
-                    // to the total.
-                    _ => 1.0,
-                };
-                net += heat * share;
-            }
-            wattdb_planner::NodeLoadStat {
-                node: n,
-                heat: total,
-                net_heat: net,
-            }
-        })
-        .collect()
-}
-
-/// Helper plan over the live cluster state: rank `sources` by their
-/// net/remote-heavy heat and pair the heaviest with helpers drawn from
-/// the standbys and coldest actives — never a node entangled in the
-/// in-flight migration, never one already helping, never the master
-/// while an alternative exists. A source already wired to a helper is
-/// dropped (it has its relief; planning is idempotent).
-pub fn plan_helpers(
-    c: &crate::cluster::Cluster,
-    now: SimTime,
-    cfg: &wattdb_common::HelperPolicyConfig,
-    sources: &[NodeId],
-) -> wattdb_planner::HelperPlan {
-    let unhelped: Vec<NodeId> = sources
-        .iter()
-        .copied()
-        .filter(|&n| c.helpers.helper_of(n).is_none())
-        .collect();
-    let loads = node_load_stats(c, now, &unhelped);
-    let candidates: Vec<wattdb_planner::HostRow> =
-        c.nodes.iter().map(|n| host_row(c, n, now)).collect();
-    let mut excluded: Vec<NodeId> = crate::migration::nodes_in_flight(c).into_iter().collect();
-    excluded.extend(c.failed_nodes());
-    excluded.extend(c.helpers.nodes());
-    // The full source list stays out of the candidate pool even where a
-    // member was dropped from the loads above (already helped): a node
-    // hot enough to be named a source never moonlights as a helper, and
-    // neither does any node currently leaning on one.
-    excluded.extend(sources.iter().copied());
-    let helped = c.nodes.iter().map(|n| n.id);
-    excluded.extend(helped.filter(|&n| c.helpers.helper_of(n).is_some()));
-    wattdb_planner::plan_helpers(&loads, &candidates, &excluded, cfg)
 }
 
 /// Replica placement plan over the live cluster state: one
@@ -597,7 +502,7 @@ pub fn plan_replicas(c: &crate::cluster::Cluster, now: SimTime) -> wattdb_planne
         // A draining node is about to suspend: placing a fresh copy there
         // would only schedule its own re-home.
         .filter(|n| n.life == Lifecycle::Active)
-        .map(|n| host_row(c, n, now))
+        .map(|n| host_row(c, n.id, now))
         .collect();
     wattdb_planner::plan_replicas(&needs, &hosts, factor)
 }

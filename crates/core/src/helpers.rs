@@ -1,5 +1,9 @@
 //! Fig. 8 helper nodes, one owner: a helper is "used for log shipping and
-//! provision of additional buffer space" while a source is under load.
+//! provision of additional buffer space" while a rebalance runs, and
+//! "after rebalancing, the additional nodes should be turned off again".
+//! Helpers are scripted: a [`crate::migration::ControlPlan`] names them
+//! next to the rebalance they serve ([`HelperAttach::manual`]), and the
+//! rebalance's completion releases every one of them.
 //! [`Helpers`] holds the source → helper wires (each with its shipping
 //! cursor), the attached members, the bytes shipped to them, and the
 //! response in progress — its `helpers` span and the relief baseline.
@@ -16,22 +20,13 @@ use crate::migration::{can_suspend, names};
 
 /// Helpers to wire to their sources (Fig. 8): each source ships its log to
 /// its helper and extends its buffer pool into the helper's DRAM.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct HelperAttach {
     /// Every node joining the deployment, paired or not: all of them power
     /// on and are tracked until detached.
     pub helpers: Vec<NodeId>,
     /// `(source, helper)` wirings.
     pub pairs: Vec<(NodeId, NodeId)>,
-    /// Scripted helpers belong to the rebalance they accompany and detach
-    /// when it completes; the elasticity policy's own (`false`) ride out
-    /// unrelated migrations and leave only on skew subsidence.
-    pub scripted: bool,
-    /// Predicted net-traffic relief (zero for a manual list).
-    pub relief: f64,
-    /// The planner's candidate ranking, kept on the `helpers` span so the
-    /// exported timeline shows why each helper won over the alternatives.
-    pub ranking: Vec<String>,
 }
 
 impl HelperAttach {
@@ -43,20 +38,6 @@ impl HelperAttach {
             pairs: (sources.iter().copied())
                 .zip(helpers.iter().copied().cycle())
                 .collect(),
-            scripted: true,
-            ..Default::default()
-        }
-    }
-
-    /// A planner-produced [`wattdb_planner::HelperPlan`]: its pairs, with
-    /// the plan's predicted relief and candidate ranking.
-    pub fn planned(plan: &wattdb_planner::HelperPlan, scripted: bool) -> Self {
-        HelperAttach {
-            helpers: plan.helpers(),
-            pairs: plan.pairs.clone(),
-            scripted,
-            relief: plan.predicted_relief,
-            ranking: plan.ranking.clone(),
         }
     }
 }
@@ -87,9 +68,8 @@ struct Response {
 pub struct Helpers {
     /// At most one wire per source, by source id.
     wires: Vec<Wire>,
-    /// Attached helpers in attachment order, each with whether a script
-    /// (`true`: it releases with its rebalance) or the policy attached it.
-    members: Vec<(NodeId, bool)>,
+    /// Attached helpers in attachment order.
+    members: Vec<NodeId>,
     /// Log bytes shipped to helpers (lifetime).
     shipped_bytes: u64,
     response: Option<Response>,
@@ -112,36 +92,14 @@ impl Helpers {
         Some(wire.helper)
     }
 
-    /// `(source, helper)` for the helpers the elasticity policy attached,
-    /// by source id; a policy helper whose source is gone pairs with
-    /// itself, so it reads as a subsided source and is released.
-    pub fn pairs(&self) -> Vec<(NodeId, NodeId)> {
-        let mut pairs: Vec<(NodeId, NodeId)> = (self.wires.iter())
-            .filter(|w| self.attached_by(false).any(|h| h == w.helper))
-            .map(|w| (w.source, w.helper))
-            .collect();
-        for h in self.attached_by(false) {
-            if !pairs.iter().any(|&(_, p)| p == h) {
-                pairs.push((h, h));
-            }
-        }
-        pairs
-    }
-
-    /// The helpers a script (`true`) or the elasticity policy attached, in
-    /// attachment order.
-    pub fn attached_by(&self, script: bool) -> impl Iterator<Item = NodeId> + '_ {
-        (self.members.iter().filter(move |m| m.1 == script)).map(|m| m.0)
-    }
-
     /// Attached helper nodes, in attachment order.
     pub fn nodes(&self) -> Vec<NodeId> {
-        self.members.iter().map(|m| m.0).collect()
+        self.members.clone()
     }
 
     /// Is `node` attached as a helper?
     pub fn contains(&self, node: NodeId) -> bool {
-        self.members.iter().any(|m| m.0 == node)
+        self.members.contains(&node)
     }
 
     /// No helper attached.
@@ -178,7 +136,7 @@ impl Helpers {
         if let Some(n) = unwired.find(|n| n.buffer.remote_capacity() > 0) {
             return Some(format!("{} keeps a remote tier with no helper", n.id));
         }
-        if let Some(&(h, _)) = self.members.iter().find(|m| life(m.0) == Lifecycle::Failed) {
+        if let Some(h) = self.members.iter().find(|&&h| life(h) == Lifecycle::Failed) {
             return Some(format!("helper {h} failed but is still attached"));
         }
         (self.response.is_some() == self.members.is_empty())
@@ -201,20 +159,21 @@ fn remote_hits(nodes: &[NodeRuntime]) -> u64 {
 
 /// Wire `a`'s pairs. The first attach of a response opens its `helpers`
 /// span and snapshots the shipped-bytes and remote-hit counters; a later
-/// one while helpers remain attached folds its predicted relief into the
-/// same span. A source whose helper is reassigned gets a fresh cursor at
-/// its log's end; re-wiring the same pair keeps the cursor it has.
+/// one while helpers remain attached joins the same span. A source whose
+/// helper is reassigned gets a fresh cursor at its log's end; re-wiring
+/// the same pair keeps the cursor it has.
 pub fn attach(c: &mut Cluster, a: &HelperAttach, now: SimTime) {
     if a.helpers.is_empty() {
         return;
     }
     let (helpers, spans) = (&mut c.helpers, &mut c.telemetry.spans);
-    let relief = "predicted_relief_mbps";
     let span = match helpers.response {
         None => {
             let span = spans.start("helpers", now);
-            spans.set_attr(span, relief, a.relief.into());
-            spans.set_attr(span, "scripted", a.scripted.into());
+            // A scripted list predicts no relief: the realized figure the
+            // closing detach sets reads against zero.
+            spans.set_attr(span, "predicted_relief_mbps", 0.0.into());
+            spans.set_attr(span, "scripted", true.into());
             let (shipped_bytes, remote_hits) = (helpers.shipped_bytes, remote_hits(&c.nodes));
             let response = Response {
                 span,
@@ -224,16 +183,11 @@ pub fn attach(c: &mut Cluster, a: &HelperAttach, now: SimTime) {
             helpers.response = Some(response);
             span
         }
-        Some(r) => {
-            let predicted = spans.get(r.span).and_then(|s| s.attr_f64(relief));
-            spans.set_attr(r.span, relief, (predicted.unwrap_or(0.0) + a.relief).into());
-            r.span
-        }
+        Some(r) => r.span,
     };
     for &h in &a.helpers {
-        match helpers.members.iter_mut().find(|m| m.0 == h) {
-            Some(m) => m.1 |= a.scripted,
-            None => helpers.members.push((h, a.scripted)),
+        if !helpers.members.contains(&h) {
+            helpers.members.push(h);
         }
     }
     for &(source, helper) in &a.pairs {
@@ -254,9 +208,6 @@ pub fn attach(c: &mut Cluster, a: &HelperAttach, now: SimTime) {
         }
         node.buffer.set_remote_capacity(c.cfg.buffer_pages);
     }
-    if !a.ranking.is_empty() {
-        spans.set_attr(span, "candidate_ranking", a.ranking.clone().into());
-    }
 }
 
 /// Release the helpers in `set`, or the wires of a node in it. Each
@@ -269,9 +220,8 @@ pub fn attach(c: &mut Cluster, a: &HelperAttach, now: SimTime) {
 pub fn detach(c: &mut Cluster, set: &[NodeId], now: SimTime) {
     let (helpers, spans) = (&mut c.helpers, &mut c.telemetry.spans);
     let members = std::mem::take(&mut helpers.members).into_iter();
-    let (gone, kept): (Vec<_>, _) = members.partition(|m| set.contains(&m.0));
+    let (detached, kept): (Vec<NodeId>, _) = members.partition(|h| set.contains(h));
     helpers.members = kept;
-    let detached: Vec<NodeId> = gone.iter().map(|m| m.0).collect();
     if let Some(r) = helpers.response {
         for &h in &detached {
             let attrs = vec![("helper".into(), h.to_string().into())];
@@ -333,7 +283,7 @@ mod tests {
             SimTime::ZERO,
         );
         assert_eq!(c.helpers.check_invariants(&c.nodes), None);
-        assert_eq!(c.helpers.pairs(), vec![]);
+        assert_eq!(c.helpers.helper_of(NodeId(0)), Some(NodeId(1)));
         c.nodes[2].buffer.set_remote_capacity(8);
         let stray = c.helpers.check_invariants(&c.nodes).expect("stray tier");
         assert!(stray.contains("n2 keeps a remote tier"), "{stray}");

@@ -23,9 +23,9 @@
 //!   operators weigh more than point reads; each segment's heat velocity,
 //!   kept in the same table, lets the planner plan against *projected*
 //!   heat (moving hotspots);
-//! * [`helpers`] — the Fig. 8 helper nodes: source → helper wires with
-//!   their log-shipping cursors, members and the relief accounting,
-//!   behind one owner;
+//! * [`helpers`] — the Fig. 8 helper nodes a scripted rebalance names:
+//!   source → helper wires with their log-shipping cursors, members and
+//!   the relief accounting, behind one owner;
 //! * [`replication`] — follower copies: replica map, WAL shipping cursors
 //!   and the caught-up read router, behind one owner;
 //! * [`failover`] — node-loss recovery over the per-segment replica map:
@@ -35,8 +35,8 @@
 //!   costed by `wattdb_query` and replayed through the shared resources;
 //! * [`monitor`] / [`policy`] — the control plane: the one monitoring
 //!   window per deployment (sample, freeze telemetry, run the engaged
-//!   policy's step), the 80 %-CPU threshold elasticity policy (§3.4) with a
-//!   heat-skew rebalance trigger and coldest-node scale-in, and the pure
+//!   policy's step), the 80 %-CPU threshold elasticity policy (§3.4) with
+//!   its NIC bound and coldest-node scale-in, and the pure
 //!   [`policy::plan`] that turns each decision into a `ControlPlan` (or
 //!   a named refusal) with the configured planner (fraction vs.
 //!   heat-aware);

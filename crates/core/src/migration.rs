@@ -275,8 +275,8 @@ pub struct Applied {
     /// additionally opens `power-down`, kept on the cluster until the
     /// nodes suspend), else the `failover` span for a promotion.
     pub span: Option<wattdb_telemetry::SpanId>,
-    /// What the plan predicted: net-traffic relief for a helper
-    /// attachment, heat to relocate for moves.
+    /// What the plan predicted: heat to relocate for moves; zero relief
+    /// for a scripted helper attachment.
     pub predicted: Option<f64>,
 }
 
@@ -343,7 +343,7 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
         }
         if let Some(a) = &plan.attach {
             crate::helpers::attach(c, a, now);
-            report = Some((c.helpers.span(), Some(a.relief)));
+            report = Some((c.helpers.span(), Some(0.0)));
         }
 
         for &n in &plan.drain {
@@ -1063,14 +1063,10 @@ fn maybe_finish(c: &mut Cluster, now: SimTime) {
         }
         c.telemetry.spans.end(span, now);
     }
-    // Scripted helpers detach (Fig. 8: "after rebalancing, the additional
-    // nodes should be turned off again"). Helpers the elasticity policy
-    // attached for transient skew are deliberately NOT released here: an
-    // unrelated scale-out or drain finishing must not tear down a
-    // response whose skew still persists — those detach only via
-    // `Decision::DetachHelpers` on subsidence.
-    let scripted: Vec<NodeId> = c.helpers.attached_by(true).collect();
-    crate::helpers::detach(c, &scripted, now);
+    // Helpers detach (Fig. 8: "after rebalancing, the additional nodes
+    // should be turned off again").
+    let helpers = c.helpers.nodes();
+    crate::helpers::detach(c, &helpers, now);
 }
 
 /// Summary of the last completed rebalance.
@@ -1220,76 +1216,6 @@ mod tests {
             Lifecycle::Standby,
             "an empty ex-helper must not stay powered"
         );
-    }
-
-    #[test]
-    fn policy_helpers_ride_out_unrelated_migration_completion() {
-        // A completing migration releases only the helpers a *scripted*
-        // Fig. 8 rebalance attached. Helpers the elasticity policy wired
-        // up for transient skew answer a hotspot that outlives any one
-        // migration: tearing them down with an unrelated drain or
-        // scale-out would force churn (cooldown + patience must
-        // re-accumulate before they come back).
-        let cl = Cluster::new(
-            ClusterConfig {
-                nodes: 6,
-                segment_pages: 16,
-                buffer_pages: 256,
-                ..Default::default()
-            },
-            &[NodeId(0), NodeId(1)],
-        );
-        cl.borrow_mut()
-            .load_tpcc(
-                wattdb_tpcc::TpccConfig {
-                    warehouses: 2,
-                    density: 0.01,
-                    seed: 7,
-                },
-                &[NodeId(0), NodeId(1)],
-            )
-            .unwrap();
-        let mut sim = Sim::new();
-        // Policy attach (scripted: false): node 4 helps node 0.
-        let plan = wattdb_planner::HelperPlan {
-            pairs: vec![(NodeId(0), NodeId(4))],
-            predicted_relief: 1.0,
-            ranking: Vec::new(),
-        };
-        let attach = ControlPlan {
-            attach: Some(HelperAttach::planned(&plan, false)),
-            ..Default::default()
-        };
-        run(&cl, &mut sim, attach);
-        // Scripted attach alongside: node 5 helps node 1 for the
-        // rebalance below.
-        attach_helpers(&cl, &mut sim, &[NodeId(1)], &[NodeId(5)]);
-        {
-            let c = cl.borrow();
-            assert_eq!(c.helpers.attached_by(true).collect::<Vec<_>>(), [NodeId(5)]);
-            assert_eq!(c.helpers.pairs(), vec![(NodeId(0), NodeId(4))]);
-        }
-        let rebalance =
-            ControlPlan::fraction(&cl.borrow(), sim.now(), 0.5, &[NodeId(1)], &[NodeId(2)]);
-        run(&cl, &mut sim, rebalance);
-        sim.run_until(SimTime::ZERO + SimDuration::from_secs(600));
-        {
-            let c = cl.borrow();
-            assert!(c.mover.is_none(), "rebalance completed");
-            // The scripted helper went with the completion...
-            assert_eq!(c.helpers.helper_of(NodeId(1)), None);
-            assert_eq!(c.nodes[5].life, Lifecycle::Standby);
-            // ...while the policy helper is still wired.
-            assert_eq!(c.helpers.nodes(), vec![NodeId(4)]);
-            assert_eq!(c.helpers.pairs(), vec![(NodeId(0), NodeId(4))]);
-            assert_eq!(c.helpers.check_invariants(&c.nodes), None);
-        }
-        // The policy-side release still lets go of everything.
-        assert_eq!(detach_helpers(&cl, &mut sim), vec![NodeId(4)]);
-        let c = cl.borrow();
-        assert!(c.helpers.is_empty());
-        assert_eq!(c.helpers.helper_of(NodeId(0)), None);
-        assert_eq!(c.nodes[4].life, Lifecycle::Standby);
     }
 
     #[test]

@@ -105,21 +105,15 @@ impl ClusterView {
         active.iter().map(|r| r.cpu).sum::<f64>() / active.len() as f64
     }
 
-    /// The heat-skew signals over the active nodes not in `excluded`:
-    /// (ratio of the hottest one's heat to their mean heat, that mean).
-    /// The ratio is 1.0 when perfectly balanced, large when skewed, and
-    /// zero when there is no heat.
-    ///
-    /// The policy excludes its attached helpers. A helper is an active
-    /// node holding (near-)zero heat by construction: counting it would
-    /// dilute the mean and inflate the ratio (two balanced data nodes plus
-    /// two helpers would read as skew 2.0), so the subsidence predicate
-    /// could never pass and attached helpers would stay powered forever.
-    pub fn heat_skew(&self, excluded: &[NodeId]) -> (f64, f64) {
+    /// The heat-skew signals over the active nodes: (ratio of the hottest
+    /// one's heat to their mean heat, that mean). The ratio is 1.0 when
+    /// perfectly balanced, large when skewed, and zero when there is no
+    /// heat.
+    pub fn heat_skew(&self) -> (f64, f64) {
         let heats: Vec<f64> = self
             .reports
             .iter()
-            .filter(|r| r.active && !excluded.contains(&r.node))
+            .filter(|r| r.active)
             .map(|r| r.heat)
             .collect();
         if heats.is_empty() {
@@ -208,7 +202,7 @@ mod tests {
     fn empty_view() {
         let view = ClusterView::default();
         assert_eq!(view.mean_active_cpu(), 0.0);
-        assert_eq!(view.heat_skew(&[]), (0.0, 0.0));
+        assert_eq!(view.heat_skew(), (0.0, 0.0));
     }
 
     #[test]
@@ -219,15 +213,11 @@ mod tests {
         b.heat = 3.0;
         let mut standby = report(2, 0.0, false);
         standby.heat = 100.0; // standby excluded from the active view
-        let helper = report(3, 0.1, true); // active, zero heat
         let view = ClusterView {
-            reports: vec![a, b, standby, helper],
+            reports: vec![a, b, standby],
         };
-        let (skew, mean) = view.heat_skew(&[NodeId(3)]);
-        assert!((skew - 1.5).abs() < 1e-9, "helper excluded: {skew}");
+        let (skew, mean) = view.heat_skew();
+        assert!((skew - 1.5).abs() < 1e-9, "{skew}");
         assert!((mean - 6.0).abs() < 1e-9);
-        let (skew, mean) = view.heat_skew(&[]);
-        assert!((skew - 2.25).abs() < 1e-9, "helper included: {skew}");
-        assert!((mean - 4.0).abs() < 1e-9);
     }
 }

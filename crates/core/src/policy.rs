@@ -1,5 +1,4 @@
-//! Threshold-driven elasticity policy (§3.4), extended with a heat-skew
-//! trigger.
+//! The threshold-driven elasticity policy of §3.4.
 //!
 //! "The master checks the incoming performance data to predefined
 //! thresholds — with both upper and lower bounds. If an overloaded
@@ -7,13 +6,15 @@
 //! whether to power on additional nodes [...] Similarly, underutilized
 //! nodes trigger a scale-in protocol." The CPU ceiling is 80 %.
 //!
-//! The paper rebalances on load *imbalance*, not just saturation: beyond
-//! the CPU bounds, the policy watches [`ClusterView::heat_skew`] and
-//! emits a [`Decision::Rebalance`] — data moves between the *existing*
-//! active nodes, no node powered on or off — when one node carries a
-//! disproportionate share of the access heat for a patience window.
-//! Scale-in picks the **coldest** drainable node (its segments are the
-//! cheapest to relocate), not the highest-numbered one.
+//! [`ElasticityPolicy`] is that controller and nothing more. A node whose
+//! CPU or NIC is over its bound (`cpu_high`, `net_high`) for `patience`
+//! windows scales the cluster out onto standbys; a streak of `patience`
+//! windows in which every active node sits below `cpu_low` scales in the
+//! **coldest** drainable node (its segments are the cheapest to
+//! relocate); a dead node is failed over by the autopilot before the
+//! policy is asked. Everything else holds. Fig. 8
+//! helpers are scripted: a [`ControlPlan`] attaches them next to the
+//! rebalance they serve, and they leave when it completes.
 //!
 //! Deciding is split from doing. [`plan`] turns a [`Decision`] into a
 //! [`ControlPlan`] — plain data: nodes to power, moves, drains, follower
@@ -26,15 +27,13 @@
 //! [`apply`] is the two in sequence. The autopilot relays the refusal; it
 //! re-derives nothing.
 
-use wattdb_common::{HelperPolicyConfig, KeyRange, NodeId, SegmentId, SimTime};
+use wattdb_common::{KeyRange, NodeId, SegmentId, SimTime};
 use wattdb_planner::Planner;
 use wattdb_sim::Sim;
 
 use crate::cluster::{Cluster, ClusterRc, Scheme};
 use crate::heat;
-use crate::migration::{
-    nodes_in_flight, run, Applied, ControlPlan, HelperAttach, Pending, RangeMove,
-};
+use crate::migration::{nodes_in_flight, run, Applied, ControlPlan, Pending, RangeMove};
 use crate::monitor::ClusterView;
 
 /// Policy thresholds.
@@ -44,33 +43,15 @@ pub struct PolicyConfig {
     pub cpu_high: f64,
     /// Scale in when all active nodes sit below this.
     pub cpu_low: f64,
-    /// Consecutive breaching windows before acting (hysteresis). Shared
-    /// by the CPU triggers and the heat-skew trigger.
+    /// Consecutive breaching windows before acting (hysteresis).
     pub patience: u32,
     /// Which planner turns decisions into segment moves.
     pub planner: Planner,
-    /// Heat-skew ratio ([`ClusterView::heat_skew`]: hottest active node's
-    /// heat over the mean) that arms the skew trigger. Values ≤ 0 disable
-    /// the trigger entirely; it is also inert unless `planner` is
-    /// [`Planner::HeatAware`] (skew decisions are heat-planned segment
-    /// moves). The skew must stay armed for `patience` windows before a
-    /// [`Decision::Rebalance`] fires.
-    pub skew_threshold: f64,
-    /// Monitoring windows the skew trigger stays disarmed after firing,
-    /// bounding rebalance churn to at most one skew rebalance per
-    /// `skew_cooldown + patience` windows.
-    pub skew_cooldown: u32,
-    /// Helper escalation: when the skew trigger keeps re-firing without
-    /// the skew ever subsiding (transient skew — the last rebalance did
-    /// not fix it), the policy stops shipping segments and attaches
-    /// Fig. 8 helper nodes to the hot sources instead
-    /// ([`Decision::AttachHelpers`]). See [`HelperPolicyConfig`].
-    pub helper: HelperPolicyConfig,
     /// NIC egress utilization above which a node counts as saturated when
-    /// the policy sizes the cluster — so an attached helper drowning in
-    /// shipped log traffic and remote buffer reads weighs into the
-    /// scale-out signal even though its *CPU* stays modest. Values ≥ 1
-    /// disable the NIC signal.
+    /// the policy sizes the cluster — so a node drowning in shipped log
+    /// traffic and remote buffer reads weighs into the scale-out signal
+    /// even though its *CPU* stays modest. Values ≥ 1 disable the NIC
+    /// signal.
     pub net_high: f64,
 }
 
@@ -81,9 +62,6 @@ impl Default for PolicyConfig {
             cpu_low: 0.25,
             patience: 3,
             planner: Planner::HeatAware,
-            skew_threshold: 1.5,
-            skew_cooldown: 3,
-            helper: HelperPolicyConfig::default(),
             net_high: 0.9,
         }
     }
@@ -106,40 +84,6 @@ pub enum Decision {
         /// Nodes to drain.
         drain: Vec<NodeId>,
     },
-    /// Rebalance heat between the *existing* active nodes — no node
-    /// powered on or off. Fired by the heat-skew trigger when one node
-    /// hogs the access heat without breaching the CPU ceiling.
-    Rebalance {
-        /// Nodes carrying more than the mean heat.
-        sources: Vec<NodeId>,
-        /// Cooler active nodes to receive the surplus.
-        targets: Vec<NodeId>,
-    },
-    /// Attach Fig. 8 helper nodes to the hot sources instead of shipping
-    /// segments. Fired when the skew trigger escalates: it kept re-firing
-    /// without the skew ever subsiding, so the skew is transient and a
-    /// rebalance would chase a hotspot that moves on before the copy
-    /// lands. Which helpers (and which of the sources deserve one) is
-    /// decided by the helper planner when the decision is planned
-    /// ([`crate::heat::plan_helpers`]).
-    AttachHelpers {
-        /// Nodes carrying more than the mean heat — the planner ranks
-        /// these by their net/remote-heavy heat component.
-        sources: Vec<NodeId>,
-        /// Cooler active nodes — the targets of the [`Decision::Rebalance`]
-        /// this fire would otherwise have been, which [`plan`] falls back
-        /// to when the helper plan comes back empty.
-        targets: Vec<NodeId>,
-    },
-    /// Detach the currently attached helpers: the skew they answered has
-    /// subsided (fallen below the rearm band, or the cluster cooled below
-    /// the heat floor). May name a *subset* of the attached helpers when
-    /// only some sources subsided (see
-    /// [`ElasticityPolicy::evaluate`]).
-    DetachHelpers {
-        /// Helpers attached at decision time.
-        helpers: Vec<NodeId>,
-    },
     /// Fail over a dead node: promote the most-caught-up follower of
     /// every segment it led, re-cover the key space, and schedule
     /// re-replication ([`crate::failover`]). Fired by the autopilot the
@@ -155,43 +99,22 @@ pub enum Decision {
 }
 
 /// The signal vector frozen at the top of every
-/// [`ElasticityPolicy::evaluate`] call, right after the skew trigger
-/// ticked: the skew ratio and mean heat the branches acted on, the armed
-/// skew streak *including* this window, cooldown and escalation state,
-/// and the CPU streak counters as of the previous window (this window's
-/// breach, if any, increments them after the freeze). The telemetry
-/// timeline records this with every decision — `Hold` included — so
-/// `explain()` can say *why* nothing happened.
+/// [`ElasticityPolicy::evaluate`] call: the heat skew and mean heat of the
+/// window (reported, not acted on), and the CPU streak counters as of the
+/// previous window (this window's breach, if any, increments them after
+/// the freeze). The telemetry timeline records this with every decision —
+/// `Hold` included — so `explain()` can say *why* nothing happened.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PolicySignals {
-    /// Heat-skew ratio over data-serving actives (helpers excluded).
+    /// Heat-skew ratio over the active nodes.
     pub skew: f64,
     /// Mean active heat the skew was computed against.
     pub mean_heat: f64,
-    /// Armed skew streak including this window.
-    pub skew_streak: u32,
-    /// Skew cooldown windows still to serve.
-    pub cooldown_left: u32,
-    /// Decisive skew fires since the last subsidence.
-    pub skew_fires: u32,
-    /// Whether this window's skew read as subsided.
-    pub subsided: bool,
     /// Consecutive hot windows before this one.
     pub high_streak: u32,
     /// Consecutive all-low windows before this one.
     pub low_streak: u32,
 }
-
-/// Hysteresis of the skew trigger: an armed streak resets only once the
-/// skew falls below `skew_threshold × SKEW_REARM`, so a skew hovering
-/// right at the threshold neither re-fires endlessly nor loses its
-/// streak.
-const SKEW_REARM: f64 = 0.9;
-
-/// Mean active-node heat below which the skew trigger stays silent:
-/// ratios over near-zero heat are noise, and rebalancing a cooling
-/// cluster that is about to scale in wastes the bytes.
-const SKEW_MIN_HEAT: f64 = 1.0;
 
 /// Stateful policy evaluated once per monitoring window.
 #[derive(Debug)]
@@ -199,24 +122,6 @@ pub struct ElasticityPolicy {
     cfg: PolicyConfig,
     high_streak: u32,
     low_streak: u32,
-    skew_streak: u32,
-    skew_cooldown_left: u32,
-    /// Consecutive skew fires with no subsidence in between — the
-    /// escalation signal: rebalances that never make the skew fall back
-    /// below the rearm band are chasing a transient hotspot.
-    skew_fires: u32,
-    /// Whether this window's skew had subsided (set by `tick_skew`;
-    /// always false while the trigger is inert): the signal the helper
-    /// detach branch reuses, so detach and streak/escalation reset can
-    /// never disagree on what "subsided" means.
-    subsided_now: bool,
-    /// Consecutive windows each helped *source* has spent below the
-    /// per-source rearm band ([`ElasticityPolicy::evaluate`]):
-    /// a source's helper is only released once its streak outlasts
-    /// `skew_cooldown`, so a flapping hotspot that cools for a couple of
-    /// windows keeps its helper instead of churning through
-    /// detach/re-attach cycles.
-    cool_streaks: std::collections::BTreeMap<NodeId, u32>,
     /// Signal vector frozen by the most recent `evaluate` call.
     signals: PolicySignals,
 }
@@ -228,11 +133,6 @@ impl ElasticityPolicy {
             cfg,
             high_streak: 0,
             low_streak: 0,
-            skew_streak: 0,
-            skew_cooldown_left: 0,
-            skew_fires: 0,
-            subsided_now: false,
-            cool_streaks: std::collections::BTreeMap::new(),
             signals: PolicySignals::default(),
         }
     }
@@ -243,72 +143,42 @@ impl ElasticityPolicy {
         self.signals
     }
 
-    /// The policy's decision over `helpers`, the helper nodes the policy
-    /// itself attached: while any are, the skew trigger holds its fire
-    /// (the helpers *are* the response in force) and the policy instead
-    /// watches for subsidence to emit [`Decision::DetachHelpers`].
-    /// Attached helpers are excluded from the skew signals themselves:
-    /// they are active nodes holding no heat, and counting them would
-    /// inflate the ratio enough to mask every subsidence (see
-    /// [`ClusterView::heat_skew`]).
+    /// Evaluate one monitoring view. `standby` lists nodes available to
+    /// power on; `active_with_data` the nodes currently serving;
+    /// `rebalancing` whether a migration is already in flight (it mutes
+    /// the NIC signal).
     ///
-    /// Precedence: CPU saturation (scale-out) beats everything — an
-    /// overloaded cluster needs more hardware, not reshuffling. A
-    /// cluster-wide idle spell (scale-in) beats the skew trigger —
-    /// rebalancing nodes that are about to be drained ships bytes twice.
-    /// Only then does heat skew get a say.
-    fn decide(
+    /// Precedence: CPU or NIC saturation (scale-out) beats everything — an
+    /// overloaded cluster needs more hardware. A hot cluster with no
+    /// standby to power on holds, and so does a window between the
+    /// bounds.
+    pub fn evaluate(
         &mut self,
         view: &ClusterView,
         standby: &[NodeId],
         active_with_data: &[NodeId],
         rebalancing: bool,
-        helpers: &[NodeId],
     ) -> Decision {
-        // The skew machinery ticks every window, whichever branch ends up
-        // deciding: streak, hysteresis band, and cooldown must never go
-        // stale just because the cluster spent a stretch in the all-low or
-        // overloaded regime.
-        let skew_ready = self.tick_skew(view, active_with_data, helpers);
         // Freeze the signal vector the branches below act on: the
         // telemetry timeline attaches it to this window's decision.
-        let (skew, mean_heat) = view.heat_skew(helpers);
+        let (skew, mean_heat) = view.heat_skew();
         self.signals = PolicySignals {
             skew,
             mean_heat,
-            skew_streak: self.skew_streak,
-            cooldown_left: self.skew_cooldown_left,
-            skew_fires: self.skew_fires,
-            subsided: self.subsided_now,
             high_streak: self.high_streak,
             low_streak: self.low_streak,
         };
-        // Attached helpers detach the moment the skew they answered
-        // subsides — before any other branch gets a say, so a cooling
-        // cluster releases its helpers before it starts scaling in.
-        // `subsided_now` comes from the tick above: the *same* predicate
-        // that resets the streak and the escalation counter. The caller
-        // passes only the helpers the *policy* attached — a scripted
-        // Fig. 8 run's set is invisible here (and released by the
-        // migration engine on its rebalance's completion), so the
-        // decision below can never name a helper the policy doesn't own.
-        if !helpers.is_empty() && !rebalancing && self.subsided_now {
-            return Decision::DetachHelpers {
-                helpers: helpers.to_vec(),
-            };
-        }
-        // A node saturates on CPU *or* on its NIC: an attached helper
-        // absorbing log shipping and remote buffer reads loads its
-        // interconnect rather than its CPU, and must still count when
-        // sizing the cluster. The NIC signal is muted while a rebalance
-        // is in flight — bulk segment copies saturate the source's egress
-        // by design, and reading that self-inflicted burst as load would
-        // demand scale-out (hence more copying) from a cluster that is
-        // merely reorganizing itself. Steady-state replica shipping is
-        // subtracted for the same reason: a replicated hot-read workload
-        // fans its WAL out to followers every window, and counting that
-        // egress as workload would let replication self-trigger spurious
-        // scale-outs.
+        // A node saturates on CPU *or* on its NIC: a node absorbing log
+        // shipping and remote buffer reads loads its interconnect rather
+        // than its CPU, and must still count when sizing the cluster. The
+        // NIC signal is muted while a rebalance is in flight — bulk
+        // segment copies saturate the source's egress by design, and
+        // reading that self-inflicted burst as load would demand scale-out
+        // (hence more copying) from a cluster that is merely reorganizing
+        // itself. Steady-state replica shipping is subtracted for the same
+        // reason: a replicated hot-read workload fans its WAL out to
+        // followers every window, and counting that egress as workload
+        // would let replication self-trigger spurious scale-outs.
         let hot: Vec<NodeId> = view
             .reports
             .iter()
@@ -335,9 +205,7 @@ impl ElasticityPolicy {
                     targets,
                 };
             }
-            // No standby (or not patient yet): a skewed cluster can still
-            // help itself by spreading heat over its existing nodes.
-            return self.fire_skew(view, skew_ready, rebalancing, helpers);
+            return Decision::Hold;
         }
         // Scale-in: every active data node under the low bound and more
         // than one of them (never drain the last node).
@@ -353,210 +221,15 @@ impl ElasticityPolicy {
                 // Drain the *coldest* data node: its segments are the
                 // cheapest to relocate and the survivors inherit the least
                 // heat.
-                let drain = coldest_drain_target(view, active_with_data)
-                    .map(|n| vec![n])
-                    .unwrap_or_default();
-                if !drain.is_empty() {
-                    return Decision::ScaleIn { drain };
+                if let Some(n) = coldest_drain_target(view, active_with_data) {
+                    return Decision::ScaleIn { drain: vec![n] };
                 }
             }
             return Decision::Hold;
         }
         self.low_streak = 0;
         self.high_streak = 0;
-        self.fire_skew(view, skew_ready, rebalancing, helpers)
-    }
-
-    /// Evaluate one monitoring view. `standby` lists nodes available to
-    /// power on; `active_with_data` the nodes currently serving;
-    /// `rebalancing` whether a migration is already in flight (a skew
-    /// fire would only be deferred, so the trigger stays armed instead of
-    /// burning its streak and cooldown on a decision nobody can act on);
-    /// `pairs` the `(source, helper)` wiring of the helpers the *policy
-    /// itself* attached ([`crate::helpers::Helpers::pairs`]; a scripted
-    /// attachment belongs to the migration engine and detaches with its
-    /// rebalance's completion).
-    ///
-    /// The pairing enables **partial detach**: when the cluster-wide skew
-    /// persists (so the all-or-nothing subsidence detach stays silent)
-    /// but an *individual* source has cooled below the rearm band, that
-    /// source's helper is released on its own — instead of staying wired
-    /// until every source subsides at once. A helper still serving any
-    /// hot source stays; a helper whose source vanished from the view
-    /// (drained or failed) is released too. Release waits out a
-    /// per-source cool streak of `max(skew_cooldown, 1)` windows, so a
-    /// hotspot flapping between nodes keeps both helpers wired instead
-    /// of churning through detach/re-attach cycles every flip.
-    pub fn evaluate(
-        &mut self,
-        view: &ClusterView,
-        standby: &[NodeId],
-        active_with_data: &[NodeId],
-        rebalancing: bool,
-        pairs: &[(NodeId, NodeId)],
-    ) -> Decision {
-        let mut helpers: Vec<NodeId> = pairs.iter().map(|&(_, h)| h).collect();
-        helpers.sort_unstable();
-        helpers.dedup();
-        let decision = self.decide(view, standby, active_with_data, rebalancing, &helpers);
-        if decision != Decision::Hold || helpers.is_empty() || rebalancing {
-            return decision;
-        }
-        let (_, mean_heat) = view.heat_skew(&helpers);
-        if mean_heat < SKEW_MIN_HEAT {
-            // A cooling cluster is the *global* subsidence case — the
-            // delegate above owns it (and just chose to hold).
-            return decision;
-        }
-        // A source has subsided when its own heat sits below the rearm
-        // band relative to the mean — the per-node restriction of the
-        // cluster-wide predicate in `tick_skew`.
-        let band = self.cfg.skew_threshold * SKEW_REARM;
-        let subsided = |src: NodeId| {
-            view.reports
-                .iter()
-                .find(|r| r.node == src && r.active)
-                .map(|r| r.heat < mean_heat * band)
-                .unwrap_or(true) // source gone: nothing left to relieve
-        };
-        // Hysteresis: one cool window is not subsidence — a bimodal flap
-        // parks each source below the band for a few windows at a time,
-        // and tearing its helper away mid-flap just re-attaches it on the
-        // next flip. A source must stay cool for more than `skew_cooldown`
-        // consecutive windows (at least one) before its helper lets go —
-        // the same horizon that bounds the skew trigger's own churn.
-        let mut sources: Vec<NodeId> = pairs.iter().map(|&(src, _)| src).collect();
-        sources.sort_unstable();
-        sources.dedup();
-        self.cool_streaks.retain(|src, _| sources.contains(src));
-        for &src in &sources {
-            let streak = self.cool_streaks.entry(src).or_insert(0);
-            *streak = if subsided(src) { *streak + 1 } else { 0 };
-        }
-        let need = self.cfg.skew_cooldown.max(1);
-        let released = |src: NodeId| self.cool_streaks.get(&src).copied().unwrap_or(0) >= need;
-        let keep: Vec<NodeId> = pairs
-            .iter()
-            .filter(|&&(src, _)| !released(src))
-            .map(|&(_, h)| h)
-            .collect();
-        let mut release: Vec<NodeId> = pairs
-            .iter()
-            .filter(|&&(src, h)| released(src) && !keep.contains(&h))
-            .map(|&(_, h)| h)
-            .collect();
-        release.sort_unstable();
-        release.dedup();
-        if release.is_empty() {
-            decision
-        } else {
-            Decision::DetachHelpers { helpers: release }
-        }
-    }
-
-    /// Advance the heat-skew trigger's state for this window: arm while
-    /// the skew ratio exceeds the threshold, hold the streak inside the
-    /// hysteresis band ([`SKEW_REARM`]), reset below it, and count the
-    /// post-fire cooldown down. Returns whether the trigger is ready to
-    /// fire (armed this window with `patience` behind it).
-    ///
-    /// The trigger is inert when disabled — or when the configured
-    /// planner is not heat-aware: skew is a heat signal, and firing
-    /// decisions the fraction planner cannot execute would churn the
-    /// event log forever without moving a byte.
-    fn tick_skew(
-        &mut self,
-        view: &ClusterView,
-        active_with_data: &[NodeId],
-        helpers: &[NodeId],
-    ) -> bool {
-        let cfg = &self.cfg;
-        if cfg.skew_threshold <= 0.0 || cfg.planner != Planner::HeatAware {
-            self.subsided_now = false;
-            return false;
-        }
-        let (skew, mean_heat) = view.heat_skew(helpers);
-        // The single subsidence predicate: below the rearm band, or the
-        // cluster cooled below the heat floor. It resets the armed streak
-        // and the escalation counter, and drives the helper detach.
-        let subsided = skew < cfg.skew_threshold * SKEW_REARM || mean_heat < SKEW_MIN_HEAT;
-        self.subsided_now = subsided;
-        // The escalation counter watches for subsidence every window —
-        // including cooldown windows, or a skew that briefly healed
-        // during the cooldown would still look transient.
-        if subsided {
-            self.skew_fires = 0;
-        }
-        if self.skew_cooldown_left > 0 {
-            self.skew_cooldown_left -= 1;
-            self.skew_streak = 0;
-            return false;
-        }
-        let armed =
-            skew > cfg.skew_threshold && mean_heat >= SKEW_MIN_HEAT && active_with_data.len() > 1;
-        if armed {
-            self.skew_streak += 1;
-        } else if subsided {
-            self.skew_streak = 0;
-        }
-        armed && self.skew_streak >= cfg.patience
-    }
-
-    /// Emit the skew response when the trigger is ready and no migration
-    /// is in flight. Firing consumes the streak and arms the cooldown;
-    /// a ready trigger held back by an in-flight rebalance keeps its
-    /// streak and fires on the first clear window instead. A ready
-    /// trigger with helpers already attached holds too — the helpers are
-    /// the response in force, and detach is the only way forward. A fire
-    /// that decides nothing (no source above or no target at the mean)
-    /// is a plain hold: it consumes neither the streak nor the cooldown,
-    /// and never counts towards escalation.
-    ///
-    /// Each decisive fire without an intervening subsidence counts
-    /// towards helper escalation: once `helper.escalation_fires` such
-    /// fires accumulate, the decision switches from shipping segments to
-    /// attaching Fig. 8 helpers ([`Decision::AttachHelpers`]) — the skew
-    /// is transient, and a rebalance would chase it.
-    fn fire_skew(
-        &mut self,
-        view: &ClusterView,
-        ready: bool,
-        rebalancing: bool,
-        helpers: &[NodeId],
-    ) -> Decision {
-        if !ready || rebalancing || !helpers.is_empty() {
-            return Decision::Hold;
-        }
-        // Sources shed towards cooler actives: above-mean nodes give,
-        // the rest receive. Attached helpers are neither — they hold no
-        // heat of their own (though none can be attached on this path).
-        let active: Vec<_> = view
-            .reports
-            .iter()
-            .filter(|r| r.active && !helpers.contains(&r.node))
-            .collect();
-        let (_, mean_heat) = view.heat_skew(helpers);
-        let sources: Vec<NodeId> = active
-            .iter()
-            .filter(|r| r.heat > mean_heat)
-            .map(|r| r.node)
-            .collect();
-        let targets: Vec<NodeId> = active
-            .iter()
-            .filter(|r| r.heat <= mean_heat)
-            .map(|r| r.node)
-            .collect();
-        if sources.is_empty() || targets.is_empty() {
-            return Decision::Hold;
-        }
-        self.skew_streak = 0;
-        self.skew_cooldown_left = self.cfg.skew_cooldown;
-        self.skew_fires += 1;
-        let h = &self.cfg.helper;
-        if h.escalation_fires > 0 && self.skew_fires >= h.escalation_fires {
-            return Decision::AttachHelpers { sources, targets };
-        }
-        Decision::Rebalance { sources, targets }
+        Decision::Hold
     }
 
     /// Thresholds in force.
@@ -664,70 +337,18 @@ pub fn plan(
         });
     }
     let heat_aware = cfg.planner == Planner::HeatAware && c.cfg.scheme != Scheme::Logical;
-    // Skew is a heat signal; without the heat-aware planner — or under
-    // logical partitioning, which moves ranges — there is no sound way to
-    // act on it, and a plan that finds nothing movable starts nothing.
-    let heat_moves = |sources: &[NodeId], targets: &[NodeId]| {
-        if !heat_aware || targets.is_empty() {
-            return None;
-        }
-        let p = heat::plan_scale_out(c, now, sources, targets);
-        (!p.moves.is_empty()).then(|| ControlPlan::planned(&p, targets))
-    };
     match decision {
         Decision::Hold | Decision::Promote { .. } => Err(NO_PLAN),
         Decision::ScaleOut { targets, .. } if targets.is_empty() => Err(NO_PLAN),
         // No heat recorded (or nothing movable improves balance): fall
         // back to the fraction heuristic so the cluster still reacts to
-        // the CPU signal.
-        Decision::ScaleOut { sources, targets } => Ok(heat_moves(sources, targets)
-            .unwrap_or_else(|| ControlPlan::fraction(c, now, MOVE_FRACTION, sources, targets))),
-        Decision::Rebalance { sources, targets } => heat_moves(sources, targets).ok_or(NO_PLAN),
-        Decision::AttachHelpers { sources, targets } => {
-            // Helper choice is a heat decision too: the planner ranks the
-            // sources by their net/remote-heavy heat component and pairs
-            // the heaviest with standbys / coldest actives.
-            if !heat_aware {
-                return Err(NO_PLAN);
-            }
-            let helpers = heat::plan_helpers(c, now, &cfg.helper, sources);
-            if !helpers.is_empty() {
-                // Policy helpers are not scripted: they ride out unrelated
-                // migrations and detach only on skew subsidence.
-                return Ok(ControlPlan {
-                    planner: Planner::HeatAware,
-                    attach: Some(HelperAttach::planned(&helpers, false)),
-                    ..Default::default()
-                });
-            }
-            // No helper worth attaching (nobody clears the net-heat floor,
-            // or every candidate is entangled): fall back to the rebalance
-            // this fire would otherwise have been — same targets, same
-            // planning path. The escalation counter only resets on
-            // subsidence, so without this fallback a persistent-but-
-            // fixable skew would re-escalate into refused attachments
-            // forever, never shipping the segments that would fix it.
-            let mut fallback = heat_moves(sources, targets).ok_or(NO_PLAN)?;
-            // Kept on purpose until ROADMAP 8(e) bumps the export format:
-            // the fallback reports as the empty attachment, `(None, Some(0.0))`.
-            fallback.attach = Some(HelperAttach::default());
-            Ok(fallback)
-        }
-        Decision::DetachHelpers { helpers } => {
-            // Release exactly the helpers the decision names — the set
-            // the policy attached (possibly a per-source subset). A
-            // scripted attachment alongside belongs to the migration
-            // engine and must survive a policy-side subsidence detach.
-            let detach: Vec<NodeId> = (helpers.iter().copied())
-                .filter(|&h| c.helpers.contains(h))
-                .collect();
-            if detach.is_empty() {
-                return Err(NO_PLAN);
-            }
-            Ok(ControlPlan {
-                planner: cfg.planner,
-                detach,
-                ..Default::default()
+        // the CPU signal. Logical partitioning moves ranges, so it always
+        // takes the fraction cut.
+        Decision::ScaleOut { sources, targets } => {
+            let p = heat_aware.then(|| heat::plan_scale_out(c, now, sources, targets));
+            Ok(match p.filter(|p| !p.moves.is_empty()) {
+                Some(p) => ControlPlan::planned(&p, targets),
+                None => ControlPlan::fraction(c, now, MOVE_FRACTION, sources, targets),
             })
         }
         Decision::ScaleIn { drain } => {
@@ -911,11 +532,8 @@ mod tests {
         let hot = view(&[(0, 0.95), (1, 0.5)]);
         let standby = [NodeId(2), NodeId(3)];
         let data = [NodeId(0), NodeId(1)];
-        assert_eq!(
-            p.evaluate(&hot, &standby, &data, false, &[]),
-            Decision::Hold
-        );
-        match p.evaluate(&hot, &standby, &data, false, &[]) {
+        assert_eq!(p.evaluate(&hot, &standby, &data, false), Decision::Hold);
+        match p.evaluate(&hot, &standby, &data, false) {
             Decision::ScaleOut { sources, targets } => {
                 assert_eq!(sources, vec![NodeId(0)]);
                 assert_eq!(targets, vec![NodeId(2)]);
@@ -931,10 +549,7 @@ mod tests {
             ..Default::default()
         });
         let hot = view(&[(0, 0.95)]);
-        assert_eq!(
-            p.evaluate(&hot, &[], &[NodeId(0)], false, &[]),
-            Decision::Hold
-        );
+        assert_eq!(p.evaluate(&hot, &[], &[NodeId(0)], false), Decision::Hold);
     }
 
     #[test]
@@ -948,11 +563,11 @@ mod tests {
         });
         let hot = view(&[(0, 0.95)]);
         let data = [NodeId(0)];
-        assert_eq!(p.evaluate(&hot, &[], &data, false, &[]), Decision::Hold);
-        assert_eq!(p.evaluate(&hot, &[], &data, false, &[]), Decision::Hold);
-        assert_eq!(p.evaluate(&hot, &[], &data, false, &[]), Decision::Hold);
+        assert_eq!(p.evaluate(&hot, &[], &data, false), Decision::Hold);
+        assert_eq!(p.evaluate(&hot, &[], &data, false), Decision::Hold);
+        assert_eq!(p.evaluate(&hot, &[], &data, false), Decision::Hold);
         let standby = [NodeId(2)];
-        match p.evaluate(&hot, &standby, &data, false, &[]) {
+        match p.evaluate(&hot, &standby, &data, false) {
             Decision::ScaleOut { sources, targets } => {
                 assert_eq!(sources, vec![NodeId(0)]);
                 assert_eq!(targets, vec![NodeId(2)]);
@@ -969,8 +584,8 @@ mod tests {
         });
         let idle = view(&[(0, 0.05), (1, 0.1)]);
         let data = [NodeId(0), NodeId(1)];
-        assert_eq!(p.evaluate(&idle, &[], &data, false, &[]), Decision::Hold);
-        match p.evaluate(&idle, &[], &data, false, &[]) {
+        assert_eq!(p.evaluate(&idle, &[], &data, false), Decision::Hold);
+        match p.evaluate(&idle, &[], &data, false) {
             Decision::ScaleIn { drain } => assert_eq!(drain, vec![NodeId(1)]),
             other => panic!("expected scale-in, got {other:?}"),
         }
@@ -989,7 +604,7 @@ mod tests {
             r.cpu = 0.05;
         }
         let data = [NodeId(0), NodeId(1), NodeId(2)];
-        match p.evaluate(&v, &[], &data, false, &[]) {
+        match p.evaluate(&v, &[], &data, false) {
             Decision::ScaleIn { drain } => assert_eq!(drain, vec![NodeId(2)]),
             other => panic!("expected coldest-node scale-in, got {other:?}"),
         }
@@ -1010,10 +625,7 @@ mod tests {
             ..Default::default()
         });
         let idle = view(&[(0, 0.05)]);
-        assert_eq!(
-            p.evaluate(&idle, &[], &[NodeId(0)], false, &[]),
-            Decision::Hold
-        );
+        assert_eq!(p.evaluate(&idle, &[], &[NodeId(0)], false), Decision::Hold);
     }
 
     #[test]
@@ -1026,267 +638,10 @@ mod tests {
         let cool = view(&[(0, 0.5)]);
         let standby = [NodeId(2)];
         let data = [NodeId(0)];
-        p.evaluate(&hot, &standby, &data, false, &[]);
-        p.evaluate(&hot, &standby, &data, false, &[]);
-        p.evaluate(&cool, &standby, &data, false, &[]); // streak resets
-        assert_eq!(
-            p.evaluate(&hot, &standby, &data, false, &[]),
-            Decision::Hold
-        );
-    }
-
-    #[test]
-    fn skew_trigger_fires_after_patience() {
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 2,
-            skew_threshold: 1.5,
-            ..Default::default()
-        });
-        // Node 0 carries 10 of 12 heat units: skew = 10 / 4 = 2.5.
-        let skewed = heat_view(&[(0, 10.0), (1, 1.0), (2, 1.0)]);
-        let data = [NodeId(0), NodeId(1), NodeId(2)];
-        assert_eq!(p.evaluate(&skewed, &[], &data, false, &[]), Decision::Hold);
-        match p.evaluate(&skewed, &[], &data, false, &[]) {
-            Decision::Rebalance { sources, targets } => {
-                assert_eq!(sources, vec![NodeId(0)]);
-                assert_eq!(targets, vec![NodeId(1), NodeId(2)]);
-            }
-            other => panic!("expected skew rebalance, got {other:?}"),
-        }
-        // Cooldown: the very next armed windows must not re-fire.
-        for _ in 0..p.config().skew_cooldown {
-            assert_eq!(p.evaluate(&skewed, &[], &data, false, &[]), Decision::Hold);
-        }
-    }
-
-    #[test]
-    fn skew_trigger_ignores_balanced_and_cold_clusters() {
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 1,
-            skew_threshold: 1.5,
-            ..Default::default()
-        });
-        let data = [NodeId(0), NodeId(1)];
-        // Balanced: skew 1.0, never fires.
-        let balanced = heat_view(&[(0, 6.0), (1, 6.0)]);
-        for _ in 0..5 {
-            assert_eq!(
-                p.evaluate(&balanced, &[], &data, false, &[]),
-                Decision::Hold
-            );
-        }
-        // Skewed shape but negligible absolute heat: below the floor.
-        let cold = heat_view(&[(0, 0.4), (1, 0.01)]);
-        for _ in 0..5 {
-            assert_eq!(p.evaluate(&cold, &[], &data, false, &[]), Decision::Hold);
-        }
-        // Disabled trigger never fires regardless of skew.
-        let mut off = ElasticityPolicy::new(PolicyConfig {
-            patience: 1,
-            skew_threshold: 0.0,
-            ..Default::default()
-        });
-        let skewed = heat_view(&[(0, 100.0), (1, 1.0)]);
-        for _ in 0..5 {
-            assert_eq!(
-                off.evaluate(&skewed, &[], &data, false, &[]),
-                Decision::Hold
-            );
-        }
-    }
-
-    #[test]
-    fn skew_trigger_is_inert_without_the_heat_aware_planner() {
-        // Skew decisions are heat-planned segment moves; under the
-        // fraction planner the trigger must never fire (it would be
-        // refused by `apply` forever).
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 1,
-            planner: Planner::Fraction,
-            skew_threshold: 1.5,
-            ..Default::default()
-        });
-        let skewed = heat_view(&[(0, 100.0), (1, 1.0)]);
-        let data = [NodeId(0), NodeId(1)];
-        for _ in 0..5 {
-            assert_eq!(p.evaluate(&skewed, &[], &data, false, &[]), Decision::Hold);
-        }
-    }
-
-    #[test]
-    fn skew_streak_ticks_even_when_another_branch_decides() {
-        // Two armed windows, then an all-low stretch during which the
-        // skew decays back to balance: the streak must reset (the old
-        // code froze it), so a single armed window afterwards cannot
-        // fire with patience 3.
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 3,
-            cpu_low: 0.25,
-            skew_threshold: 1.5,
-            skew_cooldown: 0,
-            ..Default::default()
-        });
-        let data = [NodeId(0), NodeId(1), NodeId(2)];
-        let armed = heat_view(&[(0, 9.0), (1, 1.0), (2, 2.0)]); // skew 2.25
-        let mut idle_balanced = heat_view(&[(0, 4.0), (1, 4.0), (2, 4.0)]); // skew 1.0
-        for r in &mut idle_balanced.reports {
-            r.cpu = 0.05; // all-low regime: the scale-in branch decides
-        }
-        assert_eq!(p.evaluate(&armed, &[], &data, false, &[]), Decision::Hold);
-        assert_eq!(p.evaluate(&armed, &[], &data, false, &[]), Decision::Hold);
-        // All-low window: scale-in path runs, but the balanced skew must
-        // still reset the streak.
-        p.evaluate(&idle_balanced, &[], &data, false, &[]);
-        assert_eq!(
-            p.evaluate(&armed, &[], &data, false, &[]),
-            Decision::Hold,
-            "stale streak must not fire after one armed window"
-        );
-    }
-
-    #[test]
-    fn ready_skew_trigger_waits_out_an_inflight_rebalance() {
-        // A ready trigger held back by `rebalancing` keeps its streak and
-        // cooldown intact and fires on the first clear window.
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 2,
-            skew_threshold: 1.5,
-            ..Default::default()
-        });
-        let skewed = heat_view(&[(0, 10.0), (1, 1.0), (2, 1.0)]);
-        let data = [NodeId(0), NodeId(1), NodeId(2)];
-        assert_eq!(p.evaluate(&skewed, &[], &data, false, &[]), Decision::Hold);
-        // Ready, but a migration is in flight: held, not consumed.
-        assert_eq!(p.evaluate(&skewed, &[], &data, true, &[]), Decision::Hold);
-        assert_eq!(p.evaluate(&skewed, &[], &data, true, &[]), Decision::Hold);
-        match p.evaluate(&skewed, &[], &data, false, &[]) {
-            Decision::Rebalance { .. } => {}
-            other => panic!("expected immediate fire on the clear window, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn skew_refire_without_subsidence_escalates_to_helpers() {
-        // Default escalation (2 fires): the first skew fire rebalances;
-        // when the skew re-fires the moment cooldown + patience allow —
-        // without ever subsiding in between, so the rebalance evidently
-        // did not fix it — the second fire attaches helpers instead.
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 2,
-            skew_threshold: 1.5,
-            skew_cooldown: 1,
-            ..Default::default()
-        });
-        assert_eq!(p.config().helper.escalation_fires, 2);
-        let skewed = heat_view(&[(0, 10.0), (1, 1.0), (2, 1.0)]);
-        let data = [NodeId(0), NodeId(1), NodeId(2)];
-        assert_eq!(p.evaluate(&skewed, &[], &data, false, &[]), Decision::Hold);
-        match p.evaluate(&skewed, &[], &data, false, &[]) {
-            Decision::Rebalance { .. } => {}
-            other => panic!("first fire ships segments, got {other:?}"),
-        }
-        // Cooldown window, then the patience re-accumulates — the skew
-        // never subsided.
-        assert_eq!(p.evaluate(&skewed, &[], &data, false, &[]), Decision::Hold);
-        assert_eq!(p.evaluate(&skewed, &[], &data, false, &[]), Decision::Hold);
-        match p.evaluate(&skewed, &[], &data, false, &[]) {
-            Decision::AttachHelpers { sources, .. } => assert_eq!(sources, vec![NodeId(0)]),
-            other => panic!("transient skew must escalate to helpers, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn subsidence_between_fires_resets_the_escalation() {
-        // The skew subsides after the first rebalance (it worked): the
-        // next skew episode starts over with a fresh rebalance, never
-        // helpers.
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 1,
-            skew_threshold: 1.5,
-            skew_cooldown: 1,
-            ..Default::default()
-        });
-        let skewed = heat_view(&[(0, 10.0), (1, 1.0), (2, 1.0)]);
-        let balanced = heat_view(&[(0, 4.0), (1, 4.0), (2, 4.0)]);
-        let data = [NodeId(0), NodeId(1), NodeId(2)];
-        for episode in 0..3 {
-            match p.evaluate(&skewed, &[], &data, false, &[]) {
-                Decision::Rebalance { .. } => {}
-                other => panic!("episode {episode}: expected a rebalance, got {other:?}"),
-            }
-            // Cooldown window, then the skew subsides for a stretch.
-            p.evaluate(&skewed, &[], &data, false, &[]);
-            for _ in 0..3 {
-                assert_eq!(
-                    p.evaluate(&balanced, &[], &data, false, &[]),
-                    Decision::Hold
-                );
-            }
-        }
-    }
-
-    #[test]
-    fn attached_helpers_suppress_the_trigger_and_detach_on_subsidence() {
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 1,
-            skew_threshold: 1.5,
-            skew_cooldown: 0,
-            ..Default::default()
-        });
-        let skewed = heat_view(&[(0, 10.0), (1, 1.0), (2, 1.0)]);
-        let data = [NodeId(0), NodeId(1), NodeId(2)];
-        let pairs = [(NodeId(0), NodeId(3))];
-        // Armed and ready, but helpers are the response in force: hold.
-        for _ in 0..4 {
-            assert_eq!(
-                p.evaluate(&skewed, &[], &data, false, &pairs),
-                Decision::Hold
-            );
-        }
-        // The skew subsides: the helpers detach.
-        let balanced = heat_view(&[(0, 4.0), (1, 4.0), (2, 4.0)]);
-        match p.evaluate(&balanced, &[], &data, false, &pairs) {
-            Decision::DetachHelpers { helpers: h } => assert_eq!(h, vec![NodeId(3)]),
-            other => panic!("expected detach on subsidence, got {other:?}"),
-        }
-        // No helpers attached: subsidence is a plain hold.
-        assert_eq!(
-            p.evaluate(&balanced, &[], &data, false, &[]),
-            Decision::Hold
-        );
-    }
-
-    #[test]
-    fn helper_zero_heat_never_masks_subsidence() {
-        // The attached helpers appear in the view as active zero-heat
-        // nodes (powered for the duty, serving no segments). Two balanced
-        // data nodes plus two helpers would read skew = max/mean = 2.0 if
-        // the helpers counted — above any sane rearm band, so the
-        // subsidence predicate would never pass and the helpers would
-        // stay powered forever. The signals must ignore them: balanced
-        // data nodes release their helpers.
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 1,
-            skew_threshold: 1.5,
-            skew_cooldown: 0,
-            ..Default::default()
-        });
-        let data = [NodeId(0), NodeId(1)];
-        let pairs = [(NodeId(0), NodeId(2)), (NodeId(0), NodeId(3))];
-        let balanced = heat_view(&[(0, 6.0), (1, 6.0), (2, 0.0), (3, 0.0)]);
-        match p.evaluate(&balanced, &[], &data, false, &pairs) {
-            Decision::DetachHelpers { helpers: h } => {
-                assert_eq!(h, vec![NodeId(2), NodeId(3)]);
-            }
-            other => panic!("balanced data nodes must release the helpers, got {other:?}"),
-        }
-        // Conversely a *real* data-node skew keeps them attached.
-        let skewed = heat_view(&[(0, 10.0), (1, 1.0), (2, 0.0), (3, 0.0)]);
-        assert_eq!(
-            p.evaluate(&skewed, &[], &data, false, &pairs),
-            Decision::Hold,
-            "helpers stay while the data-node skew persists"
-        );
+        p.evaluate(&hot, &standby, &data, false);
+        p.evaluate(&hot, &standby, &data, false);
+        p.evaluate(&cool, &standby, &data, false); // streak resets
+        assert_eq!(p.evaluate(&hot, &standby, &data, false), Decision::Hold);
     }
 
     #[test]
@@ -1303,7 +658,7 @@ mod tests {
         v.reports[2].net_tx = 0.95;
         let standby = [NodeId(3)];
         let data = [NodeId(0), NodeId(1)];
-        match p.evaluate(&v, &standby, &data, false, &[]) {
+        match p.evaluate(&v, &standby, &data, false) {
             Decision::ScaleOut { sources, .. } => assert_eq!(sources, vec![NodeId(2)]),
             other => panic!("NIC-saturated node must size the cluster up, got {other:?}"),
         }
@@ -1313,10 +668,7 @@ mod tests {
             net_high: 1.0,
             ..Default::default()
         });
-        assert_eq!(
-            off.evaluate(&v, &standby, &data, false, &[]),
-            Decision::Hold
-        );
+        assert_eq!(off.evaluate(&v, &standby, &data, false), Decision::Hold);
     }
 
     #[test]
@@ -1334,14 +686,14 @@ mod tests {
         let standby = [NodeId(3)];
         let data = [NodeId(0), NodeId(1)];
         assert_eq!(
-            p.evaluate(&v, &standby, &data, false, &[]),
+            p.evaluate(&v, &standby, &data, false),
             Decision::Hold,
             "replica shipping egress must not read as workload"
         );
         // The same NIC reading with no shipping behind it is real
         // workload and still fires.
         v.reports[2].replica_ship_tx = 0.0;
-        match p.evaluate(&v, &standby, &data, false, &[]) {
+        match p.evaluate(&v, &standby, &data, false) {
             Decision::ScaleOut { sources, .. } => assert_eq!(sources, vec![NodeId(2)]),
             other => panic!("genuine NIC saturation must still scale out, got {other:?}"),
         }
@@ -1361,120 +713,6 @@ mod tests {
         v.reports[1].replica_fanout = 0.0;
         let pick = coldest_drain_target(&v, &[NodeId(0), NodeId(1), NodeId(2)]);
         assert_eq!(pick, Some(NodeId(1)));
-    }
-
-    #[test]
-    fn partial_detach_releases_only_the_subsided_sources_helper() {
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 1,
-            skew_threshold: 1.5,
-            skew_cooldown: 0,
-            ..Default::default()
-        });
-        // Sources 0 and 1 each wired to their own helper (3, 4). Source 0
-        // stays hot — the cluster-wide skew persists, so the global
-        // subsidence detach stays silent — while source 1 cooled below
-        // the band: only *its* helper is released.
-        let v = heat_view(&[(0, 10.0), (1, 0.2), (2, 2.0), (3, 0.0), (4, 0.0)]);
-        let data = [NodeId(0), NodeId(1), NodeId(2)];
-        let pairs = [(NodeId(0), NodeId(3)), (NodeId(1), NodeId(4))];
-        match p.evaluate(&v, &[], &data, false, &pairs) {
-            Decision::DetachHelpers { helpers } => assert_eq!(helpers, vec![NodeId(4)]),
-            other => panic!("expected a per-source detach, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn shared_helper_stays_while_any_of_its_sources_is_hot() {
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 1,
-            skew_threshold: 1.5,
-            skew_cooldown: 0,
-            ..Default::default()
-        });
-        // One helper serves both sources; source 1 subsided but source 0
-        // still burns: the shared helper must not be torn away.
-        let v = heat_view(&[(0, 10.0), (1, 0.2), (2, 2.0), (3, 0.0)]);
-        let data = [NodeId(0), NodeId(1), NodeId(2)];
-        let pairs = [(NodeId(0), NodeId(3)), (NodeId(1), NodeId(3))];
-        assert_eq!(p.evaluate(&v, &[], &data, false, &pairs), Decision::Hold);
-    }
-
-    #[test]
-    fn helpers_first_escalation_never_ships() {
-        // escalation_fires = 1: every skew fire attaches helpers — the
-        // configuration for workloads known to be transient.
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 1,
-            skew_threshold: 1.5,
-            skew_cooldown: 0,
-            helper: wattdb_common::HelperPolicyConfig {
-                escalation_fires: 1,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        let skewed = heat_view(&[(0, 10.0), (1, 1.0), (2, 1.0)]);
-        let data = [NodeId(0), NodeId(1), NodeId(2)];
-        match p.evaluate(&skewed, &[], &data, false, &[]) {
-            Decision::AttachHelpers { sources, .. } => assert_eq!(sources, vec![NodeId(0)]),
-            other => panic!("helpers-first config must never rebalance, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn zero_escalation_fires_disables_helper_escalation() {
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 1,
-            skew_threshold: 1.5,
-            skew_cooldown: 0,
-            helper: wattdb_common::HelperPolicyConfig {
-                escalation_fires: 0,
-                ..Default::default()
-            },
-            ..Default::default()
-        });
-        let skewed = heat_view(&[(0, 10.0), (1, 1.0), (2, 1.0)]);
-        let data = [NodeId(0), NodeId(1), NodeId(2)];
-        // Fires forever, never escalates: the pre-helper behaviour.
-        for _ in 0..5 {
-            match p.evaluate(&skewed, &[], &data, false, &[]) {
-                Decision::Rebalance { .. } | Decision::Hold => {}
-                other => panic!("escalation disabled, got {other:?}"),
-            }
-        }
-    }
-
-    #[test]
-    fn skew_streak_survives_the_hysteresis_band() {
-        // Threshold 2.0, rearm 0.9: skew dipping to 1.9 (inside the
-        // [1.8, 2.0) band) holds the streak; dipping to 1.6 resets it.
-        let cfg = PolicyConfig {
-            patience: 3,
-            skew_threshold: 2.0,
-            skew_cooldown: 0,
-            ..Default::default()
-        };
-        let data = [NodeId(0), NodeId(1), NodeId(2)];
-        // skew = max/mean over 3 nodes: craft exact ratios.
-        let above = heat_view(&[(0, 9.0), (1, 1.0), (2, 2.0)]); // 9/4  = 2.25
-        let band = heat_view(&[(0, 19.0), (1, 4.0), (2, 7.0)]); // 19/10 = 1.9
-        let below = heat_view(&[(0, 8.0), (1, 3.0), (2, 4.0)]); // 8/5  = 1.6
-
-        let mut p = ElasticityPolicy::new(cfg);
-        p.evaluate(&above, &[], &data, false, &[]);
-        p.evaluate(&above, &[], &data, false, &[]);
-        p.evaluate(&band, &[], &data, false, &[]); // streak held, not advanced
-        match p.evaluate(&above, &[], &data, false, &[]) {
-            Decision::Rebalance { .. } => {}
-            other => panic!("band preserved the streak, got {other:?}"),
-        }
-
-        let mut p = ElasticityPolicy::new(cfg);
-        p.evaluate(&above, &[], &data, false, &[]);
-        p.evaluate(&above, &[], &data, false, &[]);
-        p.evaluate(&below, &[], &data, false, &[]); // full reset
-        assert_eq!(p.evaluate(&above, &[], &data, false, &[]), Decision::Hold);
     }
 
     // ------------------------------------------------- the apply contract
@@ -1708,34 +946,23 @@ mod tests {
             "the drained node left the placement pools"
         );
 
-        // AttachHelpers: the helpers span and the plan's predicted relief.
+        // A scripted helper attachment: the helpers span, with no relief
+        // predicted; its detach closes that span and still points at it.
         let mut db = deployment(0);
-        warm(&mut db, NodeId(0), 50);
-        let sources = vec![NodeId(0)];
-        let attach = apply_on(
-            &mut db,
-            &Decision::AttachHelpers {
-                sources,
-                targets: vec![NodeId(1)],
-            },
-        )
-        .expect("applied");
-        assert_eq!(attach.planner, Planner::HeatAware);
+        let attach = db.run(ControlPlan {
+            attach: Some(crate::migration::HelperAttach::manual(
+                &[NodeId(0)],
+                &[NodeId(3)],
+            )),
+            ..Default::default()
+        });
         assert_eq!(span_name(&db, attach.span), ("helpers".into(), true));
         assert_eq!(attach.span, db.with_cluster(|c| c.helpers.span()));
-        let relief = attach.predicted.expect("predicted relief");
-        assert!(relief > 0.0);
-        let predicted = db.with_cluster(|c| {
-            let span = c.telemetry.spans.get(attach.span.expect("response open"));
-            span.and_then(|s| s.attr_f64("predicted_relief_mbps"))
+        assert_eq!(attach.predicted, Some(0.0));
+        let detach = db.run(ControlPlan {
+            detach: vec![NodeId(3)],
+            ..Default::default()
         });
-        assert_eq!(Some(relief), predicted);
-
-        // DetachHelpers closes that span inside apply; the result still
-        // points at it.
-        let helpers = db.with_cluster(|c| c.helpers.nodes());
-        assert!(!helpers.is_empty());
-        let detach = apply_on(&mut db, &Decision::DetachHelpers { helpers }).expect("applied");
         assert_eq!(detach.span, attach.span);
         assert_eq!(detach.predicted, None);
         assert_eq!(span_name(&db, detach.span), ("helpers".into(), false));
@@ -1811,13 +1038,6 @@ mod tests {
         if !p.drain.is_empty() {
             out += &format!(" drain {}", list(&p.drain));
         }
-        if let Some(a) = &p.attach {
-            let pairs: Vec<String> = a.pairs.iter().map(|(s, h)| format!("{s}+{h}")).collect();
-            out += &format!(" attach {} scripted={}", pairs.join(","), a.scripted);
-        }
-        if !p.detach.is_empty() {
-            out += &format!(" detach {}", list(&p.detach));
-        }
         if let Some(failed) = p.promote {
             out += &format!(" promote {failed}");
         }
@@ -1830,14 +1050,6 @@ mod tests {
         let scale_out = |targets: &[u16]| Decision::ScaleOut {
             sources: nodes(&[0]),
             targets: nodes(targets),
-        };
-        let skew = (nodes(&[0]), nodes(&[1]));
-        let no_helper = PolicyConfig {
-            helper: HelperPolicyConfig {
-                min_net_heat: f64::MAX, // nobody clears the floor
-                ..Default::default()
-            },
-            ..Default::default()
         };
         const NO_PLAN: &str = "refused: no applicable plan";
         // (decision, config, [heat-aware, fraction planner, logical scheme])
@@ -1853,44 +1065,6 @@ mod tests {
                 ],
             ),
             (scale_out(&[]), PolicyConfig::default(), [NO_PLAN; 3]),
-            (
-                Decision::Rebalance {
-                    sources: skew.0.clone(),
-                    targets: skew.1.clone(),
-                },
-                PolicyConfig::default(),
-                ["HeatAware segments n0→n1", NO_PLAN, NO_PLAN],
-            ),
-            (
-                Decision::AttachHelpers {
-                    sources: skew.0.clone(),
-                    targets: skew.1.clone(),
-                },
-                PolicyConfig::default(),
-                ["HeatAware attach n0+n3 scripted=false", NO_PLAN, NO_PLAN],
-            ),
-            // An empty helper plan falls back to the skew rebalance and
-            // keeps an (empty) attachment to report under.
-            (
-                Decision::AttachHelpers {
-                    sources: skew.0.clone(),
-                    targets: skew.1.clone(),
-                },
-                no_helper,
-                [
-                    "HeatAware segments n0→n1 attach  scripted=false",
-                    NO_PLAN,
-                    NO_PLAN,
-                ],
-            ),
-            // n3 is not attached: nothing to release.
-            (
-                Decision::DetachHelpers {
-                    helpers: nodes(&[3]),
-                },
-                PolicyConfig::default(),
-                [NO_PLAN; 3],
-            ),
             (
                 Decision::ScaleIn { drain: nodes(&[2]) },
                 PolicyConfig::default(),
@@ -1946,7 +1120,7 @@ mod tests {
     }
 
     #[test]
-    fn plan_reads_helpers_replicas_and_the_mover_without_a_sim() {
+    fn plan_reads_replicas_and_the_mover_without_a_sim() {
         use crate::migration::{MoveController, MoverChain};
         use wattdb_planner::PlannedMove;
         let cfg = PolicyConfig::default();
@@ -1955,18 +1129,6 @@ mod tests {
         };
         let plan_of =
             |cl: &ClusterRc, d: &Decision| shape(&plan(&cl.borrow(), SimTime::ZERO, d, &cfg));
-
-        // An attached helper is released by name, and only if attached.
-        let cl = loaded(Scheme::Physiological, 0);
-        let policy_helper = HelperAttach {
-            helpers: vec![NodeId(3)],
-            ..Default::default()
-        };
-        crate::helpers::attach(&mut cl.borrow_mut(), &policy_helper, SimTime::ZERO);
-        let detach = Decision::DetachHelpers {
-            helpers: vec![NodeId(1), NodeId(3)],
-        };
-        assert_eq!(plan_of(&cl, &detach), "HeatAware detach n3");
 
         // A heat-planned drain empties its node and re-homes the follower
         // copies it hosts; with a replacement copy onto it still on a
@@ -2038,72 +1200,6 @@ mod tests {
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(64))]
-
-            /// Replay an arbitrary skew sequence through the trigger and
-            /// count the fires: between any two fires there must be at
-            /// least `patience + cooldown` windows, nothing fires on an
-            /// unarmed window, and nothing fires without `patience` armed
-            /// windows behind it.
-            #[test]
-            fn skew_trigger_never_oscillates(
-                skews in proptest::collection::vec(0.5f64..4.0, 1..80),
-                patience in 1u32..4,
-                cooldown in 0u32..4,
-            ) {
-                let threshold = 2.0;
-                let cfg = PolicyConfig {
-                    patience,
-                    skew_threshold: threshold,
-                    skew_cooldown: cooldown,
-                    ..Default::default()
-                };
-                let mut p = ElasticityPolicy::new(cfg);
-                let data = [NodeId(0), NodeId(1)];
-                let mut fires = Vec::new();
-                let mut armed_run = 0u32;
-                let mut ever_armed = false;
-                for (i, &skew) in skews.iter().enumerate() {
-                    // Three active nodes whose max/mean tracks the drawn
-                    // skew: heats (s, max(0, 3−s), 0) give a realized
-                    // skew of max(s, 3−s) for s ≤ 3, saturating at 3.
-                    let v = heat_view(&[
-                        (0, skew * 100.0),
-                        (1, (3.0 - skew).max(0.0) * 100.0),
-                        (2, 0.0),
-                    ]);
-                    let (realized, _) = v.heat_skew(&[]);
-                    let armed_now = realized > threshold;
-                    ever_armed |= armed_now;
-                    let d = p.evaluate(&v, &[], &data, false, &[]);
-                    let fired = matches!(d, Decision::Rebalance { .. });
-                    if fired {
-                        prop_assert!(armed_now, "fired on an unarmed window {i}");
-                        prop_assert!(
-                            armed_run + 1 >= patience,
-                            "fired at window {i} with only {armed_run} armed predecessors"
-                        );
-                        fires.push(i);
-                    }
-                    if armed_now {
-                        armed_run += 1;
-                    } else if realized < threshold * SKEW_REARM {
-                        armed_run = 0;
-                    }
-                    if fired {
-                        armed_run = 0;
-                    }
-                }
-                for w in fires.windows(2) {
-                    prop_assert!(
-                        w[1] - w[0] >= (patience + cooldown) as usize,
-                        "fires {w:?} closer than patience {patience} + cooldown {cooldown}"
-                    );
-                }
-                // A sequence that never arms the trigger never fires.
-                if !ever_armed {
-                    prop_assert!(fires.is_empty());
-                }
-            }
 
             /// Renumbering the nodes must renumber — not change — the
             /// drain choice: the coldest physical node drains no matter

@@ -40,15 +40,6 @@ pub fn decision_label(d: &Decision) -> String {
             format!("ScaleOut({}→{})", node_list(sources), node_list(targets))
         }
         Decision::ScaleIn { drain } => format!("ScaleIn({})", node_list(drain)),
-        Decision::Rebalance { sources, targets } => {
-            format!("Rebalance({}→{})", node_list(sources), node_list(targets))
-        }
-        Decision::AttachHelpers { sources, .. } => {
-            format!("AttachHelpers({})", node_list(sources))
-        }
-        Decision::DetachHelpers { helpers } => {
-            format!("DetachHelpers({})", node_list(helpers))
-        }
         Decision::Promote { failed, orphaned } => {
             format!("Promote({failed}, {} segments)", orphaned.len())
         }
@@ -80,10 +71,6 @@ pub fn signal_vector(view: &ClusterView, sig: &PolicySignals) -> SignalVector {
         standby_nodes: (view.reports.len() - active_nodes) as u64,
         high_streak: sig.high_streak as u64,
         low_streak: sig.low_streak as u64,
-        skew_streak: sig.skew_streak as u64,
-        cooldown_left: sig.cooldown_left as u64,
-        skew_fires: sig.skew_fires as u64,
-        subsided: sig.subsided,
     }
 }
 
@@ -175,7 +162,7 @@ pub fn sample_window(c: &mut Cluster, view: &ClusterView, at: SimTime, events: u
         let active = if report.active { 1.0 } else { 0.0 };
         gauge(r, format_args!("node.{n}.active"), active);
     }
-    r.set_gauge("heat.skew", view.heat_skew(&[]).0);
+    r.set_gauge("heat.skew", view.heat_skew().0);
     // Replication: shipped bytes, WAL shipping lag (worst follower),
     // follower read fan-out, re-replication repair traffic.
     c.replication.export(r, &c.nodes, &mut name);
@@ -260,7 +247,7 @@ mod tests {
         let s = signal_vector(&view, &sig);
         assert!((s.mean_active_cpu - 0.5).abs() < 1e-9);
         assert!((s.max_cpu - 0.9).abs() < 1e-9);
-        // The skew is the policy's (helpers excluded), not the view's.
+        // The skew is the policy's frozen one, not recomputed.
         assert_eq!(s.heat_skew, 1.5);
         assert_eq!(s.high_streak, 2);
         assert_eq!(s.active_nodes, 2);

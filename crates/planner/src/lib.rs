@@ -24,16 +24,13 @@
 //! each books its moves through one private ledger, which keeps the
 //! plan's predicted per-node heat, its byte and heat totals and the bytes
 //! each destination has taken, so a term added to every plan is written
-//! once. [`plan_replicas`] places follower copies and [`plan_helpers`]
-//! pairs hot nodes with Fig. 8 helpers.
+//! once. [`plan_replicas`] places follower copies.
 //!
 //! Inputs are plain rows, one type per concept: [`SegmentStat`] (id,
 //! placement, footprint bytes, heat) for a segment that may move,
-//! [`ReplicaSite`] for a segment's leader and followers, [`HostRow`] for a
-//! node that may take a follower copy or helper duty, and
-//! [`NodeLoadStat`] for a hot node a helper may relieve. The crate holds
-//! no cluster state and performs no I/O, so it can be property-tested
-//! exhaustively.
+//! [`ReplicaSite`] for a segment's leader and followers, and [`HostRow`]
+//! for a node that may take a follower copy. The crate holds no cluster
+//! state and performs no I/O, so it can be property-tested exhaustively.
 //!
 //! ## Stationary vs. moving hotspots
 //!
@@ -50,7 +47,7 @@
 
 use std::collections::BTreeMap;
 
-use wattdb_common::{DenseMap, HelperPolicyConfig, KeyRange, NodeId, SegmentId, TableId};
+use wattdb_common::{DenseMap, KeyRange, NodeId, SegmentId, TableId};
 
 /// Which algorithm plans rebalance moves.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Default)]
@@ -293,187 +290,22 @@ pub fn plan_scale_out(stats: &[SegmentStat], sources: &[NodeId], targets: &[Node
     ledger.plan
 }
 
-// ------------------------------------------------------------------ helpers
-
-/// Most helpers one [`plan_helpers`] call attaches.
-pub const MAX_HELPERS: usize = 2;
-
-/// One hot node's row as a helper *source*: how hot it runs overall and
-/// how much of that heat is *net/remote-heavy* — the component a Fig. 8
-/// helper (log shipping + remote buffer extension) actually relieves.
-/// Under the cost-based heat signal the caller splits the components from
-/// per-segment cost vectors; under the count signal `net_heat` falls back
-/// to the total heat (the legacy signal cannot attribute components).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct NodeLoadStat {
-    /// The (active) node carrying the load.
-    pub node: NodeId,
-    /// Total decayed heat of the node's segments.
-    pub heat: f64,
-    /// The net/remote-heavy component of that heat.
-    pub net_heat: f64,
-}
+// ----------------------------------------------------------------- replicas
 
 /// One node's row as a *host*: a node that may take a follower copy
-/// ([`plan_replicas`], [`plan_drain_replicated`]) or helper duty
-/// ([`plan_helpers`]). Both add network traffic, so an idle NIC counts:
-/// replica placement takes the coldest host, the idlest NIC breaking
-/// ties; helper choice takes standbys first, then the idlest NIC, then
-/// the coldest.
+/// ([`plan_replicas`], [`plan_drain_replicated`]). A copy adds network
+/// traffic, so an idle NIC counts: placement takes the coldest host, the
+/// idlest NIC breaking ties.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostRow {
     /// The node.
     pub node: NodeId,
-    /// Its current decayed heat (zero for standbys).
+    /// Its current decayed heat.
     pub heat: f64,
     /// Its measured NIC egress utilization from the last monitoring
-    /// window (zero for standbys).
+    /// window.
     pub nic: f64,
-    /// True when the node is in standby — the preferred helper pool: a
-    /// standby brings fresh DRAM and an idle NIC at the cost of powering
-    /// on, while an active node lends capacity it may still need. Replica
-    /// hosts are active nodes.
-    pub standby: bool,
 }
-
-/// A complete helper plan with its predicted effect.
-#[derive(Debug, Clone, Default)]
-pub struct HelperPlan {
-    /// `(source, helper)` pairs in descending source net-heat order: the
-    /// helper takes the hot source's log shipping and buffer overflow.
-    pub pairs: Vec<(NodeId, NodeId)>,
-    /// Total net/remote-heavy heat the plan relieves (the sum over the
-    /// helped sources).
-    pub predicted_relief: f64,
-    /// The eligible candidate pool in preference order — standbys first,
-    /// then idle-NIC, then coldest — one rendered line per candidate
-    /// (`"n3 standby net=0.000 heat=0.000"`). Recorded on the helper span
-    /// so an exported timeline shows why each helper won over the
-    /// alternatives.
-    pub ranking: Vec<String>,
-}
-
-impl HelperPlan {
-    /// True when no helper is worth attaching.
-    pub fn is_empty(&self) -> bool {
-        self.pairs.is_empty()
-    }
-
-    /// The helper nodes of the plan, in pair order.
-    pub fn helpers(&self) -> Vec<NodeId> {
-        self.pairs.iter().map(|&(_, h)| h).collect()
-    }
-
-    /// The helped sources of the plan, in pair order.
-    pub fn sources(&self) -> Vec<NodeId> {
-        self.pairs.iter().map(|&(s, _)| s).collect()
-    }
-}
-
-/// Plan helper attachments: rank `sources` by their net/remote-heavy heat
-/// component and pair the heaviest with helpers drawn from `candidates`,
-/// one helper per source, at most [`MAX_HELPERS`] pairs.
-///
-/// Helper choice prefers standbys, then idle-NIC candidates (a busy NIC
-/// cannot absorb a source's shipping traffic), then the coldest
-/// remaining ones. The plan never assigns:
-/// * a node listed in `excluded` (migration sources/targets, nodes
-///   already helping);
-/// * a source to itself (or to another helped source);
-/// * the master (`NodeId(0)`) while any alternative candidate exists;
-/// * more than one source to the same helper.
-///
-/// Sources below `cfg.min_net_heat` are not helped — their pain is not
-/// remote traffic. With a zero floor (the default) even a source with no
-/// net component qualifies, ranked last: a log-shipping helper still
-/// relieves its commit path. Cold sources (no heat at all) never get a
-/// helper. With distinct heat signals the choice depends only on the
-/// *signals*, so renumbering the nodes renames the answer without
-/// changing which physical nodes pair up.
-pub fn plan_helpers(
-    sources: &[NodeLoadStat],
-    candidates: &[HostRow],
-    excluded: &[NodeId],
-    cfg: &HelperPolicyConfig,
-) -> HelperPlan {
-    let mut plan = HelperPlan::default();
-    // Net-heaviest sources first; deterministic tie-break on id.
-    let mut ranked: Vec<&NodeLoadStat> = sources
-        .iter()
-        .filter(|s| s.heat > 0.0 && s.net_heat >= cfg.min_net_heat)
-        .collect();
-    ranked.sort_by(|a, b| {
-        b.net_heat
-            .partial_cmp(&a.net_heat)
-            .unwrap_or(std::cmp::Ordering::Equal)
-            .then_with(|| {
-                b.heat
-                    .partial_cmp(&a.heat)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .then_with(|| a.node.cmp(&b.node))
-    });
-    // One row per node, best-ranked occurrence wins: duplicate input rows
-    // sort apart by their heats, so adjacent-only dedup would let a node
-    // collect two helpers.
-    let mut seen = std::collections::BTreeSet::new();
-    ranked.retain(|s| seen.insert(s.node));
-
-    // Eligible helpers: not excluded, not a source. Standbys first, then
-    // the coldest actives; the master only as the pool of last resort.
-    let is_source = |n: NodeId| sources.iter().any(|s| s.node == n);
-    let eligible: Vec<&HostRow> = candidates
-        .iter()
-        .filter(|c| !excluded.contains(&c.node) && !is_source(c.node))
-        .collect();
-    let mut pool: Vec<&HostRow> = eligible
-        .iter()
-        .copied()
-        .filter(|c| c.node != NodeId(0))
-        .collect();
-    if pool.is_empty() {
-        pool = eligible;
-    }
-    pool.sort_by(|a, b| {
-        b.standby
-            .cmp(&a.standby)
-            .then_with(|| {
-                a.nic
-                    .partial_cmp(&b.nic)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .then_with(|| {
-                a.heat
-                    .partial_cmp(&b.heat)
-                    .unwrap_or(std::cmp::Ordering::Equal)
-            })
-            .then_with(|| a.node.cmp(&b.node))
-    });
-    // As above: best-ranked occurrence per node, or a duplicate candidate
-    // row would let the same helper serve two sources.
-    let mut seen = std::collections::BTreeSet::new();
-    pool.retain(|c| seen.insert(c.node));
-    plan.ranking = pool
-        .iter()
-        .map(|c| {
-            format!(
-                "{} {} net={:.3} heat={:.3}",
-                c.node,
-                if c.standby { "standby" } else { "active" },
-                c.nic,
-                c.heat
-            )
-        })
-        .collect();
-
-    for (src, helper) in ranked.into_iter().take(MAX_HELPERS).zip(pool) {
-        plan.predicted_relief += src.net_heat;
-        plan.pairs.push((src.node, helper.node));
-    }
-    plan
-}
-
-// ----------------------------------------------------------------- replicas
 
 /// One segment's replication: its leader and its follower hosts. The same
 /// row is a planning input — the followers a segment already has
@@ -934,236 +766,15 @@ mod tests {
         assert!(heat_plan.bytes_planned <= frac_plan.bytes_planned);
     }
 
-    // ------------------------------------------------------------ helpers
-
-    fn load(node: u16, heat: f64, net: f64) -> NodeLoadStat {
-        NodeLoadStat {
-            node: NodeId(node),
-            heat,
-            net_heat: net,
-        }
-    }
-
-    fn cand(node: u16, heat: f64, standby: bool) -> HostRow {
-        HostRow {
-            node: NodeId(node),
-            heat,
-            nic: 0.0,
-            standby,
-        }
-    }
+    // ----------------------------------------------------------- replicas
 
     fn host(node: u16, heat: f64, nic: f64) -> HostRow {
         HostRow {
             node: NodeId(node),
             heat,
             nic,
-            standby: false,
         }
     }
-
-    #[test]
-    fn helpers_go_to_the_net_heaviest_sources() {
-        // Node 1 is hottest overall but node 2 carries the most *net*
-        // heat: node 2 gets the first (standby) helper.
-        let sources = [load(1, 100.0, 5.0), load(2, 60.0, 40.0)];
-        let cands = [cand(3, 0.0, true), cand(4, 0.0, true)];
-        let plan = plan_helpers(&sources, &cands, &[], &HelperPolicyConfig::default());
-        assert_eq!(
-            plan.pairs,
-            vec![(NodeId(2), NodeId(3)), (NodeId(1), NodeId(4))]
-        );
-        assert!((plan.predicted_relief - 45.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn helper_pool_prefers_standbys_then_coldest_actives() {
-        let sources = [load(1, 50.0, 50.0)];
-        // A cold active, an even colder active, and one standby: the
-        // standby wins despite the actives' low heat.
-        let cands = [cand(2, 1.0, false), cand(3, 0.5, false), cand(4, 0.0, true)];
-        let plan = plan_helpers(&sources, &cands, &[], &HelperPolicyConfig::default());
-        assert_eq!(plan.helpers(), vec![NodeId(4)]);
-        // Without the standby, the coldest active is next in line.
-        let plan = plan_helpers(&sources, &cands[..2], &[], &HelperPolicyConfig::default());
-        assert_eq!(plan.helpers(), vec![NodeId(3)]);
-    }
-
-    #[test]
-    fn helper_pool_prefers_idle_nics_among_actives() {
-        let sources = [load(1, 50.0, 50.0)];
-        // Node 2 is colder overall but its NIC is saturated; node 3 runs
-        // hotter with an idle NIC. The idle NIC wins — a busy NIC cannot
-        // absorb the source's shipping traffic.
-        let cands = [
-            HostRow {
-                node: NodeId(2),
-                heat: 1.0,
-                nic: 8.0,
-                standby: false,
-            },
-            HostRow {
-                node: NodeId(3),
-                heat: 2.0,
-                nic: 0.0,
-                standby: false,
-            },
-        ];
-        let plan = plan_helpers(&sources, &cands, &[], &HelperPolicyConfig::default());
-        assert_eq!(plan.helpers(), vec![NodeId(3)], "{plan:?}");
-        // A standby still outranks any active, busy NIC or not.
-        let with_standby = [
-            cands[1],
-            HostRow {
-                node: NodeId(4),
-                heat: 0.0,
-                nic: 0.0,
-                standby: true,
-            },
-        ];
-        let plan = plan_helpers(&sources, &with_standby, &[], &HelperPolicyConfig::default());
-        assert_eq!(plan.helpers(), vec![NodeId(4)]);
-    }
-
-    #[test]
-    fn helper_plan_records_the_candidate_ranking() {
-        // The plan carries the pool in preference order — standby first,
-        // then idle-NIC, then coldest — so the helper span can show why
-        // the winner won.
-        let sources = [load(1, 50.0, 50.0)];
-        let cands = [
-            HostRow {
-                node: NodeId(2),
-                heat: 1.0,
-                nic: 8.0,
-                standby: false,
-            },
-            HostRow {
-                node: NodeId(3),
-                heat: 2.0,
-                nic: 0.0,
-                standby: false,
-            },
-            HostRow {
-                node: NodeId(4),
-                heat: 0.0,
-                nic: 0.0,
-                standby: true,
-            },
-        ];
-        let plan = plan_helpers(&sources, &cands, &[], &HelperPolicyConfig::default());
-        assert_eq!(
-            plan.ranking,
-            vec![
-                "n4 standby net=0.000 heat=0.000",
-                "n3 active net=0.000 heat=2.000",
-                "n2 active net=8.000 heat=1.000",
-            ]
-        );
-        assert_eq!(plan.helpers(), vec![NodeId(4)]);
-    }
-
-    #[test]
-    fn helpers_never_come_from_excluded_or_source_nodes() {
-        let sources = [load(1, 50.0, 50.0), load(2, 40.0, 30.0)];
-        let cands = [
-            cand(1, 50.0, false), // a source — never helps itself
-            cand(2, 40.0, false), // the other source
-            cand(3, 0.0, true),   // excluded (e.g. migration target)
-            cand(4, 0.0, true),
-        ];
-        let plan = plan_helpers(
-            &sources,
-            &cands,
-            &[NodeId(3)],
-            &HelperPolicyConfig::default(),
-        );
-        assert_eq!(plan.helpers(), vec![NodeId(4)], "{plan:?}");
-        assert_eq!(plan.sources(), vec![NodeId(1)]);
-    }
-
-    #[test]
-    fn master_helps_only_as_last_resort() {
-        let sources = [load(1, 50.0, 50.0)];
-        let with_alternative = [cand(0, 0.0, false), cand(2, 5.0, false)];
-        let plan = plan_helpers(
-            &sources,
-            &with_alternative,
-            &[],
-            &HelperPolicyConfig::default(),
-        );
-        assert_eq!(plan.helpers(), vec![NodeId(2)], "master spared: {plan:?}");
-        let master_only = [cand(0, 0.0, false)];
-        let plan = plan_helpers(&sources, &master_only, &[], &HelperPolicyConfig::default());
-        assert_eq!(plan.helpers(), vec![NodeId(0)], "last resort: {plan:?}");
-    }
-
-    #[test]
-    fn duplicate_rows_collapse_to_the_best_ranked_occurrence() {
-        // Duplicate source rows sort apart by their heats; the node must
-        // still collect exactly one helper (from its best-ranked row). The
-        // duplicate ranks second, inside the cap, so a plan that kept it
-        // would read [1, 1].
-        let sources = [load(1, 50.0, 10.0), load(1, 10.0, 8.0), load(2, 40.0, 5.0)];
-        let cands = [cand(3, 0.0, true), cand(4, 0.0, true), cand(5, 0.0, true)];
-        let plan = plan_helpers(&sources, &cands, &[], &HelperPolicyConfig::default());
-        assert_eq!(plan.sources(), vec![NodeId(1), NodeId(2)], "{plan:?}");
-        // Same for candidates: a helper listed twice (with differing
-        // heats) serves at most one source.
-        let sources = [load(1, 50.0, 10.0), load(2, 40.0, 5.0)];
-        let dup_cands = [
-            cand(3, 2.0, false),
-            cand(3, 1.0, false),
-            cand(4, 5.0, false),
-        ];
-        let plan = plan_helpers(&sources, &dup_cands, &[], &HelperPolicyConfig::default());
-        assert_eq!(plan.helpers(), vec![NodeId(3), NodeId(4)], "{plan:?}");
-    }
-
-    #[test]
-    fn net_heat_floor_and_cap_bound_the_plan() {
-        let sources = [
-            load(1, 9.0, 9.0),
-            load(2, 8.0, 8.0),
-            load(3, 1.0, 0.4),
-            load(7, 7.0, 7.0),
-        ];
-        let cands = [cand(4, 0.0, true), cand(5, 0.0, true), cand(6, 0.0, true)];
-        // The floor silences node 3; the cap keeps the two net-heaviest.
-        let plan = plan_helpers(
-            &sources,
-            &cands,
-            &[],
-            &HelperPolicyConfig {
-                min_net_heat: 1.0,
-                ..Default::default()
-            },
-        );
-        assert_eq!(plan.pairs.len(), MAX_HELPERS);
-        assert_eq!(plan.sources(), vec![NodeId(1), NodeId(2)]);
-        // A zero-net source still gets a helper under the zero floor (log
-        // shipping relieves its commit path), ranked behind any net-heavy
-        // source — but any positive floor excludes it.
-        let cpu_only = [load(1, 9.0, 0.0), load(2, 5.0, 3.0)];
-        let plan = plan_helpers(&cpu_only, &cands, &[], &HelperPolicyConfig::default());
-        assert_eq!(plan.sources(), vec![NodeId(2), NodeId(1)], "{plan:?}");
-        let plan = plan_helpers(
-            &cpu_only,
-            &cands,
-            &[],
-            &HelperPolicyConfig {
-                min_net_heat: 0.5,
-                ..Default::default()
-            },
-        );
-        assert_eq!(plan.sources(), vec![NodeId(2)], "{plan:?}");
-        // A cold source (no heat at all) never gets one.
-        let cold = [load(1, 0.0, 0.0)];
-        let plan = plan_helpers(&cold, &cands, &[], &HelperPolicyConfig::default());
-        assert!(plan.is_empty(), "{plan:?}");
-    }
-
-    // ----------------------------------------------------------- replicas
 
     #[test]
     fn replicas_never_co_locate_with_the_leader_and_stay_distinct() {
@@ -1206,7 +817,7 @@ mod tests {
 
     #[test]
     fn replicas_prefer_idle_nics_among_equally_cold_hosts() {
-        // Two standby-cold hosts; node 3's NIC already carries traffic.
+        // Two equally cold hosts; node 2's NIC already carries traffic.
         let hosts = [host(2, 0.0, 4.0), host(3, 0.0, 0.0)];
         let plan = plan_replicas(&[site(1, 1, &[])], &hosts, 1);
         // Equal heat → the idle NIC wins the tie.

@@ -19,7 +19,7 @@ use crate::span::{AttrValue, Span, SpanEvent, SpanId};
 use crate::timeline::{DecisionRecord, SignalVector};
 
 /// Schema version stamped into the `meta` line.
-pub const SCHEMA_VERSION: u64 = 1;
+pub const SCHEMA_VERSION: u64 = 2;
 
 /// The `meta` header line.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -192,17 +192,9 @@ pub fn decision_line(record: &DecisionRecord) -> String {
         ("standby_nodes", s.standby_nodes),
         ("high_streak", s.high_streak),
         ("low_streak", s.low_streak),
-        ("skew_streak", s.skew_streak),
-        ("cooldown_left", s.cooldown_left),
-        ("skew_fires", s.skew_fires),
     ] {
         field(&mut out, name, &v.to_string());
     }
-    field(
-        &mut out,
-        "subsided",
-        if s.subsided { "true" } else { "false" },
-    );
     out.push_str("}}");
     out
 }
@@ -344,12 +336,6 @@ fn decode_decision(v: &JsonValue) -> Result<DecisionRecord, String> {
         standby_nodes: need_u64(sig, "standby_nodes")?,
         high_streak: need_u64(sig, "high_streak")?,
         low_streak: need_u64(sig, "low_streak")?,
-        skew_streak: need_u64(sig, "skew_streak")?,
-        cooldown_left: need_u64(sig, "cooldown_left")?,
-        skew_fires: need_u64(sig, "skew_fires")?,
-        subsided: need(sig, "subsided")?
-            .as_bool()
-            .ok_or_else(|| "field 'subsided' is not a bool".to_string())?,
     };
     let predicted = match need(v, "predicted")? {
         JsonValue::Null => None,
@@ -443,7 +429,7 @@ mod tests {
         let text = format!(
             "{}\n{}\n",
             meta_line(&ExportMeta {
-                version: 1,
+                version: SCHEMA_VERSION,
                 ..Default::default()
             }),
             span_line(&span)
@@ -482,7 +468,7 @@ mod tests {
         let text = format!(
             "{}\n{}\n{}\n",
             meta_line(&ExportMeta {
-                version: 1,
+                version: SCHEMA_VERSION,
                 ..Default::default()
             }),
             decision_line(&record),
@@ -495,9 +481,34 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_rejected_with_position() {
-        let err = parse_jsonl("{\"kind\": \"meta\", \"version\": 1, \"spans_dropped\": 0, \"samples_dropped\": 0, \"decisions_dropped\": 0}\n{\"kind\": \"span\"}\n").unwrap_err();
+        let err = parse_jsonl("{\"kind\": \"meta\", \"version\": 2, \"spans_dropped\": 0, \"samples_dropped\": 0, \"decisions_dropped\": 0}\n{\"kind\": \"span\"}\n").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(parse_jsonl("{\"kind\": \"mystery\"}\n").is_err());
         assert!(parse_jsonl("not json\n").is_err());
+    }
+
+    #[test]
+    fn a_version_1_export_is_refused() {
+        // A version-1 decision line still carries the skew trigger's four
+        // signal fields; the file is refused by its version, whatever its
+        // lines hold.
+        let text = concat!(
+            "{\"kind\": \"meta\", \"version\": 1, \"spans_dropped\": 0, ",
+            "\"samples_dropped\": 0, \"decisions_dropped\": 0}\n",
+            "{\"kind\": \"decision\", \"window\": 0, \"at\": 5000000, ",
+            "\"decision\": \"Hold\", \"trigger\": \"\", \"outcome\": \"hold\", ",
+            "\"predicted\": null, \"span\": null, \"signals\": {",
+            "\"mean_active_cpu\": 0.5, \"max_cpu\": 0.5, \"max_net\": 0.0, ",
+            "\"heat_skew\": 1.0, \"mean_heat\": 2.0, \"active_nodes\": 2, ",
+            "\"standby_nodes\": 2, \"high_streak\": 0, \"low_streak\": 0, ",
+            "\"skew_streak\": 0, \"cooldown_left\": 0, \"skew_fires\": 0, ",
+            "\"subsided\": false}}\n",
+        );
+        let err = parse_jsonl(text).unwrap_err();
+        assert_eq!(err.line, 1);
+        assert!(
+            err.msg.starts_with("schema version 1 (expected 2)"),
+            "{err:?}"
+        );
     }
 }

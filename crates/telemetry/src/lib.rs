@@ -1,9 +1,8 @@
 //! # WattDB-RS telemetry: the control plane's flight recorder
 //!
-//! Six PRs of control machinery — rebalancing, helper nodes, elasticity,
-//! failover — previously reported through a flat event log and ad-hoc
-//! metric fields. This crate is the durable, machine-readable layer that
-//! every policy change is judged through:
+//! The control machinery — rebalancing, helper nodes, elasticity,
+//! failover — reports through this crate: the durable, machine-readable
+//! layer that every policy change is judged through:
 //!
 //! * **Tracing spans** ([`span`]): sim-time-stamped, id-linked spans for
 //!   every long-running operation, with structured attributes (planned
@@ -15,8 +14,9 @@
 //! * **Decision timeline** ([`timeline`]): one record per monitoring
 //!   window — `Hold` included — carrying the full signal vector the
 //!   policy saw, linked to the span its decision started, rendered by
-//!   `explain()` as "window 42: skew 2.30 ≥ 2.00, streak 2 →
-//!   AttachHelpers, predicted 1.20, realized 0.90 MB/s".
+//!   `explain()` as "window 42 [t=210s]: cpu 0.91 (max 0.97), net max
+//!   0.12, streak 2 → ScaleOut(n0→n2) (applied), predicted 3.40 [span
+//!   s7, heat moved 3.10, took 20.0s]".
 //! * **JSONL export** ([`export`]): hand-rolled writer *and* parser (the
 //!   build is offline — no serde); a fixed-seed run exports a
 //!   byte-identical file, and CI re-parses every shipped line back into
@@ -142,20 +142,19 @@ mod tests {
     fn export_parses_back_and_explains_identically() {
         let mut t = Telemetry::<DecisionRecord>::new();
         let span = t.start_span(
-            "helpers",
+            "rebalance",
             SimTime::from_secs(10),
-            vec![("predicted_relief_mbps".into(), 1.2.into())],
+            vec![("heat_planned".into(), 1.2.into())],
         );
-        t.spans
-            .set_attr(span, "realized_relief_mbps", AttrValue::F64(0.9));
+        t.spans.set_attr(span, "heat_moved", AttrValue::F64(0.9));
         t.spans.end(span, SimTime::from_secs(60));
         t.registry.set_gauge("power.watts", 91.5);
         t.registry.sample_window(SimTime::from_secs(5));
         t.timeline.push(DecisionRecord {
             window: 0,
             at: SimTime::from_secs(5),
-            decision: "AttachHelpers".into(),
-            trigger: "heat-skew".into(),
+            decision: "ScaleOut(n0→n2)".into(),
+            trigger: "cpu-high".into(),
             outcome: "applied".into(),
             signals: SignalVector::default(),
             predicted: Some(1.2),

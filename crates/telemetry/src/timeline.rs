@@ -2,8 +2,8 @@
 //!
 //! Every monitoring window produces exactly one decision — including the
 //! windows where the policy held still — carrying the full
-//! [`SignalVector`] that produced it (utilization, skew, streak counters,
-//! cooldown state). Applied decisions link to the span of the operation
+//! [`SignalVector`] that produced it (utilization, heat skew, streak
+//! counters). Applied decisions link to the span of the operation
 //! they started, so predicted-vs-realized outcomes can be joined back
 //! onto the decision after the operation completes.
 //!
@@ -13,8 +13,9 @@
 //! linked spans) into the human-readable account `explain()` returns:
 //!
 //! ```text
-//! window 42 [t=210s]: skew 2.30 ≥ 2.00, streak 2/2 → AttachHelpers
-//!   (applied, span s7) predicted relief 1.20 MB/s, realized 0.90 MB/s
+//! window 42 [t=210s]: cpu 0.91 (max 0.97), net max 0.12, streak 2 →
+//!   ScaleOut(n0→n2) (applied), predicted 3.40 [span s7, moved 1048576.00 B,
+//!   heat moved 3.10, took 20.0s]
 //! ```
 
 use std::collections::VecDeque;
@@ -44,14 +45,6 @@ pub struct SignalVector {
     pub high_streak: u64,
     /// Consecutive windows below the scale-in threshold.
     pub low_streak: u64,
-    /// Consecutive windows of decisive skew.
-    pub skew_streak: u64,
-    /// Windows of skew cooldown still to serve.
-    pub cooldown_left: u64,
-    /// Decisive skew fires since the last subsidence.
-    pub skew_fires: u64,
-    /// Whether the skew signal read as subsided this window.
-    pub subsided: bool,
 }
 
 /// One window of the autopilot timeline.
@@ -61,16 +54,16 @@ pub struct DecisionRecord {
     pub window: u64,
     /// Virtual time of the window.
     pub at: SimTime,
-    /// The decision, rendered (`"Hold"`, `"ScaleOut"`, `"AttachHelpers(n1<-n4)"`, …).
+    /// The decision, rendered (`"Hold"`, `"ScaleOut(n0→n2)"`, `"ScaleIn(n3)"`, …).
     pub decision: String,
-    /// Trigger label (`"cpu-high"`, `"heat-skew"`, `"helper"`, `"failover"`, or empty).
+    /// Trigger label (`"cpu-high"`, `"cpu-low"`, `"failover"`, or empty).
     pub trigger: String,
     /// Outcome: `"hold"`, `"applied"`, `"deferred: <reason>"`, `"suspended: <nodes>"`.
     pub outcome: String,
     /// The signals that produced the decision.
     pub signals: SignalVector,
-    /// Predicted benefit at decision time (relief MB/s for helpers,
-    /// planned heat share for rebalances), when the decision made one.
+    /// Predicted benefit at decision time (the heat a rebalance plans to
+    /// relocate), when the decision made one.
     pub predicted: Option<f64>,
     /// Span of the operation this decision started, when applied.
     pub span: Option<u64>,
@@ -137,7 +130,6 @@ impl<R> DecisionTimeline<R> {
 /// Realized-outcome attributes looked up on a linked span, in the order
 /// they are reported by [`render_explain`].
 const REALIZED_ATTRS: &[(&str, &str, &str)] = &[
-    ("realized_relief_mbps", "realized", " MB/s"),
     ("bytes_moved", "moved", " B"),
     ("heat_moved", "heat moved", ""),
     ("rereplicated_bytes", "re-replicated", " B"),
@@ -149,10 +141,6 @@ const REALIZED_ATTRS: &[(&str, &str, &str)] = &[
 pub fn render_record(record: &DecisionRecord, span: Option<&Span>) -> String {
     let s = &record.signals;
     let signal_clause = match record.trigger.as_str() {
-        "heat-skew" | "helper" => format!(
-            "skew {:.2}, mean heat {:.2}, streak {}, cooldown {}",
-            s.heat_skew, s.mean_heat, s.skew_streak, s.cooldown_left
-        ),
         "cpu-high" => format!(
             "cpu {:.2} (max {:.2}), net max {:.2}, streak {}",
             s.mean_active_cpu, s.max_cpu, s.max_net, s.high_streak
@@ -163,8 +151,8 @@ pub fn render_record(record: &DecisionRecord, span: Option<&Span>) -> String {
         ),
         "failover" => format!("actives {}, standbys {}", s.active_nodes, s.standby_nodes),
         _ => format!(
-            "cpu {:.2}, skew {:.2}, streaks {}/{}/{}",
-            s.mean_active_cpu, s.heat_skew, s.high_streak, s.low_streak, s.skew_streak
+            "cpu {:.2}, skew {:.2}, streaks {}/{}",
+            s.mean_active_cpu, s.heat_skew, s.high_streak, s.low_streak
         ),
     };
     let mut line = format!(
@@ -238,19 +226,19 @@ mod tests {
     #[test]
     fn render_joins_decision_to_span_outcome() {
         let mut spans = SpanCollector::new(8);
-        let id = spans.start("helpers", SimTime::from_secs(10));
-        spans.set_attr(id, "realized_relief_mbps", 0.9.into());
+        let id = spans.start("rebalance", SimTime::from_secs(10));
+        spans.set_attr(id, "heat_moved", 3.1.into());
         spans.end(id, SimTime::from_secs(40));
         let record = DecisionRecord {
             window: 42,
             at: SimTime::from_secs(210),
-            decision: "AttachHelpers".into(),
-            trigger: "heat-skew".into(),
+            decision: "ScaleOut(n0→n2)".into(),
+            trigger: "cpu-high".into(),
             outcome: "applied".into(),
             signals: SignalVector {
-                heat_skew: 2.3,
-                mean_heat: 1.1,
-                skew_streak: 2,
+                mean_active_cpu: 0.91,
+                max_cpu: 0.97,
+                high_streak: 2,
                 ..SignalVector::default()
             },
             predicted: Some(1.2),
@@ -258,10 +246,11 @@ mod tests {
         };
         let line = render_record(&record, spans.get(id));
         assert!(line.contains("window 42"), "{line}");
-        assert!(line.contains("skew 2.30"), "{line}");
-        assert!(line.contains("AttachHelpers"), "{line}");
+        assert!(line.contains("cpu 0.91 (max 0.97)"), "{line}");
+        assert!(line.contains("streak 2"), "{line}");
+        assert!(line.contains("ScaleOut(n0→n2)"), "{line}");
         assert!(line.contains("predicted 1.20"), "{line}");
-        assert!(line.contains("realized 0.90 MB/s"), "{line}");
+        assert!(line.contains("heat moved 3.10"), "{line}");
         assert!(line.contains("took 30.0s"), "{line}");
     }
 }

@@ -221,7 +221,6 @@ fn reengaging_an_autopilot_built_deployment_keeps_its_windows() {
     let hold = PolicyConfig {
         cpu_high: 1.1,
         cpu_low: 0.0,
-        skew_threshold: 0.0,
         ..Default::default()
     };
     let (reengaged, windows) = engaged_at_10s(|b| b.policy(hold).autopilot(true).build());

@@ -83,24 +83,9 @@ fn warmed() -> WattDb {
     db
 }
 
-/// [`warmed`], with a helper already wired to node 0 — so that a detach
-/// has something to release.
-fn helped() -> WattDb {
-    let mut db = warmed();
-    let attach = Decision::AttachHelpers {
-        sources: vec![NodeId(0)],
-        targets: vec![],
-    };
-    let plan = db.plan(&attach).expect("a standby can help");
-    db.run(plan);
-    db
-}
-
 #[test]
 fn scripted_plan_equals_policy_apply() {
-    let attached = helped().with_cluster(|c| c.helpers.nodes());
-    assert!(!attached.is_empty());
-    let cases: [(Decision, fn() -> WattDb); 4] = [
+    let cases: [(Decision, fn() -> WattDb); 2] = [
         (
             Decision::ScaleOut {
                 sources: vec![NodeId(0), NodeId(1)],
@@ -114,14 +99,6 @@ fn scripted_plan_equals_policy_apply() {
             },
             warmed,
         ),
-        (
-            Decision::AttachHelpers {
-                sources: vec![NodeId(0), NodeId(1)],
-                targets: vec![],
-            },
-            warmed,
-        ),
-        (Decision::DetachHelpers { helpers: attached }, helped),
     ];
     for (decision, deployment) in cases {
         let (mut scripted, mut applied) = (deployment(), deployment());

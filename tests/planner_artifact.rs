@@ -3,7 +3,7 @@
 //!
 //! CI runs this after `cargo bench --bench planner_shootout` has written
 //! `BENCH_planner.json` at the repo root: the artifact must carry exactly
-//! the twelve (phase, variant) rows with well-typed fields, the failover
+//! the ten (phase, variant) rows with well-typed fields, the failover
 //! rows their extra keys, and every bench gate whose inputs the file
 //! carries must hold on the shipped numbers. When the artifact is absent
 //! (plain `cargo test` before any bench run) the schema contract is still
@@ -53,8 +53,6 @@ const ROWS: &[(&str, &str, Fields)] = &[
     ("advancing", "projected", &[]),
     ("mixed", "count-heat", &[]),
     ("mixed", "cost-heat", &[]),
-    ("transient", "segment-shipping", &[]),
-    ("transient", "helpers", &[]),
     ("failover", "no-replicas", READ_SCALING),
     ("failover", "replicated", READ_SCALING),
     (
@@ -137,9 +135,9 @@ fn validate(doc: &JsonValue) {
             .and_then(|v| v.as_bool())
             .unwrap()
     };
-    // Every planner run and the shipping policy rebalance: the rows
-    // before the helpers-first one.
-    for (phase, variant, _) in &ROWS[..7] {
+    // Every planner run rebalances: the rows before the read-scaling
+    // ones.
+    for (phase, variant, _) in &ROWS[..6] {
         assert!(
             flag(phase, variant, "rebalanced"),
             "{phase}/{variant} must rebalance"
@@ -152,20 +150,6 @@ fn validate(doc: &JsonValue) {
     assert!(
         count("mixed", "cost-heat", "bytes_moved") <= count("mixed", "count-heat", "bytes_moved"),
         "cost-based heat must not ship more bytes"
-    );
-    assert!(
-        count("transient", "segment-shipping", "bytes_moved") > 0,
-        "the shipping policy must have rebalanced the transient skew"
-    );
-    assert_eq!(
-        count("transient", "helpers", "bytes_moved"),
-        0,
-        "helpers-first must ship zero segment bytes"
-    );
-    assert!(
-        num("transient", "helpers", "post_max_cpu")
-            <= num("transient", "segment-shipping", "post_max_cpu") + 0.10,
-        "helpers must hold a comparable post-rebalance max CPU"
     );
     assert!(
         count("failover", "replicated", "replica_reads") > 0,
@@ -232,8 +216,6 @@ fn inline_exemplar_round_trips_the_schema() {
     {"phase": "advancing", "variant": "projected", "rebalanced": true, "segments_moved": 11, "bytes_moved": 12700000, "heat_planned": 1930000.0, "heat_moved": 2190000.0, "post_max_cpu": 0.89, "post_max_heat_share": 0.51},
     {"phase": "mixed", "variant": "count-heat", "rebalanced": true, "segments_moved": 5, "bytes_moved": 4300000, "heat_planned": 7600.0, "heat_moved": 750.0, "post_max_cpu": 1.0, "post_max_heat_share": 0.61},
     {"phase": "mixed", "variant": "cost-heat", "rebalanced": true, "segments_moved": 3, "bytes_moved": 4100000, "heat_planned": 1090000.0, "heat_moved": 1570000.0, "post_max_cpu": 0.65, "post_max_heat_share": 0.53},
-    {"phase": "transient", "variant": "segment-shipping", "rebalanced": true, "segments_moved": 13, "bytes_moved": 12800000, "heat_planned": 2880000.0, "heat_moved": 3000000.0, "post_max_cpu": 0.92, "post_max_heat_share": 0.79},
-    {"phase": "transient", "variant": "helpers", "rebalanced": false, "segments_moved": 0, "bytes_moved": 0, "heat_planned": 0.000, "heat_moved": 0.000, "post_max_cpu": 0.95, "post_max_heat_share": 0.87},
     {"phase": "failover", "variant": "no-replicas", "rebalanced": false, "segments_moved": 0, "bytes_moved": 0, "heat_planned": 0.000, "heat_moved": 0.000, "post_max_cpu": 0.47, "post_max_heat_share": 0.88, "replica_reads": 0, "replica_shipped_bytes": 0, "completed": 16800},
     {"phase": "failover", "variant": "replicated", "rebalanced": false, "segments_moved": 0, "bytes_moved": 3400000, "heat_planned": 0.000, "heat_moved": 0.000, "post_max_cpu": 0.44, "post_max_heat_share": 0.88, "replica_reads": 179000, "replica_shipped_bytes": 3400000, "completed": 16800},
     {"phase": "failover", "variant": "node-kill", "rebalanced": true, "segments_moved": 34, "bytes_moved": 87000000, "heat_planned": 0.000, "heat_moved": 0.000, "post_max_cpu": 0.0000, "post_max_heat_share": 0.0000, "recovery_secs": 6.0, "rereplication_bytes": 87000000, "orphaned": 34},

@@ -1,11 +1,11 @@
-//! Deterministic scenario matrix for the heat-triggered elasticity
-//! policy: the full autopilot driven over a grid of workload shapes
-//! (uniform, stationary hot range, advancing hot range, bimodal,
-//! idle-then-burst) × policy configurations (CPU-only, skew-only, both),
-//! all from fixed seeds, asserting per-scenario invariants:
+//! Deterministic scenario matrix for the threshold elasticity policy: the
+//! full autopilot driven over a grid of workload shapes (uniform,
+//! stationary hot range, advancing hot range, bimodal, idle-then-burst,
+//! scale-in, failover) from fixed seeds, asserting per-scenario
+//! invariants:
 //!
-//! * the skew trigger fires only on genuinely skewed loads;
-//! * rebalances are bounded per run (no thrash);
+//! * heat skew alone — uniform, bimodal or one stationary hot range on an
+//!   unsaturated cluster — never moves data or powers a node on;
 //! * scale-in always drains the coldest node — and refuses a node that is
 //!   entangled in an in-flight migration;
 //! * every decision event logs the threshold that triggered it;
@@ -14,8 +14,8 @@
 //!   planning for no more bytes shipped.
 //!
 //! Synthetic scenarios inject access heat directly into the heat table on
-//! the monitoring cadence — the skew trigger, drift tracker, and planner
-//! then run exactly as they would under a live workload, but every run is
+//! the monitoring cadence — the drift tracker and planner then run
+//! exactly as they would under a live workload, but every run is
 //! bit-identical and fast. The idle-then-burst scenario drives real TPC-C
 //! clients to exercise the CPU path end to end.
 
@@ -26,6 +26,8 @@ use wattdb_common::{CostParams, NodeId, SegmentId, SimDuration, TableId};
 use wattdb_core::api::WattDb;
 use wattdb_core::autopilot::Outcome;
 use wattdb_core::cluster::{Cluster, Scheme};
+use wattdb_core::heat;
+use wattdb_core::migration::{self, ControlPlan};
 use wattdb_core::policy::{Decision, PolicyConfig};
 use wattdb_core::ControlEvent;
 
@@ -33,32 +35,20 @@ const WINDOW_SECS: u64 = 5;
 
 // ---------------------------------------------------------------- configs
 
-/// CPU thresholds only: the pre-skew policy surface.
-fn cpu_only() -> PolicyConfig {
+/// The default controller with a shorter patience, for test runtimes.
+fn thresholds() -> PolicyConfig {
     PolicyConfig {
         patience: 2,
-        skew_threshold: 0.0, // skew trigger disabled
         ..Default::default()
     }
 }
 
-/// Skew trigger only: CPU bounds pushed out of reach (utilization cannot
-/// exceed 1.0, nor fall below 0.0).
-fn skew_only() -> PolicyConfig {
+/// Both CPU bounds out of reach (utilization cannot exceed 1.0, nor fall
+/// below 0.0): the controller can only hold.
+fn unreachable() -> PolicyConfig {
     PolicyConfig {
         cpu_high: 1.1,
         cpu_low: 0.0,
-        patience: 2,
-        skew_threshold: 1.5,
-        skew_cooldown: 4,
-        ..Default::default()
-    }
-}
-
-/// Both triggers armed (the default shape, shorter patience for test
-/// runtimes).
-fn both() -> PolicyConfig {
-    PolicyConfig {
         patience: 2,
         ..Default::default()
     }
@@ -128,11 +118,6 @@ fn rebalance_history(db: &WattDb) -> Vec<wattdb_core::RebalanceReport> {
     db.with_cluster(|c| c.metrics.rebalances.clone())
 }
 
-/// Helper nodes currently attached, in attachment order.
-fn helpers_active(db: &WattDb) -> Vec<NodeId> {
-    db.with_cluster(|c| c.helpers.nodes())
-}
-
 /// Charge `n` unit reads to a segment.
 fn bump(c: &mut Cluster, seg: SegmentId, now: wattdb_common::SimTime, n: u32) {
     for _ in 0..n {
@@ -176,20 +161,16 @@ fn assert_triggers_logged(events: &[ControlEvent]) {
             (Outcome::Suspended { .. }, _) => assert_eq!(e.trigger, "", "suspension entry: {e:?}"),
             (_, Decision::ScaleOut { .. }) => assert_eq!(e.trigger, "cpu-high", "{e:?}"),
             (_, Decision::ScaleIn { .. }) => assert_eq!(e.trigger, "cpu-low", "{e:?}"),
-            (_, Decision::Rebalance { .. }) => assert_eq!(e.trigger, "heat-skew", "{e:?}"),
-            (_, Decision::AttachHelpers { .. }) | (_, Decision::DetachHelpers { .. }) => {
-                assert_eq!(e.trigger, "helper", "{e:?}")
-            }
             (_, Decision::Promote { .. }) => assert_eq!(e.trigger, "failover", "{e:?}"),
             (_, Decision::Hold) => panic!("hold decisions are never logged: {e:?}"),
         }
     }
 }
 
-fn rebalance_events(events: &[ControlEvent]) -> Vec<&ControlEvent> {
+fn scale_out_events(events: &[ControlEvent]) -> Vec<&ControlEvent> {
     events
         .iter()
-        .filter(|e| matches!(e.decision, Decision::Rebalance { .. }))
+        .filter(|e| matches!(e.decision, Decision::ScaleOut { .. }))
         .collect()
 }
 
@@ -197,7 +178,7 @@ fn rebalance_events(events: &[ControlEvent]) -> Vec<&ControlEvent> {
 
 #[test]
 fn uniform_load_never_trips_the_skew_trigger() {
-    for (label, policy) in [("skew-only", skew_only()), ("both", both())] {
+    for (label, policy) in [("unreachable", unreachable()), ("thresholds", thresholds())] {
         let db = build(policy, 11, &[NodeId(0), NodeId(1)], 10);
         let segs: Vec<SegmentId> = db.with_cluster(|c| c.seg_dir.iter().map(|m| m.id).collect());
         let mut db2 = db; // move into drive
@@ -209,29 +190,26 @@ fn uniform_load_never_trips_the_skew_trigger() {
         let events = db2.events();
         assert_triggers_logged(&events);
         assert!(
-            rebalance_events(&events).is_empty(),
-            "[{label}] uniform heat must not trip the skew trigger: {events:?}"
+            scale_out_events(&events).is_empty(),
+            "[{label}] uniform heat on idle CPUs must not scale out: {events:?}"
         );
         if policy.cpu_low == 0.0 {
-            // Skew-only: no trigger can fire at all on a balanced load.
+            // Bounds out of reach: nothing can fire at all.
             assert!(
                 events.is_empty(),
                 "[{label}] no decisions expected: {events:?}"
             );
         }
-        println!(
-            "[uniform/{label}] events={} (no skew rebalance)",
-            events.len()
-        );
+        println!("[uniform/{label}] events={} (no scale-out)", events.len());
     }
 }
 
 #[test]
 fn bimodal_load_balanced_across_nodes_stays_quiet() {
     // Two hot ranges of equal intensity, one per data node: heavily
-    // skewed *within* each node's key space, balanced *across* nodes —
-    // the skew trigger must see through it.
-    let mut db = build(skew_only(), 13, &[NodeId(0), NodeId(1)], 10);
+    // skewed *within* each node's key space, balanced *across* nodes, and
+    // the CPUs idle — nothing may fire.
+    let mut db = build(unreachable(), 13, &[NodeId(0), NodeId(1)], 10);
     let hot0: Vec<SegmentId> = segments_on(&db, NodeId(0)).into_iter().take(3).collect();
     let hot1: Vec<SegmentId> = segments_on(&db, NodeId(1)).into_iter().take(3).collect();
     drive(&mut db, 24, move |_, c, now| {
@@ -246,88 +224,19 @@ fn bimodal_load_balanced_across_nodes_stays_quiet() {
         "bimodal-but-balanced load fired the policy: {events:?}"
     );
     println!(
-        "[bimodal/skew-only] node heats: {:.1} vs {:.1}, no events",
+        "[bimodal/unreachable] node heats: {:.1} vs {:.1}, no events",
         node_heat(&db, NodeId(0)),
         node_heat(&db, NodeId(1))
     );
 }
 
 #[test]
-fn stationary_hot_range_rebalances_with_zero_node_count_change() {
-    let mut db = build(skew_only(), 17, &[NodeId(0), NodeId(1)], 10);
-    let active_before = db.active_nodes();
-    let track = node0_track(&db);
-    assert!(track.len() >= 4, "need a few segments: {}", track.len());
-    let hot: Vec<SegmentId> = track.iter().copied().take(4).collect();
-    drive(&mut db, 30, move |_, c, now| {
-        for &s in &hot {
-            bump(c, s, now, 40);
-        }
-    });
-    let events = db.events();
-    assert_triggers_logged(&events);
-    let rebalances = rebalance_events(&events);
-    let applied: Vec<_> = rebalances
-        .iter()
-        .filter(|e| e.outcome == Outcome::Applied)
-        .collect();
-    assert!(
-        !applied.is_empty(),
-        "skew trigger must rebalance a stationary hot range: {events:?}"
-    );
-    // Zero node count change: no scale decision of any kind, and the
-    // active set is exactly what we started with.
-    assert!(
-        events
-            .iter()
-            .all(|e| matches!(e.decision, Decision::Rebalance { .. })),
-        "only rebalance-in-place decisions expected: {events:?}"
-    );
-    assert_eq!(db.active_nodes(), active_before, "no node powered on/off");
-    // The rebalance executed via the heat planner and moved real heat.
-    let history = rebalance_history(&db);
-    assert!(!history.is_empty(), "rebalance completed");
-    assert!(history
-        .iter()
-        .all(|r| r.planner == wattdb_core::Planner::HeatAware));
-    assert!(history[0].heat_moved > 0.0);
-    // No thrash: the cooldown bounds how many rebalances a 30-window run
-    // can start (patience 2 + cooldown 4 → at most one per 6 windows).
-    let bound = 30 / 6 + 1;
-    assert!(
-        history.len() <= bound,
-        "{} rebalances in 30 windows (bound {bound})",
-        history.len()
-    );
-    // And the skew genuinely dropped: heat now lives on both nodes.
-    let (h0, h1) = (node_heat(&db, NodeId(0)), node_heat(&db, NodeId(1)));
-    assert!(h1 > 0.0, "heat arrived on the cold node");
-    let skew_after = h0.max(h1) / ((h0 + h1) / 2.0);
-    // Stationary skew is what rebalancing *fixes*: under the default
-    // helper escalation the trigger never escalates — no helper is ever
-    // attached, and every skew decision stays a segment rebalance.
-    assert!(
-        !events
-            .iter()
-            .any(|e| matches!(e.decision, Decision::AttachHelpers { .. })),
-        "stationary skew must never attach helpers: {events:?}"
-    );
-    assert!(
-        helpers_active(&db).is_empty(),
-        "no helper left attached after a stationary run"
-    );
-    println!(
-        "[stationary/skew-only] rebalances={} skew after={skew_after:.2} heats=({h0:.0},{h1:.0})",
-        history.len()
-    );
-}
-
-#[test]
 fn cpu_only_config_ignores_skew() {
-    // The same stationary hot range under the CPU-only config: heats are
-    // wildly skewed but CPUs idle, so no scale-out — and the only
-    // permissible decisions are idle scale-ins.
-    let mut db = build(cpu_only(), 17, &[NodeId(0), NodeId(1)], 10);
+    // A stationary hot range pinned to node 0's bottom segments under the
+    // default controller: heats are wildly skewed but CPUs idle, so
+    // nothing moves towards the cold node and nothing powers on — the
+    // only permissible decisions are idle scale-ins.
+    let mut db = build(thresholds(), 17, &[NodeId(0), NodeId(1)], 10);
     let track = node0_track(&db);
     let hot: Vec<SegmentId> = track.iter().copied().take(4).collect();
     drive(&mut db, 20, move |_, c, now| {
@@ -338,247 +247,14 @@ fn cpu_only_config_ignores_skew() {
     let events = db.events();
     assert_triggers_logged(&events);
     assert!(
-        rebalance_events(&events).is_empty(),
-        "skew trigger disabled: {events:?}"
-    );
-    assert!(
-        !events
-            .iter()
-            .any(|e| matches!(e.decision, Decision::ScaleOut { .. })),
+        scale_out_events(&events).is_empty(),
         "idle CPUs cannot scale out: {events:?}"
     );
-}
-
-// ------------------------------------------------- transient skew: helpers
-
-/// A transient-bimodal deployment: three data nodes, the hot range
-/// flapping between nodes 0 and 1 while node 2 stays cold — the skew
-/// ratio holds above the threshold throughout, but *which* node is hot
-/// alternates, so any segments a rebalance ships are wrong by the time
-/// they land. The helper policy runs helpers-first
-/// (`escalation_fires: 1`): every skew fire attaches Fig. 8 helpers
-/// instead of shipping.
-fn transient_bimodal_db() -> WattDb {
-    let policy = PolicyConfig {
-        cpu_high: 1.1,
-        cpu_low: 0.0,
-        patience: 2,
-        skew_threshold: 1.5,
-        skew_cooldown: 4,
-        helper: wattdb_common::HelperPolicyConfig {
-            escalation_fires: 1,
-            min_net_heat: 0.0,
-        },
-        ..Default::default()
-    };
-    WattDb::builder()
-        .nodes(4)
-        .scheme(Scheme::Physiological)
-        .warehouses(6)
-        .density(0.05)
-        .segment_pages(8)
-        .seed(31)
-        .initial_data_nodes(&[NodeId(0), NodeId(1), NodeId(2)])
-        .policy(policy)
-        .monitoring(SimDuration::from_secs(WINDOW_SECS))
-        .autopilot(true)
-        .build()
-}
-
-/// Drive the flap: heavy heat on node 0's segments for `flip` windows,
-/// then on node 1's, alternating; node 2 stays cold throughout.
-fn drive_bimodal_flap(db: &mut WattDb, windows: u64, flip: u64) {
-    let hot0: Vec<SegmentId> = segments_on(db, NodeId(0)).into_iter().take(3).collect();
-    let hot1: Vec<SegmentId> = segments_on(db, NodeId(1)).into_iter().take(3).collect();
-    drive(db, windows, move |w, c, now| {
-        let hot = if (w / flip).is_multiple_of(2) {
-            &hot0
-        } else {
-            &hot1
-        };
-        for &s in hot {
-            bump(c, s, now, 60);
-        }
-    });
-}
-
-#[test]
-fn transient_bimodal_skew_attaches_helpers_and_never_ships() {
-    let mut db = transient_bimodal_db();
-    assert!(!segments_on(&db, NodeId(2)).is_empty(), "node 2 holds data");
-    drive_bimodal_flap(&mut db, 24, 3);
-    let events = db.events();
-    assert_triggers_logged(&events);
-    // The escalated response fired and was applied.
-    let attaches: Vec<&ControlEvent> = events
-        .iter()
-        .filter(|e| matches!(e.decision, Decision::AttachHelpers { .. }))
-        .collect();
-    let applied: Vec<&&ControlEvent> = attaches
-        .iter()
-        .filter(|e| e.outcome == Outcome::Applied)
-        .collect();
-    assert!(
-        !applied.is_empty(),
-        "transient skew must attach helpers: {events:?}"
-    );
-    let attach = applied[0];
-    assert_eq!(attach.trigger, "helper");
-    assert!(
-        attach.predicted > Some(0.0),
-        "applied attachment logs its predicted relief: {attach:?}"
-    );
-    // Not a single segment shipped: no rebalance decision, no history,
-    // zero bytes.
-    assert!(
-        rebalance_events(&events).is_empty(),
-        "transient skew must never ship segments: {events:?}"
-    );
-    assert!(rebalance_history(&db).is_empty(), "zero rebalances");
-    assert!(db.last_rebalance().is_none());
-    // Planner-chosen helpers: attached, and drawn from nodes that are
-    // neither the hot sources nor the master.
-    let helpers = helpers_active(&db);
-    assert!(!helpers.is_empty(), "helpers still attached under the flap");
-    for h in &helpers {
-        assert!(
-            *h != NodeId(0) && *h != NodeId(1),
-            "helper {h} must not be a flapping hot source: {helpers:?}"
-        );
-    }
-    // The helped source ships its log to the helper.
-    db.with_cluster(|c| {
-        let helped: Vec<NodeId> = c
-            .nodes
-            .iter()
-            .filter(|n| c.helpers.helper_of(n.id).is_some())
-            .map(|n| n.id)
-            .collect();
-        assert!(!helped.is_empty(), "a hot source is wired to its helper");
-        assert_eq!(c.helpers.check_invariants(&c.nodes), None);
-    });
-    println!(
-        "[transient/helpers-first] attaches={} helpers={helpers:?} relief={:.1}",
-        applied.len(),
-        attach.predicted.unwrap_or_default()
-    );
-}
-
-#[test]
-fn helpers_detach_once_the_skew_subsides() {
-    let mut db = transient_bimodal_db();
-    drive_bimodal_flap(&mut db, 18, 3);
-    assert!(
-        !helpers_active(&db).is_empty(),
-        "precondition: helpers attached under the flap: {:?}",
-        db.events()
-    );
-    let powered_helpers = helpers_active(&db);
-    // The flap ends and the load spreads evenly: the skew falls through
-    // the rearm band and the helpers must be released.
-    let all: Vec<SegmentId> = db.with_cluster(|c| c.seg_dir.iter().map(|m| m.id).collect());
-    drive(&mut db, 12, move |_, c, now| {
-        for &s in &all {
-            bump(c, s, now, 8);
-        }
-    });
-    let events = db.events();
-    assert_triggers_logged(&events);
-    let detach = events
-        .iter()
-        .find(|e| matches!(e.decision, Decision::DetachHelpers { .. }))
-        .unwrap_or_else(|| panic!("no detach on subsidence: {events:?}"));
-    assert_eq!(detach.trigger, "helper");
-    assert_eq!(detach.outcome, Outcome::Applied);
-    assert!(helpers_active(&db).is_empty(), "helpers released");
-    // Helpers powered on for the duty returned to standby; every log-
-    // shipping cursor is gone.
-    db.with_cluster(|c| {
-        for h in &powered_helpers {
-            if c.seg_dir.on_node(*h).next().is_none() {
-                assert_eq!(
-                    c.life(*h),
-                    wattdb_core::cluster::Lifecycle::Standby,
-                    "duty-powered helper {h} suspended again"
-                );
-            }
-        }
-        for n in &c.nodes {
-            assert_eq!(c.helpers.helper_of(n.id), None, "wire left on {}", n.id);
-            assert_eq!(
-                n.buffer.remote_capacity(),
-                0,
-                "remote tier left on {}",
-                n.id
-            );
-        }
-    });
-    // Still: not a byte shipped across the whole run.
-    assert!(rebalance_history(&db).is_empty());
-    println!("[transient/detach] helpers released: {powered_helpers:?}");
-}
-
-#[test]
-fn empty_helper_plan_falls_back_to_rebalancing() {
-    // Escalation wants helpers but the net-heat floor is unreachable, so
-    // every helper plan comes back empty. The controller must not wedge
-    // (escalated fire → refused attach → cooldown → re-escalate, forever):
-    // it falls back to the rebalance the fire would otherwise have been,
-    // and the stationary skew still gets fixed by shipping segments.
-    let policy = PolicyConfig {
-        cpu_high: 1.1,
-        cpu_low: 0.0,
-        patience: 2,
-        skew_threshold: 1.5,
-        skew_cooldown: 4,
-        helper: wattdb_common::HelperPolicyConfig {
-            escalation_fires: 1, // every fire escalates...
-            min_net_heat: 1e12,  // ...but no source ever clears the floor
-        },
-        ..Default::default()
-    };
-    let mut db = WattDb::builder()
-        .nodes(4)
-        .scheme(Scheme::Physiological)
-        .warehouses(4)
-        .density(0.05)
-        .segment_pages(8)
-        .seed(17)
-        .initial_data_nodes(&[NodeId(0), NodeId(1)])
-        .policy(policy)
-        .monitoring(SimDuration::from_secs(WINDOW_SECS))
-        .autopilot(true)
-        .build();
-    let track = node0_track(&db);
-    let hot: Vec<SegmentId> = track.iter().copied().take(4).collect();
-    drive(&mut db, 30, move |_, c, now| {
-        for &s in &hot {
-            bump(c, s, now, 40);
-        }
-    });
-    let events = db.events();
-    assert_triggers_logged(&events);
-    // The escalated decision was applied — as a rebalance.
     assert!(
         events
             .iter()
-            .any(|e| matches!(e.decision, Decision::AttachHelpers { .. })
-                && e.outcome == Outcome::Applied),
-        "escalated fire must still act: {events:?}"
-    );
-    assert!(
-        helpers_active(&db).is_empty(),
-        "no helper cleared the floor"
-    );
-    let history = rebalance_history(&db);
-    assert!(
-        !history.is_empty(),
-        "fallback must ship segments: {events:?}"
-    );
-    assert!(history[0].heat_moved > 0.0);
-    assert!(
-        node_heat(&db, NodeId(1)) > 0.0,
-        "the stationary skew actually got fixed"
+            .all(|e| matches!(e.decision, Decision::ScaleIn { .. })),
+        "only idle scale-ins: {events:?}"
     );
 }
 
@@ -598,7 +274,7 @@ fn scale_in_always_drains_the_coldest_node() {
         .segment_pages(8)
         .seed(19)
         .initial_data_nodes(&[NodeId(0), NodeId(1), NodeId(2)])
-        .policy(cpu_only())
+        .policy(thresholds())
         .monitoring(SimDuration::from_secs(WINDOW_SECS))
         .autopilot(true)
         .build();
@@ -672,7 +348,6 @@ fn scale_in_refuses_a_node_inside_an_active_migration() {
         cpu_high: 1.1, // scale-out out of reach
         cpu_low: 0.5,  // idle cluster breaches immediately
         patience: 2,
-        skew_threshold: 0.0,
         ..Default::default()
     };
     let mut db = WattDb::builder()
@@ -733,7 +408,7 @@ fn scale_in_with_replication_rehomes_followers_before_suspension() {
         .seed(43)
         .initial_data_nodes(&[NodeId(0), NodeId(1), NodeId(2)])
         .replication(1)
-        .policy(cpu_only())
+        .policy(thresholds())
         .monitoring(SimDuration::from_secs(WINDOW_SECS))
         .autopilot(true)
         .build();
@@ -812,7 +487,6 @@ fn scale_in_refuses_a_drain_that_would_strand_follower_copies() {
         cpu_high: 1.1, // scale-out out of reach
         cpu_low: 0.5,  // idle cluster breaches immediately
         patience: 2,
-        skew_threshold: 0.0,
         ..Default::default()
     };
     let mut db = WattDb::builder()
@@ -877,7 +551,6 @@ fn failover_only() -> PolicyConfig {
         cpu_high: 1.1,
         cpu_low: 0.0,
         patience: 2,
-        skew_threshold: 0.0,
         ..Default::default()
     }
 }
@@ -1079,7 +752,7 @@ fn idle_then_burst_scales_out_on_cpu() {
         .costs(CostParams::scaled(40))
         .seed(1)
         .initial_data_nodes(&[NodeId(0)])
-        .policy(both())
+        .policy(thresholds())
         .monitoring(SimDuration::from_secs(WINDOW_SECS))
         .autopilot(true)
         .build();
@@ -1126,10 +799,15 @@ struct AdvancingOutcome {
     heats: Vec<f64>,
 }
 
+/// Window at which [`run_advancing`] rebalances: by then the hotspot has
+/// advanced for several windows, the trail exists, and the velocity
+/// estimates have matured.
+const ADVANCING_FIRE: u64 = 11;
+
 /// Drive an advancing hot window along node 0's key-ordered segments and
-/// let the skew trigger rebalance onto node 1, planning at the given
-/// drift horizon (0 = historical heat). Returns the realized state at a
-/// fixed end time.
+/// rebalance it onto node 1 once, at window [`ADVANCING_FIRE`], with the
+/// heat-aware planner at the given drift horizon (0 = historical heat).
+/// Returns the realized state at a fixed end time.
 ///
 /// The shape is the TPC-C insert-front regime: a *narrow* hot window
 /// advancing slowly, leaving a trail of recently-hot, now-cooling
@@ -1137,17 +815,6 @@ struct AdvancingOutcome {
 /// Historical planning cannot tell the trail from the front; projected
 /// planning discounts the cooling trail and boosts the warming entrants.
 fn run_advancing(horizon_secs: u64) -> AdvancingOutcome {
-    let policy = PolicyConfig {
-        cpu_high: 1.1,
-        cpu_low: 0.0,
-        // A long patience doubles as warm-up: by the time the trigger
-        // fires, the hotspot has advanced for several windows, the trail
-        // exists, and the velocity estimates have matured.
-        patience: 11,
-        skew_threshold: 1.5,
-        skew_cooldown: 100, // exactly one skew rebalance per run
-        ..Default::default()
-    };
     let mut db = WattDb::builder()
         .nodes(4)
         .scheme(Scheme::Physiological)
@@ -1156,7 +823,7 @@ fn run_advancing(horizon_secs: u64) -> AdvancingOutcome {
         .segment_pages(8)
         .seed(29)
         .initial_data_nodes(&[NodeId(0), NodeId(1)])
-        .policy(policy)
+        .policy(unreachable())
         .monitoring(SimDuration::from_secs(WINDOW_SECS))
         .heat_tracking(wattdb_common::HeatConfig {
             // Adapt fast: a segment the front just reached earns a strong
@@ -1174,19 +841,38 @@ fn run_advancing(horizon_secs: u64) -> AdvancingOutcome {
         track.len()
     );
     let width = 3usize;
-    // Three windows per one-segment advance. The trigger fires around
-    // window 11; the hotspot keeps advancing a few windows past the
-    // rebalance so the *realized* balance — measured while the front
-    // overlaps the segments each plan chose — separates the planners.
+    // Three windows per one-segment advance. The hotspot keeps advancing
+    // a few windows past the rebalance so the *realized* balance —
+    // measured while the front overlaps the segments each plan chose —
+    // separates the planners.
     let dwell = 3u64;
     let windows = 14u64;
     let track_len = track.len();
-    drive(&mut db, windows, move |w, c, now| {
-        let f = (w / dwell) as usize;
-        for &seg in track.iter().take((f + width).min(track.len())).skip(f) {
-            bump(c, seg, now, 40);
-        }
+    // The rebalance runs inside the window, after the monitoring window
+    // has folded its velocities in and before the window's heat lands.
+    db.with_runtime(|cl, sim| {
+        let handle = cl.clone();
+        let mut w = 0u64;
+        sim.every(SimDuration::from_secs(WINDOW_SECS), move |sim| {
+            if w >= windows {
+                return false;
+            }
+            if w == ADVANCING_FIRE {
+                let (sources, targets) = ([NodeId(0)], [NodeId(1)]);
+                let plan = heat::plan_scale_out(&handle.borrow(), sim.now(), &sources, &targets);
+                assert!(!plan.moves.is_empty(), "the hot range is movable");
+                migration::run(&handle, sim, ControlPlan::planned(&plan, &targets));
+            }
+            let f = (w / dwell) as usize;
+            let c = &mut *handle.borrow_mut();
+            for &seg in track.iter().take((f + width).min(track.len())).skip(f) {
+                bump(c, seg, sim.now(), 40);
+            }
+            w += 1;
+            true
+        });
     });
+    db.run_for(SimDuration::from_secs(WINDOW_SECS * (windows + 2)));
     let heats: Vec<f64> = (0..4).map(|n| node_heat(&db, NodeId(n))).collect();
     let history = rebalance_history(&db);
     println!(
@@ -1216,8 +902,8 @@ fn advancing_hotspot_projected_planning_beats_historical() {
         "[advancing] projected:  rebalances={} bytes={} max_heat={:.1} heats={:?}",
         projected.rebalances, projected.bytes, projected.max_heat, projected.heats
     );
-    assert_eq!(historical.rebalances, 1, "one skew rebalance per run");
-    assert_eq!(projected.rebalances, 1, "one skew rebalance per run");
+    assert_eq!(historical.rebalances, 1, "one rebalance per run");
+    assert_eq!(projected.rebalances, 1, "one rebalance per run");
     // The acceptance criterion: planning against where heat is *going*
     // realizes a strictly lower post-rebalance max node heat, for no more
     // bytes shipped.

@@ -148,7 +148,6 @@ proptest! {
             cpu_high: 1.1, // scale-out out of reach: drains and failover dominate
             cpu_low: 0.5,  // the idle cluster scales in at every opportunity
             patience: 2,
-            skew_threshold: 0.0,
             ..Default::default()
         };
         let mut db = WattDb::builder()

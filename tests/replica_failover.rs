@@ -213,7 +213,6 @@ fn rereplication_reads_the_leaders_data_disks() {
     db.engage_autopilot(wattdb_core::PolicyConfig {
         cpu_high: 1.1,
         cpu_low: 0.0,
-        skew_threshold: 0.0,
         net_high: 2.0, // only failover decisions fire
         ..Default::default()
     });
@@ -252,7 +251,6 @@ fn leader_kill_promotes_and_keeps_serving() {
     db.engage_autopilot(wattdb_core::PolicyConfig {
         cpu_high: 1.1,
         cpu_low: 0.0,
-        skew_threshold: 0.0,
         net_high: 2.0, // NIC trigger off: only failover decisions fire
         ..Default::default()
     });
@@ -293,7 +291,6 @@ fn log_tail_stays_bounded_under_replication() {
     db.engage_autopilot(wattdb_core::PolicyConfig {
         cpu_high: 1.1,
         cpu_low: 0.0,
-        skew_threshold: 0.0,
         net_high: 2.0, // only failover decisions fire
         ..Default::default()
     });
@@ -410,7 +407,6 @@ proptest! {
                 node: NodeId(n),
                 heat,
                 nic,
-                standby: false,
             })
             .collect();
         let plan = plan_replicas(&needs, &hosts, factor);

@@ -22,19 +22,19 @@ use wattdb_core::cluster::{Cluster, Scheme};
 use wattdb_core::policy::PolicyConfig;
 use wattdb_core::{decision_label, outcome_label};
 use wattdb_telemetry::parse_jsonl;
+use wattdb_tpcc::TenantSpec;
 
 const WINDOW_SECS: u64 = 5;
 
-/// Skew trigger only: CPU bounds out of reach, so every decision in the
-/// run is a Hold or a heat-skew rebalance — the policy-matrix stationary
-/// scenario.
-fn skew_only() -> PolicyConfig {
+/// A CPU-threshold scale-out on [`stationary_run`]'s client load: node 0
+/// reads about 0.03 CPU before any scale-out and below 0.02 after, the
+/// other nodes below 0.01, so a 0.023 ceiling scales out node 0 alone and
+/// every other window is a hold.
+fn cpu_scale_out() -> PolicyConfig {
     PolicyConfig {
-        cpu_high: 1.1,
+        cpu_high: 0.023,
         cpu_low: 0.0,
         patience: 2,
-        skew_threshold: 1.5,
-        skew_cooldown: 4,
         ..Default::default()
     }
 }
@@ -107,10 +107,17 @@ fn drive(
     db.run_for(SimDuration::from_secs(WINDOW_SECS * (windows + 2)));
 }
 
-/// The policy-matrix stationary scenario: a hot range pinned to node 0's
-/// bottom segments, the skew trigger rebalancing onto node 1.
+/// A hot range pinned to node 0's bottom segments, under the skewed
+/// per-client load of the determinism pin (24 clients, 85 % of them on
+/// warehouse 0): the CPU ceiling scales node 0 out onto the standbys, and
+/// the heat-aware plan ships the hot range.
 fn stationary_run() -> WattDb {
-    let mut db = build(skew_only(), 17, &[NodeId(0), NodeId(1)]);
+    let mut db = build(cpu_scale_out(), 17, &[NodeId(0), NodeId(1)]);
+    let tenant = TenantSpec {
+        hot_fraction: 0.85,
+        ..TenantSpec::default()
+    };
+    db.start_tenant(24, SimDuration::from_millis(40), tenant);
     let track = node0_track(&db);
     let hot: Vec<SegmentId> = track.iter().copied().take(4).collect();
     drive(&mut db, 30, move |_, c, now| {
@@ -174,13 +181,13 @@ fn explain_reproduces_every_decision_from_the_export_alone() {
         assert_eq!(r.span, e.span.map(|s| s.0));
     }
 
-    // The applied rebalance carries its prediction and links to a closed
+    // The applied scale-out carries its prediction and links to a closed
     // span whose realized attributes the explain line reports.
     let rebalance = parsed
         .decisions
         .iter()
-        .find(|r| r.trigger == "heat-skew" && r.outcome == "applied")
-        .expect("the stationary scenario rebalances");
+        .find(|r| r.trigger == "cpu-high" && r.outcome == "applied")
+        .expect("the stationary scenario scales out");
     assert!(rebalance.predicted.is_some(), "planned heat recorded");
     let span = parsed
         .span(rebalance.span.expect("applied decision links its span"))
@@ -192,8 +199,8 @@ fn explain_reproduces_every_decision_from_the_export_alone() {
     }
     let line = &parsed.explain()[rebalance.window as usize];
     for needle in [
-        "skew",
-        "Rebalance",
+        "cpu",
+        "ScaleOut",
         "applied",
         "predicted",
         "heat moved",
@@ -204,8 +211,11 @@ fn explain_reproduces_every_decision_from_the_export_alone() {
 
     // Signal values in the record are the ones the renderer prints.
     assert!(
-        needle_in(line, &format!("skew {:.2}", rebalance.signals.heat_skew)),
-        "rendered skew matches the recorded signal: {line:?}"
+        needle_in(
+            line,
+            &format!("cpu {:.2}", rebalance.signals.mean_active_cpu)
+        ),
+        "rendered cpu matches the recorded signal: {line:?}"
     );
 
     // The sample stream covers the decision windows.
