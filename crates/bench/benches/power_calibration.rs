@@ -4,9 +4,9 @@
 //! configuration ≈ 65 W (no drives) / 70–75 W (with drives); full cluster
 //! 260–280 W.
 
-use wattdb_common::{NodeId, SimTime};
+use wattdb_common::{NodeId, SimTime, Watts};
 use wattdb_core::{Cluster, ClusterConfig};
-use wattdb_energy::{proportionality_index, UtilPower};
+use wattdb_energy::{proportionality_index_rated, UtilPower};
 
 fn cluster_power(active: u16, utilization_hint: &str) -> f64 {
     let nodes: Vec<NodeId> = (0..active).map(NodeId).collect();
@@ -52,7 +52,8 @@ fn main() {
     );
 
     // Energy proportionality of the node-deactivating cluster vs. one
-    // always-on configuration (the paper's §1 motivation).
+    // always-on configuration (the paper's §1 motivation), both against
+    // the deployment's rated peak: ten nodes at full utilization.
     let steps: Vec<UtilPower> = (0..=10u16)
         .map(|n| {
             let p = if n == 0 {
@@ -62,19 +63,19 @@ fn main() {
             };
             UtilPower {
                 utilization: n as f64 / 10.0,
-                power: wattdb_common::Watts(p),
+                power: Watts(p),
             }
         })
         .collect();
     let always_on: Vec<UtilPower> = (0..=10u16)
         .map(|n| UtilPower {
             utilization: n as f64 / 10.0,
-            power: wattdb_common::Watts(full_idle + n as f64 * 4.0),
+            power: Watts(full_idle + n as f64 * 4.0),
         })
         .collect();
     println!(
-        "\nenergy-proportionality index: dynamic cluster {:.3} vs always-on {:.3}",
-        proportionality_index(&steps),
-        proportionality_index(&always_on)
+        "\nenergy-proportionality index (rated peak {full_load:.1} W): dynamic cluster {:.3} vs always-on {:.3}",
+        proportionality_index_rated(&steps, Watts(full_load)),
+        proportionality_index_rated(&always_on, Watts(full_load))
     );
 }

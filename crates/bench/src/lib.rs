@@ -131,7 +131,6 @@ fn cpu_scale_out(planner: Planner) -> PolicyConfig {
         cpu_low: 0.02,
         patience: 2,
         planner,
-        ..Default::default()
     }
 }
 
@@ -402,7 +401,6 @@ pub fn run_failover_recovery() -> FailoverRecovery {
         .policy(PolicyConfig {
             cpu_high: 1.1, // failover-only: every elasticity trigger inert
             cpu_low: 0.0,
-            net_high: 2.0,
             ..Default::default()
         })
         .autopilot(true)
@@ -467,7 +465,6 @@ pub fn run_drain_under_replication() -> DrainUnderReplication {
             cpu_high: 1.1, // drain-only: the idle cluster breaches cpu_low at once
             cpu_low: 0.5,
             patience: 2,
-            net_high: 2.0,
             ..Default::default()
         })
         .autopilot(true)

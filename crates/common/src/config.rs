@@ -64,8 +64,6 @@ pub struct HardwareSpec {
     /// Physical CPU cores (Atom D510: 2 cores; hyper-threads are folded into
     /// the per-op CPU costs rather than modelled as extra cores).
     pub cpu_cores: u32,
-    /// Main memory available to the buffer pool and sort workspaces.
-    pub memory: ByteSize,
     /// Drives attached to this node (paper: 1 HDD + 2 SSDs).
     pub disks: Vec<DiskSpec>,
 }
@@ -74,7 +72,6 @@ impl Default for HardwareSpec {
     fn default() -> Self {
         Self {
             cpu_cores: 2,
-            memory: ByteSize::gib(2),
             disks: vec![DiskSpec::hdd(), DiskSpec::ssd(), DiskSpec::ssd()],
         }
     }
@@ -117,9 +114,6 @@ pub struct NetworkSpec {
     pub bandwidth: u64,
     /// One-way message latency: NIC + switch + NIC, excluding serialization.
     pub hop_latency: SimDuration,
-    /// Fixed per-message software overhead (marshalling, syscalls) charged
-    /// to CPU at both endpoints.
-    pub per_message_cpu: SimDuration,
 }
 
 impl Default for NetworkSpec {
@@ -127,7 +121,6 @@ impl Default for NetworkSpec {
         Self {
             bandwidth: 117_000_000, // ~1 Gbit/s minus framing overhead
             hop_latency: SimDuration::from_micros(450),
-            per_message_cpu: SimDuration::from_micros(25),
         }
     }
 }
@@ -235,7 +228,6 @@ mod tests {
     fn default_node_shape_matches_paper() {
         let hw = HardwareSpec::default();
         assert_eq!(hw.cpu_cores, 2);
-        assert_eq!(hw.memory, ByteSize::gib(2));
         assert_eq!(hw.disks.len(), 3);
         assert_eq!(hw.disks[0].kind, DiskKind::Hdd);
         assert_eq!(hw.disks[1].kind, DiskKind::Ssd);

@@ -610,6 +610,9 @@ impl WattDb {
 
     /// The experiment time series, resolved against the power meter:
     /// `(bucket start, qps, mean response ms, mean power W, J/query)`.
+    /// qps and J/query count modeled transactions (a pooled carrier's
+    /// completion counts its weight); the mean response is over the
+    /// transactions that executed.
     pub fn timeseries(&self) -> Vec<(SimTime, f64, f64, f64, f64)> {
         let c = self.cluster.borrow();
         let bucket = c.metrics.qps.width();
@@ -627,20 +630,20 @@ impl WattDb {
             .qps
             .iter()
             .zip(c.metrics.response.iter())
-            .map(|((at, count, _), (_, _, resp_sum))| {
+            .map(|((at, _, modeled), (_, executed, resp_sum))| {
                 let b = at.as_micros() / bucket.as_micros();
                 let power = power_sum
                     .get(&b)
                     .map(|(sum, n)| sum / *n as f64)
                     .unwrap_or(0.0);
-                let qps = count as f64 / bucket_secs;
-                let resp = if count > 0 {
-                    resp_sum / count as f64
+                let qps = modeled / bucket_secs;
+                let resp = if executed > 0 {
+                    resp_sum / executed as f64
                 } else {
                     0.0
                 };
-                let jpq = if count > 0 {
-                    power * bucket_secs / count as f64
+                let jpq = if modeled > 0.0 {
+                    power * bucket_secs / modeled
                 } else {
                     0.0
                 };
@@ -773,6 +776,39 @@ mod tests {
         let (_, qps, _resp, power, _jpq) = ts[0];
         assert!(qps > 0.0);
         assert!(power > 40.0, "cluster draws real power: {power}");
+    }
+
+    #[test]
+    fn pooled_timeseries_counts_modeled_transactions() {
+        // 4 100 modeled clients on the 2 048-carrier budget: weight 3.
+        let mut db = WattDb::builder()
+            .nodes(4)
+            .warehouses(2)
+            .density(0.01)
+            .segment_pages(8)
+            .initial_data_nodes(&[NodeId(0), NodeId(1)])
+            .seed(7)
+            .client_batching(wattdb_tpcc::ClientBatching::Pooled)
+            .build();
+        db.start_oltp(4_100, SimDuration::from_secs(20));
+        db.run_for(SimDuration::from_secs(10));
+        let weight = db.with_cluster(|c| c.pool.as_ref().map(|p| p.weight()));
+        assert_eq!(weight, Some(3));
+        let ts = db.timeseries();
+        let bucket = db.with_cluster(|c| c.metrics.qps.width().as_secs_f64());
+        let modeled: f64 = ts.iter().map(|&(_, qps, ..)| qps * bucket).sum();
+        let completed = db.completed() as f64;
+        assert!(completed > 0.0);
+        assert!(
+            (modeled - completed).abs() < 1e-6 * completed,
+            "the series counts {modeled} transactions, the run {completed}"
+        );
+        for &(_, qps, _, power, jpq) in ts.iter().filter(|r| r.1 > 0.0) {
+            assert!(
+                (jpq * qps - power).abs() < 1e-6 * power,
+                "J/query × qps = W"
+            );
+        }
     }
 
     #[test]

@@ -176,7 +176,6 @@ pub(crate) fn step(cl: &ClusterRc, sim: &mut Sim, view: &ClusterView, window: u6
             applied.and_then(|a| a.span),
         );
     };
-    let rebalancing = cl.borrow().mover.is_some();
     // Failover detection outranks every threshold: a failed node still
     // referenced by the replica map means orphaned segments and dangling
     // follower slots, and `policy::apply` acts on a promotion even while
@@ -227,7 +226,7 @@ pub(crate) fn step(cl: &ClusterRc, sim: &mut Sim, view: &ClusterView, window: u6
     // Observe *after* any suspension, so a node just returned to standby
     // is immediately available as a scale-out target.
     let (standby, with_data) = observe(cl);
-    let decision = policy.evaluate(view, &standby, &with_data, rebalancing);
+    let decision = policy.evaluate(view, &standby, &with_data);
     // `evaluate` froze this window's signal vector; the record below —
     // Hold included — carries it, so the exported timeline can explain
     // *why* each decision (or non-decision) was made.

@@ -54,8 +54,8 @@ struct Wire {
 }
 
 /// The response in progress (first attach to last detach): its span,
-/// which carries the attach time and the summed predicted relief, and the
-/// counters realized relief is measured against.
+/// which carries the attach time, and the counters realized relief is
+/// measured against.
 #[derive(Debug, Clone, Copy)]
 struct Response {
     span: SpanId,
@@ -170,10 +170,6 @@ pub fn attach(c: &mut Cluster, a: &HelperAttach, now: SimTime) {
     let span = match helpers.response {
         None => {
             let span = spans.start("helpers", now);
-            // A scripted list predicts no relief: the realized figure the
-            // closing detach sets reads against zero.
-            spans.set_attr(span, "predicted_relief_mbps", 0.0.into());
-            spans.set_attr(span, "scripted", true.into());
             let (shipped_bytes, remote_hits) = (helpers.shipped_bytes, remote_hits(&c.nodes));
             let response = Response {
                 span,

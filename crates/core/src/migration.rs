@@ -275,8 +275,8 @@ pub struct Applied {
     /// additionally opens `power-down`, kept on the cluster until the
     /// nodes suspend), else the `failover` span for a promotion.
     pub span: Option<wattdb_telemetry::SpanId>,
-    /// What the plan predicted: heat to relocate for moves; zero relief
-    /// for a scripted helper attachment.
+    /// What the plan predicted: heat to relocate for moves. A scripted
+    /// helper attachment predicts nothing.
     pub predicted: Option<f64>,
 }
 
@@ -343,7 +343,7 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
         }
         if let Some(a) = &plan.attach {
             crate::helpers::attach(c, a, now);
-            report = Some((c.helpers.span(), Some(0.0)));
+            report = Some((c.helpers.span(), None));
         }
 
         for &n in &plan.drain {

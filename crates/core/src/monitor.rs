@@ -2,9 +2,11 @@
 //!
 //! "Every node is monitoring its utilization: CPU, memory consumption,
 //! network I/O, and disk utilization [...] the nodes send their monitoring
-//! data every few seconds to the master node." The master compares reports
-//! against thresholds and decides on scale-out/scale-in
-//! ([`crate::policy`]).
+//! data every few seconds to the master node." The master compares each
+//! active node's CPU against the thresholds and decides on
+//! scale-out/scale-in ([`crate::policy`]). Heat, read fan-out and replica
+//! shipping only rank the node a scale-in drains; every window exports
+//! the per-node CPU, NIC, heat, shipping and fan-out as gauges.
 //!
 //! A deployment runs one such window loop ([`start_monitoring`]): the
 //! node probes are stateful window samplers and tolerate exactly one
@@ -39,9 +41,10 @@ pub struct NodeReport {
     pub heat: f64,
     /// NIC egress attributable to steady-state replica shipping over the
     /// window, in the same utilization units as `net_tx` (wire time of
-    /// the window's shipped replica bytes over the window). An overload
-    /// test on raw `net_tx` would count WAL fan-out as workload — this is
-    /// the share to subtract first.
+    /// the window's shipped replica bytes over the window). The drain
+    /// pick breaks effective-load ties on it, after the follower read
+    /// fan-out ([`crate::policy::coldest_drain_target`]), and each window
+    /// exports it as the `node.{n}.replica_ship` gauge.
     pub replica_ship_tx: f64,
     /// Share of the cluster's routed replica reads this node served over
     /// the window, in \[0,1\] — how much of the read fan-out this node is
@@ -103,29 +106,6 @@ impl ClusterView {
             return 0.0;
         }
         active.iter().map(|r| r.cpu).sum::<f64>() / active.len() as f64
-    }
-
-    /// The heat-skew signals over the active nodes: (ratio of the hottest
-    /// one's heat to their mean heat, that mean). The ratio is 1.0 when
-    /// perfectly balanced, large when skewed, and zero when there is no
-    /// heat.
-    pub fn heat_skew(&self) -> (f64, f64) {
-        let heats: Vec<f64> = self
-            .reports
-            .iter()
-            .filter(|r| r.active)
-            .map(|r| r.heat)
-            .collect();
-        if heats.is_empty() {
-            return (0.0, 0.0);
-        }
-        let mean = heats.iter().sum::<f64>() / heats.len() as f64;
-        let skew = if mean <= 0.0 {
-            0.0
-        } else {
-            heats.iter().copied().fold(0.0, f64::max) / mean
-        };
-        (skew, mean)
     }
 }
 
@@ -202,22 +182,5 @@ mod tests {
     fn empty_view() {
         let view = ClusterView::default();
         assert_eq!(view.mean_active_cpu(), 0.0);
-        assert_eq!(view.heat_skew(), (0.0, 0.0));
-    }
-
-    #[test]
-    fn heat_rollup_helpers() {
-        let mut a = report(0, 0.5, true);
-        a.heat = 9.0;
-        let mut b = report(1, 0.5, true);
-        b.heat = 3.0;
-        let mut standby = report(2, 0.0, false);
-        standby.heat = 100.0; // standby excluded from the active view
-        let view = ClusterView {
-            reports: vec![a, b, standby],
-        };
-        let (skew, mean) = view.heat_skew();
-        assert!((skew - 1.5).abs() < 1e-9, "{skew}");
-        assert!((mean - 6.0).abs() < 1e-9);
     }
 }

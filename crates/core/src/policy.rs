@@ -6,8 +6,8 @@
 //! whether to power on additional nodes [...] Similarly, underutilized
 //! nodes trigger a scale-in protocol." The CPU ceiling is 80 %.
 //!
-//! [`ElasticityPolicy`] is that controller and nothing more. A node whose
-//! CPU or NIC is over its bound (`cpu_high`, `net_high`) for `patience`
+//! [`ElasticityPolicy`] is that controller and nothing more. It reads one
+//! signal, each active node's CPU: a node over `cpu_high` for `patience`
 //! windows scales the cluster out onto standbys; a streak of `patience`
 //! windows in which every active node sits below `cpu_low` scales in the
 //! **coldest** drainable node (its segments are the cheapest to
@@ -47,12 +47,6 @@ pub struct PolicyConfig {
     pub patience: u32,
     /// Which planner turns decisions into segment moves.
     pub planner: Planner,
-    /// NIC egress utilization above which a node counts as saturated when
-    /// the policy sizes the cluster — so a node drowning in shipped log
-    /// traffic and remote buffer reads weighs into the scale-out signal
-    /// even though its *CPU* stays modest. Values ≥ 1 disable the NIC
-    /// signal.
-    pub net_high: f64,
 }
 
 impl Default for PolicyConfig {
@@ -62,7 +56,6 @@ impl Default for PolicyConfig {
             cpu_low: 0.25,
             patience: 3,
             planner: Planner::HeatAware,
-            net_high: 0.9,
         }
     }
 }
@@ -98,18 +91,14 @@ pub enum Decision {
     },
 }
 
-/// The signal vector frozen at the top of every
-/// [`ElasticityPolicy::evaluate`] call: the heat skew and mean heat of the
-/// window (reported, not acted on), and the CPU streak counters as of the
+/// The policy's own state frozen at the top of every
+/// [`ElasticityPolicy::evaluate`] call: the CPU streak counters as of the
 /// previous window (this window's breach, if any, increments them after
-/// the freeze). The telemetry timeline records this with every decision —
-/// `Hold` included — so `explain()` can say *why* nothing happened.
+/// the freeze). The telemetry timeline records them with every decision —
+/// `Hold` included — beside the CPU readings the view carries, so
+/// `explain()` can say *why* nothing happened.
 #[derive(Debug, Clone, Copy, PartialEq, Default)]
 pub struct PolicySignals {
-    /// Heat-skew ratio over the active nodes.
-    pub skew: f64,
-    /// Mean active heat the skew was computed against.
-    pub mean_heat: f64,
     /// Consecutive hot windows before this one.
     pub high_streak: u32,
     /// Consecutive all-low windows before this one.
@@ -144,11 +133,9 @@ impl ElasticityPolicy {
     }
 
     /// Evaluate one monitoring view. `standby` lists nodes available to
-    /// power on; `active_with_data` the nodes currently serving;
-    /// `rebalancing` whether a migration is already in flight (it mutes
-    /// the NIC signal).
+    /// power on; `active_with_data` the nodes currently serving.
     ///
-    /// Precedence: CPU or NIC saturation (scale-out) beats everything — an
+    /// Precedence: CPU saturation (scale-out) beats everything — an
     /// overloaded cluster needs more hardware. A hot cluster with no
     /// standby to power on holds, and so does a window between the
     /// bounds.
@@ -157,37 +144,15 @@ impl ElasticityPolicy {
         view: &ClusterView,
         standby: &[NodeId],
         active_with_data: &[NodeId],
-        rebalancing: bool,
     ) -> Decision {
-        // Freeze the signal vector the branches below act on: the
-        // telemetry timeline attaches it to this window's decision.
-        let (skew, mean_heat) = view.heat_skew();
+        // Freeze the streaks the branches below act on: the telemetry
+        // timeline attaches them to this window's decision.
         self.signals = PolicySignals {
-            skew,
-            mean_heat,
             high_streak: self.high_streak,
             low_streak: self.low_streak,
         };
-        // A node saturates on CPU *or* on its NIC: a node absorbing log
-        // shipping and remote buffer reads loads its interconnect rather
-        // than its CPU, and must still count when sizing the cluster. The
-        // NIC signal is muted while a rebalance is in flight — bulk
-        // segment copies saturate the source's egress by design, and
-        // reading that self-inflicted burst as load would demand scale-out
-        // (hence more copying) from a cluster that is merely reorganizing
-        // itself. Steady-state replica shipping is subtracted for the same
-        // reason: a replicated hot-read workload fans its WAL out to
-        // followers every window, and counting that egress as workload
-        // would let replication self-trigger spurious scale-outs.
-        let hot: Vec<NodeId> = view
-            .reports
-            .iter()
-            .filter(|r| {
-                let workload_tx = (r.net_tx - r.replica_ship_tx).max(0.0);
-                r.active
-                    && (r.cpu > self.cfg.cpu_high
-                        || (!rebalancing && workload_tx > self.cfg.net_high))
-            })
+        let hot: Vec<NodeId> = (view.reports.iter())
+            .filter(|r| r.active && r.cpu > self.cfg.cpu_high)
             .map(|r| r.node)
             .collect();
         if !hot.is_empty() {
@@ -532,8 +497,8 @@ mod tests {
         let hot = view(&[(0, 0.95), (1, 0.5)]);
         let standby = [NodeId(2), NodeId(3)];
         let data = [NodeId(0), NodeId(1)];
-        assert_eq!(p.evaluate(&hot, &standby, &data, false), Decision::Hold);
-        match p.evaluate(&hot, &standby, &data, false) {
+        assert_eq!(p.evaluate(&hot, &standby, &data), Decision::Hold);
+        match p.evaluate(&hot, &standby, &data) {
             Decision::ScaleOut { sources, targets } => {
                 assert_eq!(sources, vec![NodeId(0)]);
                 assert_eq!(targets, vec![NodeId(2)]);
@@ -549,7 +514,7 @@ mod tests {
             ..Default::default()
         });
         let hot = view(&[(0, 0.95)]);
-        assert_eq!(p.evaluate(&hot, &[], &[NodeId(0)], false), Decision::Hold);
+        assert_eq!(p.evaluate(&hot, &[], &[NodeId(0)]), Decision::Hold);
     }
 
     #[test]
@@ -563,11 +528,11 @@ mod tests {
         });
         let hot = view(&[(0, 0.95)]);
         let data = [NodeId(0)];
-        assert_eq!(p.evaluate(&hot, &[], &data, false), Decision::Hold);
-        assert_eq!(p.evaluate(&hot, &[], &data, false), Decision::Hold);
-        assert_eq!(p.evaluate(&hot, &[], &data, false), Decision::Hold);
+        assert_eq!(p.evaluate(&hot, &[], &data), Decision::Hold);
+        assert_eq!(p.evaluate(&hot, &[], &data), Decision::Hold);
+        assert_eq!(p.evaluate(&hot, &[], &data), Decision::Hold);
         let standby = [NodeId(2)];
-        match p.evaluate(&hot, &standby, &data, false) {
+        match p.evaluate(&hot, &standby, &data) {
             Decision::ScaleOut { sources, targets } => {
                 assert_eq!(sources, vec![NodeId(0)]);
                 assert_eq!(targets, vec![NodeId(2)]);
@@ -584,8 +549,8 @@ mod tests {
         });
         let idle = view(&[(0, 0.05), (1, 0.1)]);
         let data = [NodeId(0), NodeId(1)];
-        assert_eq!(p.evaluate(&idle, &[], &data, false), Decision::Hold);
-        match p.evaluate(&idle, &[], &data, false) {
+        assert_eq!(p.evaluate(&idle, &[], &data), Decision::Hold);
+        match p.evaluate(&idle, &[], &data) {
             Decision::ScaleIn { drain } => assert_eq!(drain, vec![NodeId(1)]),
             other => panic!("expected scale-in, got {other:?}"),
         }
@@ -604,7 +569,7 @@ mod tests {
             r.cpu = 0.05;
         }
         let data = [NodeId(0), NodeId(1), NodeId(2)];
-        match p.evaluate(&v, &[], &data, false) {
+        match p.evaluate(&v, &[], &data) {
             Decision::ScaleIn { drain } => assert_eq!(drain, vec![NodeId(2)]),
             other => panic!("expected coldest-node scale-in, got {other:?}"),
         }
@@ -625,7 +590,7 @@ mod tests {
             ..Default::default()
         });
         let idle = view(&[(0, 0.05)]);
-        assert_eq!(p.evaluate(&idle, &[], &[NodeId(0)], false), Decision::Hold);
+        assert_eq!(p.evaluate(&idle, &[], &[NodeId(0)]), Decision::Hold);
     }
 
     #[test]
@@ -638,65 +603,10 @@ mod tests {
         let cool = view(&[(0, 0.5)]);
         let standby = [NodeId(2)];
         let data = [NodeId(0)];
-        p.evaluate(&hot, &standby, &data, false);
-        p.evaluate(&hot, &standby, &data, false);
-        p.evaluate(&cool, &standby, &data, false); // streak resets
-        assert_eq!(p.evaluate(&hot, &standby, &data, false), Decision::Hold);
-    }
-
-    #[test]
-    fn saturated_helper_nic_counts_towards_scale_out() {
-        // Node 2's CPU is modest but its NIC drowns in shipped log
-        // traffic and remote buffer reads (the shape a busy helper or
-        // replica host presents): the scale-out signal must see it when
-        // sizing the cluster.
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 1,
-            ..Default::default()
-        });
-        let mut v = view(&[(0, 0.5), (1, 0.5), (2, 0.3)]);
-        v.reports[2].net_tx = 0.95;
-        let standby = [NodeId(3)];
-        let data = [NodeId(0), NodeId(1)];
-        match p.evaluate(&v, &standby, &data, false) {
-            Decision::ScaleOut { sources, .. } => assert_eq!(sources, vec![NodeId(2)]),
-            other => panic!("NIC-saturated node must size the cluster up, got {other:?}"),
-        }
-        // With the NIC signal disabled the same view holds.
-        let mut off = ElasticityPolicy::new(PolicyConfig {
-            patience: 1,
-            net_high: 1.0,
-            ..Default::default()
-        });
-        assert_eq!(off.evaluate(&v, &standby, &data, false), Decision::Hold);
-    }
-
-    #[test]
-    fn nic_high_subtracts_replica_shipping_egress() {
-        // Node 2's NIC runs hot, but nearly all of it is steady-state WAL
-        // fan-out to followers — self-inflicted replication traffic, not
-        // workload. The hot-set test must not size the cluster up for it.
-        let mut p = ElasticityPolicy::new(PolicyConfig {
-            patience: 1,
-            ..Default::default()
-        });
-        let mut v = view(&[(0, 0.5), (1, 0.5), (2, 0.3)]);
-        v.reports[2].net_tx = 0.95;
-        v.reports[2].replica_ship_tx = 0.9;
-        let standby = [NodeId(3)];
-        let data = [NodeId(0), NodeId(1)];
-        assert_eq!(
-            p.evaluate(&v, &standby, &data, false),
-            Decision::Hold,
-            "replica shipping egress must not read as workload"
-        );
-        // The same NIC reading with no shipping behind it is real
-        // workload and still fires.
-        v.reports[2].replica_ship_tx = 0.0;
-        match p.evaluate(&v, &standby, &data, false) {
-            Decision::ScaleOut { sources, .. } => assert_eq!(sources, vec![NodeId(2)]),
-            other => panic!("genuine NIC saturation must still scale out, got {other:?}"),
-        }
+        p.evaluate(&hot, &standby, &data);
+        p.evaluate(&hot, &standby, &data);
+        p.evaluate(&cool, &standby, &data); // streak resets
+        assert_eq!(p.evaluate(&hot, &standby, &data), Decision::Hold);
     }
 
     #[test]
@@ -946,8 +856,8 @@ mod tests {
             "the drained node left the placement pools"
         );
 
-        // A scripted helper attachment: the helpers span, with no relief
-        // predicted; its detach closes that span and still points at it.
+        // A scripted helper attachment: the helpers span and no prediction;
+        // its detach closes that span and still points at it.
         let mut db = deployment(0);
         let attach = db.run(ControlPlan {
             attach: Some(crate::migration::HelperAttach::manual(
@@ -958,7 +868,7 @@ mod tests {
         });
         assert_eq!(span_name(&db, attach.span), ("helpers".into(), true));
         assert_eq!(attach.span, db.with_cluster(|c| c.helpers.span()));
-        assert_eq!(attach.predicted, Some(0.0));
+        assert_eq!(attach.predicted, None);
         let detach = db.run(ControlPlan {
             detach: vec![NodeId(3)],
             ..Default::default()

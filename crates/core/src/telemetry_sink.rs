@@ -56,17 +56,14 @@ pub fn outcome_label(outcome: &Outcome) -> String {
     }
 }
 
-/// Combine the monitoring view and the policy's frozen signals into the
-/// exported signal vector.
+/// Combine the monitoring view's CPU readings and the policy's frozen
+/// streaks into the exported signal vector: what the controller read.
 pub fn signal_vector(view: &ClusterView, sig: &PolicySignals) -> SignalVector {
     let active = || view.reports.iter().filter(|r| r.active);
     let active_nodes = active().count();
     SignalVector {
         mean_active_cpu: view.mean_active_cpu(),
         max_cpu: active().map(|r| r.cpu).fold(0.0, f64::max),
-        max_net: active().map(|r| r.net_tx).fold(0.0, f64::max),
-        heat_skew: sig.skew,
-        mean_heat: sig.mean_heat,
         active_nodes: active_nodes as u64,
         standby_nodes: (view.reports.len() - active_nodes) as u64,
         high_streak: sig.high_streak as u64,
@@ -162,7 +159,6 @@ pub fn sample_window(c: &mut Cluster, view: &ClusterView, at: SimTime, events: u
         let active = if report.active { 1.0 } else { 0.0 };
         gauge(r, format_args!("node.{n}.active"), active);
     }
-    r.set_gauge("heat.skew", view.heat_skew().0);
     // Replication: shipped bytes, WAL shipping lag (worst follower),
     // follower read fan-out, re-replication repair traffic.
     c.replication.export(r, &c.nodes, &mut name);
@@ -240,15 +236,13 @@ mod tests {
             ],
         };
         let sig = PolicySignals {
-            skew: 1.5,
             high_streak: 2,
-            ..Default::default()
+            low_streak: 0,
         };
         let s = signal_vector(&view, &sig);
         assert!((s.mean_active_cpu - 0.5).abs() < 1e-9);
         assert!((s.max_cpu - 0.9).abs() < 1e-9);
-        // The skew is the policy's frozen one, not recomputed.
-        assert_eq!(s.heat_skew, 1.5);
+        // The streaks are the policy's frozen ones, not recomputed.
         assert_eq!(s.high_streak, 2);
         assert_eq!(s.active_nodes, 2);
         assert_eq!(s.standby_nodes, 1);

@@ -15,7 +15,5 @@ pub mod scorecard;
 
 pub use meter::{EnergyMeter, PowerSample};
 pub use power::{NodeState, PowerModel};
-pub use proportionality::{
-    idle_to_peak_ratio, proportionality_index, proportionality_index_rated, UtilPower,
-};
+pub use proportionality::{proportionality_index_rated, UtilPower};
 pub use scorecard::{score_export, score_jsonl, PhaseScore, PhaseSpan, Scorecard};

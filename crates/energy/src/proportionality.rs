@@ -3,8 +3,8 @@
 //! The paper's motivation (§1, citing Barroso & Hölzle) is that single
 //! servers draw ~50 % of peak power at idle and hence are far from energy
 //! proportional. This module quantifies that: given (utilization, power)
-//! observations, it computes how close a system tracks the ideal
-//! `P(u) = u · P(1.0)` line.
+//! observations and the deployment's rated peak, it computes how close a
+//! system tracks the ideal `P(u) = u · P_peak` line.
 
 use wattdb_common::Watts;
 
@@ -45,41 +45,6 @@ pub fn proportionality_index_rated(observations: &[UtilPower], p_peak: Watts) ->
     (1.0 - mean_excess).clamp(0.0, 1.0)
 }
 
-/// Energy-proportionality index normalized by the **observed** peak —
-/// the legacy form, which delegates to
-/// [`proportionality_index_rated`] with the highest power in the
-/// observations. Prefer the rated form when the deployment's `P_peak`
-/// is known (see `WattDb::rated_peak_watts` in `wattdb-core`).
-pub fn proportionality_index(observations: &[UtilPower]) -> f64 {
-    let peak = observations
-        .iter()
-        .map(|o| o.power.0)
-        .fold(f64::NAN, f64::max);
-    if !peak.is_finite() {
-        return 0.0;
-    }
-    proportionality_index_rated(observations, Watts(peak))
-}
-
-/// The "power range" figure of merit: idle power as a fraction of peak.
-/// Barroso & Hölzle report ~0.5 for the servers that motivated the paper.
-pub fn idle_to_peak_ratio(observations: &[UtilPower]) -> f64 {
-    let peak = observations
-        .iter()
-        .map(|o| o.power.0)
-        .fold(f64::NAN, f64::max);
-    let idle = observations
-        .iter()
-        .filter(|o| o.utilization <= 0.05)
-        .map(|o| o.power.0)
-        .fold(f64::NAN, f64::min);
-    if peak.is_finite() && idle.is_finite() && peak > 0.0 {
-        idle / peak
-    } else {
-        0.0
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -97,14 +62,14 @@ mod tests {
     #[test]
     fn perfectly_proportional_scores_one() {
         let o = obs(&[(0.0, 0.0), (0.25, 25.0), (0.5, 50.0), (1.0, 100.0)]);
-        assert!((proportionality_index(&o) - 1.0).abs() < 1e-9);
+        assert!((proportionality_index_rated(&o, Watts(100.0)) - 1.0).abs() < 1e-9);
     }
 
     #[test]
     fn flat_power_scores_low() {
         // Draws peak power regardless of utilization.
         let o = obs(&[(0.0, 100.0), (0.5, 100.0), (1.0, 100.0)]);
-        let idx = proportionality_index(&o);
+        let idx = proportionality_index_rated(&o, Watts(100.0));
         assert!(idx < 0.6, "flat curve should score poorly, got {idx}");
     }
 
@@ -114,29 +79,27 @@ mod tests {
         let server = obs(&[(0.0, 50.0), (0.5, 75.0), (1.0, 100.0)]);
         // Node-deactivating cluster: near-proportional steps.
         let cluster = obs(&[(0.0, 12.0), (0.5, 55.0), (1.0, 100.0)]);
-        assert!(proportionality_index(&cluster) > proportionality_index(&server));
-        assert!((idle_to_peak_ratio(&server) - 0.5).abs() < 1e-9);
-        assert!(idle_to_peak_ratio(&cluster) < 0.2);
+        let peak = Watts(100.0);
+        assert!(
+            proportionality_index_rated(&cluster, peak)
+                > proportionality_index_rated(&server, peak)
+        );
     }
 
     #[test]
     fn degenerate_inputs() {
-        assert_eq!(proportionality_index(&[]), 0.0);
         assert_eq!(proportionality_index_rated(&[], Watts(100.0)), 0.0);
         assert_eq!(
             proportionality_index_rated(&obs(&[(0.5, 50.0)]), Watts(0.0)),
             0.0
         );
-        assert_eq!(idle_to_peak_ratio(&[]), 0.0);
     }
 
     #[test]
     fn rated_peak_fixes_the_yardstick_across_runs() {
         // The same near-proportional power curve, once captured through
-        // its full-load moment and once truncated before it. The rated
-        // form scores both runs almost identically; the observed-peak
-        // form re-draws the ideal line through whatever the shorter
-        // trace happened to see and grades it far more harshly.
+        // its full-load moment and once truncated before it: against the
+        // rated peak both runs score almost identically.
         let full = obs(&[(0.1, 30.0), (0.5, 100.0), (1.0, 200.0)]);
         let partial = obs(&[(0.1, 30.0), (0.5, 100.0)]);
         let rated = Watts(200.0);
@@ -146,14 +109,5 @@ mod tests {
             (r_full - r_partial).abs() < 0.03,
             "rated yardstick stable: {r_full} vs {r_partial}"
         );
-        let o_partial = proportionality_index(&partial);
-        assert!(
-            r_partial - o_partial > 0.2,
-            "observed peak re-grades the truncated run: rated {r_partial}, observed {o_partial}"
-        );
-        // With the rated peak equal to the observed peak both agree.
-        let a = proportionality_index(&full);
-        let b = proportionality_index_rated(&full, Watts(200.0));
-        assert!((a - b).abs() < 1e-12);
     }
 }

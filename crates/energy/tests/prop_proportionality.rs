@@ -7,7 +7,7 @@
 
 use proptest::prelude::*;
 use wattdb_common::Watts;
-use wattdb_energy::{proportionality_index, proportionality_index_rated, UtilPower};
+use wattdb_energy::{proportionality_index_rated, UtilPower};
 
 fn obs(pairs: &[(f64, f64)]) -> Vec<UtilPower> {
     pairs
@@ -22,19 +22,14 @@ fn obs(pairs: &[(f64, f64)]) -> Vec<UtilPower> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(64))]
 
-    /// Both index forms stay inside [0,1] for any finite observations.
+    /// The index stays inside [0,1] for any finite observations.
     #[test]
     fn index_is_bounded(
         pairs in proptest::collection::vec((0.0f64..1.5, 0.0f64..500.0), 1..40),
         rated in 1.0f64..400.0,
     ) {
-        let o = obs(&pairs);
-        for idx in [
-            proportionality_index(&o),
-            proportionality_index_rated(&o, Watts(rated)),
-        ] {
-            prop_assert!((0.0..=1.0).contains(&idx), "index {idx} out of bounds");
-        }
+        let idx = proportionality_index_rated(&obs(&pairs), Watts(rated));
+        prop_assert!((0.0..=1.0).contains(&idx), "index {idx} out of bounds");
     }
 
     /// The index is a mean over observations, so any permutation of the
@@ -52,9 +47,6 @@ proptest! {
         prop_assert!(
             (proportionality_index_rated(&o, p)
                 - proportionality_index_rated(&rotated, p)).abs() < 1e-12
-        );
-        prop_assert!(
-            (proportionality_index(&o) - proportionality_index(&rotated)).abs() < 1e-12
         );
     }
 

@@ -19,7 +19,7 @@ use crate::span::{AttrValue, Span, SpanEvent, SpanId};
 use crate::timeline::{DecisionRecord, SignalVector};
 
 /// Schema version stamped into the `meta` line.
-pub const SCHEMA_VERSION: u64 = 2;
+pub const SCHEMA_VERSION: u64 = 3;
 
 /// The `meta` header line.
 #[derive(Debug, Clone, PartialEq, Eq, Default)]
@@ -174,14 +174,9 @@ pub fn decision_line(record: &DecisionRecord) -> String {
         out.push_str(": ");
         out.push_str(render);
     };
-    let mut f64s = String::new();
-    json::write_f64(&mut f64s, s.mean_active_cpu);
-    field(&mut out, "mean_active_cpu", &f64s);
     for (name, v) in [
+        ("mean_active_cpu", s.mean_active_cpu),
         ("max_cpu", s.max_cpu),
-        ("max_net", s.max_net),
-        ("heat_skew", s.heat_skew),
-        ("mean_heat", s.mean_heat),
     ] {
         let mut buf = String::new();
         json::write_f64(&mut buf, v);
@@ -329,9 +324,6 @@ fn decode_decision(v: &JsonValue) -> Result<DecisionRecord, String> {
     let signals = SignalVector {
         mean_active_cpu: need_f64(sig, "mean_active_cpu")?,
         max_cpu: need_f64(sig, "max_cpu")?,
-        max_net: need_f64(sig, "max_net")?,
-        heat_skew: need_f64(sig, "heat_skew")?,
-        mean_heat: need_f64(sig, "mean_heat")?,
         active_nodes: need_u64(sig, "active_nodes")?,
         standby_nodes: need_u64(sig, "standby_nodes")?,
         high_streak: need_u64(sig, "high_streak")?,
@@ -481,7 +473,7 @@ mod tests {
 
     #[test]
     fn malformed_lines_are_rejected_with_position() {
-        let err = parse_jsonl("{\"kind\": \"meta\", \"version\": 2, \"spans_dropped\": 0, \"samples_dropped\": 0, \"decisions_dropped\": 0}\n{\"kind\": \"span\"}\n").unwrap_err();
+        let err = parse_jsonl("{\"kind\": \"meta\", \"version\": 3, \"spans_dropped\": 0, \"samples_dropped\": 0, \"decisions_dropped\": 0}\n{\"kind\": \"span\"}\n").unwrap_err();
         assert_eq!(err.line, 2);
         assert!(parse_jsonl("{\"kind\": \"mystery\"}\n").is_err());
         assert!(parse_jsonl("not json\n").is_err());
@@ -489,26 +481,31 @@ mod tests {
 
     #[test]
     fn a_version_1_export_is_refused() {
-        // A version-1 decision line still carries the skew trigger's four
-        // signal fields; the file is refused by its version, whatever its
-        // lines hold.
-        let text = concat!(
-            "{\"kind\": \"meta\", \"version\": 1, \"spans_dropped\": 0, ",
-            "\"samples_dropped\": 0, \"decisions_dropped\": 0}\n",
-            "{\"kind\": \"decision\", \"window\": 0, \"at\": 5000000, ",
-            "\"decision\": \"Hold\", \"trigger\": \"\", \"outcome\": \"hold\", ",
-            "\"predicted\": null, \"span\": null, \"signals\": {",
+        // Each older version's decision line carries the signal fields it
+        // had: version 1 the skew trigger's four and the NIC and heat-skew
+        // three, version 2 the three. Both parse line by line; the file is
+        // refused by its version, whatever its lines hold.
+        let v2_signals = concat!(
             "\"mean_active_cpu\": 0.5, \"max_cpu\": 0.5, \"max_net\": 0.0, ",
             "\"heat_skew\": 1.0, \"mean_heat\": 2.0, \"active_nodes\": 2, ",
-            "\"standby_nodes\": 2, \"high_streak\": 0, \"low_streak\": 0, ",
-            "\"skew_streak\": 0, \"cooldown_left\": 0, \"skew_fires\": 0, ",
-            "\"subsided\": false}}\n",
+            "\"standby_nodes\": 2, \"high_streak\": 0, \"low_streak\": 0",
         );
-        let err = parse_jsonl(text).unwrap_err();
-        assert_eq!(err.line, 1);
-        assert!(
-            err.msg.starts_with("schema version 1 (expected 2)"),
-            "{err:?}"
+        let v1_signals = format!(
+            "{v2_signals}, \"skew_streak\": 0, \"cooldown_left\": 0, \
+             \"skew_fires\": 0, \"subsided\": false"
         );
+        for (version, signals) in [(1, v1_signals.as_str()), (2, v2_signals)] {
+            let text = format!(
+                "{{\"kind\": \"meta\", \"version\": {version}, \"spans_dropped\": 0, \
+                 \"samples_dropped\": 0, \"decisions_dropped\": 0}}\n\
+                 {{\"kind\": \"decision\", \"window\": 0, \"at\": 5000000, \
+                 \"decision\": \"Hold\", \"trigger\": \"\", \"outcome\": \"hold\", \
+                 \"predicted\": null, \"span\": null, \"signals\": {{{signals}}}}}\n"
+            );
+            let err = parse_jsonl(&text).unwrap_err();
+            assert_eq!(err.line, 1, "version {version}");
+            let expected = format!("schema version {version} (expected 3)");
+            assert!(err.msg.starts_with(&expected), "{err:?}");
+        }
     }
 }

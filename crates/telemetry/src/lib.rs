@@ -6,17 +6,17 @@
 //!
 //! * **Tracing spans** ([`span`]): sim-time-stamped, id-linked spans for
 //!   every long-running operation, with structured attributes (planned
-//!   vs. realized heat/bytes, predicted vs. realized relief) and child
-//!   events, kept in a bounded ring.
+//!   vs. realized heat/bytes, realized helper relief) and child events,
+//!   kept in a bounded ring.
 //! * **Metrics registry** ([`registry`]): named counters and gauges
 //!   frozen once per monitoring window into a deterministic time-series
 //!   snapshot.
 //! * **Decision timeline** ([`timeline`]): one record per monitoring
 //!   window — `Hold` included — carrying the full signal vector the
 //!   policy saw, linked to the span its decision started, rendered by
-//!   `explain()` as "window 42 [t=210s]: cpu 0.91 (max 0.97), net max
-//!   0.12, streak 2 → ScaleOut(n0→n2) (applied), predicted 3.40 [span
-//!   s7, heat moved 3.10, took 20.0s]".
+//!   `explain()` as "window 42 [t=210s]: cpu 0.91 (max 0.97), streak 2 →
+//!   ScaleOut(n0→n2) (applied), predicted 3.40 [span s7, heat moved
+//!   3.10, took 20.0s]".
 //! * **JSONL export** ([`export`]): hand-rolled writer *and* parser (the
 //!   build is offline — no serde); a fixed-seed run exports a
 //!   byte-identical file, and CI re-parses every shipped line back into

@@ -2,8 +2,8 @@
 //!
 //! Every monitoring window produces exactly one decision — including the
 //! windows where the policy held still — carrying the full
-//! [`SignalVector`] that produced it (utilization, heat skew, streak
-//! counters). Applied decisions link to the span of the operation
+//! [`SignalVector`] that produced it (CPU utilization, node counts,
+//! streak counters). Applied decisions link to the span of the operation
 //! they started, so predicted-vs-realized outcomes can be joined back
 //! onto the decision after the operation completes.
 //!
@@ -13,7 +13,7 @@
 //! linked spans) into the human-readable account `explain()` returns:
 //!
 //! ```text
-//! window 42 [t=210s]: cpu 0.91 (max 0.97), net max 0.12, streak 2 →
+//! window 42 [t=210s]: cpu 0.91 (max 0.97), streak 2 →
 //!   ScaleOut(n0→n2) (applied), predicted 3.40 [span s7, moved 1048576.00 B,
 //!   heat moved 3.10, took 20.0s]
 //! ```
@@ -31,12 +31,6 @@ pub struct SignalVector {
     pub mean_active_cpu: f64,
     /// Hottest node's CPU utilization.
     pub max_cpu: f64,
-    /// Hottest node's NIC utilization.
-    pub max_net: f64,
-    /// Heat skew: hottest node's heat over the active mean.
-    pub heat_skew: f64,
-    /// Mean per-node heat over data-serving actives.
-    pub mean_heat: f64,
     /// Data-serving active node count.
     pub active_nodes: u64,
     /// Powered-off standby count.
@@ -142,8 +136,8 @@ pub fn render_record(record: &DecisionRecord, span: Option<&Span>) -> String {
     let s = &record.signals;
     let signal_clause = match record.trigger.as_str() {
         "cpu-high" => format!(
-            "cpu {:.2} (max {:.2}), net max {:.2}, streak {}",
-            s.mean_active_cpu, s.max_cpu, s.max_net, s.high_streak
+            "cpu {:.2} (max {:.2}), streak {}",
+            s.mean_active_cpu, s.max_cpu, s.high_streak
         ),
         "cpu-low" => format!(
             "cpu {:.2} (max {:.2}), streak {}, actives {}",
@@ -151,8 +145,8 @@ pub fn render_record(record: &DecisionRecord, span: Option<&Span>) -> String {
         ),
         "failover" => format!("actives {}, standbys {}", s.active_nodes, s.standby_nodes),
         _ => format!(
-            "cpu {:.2}, skew {:.2}, streaks {}/{}",
-            s.mean_active_cpu, s.heat_skew, s.high_streak, s.low_streak
+            "cpu {:.2}, streaks {}/{}",
+            s.mean_active_cpu, s.high_streak, s.low_streak
         ),
     };
     let mut line = format!(

@@ -12,12 +12,12 @@
 use wattdb_common::{NodeId, SimDuration, Watts};
 use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
-use wattdb_energy::{proportionality_index, UtilPower};
+use wattdb_energy::{proportionality_index_rated, UtilPower};
 
-/// Run `clients` against a cluster whose data lives on `data_nodes`;
-/// returns (qps, mean W).
-fn measure(clients: u32, data_nodes: &[NodeId]) -> (f64, f64) {
-    let mut db = WattDb::builder()
+/// The 4-node deployment every measurement runs on, its data on
+/// `data_nodes`.
+fn deployment(data_nodes: &[NodeId]) -> WattDb {
+    WattDb::builder()
         .nodes(4)
         .scheme(Scheme::Physiological)
         .warehouses(2)
@@ -25,7 +25,13 @@ fn measure(clients: u32, data_nodes: &[NodeId]) -> (f64, f64) {
         .segment_pages(16)
         .seed(5)
         .initial_data_nodes(data_nodes)
-        .build();
+        .build()
+}
+
+/// Run `clients` against a cluster whose data lives on `data_nodes`;
+/// returns (qps, mean W).
+fn measure(clients: u32, data_nodes: &[NodeId]) -> (f64, f64) {
+    let mut db = deployment(data_nodes);
     if clients > 0 {
         db.start_oltp(clients, SimDuration::from_millis(50));
     }
@@ -81,10 +87,14 @@ fn main() {
             power: Watts(w_sized),
         });
     }
+    // Both graded against the deployment's rated peak: all four nodes at
+    // full utilization.
+    let rated = deployment(&two).rated_peak_watts();
     println!(
-        "\nenergy-proportionality index: fixed {:.3} vs right-sized {:.3}",
-        proportionality_index(&fixed_obs),
-        proportionality_index(&sized_obs)
+        "\nenergy-proportionality index (rated peak {:.1} W): fixed {:.3} vs right-sized {:.3}",
+        rated.0,
+        proportionality_index_rated(&fixed_obs, rated),
+        proportionality_index_rated(&sized_obs, rated)
     );
     println!("\nA fixed cluster burns ~constant Watts regardless of load (the §1");
     println!("motivation); suspending idle nodes to 2.5 W standby is what makes");

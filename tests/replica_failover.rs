@@ -211,9 +211,8 @@ fn planned_rebalance_onto_a_follower_evicts_and_backfills() {
 fn rereplication_reads_the_leaders_data_disks() {
     let mut db = replicated_db(1, &[NodeId(0), NodeId(1), NodeId(2)]);
     db.engage_autopilot(wattdb_core::PolicyConfig {
-        cpu_high: 1.1,
+        cpu_high: 1.1, // only failover decisions fire
         cpu_low: 0.0,
-        net_high: 2.0, // only failover decisions fire
         ..Default::default()
     });
     db.start_oltp(6, SimDuration::from_millis(40));
@@ -249,9 +248,8 @@ fn rereplication_reads_the_leaders_data_disks() {
 fn leader_kill_promotes_and_keeps_serving() {
     let mut db = replicated_db(1, &[NodeId(0), NodeId(1), NodeId(2)]);
     db.engage_autopilot(wattdb_core::PolicyConfig {
-        cpu_high: 1.1,
+        cpu_high: 1.1, // only failover decisions fire
         cpu_low: 0.0,
-        net_high: 2.0, // NIC trigger off: only failover decisions fire
         ..Default::default()
     });
     db.start_oltp(6, SimDuration::from_millis(40));
@@ -289,9 +287,8 @@ fn log_tail_stays_bounded_under_replication() {
     const TAIL_BOUND: usize = 200;
     let mut db = replicated_db(1, &[NodeId(0), NodeId(1), NodeId(2)]);
     db.engage_autopilot(wattdb_core::PolicyConfig {
-        cpu_high: 1.1,
+        cpu_high: 1.1, // only failover decisions fire
         cpu_low: 0.0,
-        net_high: 2.0, // only failover decisions fire
         ..Default::default()
     });
     db.start_oltp(6, SimDuration::from_millis(40));
