@@ -351,8 +351,8 @@ fn start_replica_load(db: &mut WattDb) {
 /// hot warehouse on the first, served with (`factor` 1) or without
 /// (`factor` 0) follower replicas, and no autopilot (nothing rebalances —
 /// the comparison isolates what read fan-out alone buys). With replicas,
-/// the executor's heat-aware read routing rotates eligible reads across
-/// the leader and its caught-up follower, splitting the hot node's CPU;
+/// the executor's read rotation takes turns across the leader and its
+/// caught-up follower, splitting the hot node's CPU;
 /// the wire cost is bounded by the WAL itself (each flushed record ships
 /// at most once per follower). Measures max active-node CPU over 60 s.
 pub fn run_failover_shootout(factor: usize) -> FailoverShootoutRow {

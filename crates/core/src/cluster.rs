@@ -222,17 +222,13 @@ pub struct NodeRuntime {
     pub flush_scheduled: bool,
     /// Probe for power sampling windows.
     pub power_probe: UtilizationProbe,
-    /// Probe for monitoring windows (independent of power sampling).
+    /// CPU probe of the monitoring window (independent of power sampling).
     pub monitor_probe: UtilizationProbe,
     /// Probe for facade status snapshots (independent of both, so
     /// [`crate::api::WattDb::status`] never disturbs the control loop).
     pub status_probe: UtilizationProbe,
-    /// Per-drive monitoring probes, persisted across windows so
-    /// [`crate::monitor::sample_node`] reports true windowed disk
-    /// utilization (one probe per entry in `disks`).
-    pub disk_probes: Vec<UtilizationProbe>,
-    /// Persistent monitoring probe for NIC egress, windowed like the CPU
-    /// probe.
+    /// NIC egress probe of the monitoring window; like `monitor_probe`,
+    /// sampled only by [`crate::monitor::sample_node`].
     pub net_probe: UtilizationProbe,
 }
 
@@ -258,7 +254,6 @@ impl NodeRuntime {
     }
 
     fn new(id: NodeId, hw: &HardwareSpec, buffer_pages: usize) -> Self {
-        let n_disks = hw.disks.len();
         Self {
             id,
             life: Lifecycle::Standby,
@@ -277,7 +272,6 @@ impl NodeRuntime {
             power_probe: UtilizationProbe::new(),
             monitor_probe: UtilizationProbe::new(),
             status_probe: UtilizationProbe::new(),
-            disk_probes: (0..n_disks).map(|_| UtilizationProbe::new()).collect(),
             net_probe: UtilizationProbe::new(),
         }
     }
@@ -358,11 +352,6 @@ pub struct Cluster {
     pub helpers: crate::helpers::Helpers,
     /// Follower replication (inert while `cfg.replication == 0`).
     pub replication: Replication,
-    /// Last windowed NIC egress utilization per node, persisted by the
-    /// monitoring loop. Planners read this instead of sampling: the
-    /// probes are stateful window samplers and an ad-hoc sample would
-    /// disturb the monitoring windows.
-    pub net_util: Vec<f64>,
     /// Control-plane flight recorder: tracing spans, per-window metric
     /// samples, and the autopilot decision timeline — the one log of
     /// every window's [`ControlEvent`]. Always on; every ring inside is
@@ -397,7 +386,6 @@ impl Cluster {
             })
             .collect();
         let net = Network::new(cfg.nodes as usize, NetworkSpec::default());
-        let net_util = vec![0.0; cfg.nodes as usize];
         let rng = DetRng::new(cfg.seed);
         let metrics = Metrics::new(SimTime::ZERO, cfg.bucket);
         let power_model = PowerModel::new(PowerSpec::default());
@@ -429,7 +417,6 @@ impl Cluster {
             stopped: false,
             helpers: Default::default(),
             replication,
-            net_util,
             telemetry: wattdb_telemetry::Telemetry::new(),
             policy: None,
             failover_span: None,

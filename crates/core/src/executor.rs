@@ -330,20 +330,19 @@ impl Cluster {
                 CostCategory::Other,
             );
         }
-        // Heat-aware read scaling: an MVCC read in a transaction that has
-        // written nothing yet may be served by a caught-up follower instead
-        // of the leader. Staleness is bounded by the follower's
-        // acknowledged shipping LSN; a transaction that has written
-        // anything keeps reading leaders (read-your-writes).
+        // Read fan-out: an MVCC read in a transaction that has written
+        // nothing yet may be served by a caught-up follower instead of the
+        // leader. Staleness is bounded by the follower's acknowledged
+        // shipping LSN; a transaction that has written anything keeps
+        // reading leaders (read-your-writes).
         let node = if op.kind == OpKind::Read
             && self.cfg.replication > 0
             && self.txn.mode() == CcMode::Mvcc
             && job.write_nodes.is_empty()
         {
             let (at, w) = (job.current_node, job.weight);
-            let (heat, dir) = (&self.heat, &self.seg_dir);
             self.replication
-                .route_read(seg, node, at, w, now, heat, dir, &self.nodes)
+                .route_read(seg, node, at, w, &self.nodes)
                 .unwrap_or(node)
         } else {
             node

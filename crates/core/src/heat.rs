@@ -422,8 +422,7 @@ pub fn plan_scale_out(
 /// the drained nodes host, planned atomically so a scale-in never
 /// orphans redundancy (see [`wattdb_planner::plan_drain_replicated`]).
 /// Re-home hosts are the active, healthy, non-draining survivors with
-/// their projected heat and measured NIC utilization — the same pool and
-/// ranking background repair uses.
+/// their decayed heat — the same pool and ranking background repair uses.
 pub fn plan_drain_replicated(
     c: &crate::cluster::Cluster,
     now: SimTime,
@@ -453,15 +452,12 @@ pub fn plan_drain_replicated(
 }
 
 /// `node`'s row as a placement *host* for follower copies
-/// ([`wattdb_planner::HostRow`]): total decayed heat and the last
-/// windowed NIC egress utilization the monitoring loop persisted
-/// (planners never sample the stateful probes themselves). Every caller
+/// ([`wattdb_planner::HostRow`]): its total decayed heat. Every caller
 /// passes active nodes only.
 fn host_row(c: &crate::cluster::Cluster, node: NodeId, now: SimTime) -> wattdb_planner::HostRow {
     wattdb_planner::HostRow {
         node,
         heat: c.heat.node_heat(&c.seg_dir, node, now).value(),
-        nic: c.net_util.get(node.raw() as usize).copied().unwrap_or(0.0),
     }
 }
 
@@ -469,9 +465,8 @@ fn host_row(c: &crate::cluster::Cluster, node: NodeId, now: SimTime) -> wattdb_p
 /// [`wattdb_planner::ReplicaSite`] per segment whose live follower count
 /// is below `cfg.replication` (leader = the current owner in the segment
 /// catalog, followers = the live ones), hosted on the active nodes. Host rows
-/// carry total decayed heat plus the *measured* NIC utilization persisted
-/// by the monitoring loop, so followers land on cold nodes with idle
-/// interconnects — the same failure-domain spread the planner enforces
+/// carry total decayed heat, so followers spread over the least-loaded,
+/// coldest nodes — under the failure-domain spread the planner enforces
 /// (never the leader's node, distinct nodes per segment). The single
 /// entry point shared by bootstrap and post-failover re-replication.
 pub fn plan_replicas(c: &crate::cluster::Cluster, now: SimTime) -> wattdb_planner::ReplicaPlan {

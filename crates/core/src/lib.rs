@@ -36,7 +36,7 @@
 //! * [`monitor`] / [`policy`] — the control plane: the one monitoring
 //!   window per deployment (sample, freeze telemetry, run the engaged
 //!   policy's step), the 80 %-CPU threshold elasticity policy (§3.4) with
-//!   its NIC bound and coldest-node scale-in, and the pure
+//!   its coldest-node scale-in, and the pure
 //!   [`policy::plan`] that turns each decision into a `ControlPlan` (or
 //!   a named refusal) with the configured planner (fraction vs.
 //!   heat-aware);

@@ -4,9 +4,9 @@
 //! network I/O, and disk utilization [...] the nodes send their monitoring
 //! data every few seconds to the master node." The master compares each
 //! active node's CPU against the thresholds and decides on
-//! scale-out/scale-in ([`crate::policy`]). Heat, read fan-out and replica
-//! shipping only rank the node a scale-in drains; every window exports
-//! the per-node CPU, NIC, heat, shipping and fan-out as gauges.
+//! scale-out/scale-in ([`crate::policy`]). Heat only ranks the node a
+//! scale-in drains; every window exports the per-node CPU, NIC egress,
+//! heat and activity as gauges.
 //!
 //! A deployment runs one such window loop ([`start_monitoring`]): the
 //! node probes are stateful window samplers and tolerate exactly one
@@ -24,12 +24,8 @@ use crate::cluster::{Cluster, ClusterRc};
 pub struct NodeReport {
     /// Reporting node.
     pub node: NodeId,
-    /// Window end.
-    pub at: SimTime,
     /// CPU utilization in \[0,1\].
     pub cpu: f64,
-    /// Disk utilization over the window (max across drives).
-    pub disk: f64,
     /// Network egress utilization over the window.
     pub net_tx: f64,
     /// Total decayed heat of the segments stored on the node — the
@@ -39,54 +35,26 @@ pub struct NodeReport {
     /// reads; with cost tracing off it is the legacy weighted access
     /// count.
     pub heat: f64,
-    /// NIC egress attributable to steady-state replica shipping over the
-    /// window, in the same utilization units as `net_tx` (wire time of
-    /// the window's shipped replica bytes over the window). The drain
-    /// pick breaks effective-load ties on it, after the follower read
-    /// fan-out ([`crate::policy::coldest_drain_target`]), and each window
-    /// exports it as the `node.{n}.replica_ship` gauge.
-    pub replica_ship_tx: f64,
-    /// Share of the cluster's routed replica reads this node served over
-    /// the window, in \[0,1\] — how much of the read fan-out this node is
-    /// currently absorbing. Zero with replication off or no routed reads.
-    pub replica_fanout: f64,
     /// Active (vs. standby).
     pub active: bool,
 }
 
 /// Collect a report for one node over the window since the last call.
-/// All utilization signals — CPU, every drive, and NIC egress — come from
-/// probes persisted on the node runtime, so each reports the true
-/// utilization of the window rather than the cumulative-since-t=0 average.
+/// CPU and NIC egress come from probes persisted on the node runtime, so
+/// each reports the true utilization of the window rather than the
+/// cumulative-since-t=0 average; the probes are stateful window samplers
+/// and must only ever be sampled here.
 pub fn sample_node(c: &mut Cluster, node: NodeId, now: SimTime) -> NodeReport {
     let idx = node.raw() as usize;
     let cpu_res = c.nodes[idx].cpu.clone();
     let cpu = c.nodes[idx].monitor_probe.sample(&cpu_res, now);
-    let n_disks = c.nodes[idx].disks.len();
-    let mut disk = 0.0f64;
-    for d in 0..n_disks {
-        let res = c.nodes[idx].disks[d].resource().clone();
-        let u = c.nodes[idx].disk_probes[d].sample(&res, now);
-        disk = disk.max(u);
-    }
     let tx_res = c.net.tx_resource(node).clone();
     let net_tx = c.nodes[idx].net_probe.sample(&tx_res, now);
-    // Persist the NIC reading: planners rank helper and replica hosts by
-    // interconnect idleness, and the probe itself must only ever be
-    // sampled here (it is a stateful window sampler).
-    c.net_util[idx] = net_tx;
-    let heat = c.heat.node_heat(&c.seg_dir, node, now).value();
-    // Windowed replica-shipping egress and read fan-out share.
-    let (replica_ship_tx, replica_fanout) = c.replication.sample_window(node, now, &c.net);
     NodeReport {
         node,
-        at: now,
         cpu,
-        disk,
         net_tx,
-        heat,
-        replica_ship_tx,
-        replica_fanout,
+        heat: c.heat.node_heat(&c.seg_dir, node, now).value(),
         active: c.nodes[idx].life.is_up(),
     }
 }
@@ -155,13 +123,9 @@ mod tests {
     fn report(node: u16, cpu: f64, active: bool) -> NodeReport {
         NodeReport {
             node: NodeId(node),
-            at: SimTime::ZERO,
             cpu,
-            disk: 0.0,
             net_tx: 0.0,
             heat: 0.0,
-            replica_ship_tx: 0.0,
-            replica_fanout: 0.0,
             active,
         }
     }

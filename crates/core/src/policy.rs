@@ -203,15 +203,10 @@ impl ElasticityPolicy {
     }
 }
 
-/// The coldest drainable node: lowest *effective* load — reported leader
-/// heat plus the follower-serving load the node carries, priced as its
-/// read fan-out share of the total active heat (a node absorbing the
-/// replica read rotation is doing real work its own heat table never
-/// sees, and draining it would dump that fan-out back onto the leaders).
-/// Ties break by replica-shipping egress, then lowest CPU, then highest
-/// id (the legacy drain order). The master (node 0) is never drained
-/// while another candidate exists — it cannot be suspended afterwards
-/// anyway.
+/// The coldest drainable node: least reported heat, ties broken by
+/// lowest CPU, then highest id (the legacy drain order). The master
+/// (node 0) is never drained while another candidate exists — it cannot
+/// be suspended afterwards anyway.
 ///
 /// With distinct per-node signals the choice depends only on the
 /// reported *signals*, never on the numbering, so renumbering the nodes
@@ -225,31 +220,15 @@ pub fn coldest_drain_target(view: &ClusterView, active_with_data: &[NodeId]) -> 
     if candidates.is_empty() {
         candidates = active_with_data.to_vec();
     }
-    let total_heat: f64 = view
-        .reports
-        .iter()
-        .filter(|r| r.active)
-        .map(|r| r.heat)
-        .sum();
     candidates
         .into_iter()
-        .filter_map(|n| {
-            view.reports
-                .iter()
-                .find(|r| r.node == n && r.active)
-                .map(|r| {
-                    let effective = r.heat + r.replica_fanout * total_heat;
-                    (n, effective, r.replica_ship_tx, r.cpu)
-                })
-        })
+        .filter_map(|n| view.reports.iter().find(|r| r.node == n && r.active))
         .min_by(|a, b| {
-            a.1.partial_cmp(&b.1)
-                .unwrap_or(std::cmp::Ordering::Equal)
-                .then_with(|| a.2.partial_cmp(&b.2).unwrap_or(std::cmp::Ordering::Equal))
-                .then_with(|| a.3.partial_cmp(&b.3).unwrap_or(std::cmp::Ordering::Equal))
-                .then_with(|| b.0.cmp(&a.0))
+            (a.heat.total_cmp(&b.heat))
+                .then(a.cpu.total_cmp(&b.cpu))
+                .then(b.node.cmp(&a.node))
         })
-        .map(|(n, _, _, _)| n)
+        .map(|r| r.node)
 }
 
 /// Fraction of each hot source's data a scale-out moves when the heat
@@ -455,13 +434,9 @@ mod tests {
                 .iter()
                 .map(|&(n, cpu)| NodeReport {
                     node: NodeId(n),
-                    at: SimTime::ZERO,
                     cpu,
-                    disk: 0.0,
                     net_tx: 0.0,
                     heat: 0.0,
-                    replica_ship_tx: 0.0,
-                    replica_fanout: 0.0,
                     active: true,
                 })
                 .collect(),
@@ -475,13 +450,9 @@ mod tests {
                 .iter()
                 .map(|&(n, heat)| NodeReport {
                     node: NodeId(n),
-                    at: SimTime::ZERO,
                     cpu: 0.5,
-                    disk: 0.0,
                     net_tx: 0.0,
                     heat,
-                    replica_ship_tx: 0.0,
-                    replica_fanout: 0.0,
                     active: true,
                 })
                 .collect(),
@@ -584,6 +555,16 @@ mod tests {
     }
 
     #[test]
+    fn equal_heat_drains_the_idler_node_then_the_higher_id() {
+        let mut v = heat_view(&[(0, 0.0), (1, 2.0), (2, 2.0), (3, 2.0)]);
+        let data = [NodeId(0), NodeId(1), NodeId(2), NodeId(3)];
+        v.reports[2].cpu = 0.1;
+        assert_eq!(coldest_drain_target(&v, &data), Some(NodeId(2)));
+        v.reports[2].cpu = 0.5;
+        assert_eq!(coldest_drain_target(&v, &data), Some(NodeId(3)));
+    }
+
+    #[test]
     fn never_drain_the_last_data_node() {
         let mut p = ElasticityPolicy::new(PolicyConfig {
             patience: 1,
@@ -607,22 +588,6 @@ mod tests {
         p.evaluate(&hot, &standby, &data);
         p.evaluate(&cool, &standby, &data); // streak resets
         assert_eq!(p.evaluate(&hot, &standby, &data), Decision::Hold);
-    }
-
-    #[test]
-    fn scale_in_avoids_the_replica_fanout_absorber() {
-        // Node 1 stores the least heat, but it is serving 80 % of the
-        // cluster's routed replica reads: draining it would dump that
-        // fan-out back onto the leaders. Node 2 — slightly hotter on
-        // stored heat but idle on reads — is the cheaper drain.
-        let mut v = heat_view(&[(0, 6.0), (1, 1.0), (2, 2.0)]);
-        v.reports[1].replica_fanout = 0.8;
-        let pick = coldest_drain_target(&v, &[NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(pick, Some(NodeId(2)));
-        // With no fan-out, stored heat alone decides: node 1 drains.
-        v.reports[1].replica_fanout = 0.0;
-        let pick = coldest_drain_target(&v, &[NodeId(0), NodeId(1), NodeId(2)]);
-        assert_eq!(pick, Some(NodeId(1)));
     }
 
     // ------------------------------------------------- the apply contract

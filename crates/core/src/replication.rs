@@ -1,33 +1,18 @@
 //! Follower replication, one owner: each segment's leader ships its durable
 //! WAL tail to `factor` followers, which serve caught-up reads and take
 //! over when it dies ([`crate::failover`]). [`Replication`] holds the
-//! [`ReplicaMap`], the shipping cursors, the catch-up bars, the read router
-//! and its counters; node liveness and logs, heat and the segment directory
-//! are borrowed per call. Every map mutation re-syncs the cursors here, so
-//! a leader always ships to exactly the followers of its segments.
+//! [`ReplicaMap`], the shipping cursors, the catch-up bars, the read
+//! rotation and its counters; node liveness and logs are borrowed per
+//! call. Every map mutation re-syncs the cursors here, so a leader always
+//! ships to exactly the followers of its segments.
 
-use std::collections::BTreeMap;
-use std::fmt::Write;
-
-use wattdb_common::{ByteSize, DenseMap, Heat, Lsn, NodeId, SegmentId, SimTime};
-use wattdb_net::Network;
+use wattdb_common::{DenseMap, Lsn, NodeId, SegmentId};
 use wattdb_planner::ReplicaPlan;
 use wattdb_replica::ReplicaMap;
-use wattdb_storage::SegmentDirectory;
 use wattdb_telemetry::MetricsRegistry;
 use wattdb_wal::LogShipper;
 
 use crate::cluster::{Lifecycle, NodeRuntime};
-use crate::heat::HeatTable;
-
-/// One node's lifetime counters at its last [`Replication::sample_window`].
-#[derive(Debug, Clone, Copy, Default)]
-struct Window {
-    shipped: u64,
-    at: SimTime,
-    served: u64,
-    routed: u64,
-}
 
 /// The cluster's follower replication (see the module docs).
 #[derive(Debug, Default)]
@@ -43,14 +28,11 @@ pub struct Replication {
     /// Per-segment round-robin cursor over read-eligible copies.
     replica_rr: DenseMap<SegmentId, usize>,
     /// The read router's scratch, kept for its capacity only.
-    read_pool: Vec<(NodeId, Heat)>,
-    /// Follower-served reads per serving node (lifetime).
-    replica_reads_by: BTreeMap<NodeId, u64>,
-    windows: Vec<Window>,
+    read_pool: Vec<NodeId>,
+    /// Follower-served reads (lifetime, in modeled reads).
+    reads: u64,
     /// Routed reads that found a caught-up follower (lifetime).
     pub routed_reads: u64,
-    /// Last heat-weighted routing weight per pool host.
-    pub route_weights: BTreeMap<NodeId, u64>,
     /// Bytes shipped to seed new follower copies (lifetime).
     pub rereplicated_bytes: u64,
 }
@@ -59,22 +41,12 @@ fn is_failed(nodes: &[NodeRuntime], node: NodeId) -> bool {
     nodes[node.raw() as usize].life == Lifecycle::Failed
 }
 
-/// `num / den`, zero over an empty denominator.
-fn ratio(num: u64, den: u64) -> f64 {
-    if den > 0 {
-        num as f64 / den as f64
-    } else {
-        0.0
-    }
-}
-
 impl Replication {
     /// `factor` followers per segment on `nodes` nodes, nothing placed.
     pub fn new(factor: usize, nodes: usize) -> Self {
         Self {
             factor,
             shippers: (0..nodes).map(|_| LogShipper::new()).collect(),
-            windows: vec![Window::default(); nodes],
             ..Self::default()
         }
     }
@@ -101,23 +73,19 @@ impl Replication {
 
     /// Follower-served reads (lifetime, in modeled reads).
     pub fn reads(&self) -> u64 {
-        self.replica_reads_by.values().sum()
+        self.reads
     }
 
     /// The copy to serve a read of `seg` for a job at `at` (`weight`
-    /// modeled reads), `None` to stay on `leader`. Live, **caught-up**
-    /// followers (acked LSN ≥ last write) share the load with the leader;
-    /// a job already on one stays (no ping-pong), else the copies rotate.
-    #[allow(clippy::too_many_arguments)]
+    /// modeled reads), `None` to stay on `leader`. The leader and its live,
+    /// **caught-up** followers (acked LSN ≥ last write) take turns; a job
+    /// already on such a follower stays (no ping-pong).
     pub fn route_read(
         &mut self,
         seg: SegmentId,
         leader: NodeId,
         at: NodeId,
         weight: u64,
-        now: SimTime,
-        heat: &HeatTable,
-        dir: &SegmentDirectory,
         nodes: &[NodeRuntime],
     ) -> Option<NodeId> {
         if self.map.leader_of(seg) != Some(leader) {
@@ -127,58 +95,27 @@ impl Replication {
         let shipper = &self.shippers[leader.raw() as usize];
         let pool = &mut self.read_pool;
         pool.clear();
-        pool.push((leader, Heat::ZERO));
+        pool.push(leader);
         let eligible = |f| !is_failed(nodes, f) && shipper.acked_lsn(f).is_some_and(|a| a >= floor);
-        let followers = self.map.followers_of(seg).iter().filter(|&&f| eligible(f));
-        pool.extend(followers.map(|&f| (f, Heat::ZERO)));
+        pool.extend(self.map.followers_of(seg).iter().filter(|&&f| eligible(f)));
         if pool.len() == 1 {
             return None;
         }
         // In modeled reads, the units of the weighted served counts.
         self.routed_reads += weight;
-        if pool[1..].iter().any(|&(f, _)| f == at) {
+        if pool[1..].contains(&at) {
             return Some(at);
         }
-        // Each copy's rotation weight scales 1..=4 with how much *colder*
-        // its host is than the hottest member's (one directory pass sums
-        // node heat in segment-id order, like `HeatTable::node_heat`).
-        for m in dir.iter() {
-            if let Some((_, h)) = pool.iter_mut().find(|(n, _)| *n == m.node) {
-                *h += heat.heat_of(m.id, now);
-            }
-        }
-        let heats = pool.iter().map(|(_, h)| h.value());
-        let max_h = heats.clone().fold(f64::MIN, f64::max);
-        let spread = max_h - heats.fold(f64::MAX, f64::min);
-        let weight_of = |h: Heat| {
-            if spread > 0.0 {
-                1 + (3.0 * (max_h - h.value()) / spread).round() as u64
-            } else {
-                1
-            }
-        };
-        let mut total = 0u64;
-        for &(n, h) in pool.iter() {
-            self.route_weights.insert(n, weight_of(h));
-            total += weight_of(h);
-        }
         let rr = self.replica_rr.get_or_insert_with(seg, || 0);
-        let slot = (*rr as u64) % total;
+        let copy = pool[*rr % pool.len()];
         *rr = rr.wrapping_add(1);
-        let mut cum = 0u64;
-        for &(n, h) in pool.iter() {
-            cum += weight_of(h);
-            if slot < cum {
-                return Some(n);
-            }
-        }
-        Some(leader)
+        Some(copy)
     }
 
     /// Count a read of `seg` on `node` (`weight` reads) if off the leader.
     pub fn record_read(&mut self, seg: SegmentId, node: NodeId, weight: u64) {
         if self.map.leader_of(seg).is_some_and(|l| l != node) {
-            *self.replica_reads_by.entry(node).or_insert(0) += weight;
+            self.reads += weight;
         }
     }
 
@@ -328,30 +265,8 @@ impl Replication {
         }
     }
 
-    /// Close `node`'s monitoring window at `now`: its shipping egress as
-    /// NIC utilization, and its share of the window's routed reads.
-    pub fn sample_window(&mut self, node: NodeId, now: SimTime, net: &Network) -> (f64, f64) {
-        let idx = node.raw() as usize;
-        let w = &mut self.windows[idx];
-        let shipped = self.shippers[idx].shipped_bytes();
-        let ship_delta = shipped.saturating_sub(std::mem::replace(&mut w.shipped, shipped));
-        let window = now.since(std::mem::replace(&mut w.at, now));
-        let ship_tx = if ship_delta > 0 && window.as_micros() > 0 {
-            let wire = net.wire_time(ByteSize::bytes(ship_delta));
-            (wire.as_micros() as f64 / window.as_micros() as f64).min(1.0)
-        } else {
-            0.0
-        };
-        let served = self.replica_reads_by.get(&node).copied().unwrap_or(0);
-        let served_delta = served.saturating_sub(std::mem::replace(&mut w.served, served));
-        let total = self.routed_reads;
-        let routed_delta = total.saturating_sub(std::mem::replace(&mut w.routed, total));
-        (ship_tx, ratio(served_delta, routed_delta))
-    }
-
-    /// Export the `replica.*` / `rereplication.*` metrics into `r`
-    /// (`name` is a reused buffer for the per-node gauge names).
-    pub fn export(&self, r: &mut MetricsRegistry, nodes: &[NodeRuntime], name: &mut String) {
+    /// Export the `replica.*` / `rereplication.*` metrics into `r`.
+    pub fn export(&self, r: &mut MetricsRegistry, nodes: &[NodeRuntime]) {
         let mut lag_max = 0u64;
         for (shipper, node) in self.shippers.iter().zip(nodes) {
             for f in (0..).map_while(|i| shipper.follower_at(i)) {
@@ -363,13 +278,13 @@ impl Replication {
         let (reads, routed) = (self.reads(), self.routed_reads);
         r.set_counter("replica.reads", reads);
         r.set_counter("replica.routed_reads", routed);
-        r.set_gauge("replica.read_share", ratio(reads, routed));
+        let share = if routed > 0 {
+            reads as f64 / routed as f64
+        } else {
+            0.0
+        };
+        r.set_gauge("replica.read_share", share);
         r.set_counter("rereplication.bytes", self.rereplicated_bytes);
-        for (&node, &w) in &self.route_weights {
-            name.clear();
-            let _ = write!(name, "replica.route_weight.{}", node.raw());
-            r.set_gauge(name, w as f64);
-        }
     }
 
     /// The first violated invariant, `None` when clean: no leader follows
@@ -418,5 +333,83 @@ impl Replication {
         if let Some(violation) = self.check_invariants(nodes) {
             panic!("replica-map invariant violated: {violation}");
         }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use crate::cluster::{Cluster, ClusterConfig, ClusterRc};
+    use wattdb_common::{DiskId, SimTime, TableId, TxnId};
+    use wattdb_planner::ReplicaSite;
+    use wattdb_wal::LogPayload;
+
+    const SEG: SegmentId = SegmentId(0);
+    const LEADER: NodeId = NodeId(0);
+
+    /// Four live nodes and one segment: led by n0, which holds all the
+    /// heat, with caught-up followers on n1–n3.
+    fn hot_leader_three_followers() -> ClusterRc {
+        let cfg = ClusterConfig {
+            nodes: 4,
+            replication: 3,
+            ..Default::default()
+        };
+        let cl = Cluster::new(cfg, &[NodeId(0), NodeId(1), NodeId(2), NodeId(3)]);
+        {
+            let c = &mut *cl.borrow_mut();
+            let seg = c
+                .seg_dir
+                .create(TableId(0), LEADER, DiskId::new(LEADER, 1), None, 8);
+            assert_eq!(seg, SEG);
+            for _ in 0..100 {
+                c.heat.record_read(SEG, SimTime::ZERO);
+            }
+            let followers = vec![NodeId(1), NodeId(2), NodeId(3)];
+            let placements = vec![ReplicaSite {
+                seg: SEG,
+                leader: LEADER,
+                followers,
+            }];
+            c.replication.place(&ReplicaPlan { placements }, &c.nodes);
+        }
+        cl
+    }
+
+    /// Route `n` reads of the segment for a job on `at`: reads per node.
+    fn route(c: &mut Cluster, at: NodeId, n: usize) -> [usize; 4] {
+        let mut served = [0; 4];
+        for _ in 0..n {
+            let to = c.replication.route_read(SEG, LEADER, at, 1, &c.nodes);
+            served[to.unwrap_or(LEADER).raw() as usize] += 1;
+        }
+        served
+    }
+
+    #[test]
+    fn caught_up_copies_take_turns_and_the_rest_never_serve() {
+        let cl = hot_leader_three_followers();
+        let c = &mut *cl.borrow_mut();
+        // k eligible copies, a job on the leader: each copy serves ⌊n/k⌋
+        // or ⌈n/k⌉ of n reads, however hot the leader's host is.
+        let (n, k) = (10, 4);
+        let served = route(c, LEADER, n);
+        let fair = (n / k)..=n.div_ceil(k);
+        assert!(served.iter().all(|s| fair.contains(s)), "{served:?}");
+        assert_eq!(c.replication.routed_reads, n as u64);
+        // A failed follower, and one whose acked LSN is below the last
+        // write, never serve: n1 acks the write, n2 does not.
+        c.fail_node(NodeId(3), SimTime::ZERO);
+        let lsn = c.nodes[0].log.append(TxnId(1), LogPayload::Commit);
+        c.replication.record_write(SEG, lsn);
+        c.replication.acknowledge(LEADER, NodeId(1), lsn, &c.nodes);
+        assert_eq!(route(c, LEADER, 10), [5, 5, 0, 0]);
+        // A job already on an eligible follower stays there.
+        assert_eq!(route(c, NodeId(1), 4), [0, 4, 0, 0]);
+        // A map whose leader disagrees with the owner serves the owner.
+        let stale = c
+            .replication
+            .route_read(SEG, NodeId(1), LEADER, 1, &c.nodes);
+        assert_eq!(stale, None);
     }
 }

@@ -90,7 +90,7 @@ impl ToRecord for ControlEvent {
 
 /// Freeze one monitoring window into the metrics registry: transaction
 /// throughput and response percentiles, engine speed, per-node
-/// CPU/NIC/heat, replica shipping and read fan-out, WAL shipping lag,
+/// CPU/NIC/heat/activity, replica shipping and read share, WAL shipping lag,
 /// re-replication traffic, instantaneous watts, and Wh per committed
 /// transaction. `events` is the simulator's cumulative executed-event
 /// count — a sim-domain quantity, so the derived engine-speed gauges
@@ -146,22 +146,12 @@ pub fn sample_window(c: &mut Cluster, view: &ClusterView, at: SimTime, events: u
         gauge(r, format_args!("node.{n}.cpu"), report.cpu);
         gauge(r, format_args!("node.{n}.net"), report.net_tx);
         gauge(r, format_args!("node.{n}.heat"), report.heat);
-        gauge(
-            r,
-            format_args!("node.{n}.replica_ship"),
-            report.replica_ship_tx,
-        );
-        gauge(
-            r,
-            format_args!("node.{n}.replica_fanout"),
-            report.replica_fanout,
-        );
         let active = if report.active { 1.0 } else { 0.0 };
         gauge(r, format_args!("node.{n}.active"), active);
     }
     // Replication: shipped bytes, WAL shipping lag (worst follower),
-    // follower read fan-out, re-replication repair traffic.
-    c.replication.export(r, &c.nodes, &mut name);
+    // follower read share, re-replication repair traffic.
+    c.replication.export(r, &c.nodes);
     // Offered load: the pooled workload's modeled-client target in
     // force this window (trace-driven runs move it along the schedule).
     // Per-client runs carry no pool and no gauge — their exports stay
@@ -219,13 +209,9 @@ mod tests {
         use crate::monitor::NodeReport;
         let report = |node: u16, cpu: f64, active: bool| NodeReport {
             node: NodeId(node),
-            at: SimTime::ZERO,
             cpu,
-            disk: 0.0,
             net_tx: 0.0,
             heat: 0.0,
-            replica_ship_tx: 0.0,
-            replica_fanout: 0.0,
             active,
         };
         let view = ClusterView {

@@ -293,18 +293,13 @@ pub fn plan_scale_out(stats: &[SegmentStat], sources: &[NodeId], targets: &[Node
 // ----------------------------------------------------------------- replicas
 
 /// One node's row as a *host*: a node that may take a follower copy
-/// ([`plan_replicas`], [`plan_drain_replicated`]). A copy adds network
-/// traffic, so an idle NIC counts: placement takes the coldest host, the
-/// idlest NIC breaking ties.
+/// ([`plan_replicas`], [`plan_drain_replicated`]).
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct HostRow {
     /// The node.
     pub node: NodeId,
     /// Its current decayed heat.
     pub heat: f64,
-    /// Its measured NIC egress utilization from the last monitoring
-    /// window.
-    pub nic: f64,
 }
 
 /// One segment's replication: its leader and its follower hosts. The same
@@ -350,10 +345,10 @@ impl ReplicaPlan {
 /// * a follower never lands on its segment's leader;
 /// * a segment's followers are pairwise distinct (and distinct from the
 ///   followers it already has);
-/// * hosts fill coldest-first ([`HostRow::heat`]), preferring idle NICs
-///   ([`HostRow::nic`]) among equally cold hosts, with a per-host
-///   assignment count spreading follower load across the cluster instead
-///   of piling every copy onto the single coldest node.
+/// * hosts rank by how many copies the plan has given them so far, then
+///   by heat ([`HostRow::heat`]), then by id: follower load spreads across
+///   the cluster, coldest first, instead of piling every copy onto the
+///   single coldest node.
 ///
 /// A segment that cannot reach factor (not enough distinct eligible
 /// hosts) gets as many followers as exist — the plan never invents a
@@ -394,11 +389,6 @@ pub fn plan_replicas(sites: &[ReplicaSite], hosts: &[HostRow], factor: usize) ->
                         .then_with(|| {
                             a.heat
                                 .partial_cmp(&b.heat)
-                                .unwrap_or(std::cmp::Ordering::Equal)
-                        })
-                        .then_with(|| {
-                            a.nic
-                                .partial_cmp(&b.nic)
                                 .unwrap_or(std::cmp::Ordering::Equal)
                         })
                         .then_with(|| a.node.cmp(&b.node))
@@ -768,17 +758,16 @@ mod tests {
 
     // ----------------------------------------------------------- replicas
 
-    fn host(node: u16, heat: f64, nic: f64) -> HostRow {
+    fn host(node: u16, heat: f64) -> HostRow {
         HostRow {
             node: NodeId(node),
             heat,
-            nic,
         }
     }
 
     #[test]
     fn replicas_never_co_locate_with_the_leader_and_stay_distinct() {
-        let hosts = [host(1, 5.0, 0.0), host(2, 1.0, 0.0), host(3, 2.0, 0.0)];
+        let hosts = [host(1, 5.0), host(2, 1.0), host(3, 2.0)];
         let needs = [site(1, 1, &[]), site(2, 2, &[])];
         let plan = plan_replicas(&needs, &hosts, 2);
         assert_eq!(plan.additions(), 4);
@@ -795,12 +784,7 @@ mod tests {
     fn replicas_fill_coldest_first_and_spread_load() {
         // Three segments on node 1, factor 1: the followers spread across
         // the other hosts (coldest first) instead of piling onto one.
-        let hosts = [
-            host(1, 9.0, 0.0),
-            host(2, 1.0, 0.0),
-            host(3, 2.0, 0.0),
-            host(4, 3.0, 0.0),
-        ];
+        let hosts = [host(1, 9.0), host(2, 1.0), host(3, 2.0), host(4, 3.0)];
         let needs = [site(1, 1, &[]), site(2, 1, &[]), site(3, 1, &[])];
         let plan = plan_replicas(&needs, &hosts, 1);
         let picked: Vec<NodeId> = plan
@@ -816,17 +800,8 @@ mod tests {
     }
 
     #[test]
-    fn replicas_prefer_idle_nics_among_equally_cold_hosts() {
-        // Two equally cold hosts; node 2's NIC already carries traffic.
-        let hosts = [host(2, 0.0, 4.0), host(3, 0.0, 0.0)];
-        let plan = plan_replicas(&[site(1, 1, &[])], &hosts, 1);
-        // Equal heat → the idle NIC wins the tie.
-        assert_eq!(plan.placements[0].followers, vec![NodeId(3)], "{plan:?}");
-    }
-
-    #[test]
     fn replica_deficit_only_and_capacity_bounds() {
-        let hosts = [host(2, 0.0, 0.0), host(3, 1.0, 0.0)];
+        let hosts = [host(2, 0.0), host(3, 1.0)];
         // Already at factor: nothing planned.
         let plan = plan_replicas(&[site(1, 1, &[2])], &hosts, 1);
         assert!(plan.is_empty(), "{plan:?}");
@@ -841,7 +816,7 @@ mod tests {
         // Factor zero disables planning.
         assert!(plan_replicas(&[site(1, 1, &[])], &hosts, 0).is_empty());
         // The leader being the only host yields nothing.
-        let only_leader = [host(1, 0.0, 0.0)];
+        let only_leader = [host(1, 0.0)];
         assert!(plan_replicas(&[site(1, 1, &[])], &only_leader, 1).is_empty());
     }
 
@@ -866,7 +841,7 @@ mod tests {
             stat(30, 3, 100, 1.0),
         ];
         let sites = [site(10, 1, &[3]), site(20, 2, &[3]), site(30, 3, &[1])];
-        let hosts = [host(1, 2.0, 0.0), host(2, 2.0, 0.0), host(4, 0.0, 0.0)];
+        let hosts = [host(1, 2.0), host(2, 2.0), host(4, 0.0)];
         let dp = plan_drain_replicated(
             &stats,
             &[NodeId(3)],
@@ -893,7 +868,7 @@ mod tests {
         // there would evict the copy — node 2 must win instead.
         let stats = vec![stat(30, 3, 100, 1.0), stat(40, 2, 100, 0.5)];
         let sites = [site(30, 3, &[1])];
-        let hosts = [host(1, 0.0, 0.0), host(2, 0.5, 0.0)];
+        let hosts = [host(1, 0.0), host(2, 0.5)];
         let dp = plan_drain_replicated(
             &stats,
             &[NodeId(3)],
@@ -928,7 +903,7 @@ mod tests {
         // leader, not the old one.
         let stats = vec![stat(30, 3, 100, 1.0)];
         let sites = [site(30, 3, &[4])];
-        let hosts = [host(1, 0.0, 0.0), host(4, 0.0, 0.0)];
+        let hosts = [host(1, 0.0), host(4, 0.0)];
         let dp = plan_drain_replicated(
             &stats,
             &[NodeId(3), NodeId(4)],
@@ -953,7 +928,7 @@ mod tests {
         // old deficit stays background repair's job and does not block.
         let stats = vec![stat(10, 1, 100, 1.0)];
         let sites = [site(10, 1, &[3])];
-        let hosts = [host(2, 0.0, 0.0), host(4, 0.0, 0.0), host(5, 0.0, 0.0)];
+        let hosts = [host(2, 0.0), host(4, 0.0), host(5, 0.0)];
         let dp = plan_drain_replicated(
             &stats,
             &[NodeId(3)],

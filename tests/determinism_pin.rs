@@ -319,12 +319,12 @@ fn pinned(label: &str, expected: u64, events: u64, scenario: fn() -> WattDb) -> 
 
 #[test]
 fn per_client_export_is_byte_stable_across_runs() {
-    pinned("per-client", 0x2571_5d83_0b6b_6088, 696_929, oltp_run);
+    pinned("per-client", 0x9b30_782d_6f64_85e8, 696_929, oltp_run);
 }
 
 #[test]
 fn traced_export_is_byte_stable_across_runs() {
-    let a = pinned("traced", 0xf639_95f8_5c60_afe2, 294_028, traced_run);
+    let a = pinned("traced", 0xf44d_0de0_a567_2ee0, 294_028, traced_run);
     // The traced run actually exercises the trace machinery: the offered
     // load gauge is present and moves along the schedule.
     assert!(
@@ -335,30 +335,30 @@ fn traced_export_is_byte_stable_across_runs() {
 
 #[test]
 fn fraction_rebalance_under_load_is_byte_stable_across_runs() {
-    let a = pinned("rebalance", 0x24f9_031b_4af2_f7bf, 355_104, rebalance_run);
+    let a = pinned("rebalance", 0x352d_126c_e24b_ea4f, 355_104, rebalance_run);
     assert!(a.contains("\"rebalance\""), "export carries the rebalance");
 }
 
 #[test]
 fn pooled_export_is_byte_stable_across_runs() {
-    pinned("pooled", 0xfb23_c3f1_1ca3_45bc, 125_169, pooled_run);
+    pinned("pooled", 0xe256_72c2_29e0_7390, 125_169, pooled_run);
 }
 
 #[test]
 fn physical_rebalance_export_is_pinned() {
-    let a = pinned("physical", 0xed10_0e0f_35a1_2f78, 490_447, physical_run);
+    let a = pinned("physical", 0x5ec2_1c90_ec96_a70a, 490_447, physical_run);
     assert!(a.contains("\"Physical\""), "export names the scheme");
 }
 
 #[test]
 fn logical_rebalance_export_is_pinned() {
-    let a = pinned("logical", 0x54c8_5a74_4360_6871, 417_730, logical_run);
+    let a = pinned("logical", 0x6ae7_6d78_9c20_6d0f, 417_730, logical_run);
     assert!(a.contains("\"Logical\""), "export names the scheme");
 }
 
 #[test]
 fn scripted_helpers_export_is_pinned() {
-    let a = pinned("helpers", 0x9e0d_3c42_0e3a_0d7b, 432_819, helpers_run);
+    let a = pinned("helpers", 0xc3bd_22d7_44b4_ffa9, 432_819, helpers_run);
     assert!(a.contains("\"helpers\""), "export carries the helper span");
     assert!(a.contains("\"detach\""), "helpers detached with completion");
 }
@@ -367,8 +367,8 @@ fn scripted_helpers_export_is_pinned() {
 fn replicated_elastic_export_is_pinned() {
     let a = pinned(
         "replicated-elastic",
-        0x3391_ae54_2226_0f91,
-        880_992,
+        0x15e6_0f46_a238_9208,
+        863_293,
         replicated_elastic_run,
     );
     // The paths this pin exists for all ran.
@@ -384,7 +384,7 @@ fn replicated_elastic_export_is_pinned() {
 
 #[test]
 fn failover_export_is_pinned() {
-    let a = pinned("failover", 0xcef0_0ce6_3c33_d114, 779_591, failover_run);
+    let a = pinned("failover", 0xd48e_9229_90ab_1cca, 802_904, failover_run);
     for needle in ["\"failover\"", "\"promote\"", "\"re-replicate\""] {
         assert!(a.contains(needle), "export carries {needle}");
     }

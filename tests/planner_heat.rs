@@ -177,11 +177,11 @@ fn empty_planned_rebalance_is_a_noop() {
 }
 
 #[test]
-fn windowed_probes_report_per_window_disk_utilization() {
-    // Satellite regression: disk/net monitoring probes are persisted per
-    // node, so a busy first window followed by an idle one reports ~zero
-    // utilization in the idle window (the old per-sample probes reported
-    // the cumulative-since-t=0 average instead).
+fn windowed_probes_report_per_window_nic_utilization() {
+    // The NIC monitoring probe is persisted per node, so a busy first
+    // window followed by an idle one reports ~zero utilization in the idle
+    // window (a per-sample probe would report the cumulative-since-t=0
+    // average instead).
     let mut db = WattDb::builder()
         .nodes(2)
         .warehouses(2)
@@ -190,12 +190,14 @@ fn windowed_probes_report_per_window_disk_utilization() {
         .seed(5)
         .initial_data_nodes(&[NodeId(0)])
         .build();
-    // Saturate node 0's data disk for ~2 s.
+    // Saturate the n0 → n1 wire for ~2 s (1 GbE moves ~117 MB/s).
     db.with_runtime(|cl, sim| {
-        let mut c = cl.borrow_mut();
-        c.nodes[0].disks[1].bulk_transfer(
+        let c = cl.borrow();
+        c.net.send(
             sim,
-            wattdb_common::ByteSize::mib(120),
+            NodeId(0),
+            NodeId(1),
+            wattdb_common::ByteSize::mib(220),
             wattdb_sim::Completion::Detached,
         );
     });
@@ -204,7 +206,7 @@ fn windowed_probes_report_per_window_disk_utilization() {
         let mut c = cl.borrow_mut();
         wattdb_core::monitor::sample_node(&mut c, NodeId(0), sim.now())
     });
-    assert!(busy.disk > 0.2, "busy window shows disk load: {busy:?}");
+    assert!(busy.net_tx > 0.2, "busy window shows NIC load: {busy:?}");
     // An idle window afterwards must read (near) zero, not the cumulative
     // average.
     db.run_for(SimDuration::from_secs(10));
@@ -213,9 +215,8 @@ fn windowed_probes_report_per_window_disk_utilization() {
         wattdb_core::monitor::sample_node(&mut c, NodeId(0), sim.now())
     });
     assert!(
-        idle.disk < 0.05,
-        "idle window reads ~0 disk, got {}",
-        idle.disk
+        idle.net_tx < 0.05,
+        "idle window reads ~0 NIC, got {}",
+        idle.net_tx
     );
-    assert!(idle.net_tx < 0.05, "idle window reads ~0 net");
 }

@@ -1,6 +1,6 @@
-//! Replication subsystem invariants: follower placement, heat-aware read
-//! fan-out, and failover promotion — the three contracts the replica map
-//! was built to property-test.
+//! Replication subsystem invariants: follower placement, read fan-out to
+//! caught-up followers, and failover promotion — the three contracts the
+//! replica map was built to property-test.
 //!
 //! * **Promotion** always picks the most-caught-up follower (highest
 //!   acknowledged LSN on the dead leader's shipping cursors), ties broken
@@ -88,6 +88,10 @@ fn hot_reads_fan_out_to_followers() {
         "caught-up followers must serve part of the read load"
     );
     assert!(
+        db.with_cluster(|c| c.replication.routed_reads >= c.replication.reads()),
+        "every follower-served read went through the router"
+    );
+    assert!(
         db.with_cluster(|c| c.replication.shipped_bytes()) > 0,
         "the write load must have shipped WAL to the followers"
     );
@@ -99,29 +103,6 @@ fn hot_reads_fan_out_to_followers() {
                 assert!(acked <= shipped, "{f}: acked past shipped");
                 assert!(shipped <= n.log.last_lsn(), "{f}: shipped past the log");
             }
-        }
-    });
-}
-
-#[test]
-fn read_routing_weights_favor_cold_hosts() {
-    // Heat-weighted rotation: every fan-out decision records an integer
-    // weight in 1..=4 per pool member (colder host → bigger share), and
-    // the router counts every decision so the telemetry read-share gauge
-    // has a denominator.
-    let mut db = replicated_db(1, &[NodeId(0), NodeId(1)]);
-    db.start_oltp(8, SimDuration::from_millis(40));
-    db.run_for(SimDuration::from_secs(30));
-    assert!(db.with_cluster(|c| c.replication.reads()) > 0);
-    db.with_cluster(|c| {
-        assert!(c.replication.routed_reads > 0, "router decisions counted");
-        assert!(
-            c.replication.routed_reads >= c.replication.reads(),
-            "every follower-served read went through the router"
-        );
-        assert!(!c.replication.route_weights.is_empty(), "weights recorded");
-        for (&n, &w) in &c.replication.route_weights {
-            assert!((1..=4).contains(&w), "{n}: weight {w} out of range");
         }
     });
 }
@@ -377,7 +358,7 @@ proptest! {
     #[test]
     fn placement_never_co_locates_with_the_leader(
         needs in proptest::collection::vec((0u64..64, 0u16..8, proptest::collection::vec(0u16..8, 0..3)), 1..12),
-        hosts in proptest::collection::vec((0u16..8, 0.0f64..100.0, 0.0f64..1.0), 1..8),
+        hosts in proptest::collection::vec((0u16..8, 0.0f64..100.0), 1..8),
         factor in 1usize..4,
     ) {
         // One need per segment, and a follower listed at most once —
@@ -400,10 +381,9 @@ proptest! {
             .collect();
         let hosts: Vec<HostRow> = hosts
             .into_iter()
-            .map(|(n, heat, nic)| HostRow {
+            .map(|(n, heat)| HostRow {
                 node: NodeId(n),
                 heat,
-                nic,
             })
             .collect();
         let plan = plan_replicas(&needs, &hosts, factor);
