@@ -20,7 +20,7 @@ use wattdb_core::cluster::Scheme;
 use wattdb_core::metrics::Phase;
 use wattdb_core::migration::{ControlPlan, HelperAttach};
 use wattdb_core::replay::{replay_trace, SortMemoryBroker};
-use wattdb_core::{Cluster, Outcome, Planner, PolicyConfig};
+use wattdb_core::{replication, Cluster, Outcome, Planner, PolicyConfig};
 use wattdb_query::{execute, ExecConfig, PlanNode, SyntheticTable};
 use wattdb_sim::CostCategory;
 use wattdb_tpcc::TenantSpec;
@@ -408,7 +408,7 @@ pub fn run_failover_recovery() -> FailoverRecovery {
     start_replica_load(&mut db);
     db.run_for(REPLICA_WARM);
     let victim = NodeId(1);
-    let orphaned = db.with_cluster(|c| c.replication.map().led_by(victim).len());
+    let orphaned = db.with_cluster(|c| replication::orphans(c, victim).len());
     db.fail_node(victim);
     let killed_at = db.now();
     let horizon = SimDuration::from_secs(600);
@@ -416,7 +416,7 @@ pub fn run_failover_recovery() -> FailoverRecovery {
     while db.now() - killed_at < horizon {
         db.run_for(SimDuration::from_secs(1));
         let done = db.with_cluster(|c| {
-            !c.replication.map().references(victim) && c.replication.under_replicated().is_empty()
+            !replication::references(c, victim) && c.replication.under_replicated().is_empty()
         });
         if done {
             recovered = true;
@@ -506,7 +506,7 @@ pub fn run_drain_under_replication() -> DrainUnderReplication {
     let (under_replicated, invariants_ok) = db.with_cluster(|c| {
         (
             c.replication.under_replicated().len(),
-            c.replication.check_invariants(&c.nodes).is_none(),
+            replication::check_invariants(c).is_none(),
         )
     });
     DrainUnderReplication {

@@ -165,9 +165,11 @@ impl WattDbBuilder {
     /// Per-segment replication: `factor` log-shipped follower copies per
     /// segment (0, the default, is the paper's single-copy behaviour).
     /// Followers are placed by the heat-aware planner at build time —
-    /// coldest nodes first, never the leader's own node — fed from the
-    /// leader's WAL, and serve an MVCC read once caught up with the
-    /// segment's last write (see [`crate::replication`]).
+    /// coldest nodes first, never the leader (the segment's catalog node)
+    /// — fed from the leader's WAL, and serve an MVCC read once caught up
+    /// with the segment's last write (see [`crate::replication`]). Refused
+    /// under [`Scheme::Physical`], whose catalog node stores a segment's
+    /// pages but does not log its writes.
     pub fn replication(mut self, factor: usize) -> Self {
         self.cfg.replication = factor;
         self
@@ -232,8 +234,13 @@ impl WattDbBuilder {
     }
 
     /// Build, load TPC-C, start the power sampler, and — when requested —
-    /// arm the monitoring window and engage the autopilot in it.
+    /// arm the monitoring window and engage the autopilot in it. Panics on
+    /// replication under [`Scheme::Physical`].
     pub fn build(self) -> WattDb {
+        assert!(
+            self.cfg.replication == 0 || self.cfg.scheme != Scheme::Physical,
+            "replication under Scheme::Physical: the catalog node stores a segment but does not log its writes"
+        );
         let cluster = Cluster::new(self.cfg, &self.initial);
         let mut sim = Sim::new();
         executor::install(&cluster, &mut sim);
@@ -243,7 +250,7 @@ impl WattDbBuilder {
             c.load_tpcc(self.tpcc, &self.initial)
                 .expect("dataset loads");
             let plan = crate::heat::plan_replicas(c, sim.now());
-            c.replication.place(&plan, &c.nodes);
+            crate::replication::place(c, &plan);
         }
         Cluster::start_power_sampler(&cluster, &mut sim);
         let mut db = WattDb {
@@ -843,6 +850,15 @@ mod tests {
             s.segments,
             s.nodes.iter().map(|n| n.segments).sum::<usize>()
         );
+    }
+
+    #[test]
+    #[should_panic(expected = "replication under Scheme::Physical")]
+    fn physical_scheme_refuses_replication() {
+        WattDb::builder()
+            .scheme(Scheme::Physical)
+            .replication(1)
+            .build();
     }
 
     #[test]

@@ -55,6 +55,7 @@ use crate::cluster::{Cluster, ClusterRc, Lifecycle};
 use crate::migration::Applied;
 use crate::monitor::ClusterView;
 use crate::policy::{self, Decision, ElasticityPolicy, PolicyConfig};
+use crate::replication;
 
 /// What became of a policy decision.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -176,17 +177,17 @@ pub(crate) fn step(cl: &ClusterRc, sim: &mut Sim, view: &ClusterView, window: u6
             applied.and_then(|a| a.span),
         );
     };
-    // Failover detection outranks every threshold: a failed node still
-    // referenced by the replica map means orphaned segments and dangling
-    // follower slots, and `policy::apply` acts on a promotion even while
-    // a rebalance is in flight. One node per window (lowest id first)
-    // keeps the event log legible.
-    let c = cl.borrow();
-    let map = c.replication.map();
-    let dead = c.failed_nodes().find(|&n| map.references(n));
-    drop(c);
-    if let Some(failed) = dead {
-        let orphaned = cl.borrow().replication.map().led_by(failed);
+    // Failover detection outranks every threshold: a failed node that
+    // still owns a tracked segment in the catalog or follows one means
+    // orphaned segments and dangling follower slots, and `policy::apply`
+    // acts on a promotion even while a rebalance is in flight. One node
+    // per window (lowest id first) keeps the event log legible.
+    let promote = {
+        let c = &*cl.borrow();
+        let dead = c.failed_nodes().find(|&n| replication::references(c, n));
+        dead.map(|failed| (failed, replication::orphans(c, failed)))
+    };
+    if let Some((failed, orphaned)) = promote {
         act(
             sim,
             policy.signals(),

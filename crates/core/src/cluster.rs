@@ -42,9 +42,9 @@
 //! # One routine per protocol step
 //!
 //! The §4.3 ownership switch is [`Cluster::hand_over`] (physiological
-//! mover and failover promotion), with leadership following it in
-//! [`crate::replication::Replication::follow_owner`], the one owner of
-//! follower state. The SSD a moved or followed segment uses is
+//! mover and failover promotion), which moves leadership too: a segment's
+//! leader is its catalog node. [`crate::replication::follow_owner`] then
+//! consumes the new owner's follower copy. The SSD a moved or followed segment uses is
 //! [`Cluster::data_disk`], and the bytes a segment copy costs are
 //! [`Cluster::copy_bytes`] (mover, follower copies, planner statistics).
 
@@ -1132,8 +1132,8 @@ mod tests {
         let c = &mut *c;
         c.load_tpcc(tpcc_cfg(), &[NodeId(0), NodeId(1)]).unwrap();
         let plan = crate::heat::plan_replicas(c, SimTime::ZERO);
-        c.replication.place(&plan, &c.nodes);
-        assert_eq!(c.replication.check_invariants(&c.nodes), None);
+        crate::replication::place(c, &plan);
+        assert_eq!(crate::replication::check_invariants(c), None);
         // n2 stores no segment, but the planner spread follower copies
         // onto it: it is still "data on disk".
         let host = NodeId(2);
@@ -1147,10 +1147,10 @@ mod tests {
         // A drain that leaves follower copies behind is a reported
         // violation until the copies are re-homed or the drain ends.
         c.begin_drain(host);
-        let violation = (c.replication.check_invariants(&c.nodes)).expect("draining follower");
+        let violation = crate::replication::check_invariants(c).expect("draining follower");
         assert!(violation.contains("is draining"), "{violation}");
         c.end_drain(host);
-        assert_eq!(c.replication.check_invariants(&c.nodes), None);
+        assert_eq!(crate::replication::check_invariants(c), None);
     }
 
     #[test]

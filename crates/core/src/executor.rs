@@ -92,8 +92,8 @@ pub struct TxnJob {
     locks_acquired: usize,
     /// Set while parked on a lock.
     pub lock_wait_started: Option<SimTime>,
-    /// Resolved execution target of the current op.
-    cur: Option<(PartitionId, NodeId, SegmentId)>,
+    /// The current op's routed owner, serving node and segment.
+    cur: Option<(NodeId, NodeId, SegmentId)>,
     /// Accumulated CPU not yet charged.
     cpu_accum: SimDuration,
     /// Hardware demand of the current operation attempt, charged to the
@@ -306,7 +306,7 @@ impl Cluster {
             job.next_op += 1;
             return Action::Loop;
         };
-        let Some((pid, node, seg)) = home else {
+        let Some((pid, owner, seg)) = home else {
             // Moving window edge: retry shortly via a tiny CPU spin.
             return Action::Cpu(
                 job.current_node,
@@ -317,7 +317,7 @@ impl Cluster {
         // A dead owner cannot serve: spin until failover re-points the
         // routing (promotion rewrites the dual pointers within one
         // monitoring window).
-        if self.is_failed(node) {
+        if self.is_failed(owner) {
             let cur = job.current_node;
             let spin_on = if self.is_failed(cur) {
                 NodeId::MASTER
@@ -342,12 +342,12 @@ impl Cluster {
         {
             let (at, w) = (job.current_node, job.weight);
             self.replication
-                .route_read(seg, node, at, w, &self.nodes)
-                .unwrap_or(node)
+                .route_read(seg, owner, at, w, &self.nodes)
+                .unwrap_or(owner)
         } else {
-            node
+            owner
         };
-        job.cur = Some((pid, node, seg));
+        job.cur = Some((owner, node, seg));
         // Ship the operation to its owner if we're elsewhere.
         if job.current_node != node {
             let from = job.current_node;
@@ -498,13 +498,13 @@ impl Cluster {
         // accumulated CostVector — its *actual* operator cost — and its
         // remote flag are what gets charged; a count-mode table reduces
         // them to the flat per-access weights.
-        if let Some((_, node, seg)) = job.cur {
+        if let Some((owner, node, seg)) = job.cur {
             let w = job.weight;
             // An off-leader read is a replica-served read (apply runs once
             // per operation, so this counts each fan-out exactly once —
             // or `weight` modeled fan-outs for a pooled carrier).
             if op.kind == OpKind::Read {
-                self.replication.record_read(seg, node, w);
+                self.replication.record_read(node, owner, w);
             }
             let kind = match op.kind {
                 OpKind::Read => crate::heat::AccessKind::Read,

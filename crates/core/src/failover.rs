@@ -3,7 +3,8 @@
 //! The paper's cluster keeps a single copy of every segment, so §3's
 //! master can only *move* data off a node that is still alive. With
 //! per-segment replication ([`wattdb_replica`]) a node loss becomes
-//! survivable: every segment the dead node led is handed to its
+//! survivable: every tracked segment the dead node owned in the catalog —
+//! a segment's leader is its catalog node — is handed to its
 //! **most-caught-up follower** (highest acknowledged LSN on the dead
 //! leader's shipping cursors — the candidate that loses the least
 //! committed history), the master's routing re-points, and the heat-aware
@@ -17,7 +18,7 @@
 //! failover re-replication, background repair, a drain's re-homes, the
 //! mover's backfill — is a step on a mover chain: read off the leader's
 //! disk while it crosses the wire, like a segment move, and landed only
-//! if its host is still active and its source still leads the segment.
+//! if its source and host survived and the host is still active.
 
 use wattdb_common::{NodeId, SegmentId, SimTime};
 use wattdb_sim::Sim;
@@ -25,13 +26,14 @@ use wattdb_telemetry::{AttrValue, SpanId};
 
 use crate::cluster::{Cluster, ClusterRc};
 use crate::migration::{next_step, FollowerCopy};
+use crate::replication;
 
-/// Promote a follower for every segment the failed node led, re-pointing
-/// routing and placement at the winners. Returns `(segment, new leader)`
-/// per promotion, in segment order. The failed node must already be
-/// marked via [`Cluster::fail_node`].
+/// Promote a follower for every tracked segment the failed node owned,
+/// re-pointing routing and the catalog at the winners. Returns `(segment,
+/// new leader)` per promotion, in segment order. The failed node must
+/// already be marked via [`Cluster::fail_node`].
 pub fn promote_orphans(c: &mut Cluster, now: SimTime, failed: NodeId) -> Vec<(SegmentId, NodeId)> {
-    let orphaned = c.replication.map().led_by(failed);
+    let orphaned = replication::orphans(c, failed);
     let mut promotions = Vec::new();
     for seg in orphaned {
         let follower_winner = c.replication.winner(seg, failed, &c.nodes);
@@ -43,7 +45,7 @@ pub fn promote_orphans(c: &mut Cluster, now: SimTime, failed: NodeId) -> Vec<(Se
             continue; // no live node at all: nothing to re-cover onto
         };
         // Find the partition (and key range) the segment serves on the
-        // dead node.
+        // dead node: the catalog and the top indexes hand over together.
         let Some((src_pid, table, range)) = c.partitions.values().find_map(|p| {
             if p.node != failed {
                 return None;
@@ -54,17 +56,6 @@ pub fn promote_orphans(c: &mut Cluster, now: SimTime, failed: NodeId) -> Vec<(Se
                 .find(|(s, _)| *s == seg)
                 .map(|(_, r)| (p.id, p.table, r))
         }) else {
-            // The map is stale: the segment no longer lives on the dead
-            // node (a migration landed it elsewhere before the failure
-            // was noticed). Re-point the map at the actual owner so
-            // detection converges instead of re-firing every window.
-            let owner = c
-                .seg_dir
-                .get(seg)
-                .ok()
-                .map(|m| m.node)
-                .filter(|&n| n != failed);
-            c.replication.repoint(seg, owner, &c.nodes);
             continue;
         };
         // §4.3-style ownership switch, master first. A migration that died
@@ -81,7 +72,7 @@ pub fn promote_orphans(c: &mut Cluster, now: SimTime, failed: NodeId) -> Vec<(Se
             .expect("promotion hand-over");
         // A follower winner keeps its siblings; a rebuilt segment does not.
         let keep = follower_winner.is_some();
-        c.replication.follow_owner(seg, winner, keep, &c.nodes);
+        replication::follow_owner(c, seg, winner, keep);
         promotions.push((seg, winner));
     }
     promotions
@@ -118,8 +109,9 @@ fn queue_copies(
         let mut c = cl.borrow_mut();
         let c = &mut *c;
         for (seg, to, named) in copies {
-            let (Ok(bytes), Some(from)) = (c.copy_bytes(seg), c.replication.map().leader_of(seg))
-            else {
+            // An untracked segment gets no copy; a tracked one's leader is its catalog node.
+            let tracked = c.replication.map().get(seg).and(c.seg_dir.get(seg).ok());
+            let (Ok(bytes), Some(from)) = (c.copy_bytes(seg), tracked.map(|m| m.node)) else {
                 continue;
             };
             let copy = FollowerCopy {
@@ -148,8 +140,8 @@ fn queue_copies(
 
 /// Restore the replication factor: ask the heat-aware planner for fresh
 /// follower placements and queue each copy on a mover chain. A copy
-/// joins the map only if its host is still active and its source still
-/// leads the segment when it lands.
+/// joins the map only if its source and host survived and the host is
+/// still active when it lands.
 pub fn schedule_rereplication(cl: &ClusterRc, sim: &mut Sim) {
     let (plan, span) = {
         let c = cl.borrow();
@@ -179,7 +171,7 @@ pub fn schedule_follower_rehomes(
         let mut c = cl.borrow_mut();
         let c = &mut *c;
         let copies = rehomes.iter().map(|r| (r.seg, r.from));
-        c.replication.remove_followers(copies, &c.nodes);
+        replication::remove_followers(c, copies);
         c.mover.as_ref().and_then(|m| m.span)
     };
     let copies = rehomes.iter().map(|r| {
@@ -199,7 +191,8 @@ pub fn handle_failure(cl: &ClusterRc, sim: &mut Sim, failed: NodeId) {
     {
         let c = &mut *cl.borrow_mut();
         let promotions = promote_orphans(c, sim.now(), failed);
-        c.replication.drop_node(failed, &c.nodes);
+        let followed = c.replication.map().followed_by(failed);
+        replication::remove_followers(c, followed.into_iter().map(|s| (s, failed)));
         if let Some(span) = c.failover_span {
             for &(seg, winner) in &promotions {
                 let attrs = vec![

@@ -430,11 +430,11 @@ pub fn plan_drain_replicated(
     remaining: &[NodeId],
 ) -> wattdb_planner::DrainPlan {
     let stats = segment_stats(c, now, c.cfg.heat.horizon);
-    let sites: Vec<wattdb_planner::ReplicaSite> = (c.replication.map().iter())
-        .map(|(seg, set)| wattdb_planner::ReplicaSite {
+    let sites: Vec<wattdb_planner::ReplicaSite> = crate::replication::sites(c)
+        .map(|(seg, leader, f)| wattdb_planner::ReplicaSite {
             seg,
-            leader: set.leader,
-            followers: set.followers.clone(),
+            leader,
+            followers: f.to_vec(),
         })
         .collect();
     let hosts: Vec<wattdb_planner::HostRow> = (c.nodes.iter())

@@ -67,6 +67,7 @@ use wattdb_wal::LogPayload;
 
 use crate::cluster::{Cluster, ClusterRc, Lifecycle, Scheme};
 use crate::executor::{resume_grants, Waiter};
+use crate::replication;
 
 /// One planned logical range move (per table, per source).
 #[derive(Debug, Clone, Copy)]
@@ -432,7 +433,7 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
         let attrs = vec![("drain".into(), names(&plan.drain))];
         c.powerdown_span = Some(c.telemetry.start_span("power-down", now, attrs));
     }
-    c.replication.assert_invariants(&c.nodes);
+    replication::assert_invariants(c);
     c.helpers.assert_invariants(&c.nodes);
     let (span, predicted) = report.unwrap_or((plan.promote.and(c.failover_span), None));
     Applied {
@@ -471,11 +472,10 @@ pub fn settle(cl: &ClusterRc, sim: &Sim) -> Option<SettledDrain> {
     let mut c = cl.borrow_mut();
     let c = &mut *c;
     // (The map-wide under-replication scan runs only while one is open.)
-    let replication = &c.replication;
     let recovered = c.failover_span.is_some()
-        && !c.failed_nodes().any(|n| replication.map().references(n))
+        && !c.failed_nodes().any(|n| replication::references(c, n))
         && !copying(c)
-        && replication.under_replicated().is_empty();
+        && c.replication.under_replicated().is_empty();
     if let Some(span) = c.failover_span.take_if(|_| recovered) {
         let spans = &mut c.telemetry.spans;
         let base = (spans.get(span))
@@ -499,7 +499,7 @@ pub fn settle(cl: &ClusterRc, sim: &Sim) -> Option<SettledDrain> {
     for &n in &drained {
         c.end_drain(n);
     }
-    c.replication.assert_invariants(&c.nodes);
+    replication::assert_invariants(c);
     c.helpers.assert_invariants(&c.nodes);
     c.telemetry
         .spans
@@ -594,11 +594,12 @@ fn pick(c: &mut Cluster, chain: u64) -> Option<Pending> {
             }
             Some(Pending::Range(mv)) => mv,
             Some(Pending::Copy(cp)) => {
-                // It ships from the segment's leader as the chain reaches
-                // it: behind the segment's own move, the post-move leader.
+                // A tracked segment's copy ships from its catalog node as the
+                // chain reaches it: behind the segment's own move, the post-move leader.
                 ch.queue.pop_front();
-                match c.replication.map().leader_of(cp.seg) {
-                    Some(from) if from != cp.to => {
+                let tracked = c.replication.map().get(cp.seg).is_some();
+                match c.seg_dir.get(cp.seg).map(|m| m.node) {
+                    Ok(from) if tracked && from != cp.to => {
                         return Some(Pending::Copy(FollowerCopy { from, ..cp }))
                     }
                     _ => continue,
@@ -769,8 +770,8 @@ fn copy_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
 
 /// Apply a copied segment — §4.3's ownership switch or §4.1's new storage
 /// place, void if an endpoint died — release its lock, pick the next step.
-/// A follower copy joins the map only if its host is still active and
-/// `from` still leads the segment; anything else voids it, and background
+/// A follower copy joins the map only if its source and host survived and
+/// the host is still active; anything else voids it, and background
 /// repair re-plans whatever is left short.
 fn apply_segment(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
     let mut follower_evicted = false;
@@ -784,10 +785,11 @@ fn apply_segment(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
         };
         let (step, txn) = (ch.step.take(), ch.txn.take());
         if let Some(Pending::Copy(cp)) = step {
-            let leads =
-                !c.is_failed(cp.from) && c.replication.map().leader_of(cp.seg) == Some(cp.from);
-            if leads && c.life(cp.to) == Lifecycle::Active {
-                c.replication.add_copy(cp.seg, cp.to, cp.bytes, &c.nodes);
+            // A live `from` still leads: it owned the segment at `pick`, the
+            // copy rides its chain behind the segment's own move and one
+            // rebalance runs at a time, so only a promotion can move it.
+            if !c.is_failed(cp.from) && c.life(cp.to) == Lifecycle::Active {
+                replication::add_copy(c, cp.seg, cp.to, cp.bytes);
             }
             break 'apply Vec::new();
         }
@@ -819,7 +821,7 @@ fn apply_segment(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
                     .expect("ownership switch");
                 // Leadership follows ownership; a follower copy the
                 // destination held is consumed, and a backfill restores it.
-                follower_evicted = c.replication.follow_owner(mv.seg, mv.to, true, &c.nodes);
+                follower_evicted = replication::follow_owner(c, mv.seg, mv.to, true);
                 if let Some(span) = mover_span.filter(|_| follower_evicted) {
                     let segment = wattdb_telemetry::AttrValue::U64(mv.seg.raw());
                     let attrs = vec![

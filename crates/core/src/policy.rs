@@ -614,10 +614,10 @@ mod tests {
     fn queue_copy_onto(cl: &ClusterRc, sim: &mut Sim, to: NodeId) {
         let rehome = {
             let c = cl.borrow();
-            let (seg, set) = (c.replication.map().iter())
-                .find(|(_, s)| s.leader == NodeId(0) && !s.followers.contains(&to))
+            let (seg, leader, followers) = crate::replication::sites(&c)
+                .find(|&(_, l, f)| l == NodeId(0) && !f.contains(&to))
                 .expect("an n0 segment followed elsewhere");
-            let (leader, from) = (set.leader, set.followers[0]);
+            let from = followers[0];
             wattdb_planner::FollowerRehome {
                 seg,
                 leader,
@@ -724,12 +724,12 @@ mod tests {
             let c = &mut *cl.borrow_mut();
             c.power_on(NodeId(3));
             c.power_on(NodeId(4));
-            let led_by_n1: Vec<_> = (c.replication.map().iter())
-                .filter(|(_, set)| set.leader == NodeId(1) && set.followers.len() < factor)
-                .map(|(seg, _)| seg)
+            let n1_short: Vec<_> = crate::replication::sites(c)
+                .filter(|&(_, l, f)| l == NodeId(1) && f.len() < factor)
+                .map(|(seg, ..)| seg)
                 .collect();
-            for seg in led_by_n1 {
-                c.replication.add_copy(seg, NodeId(3), 0, &c.nodes);
+            for seg in n1_short {
+                crate::replication::add_copy(c, seg, NodeId(3), 0);
             }
         });
         db
@@ -867,7 +867,7 @@ mod tests {
             let c = &mut *cl.borrow_mut();
             c.load_tpcc(tpcc, &data).expect("dataset loads");
             let plan = crate::heat::plan_replicas(c, SimTime::ZERO);
-            c.replication.place(&plan, &c.nodes);
+            crate::replication::place(c, &plan);
             let hot: Vec<SegmentId> = c.seg_dir.on_node(NodeId(0)).map(|m| m.id).collect();
             for seg in hot {
                 for _ in 0..50 {

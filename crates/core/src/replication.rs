@@ -1,10 +1,12 @@
 //! Follower replication, one owner: each segment's leader ships its durable
 //! WAL tail to `factor` followers, which serve caught-up reads and take
 //! over when it dies ([`crate::failover`]). [`Replication`] holds the
-//! [`ReplicaMap`], the shipping cursors, the catch-up bars, the read
-//! rotation and its counters; node liveness and logs are borrowed per
-//! call. Every map mutation re-syncs the cursors here, so a leader always
-//! ships to exactly the followers of its segments.
+//! [`ReplicaMap`] of follower sets (its segments are the *tracked* ones),
+//! the shipping cursors, the catch-up bars, the read rotation and its
+//! counters. A segment's leader is its catalog node, the one owner record,
+//! so what reads a leader or writes the map here takes the cluster. Every
+//! map write re-syncs the cursors, so a leader always ships to exactly
+//! the followers of the tracked segments it owns.
 
 use wattdb_common::{DenseMap, Lsn, NodeId, SegmentId};
 use wattdb_planner::ReplicaPlan;
@@ -12,14 +14,14 @@ use wattdb_replica::ReplicaMap;
 use wattdb_telemetry::MetricsRegistry;
 use wattdb_wal::LogShipper;
 
-use crate::cluster::{Lifecycle, NodeRuntime};
+use crate::cluster::{Cluster, Lifecycle, NodeRuntime};
 
 /// The cluster's follower replication (see the module docs).
 #[derive(Debug, Default)]
 pub struct Replication {
     /// Followers per segment; zero turns replication off.
     factor: usize,
-    /// Per-segment leader/follower placement (empty at factor 0).
+    /// Per-segment follower sets (empty at factor 0).
     map: ReplicaMap,
     /// Each leader's cursors to its followers, by node id.
     shippers: Vec<LogShipper>,
@@ -77,9 +79,9 @@ impl Replication {
     }
 
     /// The copy to serve a read of `seg` for a job at `at` (`weight`
-    /// modeled reads), `None` to stay on `leader`. The leader and its live,
-    /// **caught-up** followers (acked LSN ≥ last write) take turns; a job
-    /// already on such a follower stays (no ping-pong).
+    /// modeled reads), `None` to stay on the routed owner `leader`. It and
+    /// its live, **caught-up** followers (acked LSN ≥ last write) take
+    /// turns; a job already on such a follower stays (no ping-pong).
     pub fn route_read(
         &mut self,
         seg: SegmentId,
@@ -88,9 +90,6 @@ impl Replication {
         weight: u64,
         nodes: &[NodeRuntime],
     ) -> Option<NodeId> {
-        if self.map.leader_of(seg) != Some(leader) {
-            return None; // map out of step with routing: serve the owner
-        }
         let floor = self.seg_last_write.get(&seg).copied().unwrap_or(Lsn::ZERO);
         let shipper = &self.shippers[leader.raw() as usize];
         let pool = &mut self.read_pool;
@@ -112,9 +111,9 @@ impl Replication {
         Some(copy)
     }
 
-    /// Count a read of `seg` on `node` (`weight` reads) if off the leader.
-    pub fn record_read(&mut self, seg: SegmentId, node: NodeId, weight: u64) {
-        if self.map.leader_of(seg).is_some_and(|l| l != node) {
+    /// Count a read on `node` (`weight` reads) if off its routed `leader`.
+    pub fn record_read(&mut self, node: NodeId, leader: NodeId, weight: u64) {
+        if node != leader {
             self.reads += weight;
         }
     }
@@ -161,51 +160,6 @@ impl Replication {
         }
     }
 
-    /// Place the initial map's planned followers (at build time).
-    pub fn place(&mut self, plan: &ReplicaPlan, nodes: &[NodeRuntime]) {
-        for p in &plan.placements {
-            self.map.set(p.seg, p.leader, p.followers.clone());
-        }
-        self.sync_cursors(nodes);
-    }
-
-    /// Leadership follows ownership: `to` now owns `seg` (a landed move or
-    /// a promotion) and its log is the catch-up reference. Returns whether
-    /// a follower copy on `to` was consumed, for the caller to backfill.
-    /// Without `keep_followers` the old set is history.
-    pub fn follow_owner(
-        &mut self,
-        seg: SegmentId,
-        to: NodeId,
-        keep_followers: bool,
-        nodes: &[NodeRuntime],
-    ) -> bool {
-        let Some(set) = self.map.get(seg) else {
-            return false;
-        };
-        let consumed = set.followers.contains(&to);
-        if keep_followers {
-            self.map.set_leader(seg, to);
-        } else {
-            self.map.set(seg, to, Vec::new());
-        }
-        let lsn = nodes[to.raw() as usize].log.last_lsn();
-        self.seg_last_write.insert(seg, lsn);
-        self.sync_cursors(nodes);
-        consumed
-    }
-
-    /// The map names a dead leader for `seg` whose ownership moved on
-    /// before the failure was noticed: point it at the actual `owner`, or
-    /// forget the segment when it has none.
-    pub fn repoint(&mut self, seg: SegmentId, owner: Option<NodeId>, nodes: &[NodeRuntime]) {
-        match owner {
-            Some(n) => self.map.set_leader(seg, n),
-            None => self.map.remove(seg),
-        }
-        self.sync_cursors(nodes);
-    }
-
     /// The live follower of `seg` to promote now that its leader `failed`:
     /// the most-caught-up per the dead leader's own cursors (which survive
     /// `Cluster::fail_node` for this read). `None` when all died too.
@@ -215,54 +169,6 @@ impl Replication {
         let followers = self.map.followers_of(seg);
         let live = followers.iter().filter(|&&f| !is_failed(nodes, f));
         wattdb_replica::pick_promotion(live.map(|&f| (f, acked(f))))
-    }
-
-    /// Erase the failed node from every follower set (after promotion).
-    pub fn drop_node(&mut self, failed: NodeId, nodes: &[NodeRuntime]) {
-        self.map.drop_follower_node(failed);
-        self.sync_cursors(nodes);
-    }
-
-    /// Take a drain's `(segment, follower)` copies out of the map: a node
-    /// must shed replica duty before it may suspend.
-    pub fn remove_followers(
-        &mut self,
-        copies: impl IntoIterator<Item = (SegmentId, NodeId)>,
-        nodes: &[NodeRuntime],
-    ) {
-        for (seg, node) in copies {
-            self.map.remove_follower(seg, node);
-        }
-        self.sync_cursors(nodes);
-    }
-
-    /// A follower copy of `seg` (`bytes` on the wire) landed on `to`.
-    pub fn add_copy(&mut self, seg: SegmentId, to: NodeId, bytes: u64, nodes: &[NodeRuntime]) {
-        self.map.add_follower(seg, to);
-        self.rereplicated_bytes += bytes;
-        self.sync_cursors(nodes);
-    }
-
-    /// Make each leader ship to exactly its segments' followers, in place
-    /// (a cursor attaches at its leader's log end, in any order).
-    fn sync_cursors(&mut self, nodes: &[NodeRuntime]) {
-        let Self { map, shippers, .. } = self;
-        for (leader, shipper) in (0..).map(NodeId).zip(shippers.iter_mut()) {
-            let mut i = 0;
-            while let Some(f) = shipper.follower_at(i) {
-                if map.ships(leader, f) {
-                    i += 1;
-                } else {
-                    shipper.detach(f);
-                }
-            }
-        }
-        for (_, set) in map.iter() {
-            let i = set.leader.raw() as usize;
-            for &f in &set.followers {
-                shippers[i].attach(f, &nodes[i].log);
-            }
-        }
     }
 
     /// Export the `replica.*` / `rereplication.*` metrics into `r`.
@@ -286,53 +192,139 @@ impl Replication {
         r.set_gauge("replica.read_share", share);
         r.set_counter("rereplication.bytes", self.rereplicated_bytes);
     }
+}
 
-    /// The first violated invariant, `None` when clean: no leader follows
-    /// itself; referenced nodes are up (failed ones until promotion) and
-    /// followers not draining; each leader's cursors are exactly its
-    /// segments' followers, with `acked ≤ shipped ≤` its last LSN.
-    pub fn check_invariants(&self, nodes: &[NodeRuntime]) -> Option<String> {
-        let life = |n: NodeId| nodes[n.raw() as usize].life;
-        for (seg, set) in self.map.iter() {
-            let leader = set.leader;
-            if set.followers.contains(&leader) {
-                return Some(format!("{seg}: leader {leader} in its own follower set"));
-            }
-            let mut referenced = std::iter::once(&leader).chain(&set.followers);
-            if let Some(n) = referenced.find(|&&n| life(n) == Lifecycle::Standby) {
-                return Some(format!("{seg}: references suspended node {n}"));
-            }
-            for &f in &set.followers {
-                if life(f) == Lifecycle::Draining {
-                    return Some(format!("{seg}: follower {f} is draining"));
-                }
-                if self.shipper(leader).acked_lsn(f).is_none() {
-                    return Some(format!("{seg}: leader {leader} ships nothing to {f}"));
-                }
-            }
-        }
-        for ((leader, shipper), node) in (0..).map(NodeId).zip(&self.shippers).zip(nodes) {
-            for f in (0..).map_while(|i| shipper.follower_at(i)) {
-                if !self.map.ships(leader, f) {
-                    return Some(format!("{leader} ships to {f}, a follower of none"));
-                }
-                let (shipped, acked) = (shipper.shipped_lsn(f), shipper.acked_lsn(f));
-                let last = Some(node.log.last_lsn());
-                if acked > shipped || shipped > last {
-                    let lsns = format!("acked {acked:?}, shipped {shipped:?}, log end {last:?}");
-                    return Some(format!("{leader} → {f}: {lsns}"));
-                }
-            }
-        }
-        None
+/// Each tracked segment with its leader, the catalog node, and its
+/// followers, in id order.
+pub fn sites(c: &Cluster) -> impl Iterator<Item = (SegmentId, NodeId, &[NodeId])> {
+    (c.replication.map.iter()).filter_map(|(s, f)| Some((s, c.seg_dir.get(s).ok()?.node, f)))
+}
+
+/// The tracked segments `node` owns in the catalog, in id order: orphaned
+/// when it fails.
+pub fn orphans(c: &Cluster, node: NodeId) -> Vec<SegmentId> {
+    (sites(c).filter(|&(_, l, _)| l == node))
+        .map(|(s, ..)| s)
+        .collect()
+}
+
+/// True if `node` owns or follows a tracked segment.
+pub fn references(c: &Cluster, node: NodeId) -> bool {
+    sites(c).any(|(_, l, f)| l == node || f.contains(&node))
+}
+
+/// Place the initial map's planned followers (at build time).
+pub fn place(c: &mut Cluster, plan: &ReplicaPlan) {
+    for p in &plan.placements {
+        c.replication.map.set(p.seg, p.leader, p.followers.clone());
     }
+    sync_cursors(c);
+}
 
-    /// Panic on a [`Replication::check_invariants`] violation, in every
-    /// build profile (after each [`crate::migration::run`] and suspension).
-    pub fn assert_invariants(&self, nodes: &[NodeRuntime]) {
-        if let Some(violation) = self.check_invariants(nodes) {
-            panic!("replica-map invariant violated: {violation}");
+/// The catalog handed `seg` to `to` (a landed move or a promotion): a
+/// follower copy on `to` is consumed and `to`'s log is the catch-up
+/// reference. Returns whether a copy was consumed, for the caller to
+/// backfill. Without `keep_followers` the old set is history.
+pub fn follow_owner(c: &mut Cluster, seg: SegmentId, to: NodeId, keep_followers: bool) -> bool {
+    let r = &mut c.replication;
+    if r.map.get(seg).is_none() {
+        return false;
+    }
+    let consumed = r.map.remove_follower(seg, to);
+    if !keep_followers {
+        r.map.set(seg, to, Vec::new());
+    }
+    let lsn = c.nodes[to.raw() as usize].log.last_lsn();
+    r.seg_last_write.insert(seg, lsn);
+    sync_cursors(c);
+    consumed
+}
+
+/// Take `(segment, follower)` copies out of the map: a drain's copies (a
+/// node must shed replica duty before it may suspend) or a dead node's.
+pub fn remove_followers(c: &mut Cluster, copies: impl IntoIterator<Item = (SegmentId, NodeId)>) {
+    for (seg, node) in copies {
+        c.replication.map.remove_follower(seg, node);
+    }
+    sync_cursors(c);
+}
+
+/// A follower copy of `seg` (`bytes` on the wire) landed on `to`.
+pub fn add_copy(c: &mut Cluster, seg: SegmentId, to: NodeId, bytes: u64) {
+    c.replication.map.add_follower(seg, to);
+    c.replication.rereplicated_bytes += bytes;
+    sync_cursors(c);
+}
+
+/// Make each leader ship to exactly its tracked segments' followers, in
+/// place (a cursor attaches at its leader's log end, in any order).
+fn sync_cursors(c: &mut Cluster) {
+    let mut shippers = std::mem::take(&mut c.replication.shippers);
+    for (leader, shipper) in (0..).map(NodeId).zip(shippers.iter_mut()) {
+        let mut i = 0;
+        while let Some(f) = shipper.follower_at(i) {
+            if sites(c).any(|(_, l, fs)| l == leader && fs.contains(&f)) {
+                i += 1;
+            } else {
+                shipper.detach(f);
+            }
         }
+    }
+    for (_, leader, followers) in sites(c) {
+        let i = leader.raw() as usize;
+        for &f in followers {
+            shippers[i].attach(f, &c.nodes[i].log);
+        }
+    }
+    c.replication.shippers = shippers;
+}
+
+/// The first violated invariant, `None` when clean: no leader (catalog
+/// node) follows its own segment; referenced nodes are up (failed ones
+/// until promotion) and followers not draining; each leader's cursors are
+/// exactly its tracked segments' followers, with `acked ≤ shipped ≤` its
+/// last LSN.
+pub fn check_invariants(c: &Cluster) -> Option<String> {
+    let life = |n: NodeId| c.nodes[n.raw() as usize].life;
+    for (seg, leader, followers) in sites(c) {
+        if followers.contains(&leader) {
+            return Some(format!("{seg}: leader {leader} in its own follower set"));
+        }
+        let mut referenced = std::iter::once(&leader).chain(followers);
+        if let Some(n) = referenced.find(|&&n| life(n) == Lifecycle::Standby) {
+            return Some(format!("{seg}: references suspended node {n}"));
+        }
+        for &f in followers {
+            if life(f) == Lifecycle::Draining {
+                return Some(format!("{seg}: follower {f} is draining"));
+            }
+            if c.replication.shipper(leader).acked_lsn(f).is_none() {
+                return Some(format!("{seg}: leader {leader} ships nothing to {f}"));
+            }
+        }
+    }
+    let shippers = (0..).map(NodeId).zip(&c.replication.shippers);
+    for ((leader, shipper), node) in shippers.zip(&c.nodes) {
+        for f in (0..).map_while(|i| shipper.follower_at(i)) {
+            if !sites(c).any(|(_, l, fs)| l == leader && fs.contains(&f)) {
+                return Some(format!("{leader} ships to {f}, a follower of none"));
+            }
+            let (shipped, acked) = (shipper.shipped_lsn(f), shipper.acked_lsn(f));
+            let last = Some(node.log.last_lsn());
+            if acked > shipped || shipped > last {
+                let lsns = format!("acked {acked:?}, shipped {shipped:?}, log end {last:?}");
+                return Some(format!("{leader} → {f}: {lsns}"));
+            }
+        }
+    }
+    None
+}
+
+/// Panic on a [`check_invariants`] violation, in every build profile
+/// (after each [`crate::migration::run`] and suspension).
+pub fn assert_invariants(c: &Cluster) {
+    if let Some(violation) = check_invariants(c) {
+        panic!("replica-map invariant violated: {violation}");
     }
 }
 
@@ -371,7 +363,7 @@ mod tests {
                 leader: LEADER,
                 followers,
             }];
-            c.replication.place(&ReplicaPlan { placements }, &c.nodes);
+            place(c, &ReplicaPlan { placements });
         }
         cl
     }
@@ -406,10 +398,35 @@ mod tests {
         assert_eq!(route(c, LEADER, 10), [5, 5, 0, 0]);
         // A job already on an eligible follower stays there.
         assert_eq!(route(c, NodeId(1), 4), [0, 4, 0, 0]);
-        // A map whose leader disagrees with the owner serves the owner.
-        let stale = c
-            .replication
-            .route_read(SEG, NodeId(1), LEADER, 1, &c.nodes);
-        assert_eq!(stale, None);
+    }
+
+    #[test]
+    fn the_catalog_names_each_tracked_segments_leader() {
+        let cl = hot_leader_three_followers();
+        let c = &mut *cl.borrow_mut();
+        // A segment the map does not track (as one a logical move opens)
+        // is no orphan of its owner.
+        let disk = DiskId::new(NodeId(3), 1);
+        let untracked = c.seg_dir.create(TableId(0), NodeId(3), disk, None, 8);
+        assert_eq!(orphans(c, LEADER), vec![SEG]);
+        assert_eq!(orphans(c, NodeId(3)), vec![]);
+        assert!(references(c, NodeId(3)), "a follower");
+        // A hand-over moves leadership with the catalog alone: n2's copy
+        // is consumed, and n0 stops shipping to the followers while n2
+        // starts.
+        let disk = c.data_disk(NodeId(2), SEG);
+        c.seg_dir.relocate(SEG, NodeId(2), disk).unwrap();
+        assert!(follow_owner(c, SEG, NodeId(2), true), "n2's copy consumed");
+        let followers = c.replication.map().followers_of(SEG);
+        assert_eq!(followers, &[NodeId(1), NodeId(3)]);
+        assert_eq!(orphans(c, NodeId(2)), vec![SEG]);
+        assert!(orphans(c, LEADER).is_empty());
+        assert_eq!(c.replication.shipper(LEADER).followers(), vec![]);
+        let shipping = c.replication.shipper(NodeId(2)).followers();
+        assert_eq!(shipping, vec![NodeId(1), NodeId(3)]);
+        assert_eq!(check_invariants(c), None);
+        // Moving the untracked segment changes nothing in the map.
+        assert!(!follow_owner(c, untracked, LEADER, true));
+        assert_eq!(c.replication.map().get(untracked), None);
     }
 }

@@ -85,11 +85,6 @@ impl Network {
         self.nics[node.raw() as usize].stats.get()
     }
 
-    /// Serialization time of `bytes` on one link.
-    pub fn wire_time(&self, bytes: ByteSize) -> SimDuration {
-        bytes.transfer_time(self.spec.bandwidth)
-    }
-
     /// Send `bytes` from `src` to `dst`; `delivered` fires at the receiver
     /// when the message arrives. Local sends (src == dst) skip the wire
     /// entirely (records move through main memory, §3.3). Transfers larger

@@ -1,44 +1,31 @@
-//! # WattDB-RS replica map: per-segment leader/follower placement
+//! # WattDB-RS replica map: per-segment follower sets
 //!
 //! The paper's cluster keeps exactly one copy of every segment, so a node
 //! loss is unrecoverable and a read hotspot can only be *moved*, never
 //! fanned out. This crate adds the metadata half of the fix: a
-//! [`ReplicaMap`] recording, per segment, the **leader**
-//! (the owning node — writes and routing authority) and a set of
-//! **follower** nodes fed from the leader's WAL via the existing
-//! `wattdb_wal::LogShipper` path.
+//! [`ReplicaMap`] recording, per tracked segment, the **follower** nodes
+//! fed from the leader's WAL via the existing `wattdb_wal::LogShipper`
+//! path. A segment's **leader** is not recorded here: it is the segment's
+//! owner in the master's catalog, the one record of where a segment lives,
+//! which §4.3's hand-over updates.
 //!
 //! The map is pure bookkeeping — it holds no cluster state and performs no
-//! I/O — so placement invariants (a follower never co-locates with its
-//! leader, promotion always picks the most-caught-up follower) can be
-//! property-tested exhaustively. The cluster's one writer of the map is
-//! `wattdb_core::replication`, which re-syncs the leaders' shipping
-//! cursors after every mutation.
+//! I/O — so placement invariants (a follower never co-locates with the
+//! owner it is placed for, promotion always picks the most-caught-up
+//! follower) can be property-tested exhaustively. The cluster's one writer
+//! of the map is `wattdb_core::replication`, which reads each leader off
+//! the catalog and re-syncs the leaders' shipping cursors after every
+//! mutation.
 
 use wattdb_common::{DenseMap, Lsn, NodeId, SegmentId};
 
-/// One segment's replication state: the leader plus its follower set.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct ReplicaSet {
-    /// Owning node: serves writes, ships its log to the followers.
-    pub leader: NodeId,
-    /// Follower nodes holding a log-shipped copy, in attachment order.
-    pub followers: Vec<NodeId>,
-}
-
-impl ReplicaSet {
-    /// True if `node` holds any replica role for this segment.
-    pub fn contains(&self, node: NodeId) -> bool {
-        self.leader == node || self.followers.contains(&node)
-    }
-}
-
-/// Map from segment to its [`ReplicaSet`].
+/// Map from each tracked segment to its follower nodes, in attachment
+/// order.
 #[derive(Debug, Clone, Default)]
 pub struct ReplicaMap {
-    /// Indexed by segment id: the read path asks for a segment's leader
-    /// and followers per operation. Walks are in id order.
-    segments: DenseMap<SegmentId, ReplicaSet>,
+    /// Indexed by segment id: the read path asks for a segment's
+    /// followers per operation. Walks are in id order.
+    segments: DenseMap<SegmentId, Vec<NodeId>>,
 }
 
 impl ReplicaMap {
@@ -47,138 +34,75 @@ impl ReplicaMap {
         Self::default()
     }
 
-    /// Number of segments with replication state.
+    /// Number of tracked segments.
     pub fn len(&self) -> usize {
         self.segments.len()
     }
 
-    /// True when no segment has replication state.
+    /// True when no segment is tracked.
     pub fn is_empty(&self) -> bool {
         self.segments.is_empty()
     }
 
-    /// The segment's replica set, if tracked.
-    pub fn get(&self, seg: SegmentId) -> Option<&ReplicaSet> {
-        self.segments.get(&seg)
-    }
-
-    /// The segment's leader, if tracked.
-    pub fn leader_of(&self, seg: SegmentId) -> Option<NodeId> {
-        self.segments.get(&seg).map(|r| r.leader)
+    /// The segment's followers, `None` when it is not tracked.
+    pub fn get(&self, seg: SegmentId) -> Option<&[NodeId]> {
+        self.segments.get(&seg).map(Vec::as_slice)
     }
 
     /// The segment's followers (empty when untracked).
     pub fn followers_of(&self, seg: SegmentId) -> &[NodeId] {
-        self.segments
-            .get(&seg)
-            .map(|r| r.followers.as_slice())
-            .unwrap_or(&[])
+        self.get(seg).unwrap_or(&[])
     }
 
-    /// Iterate over all tracked segments in id order.
-    pub fn iter(&self) -> impl Iterator<Item = (SegmentId, &ReplicaSet)> {
-        self.segments.iter()
+    /// Iterate over all tracked segments and their followers, in id order.
+    pub fn iter(&self) -> impl Iterator<Item = (SegmentId, &[NodeId])> {
+        self.segments.iter().map(|(s, f)| (s, f.as_slice()))
     }
 
-    /// Install (or replace) a segment's replica set. A follower equal to
-    /// the leader is a placement bug and panics.
+    /// Track a segment owned by `leader` with these followers (replacing
+    /// any it had). A follower equal to the owner is a placement bug and
+    /// panics.
     pub fn set(&mut self, seg: SegmentId, leader: NodeId, followers: Vec<NodeId>) {
         assert!(
             !followers.contains(&leader),
             "{seg}: follower set co-locates with leader {leader}"
         );
-        self.segments.insert(seg, ReplicaSet { leader, followers });
-    }
-
-    /// Record that the segment's leadership moved (a completed migration,
-    /// or a follower promoted after the leader failed): the replica set
-    /// follows ownership. If the new leader was a follower, it leaves the
-    /// follower set; the old leader is *not* demoted to follower.
-    pub fn set_leader(&mut self, seg: SegmentId, leader: NodeId) {
-        if let Some(r) = self.segments.get_mut(&seg) {
-            if r.leader == leader {
-                return;
-            }
-            r.leader = leader;
-            r.followers.retain(|&f| f != leader);
-        }
+        self.segments.insert(seg, followers);
     }
 
     /// Add a follower to a tracked segment (no-op when already present).
     pub fn add_follower(&mut self, seg: SegmentId, node: NodeId) {
-        if let Some(r) = self.segments.get_mut(&seg) {
-            assert!(r.leader != node, "{seg}: follower {node} is the leader");
-            if !r.followers.contains(&node) {
-                r.followers.push(node);
+        if let Some(f) = self.segments.get_mut(&seg) {
+            if !f.contains(&node) {
+                f.push(node);
             }
         }
     }
 
-    /// Remove a follower from a tracked segment.
-    pub fn remove_follower(&mut self, seg: SegmentId, node: NodeId) {
-        if let Some(r) = self.segments.get_mut(&seg) {
-            r.followers.retain(|&f| f != node);
-        }
-    }
-
-    /// Stop tracking a segment (dropped table / merged segment).
-    pub fn remove(&mut self, seg: SegmentId) {
-        self.segments.remove(&seg);
-    }
-
-    /// Segments whose *leader* is `node` — the segments orphaned when the
-    /// node fails, in id order.
-    pub fn led_by(&self, node: NodeId) -> Vec<SegmentId> {
-        self.segments
-            .iter()
-            .filter(|(_, r)| r.leader == node)
-            .map(|(s, _)| s)
-            .collect()
+    /// Remove a follower from a tracked segment; true if it was one.
+    pub fn remove_follower(&mut self, seg: SegmentId, node: NodeId) -> bool {
+        let Some(f) = self.segments.get_mut(&seg) else {
+            return false;
+        };
+        let before = f.len();
+        f.retain(|&n| n != node);
+        f.len() != before
     }
 
     /// Segments for which `node` is a follower, in id order.
     pub fn followed_by(&self, node: NodeId) -> Vec<SegmentId> {
-        self.segments
-            .iter()
-            .filter(|(_, r)| r.followers.contains(&node))
+        self.iter()
+            .filter(|(_, f)| f.contains(&node))
             .map(|(s, _)| s)
             .collect()
-    }
-
-    /// True if `leader` leads a segment `follower` follows: the leader
-    /// must ship its log there.
-    pub fn ships(&self, leader: NodeId, follower: NodeId) -> bool {
-        let mut sets = self.segments.values();
-        sets.any(|r| r.leader == leader && r.followers.contains(&follower))
-    }
-
-    /// True if `node` appears anywhere in the map (leader or follower).
-    pub fn references(&self, node: NodeId) -> bool {
-        self.segments.values().any(|r| r.contains(node))
-    }
-
-    /// Erase a failed node from every follower set (its led segments must
-    /// be promoted first, via [`ReplicaMap::set_leader`]). Returns the
-    /// segments that lost a follower — the re-replication work list.
-    pub fn drop_follower_node(&mut self, node: NodeId) -> Vec<SegmentId> {
-        let mut lost = Vec::new();
-        for (seg, r) in self.segments.iter_mut() {
-            let before = r.followers.len();
-            r.followers.retain(|&f| f != node);
-            if r.followers.len() != before {
-                lost.push(seg);
-            }
-        }
-        lost
     }
 
     /// Segments whose follower count is below `factor`, with their
     /// deficit, in id order — the re-replication backlog.
     pub fn under_replicated(&self, factor: usize) -> Vec<(SegmentId, usize)> {
-        self.segments
-            .iter()
-            .filter(|(_, r)| r.followers.len() < factor)
-            .map(|(s, r)| (s, factor - r.followers.len()))
+        self.iter()
+            .filter(|(_, f)| f.len() < factor)
+            .map(|(s, f)| (s, factor - f.len()))
             .collect()
     }
 }
@@ -207,8 +131,8 @@ mod tests {
         let mut m = ReplicaMap::new();
         assert!(m.is_empty());
         m.set(seg(1), NodeId(1), vec![NodeId(2), NodeId(3)]);
-        assert_eq!(m.leader_of(seg(1)), Some(NodeId(1)));
-        assert_eq!(m.followers_of(seg(1)), &[NodeId(2), NodeId(3)]);
+        assert_eq!(m.get(seg(1)), Some(&[NodeId(2), NodeId(3)][..]));
+        assert_eq!(m.get(seg(9)), None, "untracked");
         assert_eq!(m.followers_of(seg(9)), &[] as &[NodeId]);
         assert_eq!(m.len(), 1);
     }
@@ -224,23 +148,31 @@ mod tests {
     fn leadership_follows_migration() {
         let mut m = ReplicaMap::new();
         m.set(seg(1), NodeId(1), vec![NodeId(2), NodeId(3)]);
-        // The segment migrates onto one of its followers: the follower
-        // becomes leader and leaves the follower set.
-        m.set_leader(seg(1), NodeId(2));
-        assert_eq!(m.leader_of(seg(1)), Some(NodeId(2)));
+        // The segment migrates onto one of its followers: that copy is
+        // consumed and leaves the follower set. A move onto a node that
+        // held no copy, or of an untracked segment, consumes nothing.
+        assert!(m.remove_follower(seg(1), NodeId(2)));
+        assert_eq!(m.followers_of(seg(1)), &[NodeId(3)]);
+        assert!(!m.remove_follower(seg(1), NodeId(4)));
+        assert!(!m.remove_follower(seg(9), NodeId(3)));
         assert_eq!(m.followers_of(seg(1)), &[NodeId(3)]);
     }
 
     #[test]
     fn promotion_removes_the_dead_leader() {
+        // n1 owns segment 1 (followers n2, n3) and follows segment 2.
         let mut m = ReplicaMap::new();
         m.set(seg(1), NodeId(1), vec![NodeId(2), NodeId(3)]);
-        m.set_leader(seg(1), NodeId(3));
-        assert_eq!(m.leader_of(seg(1)), Some(NodeId(3)));
+        m.set(seg(2), NodeId(2), vec![NodeId(1)]);
+        // n1 dies: n3's copy of segment 1 is promoted (consumed), then
+        // the corpse leaves every follower set.
+        assert!(m.remove_follower(seg(1), NodeId(3)));
+        assert_eq!(m.followed_by(NodeId(1)), vec![seg(2)]);
+        assert!(m.remove_follower(seg(2), NodeId(1)));
         assert_eq!(m.followers_of(seg(1)), &[NodeId(2)]);
         assert!(
-            !m.get(seg(1)).unwrap().contains(NodeId(1)),
-            "dead ex-leader must not linger in the set"
+            m.followed_by(NodeId(1)).is_empty(),
+            "dead ex-leader must not linger in the map"
         );
     }
 
@@ -250,16 +182,18 @@ mod tests {
         m.set(seg(1), NodeId(1), vec![NodeId(2)]);
         m.set(seg(2), NodeId(1), vec![NodeId(3)]);
         m.set(seg(3), NodeId(2), vec![NodeId(1)]);
-        assert_eq!(m.led_by(NodeId(1)), vec![seg(1), seg(2)]);
         assert_eq!(m.followed_by(NodeId(1)), vec![seg(3)]);
-        assert!(m.references(NodeId(1)));
-        m.set_leader(seg(1), NodeId(2));
-        m.set_leader(seg(2), NodeId(3));
-        let lost = m.drop_follower_node(NodeId(1));
+        // n1's two segments are promoted onto their followers.
+        assert!(m.remove_follower(seg(1), NodeId(2)));
+        assert!(m.remove_follower(seg(2), NodeId(3)));
+        // The corpse's follower copies are the re-replication work list.
+        let lost = m.followed_by(NodeId(1));
         assert_eq!(lost, vec![seg(3)]);
-        assert!(!m.references(NodeId(1)));
-        // Factor 1 restored everywhere except the segment that lost its
-        // follower.
+        lost.into_iter()
+            .for_each(|s| assert!(m.remove_follower(s, NodeId(1))));
+        assert!(m.followed_by(NodeId(1)).is_empty());
+        // Factor 1 is short everywhere: two copies were consumed by the
+        // promotions, one died with its host.
         assert_eq!(
             m.under_replicated(1),
             vec![(seg(1), 1), (seg(2), 1), (seg(3), 1)]

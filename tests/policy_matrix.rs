@@ -457,7 +457,7 @@ fn scale_in_with_replication_rehomes_followers_before_suspension() {
     );
     db.with_cluster(|c| {
         assert_eq!(
-            c.replication.check_invariants(&c.nodes),
+            wattdb_core::replication::check_invariants(c),
             None,
             "replica map consistent after the drain"
         );
@@ -468,7 +468,7 @@ fn scale_in_with_replication_rehomes_followers_before_suspension() {
         );
         for &n in &suspended {
             assert!(
-                !c.replication.map().references(n),
+                !wattdb_core::replication::references(c, n),
                 "suspended node {n} still referenced by the replica map"
             );
         }
@@ -533,7 +533,7 @@ fn scale_in_refuses_a_drain_that_would_strand_follower_copies() {
     );
     assert_eq!(db.active_nodes(), active_before, "node count unchanged");
     db.with_cluster(|c| {
-        assert_eq!(c.replication.check_invariants(&c.nodes), None);
+        assert_eq!(wattdb_core::replication::check_invariants(c), None);
         assert!(
             c.replication.under_replicated().is_empty(),
             "refused drain still lost copies: {:?}",
@@ -587,7 +587,7 @@ fn kill_active_mid_migration_promotes_and_recovers() {
     assert!(committed_before > 0, "writes committed before the failure");
     let victim = NodeId(1);
     let map_before = db.with_cluster(|c| c.replication.map().clone());
-    let led_before = map_before.led_by(victim);
+    let led_before = db.with_cluster(|c| wattdb_core::replication::orphans(c, victim));
     assert!(!led_before.is_empty(), "victim leads segments");
     // The migration is mid-flight off the victim when it dies.
     db.rebalance(0.5, &[victim], &[NodeId(2)]);
@@ -617,20 +617,19 @@ fn kill_active_mid_migration_promotes_and_recovers() {
     // node that was its follower before the failure (factor 1: the single
     // follower IS the most-caught-up one), unless a completed migration
     // already moved it off the victim.
-    let map_after = db.with_cluster(|c| c.replication.map().clone());
     db.with_cluster(|c| {
         for &seg in &led_before {
-            match map_after.leader_of(seg) {
-                Some(leader) => {
-                    assert_ne!(leader, victim, "{seg} still led by the corpse");
-                    assert!(
-                        map_before.followers_of(seg).contains(&leader)
-                            || c.seg_dir.get(seg).is_ok_and(|m| m.node == leader),
-                        "{seg}: new leader {leader} was neither a follower nor the owner"
-                    );
-                }
-                None => panic!("{seg} vanished from the replica map"),
-            }
+            assert!(
+                c.replication.map().get(seg).is_some(),
+                "{seg} vanished from the replica map"
+            );
+            let leader = c.seg_dir.get(seg).unwrap().node;
+            assert_ne!(leader, victim, "{seg} still led by the corpse");
+            // A move that landed before the kill put it on the target.
+            assert!(
+                map_before.followers_of(seg).contains(&leader) || leader == NodeId(2),
+                "{seg}: new leader {leader} was neither a follower nor the move's target"
+            );
         }
         // The key space is re-covered: nothing is stored on the dead node.
         assert!(
@@ -645,7 +644,7 @@ fn kill_active_mid_migration_promotes_and_recovers() {
         );
     });
     assert!(
-        !map_after.references(victim),
+        !db.with_cluster(|c| wattdb_core::replication::references(c, victim)),
         "dead node erased from the map"
     );
     assert!(
@@ -710,7 +709,8 @@ fn kill_follower_rereplicates_to_restore_the_factor() {
         "failover logged: {events:?}"
     );
     let map = db.with_cluster(|c| c.replication.map().clone());
-    assert!(!map.references(victim), "dead follower erased everywhere");
+    let erased = db.with_cluster(|c| !wattdb_core::replication::references(c, victim));
+    assert!(erased, "dead follower erased everywhere");
     db.with_cluster(|c| {
         assert!(
             c.replication.under_replicated().is_empty(),
@@ -725,12 +725,11 @@ fn kill_follower_rereplicates_to_restore_the_factor() {
         "re-replication shipped bytes"
     );
     for seg in followed {
-        if let Some(set) = map.get(seg) {
-            assert!(
-                !set.followers.contains(&set.leader),
-                "{seg}: follower co-located with leader"
-            );
-        }
+        let leader = db.with_cluster(|c| c.seg_dir.get(seg).unwrap().node);
+        assert!(
+            !map.followers_of(seg).contains(&leader),
+            "{seg}: follower co-located with leader"
+        );
     }
     println!(
         "[failover/follower-kill] rereplicated={}B map segments={}",

@@ -252,7 +252,7 @@ proptest! {
             prop_assert!(stray.is_none(), "right after op {}: {:?} leaves off its segment", op, stray);
             db.run_for(SimDuration::from_secs(15));
             let violation = db.with_cluster(|c| {
-                (c.replication.check_invariants(&c.nodes)).or_else(|| c.helpers.check_invariants(&c.nodes))
+                (wattdb_core::replication::check_invariants(c)).or_else(|| c.helpers.check_invariants(&c.nodes))
             });
             prop_assert!(violation.is_none(), "after op {}: {:?}", op, violation);
             let stray = db.with_cluster(stray_segment_move);
@@ -267,7 +267,7 @@ proptest! {
             }
         }
         let violation = db.with_cluster(|c| {
-            (c.replication.check_invariants(&c.nodes)).or_else(|| c.helpers.check_invariants(&c.nodes))
+            (wattdb_core::replication::check_invariants(c)).or_else(|| c.helpers.check_invariants(&c.nodes))
         });
         prop_assert!(violation.is_none(), "after settling: {:?}", violation);
         let reachable = db.with_cluster(|c| c.check_reachable());

@@ -46,25 +46,22 @@ fn bootstrap_places_followers_off_leader() {
     assert!(!map.is_empty(), "every segment tracked");
     db.with_cluster(|c| {
         assert_eq!(map.len(), c.seg_dir.len(), "full coverage");
-        for (seg, set) in map.iter() {
-            assert_eq!(set.followers.len(), 1, "{seg} at factor");
+        // A segment's leader is its catalog node, the storing node.
+        let leader = |seg| c.seg_dir.get(seg).unwrap().node;
+        for (seg, followers) in map.iter() {
+            assert_eq!(followers.len(), 1, "{seg} at factor");
             assert!(
-                !set.followers.contains(&set.leader),
+                !followers.contains(&leader(seg)),
                 "{seg}: follower co-located with leader {}",
-                set.leader
-            );
-            assert_eq!(
-                c.seg_dir.get(seg).unwrap().node,
-                set.leader,
-                "{seg}: map leader is the storing node"
+                leader(seg)
             );
         }
         // Every leader ships to exactly its segments' union of followers.
         for n in &c.nodes {
             let wanted: std::collections::BTreeSet<NodeId> = map
                 .iter()
-                .filter(|(_, s)| s.leader == n.id)
-                .flat_map(|(_, s)| s.followers.iter().copied())
+                .filter(|&(s, _)| leader(s) == n.id)
+                .flat_map(|(_, f)| f.iter().copied())
                 .collect();
             let have: std::collections::BTreeSet<NodeId> = c
                 .replication
@@ -116,13 +113,13 @@ fn planned_rebalance_onto_a_follower_evicts_and_backfills() {
     // instead of silently dropping to zero.
     let mut db = replicated_db(1, &[NodeId(0), NodeId(1), NodeId(2)]);
     let (seg, leader, follower) = db.with_cluster(|c| {
-        let (seg, set) = c
+        let (seg, followers) = c
             .replication
             .map()
             .iter()
             .next()
             .expect("replicated segment");
-        (seg, set.leader, set.followers[0])
+        (seg, c.seg_dir.get(seg).unwrap().node, followers[0])
     });
     assert_eq!(
         db.with_cluster(|c| c.replication.map().followers_of(seg).len()),
@@ -160,14 +157,15 @@ fn planned_rebalance_onto_a_follower_evicts_and_backfills() {
     // Let the backfill copy land.
     db.run_for(SimDuration::from_secs(60));
     let map = db.with_cluster(|c| c.replication.map().clone());
-    let set = map.get(seg).expect("segment still tracked");
-    assert_eq!(set.leader, follower, "{seg}: leadership moved as planned");
+    let followers = map.get(seg).expect("segment still tracked");
+    let owner = db.with_cluster(|c| c.seg_dir.get(seg).unwrap().node);
+    assert_eq!(owner, follower, "{seg}: leadership moved as planned");
     assert!(
-        !set.followers.contains(&follower),
+        !followers.contains(&follower),
         "{seg}: new leader still listed as its own follower"
     );
     assert_eq!(
-        set.followers.len(),
+        followers.len(),
         1,
         "{seg}: factor restored by the backfill copy"
     );
@@ -178,7 +176,7 @@ fn planned_rebalance_onto_a_follower_evicts_and_backfills() {
     );
     db.with_cluster(|c| {
         assert_eq!(
-            c.replication.check_invariants(&c.nodes),
+            wattdb_core::replication::check_invariants(c),
             None,
             "replica map consistent after evict + backfill"
         );
@@ -240,16 +238,18 @@ fn leader_kill_promotes_and_keeps_serving() {
     // Four warehouses spread over the first two data nodes: node 1 is
     // the populated victim (node 2 hosts only follower copies).
     let victim = NodeId(1);
-    let led = db.with_cluster(|c| c.replication.map().led_by(victim));
+    let led = db.with_cluster(|c| wattdb_core::replication::orphans(c, victim));
     assert!(!led.is_empty());
     db.fail_node(victim);
     db.run_for(SimDuration::from_secs(120));
-    let map = db.with_cluster(|c| c.replication.map().clone());
-    assert!(!map.references(victim), "corpse erased from the map");
-    for seg in led {
-        let leader = map.leader_of(seg).expect("still tracked");
-        assert_ne!(leader, victim);
-    }
+    db.with_cluster(|c| {
+        let erased = !wattdb_core::replication::references(c, victim);
+        assert!(erased, "corpse erased from the map and the catalog");
+        for &seg in &led {
+            assert!(c.replication.map().get(seg).is_some(), "still tracked");
+            assert_ne!(c.seg_dir.get(seg).unwrap().node, victim);
+        }
+    });
     // The workload keeps inserting, so the population may grow — but
     // nothing committed before the failure may be lost.
     assert!(db.live_records() >= records, "committed records lost");
@@ -303,16 +303,19 @@ fn log_tail_stays_bounded_under_replication() {
         "run too short for the bound to mean anything: {appended:?} records"
     );
     let victim = NodeId(1);
-    let led = db.with_cluster(|c| c.replication.map().led_by(victim));
+    let led = db.with_cluster(|c| wattdb_core::replication::orphans(c, victim));
     assert!(!led.is_empty());
     let committed = db.completed();
     db.fail_node(victim);
     db.run_for(SimDuration::from_secs(60));
-    let map = db.with_cluster(|c| c.replication.map().clone());
-    assert!(!map.references(victim), "corpse erased from the map");
-    for seg in led {
-        assert_ne!(map.leader_of(seg).expect("still tracked"), victim);
-    }
+    db.with_cluster(|c| {
+        let erased = !wattdb_core::replication::references(c, victim);
+        assert!(erased, "corpse erased from the map and the catalog");
+        for &seg in &led {
+            assert!(c.replication.map().get(seg).is_some(), "still tracked");
+            assert_ne!(c.seg_dir.get(seg).unwrap().node, victim);
+        }
+    });
     assert!(db.completed() > committed, "cluster wedged after failover");
 }
 
