@@ -10,12 +10,9 @@
 //! volcano `next()` calls catastrophic in Fig. 1 and bulk segment copies
 //! interfere with query traffic — emerges from the queues.
 //!
-//! A message costs one link event, not two, whenever a link is free: the
-//! two arms serialize the same bytes, so the arm that clears last is the
-//! one that has to queue or, with both links free, the ingress arm, whose
-//! key is taken after the egress arm's. That arm closes the message's
-//! join; the other is a detached occupancy with no event of its own
-//! ([`Resource::submit_pair`]).
+//! A message is one kernel event: both links book the piece when it is
+//! sent, and its delivery is posted once, one hop after the later of the
+//! two clears ([`Resource::submit_pair`]).
 
 use std::cell::Cell;
 
@@ -145,14 +142,8 @@ fn stream(
 }
 
 /// One piece occupying the sender's egress and the receiver's ingress in
-/// parallel; `done` is due `hop` after the later of the two clears.
-///
-/// Both links serialize the piece for the same wire time, so the link that
-/// clears last is known when it is sent: a link that has to queue clears
-/// after a free one, and of two free links the ingress, submitted second,
-/// holds the later key. That arm carries the join and the other costs no
-/// event ([`Resource::submit_pair`]); only when both links queue do both
-/// arms join.
+/// parallel; `done` is due `hop` after the later of the two clears
+/// ([`Resource::submit_pair`]).
 pub(crate) fn send_piece(
     tx: &ResourceHandle,
     rx: &ResourceHandle,

@@ -1,8 +1,8 @@
 //! What an event carries: the completion vocabulary of the kernel.
 //!
 //! [`Completion`] is what runs when a timer fires, a resource request is
-//! served or a join closes. On the hot path it is plain data — a
-//! [`Signal`] for the layers above, a join arm, or nothing — and only
+//! served or a message arrives. On the hot path it is plain data — a
+//! [`Signal`] for the layers above, or nothing — and only
 //! [`Completion::Call`] owns an environment. The loop that carries these
 //! is [`crate::kernel`].
 
@@ -63,20 +63,15 @@ pub enum Signal {
     PoolArrival { carrier: u32 },
 }
 
-/// Handle of a pending [`Sim::join`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct JoinId(pub(crate) u32);
-
 /// What runs when something finishes: a request on a
 /// [`Resource`](crate::resource::Resource), a message on a link, a timer.
 /// Everything but [`Completion::Call`] is plain data and allocates nothing.
 pub enum Completion {
-    /// Nobody waits (the work only occupies the resource).
+    /// Nobody waits: a resource request with this completion only
+    /// occupies the resource, and posts no event.
     Detached,
     /// Run a closure: one box, for paths that are not per-operation.
     Call(EventFn),
-    /// One arm of a [`Sim::join`] is done.
-    JoinArm(JoinId),
     /// Hand a [`Signal`] to the installed handler.
     Signal(Signal),
 }
@@ -92,16 +87,15 @@ impl Completion {
         match self {
             Completion::Call(_) => 0,
             Completion::Detached => 2,
-            Completion::JoinArm(_) => 3,
             Completion::Signal(s) => match s {
-                Signal::Resume { .. } => 4,
-                Signal::PageOffDisk { .. } => 5,
-                Signal::Retry { .. } => 6,
-                Signal::FlushLog { .. } => 7,
-                Signal::FlushDone { .. } => 8,
-                Signal::ShipAck { .. } => 9,
-                Signal::ClientArrival { .. } => 10,
-                Signal::PoolArrival { .. } => 11,
+                Signal::Resume { .. } => 3,
+                Signal::PageOffDisk { .. } => 4,
+                Signal::Retry { .. } => 5,
+                Signal::FlushLog { .. } => 6,
+                Signal::FlushDone { .. } => 7,
+                Signal::ShipAck { .. } => 8,
+                Signal::ClientArrival { .. } => 9,
+                Signal::PoolArrival { .. } => 10,
             },
         }
     }
@@ -115,12 +109,11 @@ impl From<Signal> for Completion {
 
 /// Names of the event kinds [`Sim::events_by_kind`] counts, in its order:
 /// a repeater firing, or the kind of [`Completion`] the event ran — for a
-/// resource completion, the one its request carried.
-pub const EVENT_KINDS: [&str; 12] = [
+/// resource request or a message, the one it carried.
+pub const EVENT_KINDS: [&str; 11] = [
     "call",
     "repeat",
     "detached",
-    "join_arm",
     "resume",
     "page_off_disk",
     "retry",

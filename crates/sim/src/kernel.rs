@@ -7,43 +7,42 @@
 //!
 //! * a [`Completion`] due at a time — plain data on the hot path
 //!   ([`Signal`]: ids and timestamps for the layers above, delivered to the
-//!   one handler installed with [`Sim::set_handler`]; a join arm; nothing at
-//!   all), or a boxed closure ([`Completion::Call`]) for cold paths, which is
-//!   what [`Sim::schedule`] / [`Sim::after`] wrap;
-//! * a **resource completion** — `{resource, service, waited, then}`: the
-//!   kernel books the finished request, re-arms the resource's next queued
-//!   request and only then runs `then` (see [`crate::resource`]);
+//!   one handler installed with [`Sim::set_handler`]; or nothing at all), or
+//!   a boxed closure ([`Completion::Call`]) for cold paths, which is what
+//!   [`Sim::schedule`] / [`Sim::after`] wrap;
 //! * a **repeater** ([`Sim::every`]), whose closure is boxed once.
 //!
-//! Only `Call` owns an environment. A data event, a resource completion
-//! and a steady-state repeater firing perform **zero heap allocations**; a
-//! closure one-shot costs exactly its box (both asserted by the
-//! counting-allocator test in `tests/alloc_free.rs`). [`Sim::join`] replaces
-//! the two `Rc`s and two boxes a fork/join used to cost with one recycled
-//! slot. Firing counts by kind of completion fall out of the dispatcher
-//! ([`Sim::events_by_kind`]).
+//! Only `Call` owns an environment. A data event and a steady-state
+//! repeater firing perform **zero heap allocations**; a closure one-shot
+//! costs exactly its box (both asserted by the counting-allocator test in
+//! `tests/alloc_free.rs`). Firing counts by kind of completion fall out of
+//! the dispatcher ([`Sim::events_by_kind`]).
 //!
-//! **What is not an event.** A resource request whose completion is
-//! [`Completion::Detached`] and that nothing queues behind costs no event
-//! at all: the resource takes a *reserved key* — the `(at, seq)` its event
-//! would have had, with `seq` consumed exactly as a push consumes it — and
-//! books the request itself once the kernel's **position** has passed that
-//! key (see [`crate::resource`]). The position is
+//! A resource request is not an event of its own: a
+//! [`Resource`](crate::resource::Resource) books its start and finish when
+//! it is submitted, and a waited-on request is one posted completion, due at
+//! its finish; a detached one is none. The kernel only remembers the latest
+//! finish booked, so that a [`Sim::step`] that finds the queue drained
+//! leaves the clock where the last request ends.
 //!
-//! * `(now, seq)` of the event firing, and of the last one fired between
-//!   [`Sim::step`] calls;
-//! * `(t, next seq)` once [`Sim::run_until`]`(t)` returns, or once a
-//!   [`Sim::step`] finds the queue drained (with `t` the later of the clock
-//!   and the last reserved end, where the drained queue leaves the clock):
-//!   after every key reserved so far and before every key reserved later;
-//! * before every key until the first event fires.
+//! # Order
 //!
-//! Firing order, the clock and every resource's busy integral are what they
-//! were when each of those requests was an event; [`Sim::events_executed`]
-//! and [`Sim::pending`] no longer count them. A message's link arm that
-//! cannot finish last is one of them ([`Resource::submit_pair`]).
+//! Events fire in order of `(time, as-of instant, sequence)`. The as-of
+//! instant ranks events due at the same µs by the moment their outcome was
+//! settled:
 //!
-//! # Queue layout — hierarchical timer wheel
+//! * a resource request that had to queue: the instant it starts service;
+//! * a message ([`submit_pair`](crate::resource::Resource::submit_pair)):
+//!   the instant its later link arm clears;
+//! * anything else: the instant it is posted.
+//!
+//! That is the instant at which a kernel that ran every service start and
+//! link arm as an event of its own would have posted it. The sequence
+//! number is taken when the event is posted, so ties on both fire FIFO. All
+//! randomness elsewhere comes from seeded generators, so two runs of the
+//! same experiment fire the same events in the same order.
+//!
+//! # Queue layout — one timer wheel and an overflow heap
 //!
 //! The kernel's traffic is dominated by short timers: resource service
 //! times, client think-times, WAL group-commit ticks, monitoring windows,
@@ -55,10 +54,9 @@
 //!   `O(1)` insertion for everything within the ~262 ms horizon where
 //!   the periodic traffic lives;
 //! * an **overflow heap** for events beyond the horizon (rare: long
-//!   experiment timers, drift horizons);
+//!   experiment timers, drift horizons, a request behind a long queue);
 //! * a **current-batch heap** holding the events of the slot being
-//!   drained, so firing order stays exactly `(time, seq)` — byte-level
-//!   deterministic and FIFO on ties, same as the old single heap.
+//!   drained, so firing order is exactly the order above.
 //!
 //! Event payloads live in an **arena** with a free list; a repeating event
 //! re-arms by reusing its arena slot.
@@ -69,8 +67,7 @@ use std::rc::Rc;
 
 use wattdb_common::{SimDuration, SimTime};
 
-use crate::event::{Completion, JoinId, RepeatFn, Signal, EVENT_KINDS, KIND_REPEAT};
-use crate::resource::{Resource, ResourceHandle};
+use crate::event::{Completion, RepeatFn, Signal, EVENT_KINDS, KIND_REPEAT};
 
 /// The interpreter of [`Signal`]s. Shared so a firing can call it while it
 /// schedules more events on the kernel that owns it.
@@ -90,46 +87,37 @@ enum EventKind {
     },
     /// A completion due at the entry's time.
     Fire(Completion),
-    /// A request finishes on `resource`: book it, re-arm the queue, then
-    /// run `then`.
-    Served {
-        resource: ResourceHandle,
-        service: SimDuration,
-        waited: SimDuration,
-        then: Completion,
-    },
     Repeat {
         f: RepeatFn,
         period: SimDuration,
     },
 }
 
-/// A fork/join in flight: `then` is due `delay` after the last arm.
-struct Join {
-    remaining: u8,
-    delay: SimDuration,
-    then: Completion,
+/// When an event fires: due `at`, ranked among the events due at the same
+/// µs by `as_of`, then FIFO by `seq`.
+#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+struct Due {
+    at: SimTime,
+    as_of: SimTime,
+    seq: u64,
 }
 
-/// Arena entry: the payload plus the `(at, seq)` key it is currently
-/// scheduled under.
+/// Arena entry: the payload plus the key it is currently scheduled under.
 struct Entry {
-    at: SimTime,
-    seq: u64,
+    due: Due,
     kind: EventKind,
 }
 
-/// Heap key referencing an arena entry. Ordered so the *earliest*
-/// `(at, seq)` pops first from `BinaryHeap` (which is a max-heap).
+/// Heap key referencing an arena entry. Ordered so the earliest [`Due`]
+/// pops first from `BinaryHeap` (which is a max-heap).
 struct Key {
-    at: SimTime,
-    seq: u64,
+    due: Due,
     idx: u32,
 }
 
 impl PartialEq for Key {
     fn eq(&self, other: &Self) -> bool {
-        self.at == other.at && self.seq == other.seq
+        self.due == other.due
     }
 }
 impl Eq for Key {}
@@ -140,9 +128,8 @@ impl PartialOrd for Key {
 }
 impl Ord for Key {
     fn cmp(&self, other: &Self) -> Ordering {
-        // Inverted so the earliest (time, seq) pops first. seq breaks
-        // ties FIFO.
-        (other.at, other.seq).cmp(&(self.at, self.seq))
+        // Inverted so the earliest key pops first.
+        other.due.cmp(&self.due)
     }
 }
 
@@ -167,12 +154,9 @@ const NO_FREE: u32 = u32::MAX;
 pub struct Sim {
     now: SimTime,
     seq: u64,
-    /// With `now`, the kernel's position: every key before
-    /// `(now, position_seq)` has fired or is due to settle.
-    position_seq: u64,
-    /// Resources that took a reserved key since the queue last drained;
-    /// a drained queue settles them, as firing their events would have.
-    reserving: Vec<ResourceHandle>,
+    /// The latest finish any resource request has booked: where a drained
+    /// queue leaves the clock.
+    booked_until: SimTime,
     executed: u64,
     /// Arena of event payloads; indices are stable while scheduled.
     arena: Vec<Entry>,
@@ -186,15 +170,11 @@ pub struct Sim {
     wheel_len: usize,
     /// Events beyond the wheel horizon.
     overflow: BinaryHeap<Key>,
-    /// Events of the tick currently being drained, in exact
-    /// `(at, seq)` order.
+    /// Events of the tick currently being drained, in exact key order.
     current: BinaryHeap<Key>,
     /// Wheel tick the `current` batch was drained up to. All wheel
     /// entries sit at ticks strictly greater than `cursor`.
     cursor: u64,
-    /// Joins in flight; slots are recycled through `free_joins`.
-    joins: Vec<Join>,
-    free_joins: Vec<u32>,
     handler: Option<Handler>,
     /// Events fired per kind, indexed like [`EVENT_KINDS`].
     by_kind: [u64; EVENT_KINDS.len()],
@@ -217,20 +197,19 @@ impl Sim {
         Self {
             now: SimTime::ZERO,
             seq: 0,
-            position_seq: 0,
-            reserving: Vec::new(),
+            booked_until: SimTime::ZERO,
             executed: 0,
             arena: Vec::new(),
             free_head: NO_FREE,
-            // Pre-size each slot so the first event landing in a
-            // never-touched bucket doesn't allocate mid-run.
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::with_capacity(4)).collect(),
+            // Pre-size each slot so the first events landing in a
+            // never-touched bucket don't allocate mid-run. A request is
+            // filed when it is submitted, so a queue on one disk puts
+            // several entries in a slot at once.
+            wheel: (0..WHEEL_SLOTS).map(|_| Vec::with_capacity(32)).collect(),
             wheel_len: 0,
             overflow: BinaryHeap::new(),
             current: BinaryHeap::new(),
             cursor: 0,
-            joins: Vec::new(),
-            free_joins: Vec::new(),
             handler: None,
             by_kind: [0; EVENT_KINDS.len()],
         }
@@ -259,15 +238,14 @@ impl Sim {
         std::array::from_fn(|i| (EVENT_KINDS[i], self.by_kind[i]))
     }
 
-    /// Number of events currently pending (a request on a reserved key is
-    /// not one).
+    /// Number of events currently pending.
     pub fn pending(&self) -> usize {
         self.current.len() + self.wheel_len + self.overflow.len()
     }
 
     /// Grab an arena slot off the free list (or grow the arena) and
     /// fill it.
-    fn alloc_entry(&mut self, at: SimTime, seq: u64, kind: EventKind) -> u32 {
+    fn alloc_entry(&mut self, due: Due, kind: EventKind) -> u32 {
         if self.free_head != NO_FREE {
             let idx = self.free_head;
             let e = &mut self.arena[idx as usize];
@@ -275,13 +253,12 @@ impl Sim {
                 EventKind::Empty { next_free } => next_free,
                 _ => unreachable!("free-list entry not empty"),
             };
-            e.at = at;
-            e.seq = seq;
+            e.due = due;
             e.kind = kind;
             idx
         } else {
             let idx = u32::try_from(self.arena.len()).expect("event arena overflow");
-            self.arena.push(Entry { at, seq, kind });
+            self.arena.push(Entry { due, kind });
             idx
         }
     }
@@ -293,23 +270,20 @@ impl Sim {
         self.free_head = idx;
     }
 
-    /// File an already-allocated entry under its `(at, seq)` key.
+    /// File an already-allocated entry under its key.
     fn enqueue(&mut self, idx: u32) {
-        let (at, seq) = {
-            let e = &self.arena[idx as usize];
-            (e.at, e.seq)
-        };
-        let tick = tick_of(at);
+        let due = self.arena[idx as usize].due;
+        let tick = tick_of(due.at);
         if tick <= self.cursor {
             // The entry's tick has already been drained (or is being
-            // drained): join the current batch directly. `schedule`
+            // drained): join the current batch directly. `push`
             // guarantees `at >= now`, so order is still honoured.
-            self.current.push(Key { at, seq, idx });
+            self.current.push(Key { due, idx });
         } else if tick - self.cursor < WHEEL_SLOTS {
             self.wheel[(tick & (WHEEL_SLOTS - 1)) as usize].push(idx);
             self.wheel_len += 1;
         } else {
-            self.overflow.push(Key { at, seq, idx });
+            self.overflow.push(Key { due, idx });
         }
     }
 
@@ -337,7 +311,7 @@ impl Sim {
         // An overflow entry can be earlier than every wheel entry once
         // the cursor has advanced past its insertion horizon.
         if let Some(k) = self.overflow.peek() {
-            let t = tick_of(k.at);
+            let t = tick_of(k.due.at);
             if next_tick.is_none_or(|w| t < w) {
                 next_tick = Some(t);
             }
@@ -348,17 +322,13 @@ impl Sim {
             let slot = &mut self.wheel[(tick & (WHEEL_SLOTS - 1)) as usize];
             self.wheel_len -= slot.len();
             for idx in slot.drain(..) {
-                let e = &self.arena[idx as usize];
-                debug_assert_eq!(tick_of(e.at), tick);
-                self.current.push(Key {
-                    at: e.at,
-                    seq: e.seq,
-                    idx,
-                });
+                let due = self.arena[idx as usize].due;
+                debug_assert_eq!(tick_of(due.at), tick);
+                self.current.push(Key { due, idx });
             }
         }
         while let Some(k) = self.overflow.peek() {
-            if tick_of(k.at) != tick {
+            if tick_of(k.due.at) != tick {
                 break;
             }
             let k = self.overflow.pop().expect("peeked");
@@ -367,26 +337,30 @@ impl Sim {
         true
     }
 
-    /// Allocate and file an entry due at `at`. Scheduling in the past is a
-    /// logic error and panics (it would silently reorder causality
-    /// otherwise).
+    /// Allocate and file an entry due at `at`, ranked as of `as_of`.
+    /// Scheduling in the past is a logic error and panics (it would
+    /// silently reorder causality otherwise).
     #[inline]
-    fn push(&mut self, at: SimTime, kind: EventKind) {
+    fn push(&mut self, at: SimTime, as_of: SimTime, kind: EventKind) {
         assert!(
             at >= self.now,
             "scheduling into the past: {at} < now {}",
             self.now
         );
-        let seq = self.seq;
+        let due = Due {
+            at,
+            as_of,
+            seq: self.seq,
+        };
         self.seq += 1;
-        let idx = self.alloc_entry(at, seq, kind);
+        let idx = self.alloc_entry(due, kind);
         self.enqueue(idx);
     }
 
     /// Make `then` due at absolute time `at`.
     #[inline]
     pub fn post(&mut self, at: SimTime, then: Completion) {
-        self.push(at, EventKind::Fire(then));
+        self.push(at, self.now, EventKind::Fire(then));
     }
 
     /// Make `then` due after a relative delay.
@@ -395,68 +369,18 @@ impl Sim {
         self.post(self.now + delay, then);
     }
 
-    /// A request that waited `waited` in `resource`'s queue finishes
-    /// `service` from now.
-    pub(crate) fn post_served(
-        &mut self,
-        resource: ResourceHandle,
-        service: SimDuration,
-        waited: SimDuration,
-        then: Completion,
-    ) {
-        let kind = EventKind::Served {
-            resource,
-            service,
-            waited,
-            then,
-        };
-        self.push(self.now + service, kind);
+    /// Make `then` due at `at`, ranked among the events due then as if it
+    /// had been posted at `as_of` (a booked service start or link clear).
+    pub(crate) fn post_as_of(&mut self, at: SimTime, as_of: SimTime, then: Completion) {
+        debug_assert!(as_of >= self.now && as_of <= at, "as-of outside [now, at]");
+        self.push(at, as_of, EventKind::Fire(then));
     }
 
-    /// Take the key `(at, seq)` a push due at `at` would take, without
-    /// filing an event under it.
-    pub(crate) fn reserve_seq(&mut self, at: SimTime) -> u64 {
-        assert!(
-            at >= self.now,
-            "reserving in the past: {at} < now {}",
-            self.now
-        );
-        let seq = self.seq;
-        self.seq += 1;
-        seq
-    }
-
-    /// Settle `resource`'s reserved requests when the queue drains.
-    pub(crate) fn settle_on_drain(&mut self, resource: ResourceHandle) {
-        self.reserving.push(resource);
-    }
-
-    /// The kernel's position: a reserved key strictly before it has
-    /// happened.
+    /// A resource request booked through `end`: a drained queue leaves the
+    /// clock no earlier.
     #[inline]
-    pub(crate) fn position(&self) -> (SimTime, u64) {
-        (self.now, self.position_seq)
-    }
-
-    /// Turn a detached request on the reserved key `(at, seq)` back into
-    /// the resource completion it stood for.
-    pub(crate) fn post_served_reserved(
-        &mut self,
-        at: SimTime,
-        seq: u64,
-        resource: ResourceHandle,
-        service: SimDuration,
-        waited: SimDuration,
-    ) {
-        debug_assert!((at, seq) >= self.position(), "materialising the past");
-        let kind = EventKind::Served {
-            resource,
-            service,
-            waited,
-            then: Completion::Detached,
-        };
-        let idx = self.alloc_entry(at, seq, kind);
-        self.enqueue(idx);
+    pub(crate) fn occupy_until(&mut self, end: SimTime) {
+        self.booked_until = self.booked_until.max(end);
     }
 
     /// Schedule closure `f` at absolute time `at` (one box; see
@@ -470,44 +394,12 @@ impl Sim {
         self.schedule(self.now + delay, f);
     }
 
-    /// Open a join of `arms` arms: hand out `arms` copies of
-    /// [`Completion::JoinArm`] with the returned id; `then` becomes due
-    /// `delay` after the last of them completes.
-    pub fn join(&mut self, arms: u8, delay: SimDuration, then: Completion) -> JoinId {
-        assert!(arms > 0, "a join needs at least one arm");
-        let join = Join {
-            remaining: arms,
-            delay,
-            then,
-        };
-        match self.free_joins.pop() {
-            Some(i) => {
-                self.joins[i as usize] = join;
-                JoinId(i)
-            }
-            None => {
-                self.joins.push(join);
-                JoinId(u32::try_from(self.joins.len() - 1).expect("join slab overflow"))
-            }
-        }
-    }
-
     /// Run `then` now, inside the current event.
     #[inline]
     pub fn complete(&mut self, then: Completion) {
         match then {
             Completion::Detached => {}
             Completion::Call(f) => f(self),
-            Completion::JoinArm(JoinId(i)) => {
-                let join = &mut self.joins[i as usize];
-                join.remaining -= 1;
-                if join.remaining == 0 {
-                    let delay = join.delay;
-                    let then = std::mem::replace(&mut join.then, Completion::Detached);
-                    self.free_joins.push(i);
-                    self.post_after(delay, then);
-                }
-            }
             Completion::Signal(signal) => {
                 let handler = self.handler.clone();
                 handler.expect("a data event fired with no handler installed")(self, signal);
@@ -524,26 +416,20 @@ impl Sim {
             f: Box::new(f),
             period,
         };
-        self.push(self.now + period, kind);
+        self.push(self.now + period, self.now, kind);
     }
 
     /// Execute the next event, if any. Returns false when the queue is
-    /// empty, having settled every reserved request and moved the clock to
-    /// the last one's end if that is later — where firing their completions
-    /// would have left both.
+    /// empty, having moved the clock to the end of the last resource
+    /// request booked if that is later.
     pub fn step(&mut self) -> bool {
         if !self.refill_current() {
-            let mut end = self.now;
-            for resource in self.reserving.drain(..) {
-                end = end.max(resource.borrow_mut().settle_all());
-            }
-            self.settle_clock(end);
+            self.now = self.now.max(self.booked_until);
             return false;
         }
         let key = self.current.pop().expect("refill_current said non-empty");
-        debug_assert!(key.at >= self.now);
-        self.now = key.at;
-        self.position_seq = key.seq;
+        debug_assert!(key.due.at >= self.now);
+        self.now = key.due.at;
         self.executed += 1;
         // Move the payload out so the arena isn't borrowed while the
         // event runs (events freely schedule more events).
@@ -557,32 +443,21 @@ impl Sim {
                 self.by_kind[then.kind()] += 1;
                 self.complete(then);
             }
-            EventKind::Served {
-                resource,
-                service,
-                waited,
-                then,
-            } => {
-                self.release_entry(key.idx);
-                self.by_kind[then.kind()] += 1;
-                // The next queued request is re-armed before the finished
-                // one's continuation runs.
-                Resource::served(resource, self, service, waited);
-                self.complete(then);
-            }
             EventKind::Repeat { mut f, period } => {
                 self.by_kind[KIND_REPEAT] += 1;
                 if f(self) {
                     // Re-arm in place: same entry, same closure box,
-                    // fresh (at, seq) — identical ordering to the old
-                    // "schedule a new closure after each firing" path
-                    // without its per-period allocation.
-                    let at = self.now + period;
-                    let seq = self.seq;
+                    // a fresh key — the order of a new closure scheduled
+                    // after each firing, without its per-period
+                    // allocation.
+                    let due = Due {
+                        at: self.now + period,
+                        as_of: self.now,
+                        seq: self.seq,
+                    };
                     self.seq += 1;
                     let e = &mut self.arena[key.idx as usize];
-                    e.at = at;
-                    e.seq = seq;
+                    e.due = due;
                     e.kind = EventKind::Repeat { f, period };
                     self.enqueue(key.idx);
                 } else {
@@ -606,23 +481,14 @@ impl Sim {
     pub fn run_until(&mut self, t: SimTime) -> u64 {
         let before = self.executed;
         while self.refill_current() {
-            let next_at = self.current.peek().expect("refilled").at;
+            let next_at = self.current.peek().expect("refilled").due.at;
             if next_at > t {
                 break;
             }
             self.step();
         }
-        self.settle_clock(t);
+        self.now = self.now.max(t);
         self.executed - before
-    }
-
-    /// With nothing pending at or before `t`, move the clock to `t` and the
-    /// position past every key reserved so far.
-    fn settle_clock(&mut self, t: SimTime) {
-        if t >= self.now {
-            self.now = t;
-            self.position_seq = self.seq;
-        }
     }
 }
 
@@ -631,6 +497,7 @@ mod tests {
     use super::*;
     use crate::event::EventFn;
     use crate::profile::CostCategory;
+    use crate::resource::Resource;
     use std::cell::RefCell;
     use std::rc::Rc;
     use wattdb_common::{Lsn, NodeId};
@@ -800,38 +667,17 @@ mod tests {
         sim.every(SimDuration::from_millis(1), |_| false);
         let res = Resource::new("r", 1);
         Resource::submit(&res, &mut sim, SimDuration::ZERO, Completion::Detached);
-        let join = sim.join(1, SimDuration::ZERO, Completion::Detached);
-        sim.post_after(SimDuration::ZERO, Completion::JoinArm(join));
         sim.run_to_completion();
         for (kind, n) in [
             ("call", 1),
             ("repeat", 1),
-            ("join_arm", 1),
-            // Posted, and the join's `then`; the request on a free slot
-            // settles on its reserved key without an event.
-            ("detached", 2),
+            // Posted; the detached request posts nothing.
+            ("detached", 1),
         ] {
             assert_eq!(count_of(&sim, kind), n, "{kind}");
         }
         let total: u64 = sim.events_by_kind().iter().map(|(_, n)| n).sum();
         assert_eq!(total, sim.events_executed());
-    }
-
-    #[test]
-    fn join_fires_once_delay_after_the_last_arm() {
-        let mut sim = Sim::new();
-        let (log, mk) = recorder();
-        let join = sim.join(2, SimDuration::from_millis(5), Completion::Call(mk(1)));
-        sim.post_after(SimDuration::from_millis(3), Completion::JoinArm(join));
-        sim.post_after(SimDuration::from_millis(1), Completion::JoinArm(join));
-        sim.run_to_completion();
-        assert_eq!(*log.borrow(), vec![(SimTime::from_millis(8), 1)]);
-        // The slot is recycled.
-        let again = sim.join(1, SimDuration::ZERO, Completion::Call(mk(2)));
-        assert_eq!(again, join);
-        sim.complete(Completion::JoinArm(again));
-        sim.run_to_completion();
-        assert_eq!(log.borrow().len(), 2);
     }
 
     #[test]
@@ -892,6 +738,28 @@ mod tests {
         // One live event at a time → the arena never grows past the
         // first allocation.
         assert_eq!(sim.arena.len(), 1);
+    }
+
+    #[test]
+    fn an_arena_entry_is_56_bytes() {
+        // Down from 64 when a resource completion was an entry of its own.
+        assert_eq!(std::mem::size_of::<Entry>(), 56);
+    }
+
+    /// Events due at the same µs fire by the instant they were settled,
+    /// then FIFO.
+    #[test]
+    fn same_time_events_rank_by_their_as_of_instant() {
+        let mut sim = Sim::new();
+        let (log, mk) = recorder();
+        let at = SimTime::from_micros(50);
+        sim.post_as_of(at, SimTime::from_micros(30), Completion::Call(mk(3)));
+        sim.post_as_of(at, SimTime::from_micros(20), Completion::Call(mk(2)));
+        sim.post(at, Completion::Call(mk(1)));
+        sim.post_as_of(at, SimTime::from_micros(20), Completion::Call(mk(4)));
+        sim.run_to_completion();
+        let order: Vec<u32> = log.borrow().iter().map(|&(_, t)| t).collect();
+        assert_eq!(order, vec![1, 2, 4, 3]);
     }
 
     #[test]

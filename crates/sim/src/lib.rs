@@ -8,9 +8,9 @@
 //! hot path a few ids and a timestamp ([`Signal`]) delivered to the one
 //! handler the layers above install, on cold paths a boxed closure.
 //!
-//! Determinism: the event queue orders by `(time, sequence)`, so equal-time
-//! events fire in submission order, and all randomness elsewhere comes from
-//! seeded generators. Two runs of the same experiment produce bit-identical
+//! Determinism: the event queue orders by `(time, as-of instant, sequence)`
+//! (see [`kernel`]), so equal-time events fire in a fixed order, and all
+//! randomness elsewhere comes from seeded generators. Two runs of the same experiment produce bit-identical
 //! metric series.
 //!
 //! The engine's *state* (pages, B-trees, versions, locks) is real — see the
@@ -22,7 +22,7 @@ pub mod probe;
 pub mod profile;
 pub mod resource;
 
-pub use event::{Completion, EventFn, JoinId, RepeatFn, Signal, EVENT_KINDS};
+pub use event::{Completion, EventFn, RepeatFn, Signal, EVENT_KINDS};
 pub use kernel::Sim;
 pub use probe::UtilizationProbe;
 pub use profile::{CostCategory, CostProfile};

@@ -37,7 +37,7 @@ impl UtilizationProbe {
     /// Utilization (0.0–1.0) of `res` since the previous `sample` call.
     /// An empty window returns 0.
     pub fn sample(&mut self, res: &ResourceHandle, now: SimTime) -> f64 {
-        let mut r = res.borrow_mut();
+        let r = res.borrow();
         let integral = r.busy_integral_us(now);
         let slots = r.slots() as u64;
         drop(r);

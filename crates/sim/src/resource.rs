@@ -8,42 +8,28 @@
 //! exceed the slot count, which is exactly the effect the paper measures
 //! when rebalancing competes with queries for disk bandwidth (§5.2, Fig. 7).
 //!
-//! # Requests nobody waits on
+//! # Departures booked at submit
 //!
-//! A request whose completion is [`Completion::Detached`] only occupies a
-//! slot. When it starts with nothing queued behind it — on a free slot at
-//! submit, or re-armed by a completion that leaves the queue empty — it
-//! costs no kernel event. The resource takes a **reserved key** instead:
-//! the `(at = now + service, seq)` its completion event would have been
-//! filed under, with `seq` consumed from the kernel's counter exactly where
-//! the push would have consumed it.
+//! In a FIFO server whose service times are known (§3.1), a request's
+//! departure is fixed the moment it arrives: it takes the slot that frees
+//! first, starts at `max(now, free at)` and finishes `service` later. So
+//! [`Resource::submit`] books both then and there, and the resource keeps
+//! only
 //!
-//! * **Settling.** Before every [`Resource::submit`], completion and
-//!   [`Resource::busy_integral_us`], the resource books every reserved
-//!   request whose key comes before the kernel's position (see
-//!   [`crate::kernel`]), in key order: it advances the busy integral to the
-//!   request's `at`, books its stats and frees its slot — what its event
-//!   would have done, at the same instant. `busy_integral_us(now)` settles
-//!   only what ends strictly before `now`; a request ending at `now` adds
-//!   the same slot-µs whether it is settled or not. When the kernel's
-//!   queue drains it settles every reserved request, so a finished
-//!   simulation leaves its resources idle, as it did when each was an
-//!   event.
-//! * **Materialising.** The one thing such a completion could have done
-//!   besides booking is re-arm the queue. So when a submit finds every slot
-//!   taken, each reserved request becomes the ordinary resource completion
-//!   event under its reserved key before the new request queues, and the
-//!   queue re-arms at exactly the instant and position it always did.
-//!   Invariant: a resource with a non-empty queue holds no reserved request.
+//! * one *free at* time per slot;
+//! * the total service booked (in [`ResourceStats::service_us`]): the busy
+//!   integral at `now` is that total less the work still ahead of `now` on
+//!   each slot, `Σ max(0, free at − now)`. This is exact because no slot
+//!   idles between the latest submit and its free-at time, and the clock
+//!   may not go back past the latest submit (an `assert`);
+//! * the start times of the requests still waiting, in FIFO order, from
+//!   which [`ResourceStats::max_queue`] is read.
 //!
-//! The reserved list is sized to `slots` (each entry holds a slot), so a
-//! reserved request allocates nothing. [`Resource::stats`] and
-//! [`Resource::busy`] are read without a clock: they count a reserved
-//! request as served only once it is settled.
-//!
-//! [`Resource::submit_pair`] is the same idea applied to a join: of two arms
-//! with one service time, the arm that can finish last carries the join and
-//! the other is detached.
+//! A waited-on request posts its completion once, due at its finish and
+//! ranked as of its start (see [`crate::kernel`]); a
+//! [`Completion::Detached`] one posts nothing. [`Resource::submit_pair`]
+//! posts a message's `done` once, `hop` after the later of its two arms
+//! clears. [`Resource::stats`] books a request when it is submitted.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -59,47 +45,32 @@ use crate::kernel::Sim;
 /// sufficient.
 pub type ResourceHandle = Rc<RefCell<Resource>>;
 
-struct Pending {
-    enqueued: SimTime,
-    service: SimDuration,
-    then: Completion,
-}
-
-/// A detached request holding a slot on the reserved key `(at, seq)`.
-struct Reserved {
-    at: SimTime,
-    seq: u64,
-    service: SimDuration,
-    waited: SimDuration,
-}
-
 /// Aggregate counters for a resource, for utilization and wait accounting.
+/// A request counts when it is submitted, with the wait and service it is
+/// booked for.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct ResourceStats {
-    /// Requests completed.
+    /// Requests booked.
     pub completed: u64,
-    /// Sum of service times of completed requests (µs).
+    /// Sum of service times of booked requests (µs).
     pub service_us: u64,
-    /// Sum of queue-wait times of completed requests (µs).
+    /// Sum of queue-wait times of booked requests (µs).
     pub wait_us: u64,
-    /// Longest queue observed.
+    /// Longest queue observed: requests submitted but not yet started, at
+    /// a submit.
     pub max_queue: usize,
 }
 
 /// A multi-slot FIFO queueing server.
 pub struct Resource {
     name: String,
-    slots: u32,
-    busy: u32,
-    queue: VecDeque<Pending>,
-    /// Detached requests in service with no event; empty while `queue`
-    /// is not.
-    reserved: Vec<Reserved>,
-    /// On the kernel's list of resources to settle when its queue drains.
-    listed: bool,
-    /// Integral of busy slots over time, in slot-µs; used for utilization.
-    busy_integral_us: u64,
-    last_change: SimTime,
+    /// When each slot is next free.
+    free_at: Vec<SimTime>,
+    /// Start times of the requests that had not started at the latest
+    /// submit, earliest first.
+    waiting: VecDeque<SimTime>,
+    /// The latest submit's instant.
+    last_submit: SimTime,
     stats: ResourceStats,
 }
 
@@ -109,13 +80,9 @@ impl Resource {
         assert!(slots > 0, "a resource needs at least one slot");
         Rc::new(RefCell::new(Resource {
             name: name.into(),
-            slots,
-            busy: 0,
-            queue: VecDeque::new(),
-            reserved: Vec::with_capacity(slots as usize),
-            listed: false,
-            busy_integral_us: 0,
-            last_change: SimTime::ZERO,
+            free_at: vec![SimTime::ZERO; slots as usize],
+            waiting: VecDeque::new(),
+            last_submit: SimTime::ZERO,
             stats: ResourceStats::default(),
         }))
     }
@@ -127,93 +94,28 @@ impl Resource {
 
     /// Number of parallel service stations.
     pub fn slots(&self) -> u32 {
-        self.slots
+        self.free_at.len() as u32
     }
 
-    /// Requests currently being served, a reserved one until it is settled.
-    pub fn busy(&self) -> u32 {
-        self.busy
+    /// Requests waiting in the queue at `now`.
+    pub fn queue_len(&self, now: SimTime) -> usize {
+        self.waiting.iter().filter(|&&start| start > now).count()
     }
 
-    /// Requests waiting in the queue.
-    pub fn queue_len(&self) -> usize {
-        self.queue.len()
-    }
-
-    /// Counters snapshot; a reserved request counts once it is settled.
+    /// Counters snapshot.
     pub fn stats(&self) -> ResourceStats {
         self.stats
     }
 
-    /// Drop every queued request without running its completion. For
-    /// tearing a simulation down: a closure completion usually holds
-    /// whatever owns this resource, and the pair would keep each other
-    /// alive.
-    pub fn abandon_queue(&mut self) {
-        self.queue.clear();
-    }
-
-    fn advance_integral(&mut self, now: SimTime) {
-        let dt = now.since(self.last_change).as_micros();
-        self.busy_integral_us += dt * self.busy as u64;
-        self.last_change = now;
-    }
-
-    fn book(&mut self, service: SimDuration, waited: SimDuration) {
-        self.stats.completed += 1;
-        self.stats.service_us += service.as_micros();
-        self.stats.wait_us += waited.as_micros();
-    }
-
-    /// Book every reserved request whose key comes before `position`, in
-    /// key order, as its completion event would have.
-    fn settle(&mut self, position: (SimTime, u64)) {
-        while let Some(i) = (0..self.reserved.len())
-            .filter(|&i| (self.reserved[i].at, self.reserved[i].seq) < position)
-            .min_by_key(|&i| (self.reserved[i].at, self.reserved[i].seq))
-        {
-            let done = self.reserved.swap_remove(i);
-            self.advance_integral(done.at);
-            self.book(done.service, done.waited);
-            self.busy -= 1;
-        }
-    }
-
-    /// The kernel's queue drained: settle every reserved request and
-    /// return the last one's end.
-    pub(crate) fn settle_all(&mut self) -> SimTime {
-        let end = self.reserved.iter().map(|r| r.at).max();
-        self.settle((SimTime(u64::MAX), u64::MAX));
-        self.listed = false;
-        end.unwrap_or(SimTime::ZERO)
-    }
-
-    /// Start a request on a slot it already holds: on a reserved key when
-    /// it is detached and nothing queues behind it, as an event otherwise.
-    fn start(
-        &mut self,
-        this: &ResourceHandle,
-        sim: &mut Sim,
-        service: SimDuration,
-        waited: SimDuration,
-        then: Completion,
-    ) {
-        if matches!(then, Completion::Detached) && self.queue.is_empty() {
-            let at = sim.now() + service;
-            let seq = sim.reserve_seq(at);
-            self.reserved.push(Reserved {
-                at,
-                seq,
-                service,
-                waited,
-            });
-            if !self.listed {
-                self.listed = true;
-                sim.settle_on_drain(this.clone());
-            }
-        } else {
-            sim.post_served(this.clone(), service, waited, then);
-        }
+    /// The clock reads `now`: it may not have gone back past the latest
+    /// submit, which would serve a request in another run's past.
+    fn check_clock(&self, now: SimTime) {
+        assert!(
+            now >= self.last_submit,
+            "resource {} driven by a clock that went back from {} to {now}",
+            self.name,
+            self.last_submit
+        );
     }
 
     /// Monotonic busy integral in slot-µs up to `now`, the kernel's clock.
@@ -221,55 +123,63 @@ impl Resource {
     /// [`UtilizationProbe`].
     ///
     /// [`UtilizationProbe`]: crate::probe::UtilizationProbe
-    pub fn busy_integral_us(&mut self, now: SimTime) -> u64 {
-        // `seq` 0 settles what ends strictly before `now`.
-        self.settle((now, 0));
-        self.advance_integral(now);
-        self.busy_integral_us
+    pub fn busy_integral_us(&self, now: SimTime) -> u64 {
+        self.check_clock(now);
+        let ahead: u64 = self
+            .free_at
+            .iter()
+            .map(|&free| free.since(now).as_micros())
+            .sum();
+        self.stats.service_us - ahead
+    }
+
+    /// Book a request of `service` submitted at `now` on the slot that
+    /// frees first; returns its `(start, finish)`.
+    fn book(&mut self, now: SimTime, service: SimDuration) -> (SimTime, SimTime) {
+        self.check_clock(now);
+        self.last_submit = now;
+        let (slot, free) = self
+            .free_at
+            .iter()
+            .copied()
+            .enumerate()
+            .min_by_key(|&(_, free)| free)
+            .expect("a resource has a slot");
+        let start = now.max(free);
+        let finish = start + service;
+        self.free_at[slot] = finish;
+        while self.waiting.front().is_some_and(|&s| s <= now) {
+            self.waiting.pop_front();
+        }
+        if start > now {
+            self.waiting.push_back(start);
+            self.stats.max_queue = self.stats.max_queue.max(self.waiting.len());
+        }
+        self.stats.completed += 1;
+        self.stats.service_us += service.as_micros();
+        self.stats.wait_us += start.since(now).as_micros();
+        (start, finish)
     }
 
     /// Submit a request: serve for `service` once a slot frees up, then run
-    /// `then`. Completion order among queued requests is FIFO.
-    pub fn submit(this: &ResourceHandle, sim: &mut Sim, service: SimDuration, then: Completion) {
-        let mut r = this.borrow_mut();
-        r.settle(sim.position());
-        r.advance_integral(sim.now());
-        if r.busy < r.slots {
-            r.busy += 1;
-            r.start(this, sim, service, SimDuration::ZERO, then);
-        } else {
-            // The queue re-arms from completion events: give every
-            // reserved request its event back, under its own key.
-            for done in r.reserved.drain(..) {
-                sim.post_served_reserved(
-                    done.at,
-                    done.seq,
-                    this.clone(),
-                    done.service,
-                    done.waited,
-                );
-            }
-            r.queue.push_back(Pending {
-                enqueued: sim.now(),
-                service,
-                then,
-            });
-            let qlen = r.queue.len();
-            r.stats.max_queue = r.stats.max_queue.max(qlen);
+    /// `then`. Service is FIFO. Returns the instant the request finishes.
+    pub fn submit(
+        this: &ResourceHandle,
+        sim: &mut Sim,
+        service: SimDuration,
+        then: Completion,
+    ) -> SimTime {
+        let (start, finish) = this.borrow_mut().book(sim.now(), service);
+        sim.occupy_until(finish);
+        if !matches!(then, Completion::Detached) {
+            sim.post_as_of(finish, start, then);
         }
+        finish
     }
 
     /// Occupy `a` and `b` in parallel for the same `service` — a message on
     /// a sender's egress and a receiver's ingress — and make `done` due
-    /// `hop` after the later of the two finishes.
-    ///
-    /// Only the arm that finishes last needs an event, and with one service
-    /// time it is known at submit: an arm on a free slot never finishes
-    /// after one that has to queue (the queued one starts no earlier, and
-    /// takes its key later), and of two free arms `b`'s key is the later.
-    /// That arm closes a one-arm join; the other is detached. With no slot
-    /// free on either, both arms join as two; a detached `done` needs no
-    /// join at all. The firing order is the one the two-arm join gave.
+    /// `hop` after the later of the two clears. Returns that clear instant.
     pub fn submit_pair(
         a: &ResourceHandle,
         b: &ResourceHandle,
@@ -277,56 +187,14 @@ impl Resource {
         service: SimDuration,
         hop: SimDuration,
         done: Completion,
-    ) {
+    ) -> SimTime {
         debug_assert!(!Rc::ptr_eq(a, b), "a pair occupies two resources");
-        if matches!(done, Completion::Detached) {
-            Self::submit(a, sim, service, Completion::Detached);
-            Self::submit(b, sim, service, Completion::Detached);
-            return;
+        let clear_a = Self::submit(a, sim, service, Completion::Detached);
+        let clear = clear_a.max(Self::submit(b, sim, service, Completion::Detached));
+        if !matches!(done, Completion::Detached) {
+            sim.post_as_of(clear + hop, clear, done);
         }
-        let position = sim.position();
-        let free = |r: &ResourceHandle| {
-            let mut r = r.borrow_mut();
-            r.settle(position);
-            r.busy < r.slots
-        };
-        let (a_free, b_free) = (free(a), free(b));
-        let (then_a, then_b) = if a_free || b_free {
-            let last = Completion::JoinArm(sim.join(1, hop, done));
-            if a_free {
-                (Completion::Detached, last)
-            } else {
-                (last, Completion::Detached)
-            }
-        } else {
-            let join = sim.join(2, hop, done);
-            (Completion::JoinArm(join), Completion::JoinArm(join))
-        };
-        Self::submit(a, sim, service, then_a);
-        Self::submit(b, sim, service, then_b);
-    }
-
-    /// The kernel's half of a completion: book the request that just
-    /// finished, and hand its slot to the next queued one — scheduled before
-    /// the finished request's completion runs, which is what keeps firing
-    /// order identical however that completion is expressed.
-    pub(crate) fn served(
-        this: ResourceHandle,
-        sim: &mut Sim,
-        service: SimDuration,
-        waited: SimDuration,
-    ) {
-        let mut r = this.borrow_mut();
-        r.settle(sim.position());
-        r.advance_integral(sim.now());
-        r.book(service, waited);
-        match r.queue.pop_front() {
-            Some(p) => {
-                let waited = sim.now().since(p.enqueued);
-                r.start(&this, sim, p.service, waited, p.then);
-            }
-            None => r.busy -= 1,
-        }
+        clear
     }
 }
 
@@ -353,6 +221,18 @@ mod tests {
             );
         }
         log
+    }
+
+    type Tags = Rc<RefCell<Vec<&'static str>>>;
+
+    fn tagger() -> (Tags, impl Fn(&'static str) -> Completion) {
+        let log: Tags = Rc::new(RefCell::new(Vec::new()));
+        let l = log.clone();
+        let note = move |tag: &'static str| {
+            let l = l.clone();
+            Completion::call(move |_| l.borrow_mut().push(tag))
+        };
+        (log, note)
     }
 
     #[test]
@@ -386,6 +266,19 @@ mod tests {
     }
 
     #[test]
+    fn a_queued_request_takes_the_slot_that_frees_first() {
+        let mut sim = Sim::new();
+        let res = Resource::new("cpu", 2);
+        let log = collect_completions(&res, &mut sim, &[100, 10, 5, 5]);
+        sim.run_to_completion();
+        // The third starts at 10 on the second slot, the fourth at 15.
+        let ends: Vec<u64> = log.borrow().iter().map(|&(_, t)| t.0).collect();
+        assert_eq!(ends, vec![10, 15, 20, 100]);
+        let stats = res.borrow().stats();
+        assert_eq!((stats.wait_us, stats.max_queue), (10 + 15, 2));
+    }
+
+    #[test]
     fn wait_time_accounted() {
         let mut sim = Sim::new();
         let res = Resource::new("disk", 1);
@@ -406,10 +299,10 @@ mod tests {
         let _log = collect_completions(&res, &mut sim, &[250]);
         sim.run_to_completion();
         // Busy 250 µs out of 250 µs: integral = 250 slot-µs.
-        assert_eq!(res.borrow_mut().busy_integral_us(sim.now()), 250);
+        assert_eq!(res.borrow().busy_integral_us(sim.now()), 250);
         // Advance idle time; integral unchanged.
         sim.run_until(SimTime::from_micros(1_000));
-        assert_eq!(res.borrow_mut().busy_integral_us(sim.now()), 250);
+        assert_eq!(res.borrow().busy_integral_us(sim.now()), 250);
     }
 
     #[test]
@@ -419,7 +312,20 @@ mod tests {
         let _log = collect_completions(&res, &mut sim, &[100, 100]);
         sim.run_to_completion();
         // Two slots busy for 100 µs each = 200 slot-µs.
-        assert_eq!(res.borrow_mut().busy_integral_us(sim.now()), 200);
+        assert_eq!(res.borrow().busy_integral_us(sim.now()), 200);
+    }
+
+    #[test]
+    fn queued_work_is_not_busy_until_it_starts() {
+        let mut sim = Sim::new();
+        let res = Resource::new("disk", 1);
+        let _log = collect_completions(&res, &mut sim, &[100, 100]);
+        for (at, busy, queued) in [(50, 50, 1), (150, 150, 0), (400, 200, 0)] {
+            sim.run_until(SimTime::from_micros(at));
+            let r = res.borrow();
+            assert_eq!(r.busy_integral_us(sim.now()), busy, "at {at} µs");
+            assert_eq!(r.queue_len(sim.now()), queued, "at {at} µs");
+        }
     }
 
     #[test]
@@ -446,8 +352,8 @@ mod tests {
         );
         sim.run_to_completion();
         assert_eq!(log.borrow()[0], SimTime::from_micros(15));
-        assert_eq!(res.borrow().busy(), 0);
-        assert_eq!(res.borrow().queue_len(), 0);
+        assert_eq!(res.borrow().queue_len(sim.now()), 0);
+        assert_eq!(res.borrow().busy_integral_us(sim.now()), 15);
     }
 
     #[test]
@@ -458,8 +364,6 @@ mod tests {
         sim.run_to_completion();
         assert_eq!(log.borrow().len(), 2);
     }
-
-    // ---- reserved keys ----
 
     #[test]
     fn detached_request_on_a_free_slot_fires_no_event() {
@@ -474,17 +378,16 @@ mod tests {
         assert_eq!(sim.pending(), 0, "no event filed");
         // Busy through 40 µs and no further.
         sim.run_until(SimTime::from_micros(39));
-        assert_eq!(res.borrow_mut().busy_integral_us(sim.now()), 39);
-        assert_eq!(res.borrow().busy(), 1);
+        assert_eq!(res.borrow().busy_integral_us(sim.now()), 39);
         sim.run_until(SimTime::from_micros(40));
-        assert_eq!(res.borrow_mut().busy_integral_us(sim.now()), 40);
+        assert_eq!(res.borrow().busy_integral_us(sim.now()), 40);
         // A submit at 40 µs finds the slot free: nothing queues.
         let log = collect_completions(&res, &mut sim, &[10]);
-        assert_eq!(res.borrow().queue_len(), 0);
+        assert_eq!(res.borrow().queue_len(sim.now()), 0);
         sim.run_until(SimTime::from_micros(1_000));
         assert_eq!(*log.borrow(), vec![(0, SimTime::from_micros(50))]);
         assert_eq!(sim.events_executed(), 1, "only the waited-on request fired");
-        assert_eq!(res.borrow_mut().busy_integral_us(sim.now()), 50);
+        assert_eq!(res.borrow().busy_integral_us(sim.now()), 50);
         let stats = res.borrow().stats();
         assert_eq!(
             (stats.completed, stats.service_us, stats.wait_us),
@@ -493,27 +396,50 @@ mod tests {
     }
 
     #[test]
-    fn a_drained_queue_settles_reserved_requests() {
-        let mut first = Sim::new();
+    fn detached_requests_behind_a_queue_fire_no_event_either() {
+        let mut sim = Sim::new();
         let res = Resource::new("disk", 1);
-        let service = SimDuration::from_micros(70);
-        Resource::submit(&res, &mut first, service, Completion::Detached);
-        assert_eq!(first.run_to_completion(), 0);
-        // The clock ends where the completion event would have left it,
-        // and the resource is idle.
-        assert_eq!(first.now(), SimTime::from_micros(70));
-        assert_eq!(res.borrow().busy(), 0);
-        assert_eq!(res.borrow().stats().completed, 1);
-        assert_eq!(res.borrow_mut().busy_integral_us(first.now()), 70);
-        // So a second simulator driving the same resource finds it free.
-        let mut second = Sim::new();
-        let log = collect_completions(&res, &mut second, &[10]);
-        second.run_to_completion();
-        assert_eq!(*log.borrow(), vec![(0, SimTime::from_micros(10))]);
+        let service = SimDuration::from_micros(10);
+        for _ in 0..3 {
+            Resource::submit(&res, &mut sim, service, Completion::Detached);
+        }
+        let log = collect_completions(&res, &mut sim, &[10]);
+        assert_eq!(sim.pending(), 1, "one event: the waited-on request");
+        assert_eq!(sim.run_to_completion(), 1);
+        assert_eq!(*log.borrow(), vec![(0, SimTime::from_micros(40))]);
+        let stats = res.borrow().stats();
+        assert_eq!((stats.wait_us, stats.max_queue), (10 + 20 + 30, 3));
     }
 
     #[test]
-    fn zero_service_detached_request_holds_its_slot_for_the_rest_of_the_event() {
+    fn a_drained_queue_leaves_the_clock_at_the_last_finish() {
+        let mut sim = Sim::new();
+        let res = Resource::new("disk", 1);
+        let service = SimDuration::from_micros(70);
+        Resource::submit(&res, &mut sim, service, Completion::Detached);
+        Resource::submit(&res, &mut sim, service, Completion::Detached);
+        assert_eq!(sim.run_to_completion(), 0);
+        // Where the last request ends, with the resource idle.
+        assert_eq!(sim.now(), SimTime::from_micros(140));
+        assert_eq!(res.borrow().queue_len(sim.now()), 0);
+        assert_eq!(res.borrow().busy_integral_us(sim.now()), 140);
+        assert_eq!(res.borrow().stats().completed, 2);
+    }
+
+    #[test]
+    #[should_panic(expected = "driven by a clock that went back")]
+    fn a_clock_that_goes_back_panics() {
+        let res = Resource::new("disk", 1);
+        let mut first = Sim::new();
+        first.run_until(SimTime::from_micros(70));
+        Resource::submit(&res, &mut first, SimDuration::ZERO, Completion::Detached);
+        // A second simulator, at time zero, driving the same resource.
+        let mut second = Sim::new();
+        Resource::submit(&res, &mut second, SimDuration::ZERO, Completion::Detached);
+    }
+
+    #[test]
+    fn zero_service_request_frees_its_slot_at_once() {
         let mut sim = Sim::new();
         let res = Resource::new("disk", 1);
         let log: Rc<RefCell<Vec<SimTime>>> = Rc::new(RefCell::new(Vec::new()));
@@ -523,55 +449,29 @@ mod tests {
             let l = l.clone();
             let then = Completion::call(move |sim| l.borrow_mut().push(sim.now()));
             Resource::submit(&r, sim, SimDuration::ZERO, then);
-            assert_eq!(r.borrow().queue_len(), 1, "the second request queues");
+            assert_eq!(r.borrow().queue_len(sim.now()), 0, "nothing queues");
         });
         sim.run_to_completion();
         assert_eq!(*log.borrow(), vec![SimTime::from_micros(5)]);
-        // The timer, the detached request's completion (it had a queue to
-        // re-arm) and the queued request's.
-        assert_eq!(sim.events_executed(), 3);
+        // The timer and the waited-on request.
+        assert_eq!(sim.events_executed(), 2);
         let stats = res.borrow().stats();
-        assert_eq!((stats.completed, stats.wait_us, stats.max_queue), (2, 0, 1));
+        assert_eq!((stats.completed, stats.wait_us, stats.max_queue), (2, 0, 0));
     }
 
     #[test]
-    fn a_key_reserved_after_run_until_returns_is_not_yet_past() {
+    fn a_queued_request_ranks_as_of_its_start() {
         let mut sim = Sim::new();
         let res = Resource::new("disk", 1);
-        let log: Rc<RefCell<Vec<&str>>> = Rc::new(RefCell::new(Vec::new()));
-        let note = |tag: &'static str| {
-            let l = log.clone();
-            Completion::call(move |_| l.borrow_mut().push(tag))
-        };
-        sim.run_until(SimTime::from_micros(5));
-        // Reserved on (5 µs, seq 0): as an event it would still be due.
-        Resource::submit(&res, &mut sim, SimDuration::ZERO, Completion::Detached);
-        Resource::submit(&res, &mut sim, SimDuration::from_micros(10), note("b"));
-        assert_eq!(res.borrow().queue_len(), 1, "b queues behind it");
-        sim.post(SimTime::from_micros(15), note("c"));
-        sim.run_to_completion();
-        // `b` is re-armed when the detached request completes, after `c`
-        // was posted for the same instant.
-        assert_eq!(*log.borrow(), vec!["c", "b"]);
-    }
-
-    #[test]
-    fn a_request_queued_behind_a_reserved_one_keeps_the_eager_position() {
-        let mut sim = Sim::new();
-        let res = Resource::new("disk", 1);
-        let log: Rc<RefCell<Vec<&str>>> = Rc::new(RefCell::new(Vec::new()));
-        let note = |tag: &'static str| {
-            let l = log.clone();
-            Completion::call(move |_| l.borrow_mut().push(tag))
-        };
-        // The detached request's completion would be (10 µs, seq 0).
+        let (log, note) = tagger();
         Resource::submit(
             &res,
             &mut sim,
             SimDuration::from_micros(10),
             Completion::Detached,
         );
-        // (10 µs, seq 1): fires after it, and posts `c` for the same instant.
+        // Due at 10 µs as of 0: fires first, and posts `c` for the same
+        // instant as of 10 µs.
         let c = note("c");
         let l = log.clone();
         sim.post(
@@ -581,12 +481,32 @@ mod tests {
                 sim.post_after(SimDuration::ZERO, c);
             }),
         );
-        // Queues: the detached request becomes its event under seq 0, so
-        // `x` is re-armed before `a` runs and fires before `c`. Under a
-        // fresh key it would be re-armed after `a`, and fire after `c`.
+        // Starts at 10 µs and ends then: as of 10 µs, posted before `c`.
         Resource::submit(&res, &mut sim, SimDuration::ZERO, note("x"));
         sim.run_to_completion();
         assert_eq!(*log.borrow(), vec!["a", "x", "c"]);
-        assert_eq!(sim.events_executed(), 4);
+        assert_eq!(sim.events_executed(), 3);
+    }
+
+    #[test]
+    fn a_message_fires_once_hop_after_its_later_arm() {
+        let mut sim = Sim::new();
+        let (tx, rx) = (Resource::new("tx", 1), Resource::new("rx", 1));
+        let (log, note) = tagger();
+        let wire = SimDuration::from_micros(10);
+        // The ingress is busy until 30 µs: the message clears it at 40.
+        Resource::submit(&rx, &mut sim, SimDuration::from_micros(30), note("busy"));
+        let hop = SimDuration::from_micros(5);
+        let clear = Resource::submit_pair(&tx, &rx, &mut sim, wire, hop, note("msg"));
+        assert_eq!(clear, SimTime::from_micros(40));
+        // Due with the message, but ranked as of 0 µs: fires before it.
+        sim.post(SimTime::from_micros(45), note("timer"));
+        sim.run_to_completion();
+        assert_eq!(*log.borrow(), vec!["busy", "timer", "msg"]);
+        assert_eq!(sim.now(), SimTime::from_micros(45));
+        assert_eq!(sim.events_executed(), 3, "one event for the message");
+        // A detached message posts nothing.
+        Resource::submit_pair(&tx, &rx, &mut sim, wire, hop, Completion::Detached);
+        assert_eq!(sim.pending(), 0);
     }
 }

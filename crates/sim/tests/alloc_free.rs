@@ -3,11 +3,12 @@
 //! A counting `#[global_allocator]` wraps the system allocator; after a
 //! warm-up phase (arena growth, heap/wheel capacity growth amortize
 //! out), a long stretch of repeater firings, data events, resource
-//! requests (detached ones on reserved keys included) and joins must
-//! report **zero** new allocations from the
-//! kernel itself, and a closure one-shot exactly its box. This is the
-//! contract that lets a 100×-client scenario run: the event loop's cost
-//! per firing is a few pointer moves, not a malloc.
+//! requests (detached ones included) and messages must report **zero**
+//! new allocations from the kernel itself, and a closure one-shot exactly
+//! its box. This is the contract that lets a 100×-client scenario run: the
+//! event loop's cost per firing is a few pointer moves, not a malloc. The
+//! resource tests also pin the event count: one event per waited-on
+//! request or message, however contended, and none per detached request.
 //!
 //! Lives in its own test binary because a global allocator is
 //! process-wide; the count is per thread, so the tests (one thread each)
@@ -121,9 +122,27 @@ fn resume(job: u64, since: SimTime) -> Completion {
     .into()
 }
 
+/// Run `round` until a whole turn of the wheel (256 slots × 1.024 ms)
+/// allocates nothing: each slot's vector has grown to the largest batch
+/// the round files in it. Events are filed at submit, so a queue eight deep
+/// is eight entries on the wheel at once.
+fn warm_up(sim: &mut Sim, mut round: impl FnMut(&mut Sim, u64)) {
+    let turn = SimDuration::from_micros(256 * 1_024);
+    for _ in 0..100 {
+        let (before, end) = (allocs(), sim.now() + turn);
+        while sim.now() < end {
+            round(sim, 1);
+        }
+        if allocs() == before {
+            return;
+        }
+    }
+    panic!("the kernel still allocates after 100 turns of the wheel");
+}
+
 /// Requests with a data completion allocate nothing, through a contended
 /// single-slot resource (every request queues) and an idle two-slot one
-/// (none does).
+/// (none does), and each is one event.
 #[test]
 fn resource_requests_with_data_completions_are_allocation_free() {
     let (mut sim, seen) = counting_sim();
@@ -141,19 +160,19 @@ fn resource_requests_with_data_completions_are_allocation_free() {
             sim.run_to_completion();
         }
     };
-    round(&mut sim, 300); // warm-up: queue, arena and wheel capacities
+    warm_up(&mut sim, round);
     let (before, seen_before) = (allocs(), seen.get());
+    let events_before = sim.events_executed();
     round(&mut sim, 1_000); // 10 000 submissions
     assert_eq!(seen.get() - seen_before, 9_000, "every data completion ran");
+    assert_eq!(sim.events_executed() - events_before, 9_000);
     assert_eq!(disk.borrow().stats().max_queue, 7, "the disk was contended");
     assert_eq!(cpu.borrow().stats().max_queue, 0, "the cpu was idle");
     assert_eq!(allocs() - before, 0, "a resource request allocated");
 }
 
-/// Detached requests allocate nothing: on a free slot one takes a reserved
-/// key and no event, it settles on a later submit, it becomes an event
-/// when a request queues behind it, and one re-armed with nothing behind
-/// it takes a reserved key again.
+/// Detached requests allocate nothing and post no event, on a free slot,
+/// in front of a waited-on request and behind one.
 #[test]
 fn detached_requests_are_allocation_free() {
     let (mut sim, seen) = counting_sim();
@@ -171,20 +190,20 @@ fn detached_requests_are_allocation_free() {
             sim.run_to_completion();
         }
     };
-    round(&mut sim, 300);
+    warm_up(&mut sim, round);
     let (before, seen_before) = (allocs(), seen.get());
     let events_before = sim.events_executed();
     round(&mut sim, 1_000); // 7 000 submissions
     assert_eq!(seen.get() - seen_before, 1_000, "every data completion ran");
-    // Per round: the first disk request, materialised, and the waited-on one.
-    assert_eq!(sim.events_executed() - events_before, 2_000);
+    // Per round: the waited-on request, and nothing else.
+    assert_eq!(sim.events_executed() - events_before, 1_000);
+    assert_eq!(disk.borrow().stats().max_queue, 2, "the disk was contended");
     assert_eq!(cpu.borrow().stats().max_queue, 0, "the cpu was idle");
     assert_eq!(allocs() - before, 0, "a detached request allocated");
 }
 
-/// A message's link pair — the NIC's tx/rx — allocates nothing, whether
-/// one arm carries a one-arm join (free links) or both arms join (busy
-/// ones): the join slot is recycled and the arms are data.
+/// A message's link pair — the NIC's tx/rx — allocates nothing and is one
+/// event, whether its links are free or both busy.
 #[test]
 fn two_arm_joins_are_allocation_free() {
     let (mut sim, seen) = counting_sim();
@@ -193,8 +212,8 @@ fn two_arm_joins_are_allocation_free() {
     let hop = SimDuration::from_micros(450);
     let round = |sim: &mut Sim, n: u64| {
         for job in 0..n {
-            // Two messages in flight at once: two live join slots, the
-            // first on free links, the second behind it on both.
+            // Two messages in flight at once, the first on free links, the
+            // second queued behind it on both.
             for wire in [10, 25] {
                 let wire = SimDuration::from_micros(wire);
                 Resource::submit_pair(&tx, &rx, sim, wire, hop, resume(job, sim.now()));
@@ -202,13 +221,15 @@ fn two_arm_joins_are_allocation_free() {
             sim.run_to_completion();
         }
     };
-    round(&mut sim, 300);
+    warm_up(&mut sim, round);
     let (before, seen_before) = (allocs(), seen.get());
-    round(&mut sim, 5_000); // 10 000 joins
+    let events_before = sim.events_executed();
+    round(&mut sim, 5_000); // 10 000 messages
     assert_eq!(
         seen.get() - seen_before,
         10_000,
-        "every join delivered once"
+        "every message delivered once"
     );
-    assert_eq!(allocs() - before, 0, "a join allocated");
+    assert_eq!(sim.events_executed() - events_before, 10_000);
+    assert_eq!(allocs() - before, 0, "a message allocated");
 }

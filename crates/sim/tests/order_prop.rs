@@ -1,27 +1,35 @@
-//! Kernel order property: typed events and reserved keys fire in the order
-//! closures did.
+//! Kernel order property: requests booked at submit fire as an
+//! event-per-completion queue fires them.
 //!
 //! A random program — data events, closure events, repeaters, resource
 //! requests, message pairs and utilisation probes, at equal and distinct
 //! times, each firing spawning more of the same — runs on the real kernel
-//! and on a reference model: a sorted `Vec` of boxed closures plus the old
-//! closure-only resource, which files every completion as an event and
-//! keeps its busy integral eagerly, and an `Rc`-counted two-arm join. The
-//! test also acts from outside any event: before the first one, after
-//! `run_until` returns and between `step()` calls (stepping until the next
-//! firing, a point both kernels share). Both must log the same `(time,
-//! tag)` sequence and the same busy-integral readings, and end with the
-//! same stats on every resource: the typed core consumes `seq` exactly
-//! where the closure core did, and a detached request on a reserved key
-//! does exactly what its event would have.
+//! and on a reference model. The model is a sorted `Vec` of boxed closures
+//! plus a resource that runs every completion as an event of its own,
+//! detached ones included, re-arms its FIFO queue from those events and
+//! keeps its busy integral eagerly; a message is two such arms and an
+//! `Rc`-counted join that posts its delivery when the later arm fires. Every
+//! event is filed under `(due, as-of instant, submit order)`: a request's
+//! completion as of the instant it starts service, a message's delivery as
+//! of the instant its later arm clears, anything else as of the instant it
+//! is posted. The test also acts from outside any event: before the first
+//! one, after `run_until` returns and between `step()` calls (stepping until
+//! the next firing, a point both kernels share).
 //!
-//! Mutation checks (done by hand on a copy of the code; each fails this test):
-//! running the finished request's completion *before* re-arming the
-//! resource's queue in `Resource::served`; settling a reserved key with `≤`
-//! instead of `<` against the kernel's position; not materialising the
-//! reserved requests when a request queues; deferring a re-armed detached
-//! request that still has a queue behind it; letting the free arm of a
-//! message pair close the join.
+//! Both must log the same `(time, tag)` sequence, book every request with
+//! the same start and finish and every message with the same clear instant,
+//! read the same busy integrals and end with the same stats on every
+//! resource. The model's `max_queue` is counted from its starts: the
+//! requests submitted no later than a submit that start after it. The real
+//! kernel must fire one event per waited-on request or message and none per
+//! detached one.
+//!
+//! Mutation checks (done by hand on a copy of the code; each fails this
+//! test): starting a request at `now` whatever its slot's free-at time;
+//! booking a request on the slot that frees last instead of first; making a
+//! message's `done` due `hop` after the earlier arm's end; counting queued
+//! work as busy (the busy integral subtracts only the last request booked
+//! on each slot from the work still ahead).
 
 use std::cell::{Cell, RefCell};
 use std::collections::VecDeque;
@@ -30,7 +38,7 @@ use std::rc::Rc;
 use wattdb_common::{DetRng, SimDuration, SimTime};
 use wattdb_sim::{Completion, Resource, ResourceHandle, Signal, Sim};
 
-/// How a resource request or a join says it is done.
+/// How a resource request or a message says it is done.
 #[derive(Debug, Clone, Copy)]
 enum Style {
     Data,
@@ -159,6 +167,10 @@ type Stats = (u64, u64, u64, usize);
 struct Outcome {
     /// `(time, tag)` of every firing.
     log: Vec<(SimTime, u32)>,
+    /// `(resource, start, finish)` of every `Submit`, in submit order.
+    spans: Vec<(usize, SimTime, SimTime)>,
+    /// The instant both links of every `Join` are clear, in submit order.
+    clears: Vec<SimTime>,
     /// `(time, resource, busy integral)` of every probe.
     readings: Vec<(SimTime, usize, u64)>,
     /// Every resource's counters at `END`.
@@ -217,27 +229,31 @@ fn real_run(cx: &Rc<Real>, sim: &mut Sim, actions: &[Action]) {
                 service,
                 tag,
                 style,
-            } => Resource::submit(
-                &cx.resources[res],
-                sim,
-                SimDuration::from_micros(service),
-                real_completion(cx, tag, style),
-            ),
+            } => {
+                let service = SimDuration::from_micros(service);
+                let then = real_completion(cx, tag, style);
+                let finish = Resource::submit(&cx.resources[res], sim, service, then);
+                let start = SimTime(finish.0 - service.as_micros());
+                cx.out.borrow_mut().spans.push((res, start, finish));
+            }
             Action::Join {
                 service,
                 hop,
                 tag,
                 style,
-            } => Resource::submit_pair(
-                &cx.resources[0],
-                &cx.resources[1],
-                sim,
-                SimDuration::from_micros(service),
-                SimDuration::from_micros(hop),
-                real_completion(cx, tag, style),
-            ),
+            } => {
+                let clear = Resource::submit_pair(
+                    &cx.resources[0],
+                    &cx.resources[1],
+                    sim,
+                    SimDuration::from_micros(service),
+                    SimDuration::from_micros(hop),
+                    real_completion(cx, tag, style),
+                );
+                cx.out.borrow_mut().clears.push(clear);
+            }
             Action::Probe { res } => {
-                let integral = cx.resources[res].borrow_mut().busy_integral_us(sim.now());
+                let integral = cx.resources[res].borrow().busy_integral_us(sim.now());
                 cx.out
                     .borrow_mut()
                     .readings
@@ -281,6 +297,11 @@ fn run_real(program: Program) -> Outcome {
         sim.events_executed(),
         "per-kind counts sum to the events executed"
     );
+    assert_eq!(
+        sim.events_executed(),
+        firings() as u64,
+        "one event per firing: none for a detached request or message"
+    );
     let stats = cx
         .resources
         .iter()
@@ -298,53 +319,82 @@ fn run_real(program: Program) -> Outcome {
 
 type ModelFn = Box<dyn FnOnce(&mut Model)>;
 
-/// The closure-only kernel: one sorted `Vec`, `(at, seq)` order.
+/// `(due, as-of instant, submit order)`.
+type Due = (SimTime, SimTime, u64);
+
+/// The closure-only kernel: one `Vec`, fired in [`Due`] order.
 #[derive(Default)]
 struct Model {
     now: SimTime,
+    /// The key of the event firing, or of the last one fired.
+    firing: Option<Due>,
     seq: u64,
-    queue: Vec<(SimTime, u64, ModelFn)>,
+    queue: Vec<(Due, ModelFn)>,
 }
 
 impl Model {
-    fn after(&mut self, delay: u64, f: impl FnOnce(&mut Model) + 'static) {
-        let at = self.now + SimDuration::from_micros(delay);
-        self.queue.push((at, self.seq, Box::new(f)));
+    /// The next submit order.
+    fn take_seq(&mut self) -> u64 {
         self.seq += 1;
+        self.seq - 1
+    }
+
+    fn file(&mut self, due: Due, f: impl FnOnce(&mut Model) + 'static) {
+        assert!(
+            self.firing.is_none_or(|firing| due > firing),
+            "the model filed an event before the one firing"
+        );
+        self.queue.push((due, Box::new(f)));
+    }
+
+    fn after(&mut self, delay: u64, f: impl FnOnce(&mut Model) + 'static) {
+        let due = (
+            self.now + SimDuration::from_micros(delay),
+            self.now,
+            self.take_seq(),
+        );
+        self.file(due, f);
     }
 
     /// Index of the earliest entry.
     fn next(&self) -> Option<usize> {
-        (0..self.queue.len()).min_by_key(|&i| (self.queue[i].0, self.queue[i].1))
+        (0..self.queue.len()).min_by_key(|&i| self.queue[i].0)
     }
 
     fn step(&mut self) -> bool {
         let Some(first) = self.next() else {
             return false;
         };
-        let (at, _, f) = self.queue.remove(first);
-        self.now = at;
+        let (due, f) = self.queue.remove(first);
+        self.now = due.0;
+        self.firing = Some(due);
         f(self);
         true
     }
 
     fn run_until(&mut self, t: SimTime) {
-        while self.next().is_some_and(|i| self.queue[i].0 <= t) {
+        while self.next().is_some_and(|i| self.queue[i].0 .0 <= t) {
             self.step();
         }
         self.now = self.now.max(t);
     }
 }
 
-/// The resource as it was when every completion was a closure event.
+/// Starts a queued request at `(start, finish)`.
+type StartFn = Box<dyn FnOnce(&mut Model, SimTime, SimTime)>;
+
+/// A resource whose every completion is an event.
 struct ModelResource {
     slots: u32,
     busy: u32,
-    /// `(service, enqueued, done)`.
-    queue: VecDeque<(u64, SimTime, ModelFn)>,
+    /// `(service, start it)` of the requests waiting.
+    queue: VecDeque<(u64, StartFn)>,
     integral: u64,
     last_change: SimTime,
-    stats: Stats,
+    /// `(submitted, start)` of every request.
+    starts: Vec<(SimTime, SimTime)>,
+    /// `(completed, service_us, wait_us)` booked by completion events.
+    booked: (u64, u64, u64),
 }
 
 impl ModelResource {
@@ -352,53 +402,76 @@ impl ModelResource {
         self.integral += now.since(self.last_change).as_micros() * self.busy as u64;
         self.last_change = now;
     }
+
+    /// `max_queue` counted from the starts: at each submit, the requests
+    /// submitted no later that start after it.
+    fn max_queue(&self) -> usize {
+        (0..self.starts.len())
+            .map(|i| {
+                let submitted = self.starts[i].0;
+                self.starts[..=i]
+                    .iter()
+                    .filter(|&&(_, start)| start > submitted)
+                    .count()
+            })
+            .max()
+            .unwrap_or(0)
+    }
 }
 
-fn model_submit(this: &Rc<RefCell<ModelResource>>, m: &mut Model, service: u64, done: ModelFn) {
-    let mut r = this.borrow_mut();
+type ResRc = Rc<RefCell<ModelResource>>;
+
+/// Submit `service` to `res`; `on_start(m, start, finish)` runs when the
+/// request starts (so a span can be logged), and `done` when it completes.
+fn model_submit(
+    res: &ResRc,
+    m: &mut Model,
+    service: u64,
+    on_start: impl FnOnce(&mut Model, SimTime, SimTime) + 'static,
+    done: ModelFn,
+) {
+    let seq = m.take_seq();
+    let index = res.borrow().starts.len();
+    res.borrow_mut().starts.push((m.now, SimTime::ZERO));
+    let submitted = m.now;
+    let handle = res.clone();
+    let start_it = move |m: &mut Model, start: SimTime, finish: SimTime| {
+        handle.borrow_mut().starts[index].1 = start;
+        on_start(m, start, finish);
+        let handle = handle.clone();
+        m.file((finish, start, seq), move |m| {
+            let next = {
+                let mut r = handle.borrow_mut();
+                r.advance(m.now);
+                r.booked.0 += 1;
+                r.booked.1 += service;
+                r.booked.2 += start.since(submitted).as_micros();
+                let next = r.queue.pop_front();
+                if next.is_none() {
+                    r.busy -= 1;
+                }
+                next
+            };
+            if let Some((service, start_next)) = next {
+                start_next(m, m.now, m.now + SimDuration::from_micros(service));
+            }
+            done(m);
+        });
+    };
+    let mut r = res.borrow_mut();
     r.advance(m.now);
     if r.busy < r.slots {
         r.busy += 1;
         drop(r);
-        model_serve(this, m, service, 0, done);
+        start_it(m, m.now, m.now + SimDuration::from_micros(service));
     } else {
-        r.queue.push_back((service, m.now, done));
-        r.stats.3 = r.stats.3.max(r.queue.len());
+        r.queue.push_back((service, Box::new(start_it)));
     }
-}
-
-fn model_serve(
-    this: &Rc<RefCell<ModelResource>>,
-    m: &mut Model,
-    service: u64,
-    waited: u64,
-    done: ModelFn,
-) {
-    let handle = this.clone();
-    m.after(service, move |m| {
-        let next = {
-            let mut r = handle.borrow_mut();
-            r.advance(m.now);
-            r.stats.0 += 1;
-            r.stats.1 += service;
-            r.stats.2 += waited;
-            let next = r.queue.pop_front();
-            if next.is_none() {
-                r.busy -= 1;
-            }
-            next
-        };
-        if let Some((service, enqueued, next_done)) = next {
-            let waited = m.now.since(enqueued).as_micros();
-            model_serve(&handle, m, service, waited, next_done);
-        }
-        done(m);
-    });
 }
 
 struct Reference {
     program: Program,
-    resources: Vec<Rc<RefCell<ModelResource>>>,
+    resources: Vec<ResRc>,
     out: RefCell<Outcome>,
     /// `Join`s met with no link free, one free and both free.
     link_states: Cell<[u32; 3]>,
@@ -442,12 +515,20 @@ fn model_run(cx: &Rc<Reference>, m: &mut Model, actions: &[Action]) {
                 service,
                 tag,
                 style,
-            } => model_submit(
-                &cx.resources[res],
-                m,
-                service,
-                model_completion(cx, tag, style),
-            ),
+            } => {
+                // A span is logged in submit order, filled in at its start.
+                let span = cx.out.borrow().spans.len();
+                cx.out
+                    .borrow_mut()
+                    .spans
+                    .push((res, SimTime::ZERO, SimTime::ZERO));
+                let out = cx.clone();
+                let on_start = move |_: &mut Model, start, finish| {
+                    out.out.borrow_mut().spans[span] = (res, start, finish);
+                };
+                let done = model_completion(cx, tag, style);
+                model_submit(&cx.resources[res], m, service, on_start, done);
+            }
             Action::Join {
                 service,
                 hop,
@@ -461,28 +542,37 @@ fn model_run(cx: &Rc<Reference>, m: &mut Model, actions: &[Action]) {
                 let mut states = cx.link_states.get();
                 states[free(0) + free(1)] += 1;
                 cx.link_states.set(states);
-                if let Style::Detached = style {
-                    // Nothing to deliver, so no join: the no-op delivery
-                    // event a two-arm join posted is the one event the
-                    // real kernel drops outright, and it could only move
-                    // the clock of a drained queue.
-                    for res in 0..2 {
-                        model_submit(&cx.resources[res], m, service, Box::new(|_| {}));
-                    }
-                    continue;
-                }
+                let clear_index = cx.out.borrow().clears.len();
+                cx.out.borrow_mut().clears.push(SimTime::ZERO);
+                // Two arms, then the delivery's submit order; the later arm
+                // to fire posts it, as of the instant it clears.
                 let remaining = Rc::new(Cell::new(2u8));
+                let cleared = Rc::new(Cell::new(SimTime::ZERO));
                 let done = Rc::new(Cell::new(Some(model_completion(cx, tag, style))));
+                let deliver_seq = Rc::new(Cell::new(0));
                 for res in 0..2 {
                     let (remaining, done) = (remaining.clone(), done.clone());
+                    let (cleared, deliver_seq) = (cleared.clone(), deliver_seq.clone());
+                    let out = cx.clone();
+                    let on_start = {
+                        let cleared = cleared.clone();
+                        move |_: &mut Model, _, finish: SimTime| {
+                            cleared.set(cleared.get().max(finish));
+                            out.out.borrow_mut().clears[clear_index] = cleared.get();
+                        }
+                    };
+                    let detached = matches!(style, Style::Detached);
                     let arm: ModelFn = Box::new(move |m| {
                         remaining.set(remaining.get() - 1);
-                        if remaining.get() == 0 {
-                            m.after(hop, done.take().expect("delivered once"));
+                        if remaining.get() == 0 && !detached {
+                            let at = m.now + SimDuration::from_micros(hop);
+                            let done = done.take().expect("delivered once");
+                            m.file((at, m.now, deliver_seq.get()), done);
                         }
                     });
-                    model_submit(&cx.resources[res], m, service, arm);
+                    model_submit(&cx.resources[res], m, service, on_start, arm);
                 }
+                deliver_seq.set(m.take_seq());
             }
             Action::Probe { res } => {
                 let integral = {
@@ -505,7 +595,8 @@ fn run_model(program: Program) -> (Outcome, [u32; 3]) {
             queue: VecDeque::new(),
             integral: 0,
             last_change: SimTime::ZERO,
-            stats: Stats::default(),
+            starts: Vec::new(),
+            booked: (0, 0, 0),
         }))
     };
     let cx = Rc::new(Reference {
@@ -529,7 +620,15 @@ fn run_model(program: Program) -> (Outcome, [u32; 3]) {
     }
     m.run_until(END);
     model_run(&cx, &mut m, &probe_all());
-    let stats = cx.resources.iter().map(|r| r.borrow().stats).collect();
+    let stats = cx
+        .resources
+        .iter()
+        .map(|r| {
+            let r = r.borrow();
+            let (completed, service, wait) = r.booked;
+            (completed, service, wait, r.max_queue())
+        })
+        .collect();
     let mut out = cx.out.take();
     out.stats = stats;
     (out, cx.link_states.get())
@@ -537,15 +636,18 @@ fn run_model(program: Program) -> (Outcome, [u32; 3]) {
 
 #[test]
 fn typed_events_fire_in_the_reference_order() {
-    let (mut fired, mut readings, mut link_states) = (0, 0, [0; 3]);
+    let (mut fired, mut readings, mut queued, mut link_states) = (0, 0, 0, [0; 3]);
     for seed in 0..300 {
         let real = run_real(program(seed));
         let (model, states) = run_model(program(seed));
         assert_eq!(real.log, model.log, "seed {seed}: firings");
+        assert_eq!(real.spans, model.spans, "seed {seed}: request spans");
+        assert_eq!(real.clears, model.clears, "seed {seed}: message clears");
         assert_eq!(real.readings, model.readings, "seed {seed}: busy integrals");
         assert_eq!(real.stats, model.stats, "seed {seed}: final stats");
         fired += real.log.len();
         readings += real.readings.len();
+        queued += real.stats.iter().filter(|s| s.3 > 0).count();
         for (total, n) in link_states.iter_mut().zip(states) {
             *total += n;
         }
@@ -555,6 +657,7 @@ fn typed_events_fire_in_the_reference_order() {
         "the programs did real work ({fired} firings)"
     );
     assert!(readings > 3_000, "the probes ran ({readings} readings)");
+    assert!(queued > 300, "requests queued ({queued} resources)");
     assert!(
         link_states.iter().all(|&n| n > 200),
         "message pairs met no link free, one free and both free: {link_states:?}"

@@ -391,11 +391,12 @@ fn dropping_a_deployment_mid_run_frees_it() {
     let mut db = build_pooled(5);
     db.start_oltp(50_000, SimDuration::from_secs(10));
     db.run_for(SimDuration::from_secs(5));
-    // Mid-run, with requests waiting on the drives: each holds a
-    // continuation that holds the cluster that holds the drive.
+    // Mid-run, with requests waiting on the drives: the kernel holds
+    // their continuations, which hold the cluster.
+    let now = db.now();
     let queued: usize = db.with_cluster(|c| {
         let drives = c.nodes.iter().flat_map(|n| &n.disks);
-        drives.map(|d| d.resource().borrow().queue_len()).sum()
+        drives.map(|d| d.resource().borrow().queue_len(now)).sum()
     });
     assert!(queued > 0, "no work queued: the drop below proves nothing");
     let cluster = db.with_runtime(|cl, _| std::rc::Rc::downgrade(cl));

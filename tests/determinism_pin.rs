@@ -319,12 +319,12 @@ fn pinned(label: &str, expected: u64, events: u64, scenario: fn() -> WattDb) -> 
 
 #[test]
 fn per_client_export_is_byte_stable_across_runs() {
-    pinned("per-client", 0x9b30_782d_6f64_85e8, 696_929, oltp_run);
+    pinned("per-client", 0x0ade_9cd5_78d7_7e4e, 492_183, oltp_run);
 }
 
 #[test]
 fn traced_export_is_byte_stable_across_runs() {
-    let a = pinned("traced", 0xf44d_0de0_a567_2ee0, 294_028, traced_run);
+    let a = pinned("traced", 0x1a56_4ba1_b803_1fe5, 292_190, traced_run);
     // The traced run actually exercises the trace machinery: the offered
     // load gauge is present and moves along the schedule.
     assert!(
@@ -335,30 +335,30 @@ fn traced_export_is_byte_stable_across_runs() {
 
 #[test]
 fn fraction_rebalance_under_load_is_byte_stable_across_runs() {
-    let a = pinned("rebalance", 0x352d_126c_e24b_ea4f, 355_104, rebalance_run);
+    let a = pinned("rebalance", 0x2519_4e75_ef3c_5bc2, 316_581, rebalance_run);
     assert!(a.contains("\"rebalance\""), "export carries the rebalance");
 }
 
 #[test]
 fn pooled_export_is_byte_stable_across_runs() {
-    pinned("pooled", 0xe256_72c2_29e0_7390, 125_169, pooled_run);
+    pinned("pooled", 0xaaa8_d9f2_bc30_c305, 69_429, pooled_run);
 }
 
 #[test]
 fn physical_rebalance_export_is_pinned() {
-    let a = pinned("physical", 0x5ec2_1c90_ec96_a70a, 490_447, physical_run);
+    let a = pinned("physical", 0x1ead_7bdd_e677_1e61, 397_781, physical_run);
     assert!(a.contains("\"Physical\""), "export names the scheme");
 }
 
 #[test]
 fn logical_rebalance_export_is_pinned() {
-    let a = pinned("logical", 0x6ae7_6d78_9c20_6d0f, 417_730, logical_run);
+    let a = pinned("logical", 0x25f9_e0dd_da95_736d, 369_720, logical_run);
     assert!(a.contains("\"Logical\""), "export names the scheme");
 }
 
 #[test]
 fn scripted_helpers_export_is_pinned() {
-    let a = pinned("helpers", 0xc3bd_22d7_44b4_ffa9, 432_819, helpers_run);
+    let a = pinned("helpers", 0x874a_72e2_8ad5_4dfc, 379_846, helpers_run);
     assert!(a.contains("\"helpers\""), "export carries the helper span");
     assert!(a.contains("\"detach\""), "helpers detached with completion");
 }
@@ -367,8 +367,8 @@ fn scripted_helpers_export_is_pinned() {
 fn replicated_elastic_export_is_pinned() {
     let a = pinned(
         "replicated-elastic",
-        0x15e6_0f46_a238_9208,
-        863_293,
+        0x29df_7741_d380_8acf,
+        547_646,
         replicated_elastic_run,
     );
     // The paths this pin exists for all ran.
@@ -384,7 +384,7 @@ fn replicated_elastic_export_is_pinned() {
 
 #[test]
 fn failover_export_is_pinned() {
-    let a = pinned("failover", 0xd48e_9229_90ab_1cca, 802_904, failover_run);
+    let a = pinned("failover", 0x22f7_c011_b268_49db, 720_021, failover_run);
     for needle in ["\"failover\"", "\"promote\"", "\"re-replicate\""] {
         assert!(a.contains(needle), "export carries {needle}");
     }

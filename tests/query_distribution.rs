@@ -95,6 +95,8 @@ fn pruned_scan_reads_fewer_pages_and_finishes_faster() {
     };
     let mut sim = Sim::new();
     let t_full = timed(&full, &cl, &mut sim);
+    // A cluster of its own: resources book time on one simulator's clock.
+    let cl = cluster(2);
     let mut sim = Sim::new();
     let t_pruned = timed(&pruned, &cl, &mut sim);
     assert!(
@@ -160,6 +162,8 @@ fn projection_before_shipping_reduces_wire_time() {
     };
     let mut sim = Sim::new();
     let t_wide = timed(&wide, &cl, &mut sim);
+    // A cluster of its own: resources book time on one simulator's clock.
+    let cl = cluster(3);
     let mut sim = Sim::new();
     let t_narrow = timed(&narrow, &cl, &mut sim);
     assert!(
