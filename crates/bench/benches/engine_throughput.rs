@@ -1,7 +1,7 @@
 //! Engine throughput — what one simulated second costs in wall-clock
 //! time, across the client-population ladder and both client modes.
 //!
-//! The hot-path batching work (aggregated arrivals, timer-wheel kernel,
+//! The hot-path batching work (aggregated arrivals, allocation-free kernel,
 //! lazy heat decay) exists to make huge modeled populations cheap. This
 //! bench proves it: a {1×, 10×, 100×} × {per-client, pooled} matrix over
 //! the same TPC-C deployment, reporting events/sec, committed (modeled)

@@ -2,7 +2,7 @@
 //!
 //! # What an event is
 //!
-//! An arena entry is a small enum, dispatched by one `match` in
+//! A queue entry carries a small enum, dispatched by one `match` in
 //! [`Sim::step`]:
 //!
 //! * a [`Completion`] due at a time — plain data on the hot path
@@ -42,24 +42,16 @@
 //! randomness elsewhere comes from seeded generators, so two runs of the
 //! same experiment fire the same events in the same order.
 //!
-//! # Queue layout — one timer wheel and an overflow heap
+//! # Queue layout — one binary heap
 //!
-//! The kernel's traffic is dominated by short timers: resource service
-//! times, client think-times, WAL group-commit ticks, monitoring windows,
-//! power samples. A single `BinaryHeap` pays `O(log n)` per insert, which
-//! caps how many clients a scenario can model. The queue is therefore split
-//! three ways:
-//!
-//! * a **timer wheel** of 256 buckets, each 1.024 ms wide, giving
-//!   `O(1)` insertion for everything within the ~262 ms horizon where
-//!   the periodic traffic lives;
-//! * an **overflow heap** for events beyond the horizon (rare: long
-//!   experiment timers, drift horizons, a request behind a long queue);
-//! * a **current-batch heap** holding the events of the slot being
-//!   drained, so firing order is exactly the order above.
-//!
-//! Event payloads live in an **arena** with a free list; a repeating event
-//! re-arms by reusing its arena slot.
+//! Every pending event is one entry in one `BinaryHeap`: its payload
+//! beside its `(time, as-of instant, sequence)` key, ordered inverted so
+//! the earliest key pops first, which is exactly the order above,
+//! as-of tie rank included. A repeater re-arms by pushing its own entry
+//! back under a fresh key, so it keeps its closure box and allocates
+//! nothing. The queue stays small (about a thousand entries on the
+//! busiest workload, because a resource request is one entry at most), so
+//! its `O(log n)` push and pop are a small share of a step.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -73,18 +65,8 @@ use crate::event::{Completion, RepeatFn, Signal, EVENT_KINDS, KIND_REPEAT};
 /// schedules more events on the kernel that owns it.
 type Handler = Rc<dyn Fn(&mut Sim, Signal)>;
 
-/// Slot width is `2^SLOT_SHIFT` µs = 1.024 ms (a power of two so the
-/// slot of a timestamp is a shift, not a division).
-const SLOT_SHIFT: u32 = 10;
-/// Number of wheel slots; horizon = 256 × 1.024 ms ≈ 262 ms.
-const WHEEL_SLOTS: u64 = 256;
-
-/// What an arena entry currently holds.
+/// What a pending event does when it fires.
 enum EventKind {
-    /// Free-list link; `u32::MAX` terminates the list.
-    Empty {
-        next_free: u32,
-    },
     /// A completion due at the entry's time.
     Fire(Completion),
     Repeat {
@@ -102,38 +84,31 @@ struct Due {
     seq: u64,
 }
 
-/// Arena entry: the payload plus the key it is currently scheduled under.
+/// A pending event: the payload plus the key it is scheduled under.
+/// Ordered so the earliest [`Due`] pops first from `BinaryHeap` (which is
+/// a max-heap).
 struct Entry {
     due: Due,
     kind: EventKind,
 }
 
-/// Heap key referencing an arena entry. Ordered so the earliest [`Due`]
-/// pops first from `BinaryHeap` (which is a max-heap).
-struct Key {
-    due: Due,
-    idx: u32,
-}
-
-impl PartialEq for Key {
+impl PartialEq for Entry {
     fn eq(&self, other: &Self) -> bool {
         self.due == other.due
     }
 }
-impl Eq for Key {}
-impl PartialOrd for Key {
+impl Eq for Entry {}
+impl PartialOrd for Entry {
     fn partial_cmp(&self, other: &Self) -> Option<Ordering> {
         Some(self.cmp(other))
     }
 }
-impl Ord for Key {
+impl Ord for Entry {
     fn cmp(&self, other: &Self) -> Ordering {
         // Inverted so the earliest key pops first.
         other.due.cmp(&self.due)
     }
 }
-
-const NO_FREE: u32 = u32::MAX;
 
 /// The simulation kernel.
 ///
@@ -158,23 +133,8 @@ pub struct Sim {
     /// queue leaves the clock.
     booked_until: SimTime,
     executed: u64,
-    /// Arena of event payloads; indices are stable while scheduled.
-    arena: Vec<Entry>,
-    /// Head of the arena free list (`NO_FREE` when exhausted).
-    free_head: u32,
-    /// Near-future buckets: slot `t & (WHEEL_SLOTS-1)` holds the
-    /// (unsorted) entries of wheel tick `t`, for ticks in
-    /// `(cursor, cursor + WHEEL_SLOTS)`.
-    wheel: Vec<Vec<u32>>,
-    /// Total entries across all wheel slots.
-    wheel_len: usize,
-    /// Events beyond the wheel horizon.
-    overflow: BinaryHeap<Key>,
-    /// Events of the tick currently being drained, in exact key order.
-    current: BinaryHeap<Key>,
-    /// Wheel tick the `current` batch was drained up to. All wheel
-    /// entries sit at ticks strictly greater than `cursor`.
-    cursor: u64,
+    /// Every pending event, earliest key on top.
+    queue: BinaryHeap<Entry>,
     handler: Option<Handler>,
     /// Events fired per kind, indexed like [`EVENT_KINDS`].
     by_kind: [u64; EVENT_KINDS.len()],
@@ -186,11 +146,6 @@ impl Default for Sim {
     }
 }
 
-#[inline]
-fn tick_of(at: SimTime) -> u64 {
-    at.0 >> SLOT_SHIFT
-}
-
 impl Sim {
     /// A simulator at time zero with an empty queue.
     pub fn new() -> Self {
@@ -199,17 +154,7 @@ impl Sim {
             seq: 0,
             booked_until: SimTime::ZERO,
             executed: 0,
-            arena: Vec::new(),
-            free_head: NO_FREE,
-            // Pre-size each slot so the first events landing in a
-            // never-touched bucket don't allocate mid-run. A request is
-            // filed when it is submitted, so a queue on one disk puts
-            // several entries in a slot at once.
-            wheel: (0..WHEEL_SLOTS).map(|_| Vec::with_capacity(32)).collect(),
-            wheel_len: 0,
-            overflow: BinaryHeap::new(),
-            current: BinaryHeap::new(),
-            cursor: 0,
+            queue: BinaryHeap::new(),
             handler: None,
             by_kind: [0; EVENT_KINDS.len()],
         }
@@ -240,104 +185,10 @@ impl Sim {
 
     /// Number of events currently pending.
     pub fn pending(&self) -> usize {
-        self.current.len() + self.wheel_len + self.overflow.len()
+        self.queue.len()
     }
 
-    /// Grab an arena slot off the free list (or grow the arena) and
-    /// fill it.
-    fn alloc_entry(&mut self, due: Due, kind: EventKind) -> u32 {
-        if self.free_head != NO_FREE {
-            let idx = self.free_head;
-            let e = &mut self.arena[idx as usize];
-            self.free_head = match e.kind {
-                EventKind::Empty { next_free } => next_free,
-                _ => unreachable!("free-list entry not empty"),
-            };
-            e.due = due;
-            e.kind = kind;
-            idx
-        } else {
-            let idx = u32::try_from(self.arena.len()).expect("event arena overflow");
-            self.arena.push(Entry { due, kind });
-            idx
-        }
-    }
-
-    fn release_entry(&mut self, idx: u32) {
-        self.arena[idx as usize].kind = EventKind::Empty {
-            next_free: self.free_head,
-        };
-        self.free_head = idx;
-    }
-
-    /// File an already-allocated entry under its key.
-    fn enqueue(&mut self, idx: u32) {
-        let due = self.arena[idx as usize].due;
-        let tick = tick_of(due.at);
-        if tick <= self.cursor {
-            // The entry's tick has already been drained (or is being
-            // drained): join the current batch directly. `push`
-            // guarantees `at >= now`, so order is still honoured.
-            self.current.push(Key { due, idx });
-        } else if tick - self.cursor < WHEEL_SLOTS {
-            self.wheel[(tick & (WHEEL_SLOTS - 1)) as usize].push(idx);
-            self.wheel_len += 1;
-        } else {
-            self.overflow.push(Key { due, idx });
-        }
-    }
-
-    /// Ensure `current` holds the next batch of runnable events.
-    /// Returns `false` when nothing is pending anywhere.
-    fn refill_current(&mut self) -> bool {
-        if !self.current.is_empty() {
-            return true;
-        }
-        if self.wheel_len == 0 && self.overflow.is_empty() {
-            return false;
-        }
-        // Earliest occupied wheel tick, if any. Slots map back to a
-        // unique tick in (cursor, cursor + WHEEL_SLOTS), so scanning
-        // the next WHEEL_SLOTS-1 ticks visits each slot once.
-        let mut next_tick = None;
-        if self.wheel_len > 0 {
-            for t in (self.cursor + 1)..(self.cursor + WHEEL_SLOTS) {
-                if !self.wheel[(t & (WHEEL_SLOTS - 1)) as usize].is_empty() {
-                    next_tick = Some(t);
-                    break;
-                }
-            }
-        }
-        // An overflow entry can be earlier than every wheel entry once
-        // the cursor has advanced past its insertion horizon.
-        if let Some(k) = self.overflow.peek() {
-            let t = tick_of(k.due.at);
-            if next_tick.is_none_or(|w| t < w) {
-                next_tick = Some(t);
-            }
-        }
-        let tick = next_tick.expect("pending count said non-empty");
-        self.cursor = tick;
-        if self.wheel_len > 0 {
-            let slot = &mut self.wheel[(tick & (WHEEL_SLOTS - 1)) as usize];
-            self.wheel_len -= slot.len();
-            for idx in slot.drain(..) {
-                let due = self.arena[idx as usize].due;
-                debug_assert_eq!(tick_of(due.at), tick);
-                self.current.push(Key { due, idx });
-            }
-        }
-        while let Some(k) = self.overflow.peek() {
-            if tick_of(k.due.at) != tick {
-                break;
-            }
-            let k = self.overflow.pop().expect("peeked");
-            self.current.push(k);
-        }
-        true
-    }
-
-    /// Allocate and file an entry due at `at`, ranked as of `as_of`.
+    /// File an entry due at `at`, ranked as of `as_of`.
     /// Scheduling in the past is a logic error and panics (it would
     /// silently reorder causality otherwise).
     #[inline]
@@ -353,8 +204,7 @@ impl Sim {
             seq: self.seq,
         };
         self.seq += 1;
-        let idx = self.alloc_entry(due, kind);
-        self.enqueue(idx);
+        self.queue.push(Entry { due, kind });
     }
 
     /// Make `then` due at absolute time `at`.
@@ -408,8 +258,8 @@ impl Sim {
     }
 
     /// Repeat `f` every `period`, first firing one period from now.
-    /// The closure is boxed once; each firing re-arms by reusing the
-    /// same arena entry, so steady-state repetition allocates nothing.
+    /// The closure is boxed once; each firing re-arms by pushing the same
+    /// box back, so steady-state repetition allocates nothing.
     pub fn every(&mut self, period: SimDuration, f: impl FnMut(&mut Sim) -> bool + 'static) {
         assert!(period.as_micros() > 0, "repeater period must be positive");
         let kind = EventKind::Repeat {
@@ -423,48 +273,27 @@ impl Sim {
     /// empty, having moved the clock to the end of the last resource
     /// request booked if that is later.
     pub fn step(&mut self) -> bool {
-        if !self.refill_current() {
+        let Some(Entry { due, kind }) = self.queue.pop() else {
             self.now = self.now.max(self.booked_until);
             return false;
-        }
-        let key = self.current.pop().expect("refill_current said non-empty");
-        debug_assert!(key.due.at >= self.now);
-        self.now = key.due.at;
+        };
+        debug_assert!(due.at >= self.now);
+        self.now = due.at;
         self.executed += 1;
-        // Move the payload out so the arena isn't borrowed while the
-        // event runs (events freely schedule more events).
-        let kind = std::mem::replace(
-            &mut self.arena[key.idx as usize].kind,
-            EventKind::Empty { next_free: NO_FREE },
-        );
         match kind {
             EventKind::Fire(then) => {
-                self.release_entry(key.idx);
                 self.by_kind[then.kind()] += 1;
                 self.complete(then);
             }
             EventKind::Repeat { mut f, period } => {
                 self.by_kind[KIND_REPEAT] += 1;
                 if f(self) {
-                    // Re-arm in place: same entry, same closure box,
-                    // a fresh key — the order of a new closure scheduled
-                    // after each firing, without its per-period
-                    // allocation.
-                    let due = Due {
-                        at: self.now + period,
-                        as_of: self.now,
-                        seq: self.seq,
-                    };
-                    self.seq += 1;
-                    let e = &mut self.arena[key.idx as usize];
-                    e.due = due;
-                    e.kind = EventKind::Repeat { f, period };
-                    self.enqueue(key.idx);
-                } else {
-                    self.release_entry(key.idx);
+                    // Re-arm with the same closure box under a fresh key:
+                    // the order of a new closure scheduled after each
+                    // firing, without its per-period allocation.
+                    self.push(self.now + period, self.now, EventKind::Repeat { f, period });
                 }
             }
-            EventKind::Empty { .. } => unreachable!("scheduled entry was empty"),
         }
         true
     }
@@ -480,11 +309,7 @@ impl Sim {
     /// `t` (even if idle). Returns events executed by this call.
     pub fn run_until(&mut self, t: SimTime) -> u64 {
         let before = self.executed;
-        while self.refill_current() {
-            let next_at = self.current.peek().expect("refilled").due.at;
-            if next_at > t {
-                break;
-            }
+        while self.queue.peek().is_some_and(|e| e.due.at <= t) {
             self.step();
         }
         self.now = self.now.max(t);
@@ -688,22 +513,22 @@ mod tests {
         sim.run_to_completion();
     }
 
-    // ---- timer-wheel specifics ----
+    // ---- order across near, far and same-millisecond events ----
 
-    /// Interleaved near (wheel), far (overflow), and same-tick events
-    /// still fire in exact (time, seq) order.
+    /// Interleaved near, far and same-millisecond events still fire in
+    /// exact (time, seq) order.
     #[test]
     fn wheel_and_overflow_interleave_in_order() {
         let mut sim = Sim::new();
         let (log, mk) = recorder();
-        // Far beyond the 262 ms horizon → overflow heap.
+        // Seconds away.
         sim.schedule(SimTime::from_secs(10), mk(4));
-        // Within the horizon → wheel.
+        // Within a few hundred ms.
         sim.schedule(SimTime::from_millis(100), mk(1));
         sim.schedule(SimTime::from_millis(200), mk(2));
-        // Same wheel slot as event 1 but later micros within it.
+        // The same millisecond as event 1, later micros within it.
         sim.schedule(SimTime::from_micros(100_500), mk(5));
-        // Beyond horizon, earlier than the other overflow event.
+        // Seconds away, earlier than the other far event.
         sim.schedule(SimTime::from_secs(5), mk(3));
         sim.run_to_completion();
         let order: Vec<u32> = log.borrow().iter().map(|&(_, t)| t).collect();
@@ -711,16 +536,16 @@ mod tests {
         assert_eq!(sim.now(), SimTime::from_secs(10));
     }
 
-    /// Overflow events whose tick has entered the horizon fire before
-    /// later wheel events scheduled afterwards.
+    /// A far event posted early fires before a nearer-looking event posted
+    /// later that falls after it.
     #[test]
     fn overflow_entering_horizon_beats_fresh_wheel_events() {
         let mut sim = Sim::new();
         let (log, mk) = recorder();
-        sim.schedule(SimTime::from_secs(1), mk(1)); // overflow at t=0
+        sim.schedule(SimTime::from_secs(1), mk(1)); // a second away at t = 0
         let late = mk(2);
         sim.schedule(SimTime::from_millis(990), move |sim| {
-            // Now the 1 s event is within the wheel horizon of `now`.
+            // Now the 1 s event is 10 ms away.
             sim.after(SimDuration::from_millis(50), late); // t = 1.04 s
         });
         sim.run_to_completion();
@@ -729,19 +554,7 @@ mod tests {
     }
 
     #[test]
-    fn arena_slots_are_reused() {
-        let mut sim = Sim::new();
-        for round in 0..100u64 {
-            sim.after(SimDuration::from_millis(1), |_| {});
-            sim.run_until(SimTime::from_millis(round + 1));
-        }
-        // One live event at a time → the arena never grows past the
-        // first allocation.
-        assert_eq!(sim.arena.len(), 1);
-    }
-
-    #[test]
-    fn an_arena_entry_is_56_bytes() {
+    fn a_queue_entry_is_56_bytes() {
         // Down from 64 when a resource completion was an entry of its own.
         assert_eq!(std::mem::size_of::<Entry>(), 56);
     }

@@ -1,8 +1,8 @@
 //! The kernel's hot path must be allocation-free.
 //!
 //! A counting `#[global_allocator]` wraps the system allocator; after a
-//! warm-up phase (arena growth, heap/wheel capacity growth amortize
-//! out), a long stretch of repeater firings, data events, resource
+//! warm-up phase (the queue's capacity growth amortizes out), a long
+//! stretch of repeater firings, data events, resource
 //! requests (detached ones included) and messages must report **zero**
 //! new allocations from the kernel itself, and a closure one-shot exactly
 //! its box. This is the contract that lets a 100×-client scenario run: the
@@ -49,7 +49,7 @@ fn allocs() -> u64 {
 }
 
 /// A repeater firing in steady state performs zero heap allocations:
-/// the closure box and arena entry are reused across periods.
+/// the closure box is pushed back into the queue each period.
 #[test]
 fn steady_state_repeater_is_allocation_free() {
     let mut sim = Sim::new();
@@ -59,11 +59,11 @@ fn steady_state_repeater_is_allocation_free() {
         *c.borrow_mut() += 1;
         true
     });
-    // A second repeater on a different period keeps the wheel honest
-    // (two live arena entries, interleaving slots).
+    // A second repeater on a different period keeps the queue honest
+    // (two live entries, interleaving firings).
     sim.every(SimDuration::from_millis(13), |_| true);
 
-    // Warm-up: arena, wheel slot vectors, and heap capacity stabilize.
+    // Warm-up: the queue's capacity stabilizes.
     sim.run_until(SimTime::from_secs(2));
     let fired_before = *count.borrow();
     let before = allocs();
@@ -81,14 +81,14 @@ fn steady_state_repeater_is_allocation_free() {
     );
 }
 
-/// A closure one-shot costs exactly its box: the arena entry is recycled
-/// through the free list, so `n` sequential events allocate `n` boxes, not
-/// `n` queue entries plus `n` boxes.
+/// A closure one-shot costs exactly its box: the queue reuses its
+/// capacity, so `n` sequential events allocate `n` boxes, not `n` queue
+/// entries plus `n` boxes.
 #[test]
 fn one_shot_events_reuse_arena_entries() {
     let mut sim = Sim::new();
     let hits = Rc::new(Cell::new(0u64));
-    // Warm up: first event grows the arena and wheel slot.
+    // Warm up: the first event grows the queue.
     sim.after(SimDuration::from_millis(1), |_| {});
     sim.run_until(SimTime::from_millis(2));
 
@@ -122,10 +122,10 @@ fn resume(job: u64, since: SimTime) -> Completion {
     .into()
 }
 
-/// Run `round` until a whole turn of the wheel (256 slots × 1.024 ms)
-/// allocates nothing: each slot's vector has grown to the largest batch
-/// the round files in it. Events are filed at submit, so a queue eight deep
-/// is eight entries on the wheel at once.
+/// Run `round` in stretches of 262 ms of simulated time (256 × 1.024 ms)
+/// until one allocates nothing: the queue has grown to the largest batch
+/// the round files in it. Events are filed at submit, so a resource queue
+/// eight deep is eight entries in the kernel's queue at once.
 fn warm_up(sim: &mut Sim, mut round: impl FnMut(&mut Sim, u64)) {
     let turn = SimDuration::from_micros(256 * 1_024);
     for _ in 0..100 {
@@ -137,7 +137,7 @@ fn warm_up(sim: &mut Sim, mut round: impl FnMut(&mut Sim, u64)) {
             return;
         }
     }
-    panic!("the kernel still allocates after 100 turns of the wheel");
+    panic!("the kernel still allocates after 100 stretches of 262 ms");
 }
 
 /// Requests with a data completion allocate nothing, through a contended

@@ -88,8 +88,8 @@ struct Program {
     children: Vec<Vec<Action>>,
 }
 
-/// Times that collide (0, repeats), straddle a wheel slot (1 024 µs) and
-/// leave the wheel's horizon (300 ms).
+/// Times that collide (0, repeats), fall a few µs apart (1, 7), a
+/// millisecond apart (1 000, 1 024) and far apart (5 ms, 300 ms).
 const TIMES: [u64; 8] = [0, 0, 1, 7, 1_000, 1_024, 5_000, 300_000];
 /// Two single-slot links (the `Join` pair, also submitted to alone), a
 /// two-slot and a three-slot resource.
