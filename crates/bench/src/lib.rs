@@ -471,7 +471,7 @@ pub fn run_drain_under_replication() -> DrainUnderReplication {
         .build();
     let copies_at_start: std::collections::BTreeMap<NodeId, usize> = db.with_cluster(|c| {
         (0..4u16)
-            .map(|n| (NodeId(n), c.replication.map().followed_by(NodeId(n)).len()))
+            .map(|n| (NodeId(n), c.replication.followed_by(NodeId(n)).len()))
             .collect()
     });
     let engaged_at = db.now();

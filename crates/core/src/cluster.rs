@@ -480,7 +480,7 @@ impl Cluster {
             "cannot power off {node}: segments present"
         );
         assert!(
-            self.replication.map().followed_by(node).is_empty(),
+            self.replication.followed_by(node).is_empty(),
             "cannot power off {node}: follower copies present"
         );
         let life = &mut self.nodes[node.raw() as usize].life;
@@ -1138,7 +1138,7 @@ mod tests {
         // onto it: it is still "data on disk".
         let host = NodeId(2);
         assert!(c.seg_dir.on_node(host).next().is_none());
-        assert!(!c.replication.map().followed_by(host).is_empty());
+        assert!(!c.replication.followed_by(host).is_empty());
         let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             c.power_off(host);
         }));

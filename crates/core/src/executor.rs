@@ -437,7 +437,7 @@ impl Cluster {
         // executing node's local disk — that locality is the whole point
         // of read fan-out.
         let meta = self.seg_dir.get(seg).expect("segment meta");
-        let follows = |n| self.replication.map().followers_of(seg).contains(&n);
+        let follows = |n| self.replication.followers_of(seg).contains(&n);
         let (storage_node, disk) = if meta.node != exec_node && follows(exec_node) {
             (exec_node, self.data_disk(exec_node, seg).index)
         } else {

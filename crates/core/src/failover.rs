@@ -2,7 +2,7 @@
 //!
 //! The paper's cluster keeps a single copy of every segment, so §3's
 //! master can only *move* data off a node that is still alive. With
-//! per-segment replication ([`wattdb_replica`]) a node loss becomes
+//! per-segment replication ([`crate::replication`]) a node loss becomes
 //! survivable: every tracked segment the dead node owned in the catalog —
 //! a segment's leader is its catalog node — is handed to its
 //! **most-caught-up follower** (highest acknowledged LSN on the dead
@@ -110,7 +110,7 @@ fn queue_copies(
         let c = &mut *c;
         for (seg, to, named) in copies {
             // An untracked segment gets no copy; a tracked one's leader is its catalog node.
-            let tracked = c.replication.map().get(seg).and(c.seg_dir.get(seg).ok());
+            let tracked = c.replication.followers(seg).and(c.seg_dir.get(seg).ok());
             let (Ok(bytes), Some(from)) = (c.copy_bytes(seg), tracked.map(|m| m.node)) else {
                 continue;
             };
@@ -191,7 +191,7 @@ pub fn handle_failure(cl: &ClusterRc, sim: &mut Sim, failed: NodeId) {
     {
         let c = &mut *cl.borrow_mut();
         let promotions = promote_orphans(c, sim.now(), failed);
-        let followed = c.replication.map().followed_by(failed);
+        let followed = c.replication.followed_by(failed);
         replication::remove_followers(c, followed.into_iter().map(|s| (s, failed)));
         if let Some(span) = c.failover_span {
             for &(seg, winner) in &promotions {

@@ -481,7 +481,7 @@ pub fn plan_replicas(c: &crate::cluster::Cluster, now: SimTime) -> wattdb_planne
         .iter()
         .filter(|m| !c.is_failed(m.node))
         .filter_map(|m| {
-            let followers: Vec<NodeId> = (c.replication.map().followers_of(m.id))
+            let followers: Vec<NodeId> = (c.replication.followers_of(m.id))
                 .iter()
                 .copied()
                 .filter(|&f| !c.is_failed(f))

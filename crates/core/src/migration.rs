@@ -521,7 +521,7 @@ pub(crate) fn can_suspend(c: &Cluster, node: NodeId) -> bool {
         && c.life(node).is_up()
         && c.seg_dir.on_node(node).next().is_none()
         && !c.helpers.contains(node)
-        && c.replication.map().followed_by(node).is_empty()
+        && c.replication.followed_by(node).is_empty()
 }
 
 /// The running mover's chain `chain`, or `None` once the mover is gone:
@@ -597,7 +597,7 @@ fn pick(c: &mut Cluster, chain: u64) -> Option<Pending> {
                 // A tracked segment's copy ships from its catalog node as the
                 // chain reaches it: behind the segment's own move, the post-move leader.
                 ch.queue.pop_front();
-                let tracked = c.replication.map().get(cp.seg).is_some();
+                let tracked = c.replication.followers(cp.seg).is_some();
                 match c.seg_dir.get(cp.seg).map(|m| m.node) {
                     Ok(from) if tracked && from != cp.to => {
                         return Some(Pending::Copy(FollowerCopy { from, ..cp }))
@@ -735,8 +735,9 @@ fn copy_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
     }
     let disk = &mut c.nodes[from.raw() as usize].disks[disk as usize];
     let Some(cpu) = cpu else {
-        // Join: disk read ∥ network ship; the later arm runs the apply
-        // inside its own event (`Sim::join` would schedule it as a new one).
+        // Join: disk read ∥ network ship. Each arm counts down; the later
+        // one applies in its own completion event, the instant both are
+        // done, so the join adds no event of its own.
         let remaining = Rc::new(Cell::new(2u8));
         let make_arm = || {
             let remaining = remaining.clone();

@@ -312,8 +312,7 @@ pub fn plan(
             // the drain above). Refusal, not half-execution: suspending a
             // live follower host silently halves redundancy. Checked first so
             // the timeline always says *why* the cluster stayed big.
-            let hosts_copies =
-                (drain.iter()).any(|&n| !c.replication.map().followed_by(n).is_empty());
+            let hosts_copies = (drain.iter()).any(|&n| !c.replication.followed_by(n).is_empty());
             if hosts_copies && (targets.is_empty() || !dp.is_fully_covered()) {
                 return Err("drain node hosts follower replicas");
             }
@@ -746,7 +745,7 @@ mod tests {
         // leaders to the empty n3 and n4 would put that segment's leader on
         // n4 and find no host for the copy.
         let mut db = spare_actives(3);
-        assert!(db.with_cluster(|c| c.replication.map().followed_by(NodeId(3)).len()) > 0);
+        assert!(db.with_cluster(|c| c.replication.followed_by(NodeId(3)).len()) > 0);
         assert_eq!(apply_on(&mut db, &drain(&[1, 2])).map(|_| ()), Ok(()));
         assert_eq!(
             db.with_cluster(|c| c.draining_nodes()),
@@ -1018,10 +1017,7 @@ mod tests {
                 "segment scheme plans segment moves"
             );
             assert_eq!(p.moves.len(), c.seg_dir.on_node(NodeId(2)).count());
-            assert_eq!(
-                p.rehomes.len(),
-                c.replication.map().followed_by(NodeId(2)).len()
-            );
+            assert_eq!(p.rehomes.len(), c.replication.followed_by(NodeId(2)).len());
             assert!(!p.rehomes.is_empty(), "n2 hosted follower copies");
         }
         queue_copy_onto(&cl, &mut Sim::new(), NodeId(2));

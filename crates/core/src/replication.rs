@@ -1,16 +1,16 @@
-//! Follower replication, one owner: each segment's leader ships its durable
-//! WAL tail to `factor` followers, which serve caught-up reads and take
-//! over when it dies ([`crate::failover`]). [`Replication`] holds the
-//! [`ReplicaMap`] of follower sets (its segments are the *tracked* ones),
-//! the shipping cursors, the catch-up bars, the read rotation and its
-//! counters. A segment's leader is its catalog node, the one owner record,
-//! so what reads a leader or writes the map here takes the cluster. Every
-//! map write re-syncs the cursors, so a leader always ships to exactly
-//! the followers of the tracked segments it owns.
+//! Follower replication, one owner. The paper's cluster keeps one copy of
+//! each segment; here each segment's leader ships its durable WAL tail to
+//! `factor` followers, which serve caught-up reads and take over when it
+//! dies ([`crate::failover`]). [`Replication`] holds the follower set of
+//! each *tracked* segment (the replica map), the shipping cursors, the
+//! catch-up bars, the read rotation and its counters. A segment's leader
+//! is its catalog node, the one owner record, so what reads a leader or
+//! writes the map here takes the cluster. Every map write re-syncs the
+//! cursors, so a leader always ships to exactly the followers of the
+//! tracked segments it owns.
 
 use wattdb_common::{DenseMap, Lsn, NodeId, SegmentId};
 use wattdb_planner::ReplicaPlan;
-use wattdb_replica::ReplicaMap;
 use wattdb_telemetry::MetricsRegistry;
 use wattdb_wal::LogShipper;
 
@@ -21,8 +21,9 @@ use crate::cluster::{Cluster, Lifecycle, NodeRuntime};
 pub struct Replication {
     /// Followers per segment; zero turns replication off.
     factor: usize,
-    /// Per-segment follower sets (empty at factor 0).
-    map: ReplicaMap,
+    /// Each tracked segment's followers, in attachment order (none at
+    /// factor 0). By id: the read path asks for them per operation.
+    followers: DenseMap<SegmentId, Vec<NodeId>>,
     /// Each leader's cursors to its followers, by node id.
     shippers: Vec<LogShipper>,
     /// Per-segment last write in the leader's log: the catch-up bar.
@@ -53,9 +54,22 @@ impl Replication {
         }
     }
 
-    /// The replica map, read-only: every mutation goes through this owner.
-    pub fn map(&self) -> &ReplicaMap {
-        &self.map
+    /// The segment's followers, `None` when it is not tracked.
+    pub fn followers(&self, seg: SegmentId) -> Option<&[NodeId]> {
+        self.followers.get(&seg).map(Vec::as_slice)
+    }
+
+    /// The segment's followers (empty when untracked).
+    pub fn followers_of(&self, seg: SegmentId) -> &[NodeId] {
+        self.followers(seg).unwrap_or(&[])
+    }
+
+    /// The tracked segments `node` follows, in id order.
+    pub fn followed_by(&self, node: NodeId) -> Vec<SegmentId> {
+        (self.followers.iter())
+            .filter(|(_, f)| f.contains(&node))
+            .map(|(s, _)| s)
+            .collect()
     }
 
     /// `leader`'s shipping cursors.
@@ -65,7 +79,10 @@ impl Replication {
 
     /// Segments below the factor with their deficit, in id order.
     pub fn under_replicated(&self) -> Vec<(SegmentId, usize)> {
-        self.map.under_replicated(self.factor)
+        (self.followers.iter())
+            .filter(|(_, f)| f.len() < self.factor)
+            .map(|(s, f)| (s, self.factor - f.len()))
+            .collect()
     }
 
     /// Bytes shipped to followers by all leaders.
@@ -96,7 +113,8 @@ impl Replication {
         pool.clear();
         pool.push(leader);
         let eligible = |f| !is_failed(nodes, f) && shipper.acked_lsn(f).is_some_and(|a| a >= floor);
-        pool.extend(self.map.followers_of(seg).iter().filter(|&&f| eligible(f)));
+        let followers = self.followers.get(&seg).map_or(&[][..], Vec::as_slice);
+        pool.extend(followers.iter().filter(|&&f| eligible(f)));
         if pool.len() == 1 {
             return None;
         }
@@ -166,9 +184,9 @@ impl Replication {
     pub fn winner(&self, seg: SegmentId, failed: NodeId, nodes: &[NodeRuntime]) -> Option<NodeId> {
         let shipper = &self.shippers[failed.raw() as usize];
         let acked = |f| shipper.acked_lsn(f).unwrap_or(Lsn::ZERO);
-        let followers = self.map.followers_of(seg);
+        let followers = self.followers_of(seg);
         let live = followers.iter().filter(|&&f| !is_failed(nodes, f));
-        wattdb_replica::pick_promotion(live.map(|&f| (f, acked(f))))
+        pick_promotion(live.map(|&f| (f, acked(f))))
     }
 
     /// Export the `replica.*` / `rereplication.*` metrics into `r`.
@@ -194,10 +212,21 @@ impl Replication {
     }
 }
 
+/// Pick the promotion winner among `candidates` — `(follower,
+/// acknowledged LSN)` pairs read off the dead leader's shipping cursors:
+/// the **most-caught-up** follower wins (highest acked LSN), ties broken
+/// by lowest node id for determinism. `None` when there is no candidate.
+pub fn pick_promotion(candidates: impl IntoIterator<Item = (NodeId, Lsn)>) -> Option<NodeId> {
+    (candidates.into_iter())
+        .max_by(|a, b| a.1.cmp(&b.1).then_with(|| b.0.cmp(&a.0)))
+        .map(|(n, _)| n)
+}
+
 /// Each tracked segment with its leader, the catalog node, and its
 /// followers, in id order.
 pub fn sites(c: &Cluster) -> impl Iterator<Item = (SegmentId, NodeId, &[NodeId])> {
-    (c.replication.map.iter()).filter_map(|(s, f)| Some((s, c.seg_dir.get(s).ok()?.node, f)))
+    let tracked = c.replication.followers.iter();
+    tracked.filter_map(|(s, f)| Some((s, c.seg_dir.get(s).ok()?.node, f.as_slice())))
 }
 
 /// The tracked segments `node` owns in the catalog, in id order: orphaned
@@ -213,10 +242,17 @@ pub fn references(c: &Cluster, node: NodeId) -> bool {
     sites(c).any(|(_, l, f)| l == node || f.contains(&node))
 }
 
-/// Place the initial map's planned followers (at build time).
+/// Place the initial map's planned followers (at build time). A follower
+/// on the leader it is placed for is a placement bug and panics.
 pub fn place(c: &mut Cluster, plan: &ReplicaPlan) {
     for p in &plan.placements {
-        c.replication.map.set(p.seg, p.leader, p.followers.clone());
+        let (seg, leader) = (p.seg, p.leader);
+        let co_located = p.followers.contains(&leader);
+        assert!(
+            !co_located,
+            "{seg}: follower set co-locates with leader {leader}"
+        );
+        c.replication.followers.insert(seg, p.followers.clone());
     }
     sync_cursors(c);
 }
@@ -227,12 +263,13 @@ pub fn place(c: &mut Cluster, plan: &ReplicaPlan) {
 /// backfill. Without `keep_followers` the old set is history.
 pub fn follow_owner(c: &mut Cluster, seg: SegmentId, to: NodeId, keep_followers: bool) -> bool {
     let r = &mut c.replication;
-    if r.map.get(seg).is_none() {
+    let Some(followers) = r.followers.get_mut(&seg) else {
         return false;
-    }
-    let consumed = r.map.remove_follower(seg, to);
+    };
+    let consumed = followers.contains(&to);
+    followers.retain(|&n| n != to);
     if !keep_followers {
-        r.map.set(seg, to, Vec::new());
+        *followers = Vec::new();
     }
     let lsn = c.nodes[to.raw() as usize].log.last_lsn();
     r.seg_last_write.insert(seg, lsn);
@@ -244,14 +281,18 @@ pub fn follow_owner(c: &mut Cluster, seg: SegmentId, to: NodeId, keep_followers:
 /// node must shed replica duty before it may suspend) or a dead node's.
 pub fn remove_followers(c: &mut Cluster, copies: impl IntoIterator<Item = (SegmentId, NodeId)>) {
     for (seg, node) in copies {
-        c.replication.map.remove_follower(seg, node);
+        if let Some(f) = c.replication.followers.get_mut(&seg) {
+            f.retain(|&n| n != node);
+        }
     }
     sync_cursors(c);
 }
 
 /// A follower copy of `seg` (`bytes` on the wire) landed on `to`.
 pub fn add_copy(c: &mut Cluster, seg: SegmentId, to: NodeId, bytes: u64) {
-    c.replication.map.add_follower(seg, to);
+    if let Some(f) = (c.replication.followers.get_mut(&seg)).filter(|f| !f.contains(&to)) {
+        f.push(to);
+    }
     c.replication.rereplicated_bytes += bytes;
     sync_cursors(c);
 }
@@ -417,7 +458,7 @@ mod tests {
         let disk = c.data_disk(NodeId(2), SEG);
         c.seg_dir.relocate(SEG, NodeId(2), disk).unwrap();
         assert!(follow_owner(c, SEG, NodeId(2), true), "n2's copy consumed");
-        let followers = c.replication.map().followers_of(SEG);
+        let followers = c.replication.followers_of(SEG);
         assert_eq!(followers, &[NodeId(1), NodeId(3)]);
         assert_eq!(orphans(c, NodeId(2)), vec![SEG]);
         assert!(orphans(c, LEADER).is_empty());
@@ -427,6 +468,22 @@ mod tests {
         assert_eq!(check_invariants(c), None);
         // Moving the untracked segment changes nothing in the map.
         assert!(!follow_owner(c, untracked, LEADER, true));
-        assert_eq!(c.replication.map().get(untracked), None);
+        assert_eq!(c.replication.followers(untracked), None);
+    }
+
+    #[test]
+    #[should_panic(expected = "co-locates")]
+    fn a_follower_placed_on_its_leader_panics() {
+        let cl = Cluster::new(ClusterConfig::default(), &[NodeId(0), NodeId(1)]);
+        let c = &mut *cl.borrow_mut();
+        let seg = c
+            .seg_dir
+            .create(TableId(0), LEADER, DiskId::new(LEADER, 1), None, 8);
+        let placements = vec![ReplicaSite {
+            seg,
+            leader: LEADER,
+            followers: vec![NodeId(1), LEADER],
+        }];
+        place(c, &ReplicaPlan { placements });
     }
 }

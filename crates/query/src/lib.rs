@@ -2,10 +2,11 @@
 //! placement, vectorization, and buffering (prefetch) proxies.
 //!
 //! Implements §3.3 of the paper: distributed plans generated on the master,
-//! pipelining operators colocated with their data, blocking operators
-//! (sort, group/aggregate) offloadable to cooler nodes, vectorized
-//! `next()` calls to amortize network round trips, and buffering operators
-//! that prefetch asynchronously to hide shipping latency.
+//! each operator naming the node it runs on, so a plan keeps pipelining
+//! operators with their data and may offload blocking operators (sort,
+//! group/aggregate) to cooler nodes; vectorized `next()` calls amortize
+//! network round trips, and buffering operators prefetch asynchronously
+//! to hide shipping latency.
 //!
 //! Execution is functional *and* costed: [`execute`] returns real result
 //! tuples plus a [`CostTrace`] of hardware demands that the cluster layer
@@ -13,11 +14,9 @@
 //! the tuples into a sink instead of collecting them.
 
 pub mod exec;
-pub mod optimizer;
 pub mod plan;
 
 pub use exec::{execute, execute_into, CostTrace, ExecConfig, Stage, StageKind};
-pub use optimizer::{place, NodeLoad, PlacementPolicy};
 pub use plan::{AggFunc, PlanNode, RowSource, SyntheticTable, Tuple, Values};
 
 /// The per-operator cost calibration this engine prices its stages with.

@@ -29,6 +29,7 @@ use wattdb_core::cluster::{Cluster, Scheme};
 use wattdb_core::heat;
 use wattdb_core::migration::{self, ControlPlan};
 use wattdb_core::policy::{Decision, PolicyConfig};
+use wattdb_core::replication;
 use wattdb_core::ControlEvent;
 
 const WINDOW_SECS: u64 = 5;
@@ -457,7 +458,7 @@ fn scale_in_with_replication_rehomes_followers_before_suspension() {
     );
     db.with_cluster(|c| {
         assert_eq!(
-            wattdb_core::replication::check_invariants(c),
+            replication::check_invariants(c),
             None,
             "replica map consistent after the drain"
         );
@@ -468,7 +469,7 @@ fn scale_in_with_replication_rehomes_followers_before_suspension() {
         );
         for &n in &suspended {
             assert!(
-                !wattdb_core::replication::references(c, n),
+                !replication::references(c, n),
                 "suspended node {n} still referenced by the replica map"
             );
         }
@@ -533,7 +534,7 @@ fn scale_in_refuses_a_drain_that_would_strand_follower_copies() {
     );
     assert_eq!(db.active_nodes(), active_before, "node count unchanged");
     db.with_cluster(|c| {
-        assert_eq!(wattdb_core::replication::check_invariants(c), None);
+        assert_eq!(replication::check_invariants(c), None);
         assert!(
             c.replication.under_replicated().is_empty(),
             "refused drain still lost copies: {:?}",
@@ -586,9 +587,13 @@ fn kill_active_mid_migration_promotes_and_recovers() {
     let records_before = db.live_records();
     assert!(committed_before > 0, "writes committed before the failure");
     let victim = NodeId(1);
-    let map_before = db.with_cluster(|c| c.replication.map().clone());
-    let led_before = db.with_cluster(|c| wattdb_core::replication::orphans(c, victim));
+    let led_before = db.with_cluster(|c| replication::orphans(c, victim));
     assert!(!led_before.is_empty(), "victim leads segments");
+    let followers_before: Vec<Vec<NodeId>> = db.with_cluster(|c| {
+        (led_before.iter())
+            .map(|&seg| c.replication.followers_of(seg).to_vec())
+            .collect()
+    });
     // The migration is mid-flight off the victim when it dies.
     db.rebalance(0.5, &[victim], &[NodeId(2)]);
     db.run_for(SimDuration::from_secs(2));
@@ -618,16 +623,16 @@ fn kill_active_mid_migration_promotes_and_recovers() {
     // follower IS the most-caught-up one), unless a completed migration
     // already moved it off the victim.
     db.with_cluster(|c| {
-        for &seg in &led_before {
+        for (&seg, followers_before) in led_before.iter().zip(&followers_before) {
             assert!(
-                c.replication.map().get(seg).is_some(),
+                c.replication.followers(seg).is_some(),
                 "{seg} vanished from the replica map"
             );
             let leader = c.seg_dir.get(seg).unwrap().node;
             assert_ne!(leader, victim, "{seg} still led by the corpse");
             // A move that landed before the kill put it on the target.
             assert!(
-                map_before.followers_of(seg).contains(&leader) || leader == NodeId(2),
+                followers_before.contains(&leader) || leader == NodeId(2),
                 "{seg}: new leader {leader} was neither a follower nor the move's target"
             );
         }
@@ -644,7 +649,7 @@ fn kill_active_mid_migration_promotes_and_recovers() {
         );
     });
     assert!(
-        !db.with_cluster(|c| wattdb_core::replication::references(c, victim)),
+        !db.with_cluster(|c| replication::references(c, victim)),
         "dead node erased from the map"
     );
     assert!(
@@ -694,9 +699,7 @@ fn kill_follower_rereplicates_to_restore_the_factor() {
     db.start_oltp(6, SimDuration::from_millis(50));
     db.run_for(SimDuration::from_secs(15));
     let victim = NodeId(2);
-    let followed = db
-        .with_cluster(|c| c.replication.map().clone())
-        .followed_by(victim);
+    let followed = db.with_cluster(|c| c.replication.followed_by(victim));
     assert!(!followed.is_empty(), "victim follows other nodes' segments");
     db.fail_node(victim);
     db.run_for(SimDuration::from_secs(WINDOW_SECS * 30));
@@ -708,8 +711,7 @@ fn kill_follower_rereplicates_to_restore_the_factor() {
             .any(|e| matches!(e.decision, Decision::Promote { failed, .. } if failed == victim)),
         "failover logged: {events:?}"
     );
-    let map = db.with_cluster(|c| c.replication.map().clone());
-    let erased = db.with_cluster(|c| !wattdb_core::replication::references(c, victim));
+    let erased = db.with_cluster(|c| !replication::references(c, victim));
     assert!(erased, "dead follower erased everywhere");
     db.with_cluster(|c| {
         assert!(
@@ -724,18 +726,20 @@ fn kill_follower_rereplicates_to_restore_the_factor() {
         db.with_cluster(|c| c.replication.rereplicated_bytes) > 0,
         "re-replication shipped bytes"
     );
-    for seg in followed {
-        let leader = db.with_cluster(|c| c.seg_dir.get(seg).unwrap().node);
-        assert!(
-            !map.followers_of(seg).contains(&leader),
-            "{seg}: follower co-located with leader"
+    db.with_cluster(|c| {
+        for seg in followed {
+            let leader = c.seg_dir.get(seg).unwrap().node;
+            assert!(
+                !c.replication.followers_of(seg).contains(&leader),
+                "{seg}: follower co-located with leader"
+            );
+        }
+        println!(
+            "[failover/follower-kill] rereplicated={}B map segments={}",
+            c.replication.rereplicated_bytes,
+            replication::sites(c).count()
         );
-    }
-    println!(
-        "[failover/follower-kill] rereplicated={}B map segments={}",
-        db.with_cluster(|c| c.replication.rereplicated_bytes),
-        map.len()
-    );
+    });
 }
 
 // ------------------------------------------------------- idle-then-burst

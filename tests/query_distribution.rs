@@ -7,9 +7,7 @@ use std::rc::Rc;
 use wattdb_common::{CostParams, Key, KeyRange, NodeId, SimDuration};
 use wattdb_core::replay::{replay_trace, SortMemoryBroker};
 use wattdb_core::{Cluster, ClusterConfig};
-use wattdb_query::{
-    execute, place, AggFunc, ExecConfig, NodeLoad, PlacementPolicy, PlanNode, SyntheticTable,
-};
+use wattdb_query::{execute, AggFunc, ExecConfig, PlanNode, SyntheticTable};
 use wattdb_sim::Sim;
 
 fn cluster(nodes: u16) -> wattdb_core::ClusterRc {
@@ -39,37 +37,24 @@ fn timed(plan: &PlanNode, cl: &wattdb_core::ClusterRc, sim: &mut Sim) -> SimDura
 
 #[test]
 fn placement_pipeline_local_blocking_offloaded() {
-    // A hot data node: the optimizer keeps the (pipelining) filter local
-    // but offloads the aggregation, inserting a buffering operator.
-    let mut plan = PlanNode::GroupAgg {
-        input: Box::new(PlanNode::Filter {
-            input: Box::new(PlanNode::Scan {
-                source: Box::new(SyntheticTable::new(5_000, 100, 80)),
+    // A hot data node n1: the (pipelining) filter stays with its scan, the
+    // aggregation runs on the cool n2, and a buffering operator hides the
+    // shipping between them.
+    let plan = PlanNode::GroupAgg {
+        input: Box::new(PlanNode::Buffer {
+            input: Box::new(PlanNode::Filter {
+                input: Box::new(PlanNode::Scan {
+                    source: Box::new(SyntheticTable::new(5_000, 100, 80)),
+                    on: NodeId(1),
+                }),
+                threshold: i64::MIN,
                 on: NodeId(1),
             }),
-            threshold: i64::MIN,
-            on: NodeId(0),
         }),
         func: AggFunc::Count,
-        on: NodeId(0),
+        on: NodeId(2),
     };
-    place(
-        &mut plan,
-        &[
-            NodeLoad {
-                node: NodeId(1),
-                cpu: 0.95,
-            },
-            NodeLoad {
-                node: NodeId(2),
-                cpu: 0.05,
-            },
-        ],
-        &PlacementPolicy::default(),
-    );
-    // The aggregate landed on the cool node.
-    assert_eq!(plan.placement(), NodeId(2));
-    // And it still computes the right answer through the cluster.
+    // The offloaded plan computes the right answer through the cluster.
     let cl = cluster(3);
     let mut sim = Sim::new();
     let (rows, _) = execute(&plan, &CostParams::default(), &ExecConfig::default());

@@ -12,16 +12,17 @@
 //!   shipping LSN has reached the segment's last write, so every
 //!   committed write is visible from any node a read lands on.
 //!
-//! The proptests exercise the pure layers (`wattdb_replica`,
-//! `wattdb_planner`, `wattdb_wal::LogShipper`); the deterministic tests
+//! The proptests exercise the pure layers
+//! (`wattdb_core::replication::pick_promotion`, `wattdb_planner`,
+//! `wattdb_wal::LogShipper`); the deterministic tests
 //! drive the full facade end to end.
 
 use proptest::prelude::*;
 use wattdb_common::{Lsn, NodeId, SegmentId, SimDuration, TxnId};
 use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
+use wattdb_core::replication::{self, pick_promotion};
 use wattdb_planner::{plan_replicas, HostRow, ReplicaSite};
-use wattdb_replica::pick_promotion;
 use wattdb_wal::{LogManager, LogPayload, LogShipper};
 
 // ------------------------------------------------------------ end to end
@@ -42,26 +43,24 @@ fn replicated_db(factor: usize, initial: &[NodeId]) -> WattDb {
 #[test]
 fn bootstrap_places_followers_off_leader() {
     let db = replicated_db(1, &[NodeId(0), NodeId(1), NodeId(2)]);
-    let map = db.with_cluster(|c| c.replication.map().clone());
-    assert!(!map.is_empty(), "every segment tracked");
     db.with_cluster(|c| {
-        assert_eq!(map.len(), c.seg_dir.len(), "full coverage");
         // A segment's leader is its catalog node, the storing node.
-        let leader = |seg| c.seg_dir.get(seg).unwrap().node;
-        for (seg, followers) in map.iter() {
+        let sites: Vec<_> = replication::sites(c).collect();
+        assert!(!sites.is_empty(), "every segment tracked");
+        assert_eq!(sites.len(), c.seg_dir.len(), "full coverage");
+        for &(seg, leader, followers) in &sites {
             assert_eq!(followers.len(), 1, "{seg} at factor");
             assert!(
-                !followers.contains(&leader(seg)),
-                "{seg}: follower co-located with leader {}",
-                leader(seg)
+                !followers.contains(&leader),
+                "{seg}: follower co-located with leader {leader}"
             );
         }
         // Every leader ships to exactly its segments' union of followers.
         for n in &c.nodes {
-            let wanted: std::collections::BTreeSet<NodeId> = map
+            let wanted: std::collections::BTreeSet<NodeId> = sites
                 .iter()
-                .filter(|&(s, _)| leader(s) == n.id)
-                .flat_map(|(_, f)| f.iter().copied())
+                .filter(|&&(_, leader, _)| leader == n.id)
+                .flat_map(|&(.., f)| f.iter().copied())
                 .collect();
             let have: std::collections::BTreeSet<NodeId> = c
                 .replication
@@ -113,16 +112,11 @@ fn planned_rebalance_onto_a_follower_evicts_and_backfills() {
     // instead of silently dropping to zero.
     let mut db = replicated_db(1, &[NodeId(0), NodeId(1), NodeId(2)]);
     let (seg, leader, follower) = db.with_cluster(|c| {
-        let (seg, followers) = c
-            .replication
-            .map()
-            .iter()
-            .next()
-            .expect("replicated segment");
-        (seg, c.seg_dir.get(seg).unwrap().node, followers[0])
+        let (seg, leader, followers) = replication::sites(c).next().expect("replicated segment");
+        (seg, leader, followers[0])
     });
     assert_eq!(
-        db.with_cluster(|c| c.replication.map().followers_of(seg).len()),
+        db.with_cluster(|c| c.replication.followers_of(seg).len()),
         1,
         "{seg} at factor before the move"
     );
@@ -156,8 +150,8 @@ fn planned_rebalance_onto_a_follower_evicts_and_backfills() {
     );
     // Let the backfill copy land.
     db.run_for(SimDuration::from_secs(60));
-    let map = db.with_cluster(|c| c.replication.map().clone());
-    let followers = map.get(seg).expect("segment still tracked");
+    let followers = db.with_cluster(|c| c.replication.followers(seg).map(<[_]>::to_vec));
+    let followers = followers.expect("segment still tracked");
     let owner = db.with_cluster(|c| c.seg_dir.get(seg).unwrap().node);
     assert_eq!(owner, follower, "{seg}: leadership moved as planned");
     assert!(
@@ -169,14 +163,14 @@ fn planned_rebalance_onto_a_follower_evicts_and_backfills() {
         1,
         "{seg}: factor restored by the backfill copy"
     );
+    let under = db.with_cluster(|c| c.replication.under_replicated());
     assert!(
-        map.under_replicated(1).is_empty(),
-        "no segment left under the factor: {:?}",
-        map.under_replicated(1)
+        under.is_empty(),
+        "no segment left under the factor: {under:?}"
     );
     db.with_cluster(|c| {
         assert_eq!(
-            wattdb_core::replication::check_invariants(c),
+            replication::check_invariants(c),
             None,
             "replica map consistent after evict + backfill"
         );
@@ -238,15 +232,15 @@ fn leader_kill_promotes_and_keeps_serving() {
     // Four warehouses spread over the first two data nodes: node 1 is
     // the populated victim (node 2 hosts only follower copies).
     let victim = NodeId(1);
-    let led = db.with_cluster(|c| wattdb_core::replication::orphans(c, victim));
+    let led = db.with_cluster(|c| replication::orphans(c, victim));
     assert!(!led.is_empty());
     db.fail_node(victim);
     db.run_for(SimDuration::from_secs(120));
     db.with_cluster(|c| {
-        let erased = !wattdb_core::replication::references(c, victim);
+        let erased = !replication::references(c, victim);
         assert!(erased, "corpse erased from the map and the catalog");
         for &seg in &led {
-            assert!(c.replication.map().get(seg).is_some(), "still tracked");
+            assert!(c.replication.followers(seg).is_some(), "still tracked");
             assert_ne!(c.seg_dir.get(seg).unwrap().node, victim);
         }
     });
@@ -303,16 +297,16 @@ fn log_tail_stays_bounded_under_replication() {
         "run too short for the bound to mean anything: {appended:?} records"
     );
     let victim = NodeId(1);
-    let led = db.with_cluster(|c| wattdb_core::replication::orphans(c, victim));
+    let led = db.with_cluster(|c| replication::orphans(c, victim));
     assert!(!led.is_empty());
     let committed = db.completed();
     db.fail_node(victim);
     db.run_for(SimDuration::from_secs(60));
     db.with_cluster(|c| {
-        let erased = !wattdb_core::replication::references(c, victim);
+        let erased = !replication::references(c, victim);
         assert!(erased, "corpse erased from the map and the catalog");
         for &seg in &led {
-            assert!(c.replication.map().get(seg).is_some(), "still tracked");
+            assert!(c.replication.followers(seg).is_some(), "still tracked");
             assert_ne!(c.seg_dir.get(seg).unwrap().node, victim);
         }
     });
