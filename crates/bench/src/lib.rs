@@ -22,7 +22,7 @@ use wattdb_core::migration::{ControlPlan, HelperAttach};
 use wattdb_core::replay::{replay_trace, SortMemoryBroker};
 use wattdb_core::{replication, Cluster, Outcome, Planner, PolicyConfig};
 use wattdb_query::{execute, ExecConfig, PlanNode, SyntheticTable};
-use wattdb_sim::CostCategory;
+use wattdb_sim::{Completion, CostCategory};
 use wattdb_tpcc::TenantSpec;
 use wattdb_txn::CcMode;
 
@@ -796,10 +796,9 @@ pub fn fig1_throughput(cfg: &Fig1Config, rows: u64) -> f64 {
     let mut sim = wattdb_sim::Sim::new();
     let broker = Rc::new(RefCell::new(SortMemoryBroker::default()));
     let out: Rc<RefCell<Option<SimDuration>>> = Rc::new(RefCell::new(None));
-    let o = out.clone();
-    replay_trace(&db, &mut sim, trace, broker, move |sim, started| {
-        *o.borrow_mut() = Some(sim.now().since(started));
-    });
+    let (o, started) = (out.clone(), sim.now());
+    let done = Completion::call(move |sim| *o.borrow_mut() = Some(sim.now().since(started)));
+    replay_trace(&db, &mut sim, trace, broker, done);
     sim.run_to_completion();
     let elapsed = out.borrow().expect("trace completes");
     rows as f64 / elapsed.as_secs_f64()
@@ -839,9 +838,8 @@ pub fn fig2_throughput(concurrent: u64, offload: bool, rows: u64) -> f64 {
         };
         let (_, trace) = execute(&plan, &CostParams::default(), &ExecConfig::default());
         let d = done.clone();
-        replay_trace(&db, &mut sim, trace, broker.clone(), move |_, _| {
-            *d.borrow_mut() += 1;
-        });
+        let counted = Completion::call(move |_| *d.borrow_mut() += 1);
+        replay_trace(&db, &mut sim, trace, broker.clone(), counted);
     }
     sim.run_to_completion();
     assert_eq!(*done.borrow(), concurrent);

@@ -35,5 +35,5 @@ pub use ids::{
 pub use key::{Key, KeyRange};
 pub use rng::DetRng;
 pub use stats::{Histogram, TimeBuckets};
-pub use time::{SimDuration, SimTime};
+pub use time::{Rank, SimDuration, SimTime};
 pub use units::{ByteSize, Joules, Watts};

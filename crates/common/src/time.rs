@@ -15,6 +15,34 @@ pub struct SimTime(pub u64);
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Default)]
 pub struct SimDuration(pub u64);
 
+/// A place in the simulator's firing order: due `at`, ranked among the
+/// events due at the same µs by `as_of` (the instant its outcome was
+/// settled), then by `seq`, the order it was posted in. An outcome the
+/// simulator books without posting an event (a replica's acknowledgement)
+/// carries the rank its event would have had: it has happened for a
+/// reader ranked at or after it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
+pub struct Rank {
+    /// When it is due.
+    pub at: SimTime,
+    /// The instant its outcome was settled: the same-µs tie rank.
+    pub as_of: SimTime,
+    /// Its place among those posted: the last tie rank.
+    pub seq: u64,
+}
+
+impl Rank {
+    /// A rank past every event due at or before `at`: where a reader
+    /// stands between events, once the clock has been run to `at`.
+    pub const fn end_of(at: SimTime) -> Self {
+        Rank {
+            at,
+            as_of: SimTime(u64::MAX),
+            seq: u64::MAX,
+        }
+    }
+}
+
 impl SimTime {
     /// The simulation epoch.
     pub const ZERO: SimTime = SimTime(0);

@@ -389,10 +389,12 @@ impl WattDb {
         executor::schedule_trace(&self.cluster, &mut self.sim, &trace);
     }
 
-    /// Advance virtual time by `d`.
+    /// Advance virtual time by `d`, landing the acknowledgements due by then.
     pub fn run_for(&mut self, d: SimDuration) {
         let until = self.sim.now() + d;
         self.sim.run_until(until);
+        let reader = self.sim.rank();
+        self.cluster.borrow_mut().replication.settle(reader);
     }
 
     /// Current virtual time.
@@ -477,7 +479,7 @@ impl WattDb {
     /// the most-caught-up follower for every segment it led, and
     /// schedules re-replication. Idempotent.
     pub fn fail_node(&mut self, node: NodeId) {
-        self.cluster.borrow_mut().fail_node(node, self.sim.now());
+        self.cluster.borrow_mut().fail_node(node, self.sim.rank());
     }
 
     /// Dispatch an analytic range scan of `table` over `range`, optionally

@@ -53,7 +53,7 @@ use std::rc::Rc;
 
 use wattdb_common::{
     ByteSize, CostModel, CostParams, DenseMap, DetRng, DiskId, HardwareSpec, HeatConfig, IdMap,
-    Key, KeyRange, Lsn, NetworkSpec, NodeId, PartitionId, PowerSpec, Result, SegmentId,
+    Key, KeyRange, Lsn, NetworkSpec, NodeId, PartitionId, PowerSpec, Rank, Result, SegmentId,
     SimDuration, SimTime, TableId, Watts,
 };
 use wattdb_energy::{EnergyMeter, NodeState, PowerModel};
@@ -520,12 +520,13 @@ impl Cluster {
     /// the autopilot promotes their most-caught-up followers. The dead
     /// node's own replica shipping cursors are *kept* — promotion reads
     /// them to find the follower that loses the least committed history.
-    pub fn fail_node(&mut self, node: NodeId, now: SimTime) {
+    pub fn fail_node(&mut self, node: NodeId, reader: Rank) {
         if self.is_failed(node) {
             return;
         }
         self.nodes[node.raw() as usize].life = Lifecycle::Failed;
-        crate::helpers::detach(self, &[node], now);
+        self.replication.fail(node, reader);
+        crate::helpers::detach(self, &[node], reader.at);
         if let Some(m) = &mut self.mover {
             m.drop_node(node);
         }
@@ -1103,7 +1104,7 @@ mod tests {
         );
         // A draining node can die; nothing brings a dead node back.
         c.begin_drain(n1);
-        c.fail_node(n1, SimTime::ZERO);
+        c.fail_node(n1, Rank::end_of(SimTime::ZERO));
         assert_eq!(c.life(n1), Lifecycle::Failed);
         assert!(c.draining_nodes().is_empty());
         for transition in [
@@ -1111,7 +1112,7 @@ mod tests {
             Cluster::power_off,
             Cluster::begin_drain,
             Cluster::end_drain,
-            |c: &mut Cluster, n| c.fail_node(n, SimTime::ZERO),
+            |c: &mut Cluster, n| c.fail_node(n, Rank::end_of(SimTime::ZERO)),
         ] {
             transition(&mut c, n1);
             assert_eq!(c.life(n1), Lifecycle::Failed);

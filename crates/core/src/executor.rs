@@ -31,8 +31,8 @@
 //! constants of its own.
 
 use wattdb_common::{
-    ByteSize, CostVector, Error, Key, NodeId, PageId, PartitionId, SegmentId, SimDuration, SimTime,
-    TxnId,
+    ByteSize, CostVector, Error, Key, NodeId, PageId, PartitionId, Rank, SegmentId, SimDuration,
+    SimTime, TxnId,
 };
 use wattdb_query::CostParams;
 use wattdb_sim::Completion::{self, Detached};
@@ -225,7 +225,7 @@ impl Cluster {
     /// one.
     fn advance(
         &mut self,
-        now: SimTime,
+        reader: Rank,
         job_id: u64,
         charge: Option<(CostCategory, SimDuration)>,
     ) -> Blocked {
@@ -241,7 +241,7 @@ impl Cluster {
         }
         let mut action = Action::Loop;
         while matches!(action, Action::Loop) {
-            action = self.advance_stage(now, &mut job);
+            action = self.advance_stage(reader, &mut job);
         }
         // CPU accumulates between genuine blocking points. A CPU action
         // carries it along; an I/O boundary puts it on the job's profile
@@ -272,7 +272,8 @@ impl Cluster {
     }
 
     /// One stage of `job`'s state machine.
-    fn advance_stage(&mut self, now: SimTime, job: &mut TxnJob) -> Action {
+    fn advance_stage(&mut self, reader: Rank, job: &mut TxnJob) -> Action {
+        let now = reader.at;
         // One-time master routing work per transaction.
         if !job.routed {
             job.routed = true;
@@ -284,14 +285,14 @@ impl Cluster {
         }
         let op = job.ops[job.next_op];
         match job.stage {
-            OpStage::Start => self.op_start(now, job, op),
+            OpStage::Start => self.op_start(reader, job, op),
             OpStage::Cpu => self.op_cpu(job, op),
             OpStage::Io => self.op_io(job, op),
             OpStage::Apply => self.op_apply(now, job, op),
         }
     }
 
-    fn op_start(&mut self, now: SimTime, job: &mut TxnJob, op: Op) -> Action {
+    fn op_start(&mut self, reader: Rank, job: &mut TxnJob, op: Op) -> Action {
         // ITEM: replicated read-only table — serve locally.
         if op.table == TpccTable::Item {
             job.cur = None;
@@ -342,7 +343,7 @@ impl Cluster {
         {
             let (at, w) = (job.current_node, job.weight);
             self.replication
-                .route_read(seg, owner, at, w, &self.nodes)
+                .route_read(seg, owner, at, w, reader, &self.nodes)
                 .unwrap_or(owner)
         } else {
             owner
@@ -364,7 +365,7 @@ impl Cluster {
                     job.locks_acquired += 1;
                 }
                 LockAcquire::Waiting => {
-                    job.lock_wait_started = Some(now);
+                    job.lock_wait_started = Some(reader.at);
                     self.lock_waiters.insert(txn, Waiter::Job(job.id));
                     return Action::Parked;
                 }
@@ -654,16 +655,6 @@ pub fn install(cl: &ClusterRc, sim: &mut Sim) {
         Signal::Retry { job } => step(&cl, sim, job),
         Signal::FlushLog { node } => flush_node_log(&cl, sim, node),
         Signal::FlushDone { node, batch } => flush_done(&cl, sim, node, batch as usize),
-        Signal::ShipAck {
-            leader,
-            follower,
-            through,
-        } => {
-            let mut c = cl.borrow_mut();
-            let c = &mut *c;
-            c.replication
-                .acknowledge(leader, follower, through, &c.nodes);
-        }
         Signal::ClientArrival { client } => {
             let job = {
                 let mut c = cl.borrow_mut();
@@ -716,7 +707,7 @@ fn run(cl: &ClusterRc, sim: &mut Sim, job_id: u64, charge: Option<(CostCategory,
         action,
         weight: w,
         occupy,
-    } = cl.borrow_mut().advance(sim.now(), job_id, charge);
+    } = cl.borrow_mut().advance(sim.rank(), job_id, charge);
     let now = sim.now();
     // `w − 1`: a pooled carrier executes once on behalf of `w` modeled
     // transactions; the remaining shares occupy the same resources
@@ -857,7 +848,7 @@ fn flush_node_log(cl: &ClusterRc, sim: &mut Sim, node: NodeId) {
     };
     match helper {
         // Log shipping: the flush travels the wire instead of the disk.
-        Some(h) => c.net.send(sim, node, h, bytes, done.into()),
+        Some(h) => _ = c.net.send(sim, node, h, bytes, done.into()),
         // WAL lives on disk 0 (the HDD).
         None => n.disks[0].bulk_transfer(sim, bytes, done.into()),
     }
@@ -875,19 +866,10 @@ fn flush_done(cl: &ClusterRc, sim: &mut Sim, node: NodeId, batch: usize) {
         // background (commits do not wait), then the log is cut where no
         // shipping cursor will read again.
         let c = &mut *cl.borrow_mut();
-        let (replication, net) = (&mut c.replication, &c.net);
-        replication.ship(node, &c.nodes, |follower, bytes, through| {
-            let ack = Signal::ShipAck {
-                leader: node,
-                follower,
-                through,
-            };
-            let bytes = ByteSize::bytes(bytes as u64);
-            net.send(sim, node, follower, bytes, ack.into());
-        });
+        c.replication.ship(node, &c.nodes, &c.net, sim);
         // (A helper's cursor is never below the durable LSN.)
         let log = &mut c.nodes[node.raw() as usize].log;
-        let shipped = replication.shipper(node).min_shipped();
+        let shipped = c.replication.shipper(node).min_shipped();
         let horizon = shipped.map_or(log.durable_lsn(), |s| s.min(log.durable_lsn()));
         log.truncate_through(horizon);
     }
@@ -1062,17 +1044,17 @@ pub fn start_clients(
         }
         return;
     };
-    let handle = cl.clone();
+    let (handle, mut due) = (cl.clone(), Vec::new());
     sim.every(tick, move |sim| {
-        let due = {
+        {
             let mut c = handle.borrow_mut();
             let c = &mut *c;
             match c.pool.as_mut() {
-                Some(pool) if !c.stopped => pool.arrivals(),
+                Some(pool) if !c.stopped => pool.arrivals_into(&mut due),
                 _ => return false, // workload drained: the arrival loop ends
             }
-        };
-        for (carrier, jitter) in due {
+        }
+        for (carrier, jitter) in due.drain(..) {
             // Each arrival fires at its own offset inside the tick — the
             // pool's jitter — so carriers hit the lock manager and the
             // resource queues spread out like per-client arrivals do.
@@ -1193,7 +1175,8 @@ mod tests {
     fn service(cl: &ClusterRc, node: usize) -> SimDuration {
         let c = cl.borrow();
         let n = &c.nodes[node];
-        n.disks[0].estimate(ByteSize::bytes(n.log.pending_bytes() as u64))
+        let pending = n.log.bytes_after(n.log.durable_lsn()).unwrap_or(0);
+        n.disks[0].estimate(ByteSize::bytes(pending as u64))
     }
 
     fn completed(cl: &ClusterRc, client: usize) -> u64 {

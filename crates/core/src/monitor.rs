@@ -97,6 +97,7 @@ pub fn start_monitoring(cl: &ClusterRc, sim: &mut Sim, period: SimDuration) {
         let view = {
             let c = &mut *handle.borrow_mut();
             c.heat.observe(&c.seg_dir, now);
+            c.replication.settle(sim.rank()); // the window exports acked LSNs
             let n = c.nodes.len();
             let mut view = ClusterView::default();
             for i in 0..n {

@@ -13,7 +13,7 @@
 
 use std::collections::HashMap;
 
-use wattdb_common::{ByteSize, NodeId, SimDuration, SimTime};
+use wattdb_common::{ByteSize, NodeId, SimDuration};
 use wattdb_query::{CostTrace, StageKind};
 use wattdb_sim::{Completion, Resource, Sim};
 
@@ -56,24 +56,16 @@ impl SortMemoryBroker {
     }
 }
 
-/// Replay `trace` against the cluster; `done(sim, started)` fires when the
-/// last stage completes.
+/// Replay `trace` against the cluster; the last stage completes with
+/// `done` (a caller that times the replay notes its own start).
 pub fn replay_trace(
     cl: &ClusterRc,
     sim: &mut Sim,
     trace: CostTrace,
     broker: std::rc::Rc<std::cell::RefCell<SortMemoryBroker>>,
-    done: impl FnOnce(&mut Sim, SimTime) + 'static,
+    done: Completion,
 ) {
-    let started = sim.now();
-    run_stage(
-        cl.clone(),
-        sim,
-        trace,
-        0,
-        broker,
-        Completion::call(move |sim| done(sim, started)),
-    );
+    run_stage(cl.clone(), sim, trace, 0, broker, done);
 }
 
 fn run_stage(
@@ -89,9 +81,12 @@ fn run_stage(
         return;
     }
     let stage = trace.stages[idx];
-    let next = {
-        let cl2 = cl.clone();
-        let broker2 = broker.clone();
+    // The last stage completes with `done` itself, not with a closure
+    // whose only job is to run it.
+    let next = if idx + 1 == trace.stages.len() {
+        done
+    } else {
+        let (cl2, broker2) = (cl.clone(), broker.clone());
         Completion::call(move |sim| run_stage(cl2, sim, trace, idx + 1, broker2, done))
     };
     match stage.kind {
@@ -196,10 +191,9 @@ mod tests {
         let mut sim = Sim::new();
         let broker = Rc::new(RefCell::new(SortMemoryBroker::default()));
         let out: Rc<RefCell<Option<SimDuration>>> = Rc::new(RefCell::new(None));
-        let o = out.clone();
-        replay_trace(&cl, &mut sim, trace, broker, move |sim, started| {
-            *o.borrow_mut() = Some(sim.now().since(started));
-        });
+        let (o, started) = (out.clone(), sim.now());
+        let done = Completion::call(move |sim| *o.borrow_mut() = Some(sim.now().since(started)));
+        replay_trace(&cl, &mut sim, trace, broker, done);
         sim.run_to_completion();
         let d = out.borrow().expect("trace completed");
         d
@@ -279,7 +273,7 @@ mod tests {
                 on: NodeId(1),
             };
             let (_, trace) = execute(&plan, &CostParams::default(), &ExecConfig::default());
-            replay_trace(&cl, &mut sim, trace, broker.clone(), |_, _| {});
+            replay_trace(&cl, &mut sim, trace, broker.clone(), Completion::Detached);
         }
         sim.run_to_completion();
         assert!(broker.borrow().spills >= 1);

@@ -8,9 +8,15 @@
 //! writes the map here takes the cluster. Every map write re-syncs the
 //! cursors, so a leader always ships to exactly the followers of the
 //! tracked segments it owns.
+//!
+//! Acknowledgements are booked when a batch is sent, at the rank its
+//! delivery would have fired at; whatever reads an acked LSN first lands
+//! those ranked at or before its reader ([`LogShipper::settle`]).
 
-use wattdb_common::{DenseMap, Lsn, NodeId, SegmentId};
+use wattdb_common::{ByteSize, DenseMap, Lsn, NodeId, Rank, SegmentId};
+use wattdb_net::Network;
 use wattdb_planner::ReplicaPlan;
+use wattdb_sim::{Completion::Detached, Sim};
 use wattdb_telemetry::MetricsRegistry;
 use wattdb_wal::LogShipper;
 
@@ -96,18 +102,20 @@ impl Replication {
     }
 
     /// The copy to serve a read of `seg` for a job at `at` (`weight`
-    /// modeled reads), `None` to stay on the routed owner `leader`. It and
-    /// its live, **caught-up** followers (acked LSN ≥ last write) take
-    /// turns; a job already on such a follower stays (no ping-pong).
+    /// modeled reads), read at `reader`; `None` to stay on the routed owner
+    /// `leader`. It and its live, **caught-up** followers (acked LSN ≥ last
+    /// write) take turns; a job already on such a follower stays.
     pub fn route_read(
         &mut self,
         seg: SegmentId,
         leader: NodeId,
         at: NodeId,
         weight: u64,
+        reader: Rank,
         nodes: &[NodeRuntime],
     ) -> Option<NodeId> {
         let floor = self.seg_last_write.get(&seg).copied().unwrap_or(Lsn::ZERO);
+        self.shippers[leader.raw() as usize].settle(reader);
         let shipper = &self.shippers[leader.raw() as usize];
         let pool = &mut self.read_pool;
         pool.clear();
@@ -144,14 +152,11 @@ impl Replication {
     }
 
     /// Ship a live `leader`'s log tail to each live follower with records
-    /// pending: `send(follower, bytes, through)` puts one batch on the
-    /// wire, to be acknowledged through `through` on delivery.
-    pub fn ship(
-        &mut self,
-        leader: NodeId,
-        nodes: &[NodeRuntime],
-        mut send: impl FnMut(NodeId, usize, Lsn),
-    ) {
+    /// pending, one batch each, booking its acknowledgement through the
+    /// log's end at the batch's delivery. A batch past one network piece,
+    /// whose arrival is not known when it is sent, books none: the
+    /// follower reads as behind until a later acknowledgement covers it.
+    pub fn ship(&mut self, leader: NodeId, nodes: &[NodeRuntime], net: &Network, sim: &mut Sim) {
         if is_failed(nodes, leader) {
             return;
         }
@@ -164,17 +169,26 @@ impl Replication {
             if is_failed(nodes, f) {
                 continue;
             }
-            if let Some(bytes) = shipper.take_batch(f, log) {
-                send(f, bytes, log.last_lsn());
+            let wire = shipper
+                .take_batch(f, log)
+                .map(|b| ByteSize::bytes(b as u64));
+            if let Some((at, as_of)) = wire.and_then(|b| net.send(sim, leader, f, b, Detached)) {
+                shipper.book_ack(f, log.last_lsn(), sim.book(at, as_of));
             }
         }
     }
 
-    /// A batch reached follower `f`: it persisted `leader`'s log through
-    /// `through`. An endpoint that failed mid-flight voids the delivery.
-    pub fn acknowledge(&mut self, leader: NodeId, f: NodeId, through: Lsn, nodes: &[NodeRuntime]) {
-        if !is_failed(nodes, leader) && !is_failed(nodes, f) {
-            self.shippers[leader.raw() as usize].acknowledge(f, through);
+    /// Land every acknowledgement ranked at or before `reader`.
+    pub(crate) fn settle(&mut self, reader: Rank) {
+        self.shippers.iter_mut().for_each(|s| s.settle(reader));
+    }
+
+    /// `node` failed, read at `reader`: what landed before counts, and
+    /// the acknowledgements still in flight to or from it never land.
+    pub(crate) fn fail(&mut self, node: NodeId, reader: Rank) {
+        for (leader, shipper) in (0..).map(NodeId).zip(&mut self.shippers) {
+            shipper.settle(reader);
+            shipper.void(|f| leader == node || f == node);
         }
     }
 
@@ -373,7 +387,7 @@ pub fn assert_invariants(c: &Cluster) {
 mod tests {
     use super::*;
     use crate::cluster::{Cluster, ClusterConfig, ClusterRc};
-    use wattdb_common::{DiskId, SimTime, TableId, TxnId};
+    use wattdb_common::{DiskId, SimDuration, SimTime, TableId, TxnId};
     use wattdb_planner::ReplicaSite;
     use wattdb_wal::LogPayload;
 
@@ -409,14 +423,38 @@ mod tests {
         cl
     }
 
-    /// Route `n` reads of the segment for a job on `at`: reads per node.
-    fn route(c: &mut Cluster, at: NodeId, n: usize) -> [usize; 4] {
+    /// Route `n` reads of the segment for a job on `at`, read at `reader`:
+    /// reads per node.
+    fn route(c: &mut Cluster, at: NodeId, reader: Rank, n: usize) -> [usize; 4] {
         let mut served = [0; 4];
         for _ in 0..n {
-            let to = c.replication.route_read(SEG, LEADER, at, 1, &c.nodes);
+            let to = c
+                .replication
+                .route_read(SEG, LEADER, at, 1, reader, &c.nodes);
             served[to.unwrap_or(LEADER).raw() as usize] += 1;
         }
         served
+    }
+
+    /// Log a write to the segment on its leader and ship it at the sim's
+    /// clock: an 11 700-byte record, 100 µs on the wire. Returns its LSN.
+    fn ship_write(c: &mut Cluster, sim: &mut Sim) -> Lsn {
+        let write = LogPayload::Change {
+            segment: SEG,
+            image_bytes: 11_668,
+        };
+        let lsn = c.nodes[0].log.append(TxnId(1), write);
+        c.replication.record_write(SEG, lsn);
+        c.replication.ship(LEADER, &c.nodes, &c.net, sim);
+        lsn
+    }
+
+    /// Where the `k`-th batch (from 1) of a [`ship_write`] at `t` on idle
+    /// links lands, and the instant it clears them: the batches share the
+    /// leader's egress, one after another.
+    fn lands(c: &Cluster, t: SimTime, k: u64) -> (SimTime, SimTime) {
+        let clear = t + SimDuration::from_micros(100 * k);
+        (clear + c.net.spec().hop_latency, clear)
     }
 
     #[test]
@@ -426,19 +464,81 @@ mod tests {
         // k eligible copies, a job on the leader: each copy serves ⌊n/k⌋
         // or ⌈n/k⌉ of n reads, however hot the leader's host is.
         let (n, k) = (10, 4);
-        let served = route(c, LEADER, n);
+        let served = route(c, LEADER, Rank::end_of(SimTime::ZERO), n);
         let fair = (n / k)..=n.div_ceil(k);
         assert!(served.iter().all(|s| fair.contains(s)), "{served:?}");
         assert_eq!(c.replication.routed_reads, n as u64);
         // A failed follower, and one whose acked LSN is below the last
-        // write, never serve: n1 acks the write, n2 does not.
-        c.fail_node(NodeId(3), SimTime::ZERO);
-        let lsn = c.nodes[0].log.append(TxnId(1), LogPayload::Commit);
-        c.replication.record_write(SEG, lsn);
-        c.replication.acknowledge(LEADER, NodeId(1), lsn, &c.nodes);
-        assert_eq!(route(c, LEADER, 10), [5, 5, 0, 0]);
+        // write, never serve: n1's acknowledgement of the write has landed,
+        // n2's, a batch behind on the leader's egress, has not.
+        c.fail_node(NodeId(3), Rank::end_of(SimTime::ZERO));
+        ship_write(c, &mut Sim::new());
+        let (n1_lands, _) = lands(c, SimTime::ZERO, 1);
+        let reader = Rank::end_of(n1_lands);
+        assert_eq!(route(c, LEADER, reader, 10), [5, 5, 0, 0]);
         // A job already on an eligible follower stays there.
-        assert_eq!(route(c, NodeId(1), 4), [0, 4, 0, 0]);
+        assert_eq!(route(c, NodeId(1), reader, 4), [0, 4, 0, 0]);
+    }
+
+    #[test]
+    fn an_acknowledgement_lands_for_readers_ranked_at_or_after_its_delivery() {
+        let cl = hot_leader_three_followers();
+        let c = &mut *cl.borrow_mut();
+        let mut sim = Sim::new();
+        // An event posted before the batch is sent.
+        sim.post_after(SimDuration::ZERO, Detached);
+        let lsn = ship_write(c, &mut sim);
+        let (arrival, clear) = lands(c, SimTime::ZERO, 1);
+        let acked = |c: &mut Cluster, reader: Rank, f: u16| {
+            c.replication.settle(reader);
+            c.replication.shipper(LEADER).acked_lsn(NodeId(f))
+        };
+        let early = |t: SimTime| SimTime::from_micros(t.as_micros() - 1);
+        let (at, none) = (arrival, Some(Lsn::ZERO));
+        // Ranked before its delivery: a µs early, settled earlier in the
+        // same µs, or posted before the batch was sent.
+        assert_eq!(acked(c, Rank::end_of(early(arrival)), 1), none);
+        let as_of = early(clear);
+        assert_eq!(acked(c, Rank { at, as_of, seq: 9 }, 1), none);
+        let as_of = clear;
+        assert_eq!(acked(c, Rank { at, as_of, seq: 0 }, 1), none);
+        // Posted after it: landed. n2's lands a batch later.
+        assert_eq!(acked(c, Rank { at, as_of, seq: 1 }, 1), Some(lsn));
+        assert_eq!(acked(c, Rank::end_of(arrival), 2), none);
+        assert_eq!(
+            acked(c, Rank::end_of(lands(c, SimTime::ZERO, 2).0), 2),
+            Some(lsn)
+        );
+    }
+
+    #[test]
+    fn an_acknowledgement_in_flight_when_an_endpoint_fails_never_lands() {
+        let cl = hot_leader_three_followers();
+        let c = &mut *cl.borrow_mut();
+        let mut sim = Sim::new();
+        let acked = |c: &Cluster, f: u16| c.replication.shipper(LEADER).acked_lsn(NodeId(f));
+        let by = |ms: u64| Rank::end_of(SimTime::from_millis(ms));
+        // Every acknowledgement of a first write lands.
+        let w1 = ship_write(c, &mut sim);
+        c.replication.settle(by(5));
+        // Follower n1 fails with its acknowledgement of a second in flight.
+        sim.run_until(SimTime::from_millis(10));
+        let w2 = ship_write(c, &mut sim);
+        c.fail_node(NodeId(1), sim.rank());
+        c.replication.settle(by(15));
+        let all = [acked(c, 1), acked(c, 2), acked(c, 3)];
+        assert_eq!(all, [Some(w1), Some(w2), Some(w2)]);
+        // The leader fails once n3's acknowledgement of a third write has
+        // landed, before n2's, held up behind a bulk message on its ingress.
+        sim.run_until(SimTime::from_millis(20));
+        let bulk = ByteSize::bytes(1_000_000);
+        c.net.send(&mut sim, NodeId(3), NodeId(2), bulk, Detached);
+        let w3 = ship_write(c, &mut sim);
+        c.fail_node(LEADER, by(21));
+        c.replication.settle(by(40));
+        assert_eq!([acked(c, 2), acked(c, 3)], [Some(w2), Some(w3)]);
+        // Promotion reads what landed: n3, though n2 wins a tie.
+        assert_eq!(c.replication.winner(SEG, LEADER, &c.nodes), Some(NodeId(3)));
     }
 
     #[test]

@@ -39,6 +39,7 @@ use std::rc::Rc;
 use wattdb_common::{KeyRange, TableId};
 use wattdb_index::SegmentIndex;
 use wattdb_query::{execute_into, AggFunc, ExecConfig, PlanNode, RowSource, Tuple, Values};
+use wattdb_sim::Completion;
 
 use crate::cluster::ClusterRc;
 use crate::replay::{replay_trace, SortMemoryBroker};
@@ -149,7 +150,7 @@ pub fn submit_scan(
         }
     }
     for trace in jobs {
-        replay_trace(cl, sim, trace, broker.clone(), |_, _| {});
+        replay_trace(cl, sim, trace, broker.clone(), Completion::Detached);
     }
     report
 }

@@ -12,11 +12,14 @@
 //!
 //! A message is one kernel event: both links book the piece when it is
 //! sent, and its delivery is posted once, one hop after the later of the
-//! two clears ([`Resource::submit_pair`]).
+//! two clears ([`Resource::submit_pair`]). So a one-piece message's
+//! arrival is known when it is sent, and [`Network::send`] returns it: a
+//! sender that waits on nothing but wants to know when it landed (a
+//! replica's acknowledgement) books it with [`Sim::book`].
 
 use std::cell::Cell;
 
-use wattdb_common::{ByteSize, NetworkSpec, NodeId, SimDuration};
+use wattdb_common::{ByteSize, NetworkSpec, NodeId, SimDuration, SimTime};
 use wattdb_sim::{Completion, Resource, ResourceHandle, Sim};
 
 /// Per-node traffic counters.
@@ -88,6 +91,12 @@ impl Network {
     /// than 2 MiB are streamed in chunks so small messages (volcano calls,
     /// log shipping) interleave on the links instead of stalling behind a
     /// multi-second bulk copy.
+    ///
+    /// Returns `Some((arrival, as_of))` for a message that rides one piece:
+    /// it arrives at `arrival`, ranked among the events due then as of
+    /// `as_of`, the instant its later link arm clears (a local send: now,
+    /// twice). `None` for a streamed one, whose later chunks are booked only
+    /// as the earlier ones clear.
     pub fn send(
         &self,
         sim: &mut Sim,
@@ -95,10 +104,10 @@ impl Network {
         dst: NodeId,
         bytes: ByteSize,
         delivered: Completion,
-    ) {
+    ) -> Option<(SimTime, SimTime)> {
         if src == dst {
             sim.post_after(SimDuration::ZERO, delivered);
-            return;
+            return Some((sim.now(), sim.now()));
         }
         let (from, to) = (
             &self.nics[src.raw() as usize],
@@ -113,14 +122,15 @@ impl Network {
         r.rx_messages += 1;
         r.rx_bytes += bytes.as_u64();
         to.stats.set(r);
-        stream(&from.tx, &to.rx, self.spec, sim, bytes.as_u64(), delivered);
+        stream(&from.tx, &to.rx, self.spec, sim, bytes.as_u64(), delivered)
     }
 }
 
 /// `remaining` bytes over the dual-occupancy links, a chunk at a time; each
 /// later chunk is chained from its predecessor's completion (a closure:
 /// only messages past one chunk pay for it). The hop latency is paid once
-/// per message, by its last chunk.
+/// per message, by its last chunk. Returns a one-piece message's arrival
+/// and its as-of instant (see [`Network::send`]).
 fn stream(
     tx: &ResourceHandle,
     rx: &ResourceHandle,
@@ -128,22 +138,25 @@ fn stream(
     sim: &mut Sim,
     remaining: u64,
     done: Completion,
-) {
+) -> Option<(SimTime, SimTime)> {
     const CHUNK: u64 = 2 * 1024 * 1024;
     let this = ByteSize::bytes(remaining.min(CHUNK));
     let rest = remaining - this.as_u64();
     if rest == 0 {
-        send_piece(tx, rx, spec, sim, this, spec.hop_latency, done);
-    } else {
-        let (tx2, rx2) = (tx.clone(), rx.clone());
-        let chain = Completion::call(move |sim| stream(&tx2, &rx2, spec, sim, rest, done));
-        send_piece(tx, rx, spec, sim, this, SimDuration::ZERO, chain);
+        let clear = send_piece(tx, rx, spec, sim, this, spec.hop_latency, done);
+        return Some((clear + spec.hop_latency, clear));
     }
+    let (tx2, rx2) = (tx.clone(), rx.clone());
+    let chain = Completion::call(move |sim| {
+        stream(&tx2, &rx2, spec, sim, rest, done);
+    });
+    send_piece(tx, rx, spec, sim, this, SimDuration::ZERO, chain);
+    None
 }
 
 /// One piece occupying the sender's egress and the receiver's ingress in
 /// parallel; `done` is due `hop` after the later of the two clears
-/// ([`Resource::submit_pair`]).
+/// ([`Resource::submit_pair`]), which this returns.
 pub(crate) fn send_piece(
     tx: &ResourceHandle,
     rx: &ResourceHandle,
@@ -152,9 +165,9 @@ pub(crate) fn send_piece(
     bytes: ByteSize,
     hop: SimDuration,
     done: Completion,
-) {
+) -> SimTime {
     let wire = bytes.transfer_time(spec.bandwidth);
-    Resource::submit_pair(tx, rx, sim, wire, hop, done);
+    Resource::submit_pair(tx, rx, sim, wire, hop, done)
 }
 
 #[cfg(test)]
@@ -265,6 +278,30 @@ mod tests {
         // Both complete in one transfer window.
         assert!(a1.borrow().unwrap().as_micros() < 102_000);
         assert!(a2.borrow().unwrap().as_micros() < 102_000);
+    }
+
+    #[test]
+    fn a_one_piece_message_returns_when_it_arrives() {
+        let mut sim = Sim::new();
+        let n = net(3);
+        let at = Rc::new(RefCell::new(None));
+        let a = at.clone();
+        let done = Completion::call(move |sim| *a.borrow_mut() = Some(sim.now()));
+        let bytes = ByteSize::bytes(117_000); // 1 ms on the wire
+        let (arrival, as_of) = n.send(&mut sim, NodeId(0), NodeId(1), bytes, done).unwrap();
+        assert_eq!(as_of, SimTime::from_millis(1), "its link arms clear");
+        assert_eq!(arrival, as_of + NetworkSpec::default().hop_latency);
+        sim.run_to_completion();
+        assert_eq!(*at.borrow(), Some(arrival));
+        // A detached message posts nothing but still returns its arrival;
+        // one streamed in chunks does not know it yet.
+        let quiet = n.send(&mut sim, NodeId(0), NodeId(2), bytes, Completion::Detached);
+        assert!(quiet.is_some() && sim.pending() == 0);
+        let big = ByteSize::bytes(3 * 1024 * 1024);
+        assert_eq!(
+            n.send(&mut sim, NodeId(0), NodeId(2), big, Completion::Detached),
+            None
+        );
     }
 
     #[test]

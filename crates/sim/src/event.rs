@@ -6,7 +6,7 @@
 //! [`Completion::Call`] owns an environment. The loop that carries these
 //! is [`crate::kernel`].
 
-use wattdb_common::{Lsn, NodeId, SimTime};
+use wattdb_common::{NodeId, SimTime};
 
 use crate::kernel::Sim;
 use crate::profile::CostCategory;
@@ -49,13 +49,6 @@ pub enum Signal {
     /// `node`'s in-flight flush batch `batch` reached stable storage (or
     /// its helper).
     FlushDone { node: NodeId, batch: u32 },
-    /// The replica batch ending at LSN `through`, shipped by `leader`,
-    /// landed on `follower`.
-    ShipAck {
-        leader: NodeId,
-        follower: NodeId,
-        through: Lsn,
-    },
     /// A per-client think time ended: client `client` submits its next
     /// transaction.
     ClientArrival { client: u32 },
@@ -93,9 +86,8 @@ impl Completion {
                 Signal::Retry { .. } => 5,
                 Signal::FlushLog { .. } => 6,
                 Signal::FlushDone { .. } => 7,
-                Signal::ShipAck { .. } => 8,
-                Signal::ClientArrival { .. } => 9,
-                Signal::PoolArrival { .. } => 10,
+                Signal::ClientArrival { .. } => 8,
+                Signal::PoolArrival { .. } => 9,
             },
         }
     }
@@ -110,7 +102,7 @@ impl From<Signal> for Completion {
 /// Names of the event kinds [`Sim::events_by_kind`] counts, in its order:
 /// a repeater firing, or the kind of [`Completion`] the event ran — for a
 /// resource request or a message, the one it carried.
-pub const EVENT_KINDS: [&str; 11] = [
+pub const EVENT_KINDS: [&str; 10] = [
     "call",
     "repeat",
     "detached",
@@ -119,7 +111,6 @@ pub const EVENT_KINDS: [&str; 11] = [
     "retry",
     "flush_log",
     "flush_done",
-    "ship_ack",
     "client_arrival",
     "pool_arrival",
 ];

@@ -21,15 +21,18 @@
 //! A resource request is not an event of its own: a
 //! [`Resource`](crate::resource::Resource) books its start and finish when
 //! it is submitted, and a waited-on request is one posted completion, due at
-//! its finish; a detached one is none. The kernel only remembers the latest
-//! finish booked, so that a [`Sim::step`] that finds the queue drained
-//! leaves the clock where the last request ends.
+//! its finish; a detached one is none. Nor is an outcome that nobody waits
+//! on but somebody reads later (a follower's acknowledgement of a shipped
+//! log batch): [`Sim::book`] returns the [`Rank`] its event would have
+//! taken, and a reader counts it once its own [`Sim::rank`] is at or past
+//! it. The kernel only remembers the latest finish booked, so that a
+//! [`Sim::step`] that finds the queue drained leaves the clock there.
 //!
 //! # Order
 //!
-//! Events fire in order of `(time, as-of instant, sequence)`. The as-of
-//! instant ranks events due at the same µs by the moment their outcome was
-//! settled:
+//! Events fire in order of their [`Rank`], `(time, as-of instant,
+//! sequence)`. The as-of instant ranks events due at the same µs by the
+//! moment their outcome was settled:
 //!
 //! * a resource request that had to queue: the instant it starts service;
 //! * a message ([`submit_pair`](crate::resource::Resource::submit_pair)):
@@ -44,20 +47,18 @@
 //!
 //! # Queue layout — one binary heap
 //!
-//! Every pending event is one entry in one `BinaryHeap`: its payload
-//! beside its `(time, as-of instant, sequence)` key, ordered inverted so
-//! the earliest key pops first, which is exactly the order above,
-//! as-of tie rank included. A repeater re-arms by pushing its own entry
-//! back under a fresh key, so it keeps its closure box and allocates
-//! nothing. The queue stays small (about a thousand entries on the
-//! busiest workload, because a resource request is one entry at most), so
-//! its `O(log n)` push and pop are a small share of a step.
+//! Every pending event is one entry in one `BinaryHeap`, under its rank,
+//! ordered inverted so the earliest rank pops first. A repeater re-arms by
+//! pushing its own entry back under a fresh rank, so it keeps its closure
+//! box and allocates nothing. The queue stays small (about a thousand
+//! entries on the busiest workload), so its `O(log n)` push and pop are a
+//! small share of a step.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
 use std::rc::Rc;
 
-use wattdb_common::{SimDuration, SimTime};
+use wattdb_common::{Rank, SimDuration, SimTime};
 
 use crate::event::{Completion, RepeatFn, Signal, EVENT_KINDS, KIND_REPEAT};
 
@@ -75,20 +76,10 @@ enum EventKind {
     },
 }
 
-/// When an event fires: due `at`, ranked among the events due at the same
-/// µs by `as_of`, then FIFO by `seq`.
-#[derive(Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
-struct Due {
-    at: SimTime,
-    as_of: SimTime,
-    seq: u64,
-}
-
-/// A pending event: the payload plus the key it is scheduled under.
-/// Ordered so the earliest [`Due`] pops first from `BinaryHeap` (which is
-/// a max-heap).
+/// A pending event: its payload under its rank, ordered so the earliest
+/// rank pops first from the (max-)`BinaryHeap`.
 struct Entry {
-    due: Due,
+    due: Rank,
     kind: EventKind,
 }
 
@@ -138,6 +129,8 @@ pub struct Sim {
     handler: Option<Handler>,
     /// Events fired per kind, indexed like [`EVENT_KINDS`].
     by_kind: [u64; EVENT_KINDS.len()],
+    /// The rank of the event firing now, `None` between events.
+    firing: Option<Rank>,
 }
 
 impl Default for Sim {
@@ -157,6 +150,7 @@ impl Sim {
             queue: BinaryHeap::new(),
             handler: None,
             by_kind: [0; EVENT_KINDS.len()],
+            firing: None,
         }
     }
 
@@ -188,9 +182,8 @@ impl Sim {
         self.queue.len()
     }
 
-    /// File an entry due at `at`, ranked as of `as_of`.
-    /// Scheduling in the past is a logic error and panics (it would
-    /// silently reorder causality otherwise).
+    /// File an entry due at `at`, ranked as of `as_of`. Scheduling in the
+    /// past is a logic error and panics (it would reorder causality).
     #[inline]
     fn push(&mut self, at: SimTime, as_of: SimTime, kind: EventKind) {
         assert!(
@@ -198,12 +191,9 @@ impl Sim {
             "scheduling into the past: {at} < now {}",
             self.now
         );
-        let due = Due {
-            at,
-            as_of,
-            seq: self.seq,
-        };
+        let seq = self.seq;
         self.seq += 1;
+        let due = Rank { at, as_of, seq };
         self.queue.push(Entry { due, kind });
     }
 
@@ -226,8 +216,25 @@ impl Sim {
         self.push(at, as_of, EventKind::Fire(then));
     }
 
-    /// A resource request booked through `end`: a drained queue leaves the
-    /// clock no earlier.
+    /// Where a reader stands in the firing order: the rank of the event
+    /// firing now; between events, [`Rank::end_of`] the clock.
+    pub fn rank(&self) -> Rank {
+        self.firing.unwrap_or(Rank::end_of(self.now))
+    }
+
+    /// Book an outcome due at `at`, settled as of `as_of`, that posts no
+    /// event: returns the rank an event posted now would take (it has
+    /// happened for a reader whose [`Sim::rank`] is at or past it), and a
+    /// drained queue leaves the clock no earlier than `at`.
+    pub fn book(&mut self, at: SimTime, as_of: SimTime) -> Rank {
+        debug_assert!(as_of >= self.now && as_of <= at, "as-of outside [now, at]");
+        self.occupy_until(at);
+        let seq = self.seq;
+        Rank { at, as_of, seq }
+    }
+
+    /// An outcome booked through `end`: a drained queue leaves the clock
+    /// no earlier.
     #[inline]
     pub(crate) fn occupy_until(&mut self, end: SimTime) {
         self.booked_until = self.booked_until.max(end);
@@ -280,6 +287,7 @@ impl Sim {
         debug_assert!(due.at >= self.now);
         self.now = due.at;
         self.executed += 1;
+        self.firing = Some(due);
         match kind {
             EventKind::Fire(then) => {
                 self.by_kind[then.kind()] += 1;
@@ -295,6 +303,7 @@ impl Sim {
                 }
             }
         }
+        self.firing = None;
         true
     }
 
@@ -325,7 +334,7 @@ mod tests {
     use crate::resource::Resource;
     use std::cell::RefCell;
     use std::rc::Rc;
-    use wattdb_common::{Lsn, NodeId};
+    use wattdb_common::NodeId;
 
     type EventLog = Rc<RefCell<Vec<(SimTime, u32)>>>;
 
@@ -463,14 +472,6 @@ mod tests {
             (Signal::Retry { job }, "retry"),
             (Signal::FlushLog { node }, "flush_log"),
             (Signal::FlushDone { node, batch: 0 }, "flush_done"),
-            (
-                Signal::ShipAck {
-                    leader: node,
-                    follower: node,
-                    through: Lsn(9),
-                },
-                "ship_ack",
-            ),
             (Signal::ClientArrival { client: 3 }, "client_arrival"),
             (Signal::PoolArrival { carrier: 4 }, "pool_arrival"),
         ];
@@ -503,6 +504,8 @@ mod tests {
         }
         let total: u64 = sim.events_by_kind().iter().map(|(_, n)| n).sum();
         assert_eq!(total, sim.events_executed());
+        // A replica's acknowledgement is booked, not an event of its own.
+        assert!(!EVENT_KINDS.contains(&"ship_ack"));
     }
 
     #[test]
@@ -573,6 +576,40 @@ mod tests {
         sim.run_to_completion();
         let order: Vec<u32> = log.borrow().iter().map(|&(_, t)| t).collect();
         assert_eq!(order, vec![1, 2, 4, 3]);
+    }
+
+    /// A booked outcome has happened for a reader ranked at or after the
+    /// event it stands for, and for no reader before it.
+    #[test]
+    fn a_booked_outcome_ranks_where_its_event_would_have() {
+        let mut sim = Sim::new();
+        let (at, as_of) = (SimTime::from_micros(50), SimTime::from_micros(30));
+        let seen = Rc::new(RefCell::new(Vec::new()));
+        let reader = |tag: u32| {
+            let s = seen.clone();
+            Completion::call(move |sim: &mut Sim| s.borrow_mut().push((tag, sim.rank())))
+        };
+        // Posted before the booking: the same instant and as-of, earlier.
+        sim.post_as_of(at, as_of, reader(1));
+        let booked = sim.book(at, as_of);
+        // Posted after it: ranked later at the same µs and as-of.
+        sim.post_as_of(at, as_of, reader(2));
+        // The same µs, settled earlier or later.
+        sim.post_as_of(at, SimTime::from_micros(20), reader(3));
+        sim.post_as_of(at, SimTime::from_micros(40), reader(4));
+        assert_eq!(sim.pending(), 4, "the booking posts nothing");
+        sim.run_to_completion();
+        let landed: Vec<(u32, bool)> = (seen.borrow().iter())
+            .map(|&(tag, rank)| (tag, booked <= rank))
+            .collect();
+        assert_eq!(landed, vec![(3, false), (1, false), (2, true), (4, true)]);
+        // Between events every outcome due by the clock has happened.
+        assert!(booked <= sim.rank() && sim.rank() == Rank::end_of(at));
+        assert_eq!(sim.events_executed(), 4);
+        // A booking keeps a drained queue's clock until it is due.
+        sim.book(SimTime::from_micros(90), SimTime::from_micros(60));
+        assert!(!sim.step());
+        assert_eq!(sim.now(), SimTime::from_micros(90));
     }
 
     #[test]

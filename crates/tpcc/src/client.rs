@@ -31,9 +31,7 @@ pub struct Client {
     /// Profile weights of the client's tenant ([`TenantSpec::txn_mix`]).
     mix: [u32; 5],
     rng: DetRng,
-    submitted: u64,
     completed: u64,
-    retried: u64,
 }
 
 impl Client {
@@ -52,15 +50,12 @@ impl Client {
             think,
             mix,
             rng: root_rng.derive(0x10_0000 + id.raw() as u64),
-            submitted: 0,
             completed: 0,
-            retried: 0,
         }
     }
 
     /// Draw the next transaction profile from the tenant's mix.
     pub fn next_profile(&mut self) -> TxnProfile {
-        self.submitted += 1;
         TxnProfile::draw(&mut self.rng, &self.mix)
     }
 
@@ -71,7 +66,6 @@ impl Client {
 
     /// Backoff before retrying an aborted transaction.
     pub fn backoff(&mut self) -> SimDuration {
-        self.retried += 1;
         // Jittered: 0.5–1.5× the mean backoff.
         let base = RETRY_BACKOFF.as_micros();
         SimDuration::from_micros(self.rng.uniform(base / 2, base * 3 / 2))
@@ -88,19 +82,9 @@ impl Client {
         &mut self.rng
     }
 
-    /// Transactions submitted.
-    pub fn submitted(&self) -> u64 {
-        self.submitted
-    }
-
     /// Transactions completed.
     pub fn completed(&self) -> u64 {
         self.completed
-    }
-
-    /// Retries performed.
-    pub fn retried(&self) -> u64 {
-        self.retried
     }
 }
 
@@ -227,9 +211,7 @@ mod tests {
         c.next_profile();
         c.complete_n(1);
         c.backoff();
-        assert_eq!(c.submitted(), 1);
         assert_eq!(c.completed(), 1);
-        assert_eq!(c.retried(), 1);
     }
 
     #[test]

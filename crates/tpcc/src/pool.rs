@@ -250,14 +250,13 @@ impl ClientPool {
 
     /// Draw one tick's arrivals: each thinking carrier finishes its
     /// think with probability `p`, independently — a Binomial draw whose
-    /// members are removed from the thinking set and returned for
-    /// submission, each with a uniform offset inside the upcoming tick.
-    /// The offsets spread the batch over the tick (per-client arrivals
-    /// are not synchronized, and neither should carrier arrivals be) and
-    /// complete the mean-`T` think-time accounting. Order and offsets are
-    /// fully determined by the pool's RNG stream.
-    pub fn arrivals(&mut self) -> Vec<(u32, SimDuration)> {
-        let mut due = Vec::new();
+    /// members are removed from the thinking set and appended to `due`
+    /// for submission, each with a uniform offset inside the upcoming
+    /// tick. The offsets spread the batch over the tick (per-client
+    /// arrivals are not synchronized, and neither should carrier arrivals
+    /// be) and complete the mean-`T` think-time accounting. Order and
+    /// offsets are fully determined by the pool's RNG stream.
+    pub fn arrivals_into(&mut self, due: &mut Vec<(u32, SimDuration)>) {
         let mut i = 0;
         while i < self.thinking.len() {
             // Deactivated carriers idle in the thinking set without
@@ -275,6 +274,12 @@ impl ClientPool {
                 i += 1;
             }
         }
+    }
+
+    /// [`ClientPool::arrivals_into`] a fresh `Vec`.
+    pub fn arrivals(&mut self) -> Vec<(u32, SimDuration)> {
+        let mut due = Vec::new();
+        self.arrivals_into(&mut due);
         due
     }
 

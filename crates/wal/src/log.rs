@@ -6,10 +6,10 @@
 //! [`LogManager`]; a moved partition starts logging into the *new* node's
 //! manager after the move completes.
 //!
-//! The manager is a byte ledger. It buffers appended records and exposes
-//! the pending byte count; the cluster layer charges the disk (or network,
-//! under log shipping) cost of a flush and then confirms it with
-//! [`LogManager::mark_durable`]. Nothing replays the log — a failed node's
+//! The manager is a byte ledger. It buffers appended records' lengths; the
+//! cluster layer charges the disk (or network, under log shipping) cost of
+//! a flush from them ([`LogManager::bytes_after`]) and then confirms it
+//! with [`LogManager::mark_durable`]. Nothing replays the log — a failed node's
 //! segments are promoted from their followers, which received the log — so
 //! a retained record is read for its LSN and its encoded length only, and
 //! the length is all the manager keeps of it.
@@ -42,8 +42,6 @@ pub struct LogManager {
     next_lsn: u64,
     /// All records with `lsn <= durable` are on stable storage.
     durable: Lsn,
-    /// Byte size of records not yet durable.
-    pending_bytes: usize,
     /// Total bytes ever flushed (diagnostics / Fig. 7 logging share).
     flushed_bytes: u64,
     flushes: u64,
@@ -62,7 +60,6 @@ impl LogManager {
             lens: VecDeque::new(),
             next_lsn: 1,
             durable: Lsn::ZERO,
-            pending_bytes: 0,
             flushed_bytes: 0,
             flushes: 0,
         }
@@ -74,10 +71,8 @@ impl LogManager {
     pub fn append(&mut self, _txn: TxnId, payload: LogPayload) -> Lsn {
         let lsn = Lsn(self.next_lsn);
         self.next_lsn += 1;
-        let len = payload.encoded_len();
-        self.pending_bytes += len;
-        self.lens
-            .push_back(len.try_into().expect("log record below 4 GiB"));
+        let len = payload.encoded_len().try_into();
+        self.lens.push_back(len.expect("log record below 4 GiB"));
         lsn
     }
 
@@ -89,11 +84,6 @@ impl LogManager {
     /// Highest durable LSN.
     pub fn durable_lsn(&self) -> Lsn {
         self.durable
-    }
-
-    /// Bytes awaiting flush (the I/O a flush will cost).
-    pub fn pending_bytes(&self) -> usize {
-        self.pending_bytes
     }
 
     /// Index in `lens` of the first record with an LSN above `lsn`.
@@ -114,9 +104,8 @@ impl LogManager {
         let lo = self.index_after(self.durable);
         self.durable = lsn;
         let hi = self.index_after(lsn);
-        let newly: usize = self.lens.range(lo..hi).map(|&l| l as usize).sum();
-        self.pending_bytes -= newly;
-        self.flushed_bytes += newly as u64;
+        let newly: u64 = self.lens.range(lo..hi).map(|&l| u64::from(l)).sum();
+        self.flushed_bytes += newly;
         self.flushes += 1;
     }
 
@@ -187,10 +176,10 @@ mod tests {
             },
         );
         assert!(log.durable_lsn() < l1);
-        assert!(log.pending_bytes() > 50);
+        assert!(log.bytes_after(log.durable_lsn()) > Some(50));
         log.mark_durable(l2);
         assert_eq!(log.durable_lsn(), l2);
-        assert_eq!(log.pending_bytes(), 0);
+        assert_eq!(log.bytes_after(log.durable_lsn()), None);
         assert_eq!(log.flush_count(), 1);
     }
 
@@ -202,7 +191,7 @@ mod tests {
         }
         log.mark_durable(log.last_lsn());
         assert_eq!(log.flush_count(), 1, "one flush, five commits");
-        assert_eq!(log.pending_bytes(), 0);
+        assert_eq!(log.bytes_after(log.durable_lsn()), None);
     }
 
     #[test]

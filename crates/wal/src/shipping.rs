@@ -6,8 +6,12 @@
 //! promoted when the leader dies. The [`LogShipper`] tracks, per
 //! follower, how far one node's log has been shipped and acknowledged;
 //! the cluster layer charges the network costs.
+//!
+//! Nobody waits on an acknowledgement, so it is no event: it is booked at
+//! the [`Rank`] its delivery has when its batch is sent, and it lands when
+//! a reader ranked at or after that settles the shipper.
 
-use wattdb_common::{Lsn, NodeId};
+use wattdb_common::{Lsn, NodeId, Rank};
 
 use crate::log::LogManager;
 
@@ -18,6 +22,9 @@ pub struct LogShipper {
     /// A node ships to a handful of followers: a scan finds one, and the
     /// flush path walks them by position without copying the list.
     cursors: Vec<(NodeId, Lsn, Lsn)>,
+    /// Acknowledgements booked and not landed, `(rank, follower, through)`
+    /// in arrival order.
+    in_flight: Vec<(Rank, NodeId, Lsn)>,
     shipped_bytes: u64,
 }
 
@@ -25,14 +32,6 @@ impl LogShipper {
     /// No followers attached.
     pub fn new() -> Self {
         Self::default()
-    }
-
-    fn cursor(&self, follower: NodeId) -> Option<&(NodeId, Lsn, Lsn)> {
-        self.cursors.iter().find(|c| c.0 == follower)
-    }
-
-    fn cursor_mut(&mut self, follower: NodeId) -> Option<&mut (NodeId, Lsn, Lsn)> {
-        self.cursors.iter_mut().find(|c| c.0 == follower)
     }
 
     /// Attach a follower starting from the log's current end (it does not
@@ -44,7 +43,8 @@ impl LogShipper {
         }
     }
 
-    /// Detach a follower (its copies promoted, re-homed or dropped).
+    /// Detach a follower (its copies promoted, re-homed or dropped). An
+    /// acknowledgement in flight to it lands on nothing.
     pub fn detach(&mut self, follower: NodeId) {
         self.cursors.retain(|c| c.0 != follower);
     }
@@ -64,7 +64,7 @@ impl LogShipper {
     /// (in flight) and returns their total byte size, `None` when there is
     /// nothing to ship.
     pub fn take_batch(&mut self, follower: NodeId, log: &LogManager) -> Option<usize> {
-        let (_, shipped, _) = self.cursor_mut(follower)?;
+        let (_, shipped, _) = self.cursors.iter_mut().find(|c| c.0 == follower)?;
         let bytes = log.bytes_after(*shipped)?;
         *shipped = log.last_lsn();
         self.shipped_bytes += bytes as u64;
@@ -78,15 +78,28 @@ impl LogShipper {
         self.cursors.iter().map(|c| c.1).min()
     }
 
-    /// Follower confirmed persistence up to `lsn`. Returns the new minimum
-    /// acknowledged LSN across followers — records up to it are remotely
-    /// durable.
-    pub fn acknowledge(&mut self, follower: NodeId, lsn: Lsn) -> Option<Lsn> {
-        let (_, _, acked) = self.cursor_mut(follower)?;
-        if lsn > *acked {
-            *acked = lsn;
+    /// `follower` will confirm persistence through `through` at `rank`:
+    /// the batch just shipped to it lands then.
+    pub fn book_ack(&mut self, follower: NodeId, through: Lsn, rank: Rank) {
+        let at = self.in_flight.partition_point(|a| a.0 <= rank);
+        self.in_flight.insert(at, (rank, follower, through));
+    }
+
+    /// Land every acknowledgement ranked at or before `reader`: each
+    /// follower still attached has persisted through its LSN.
+    pub fn settle(&mut self, reader: Rank) {
+        let landed = self.in_flight.partition_point(|a| a.0 <= reader);
+        for (_, follower, through) in self.in_flight.drain(..landed) {
+            if let Some(c) = self.cursors.iter_mut().find(|c| c.0 == follower) {
+                c.2 = c.2.max(through);
+            }
         }
-        self.cursors.iter().map(|c| c.2).min()
+    }
+
+    /// Void the acknowledgements in flight to the followers `lost` picks:
+    /// they never land.
+    pub fn void(&mut self, mut lost: impl FnMut(NodeId) -> bool) {
+        self.in_flight.retain(|a| !lost(a.1));
     }
 
     /// Total bytes shipped.
@@ -96,13 +109,14 @@ impl LogShipper {
 
     /// Highest LSN shipped to `follower` (in flight or acknowledged).
     pub fn shipped_lsn(&self, follower: NodeId) -> Option<Lsn> {
-        self.cursor(follower).map(|c| c.1)
+        self.cursors.iter().find(|c| c.0 == follower).map(|c| c.1)
     }
 
-    /// Highest LSN `follower` has acknowledged as persisted — the bound on
-    /// how stale a read served by that follower can be.
+    /// Highest LSN `follower` has acknowledged as persisted, as of the
+    /// last [`LogShipper::settle`] — the bound on how stale a read served
+    /// by that follower can be.
     pub fn acked_lsn(&self, follower: NodeId) -> Option<Lsn> {
-        self.cursor(follower).map(|c| c.2)
+        self.cursors.iter().find(|c| c.0 == follower).map(|c| c.2)
     }
 
     /// How many log records `follower` is behind the log's end
@@ -111,12 +125,6 @@ impl LogShipper {
         let acked = self.acked_lsn(follower)?;
         Some(log.last_lsn().raw().saturating_sub(acked.raw()))
     }
-
-    /// All shipping cursors, sorted by follower id:
-    /// `(follower, shipped, acked)`.
-    pub fn cursors(&self) -> Vec<(NodeId, Lsn, Lsn)> {
-        self.cursors.clone()
-    }
 }
 
 #[cfg(test)]
@@ -124,6 +132,24 @@ mod tests {
     use super::*;
     use crate::record::{LogPayload, LOG_HEADER_BYTES};
     use wattdb_common::TxnId;
+
+    use wattdb_common::SimTime;
+
+    /// Where an acknowledgement due at `us` µs lands, and a reader just
+    /// before it.
+    fn at(us: u64) -> Rank {
+        Rank::end_of(SimTime::from_micros(us))
+    }
+
+    fn before(us: u64) -> Rank {
+        Rank::end_of(SimTime::from_micros(us - 1))
+    }
+
+    /// Book `follower`'s acknowledgement through `lsn` and land it.
+    fn ack(shipper: &mut LogShipper, follower: NodeId, lsn: Lsn) {
+        shipper.book_ack(follower, lsn, at(1));
+        shipper.settle(at(1));
+    }
 
     #[test]
     fn ship_and_acknowledge() {
@@ -141,8 +167,12 @@ mod tests {
         assert_eq!(shipper.shipped_lsn(follower), Some(Lsn(3)));
         // Nothing more to ship until new appends.
         assert!(shipper.take_batch(follower, &log).is_none());
-        let durable = shipper.acknowledge(follower, Lsn(3)).unwrap();
-        assert_eq!(durable, Lsn(3));
+        // The acknowledgement lands at its rank, not before.
+        shipper.book_ack(follower, Lsn(3), at(450));
+        shipper.settle(before(450));
+        assert_eq!(shipper.acked_lsn(follower), Some(Lsn::ZERO));
+        shipper.settle(at(450));
+        assert_eq!(shipper.acked_lsn(follower), Some(Lsn(3)));
     }
 
     #[test]
@@ -171,11 +201,27 @@ mod tests {
         }
         shipper.take_batch(NodeId(5), &log);
         shipper.take_batch(NodeId(6), &log);
-        assert_eq!(shipper.acknowledge(NodeId(5), Lsn(4)), Some(Lsn::ZERO));
-        assert_eq!(shipper.acknowledge(NodeId(6), Lsn(2)), Some(Lsn(2)));
+        // Booked out of follower order, they land in arrival order; one
+        // to a follower detached meanwhile lands on nothing.
+        shipper.book_ack(NodeId(6), Lsn(2), at(30));
+        shipper.book_ack(NodeId(5), Lsn(4), at(20));
+        shipper.book_ack(NodeId(6), Lsn(4), at(40));
+        shipper.settle(at(20));
+        assert_eq!(shipper.acked_lsn(NodeId(5)), Some(Lsn(4)));
+        assert_eq!(shipper.acked_lsn(NodeId(6)), Some(Lsn::ZERO));
+        shipper.settle(at(30));
+        assert_eq!(shipper.acked_lsn(NodeId(6)), Some(Lsn(2)));
         shipper.detach(NodeId(6));
-        assert_eq!(shipper.acknowledge(NodeId(5), Lsn(4)), Some(Lsn(4)));
+        shipper.settle(at(40));
         assert_eq!(shipper.followers(), vec![NodeId(5)]);
+        assert_eq!(shipper.acked_lsn(NodeId(6)), None);
+        // A void drops what is in flight to the followers it picks.
+        log.append(TxnId(5), LogPayload::Commit);
+        shipper.take_batch(NodeId(5), &log);
+        shipper.book_ack(NodeId(5), Lsn(5), at(60));
+        shipper.void(|f| f == NodeId(5));
+        shipper.settle(at(60));
+        assert_eq!(shipper.acked_lsn(NodeId(5)), Some(Lsn(4)));
     }
 
     #[test]
@@ -194,14 +240,13 @@ mod tests {
         shipper.take_batch(NodeId(6), &log);
         assert_eq!(shipper.shipped_lsn(NodeId(5)), Some(Lsn(6)));
         // Acks diverge: node 6 persisted further.
-        shipper.acknowledge(NodeId(5), Lsn(3));
-        shipper.acknowledge(NodeId(6), Lsn(5));
+        ack(&mut shipper, NodeId(5), Lsn(3));
+        ack(&mut shipper, NodeId(6), Lsn(5));
         assert_eq!(shipper.lag(NodeId(5), &log), Some(3));
         assert_eq!(shipper.lag(NodeId(6), &log), Some(1));
-        assert_eq!(
-            shipper.cursors(),
-            vec![(NodeId(5), Lsn(6), Lsn(3)), (NodeId(6), Lsn(6), Lsn(5)),]
-        );
+        let cursor = |f| (shipper.shipped_lsn(f), shipper.acked_lsn(f));
+        assert_eq!(cursor(NodeId(5)), (Some(Lsn(6)), Some(Lsn(3))));
+        assert_eq!(cursor(NodeId(6)), (Some(Lsn(6)), Some(Lsn(5))));
         // Unknown follower: no cursor, no lag.
         assert_eq!(shipper.lag(NodeId(9), &log), None);
         assert_eq!(shipper.acked_lsn(NodeId(9)), None);

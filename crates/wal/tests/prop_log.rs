@@ -4,7 +4,7 @@
 //! must agree with a naive recompute over it.
 
 use proptest::prelude::*;
-use wattdb_common::{Lsn, NodeId, SegmentId, TxnId};
+use wattdb_common::{Lsn, NodeId, Rank, SegmentId, SimTime, TxnId};
 use wattdb_wal::{LogManager, LogPayload, LogShipper};
 
 /// Every record ever appended, as `(lsn, encoded length)`.
@@ -67,7 +67,8 @@ enum ShipStep {
     MarkDurable(u64),
     Attach(u16),
     TakeBatch(u16),
-    /// Acknowledge through `shipped * x / 100` of that follower's cursor.
+    /// Book an acknowledgement through `shipped * x / 100` of that
+    /// follower's cursor, landing `x % 3` steps later.
     Acknowledge(u16, u64),
     Detach(u16),
     /// Truncate at the engine's horizon: `min(durable, every min_shipped)`.
@@ -126,7 +127,9 @@ proptest! {
             let last = Lsn(shadow.len() as u64);
             prop_assert_eq!(log.last_lsn(), last);
             prop_assert_eq!(log.durable_lsn(), durable);
-            prop_assert_eq!(log.pending_bytes() as u64, shadow_bytes(&shadow, durable, last));
+            // Bytes awaiting a flush: every record past the durable LSN.
+            let pending = log.bytes_after(durable).map_or(0, |b| b as u64);
+            prop_assert_eq!(pending, shadow_bytes(&shadow, durable, last));
             prop_assert_eq!(log.flushed_bytes(), flushed);
             prop_assert_eq!(log.flush_count(), flushes);
             prop_assert_eq!(log.len() as u64, last.raw() - truncated.raw());
@@ -154,7 +157,8 @@ proptest! {
         // batches returned since.
         let mut attached: [Option<(Lsn, u64)>; 4] = [None; 4];
         let mut returned = 0u64;
-        for s in steps {
+        for (i, s) in steps.into_iter().enumerate() {
+            let step = |k: usize| Rank::end_of(SimTime::from_micros((i + k) as u64));
             match s {
                 ShipStep::Change(image_bytes) => {
                     append(&mut log, &mut shadow, change(image_bytes));
@@ -187,7 +191,8 @@ proptest! {
                 }
                 ShipStep::Acknowledge(f, pct) => {
                     if let Some(shipped) = shipper.shipped_lsn(NodeId(f)) {
-                        shipper.acknowledge(NodeId(f), Lsn(shipped.raw() * pct / 100));
+                        let through = Lsn(shipped.raw() * pct / 100);
+                        shipper.book_ack(NodeId(f), through, step(pct as usize % 3));
                     }
                 }
                 ShipStep::Detach(f) => {
@@ -201,9 +206,13 @@ proptest! {
                     log.truncate_through(horizon);
                 }
             }
+            // What is due lands, on a cursor detached or re-attached since
+            // its batch was shipped too.
+            shipper.settle(step(0));
             let last = log.last_lsn();
             prop_assert_eq!(shipper.shipped_bytes(), returned);
-            for (f, shipped, acked) in shipper.cursors() {
+            for f in shipper.followers() {
+                let (shipped, acked) = (shipper.shipped_lsn(f).unwrap(), shipper.acked_lsn(f).unwrap());
                 prop_assert!(acked <= shipped && shipped <= last, "{f:?}: {acked:?} {shipped:?} {last:?}");
                 // Truncation never dropped a record this cursor has not
                 // shipped: the whole unshipped tail is still retained.

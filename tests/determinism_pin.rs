@@ -368,7 +368,7 @@ fn replicated_elastic_export_is_pinned() {
     let a = pinned(
         "replicated-elastic",
         0x29df_7741_d380_8acf,
-        547_646,
+        456_338,
         replicated_elastic_run,
     );
     // The paths this pin exists for all ran.
@@ -384,7 +384,7 @@ fn replicated_elastic_export_is_pinned() {
 
 #[test]
 fn failover_export_is_pinned() {
-    let a = pinned("failover", 0x22f7_c011_b268_49db, 720_021, failover_run);
+    let a = pinned("failover", 0x22f7_c011_b268_49db, 701_179, failover_run);
     for needle in ["\"failover\"", "\"promote\"", "\"re-replicate\""] {
         assert!(a.contains(needle), "export carries {needle}");
     }

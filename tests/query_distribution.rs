@@ -8,7 +8,7 @@ use wattdb_common::{CostParams, Key, KeyRange, NodeId, SimDuration};
 use wattdb_core::replay::{replay_trace, SortMemoryBroker};
 use wattdb_core::{Cluster, ClusterConfig};
 use wattdb_query::{execute, AggFunc, ExecConfig, PlanNode, SyntheticTable};
-use wattdb_sim::Sim;
+use wattdb_sim::{Completion, Sim};
 
 fn cluster(nodes: u16) -> wattdb_core::ClusterRc {
     let active: Vec<NodeId> = (0..nodes).map(NodeId).collect();
@@ -26,10 +26,9 @@ fn timed(plan: &PlanNode, cl: &wattdb_core::ClusterRc, sim: &mut Sim) -> SimDura
     let (_, trace) = execute(plan, &CostParams::default(), &ExecConfig::default());
     let broker = Rc::new(RefCell::new(SortMemoryBroker::default()));
     let out: Rc<RefCell<Option<SimDuration>>> = Rc::new(RefCell::new(None));
-    let o = out.clone();
-    replay_trace(cl, sim, trace, broker, move |sim, started| {
-        *o.borrow_mut() = Some(sim.now().since(started));
-    });
+    let (o, started) = (out.clone(), sim.now());
+    let done = Completion::call(move |sim| *o.borrow_mut() = Some(sim.now().since(started)));
+    replay_trace(cl, sim, trace, broker, done);
     sim.run_to_completion();
     let d = out.borrow().expect("completed");
     d
@@ -110,10 +109,9 @@ fn concurrent_queries_contend_on_shared_cpu() {
     let latencies: Rc<RefCell<Vec<SimDuration>>> = Rc::new(RefCell::new(Vec::new()));
     for _ in 0..8 {
         let (_, trace) = execute(&plan(), &CostParams::default(), &ExecConfig::default());
-        let l = latencies.clone();
-        replay_trace(&cl, &mut sim, trace, broker.clone(), move |sim, started| {
-            l.borrow_mut().push(sim.now().since(started));
-        });
+        let (l, started) = (latencies.clone(), sim.now());
+        let done = Completion::call(move |sim| l.borrow_mut().push(sim.now().since(started)));
+        replay_trace(&cl, &mut sim, trace, broker.clone(), done);
     }
     sim.run_to_completion();
     let worst = latencies.borrow().iter().copied().max().unwrap();

@@ -18,7 +18,7 @@
 //! drive the full facade end to end.
 
 use proptest::prelude::*;
-use wattdb_common::{Lsn, NodeId, SegmentId, SimDuration, TxnId};
+use wattdb_common::{Lsn, NodeId, Rank, SegmentId, SimDuration, SimTime, TxnId};
 use wattdb_core::api::WattDb;
 use wattdb_core::cluster::Scheme;
 use wattdb_core::replication::{self, pick_promotion};
@@ -95,12 +95,39 @@ fn hot_reads_fan_out_to_followers() {
     // acked ≤ shipped ≤ the leader's log end.
     db.with_cluster(|c| {
         for n in &c.nodes {
-            for (f, shipped, acked) in c.replication.shipper(n.id).cursors() {
+            let shipper = c.replication.shipper(n.id);
+            for f in shipper.followers() {
+                let (shipped, acked) = (shipper.shipped_lsn(f), shipper.acked_lsn(f));
                 assert!(acked <= shipped, "{f}: acked past shipped");
-                assert!(shipped <= n.log.last_lsn(), "{f}: shipped past the log");
+                assert!(
+                    shipped <= Some(n.log.last_lsn()),
+                    "{f}: shipped past the log"
+                );
             }
         }
     });
+}
+
+/// A follower's acknowledgement is booked when its batch is sent, not
+/// fired as an event: a replicated run's event counts by kind name no
+/// acknowledgement and sum to every event it executed, while the
+/// acknowledgements still land (caught-up followers serve reads).
+#[test]
+fn a_replicated_run_lands_acknowledgements_without_events() {
+    let mut db = replicated_db(2, &[NodeId(0), NodeId(1)]);
+    db.start_oltp(8, SimDuration::from_millis(40));
+    db.run_for(SimDuration::from_secs(10));
+    let (by_kind, executed) =
+        db.with_runtime(|_, sim| (sim.events_by_kind(), sim.events_executed()));
+    assert!(
+        by_kind.iter().all(|&(kind, _)| kind != "ship_ack"),
+        "{by_kind:?}"
+    );
+    assert_eq!(by_kind.iter().map(|&(_, n)| n).sum::<u64>(), executed);
+    assert!(
+        db.with_cluster(|c| c.replication.reads()) > 0,
+        "no follower caught up"
+    );
 }
 
 #[test]
@@ -278,14 +305,13 @@ fn log_tail_stays_bounded_under_replication() {
                     n.log.len(),
                     n.log.last_lsn()
                 );
-                for (f, shipped, acked) in c.replication.shipper(n.id).cursors() {
+                let shipper = c.replication.shipper(n.id);
+                for f in shipper.followers() {
+                    let shipped = shipper.shipped_lsn(f).expect("attached");
+                    let acked = shipper.acked_lsn(f).expect("attached");
                     assert!(acked <= shipped, "{f}: acked past shipped");
                     assert!(shipped <= n.log.last_lsn(), "{f}: shipped past the log");
-                    let lag = c
-                        .replication
-                        .shipper(n.id)
-                        .lag(f, &n.log)
-                        .expect("attached");
+                    let lag = shipper.lag(f, &n.log).expect("attached");
                     assert_eq!(lag, n.log.last_lsn().raw() - acked.raw());
                 }
             }
@@ -444,7 +470,9 @@ proptest! {
                     // records).
                     if let Some(shipped) = shipper.shipped_lsn(f) {
                         let lsn = Lsn(arg.min(shipped.raw()));
-                        shipper.acknowledge(f, lsn);
+                        let landed = Rank::end_of(SimTime::ZERO);
+                        shipper.book_ack(f, lsn, landed);
+                        shipper.settle(landed);
                     }
                 }
             }
