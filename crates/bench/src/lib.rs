@@ -19,10 +19,10 @@ use wattdb_core::api::{WattDb, WattDbBuilder};
 use wattdb_core::cluster::Scheme;
 use wattdb_core::metrics::Phase;
 use wattdb_core::migration::{ControlPlan, HelperAttach};
-use wattdb_core::replay::{replay_trace, SortMemoryBroker};
+use wattdb_core::replay::replay_trace;
 use wattdb_core::{replication, Cluster, Outcome, Planner, PolicyConfig};
 use wattdb_query::{execute, ExecConfig, PlanNode, SyntheticTable};
-use wattdb_sim::{Completion, CostCategory};
+use wattdb_sim::{Completion, CostCategory, Sim};
 use wattdb_tpcc::TenantSpec;
 use wattdb_txn::CcMode;
 
@@ -792,28 +792,28 @@ pub fn fig1_throughput(cfg: &Fig1Config, rows: u64) -> f64 {
             ..Default::default()
         },
     );
-    let db = idle_cluster(3);
-    let mut sim = wattdb_sim::Sim::new();
-    let broker = Rc::new(RefCell::new(SortMemoryBroker::default()));
+    let (db, mut sim) = idle_cluster(3);
     let out: Rc<RefCell<Option<SimDuration>>> = Rc::new(RefCell::new(None));
     let (o, started) = (out.clone(), sim.now());
     let done = Completion::call(move |sim| *o.borrow_mut() = Some(sim.now().since(started)));
-    replay_trace(&db, &mut sim, trace, broker, done);
+    replay_trace(&db, &mut sim, trace, done);
     sim.run_to_completion();
     let elapsed = out.borrow().expect("trace completes");
     rows as f64 / elapsed.as_secs_f64()
 }
 
-fn idle_cluster(nodes: u16) -> wattdb_core::ClusterRc {
+/// An idle cluster and the simulator that replays on it, its handler
+/// installed.
+fn idle_cluster(nodes: u16) -> (wattdb_core::ClusterRc, Sim) {
     let active: Vec<NodeId> = (0..nodes).map(NodeId).collect();
-    wattdb_core::Cluster::new(
-        wattdb_core::ClusterConfig {
-            nodes,
-            buffer_pages: 4096,
-            ..Default::default()
-        },
-        &active,
-    )
+    let cfg = wattdb_core::ClusterConfig {
+        nodes,
+        buffer_pages: 4096,
+        ..Default::default()
+    };
+    let (db, mut sim) = (wattdb_core::Cluster::new(cfg, &active), Sim::new());
+    wattdb_core::executor::install(&db, &mut sim);
+    (db, sim)
 }
 
 // ------------------------------------------------------------------ Fig. 2
@@ -821,12 +821,11 @@ fn idle_cluster(nodes: u16) -> wattdb_core::ClusterRc {
 /// Fig. 2: throughput of N concurrent scan+sort queries, local vs. remote
 /// sort placement. Returns queries/second.
 pub fn fig2_throughput(concurrent: u64, offload: bool, rows: u64) -> f64 {
-    let db = idle_cluster(3);
-    let mut sim = wattdb_sim::Sim::new();
-    let broker = Rc::new(RefCell::new(SortMemoryBroker::default()));
+    let (db, mut sim) = idle_cluster(3);
     // Wimpy nodes: modest sort memory forces spills under concurrency.
-    broker.borrow_mut().set_limit(NodeId(1), 24 * 1024 * 1024);
-    broker.borrow_mut().set_limit(NodeId(2), 24 * 1024 * 1024);
+    let limit = 24 * 1024 * 1024;
+    db.borrow_mut().replays.broker.set_limit(NodeId(1), limit);
+    db.borrow_mut().replays.broker.set_limit(NodeId(2), limit);
     let done: Rc<RefCell<u64>> = Rc::new(RefCell::new(0));
     for _ in 0..concurrent {
         let plan = PlanNode::Sort {
@@ -839,7 +838,7 @@ pub fn fig2_throughput(concurrent: u64, offload: bool, rows: u64) -> f64 {
         let (_, trace) = execute(&plan, &CostParams::default(), &ExecConfig::default());
         let d = done.clone();
         let counted = Completion::call(move |_| *d.borrow_mut() += 1);
-        replay_trace(&db, &mut sim, trace, broker.clone(), counted);
+        replay_trace(&db, &mut sim, trace, counted);
     }
     sim.run_to_completion();
     assert_eq!(*done.borrow(), concurrent);

@@ -269,10 +269,10 @@ impl NodeRuntime {
             commit_queue: Vec::new(),
             flushes: Vec::new(),
             flush_scheduled: false,
-            power_probe: UtilizationProbe::new(),
-            monitor_probe: UtilizationProbe::new(),
-            status_probe: UtilizationProbe::new(),
-            net_probe: UtilizationProbe::new(),
+            power_probe: UtilizationProbe::default(),
+            monitor_probe: UtilizationProbe::default(),
+            status_probe: UtilizationProbe::default(),
+            net_probe: UtilizationProbe::default(),
         }
     }
 }
@@ -331,6 +331,8 @@ pub struct Cluster {
     pub lock_waiters: IdMap<wattdb_common::TxnId, crate::executor::Waiter>,
     /// Migration controller (present while rebalancing).
     pub mover: Option<MoveController>,
+    /// Query trace replays in flight.
+    pub replays: crate::replay::Replays,
     /// Per-segment access heat and heat velocity (the planner's workload
     /// signal; velocity is fed by the monitoring loop).
     pub heat: HeatTable,
@@ -408,6 +410,7 @@ impl Cluster {
             jobs: JobSlab::default(),
             lock_waiters: IdMap::default(),
             mover: None,
+            replays: Default::default(),
             heat,
             metrics,
             meter: EnergyMeter::new(SimTime::ZERO),

@@ -201,7 +201,7 @@ impl Cluster {
             cpu_accum: SimDuration::ZERO,
             op_cost: CostVector::ZERO,
             op_remote: false,
-            costs: CostProfile::new(),
+            costs: CostProfile::default(),
             write_nodes,
             commit_pending: 0,
             commit_wait_started: SimTime::ZERO,
@@ -682,6 +682,8 @@ pub fn install(cl: &ClusterRc, sim: &mut Sim) {
                 step(&cl, sim, job_id);
             }
         }
+        Signal::Stage { slot, leg } => crate::replay::advance(&cl, sim, slot, leg),
+        Signal::Mover { chain } => crate::migration::proceed(&cl, sim, chain),
     });
 }
 

@@ -70,7 +70,7 @@ pub enum AccessKind {
 
 /// One segment's tracked heat, raw access counters, accumulated cost, and
 /// heat velocity.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct SegmentHeat {
     /// Decayed heat as of `last_touch`.
     pub heat: Heat,
@@ -101,16 +101,8 @@ impl SegmentHeat {
     /// A slot with no heat, no history, and no observation.
     fn cold(now: SimTime) -> Self {
         Self {
-            heat: Heat::ZERO,
-            reads: 0,
-            writes: 0,
-            remote_fetches: 0,
-            scans: 0,
-            cost: CostVector::ZERO,
             last_touch: now,
-            velocity: 0.0,
-            seen_heat: 0.0,
-            seen_at: None,
+            ..Default::default()
         }
     }
 }

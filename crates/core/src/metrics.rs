@@ -76,7 +76,7 @@ impl Metrics {
         let slot = self
             .profiles
             .entry(phase)
-            .or_insert((0, CostProfile::new()));
+            .or_insert((0, CostProfile::default()));
         slot.0 += 1;
         slot.1 += profile;
     }
@@ -96,7 +96,7 @@ mod tests {
     #[test]
     fn completion_series() {
         let mut m = Metrics::new(SimTime::ZERO, SimDuration::from_secs(10));
-        let mut p = CostProfile::new();
+        let mut p = CostProfile::default();
         p.record(CostCategory::DiskIo, SimDuration::from_millis(5));
         for s in [1u64, 2, 3, 15] {
             m.record_completion_weighted(
@@ -116,9 +116,9 @@ mod tests {
     #[test]
     fn per_phase_profiles() {
         let mut m = Metrics::new(SimTime::ZERO, SimDuration::from_secs(1));
-        let mut fast = CostProfile::new();
+        let mut fast = CostProfile::default();
         fast.record(CostCategory::Cpu, SimDuration::from_millis(1));
-        let mut slow = CostProfile::new();
+        let mut slow = CostProfile::default();
         slow.record(CostCategory::DiskIo, SimDuration::from_millis(30));
         slow.record(CostCategory::Locking, SimDuration::from_millis(10));
         m.record_completion_weighted(

@@ -19,47 +19,41 @@
 //!
 //! # Plan, then run
 //!
-//! Nothing here decides. A [`ControlPlan`] — produced by
-//! [`crate::policy::plan`] from a decision, by the fraction heuristic
-//! beside it ([`ControlPlan::fraction`]), from a planner crate
-//! [`wattdb_planner::Plan`] ([`ControlPlan::planned`]), or filled in by a
-//! script through [`crate::api::WattDb::run`] — says which nodes to power,
-//! what to move, what to drain, which follower copies to re-home and which
-//! helpers (Fig. 8) to wire or release; [`run`] carries it out. `run` is
-//! the only code outside `cluster.rs` that powers a node on, marks a
-//! drain, starts a rebalance's [`MoveController`], wires a helper or opens the
-//! `failover` / `helpers` / `rebalance` / `power-up` / `power-down`
-//! spans, and it returns what it started ([`Applied`]) instead of leaving
-//! callers to read it back. The step machine below then moves the data;
-//! helper state lives in one [`crate::helpers::Helpers`] on the cluster.
-//! [`settle`] is `run`'s counterpart: once a window it closes the
-//! episodes whose work has landed — the failover span when the factor is
-//! restored, a finished drain by suspending its nodes.
+//! Nothing here decides. A [`ControlPlan`] — from [`crate::policy::plan`],
+//! the fraction heuristic ([`ControlPlan::fraction`]), a planner crate
+//! [`wattdb_planner::Plan`] ([`ControlPlan::planned`]) or a script through
+//! [`crate::api::WattDb::run`] — says which nodes to power, what to move
+//! or drain, which follower copies to re-home and which helpers (Fig. 8)
+//! to wire or release; [`run`] carries it out. `run` is the only code
+//! outside `cluster.rs` that powers a node on, marks a drain, starts a
+//! [`MoveController`], wires a helper or opens the `failover` / `helpers`
+//! / `rebalance` / `power-up` / `power-down` spans, and it returns what it
+//! started ([`Applied`]). [`settle`] is its counterpart: once a window it
+//! closes the episodes whose work has landed.
 //!
 //! # One step machine
 //!
-//! Each source runs one [`MoverChain`]: a queue of moves and the step
-//! in flight — a segment, a follower copy, or a batch of a range's
-//! records staged on the chain. One path drives them all: pick (master
-//! first) → [`lock_step`] → copy → apply → release; the schemes differ
-//! only in which lock, what the copy bills and what apply does
-//! (§4.1–4.3). A follower copy takes no lock and bills what a segment
-//! does. A failed step takes the one rewind; every landed move asserts
-//! that it routes to where it lies.
+//! Each source runs one [`MoverChain`]: a queue of moves and the step in
+//! flight — a segment, a follower copy, or a batch of a range's records
+//! staged on the chain. One path drives them all: pick (master first) →
+//! [`lock_step`] → copy → apply → release; the schemes differ only in
+//! which lock, what the copy bills and what apply does (§4.1–4.3). A
+//! follower copy takes no lock. A failed step takes the one rewind; every
+//! landed move asserts that it routes to where it lies. The chain goes on
+//! in `Signal::Mover` events naming it: a timer's starts its next step, a
+//! copy leg's counts down the chain's `legs`.
 //!
 //! Bulk I/O volumes are multiplied by `cfg.io_scale` so the scaled-down
 //! dataset produces the paper's 100 GB-class transfer times (see
 //! [`crate::api::WattDbBuilder::io_scale`]).
 
-use std::cell::Cell;
 use std::collections::VecDeque;
-use std::rc::Rc;
 
 use wattdb_common::{
     ByteSize, Error, Key, KeyRange, NodeId, Result, SegmentId, SimDuration, SimTime, TableId, TxnId,
 };
 use wattdb_planner::{PlannedMove, Planner};
-use wattdb_sim::{Completion, Sim};
+use wattdb_sim::{Completion, Resource, Signal, Sim};
 use wattdb_txn::{
     is_provisional, owner, CcMode, Grant, LockAcquire, LockMode, LockTarget, TxnKind,
 };
@@ -147,6 +141,9 @@ pub struct MoverChain {
     pub step: Option<Pending>,
     /// The range step's batch.
     pub batch: Batch,
+    /// Legs of the step's copy to go: its disk read and wire, or its
+    /// batch's scan, CPU and wire.
+    pub legs: u8,
     /// Done flag.
     pub done: bool,
 }
@@ -416,11 +413,8 @@ pub fn run(cl: &ClusterRc, sim: &mut Sim, plan: ControlPlan) -> Applied {
         }
     };
     // The moves start once the freshly powered targets have booted.
-    for id in 0..chains {
-        let handle = cl.clone();
-        sim.after(SimDuration::from_secs(5), move |sim| {
-            next_step(&handle, sim, id)
-        });
+    for chain in 0..chains {
+        sim.post_after(SimDuration::from_secs(5), Signal::Mover { chain }.into());
     }
     if !plan.rehomes.is_empty() {
         crate::failover::schedule_follower_rehomes(cl, sim, &plan.rehomes);
@@ -690,8 +684,8 @@ pub fn lock_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
 
 /// Copy the step's data and bill what it ships: a segment flushes its dirty
 /// pages and, like a follower copy, is read at raw device speed while it
-/// crosses the wire; a batch pays a scattered page read per record, CPU,
-/// then its widths.
+/// crosses the wire; a batch pays a scattered page read per record, then
+/// CPU, then its widths.
 fn copy_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
     let mut c = cl.borrow_mut();
     let c = &mut *c;
@@ -699,15 +693,18 @@ fn copy_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
     let Some(ch) = chain_mut(&mut c.mover, chain) else {
         return;
     };
-    let (step, records, width) = (ch.step, ch.batch.keys.len() as u64, ch.batch.width);
-    let copy = matches!(step, Some(Pending::Copy(_)));
-    let (from, to, disk, read, cpu, ship) = match step {
-        None => return,
-        Some(Pending::Copy(cp)) => {
+    let (Some(step), records, width) = (ch.step, ch.batch.keys.len() as u64, ch.batch.width) else {
+        return;
+    };
+    let copy = matches!(step, Pending::Copy(_));
+    let batch = matches!(step, Pending::Range(_));
+    ch.legs = if batch { 3 } else { 2 };
+    let (from, to, disk, read, ship) = match step {
+        Pending::Copy(cp) => {
             let disk = c.seg_dir.get(cp.seg).map_or(1, |m| m.disk.index);
-            (cp.from, cp.to, disk, cp.bytes, None, cp.bytes)
+            (cp.from, cp.to, disk, cp.bytes, cp.bytes)
         }
-        Some(Pending::Segment(mv)) => {
+        Pending::Segment(mv) => {
             let bytes = c.copy_bytes(mv.seg).expect("segment meta");
             let disk = c.seg_dir.get(mv.seg).expect("segment meta").disk.index;
             // Log the move bracket on the source's WAL; dirty pages of the
@@ -720,53 +717,59 @@ fn copy_step(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
             };
             src.log.append(TxnId::NONE, start);
             src.buffer.clean_segment(segment);
-            (mv.from, mv.to, disk, bytes, None, bytes)
+            (mv.from, mv.to, disk, bytes, bytes)
         }
-        Some(Pending::Range(mv)) => {
+        Pending::Range(mv) => {
             let disk = (c.seg_dir.on_node(mv.from).next()).map_or(1, |s| s.disk.index);
             let read = records * wattdb_storage::PAGE_SIZE as u64 * io_scale / 8;
-            let cpu = c.cfg.costs.scan_per_record * records * 2;
-            (mv.from, mv.to, disk, read, Some(cpu), width * io_scale)
+            (mv.from, mv.to, disk, read, width * io_scale)
         }
     };
     // A copy's bytes count as re-replicated when it lands, not as moved.
     if let Some(r) = c.mover.as_mut().and_then(|m| m.report.as_mut()) {
         r.bytes_moved += if copy { 0 } else { ship };
     }
+    let leg = || Completion::from(Signal::Mover { chain });
     let disk = &mut c.nodes[from.raw() as usize].disks[disk as usize];
-    let Some(cpu) = cpu else {
-        // Join: disk read ∥ network ship. Each arm counts down; the later
-        // one applies in its own completion event, the instant both are
-        // done, so the join adds no event of its own.
-        let remaining = Rc::new(Cell::new(2u8));
-        let make_arm = || {
-            let remaining = remaining.clone();
-            let handle = cl.clone();
-            Completion::call(move |sim| {
-                remaining.set(remaining.get() - 1);
-                if remaining.get() == 0 {
-                    apply_segment(&handle, sim, chain);
-                }
-            })
+    disk.bulk_transfer(sim, ByteSize::bytes(read), leg());
+    if !batch {
+        c.net.send(sim, from, to, ByteSize::bytes(ship), leg());
+    }
+}
+
+/// Chain `chain` goes on ([`Signal::Mover`]): with no copy in flight its
+/// next step starts, else a leg of the copy is done. A segment applies in
+/// the later of its disk read's and wire's events (the join adds none); a
+/// batch's scan is followed by its CPU, its CPU by its wire, then apply.
+pub(crate) fn proceed(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
+    let (legs, batch) = {
+        let mut c = cl.borrow_mut();
+        let c = &mut *c;
+        let Some(ch) = chain_mut(&mut c.mover, chain) else {
+            return;
         };
-        disk.bulk_transfer(sim, ByteSize::bytes(read), make_arm());
-        c.net.send(sim, from, to, ByteSize::bytes(ship), make_arm());
-        return;
+        let legs = ch.legs.checked_sub(1);
+        ch.legs = legs.unwrap_or(0);
+        let (then, records) = (Signal::Mover { chain }.into(), ch.batch.keys.len() as u64);
+        match (legs, ch.step) {
+            (Some(2), Some(Pending::Range(mv))) => {
+                let cpu = c.cfg.costs.scan_per_record * records * 2;
+                Resource::submit(&c.nodes[mv.from.raw() as usize].cpu, sim, cpu, then);
+            }
+            (Some(1), Some(Pending::Range(mv))) => {
+                let ship = ByteSize::bytes(ch.batch.width * c.cfg.io_scale);
+                c.net.send(sim, mv.from, mv.to, ship, then);
+            }
+            _ => {}
+        }
+        (legs, matches!(ch.step, Some(Pending::Range(_))))
     };
-    // Chain: scan I/O → CPU → wire → apply.
-    let handle = cl.clone();
-    let after_wire = Completion::call(move |sim| apply_batch(&handle, sim, chain));
-    let handle = cl.clone();
-    let after_cpu = Completion::call(move |sim| {
-        let c = handle.borrow();
-        c.net.send(sim, from, to, ByteSize::bytes(ship), after_wire);
-    });
-    let handle = cl.clone();
-    let after_scan = Completion::call(move |sim| {
-        let cpu_res = handle.borrow().nodes[from.raw() as usize].cpu.clone();
-        wattdb_sim::Resource::submit(&cpu_res, sim, cpu, after_cpu);
-    });
-    disk.bulk_transfer(sim, ByteSize::bytes(read), after_scan);
+    match legs {
+        None => next_step(cl, sim, chain),
+        Some(0) if batch => apply_batch(cl, sim, chain),
+        Some(0) => apply_segment(cl, sim, chain),
+        Some(_) => {}
+    }
 }
 
 /// Apply a copied segment — §4.3's ownership switch or §4.1's new storage
@@ -877,10 +880,7 @@ pub fn copying(c: &Cluster) -> bool {
 fn apply_batch(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
     let grants = move_batch(&mut cl.borrow_mut(), chain).expect("logical batch");
     resume_grants(cl, sim, grants);
-    let handle = cl.clone();
-    sim.after(SimDuration::from_millis(2), move |sim| {
-        next_step(&handle, sim, chain)
-    });
+    sim.post_after(SimDuration::from_millis(2), Signal::Mover { chain }.into());
 }
 
 /// Move the batch's records inside the chain's transaction: tombstone at the
@@ -1030,10 +1030,7 @@ fn rewind(cl: &ClusterRc, sim: &mut Sim, chain: u64) {
         grants.and_then(|g| g.ok()).unwrap_or_default()
     };
     resume_grants(cl, sim, grants);
-    let handle = cl.clone();
-    sim.after(SimDuration::from_millis(20), move |sim| {
-        next_step(&handle, sim, chain)
-    });
+    sim.post_after(SimDuration::from_millis(20), Signal::Mover { chain }.into());
 }
 
 fn maybe_finish(c: &mut Cluster, now: SimTime) {
@@ -1248,6 +1245,7 @@ mod tests {
             .load_tpcc(tpcc, &[NodeId(0), NodeId(1)])
             .unwrap();
         let mut sim = Sim::new();
+        crate::executor::install(&cl, &mut sim);
         let plan = ControlPlan::fraction(&cl.borrow(), sim.now(), 0.5, &[NodeId(0)], &[NodeId(2)]);
         run(&cl, &mut sim, plan);
         // Run until a range's batch 1 has applied: its transaction is held

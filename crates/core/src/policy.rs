@@ -109,20 +109,20 @@ pub struct PolicySignals {
 #[derive(Debug)]
 pub struct ElasticityPolicy {
     cfg: PolicyConfig,
-    high_streak: u32,
-    low_streak: u32,
-    /// Signal vector frozen by the most recent `evaluate` call.
+    /// The streaks as they stand, and as the most recent `evaluate` call
+    /// froze them.
+    streak: PolicySignals,
     signals: PolicySignals,
 }
 
 impl ElasticityPolicy {
     /// Policy with the given thresholds.
     pub fn new(cfg: PolicyConfig) -> Self {
+        let signals = PolicySignals::default();
         Self {
             cfg,
-            high_streak: 0,
-            low_streak: 0,
-            signals: PolicySignals::default(),
+            streak: signals,
+            signals,
         }
     }
 
@@ -147,10 +147,7 @@ impl ElasticityPolicy {
     ) -> Decision {
         // Freeze the streaks the branches below act on: the telemetry
         // timeline attaches them to this window's decision.
-        self.signals = PolicySignals {
-            high_streak: self.high_streak,
-            low_streak: self.low_streak,
-        };
+        self.signals = self.streak;
         let hot: Vec<NodeId> = (view.reports.iter())
             .filter(|r| r.active && r.cpu > self.cfg.cpu_high)
             .map(|r| r.node)
@@ -160,10 +157,10 @@ impl ElasticityPolicy {
             // standby availability: a cluster that has been hot for longer
             // than `patience` acts the moment a standby frees up, instead
             // of restarting its patience from zero.
-            self.high_streak += 1;
-            self.low_streak = 0;
-            if self.high_streak >= self.cfg.patience && !standby.is_empty() {
-                self.high_streak = 0;
+            self.streak.high_streak += 1;
+            self.streak.low_streak = 0;
+            if self.streak.high_streak >= self.cfg.patience && !standby.is_empty() {
+                self.streak.high_streak = 0;
                 let targets: Vec<NodeId> = standby.iter().copied().take(hot.len()).collect();
                 return Decision::ScaleOut {
                     sources: hot,
@@ -179,10 +176,10 @@ impl ElasticityPolicy {
             && active.iter().all(|r| r.cpu < self.cfg.cpu_low)
             && active_with_data.len() > 1;
         if all_low {
-            self.low_streak += 1;
-            self.high_streak = 0;
-            if self.low_streak >= self.cfg.patience {
-                self.low_streak = 0;
+            self.streak.low_streak += 1;
+            self.streak.high_streak = 0;
+            if self.streak.low_streak >= self.cfg.patience {
+                self.streak.low_streak = 0;
                 // Drain the *coldest* data node: its segments are the
                 // cheapest to relocate and the survivors inherit the least
                 // heat.
@@ -192,8 +189,7 @@ impl ElasticityPolicy {
             }
             return Decision::Hold;
         }
-        self.low_streak = 0;
-        self.high_streak = 0;
+        self.streak = PolicySignals::default();
         Decision::Hold
     }
 

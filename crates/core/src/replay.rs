@@ -1,29 +1,33 @@
 //! Replay of query cost traces through the shared cluster resources.
 //!
-//! The query engine ([`wattdb_query`]) executes plans functionally and
-//! emits a [`CostTrace`]. This module turns a trace into a chain of
-//! simulator actions over a cluster's CPUs, disks, and NICs, so analytic
-//! queries (the Fig. 1/2 micro-benchmarks and the examples) contend with
-//! whatever else the cluster is doing.
+//! The query engine ([`wattdb_query`]) emits a [`CostTrace`] per plan;
+//! a replay walks it over a cluster's CPUs, disks and NICs, so analytic
+//! queries (Figs. 1/2, the examples, [`crate::scan`]) contend with
+//! whatever else the cluster is doing. A replay is a cursor over its trace
+//! in a recycled slot of `Cluster::replays`; each leg of a stage completes
+//! with a [`Signal::Stage`] naming the slot (the last with the replay's
+//! `done` itself), so a warm replay allocates nothing. A `Sim` driven by
+//! hand needs [`crate::executor::install`] first.
 //!
-//! Sort workspaces go through a per-node memory broker: when concurrent
-//! sorts oversubscribe a node's sort memory, the overflow spills — one
-//! write + one read of the workspace on the node's SSD — which is exactly
-//! the mechanism behind the offloading crossover of Fig. 2.
+//! Sort workspaces go through a per-node memory broker: an oversubscribed
+//! node spills — one write + one read of the workspace on its SSD — the
+//! mechanism behind the offloading crossover of Fig. 2.
 
 use std::collections::HashMap;
 
 use wattdb_common::{ByteSize, NodeId, SimDuration};
+use wattdb_net::Network;
 use wattdb_query::{CostTrace, StageKind};
-use wattdb_sim::{Completion, Resource, Sim};
+use wattdb_sim::{Completion, Resource, Signal, Sim};
+use wattdb_storage::SimDisk;
 
-use crate::cluster::ClusterRc;
+use crate::cluster::{ClusterRc, NodeRuntime};
 
-/// Per-node sort-memory broker.
+/// Per-node sort-memory broker: each node's limit (none: unlimited) and
+/// the workspace reserved on it.
 #[derive(Debug, Default)]
 pub struct SortMemoryBroker {
-    limits: HashMap<NodeId, u64>,
-    in_use: HashMap<NodeId, u64>,
+    nodes: HashMap<NodeId, (u64, u64)>,
     /// Spills observed (diagnostics).
     pub spills: u64,
 }
@@ -31,80 +35,149 @@ pub struct SortMemoryBroker {
 impl SortMemoryBroker {
     /// Set a node's sort memory.
     pub fn set_limit(&mut self, node: NodeId, bytes: u64) {
-        self.limits.insert(node, bytes);
+        self.nodes.entry(node).or_insert((u64::MAX, 0)).0 = bytes;
     }
 
     /// Reserve workspace; returns true if it fits in memory, false if the
     /// sort must spill.
     pub fn reserve(&mut self, node: NodeId, bytes: u64) -> bool {
-        let limit = self.limits.get(&node).copied().unwrap_or(u64::MAX);
-        let used = self.in_use.entry(node).or_insert(0);
-        if *used + bytes <= limit {
-            *used += bytes;
-            true
-        } else {
-            self.spills += 1;
-            false
-        }
+        let (limit, used) = self.nodes.entry(node).or_insert((u64::MAX, 0));
+        let fits = *used + bytes <= *limit;
+        *used += if fits { bytes } else { 0 };
+        self.spills += u64::from(!fits);
+        fits
     }
 
     /// Release a previously fitting workspace.
     pub fn release(&mut self, node: NodeId, bytes: u64) {
-        if let Some(used) = self.in_use.get_mut(&node) {
+        if let Some((_, used)) = self.nodes.get_mut(&node) {
             *used = used.saturating_sub(bytes);
         }
     }
 }
 
-/// Replay `trace` against the cluster; the last stage completes with
-/// `done` (a caller that times the replay notes its own start).
-pub fn replay_trace(
-    cl: &ClusterRc,
-    sim: &mut Sim,
-    trace: CostTrace,
-    broker: std::rc::Rc<std::cell::RefCell<SortMemoryBroker>>,
-    done: Completion,
-) {
-    run_stage(cl.clone(), sim, trace, 0, broker, done);
+/// Trace replays in flight, each a cursor over its trace in a recycled
+/// slot; the sort memory they share; and the GroupAgg scratch of the
+/// scans that fill them.
+#[derive(Default)]
+pub struct Replays {
+    slots: Vec<Replay>,
+    vacant: Vec<u32>,
+    /// The cluster's sort-memory broker.
+    pub broker: SortMemoryBroker,
+    pub(crate) groups: Vec<(i64, i64)>,
 }
 
-fn run_stage(
-    cl: ClusterRc,
-    sim: &mut Sim,
+/// One replay: its trace, the stages started, the call latency its
+/// transfer in flight pays once delivered, and what its last stage
+/// completes.
+#[derive(Default)]
+struct Replay {
     trace: CostTrace,
-    idx: usize,
-    broker: std::rc::Rc<std::cell::RefCell<SortMemoryBroker>>,
-    done: Completion,
-) {
-    if idx >= trace.stages.len() {
-        sim.complete(done);
-        return;
+    next: usize,
+    latency: SimDuration,
+    done: Option<Completion>,
+}
+
+/// Legs of a stage in flight ([`Signal::Stage`]): it is done (or none has
+/// started); its transfer is delivered; its sort's CPU is done and the
+/// sort spills, or holds its workspace.
+const DONE: u8 = 0;
+const DELIVERED: u8 = 1;
+const SPILL: u8 = 2;
+const RELEASE: u8 = 3;
+
+impl Replays {
+    /// Open a slot for a replay; returns it, its empty trace to fill and
+    /// the GroupAgg scratch to fill it with.
+    pub(crate) fn open(&mut self, done: Completion) -> (u32, &mut CostTrace, &mut Vec<(i64, i64)>) {
+        let slot = self.vacant.pop().unwrap_or_else(|| {
+            self.slots.push(Replay::default());
+            self.slots.len() as u32 - 1
+        });
+        let r = &mut self.slots[slot as usize];
+        (r.next, r.done) = (0, Some(done));
+        r.trace.stages.clear();
+        (slot, &mut r.trace, &mut self.groups)
     }
-    let stage = trace.stages[idx];
-    // The last stage completes with `done` itself, not with a closure
-    // whose only job is to run it.
-    let next = if idx + 1 == trace.stages.len() {
-        done
-    } else {
-        let (cl2, broker2) = (cl.clone(), broker.clone());
-        Completion::call(move |sim| run_stage(cl2, sim, trace, idx + 1, broker2, done))
+
+    /// What a stage's last leg completes: the replay's next stage or, after
+    /// its last, its `done`, vacating the slot.
+    fn then(&mut self, slot: u32) -> Completion {
+        let r = &mut self.slots[slot as usize];
+        if r.next < r.trace.stages.len() {
+            return Signal::Stage { slot, leg: DONE }.into();
+        }
+        self.vacant.push(slot);
+        r.done.take().unwrap_or(Completion::Detached)
+    }
+}
+
+/// Replay `trace` against the cluster; the last stage completes with
+/// `done` (a caller that times the replay notes its own start).
+pub fn replay_trace(cl: &ClusterRc, sim: &mut Sim, trace: CostTrace, done: Completion) {
+    let slot = {
+        let mut c = cl.borrow_mut();
+        let (slot, slot_trace, _) = c.replays.open(done);
+        *slot_trace = trace;
+        slot
     };
+    advance(cl, sim, slot, DONE);
+}
+
+/// Leg `leg` of replay `slot`'s stage in flight is done ([`Signal::Stage`]).
+pub(crate) fn advance(cl: &ClusterRc, sim: &mut Sim, slot: u32, leg: u8) {
+    let done = {
+        let mut c = cl.borrow_mut();
+        let c = &mut *c;
+        step((&mut c.replays, &mut c.nodes, &c.net), sim, slot, leg)
+    };
+    if let Some(done) = done {
+        sim.complete(done);
+    }
+}
+
+/// Go on with replay `slot` after leg `leg` of its stage in flight.
+/// Returns the replay's `done` once its trace has ended, for the caller
+/// to complete after letting go of the cluster.
+pub(crate) fn step(
+    (replays, nodes, net): (&mut Replays, &mut [NodeRuntime], &Network),
+    sim: &mut Sim,
+    slot: u32,
+    leg: u8,
+) -> Option<Completion> {
+    let on_leg = |leg| Completion::from(Signal::Stage { slot, leg });
+    let r = &mut replays.slots[slot as usize];
+    if leg == DELIVERED {
+        sim.post_after(r.latency, replays.then(slot));
+        return None;
+    }
+    if let (SPILL | RELEASE, Some(i)) = (leg, r.next.checked_sub(1)) {
+        let (on, kind) = (r.trace.stages[i].on, r.trace.stages[i].kind);
+        let StageKind::SortWorkspace { bytes, .. } = kind else {
+            unreachable!("only a sort spills or holds a workspace")
+        };
+        if leg == RELEASE {
+            replays.broker.release(on, bytes);
+        } else {
+            // Spill: write + read the workspace after the sort CPU.
+            let spill = ByteSize::bytes(bytes * 2);
+            scratch_disk(nodes, on).bulk_transfer(sim, spill, on_leg(DONE));
+            return None;
+        }
+    }
+    let Some(&stage) = r.trace.stages.get(r.next) else {
+        return Some(replays.then(slot));
+    };
+    r.next += 1;
+    let cpu = &nodes[stage.on.raw() as usize].cpu;
     match stage.kind {
         StageKind::Cpu { dur } => {
-            let cpu = cl.borrow().nodes[stage.on.raw() as usize].cpu.clone();
-            Resource::submit(&cpu, sim, dur, next);
+            Resource::submit(cpu, sim, dur, replays.then(slot));
         }
         StageKind::PageReads { pages } => {
-            // Bulk sequential scan I/O on the node's first SSD.
-            let bytes = pages * wattdb_storage::PAGE_SIZE as u64;
-            let mut c = cl.borrow_mut();
-            let n_disks = c.nodes[stage.on.raw() as usize].disks.len();
-            let disk = if n_disks > 1 { 1 } else { 0 };
-            c.nodes[stage.on.raw() as usize].disks[disk].bulk_transfer(
-                sim,
-                ByteSize::bytes(bytes),
-                next,
-            );
+            let bytes = ByteSize::bytes(pages * wattdb_storage::PAGE_SIZE as u64);
+            scratch_disk(nodes, stage.on).bulk_transfer(sim, bytes, replays.then(slot));
         }
         StageKind::NetTransfer {
             from,
@@ -116,46 +189,23 @@ fn run_stage(
             // Per-call round-trip latency plus serialization; a buffering
             // operator's prefetch hides everything but one call's latency
             // and the bandwidth floor.
-            let hop = cl.borrow().net.spec().hop_latency;
-            let rtt = SimDuration::from_micros(hop.as_micros() * 2);
-            let latency_calls = if overlapped { 1 } else { calls };
-            let latency = SimDuration::from_micros(rtt.as_micros() * latency_calls);
-            let c = cl.borrow();
-            let deliver = Completion::call(move |sim| sim.post_after(latency, next));
-            c.net.send(sim, from, to, ByteSize::bytes(bytes), deliver);
+            let rtt = net.spec().hop_latency.as_micros() * 2;
+            r.latency = SimDuration::from_micros(rtt * if overlapped { 1 } else { calls });
+            net.send(sim, from, to, ByteSize::bytes(bytes), on_leg(DELIVERED));
         }
-        StageKind::SortWorkspace { bytes, cpu } => {
-            let node = stage.on;
-            let fits = broker.borrow_mut().reserve(node, bytes);
-            let cpu_res = cl.borrow().nodes[node.raw() as usize].cpu.clone();
-            let release = {
-                let broker3 = broker.clone();
-                Completion::call(move |sim| {
-                    if fits {
-                        broker3.borrow_mut().release(node, bytes);
-                    }
-                    sim.complete(next);
-                })
-            };
-            if fits {
-                Resource::submit(&cpu_res, sim, cpu, release);
-            } else {
-                // Spill: write + read the workspace around the sort CPU.
-                let cl2 = cl.clone();
-                let after_cpu = Completion::call(move |sim| {
-                    let mut c = cl2.borrow_mut();
-                    let n_disks = c.nodes[node.raw() as usize].disks.len();
-                    let disk = if n_disks > 1 { 1 } else { 0 };
-                    c.nodes[node.raw() as usize].disks[disk].bulk_transfer(
-                        sim,
-                        ByteSize::bytes(bytes * 2),
-                        release,
-                    );
-                });
-                Resource::submit(&cpu_res, sim, cpu, after_cpu);
-            }
+        StageKind::SortWorkspace { bytes, cpu: dur } => {
+            let fits = replays.broker.reserve(stage.on, bytes);
+            Resource::submit(cpu, sim, dur, on_leg(if fits { RELEASE } else { SPILL }));
         }
     }
+    None
+}
+
+/// The drive a node's scans and spills use: its first SSD.
+fn scratch_disk(nodes: &mut [NodeRuntime], on: NodeId) -> &mut SimDisk {
+    let disks = &mut nodes[on.raw() as usize].disks;
+    let ssd = usize::from(disks.len() > 1);
+    &mut disks[ssd]
 }
 
 #[cfg(test)]
@@ -189,11 +239,11 @@ mod tests {
         );
         let cl = cluster();
         let mut sim = Sim::new();
-        let broker = Rc::new(RefCell::new(SortMemoryBroker::default()));
+        crate::executor::install(&cl, &mut sim);
         let out: Rc<RefCell<Option<SimDuration>>> = Rc::new(RefCell::new(None));
         let (o, started) = (out.clone(), sim.now());
         let done = Completion::call(move |sim| *o.borrow_mut() = Some(sim.now().since(started)));
-        replay_trace(&cl, &mut sim, trace, broker, done);
+        replay_trace(&cl, &mut sim, trace, done);
         sim.run_to_completion();
         let d = out.borrow().expect("trace completed");
         d
@@ -264,8 +314,8 @@ mod tests {
     fn sort_spills_when_memory_oversubscribed() {
         let cl = cluster();
         let mut sim = Sim::new();
-        let broker = Rc::new(RefCell::new(SortMemoryBroker::default()));
-        broker.borrow_mut().set_limit(NodeId(1), 50_000);
+        crate::executor::install(&cl, &mut sim);
+        cl.borrow_mut().replays.broker.set_limit(NodeId(1), 50_000);
         // Two concurrent sorts of ~100 KB each: the second spills.
         for _ in 0..2 {
             let plan = PlanNode::Sort {
@@ -273,9 +323,9 @@ mod tests {
                 on: NodeId(1),
             };
             let (_, trace) = execute(&plan, &CostParams::default(), &ExecConfig::default());
-            replay_trace(&cl, &mut sim, trace, broker.clone(), Completion::Detached);
+            replay_trace(&cl, &mut sim, trace, Completion::Detached);
         }
         sim.run_to_completion();
-        assert!(broker.borrow().spills >= 1);
+        assert!(cl.borrow().replays.broker.spills >= 1);
     }
 }

@@ -1,67 +1,59 @@
 //! Analytic scans over live segments, costed by the query engine.
 //!
 //! The OLTP executor prices point operations; this module is the bridge
-//! for the *other* half of the workload: table/range scans (optionally
-//! with an aggregation) that run through `wattdb_query`'s volcano
-//! executor against the cluster's real segments. Each covered segment
-//! becomes one per-segment plan; [`wattdb_query::execute_into`] evaluates
-//! it and emits the [`wattdb_query::CostTrace`] whose stages are replayed
-//! through the shared node resources — so scans contend with OLTP for
-//! the CPUs the monitor watches — and whose collapsed
-//! [`wattdb_common::CostVector`] is charged to the segment's heat.
-//!
-//! This is where cost-based heat earns its keep: under the cost model a
-//! 2 000-record scan with an aggregation charges its full CPU/page bill
-//! to the segment, so a scan-heavy segment with a handful of accesses
-//! out-weighs a point-read-hot one and the planner ships the *work*. With
-//! cost tracing off the same scan is a single access (one
-//! [`crate::heat::READ_WEIGHT`]), which is all the legacy count signal
-//! could see.
-//!
-//! Heat is charged at **dispatch time** from the trace — i.e. from the
-//! optimizer's cost estimate, exactly the signal Arsov et al. plan on —
-//! while the hardware demand is replayed in virtual time.
+//! for the *other* half of the workload: range scans (optionally with an
+//! aggregation) that run through `wattdb_query`'s executor against the
+//! cluster's real segments. Each covered segment's evaluation emits a
+//! [`wattdb_query::CostTrace`] whose stages are replayed through the
+//! shared node resources — so scans contend with OLTP for the CPUs the
+//! monitor watches — and whose [`wattdb_common::CostVector`] is charged
+//! to the segment's heat at **dispatch time** (the optimizer's estimate,
+//! the signal Arsov et al. plan on). Under the cost model a scan with an
+//! aggregation charges its full CPU/page bill, so a scan-heavy segment
+//! out-weighs a point-read-hot one; with cost tracing off it is a single
+//! access ([`crate::heat::READ_WEIGHT`]).
 //!
 //! # Cost
 //!
-//! Segments are planned one at a time, and the plan's scan reads the
-//! segment's index in place ([`SegmentIndex::visit_range`]): the range is
-//! walked once to count it (an empty segment gets no plan, no heat and no
-//! trace) and once by the scan, whose tuples the executor pushes through
-//! the aggregation and drops at the root. No key list, range list or row
-//! list is built, so a scan's heap is the same whatever its row count —
-//! per segment, the two plan boxes, the aggregation's groups and the
-//! trace the replay takes over.
+//! One plan serves every covered segment, reading the one set on its
+//! source in place ([`SegmentIndex::visit_range`]): a range is walked once
+//! to count it (an empty segment gets no run, heat or replay) and once by
+//! the scan, whose tuples are dropped at the root. The stages go into a
+//! recycled replay slot ([`crate::replay`]) and the groups into one reused
+//! vector, so a warm scan's heap calls are its plan's two boxes, whatever
+//! its rows and segments.
 
-use std::cell::RefCell;
-use std::rc::Rc;
+use std::cell::Cell;
 
-use wattdb_common::{KeyRange, TableId};
+use wattdb_common::{KeyRange, NodeId, TableId};
 use wattdb_index::SegmentIndex;
 use wattdb_query::{execute_into, AggFunc, ExecConfig, PlanNode, RowSource, Tuple, Values};
 use wattdb_sim::Completion;
 
 use crate::cluster::ClusterRc;
-use crate::replay::{replay_trace, SortMemoryBroker};
+use crate::replay::step;
 
-/// One segment's keys in the scanned range, adapted to the query engine's
-/// [`RowSource`]: it borrows the segment's index under the cluster borrow
-/// and walks the range in place when the scan operator pulls, so no key
-/// list is built and each tuple, owning no heap memory, goes straight to
-/// the operator above.
+/// The scanned range of the segment being planned, adapted to the query
+/// engine's [`RowSource`]: it borrows the segment's index under the
+/// cluster borrow and walks the range in place when the scan operator
+/// pulls, so no key list is built and each tuple, owning no heap memory,
+/// goes straight to the operator above.
 struct SegmentSource<'a> {
-    index: &'a SegmentIndex,
+    /// The segment's index and page count.
+    segment: Cell<Option<(&'a SegmentIndex, u64)>>,
     range: KeyRange,
-    pages: u64,
 }
 
-impl RowSource for SegmentSource<'_> {
+impl RowSource for &SegmentSource<'_> {
     fn page_count(&self) -> u64 {
-        self.pages
+        self.segment.get().map_or(0, |(_, pages)| pages)
     }
 
     fn push_rows(&self, out: &mut dyn FnMut(Tuple)) {
-        self.index.visit_range(self.range, |k, _| {
+        let Some((index, _)) = self.segment.get() else {
+            return;
+        };
+        index.visit_range(self.range, |k, _| {
             out(Tuple {
                 key: k,
                 // Deterministic pseudo-columns: a value and a group column
@@ -89,12 +81,10 @@ pub struct ScanReport {
 
 /// Dispatch a range scan of `table` over `range`, optionally topped by a
 /// [`AggFunc`] group-aggregation on the storage node (the CPU-heavy
-/// shape). Per covered segment, in id order — a segment with no key in
-/// `range` is not covered: plan it, evaluate the plan with the rows
-/// dropped at the root, charge the trace's cost to the segment's heat at
-/// the current virtual time, and replay the hardware demands through the
-/// cluster's shared resources. Returns the dispatch-time report; the
-/// demands drain asynchronously in virtual time.
+/// shape). Per covered segment (one with a key in `range`), in id order:
+/// evaluate the plan on the segment's node, charge the trace's cost to
+/// its heat now and start replaying the hardware demands. Returns the
+/// dispatch-time report; the demands drain in virtual time.
 pub fn submit_scan(
     cl: &ClusterRc,
     sim: &mut wattdb_sim::Sim,
@@ -103,54 +93,49 @@ pub fn submit_scan(
     agg: Option<AggFunc>,
 ) -> ScanReport {
     let mut report = ScanReport::default();
-    let broker = Rc::new(RefCell::new(SortMemoryBroker::default()));
-    let mut jobs = Vec::new();
-    {
-        let mut c = cl.borrow_mut();
-        let c = &mut *c;
-        let (params, cfg, now) = (c.cfg.costs, ExecConfig::default(), sim.now());
-        let overlapping = |r: KeyRange| r.start < range.end && range.start < r.end;
-        for m in c.seg_dir.of_table(table) {
-            if !m.key_range.is_some_and(overlapping) {
-                continue;
-            }
-            let Some(index) = c.indexes.get(&m.id) else {
-                continue;
-            };
-            let mut rows = 0;
-            index.visit_range(range, |_, _| rows += 1);
-            if rows == 0 {
-                continue;
-            }
-            let source = SegmentSource {
-                index,
-                range,
-                pages: (c.store.page_count(m.id) as u64).max(1),
-            };
-            let on = m.node;
-            let mut plan = PlanNode::Scan {
-                source: Box::new(source),
-                on,
-            };
-            if let Some(func) = agg {
-                plan = PlanNode::GroupAgg {
-                    input: Box::new(plan),
-                    func,
-                    on,
-                };
-            }
-            let trace = execute_into(&plan, &params, &cfg, &mut |_| {});
-            let cost = trace.cost_vector();
-            let before = c.heat.heat_of(m.id, now).value();
-            c.heat.record_scan(m.id, now, cost);
-            report.heat_charged += c.heat.heat_of(m.id, now).value() - before;
-            report.segments += 1;
-            report.rows += rows;
-            jobs.push(trace);
-        }
+    let mut c = cl.borrow_mut();
+    let c = &mut *c;
+    let (params, cfg, now) = (c.cfg.costs, ExecConfig::default(), sim.now());
+    let source = SegmentSource {
+        segment: Cell::new(None),
+        range,
+    };
+    let on = NodeId::MASTER;
+    let mut plan = PlanNode::Scan {
+        source: Box::new(&source),
+        on,
+    };
+    if let Some(func) = agg {
+        let input = Box::new(plan);
+        plan = PlanNode::GroupAgg { input, func, on };
     }
-    for trace in jobs {
-        replay_trace(cl, sim, trace, broker.clone(), Completion::Detached);
+    let overlapping = |r: KeyRange| r.start < range.end && range.start < r.end;
+    for m in c.seg_dir.of_table(table) {
+        if !m.key_range.is_some_and(overlapping) {
+            continue;
+        }
+        let Some(index) = c.indexes.get(&m.id) else {
+            continue;
+        };
+        let mut rows = 0;
+        index.visit_range(range, |_, _| rows += 1);
+        if rows == 0 {
+            continue;
+        }
+        let pages = (c.store.page_count(m.id) as u64).max(1);
+        source.segment.set(Some((index, pages)));
+        let (slot, trace, groups) = c.replays.open(Completion::Detached);
+        execute_into(&plan, &params, &cfg, trace, groups, &mut |_| {});
+        // The plan runs on one node, so its trace is the same on any.
+        trace.stages.iter_mut().for_each(|s| s.on = m.node);
+        let cost = trace.cost_vector();
+        let before = c.heat.heat_of(m.id, now).value();
+        c.heat.record_scan(m.id, now, cost);
+        report.heat_charged += c.heat.heat_of(m.id, now).value() - before;
+        report.segments += 1;
+        report.rows += rows;
+        // A scan's `done` is detached: there is nothing to complete.
+        step((&mut c.replays, &mut c.nodes, &c.net), sim, slot, 0);
     }
     report
 }

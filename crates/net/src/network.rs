@@ -10,12 +10,15 @@
 //! volcano `next()` calls catastrophic in Fig. 1 and bulk segment copies
 //! interfere with query traffic — emerges from the queues.
 //!
-//! A message is one kernel event: both links book the piece when it is
-//! sent, and its delivery is posted once, one hop after the later of the
-//! two clears ([`Resource::submit_pair`]). So a one-piece message's
-//! arrival is known when it is sent, and [`Network::send`] returns it: a
-//! sender that waits on nothing but wants to know when it landed (a
-//! replica's acknowledgement) books it with [`Sim::book`].
+//! A piece is one kernel event: both links book it when it is sent, and
+//! its completion is posted once, when the later of the two clears
+//! ([`Resource::submit_pair`]). A message up to [`CHUNK`] is one piece,
+//! whose delivery is due one hop after it clears: its arrival is known
+//! when it is sent, and [`Network::send`] returns it, so a sender that
+//! waits on nothing but wants to know when it landed (a replica's
+//! acknowledgement) books it with [`Sim::book`]. A longer message is the
+//! kernel's chunked transfer ([`Resource::stream`]): each later chunk is
+//! sent when the one before it clears, as data, with no closure.
 
 use std::cell::Cell;
 
@@ -87,10 +90,11 @@ impl Network {
 
     /// Send `bytes` from `src` to `dst`; `delivered` fires at the receiver
     /// when the message arrives. Local sends (src == dst) skip the wire
-    /// entirely (records move through main memory, §3.3). Transfers larger
-    /// than 2 MiB are streamed in chunks so small messages (volcano calls,
-    /// log shipping) interleave on the links instead of stalling behind a
-    /// multi-second bulk copy.
+    /// entirely (records move through main memory, §3.3). A message past
+    /// [`CHUNK`] is streamed a chunk at a time ([`Resource::stream`]), so
+    /// small messages (volcano calls, log shipping) interleave on the links
+    /// instead of stalling behind a multi-second bulk copy; the hop latency
+    /// is paid once, by the last chunk.
     ///
     /// Returns `Some((arrival, as_of))` for a message that rides one piece:
     /// it arrives at `arrival`, ranked among the events due then as of
@@ -122,37 +126,16 @@ impl Network {
         r.rx_messages += 1;
         r.rx_bytes += bytes.as_u64();
         to.stats.set(r);
-        stream(&from.tx, &to.rx, self.spec, sim, bytes.as_u64(), delivered)
+        let (spec, hop) = (self.spec, self.spec.hop_latency);
+        let wire = |b| ByteSize::bytes(b).transfer_time(spec.bandwidth);
+        let pieces = (bytes.as_u64(), CHUNK, hop);
+        let clear = Resource::stream(sim, (&from.tx, Some(&to.rx)), pieces, wire, delivered);
+        (bytes.as_u64() <= CHUNK).then_some((clear + hop, clear))
     }
 }
 
-/// `remaining` bytes over the dual-occupancy links, a chunk at a time; each
-/// later chunk is chained from its predecessor's completion (a closure:
-/// only messages past one chunk pay for it). The hop latency is paid once
-/// per message, by its last chunk. Returns a one-piece message's arrival
-/// and its as-of instant (see [`Network::send`]).
-fn stream(
-    tx: &ResourceHandle,
-    rx: &ResourceHandle,
-    spec: NetworkSpec,
-    sim: &mut Sim,
-    remaining: u64,
-    done: Completion,
-) -> Option<(SimTime, SimTime)> {
-    const CHUNK: u64 = 2 * 1024 * 1024;
-    let this = ByteSize::bytes(remaining.min(CHUNK));
-    let rest = remaining - this.as_u64();
-    if rest == 0 {
-        let clear = send_piece(tx, rx, spec, sim, this, spec.hop_latency, done);
-        return Some((clear + spec.hop_latency, clear));
-    }
-    let (tx2, rx2) = (tx.clone(), rx.clone());
-    let chain = Completion::call(move |sim| {
-        stream(&tx2, &rx2, spec, sim, rest, done);
-    });
-    send_piece(tx, rx, spec, sim, this, SimDuration::ZERO, chain);
-    None
-}
+/// The largest piece a message occupies the links with.
+pub const CHUNK: u64 = 2 * 1024 * 1024;
 
 /// One piece occupying the sender's egress and the receiver's ingress in
 /// parallel; `done` is due `hop` after the later of the two clears

@@ -83,40 +83,33 @@ pub struct CostTrace {
 }
 
 impl CostTrace {
+    fn sum(&self, of: impl Fn(StageKind) -> u64) -> u64 {
+        self.stages.iter().map(|s| of(s.kind)).sum()
+    }
+
     /// Total CPU time across stages (unloaded lower bound).
     pub fn total_cpu(&self) -> SimDuration {
-        let us = self
-            .stages
-            .iter()
-            .map(|s| match s.kind {
-                StageKind::Cpu { dur } => dur.as_micros(),
-                StageKind::SortWorkspace { cpu, .. } => cpu.as_micros(),
-                _ => 0,
-            })
-            .sum();
-        SimDuration::from_micros(us)
+        SimDuration::from_micros(self.sum(|k| match k {
+            StageKind::Cpu { dur } => dur.as_micros(),
+            StageKind::SortWorkspace { cpu, .. } => cpu.as_micros(),
+            _ => 0,
+        }))
     }
 
     /// Total bytes shipped.
     pub fn total_net_bytes(&self) -> u64 {
-        self.stages
-            .iter()
-            .map(|s| match s.kind {
-                StageKind::NetTransfer { bytes, .. } => bytes,
-                _ => 0,
-            })
-            .sum()
+        self.sum(|k| match k {
+            StageKind::NetTransfer { bytes, .. } => bytes,
+            _ => 0,
+        })
     }
 
     /// Total pages read.
     pub fn total_pages(&self) -> u64 {
-        self.stages
-            .iter()
-            .map(|s| match s.kind {
-                StageKind::PageReads { pages } => pages,
-                _ => 0,
-            })
-            .sum()
+        self.sum(|k| match k {
+            StageKind::PageReads { pages } => pages,
+            _ => 0,
+        })
     }
 
     /// Collapse the trace into the common [`CostVector`] currency — the
@@ -155,28 +148,32 @@ pub fn execute(
     params: &CostParams,
     cfg: &ExecConfig,
 ) -> (Vec<Tuple>, CostTrace) {
-    let mut rows = Vec::new();
-    let trace = execute_into(plan, params, cfg, &mut |t| rows.push(t));
+    let (mut rows, mut trace) = (Vec::new(), CostTrace::default());
+    let sink = &mut |t| rows.push(t);
+    execute_into(plan, params, cfg, &mut trace, &mut Vec::new(), sink);
     (rows, trace)
 }
 
-/// Run a plan, pushing each result tuple into `sink` as the root emits
-/// it; returns the cost trace. A caller that wants only the trace passes
-/// a sink that drops the rows, and nothing but the blocking operators'
-/// state is ever held.
+/// Run a plan, appending its stages to `trace` and pushing each result
+/// tuple into `sink` as the root emits it: a sink that drops the rows
+/// leaves only the blocking operators' state held. A caller that keeps
+/// `trace` and `groups` (GroupAgg's groups, handed back empty)
+/// across plans evaluates a warm plan with no allocation.
 pub fn execute_into(
     plan: &PlanNode<'_>,
     params: &CostParams,
     cfg: &ExecConfig,
+    trace: &mut CostTrace,
+    groups: &mut Vec<(i64, i64)>,
     sink: &mut dyn FnMut(Tuple),
-) -> CostTrace {
+) {
     let mut run = Run {
         params,
         cfg,
-        trace: CostTrace::default(),
+        trace,
+        groups,
     };
     run.node(plan, plan.placement(), false, sink);
-    run.trace
 }
 
 /// Rows and logical bytes an operator has emitted: what shipping them
@@ -194,11 +191,12 @@ impl Flow {
     }
 }
 
-/// One evaluation: the settings and the trace being written.
+/// One evaluation: its settings, the trace it writes, GroupAgg's scratch.
 struct Run<'p> {
     params: &'p CostParams,
     cfg: &'p ExecConfig,
-    trace: CostTrace,
+    trace: &'p mut CostTrace,
+    groups: &'p mut Vec<(i64, i64)>,
 }
 
 impl Run<'_> {
@@ -273,33 +271,35 @@ impl Run<'_> {
                 rows.into_iter().for_each(out);
             }
             PlanNode::GroupAgg { input, func, on } => {
-                let (mut n, mut groups) = (0, std::collections::BTreeMap::<i64, i64>::new());
+                // A GroupAgg below this one finds the scratch taken.
+                let (mut n, mut groups) = (0, std::mem::take(self.groups));
                 self.node(input, *on, false, &mut |t| {
                     n += 1;
                     let g = t.values.get(1).copied().unwrap_or(0);
                     let v = t.values.first().copied().unwrap_or(0);
-                    let slot = groups.entry(g).or_insert(0);
-                    match func {
-                        AggFunc::Count => *slot += 1,
-                        AggFunc::Sum => *slot += v,
+                    let v = if *func == AggFunc::Count { 1 } else { v };
+                    match groups.iter().position(|&(k, _)| k == g) {
+                        Some(at) => groups[at].1 += v,
+                        None => groups.push((g, v)),
                     }
                 });
+                groups.sort_unstable_by_key(|&(g, _)| g);
                 let dur = params.agg_per_record * n;
                 self.stage(*on, StageKind::Cpu { dur });
-                let width = 16;
-                let rows = groups.len() as u64;
+                let (width, rows) = (16, groups.len() as u64);
                 let flow = Flow {
                     rows,
                     bytes: rows * width as u64,
                 };
                 self.ship(&flow, *on, consumer_on, buffered);
-                for (i, (g, v)) in groups.into_iter().enumerate() {
+                for (i, (g, v)) in groups.drain(..).enumerate() {
                     out(Tuple {
                         key: wattdb_common::Key(i as u64),
                         values: Values::from([v, g]),
                         width,
                     });
                 }
+                *self.groups = groups;
             }
             PlanNode::Buffer { input } => {
                 // The proxy sits on the producer's node; it marks the producer's

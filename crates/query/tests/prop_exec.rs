@@ -18,7 +18,7 @@ mod reference;
 
 use wattdb_common::{CostParams, DetRng, Key, KeyRange, NodeId};
 use wattdb_query::{
-    execute, execute_into, AggFunc, ExecConfig, PlanNode, StageKind, SyntheticTable,
+    execute, execute_into, AggFunc, CostTrace, ExecConfig, PlanNode, StageKind, SyntheticTable,
 };
 
 /// Plans per batch size.
@@ -82,6 +82,9 @@ fn plan(rng: &mut DetRng, depth: u32) -> PlanNode<'static> {
 #[test]
 fn push_pipeline_matches_the_materializing_executor() {
     let params = CostParams::default();
+    // One trace and one GroupAgg scratch serve every case, as a scan
+    // keeps them across its segments.
+    let (mut sunk, mut groups) = (CostTrace::default(), Vec::new());
     for batch_size in [1, 128] {
         for case in 0..CASES {
             let seed = batch_size * 1_000_003 + case;
@@ -96,8 +99,12 @@ fn push_pipeline_matches_the_materializing_executor() {
             assert_eq!(rows, want_rows, "rows of case {seed}");
             assert_eq!(trace, want_trace, "trace of case {seed}");
             let mut pushed = 0;
-            let sunk = execute_into(&plan, &params, &cfg, &mut |_| pushed += 1);
+            sunk.stages.clear();
+            execute_into(&plan, &params, &cfg, &mut sunk, &mut groups, &mut |_| {
+                pushed += 1
+            });
             assert_eq!(sunk, want_trace, "sink trace of case {seed}");
+            assert!(groups.is_empty(), "the scratch comes back empty");
             assert_eq!(pushed, want_rows.len(), "rows sunk in case {seed}");
         }
     }
@@ -122,7 +129,15 @@ fn limit_drains_its_input() {
     };
     let (params, cfg) = (CostParams::default(), ExecConfig::default());
     let mut passed = 0;
-    let trace = execute_into(&plan, &params, &cfg, &mut |_| passed += 1);
+    let mut trace = CostTrace::default();
+    execute_into(
+        &plan,
+        &params,
+        &cfg,
+        &mut trace,
+        &mut Vec::new(),
+        &mut |_| passed += 1,
+    );
     assert_eq!(passed, 5);
     let scan_cpu = trace.stages[1].kind;
     assert_eq!(

@@ -59,13 +59,19 @@ pub trait SampleRange {
 
 fn uniform_u64<R: RngCore + ?Sized>(rng: &mut R, span: u64) -> u64 {
     // Rejection sampling against the largest multiple of `span`, so the
-    // draw is exactly uniform (no modulo bias).
+    // draw is exactly uniform (no modulo bias). A power-of-two span takes
+    // no division: that multiple is 2^64 − span, the remainder a mask.
     debug_assert!(span > 0);
-    let zone = u64::MAX - (u64::MAX % span);
+    let pow2 = span.is_power_of_two();
+    let zone = if pow2 {
+        span.wrapping_neg()
+    } else {
+        u64::MAX - (u64::MAX % span)
+    };
     loop {
         let x = rng.next_u64();
         if x < zone {
-            return x % span;
+            return if pow2 { x & (span - 1) } else { x % span };
         }
     }
 }
@@ -181,6 +187,49 @@ pub mod rngs {
 mod tests {
     use super::rngs::SmallRng;
     use super::{Rng, SeedableRng};
+
+    /// The division path every span took before powers of two got their
+    /// mask.
+    fn by_division<R: super::RngCore>(rng: &mut R, span: u64) -> u64 {
+        let zone = u64::MAX - (u64::MAX % span);
+        loop {
+            let x = rng.next_u64();
+            if x < zone {
+                return x % span;
+            }
+        }
+    }
+
+    /// Replays a script of raw draws, then a generator's.
+    struct Scripted(Vec<u64>, SmallRng);
+
+    impl super::RngCore for Scripted {
+        fn next_u64(&mut self) -> u64 {
+            self.0.pop().unwrap_or_else(|| self.1.gen())
+        }
+    }
+
+    #[test]
+    fn a_power_of_two_span_draws_what_division_draws() {
+        for bit in 0..64 {
+            let span = 1u64 << bit;
+            // Values at and around the rejection zone's edge come first.
+            let edge = span.wrapping_neg();
+            let script = vec![3, edge - 1, edge, u64::MAX, edge.wrapping_add(1)];
+            let mut fast = Scripted(script.clone(), SmallRng::seed_from_u64(bit));
+            let mut slow = Scripted(script, SmallRng::seed_from_u64(bit));
+            for _ in 0..64 {
+                let want = by_division(&mut slow, span);
+                assert_eq!(super::uniform_u64(&mut fast, span), want, "span 2^{bit}");
+            }
+        }
+        // The draw the TPC-C loader makes per stand-in byte.
+        let (mut fast, mut slow) = (SmallRng::seed_from_u64(5), SmallRng::seed_from_u64(5));
+        for _ in 0..10_000 {
+            let want = by_division(&mut slow, 256);
+            assert_eq!(fast.gen_range(0u64..=255), want);
+        }
+    }
 
     #[test]
     fn deterministic_streams() {

@@ -1,19 +1,19 @@
 //! What an event carries: the completion vocabulary of the kernel.
 //!
 //! [`Completion`] is what runs when a timer fires, a resource request is
-//! served or a message arrives. On the hot path it is plain data — a
-//! [`Signal`] for the layers above, or nothing — and only
-//! [`Completion::Call`] owns an environment. The loop that carries these
-//! is [`crate::kernel`].
+//! served or a message arrives. It is plain data — a [`Signal`] for the
+//! layers above, a chunked transfer's next piece, or nothing — except
+//! [`Completion::Call`], which owns an environment. The loop that carries
+//! these is [`crate::kernel`].
 
 use wattdb_common::{NodeId, SimTime};
 
 use crate::kernel::Sim;
 use crate::profile::CostCategory;
 
-/// A boxed continuation: the escape hatch for cold paths (monitoring,
-/// migration, trace replay, test probes). Owns its environment via `move`
-/// (typically `Rc<RefCell<...>>` handles to shared cluster state).
+/// A boxed continuation, for what is not a step of the engine's bulk or
+/// per-operation work: monitoring, setup, test probes, the remote-buffer
+/// round trip. Owns its environment via `move`.
 pub type EventFn = Box<dyn FnOnce(&mut Sim)>;
 
 /// Closure of a repeating event: return `true` to fire again one period
@@ -54,6 +54,12 @@ pub enum Signal {
     ClientArrival { client: u32 },
     /// Pooled carrier `carrier`'s arrival offset inside its tick elapsed.
     PoolArrival { carrier: u32 },
+    /// Leg `leg` of the stage in flight of the trace replay in slot `slot`
+    /// is done.
+    Stage { slot: u32, leg: u8 },
+    /// Mover chain `chain` goes on: a leg of its copy is done, or, with
+    /// none in flight, its next step starts.
+    Mover { chain: u64 },
 }
 
 /// What runs when something finishes: a request on a
@@ -63,10 +69,14 @@ pub enum Completion {
     /// Nobody waits: a resource request with this completion only
     /// occupies the resource, and posts no event.
     Detached,
-    /// Run a closure: one box, for paths that are not per-operation.
+    /// Run a closure: one box ([`EventFn`] says for what).
     Call(EventFn),
     /// Hand a [`Signal`] to the installed handler.
     Signal(Signal),
+    /// Submit the next piece of the chunked transfer parked in this slot
+    /// of the kernel's pool; only
+    /// [`Resource::stream`](crate::resource::Resource::stream) makes one.
+    Chunk(u32),
 }
 
 impl Completion {
@@ -80,15 +90,16 @@ impl Completion {
         match self {
             Completion::Call(_) => 0,
             Completion::Detached => 2,
-            Completion::Signal(s) => match s {
-                Signal::Resume { .. } => 3,
-                Signal::PageOffDisk { .. } => 4,
-                Signal::Retry { .. } => 5,
-                Signal::FlushLog { .. } => 6,
-                Signal::FlushDone { .. } => 7,
-                Signal::ClientArrival { .. } => 8,
-                Signal::PoolArrival { .. } => 9,
-            },
+            Completion::Signal(Signal::Resume { .. }) => 3,
+            Completion::Signal(Signal::PageOffDisk { .. }) => 4,
+            Completion::Signal(Signal::Retry { .. }) => 5,
+            Completion::Signal(Signal::FlushLog { .. }) => 6,
+            Completion::Signal(Signal::FlushDone { .. }) => 7,
+            Completion::Signal(Signal::ClientArrival { .. }) => 8,
+            Completion::Signal(Signal::PoolArrival { .. }) => 9,
+            Completion::Signal(Signal::Stage { .. }) => 11,
+            Completion::Signal(Signal::Mover { .. }) => 12,
+            Completion::Chunk(_) => 10,
         }
     }
 }
@@ -102,7 +113,7 @@ impl From<Signal> for Completion {
 /// Names of the event kinds [`Sim::events_by_kind`] counts, in its order:
 /// a repeater firing, or the kind of [`Completion`] the event ran — for a
 /// resource request or a message, the one it carried.
-pub const EVENT_KINDS: [&str; 10] = [
+pub const EVENT_KINDS: [&str; 13] = [
     "call",
     "repeat",
     "detached",
@@ -113,5 +124,8 @@ pub const EVENT_KINDS: [&str; 10] = [
     "flush_done",
     "client_arrival",
     "pool_arrival",
+    "chunk",
+    "stage",
+    "mover",
 ];
 pub(crate) const KIND_REPEAT: usize = 1;

@@ -3,19 +3,16 @@
 //! # What an event is
 //!
 //! A queue entry carries a small enum, dispatched by one `match` in
-//! [`Sim::step`]:
-//!
-//! * a [`Completion`] due at a time — plain data on the hot path
-//!   ([`Signal`]: ids and timestamps for the layers above, delivered to the
-//!   one handler installed with [`Sim::set_handler`]; or nothing at all), or
-//!   a boxed closure ([`Completion::Call`]) for cold paths, which is what
-//!   [`Sim::schedule`] / [`Sim::after`] wrap;
-//! * a **repeater** ([`Sim::every`]), whose closure is boxed once.
-//!
-//! Only `Call` owns an environment. A data event and a steady-state
-//! repeater firing perform **zero heap allocations**; a closure one-shot
-//! costs exactly its box (both asserted by the counting-allocator test in
-//! `tests/alloc_free.rs`). Firing counts by kind of completion fall out of
+//! [`Sim::step`]: a [`Completion`] due at a time, or a **repeater**
+//! ([`Sim::every`]), whose closure is boxed once. A completion is plain
+//! data — a [`Signal`] for the one handler installed with
+//! [`Sim::set_handler`], the next piece of a chunked transfer parked in the
+//! kernel's pool ([`Resource::stream`](crate::resource::Resource::stream)),
+//! or nothing — except a boxed closure ([`Completion::Call`], what
+//! [`Sim::schedule`] / [`Sim::after`] wrap) for monitoring, setup and
+//! probes ([`EventFn`](crate::event::EventFn)). A data event and a steady-state repeater firing perform **zero
+//! heap allocations**; a closure one-shot costs exactly its box (both
+//! asserted in `tests/alloc_free.rs`). Firing counts by kind fall out of
 //! the dispatcher ([`Sim::events_by_kind`]).
 //!
 //! A resource request is not an event of its own: a
@@ -25,8 +22,7 @@
 //! on but somebody reads later (a follower's acknowledgement of a shipped
 //! log batch): [`Sim::book`] returns the [`Rank`] its event would have
 //! taken, and a reader counts it once its own [`Sim::rank`] is at or past
-//! it. The kernel only remembers the latest finish booked, so that a
-//! [`Sim::step`] that finds the queue drained leaves the clock there.
+//! it.
 //!
 //! # Order
 //!
@@ -41,18 +37,11 @@
 //!
 //! That is the instant at which a kernel that ran every service start and
 //! link arm as an event of its own would have posted it. The sequence
-//! number is taken when the event is posted, so ties on both fire FIFO. All
-//! randomness elsewhere comes from seeded generators, so two runs of the
-//! same experiment fire the same events in the same order.
+//! number is taken when the event is posted, so ties on both fire FIFO.
 //!
-//! # Queue layout — one binary heap
-//!
-//! Every pending event is one entry in one `BinaryHeap`, under its rank,
-//! ordered inverted so the earliest rank pops first. A repeater re-arms by
-//! pushing its own entry back under a fresh rank, so it keeps its closure
-//! box and allocates nothing. The queue stays small (about a thousand
-//! entries on the busiest workload), so its `O(log n)` push and pop are a
-//! small share of a step.
+//! Every pending event is one entry in one `BinaryHeap` under its rank; it
+//! stays small (about a thousand entries on the busiest workload), so its
+//! `O(log n)` push and pop are a small share of a step.
 
 use std::cmp::Ordering;
 use std::collections::BinaryHeap;
@@ -61,6 +50,7 @@ use std::rc::Rc;
 use wattdb_common::{Rank, SimDuration, SimTime};
 
 use crate::event::{Completion, RepeatFn, Signal, EVENT_KINDS, KIND_REPEAT};
+use crate::resource::Chunks;
 
 /// The interpreter of [`Signal`]s. Shared so a firing can call it while it
 /// schedules more events on the kernel that owns it.
@@ -117,12 +107,13 @@ impl Ord for Entry {
 /// sim.run_to_completion();
 /// assert_eq!(log.borrow()[0], SimTime::from_millis(5));
 /// ```
+#[derive(Default)]
 pub struct Sim {
     now: SimTime,
     seq: u64,
     /// The latest finish any resource request has booked: where a drained
     /// queue leaves the clock.
-    booked_until: SimTime,
+    pub(crate) booked_until: SimTime,
     executed: u64,
     /// Every pending event, earliest key on top.
     queue: BinaryHeap<Entry>,
@@ -131,27 +122,16 @@ pub struct Sim {
     by_kind: [u64; EVENT_KINDS.len()],
     /// The rank of the event firing now, `None` between events.
     firing: Option<Rank>,
-}
-
-impl Default for Sim {
-    fn default() -> Self {
-        Self::new()
-    }
+    /// Chunked transfers waiting on their piece in flight, by slot, and
+    /// the vacant slots.
+    chunks: Vec<Option<Chunks>>,
+    vacant: Vec<u32>,
 }
 
 impl Sim {
     /// A simulator at time zero with an empty queue.
     pub fn new() -> Self {
-        Self {
-            now: SimTime::ZERO,
-            seq: 0,
-            booked_until: SimTime::ZERO,
-            executed: 0,
-            queue: BinaryHeap::new(),
-            handler: None,
-            by_kind: [0; EVENT_KINDS.len()],
-            firing: None,
-        }
+        Self::default()
     }
 
     /// Install the one handler [`Signal`]s are delivered to. A data event
@@ -228,16 +208,9 @@ impl Sim {
     /// drained queue leaves the clock no earlier than `at`.
     pub fn book(&mut self, at: SimTime, as_of: SimTime) -> Rank {
         debug_assert!(as_of >= self.now && as_of <= at, "as-of outside [now, at]");
-        self.occupy_until(at);
+        self.booked_until = self.booked_until.max(at);
         let seq = self.seq;
         Rank { at, as_of, seq }
-    }
-
-    /// An outcome booked through `end`: a drained queue leaves the clock
-    /// no earlier.
-    #[inline]
-    pub(crate) fn occupy_until(&mut self, end: SimTime) {
-        self.booked_until = self.booked_until.max(end);
     }
 
     /// Schedule closure `f` at absolute time `at` (one box; see
@@ -261,7 +234,22 @@ impl Sim {
                 let handler = self.handler.clone();
                 handler.expect("a data event fired with no handler installed")(self, signal);
             }
+            Completion::Chunk(slot) => {
+                let parked = self.chunks[slot as usize].take();
+                self.vacant.push(slot);
+                parked.expect("a parked transfer").next(self);
+            }
         }
+    }
+
+    /// Keep a chunked transfer until its piece in flight clears.
+    pub(crate) fn park(&mut self, transfer: Chunks) -> u32 {
+        let Some(slot) = self.vacant.pop() else {
+            self.chunks.push(Some(transfer));
+            return self.chunks.len() as u32 - 1;
+        };
+        self.chunks[slot as usize] = Some(transfer);
+        slot
     }
 
     /// Repeat `f` every `period`, first firing one period from now.

@@ -10,46 +10,28 @@ use wattdb_common::SimTime;
 use crate::resource::ResourceHandle;
 
 /// Computes per-window utilization of a [`Resource`] from deltas of its
-/// busy-time integral.
+/// busy-time integral; the default's first sample covers from time zero.
 ///
 /// [`Resource`]: crate::resource::Resource
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct UtilizationProbe {
     last_integral: u64,
     last_time: SimTime,
 }
 
-impl Default for UtilizationProbe {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
 impl UtilizationProbe {
-    /// A probe whose first sample covers from time zero.
-    pub fn new() -> Self {
-        Self {
-            last_integral: 0,
-            last_time: SimTime::ZERO,
-        }
-    }
-
     /// Utilization (0.0–1.0) of `res` since the previous `sample` call.
     /// An empty window returns 0.
     pub fn sample(&mut self, res: &ResourceHandle, now: SimTime) -> f64 {
-        let r = res.borrow();
-        let integral = r.busy_integral_us(now);
-        let slots = r.slots() as u64;
-        drop(r);
-        let d_busy = integral - self.last_integral;
-        let d_t = now.since(self.last_time).as_micros();
-        self.last_integral = integral;
-        self.last_time = now;
+        let (integral, slots) = (res.borrow().busy_integral_us(now), res.borrow().slots());
+        let d_busy = integral - std::mem::replace(&mut self.last_integral, integral);
+        let d_t = now
+            .since(std::mem::replace(&mut self.last_time, now))
+            .as_micros();
         if d_t == 0 {
-            0.0
-        } else {
-            (d_busy as f64 / (d_t * slots) as f64).min(1.0)
+            return 0.0;
         }
+        (d_busy as f64 / (d_t * slots as u64) as f64).min(1.0)
     }
 }
 
@@ -74,7 +56,7 @@ mod tests {
             Completion::Detached,
         );
         sim.run_until(SimTime::from_micros(1_000));
-        let mut probe = UtilizationProbe::new();
+        let mut probe = UtilizationProbe::default();
         let u = probe.sample(&res, sim.now());
         assert!((u - 0.5).abs() < 1e-9, "expected 0.5, got {u}");
         // Next window is idle.
@@ -94,7 +76,7 @@ mod tests {
             Completion::Detached,
         );
         sim.run_until(SimTime::from_micros(1_000));
-        let mut probe = UtilizationProbe::new();
+        let mut probe = UtilizationProbe::default();
         assert!((probe.sample(&res, sim.now()) - 0.5).abs() < 1e-9);
     }
 
@@ -102,7 +84,7 @@ mod tests {
     fn zero_width_window_is_zero() {
         let sim = Sim::new();
         let res = Resource::new("cpu", 1);
-        let mut probe = UtilizationProbe::new();
+        let mut probe = UtilizationProbe::default();
         assert_eq!(probe.sample(&res, sim.now()), 0.0);
         assert_eq!(probe.sample(&res, sim.now()), 0.0);
     }

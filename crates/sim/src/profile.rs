@@ -15,18 +15,18 @@ use wattdb_common::SimDuration;
 /// `Cpu` is folded into `Other` when rendering the figure.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum CostCategory {
-    /// Useful computation on a core (rendered within "other").
-    Cpu,
-    /// Disk service + disk queue time.
-    DiskIo,
-    /// Network serialization + propagation + queue time.
-    NetworkIo,
-    /// Waiting for record/partition locks.
-    Locking,
-    /// Waiting for page latches / buffer frames.
-    Latching,
     /// WAL appends and log-flush waits.
     Logging,
+    /// Waiting for page latches / buffer frames.
+    Latching,
+    /// Waiting for record/partition locks.
+    Locking,
+    /// Network serialization + propagation + queue time.
+    NetworkIo,
+    /// Disk service + disk queue time.
+    DiskIo,
+    /// Useful computation on a core (rendered within "other").
+    Cpu,
     /// Anything else (scheduling gaps, think-time excluded).
     Other,
 }
@@ -45,27 +45,21 @@ impl CostCategory {
 
     /// Short label used in experiment output.
     pub fn label(self) -> &'static str {
-        match self {
-            CostCategory::Cpu => "cpu",
-            CostCategory::DiskIo => "disk IO",
-            CostCategory::NetworkIo => "network IO",
-            CostCategory::Locking => "locking",
-            CostCategory::Latching => "latching",
-            CostCategory::Logging => "logging",
-            CostCategory::Other => "other",
-        }
+        let labels = [
+            "logging",
+            "latching",
+            "locking",
+            "network IO",
+            "disk IO",
+            "cpu",
+            "other",
+        ];
+        labels[self.index()]
     }
 
+    /// Its place in [`CostCategory::ALL`]: the declaration order.
     fn index(self) -> usize {
-        match self {
-            CostCategory::Logging => 0,
-            CostCategory::Latching => 1,
-            CostCategory::Locking => 2,
-            CostCategory::NetworkIo => 3,
-            CostCategory::DiskIo => 4,
-            CostCategory::Cpu => 5,
-            CostCategory::Other => 6,
-        }
+        self as usize
     }
 }
 
@@ -77,11 +71,6 @@ pub struct CostProfile {
 }
 
 impl CostProfile {
-    /// An all-zero profile.
-    pub fn new() -> Self {
-        Self::default()
-    }
-
     /// Record `d` against category `cat`.
     #[inline]
     pub fn record(&mut self, cat: CostCategory, d: SimDuration) {
@@ -100,23 +89,16 @@ impl CostProfile {
 
     /// Divide all entries by `n` (for per-query means). `n = 0` is a no-op.
     pub fn scaled_down(&self, n: u64) -> CostProfile {
-        if n == 0 {
-            return *self;
-        }
-        let mut out = *self;
-        for s in &mut out.slots {
-            *s /= n;
-        }
-        out
+        let slots = self.slots.map(|s| s.checked_div(n).unwrap_or(s));
+        CostProfile { slots }
     }
 }
 
 impl Add for CostProfile {
     type Output = CostProfile;
-    fn add(self, rhs: CostProfile) -> CostProfile {
-        let mut out = self;
-        out += rhs;
-        out
+    fn add(mut self, rhs: CostProfile) -> CostProfile {
+        self += rhs;
+        self
     }
 }
 
@@ -130,19 +112,15 @@ impl AddAssign for CostProfile {
 
 impl fmt::Display for CostProfile {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        let mut first = true;
-        for cat in CostCategory::ALL {
-            let v = self.get(cat);
-            if v > SimDuration::ZERO {
-                if !first {
-                    write!(f, " ")?;
-                }
-                write!(f, "{}={}", cat.label(), v)?;
-                first = false;
-            }
+        if self.total() == SimDuration::ZERO {
+            return write!(f, "(empty)");
         }
-        if first {
-            write!(f, "(empty)")?;
+        let mut sep = "";
+        for (cat, v) in CostCategory::ALL.map(|c| (c, self.get(c))) {
+            if v > SimDuration::ZERO {
+                write!(f, "{sep}{}={v}", cat.label())?;
+                sep = " ";
+            }
         }
         Ok(())
     }
@@ -154,7 +132,7 @@ mod tests {
 
     #[test]
     fn add_and_get() {
-        let mut p = CostProfile::new();
+        let mut p = CostProfile::default();
         p.record(CostCategory::DiskIo, SimDuration::from_millis(3));
         p.record(CostCategory::DiskIo, SimDuration::from_millis(2));
         p.record(CostCategory::Locking, SimDuration::from_millis(1));
@@ -166,9 +144,9 @@ mod tests {
 
     #[test]
     fn aggregation_and_scaling() {
-        let mut a = CostProfile::new();
+        let mut a = CostProfile::default();
         a.record(CostCategory::Logging, SimDuration::from_micros(100));
-        let mut b = CostProfile::new();
+        let mut b = CostProfile::default();
         b.record(CostCategory::Logging, SimDuration::from_micros(300));
         b.record(CostCategory::Cpu, SimDuration::from_micros(40));
         let sum = a + b;
@@ -188,12 +166,12 @@ mod tests {
 
     #[test]
     fn display_omits_zero_categories() {
-        let mut p = CostProfile::new();
+        let mut p = CostProfile::default();
         p.record(CostCategory::NetworkIo, SimDuration::from_micros(5));
         let s = p.to_string();
         assert!(s.contains("network IO"));
         assert!(!s.contains("disk"));
-        assert_eq!(CostProfile::new().to_string(), "(empty)");
+        assert_eq!(CostProfile::default().to_string(), "(empty)");
     }
 
     #[test]

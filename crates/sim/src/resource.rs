@@ -27,9 +27,10 @@
 //!
 //! A waited-on request posts its completion once, due at its finish and
 //! ranked as of its start (see [`crate::kernel`]); a
-//! [`Completion::Detached`] one posts nothing. [`Resource::submit_pair`]
-//! posts a message's `done` once, `hop` after the later of its two arms
-//! clears. [`Resource::stats`] books a request when it is submitted.
+//! [`Completion::Detached`] one posts nothing. [`Resource::stream`] submits
+//! a bulk transfer a piece at a time, so small requests queue between its
+//! pieces; in between, it waits in a slot of the kernel's recycled pool
+//! that the piece's [`Completion::Chunk`] names.
 
 use std::cell::RefCell;
 use std::collections::VecDeque;
@@ -87,11 +88,6 @@ impl Resource {
         }))
     }
 
-    /// Resource name (diagnostics).
-    pub fn name(&self) -> &str {
-        &self.name
-    }
-
     /// Number of parallel service stations.
     pub fn slots(&self) -> u32 {
         self.free_at.len() as u32
@@ -125,11 +121,7 @@ impl Resource {
     /// [`UtilizationProbe`]: crate::probe::UtilizationProbe
     pub fn busy_integral_us(&self, now: SimTime) -> u64 {
         self.check_clock(now);
-        let ahead: u64 = self
-            .free_at
-            .iter()
-            .map(|&free| free.since(now).as_micros())
-            .sum();
+        let ahead: u64 = self.free_at.iter().map(|f| f.since(now).as_micros()).sum();
         self.stats.service_us - ahead
     }
 
@@ -170,7 +162,7 @@ impl Resource {
         then: Completion,
     ) -> SimTime {
         let (start, finish) = this.borrow_mut().book(sim.now(), service);
-        sim.occupy_until(finish);
+        sim.booked_until = sim.booked_until.max(finish);
         if !matches!(then, Completion::Detached) {
             sim.post_as_of(finish, start, then);
         }
@@ -195,6 +187,52 @@ impl Resource {
             sim.post_as_of(clear + hop, clear, done);
         }
         clear
+    }
+
+    /// Move `bytes` over `a` (a drive), or over `a` and `b` in parallel (a
+    /// message's egress and ingress), in pieces of at most `chunk` bytes
+    /// priced by `service`, each submitted when the one before it is done;
+    /// the last makes `done` due `hop` after it clears. Returns the instant
+    /// the first piece clears.
+    pub fn stream(
+        sim: &mut Sim,
+        (a, b): (&ResourceHandle, Option<&ResourceHandle>),
+        (bytes, chunk, hop): (u64, u64, SimDuration),
+        service: impl Fn(u64) -> SimDuration,
+        done: Completion,
+    ) -> SimTime {
+        let left = bytes.div_ceil(chunk).max(1);
+        let tail = service(bytes - (left - 1) * chunk);
+        let full = if left > 1 { service(chunk) } else { tail };
+        match (left, b) {
+            (1, Some(b)) => Resource::submit_pair(a, b, sim, tail, hop, done),
+            (1, None) => Resource::submit(a, sim, tail, done),
+            _ => Chunks((a.clone(), b.cloned()), left, [full, tail, hop], done).next(sim),
+        }
+    }
+}
+
+/// A chunked transfer between two pieces ([`Resource::stream`]): its arms,
+/// the pieces not yet submitted, the service of a full piece and of the
+/// last, the last one's hop, and what the last one completes.
+pub(crate) struct Chunks(Arms, u64, [SimDuration; 3], Completion);
+
+type Arms = (ResourceHandle, Option<ResourceHandle>);
+
+impl Chunks {
+    /// Submit the next piece: the last carries `done`, any other parks the
+    /// transfer in the kernel's pool until it clears. Returns when it clears.
+    pub(crate) fn next(mut self, sim: &mut Sim) -> SimTime {
+        self.1 -= 1;
+        let (arms, [full, tail, hop]) = (self.0.clone(), self.2);
+        let (service, hop, then) = match self.1 {
+            0 => (tail, hop, self.3),
+            _ => (full, SimDuration::ZERO, Completion::Chunk(sim.park(self))),
+        };
+        match arms {
+            (a, Some(b)) => Resource::submit_pair(&a, &b, sim, service, hop, then),
+            (a, None) => Resource::submit(&a, sim, service, then),
+        }
     }
 }
 

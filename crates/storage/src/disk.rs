@@ -4,6 +4,9 @@
 //! [`SimDisk`] pairs the drive's timing/capacity spec with a single-slot
 //! queueing [`Resource`], so concurrent requests serialize and queue —
 //! the effect that makes rebalancing I/O hurt foreground queries (Fig. 7).
+//! A bulk transfer is the kernel's chunked transfer
+//! ([`Resource::stream`]): each later [`CHUNK`] is queued when the one
+//! before it is done, as data, with no closure.
 //!
 //! [`Resource`]: wattdb_sim::Resource
 
@@ -106,13 +109,15 @@ impl SimDisk {
     }
 
     /// Submit a bulk sequential transfer (segment copy, log flush),
-    /// streamed in 8 MiB chunks so foreground page requests can
-    /// interleave in the device queue instead of stalling behind one
-    /// multi-second request.
+    /// streamed in [`CHUNK`]s ([`Resource::stream`]) so foreground page
+    /// requests interleave in the device queue instead of stalling behind
+    /// one multi-second request; the last chunk carries `done`.
     pub fn bulk_transfer(&mut self, sim: &mut Sim, bytes: ByteSize, done: Completion) {
         self.writes += 1;
         self.bulk_bytes += bytes.as_u64();
-        stream_chunks(&self.resource, self.spec, sim, bytes.as_u64(), done);
+        let (spec, pieces) = (self.spec, (bytes.as_u64(), CHUNK, SimDuration::ZERO));
+        let service = |b| spec.service_time(ByteSize::bytes(b));
+        Resource::stream(sim, (&self.resource, None), pieces, service, done);
     }
 
     /// Service time for one request of `bytes` with no queueing (cost
@@ -122,32 +127,8 @@ impl SimDisk {
     }
 }
 
-/// Submit the next chunk of a transfer with `remaining` bytes to go; each
-/// later chunk is chained from its predecessor's completion (a closure:
-/// only transfers past one chunk pay for it), the last one carries `done`.
-fn stream_chunks(
-    resource: &ResourceHandle,
-    spec: DiskSpec,
-    sim: &mut Sim,
-    remaining: u64,
-    done: Completion,
-) {
-    const CHUNK: u64 = 8 * 1024 * 1024;
-    let this = remaining.min(CHUNK);
-    let rest = remaining - this;
-    let then = if rest == 0 {
-        done
-    } else {
-        let resource = resource.clone();
-        Completion::call(move |sim| stream_chunks(&resource, spec, sim, rest, done))
-    };
-    Resource::submit(
-        resource,
-        sim,
-        spec.service_time(ByteSize::bytes(this)),
-        then,
-    );
-}
+/// The largest piece a bulk transfer occupies a drive with.
+pub const CHUNK: u64 = 8 * 1024 * 1024;
 
 #[cfg(test)]
 mod tests {
